@@ -67,9 +67,9 @@
 //!
 //! `--trace-out FILE` enlarges the trace ring and writes the last run's
 //! commit trace as Chrome Trace Event Format; `--sampler-out FILE`
-//! turns the background metrics sampler on (200 Hz unless
-//! `LD_ARU_METRICS_HZ` overrides it) and writes the last run's time
-//! series as JSON Lines. Both apply to the default group-commit study.
+//! turns the background metrics sampler on (200 Hz) and writes the
+//! last run's time series as JSON Lines. Both apply to the default
+//! group-commit study.
 //!
 //! [`PipelinedDisk`]: ld_disk::PipelinedDisk
 
@@ -324,7 +324,7 @@ fn main() {
         // exported trace is complete rather than the ring's tail.
         ld_cfg.obs.ring_capacity = 1 << 16;
     }
-    if sampler_out.is_some() && ld_cfg.metrics_hz.is_none() {
+    if sampler_out.is_some() {
         ld_cfg.metrics_hz = Some(200.0);
     }
     let map_shards = ld_cfg.map_shards;

@@ -1,26 +1,18 @@
-//! Restart latency: what sharded checkpoint snapshots and parallel
-//! suffix replay buy at recovery time.
+//! Restart latency: what sharded checkpoint snapshots buy at recovery
+//! time.
 //!
-//! Two studies, both on an in-memory device so the numbers isolate the
+//! One study, on an in-memory device so the numbers isolate the
 //! recovery *computation* (CRC checks, record replay, table rebuild)
 //! rather than media latency:
 //!
-//! 1. **Flat restart** — a fixed working set takes a growing log of
-//!    overwrites (1×, 2×, 4×, 8× the base update count) before the
-//!    checkpoint, while the post-checkpoint suffix stays fixed. With a
-//!    covering checkpoint, restart reads the snapshot slabs and
-//!    replays only the fixed suffix, so wall time stays roughly flat;
-//!    the same history recovered *without* a checkpoint replays every
-//!    update and grows linearly with log length. The gap is what the
-//!    checkpoint subsystem is for.
-//!
-//! 2. **Parallel speedup** — a long-log image (a checkpointed working
-//!    set followed by a long suffix of small update ARUs overwriting
-//!    it) is recovered at 1, 2, 4, and 8 worker threads
-//!    (`LldConfig::recovery_threads`). Segment scan and slab decode
-//!    fan out across the pool, and the replay coordinator routes each
-//!    update to the partition owning its block, so restart scales
-//!    until the serial fraction (routing plus finalize) dominates.
+//! **Flat restart** — a fixed working set takes a growing log of
+//! overwrites (1×, 2×, 4×, 8× the base update count) before the
+//! checkpoint, while the post-checkpoint suffix stays fixed. With a
+//! covering checkpoint, restart reads the snapshot slabs and replays
+//! only the fixed suffix, so wall time stays roughly flat; the same
+//! history recovered *without* a checkpoint replays every update and
+//! grows linearly with log length. The gap is what the checkpoint
+//! subsystem is for.
 //!
 //! The consistency check (`check_on_recovery`) is off for every run:
 //! it is an optional post-recovery audit, and its full-map walk would
@@ -45,9 +37,9 @@ fn config() -> LldConfig {
 }
 
 /// Appends `arus` committed ARUs, each building one private list of
-/// `blocks_per` written blocks — the record mix is almost entirely
-/// routable (allocations, writes, same-list links), which is the
-/// common case for a crashed busy disk. Returns the created blocks.
+/// `blocks_per` written blocks (allocations, writes, same-list links:
+/// the common case for a crashed busy disk). Returns the created
+/// blocks.
 fn fill(ld: &Lld<MemDisk>, arus: u64, blocks_per: u64) -> Vec<BlockId> {
     let data = vec![0xA5u8; BS];
     let mut blocks = Vec::with_capacity((arus * blocks_per) as usize);
@@ -111,17 +103,13 @@ fn build_image(
     ld.into_device().into_image()
 }
 
-/// Recovers a copy of `image` with `threads` workers; wall time plus
-/// the phase breakdown from the report. The image copy happens before
-/// the clock starts — it is test scaffolding, not recovery work.
-fn recover_once(image: &[u8], threads: usize) -> (f64, RecoveryReport) {
-    let cfg = LldConfig {
-        recovery_threads: threads,
-        ..config()
-    };
+/// Recovers a copy of `image`; wall time plus the phase breakdown from
+/// the report. The image copy happens before the clock starts — it is
+/// test scaffolding, not recovery work.
+fn recover_once(image: &[u8]) -> (f64, RecoveryReport) {
     let device = MemDisk::from_image(image.to_vec());
     let start = Instant::now();
-    let (ld, report) = Lld::recover_with(device, &cfg).expect("recover");
+    let (ld, report) = Lld::recover_with(device, &config()).expect("recover");
     let wall = start.elapsed().as_secs_f64();
     drop(ld);
     (wall, report)
@@ -129,9 +117,8 @@ fn recover_once(image: &[u8], threads: usize) -> (f64, RecoveryReport) {
 
 /// Median-of-3 recovery wall time (recovery is short; MemDisk runs are
 /// noisy enough to bother).
-fn recover_med(image: &[u8], threads: usize) -> (f64, RecoveryReport) {
-    let mut runs: Vec<(f64, RecoveryReport)> =
-        (0..3).map(|_| recover_once(image, threads)).collect();
+fn recover_med(image: &[u8]) -> (f64, RecoveryReport) {
+    let mut runs: Vec<(f64, RecoveryReport)> = (0..3).map(|_| recover_once(image)).collect();
     runs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
     runs.swap_remove(1)
 }
@@ -148,15 +135,15 @@ fn main() {
     let base_pre: u64 = if quick { 750 } else { 3000 };
     let suffix: u64 = if quick { 150 } else { 600 };
 
-    // ---- Study 1: restart stays flat as pre-checkpoint history grows
+    // Restart stays flat as pre-checkpoint history grows.
     let mut flat = Arr::new();
     let mut flat_rows: Vec<(u64, f64, f64, RecoveryReport)> = Vec::new();
     for mult in [1u64, 2, 4, 8] {
         let pre = base_pre * mult;
         let with_ckpt = build_image(ws_arus, blocks_per, pre, suffix, writes_per, true);
         let without_ckpt = build_image(ws_arus, blocks_per, pre, suffix, writes_per, false);
-        let (ckpt_wall, report) = recover_med(&with_ckpt, 1);
-        let (raw_wall, _) = recover_med(&without_ckpt, 1);
+        let (ckpt_wall, report) = recover_med(&with_ckpt);
+        let (raw_wall, _) = recover_med(&without_ckpt);
         flat.push_raw(
             &Obj::new()
                 .u64("pre_ckpt_update_arus", pre)
@@ -175,43 +162,6 @@ fn main() {
         flat_rows.push((pre, ckpt_wall, raw_wall, report));
     }
 
-    // ---- Study 2: restart speedup across recovery_threads ------------
-    // On a single-core host the multi-thread legs measure nothing but
-    // scheduler round-robin; emit an explicit skip marker instead of
-    // numbers that look like (absent) speedup.
-    let single_core = host_cores == 1;
-    let upd_arus: u64 = if quick { 3000 } else { 12000 };
-    let mut speedup = Arr::new();
-    let mut spd_rows: Vec<(usize, f64, f64, RecoveryReport)> = Vec::new();
-    let mut base_replay = 0f64;
-    let mut base_wall = 0f64;
-    if !single_core {
-        let image = build_image(ws_arus, blocks_per, 0, upd_arus, writes_per, true);
-        for threads in [1usize, 2, 4, 8] {
-            let (wall, report) = recover_med(&image, threads);
-            let replay_s = report.replay_ns as f64 / 1e9;
-            if threads == 1 {
-                base_replay = replay_s;
-                base_wall = wall;
-            }
-            speedup.push_raw(
-                &Obj::new()
-                    .u64("threads", threads as u64)
-                    .u64("records_applied", report.records_applied)
-                    .u64("segments_replayed", report.segments_replayed as u64)
-                    .f64("restart_ms", wall * 1e3)
-                    .f64("replay_ms", replay_s * 1e3)
-                    .f64("scan_ms", report.scan_ns as f64 / 1e6)
-                    .f64("snapshot_load_ms", report.snapshot_load_ns as f64 / 1e6)
-                    .f64("finalize_ms", report.finalize_ns as f64 / 1e6)
-                    .f64("replay_speedup", base_replay / replay_s.max(1e-9))
-                    .f64("restart_speedup", base_wall / wall.max(1e-9))
-                    .finish(),
-            );
-            spd_rows.push((threads, wall, replay_s, report));
-        }
-    }
-
     if json {
         let mut out = Arr::new();
         out.push_raw(
@@ -222,22 +172,9 @@ fn main() {
                 .u64("working_set_arus", ws_arus)
                 .u64("blocks_per_aru", blocks_per)
                 .u64("writes_per_aru", writes_per)
-                .u64("recovery_threads", 1)
                 .raw("runs", &flat.finish())
                 .finish(),
         );
-        let mut spd_obj = Obj::new();
-        spd_obj
-            .str("experiment", "recovery_parallel_speedup")
-            .str("device", "mem")
-            .u64("host_cores", host_cores as u64)
-            .u64("working_set_arus", ws_arus)
-            .u64("update_arus", upd_arus)
-            .u64("writes_per_aru", writes_per);
-        if single_core {
-            spd_obj.str("status", "skipped_single_core");
-        }
-        out.push_raw(&spd_obj.raw("runs", &speedup.finish()).finish());
         println!("{}", out.finish());
         return;
     }
@@ -246,12 +183,6 @@ fn main() {
         "Restart latency (mem device, {ws_arus}x{blocks_per}-block working set, \
          {writes_per} writes/update ARU, {host_cores} host cores)"
     );
-    if host_cores < 4 {
-        println!(
-            "note: host has {host_cores} core(s); parallel legs measure coordination \
-             overhead, not speedup"
-        );
-    }
     println!();
     println!("Flat restart: fixed {suffix}-update-ARU suffix, growing pre-checkpoint history");
     println!(
@@ -266,32 +197,6 @@ fn main() {
             raw_wall * 1e3,
             report.snapshot_load_ns as f64 / 1e6,
             report.replay_ns as f64 / 1e6
-        );
-    }
-    println!();
-    if single_core {
-        println!(
-            "Parallel restart: skipped_single_core — one host core cannot \
-             demonstrate replay parallelism; rerun on a multi-core host"
-        );
-        return;
-    }
-    println!(
-        "Parallel restart: {upd_arus} update ARUs ({writes_per} writes each) above the checkpoint"
-    );
-    println!(
-        "  {:>8} {:>12} {:>12} {:>10} {:>14} {:>15}",
-        "threads", "restart ms", "replay ms", "scan ms", "replay speedup", "restart speedup"
-    );
-    for (threads, wall, replay_s, report) in &spd_rows {
-        println!(
-            "  {:>8} {:>12.2} {:>12.2} {:>10.2} {:>13.2}x {:>14.2}x",
-            threads,
-            wall * 1e3,
-            replay_s * 1e3,
-            report.scan_ns as f64 / 1e6,
-            base_replay / replay_s.max(1e-9),
-            base_wall / wall.max(1e-9)
         );
     }
 }

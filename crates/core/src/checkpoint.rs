@@ -84,15 +84,11 @@ pub(crate) struct CkptSlots {
 pub(crate) struct SlabInfo {
     /// Absolute device offset of the slab.
     pub(crate) offset: u64,
+    /// Payload length in bytes, checked to lie inside the area.
+    pub(crate) len: u64,
     pub(crate) n_blocks: u64,
     pub(crate) n_lists: u64,
     pub(crate) crc: u32,
-}
-
-impl SlabInfo {
-    pub(crate) fn len(&self) -> u64 {
-        self.n_blocks * CKPT_BLOCK_ENTRY + self.n_lists * CKPT_LIST_ENTRY
-    }
 }
 
 /// A decoded checkpoint header + slab directory (slabs not yet read).
@@ -596,20 +592,28 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
     let end = area + layout.ckpt_area_size;
     for e in 0..snap_shards as usize {
         let p = e * CKPT_DIR_ENTRY as usize;
-        let info = SlabInfo {
-            offset: off,
-            n_blocks: u64::from_le_bytes(dir_bytes[p..p + 8].try_into().expect("8 bytes")),
-            n_lists: u64::from_le_bytes(dir_bytes[p + 8..p + 16].try_into().expect("8 bytes")),
-            crc: u32::from_le_bytes(dir_bytes[p + 16..p + 20].try_into().expect("4 bytes")),
+        let n_blocks = u64::from_le_bytes(dir_bytes[p..p + 8].try_into().expect("8 bytes"));
+        let n_lists = u64::from_le_bytes(dir_bytes[p + 8..p + 16].try_into().expect("8 bytes"));
+        let Some(len) = n_blocks
+            .checked_mul(CKPT_BLOCK_ENTRY)
+            .and_then(|b| b.checked_add(n_lists.checked_mul(CKPT_LIST_ENTRY)?))
+        else {
+            return Ok(None);
         };
-        let Some(next) = off.checked_add(info.len()) else {
+        let Some(next) = off.checked_add(len) else {
             return Ok(None);
         };
         if next > end {
             return Ok(None);
         }
+        slabs.push(SlabInfo {
+            offset: off,
+            len,
+            n_blocks,
+            n_lists,
+            crc: u32::from_le_bytes(dir_bytes[p + 16..p + 20].try_into().expect("4 bytes")),
+        });
         off = next;
-        slabs.push(info);
     }
     let Some(dedup_end) = off.checked_add(n_dedup * CKPT_DEDUP_ENTRY) else {
         return Ok(None);
@@ -659,7 +663,7 @@ pub(crate) fn decode_slab<D: BlockDevice + ?Sized>(
     device: &D,
     slab: &SlabInfo,
 ) -> Result<Option<SlabData>> {
-    let mut payload = vec![0u8; slab.len() as usize];
+    let mut payload = vec![0u8; slab.len as usize];
     device.read_at(slab.offset, &mut payload)?;
     if crc32(&payload) != slab.crc {
         return Ok(None);

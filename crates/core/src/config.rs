@@ -158,16 +158,6 @@ pub struct LldConfig {
     /// (`1`/`true`/`on`/`yes`, case-insensitive; CI uses it to run the
     /// whole suite in pipelined mode).
     pub pipeline: bool,
-    /// Worker threads recovery uses to load checkpoint snapshot slabs,
-    /// scan the log suffix, and replay routed records (1..=64; default
-    /// 1 = fully serial). Purely a restart-time knob: it changes how
-    /// fast `recover` runs, never what state it reconstructs, and is
-    /// not persisted on disk. See docs/RECOVERY.md.
-    ///
-    /// The default honours the `LD_ARU_RECOVERY_THREADS` environment
-    /// variable when it holds a valid count (CI uses it to run the
-    /// whole suite with parallel recovery).
-    pub recovery_threads: usize,
     /// Observability: event tracing, latency histograms, and ARU spans
     /// (default on; see [`ObsConfig::disabled`]).
     pub obs: ObsConfig,
@@ -176,10 +166,8 @@ pub struct LldConfig {
     /// [`ObsSnapshot`](crate::ObsSnapshot) roughly `hz` times per second
     /// into a bounded in-memory ring, exportable as JSONL
     /// (`Lld::sampler_jsonl`). Must be finite and positive (at most
-    /// 1000) when set. A runtime knob, not persisted on disk.
-    ///
-    /// The default honours the `LD_ARU_METRICS_HZ` environment variable
-    /// when it parses as such a number.
+    /// 1000) when set; default `None`. A runtime knob, not persisted
+    /// on disk.
     pub metrics_hz: Option<f64>,
     /// Upper bound on recorded write-id outcomes in the exactly-once
     /// dedup cache (16..=65536; default 1024). The bound also reserves
@@ -188,9 +176,6 @@ pub struct LldConfig {
     /// A retry is deduplicated only while its outcome is within the
     /// newest `dedup_capacity` commits; clients must size their retry
     /// window accordingly (see docs/PROTOCOL.md).
-    ///
-    /// The default honours the `LD_ARU_DEDUP_CAP` environment variable
-    /// when it holds a valid count.
     pub dedup_capacity: usize,
     /// Directory the crash flight recorder dumps into. When set, a
     /// device error latched on a background thread (the pipeline I/O
@@ -218,10 +203,9 @@ impl Default for LldConfig {
             read_cache_blocks: 1024,
             map_shards: default_map_shards(),
             pipeline: default_pipeline(),
-            recovery_threads: default_recovery_threads(),
             obs: ObsConfig::default(),
-            metrics_hz: default_metrics_hz(),
-            dedup_capacity: default_dedup_capacity(),
+            metrics_hz: None,
+            dedup_capacity: 1024,
             flight_dir: default_flight_dir(),
         }
     }
@@ -229,10 +213,6 @@ impl Default for LldConfig {
 
 /// Maximum supported shard count (shard sets are u64 bitmasks).
 pub(crate) const MAX_MAP_SHARDS: usize = 64;
-
-/// Maximum recovery worker-pool size (matches the replay partition
-/// count ceiling in `recovery.rs`).
-pub(crate) const MAX_RECOVERY_THREADS: usize = 64;
 
 fn default_map_shards() -> usize {
     std::env::var("LD_ARU_MAP_SHARDS")
@@ -242,27 +222,11 @@ fn default_map_shards() -> usize {
         .unwrap_or(8)
 }
 
-fn default_recovery_threads() -> usize {
-    std::env::var("LD_ARU_RECOVERY_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| (1..=MAX_RECOVERY_THREADS).contains(&n))
-        .unwrap_or(1)
-}
-
 /// Bounds on the write-id dedup cache capacity. The upper bound keeps
 /// the checkpoint-area reservation for the dedup slab (32 bytes per
 /// entry) modest even on small devices.
 pub(crate) const MIN_DEDUP_CAPACITY: usize = 16;
 pub(crate) const MAX_DEDUP_CAPACITY: usize = 65536;
-
-fn default_dedup_capacity() -> usize {
-    std::env::var("LD_ARU_DEDUP_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| (MIN_DEDUP_CAPACITY..=MAX_DEDUP_CAPACITY).contains(&n))
-        .unwrap_or(1024)
-}
 
 fn default_cleaner_background() -> bool {
     env_flag("LD_ARU_CLEANERD")
@@ -270,13 +234,6 @@ fn default_cleaner_background() -> bool {
 
 fn default_pipeline() -> bool {
     env_flag("LD_ARU_PIPELINE")
-}
-
-fn default_metrics_hz() -> Option<f64> {
-    std::env::var("LD_ARU_METRICS_HZ")
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|hz| hz.is_finite() && *hz > 0.0 && *hz <= 1000.0)
 }
 
 fn default_flight_dir() -> Option<std::path::PathBuf> {
@@ -343,12 +300,6 @@ impl LldConfig {
             return Err(LldError::Config(format!(
                 "map_shards {} must be a power of two in 1..={MAX_MAP_SHARDS}",
                 self.map_shards
-            )));
-        }
-        if !(1..=MAX_RECOVERY_THREADS).contains(&self.recovery_threads) {
-            return Err(LldError::Config(format!(
-                "recovery_threads {} must be in 1..={MAX_RECOVERY_THREADS}",
-                self.recovery_threads
             )));
         }
         if !(MIN_DEDUP_CAPACITY..=MAX_DEDUP_CAPACITY).contains(&self.dedup_capacity) {
@@ -463,27 +414,6 @@ mod tests {
             ..LldConfig::default()
         };
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn rejects_bad_recovery_threads() {
-        for bad in [0usize, 65, 1000] {
-            let c = LldConfig {
-                recovery_threads: bad,
-                ..LldConfig::default()
-            };
-            assert!(
-                c.validate().is_err(),
-                "recovery_threads {bad} should be rejected"
-            );
-        }
-        for good in [1usize, 3, 4, 64] {
-            let c = LldConfig {
-                recovery_threads: good,
-                ..LldConfig::default()
-            };
-            assert!(c.validate().is_ok());
-        }
     }
 
     #[test]

@@ -856,9 +856,7 @@ impl Obs {
     }
 
     /// Completes one timed checkpoint-slab decode during recovery
-    /// (histogram only: slab loads run fanned out across the worker
-    /// pool, so phase spans are recorded separately by the
-    /// coordinator).
+    /// (histogram only; the phase span is recorded by `recover`).
     #[inline]
     pub(crate) fn recovery_slab_load(&self, timer: Option<Instant>) {
         if let Some(n) = Self::elapsed_nanos(timer) {
@@ -866,9 +864,7 @@ impl Obs {
         }
     }
 
-    /// Completes one timed replay batch during recovery (a routed
-    /// per-partition batch on a worker, or a serialized barrier record
-    /// on the coordinator).
+    /// Completes the timed suffix replay during recovery.
     #[inline]
     pub(crate) fn recovery_replay_batch(&self, timer: Option<Instant>) {
         if let Some(n) = Self::elapsed_nanos(timer) {

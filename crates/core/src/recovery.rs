@@ -14,51 +14,30 @@
 //! re-stripes the allocators for whatever shard count this process
 //! runs with.
 //!
-//! # Parallel restart
+//! # The pipeline
 //!
-//! Recovery runs in four phases, each a traced stage
-//! (`recovery_snapshot_load` / `recovery_scan` / `recovery_replay` /
-//! `recovery_finalize`) with its wall time in the [`RecoveryReport`]:
+//! Recovery is one straight line on the calling thread, in four phases,
+//! each a traced stage (`recovery_snapshot_load` / `recovery_scan` /
+//! `recovery_replay` / `recovery_finalize`) with its wall time in the
+//! [`RecoveryReport`]:
 //!
 //! 1. **Snapshot load** — the newest valid checkpoint's per-shard
-//!    slabs are CRC-checked and decoded fanned out across the worker
-//!    pool, then distributed into [`REPLAY_PARTS`] fixed partitions
-//!    striped by identifier.
-//! 2. **Scan** — segment summaries are probed across the pool, then a
-//!    serial pass orders the suffix chain.
-//! 3. **Replay** — the coordinator walks the chain in log order and
-//!    routes records to workers; each worker owns a disjoint set of
-//!    partitions and applies its records with no cross-thread locking
-//!    (channel order preserves per-partition FIFO).
-//!
-//!    Identifier striping alone would make almost every `Link` record
-//!    span partitions (a list and the blocks on it have unrelated
-//!    identifiers), so routing is by *connectivity*: the coordinator
-//!    assigns every identifier a **home** partition, union-finds each
-//!    ARU batch so a list and the blocks linked to it share one home,
-//!    and ships each connected component to its home's worker. Records
-//!    whose touch set cannot be known from the record alone —
-//!    deletions, which walk lists — and component merges that must
-//!    move already-placed state between partitions are applied by the
-//!    coordinator at a **fence**: every worker acknowledges its queue
-//!    is drained, the coordinator applies (or migrates) against all
-//!    partitions, and routing resumes. Two routed records can depend
-//!    on each other only through a shared identifier, which gives them
-//!    one home, so per-home FIFO plus total fence order reproduces the
-//!    serial replay exactly.
-//! 4. **Finalize** — partitions are drained and merged (ids live in
-//!    exactly one partition by the home invariant), live-segment
-//!    accounting is computed from the final block addresses, and the
-//!    maps are re-sharded for this process's shard count.
-//!
-//! The worker count comes from [`LldConfig::recovery_threads`]
-//! (`LD_ARU_RECOVERY_THREADS`); at 1, replay applies records inline
-//! against all partitions in one pass — the reference semantics the
-//! parallel path is tested against.
+//!    slabs are CRC-checked, decoded and inserted into one
+//!    [`ReplayState`].
+//! 2. **Scan** — every segment slot's header is probed (summaries only
+//!    above the checkpoint), and the valid suffix is ordered by
+//!    sequence number.
+//! 3. **Replay** — [`drive_chain`] walks the chain in log order,
+//!    resolves ARU commit points, and each effective record is applied
+//!    to the replay state.
+//! 4. **Finalize** — the replay state is drained into one table,
+//!    live-segment accounting is computed from the final block
+//!    addresses, and the maps are re-sharded for this process's shard
+//!    count.
 
 use crate::checkpoint::{self, CkptHeaderInfo, CkptSlots};
 use crate::cleanerd::Cleanerd;
-use crate::config::{LldConfig, MAX_MAP_SHARDS, MAX_RECOVERY_THREADS};
+use crate::config::{LldConfig, MAX_MAP_SHARDS};
 use crate::error::{LldError, Result};
 use crate::gc::GroupCommit;
 use crate::layout::Layout;
@@ -70,43 +49,9 @@ use crate::state::{BlockRecord, ListRecord, StateOverlay, Tables};
 use crate::summary::Record;
 use crate::types::{BlockId, ListId, PhysAddr, Position, SegmentId, Timestamp};
 use ld_disk::{BlockDevice, Mutex};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::time::Instant;
-
-/// Number of fixed replay partitions. An identifier's *stripe* is
-/// `raw & (REPLAY_PARTS - 1)`: where checkpoint snapshot entries are
-/// placed, and the default home for identifiers the connectivity
-/// router has not (re)assigned.
-const REPLAY_PARTS: usize = 64;
-const REPLAY_PART_MASK: u64 = REPLAY_PARTS as u64 - 1;
-
-/// Routed records buffered per partition before being shipped to the
-/// owning worker.
-const REPLAY_BATCH: usize = 64;
-
-/// Home-map sentinel for an identifier whose lone allocation record is
-/// parked in limbo: the identifier exists in the log but its entries
-/// are nowhere yet, so it can still adopt any home. Folding this into
-/// the home map keeps routing at one probe per identifier.
-const PARKED: usize = usize::MAX;
-
-/// Namespace-tagged identifier keys for the home map: block and list
-/// identifier spaces overlap, so home entries are keyed by
-/// `raw << 1 | is_list`.
-#[inline]
-fn btag(raw: u64) -> u64 {
-    raw << 1
-}
-#[inline]
-fn ltag(raw: u64) -> u64 {
-    (raw << 1) | 1
-}
-#[inline]
-fn stripe_of(tag: u64) -> usize {
-    ((tag >> 1) & REPLAY_PART_MASK) as usize
-}
 
 /// What recovery found and did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -139,7 +84,7 @@ pub struct RecoveryReport {
     /// Snapshot slabs loaded from the chosen checkpoint (0 = no
     /// checkpoint; the shard count the image was checkpointed at).
     pub snap_shards: u32,
-    /// Worker threads used for slab decode, segment scan, and replay.
+    /// Threads recovery ran on: always 1 (the caller's).
     pub threads_used: u32,
     /// Wall time of the snapshot-load phase.
     pub snapshot_load_ns: u64,
@@ -147,32 +92,17 @@ pub struct RecoveryReport {
     pub scan_ns: u64,
     /// Wall time of the suffix-replay phase.
     pub replay_ns: u64,
-    /// Wall time of the finalize phase (merge, re-shard, consistency
-    /// check).
+    /// Wall time of the finalize phase (re-shard, consistency check).
     pub finalize_ns: u64,
 }
 
 // ----------------------------------------------------------------------
-// Replay partitions
+// Replay state
 // ----------------------------------------------------------------------
-
-/// One replay partition: the slice of the recovered state owned by the
-/// identifiers homed to it. Mirrors one map shard's persistent +
-/// committed levels.
-#[derive(Debug, Default)]
-struct ReplayPart {
-    persistent: Tables,
-    committed: StateOverlay,
-    /// List-walk steps taken replaying into this partition (charged to
-    /// `list_walk_steps` at finalize).
-    walk_steps: u64,
-}
 
 /// Identifiers finally freed by replay (deletions not later
 /// re-allocated); the allocator free sets are rebuilt from these at
-/// finalize. Maintained by the replay *coordinator* only — deletions
-/// always apply at a fence, and allocations are visible to the
-/// coordinator at routing time — so no cross-thread state is needed.
+/// finalize.
 #[derive(Debug, Default)]
 struct FreedSets {
     blocks: BTreeSet<u64>,
@@ -181,8 +111,8 @@ struct FreedSets {
 
 impl FreedSets {
     /// Folds one emitted record (and, for `DeleteList`, the member
-    /// blocks its application freed) into the freed sets, in emit
-    /// order — which is serial replay order.
+    /// blocks its application freed) into the freed sets, in replay
+    /// order.
     fn note(&mut self, rec: &Record, freed_members: Vec<u64>) {
         match *rec {
             Record::NewBlock { block, .. } => {
@@ -203,100 +133,63 @@ impl FreedSets {
     }
 }
 
-/// How a [`PartsView`] maps an identifier to a partition index.
-enum Locator<'h> {
-    /// A worker's view of its single partition: every identifier the
-    /// record touches is homed here by construction.
-    Single,
-    /// The single-threaded path: pure identifier striping, no homes.
-    Striped,
-    /// The coordinator's all-partitions view: the connectivity router's
-    /// home map, falling back to the stripe for untouched identifiers.
-    Homed(&'h HashMap<u64, usize>),
-}
-
-/// A mutable view over replay partitions that applies records with the
-/// exact semantics of the mutation-session helpers (`block_mut` COW,
-/// `insert_into_list`, `unlink_block`, `dealloc_*`) — minus the
-/// live-segment and allocator bookkeeping, which finalize reconstructs
-/// from the final state in one pass.
-struct PartsView<'a, 'h> {
-    parts: Vec<&'a mut ReplayPart>,
-    locator: Locator<'h>,
+/// The state recovery rebuilds: the checkpoint snapshot as the
+/// persistent level, replayed records in the committed overlay above
+/// it. Records apply with the exact semantics of the mutation-session
+/// helpers (`block_mut` COW, `insert_into_list`, `unlink_block`,
+/// `dealloc_*`) — minus the live-segment and allocator bookkeeping,
+/// which finalize reconstructs from the final state in one pass.
+#[derive(Debug, Default)]
+struct ReplayState {
+    persistent: Tables,
+    committed: StateOverlay,
+    /// List-walk steps taken during replay (charged to
+    /// `list_walk_steps` at finalize).
+    walk_steps: u64,
     max_blocks: u64,
 }
 
-impl PartsView<'_, '_> {
-    #[inline]
-    fn bidx(&self, raw: u64) -> usize {
-        match self.locator {
-            Locator::Single => 0,
-            Locator::Striped => (raw & REPLAY_PART_MASK) as usize,
-            Locator::Homed(h) => h
-                .get(&btag(raw))
-                .copied()
-                .unwrap_or((raw & REPLAY_PART_MASK) as usize),
-        }
-    }
-
-    #[inline]
-    fn lidx(&self, raw: u64) -> usize {
-        match self.locator {
-            Locator::Single => 0,
-            Locator::Striped => (raw & REPLAY_PART_MASK) as usize,
-            Locator::Homed(h) => h
-                .get(&ltag(raw))
-                .copied()
-                .unwrap_or((raw & REPLAY_PART_MASK) as usize),
-        }
-    }
-
+impl ReplayState {
     fn view_block(&self, id: BlockId) -> Option<&BlockRecord> {
-        let p = &self.parts[self.bidx(id.get())];
-        p.committed
+        self.committed
             .blocks
             .get(&id)
-            .or_else(|| p.persistent.blocks.get(&id))
+            .or_else(|| self.persistent.blocks.get(&id))
     }
 
     fn view_list(&self, id: ListId) -> Option<&ListRecord> {
-        let p = &self.parts[self.lidx(id.get())];
-        p.committed
+        self.committed
             .lists
             .get(&id)
-            .or_else(|| p.persistent.lists.get(&id))
+            .or_else(|| self.persistent.lists.get(&id))
     }
 
     /// Copy-on-write access to a block record in the committed state
     /// (see `Mutation::block_mut`).
     fn block_mut(&mut self, id: BlockId) -> Result<&mut BlockRecord> {
-        let i = self.bidx(id.get());
-        let p = &mut *self.parts[i];
-        if !p.committed.blocks.contains_key(&id) {
-            let base = p
+        if !self.committed.blocks.contains_key(&id) {
+            let base = self
                 .persistent
                 .blocks
                 .get(&id)
                 .cloned()
                 .ok_or(LldError::BlockNotAllocated(id))?;
-            p.committed.blocks.insert(id, base);
+            self.committed.blocks.insert(id, base);
         }
-        Ok(p.committed.blocks.get_mut(&id).expect("just inserted"))
+        Ok(self.committed.blocks.get_mut(&id).expect("just inserted"))
     }
 
     fn list_mut(&mut self, id: ListId) -> Result<&mut ListRecord> {
-        let i = self.lidx(id.get());
-        let p = &mut *self.parts[i];
-        if !p.committed.lists.contains_key(&id) {
-            let base = p
+        if !self.committed.lists.contains_key(&id) {
+            let base = self
                 .persistent
                 .lists
                 .get(&id)
                 .cloned()
                 .ok_or(LldError::ListNotAllocated(id))?;
-            p.committed.lists.insert(id, base);
+            self.committed.lists.insert(id, base);
         }
-        Ok(p.committed.lists.get_mut(&id).expect("just inserted"))
+        Ok(self.committed.lists.get_mut(&id).expect("just inserted"))
     }
 
     fn validate_insert(&self, list: ListId, pos: Position) -> Result<()> {
@@ -384,8 +277,7 @@ impl PartsView<'_, '_> {
             out.push(b);
             cur = brec.successor;
         }
-        let li = self.lidx(list.get());
-        self.parts[li].walk_steps += steps;
+        self.walk_steps += steps;
         Ok(out)
     }
 
@@ -424,8 +316,7 @@ impl PartsView<'_, '_> {
                 )));
             }
         }
-        let li = self.lidx(list.get());
-        self.parts[li].walk_steps += steps;
+        self.walk_steps += steps;
 
         match pred {
             None => {
@@ -508,15 +399,11 @@ impl PartsView<'_, '_> {
         let corrupt = |msg: String| LldError::Corrupt(format!("replaying {seg}: {msg}"));
         match *rec {
             Record::NewBlock { block, ts } => {
-                let i = self.bidx(block.get());
-                let p = &mut *self.parts[i];
-                p.committed.blocks.insert(block, BlockRecord::fresh(ts));
+                self.committed.blocks.insert(block, BlockRecord::fresh(ts));
                 Ok(Vec::new())
             }
             Record::NewList { list, ts } => {
-                let i = self.lidx(list.get());
-                let p = &mut *self.parts[i];
-                p.committed.lists.insert(list, ListRecord::fresh(ts));
+                self.committed.lists.insert(list, ListRecord::fresh(ts));
                 Ok(Vec::new())
             }
             Record::Write {
@@ -560,47 +447,13 @@ impl PartsView<'_, '_> {
                     .map_err(|e| corrupt(e.to_string()))
             }
             Record::Commit { .. } => Err(corrupt("nested commit record".into())),
-            // Write-id notes are peeled off by the coordinator's emit
-            // closures (they rebuild the dedup cache, not the maps);
-            // one reaching a partition is a routing bug.
+            // Write-id notes are peeled off by the replay loop (they
+            // rebuild the dedup cache, not the maps).
             Record::WriteId { .. } => Err(corrupt(
                 "write-id record escaped commit interception".into(),
             )),
         }
     }
-}
-
-/// The namespace-tagged identifiers a routable record touches (empty
-/// for records that must fence: deletions walk lists, so their touch
-/// set cannot be known from the record alone).
-fn rec_tags(rec: &Record, out: &mut Vec<u64>) {
-    out.clear();
-    match *rec {
-        Record::NewBlock { block, .. } => out.push(btag(block.get())),
-        Record::NewList { list, .. } => out.push(ltag(list.get())),
-        Record::Write { block, .. } => out.push(btag(block.get())),
-        Record::Link {
-            list, block, pred, ..
-        } => {
-            out.push(ltag(list.get()));
-            out.push(btag(block.get()));
-            if let Some(p) = pred {
-                out.push(btag(p.get()));
-            }
-        }
-        Record::DeleteBlock { .. }
-        | Record::DeleteList { .. }
-        | Record::Commit { .. }
-        | Record::WriteId { .. } => {}
-    }
-}
-
-/// Whether a record must be applied at a fence by the coordinator.
-fn is_fence_record(rec: &Record) -> bool {
-    matches!(
-        rec,
-        Record::DeleteBlock { .. } | Record::DeleteList { .. } | Record::Commit { .. }
-    )
 }
 
 // ----------------------------------------------------------------------
@@ -610,9 +463,7 @@ fn is_fence_record(rec: &Record) -> bool {
 /// Walks the suffix chain in log order, resolving ARU commit points and
 /// gap/duplicate semantics, and hands each effective batch to `emit`:
 /// a committed ARU's records with its commit timestamp, or a single
-/// directly-applied record with `None`. This is the *only* ordering
-/// authority: executors (inline or worker pool) preserve emit order
-/// wherever records can interact.
+/// directly-applied record with `None`.
 fn drive_chain(
     chain: &[SegmentInfo],
     ckpt_seq: u64,
@@ -670,719 +521,26 @@ fn drive_chain(
     Ok(())
 }
 
-// ----------------------------------------------------------------------
-// Worker pool
-// ----------------------------------------------------------------------
-
-enum WorkItem {
-    /// A batch of routed records for one partition, in emit order.
-    Apply {
-        part: usize,
-        recs: Vec<(SegmentId, Record, Option<Timestamp>)>,
-    },
-    /// Queue-drain fence: acknowledge once everything before it is
-    /// applied.
-    Fence(mpsc::Sender<()>),
-}
-
-/// State shared between the replay coordinator and its workers.
-struct ReplayShared {
-    parts: Vec<Mutex<ReplayPart>>,
-    error: Mutex<Option<LldError>>,
-    failed: AtomicBool,
-}
-
-impl ReplayShared {
-    fn new() -> Self {
-        ReplayShared {
-            parts: (0..REPLAY_PARTS)
-                .map(|_| Mutex::new(ReplayPart::default()))
-                .collect(),
-            error: Mutex::new(None),
-            failed: AtomicBool::new(false),
-        }
-    }
-
-    /// First error wins; later work is skipped (the whole recovery
-    /// fails, so partial application does not matter).
-    fn fail(&self, e: LldError) {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-        self.failed.store(true, Ordering::Release);
-    }
-
-    fn take_error(&self) -> LldError {
-        self.error
-            .lock()
-            .take()
-            .unwrap_or_else(|| LldError::Corrupt("recovery replay worker failed".into()))
-    }
-}
-
-fn worker_loop(shared: &ReplayShared, rx: &mpsc::Receiver<WorkItem>, max_blocks: u64, obs: &Obs) {
-    for item in rx.iter() {
-        match item {
-            WorkItem::Apply { part, recs } => {
-                if shared.failed.load(Ordering::Acquire) {
-                    continue; // drain without applying
-                }
-                let timer = obs.timer();
-                let mut guard = shared.parts[part].lock();
-                let mut view = PartsView {
-                    parts: vec![&mut guard],
-                    locator: Locator::Single,
-                    max_blocks,
-                };
-                for (seg, rec, cts) in &recs {
-                    if let Err(e) = view.apply(*seg, rec, *cts) {
-                        shared.fail(e);
-                        break;
-                    }
-                }
-                drop(guard);
-                obs.recovery_replay_batch(timer);
-            }
-            WorkItem::Fence(ack) => {
-                let _ = ack.send(());
-            }
-        }
-    }
-}
-
-/// Tiny union-find over one emitted batch's identifier tags.
-struct BatchUf {
-    slot: HashMap<u64, usize>,
-    parent: Vec<usize>,
-}
-
-impl BatchUf {
-    fn new() -> Self {
-        BatchUf {
-            slot: HashMap::new(),
-            parent: Vec::new(),
-        }
-    }
-
-    fn index(&mut self, tag: u64) -> usize {
-        let next = self.parent.len();
-        match self.slot.entry(tag) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(next);
-                self.parent.push(next);
-                next
-            }
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
-    }
-}
-
-/// The coordinator side of the pool: the connectivity router (home
-/// assignment, component analysis, migrations), per-partition buffers
-/// feeding the worker owning each partition (`part % workers`), and
-/// the fence protocol for records that must apply serially.
-struct Dispatcher<'s> {
-    shared: &'s ReplayShared,
-    obs: &'s Obs,
-    senders: Vec<mpsc::Sender<WorkItem>>,
-    buffers: Vec<Vec<(SegmentId, Record, Option<Timestamp>)>>,
-    /// Identifier tag → home partition. Invariant: an identifier's
-    /// table entries live in its home partition (or its stripe, if it
-    /// has no home entry — then no replayed record has touched it).
-    homes: HashMap<u64, usize>,
-    /// Parked lone allocation records. Allocations commit outside their
-    /// ARU, so they are emitted as singletons *before* the batch that
-    /// uses them; applying one immediately would pin its identifier to
-    /// an arbitrary home and force a migration fence when the ARU batch
-    /// later unions it with its list. A fresh allocation has no
-    /// observable effect until the identifier is next referenced, so it
-    /// waits here and is released — in emit order with respect to its
-    /// own identifier — with the first record that touches it.
-    limbo: HashMap<u64, (SegmentId, Record, Option<Timestamp>)>,
-    freed: FreedSets,
-    /// Records pushed since the last fence; a fence with nothing
-    /// outstanding skips the worker round-trip.
-    unfenced: usize,
-    max_blocks: u64,
-    // Scratch reused across batches.
-    tags: Vec<u64>,
-}
-
-impl<'s> Dispatcher<'s> {
-    fn new(
-        shared: &'s ReplayShared,
-        obs: &'s Obs,
-        senders: Vec<mpsc::Sender<WorkItem>>,
-        max_blocks: u64,
-    ) -> Self {
-        Dispatcher {
-            shared,
-            obs,
-            senders,
-            buffers: (0..REPLAY_PARTS).map(|_| Vec::new()).collect(),
-            homes: HashMap::new(),
-            limbo: HashMap::new(),
-            freed: FreedSets::default(),
-            unfenced: 0,
-            max_blocks,
-            tags: Vec::new(),
-        }
-    }
-
-    fn check_failed(&self) -> Result<()> {
-        if self.shared.failed.load(Ordering::Acquire) {
-            return Err(self.shared.take_error());
-        }
-        Ok(())
-    }
-
-    fn flush_part(&mut self, part: usize) -> Result<()> {
-        if self.buffers[part].is_empty() {
-            return Ok(());
-        }
-        let recs = std::mem::take(&mut self.buffers[part]);
-        self.senders[part % self.senders.len()]
-            .send(WorkItem::Apply { part, recs })
-            .map_err(|_| self.shared.take_error())
-    }
-
-    /// Flushes every buffer and waits until every worker has drained
-    /// its queue. After a fence the workers hold no partition locks
-    /// (they block on their empty channels), so the coordinator may
-    /// lock any partitions it needs.
-    fn fence(&mut self) -> Result<()> {
-        if self.unfenced == 0 {
-            return self.check_failed();
-        }
-        for p in 0..self.buffers.len() {
-            self.flush_part(p)?;
-        }
-        let (ack_tx, ack_rx) = mpsc::channel();
-        for tx in &self.senders {
-            tx.send(WorkItem::Fence(ack_tx.clone()))
-                .map_err(|_| self.shared.take_error())?;
-        }
-        drop(ack_tx);
-        for _ in 0..self.senders.len() {
-            ack_rx.recv().map_err(|_| self.shared.take_error())?;
-        }
-        self.unfenced = 0;
-        self.check_failed()
-    }
-
-    /// Releases every parked allocation to its stripe (or prior home,
-    /// for a re-allocation of a freed identifier). Called before any
-    /// all-partitions apply and at end of replay; release order among
-    /// parked records is irrelevant (their identifiers are untouched
-    /// since parking, so the records commute with everything buffered).
-    fn drain_limbo(&mut self) -> Result<()> {
-        if self.limbo.is_empty() {
-            return Ok(());
-        }
-        let limbo = std::mem::take(&mut self.limbo);
-        for (tag, item) in limbo {
-            let home = match self.homes.get(&tag) {
-                Some(&h) if h != PARKED => h, // prior home of a re-allocated id
-                _ => stripe_of(tag),
-            };
-            self.homes.insert(tag, home);
-            self.buffers[home].push(item);
-            self.unfenced += 1;
-            if self.buffers[home].len() >= REPLAY_BATCH {
-                self.flush_part(home)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Moves an identifier's table entries to `to` and records the new
-    /// home. Caller must have fenced (all workers idle).
-    fn migrate(&mut self, tag: u64, to: usize) {
-        let from = match self.homes.get(&tag) {
-            // A parked identifier has no entries anywhere; the moves
-            // below find nothing, and only the home entry changes.
-            Some(&h) if h != PARKED => h,
-            _ => stripe_of(tag),
-        };
-        if from != to {
-            let (lo, hi) = (from.min(to), from.max(to));
-            let mut lo_g = self.shared.parts[lo].lock();
-            let mut hi_g = self.shared.parts[hi].lock();
-            let (src, dst) = if from == lo {
-                (&mut *lo_g, &mut *hi_g)
-            } else {
-                (&mut *hi_g, &mut *lo_g)
-            };
-            if tag & 1 == 1 {
-                let id = ListId::new(tag >> 1);
-                if let Some(r) = src.persistent.lists.remove(&id) {
-                    dst.persistent.lists.insert(id, r);
-                }
-                if let Some(r) = src.committed.lists.remove(&id) {
-                    dst.committed.lists.insert(id, r);
-                }
-            } else {
-                let id = BlockId::new(tag >> 1);
-                if let Some(r) = src.persistent.blocks.remove(&id) {
-                    dst.persistent.blocks.insert(id, r);
-                }
-                if let Some(r) = src.committed.blocks.remove(&id) {
-                    dst.committed.blocks.insert(id, r);
-                }
-            }
-        }
-        self.homes.insert(tag, to);
-    }
-
-    /// Applies one fence-class record serially against all partitions.
-    fn fence_apply(
-        &mut self,
-        seg: SegmentId,
-        rec: &Record,
-        cts: Option<Timestamp>,
-    ) -> Result<Vec<u64>> {
-        self.drain_limbo()?;
-        self.fence()?;
-        let timer = self.obs.timer();
-        let mut guards: Vec<_> = self.shared.parts.iter().map(|m| m.lock()).collect();
-        let mut view = PartsView {
-            parts: guards.iter_mut().map(|g| &mut **g).collect(),
-            locator: Locator::Homed(&self.homes),
-            max_blocks: self.max_blocks,
-        };
-        let res = view.apply(seg, rec, cts);
-        drop(guards);
-        self.obs.recovery_replay_batch(timer);
-        res
-    }
-
-    /// Routes one emitted batch (a committed ARU's records, or a single
-    /// direct record). Connected components of the batch share one home
-    /// so their records apply on one worker in order; components in
-    /// different homes are independent (disjoint identifiers) and apply
-    /// concurrently.
-    fn batch(&mut self, recs: &[(SegmentId, Record)], cts: Option<Timestamp>) -> Result<()> {
-        self.check_failed()?;
-
-        // Fast path: park a lone allocation (see `limbo`). The freed
-        // sets are updated now — that is this record's emit position.
-        if let [(seg, rec)] = recs {
-            let tag = match rec {
-                Record::NewBlock { block, .. } => Some(btag(block.get())),
-                Record::NewList { list, .. } => Some(ltag(list.get())),
-                _ => None,
-            };
-            if let Some(tag) = tag {
-                self.freed.note(rec, Vec::new());
-                // A re-allocation keeps its prior home entry (its
-                // deallocated residue still lives there); a first-time
-                // id is marked parked.
-                self.homes.entry(tag).or_insert(PARKED);
-                self.limbo.insert(tag, (*seg, rec.clone(), cts));
-                return Ok(());
-            }
-        }
-
-        // Fast path: most batches resolve to a single home with no
-        // migration — every touched identifier is fresh (created in
-        // the batch or parked) or already located in one place. One
-        // probe per identifier decides; any disagreement falls back to
-        // the full component analysis below.
-        let mut tags = std::mem::take(&mut self.tags);
-        let mut fast_home: Option<usize> = None;
-        let mut first_tag: Option<u64> = None;
-        let mut conflict = false;
-        let mut has_fence_rec = false;
-        let mut multi_tag = false;
-        // The scan must visit every record even after a conflict:
-        // `multi_tag` gates the second fast path below, and a stale
-        // value (conflict found before a later multi-tag record) would
-        // route a Link's records by one tag and lose the connection.
-        for (_, rec) in recs {
-            if is_fence_record(rec) {
-                has_fence_rec = true;
-                continue;
-            }
-            rec_tags(rec, &mut tags);
-            multi_tag |= tags.len() > 1;
-            for &t in &tags {
-                if first_tag.is_none() {
-                    first_tag = Some(t);
-                }
-                // In-batch creations read as absent here (their tag has
-                // no home entry yet), which is exactly right: fresh, no
-                // location.
-                let loc = match self.homes.get(&t) {
-                    Some(&h) if h != PARKED => Some(h),
-                    Some(_) => None,
-                    None => Some(stripe_of(t)),
-                };
-                if let Some(l) = loc {
-                    match fast_home {
-                        None => fast_home = Some(l),
-                        Some(h) if h != l => conflict = true,
-                        Some(_) => {}
-                    }
-                }
-            }
-        }
-        // Wrong on the fast path: an identifier with no home entry and
-        // no checkpoint state reads as "located at its stripe" even
-        // when it is created later in this same batch. That can only
-        // manufacture a *conflict* (forcing the slow path, which keeps
-        // a real `created` set), never a wrong single home: agreeing on
-        // the stripe is where a fresh component would be homed anyway.
-        if !conflict {
-            if let Some(ft) = first_tag {
-                let home = fast_home.unwrap_or(stripe_of(ft));
-                if has_fence_rec {
-                    // A fence drains limbo mid-batch; pre-assign every
-                    // tag's home so parked records drain to this home,
-                    // not their stripe.
-                    for (_, rec) in recs {
-                        rec_tags(rec, &mut tags);
-                        for &t in &tags {
-                            self.homes.insert(t, home);
-                        }
-                    }
-                }
-                for (seg, rec) in recs {
-                    if is_fence_record(rec) {
-                        let members = self.fence_apply(*seg, rec, cts)?;
-                        self.freed.note(rec, members);
-                        continue;
-                    }
-                    rec_tags(rec, &mut tags);
-                    for &t in &tags {
-                        if let Some(item) = self.limbo.remove(&t) {
-                            self.buffers[home].push(item);
-                            self.unfenced += 1;
-                        }
-                        self.homes.insert(t, home);
-                    }
-                    self.freed.note(rec, Vec::new());
-                    self.buffers[home].push((*seg, rec.clone(), cts));
-                    self.unfenced += 1;
-                    if self.buffers[home].len() >= REPLAY_BATCH {
-                        self.flush_part(home)?;
-                    }
-                }
-            } else {
-                // No routable records at all (e.g. an ARU of deletes).
-                for (seg, rec) in recs {
-                    if is_fence_record(rec) {
-                        let members = self.fence_apply(*seg, rec, cts)?;
-                        self.freed.note(rec, members);
-                    }
-                }
-            }
-            tags.clear();
-            self.tags = tags;
-            return Ok(());
-        }
-
-        // Second fast path: every record touches at most one
-        // identifier (write- or delete-heavy batches), so no record
-        // can connect two identifiers and there is nothing to union —
-        // each record routes independently to its identifier's
-        // location. Records sharing an identifier share a location,
-        // so per-buffer FIFO still reproduces emit order.
-        if !multi_tag {
-            for (seg, rec) in recs {
-                if is_fence_record(rec) {
-                    let members = self.fence_apply(*seg, rec, cts)?;
-                    self.freed.note(rec, members);
-                    continue;
-                }
-                rec_tags(rec, &mut tags);
-                let t = tags[0];
-                // Steady state (an already-homed identifier) is one
-                // probe and no writes to the home map.
-                let home = match self.homes.get(&t) {
-                    Some(&h) if h != PARKED => h,
-                    Some(_) | None => {
-                        let h = stripe_of(t);
-                        self.homes.insert(t, h);
-                        h
-                    }
-                };
-                // A parked allocation precedes this record in emit
-                // order — release it to the same buffer first. (Reaches
-                // the homed arm too: a re-allocated identifier keeps
-                // its prior home entry while parked.)
-                if let Some(item) = self.limbo.remove(&t) {
-                    self.buffers[home].push(item);
-                    self.unfenced += 1;
-                }
-                self.freed.note(rec, Vec::new());
-                self.buffers[home].push((*seg, rec.clone(), cts));
-                self.unfenced += 1;
-                if self.buffers[home].len() >= REPLAY_BATCH {
-                    self.flush_part(home)?;
-                }
-            }
-            tags.clear();
-            self.tags = tags;
-            return Ok(());
-        }
-        tags.clear();
-        self.tags = tags;
-
-        // Pass 1: union identifier tags per record; note in-batch
-        // creations (they exist nowhere yet and can adopt any home).
-        let mut uf = BatchUf::new();
-        let mut created: HashSet<u64> = HashSet::new();
-        let mut tags = std::mem::take(&mut self.tags);
-        for (_, rec) in recs {
-            match rec {
-                Record::NewBlock { block, .. } => {
-                    created.insert(btag(block.get()));
-                }
-                Record::NewList { list, .. } => {
-                    created.insert(ltag(list.get()));
-                }
-                _ => {}
-            }
-            rec_tags(rec, &mut tags);
-            let mut first = None;
-            for &t in &tags {
-                let i = uf.index(t);
-                match first {
-                    None => first = Some(i),
-                    Some(f) => uf.union(f, i),
-                }
-            }
-        }
-
-        // Pass 2: resolve each component to one home partition,
-        // migrating (under a fence) when a component spans locations.
-        let all_tags: Vec<u64> = uf.slot.keys().copied().collect();
-        let mut comp_tags: HashMap<usize, Vec<u64>> = HashMap::new();
-        for &t in &all_tags {
-            let i = uf.slot[&t];
-            let root = uf.find(i);
-            comp_tags.entry(root).or_default().push(t);
-        }
-        let mut comp_home: HashMap<usize, usize> = HashMap::new();
-        for (&root, members) in &comp_tags {
-            // A location is where an identifier's entries already live:
-            // its home if assigned, else its stripe (where checkpoint
-            // entries sit — and where a record touching a nonexistent
-            // identifier routes to fail with the serial path's error).
-            // Fresh identifiers (created in this batch or parked in
-            // limbo) have no location and adopt the component's home.
-            let mut locs: Vec<usize> = Vec::new();
-            let mut anchor: Option<u64> = None;
-            for &t in members {
-                let loc = match self.homes.get(&t) {
-                    Some(&h) if h != PARKED => Some(h),
-                    // Parked (the sentinel) or fresh in this batch:
-                    // no entries anywhere, adopts the component home.
-                    Some(_) => None,
-                    None if created.contains(&t) => None,
-                    None => Some(stripe_of(t)),
-                };
-                if let Some(l) = loc {
-                    if !locs.contains(&l) {
-                        locs.push(l);
-                    }
-                    anchor.get_or_insert(t);
-                }
-            }
-            let home = match locs.len() {
-                0 => stripe_of(*members.iter().min().expect("nonempty component")),
-                1 => locs[0],
-                _ => {
-                    // Component merge across partitions: fence and pull
-                    // everything to the anchor's location.
-                    let target = self
-                        .homes
-                        .get(&anchor.expect("locs nonempty"))
-                        .copied()
-                        .unwrap_or(stripe_of(anchor.expect("locs nonempty")));
-                    self.fence()?;
-                    for &t in members {
-                        self.migrate(t, target);
-                    }
-                    target
-                }
-            };
-            for &t in members {
-                self.homes.insert(t, home);
-            }
-            comp_home.insert(root, home);
-        }
-
-        // Pass 3: emit in order — routable records to their component
-        // home's worker, fence-class records serially here.
-        for (seg, rec) in recs {
-            if is_fence_record(rec) {
-                let members = self.fence_apply(*seg, rec, cts)?;
-                self.freed.note(rec, members);
-                continue;
-            }
-            rec_tags(rec, &mut tags);
-            let root = uf.find(uf.slot[&tags[0]]);
-            let home = comp_home[&root];
-            // A parked allocation for any touched identifier is
-            // released first: it preceded this record in emit order and
-            // must apply before it, on the same worker.
-            for &t in &tags {
-                if let Some(item) = self.limbo.remove(&t) {
-                    self.buffers[home].push(item);
-                    self.unfenced += 1;
-                }
-            }
-            self.freed.note(rec, Vec::new());
-            self.buffers[home].push((*seg, rec.clone(), cts));
-            self.unfenced += 1;
-            if self.buffers[home].len() >= REPLAY_BATCH {
-                self.flush_part(home)?;
-            }
-        }
-        tags.clear();
-        self.tags = tags;
-        Ok(())
-    }
-}
-
-// ----------------------------------------------------------------------
-// Parallel helpers for the read-only phases
-// ----------------------------------------------------------------------
-
-/// Decodes every slab of `hdr`, fanned out over up to `threads`
-/// workers. `None` if any slab fails its CRC (the whole area is then
-/// invalid and the caller falls back to the other one).
+/// Decodes every slab of `hdr`. `None` if any slab fails its CRC (the
+/// whole area is then invalid and the caller falls back to the other
+/// one).
 fn load_slabs<D: BlockDevice>(
     device: &D,
     hdr: &CkptHeaderInfo,
-    threads: usize,
     obs: &Obs,
 ) -> Result<Option<Vec<checkpoint::SlabData>>> {
-    let n = hdr.slabs.len();
-    let w = threads.min(n).max(1);
-    if w <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for s in &hdr.slabs {
-            let timer = obs.timer();
-            match checkpoint::decode_slab(device, s)? {
-                Some(sd) => {
-                    obs.recovery_slab_load(timer);
-                    out.push(sd);
-                }
-                None => return Ok(None),
+    let mut out = Vec::with_capacity(hdr.slabs.len());
+    for s in &hdr.slabs {
+        let timer = obs.timer();
+        match checkpoint::decode_slab(device, s)? {
+            Some(sd) => {
+                obs.recovery_slab_load(timer);
+                out.push(sd);
             }
-        }
-        return Ok(Some(out));
-    }
-    let chunk = n.div_ceil(w);
-    let results: Vec<Result<Option<Vec<checkpoint::SlabData>>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..w)
-            .map(|k| {
-                let slabs = &hdr.slabs[k * chunk..((k + 1) * chunk).min(n)];
-                scope.spawn(move || {
-                    let mut out = Vec::with_capacity(slabs.len());
-                    for s in slabs {
-                        let timer = obs.timer();
-                        match checkpoint::decode_slab(device, s)? {
-                            Some(sd) => {
-                                obs.recovery_slab_load(timer);
-                                out.push(sd);
-                            }
-                            None => return Ok(None),
-                        }
-                    }
-                    Ok(Some(out))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(LldError::Corrupt(
-                        "recovery snapshot worker panicked".into(),
-                    ))
-                })
-            })
-            .collect()
-    });
-    let mut all = Vec::with_capacity(n);
-    for r in results {
-        match r? {
-            Some(mut v) => all.append(&mut v),
             None => return Ok(None),
         }
     }
-    Ok(Some(all))
-}
-
-/// Probes every segment slot, fanned out over up to `threads` workers;
-/// results come back in slot order. Summaries of segments at or below
-/// `ckpt_seq` are not read — the snapshot already covers them.
-fn scan_slots<D: BlockDevice>(
-    device: &D,
-    layout: &Layout,
-    threads: usize,
-    ckpt_seq: u64,
-) -> Result<Vec<SegmentScan>> {
-    let n = layout.n_segments as usize;
-    let w = threads.min(n).max(1);
-    if w <= 1 {
-        return (0..n)
-            .map(|slot| scan_segment_above(device, layout, SegmentId::new(slot as u32), ckpt_seq))
-            .collect();
-    }
-    let chunk = n.div_ceil(w);
-    let results: Vec<Result<Vec<SegmentScan>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..w)
-            .map(|k| {
-                let lo = k * chunk;
-                let hi = ((k + 1) * chunk).min(n);
-                scope.spawn(move || {
-                    (lo..hi)
-                        .map(|slot| {
-                            scan_segment_above(
-                                device,
-                                layout,
-                                SegmentId::new(slot as u32),
-                                ckpt_seq,
-                            )
-                        })
-                        .collect::<Result<Vec<_>>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(LldError::Corrupt("recovery scan worker panicked".into()))
-                })
-            })
-            .collect()
-    });
-    let mut all = Vec::with_capacity(n);
-    for r in results {
-        all.extend(r?);
-    }
-    Ok(all)
+    Ok(Some(out))
 }
 
 // ----------------------------------------------------------------------
@@ -1410,9 +568,9 @@ impl<D: BlockDevice + 'static> Lld<D> {
     }
 
     /// Recovers with explicit runtime options (concurrency mode, read
-    /// visibility, cleaner tuning, shard count, recovery parallelism,
-    /// `check_on_recovery`). Structural parameters (block size, segment
-    /// size, limits) always come from the superblock.
+    /// visibility, cleaner tuning, shard count, `check_on_recovery`).
+    /// Structural parameters (block size, segment size, limits) always
+    /// come from the superblock.
     ///
     /// # Errors
     ///
@@ -1433,18 +591,11 @@ impl<D: BlockDevice + 'static> Lld<D> {
                 config.map_shards
             )));
         }
-        if !(1..=MAX_RECOVERY_THREADS).contains(&config.recovery_threads) {
-            return Err(LldError::Config(format!(
-                "recovery_threads {} must be in 1..={MAX_RECOVERY_THREADS}",
-                config.recovery_threads
-            )));
-        }
-        let w = config.recovery_threads;
         let n = layout.n_segments as usize;
         let obs = Obs::new(config.obs);
         let trace = recovery_trace(1);
         let mut report = RecoveryReport {
-            threads_used: w as u32,
+            threads_used: 1,
             ..RecoveryReport::default()
         };
 
@@ -1461,7 +612,10 @@ impl<D: BlockDevice + 'static> Lld<D> {
         // Newest first; area A wins a sequence tie (stable sort).
         cands.sort_by_key(|(h, _)| std::cmp::Reverse(h.seq));
 
-        let shared = ReplayShared::new();
+        let mut state = ReplayState {
+            max_blocks: layout.max_blocks,
+            ..ReplayState::default()
+        };
         let mut ckpt_seq = 0u64;
         let mut ts_floor = 0u64;
         let mut block_floor = 1u64;
@@ -1469,7 +623,7 @@ impl<D: BlockDevice + 'static> Lld<D> {
         let mut use_b_next = false;
         let mut dedup_seed: Vec<u8> = Vec::new();
         for (hdr, is_a) in cands {
-            let Some(slabs) = load_slabs(&device, &hdr, w, &obs)? else {
+            let Some(slabs) = load_slabs(&device, &hdr, &obs)? else {
                 continue; // torn slab: the whole area is invalid
             };
             let Some(seed) = checkpoint::read_dedup_slab(&device, &hdr)? else {
@@ -1484,14 +638,22 @@ impl<D: BlockDevice + 'static> Lld<D> {
             report.snap_shards = hdr.slabs.len() as u32;
             for sd in slabs {
                 for (id, rec) in sd.blocks {
+                    // Finalize indexes per-segment tables by this
+                    // address; a CRC-valid slab can still name a
+                    // segment or slot the device does not have.
+                    if let Some(a) = rec.addr.filter(|a| {
+                        a.segment.get() >= layout.n_segments || a.slot >= layout.slots_per_segment()
+                    }) {
+                        return Err(LldError::Corrupt(format!(
+                            "checkpoint places {id} at {a}, outside the device"
+                        )));
+                    }
                     ts_floor = ts_floor.max(rec.ts.get());
-                    let part = (id.get() & REPLAY_PART_MASK) as usize;
-                    shared.parts[part].lock().persistent.blocks.insert(id, rec);
+                    state.persistent.blocks.insert(id, rec);
                 }
                 for (id, rec) in sd.lists {
                     ts_floor = ts_floor.max(rec.ts.get());
-                    let part = (id.get() & REPLAY_PART_MASK) as usize;
-                    shared.parts[part].lock().persistent.lists.insert(id, rec);
+                    state.persistent.lists.insert(id, rec);
                 }
             }
             break;
@@ -1509,14 +671,15 @@ impl<D: BlockDevice + 'static> Lld<D> {
         let t_scan = Instant::now();
         obs.stage_begin(0, trace, Stage::RecoveryScan);
         report.segments_scanned = layout.n_segments;
-        let scans = scan_slots(&device, &layout, w, ckpt_seq)?;
         let mut slot_seq = vec![0u64; n];
         let mut chain: Vec<SegmentInfo> = Vec::new();
         let mut max_seq_seen = ckpt_seq;
-        for (slot, scan) in scans.into_iter().enumerate() {
-            match scan {
+        for (slot, seq) in slot_seq.iter_mut().enumerate() {
+            // Summaries of segments at or below `ckpt_seq` are not
+            // read — the snapshot already covers them.
+            match scan_segment_above(&device, &layout, SegmentId::new(slot as u32), ckpt_seq)? {
                 SegmentScan::Valid(info) => {
-                    slot_seq[slot] = info.seq;
+                    *seq = info.seq;
                     max_seq_seen = max_seq_seen.max(info.seq);
                     if info.seq > ckpt_seq {
                         chain.push(info);
@@ -1537,128 +700,54 @@ impl<D: BlockDevice + 'static> Lld<D> {
         let mut ts_max = 0u64;
         // Rebuild the write-id dedup cache: seed from the checkpoint
         // slab, then re-record every committed ARU's `WriteId` record
-        // during replay. The emit closures peel those records off
-        // before routing (they carry no mapping effects); `complete` is
+        // during replay (they carry no mapping effects); `complete` is
         // idempotent, so a slab entry replayed again is harmless.
         let mut dedup_rebuilt =
             crate::dedup::DedupCache::decode(config.dedup_capacity, &dedup_seed)?;
-        let freed = if w <= 1 {
-            // Inline reference path: every record applied in log order
-            // against all partitions at once.
-            let mut freed = FreedSets::default();
-            let mut guards: Vec<_> = shared.parts.iter().map(|m| m.lock()).collect();
-            let mut view = PartsView {
-                parts: guards.iter_mut().map(|g| &mut **g).collect(),
-                locator: Locator::Striped,
-                max_blocks: layout.max_blocks,
-            };
-            let timer = obs.timer();
-            drive_chain(
-                &chain,
-                ckpt_seq,
-                &mut report,
-                &mut slot_used,
-                &mut ts_max,
-                |recs, cts| {
-                    for (seg, rec) in recs {
-                        if let Record::WriteId {
-                            client,
-                            generation,
-                            write_id,
-                            ts,
-                            ..
-                        } = *rec
-                        {
-                            dedup_rebuilt.complete(client, write_id, generation, cts.unwrap_or(ts));
-                            continue;
-                        }
-                        let members = view.apply(*seg, rec, cts)?;
-                        freed.note(rec, members);
+        let mut freed = FreedSets::default();
+        let timer = obs.timer();
+        drive_chain(
+            &chain,
+            ckpt_seq,
+            &mut report,
+            &mut slot_used,
+            &mut ts_max,
+            |recs, cts| {
+                for (seg, rec) in recs {
+                    if let Record::WriteId {
+                        client,
+                        generation,
+                        write_id,
+                        ts,
+                        ..
+                    } = *rec
+                    {
+                        dedup_rebuilt.complete(client, write_id, generation, cts.unwrap_or(ts));
+                        continue;
                     }
-                    Ok(())
-                },
-            )?;
-            drop(guards);
-            obs.recovery_replay_batch(timer);
-            freed
-        } else {
-            std::thread::scope(|scope| -> Result<FreedSets> {
-                let shared = &shared;
-                let obs = &obs;
-                let max_blocks = layout.max_blocks;
-                let mut senders = Vec::with_capacity(w);
-                for _ in 0..w {
-                    let (tx, rx) = mpsc::channel::<WorkItem>();
-                    scope.spawn(move || worker_loop(shared, &rx, max_blocks, obs));
-                    senders.push(tx);
+                    let members = state.apply(*seg, rec, cts)?;
+                    freed.note(rec, members);
                 }
-                let mut disp = Dispatcher::new(shared, obs, senders, max_blocks);
-                let dedup_rebuilt = &mut dedup_rebuilt;
-                let res = drive_chain(
-                    &chain,
-                    ckpt_seq,
-                    &mut report,
-                    &mut slot_used,
-                    &mut ts_max,
-                    |recs, cts| {
-                        if recs
-                            .iter()
-                            .any(|(_, r)| matches!(r, Record::WriteId { .. }))
-                        {
-                            let mut kept = Vec::with_capacity(recs.len());
-                            for (seg, rec) in recs {
-                                if let Record::WriteId {
-                                    client,
-                                    generation,
-                                    write_id,
-                                    ts,
-                                    ..
-                                } = *rec
-                                {
-                                    dedup_rebuilt.complete(
-                                        client,
-                                        write_id,
-                                        generation,
-                                        cts.unwrap_or(ts),
-                                    );
-                                } else {
-                                    kept.push((*seg, rec.clone()));
-                                }
-                            }
-                            disp.batch(&kept, cts)
-                        } else {
-                            disp.batch(recs, cts)
-                        }
-                    },
-                );
-                // Hanging up the senders (dropping `disp`) lets the
-                // workers exit whether or not the replay succeeded.
-                res.and_then(|()| disp.drain_limbo())
-                    .and_then(|()| disp.fence())?;
-                Ok(std::mem::take(&mut disp.freed))
-            })?
-        };
+                Ok(())
+            },
+        )?;
+        obs.recovery_replay_batch(timer);
         drop(chain);
         report.replay_ns = t_replay.elapsed().as_nanos() as u64;
         obs.stage_end(0, trace, Stage::RecoveryReplay, report.replay_ns);
 
-        // ---- Phase 4: merge, re-shard, and bring the disk up ---------
+        // ---- Phase 4: re-shard and bring the disk up -----------------
         let t_fin = Instant::now();
         obs.stage_begin(0, trace, Stage::RecoveryFinalize);
 
-        // Everything replayed is persistent; each identifier lives in
-        // exactly one partition (the home invariant), so the merge is a
-        // plain union.
-        let mut merged = Tables::default();
-        let mut walk_steps = 0u64;
-        for m in &shared.parts {
-            let mut p = std::mem::take(&mut *m.lock());
-            p.committed.drain_into(&mut p.persistent);
-            merged.blocks.extend(p.persistent.blocks);
-            merged.lists.extend(p.persistent.lists);
-            walk_steps += p.walk_steps;
-        }
-        drop(shared);
+        // Everything replayed is persistent.
+        let ReplayState {
+            persistent: mut merged,
+            mut committed,
+            walk_steps,
+            ..
+        } = state;
+        committed.drain_into(&mut merged);
 
         // Live-segment accounting is a pure function of the final
         // block addresses — one pass, no per-record adjustments.
@@ -1750,72 +839,17 @@ impl<D: BlockDevice + 'static> Lld<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::AruId;
 
     fn ts(v: u64) -> Timestamp {
         Timestamp::new(v)
     }
 
     #[test]
-    fn record_tags_name_every_touched_identifier() {
-        let mut tags = Vec::new();
-        rec_tags(
-            &Record::NewBlock {
-                block: BlockId::new(5),
-                ts: ts(1),
-            },
-            &mut tags,
-        );
-        assert_eq!(tags, vec![btag(5)]);
-        rec_tags(
-            &Record::NewList {
-                list: ListId::new(5),
-                ts: ts(1),
-            },
-            &mut tags,
-        );
-        assert_eq!(tags, vec![ltag(5)]); // distinct from block 5
-        rec_tags(
-            &Record::Link {
-                list: ListId::new(3),
-                block: BlockId::new(7),
-                pred: Some(BlockId::new(6)),
-                ts: ts(1),
-                aru: None,
-            },
-            &mut tags,
-        );
-        assert_eq!(tags, vec![ltag(3), btag(7), btag(6)]);
-        // Fence-class records publish no tags: their touch set (list
-        // members) cannot be known from the record alone.
-        rec_tags(
-            &Record::DeleteList {
-                list: ListId::new(3),
-                ts: ts(1),
-                aru: None,
-            },
-            &mut tags,
-        );
-        assert!(tags.is_empty());
-        assert!(is_fence_record(&Record::DeleteBlock {
-            block: BlockId::new(1),
-            ts: ts(1),
-            aru: None
-        }));
-        assert!(is_fence_record(&Record::Commit {
-            aru: AruId::new(1),
-            ts: ts(1)
-        }));
-    }
-
-    #[test]
     fn parts_view_applies_with_mutation_semantics() {
-        let mut parts: Vec<ReplayPart> = (0..REPLAY_PARTS).map(|_| ReplayPart::default()).collect();
         let mut freed = FreedSets::default();
-        let mut view = PartsView {
-            parts: parts.iter_mut().collect(),
-            locator: Locator::Striped,
+        let mut view = ReplayState {
             max_blocks: 1024,
+            ..ReplayState::default()
         };
         let seg = SegmentId::new(0);
         let list = ListId::new(1);
@@ -1859,8 +893,7 @@ mod tests {
         .unwrap();
         assert_eq!(view.walk_list(list).unwrap(), vec![b1, b2]);
 
-        // A write to an unallocated block is corruption, with the same
-        // message the serial replay produced.
+        // A write to an unallocated block is corruption.
         let err = view
             .apply(
                 seg,

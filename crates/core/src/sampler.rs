@@ -7,10 +7,9 @@
 //! dedicated thread that captures a stripped
 //! [`ObsSnapshot`](crate::ObsSnapshot) (counters and histograms; no
 //! per-event trace, no spans) into a bounded in-memory ring at a fixed
-//! frequency ([`LldConfig::metrics_hz`](crate::LldConfig) / the
-//! `LD_ARU_METRICS_HZ` environment variable), exportable as JSONL —
-//! one `{"t_ms": …, "snapshot": {…}}` object per line — via
-//! `Lld::sampler_jsonl`.
+//! frequency ([`LldConfig::metrics_hz`](crate::LldConfig)),
+//! exportable as JSONL — one `{"t_ms": …, "snapshot": {…}}` object per
+//! line — via `Lld::sampler_jsonl`.
 //!
 //! Snapshots are cumulative, not pre-differenced: consumers subtract
 //! adjacent lines (see `scripts/check_obs.py` and `ldctl top`), which

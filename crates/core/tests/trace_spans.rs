@@ -14,14 +14,13 @@ use std::sync::Arc;
 const BS: usize = 512;
 
 /// A config pinned against the environment overrides the test matrix
-/// sets (`LD_ARU_PIPELINE`, `LD_ARU_CLEANERD`, `LD_ARU_METRICS_HZ`),
+/// sets (`LD_ARU_PIPELINE`, `LD_ARU_CLEANERD`, `LD_ARU_FLIGHT_DIR`),
 /// so these protocol tests see exactly the paths they assert on.
 fn config(pipeline: bool) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: 16 * BS,
         pipeline,
-        metrics_hz: None,
         flight_dir: None,
         cleaner: CleanerConfig {
             background: false,

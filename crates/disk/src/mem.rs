@@ -24,8 +24,8 @@ use crate::{BlockDevice, Result};
 /// # Ok(())
 /// # }
 /// ```
-/// Readers share the device (`RwLock`): parallel recovery scans many
-/// segments concurrently, and a mutex here would serialize them.
+/// Readers share the device (`RwLock`): threads reading different
+/// blocks run concurrently, and a mutex here would serialize them.
 #[derive(Debug)]
 pub struct MemDisk {
     data: RwLock<Vec<u8>>,

@@ -1,32 +1,32 @@
-//! Torn and stale checkpoint snapshots, serial vs parallel recovery.
+//! Torn and stale checkpoint snapshots.
 //!
 //! The sharded checkpoint (format v2) is written slab-by-slab into the
 //! inactive A/B area, so a power cut can land mid-slab, between the
 //! slab writes and the header, or after the header of a *previous*
 //! checkpoint (leaving a stale-but-valid snapshot under a newer log
-//! suffix). In every one of those states the two recovery executors —
-//! the serial in-line path (`recovery_threads: 1`) and the worker-pool
-//! path (`recovery_threads: 4`) — must reconstruct the *same* logical
-//! state, and that state must equal what a clean recovery of the
-//! untorn image produces (checkpoints are an accelerator, never an
-//! authority: the log suffix always wins).
+//! suffix). In every one of those states recovery must reconstruct
+//! what a clean recovery of the untorn image produces (checkpoints are
+//! an accelerator, never an authority: the log suffix always wins).
 //!
 //! * Deterministic byte-surgery cases: a mid-slab tear at 1 and at 8
 //!   map shards (whole area invalid, fall back), a tear in the newest
 //!   area after an A/B switch (fall back to the older area plus a
 //!   longer replay), and a stale snapshot under a delete/re-allocate
-//!   heavy suffix (no corruption; stresses identifier re-use in the
-//!   parallel router).
+//!   heavy suffix (no corruption; stresses identifier re-use), checked
+//!   against the live disk's state at the moment of the crash.
 //! * A crash-matrix sweep (`SimDisk` byte-budget cuts) through a
 //!   workload that checkpoints repeatedly, so cuts land inside slab
 //!   writes, directory writes, and header publishes at whatever
 //!   offsets the encoder actually uses.
+//! * Hostile snapshots: CRC-valid areas whose entries name a segment or
+//!   slot the device does not have (typed error), or whose directory
+//!   lengths overflow (area rejected, fall back) — never a panic.
 //! * Shard-count migration: an image checkpointed at 8 map shards
 //!   recovered at 1 and at 16 (the snapshot shard count is a property
 //!   of the image, the map shard count a property of the process).
 
-use ld_aru::core::{Ctx, Lld, LldConfig, Position};
-use ld_aru::disk::{DiskModel, FaultPlan, MemDisk, SimDisk};
+use ld_aru::core::{Ctx, Lld, LldConfig, LldError, Position};
+use ld_aru::disk::{crc32, DiskModel, FaultPlan, MemDisk, SimDisk};
 use ld_aru::workload::pattern_fill;
 
 const BS: usize = 512;
@@ -34,14 +34,13 @@ const BS: usize = 512;
 /// ahead of the first snapshot slab in an area.
 const CKPT_SLAB_START: u64 = 64 + 64 * 24;
 
-fn config(shards: usize, threads: usize) -> LldConfig {
+fn config(shards: usize) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: 16 * BS,
         max_blocks: Some(2048),
         max_lists: Some(256),
         map_shards: shards,
-        recovery_threads: threads,
         ..LldConfig::default()
     }
 }
@@ -54,8 +53,8 @@ struct World {
 }
 
 /// Every observable of the recovered disk the workload touched: each
-/// list's walk and each block's content (None where the read fails —
-/// both executors must fail on the same deleted identifiers).
+/// list's walk and each block's content (None where the read fails:
+/// a deleted identifier).
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     walks: Vec<Option<Vec<u64>>>,
@@ -81,22 +80,19 @@ fn fingerprint(ld: &Lld<MemDisk>, world: &World) -> Fingerprint {
     Fingerprint { walks, contents }
 }
 
-/// Recovers a copy of `image` at `threads` workers and fingerprints it.
-/// Returns the report's checkpoint_seq alongside.
-fn recover_fp(image: &[u8], shards: usize, threads: usize, world: &World) -> (Fingerprint, u64) {
-    let (ld, report) = Lld::recover_with(
-        MemDisk::from_image(image.to_vec()),
-        &config(shards, threads),
-    )
-    .unwrap();
+/// Recovers a copy of `image` and fingerprints it. Returns the report's
+/// checkpoint_seq alongside.
+fn recover_fp(image: &[u8], shards: usize, world: &World) -> (Fingerprint, u64) {
+    let (ld, report) =
+        Lld::recover_with(MemDisk::from_image(image.to_vec()), &config(shards)).unwrap();
     (fingerprint(&ld, world), report.checkpoint_seq)
 }
 
-/// Builds the common image: a few populated lists (flushed), one
+/// Builds the common disk: a few populated lists (flushed), one
 /// checkpoint, then a committed suffix of overwrites, deletions, and
-/// re-allocations above it. Returns the crash image and the handles.
-fn build_image(shards: usize, suffix_arus: u64) -> (Vec<u8>, World) {
-    let ld = Lld::format(MemDisk::new(4 << 20), &config(shards, 1)).unwrap();
+/// re-allocations above it. Returns the live disk and the handles.
+fn build_disk(shards: usize, suffix_arus: u64) -> (Lld<MemDisk>, World) {
+    let ld = Lld::format(MemDisk::new(4 << 20), &config(shards)).unwrap();
     let mut world = World {
         lists: Vec::new(),
         blocks: Vec::new(),
@@ -122,8 +118,7 @@ fn build_image(shards: usize, suffix_arus: u64) -> (Vec<u8>, World) {
     ld.checkpoint().unwrap();
 
     // Suffix: committed ARUs overwriting, deleting, and re-allocating
-    // — the record mix that exercises the parallel router's identifier
-    // re-use and fence paths.
+    // — the record mix that exercises identifier re-use.
     let mut live: Vec<usize> = (0..world.blocks.len()).collect();
     for i in 0..suffix_arus {
         let aru = ld.begin_aru().unwrap();
@@ -147,18 +142,24 @@ fn build_image(shards: usize, suffix_arus: u64) -> (Vec<u8>, World) {
             world.blocks.push(nb);
         }
     }
+    (ld, world)
+}
+
+/// The crash image of [`build_disk`] (the open segment's tail is lost).
+fn build_image(shards: usize, suffix_arus: u64) -> (Vec<u8>, World) {
+    let (ld, world) = build_disk(shards, suffix_arus);
     (ld.into_device().into_image(), world)
 }
 
 /// A mid-slab tear invalidates the whole area (per-slab CRC): recovery
-/// at any thread count falls back to scanning the full log and still
-/// reconstructs the suffix state. Exercised at 1 and 8 snapshot shards
+/// falls back to scanning the full log and still reconstructs the
+/// suffix state. Exercised at 1 and 8 snapshot shards
 /// — one big slab versus eight small ones with independent CRCs.
 #[test]
 fn mid_slab_tear_falls_back_to_full_scan() {
     for &shards in &[1usize, 8] {
         let (image, world) = build_image(shards, 40);
-        let (clean_fp, clean_seq) = recover_fp(&image, shards, 1, &world);
+        let (clean_fp, clean_seq) = recover_fp(&image, shards, &world);
         assert!(clean_seq > 0, "shards {shards}: checkpoint not found clean");
 
         let probe = MemDisk::from_image(image.clone());
@@ -168,17 +169,9 @@ fn mid_slab_tear_falls_back_to_full_scan() {
         // payload (shard 0 always holds entries here).
         torn[(layout.ckpt_a + CKPT_SLAB_START + 8) as usize] ^= 0xFF;
 
-        for &threads in &[1usize, 4] {
-            let (fp, seq) = recover_fp(&torn, shards, threads, &world);
-            assert_eq!(
-                seq, 0,
-                "shards {shards}, threads {threads}: torn snapshot not rejected"
-            );
-            assert_eq!(
-                fp, clean_fp,
-                "shards {shards}, threads {threads}: full-scan fallback diverges"
-            );
-        }
+        let (fp, seq) = recover_fp(&torn, shards, &world);
+        assert_eq!(seq, 0, "shards {shards}: torn snapshot not rejected");
+        assert_eq!(fp, clean_fp, "shards {shards}: full-scan fallback diverges");
     }
 }
 
@@ -188,7 +181,7 @@ fn mid_slab_tear_falls_back_to_full_scan() {
 #[test]
 fn torn_ab_switch_falls_back_to_older_area() {
     let shards = 8;
-    let ld = Lld::format(MemDisk::new(4 << 20), &config(shards, 1)).unwrap();
+    let ld = Lld::format(MemDisk::new(4 << 20), &config(shards)).unwrap();
     let mut world = World {
         lists: Vec::new(),
         blocks: Vec::new(),
@@ -224,39 +217,109 @@ fn torn_ab_switch_falls_back_to_older_area() {
     ld.flush().unwrap();
     let image = ld.into_device().into_image();
 
-    let (clean_fp, clean_seq) = recover_fp(&image, shards, 1, &world);
+    let (clean_fp, clean_seq) = recover_fp(&image, shards, &world);
     let probe = MemDisk::from_image(image.clone());
     let (layout, _, _) = Lld::probe(&probe).unwrap();
     let mut torn = image.clone();
     torn[(layout.ckpt_b + CKPT_SLAB_START + 8) as usize] ^= 0xFF;
 
-    let mut seqs = Vec::new();
-    for &threads in &[1usize, 4] {
-        let (fp, seq) = recover_fp(&torn, shards, threads, &world);
-        assert!(seq > 0, "threads {threads}: older area not used");
-        assert!(
-            seq < clean_seq,
-            "threads {threads}: fell back but kept the newer coverage?"
-        );
-        assert_eq!(fp, clean_fp, "threads {threads}: fallback state diverges");
-        seqs.push(seq);
-    }
-    assert_eq!(seqs[0], seqs[1], "executors picked different checkpoints");
+    let (fp, seq) = recover_fp(&torn, shards, &world);
+    assert!(seq > 0, "older area not used");
+    assert!(seq < clean_seq, "fell back but kept the newer coverage?");
+    assert_eq!(fp, clean_fp, "fallback state diverges");
 }
 
 /// No corruption at all — just a stale snapshot under a suffix heavy
-/// with deletions and identifier re-use. Serial and parallel replay of
-/// that suffix over the loaded slabs must agree exactly.
+/// with deletions and identifier re-use. Replaying that suffix over
+/// the loaded slabs must reproduce the live disk as it stood, fully
+/// flushed, when the crash image was taken.
 #[test]
 fn stale_snapshot_under_reallocating_suffix() {
-    let (image, world) = build_image(8, 120);
-    let (serial_fp, serial_seq) = recover_fp(&image, 8, 1, &world);
-    assert!(serial_seq > 0);
-    for &threads in &[2usize, 4] {
-        let (fp, seq) = recover_fp(&image, 8, threads, &world);
-        assert_eq!(seq, serial_seq);
-        assert_eq!(fp, serial_fp, "threads {threads}: replay diverges");
+    let (ld, world) = build_disk(8, 120);
+    ld.flush().unwrap();
+    let live_fp = fingerprint(&ld, &world);
+    let image = ld.into_device().into_image();
+    let (fp, seq) = recover_fp(&image, 8, &world);
+    assert!(seq > 0, "checkpoint not used");
+    assert_eq!(fp, live_fp, "replay diverges from the live disk");
+}
+
+/// Byte offsets inside a checkpoint area (mirrors `checkpoint.rs`):
+/// the header's directory CRC and own CRC, a directory entry's slab CRC,
+/// and the `seg`/`slot` fields of a 40-byte block entry.
+const HDR_DIR_CRC: usize = 44;
+const HDR_CRC: usize = 60;
+const DIR_ENTRY: usize = 24;
+const DIR_SLAB_CRC: usize = 16;
+const ENTRY_SEG: usize = 8;
+const ENTRY_SLOT: usize = 12;
+
+fn u64_at(image: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(image[off..off + 8].try_into().unwrap())
+}
+
+fn put_u32(image: &mut [u8], off: usize, v: u32) {
+    image[off..off + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Recomputes the directory CRC and the header CRC of the checkpoint
+/// area at `area`, so edits under them pass as a valid checkpoint.
+fn reseal_header(image: &mut [u8], area: usize) {
+    let shards = u32::from_le_bytes(image[area + 40..area + 44].try_into().unwrap()) as usize;
+    let dir = area + 64;
+    let dir_crc = crc32(&image[dir..dir + shards * DIR_ENTRY]);
+    put_u32(image, area + HDR_DIR_CRC, dir_crc);
+    let crc = crc32(&image[area..area + HDR_CRC]);
+    put_u32(image, area + HDR_CRC, crc);
+}
+
+/// A CRC-valid slab whose block entry names a segment (or a slot) the
+/// device does not have is a typed error, not an out-of-bounds index.
+#[test]
+fn snapshot_entry_outside_device_is_corrupt() {
+    let (image, _) = build_image(1, 10);
+    let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
+    let area = layout.ckpt_a as usize;
+    let slab = area + CKPT_SLAB_START as usize;
+    let dir = area + 64;
+    let slab_len = (u64_at(&image, dir) * 40 + u64_at(&image, dir + 8) * 32) as usize;
+    for (field, value) in [
+        (ENTRY_SEG, layout.n_segments),
+        (ENTRY_SLOT, layout.slots_per_segment()),
+    ] {
+        let mut hostile = image.clone();
+        put_u32(&mut hostile, slab + field, value);
+        let slab_crc = crc32(&hostile[slab..slab + slab_len]);
+        put_u32(&mut hostile, dir + DIR_SLAB_CRC, slab_crc);
+        reseal_header(&mut hostile, area);
+        let got = Lld::recover_with(MemDisk::from_image(hostile), &config(1));
+        assert!(
+            matches!(got, Err(LldError::Corrupt(_))),
+            "entry field at +{field} = {value}: {:?}",
+            got.map(|(_, r)| r)
+        );
     }
+}
+
+/// A directory entry whose counts overflow the slab-length product
+/// invalidates its area like any other bad geometry: recovery falls
+/// back to the older area and replays the longer suffix.
+#[test]
+fn overflowing_directory_entry_falls_back_to_older_area() {
+    let (ld, world) = build_disk(8, 20);
+    ld.flush().unwrap();
+    ld.checkpoint().unwrap(); // area B (newer)
+    let image = ld.into_device().into_image();
+    let (clean_fp, clean_seq) = recover_fp(&image, 8, &world);
+    let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
+
+    let mut hostile = image.clone();
+    let area = layout.ckpt_b as usize;
+    hostile[area + 64..area + 72].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+    reseal_header(&mut hostile, area);
+    let (fp, seq) = recover_fp(&hostile, 8, &world);
+    assert!(seq > 0 && seq < clean_seq, "older area not used: {seq}");
+    assert_eq!(fp, clean_fp, "fallback state diverges");
 }
 
 /// An image checkpointed at 8 map shards recovered at 1 and at 16: the
@@ -266,25 +329,20 @@ fn stale_snapshot_under_reallocating_suffix() {
 #[test]
 fn snapshot_shard_count_migrates() {
     let (image, world) = build_image(8, 60);
-    let (base_fp, base_seq) = recover_fp(&image, 8, 1, &world);
+    let (base_fp, base_seq) = recover_fp(&image, 8, &world);
     assert!(base_seq > 0);
     for &shards in &[1usize, 16] {
-        for &threads in &[1usize, 4] {
-            let (fp, seq) = recover_fp(&image, shards, threads, &world);
-            assert_eq!(seq, base_seq, "shards {shards}, threads {threads}");
-            assert_eq!(
-                fp, base_fp,
-                "recover at {shards} shards, {threads} threads diverges"
-            );
-        }
+        let (fp, seq) = recover_fp(&image, shards, &world);
+        assert_eq!(seq, base_seq, "shards {shards}");
+        assert_eq!(fp, base_fp, "recover at {shards} shards diverges");
     }
 }
 
 /// Byte-budget crash sweep through a checkpoint-heavy workload: cuts
 /// land inside slab writes, the directory write, the header publish,
-/// and ordinary segment writes. Whatever survives, serial and parallel
-/// recovery agree, and everything flushed before the first checkpoint
-/// is intact.
+/// and ordinary segment writes. Whatever survives, recovery succeeds
+/// and everything flushed before the first checkpoint is intact,
+/// holding a pattern some round actually wrote.
 #[test]
 fn checkpoint_write_crash_matrix() {
     for &shards in &[1usize, 8] {
@@ -292,7 +350,7 @@ fn checkpoint_write_crash_matrix() {
         while crash_at < 400_000 {
             let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010())
                 .with_faults(FaultPlan::new().crash_after_bytes(crash_at));
-            let ld = Lld::format(sim, &config(shards, 1)).unwrap();
+            let ld = Lld::format(sim, &config(shards)).unwrap();
             let mut world = World {
                 lists: Vec::new(),
                 blocks: Vec::new(),
@@ -326,22 +384,22 @@ fn checkpoint_write_crash_matrix() {
             .is_err();
 
             let image = ld.into_device().into_inner().into_image();
-            let (fp1, seq1) = recover_fp(&image, shards, 1, &world);
-            let (fp4, seq4) = recover_fp(&image, shards, 4, &world);
-            assert_eq!(
-                seq1, seq4,
-                "shards {shards}, cut {crash_at}: different checkpoints"
-            );
-            assert_eq!(
-                fp1, fp4,
-                "shards {shards}, cut {crash_at}: executors diverge"
-            );
-            // The flushed base blocks all survive (contents may be any
-            // committed round's pattern, but reads must succeed).
-            for (i, c) in fp1.contents.iter().enumerate().take(sealed) {
+            let (fp, _) = recover_fp(&image, shards, &world);
+            // The flushed base blocks all survive, each holding its
+            // base pattern or some round's overwrite.
+            for (i, c) in fp.contents.iter().enumerate().take(sealed) {
+                let c = c.as_ref().unwrap_or_else(|| {
+                    panic!("shards {shards}, cut {crash_at}: flushed block {i} lost")
+                });
+                let written = std::iter::once(i as u64)
+                    .chain((0..40u64).map(|round| 0x1000 + round * 100 + i as u64))
+                    .any(|seed| {
+                        pattern_fill(&mut data, seed);
+                        data == *c
+                    });
                 assert!(
-                    c.is_some(),
-                    "shards {shards}, cut {crash_at}: flushed block {i} lost"
+                    written,
+                    "shards {shards}, cut {crash_at}: block {i} holds bytes never written"
                 );
             }
             assert!(crashed || crash_at > 200_000, "cut {crash_at} never fired");
