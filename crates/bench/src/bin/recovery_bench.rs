@@ -1,9 +1,9 @@
 //! Restart latency: what sharded checkpoint snapshots buy at recovery
 //! time.
 //!
-//! One study, on an in-memory device so the numbers isolate the
-//! recovery *computation* (CRC checks, record replay, table rebuild)
-//! rather than media latency:
+//! Two studies. The first runs on an in-memory device so the numbers
+//! isolate the recovery *computation* (CRC checks, record replay, table
+//! rebuild) rather than media latency:
 //!
 //! **Flat restart** — a fixed working set takes a growing log of
 //! overwrites (1×, 2×, 4×, 8× the base update count) before the
@@ -14,6 +14,14 @@
 //! grows linearly with log length. The gap is what the checkpoint
 //! subsystem is for.
 //!
+//! **Restart vs device size** — the same checkpointed working set and
+//! the same 48-segment suffix on devices of 64, 256 and 1024 segment
+//! slots (48 is what fits beside the working set on the smallest), recovered through a [`LatencyDisk`] that charges 100 µs per
+//! read (the access time the `benchmark/` ledger models). Recovery
+//! walks the log's chain from the checkpoint's head, so the scan issues
+//! two reads per suffix segment plus one and restart does not grow with
+//! the device; a scan that probed every slot would add 100 µs per slot.
+//!
 //! The consistency check (`check_on_recovery`) is off for every run:
 //! it is an optional post-recovery audit, and its full-map walk would
 //! dilute the phase timings this experiment is about.
@@ -21,9 +29,9 @@
 //! Usage: `recovery_bench [--quick] [--json]`
 
 use ld_core::obs::json::{Arr, Obj};
-use ld_core::{BlockId, Ctx, Lld, LldConfig, Position, RecoveryReport};
-use ld_disk::MemDisk;
-use std::time::Instant;
+use ld_core::{BlockId, Ctx, Layout, Lld, LldConfig, Position, RecoveryReport};
+use ld_disk::{BlockDevice, LatencyDisk, MemDisk};
+use std::time::{Duration, Instant};
 
 const BS: usize = 512;
 
@@ -103,13 +111,12 @@ fn build_image(
     ld.into_device().into_image()
 }
 
-/// Recovers a copy of `image`; wall time plus the phase breakdown from
-/// the report. The image copy happens before the clock starts — it is
-/// test scaffolding, not recovery work.
-fn recover_once(image: &[u8]) -> (f64, RecoveryReport) {
-    let device = MemDisk::from_image(image.to_vec());
+/// Recovers `device`; wall time plus the phase breakdown from the
+/// report. Building the device (an image copy) happens before the clock
+/// starts — it is test scaffolding, not recovery work.
+fn recover_timed<D: BlockDevice + 'static>(device: D, cfg: &LldConfig) -> (f64, RecoveryReport) {
     let start = Instant::now();
-    let (ld, report) = Lld::recover_with(device, &config()).expect("recover");
+    let (ld, report) = Lld::recover_with(device, cfg).expect("recover");
     let wall = start.elapsed().as_secs_f64();
     drop(ld);
     (wall, report)
@@ -118,9 +125,55 @@ fn recover_once(image: &[u8]) -> (f64, RecoveryReport) {
 /// Median-of-3 recovery wall time (recovery is short; MemDisk runs are
 /// noisy enough to bother).
 fn recover_med(image: &[u8]) -> (f64, RecoveryReport) {
-    let mut runs: Vec<(f64, RecoveryReport)> = (0..3).map(|_| recover_once(image)).collect();
+    let mut runs: Vec<(f64, RecoveryReport)> = (0..3)
+        .map(|_| recover_timed(MemDisk::from_image(image.to_vec()), &config()))
+        .collect();
     runs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
     runs.swap_remove(1)
+}
+
+/// The device-size study's geometry: limits fixed so the checkpoint
+/// areas — and with them everything but the slot count — are the same
+/// on every device size.
+fn sized_config() -> LldConfig {
+    LldConfig {
+        max_blocks: Some(4096),
+        max_lists: Some(1024),
+        ..config()
+    }
+}
+
+/// An image on a device of exactly `slots` segment slots: a 50-ARU
+/// working set under a checkpoint, then `suffix` one-ARU segments.
+fn build_sized_image(slots: u64, suffix: u64) -> Vec<u8> {
+    let cfg = sized_config();
+    let data_start = Layout::compute(1 << 30, &cfg).expect("layout").data_start;
+    let capacity = data_start + slots * cfg.segment_bytes as u64;
+    let ld = Lld::format(MemDisk::new(capacity), &cfg).expect("format");
+    assert_eq!(u64::from(ld.n_segments()), slots);
+    let working_set = fill(&ld, 50, 6);
+    ld.checkpoint().expect("checkpoint");
+    for _ in 0..suffix {
+        update(&ld, &working_set, 1, 4);
+        ld.flush().expect("flush");
+    }
+    ld.into_device().into_image()
+}
+
+/// Recovers `image` `repeats` times behind a 100 µs-per-read device;
+/// returns the wall times in ascending order and the report of the
+/// median run.
+fn recover_on_latency_disk(image: &[u8], repeats: usize) -> (Vec<f64>, RecoveryReport) {
+    let mut runs: Vec<(f64, RecoveryReport)> = (0..repeats)
+        .map(|_| {
+            let device = LatencyDisk::new(MemDisk::from_image(image.to_vec()), Duration::ZERO)
+                .with_read_delay(Duration::from_micros(100));
+            recover_timed(device, &sized_config())
+        })
+        .collect();
+    runs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+    let report = runs[repeats / 2].1.clone();
+    (runs.into_iter().map(|r| r.0).collect(), report)
 }
 
 fn main() {
@@ -162,6 +215,29 @@ fn main() {
         flat_rows.push((pre, ckpt_wall, raw_wall, report));
     }
 
+    // Restart stays flat as the device grows under a fixed suffix.
+    let sized_suffix: u64 = 48;
+    let repeats: usize = if quick { 3 } else { 7 };
+    let mut sized = Arr::new();
+    let mut sized_rows: Vec<(u64, Vec<f64>, RecoveryReport)> = Vec::new();
+    for slots in [64u64, 256, 1024] {
+        let image = build_sized_image(slots, sized_suffix);
+        let (walls, report) = recover_on_latency_disk(&image, repeats);
+        assert_eq!(u64::from(report.segments_replayed), sized_suffix);
+        sized.push_raw(
+            &Obj::new()
+                .u64("segment_slots", slots)
+                .u64("segments_replayed", report.segments_replayed as u64)
+                .u64("slots_probed", report.segments_scanned as u64)
+                .f64("restart_ms_median", walls[repeats / 2] * 1e3)
+                .f64("restart_ms_min", walls[0] * 1e3)
+                .f64("restart_ms_max", walls[repeats - 1] * 1e3)
+                .f64("scan_ms", report.scan_ns as f64 / 1e6)
+                .finish(),
+        );
+        sized_rows.push((slots, walls, report));
+    }
+
     if json {
         let mut out = Arr::new();
         out.push_raw(
@@ -173,6 +249,16 @@ fn main() {
                 .u64("blocks_per_aru", blocks_per)
                 .u64("writes_per_aru", writes_per)
                 .raw("runs", &flat.finish())
+                .finish(),
+        );
+        out.push_raw(
+            &Obj::new()
+                .str("experiment", "recovery_restart_vs_device_size")
+                .str("device", "latency(mem), 100us per read")
+                .u64("host_cores", host_cores as u64)
+                .u64("repeats", repeats as u64)
+                .u64("suffix_segments", sized_suffix)
+                .raw("runs", &sized.finish())
                 .finish(),
         );
         println!("{}", out.finish());
@@ -197,6 +283,26 @@ fn main() {
             raw_wall * 1e3,
             report.snapshot_load_ns as f64 / 1e6,
             report.replay_ns as f64 / 1e6
+        );
+    }
+    println!();
+    println!(
+        "Restart vs device size: fixed {sized_suffix}-segment suffix, 100 us per read, \
+         median [min, max] of {repeats}"
+    );
+    println!(
+        "  {:>8} {:>14} {:>26} {:>10}",
+        "slots", "slots probed", "restart ms", "scan ms"
+    );
+    for (slots, walls, report) in &sized_rows {
+        println!(
+            "  {:>8} {:>14} {:>10.2} [{:>6.2}, {:>6.2}] {:>10.2}",
+            slots,
+            report.segments_scanned,
+            walls[repeats / 2] * 1e3,
+            walls[0] * 1e3,
+            walls[repeats - 1] * 1e3,
+            report.scan_ns as f64 / 1e6
         );
     }
 }

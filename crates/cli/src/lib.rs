@@ -253,7 +253,7 @@ pub fn cmd_info(image: &str) -> Result<String> {
     let _ = writeln!(out, "checkpoint seq:   {}", report.checkpoint_seq);
     let _ = writeln!(
         out,
-        "recovery:         {} segments scanned, {} replayed, {} records, {} ARUs committed, {} discarded",
+        "recovery:         {} slots probed, {} segments replayed, {} records, {} ARUs committed, {} discarded",
         report.segments_scanned,
         report.segments_replayed,
         report.records_applied,

@@ -10,14 +10,15 @@
 //! and the cleaner only reuses slots whose sequence number the latest
 //! checkpoint covers.
 //!
-//! # On-disk format (v2, sharded)
+//! # On-disk format (sharded; header as of format version 3)
 //!
 //! Each of the two alternating areas (A/B) holds one checkpoint as
 //! *per-shard snapshot slabs* behind a header and a slab directory:
 //!
 //! ```text
-//! area+0    header (64 B): magic, covered seq, ts, floors,
-//!           snap_shards, dir crc, n_dedup, dedup crc, header crc
+//! area+0    header (64 B): magic u32, head link u32, covered seq, ts,
+//!           floors, snap_shards, dir crc, n_dedup, dedup crc,
+//!           head slot u32, header crc
 //! area+64   directory (24 B per slab, space reserved for 64):
 //!           n_blocks, n_lists, slab crc
 //! area+64+1536  slab 0 | slab 1 | … (block entries then list entries)
@@ -28,7 +29,12 @@
 //! shard count is a runtime knob: recovery redistributes entries by id,
 //! so an image checkpointed at 8 shards recovers at any count). Every
 //! slab carries its own CRC, so recovery can load and verify slabs
-//! independently — and in parallel.
+//! independently.
+//!
+//! The header also records where the log continues past the covered
+//! sequence number — the [`ChainHead`]: the slot segment `seq + 1` is
+//! (or will be) in and the header CRC of segment `seq` — which is where
+//! recovery starts its walk of the suffix (see `segment.rs`).
 //!
 //! Torn-write safety is header-last + A/B alternation: slabs are
 //! written first, then the directory, then the header (all CRC'd), then
@@ -60,11 +66,12 @@ use crate::layout::{
     CKPT_LIST_ENTRY, MAX_SNAP_SHARDS,
 };
 use crate::lld::{LldInner, Mutation};
+use crate::segment::ChainHead;
 use crate::state::{BlockRecord, ListRecord, Tables};
 use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp};
 use ld_disk::{crc32, BlockDevice};
 
-const CKPT_MAGIC: u64 = 0x4C44_434B_5339_3936; // "LDCKS996"
+const CKPT_MAGIC: u32 = 0x4C43_4B33; // "LCK3"
 
 /// Checkpoint-area I/O state, behind the `ckpt_io` leaf mutex: the A/B
 /// cursor and the generation counter serializing concurrent checkpoint
@@ -99,12 +106,13 @@ pub(crate) struct CkptHeaderInfo {
     pub(crate) ts_counter: u64,
     pub(crate) block_floor: u64,
     pub(crate) list_floor: u64,
+    /// Where the log continues past `seq`.
+    pub(crate) head: ChainHead,
     pub(crate) slabs: Vec<SlabInfo>,
     /// Absolute device offset of the write-id dedup slab (directly
     /// after the last snapshot slab).
     pub(crate) dedup_off: u64,
-    /// Number of 32-byte dedup entries (0 on images checkpointed before
-    /// the slab existed — those header bytes were reserved zeros).
+    /// Number of 32-byte dedup entries.
     pub(crate) n_dedup: u64,
     pub(crate) dedup_crc: u32,
 }
@@ -119,6 +127,7 @@ pub(crate) struct SlabData {
 #[allow(clippy::too_many_arguments)] // mirrors the fixed header layout field-for-field
 fn encode_header(
     seq: u64,
+    head: ChainHead,
     ts: u64,
     block_floor: u64,
     list_floor: u64,
@@ -129,6 +138,7 @@ fn encode_header(
 ) -> [u8; CKPT_HEADER as usize] {
     let mut h = Vec::with_capacity(CKPT_HEADER as usize);
     h.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
+    h.extend_from_slice(&head.link.to_le_bytes());
     h.extend_from_slice(&seq.to_le_bytes());
     h.extend_from_slice(&ts.to_le_bytes());
     h.extend_from_slice(&block_floor.to_le_bytes());
@@ -137,7 +147,7 @@ fn encode_header(
     h.extend_from_slice(&dir_crc.to_le_bytes());
     h.extend_from_slice(&n_dedup.to_le_bytes());
     h.extend_from_slice(&dedup_crc.to_le_bytes());
-    h.extend_from_slice(&[0u8; 4]); // reserved
+    h.extend_from_slice(&head.slot.to_le_bytes());
     let crc = crc32(&h);
     h.extend_from_slice(&crc.to_le_bytes());
     h.try_into().expect("header is CKPT_HEADER bytes")
@@ -217,13 +227,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // a sealed-or-current segment the checkpoint covers, so drain
         // them all before snapshotting the persistent tables.
         self.map.drain_committed();
-        let covered = {
-            let log = self.log();
-            log.builder
-                .as_ref()
-                .map(|b| b.seq() - 1)
-                .unwrap_or(log.next_seq - 1)
-        };
+        let (covered, head) = self.log().covered_point();
 
         // This full checkpoint supersedes any in-flight incremental
         // one: clear its per-shard snapshot state (the generation bump
@@ -288,6 +292,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         let dir_bytes = encode_dir(&dir);
         let header = encode_header(
             covered,
+            head,
             self.lld.now(),
             block_floor,
             list_floor,
@@ -336,6 +341,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
 /// The in-flight state of one incremental (cleanerd) checkpoint.
 struct IncrementalCkpt {
     covered: u64,
+    head: ChainHead,
     ts: u64,
     block_floor: u64,
     list_floor: u64,
@@ -394,13 +400,7 @@ impl<D: BlockDevice + 'static> LldInner<D> {
                 m.open_segment(0)?;
             }
             m.map.drain_committed();
-            let covered = {
-                let log = m.log();
-                log.builder
-                    .as_ref()
-                    .map(|b| b.seq() - 1)
-                    .unwrap_or(log.next_seq - 1)
-            };
+            let (covered, head) = m.log().covered_point();
             let block_floor = m
                 .map
                 .shards_held()
@@ -423,6 +423,7 @@ impl<D: BlockDevice + 'static> LldInner<D> {
             let io = self.ckpt_io.lock();
             Ok(Some(IncrementalCkpt {
                 covered,
+                head,
                 ts,
                 block_floor,
                 list_floor,
@@ -498,6 +499,7 @@ impl<D: BlockDevice + 'static> LldInner<D> {
         let n_dedup = (dedup_bytes.len() as u64 / CKPT_DEDUP_ENTRY) as u32;
         let header = encode_header(
             inc.covered,
+            inc.head,
             inc.ts,
             inc.block_floor,
             inc.list_floor,
@@ -564,21 +566,22 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
     if crc32(&header[..60]) != stored {
         return Ok(None);
     }
-    if u64::from_le_bytes(header[0..8].try_into().expect("8 bytes")) != CKPT_MAGIC {
+    let u32at = |p: usize| u32::from_le_bytes(header[p..p + 4].try_into().expect("4 bytes"));
+    if u32at(0) != CKPT_MAGIC {
         return Ok(None);
     }
+    let head = ChainHead {
+        slot: u32at(56),
+        link: u32at(4),
+    };
     let seq = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
     let ts_counter = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
     let block_floor = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
     let list_floor = u64::from_le_bytes(header[32..40].try_into().expect("8 bytes"));
-    let snap_shards = u32::from_le_bytes(header[40..44].try_into().expect("4 bytes"));
-    let dir_crc = u32::from_le_bytes(header[44..48].try_into().expect("4 bytes"));
-    // Bytes 48..56 were reserved zeros before the dedup slab existed,
-    // so `n_dedup == 0` on old images simply means "no slab".
-    let n_dedup = u64::from(u32::from_le_bytes(
-        header[48..52].try_into().expect("4 bytes"),
-    ));
-    let dedup_crc = u32::from_le_bytes(header[52..56].try_into().expect("4 bytes"));
+    let snap_shards = u32at(40);
+    let dir_crc = u32at(44);
+    let n_dedup = u64::from(u32at(48));
+    let dedup_crc = u32at(52);
     if snap_shards == 0 || u64::from(snap_shards) > MAX_SNAP_SHARDS {
         return Ok(None);
     }
@@ -626,6 +629,7 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
         ts_counter,
         block_floor,
         list_floor,
+        head,
         slabs,
         dedup_off: off,
         n_dedup,

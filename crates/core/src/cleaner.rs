@@ -7,8 +7,9 @@
 //! the fewest live blocks, taken together as long as their combined
 //! live blocks fit in one output segment. Live blocks are copied into
 //! the current segment (with fresh `Write` records preserving their
-//! logical timestamps), the relocation records are made durable by
-//! sealing, and only then are the victim slots released for reuse.
+//! logical timestamps), and the victim slots are released together
+//! with the seal of the relocation records: no segment is opened in a
+//! victim before that seal is written.
 //! Packing matters for workloads that seal small segments (e.g. a sync
 //! after every tiny commit): cleaning such victims one at a time frees
 //! one slot per sealed output — zero net progress — while packing
@@ -202,15 +203,16 @@ impl<D: BlockDevice> Mutation<'_, D> {
             }
             debug_assert!(self.log().residents[victim.get() as usize].is_empty());
         }
-        // Make the relocation records durable before the victims' old
-        // records become unreachable, then release the victims *before*
-        // opening the next segment — the freed slots may be the only
-        // ones left.
-        self.seal_current()?;
+        // Release the victims *before* sealing the relocation records:
+        // the seal chooses the next segment's slot, and the freed slots
+        // may be the only ones left. The session holds the log from
+        // here through the seal, and nothing is written into a victim
+        // until a segment is opened in it, after that seal.
         for &victim in victims {
             self.log().slot_seq[victim.get() as usize] = 0;
             self.log().free_slots.insert(victim.get());
         }
+        self.seal_current()?;
         self.sync_free_hint();
         if self.log().builder.is_none() {
             self.open_segment(0)?;

@@ -20,7 +20,10 @@ use ld_disk::crc32;
 /// Size of the fixed-length superblock encoding.
 pub(crate) const SUPERBLOCK_LEN: usize = 64;
 const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
-const FORMAT_VERSION: u32 = 2;
+/// 3: segment headers carry `next_slot` / `prev_link` / `epoch` and the
+/// checkpoint header the chain head (see `segment.rs`). Other versions
+/// are refused, not converted.
+const FORMAT_VERSION: u32 = 3;
 
 /// Per-entry sizes in a checkpoint area (see `checkpoint.rs`).
 pub(crate) const CKPT_BLOCK_ENTRY: u64 = 40;

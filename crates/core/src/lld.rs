@@ -22,7 +22,7 @@ use crate::gc::GroupCommit;
 use crate::layout::{Layout, SUPERBLOCK_LEN};
 use crate::obs::{Obs, ObsSnapshot, Stage, TraceEvent};
 use crate::sampler::Sampler;
-use crate::segment::{SegmentBuilder, HEADER_LEN};
+use crate::segment::{header_link, ChainHead, SegmentBuilder, HEADER_PUNCH, NO_SLOT};
 use crate::shard::{MapView, Maps, WalkOutcome, SCRATCH_ARU_RAW};
 use crate::state::{BlockRecord, ListRecord};
 use crate::stats::{LldStats, StatsCell};
@@ -30,7 +30,9 @@ use crate::summary::Record;
 use crate::types::{AruId, BlockId, ListId, PhysAddr, Position, SegmentId, Timestamp};
 use ld_disk::Mutex;
 use ld_disk::{BlockDevice, PipelinedDisk};
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashSet};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard};
 
@@ -61,6 +63,17 @@ pub(crate) struct LogState {
     /// (the cleaner's work list).
     pub(crate) residents: Vec<HashSet<BlockId>>,
     pub(crate) next_seq: u64,
+    /// Header CRC of the last sealed segment (0 before the first): the
+    /// `prev_link` of the next one.
+    pub(crate) tail_link: u32,
+    /// The slot the last sealed header points at, until
+    /// [`open_segment`](Mutation::open_segment) takes it. It stays in
+    /// `free_slots` meanwhile; `None` when that header says [`NO_SLOT`].
+    pub(crate) promised: Option<u32>,
+    /// Salt for the segment headers this mount writes (see
+    /// `segment.rs`): drawn per format or recovery from the standard
+    /// library's per-process random source.
+    pub(crate) epoch: u32,
     /// Highest segment sequence number covered by an on-disk checkpoint.
     pub(crate) checkpoint_seq: u64,
     pub(crate) cleaning: bool,
@@ -75,9 +88,28 @@ impl LogState {
             live_count: vec![0; n_segments],
             residents: vec![HashSet::new(); n_segments],
             next_seq: 1,
+            tail_link: 0,
+            promised: None,
+            epoch: RandomState::new().build_hasher().finish() as u32,
             checkpoint_seq: 0,
             cleaning: false,
         }
+    }
+
+    /// What a checkpoint taken now covers and records: the sequence
+    /// number of the last sealed segment, and where the log continues
+    /// — the open builder's slot, else the slot the last sealed header
+    /// points at.
+    pub(crate) fn covered_point(&self) -> (u64, ChainHead) {
+        let (covered, slot) = match &self.builder {
+            Some(b) => (b.seq() - 1, b.slot().get()),
+            None => (self.next_seq - 1, self.promised.unwrap_or(NO_SLOT)),
+        };
+        let head = ChainHead {
+            slot,
+            link: self.tail_link,
+        };
+        (covered, head)
     }
 }
 
@@ -422,7 +454,7 @@ impl<D: BlockDevice + 'static> Lld<D> {
         device.write_at(layout.ckpt_a, &zeros)?;
         device.write_at(layout.ckpt_b, &zeros)?;
         for slot in 0..layout.n_segments {
-            device.write_at(layout.segment_offset(slot), &zeros[..32])?;
+            device.write_at(layout.segment_offset(slot), &HEADER_PUNCH)?;
         }
         device.flush()?;
 
@@ -1325,6 +1357,11 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 let seal_bytes = b.encoded_len() as u64;
                 let slot = b.slot().get();
                 let seg_off = self.lld.layout.segment_offset(slot);
+                // The successor's slot goes into this header, so it is
+                // chosen now; it stays in `free_slots` until
+                // `open_segment` takes it.
+                let promised = self.log().free_slots.first().copied();
+                let header = b.header_bytes(promised.unwrap_or(NO_SLOT));
                 if self.lld.device.is_pipelined() {
                     // The data blocks were streamed to the device as they
                     // were placed (see `place_block_data`), so the seal
@@ -1342,11 +1379,14 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                             .device
                             .write_at(seg_off + data_end, b.summary_bytes())?;
                     }
-                    self.lld.device.write_at(seg_off, &b.header_bytes())?;
+                    self.lld.device.write_at(seg_off, &header)?;
                 } else {
-                    self.lld.device.write_at(seg_off, &b.seal())?;
+                    self.lld.device.write_at(seg_off, &b.seal(&header))?;
                 }
-                self.log().slot_seq[slot as usize] = b.seq();
+                let log = self.log();
+                log.slot_seq[slot as usize] = seal_seq;
+                log.tail_link = header_link(&header);
+                log.promised = promised;
                 self.lld.stats.segments_sealed.inc();
                 self.lld.obs.event(
                     self.lld.now(),
@@ -1371,18 +1411,24 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         }
     }
 
-    /// Opens a new segment in a free slot, refusing if that would leave
+    /// Opens a new segment — in the slot the last sealed header points
+    /// at, else in the lowest free slot — refusing if that would leave
     /// fewer than `reserve` slots free.
     pub(crate) fn open_segment(&mut self, reserve: usize) -> Result<()> {
         debug_assert!(self.log().builder.is_none());
         if self.log().free_slots.len() <= reserve {
             return Err(LldError::DiskFull);
         }
-        let slot = self
-            .log()
-            .free_slots
-            .pop_first()
-            .ok_or(LldError::DiskFull)?;
+        let log = self.log();
+        let slot = match log.promised.take() {
+            Some(slot) if log.free_slots.remove(&slot) => slot,
+            Some(slot) => {
+                return Err(LldError::Corrupt(format!(
+                    "internal: slot {slot}, which the log's tail points at, was taken"
+                )))
+            }
+            None => log.free_slots.pop_first().ok_or(LldError::DiskFull)?,
+        };
         self.sync_free_hint();
         // The slot may hold a cleaned segment whose blocks are cached;
         // new data written here must never be shadowed by stale entries.
@@ -1401,17 +1447,20 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
             // succeeds until the new header is on disk.
             self.lld
                 .device
-                .write_at(self.lld.layout.segment_offset(slot), &[0u8; HEADER_LEN])?;
+                .write_at(self.lld.layout.segment_offset(slot), &HEADER_PUNCH)?;
         }
-        let seq = self.log().next_seq;
-        self.log().next_seq += 1;
+        let layout = &self.lld.layout;
+        let log = self.log();
         let builder = SegmentBuilder::new(
             SegmentId::new(slot),
-            seq,
-            self.lld.layout.block_size,
-            self.lld.layout.segment_bytes,
+            log.next_seq,
+            log.tail_link,
+            log.epoch,
+            layout.block_size,
+            layout.segment_bytes,
         );
-        self.log().builder = Some(builder);
+        log.next_seq += 1;
+        log.builder = Some(builder);
         Ok(())
     }
 

@@ -1,12 +1,12 @@
-//! Crash recovery: rebuild the tables from checkpoint + segment scan.
+//! Crash recovery: rebuild the tables from checkpoint + log suffix.
 //!
 //! Recovery is always to the most recent *persistent* state (§3.1): the
-//! newest valid checkpoint is loaded, every valid segment with a larger
-//! sequence number is replayed in log order, and records tagged with an
-//! ARU take effect only at that ARU's commit record — ARUs whose commit
-//! record never reached disk are discarded wholesale, and blocks they
-//! allocated (allocation is always committed) are reclaimed by the
-//! consistency check.
+//! newest valid checkpoint is loaded, the segments sealed after it are
+//! replayed in log order, and records tagged with an ARU take effect
+//! only at that ARU's commit record — ARUs whose commit record never
+//! reached disk are discarded wholesale, and blocks they allocated
+//! (allocation is always committed) are reclaimed by the consistency
+//! check.
 //!
 //! The shard count is a runtime knob, not an on-disk property: the
 //! checkpoint stores global allocator floors, and
@@ -24,16 +24,18 @@
 //! 1. **Snapshot load** — the newest valid checkpoint's per-shard
 //!    slabs are CRC-checked, decoded and inserted into one
 //!    [`ReplayState`].
-//! 2. **Scan** — every segment slot's header is probed (summaries only
-//!    above the checkpoint), and the valid suffix is ordered by
-//!    sequence number.
+//! 2. **Scan** — the log's chain is walked from the checkpoint's
+//!    [`ChainHead`] (slot 0, link 0 without one): a segment is accepted
+//!    iff header CRC, sequence number and `prev_link` fit, and the
+//!    first miss ends the log. Reads are 2 × suffix + 1 whatever the
+//!    device size; only a [`NO_SLOT`] hop probes every slot.
 //! 3. **Replay** — [`drive_chain`] walks the chain in log order,
 //!    resolves ARU commit points, and each effective record is applied
 //!    to the replay state.
 //! 4. **Finalize** — the replay state is drained into one table,
 //!    live-segment accounting is computed from the final block
-//!    addresses, and the maps are re-sharded for this process's shard
-//!    count.
+//!    addresses (slots the checkpoint covers are never read), and the
+//!    maps are re-sharded for this process's shard count.
 
 use crate::checkpoint::{self, CkptHeaderInfo, CkptSlots};
 use crate::cleanerd::Cleanerd;
@@ -43,7 +45,7 @@ use crate::gc::GroupCommit;
 use crate::layout::Layout;
 use crate::lld::{Lld, LldInner, LogState};
 use crate::obs::{recovery_trace, Obs, Stage};
-use crate::segment::{scan_segment_above, SegmentInfo, SegmentScan};
+use crate::segment::{read_header, read_summary, ChainHead, NO_SLOT};
 use crate::shard::Maps;
 use crate::state::{BlockRecord, ListRecord, StateOverlay, Tables};
 use crate::summary::Record;
@@ -58,15 +60,15 @@ use std::time::Instant;
 #[non_exhaustive]
 pub struct RecoveryReport {
     /// Sequence number of the checkpoint recovery started from (0 =
-    /// none; the whole log was scanned).
+    /// none; the whole log was replayed).
     pub checkpoint_seq: u64,
-    /// Segment slots examined.
+    /// Segment slots whose header the scan phase read.
     pub segments_scanned: u32,
     /// Valid segments replayed (sequence numbers above the checkpoint).
     pub segments_replayed: u32,
-    /// Slots holding a valid header but a summary that fails its
-    /// checksum — the signature of a segment write torn by the crash.
-    /// Such segments are treated as never written.
+    /// 1 if the log ends at a header that links on but whose summary
+    /// fails its checksum: a segment write torn by the crash, treated
+    /// as never written.
     pub torn_tails_detected: u32,
     /// Summary records applied (committed effects).
     pub records_applied: u64,
@@ -76,8 +78,8 @@ pub struct RecoveryReport {
     pub discarded_arus: u64,
     /// Records belonging to discarded ARUs.
     pub discarded_records: u64,
-    /// Valid segments ignored because of a gap in the sequence chain
-    /// (0 in any state a crash can produce).
+    /// Always 0: the chain walk stops at the first missing segment and
+    /// never sees what lies beyond it. Kept for the snapshot schema.
     pub ignored_after_gap: u32,
     /// Orphaned blocks freed by the post-recovery consistency check.
     pub orphan_blocks_freed: usize,
@@ -460,43 +462,28 @@ impl ReplayState {
 // Replay driver
 // ----------------------------------------------------------------------
 
-/// Walks the suffix chain in log order, resolving ARU commit points and
-/// gap/duplicate semantics, and hands each effective batch to `emit`:
-/// a committed ARU's records with its commit timestamp, or a single
-/// directly-applied record with `None`.
+/// Replays the suffix chain in log order, resolving ARU commit points,
+/// and hands each effective batch to `emit`: a committed ARU's records
+/// with its commit timestamp, or a single directly-applied record with
+/// `None`.
 fn drive_chain(
-    chain: &[SegmentInfo],
-    ckpt_seq: u64,
+    chain: &[(SegmentId, Vec<Record>)],
     report: &mut RecoveryReport,
-    slot_used: &mut [bool],
     ts_max: &mut u64,
     mut emit: impl FnMut(&[(SegmentId, Record)], Option<Timestamp>) -> Result<()>,
 ) -> Result<()> {
-    let mut expected = ckpt_seq + 1;
     let mut pending: BTreeMap<u64, Vec<(SegmentId, Record)>> = BTreeMap::new();
     let mut single: Vec<(SegmentId, Record)> = Vec::with_capacity(1);
-    for info in chain {
-        if info.seq != expected {
-            if info.seq < expected {
-                return Err(LldError::Corrupt(format!(
-                    "duplicate segment sequence number {}",
-                    info.seq
-                )));
-            }
-            report.ignored_after_gap += 1;
-            continue;
-        }
-        expected += 1;
+    for (slot, records) in chain {
         report.segments_replayed += 1;
-        slot_used[info.slot.get() as usize] = true;
-        for rec in &info.records {
+        for rec in records {
             *ts_max = (*ts_max).max(rec.ts().get());
             match rec.aru_tag() {
                 Some(aru) => {
                     pending
                         .entry(aru.get())
                         .or_default()
-                        .push((info.slot, rec.clone()));
+                        .push((*slot, rec.clone()));
                 }
                 None => {
                     if let Record::Commit { aru, ts } = rec {
@@ -506,7 +493,7 @@ fn drive_chain(
                         emit(&actions, Some(*ts))?;
                     } else {
                         single.clear();
-                        single.push((info.slot, rec.clone()));
+                        single.push((*slot, rec.clone()));
                         emit(&single, None)?;
                         report.records_applied += 1;
                     }
@@ -617,6 +604,8 @@ impl<D: BlockDevice + 'static> Lld<D> {
             ..ReplayState::default()
         };
         let mut ckpt_seq = 0u64;
+        // Without a checkpoint: where `LogState::fresh` starts the log.
+        let mut head = ChainHead { slot: 0, link: 0 };
         let mut ts_floor = 0u64;
         let mut block_floor = 1u64;
         let mut list_floor = 1u64;
@@ -631,6 +620,7 @@ impl<D: BlockDevice + 'static> Lld<D> {
             };
             dedup_seed = seed;
             ckpt_seq = hdr.seq;
+            head = hdr.head;
             ts_floor = hdr.ts_counter;
             block_floor = hdr.block_floor;
             list_floor = hdr.list_floor;
@@ -667,36 +657,45 @@ impl<D: BlockDevice + 'static> Lld<D> {
             report.snapshot_load_ns,
         );
 
-        // ---- Phase 2: scan every slot for valid sealed segments ------
+        // ---- Phase 2: walk the chain from the checkpoint's head -----
         let t_scan = Instant::now();
         obs.stage_begin(0, trace, Stage::RecoveryScan);
-        report.segments_scanned = layout.n_segments;
+        let mut chain: Vec<(SegmentId, Vec<Record>)> = Vec::new();
         let mut slot_seq = vec![0u64; n];
-        let mut chain: Vec<SegmentInfo> = Vec::new();
-        let mut max_seq_seen = ckpt_seq;
-        for (slot, seq) in slot_seq.iter_mut().enumerate() {
-            // Summaries of segments at or below `ckpt_seq` are not
-            // read — the snapshot already covers them.
-            match scan_segment_above(&device, &layout, SegmentId::new(slot as u32), ckpt_seq)? {
-                SegmentScan::Valid(info) => {
-                    *seq = info.seq;
-                    max_seq_seen = max_seq_seen.max(info.seq);
-                    if info.seq > ckpt_seq {
-                        chain.push(info);
-                    }
+        // Each accepted hop raises the expected sequence number and a
+        // slot holds one header: hostile pointers cannot make a loop.
+        while chain.len() < n {
+            let seq = ckpt_seq + 1 + chain.len() as u64;
+            let candidates = match head.slot {
+                NO_SLOT => 0..layout.n_segments,
+                // Empty for a slot the device lacks; finalize rejects it.
+                s => s..(s + 1).min(layout.n_segments),
+            };
+            let mut found = None;
+            for slot in candidates.map(SegmentId::new) {
+                report.segments_scanned += 1;
+                if let Some(h) = read_header(&device, &layout, slot)?
+                    .filter(|h| h.seq == seq && h.prev_link == head.link)
+                {
+                    found = Some((slot, h));
+                    break;
                 }
-                SegmentScan::Torn => report.torn_tails_detected += 1,
-                SegmentScan::None => {}
             }
+            let Some((slot, h)) = found else { break };
+            let Some(records) = read_summary(&device, &layout, slot, &h)? else {
+                report.torn_tails_detected += 1;
+                break;
+            };
+            chain.push((slot, records));
+            slot_seq[slot.get() as usize] = seq;
+            head = h.next;
         }
-        chain.sort_by_key(|i| i.seq);
         report.scan_ns = t_scan.elapsed().as_nanos() as u64;
         obs.stage_end(0, trace, Stage::RecoveryScan, report.scan_ns);
 
         // ---- Phase 3: replay the chain above the checkpoint ----------
         let t_replay = Instant::now();
         obs.stage_begin(0, trace, Stage::RecoveryReplay);
-        let mut slot_used = vec![false; n];
         let mut ts_max = 0u64;
         // Rebuild the write-id dedup cache: seed from the checkpoint
         // slab, then re-record every committed ARU's `WriteId` record
@@ -706,31 +705,24 @@ impl<D: BlockDevice + 'static> Lld<D> {
             crate::dedup::DedupCache::decode(config.dedup_capacity, &dedup_seed)?;
         let mut freed = FreedSets::default();
         let timer = obs.timer();
-        drive_chain(
-            &chain,
-            ckpt_seq,
-            &mut report,
-            &mut slot_used,
-            &mut ts_max,
-            |recs, cts| {
-                for (seg, rec) in recs {
-                    if let Record::WriteId {
-                        client,
-                        generation,
-                        write_id,
-                        ts,
-                        ..
-                    } = *rec
-                    {
-                        dedup_rebuilt.complete(client, write_id, generation, cts.unwrap_or(ts));
-                        continue;
-                    }
-                    let members = state.apply(*seg, rec, cts)?;
-                    freed.note(rec, members);
+        drive_chain(&chain, &mut report, &mut ts_max, |recs, cts| {
+            for (seg, rec) in recs {
+                if let Record::WriteId {
+                    client,
+                    generation,
+                    write_id,
+                    ts,
+                    ..
+                } = *rec
+                {
+                    dedup_rebuilt.complete(client, write_id, generation, cts.unwrap_or(ts));
+                    continue;
                 }
-                Ok(())
-            },
-        )?;
+                let members = state.apply(*seg, rec, cts)?;
+                freed.note(rec, members);
+            }
+            Ok(())
+        })?;
         obs.recovery_replay_batch(timer);
         drop(chain);
         report.replay_ns = t_replay.elapsed().as_nanos() as u64;
@@ -769,21 +761,30 @@ impl<D: BlockDevice + 'static> Lld<D> {
         maps.inject_freed(freed.blocks, freed.lists);
 
         let mut log = LogState::fresh(n);
-        log.free_slots.clear();
         log.checkpoint_seq = ckpt_seq;
-        log.next_seq = max_seq_seen + 1;
+        log.next_seq = ckpt_seq + 1 + u64::from(report.segments_replayed);
+        log.tail_link = head.link;
+        log.promised = (head.slot != NO_SLOT).then_some(head.slot);
+        // A slot stays in use if it is part of the replayed chain or
+        // still holds live blocks — then the checkpoint covers it, and
+        // it goes by the checkpoint's sequence number. The rest is free.
+        for (slot, seq) in slot_seq.iter_mut().enumerate() {
+            if *seq == 0 && live_count[slot] > 0 {
+                *seq = ckpt_seq;
+            }
+            if *seq != 0 || live_count[slot] > 0 {
+                log.free_slots.remove(&(slot as u32));
+            }
+        }
         log.slot_seq = slot_seq;
         log.live_count = live_count;
         log.residents = residents;
-        // Slot accounting, folded into the replay pass: a slot stays in
-        // use if it is part of the replayed chain (its records are
-        // needed until the next checkpoint) or still holds live blocks;
-        // everything else is free.
-        for (slot, &used) in slot_used.iter().enumerate().take(n) {
-            if !(used || log.live_count[slot] > 0) {
-                log.slot_seq[slot] = 0;
-                log.free_slots.insert(slot as u32);
-            }
+        // The tail's pointer is on disk, so the next segment must go
+        // there; no crash leaves it at a slot in use or off the device.
+        if let Some(p) = log.promised.filter(|p| !log.free_slots.contains(p)) {
+            return Err(LldError::Corrupt(format!(
+                "log tail points at slot {p}, which is not free"
+            )));
         }
 
         let ld = Lld::from_inner(LldInner {

@@ -11,10 +11,25 @@
 //! +--------+---------+---------+-----+----------------+
 //! ```
 //!
-//! The header carries the segment's log sequence number and a CRC over
-//! the summary, so recovery can (a) order segments into a single log and
-//! (b) detect a torn segment write and treat the segment as never
-//! written.
+//! The 44-byte header (format version 3) threads the segments into one
+//! log, so recovery follows pointers from the checkpoint's
+//! [`ChainHead`] instead of probing every slot (docs/RECOVERY.md):
+//!
+//! ```text
+//!  0 magic u64         24 summary_crc u32
+//!  8 seq u64           28 next_slot u32   slot of segment seq+1
+//! 16 n_blocks u32      32 prev_link u32   header CRC of segment seq-1
+//! 20 summary_len u32   36 epoch u32       per-mount salt
+//!                      40 header_crc u32  over bytes 0..40
+//! ```
+//!
+//! `next_slot` is chosen at seal time ([`NO_SLOT`] if nothing was
+//! free). `prev_link` makes the pointers a hash chain: a CRC-valid
+//! header with the right sequence number, left by a timeline recovery
+//! has since abandoned, does not link and ends the walk — also when
+//! both timelines logged the same operations, because `epoch` differs
+//! per mount. The summary CRC exposes a torn segment write, which
+//! recovery treats as never written.
 
 use crate::error::{LldError, Result};
 use crate::layout::Layout;
@@ -23,32 +38,65 @@ use crate::types::SegmentId;
 use ld_disk::{crc32, BlockDevice};
 
 const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936; // "LDSEG996"
-pub(crate) const HEADER_LEN: usize = 32;
+pub(crate) const HEADER_LEN: usize = 44;
+/// Written over the start of a header to invalidate it (a zero magic
+/// never validates); as long as the unchained header was, so format
+/// and punch write what they always wrote.
+pub(crate) const HEADER_PUNCH: [u8; 32] = [0; 32];
+/// `next_slot` of a segment sealed while no slot was free: its
+/// successor is found by probing every slot.
+pub(crate) const NO_SLOT: u32 = u32::MAX;
+
+/// Where the log continues: the slot the next segment is (or will be)
+/// written to, and the header CRC of the segment before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ChainHead {
+    pub(crate) slot: u32,
+    pub(crate) link: u32,
+}
+
+fn u32_at(buf: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
+}
+
+/// The link a successor stores for the segment sealed under `header`.
+pub(crate) fn header_link(header: &[u8; HEADER_LEN]) -> u32 {
+    u32_at(header, HEADER_LEN - 4)
+}
 
 /// A segment being filled in memory.
 #[derive(Debug)]
 pub(crate) struct SegmentBuilder {
     slot: SegmentId,
     seq: u64,
+    prev_link: u32,
+    epoch: u32,
     block_size: usize,
     capacity: usize,
     data: Vec<u8>,
     summary: Vec<u8>,
-    n_records: usize,
 }
 
 impl SegmentBuilder {
     /// Starts an empty segment in physical slot `slot` with log sequence
-    /// number `seq`.
-    pub(crate) fn new(slot: SegmentId, seq: u64, block_size: usize, capacity: usize) -> Self {
+    /// number `seq`, after the segment whose header CRC is `prev_link`.
+    pub(crate) fn new(
+        slot: SegmentId,
+        seq: u64,
+        prev_link: u32,
+        epoch: u32,
+        block_size: usize,
+        capacity: usize,
+    ) -> Self {
         SegmentBuilder {
             slot,
             seq,
+            prev_link,
+            epoch,
             block_size,
             capacity,
             data: Vec::new(),
             summary: Vec::new(),
-            n_records: 0,
         }
     }
 
@@ -62,11 +110,6 @@ impl SegmentBuilder {
 
     pub(crate) fn n_blocks(&self) -> u32 {
         (self.data.len() / self.block_size) as u32
-    }
-
-    #[allow(dead_code)] // used by diagnostics/tests
-    pub(crate) fn n_records(&self) -> usize {
-        self.n_records
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -107,7 +150,6 @@ impl SegmentBuilder {
     pub(crate) fn push_record(&mut self, rec: &Record) {
         assert!(self.fits(0, rec.encoded_len()), "summary overflow");
         rec.encode(&mut self.summary);
-        self.n_records += 1;
     }
 
     /// Reads back a data block already placed in this (unsealed)
@@ -117,19 +159,21 @@ impl SegmentBuilder {
         &self.data[start..start + self.block_size]
     }
 
-    /// Encodes the 32-byte sealed-segment header alone. A slot holds a
-    /// valid segment exactly when these bytes (with their CRC) are on
-    /// disk, which is what lets a streaming writer place data blocks
-    /// and summary first and commit the segment with the header *last*.
-    pub(crate) fn header_bytes(&self) -> [u8; HEADER_LEN] {
-        let n_blocks = self.n_blocks();
-        let summary_crc = crc32(&self.summary);
+    /// Encodes the sealed-segment header alone, pointing at `next_slot`.
+    /// A slot holds a valid segment exactly when these bytes (with their
+    /// CRC) are on disk, which is what lets a streaming writer place
+    /// data blocks and summary first and commit the segment with the
+    /// header *last*.
+    pub(crate) fn header_bytes(&self, next_slot: u32) -> [u8; HEADER_LEN] {
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(&SEGMENT_MAGIC.to_le_bytes());
         header.extend_from_slice(&self.seq.to_le_bytes());
-        header.extend_from_slice(&n_blocks.to_le_bytes());
+        header.extend_from_slice(&self.n_blocks().to_le_bytes());
         header.extend_from_slice(&(self.summary.len() as u32).to_le_bytes());
-        header.extend_from_slice(&summary_crc.to_le_bytes());
+        header.extend_from_slice(&crc32(&self.summary).to_le_bytes());
+        header.extend_from_slice(&next_slot.to_le_bytes());
+        header.extend_from_slice(&self.prev_link.to_le_bytes());
+        header.extend_from_slice(&self.epoch.to_le_bytes());
         let header_crc = crc32(&header);
         header.extend_from_slice(&header_crc.to_le_bytes());
         header.try_into().expect("header is HEADER_LEN bytes")
@@ -147,131 +191,86 @@ impl SegmentBuilder {
         self.block_size + self.data.len() + self.summary.len()
     }
 
-    /// Encodes the segment for a single device write. Returns the bytes
-    /// to write at the segment's offset.
-    pub(crate) fn seal(&self) -> Vec<u8> {
-        let header = self.header_bytes();
+    /// Encodes the segment under `header` for a single device write.
+    /// Returns the bytes to write at the segment's offset.
+    pub(crate) fn seal(&self, header: &[u8; HEADER_LEN]) -> Vec<u8> {
         let mut buf = vec![0u8; self.encoded_len()];
-        buf[..HEADER_LEN].copy_from_slice(&header);
+        buf[..HEADER_LEN].copy_from_slice(header);
         buf[self.block_size..self.block_size + self.data.len()].copy_from_slice(&self.data);
         buf[self.block_size + self.data.len()..].copy_from_slice(&self.summary);
         buf
     }
 }
 
-/// A sealed segment's metadata as read back from disk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct SegmentInfo {
-    pub(crate) slot: SegmentId,
+/// A sealed segment's header as read back from disk, CRC and magic
+/// already verified.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SegmentHeader {
     pub(crate) seq: u64,
-    pub(crate) n_blocks: u32,
-    pub(crate) records: Vec<Record>,
+    n_blocks: u32,
+    summary_len: u32,
+    summary_crc: u32,
+    /// Header CRC of segment `seq - 1`.
+    pub(crate) prev_link: u32,
+    /// Where the log goes on: `next_slot` ([`NO_SLOT`]: nowhere was
+    /// free) and this header's own CRC.
+    pub(crate) next: ChainHead,
 }
 
-/// The outcome of probing one physical slot during recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum SegmentScan {
-    /// No sealed segment: the header never landed or is stale garbage.
-    None,
-    /// The header is intact but the summary fails its checksum — a
-    /// segment write torn by a crash. Treated as never written, but
-    /// counted separately so recovery can report it.
-    Torn,
-    /// A valid sealed segment.
-    Valid(SegmentInfo),
-}
-
-/// Probes the segment in physical slot `slot`, distinguishing a torn
-/// segment write (valid header, bad summary) from an empty or stale
-/// slot.
-pub(crate) fn scan_segment<D: BlockDevice>(
+/// Probes the header in physical slot `slot`. `None`: no sealed segment
+/// — the header never landed, was punched, or is stale garbage.
+pub(crate) fn read_header<D: BlockDevice>(
     device: &D,
     layout: &Layout,
     slot: SegmentId,
-) -> Result<SegmentScan> {
-    scan_segment_above(device, layout, slot, 0)
-}
-
-/// Like [`scan_segment`], but skips reading and parsing the summary of
-/// a segment whose sequence number is at or below `summary_floor`,
-/// returning it with an empty record list.
-///
-/// Recovery passes the checkpoint sequence number here: a sealed
-/// segment the checkpoint covers was durable before the checkpoint
-/// committed (commit happens after every covered segment sealed), so
-/// it cannot be a torn tail of the crash, and its records are already
-/// reflected in the snapshot. Only its occupancy — slot and sequence
-/// number, both in the CRC-guarded header — matters for rebuilding the
-/// log state, which keeps restart's scan cost proportional to the
-/// suffix rather than the whole log.
-pub(crate) fn scan_segment_above<D: BlockDevice>(
-    device: &D,
-    layout: &Layout,
-    slot: SegmentId,
-    summary_floor: u64,
-) -> Result<SegmentScan> {
-    let off = layout.segment_offset(slot.get());
+) -> Result<Option<SegmentHeader>> {
     let mut header = [0u8; HEADER_LEN];
-    device.read_at(off, &mut header)?;
-    let stored_crc = u32::from_le_bytes(header[HEADER_LEN - 4..].try_into().expect("4 bytes"));
-    if crc32(&header[..HEADER_LEN - 4]) != stored_crc {
-        return Ok(SegmentScan::None);
+    device.read_at(layout.segment_offset(slot.get()), &mut header)?;
+    let link = header_link(&header);
+    if crc32(&header[..HEADER_LEN - 4]) != link
+        || u64::from_le_bytes(header[0..8].try_into().expect("8 bytes")) != SEGMENT_MAGIC
+    {
+        return Ok(None);
     }
-    let magic = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
-    if magic != SEGMENT_MAGIC {
-        return Ok(SegmentScan::None);
-    }
-    let seq = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let n_blocks = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-    let summary_len = u32::from_le_bytes(header[20..24].try_into().expect("4 bytes")) as usize;
-    let summary_crc = u32::from_le_bytes(header[24..28].try_into().expect("4 bytes"));
-
-    if seq <= summary_floor {
-        return Ok(SegmentScan::Valid(SegmentInfo {
-            slot,
-            seq,
-            n_blocks,
-            records: Vec::new(),
-        }));
-    }
-
-    let data_bytes = (1 + n_blocks as usize) * layout.block_size;
-    if data_bytes + summary_len > layout.segment_bytes {
-        return Ok(SegmentScan::Torn);
-    }
-    let mut summary = vec![0u8; summary_len];
-    device.read_at(off + data_bytes as u64, &mut summary)?;
-    if crc32(&summary) != summary_crc {
-        return Ok(SegmentScan::Torn);
-    }
-    let records = Record::decode_all(&summary).map_err(|e| match e {
-        LldError::Corrupt(msg) => LldError::Corrupt(format!("segment {slot} seq {seq}: {msg}")),
-        other => other,
-    })?;
-    Ok(SegmentScan::Valid(SegmentInfo {
-        slot,
-        seq,
-        n_blocks,
-        records,
+    Ok(Some(SegmentHeader {
+        seq: u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")),
+        n_blocks: u32_at(&header, 16),
+        summary_len: u32_at(&header, 20),
+        summary_crc: u32_at(&header, 24),
+        prev_link: u32_at(&header, 32),
+        next: ChainHead {
+            slot: u32_at(&header, 28),
+            link,
+        },
     }))
 }
 
-/// Reads and validates the segment in physical slot `slot`.
-///
-/// Returns `Ok(None)` for a slot that does not hold a valid sealed
-/// segment: never written, stale garbage, or a torn write (header or
-/// summary checksum mismatch). Recovery treats all three identically —
-/// the segment does not exist (see [`scan_segment`] for the variant
-/// that reports torn writes separately).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn read_segment<D: BlockDevice>(
+/// Reads and decodes the summary `header` vouches for. `None`: the
+/// summary fails its checksum — a segment write torn by a crash,
+/// treated as never written but reported separately.
+pub(crate) fn read_summary<D: BlockDevice>(
     device: &D,
     layout: &Layout,
     slot: SegmentId,
-) -> Result<Option<SegmentInfo>> {
-    Ok(match scan_segment(device, layout, slot)? {
-        SegmentScan::Valid(info) => Some(info),
-        SegmentScan::None | SegmentScan::Torn => None,
+    header: &SegmentHeader,
+) -> Result<Option<Vec<Record>>> {
+    let data_bytes = (1 + header.n_blocks as usize) * layout.block_size;
+    let summary_len = header.summary_len as usize;
+    if data_bytes + summary_len > layout.segment_bytes {
+        return Ok(None);
+    }
+    let mut summary = vec![0u8; summary_len];
+    device.read_at(
+        layout.segment_offset(slot.get()) + data_bytes as u64,
+        &mut summary,
+    )?;
+    if crc32(&summary) != header.summary_crc {
+        return Ok(None);
+    }
+    let seq = header.seq;
+    Record::decode_all(&summary).map(Some).map_err(|e| match e {
+        LldError::Corrupt(msg) => LldError::Corrupt(format!("segment {slot} seq {seq}: {msg}")),
+        other => other,
     })
 }
 
@@ -293,6 +292,27 @@ mod tests {
         Layout::compute(1 << 20, &cfg).unwrap()
     }
 
+    fn builder(slot: u32, seq: u64) -> SegmentBuilder {
+        SegmentBuilder::new(SegmentId::new(slot), seq, 0, 7, 512, 8 * 512)
+    }
+
+    fn sealed(b: &SegmentBuilder) -> Vec<u8> {
+        b.seal(&b.header_bytes(NO_SLOT))
+    }
+
+    /// Sequence number and records of the segment in `slot`, if its
+    /// header and summary both verify.
+    fn read_segment(
+        device: &MemDisk,
+        layout: &Layout,
+        slot: SegmentId,
+    ) -> Result<Option<(u64, Vec<Record>)>> {
+        let Some(h) = read_header(device, layout, slot)? else {
+            return Ok(None);
+        };
+        Ok(read_summary(device, layout, slot, &h)?.map(|records| (h.seq, records)))
+    }
+
     fn sample_record(n: u64) -> Record {
         Record::NewBlock {
             block: BlockId::new(n),
@@ -302,7 +322,7 @@ mod tests {
 
     #[test]
     fn builder_tracks_capacity() {
-        let b = SegmentBuilder::new(SegmentId::new(0), 1, 512, 8 * 512);
+        let b = builder(0, 1);
         assert!(b.is_empty());
         // Header takes one block, so 7 data blocks fit with no summary.
         assert!(b.fits(7, 0));
@@ -312,7 +332,7 @@ mod tests {
 
     #[test]
     fn push_and_read_back() {
-        let mut b = SegmentBuilder::new(SegmentId::new(2), 9, 512, 8 * 512);
+        let mut b = builder(2, 9);
         let block = vec![0xABu8; 512];
         let idx = b.push_block(&block);
         assert_eq!(idx, 0);
@@ -321,7 +341,6 @@ mod tests {
         assert_eq!(b.read_block(1)[0], 0xCD);
         b.push_record(&sample_record(1));
         assert_eq!(b.n_blocks(), 2);
-        assert_eq!(b.n_records(), 1);
         assert!(!b.is_empty());
     }
 
@@ -329,19 +348,18 @@ mod tests {
     fn seal_and_read_round_trip() {
         let layout = layout();
         let device = MemDisk::new(1 << 20);
-        let mut b = SegmentBuilder::new(SegmentId::new(1), 42, 512, 8 * 512);
+        let mut b = builder(1, 42);
         b.push_block(&vec![7u8; 512]);
         b.push_record(&sample_record(1));
         b.push_record(&sample_record(2));
-        let bytes = b.seal();
+        let bytes = sealed(&b);
         device.write_at(layout.segment_offset(1), &bytes).unwrap();
 
-        let info = read_segment(&device, &layout, SegmentId::new(1))
+        let (seq, records) = read_segment(&device, &layout, SegmentId::new(1))
             .unwrap()
             .expect("valid segment");
-        assert_eq!(info.seq, 42);
-        assert_eq!(info.n_blocks, 1);
-        assert_eq!(info.records, vec![sample_record(1), sample_record(2)]);
+        assert_eq!(seq, 42);
+        assert_eq!(records, vec![sample_record(1), sample_record(2)]);
 
         // Unwritten slots read as "no segment".
         assert_eq!(
@@ -354,10 +372,10 @@ mod tests {
     fn torn_summary_is_rejected() {
         let layout = layout();
         let device = MemDisk::new(1 << 20);
-        let mut b = SegmentBuilder::new(SegmentId::new(0), 7, 512, 8 * 512);
+        let mut b = builder(0, 7);
         b.push_block(&vec![1u8; 512]);
         b.push_record(&sample_record(1));
-        let bytes = b.seal();
+        let bytes = sealed(&b);
         // Simulate a torn write: the tail of the summary never lands and
         // the medium holds stale bytes there instead.
         device
@@ -376,8 +394,8 @@ mod tests {
     fn corrupt_header_is_rejected() {
         let layout = layout();
         let device = MemDisk::new(1 << 20);
-        let b = SegmentBuilder::new(SegmentId::new(0), 7, 512, 8 * 512);
-        let mut bytes = b.seal();
+        let b = builder(0, 7);
+        let mut bytes = sealed(&b);
         bytes[9] ^= 0x10; // flip a bit in seq
         device.write_at(layout.segment_offset(0), &bytes).unwrap();
         assert_eq!(
@@ -394,7 +412,7 @@ mod tests {
         // seal, and every prefix of that write order must scan as "no
         // segment" (all-or-nothing without a big atomic write).
         let layout = layout();
-        let mut b = SegmentBuilder::new(SegmentId::new(1), 42, 512, 8 * 512);
+        let mut b = builder(1, 42);
         b.push_block(&vec![7u8; 512]);
         b.push_block(&vec![9u8; 512]);
         b.push_record(&sample_record(1));
@@ -412,10 +430,10 @@ mod tests {
         }
         streamed.write_at(off + 3 * 512, b.summary_bytes()).unwrap();
         assert_eq!(read_segment(&streamed, &layout, id).unwrap(), None);
-        streamed.write_at(off, &b.header_bytes()).unwrap();
+        streamed.write_at(off, &b.header_bytes(NO_SLOT)).unwrap();
 
         let single = MemDisk::new(1 << 20);
-        single.write_at(off, &b.seal()).unwrap();
+        single.write_at(off, &sealed(&b)).unwrap();
         assert_eq!(
             read_segment(&streamed, &layout, id).unwrap(),
             read_segment(&single, &layout, id).unwrap()
@@ -430,16 +448,16 @@ mod tests {
         // mid-stream would resurrect the old segment over new bytes.
         let layout = layout();
         let device = MemDisk::new(1 << 20);
-        let mut old = SegmentBuilder::new(SegmentId::new(0), 3, 512, 8 * 512);
+        let mut old = builder(0, 3);
         old.push_block(&vec![1u8; 512]);
         old.push_record(&sample_record(1));
         let off = layout.segment_offset(0);
-        device.write_at(off, &old.seal()).unwrap();
+        device.write_at(off, &sealed(&old)).unwrap();
         assert!(read_segment(&device, &layout, SegmentId::new(0))
             .unwrap()
             .is_some());
         // Punch, then stream one new data block and crash.
-        device.write_at(off, &[0u8; HEADER_LEN]).unwrap();
+        device.write_at(off, &HEADER_PUNCH).unwrap();
         device.write_at(off + 512, &vec![0xFFu8; 512]).unwrap();
         assert_eq!(
             read_segment(&device, &layout, SegmentId::new(0)).unwrap(),
@@ -454,11 +472,11 @@ mod tests {
         // Layout::block_offset says it is.
         let layout = layout();
         let device = MemDisk::new(1 << 20);
-        let mut b = SegmentBuilder::new(SegmentId::new(3), 1, 512, 8 * 512);
+        let mut b = builder(3, 1);
         b.push_block(&vec![0x11u8; 512]);
         b.push_block(&vec![0x22u8; 512]);
         device
-            .write_at(layout.segment_offset(3), &b.seal())
+            .write_at(layout.segment_offset(3), &sealed(&b))
             .unwrap();
         let addr = crate::types::PhysAddr {
             segment: SegmentId::new(3),

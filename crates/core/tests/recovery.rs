@@ -386,6 +386,43 @@ fn state_identical_across_crash_for_mixed_workload() {
     assert!(ld2.list_blocks(Ctx::Simple, lists[5]).is_err());
 }
 
+#[test]
+fn flushed_commit_after_gap_survives_second_crash() {
+    // Two seals with no barrier between them may reach the medium in
+    // either order, so a crash can leave segment 3 on disk without
+    // segment 2. Recovery stops at the gap; what is written and flushed
+    // *after* that recovery must survive the next crash — the gap is
+    // refilled, not skipped, and the stale segment 3 behind it does not
+    // link to the new segment 2.
+    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
+    for byte in 1..=3u8 {
+        ld.write(Ctx::Simple, b, &block(byte)).unwrap();
+        ld.flush().unwrap(); // seq 1, 2, 3 in slots 0, 1, 2
+    }
+    let mut image = ld.into_device().into_image();
+    let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
+    let seq2 = layout.segment_offset(1) as usize;
+    image[seq2..seq2 + 32].fill(0);
+
+    let (ld2, report) = Lld::recover(MemDisk::from_image(image)).unwrap();
+    assert_eq!(report.segments_replayed, 1, "recovery stops at the gap");
+
+    // No read in between: a read ticks the logical clock, and this
+    // overwrite is meant to log the very record the lost segment 2
+    // held (same block, slot and timestamp) — the two timelines then
+    // differ only in the mount epoch of their headers.
+    ld2.write(Ctx::Simple, b, &block(4)).unwrap();
+    ld2.flush().unwrap();
+    let (ld3, report) = crash_and_recover(ld2);
+    assert_eq!(report.segments_replayed, 2, "the gap was refilled");
+    assert_eq!(report.ignored_after_gap, 0);
+    let mut buf = block(0);
+    ld3.read(Ctx::Simple, b, &mut buf).unwrap();
+    assert_eq!(buf, block(4), "a flushed write was lost");
+}
+
 // ----------------------------------------------------------------------
 // Write-id dedup: exactly-once tagged commits across crashes
 // ----------------------------------------------------------------------
