@@ -26,8 +26,7 @@
 //!   which live in a single map shard — the serialization floor that
 //!   sharding cannot remove.
 //!
-//! `--shards N` overrides the map shard count (as does the
-//! `LD_ARU_MAP_SHARDS` environment variable), so `--disjoint --shards 1`
+//! `--shards N` overrides the map shard count, so `--disjoint --shards 1`
 //! vs `--disjoint --shards 8` isolates what sharding buys.
 //!
 //! A third study, `--clean-pressure`, pits the inline segment cleaner

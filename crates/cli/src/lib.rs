@@ -92,13 +92,15 @@ ldctl — Logical Disk image tool
   ldctl cat <image> <path>        print a file's contents (lossy UTF-8)
   ldctl put <image> <path> <local-file>   copy a local file in
   ldctl verify <image>            run the file-system consistency check
-  ldctl serve <image> [--addr HOST:PORT]
+  ldctl serve <image> [--addr HOST:PORT] [--pipeline]
                                   recover the image and serve it over TCP
                                   (default 127.0.0.1:9931); prints
                                   \"listening on <addr>\" when ready, then
                                   runs until stdin reads \"quit\" or closes,
                                   draining sessions and flushing before exit
-                                  (see docs/PROTOCOL.md for the protocol)
+                                  (see docs/PROTOCOL.md for the protocol);
+                                  --pipeline routes writes through the
+                                  pipelined device layer
   ldctl stats [<image>] [--json] [--threads N] [--pipeline]
               [--snapshot-file <path>] [--remote HOST:PORT]
                                   observability snapshot: counters, latency
@@ -413,8 +415,18 @@ pub fn cmd_serve(image: &str, args: &[String]) -> Result<String> {
     use std::sync::Arc;
 
     let addr = parse_str(args, "--addr")?.unwrap_or("127.0.0.1:9931");
+    let pipeline = args.iter().any(|a| a == "--pipeline");
     let device = FileDisk::open(image)?;
-    let (ld, report) = Lld::recover(device)?;
+    let (_, concurrency, visibility) = Lld::probe(&device)?;
+    let (ld, report) = Lld::recover_with(
+        device,
+        &LldConfig {
+            concurrency,
+            visibility,
+            pipeline,
+            ..LldConfig::default()
+        },
+    )?;
     let ld = Arc::new(ld);
     let server = ld_server::Server::start(Arc::clone(&ld), addr)?;
     println!("listening on {}", server.local_addr());

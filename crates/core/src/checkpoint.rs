@@ -42,30 +42,38 @@
 //! stale-but-consistent), and the *other* area still holds the previous
 //! checkpoint.
 //!
-//! # Writers
+//! # The writer
 //!
-//! Two code paths write checkpoints, serialized by the [`CkptSlots`]
-//! generation counter behind the `ckpt_io` leaf mutex:
+//! One writer, in three steps; `ckpt_io` (a leaf mutex) guards the A/B
+//! cursor and a generation counter that says who owns the inactive
+//! area:
 //!
-//! - [`Mutation::checkpoint_inner`] — the foreground full checkpoint:
-//!   one full session, all slabs written in one critical section.
-//! - [`LldInner::checkpoint_incremental`] — the background cleaner's
-//!   path: a short full session chooses the covered sequence number and
-//!   marks every shard `snap_pending`, then each slab is encoded under
-//!   only *its* shard's write lock and written with no mapping-layer
-//!   locks held. Foreground commits that would advance a pending
-//!   shard's persistent tables first preserve them in `snap_copy`
-//!   (copy-on-advance, see [`MapShard`](crate::shard::MapShard)), so
-//!   every slab reflects exactly the covered point even though the
-//!   shard kept moving. A full checkpoint completing mid-flight bumps
-//!   the generation and the incremental writer aborts harmlessly.
+//! 1. *begin* ([`Mutation::ckpt_begin`], in a full session) pins what
+//!    the checkpoint covers, marks every shard `snap_pending` and bumps
+//!    the generation: the latest beginner owns the area, and any other
+//!    writer aborts at its next step.
+//! 2. *slab*, once per shard: [`Mutation::snapshot_slab`] encodes the
+//!    shard's tables as of the covered point under that shard's write
+//!    lock, [`LldInner::ckpt_slab`] writes them.
+//! 3. *commit* ([`LldInner::ckpt_commit`], holding the log mutex):
+//!    dedup slab, directory, header last, one flush, publish.
+//!
+//! The foreground checkpoint ([`Mutation::checkpoint_inner`]) runs every
+//! step inside the caller's full session. The background cleaner's
+//! ([`LldInner::checkpoint_incremental`]) holds a full session only for
+//! *begin*; each slab is then encoded under only *its* shard's lock and
+//! written with no mapping-layer lock held. Foreground commits that
+//! would advance a pending shard's persistent tables first preserve
+//! them in `snap_copy` (copy-on-advance, see
+//! [`MapShard`](crate::shard::MapShard)), so every slab reflects
+//! exactly the covered point even though the shard kept moving.
 
 use crate::error::{LldError, Result};
 use crate::layout::{
     Layout, CKPT_BLOCK_ENTRY, CKPT_DEDUP_ENTRY, CKPT_DIR_ENTRY, CKPT_DIR_RESERVE, CKPT_HEADER,
     CKPT_LIST_ENTRY, MAX_SNAP_SHARDS,
 };
-use crate::lld::{LldInner, Mutation};
+use crate::lld::{LldInner, LogState, Mutation};
 use crate::segment::ChainHead;
 use crate::state::{BlockRecord, ListRecord, Tables};
 use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp};
@@ -73,15 +81,14 @@ use ld_disk::{crc32, BlockDevice};
 
 const CKPT_MAGIC: u32 = 0x4C43_4B33; // "LCK3"
 
-/// Checkpoint-area I/O state, behind the `ckpt_io` leaf mutex: the A/B
-/// cursor and the generation counter serializing concurrent checkpoint
-/// writers (see the module docs).
+/// Checkpoint-area I/O state, behind the `ckpt_io` leaf mutex (see the
+/// module docs).
 #[derive(Debug, Default)]
 pub(crate) struct CkptSlots {
     /// Write the next checkpoint to area B (the areas alternate).
     pub(crate) use_b: bool,
-    /// Bumped once per *completed* checkpoint; an incremental writer
-    /// snapshots it at begin and aborts if it moved.
+    /// Bumped by every writer's *begin*; a writer whose generation is
+    /// no longer current aborts before it writes anything more.
     pub(crate) gen: u64,
 }
 
@@ -124,40 +131,75 @@ pub(crate) struct SlabData {
     pub(crate) lists: Vec<(ListId, ListRecord)>,
 }
 
-#[allow(clippy::too_many_arguments)] // mirrors the fixed header layout field-for-field
-fn encode_header(
-    seq: u64,
-    head: ChainHead,
-    ts: u64,
-    block_floor: u64,
-    list_floor: u64,
-    snap_shards: u32,
-    dir_crc: u32,
-    n_dedup: u32,
-    dedup_crc: u32,
-) -> [u8; CKPT_HEADER as usize] {
-    let mut h = Vec::with_capacity(CKPT_HEADER as usize);
-    h.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
-    h.extend_from_slice(&head.link.to_le_bytes());
-    h.extend_from_slice(&seq.to_le_bytes());
-    h.extend_from_slice(&ts.to_le_bytes());
-    h.extend_from_slice(&block_floor.to_le_bytes());
-    h.extend_from_slice(&list_floor.to_le_bytes());
-    h.extend_from_slice(&snap_shards.to_le_bytes());
-    h.extend_from_slice(&dir_crc.to_le_bytes());
-    h.extend_from_slice(&n_dedup.to_le_bytes());
-    h.extend_from_slice(&dedup_crc.to_le_bytes());
-    h.extend_from_slice(&head.slot.to_le_bytes());
-    let crc = crc32(&h);
-    h.extend_from_slice(&crc.to_le_bytes());
-    h.try_into().expect("header is CKPT_HEADER bytes")
+// Little-endian field readers. Callers index buffers they sized (or
+// length-checked) themselves, so the range is in bounds, and a range
+// of N bytes always fills an N-byte array.
+fn u32_at(buf: &[u8], at: usize) -> u32 {
+    let mut b = [0u8; 4];
+    b.copy_from_slice(&buf[at..at + 4]);
+    u32::from_le_bytes(b)
 }
 
-/// Encodes one shard's persistent tables as a snapshot slab: every
-/// block record (40 B each) then every list record (32 B each). Entry
-/// order within a slab is unspecified (hash-map iteration); decoding
-/// keys every entry by its identifier, so order never matters.
-fn encode_slab(tables: &Tables) -> Vec<u8> {
+fn u64_at(buf: &[u8], at: usize) -> u64 {
+    let mut b = [0u8; 8];
+    b.copy_from_slice(&buf[at..at + 8]);
+    u64::from_le_bytes(b)
+}
+
+/// One checkpoint being written: what *begin* pinned, and what the slab
+/// steps have put into the area so far.
+struct CkptWrite {
+    covered: u64,
+    head: ChainHead,
+    ts: u64,
+    /// Global allocator floors (the max over shards); recovery
+    /// re-stripes them per shard with `striped_ceil`, since the shard
+    /// count is not persisted.
+    block_floor: u64,
+    list_floor: u64,
+    /// The generation this writer's *begin* set.
+    gen: u64,
+    /// Absolute offset of the target area.
+    area: u64,
+    /// Offset of the next slab, relative to the area.
+    end: u64,
+    /// The directory so far: per slab written its block count, list
+    /// count, CRC and 4 bytes of padding.
+    dir: Vec<u8>,
+}
+
+impl CkptWrite {
+    fn encode_header(&self, n_dedup: u32, dedup_crc: u32) -> Vec<u8> {
+        let mut h = Vec::with_capacity(CKPT_HEADER as usize);
+        h.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
+        h.extend_from_slice(&self.head.link.to_le_bytes());
+        h.extend_from_slice(&self.covered.to_le_bytes());
+        h.extend_from_slice(&self.ts.to_le_bytes());
+        h.extend_from_slice(&self.block_floor.to_le_bytes());
+        h.extend_from_slice(&self.list_floor.to_le_bytes());
+        h.extend_from_slice(&((self.dir.len() as u64 / CKPT_DIR_ENTRY) as u32).to_le_bytes());
+        h.extend_from_slice(&crc32(&self.dir).to_le_bytes());
+        h.extend_from_slice(&n_dedup.to_le_bytes());
+        h.extend_from_slice(&dedup_crc.to_le_bytes());
+        h.extend_from_slice(&self.head.slot.to_le_bytes());
+        let crc = crc32(&h);
+        h.extend_from_slice(&crc.to_le_bytes());
+        debug_assert_eq!(h.len() as u64, CKPT_HEADER);
+        h
+    }
+}
+
+/// One shard's tables as of the covered point, encoded: every block
+/// record (40 B each) then every list record (32 B each). Entry order
+/// within a slab is unspecified (hash-map iteration); decoding keys
+/// every entry by its identifier, so order never matters.
+struct Slab {
+    bytes: Vec<u8>,
+    n_blocks: u64,
+    n_lists: u64,
+}
+
+fn encode_slab(tables: &Tables) -> Slab {
     let mut payload = Vec::with_capacity(
         (tables.blocks.len() as u64 * CKPT_BLOCK_ENTRY
             + tables.lists.len() as u64 * CKPT_LIST_ENTRY) as usize,
@@ -184,18 +226,98 @@ fn encode_slab(tables: &Tables) -> Vec<u8> {
         payload.extend_from_slice(&BlockId::encode_opt(r.last).to_le_bytes());
         payload.extend_from_slice(&r.ts.get().to_le_bytes());
     }
-    payload
+    Slab {
+        bytes: payload,
+        n_blocks: tables.blocks.len() as u64,
+        n_lists: tables.lists.len() as u64,
+    }
 }
 
-fn encode_dir(dir: &[(u64, u64, u32)]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(dir.len() * CKPT_DIR_ENTRY as usize);
-    for &(nb, nl, crc) in dir {
-        buf.extend_from_slice(&nb.to_le_bytes());
-        buf.extend_from_slice(&nl.to_le_bytes());
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf.extend_from_slice(&[0u8; 4]); // padding
+fn area_overflow() -> LldError {
+    LldError::Corrupt("checkpoint exceeds its reserved area".into())
+}
+
+impl<D: BlockDevice> Mutation<'_, D> {
+    /// Writes a checkpoint with every step inside this full session;
+    /// see [`LldInner::checkpoint`]. Also called by the inline cleaner
+    /// when its candidate segments are not yet covered.
+    pub(crate) fn checkpoint_inner(&mut self) -> Result<()> {
+        let lld = self.lld;
+        let mut w = self.ckpt_begin(0)?;
+        // Every slab is taken before one is written, so an error below
+        // leaves no shard pending. Nobody else can begin while this
+        // session holds every shard, so no step can find the generation
+        // moved.
+        let slabs: Vec<Slab> = (0..lld.maps.nshards())
+            .map(|i| self.snapshot_slab(i))
+            .collect();
+        for slab in slabs {
+            lld.ckpt_slab(&mut w, slab)?;
+        }
+        lld.ckpt_commit(&w, self.log())?;
+        Ok(())
     }
-    buf
+
+    /// Step 1, *begin*: seals the current segment (so the committed
+    /// state becomes persistent and is included), pins what the
+    /// checkpoint covers, and takes the inactive area. Needs a full
+    /// session. The next segment is opened only if that leaves `reserve`
+    /// slots free (else by whoever appends next, under its own reserve).
+    fn ckpt_begin(&mut self, reserve: usize) -> Result<CkptWrite> {
+        debug_assert!(self.map.holds_all_shards_write());
+        if self.seal_current()? && self.log().free_slots.len() > reserve {
+            self.open_segment(reserve)?;
+        }
+        // A log-only seal (the flush leader) may have left committed
+        // records undrained; every record in the overlay now belongs to
+        // a sealed-or-current segment the checkpoint covers, so drain
+        // them all before the persistent tables are snapshotted.
+        self.map.drain_committed();
+        let (covered, head) = self.log().covered_point();
+        let floor = |next: fn(&crate::shard::MapShard) -> u64| {
+            self.map.shards_held().map(next).max().unwrap_or(1)
+        };
+        let block_floor = floor(|s| s.next_block_raw);
+        let list_floor = floor(|s| s.next_list_raw);
+        // Supersedes whatever an earlier writer left pending: its
+        // copies are of an older covered point.
+        for i in 0..self.lld.maps.nshards() {
+            let sh = self.map.shard_mut(i);
+            sh.snap_pending = true;
+            sh.snap_copy = None;
+        }
+        let lld = self.lld;
+        // The log mutex is held (taken above for the covered point);
+        // `ckpt_io` is its leaf.
+        let mut io = lld.ckpt_io.lock();
+        io.gen += 1;
+        Ok(CkptWrite {
+            covered,
+            head,
+            ts: lld.now(),
+            block_floor,
+            list_floor,
+            gen: io.gen,
+            area: if io.use_b {
+                lld.layout.ckpt_b
+            } else {
+                lld.layout.ckpt_a
+            },
+            end: CKPT_HEADER + CKPT_DIR_RESERVE,
+            dir: Vec::new(),
+        })
+    }
+
+    /// Step 2, first half: encodes shard `i`'s tables as of the covered
+    /// point — `snap_copy` when a drain has advanced the shard since
+    /// *begin*, the live persistent tables otherwise. The session must
+    /// hold shard `i` exclusively.
+    fn snapshot_slab(&mut self, i: u32) -> Slab {
+        let sh = self.map.shard_mut(i);
+        sh.snap_pending = false;
+        let snap = sh.snap_copy.take();
+        encode_slab(snap.as_ref().unwrap_or(&sh.persistent))
+    }
 }
 
 impl<D: BlockDevice> LldInner<D> {
@@ -212,343 +334,110 @@ impl<D: BlockDevice> LldInner<D> {
     pub fn checkpoint(&self) -> Result<()> {
         self.with_mutation(|m| m.checkpoint_inner())
     }
-}
 
-impl<D: BlockDevice> Mutation<'_, D> {
-    /// See [`LldInner::checkpoint`]; also called by the inline cleaner
-    /// when its candidate segments are not yet covered.
-    pub(crate) fn checkpoint_inner(&mut self) -> Result<()> {
-        debug_assert!(self.map.holds_all_shards_write());
-        if self.seal_current()? && !self.log().free_slots.is_empty() {
-            self.open_segment(0)?;
-        }
-        // A log-only seal (the flush leader) may have left committed
-        // records undrained; every record in the overlay now belongs to
-        // a sealed-or-current segment the checkpoint covers, so drain
-        // them all before snapshotting the persistent tables.
-        self.map.drain_committed();
-        let (covered, head) = self.log().covered_point();
-
-        // This full checkpoint supersedes any in-flight incremental
-        // one: clear its per-shard snapshot state (the generation bump
-        // below makes it abort before writing anything stale).
-        let nshards = self.lld.maps.nshards();
-        for i in 0..nshards {
-            let sh = self.map.shard_mut(i);
-            sh.snap_pending = false;
-            sh.snap_copy = None;
-        }
-
-        // Encode one snapshot slab per shard, in shard order.
-        let mut slabs: Vec<Vec<u8>> = Vec::with_capacity(nshards as usize);
-        let mut dir: Vec<(u64, u64, u32)> = Vec::with_capacity(nshards as usize);
-        let mut total = 0u64;
-        for i in 0..nshards {
-            let sh = self.map.shard(i);
-            let slab = encode_slab(&sh.persistent);
-            dir.push((
-                sh.persistent.blocks.len() as u64,
-                sh.persistent.lists.len() as u64,
-                crc32(&slab),
-            ));
-            total += slab.len() as u64;
-            slabs.push(slab);
-        }
-        // Snapshot the write-id dedup cache so a retried networked
-        // commit still finds its recorded outcome after recovery from
-        // this checkpoint. Lock order: full session (ARU slots, shards,
-        // log) → dedup → ckpt_io leaf. The cache encoder truncates
-        // oldest-first if the area budget is ever tight.
-        let dedup_budget =
-            self.lld
-                .layout
-                .ckpt_area_size
-                .saturating_sub(CKPT_HEADER + CKPT_DIR_RESERVE + total) as usize;
-        let dedup_bytes = self.lld.dedup.lock().encode(dedup_budget);
-        let n_dedup = (dedup_bytes.len() as u64 / CKPT_DEDUP_ENTRY) as u32;
-        let dedup_crc = crc32(&dedup_bytes);
-        if CKPT_HEADER + CKPT_DIR_RESERVE + total + dedup_bytes.len() as u64
-            > self.lld.layout.ckpt_area_size
-        {
-            return Err(LldError::Corrupt(
-                "checkpoint exceeds its reserved area".into(),
-            ));
-        }
-        // The stored allocator floors are global: the max over shards.
-        // Recovery re-stripes them per shard with `striped_ceil` (the
-        // shard count is a runtime knob, not persisted).
-        let block_floor = self
-            .map
-            .shards_held()
-            .map(|s| s.next_block_raw)
-            .max()
-            .unwrap_or(1);
-        let list_floor = self
-            .map
-            .shards_held()
-            .map(|s| s.next_list_raw)
-            .max()
-            .unwrap_or(1);
-        let dir_bytes = encode_dir(&dir);
-        let header = encode_header(
-            covered,
-            head,
-            self.lld.now(),
-            block_floor,
-            list_floor,
-            nshards,
-            crc32(&dir_bytes),
-            n_dedup,
-            dedup_crc,
-        );
-        // Lock order: the log mutex is already held (taken above for
-        // `covered`); `ckpt_io` is a leaf after it. Hold it across all
-        // area writes so the incremental writer can never interleave.
-        {
-            let mut io = self.lld.ckpt_io.lock();
-            let area = if io.use_b {
-                self.lld.layout.ckpt_b
-            } else {
-                self.lld.layout.ckpt_a
-            };
-            let mut off = area + CKPT_HEADER + CKPT_DIR_RESERVE;
-            for slab in &slabs {
-                self.lld.device.write_at(off, slab)?;
-                off += slab.len() as u64;
-            }
-            if !dedup_bytes.is_empty() {
-                self.lld.device.write_at(off, &dedup_bytes)?;
-            }
-            self.lld.device.write_at(area + CKPT_HEADER, &dir_bytes)?;
-            self.lld.device.write_at(area, &header)?;
-            self.lld.device.flush()?;
-            io.use_b = !io.use_b;
-            io.gen += 1;
-        }
-        self.log().checkpoint_seq = covered;
-        self.lld.stats.checkpoints.inc();
-        self.lld.obs.event(
-            self.lld.now(),
-            crate::obs::TraceEvent::Checkpoint {
-                covered_seq: covered,
-                bytes: CKPT_HEADER + CKPT_DIR_RESERVE + total + dedup_bytes.len() as u64,
-            },
-        );
-        Ok(())
-    }
-}
-
-/// The in-flight state of one incremental (cleanerd) checkpoint.
-struct IncrementalCkpt {
-    covered: u64,
-    head: ChainHead,
-    ts: u64,
-    block_floor: u64,
-    list_floor: u64,
-    /// Generation snapshotted at begin; any completed checkpoint bumps
-    /// it, aborting this one.
-    my_gen: u64,
-    /// Absolute offset of the target area.
-    area: u64,
-    /// Next slab write offset, relative to the slab region.
-    next_off: u64,
-    dir: Vec<(u64, u64, u32)>,
-}
-
-impl<D: BlockDevice + 'static> LldInner<D> {
-    /// Writes a checkpoint incrementally: the covered point is chosen
-    /// in one short full session, then each shard's snapshot slab is
-    /// encoded under only that shard's write lock and written with no
-    /// mapping-layer locks held. Returns `false` if another checkpoint
-    /// completed mid-flight and this one aborted (harmless: the other
-    /// checkpoint is at least as fresh).
+    /// Writes a checkpoint holding a full session only for *begin*:
+    /// each slab is encoded under its shard's write lock alone and
+    /// written with no mapping-layer lock held. Returns `false` if
+    /// another checkpoint began mid-flight and this one aborted
+    /// (harmless: the other one is at least as fresh).
     ///
-    /// Called by the background cleaner (`cleanerd`) so covering
-    /// checkpoints stop being stop-the-world table dumps.
+    /// Called by the background cleaner (`cleanerd`), so its covering
+    /// checkpoints are not stop-the-world table dumps.
     pub(crate) fn checkpoint_incremental(&self) -> Result<bool> {
-        let mut inc = match self.ckpt_inc_begin()? {
-            Some(inc) => inc,
-            None => return Ok(false),
-        };
-        for i in 0..self.maps.nshards() {
-            match self.ckpt_inc_slab(&mut inc, i) {
-                Ok(true) => {}
-                Ok(false) => {
-                    self.ckpt_inc_cleanup();
+        // Like its relocation, the cleaner's checkpoint leaves the last
+        // free slot to deletions: until the release sweep that follows,
+        // the pass has freed nothing.
+        let mut w = self.with_mutation(|m| m.ckpt_begin(1))?;
+        let mut steps = || -> Result<bool> {
+            for i in 0..self.maps.nshards() {
+                let slab = self.with_mutation_at(0, 1u64 << i, |m| m.snapshot_slab(i));
+                if !self.ckpt_slab(&mut w, slab)? {
                     return Ok(false);
                 }
-                Err(e) => {
-                    self.ckpt_inc_cleanup();
-                    return Err(e);
+            }
+            self.ckpt_commit(&w, &mut self.log.lock())
+        };
+        let done = steps();
+        if !matches!(done, Ok(true)) {
+            // Whatever this writer left pending (idempotent).
+            self.with_mutation(|m| {
+                for i in 0..self.maps.nshards() {
+                    let sh = m.map.shard_mut(i);
+                    sh.snap_pending = false;
+                    sh.snap_copy = None;
                 }
-            }
+            });
         }
-        match self.ckpt_inc_commit(&inc) {
-            Ok(done) => Ok(done),
-            Err(e) => {
-                self.ckpt_inc_cleanup();
-                Err(e)
-            }
-        }
+        done
     }
 
-    /// Chooses the covered sequence number, floors, and target area,
-    /// and marks every shard `snap_pending` (one full session).
-    fn ckpt_inc_begin(&self) -> Result<Option<IncrementalCkpt>> {
-        self.with_mutation(|m| {
-            if m.seal_current()? && !m.log().free_slots.is_empty() {
-                m.open_segment(0)?;
-            }
-            m.map.drain_committed();
-            let (covered, head) = m.log().covered_point();
-            let block_floor = m
-                .map
-                .shards_held()
-                .map(|s| s.next_block_raw)
-                .max()
-                .unwrap_or(1);
-            let list_floor = m
-                .map
-                .shards_held()
-                .map(|s| s.next_list_raw)
-                .max()
-                .unwrap_or(1);
-            for i in 0..self.maps.nshards() {
-                let sh = m.map.shard_mut(i);
-                sh.snap_pending = true;
-                sh.snap_copy = None;
-            }
-            let ts = self.now();
-            // Log mutex is held: `ckpt_io` is its leaf.
-            let io = self.ckpt_io.lock();
-            Ok(Some(IncrementalCkpt {
-                covered,
-                head,
-                ts,
-                block_floor,
-                list_floor,
-                my_gen: io.gen,
-                area: if io.use_b {
-                    self.layout.ckpt_b
-                } else {
-                    self.layout.ckpt_a
-                },
-                next_off: 0,
-                dir: Vec::with_capacity(self.maps.nshards() as usize),
-            }))
-        })
-    }
-
-    /// Encodes and writes shard `i`'s snapshot slab. Returns `false` on
-    /// a generation race (another checkpoint completed; abort).
-    fn ckpt_inc_slab(&self, inc: &mut IncrementalCkpt, i: u32) -> Result<bool> {
-        // Encode under only this shard's write lock: `snap_copy` (the
-        // persistent tables as of the covered point, preserved by
-        // copy-on-advance) when a drain has advanced the shard, the
-        // live persistent tables otherwise.
-        let (slab, nb, nl) = self.with_mutation_at(0, 1u64 << i, |m| {
-            let sh = m.map.shard_mut(i);
-            let snap = sh.snap_copy.take();
-            sh.snap_pending = false;
-            let tables = snap.as_ref().unwrap_or(&sh.persistent);
-            (
-                encode_slab(tables),
-                tables.blocks.len() as u64,
-                tables.lists.len() as u64,
-            )
-        });
-        if CKPT_HEADER + CKPT_DIR_RESERVE + inc.next_off + slab.len() as u64
-            > self.layout.ckpt_area_size
-        {
-            return Err(LldError::Corrupt(
-                "checkpoint exceeds its reserved area".into(),
-            ));
+    /// Step 2, second half: writes one encoded slab behind the ones
+    /// already in the area. Returns `false` if this writer no longer
+    /// owns the area.
+    fn ckpt_slab(&self, w: &mut CkptWrite, slab: Slab) -> Result<bool> {
+        if w.end + slab.bytes.len() as u64 > self.layout.ckpt_area_size {
+            return Err(area_overflow());
         }
-        // No mapping-layer or log locks are held here; `ckpt_io` alone
-        // serializes area access. Check the generation *under* it so a
-        // completed full checkpoint can never be scribbled over.
+        // Check the generation *under* `ckpt_io`, and write under it
+        // too: a later beginner waits for this write, and this writer
+        // never writes once a later one has begun.
         let io = self.ckpt_io.lock();
-        if io.gen != inc.my_gen {
+        if io.gen != w.gen {
             return Ok(false);
         }
-        self.device.write_at(
-            inc.area + CKPT_HEADER + CKPT_DIR_RESERVE + inc.next_off,
-            &slab,
-        )?;
+        self.device.write_at(w.area + w.end, &slab.bytes)?;
         drop(io);
-        inc.dir.push((nb, nl, crc32(&slab)));
-        inc.next_off += slab.len() as u64;
+        w.dir.extend_from_slice(&slab.n_blocks.to_le_bytes());
+        w.dir.extend_from_slice(&slab.n_lists.to_le_bytes());
+        w.dir.extend_from_slice(&crc32(&slab.bytes).to_le_bytes());
+        w.dir.extend_from_slice(&[0u8; 4]); // padding
+        w.end += slab.bytes.len() as u64;
         Ok(true)
     }
 
-    /// Writes the directory and header (header last), flushes, and
-    /// publishes the new checkpoint. Returns `false` on a generation
-    /// race.
-    fn ckpt_inc_commit(&self, inc: &IncrementalCkpt) -> Result<bool> {
-        let dir_bytes = encode_dir(&inc.dir);
-        // Snapshot the dedup cache at commit time. Entries recorded
-        // since `ckpt_inc_begin` belong to segments past the covered
-        // point; recovery replays those segments and re-records the
-        // same outcomes (idempotent), so a fresher slab is harmless.
-        // Lock order: log → dedup → ckpt_io leaf.
-        let dedup_budget =
-            self.layout
-                .ckpt_area_size
-                .saturating_sub(CKPT_HEADER + CKPT_DIR_RESERVE + inc.next_off) as usize;
-        let dedup_bytes = self.dedup.lock().encode(dedup_budget);
-        let n_dedup = (dedup_bytes.len() as u64 / CKPT_DEDUP_ENTRY) as u32;
-        let header = encode_header(
-            inc.covered,
-            inc.head,
-            inc.ts,
-            inc.block_floor,
-            inc.list_floor,
-            inc.dir.len() as u32,
-            crc32(&dir_bytes),
-            n_dedup,
-            crc32(&dedup_bytes),
+    /// Step 3, *commit*: dedup slab, directory, header last, flush,
+    /// publish. `log` is the caller's hold on the log mutex (lock
+    /// order: log → dedup → `ckpt_io`). Returns `false` if this writer
+    /// no longer owns the area.
+    fn ckpt_commit(&self, w: &CkptWrite, log: &mut LogState) -> Result<bool> {
+        // Snapshot the write-id dedup cache so a retried networked
+        // commit still finds its recorded outcome after recovery from
+        // this checkpoint. Entries recorded since *begin* belong to
+        // segments past the covered point; recovery replays those and
+        // re-records the same outcomes, so a fresher slab is harmless.
+        // The encoder truncates oldest-first to the room that is left.
+        let room = self.layout.ckpt_area_size.saturating_sub(w.end);
+        let dedup = self.dedup.lock().encode(room as usize);
+        let bytes = w.end + dedup.len() as u64;
+        if bytes > self.layout.ckpt_area_size {
+            return Err(area_overflow());
+        }
+        let header = w.encode_header(
+            (dedup.len() as u64 / CKPT_DEDUP_ENTRY) as u32,
+            crc32(&dedup),
         );
-        // Lock order: log before its `ckpt_io` leaf.
-        let mut log = self.log.lock();
         let mut io = self.ckpt_io.lock();
-        if io.gen != inc.my_gen {
+        if io.gen != w.gen {
             return Ok(false);
         }
-        if !dedup_bytes.is_empty() {
-            self.device.write_at(
-                inc.area + CKPT_HEADER + CKPT_DIR_RESERVE + inc.next_off,
-                &dedup_bytes,
-            )?;
+        if !dedup.is_empty() {
+            self.device.write_at(w.area + w.end, &dedup)?;
         }
-        self.device.write_at(inc.area + CKPT_HEADER, &dir_bytes)?;
-        self.device.write_at(inc.area, &header)?;
+        self.device.write_at(w.area + CKPT_HEADER, &w.dir)?;
+        self.device.write_at(w.area, &header)?;
         self.device.flush()?;
-        io.use_b = inc.area == self.layout.ckpt_a;
-        io.gen += 1;
+        io.use_b = w.area == self.layout.ckpt_a;
         drop(io);
-        log.checkpoint_seq = inc.covered;
-        drop(log);
+        log.checkpoint_seq = w.covered;
         self.stats.checkpoints.inc();
         self.obs.event(
             self.now(),
             crate::obs::TraceEvent::Checkpoint {
-                covered_seq: inc.covered,
-                bytes: CKPT_HEADER + CKPT_DIR_RESERVE + inc.next_off,
+                covered_seq: w.covered,
+                bytes,
             },
         );
         Ok(true)
-    }
-
-    /// Clears any leftover per-shard snapshot state after an abort or
-    /// error (idempotent; one short scoped session per shard).
-    fn ckpt_inc_cleanup(&self) {
-        for i in 0..self.maps.nshards() {
-            self.with_mutation_at(0, 1u64 << i, |m| {
-                let sh = m.map.shard_mut(i);
-                sh.snap_pending = false;
-                sh.snap_copy = None;
-            });
-        }
     }
 }
 
@@ -562,11 +451,10 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
 ) -> Result<Option<CkptHeaderInfo>> {
     let mut header = [0u8; CKPT_HEADER as usize];
     device.read_at(area, &mut header)?;
-    let stored = u32::from_le_bytes(header[60..64].try_into().expect("4 bytes"));
-    if crc32(&header[..60]) != stored {
+    if crc32(&header[..60]) != u32_at(&header, 60) {
         return Ok(None);
     }
-    let u32at = |p: usize| u32::from_le_bytes(header[p..p + 4].try_into().expect("4 bytes"));
+    let u32at = |p: usize| u32_at(&header, p);
     if u32at(0) != CKPT_MAGIC {
         return Ok(None);
     }
@@ -574,10 +462,10 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
         slot: u32at(56),
         link: u32at(4),
     };
-    let seq = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let ts_counter = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
-    let block_floor = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
-    let list_floor = u64::from_le_bytes(header[32..40].try_into().expect("8 bytes"));
+    let seq = u64_at(&header, 8);
+    let ts_counter = u64_at(&header, 16);
+    let block_floor = u64_at(&header, 24);
+    let list_floor = u64_at(&header, 32);
     let snap_shards = u32at(40);
     let dir_crc = u32at(44);
     let n_dedup = u64::from(u32at(48));
@@ -595,8 +483,8 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
     let end = area + layout.ckpt_area_size;
     for e in 0..snap_shards as usize {
         let p = e * CKPT_DIR_ENTRY as usize;
-        let n_blocks = u64::from_le_bytes(dir_bytes[p..p + 8].try_into().expect("8 bytes"));
-        let n_lists = u64::from_le_bytes(dir_bytes[p + 8..p + 16].try_into().expect("8 bytes"));
+        let n_blocks = u64_at(&dir_bytes, p);
+        let n_lists = u64_at(&dir_bytes, p + 8);
         let Some(len) = n_blocks
             .checked_mul(CKPT_BLOCK_ENTRY)
             .and_then(|b| b.checked_add(n_lists.checked_mul(CKPT_LIST_ENTRY)?))
@@ -614,7 +502,7 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
             len,
             n_blocks,
             n_lists,
-            crc: u32::from_le_bytes(dir_bytes[p + 16..p + 20].try_into().expect("4 bytes")),
+            crc: u32_at(&dir_bytes, p + 16),
         });
         off = next;
     }
@@ -677,17 +565,13 @@ pub(crate) fn decode_slab<D: BlockDevice + ?Sized>(
         lists: Vec::with_capacity(slab.n_lists as usize),
     };
     let mut pos = 0usize;
-    let u64at =
-        |buf: &[u8], p: usize| u64::from_le_bytes(buf[p..p + 8].try_into().expect("8 bytes"));
-    let u32at =
-        |buf: &[u8], p: usize| u32::from_le_bytes(buf[p..p + 4].try_into().expect("4 bytes"));
     for _ in 0..slab.n_blocks {
-        let id = u64at(&payload, pos);
-        let seg = u32at(&payload, pos + 8);
-        let slot = u32at(&payload, pos + 12);
-        let succ = u64at(&payload, pos + 16);
-        let list = u64at(&payload, pos + 24);
-        let ts = u64at(&payload, pos + 32);
+        let id = u64_at(&payload, pos);
+        let seg = u32_at(&payload, pos + 8);
+        let slot = u32_at(&payload, pos + 12);
+        let succ = u64_at(&payload, pos + 16);
+        let list = u64_at(&payload, pos + 24);
+        let ts = u64_at(&payload, pos + 32);
         pos += CKPT_BLOCK_ENTRY as usize;
         if id == 0 {
             return Err(LldError::Corrupt("zero block id in checkpoint".into()));
@@ -707,10 +591,10 @@ pub(crate) fn decode_slab<D: BlockDevice + ?Sized>(
         ));
     }
     for _ in 0..slab.n_lists {
-        let id = u64at(&payload, pos);
-        let first = u64at(&payload, pos + 8);
-        let last = u64at(&payload, pos + 16);
-        let ts = u64at(&payload, pos + 24);
+        let id = u64_at(&payload, pos);
+        let first = u64_at(&payload, pos + 8);
+        let last = u64_at(&payload, pos + 16);
+        let ts = u64_at(&payload, pos + 24);
         pos += CKPT_LIST_ENTRY as usize;
         if id == 0 {
             return Err(LldError::Corrupt("zero list id in checkpoint".into()));
@@ -726,4 +610,91 @@ pub(crate) fn decode_slab<D: BlockDevice + ?Sized>(
         ));
     }
     Ok(Some(out))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::obs::TraceEvent;
+    use crate::{Ctx, Lld, LldConfig, Position};
+    use ld_disk::MemDisk;
+
+    /// Everything recovery would load from one area, in a comparable
+    /// order, plus the byte count the area occupies.
+    fn load(ld: &Lld<MemDisk>, area: u64) -> (Vec<SlabData>, Vec<u8>, u64) {
+        let hdr = read_header_dir(ld.device(), &ld.layout, area)
+            .unwrap()
+            .expect("a valid checkpoint");
+        let slabs = hdr
+            .slabs
+            .iter()
+            .map(|s| {
+                let mut d = decode_slab(ld.device(), s).unwrap().expect("slab CRC");
+                d.blocks.sort_by_key(|(id, _)| id.get());
+                d.lists.sort_by_key(|(id, _)| id.get());
+                d
+            })
+            .collect();
+        let dedup = read_dedup_slab(ld.device(), &hdr).unwrap().expect("CRC");
+        let end = hdr.dedup_off + dedup.len() as u64 - area;
+        (slabs, dedup, end)
+    }
+
+    /// The foreground and the cleanerd checkpoint of one state are the
+    /// same checkpoint: same tables, same dedup cache, same size — and
+    /// the size each reports in its trace event is the size on disk.
+    #[test]
+    fn both_drivers_write_the_same_checkpoint() {
+        let cfg = LldConfig {
+            block_size: 512,
+            segment_bytes: 16 * 512,
+            ..LldConfig::default()
+        };
+        let ld = Lld::format(MemDisk::new(4 << 20), &cfg).unwrap();
+        let list = ld.new_list(Ctx::Simple).unwrap();
+        for wid in 1..=20u64 {
+            let aru = ld.begin_aru().unwrap();
+            let b = ld.new_block(Ctx::Aru(aru), list, Position::First).unwrap();
+            ld.write(Ctx::Aru(aru), b, &[wid as u8; 512]).unwrap();
+            ld.end_aru_tagged(aru, 7, 1, wid).unwrap();
+        }
+        ld.checkpoint().unwrap(); // area A
+        assert!(ld.checkpoint_incremental().unwrap()); // area B
+
+        let (a, b) = (load(&ld, ld.layout.ckpt_a), load(&ld, ld.layout.ckpt_b));
+        assert_eq!(format!("{:?}", a.0), format!("{:?}", b.0), "tables");
+        assert_eq!(a.1.len() as u64, 20 * CKPT_DEDUP_ENTRY);
+        assert_eq!(a.1, b.1, "dedup cache");
+        assert_eq!(a.2, b.2);
+        let reported: Vec<u64> = (ld.obs().ring().entries().iter())
+            .filter_map(|e| match e.event {
+                TraceEvent::Checkpoint { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(reported, [a.2, b.2]);
+    }
+
+    /// On a full disk the cleaner's checkpoint seals the open segment
+    /// but leaves the last free slot to deletions.
+    #[test]
+    fn cleaner_checkpoint_leaves_the_last_slot() {
+        let mut cfg = LldConfig {
+            block_size: 512,
+            segment_bytes: 8 * 512,
+            ..LldConfig::default()
+        };
+        cfg.cleaner.enabled = false;
+        let ld = Lld::format(MemDisk::new(512 + 2 * 64 * 1024 + 6 * 8 * 512), &cfg).unwrap();
+        let list = ld.new_list(Ctx::Simple).unwrap();
+        while let Ok(b) = ld.new_block(Ctx::Simple, list, Position::First) {
+            if ld.write(Ctx::Simple, b, &[1; 512]).is_err() {
+                break;
+            }
+        }
+        assert_eq!(ld.free_segments(), 1);
+        assert!(ld.checkpoint_incremental().unwrap());
+        assert_eq!(ld.free_segments(), 1);
+        ld.delete_list(Ctx::Simple, list).unwrap();
+    }
 }

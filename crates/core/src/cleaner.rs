@@ -28,9 +28,71 @@
 //! [`LldInner::after_scoped`]).
 
 use crate::error::Result;
-use crate::lld::{LldInner, Mutation};
-use crate::types::{BlockId, SegmentId};
+use crate::lld::{LldInner, LogState, Mutation};
+use crate::types::BlockId;
 use ld_disk::BlockDevice;
+
+/// The policy both cleaners share (this one and [`crate::cleanerd`]).
+impl LogState {
+    /// Slots holding a sealed segment, with its sequence number.
+    fn sealed_slots(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let current = self.builder.as_ref().map(|b| b.slot().get());
+        (0..self.slot_seq.len() as u32)
+            .map(|slot| (slot, self.slot_seq[slot as usize]))
+            .filter(move |&(slot, seq)| {
+                seq != 0 && Some(slot) != current && !self.free_slots.contains(&slot)
+            })
+    }
+
+    /// Chooses victims: sealed segments no newer than `max_seq`, fewest
+    /// live blocks first, taken together while their combined live
+    /// blocks fit in one output segment (`pack_cap` slots) and there
+    /// are fewer than `max_victims` of them. Returns `(slot, seq)`.
+    pub(crate) fn pack_victims(
+        &self,
+        max_seq: u64,
+        pack_cap: u32,
+        max_victims: usize,
+    ) -> Vec<(u32, u64)> {
+        let mut cands: Vec<(u32, u32, u64)> = self
+            .sealed_slots()
+            .filter(|&(_, seq)| seq <= max_seq)
+            .map(|(slot, seq)| (self.live_count[slot as usize], slot, seq))
+            .collect();
+        cands.sort_unstable();
+        let mut victims = Vec::new();
+        let mut total_live = 0u32;
+        for (live, slot, seq) in cands {
+            if !victims.is_empty() && (total_live + live > pack_cap || victims.len() >= max_victims)
+            {
+                break;
+            }
+            victims.push((slot, seq));
+            total_live += live;
+        }
+        victims
+    }
+
+    /// Frees every sealed slot that the last checkpoint covers and that
+    /// holds no live block — reclaimable with no relocation and no
+    /// I/O. Returns how many.
+    pub(crate) fn release_covered_empty(&mut self) -> u32 {
+        let dead: Vec<u32> = self
+            .sealed_slots()
+            .filter(|&(slot, seq)| {
+                seq <= self.checkpoint_seq
+                    && self.live_count[slot as usize] == 0
+                    && self.residents[slot as usize].is_empty()
+            })
+            .map(|(slot, _)| slot)
+            .collect();
+        for &slot in &dead {
+            self.slot_seq[slot as usize] = 0;
+            self.free_slots.insert(slot);
+        }
+        dead.len() as u32
+    }
+}
 
 impl<D: BlockDevice> LldInner<D> {
     /// Runs the cleaner until `target_free_segments` slots are free or
@@ -78,23 +140,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
     fn clean_until_target(&mut self) -> Result<()> {
         self.lld.stats.cleaner_runs.inc();
         let relocated_before = self.lld.stats.blocks_relocated.get();
-        // Fast pass: checkpoint-covered segments with zero live blocks
-        // are free for the taking (no relocation, no extra I/O), so
-        // reclaim them all regardless of the target.
-        let current = self.log().builder.as_ref().map(|b| b.slot().get());
-        for slot in 0..self.lld.layout.n_segments {
-            if Some(slot) == current || self.log().free_slots.contains(&slot) {
-                continue;
-            }
-            let seq = self.log().slot_seq[slot as usize];
-            if seq != 0
-                && seq <= self.log().checkpoint_seq
-                && self.log().live_count[slot as usize] == 0
-            {
-                self.log().slot_seq[slot as usize] = 0;
-                self.log().free_slots.insert(slot);
-            }
-        }
+        // Fast pass first, regardless of the target.
+        self.log().release_covered_empty();
         self.sync_free_hint();
         let target = self.lld.cleaner_cfg.target_free_segments.max(1) as usize;
         // Bounded by the number of segments: each iteration frees at
@@ -120,64 +167,28 @@ impl<D: BlockDevice> Mutation<'_, D> {
         Ok(())
     }
 
-    /// Chooses a batch of sealed victims — lowest utilisation first,
-    /// packed while their combined live blocks fit in one output
-    /// segment — writing a checkpoint first if no candidate is covered
-    /// by one.
-    fn pick_victims(&mut self) -> Result<Vec<SegmentId>> {
+    /// Chooses a batch of sealed, checkpoint-covered victims, writing a
+    /// checkpoint first if every sealed segment is newer than the last
+    /// one.
+    fn pick_victims(&mut self) -> Result<Vec<(u32, u64)>> {
         let pack_cap = self.lld.layout.slots_per_segment();
-        for attempt in 0..2 {
-            let current = self.log().builder.as_ref().map(|b| b.slot().get());
-            let mut cands: Vec<(u32, u32)> = Vec::new(); // (live, slot)
-            let mut uncovered = false;
-            for slot in 0..self.lld.layout.n_segments {
-                if Some(slot) == current || self.log().free_slots.contains(&slot) {
-                    continue;
-                }
-                let seq = self.log().slot_seq[slot as usize];
-                if seq == 0 {
-                    // Holds no sealed segment and is not free: cannot
-                    // happen in a consistent state, but skip defensively.
-                    continue;
-                }
-                if seq > self.log().checkpoint_seq {
-                    uncovered = true;
-                    continue;
-                }
-                cands.push((self.log().live_count[slot as usize], slot));
-            }
-            if !cands.is_empty() {
-                cands.sort_unstable();
-                let mut victims = Vec::new();
-                let mut total_live = 0u32;
-                for (live, slot) in cands {
-                    if !victims.is_empty() && total_live + live > pack_cap {
-                        break;
-                    }
-                    victims.push(SegmentId::new(slot));
-                    total_live += live;
-                }
-                return Ok(victims);
-            }
-            if uncovered && attempt == 0 {
-                // All candidates are newer than the last checkpoint:
-                // take one now and retry.
-                self.checkpoint_inner()?;
-                continue;
-            }
-            break;
+        let pick = |log: &LogState| log.pack_victims(log.checkpoint_seq, pack_cap, usize::MAX);
+        let victims = pick(self.log());
+        if !victims.is_empty() || self.log().sealed_slots().next().is_none() {
+            return Ok(victims);
         }
-        Ok(Vec::new())
+        self.checkpoint_inner()?;
+        Ok(pick(self.log()))
     }
 
     /// Relocates every live block out of the `victims`, seals the
     /// relocation records *once* for the whole batch, and frees the
     /// slots.
-    fn clean_batch(&mut self, victims: &[SegmentId]) -> Result<()> {
+    fn clean_batch(&mut self, victims: &[(u32, u64)]) -> Result<()> {
         let mut buf = vec![0u8; self.lld.layout.block_size];
-        for &victim in victims {
+        for &(victim, _) in victims {
             let residents: Vec<BlockId> = {
-                let mut v: Vec<BlockId> = self.log().residents[victim.get() as usize]
+                let mut v: Vec<BlockId> = self.log().residents[victim as usize]
                     .iter()
                     .copied()
                     .collect();
@@ -191,7 +202,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                     .cloned()
                     .expect("resident block has a committed record");
                 let addr = rec.addr.expect("resident block has an address");
-                debug_assert_eq!(addr.segment, victim);
+                debug_assert_eq!(addr.segment.get(), victim);
                 // The victim is sealed, so its data is on the device.
                 self.lld
                     .device
@@ -201,16 +212,16 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 self.place_block_data(id, &buf, rec.ts, None, 0)?;
                 self.lld.stats.blocks_relocated.inc();
             }
-            debug_assert!(self.log().residents[victim.get() as usize].is_empty());
+            debug_assert!(self.log().residents[victim as usize].is_empty());
         }
         // Release the victims *before* sealing the relocation records:
         // the seal chooses the next segment's slot, and the freed slots
         // may be the only ones left. The session holds the log from
         // here through the seal, and nothing is written into a victim
         // until a segment is opened in it, after that seal.
-        for &victim in victims {
-            self.log().slot_seq[victim.get() as usize] = 0;
-            self.log().free_slots.insert(victim.get());
+        for &(victim, _) in victims {
+            self.log().slot_seq[victim as usize] = 0;
+            self.log().free_slots.insert(victim);
         }
         self.seal_current()?;
         self.sync_free_hint();

@@ -280,25 +280,9 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
     ld.obs.stage_begin(ld.now(), trace, Stage::CleanerSnapshot);
     let mut victims: Vec<Victim> = {
         let log = ld.log.lock();
-        let builder_slot = log.builder.as_ref().map(|b| b.slot().get());
-        let mut cands: Vec<(u32, u32, u64)> = (0..ld.layout.n_segments)
-            .filter(|&s| {
-                Some(s) != builder_slot
-                    && !log.free_slots.contains(&s)
-                    && log.slot_seq[s as usize] != 0
-            })
-            .map(|s| (log.live_count[s as usize], s, log.slot_seq[s as usize]))
-            .collect();
-        cands.sort_unstable();
-        let mut out = Vec::new();
-        let mut total_live = 0u32;
-        for (live, slot, seq) in cands {
-            if !out.is_empty()
-                && (total_live + live > slots_cap || out.len() >= MAX_VICTIMS_PER_PASS)
-            {
-                break;
-            }
-            out.push(Victim {
+        log.pack_victims(u64::MAX, slots_cap, MAX_VICTIMS_PER_PASS)
+            .into_iter()
+            .map(|(slot, seq)| Victim {
                 slot,
                 seq,
                 blocks: log.residents[slot as usize]
@@ -317,10 +301,8 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
                     })
                     .collect(),
                 lost: false,
-            });
-            total_live += live;
-        }
-        out
+            })
+            .collect()
     };
     ld.obs.stage_end(
         ld.now(),
@@ -505,34 +487,16 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
     }
     let phase_timer = ld.obs.timer();
     ld.obs.stage_begin(ld.now(), trace, Stage::CleanerRelease);
-    // The covering checkpoint is written incrementally — per-shard
-    // snapshot slabs under only each shard's write lock — instead of a
-    // stop-the-world table dump. An abort (another checkpoint completed
+    // The covering checkpoint is written a shard at a time — each
+    // slab under only its shard's write lock — instead of as a
+    // stop-the-world table dump. An abort (another checkpoint began
     // mid-flight) is fine: `checkpoint_seq` is then at least as fresh,
     // and the sweep below keys off it, not off who wrote it.
     ld.checkpoint_incremental()?;
-    let freed = ld.with_mutation(|m| -> Result<u32> {
-        let mut freed = 0u32;
-        let log = m.log();
-        let builder_slot = log.builder.as_ref().map(|b| b.slot().get());
-        for s in 0..log.slot_seq.len() {
-            let seq = log.slot_seq[s];
-            let slot = s as u32;
-            if seq == 0
-                || seq > log.checkpoint_seq
-                || log.live_count[s] != 0
-                || !log.residents[s].is_empty()
-                || Some(slot) == builder_slot
-                || log.free_slots.contains(&slot)
-            {
-                continue;
-            }
-            log.slot_seq[s] = 0;
-            log.free_slots.insert(slot);
-            freed += 1;
-        }
+    out.freed = ld.with_mutation(|m| {
+        let freed = m.log().release_covered_empty();
         m.sync_free_hint();
-        Ok(freed)
+        freed
     });
     ld.obs.stage_end(
         ld.now(),
@@ -540,7 +504,6 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
         Stage::CleanerRelease,
         Obs::elapsed(phase_timer),
     );
-    out.freed = freed?;
 
     ld.stats.cleaner_stale_skips.add(out.stale);
     ld.obs.cleaner_pass_done(

@@ -64,11 +64,7 @@ pub struct CleanerConfig {
     /// itself, and releases victim slots — all off the foreground
     /// mutation path. The inline full-session cleaner remains as the
     /// emergency fallback when the device is genuinely near-full. See
-    /// docs/CLEANER.md.
-    ///
-    /// The default honours the `LD_ARU_CLEANERD` environment variable
-    /// (`1`/`true`/`on`/`yes`, case-insensitive; CI uses it to run the
-    /// whole suite in background mode).
+    /// docs/CLEANER.md. Default off.
     pub background: bool,
     /// High-watermark backpressure threshold for background mode: when
     /// the free-segment count is at or below this value, foreground
@@ -86,7 +82,7 @@ impl Default for CleanerConfig {
             min_free_segments: 3,
             target_free_segments: 6,
             enabled: true,
-            background: default_cleaner_background(),
+            background: false,
             backpressure_free_segments: 3,
         }
     }
@@ -142,21 +138,13 @@ pub struct LldConfig {
     /// readers-writer lock, so operations on identifiers in different
     /// shards never contend. A runtime knob, not persisted on disk: the
     /// same device may be recovered with any shard count.
-    ///
-    /// The default honours the `LD_ARU_MAP_SHARDS` environment variable
-    /// when it holds a valid count (CI uses it to force the degenerate
-    /// single-shard configuration).
     pub map_shards: usize,
     /// Route device writes and barriers through a
     /// [`PipelinedDisk`](ld_disk::PipelinedDisk): a dedicated I/O
     /// thread with a bounded submission queue, so the group-commit
     /// leader hands off a sealed segment and the next batch fills while
     /// the previous barrier is still in flight. A runtime knob, not
-    /// persisted on disk. See docs/PIPELINE.md.
-    ///
-    /// The default honours the `LD_ARU_PIPELINE` environment variable
-    /// (`1`/`true`/`on`/`yes`, case-insensitive; CI uses it to run the
-    /// whole suite in pipelined mode).
+    /// persisted on disk. Default off. See docs/PIPELINE.md.
     pub pipeline: bool,
     /// Observability: event tracing, latency histograms, and ARU spans
     /// (default on; see [`ObsConfig::disabled`]).
@@ -201,8 +189,8 @@ impl Default for LldConfig {
             max_lists: None,
             check_on_recovery: true,
             read_cache_blocks: 1024,
-            map_shards: default_map_shards(),
-            pipeline: default_pipeline(),
+            map_shards: 8,
+            pipeline: false,
             obs: ObsConfig::default(),
             metrics_hz: None,
             dedup_capacity: 1024,
@@ -214,43 +202,16 @@ impl Default for LldConfig {
 /// Maximum supported shard count (shard sets are u64 bitmasks).
 pub(crate) const MAX_MAP_SHARDS: usize = 64;
 
-fn default_map_shards() -> usize {
-    std::env::var("LD_ARU_MAP_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n.is_power_of_two() && n <= MAX_MAP_SHARDS)
-        .unwrap_or(8)
-}
-
 /// Bounds on the write-id dedup cache capacity. The upper bound keeps
 /// the checkpoint-area reservation for the dedup slab (32 bytes per
 /// entry) modest even on small devices.
 pub(crate) const MIN_DEDUP_CAPACITY: usize = 16;
 pub(crate) const MAX_DEDUP_CAPACITY: usize = 65536;
 
-fn default_cleaner_background() -> bool {
-    env_flag("LD_ARU_CLEANERD")
-}
-
-fn default_pipeline() -> bool {
-    env_flag("LD_ARU_PIPELINE")
-}
-
 fn default_flight_dir() -> Option<std::path::PathBuf> {
     std::env::var_os("LD_ARU_FLIGHT_DIR")
         .filter(|v| !v.is_empty())
         .map(std::path::PathBuf::from)
-}
-
-fn env_flag(name: &str) -> bool {
-    std::env::var(name)
-        .map(|v| {
-            let v = v.trim();
-            ["1", "true", "on", "yes"]
-                .iter()
-                .any(|t| v.eq_ignore_ascii_case(t))
-        })
-        .unwrap_or(false)
 }
 
 impl LldConfig {
@@ -338,6 +299,15 @@ mod tests {
         assert_eq!(c.visibility, ReadVisibility::OwnShadow);
         assert!(c.validate().is_ok());
         assert_eq!(c.max_slots_per_segment(), 127);
+    }
+
+    /// The modes are values: nothing ambient selects a code path.
+    #[test]
+    fn default_modes_are_constants() {
+        let c = LldConfig::default();
+        assert!(!c.pipeline);
+        assert!(!c.cleaner.background);
+        assert_eq!(c.map_shards, 8);
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl LogState {
 /// directly (synchronous writes and barriers on the caller's thread) or
 /// a [`PipelinedDisk`] around it (writes queued to a dedicated I/O
 /// thread, barriers run on their waiters' threads; selected by
-/// [`LldConfig::pipeline`] / `LD_ARU_PIPELINE`).
+/// [`LldConfig::pipeline`]).
 ///
 /// The enum keeps `Lld<D>` generic over the *inner* device type in both
 /// modes, so the mode is a runtime knob: `device()` still borrows the
@@ -369,8 +369,8 @@ pub struct LldInner<D> {
     /// The group-commit stage batching concurrent flushes.
     pub(crate) gc: GroupCommit,
     /// Checkpoint-area I/O state: which A/B area the next checkpoint
-    /// writes, and a generation counter serializing the incremental
-    /// (cleanerd) and full (foreground) checkpoint writers. A leaf lock
+    /// writes, and the generation counter that says which writer owns
+    /// it (see `checkpoint.rs`). A leaf lock
     /// *after* the log mutex: a writer needing both takes `log` first
     /// and never acquires any mapping-layer or log lock while holding
     /// this one.
@@ -380,7 +380,7 @@ pub struct LldInner<D> {
     /// after `log` and before `ckpt_io`: the commit path records
     /// outcomes while holding its session so a concurrent checkpoint
     /// can never observe a journaled write-id without its cache entry,
-    /// and the checkpoint writers snapshot it before touching
+    /// and the checkpoint writer snapshots it before touching
     /// `ckpt_io`.
     pub(crate) dedup: Mutex<crate::dedup::DedupCache>,
     /// Wakes sessions waiting for an in-flight tagged commit of the

@@ -1439,7 +1439,6 @@ fn recovery_from(v: &json::Value) -> RecoveryReport {
         committed_arus: get_u64(v, "committed_arus"),
         discarded_arus: get_u64(v, "discarded_arus"),
         discarded_records: get_u64(v, "discarded_records"),
-        ignored_after_gap: get_u64(v, "ignored_after_gap") as u32,
         orphan_blocks_freed: get_u64(v, "orphan_blocks_freed") as usize,
         snap_shards: get_u64(v, "snap_shards") as u32,
         threads_used: get_u64(v, "threads_used") as u32,
@@ -1649,7 +1648,6 @@ fn recovery_json(r: &RecoveryReport) -> String {
     o.u64("committed_arus", r.committed_arus);
     o.u64("discarded_arus", r.discarded_arus);
     o.u64("discarded_records", r.discarded_records);
-    o.u64("ignored_after_gap", r.ignored_after_gap as u64);
     o.u64("orphan_blocks_freed", r.orphan_blocks_freed as u64);
     o.u64("snap_shards", r.snap_shards as u64);
     o.u64("threads_used", r.threads_used as u64);
@@ -1766,7 +1764,6 @@ impl fmt::Display for ObsSnapshot {
             writeln!(f, "  {:<28} {}", "committed_arus", r.committed_arus)?;
             writeln!(f, "  {:<28} {}", "discarded_arus", r.discarded_arus)?;
             writeln!(f, "  {:<28} {}", "discarded_records", r.discarded_records)?;
-            writeln!(f, "  {:<28} {}", "ignored_after_gap", r.ignored_after_gap)?;
             writeln!(
                 f,
                 "  {:<28} {}",

@@ -78,9 +78,6 @@ pub struct RecoveryReport {
     pub discarded_arus: u64,
     /// Records belonging to discarded ARUs.
     pub discarded_records: u64,
-    /// Always 0: the chain walk stops at the first missing segment and
-    /// never sees what lies beyond it. Kept for the snapshot schema.
-    pub ignored_after_gap: u32,
     /// Orphaned blocks freed by the post-recovery consistency check.
     pub orphan_blocks_freed: usize,
     /// Snapshot slabs loaded from the chosen checkpoint (0 = no

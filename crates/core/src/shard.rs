@@ -59,14 +59,14 @@ pub(crate) struct MapShard {
     pub(crate) free_blocks: BTreeSet<u64>,
     pub(crate) next_list_raw: u64,
     pub(crate) free_lists: BTreeSet<u64>,
-    /// An incremental checkpoint has covered this shard's log prefix
-    /// but not yet written its snapshot slab: the next committed-state
+    /// A checkpoint has begun and covers this shard's log prefix, but
+    /// has not yet taken its snapshot slab: the next committed-state
     /// drain must preserve the persistent tables as of the covered
     /// point (see [`snap_copy`](Self::snap_copy)).
     pub(crate) snap_pending: bool,
     /// Copy-on-advance snapshot: the persistent tables as they stood
-    /// when the in-flight incremental checkpoint chose its covered
-    /// sequence number, cloned lazily by the first drain that would
+    /// when the in-flight checkpoint chose its covered sequence
+    /// number, cloned lazily by the first drain that would
     /// advance a pending shard past that point.
     pub(crate) snap_copy: Option<Tables>,
 }
@@ -702,8 +702,8 @@ impl<'a> MapView<'a> {
             if let ShardGuard::Write(sh) = g {
                 n += sh.committed.len() as u64;
                 let sh = &mut **sh;
-                // Copy-on-advance: an incremental checkpoint has chosen
-                // its covered point but not yet snapshotted this shard —
+                // Copy-on-advance: a checkpoint has chosen its covered
+                // point but not yet snapshotted this shard —
                 // preserve the persistent tables as of that point before
                 // draining newer committed records into them.
                 if sh.snap_pending && !sh.committed.is_empty() && sh.snap_copy.is_none() {

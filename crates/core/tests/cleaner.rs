@@ -1,19 +1,59 @@
 //! Segment-cleaner behaviour: reclaiming space when the log wraps,
-//! preserving data across relocation, and recoverability afterwards.
+//! preserving data across relocation, and recoverability afterwards —
+//! at every point of the mode matrix ([`each_mode`]): both cleaners,
+//! both writers, one and eight map shards.
 
-use ld_core::{Ctx, Lld, LldConfig, LldError, Position};
+use ld_core::{CleanerConfig, Ctx, Lld, LldConfig, LldError, Position};
 use ld_disk::MemDisk;
 
 const BS: usize = 512;
 
-fn config() -> LldConfig {
-    LldConfig {
-        block_size: BS,
-        segment_bytes: 8 * BS,
-        max_blocks: Some(512),
-        max_lists: Some(64),
-        ..LldConfig::default()
+/// One point of the mode matrix: pipelined writer, background cleaner,
+/// map shards.
+type Mode = (bool, bool, usize);
+
+const MODES: [Mode; 8] = [
+    (false, false, 8),
+    (false, false, 1),
+    (false, true, 8),
+    (false, true, 1),
+    (true, false, 8),
+    (true, false, 1),
+    (true, true, 8),
+    (true, true, 1),
+];
+
+/// Runs `test` at every point; a failure's captured output names it.
+fn each_mode(test: fn(Mode)) {
+    for mode in MODES {
+        eprintln!("(pipelined, cleanerd, shards) = {mode:?}");
+        test(mode);
     }
+}
+
+fn with_mode((pipeline, cleanerd, shards): Mode, base: LldConfig) -> LldConfig {
+    LldConfig {
+        pipeline,
+        map_shards: shards,
+        cleaner: CleanerConfig {
+            background: cleanerd,
+            ..base.cleaner
+        },
+        ..base
+    }
+}
+
+fn config(mode: Mode) -> LldConfig {
+    with_mode(
+        mode,
+        LldConfig {
+            block_size: BS,
+            segment_bytes: 8 * BS,
+            max_blocks: Some(512),
+            max_lists: Some(64),
+            ..LldConfig::default()
+        },
+    )
 }
 
 fn block(byte: u8) -> Vec<u8> {
@@ -21,14 +61,18 @@ fn block(byte: u8) -> Vec<u8> {
 }
 
 /// A device with room for ~24 segments.
-fn small_disk() -> Lld<MemDisk> {
+fn small_disk(mode: Mode) -> Lld<MemDisk> {
     let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512; // sb + ckpt areas + segments
-    Lld::format(MemDisk::new(cap as u64), &config()).unwrap()
+    Lld::format(MemDisk::new(cap as u64), &config(mode)).unwrap()
 }
 
 #[test]
 fn overwrite_churn_triggers_cleaning_not_disk_full() {
-    let ld = small_disk();
+    each_mode(overwrite_churn_triggers_cleaning_not_disk_full_at);
+}
+
+fn overwrite_churn_triggers_cleaning_not_disk_full_at(mode: Mode) {
+    let ld = small_disk(mode);
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     // Each overwrite consumes a data slot; ~7 slots per segment and ~24
@@ -45,7 +89,11 @@ fn overwrite_churn_triggers_cleaning_not_disk_full() {
 
 #[test]
 fn live_data_survives_relocation() {
-    let ld = small_disk();
+    each_mode(live_data_survives_relocation_at);
+}
+
+fn live_data_survives_relocation_at(mode: Mode) {
+    let ld = small_disk(mode);
     let l = ld.new_list(Ctx::Simple).unwrap();
     // A handful of long-lived blocks...
     let mut keep = Vec::new();
@@ -80,7 +128,11 @@ fn live_data_survives_relocation() {
 
 #[test]
 fn recovery_after_cleaning_sees_current_state() {
-    let ld = small_disk();
+    each_mode(recovery_after_cleaning_sees_current_state_at);
+}
+
+fn recovery_after_cleaning_sees_current_state_at(mode: Mode) {
+    let ld = small_disk(mode);
     let l = ld.new_list(Ctx::Simple).unwrap();
     let stable = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     ld.write(Ctx::Simple, stable, &block(0x55)).unwrap();
@@ -94,7 +146,7 @@ fn recovery_after_cleaning_sees_current_state() {
     ld.flush().unwrap();
 
     let image = ld.into_device().into_image();
-    let (ld2, report) = Lld::recover(MemDisk::from_image(image)).unwrap();
+    let (ld2, report) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
     assert!(report.checkpoint_seq > 0, "cleaning left a checkpoint");
     let mut buf = block(0);
     ld2.read(Ctx::Simple, stable, &mut buf).unwrap();
@@ -106,7 +158,11 @@ fn recovery_after_cleaning_sees_current_state() {
 
 #[test]
 fn genuinely_full_disk_reports_disk_full() {
-    let ld = small_disk();
+    each_mode(genuinely_full_disk_reports_disk_full_at);
+}
+
+fn genuinely_full_disk_reports_disk_full_at(mode: Mode) {
+    let ld = small_disk(mode);
     let l = ld.new_list(Ctx::Simple).unwrap();
     // Fill with *live* blocks until the device cannot take more.
     let mut prev = None;
@@ -133,16 +189,36 @@ fn genuinely_full_disk_reports_disk_full() {
     }
     // A decent fraction of the slots took data before filling up.
     assert!(wrote > 50, "only {wrote} blocks written");
-    // Deleting frees space again.
+    // Deleting frees space again — with the background cleaner, once
+    // the pass in flight (it holds what it relocated into until its
+    // release sweep) has finished.
     ld.delete_list(Ctx::Simple, l).unwrap();
-    let l2 = ld.new_list(Ctx::Simple).unwrap();
-    let b = ld.new_block(Ctx::Simple, l2, Position::First).unwrap();
-    ld.write(Ctx::Simple, b, &block(2)).unwrap();
+    let l2 = when_space_returns(|| ld.new_list(Ctx::Simple));
+    let b = when_space_returns(|| ld.new_block(Ctx::Simple, l2, Position::First));
+    when_space_returns(|| ld.write(Ctx::Simple, b, &block(2)));
+}
+
+/// Retries a space-consuming operation for as long as it reports
+/// `DiskFull` (a failed one leaves no trace), up to five seconds.
+fn when_space_returns<T>(mut op: impl FnMut() -> Result<T, LldError>) -> T {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        match op() {
+            Err(LldError::DiskFull) if std::time::Instant::now() < deadline => {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            done => return done.unwrap(),
+        }
+    }
 }
 
 #[test]
 fn explicit_cleaner_run_is_safe_when_idle() {
-    let ld = small_disk();
+    each_mode(explicit_cleaner_run_is_safe_when_idle_at);
+}
+
+fn explicit_cleaner_run_is_safe_when_idle_at(mode: Mode) {
+    let ld = small_disk(mode);
     let free_before = ld.free_segments();
     ld.run_cleaner().unwrap();
     assert!(ld.free_segments() >= free_before.min(ld.n_segments() - 1));
@@ -150,7 +226,11 @@ fn explicit_cleaner_run_is_safe_when_idle() {
 
 #[test]
 fn manual_checkpoint_then_clean_reuses_dead_segments() {
-    let ld = small_disk();
+    each_mode(manual_checkpoint_then_clean_reuses_dead_segments_at);
+}
+
+fn manual_checkpoint_then_clean_reuses_dead_segments_at(mode: Mode) {
+    let ld = small_disk(mode);
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     // Burn through several segments of overwrites (all dead but the
@@ -180,13 +260,20 @@ fn manual_checkpoint_then_clean_reuses_dead_segments() {
 /// output segment must keep this workload running indefinitely.
 #[test]
 fn sync_commit_storm_compacts_without_disk_full() {
-    let cfg = LldConfig {
-        block_size: 4096,
-        segment_bytes: 512 * 1024,
-        max_blocks: Some(4096),
-        max_lists: Some(2048),
-        ..LldConfig::default()
-    };
+    each_mode(sync_commit_storm_compacts_without_disk_full_at);
+}
+
+fn sync_commit_storm_compacts_without_disk_full_at(mode: Mode) {
+    let cfg = with_mode(
+        mode,
+        LldConfig {
+            block_size: 4096,
+            segment_bytes: 512 * 1024,
+            max_blocks: Some(4096),
+            max_lists: Some(2048),
+            ..LldConfig::default()
+        },
+    );
     // ~34 MB: superblock + checkpoint areas + ~60 paper-scale segments.
     let ld = Lld::format(MemDisk::new(34 << 20), &cfg).unwrap();
     let mut lists = Vec::new();
@@ -219,6 +306,10 @@ fn sync_commit_storm_compacts_without_disk_full() {
 
 #[test]
 fn crash_during_cleaning_era_recovers_current_state() {
+    each_mode(crash_during_cleaning_era_recovers_current_state_at);
+}
+
+fn crash_during_cleaning_era_recovers_current_state_at(mode: Mode) {
     // Sweep crash points through a workload that keeps the cleaner
     // busy. Whatever instant the power fails — mid-relocation,
     // mid-checkpoint, mid-segment-write — recovery must reproduce the
@@ -231,7 +322,7 @@ fn crash_during_cleaning_era_recovers_current_state() {
         let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512;
         let sim = SimDisk::new(MemDisk::new(cap as u64), DiskModel::hp_c3010())
             .with_faults(FaultPlan::new().crash_after_bytes(crash_at));
-        let ld = Lld::format(sim, &config()).unwrap();
+        let ld = Lld::format(sim, &config(mode)).unwrap();
 
         // Stable blocks, flushed before the churn.
         let l = ld.new_list(Ctx::Simple).unwrap();
@@ -271,7 +362,7 @@ fn crash_during_cleaning_era_recovers_current_state() {
         }
 
         let image = ld.into_device().into_inner().into_image();
-        let (ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
+        let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
         for (i, &b) in stable.iter().enumerate() {
             let mut buf = block(0);
             ld2.read(Ctx::Simple, b, &mut buf)

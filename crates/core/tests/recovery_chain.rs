@@ -3,8 +3,7 @@
 //! segment only if its sequence number and `prev_link` fit, so these
 //! tests forge, tear and exhaust exactly those fields.
 //!
-//! Runs on both writers (`LD_ARU_PIPELINE=1` selects the pipelined one
-//! through `LldConfig::default`).
+//! Every test runs on both writers ([`both_writers`]).
 
 use ld_core::{CleanerConfig, Ctx, Lld, LldConfig, LldError, Position, RecoveryReport};
 use ld_disk::{crc32, DiskModel, MemDisk, SimDisk};
@@ -18,13 +17,23 @@ const H_NEXT: usize = 28;
 const H_PREV: usize = 32;
 const H_CRC: usize = 40;
 
-fn config() -> LldConfig {
+fn config(pipeline: bool) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: SEG,
         max_blocks: Some(256),
         max_lists: Some(64),
+        pipeline,
         ..LldConfig::default()
+    }
+}
+
+/// Runs `test` on the synchronous and on the pipelined writer; a
+/// failure's captured output names the one it was on.
+fn both_writers(test: fn(bool)) {
+    for pipeline in [false, true] {
+        eprintln!("pipeline: {pipeline}");
+        test(pipeline);
     }
 }
 
@@ -34,7 +43,7 @@ fn block(byte: u8) -> Vec<u8> {
 
 /// Capacity of a device with exactly `slots` segment slots.
 fn device_bytes(slots: u64) -> u64 {
-    let layout = ld_core::Layout::compute(1 << 20, &config()).unwrap();
+    let layout = ld_core::Layout::compute(1 << 20, &config(false)).unwrap();
     layout.data_start + slots * SEG as u64
 }
 
@@ -60,12 +69,12 @@ fn header_valid(image: &[u8], off: usize) -> bool {
 }
 
 fn seg_off(image: &[u8], slot: u32) -> usize {
-    let layout = ld_core::Layout::compute(image.len() as u64, &config()).unwrap();
+    let layout = ld_core::Layout::compute(image.len() as u64, &config(false)).unwrap();
     layout.segment_offset(slot) as usize
 }
 
-fn recover(image: &[u8]) -> Result<(Lld<MemDisk>, RecoveryReport), LldError> {
-    Lld::recover_with(MemDisk::from_image(image.to_vec()), &config())
+fn recover(image: &[u8], pipeline: bool) -> Result<(Lld<MemDisk>, RecoveryReport), LldError> {
+    Lld::recover_with(MemDisk::from_image(image.to_vec()), &config(pipeline))
 }
 
 fn read_byte(ld: &Lld<MemDisk>, b: ld_core::BlockId) -> u8 {
@@ -77,8 +86,8 @@ fn read_byte(ld: &Lld<MemDisk>, b: ld_core::BlockId) -> u8 {
 
 /// One block overwritten and flushed `n` times: segments 1..=n in slots
 /// 0..n, each a single `Write` record (the first also the allocation).
-fn image_with_segments(n: u8) -> (Vec<u8>, ld_core::BlockId) {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+fn image_with_segments(n: u8, pipeline: bool) -> (Vec<u8>, ld_core::BlockId) {
+    let ld = Lld::format(MemDisk::new(2 << 20), &config(pipeline)).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     for byte in 1..=n {
@@ -94,7 +103,11 @@ fn image_with_segments(n: u8) -> (Vec<u8>, ld_core::BlockId) {
 /// replayed, so the link is the only thing that kept it out.
 #[test]
 fn stale_successor_is_not_replayed() {
-    let (image, b) = image_with_segments(2);
+    both_writers(stale_successor_is_not_replayed_on);
+}
+
+fn stale_successor_is_not_replayed_on(pipeline: bool) {
+    let (image, b) = image_with_segments(2, pipeline);
     let (s1, s2) = (seg_off(&image, 1), seg_off(&image, 2));
     assert_eq!(u32_at(&image, s1 + H_NEXT), 2, "the tail points at slot 2");
 
@@ -111,14 +124,14 @@ fn stale_successor_is_not_replayed() {
     put_u32(&mut forged, s2 + H_PREV, link_of_2 ^ 1);
     reseal(&mut forged, s2);
     assert!(header_valid(&forged, s2));
-    let (ld, report) = recover(&forged).unwrap();
+    let (ld, report) = recover(&forged, pipeline).unwrap();
     assert_eq!(report.segments_replayed, 2);
     assert_eq!(report.segments_scanned, 3, "slot 2 was probed");
     assert_eq!(read_byte(&ld, b), 2);
 
     put_u32(&mut forged, s2 + H_PREV, link_of_2);
     reseal(&mut forged, s2);
-    let (ld, report) = recover(&forged).unwrap();
+    let (ld, report) = recover(&forged, pipeline).unwrap();
     assert_eq!(
         report.segments_replayed, 3,
         "control: the right link is accepted"
@@ -131,7 +144,11 @@ fn stale_successor_is_not_replayed() {
 /// state as the untorn image.
 #[test]
 fn torn_newest_checkpoint_walks_from_the_older_head() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    both_writers(torn_newest_checkpoint_walks_from_the_older_head_on);
+}
+
+fn torn_newest_checkpoint_walks_from_the_older_head_on(pipeline: bool) {
+    let ld = Lld::format(MemDisk::new(2 << 20), &config(pipeline)).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let mut blocks = Vec::new();
     let mut step = |ld: &Lld<MemDisk>, byte: u8| {
@@ -158,13 +175,13 @@ fn torn_newest_checkpoint_walks_from_the_older_head() {
     }
     let image = ld.into_device().into_image();
 
-    let (clean, clean_report) = recover(&image).unwrap();
+    let (clean, clean_report) = recover(&image, pipeline).unwrap();
     assert_eq!(clean_report.checkpoint_seq, newer);
 
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let mut torn = image.clone();
     torn[layout.ckpt_b as usize + 20] ^= 0xFF;
-    let (fallback, report) = recover(&torn).unwrap();
+    let (fallback, report) = recover(&torn, pipeline).unwrap();
     assert_eq!(report.checkpoint_seq, older, "older area used");
     assert_eq!(
         u64::from(report.segments_replayed),
@@ -187,6 +204,10 @@ fn torn_newest_checkpoint_walks_from_the_older_head() {
 /// that links on.
 #[test]
 fn log_continues_past_a_segment_sealed_on_a_full_disk() {
+    both_writers(log_continues_past_a_segment_sealed_on_a_full_disk_on);
+}
+
+fn log_continues_past_a_segment_sealed_on_a_full_disk_on(pipeline: bool) {
     let cfg = LldConfig {
         cleaner: CleanerConfig {
             enabled: false, // cleaning happens where the test says
@@ -194,7 +215,7 @@ fn log_continues_past_a_segment_sealed_on_a_full_disk() {
             target_free_segments: 2,
             ..CleanerConfig::default()
         },
-        ..config()
+        ..config(pipeline)
     };
     let ld = Lld::format(MemDisk::new(device_bytes(12)), &cfg).unwrap();
     let n = ld.n_segments();
@@ -278,14 +299,18 @@ fn log_continues_past_a_segment_sealed_on_a_full_disk() {
 /// panic or a loop. `u32::MAX` is the one value that is not hostile.
 #[test]
 fn hostile_pointers_are_corrupt_not_fatal() {
-    let (image, b) = image_with_segments(3);
-    let n = recover(&image).unwrap().0.n_segments();
+    both_writers(hostile_pointers_are_corrupt_not_fatal_on);
+}
+
+fn hostile_pointers_are_corrupt_not_fatal_on(pipeline: bool) {
+    let (image, b) = image_with_segments(3, pipeline);
+    let n = recover(&image, pipeline).unwrap().0.n_segments();
     let tail = seg_off(&image, 2);
     for ptr in [n, n + 5, u32::MAX - 1, 0, 1, 2] {
         let mut hostile = image.clone();
         put_u32(&mut hostile, tail + H_NEXT, ptr);
         reseal(&mut hostile, tail);
-        let got = recover(&hostile);
+        let got = recover(&hostile, pipeline);
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
             "tail -> {ptr}: {:?}",
@@ -295,7 +320,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     let mut pointerless = image.clone();
     put_u32(&mut pointerless, tail + H_NEXT, u32::MAX);
     reseal(&mut pointerless, tail);
-    let (ld, report) = recover(&pointerless).unwrap();
+    let (ld, report) = recover(&pointerless, pipeline).unwrap();
     assert_eq!(report.segments_replayed, 3);
     assert_eq!(read_byte(&ld, b), 3);
 
@@ -306,16 +331,23 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     let mut hostile = image.clone();
     put_u32(&mut hostile, mid + H_NEXT, 0);
     reseal(&mut hostile, mid);
-    assert!(matches!(recover(&hostile), Err(LldError::Corrupt(_))));
+    assert!(matches!(
+        recover(&hostile, pipeline),
+        Err(LldError::Corrupt(_))
+    ));
 }
 
 /// (e) The scan phase reads two times the suffix plus one, on a small
 /// device and on one sixteen times its size.
 #[test]
 fn scan_reads_follow_the_suffix_not_the_device() {
+    both_writers(scan_reads_follow_the_suffix_not_the_device_on);
+}
+
+fn scan_reads_follow_the_suffix_not_the_device_on(pipeline: bool) {
     let mut seen = Vec::new();
     for slots in [64u64, 1024] {
-        let ld = Lld::format(MemDisk::new(device_bytes(slots)), &config()).unwrap();
+        let ld = Lld::format(MemDisk::new(device_bytes(slots)), &config(pipeline)).unwrap();
         assert_eq!(u64::from(ld.n_segments()), slots);
         let l = ld.new_list(Ctx::Simple).unwrap();
         let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
@@ -326,7 +358,7 @@ fn scan_reads_follow_the_suffix_not_the_device() {
         let image = ld.into_device().into_image();
 
         let sim = SimDisk::new(MemDisk::from_image(image), DiskModel::hp_c3010());
-        let (ld2, report) = Lld::recover_with(sim, &config()).unwrap();
+        let (ld2, report) = Lld::recover_with(sim, &config(pipeline)).unwrap();
         assert_eq!(report.segments_replayed, 10);
         // Outside the scan: the superblock and one header read per
         // (empty) checkpoint area.
@@ -345,12 +377,16 @@ fn scan_reads_follow_the_suffix_not_the_device() {
 /// is refused by the version check, not walked as if it had pointers.
 #[test]
 fn older_format_version_is_refused() {
-    let (mut image, _) = image_with_segments(1);
+    both_writers(older_format_version_is_refused_on);
+}
+
+fn older_format_version_is_refused_on(pipeline: bool) {
+    let (mut image, _) = image_with_segments(1, pipeline);
     assert_eq!(u32_at(&image, 8), 3, "superblock version field");
     put_u32(&mut image, 8, 2);
     let crc = crc32(&image[..60]);
     put_u32(&mut image, 60, crc);
-    match recover(&image) {
+    match recover(&image, pipeline) {
         Err(LldError::Corrupt(msg)) => assert!(msg.contains("version 2"), "{msg}"),
         other => panic!("{:?}", other.map(|(_, r)| r)),
     }

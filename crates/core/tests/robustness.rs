@@ -7,13 +7,30 @@ use ld_disk::{DiskModel, FaultPlan, MemDisk, SimDisk};
 
 const BS: usize = 512;
 
-fn config() -> LldConfig {
+/// A point of the mode matrix: pipelined writer, map shards. (No log
+/// here wraps, so no cleaner runs.) The tests that crash or corrupt a
+/// disk run at every point; the rest at the default one.
+type Mode = (bool, usize);
+
+const DEFAULT: Mode = (false, 8);
+
+fn config((pipeline, shards): Mode) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: 16 * BS,
         max_blocks: Some(256),
         max_lists: Some(64),
+        pipeline,
+        map_shards: shards,
         ..LldConfig::default()
+    }
+}
+
+/// Runs `test` at every point; a failure's captured output names it.
+fn each_mode(test: fn(Mode)) {
+    for mode in [DEFAULT, (false, 1), (true, 8), (true, 1)] {
+        eprintln!("(pipelined, shards) = {mode:?}");
+        test(mode);
     }
 }
 
@@ -23,10 +40,14 @@ fn block(byte: u8) -> Vec<u8> {
 
 #[test]
 fn corrupt_newest_checkpoint_falls_back_to_older() {
+    each_mode(corrupt_newest_checkpoint_falls_back_to_older_at);
+}
+
+fn corrupt_newest_checkpoint_falls_back_to_older_at(mode: Mode) {
     // Write two checkpoints (areas alternate), corrupt the newer one on
     // the raw image, and recover: the older checkpoint plus the log
     // replay must still reconstruct the latest state.
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(MemDisk::new(2 << 20), &config(mode)).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     ld.write(Ctx::Simple, b, &block(1)).unwrap();
@@ -48,7 +69,7 @@ fn corrupt_newest_checkpoint_falls_back_to_older() {
     let b_off = layout.ckpt_b as usize;
     image[b_off + 4] ^= 0xFF;
 
-    let (ld2, report) = Lld::recover(MemDisk::from_image(image)).unwrap();
+    let (ld2, report) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
     // Fell back to checkpoint #1.
     assert!(report.checkpoint_seq > 0);
     let mut buf = block(0);
@@ -58,7 +79,11 @@ fn corrupt_newest_checkpoint_falls_back_to_older() {
 
 #[test]
 fn both_checkpoints_corrupt_means_full_scan() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    each_mode(both_checkpoints_corrupt_means_full_scan_at);
+}
+
+fn both_checkpoints_corrupt_means_full_scan_at(mode: Mode) {
+    let ld = Lld::format(MemDisk::new(2 << 20), &config(mode)).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     ld.write(Ctx::Simple, b, &block(7)).unwrap();
@@ -72,7 +97,7 @@ fn both_checkpoints_corrupt_means_full_scan() {
     image[layout.ckpt_a as usize + 4] ^= 0xFF;
     image[layout.ckpt_b as usize + 4] ^= 0xFF;
 
-    let (ld2, report) = Lld::recover(MemDisk::from_image(image)).unwrap();
+    let (ld2, report) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
     assert_eq!(report.checkpoint_seq, 0, "no checkpoint usable");
     assert!(report.segments_replayed > 0, "full log scan");
     let mut buf = block(0);
@@ -83,7 +108,7 @@ fn both_checkpoints_corrupt_means_full_scan() {
 #[test]
 fn media_failure_on_read_is_reported() {
     let sim = SimDisk::new(MemDisk::new(2 << 20), DiskModel::hp_c3010());
-    let ld = Lld::format(sim, &config()).unwrap();
+    let ld = Lld::format(sim, &config(DEFAULT)).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     ld.write(Ctx::Simple, b, &block(9)).unwrap();
@@ -119,7 +144,7 @@ fn media_failure_on_read_is_reported() {
 fn visibility_committed_applies_to_list_walks() {
     let cfg = LldConfig {
         visibility: ReadVisibility::Committed,
-        ..config()
+        ..config(DEFAULT)
     };
     let ld = Lld::format(MemDisk::new(2 << 20), &cfg).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
@@ -137,7 +162,7 @@ fn visibility_committed_applies_to_list_walks() {
 fn visibility_any_shadow_list_walk_sees_uncommitted_insert() {
     let cfg = LldConfig {
         visibility: ReadVisibility::AnyShadow,
-        ..config()
+        ..config(DEFAULT)
     };
     let ld = Lld::format(MemDisk::new(2 << 20), &cfg).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
@@ -152,7 +177,7 @@ fn visibility_any_shadow_list_walk_sees_uncommitted_insert() {
 
 #[test]
 fn deleting_twice_within_aru_fails_cleanly() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(MemDisk::new(2 << 20), &config(DEFAULT)).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     let aru = ld.begin_aru().unwrap();
@@ -167,9 +192,13 @@ fn deleting_twice_within_aru_fails_cleanly() {
 
 #[test]
 fn interleaved_aru_commit_then_reuse_of_freed_ids() {
+    each_mode(interleaved_aru_commit_then_reuse_of_freed_ids_at);
+}
+
+fn interleaved_aru_commit_then_reuse_of_freed_ids_at(mode: Mode) {
     // An id freed by a committed ARU must be reusable, and its reuse
     // must survive recovery in log order.
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(MemDisk::new(2 << 20), &config(mode)).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     let aru = ld.begin_aru().unwrap();
@@ -185,7 +214,7 @@ fn interleaved_aru_commit_then_reuse_of_freed_ids() {
     ld.flush().unwrap();
 
     let image = ld.into_device().into_image();
-    let (ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
+    let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
     let mut buf = block(0);
     ld2.read(Ctx::Simple, reused, &mut buf).unwrap();
     assert_eq!(buf, block(0xEE));
@@ -199,7 +228,7 @@ fn interleaved_aru_commit_then_reuse_of_freed_ids() {
 fn read_cache_can_be_disabled() {
     let cfg = LldConfig {
         read_cache_blocks: 0,
-        ..config()
+        ..config(DEFAULT)
     };
     let sim = SimDisk::new(MemDisk::new(2 << 20), DiskModel::hp_c3010());
     let ld = Lld::format(sim, &cfg).unwrap();
@@ -218,7 +247,7 @@ fn read_cache_can_be_disabled() {
 #[test]
 fn cache_hits_avoid_disk_time() {
     let sim = SimDisk::new(MemDisk::new(2 << 20), DiskModel::hp_c3010());
-    let ld = Lld::format(sim, &config()).unwrap();
+    let ld = Lld::format(sim, &config(DEFAULT)).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     ld.write(Ctx::Simple, b, &block(5)).unwrap();
@@ -236,7 +265,7 @@ fn cache_hits_avoid_disk_time() {
 
 #[test]
 fn probe_reports_superblock_without_recovery() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(MemDisk::new(2 << 20), &config(DEFAULT)).unwrap();
     let device = ld.into_device();
     let (layout, conc, vis) = Lld::probe(&device).unwrap();
     assert_eq!(layout.block_size, BS);
@@ -246,7 +275,7 @@ fn probe_reports_superblock_without_recovery() {
 
 #[test]
 fn aru_started_accessor() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(MemDisk::new(2 << 20), &config(DEFAULT)).unwrap();
     let aru = ld.begin_aru().unwrap();
     assert!(ld.aru_started(aru).is_some());
     ld.end_aru(aru).unwrap();
@@ -255,6 +284,10 @@ fn aru_started_accessor() {
 
 #[test]
 fn mt_power_cut_preserves_per_aru_atomicity() {
+    each_mode(mt_power_cut_preserves_per_aru_atomicity_at);
+}
+
+fn mt_power_cut_preserves_per_aru_atomicity_at(mode: Mode) {
     // Four threads share one Arc<Lld<SimDisk>> and commit disjoint
     // ARUs (a private list of three patterned blocks each) with
     // synchronous durability, while fault injection cuts power midway
@@ -285,7 +318,7 @@ fn mt_power_cut_preserves_per_aru_atomicity() {
             &LldConfig {
                 max_blocks: Some(1024),
                 max_lists: Some(256),
-                ..config()
+                ..config(mode)
             },
         )
         .unwrap(),
@@ -350,7 +383,7 @@ fn mt_power_cut_preserves_per_aru_atomicity() {
 
     let ld = Arc::try_unwrap(ld).expect("threads are done");
     let image = ld.into_device().into_inner().into_image();
-    let (ld2, _report) = Lld::recover(MemDisk::from_image(image)).unwrap();
+    let (ld2, _report) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
 
     let mut durable_arus = 0;
     let mut buf = block(0);

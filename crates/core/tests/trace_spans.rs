@@ -6,26 +6,21 @@
 //! the bundled parser.
 
 use ld_core::obs::{json, TraceEvent};
-use ld_core::{CleanerConfig, Ctx, Lld, LldConfig, ObsConfig, ObsSnapshot, Position};
+use ld_core::{Ctx, Lld, LldConfig, ObsConfig, ObsSnapshot, Position};
 use ld_disk::MemDisk;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const BS: usize = 512;
 
-/// A config pinned against the environment overrides the test matrix
-/// sets (`LD_ARU_PIPELINE`, `LD_ARU_CLEANERD`, `LD_ARU_FLIGHT_DIR`),
-/// so these protocol tests see exactly the paths they assert on.
+/// `flight_dir` is the one field whose default reads the environment
+/// (`LD_ARU_FLIGHT_DIR`, which CI sets); these tests dump nothing.
 fn config(pipeline: bool) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: 16 * BS,
         pipeline,
         flight_dir: None,
-        cleaner: CleanerConfig {
-            background: false,
-            ..CleanerConfig::default()
-        },
         obs: ObsConfig {
             ring_capacity: 1 << 15,
             ..ObsConfig::default()

@@ -9,12 +9,26 @@ use ld_minixfs::{FsConfig, FsError, MinixFs};
 
 const BS: usize = 512;
 
-fn ld_config() -> LldConfig {
+/// A point of the mode matrix: pipelined writer, map shards. (No log
+/// here wraps, so no cleaner runs.)
+type Mode = (bool, usize);
+
+/// Runs `test` at every point; a failure's captured output names it.
+fn each_mode(test: fn(Mode)) {
+    for mode in [(false, 8), (false, 1), (true, 8), (true, 1)] {
+        eprintln!("(pipelined, shards) = {mode:?}");
+        test(mode);
+    }
+}
+
+fn ld_config((pipeline, shards): Mode) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: 16 * BS,
         max_blocks: Some(2048),
         max_lists: Some(512),
+        pipeline,
+        map_shards: shards,
         ..LldConfig::default()
     }
 }
@@ -28,29 +42,34 @@ fn fs_config() -> FsConfig {
 
 type SimFs = MinixFs<Lld<SimDisk<MemDisk>>>;
 
-fn sim_fs(cfg: FsConfig) -> SimFs {
+fn sim_fs(mode: Mode) -> SimFs {
     let sim = SimDisk::new(MemDisk::new(8 << 20), DiskModel::hp_c3010());
-    let ld = Lld::format(sim, &ld_config()).unwrap();
-    MinixFs::format(ld, cfg).unwrap()
+    let ld = Lld::format(sim, &ld_config(mode)).unwrap();
+    MinixFs::format(ld, fs_config()).unwrap()
 }
 
-/// Crash the simulated machine and remount from whatever reached disk.
-fn crash_and_remount(fs: SimFs) -> MinixFs<Lld<MemDisk>> {
+/// Crash the simulated machine and remount, under `cfg`, from whatever
+/// reached disk.
+fn crash_and_remount(fs: SimFs, cfg: &LldConfig) -> MinixFs<Lld<MemDisk>> {
     let image = fs.into_ld().into_device().into_inner().into_image();
-    let (ld, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
+    let (ld, _) = Lld::recover_with(MemDisk::from_image(image), cfg).unwrap();
     MinixFs::mount(ld, FsConfig::default()).unwrap()
 }
 
 #[test]
 fn flushed_files_survive_with_full_consistency() {
-    let mut fs = sim_fs(fs_config());
+    each_mode(flushed_files_survive_with_full_consistency_at);
+}
+
+fn flushed_files_survive_with_full_consistency_at(mode: Mode) {
+    let mut fs = sim_fs(mode);
     fs.mkdir("/d").unwrap();
     for i in 0..10 {
         let ino = fs.create(&format!("/d/f{i}")).unwrap();
         fs.write_at(ino, 0, &vec![i as u8; 700]).unwrap();
     }
     fs.flush().unwrap();
-    let mut fs2 = crash_and_remount(fs);
+    let mut fs2 = crash_and_remount(fs, &ld_config(mode));
     let report = fs2.verify().unwrap();
     assert!(report.is_consistent(), "problems: {:?}", report.problems);
     assert_eq!(report.files, 10);
@@ -64,12 +83,16 @@ fn flushed_files_survive_with_full_consistency() {
 
 #[test]
 fn unflushed_creation_vanishes_atomically() {
-    let mut fs = sim_fs(fs_config());
+    each_mode(unflushed_creation_vanishes_atomically_at);
+}
+
+fn unflushed_creation_vanishes_atomically_at(mode: Mode) {
+    let mut fs = sim_fs(mode);
     fs.create("/durable").unwrap();
     fs.flush().unwrap();
     // Created but never flushed: must disappear wholesale.
     fs.create("/ghost").unwrap();
-    let mut fs2 = crash_and_remount(fs);
+    let mut fs2 = crash_and_remount(fs, &ld_config(mode));
     assert!(fs2.lookup("/durable").is_ok());
     assert!(matches!(fs2.lookup("/ghost"), Err(FsError::NotFound(_))));
     let report = fs2.verify().unwrap();
@@ -80,12 +103,16 @@ fn unflushed_creation_vanishes_atomically() {
 
 #[test]
 fn unflushed_deletion_vanishes_atomically() {
-    let mut fs = sim_fs(fs_config());
+    each_mode(unflushed_deletion_vanishes_atomically_at);
+}
+
+fn unflushed_deletion_vanishes_atomically_at(mode: Mode) {
+    let mut fs = sim_fs(mode);
     let ino = fs.create("/victim").unwrap();
     fs.write_at(ino, 0, &vec![9u8; 600]).unwrap();
     fs.flush().unwrap();
     fs.unlink("/victim").unwrap(); // not flushed
-    let mut fs2 = crash_and_remount(fs);
+    let mut fs2 = crash_and_remount(fs, &ld_config(mode));
     // The deletion never became persistent: the file is intact.
     let ino2 = fs2.lookup("/victim").unwrap();
     let mut buf = vec![0u8; 600];
@@ -97,6 +124,10 @@ fn unflushed_deletion_vanishes_atomically() {
 
 #[test]
 fn consistency_at_every_crash_point_with_arus() {
+    each_mode(consistency_at_every_crash_point_with_arus_at);
+}
+
+fn consistency_at_every_crash_point_with_arus_at(mode: Mode) {
     // Sweep crash points through a create/write/delete workload; after
     // every crash the file system must verify clean, and every file
     // must be either fully present (correct size and content) or
@@ -104,7 +135,7 @@ fn consistency_at_every_crash_point_with_arus() {
     let mut crash_at = 4000u64;
     let mut tested = 0;
     loop {
-        let mut fs = sim_fs(fs_config());
+        let mut fs = sim_fs(mode);
         fs.ld()
             .device()
             .set_faults(FaultPlan::new().crash_after_bytes(crash_at));
@@ -130,7 +161,7 @@ fn consistency_at_every_crash_point_with_arus() {
         })();
         let crashed = result.is_err();
 
-        let mut fs2 = crash_and_remount(fs);
+        let mut fs2 = crash_and_remount(fs, &ld_config(mode));
         let report = fs2.verify().unwrap();
         assert!(
             report.is_consistent(),
@@ -169,13 +200,17 @@ fn consistency_at_every_crash_point_with_arus() {
 
 #[test]
 fn old_minixlld_can_be_left_inconsistent() {
+    each_mode(old_minixlld_can_be_left_inconsistent_at);
+}
+
+fn old_minixlld_can_be_left_inconsistent_at(mode: Mode) {
     // Without ARUs, metadata updates are individual operations; a crash
     // between them strands partial state. We crash between the inode
     // write and the directory update by flushing only the first half of
     // a creation. (This is engineered, but it is exactly the window the
     // paper's fsck discussion is about.)
     let sim = SimDisk::new(MemDisk::new(8 << 20), DiskModel::hp_c3010());
-    let ld = Lld::format(sim, &ld_config()).unwrap();
+    let ld = Lld::format(sim, &ld_config(mode)).unwrap();
     let mut fs = MinixFs::format(
         ld,
         FsConfig {
@@ -200,7 +235,7 @@ fn old_minixlld_can_be_left_inconsistent() {
     let _ = fs.flush(); // pushes whatever fits before the crash point
 
     let image = fs.into_ld().into_device().into_inner().into_image();
-    let (ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
+    let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &ld_config(mode)).unwrap();
     let mut fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
     // The file system still mounts (the logical disk itself is always
     // consistent) — but the tree may be inconsistent. We do not assert
@@ -212,24 +247,25 @@ fn old_minixlld_can_be_left_inconsistent() {
 
 #[test]
 fn consistency_with_sequential_old_lld_and_arus() {
+    each_mode(consistency_with_sequential_old_lld_and_arus_at);
+}
+
+fn consistency_with_sequential_old_lld_and_arus_at(mode: Mode) {
     // The "old" LLD (sequential ARUs) + ARU-bracketing FS: crash
     // atomicity still holds, demonstrating that the old prototype's
     // single-ARU support is sound.
     let sim = SimDisk::new(MemDisk::new(8 << 20), DiskModel::hp_c3010());
-    let ld = Lld::format(
-        sim,
-        &LldConfig {
-            concurrency: ld_core::ConcurrencyMode::Sequential,
-            ..ld_config()
-        },
-    )
-    .unwrap();
-    let mut fs = MinixFs::format(ld, fs_config_arus()).unwrap();
+    let cfg = LldConfig {
+        concurrency: ld_core::ConcurrencyMode::Sequential,
+        ..ld_config(mode)
+    };
+    let ld = Lld::format(sim, &cfg).unwrap();
+    let mut fs = MinixFs::format(ld, fs_config()).unwrap();
     let ino = fs.create("/seq").unwrap();
     fs.write_at(ino, 0, b"sequential").unwrap();
     fs.flush().unwrap();
     fs.create("/never-flushed").unwrap();
-    let mut fs2 = crash_and_remount(fs);
+    let mut fs2 = crash_and_remount(fs, &cfg);
     assert!(fs2.lookup("/seq").is_ok());
     assert!(matches!(
         fs2.lookup("/never-flushed"),
@@ -237,12 +273,4 @@ fn consistency_with_sequential_old_lld_and_arus() {
     ));
     let report = fs2.verify().unwrap();
     assert!(report.is_consistent(), "problems: {:?}", report.problems);
-}
-
-// Helper with swapped argument order safety (format takes ld first).
-fn fs_config_arus() -> FsConfig {
-    FsConfig {
-        inode_count: 64,
-        ..FsConfig::default()
-    }
 }

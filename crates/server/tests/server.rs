@@ -14,13 +14,30 @@ use ld_server::Server;
 
 const BS: usize = 512;
 
-fn config() -> LldConfig {
+/// A point of the mode matrix: pipelined writer, map shards. The two
+/// tests that stop a server under load and recover its disk run at
+/// every point; the protocol tests at the default one.
+type Mode = (bool, usize);
+
+const DEFAULT: Mode = (false, 8);
+
+fn config((pipeline, shards): Mode) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: 16 * BS,
         max_blocks: Some(4096),
         max_lists: Some(256),
+        pipeline,
+        map_shards: shards,
         ..LldConfig::default()
+    }
+}
+
+/// Runs `test` at every point; a failure's captured output names it.
+fn each_mode(test: fn(Mode)) {
+    for mode in [DEFAULT, (false, 1), (true, 8), (true, 1)] {
+        eprintln!("(pipelined, shards) = {mode:?}");
+        test(mode);
     }
 }
 
@@ -44,7 +61,7 @@ fn payload(client: u64, write_id: u64) -> Vec<u8> {
 
 #[test]
 fn round_trip_commit_read_and_stats() {
-    let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config()).unwrap());
+    let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config(DEFAULT)).unwrap());
     let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 
@@ -85,7 +102,7 @@ fn round_trip_commit_read_and_stats() {
 
 #[test]
 fn duplicate_write_id_returns_recorded_outcome() {
-    let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config()).unwrap());
+    let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config(DEFAULT)).unwrap());
     let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 
@@ -120,7 +137,7 @@ fn duplicate_write_id_returns_recorded_outcome() {
 
 #[test]
 fn session_disconnect_aborts_open_arus() {
-    let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config()).unwrap());
+    let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config(DEFAULT)).unwrap());
     let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 
@@ -183,8 +200,12 @@ fn session_disconnect_aborts_open_arus() {
 /// the drain + final flush ordering is exactly what guarantees it.
 #[test]
 fn shutdown_under_load_loses_no_acknowledged_commit() {
+    each_mode(shutdown_under_load_loses_no_acknowledged_commit_at);
+}
+
+fn shutdown_under_load_loses_no_acknowledged_commit_at(mode: Mode) {
     const CLIENTS: u64 = 4;
-    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &config()).unwrap());
+    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &config(mode)).unwrap());
     let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 
@@ -224,7 +245,7 @@ fn shutdown_under_load_loses_no_acknowledged_commit() {
     drop(ld);
     let lld = Arc::try_unwrap(ld_back).unwrap_or_else(|_| panic!("unique after shutdown"));
     let image = lld.into_device().into_image();
-    let (ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
+    let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
 
     for (i, client_acks) in acked.iter().enumerate() {
         let client = i as u64 + 1;
@@ -249,9 +270,13 @@ fn shutdown_under_load_loses_no_acknowledged_commit() {
 /// proves every transaction took effect exactly once.
 #[test]
 fn crash_recovery_reconciles_exactly_once() {
+    each_mode(crash_recovery_reconciles_exactly_once_at);
+}
+
+fn crash_recovery_reconciles_exactly_once_at(mode: Mode) {
     const CLIENTS: u64 = 3;
     let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
-    let ld = Arc::new(Lld::format(sim, &config()).unwrap());
+    let ld = Arc::new(Lld::format(sim, &config(mode)).unwrap());
     let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 
@@ -319,7 +344,7 @@ fn crash_recovery_reconciles_exactly_once() {
     let image = sim.into_inner().into_image();
 
     // Recover and restart the server on the healed device.
-    let (ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
+    let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
     let ld2 = Arc::new(ld2);
     let server2 = Server::start(Arc::clone(&ld2), "127.0.0.1:0").unwrap();
     let addr2 = server2.local_addr().to_string();
@@ -379,7 +404,7 @@ fn crash_recovery_reconciles_exactly_once() {
 /// generation is rejected.
 #[test]
 fn generation_bump_and_regression() {
-    let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config()).unwrap());
+    let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config(DEFAULT)).unwrap());
     let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 

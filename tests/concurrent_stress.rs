@@ -13,19 +13,38 @@ use ld_aru::disk::MemDisk;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-fn ld_config() -> LldConfig {
+/// The points of the mode matrix threads can tell apart: pipelined
+/// writer (the group-commit leader hands off its barrier), map shards
+/// (one lock versus eight). The log never wraps, so no cleaner runs.
+const MODES: [(bool, usize); 4] = [(false, 8), (false, 1), (true, 8), (true, 1)];
+
+/// Runs `test` at every point; a failure's captured output names it.
+fn each_mode(test: fn((bool, usize))) {
+    for mode in MODES {
+        eprintln!("(pipelined, shards) = {mode:?}");
+        test(mode);
+    }
+}
+
+fn ld_config((pipeline, shards): (bool, usize)) -> LldConfig {
     LldConfig {
         block_size: 512,
         segment_bytes: 16 * 512,
         max_blocks: Some(4096),
         max_lists: Some(512),
+        pipeline,
+        map_shards: shards,
         ..LldConfig::default()
     }
 }
 
 #[test]
 fn interleaved_arus_from_threads_commit_atomically() {
-    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &ld_config()).unwrap());
+    each_mode(interleaved_arus);
+}
+
+fn interleaved_arus(mode: (bool, usize)) {
+    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &ld_config(mode)).unwrap());
     let n_threads = 4;
     let arus_per_thread = 25;
 
@@ -84,7 +103,11 @@ fn interleaved_arus_from_threads_commit_atomically() {
 
 #[test]
 fn threads_with_aborts_and_commits_leave_clean_state() {
-    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &ld_config()).unwrap());
+    each_mode(aborts_and_commits);
+}
+
+fn aborts_and_commits(mode: (bool, usize)) {
+    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &ld_config(mode)).unwrap());
     std::thread::scope(|s| {
         for t in 0..4 {
             let ld = Arc::clone(&ld);
@@ -116,7 +139,11 @@ fn threads_with_aborts_and_commits_leave_clean_state() {
 
 #[test]
 fn concurrent_durability_callers_share_group_commit_batches() {
-    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &ld_config()).unwrap());
+    each_mode(durability_callers);
+}
+
+fn durability_callers(mode: (bool, usize)) {
+    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &ld_config(mode)).unwrap());
     let n_threads = 8;
     let arus_per_thread = 10;
 

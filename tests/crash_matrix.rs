@@ -4,23 +4,65 @@
 //! file's content prefix is exactly what was written.
 //!
 //! Cases are generated from a seeded RNG, so every run explores the
-//! same deterministic matrix.
+//! same deterministic matrix — once per point of the mode matrix
+//! ([`MODES`]) that the workload can tell apart: both writers, one and
+//! eight map shards, and both cleaners where the log wraps.
 
 use ld_aru::core::{CleanerConfig, Ctx, Lld, LldConfig, Position};
 use ld_aru::disk::{DiskModel, FaultPlan, MemDisk, SimDisk, SmallRng};
 use ld_aru::minixfs::{FsConfig, FsError, MinixFs};
 use ld_aru::workload::pattern_fill;
 
-fn ld_config() -> LldConfig {
+/// One point of the mode matrix: pipelined writer, background cleaner,
+/// map shards.
+type Mode = (bool, bool, usize);
+
+const MODES: [Mode; 8] = [
+    (false, false, 8),
+    (false, false, 1),
+    (false, true, 8),
+    (false, true, 1),
+    (true, false, 8),
+    (true, false, 1),
+    (true, true, 8),
+    (true, true, 1),
+];
+
+/// Where the log never wraps the cleaner has nothing to do, and the
+/// modes differ only by writer and shard count.
+fn modes_without_cleaning() -> impl Iterator<Item = Mode> {
+    MODES.into_iter().filter(|&(_, cleanerd, _)| !cleanerd)
+}
+
+fn with_mode((pipeline, cleanerd, shards): Mode, base: LldConfig) -> LldConfig {
     LldConfig {
-        block_size: 4096,
-        segment_bytes: 64 * 1024,
-        ..LldConfig::default()
+        pipeline,
+        map_shards: shards,
+        cleaner: CleanerConfig {
+            background: cleanerd,
+            ..base.cleaner
+        },
+        ..base
     }
+}
+
+fn ld_config(mode: Mode) -> LldConfig {
+    with_mode(
+        mode,
+        LldConfig {
+            block_size: 4096,
+            segment_bytes: 64 * 1024,
+            ..LldConfig::default()
+        },
+    )
 }
 
 #[test]
 fn any_crash_point_recovers_consistent() {
+    modes_without_cleaning().for_each(any_crash_point);
+}
+
+fn any_crash_point(mode: Mode) {
     let mut rng = SmallRng::seed_from_u64(0xC4A5_4001);
     for case in 0..24 {
         let crash_after = rng.gen_range(50_000, 4_000_000);
@@ -30,7 +72,7 @@ fn any_crash_point_recovers_consistent() {
 
         let sim = SimDisk::new(MemDisk::new(48 << 20), DiskModel::hp_c3010())
             .with_faults(FaultPlan::new().crash_after_bytes(crash_after));
-        let ld = Lld::format(sim, &ld_config()).unwrap();
+        let ld = Lld::format(sim, &ld_config(mode)).unwrap();
         let mut fs = MinixFs::format(
             ld,
             FsConfig {
@@ -62,13 +104,13 @@ fn any_crash_point_recovers_consistent() {
 
         // Recover from the surviving image.
         let image = fs.into_ld().into_device().into_inner().into_image();
-        let (ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
+        let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &ld_config(mode)).unwrap();
         let mut fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
 
         let report = fs2.verify().unwrap();
         assert!(
             report.is_consistent(),
-            "case {case}: problems: {:?}",
+            "{mode:?} case {case}: problems: {:?}",
             report.problems
         );
 
@@ -77,15 +119,15 @@ fn any_crash_point_recovers_consistent() {
         for entry in fs2.readdir("/").unwrap() {
             let i: u64 = entry.name[1..].parse().unwrap();
             let st = fs2.stat(entry.ino).unwrap();
-            assert!(st.size <= size as u64, "case {case}");
+            assert!(st.size <= size as u64, "{mode:?} case {case}");
             let mut buf = vec![0u8; st.size as usize];
             let got = fs2.read_at(entry.ino, 0, &mut buf).unwrap();
-            assert_eq!(got as u64, st.size, "case {case}");
+            assert_eq!(got as u64, st.size, "{mode:?} case {case}");
             pattern_fill(&mut expect, i);
             assert_eq!(
                 &buf[..],
                 &expect[..st.size as usize],
-                "case {case}: file {i} corrupt"
+                "{mode:?} case {case}: file {i} corrupt"
             );
         }
     }
@@ -100,23 +142,22 @@ fn any_crash_point_recovers_consistent() {
 /// the same byte budget the fault plan counts). After recovery:
 /// committed ARUs are all-or-nothing (the two hot blocks written by
 /// the same ARU always read the same generation), no relocated cold
-/// block is lost, and the disk stays usable. Exercised at 1 and 8 map
-/// shards.
+/// block is lost, and the disk stays usable. Exercised on both writers
+/// at 1 and 8 map shards.
 #[test]
 fn background_clean_crash_points_are_all_or_nothing() {
-    for &shards in &[1usize, 8] {
-        let cfg = LldConfig {
-            block_size: 512,
-            segment_bytes: 8 * 512,
-            max_blocks: Some(512),
-            max_lists: Some(64),
-            map_shards: shards,
-            cleaner: CleanerConfig {
-                background: true,
-                ..CleanerConfig::default()
+    for mode in MODES.into_iter().filter(|&(_, cleanerd, _)| cleanerd) {
+        let shards = format!("{mode:?}");
+        let cfg = with_mode(
+            mode,
+            LldConfig {
+                block_size: 512,
+                segment_bytes: 8 * 512,
+                max_blocks: Some(512),
+                max_lists: Some(64),
+                ..LldConfig::default()
             },
-            ..LldConfig::default()
-        };
+        );
         let mut crash_at = 150_000u64;
         let mut crashes = 0u32;
         let mut background_passes = 0u64;
@@ -178,12 +219,12 @@ fn background_clean_crash_points_are_all_or_nothing() {
             for (i, &b) in cold.iter().enumerate() {
                 let mut buf = vec![0u8; 512];
                 ld2.read(Ctx::Simple, b, &mut buf).unwrap_or_else(|e| {
-                    panic!("shards {shards}, crash at {crash_at}: cold block {i} lost: {e}")
+                    panic!("{shards}, crash at {crash_at}: cold block {i} lost: {e}")
                 });
                 assert_eq!(
                     buf,
                     vec![0xE0 + i as u8; 512],
-                    "shards {shards}, crash at {crash_at}: cold block {i} corrupt"
+                    "{shards}, crash at {crash_at}: cold block {i} corrupt"
                 );
             }
             let mut b0 = vec![0u8; 512];
@@ -192,7 +233,7 @@ fn background_clean_crash_points_are_all_or_nothing() {
             ld2.read(Ctx::Simple, h1, &mut b1).unwrap();
             assert_eq!(
                 b0, b1,
-                "shards {shards}, crash at {crash_at}: torn ARU ({} vs {})",
+                "{shards}, crash at {crash_at}: torn ARU ({} vs {})",
                 b0[0], b1[0]
             );
 
@@ -203,19 +244,20 @@ fn background_clean_crash_points_are_all_or_nothing() {
 
             crash_at += 350_000;
         }
-        assert!(
-            crashes >= 4,
-            "shards {shards}: only {crashes} crash points fired"
-        );
+        assert!(crashes >= 4, "{shards}: only {crashes} crash points fired");
         assert!(
             background_passes > 0,
-            "shards {shards}: the background cleaner never ran a pass"
+            "{shards}: the background cleaner never ran a pass"
         );
     }
 }
 
 #[test]
 fn double_crash_during_recovery_era_is_safe() {
+    modes_without_cleaning().for_each(double_crash);
+}
+
+fn double_crash(mode: Mode) {
     // Crash once, recover, do a little work, crash again mid-work,
     // recover again: consistency must hold at both steps.
     let mut rng = SmallRng::seed_from_u64(0xC4A5_4002);
@@ -225,7 +267,7 @@ fn double_crash_during_recovery_era_is_safe() {
 
         let sim = SimDisk::new(MemDisk::new(48 << 20), DiskModel::hp_c3010())
             .with_faults(FaultPlan::new().crash_after_bytes(crash_after));
-        let ld = Lld::format(sim, &ld_config()).unwrap();
+        let ld = Lld::format(sim, &ld_config(mode)).unwrap();
         let mut fs = MinixFs::format(
             ld,
             FsConfig {
@@ -246,9 +288,12 @@ fn double_crash_during_recovery_era_is_safe() {
         let image = fs.into_ld().into_device().into_inner().into_image();
         let sim2 = SimDisk::new(MemDisk::from_image(image), DiskModel::hp_c3010())
             .with_faults(FaultPlan::new().crash_after_bytes(second_crash));
-        let (ld2, _) = Lld::recover(sim2).unwrap();
+        let (ld2, _) = Lld::recover_with(sim2, &ld_config(mode)).unwrap();
         let mut fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
-        assert!(fs2.verify().unwrap().is_consistent(), "case {case}");
+        assert!(
+            fs2.verify().unwrap().is_consistent(),
+            "{mode:?} case {case}"
+        );
 
         let _ = (|| -> Result<(), FsError> {
             for i in 0..12 {
@@ -260,12 +305,12 @@ fn double_crash_during_recovery_era_is_safe() {
         })();
 
         let image2 = fs2.into_ld().into_device().into_inner().into_image();
-        let (ld3, _) = Lld::recover(MemDisk::from_image(image2)).unwrap();
+        let (ld3, _) = Lld::recover_with(MemDisk::from_image(image2), &ld_config(mode)).unwrap();
         let mut fs3 = MinixFs::mount(ld3, FsConfig::default()).unwrap();
         let report = fs3.verify().unwrap();
         assert!(
             report.is_consistent(),
-            "case {case}: problems: {:?}",
+            "{mode:?} case {case}: problems: {:?}",
             report.problems
         );
     }
@@ -279,13 +324,20 @@ fn double_crash_during_recovery_era_is_safe() {
 /// transaction if and only if the transaction's effects are present.
 #[test]
 fn dedup_journal_and_commit_survive_any_cut_together() {
+    modes_without_cleaning().for_each(dedup_journal_and_commit);
+}
+
+fn dedup_journal_and_commit(mode: Mode) {
     const CLIENT: u64 = 5;
     const BS: usize = 512;
-    let cfg = LldConfig {
-        block_size: BS,
-        segment_bytes: 16 * BS,
-        ..LldConfig::default()
-    };
+    let cfg = with_mode(
+        mode,
+        LldConfig {
+            block_size: BS,
+            segment_bytes: 16 * BS,
+            ..LldConfig::default()
+        },
+    );
     let mut rng = SmallRng::seed_from_u64(0xC4A5_4003);
     for case in 0..18 {
         let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
@@ -336,14 +388,14 @@ fn dedup_journal_and_commit_survive_any_cut_together() {
             let wid = u64::from_le_bytes(buf[..8].try_into().unwrap());
             assert!(
                 present.insert(wid),
-                "case {case}: write_id {wid} applied twice"
+                "{mode:?} case {case}: write_id {wid} applied twice"
             );
         }
         for wid in 1..=attempted {
             assert_eq!(
                 ld2.write_id_lookup(CLIENT, wid).is_some(),
                 present.contains(&wid),
-                "case {case} cut {crash_after}: write_id {wid} dedup/effects split-brain"
+                "{mode:?} case {case} cut {crash_after}: write_id {wid} dedup/effects split-brain"
             );
         }
     }
@@ -446,19 +498,23 @@ impl ld_aru::disk::BlockDevice for ReorderDisk {
 /// Repro of one seed: `REORDER_SEED=<seed> cargo test --test crash_matrix reordered`.
 #[test]
 fn reordered_persistence_keeps_flushed_commits_across_two_crashes() {
+    for shards in [8, 1] {
+        reordered_persistence((false, false, shards));
+    }
+}
+
+fn reordered_persistence(mode: Mode) {
     const BS: usize = 512;
-    let cfg = LldConfig {
-        block_size: BS,
-        segment_bytes: 16 * BS,
-        max_blocks: Some(512),
-        max_lists: Some(64),
-        pipeline: false,
-        cleaner: CleanerConfig {
-            background: false,
-            ..CleanerConfig::default()
+    let cfg = with_mode(
+        mode,
+        LldConfig {
+            block_size: BS,
+            segment_bytes: 16 * BS,
+            max_blocks: Some(512),
+            max_lists: Some(64),
+            ..LldConfig::default()
         },
-        ..LldConfig::default()
-    };
+    );
     struct Pair {
         blocks: [ld_aru::core::BlockId; 2],
         flushed: u8,
@@ -512,7 +568,7 @@ fn reordered_persistence_keeps_flushed_commits_across_two_crashes() {
 
             let image = ld.into_device().crash(&mut rng);
             let (ld2, _) = Lld::recover_with(ReorderDisk::from_image(image), &cfg)
-                .unwrap_or_else(|e| panic!("REORDER_SEED={seed} round {round}: {e}"));
+                .unwrap_or_else(|e| panic!("{mode:?} REORDER_SEED={seed} round {round}: {e}"));
             for (i, p) in pairs.iter_mut().enumerate() {
                 let mut got = [0u8; 2];
                 for (g, b) in got.iter_mut().zip(p.blocks) {
@@ -520,17 +576,17 @@ fn reordered_persistence_keeps_flushed_commits_across_two_crashes() {
                     ld2.read(Ctx::Simple, b, &mut buf).unwrap();
                     assert!(
                         buf.iter().all(|&x| x == buf[0]),
-                        "REORDER_SEED={seed} round {round}: pair {i} holds a mixed block"
+                        "{mode:?} REORDER_SEED={seed} round {round}: pair {i} holds a mixed block"
                     );
                     *g = buf[0];
                 }
                 assert_eq!(
                     got[0], got[1],
-                    "REORDER_SEED={seed} round {round}: pair {i} torn"
+                    "{mode:?} REORDER_SEED={seed} round {round}: pair {i} torn"
                 );
                 assert!(
                     (p.flushed..=p.written).contains(&got[0]),
-                    "REORDER_SEED={seed} round {round}: pair {i} reads generation {}, flushed {} written {}",
+                    "{mode:?} REORDER_SEED={seed} round {round}: pair {i} reads generation {}, flushed {} written {}",
                     got[0],
                     p.flushed,
                     p.written

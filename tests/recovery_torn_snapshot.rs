@@ -34,13 +34,21 @@ const BS: usize = 512;
 /// ahead of the first snapshot slab in an area.
 const CKPT_SLAB_START: u64 = 64 + 64 * 24;
 
-fn config(shards: usize) -> LldConfig {
+/// A point of the mode matrix these tests can tell apart: pipelined
+/// writer (checkpoint writes then go through its queue), map shards
+/// (one slab each). The log never wraps, so no cleaner runs.
+type Mode = (bool, usize);
+
+const MODES: [Mode; 4] = [(false, 8), (false, 1), (true, 8), (true, 1)];
+
+fn config((pipeline, shards): Mode) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: 16 * BS,
         max_blocks: Some(2048),
         max_lists: Some(256),
         map_shards: shards,
+        pipeline,
         ..LldConfig::default()
     }
 }
@@ -82,17 +90,17 @@ fn fingerprint(ld: &Lld<MemDisk>, world: &World) -> Fingerprint {
 
 /// Recovers a copy of `image` and fingerprints it. Returns the report's
 /// checkpoint_seq alongside.
-fn recover_fp(image: &[u8], shards: usize, world: &World) -> (Fingerprint, u64) {
+fn recover_fp(image: &[u8], mode: Mode, world: &World) -> (Fingerprint, u64) {
     let (ld, report) =
-        Lld::recover_with(MemDisk::from_image(image.to_vec()), &config(shards)).unwrap();
+        Lld::recover_with(MemDisk::from_image(image.to_vec()), &config(mode)).unwrap();
     (fingerprint(&ld, world), report.checkpoint_seq)
 }
 
 /// Builds the common disk: a few populated lists (flushed), one
 /// checkpoint, then a committed suffix of overwrites, deletions, and
 /// re-allocations above it. Returns the live disk and the handles.
-fn build_disk(shards: usize, suffix_arus: u64) -> (Lld<MemDisk>, World) {
-    let ld = Lld::format(MemDisk::new(4 << 20), &config(shards)).unwrap();
+fn build_disk(mode: Mode, suffix_arus: u64) -> (Lld<MemDisk>, World) {
+    let ld = Lld::format(MemDisk::new(4 << 20), &config(mode)).unwrap();
     let mut world = World {
         lists: Vec::new(),
         blocks: Vec::new(),
@@ -146,21 +154,21 @@ fn build_disk(shards: usize, suffix_arus: u64) -> (Lld<MemDisk>, World) {
 }
 
 /// The crash image of [`build_disk`] (the open segment's tail is lost).
-fn build_image(shards: usize, suffix_arus: u64) -> (Vec<u8>, World) {
-    let (ld, world) = build_disk(shards, suffix_arus);
+fn build_image(mode: Mode, suffix_arus: u64) -> (Vec<u8>, World) {
+    let (ld, world) = build_disk(mode, suffix_arus);
     (ld.into_device().into_image(), world)
 }
 
 /// A mid-slab tear invalidates the whole area (per-slab CRC): recovery
 /// falls back to scanning the full log and still reconstructs the
-/// suffix state. Exercised at 1 and 8 snapshot shards
+/// suffix state. Exercised on both writers at 1 and 8 snapshot shards
 /// — one big slab versus eight small ones with independent CRCs.
 #[test]
 fn mid_slab_tear_falls_back_to_full_scan() {
-    for &shards in &[1usize, 8] {
-        let (image, world) = build_image(shards, 40);
-        let (clean_fp, clean_seq) = recover_fp(&image, shards, &world);
-        assert!(clean_seq > 0, "shards {shards}: checkpoint not found clean");
+    for mode in MODES {
+        let (image, world) = build_image(mode, 40);
+        let (clean_fp, clean_seq) = recover_fp(&image, mode, &world);
+        assert!(clean_seq > 0, "{mode:?}: checkpoint not found clean");
 
         let probe = MemDisk::from_image(image.clone());
         let (layout, _, _) = Lld::probe(&probe).unwrap();
@@ -169,9 +177,9 @@ fn mid_slab_tear_falls_back_to_full_scan() {
         // payload (shard 0 always holds entries here).
         torn[(layout.ckpt_a + CKPT_SLAB_START + 8) as usize] ^= 0xFF;
 
-        let (fp, seq) = recover_fp(&torn, shards, &world);
-        assert_eq!(seq, 0, "shards {shards}: torn snapshot not rejected");
-        assert_eq!(fp, clean_fp, "shards {shards}: full-scan fallback diverges");
+        let (fp, seq) = recover_fp(&torn, mode, &world);
+        assert_eq!(seq, 0, "{mode:?}: torn snapshot not rejected");
+        assert_eq!(fp, clean_fp, "{mode:?}: full-scan fallback diverges");
     }
 }
 
@@ -180,8 +188,8 @@ fn mid_slab_tear_falls_back_to_full_scan() {
 /// replays the longer suffix on top of it.
 #[test]
 fn torn_ab_switch_falls_back_to_older_area() {
-    let shards = 8;
-    let ld = Lld::format(MemDisk::new(4 << 20), &config(shards)).unwrap();
+    let mode = MODES[0];
+    let ld = Lld::format(MemDisk::new(4 << 20), &config(mode)).unwrap();
     let mut world = World {
         lists: Vec::new(),
         blocks: Vec::new(),
@@ -217,13 +225,13 @@ fn torn_ab_switch_falls_back_to_older_area() {
     ld.flush().unwrap();
     let image = ld.into_device().into_image();
 
-    let (clean_fp, clean_seq) = recover_fp(&image, shards, &world);
+    let (clean_fp, clean_seq) = recover_fp(&image, mode, &world);
     let probe = MemDisk::from_image(image.clone());
     let (layout, _, _) = Lld::probe(&probe).unwrap();
     let mut torn = image.clone();
     torn[(layout.ckpt_b + CKPT_SLAB_START + 8) as usize] ^= 0xFF;
 
-    let (fp, seq) = recover_fp(&torn, shards, &world);
+    let (fp, seq) = recover_fp(&torn, mode, &world);
     assert!(seq > 0, "older area not used");
     assert!(seq < clean_seq, "fell back but kept the newer coverage?");
     assert_eq!(fp, clean_fp, "fallback state diverges");
@@ -235,13 +243,15 @@ fn torn_ab_switch_falls_back_to_older_area() {
 /// flushed, when the crash image was taken.
 #[test]
 fn stale_snapshot_under_reallocating_suffix() {
-    let (ld, world) = build_disk(8, 120);
-    ld.flush().unwrap();
-    let live_fp = fingerprint(&ld, &world);
-    let image = ld.into_device().into_image();
-    let (fp, seq) = recover_fp(&image, 8, &world);
-    assert!(seq > 0, "checkpoint not used");
-    assert_eq!(fp, live_fp, "replay diverges from the live disk");
+    for mode in MODES {
+        let (ld, world) = build_disk(mode, 120);
+        ld.flush().unwrap();
+        let live_fp = fingerprint(&ld, &world);
+        let image = ld.into_device().into_image();
+        let (fp, seq) = recover_fp(&image, mode, &world);
+        assert!(seq > 0, "{mode:?}: checkpoint not used");
+        assert_eq!(fp, live_fp, "{mode:?}: replay diverges from the live disk");
+    }
 }
 
 /// Byte offsets inside a checkpoint area (mirrors `checkpoint.rs`):
@@ -277,7 +287,7 @@ fn reseal_header(image: &mut [u8], area: usize) {
 /// device does not have is a typed error, not an out-of-bounds index.
 #[test]
 fn snapshot_entry_outside_device_is_corrupt() {
-    let (image, _) = build_image(1, 10);
+    let (image, _) = build_image((false, 1), 10);
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let area = layout.ckpt_a as usize;
     let slab = area + CKPT_SLAB_START as usize;
@@ -292,7 +302,7 @@ fn snapshot_entry_outside_device_is_corrupt() {
         let slab_crc = crc32(&hostile[slab..slab + slab_len]);
         put_u32(&mut hostile, dir + DIR_SLAB_CRC, slab_crc);
         reseal_header(&mut hostile, area);
-        let got = Lld::recover_with(MemDisk::from_image(hostile), &config(1));
+        let got = Lld::recover_with(MemDisk::from_image(hostile), &config((false, 1)));
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
             "entry field at +{field} = {value}: {:?}",
@@ -306,18 +316,18 @@ fn snapshot_entry_outside_device_is_corrupt() {
 /// back to the older area and replays the longer suffix.
 #[test]
 fn overflowing_directory_entry_falls_back_to_older_area() {
-    let (ld, world) = build_disk(8, 20);
+    let (ld, world) = build_disk((false, 8), 20);
     ld.flush().unwrap();
     ld.checkpoint().unwrap(); // area B (newer)
     let image = ld.into_device().into_image();
-    let (clean_fp, clean_seq) = recover_fp(&image, 8, &world);
+    let (clean_fp, clean_seq) = recover_fp(&image, (false, 8), &world);
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
 
     let mut hostile = image.clone();
     let area = layout.ckpt_b as usize;
     hostile[area + 64..area + 72].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
     reseal_header(&mut hostile, area);
-    let (fp, seq) = recover_fp(&hostile, 8, &world);
+    let (fp, seq) = recover_fp(&hostile, (false, 8), &world);
     assert!(seq > 0 && seq < clean_seq, "older area not used: {seq}");
     assert_eq!(fp, clean_fp, "fallback state diverges");
 }
@@ -328,11 +338,11 @@ fn overflowing_directory_entry_falls_back_to_older_area() {
 /// other.
 #[test]
 fn snapshot_shard_count_migrates() {
-    let (image, world) = build_image(8, 60);
-    let (base_fp, base_seq) = recover_fp(&image, 8, &world);
+    let (image, world) = build_image((false, 8), 60);
+    let (base_fp, base_seq) = recover_fp(&image, (false, 8), &world);
     assert!(base_seq > 0);
     for &shards in &[1usize, 16] {
-        let (fp, seq) = recover_fp(&image, shards, &world);
+        let (fp, seq) = recover_fp(&image, (false, shards), &world);
         assert_eq!(seq, base_seq, "shards {shards}");
         assert_eq!(fp, base_fp, "recover at {shards} shards diverges");
     }
@@ -345,12 +355,12 @@ fn snapshot_shard_count_migrates() {
 /// holding a pattern some round actually wrote.
 #[test]
 fn checkpoint_write_crash_matrix() {
-    for &shards in &[1usize, 8] {
+    for mode in MODES {
         let mut crash_at = 40_000u64;
         while crash_at < 400_000 {
             let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010())
                 .with_faults(FaultPlan::new().crash_after_bytes(crash_at));
-            let ld = Lld::format(sim, &config(shards)).unwrap();
+            let ld = Lld::format(sim, &config(mode)).unwrap();
             let mut world = World {
                 lists: Vec::new(),
                 blocks: Vec::new(),
@@ -384,13 +394,13 @@ fn checkpoint_write_crash_matrix() {
             .is_err();
 
             let image = ld.into_device().into_inner().into_image();
-            let (fp, _) = recover_fp(&image, shards, &world);
+            let (fp, _) = recover_fp(&image, mode, &world);
             // The flushed base blocks all survive, each holding its
             // base pattern or some round's overwrite.
             for (i, c) in fp.contents.iter().enumerate().take(sealed) {
-                let c = c.as_ref().unwrap_or_else(|| {
-                    panic!("shards {shards}, cut {crash_at}: flushed block {i} lost")
-                });
+                let c = c
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("{mode:?}, cut {crash_at}: flushed block {i} lost"));
                 let written = std::iter::once(i as u64)
                     .chain((0..40u64).map(|round| 0x1000 + round * 100 + i as u64))
                     .any(|seed| {
@@ -399,7 +409,7 @@ fn checkpoint_write_crash_matrix() {
                     });
                 assert!(
                     written,
-                    "shards {shards}, cut {crash_at}: block {i} holds bytes never written"
+                    "{mode:?}, cut {crash_at}: block {i} holds bytes never written"
                 );
             }
             assert!(crashed || crash_at > 200_000, "cut {crash_at} never fired");
