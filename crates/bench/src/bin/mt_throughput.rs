@@ -38,7 +38,10 @@
 //! the length of a full pass, checkpoint barrier included) vs
 //! `cleanerd` (passes run on their own thread; the foreground only
 //! pauses for short relocation windows) — and the report is foreground
-//! ops/s for each plus the background/inline speedup.
+//! ops/s for each plus the background/inline speedup. Each pair runs at
+//! two fills: one the cleaner's target allows, which must finish, and
+//! one past it, where the run is expected to end in `DiskFull` and is
+//! reported as such ([`PRESSURE_FILLS`]).
 //!
 //! A fourth study, `--pipeline`, measures the pipelined device layer:
 //! the same sync-commit workload runs twice per thread count — device
@@ -74,7 +77,7 @@
 
 use ld_bench::{BenchConfig, Version};
 use ld_core::obs::json::{Arr, Obj};
-use ld_core::{CleanerConfig, Lld, LldConfig};
+use ld_core::{CleanerConfig, Lld, LldConfig, LldError};
 use ld_disk::{BlockDevice, FileDisk, LatencyDisk, MemDisk};
 use ld_workload::{MtMode, MtWorkload};
 use std::time::{Duration, Instant};
@@ -558,33 +561,59 @@ fn run_pipeline_compare(
     }
 }
 
-/// One inline-vs-background measurement at a fixed thread count.
+/// Live blocks the `--clean-pressure` study fills the device to, cold
+/// prefill and churn working set together. Its 20 slots of 8 blocks
+/// hold 120 at the most (six data blocks beside header and summary),
+/// and the cleaner is asked for 8 free slots, which leaves room for 72.
+///
+/// * 64 is within that: both cleaners must finish it.
+/// * 88 is past it: the target is out of reach, every pass runs until
+///   nothing is left to pick, and with two of a slot's eight blocks
+///   going to every partial segment's header and summary the churn ends
+///   in `DiskFull` even at one thread. The row is there so that regime
+///   keeps being run; it is reported, not required to finish
+///   (EXPERIMENTS.md "Clean pressure", `crates/core/tests/cleaner.rs::
+///   churn_capacity_on_eight_block_slots_is_86_live_blocks`).
+const PRESSURE_FILLS: [usize; 2] = [64, 88];
+
+/// One cleaner's run of the study: foreground ops/s (`None` if the run
+/// ended in `DiskFull`) and the counters up to there.
+#[derive(Debug)]
+struct PressureOutcome {
+    ops_per_sec: Option<f64>,
+    stats: ld_core::LldStats,
+}
+
+/// One inline-vs-background measurement at a fixed thread count and
+/// fill.
 #[derive(Debug)]
 struct PressureRun {
     threads: usize,
-    inline_ops_per_sec: f64,
-    background_ops_per_sec: f64,
-    speedup: f64,
-    inline_cleaner_runs: u64,
-    inline_relocated: u64,
-    background_passes: u64,
-    background_relocated: u64,
-    backpressure_stalls: u64,
+    live_blocks: usize,
+    inline: PressureOutcome,
+    background: PressureOutcome,
+}
+
+impl PressureRun {
+    /// Background over inline foreground ops/s, when both finished.
+    fn speedup(&self) -> Option<f64> {
+        Some(self.background.ops_per_sec? / self.inline.ops_per_sec?.max(1e-9))
+    }
 }
 
 /// Runs the overwrite-churn workload on a tiny device twice per thread
-/// count — inline cleaner, then `cleanerd` — and reports foreground
-/// ops/s for each. The device holds only 16 segments of 64 KiB while
-/// each group-committed sync fills roughly one segment, so the log
-/// wraps every handful of commits and cleaning cost is a first-order
-/// term in the foreground wall clock.
+/// count and fill ([`PRESSURE_FILLS`]) — inline cleaner, then
+/// `cleanerd` — and reports foreground ops/s for each. The device holds
+/// only 20 slots of 4 KiB while each group-committed sync seals a
+/// segment, so the log wraps every handful of commits and cleaning cost
+/// is a first-order term in the foreground wall clock.
 fn run_clean_pressure(
     thread_counts: &[usize],
     total_arus: usize,
     shards_override: Option<usize>,
     json: bool,
 ) {
-    let one = |threads: usize, background: bool| -> (f64, ld_core::LldStats) {
+    let one = |threads: usize, live_blocks: usize, background: bool| -> PressureOutcome {
         let mut cfg = LldConfig {
             block_size: 512,
             segment_bytes: 8 * 512,
@@ -604,7 +633,8 @@ fn run_clean_pressure(
         if let Some(n) = shards_override {
             cfg.map_shards = n;
         }
-        // Superblock + both checkpoint areas + 16 segments.
+        // Superblock, both checkpoint areas and 16 segments at the most;
+        // the areas come out smaller and leave 20.
         let cap = 512 + 2 * 64 * 1024 + 16 * 8 * 512;
         // Media reads cost real time here: relocation is read-dominated,
         // and `cleanerd` issues its victim reads with no locks held
@@ -613,16 +643,16 @@ fn run_clean_pressure(
         let device =
             LatencyDisk::new(MemDisk::new(cap as u64), BARRIER_COST).with_read_delay(READ_COST);
         let ld = Lld::format(device, &cfg).expect("format");
-        // Cold data topping the live set up to ~80% of the data slots
-        // (the churn working set is 8 blocks per thread): cold blocks
-        // are never rewritten, so every log wrap must *relocate* them —
-        // without them churn segments die wholesale and cleaning
-        // degenerates to reclaiming dead segments, which costs nothing
-        // worth moving off the foreground path.
-        let cold_blocks = 88usize.saturating_sub(8 * threads);
-        {
+        // Cold data topping the live set up to `live_blocks` (the churn
+        // working set is 8 blocks per thread): cold blocks are never
+        // rewritten, so every log wrap must *relocate* them — without
+        // them churn segments die wholesale and cleaning degenerates to
+        // reclaiming dead segments, which costs nothing worth moving off
+        // the foreground path.
+        let cold_blocks = live_blocks.saturating_sub(8 * threads);
+        let run = || -> ld_core::Result<f64> {
             use ld_core::{Ctx, Position};
-            let list = ld.new_list(Ctx::Simple).expect("cold list");
+            let list = ld.new_list(Ctx::Simple)?;
             let mut prev = None;
             let data = vec![0xCD_u8; 512];
             for _ in 0..cold_blocks {
@@ -630,41 +660,50 @@ fn run_clean_pressure(
                     None => Position::First,
                     Some(p) => Position::After(p),
                 };
-                let b = ld.new_block(Ctx::Simple, list, pos).expect("cold block");
-                ld.write(Ctx::Simple, b, &data).expect("cold write");
+                let b = ld.new_block(Ctx::Simple, list, pos)?;
+                ld.write(Ctx::Simple, b, &data)?;
                 prev = Some(b);
             }
-            ld.flush().expect("cold flush");
-        }
-        let wl = MtWorkload {
-            threads,
-            arus_per_thread: total_arus.max(threads) / threads,
-            blocks_per_aru: 2,
-            sync_every: 4,
-            mode: MtMode::Churn,
-            seed: 42,
+            ld.flush()?;
+            let wl = MtWorkload {
+                threads,
+                arus_per_thread: total_arus.max(threads) / threads,
+                blocks_per_aru: 2,
+                sync_every: 4,
+                mode: MtMode::Churn,
+                seed: 42,
+            };
+            let start = Instant::now();
+            let report = wl.run(&ld)?;
+            let wall = start.elapsed().as_secs_f64();
+            Ok(report.ops as f64 / wall.max(1e-9))
         };
-        let start = Instant::now();
-        let report = wl.run(&ld).expect("workload");
-        let wall = start.elapsed().as_secs_f64();
-        (report.ops as f64 / wall.max(1e-9), ld.stats())
+        let ops_per_sec = match run() {
+            Ok(ops_per_sec) => Some(ops_per_sec),
+            Err(LldError::DiskFull) => None,
+            Err(e) => panic!("clean-pressure run: {e}"),
+        };
+        PressureOutcome {
+            ops_per_sec,
+            stats: ld.stats(),
+        }
     };
 
     let mut runs: Vec<PressureRun> = Vec::new();
     for &threads in thread_counts {
-        let (inline_ops, inline_stats) = one(threads, false);
-        let (bg_ops, bg_stats) = one(threads, true);
-        runs.push(PressureRun {
-            threads,
-            inline_ops_per_sec: inline_ops,
-            background_ops_per_sec: bg_ops,
-            speedup: bg_ops / inline_ops.max(1e-9),
-            inline_cleaner_runs: inline_stats.cleaner_runs,
-            inline_relocated: inline_stats.blocks_relocated,
-            background_passes: bg_stats.cleaner_passes,
-            background_relocated: bg_stats.cleaner_blocks_relocated,
-            backpressure_stalls: bg_stats.backpressure_stalls,
-        });
+        for live_blocks in PRESSURE_FILLS {
+            let run = PressureRun {
+                threads,
+                live_blocks,
+                inline: one(threads, live_blocks, false),
+                background: one(threads, live_blocks, true),
+            };
+            assert!(
+                live_blocks > PRESSURE_FILLS[0] || run.speedup().is_some(),
+                "DiskFull at {threads} threads, {live_blocks} live blocks: {run:?}"
+            );
+            runs.push(run);
+        }
     }
 
     if json {
@@ -673,14 +712,26 @@ fn run_clean_pressure(
             arr.push_raw(
                 &Obj::new()
                     .u64("threads", r.threads as u64)
-                    .f64("inline_ops_per_sec", r.inline_ops_per_sec)
-                    .f64("background_ops_per_sec", r.background_ops_per_sec)
-                    .f64("speedup", r.speedup)
-                    .u64("inline_cleaner_runs", r.inline_cleaner_runs)
-                    .u64("inline_relocated", r.inline_relocated)
-                    .u64("background_passes", r.background_passes)
-                    .u64("background_relocated", r.background_relocated)
-                    .u64("backpressure_stalls", r.backpressure_stalls)
+                    .u64("live_blocks", r.live_blocks as u64)
+                    .bool("inline_disk_full", r.inline.ops_per_sec.is_none())
+                    .bool("background_disk_full", r.background.ops_per_sec.is_none())
+                    .f64("inline_ops_per_sec", r.inline.ops_per_sec.unwrap_or(0.0))
+                    .f64(
+                        "background_ops_per_sec",
+                        r.background.ops_per_sec.unwrap_or(0.0),
+                    )
+                    .f64("speedup", r.speedup().unwrap_or(0.0))
+                    .u64("inline_cleaner_runs", r.inline.stats.cleaner_runs)
+                    .u64("inline_relocated", r.inline.stats.blocks_relocated)
+                    .u64("background_passes", r.background.stats.cleaner_passes)
+                    .u64(
+                        "background_relocated",
+                        r.background.stats.cleaner_blocks_relocated,
+                    )
+                    .u64(
+                        "backpressure_stalls",
+                        r.background.stats.backpressure_stalls,
+                    )
                     .finish(),
             );
         }
@@ -694,27 +745,38 @@ fn run_clean_pressure(
 
     println!(
         "Clean pressure: {total_arus} ARUs of overwrite churn (2 blocks each, sync every 4th) \
-         on a 16-segment device"
+         on a 20-slot device"
     );
     println!(
-        "  threads | inline ops/s | cleanerd ops/s | speedup | inline runs/reloc | bg passes/reloc | stalls"
+        "  threads | live | inline ops/s | cleanerd ops/s | speedup | inline runs/reloc | bg passes/reloc | stalls"
     );
+    let cell = |o: &PressureOutcome| match o.ops_per_sec {
+        Some(ops_per_sec) => format!("{ops_per_sec:.0}"),
+        None => "DiskFull".to_string(),
+    };
     for r in &runs {
+        let (inline, background) = (&r.inline.stats, &r.background.stats);
         println!(
-            "  {:>7} | {:>12.0} | {:>14.0} | {:>6.2}x | {:>11} | {:>9} | {:>6}",
+            "  {:>7} | {:>4} | {:>12} | {:>14} | {:>7} | {:>17} | {:>15} | {:>6}",
             r.threads,
-            r.inline_ops_per_sec,
-            r.background_ops_per_sec,
-            r.speedup,
-            format!("{}/{}", r.inline_cleaner_runs, r.inline_relocated),
-            format!("{}/{}", r.background_passes, r.background_relocated),
-            r.backpressure_stalls
+            r.live_blocks,
+            cell(&r.inline),
+            cell(&r.background),
+            r.speedup().map_or("-".to_string(), |x| format!("{x:.2}x")),
+            format!("{}/{}", inline.cleaner_runs, inline.blocks_relocated),
+            format!(
+                "{}/{}",
+                background.cleaner_passes, background.cleaner_blocks_relocated
+            ),
+            background.backpressure_stalls
         );
     }
-    if let Some(r) = runs.iter().find(|r| r.threads >= 4) {
+    if let Some((r, x)) =
+        (runs.iter()).find_map(|r| Some((r, r.speedup()?)).filter(|_| r.threads >= 4))
+    {
         println!(
-            "  at {} threads the background cleaner sustains {:.2}x the inline foreground ops/s",
-            r.threads, r.speedup
+            "  at {} threads the background cleaner sustains {x:.2}x the inline foreground ops/s",
+            r.threads
         );
     }
 }

@@ -15,12 +15,14 @@
 //! subsystem is for.
 //!
 //! **Restart vs device size** — the same checkpointed working set and
-//! the same 48-segment suffix on devices of 64, 256 and 1024 segment
-//! slots (48 is what fits beside the working set on the smallest), recovered through a [`LatencyDisk`] that charges 100 µs per
-//! read (the access time the `benchmark/` ledger models). Recovery
-//! walks the log's chain from the checkpoint's head, so the scan issues
-//! two reads per suffix segment plus one and restart does not grow with
-//! the device; a scan that probed every slot would add 100 µs per slot.
+//! the same suffix of 48 flushed update ARUs on devices of 64, 256 and
+//! 1024 segment slots, recovered through a [`LatencyDisk`] that charges
+//! 100 µs per read (the access time the `benchmark/` ledger models).
+//! Each flushed ARU is a segment of its own, or two when its slot runs
+//! out under it. Recovery walks the log's chain from the checkpoint's
+//! head, so the scan issues one read per suffix segment, one more per
+//! slot the suffix enters, and restart does not grow with the device; a
+//! scan that probed every slot would add 100 µs per slot.
 //!
 //! The consistency check (`check_on_recovery`) is off for every run:
 //! it is an optional post-recovery audit, and its full-map walk would
@@ -144,7 +146,7 @@ fn sized_config() -> LldConfig {
 }
 
 /// An image on a device of exactly `slots` segment slots: a 50-ARU
-/// working set under a checkpoint, then `suffix` one-ARU segments.
+/// working set under a checkpoint, then `suffix` flushed update ARUs.
 fn build_sized_image(slots: u64, suffix: u64) -> Vec<u8> {
     let cfg = sized_config();
     let data_start = Layout::compute(1 << 30, &cfg).expect("layout").data_start;
@@ -216,14 +218,17 @@ fn main() {
     }
 
     // Restart stays flat as the device grows under a fixed suffix.
+    // 48 flushed ARUs are 51 segments: three of them find their slot
+    // run out halfway and finish in the next one.
     let sized_suffix: u64 = 48;
+    let sized_segments: u64 = 51;
     let repeats: usize = if quick { 3 } else { 7 };
     let mut sized = Arr::new();
     let mut sized_rows: Vec<(u64, Vec<f64>, RecoveryReport)> = Vec::new();
     for slots in [64u64, 256, 1024] {
         let image = build_sized_image(slots, sized_suffix);
         let (walls, report) = recover_on_latency_disk(&image, repeats);
-        assert_eq!(u64::from(report.segments_replayed), sized_suffix);
+        assert_eq!(u64::from(report.segments_replayed), sized_segments);
         sized.push_raw(
             &Obj::new()
                 .u64("segment_slots", slots)
@@ -257,7 +262,7 @@ fn main() {
                 .str("device", "latency(mem), 100us per read")
                 .u64("host_cores", host_cores as u64)
                 .u64("repeats", repeats as u64)
-                .u64("suffix_segments", sized_suffix)
+                .u64("suffix_flushed_arus", sized_suffix)
                 .raw("runs", &sized.finish())
                 .finish(),
         );
@@ -287,7 +292,7 @@ fn main() {
     }
     println!();
     println!(
-        "Restart vs device size: fixed {sized_suffix}-segment suffix, 100 us per read, \
+        "Restart vs device size: fixed suffix of {sized_suffix} flushed ARUs, 100 us per read, \
          median [min, max] of {repeats}"
     );
     println!(

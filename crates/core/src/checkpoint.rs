@@ -10,18 +10,18 @@
 //! and the cleaner only reuses slots whose sequence number the latest
 //! checkpoint covers.
 //!
-//! # On-disk format (sharded; header as of format version 3)
+//! # On-disk format (sharded; header as of format version 4)
 //!
 //! Each of the two alternating areas (A/B) holds one checkpoint as
 //! *per-shard snapshot slabs* behind a header and a slab directory:
 //!
 //! ```text
-//! area+0    header (64 B): magic u32, head link u32, covered seq, ts,
+//! area+0    header (68 B): magic u32, head link u32, covered seq, ts,
 //!           floors, snap_shards, dir crc, n_dedup, dedup crc,
-//!           head slot u32, header crc
-//! area+64   directory (24 B per slab, space reserved for 64):
+//!           head slot u32, head base u32, header crc
+//! area+68   directory (24 B per slab, space reserved for 64):
 //!           n_blocks, n_lists, slab crc
-//! area+64+1536  slab 0 | slab 1 | … (block entries then list entries)
+//! area+68+1536  slab 0 | slab 1 | … (block entries then list entries)
 //!               | dedup slab (32 B per write-id outcome)
 //! ```
 //!
@@ -32,9 +32,10 @@
 //! independently.
 //!
 //! The header also records where the log continues past the covered
-//! sequence number — the [`ChainHead`]: the slot segment `seq + 1` is
-//! (or will be) in and the header CRC of segment `seq` — which is where
-//! recovery starts its walk of the suffix (see `segment.rs`).
+//! sequence number — the [`ChainHead`]: the slot and the block in it
+//! where segment `seq + 1` is (or will be), and the header CRC of
+//! segment `seq` — which is where recovery starts its walk of the
+//! suffix (see `segment.rs`).
 //!
 //! Torn-write safety is header-last + A/B alternation: slabs are
 //! written first, then the directory, then the header (all CRC'd), then
@@ -70,16 +71,17 @@
 
 use crate::error::{LldError, Result};
 use crate::layout::{
-    Layout, CKPT_BLOCK_ENTRY, CKPT_DEDUP_ENTRY, CKPT_DIR_ENTRY, CKPT_DIR_RESERVE, CKPT_HEADER,
-    CKPT_LIST_ENTRY, MAX_SNAP_SHARDS,
+    u32_at, u64_at, Layout, CKPT_BLOCK_ENTRY, CKPT_DEDUP_ENTRY, CKPT_DIR_ENTRY, CKPT_DIR_RESERVE,
+    CKPT_HEADER, CKPT_LIST_ENTRY, MAX_SNAP_SHARDS,
 };
 use crate::lld::{LldInner, LogState, Mutation};
 use crate::segment::ChainHead;
 use crate::state::{BlockRecord, ListRecord, Tables};
 use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp};
 use ld_disk::{crc32, BlockDevice};
+use std::sync::atomic::Ordering;
 
-const CKPT_MAGIC: u32 = 0x4C43_4B33; // "LCK3"
+const CKPT_MAGIC: u32 = 0x4C43_4B34; // "LCK4"
 
 /// Checkpoint-area I/O state, behind the `ckpt_io` leaf mutex (see the
 /// module docs).
@@ -131,21 +133,6 @@ pub(crate) struct SlabData {
     pub(crate) lists: Vec<(ListId, ListRecord)>,
 }
 
-// Little-endian field readers. Callers index buffers they sized (or
-// length-checked) themselves, so the range is in bounds, and a range
-// of N bytes always fills an N-byte array.
-fn u32_at(buf: &[u8], at: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&buf[at..at + 4]);
-    u32::from_le_bytes(b)
-}
-
-fn u64_at(buf: &[u8], at: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[at..at + 8]);
-    u64::from_le_bytes(b)
-}
-
 /// One checkpoint being written: what *begin* pinned, and what the slab
 /// steps have put into the area so far.
 struct CkptWrite {
@@ -182,6 +169,7 @@ impl CkptWrite {
         h.extend_from_slice(&n_dedup.to_le_bytes());
         h.extend_from_slice(&dedup_crc.to_le_bytes());
         h.extend_from_slice(&self.head.slot.to_le_bytes());
+        h.extend_from_slice(&self.head.base.to_le_bytes());
         let crc = crc32(&h);
         h.extend_from_slice(&crc.to_le_bytes());
         debug_assert_eq!(h.len() as u64, CKPT_HEADER);
@@ -261,13 +249,17 @@ impl<D: BlockDevice> Mutation<'_, D> {
     /// Step 1, *begin*: seals the current segment (so the committed
     /// state becomes persistent and is included), pins what the
     /// checkpoint covers, and takes the inactive area. Needs a full
-    /// session. The next segment is opened only if that leaves `reserve`
-    /// slots free (else by whoever appends next, under its own reserve).
+    /// session. If the next segment needs a fresh slot, it is opened
+    /// only if that leaves `reserve` slots free (else by whoever appends
+    /// next, under its own reserve).
     fn ckpt_begin(&mut self, reserve: usize) -> Result<CkptWrite> {
         debug_assert!(self.map.holds_all_shards_write());
-        if self.seal_current()? && self.log().free_slots.len() > reserve {
-            self.open_segment(reserve)?;
+        if self.seal_current()? {
+            self.open_segment_if_free(reserve)?;
         }
+        // This checkpoint covers the seal that asked for one, its own
+        // included.
+        self.lld.needs_checkpoint.store(false, Ordering::Relaxed);
         // A log-only seal (the flush leader) may have left committed
         // records undrained; every record in the overlay now belongs to
         // a sealed-or-current segment the checkpoint covers, so drain
@@ -366,7 +358,8 @@ impl<D: BlockDevice> LldInner<D> {
                     sh.snap_pending = false;
                     sh.snap_copy = None;
                 }
-            });
+                Ok(())
+            })?;
         }
         done
     }
@@ -449,9 +442,10 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
     layout: &Layout,
     area: u64,
 ) -> Result<Option<CkptHeaderInfo>> {
+    const BODY: usize = CKPT_HEADER as usize - 4;
     let mut header = [0u8; CKPT_HEADER as usize];
     device.read_at(area, &mut header)?;
-    if crc32(&header[..60]) != u32_at(&header, 60) {
+    if crc32(&header[..BODY]) != u32_at(&header, BODY) {
         return Ok(None);
     }
     let u32at = |p: usize| u32_at(&header, p);
@@ -460,6 +454,7 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
     }
     let head = ChainHead {
         slot: u32at(56),
+        base: u32at(60),
         link: u32at(4),
     };
     let seq = u64_at(&header, 8);
@@ -617,7 +612,7 @@ mod tests {
     use super::*;
     use crate::obs::TraceEvent;
     use crate::{Ctx, Lld, LldConfig, Position};
-    use ld_disk::MemDisk;
+    use ld_disk::{DiskModel, MemDisk, SimDisk};
 
     /// Everything recovery would load from one area, in a comparable
     /// order, plus the byte count the area occupies.
@@ -673,6 +668,42 @@ mod tests {
             })
             .collect();
         assert_eq!(reported, [a.2, b.2]);
+    }
+
+    /// The checkpoint a seal found due is written by a full session
+    /// that succeeds, not by one whose operation failed (its tables may
+    /// be ahead of the log); one that cannot be written is counted.
+    #[test]
+    fn due_checkpoint_waits_for_a_session_that_succeeds() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let cfg = LldConfig {
+            block_size: 512,
+            segment_bytes: 16 * 512,
+            ..LldConfig::default()
+        };
+        let device = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010());
+        let ld = Lld::format(device, &cfg).unwrap();
+        ld.needs_checkpoint.store(true, Relaxed);
+        let failed: Result<()> = ld.with_mutation(|_| Err(LldError::DiskFull));
+        assert!(matches!(failed, Err(LldError::DiskFull)));
+        assert!(ld.needs_checkpoint.load(Relaxed), "still due");
+        assert_eq!(ld.stats().checkpoints, 0);
+
+        ld.with_mutation(|_| Ok(())).unwrap();
+        assert!(!ld.needs_checkpoint.load(Relaxed));
+        let stats = ld.stats();
+        assert_eq!((stats.checkpoints, stats.checkpoint_failures), (1, 0));
+
+        // The device dies: the session's own work (none) succeeds, the
+        // checkpoint does not.
+        ld.device().force_crash();
+        ld.needs_checkpoint.store(true, Relaxed);
+        ld.with_mutation(|_| Ok(())).unwrap();
+        let stats = ld.stats();
+        assert_eq!((stats.checkpoints, stats.checkpoint_failures), (1, 1));
+        ld.needs_checkpoint.store(true, Relaxed);
+        ld.after_scoped();
+        assert_eq!(ld.stats().checkpoint_failures, 2);
     }
 
     /// On a full disk the cleaner's checkpoint seals the open segment

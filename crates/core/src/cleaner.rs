@@ -2,23 +2,28 @@
 //! forward.
 //!
 //! "If LLD runs out of disk space it uses a segment cleaner to reclaim
-//! unused disk space" (§2). The policy here is greedy
-//! lowest-utilisation, *packing*: victims are the sealed segments with
-//! the fewest live blocks, taken together as long as their combined
-//! live blocks fit in one output segment. Live blocks are copied into
-//! the current segment (with fresh `Write` records preserving their
-//! logical timestamps), and the victim slots are released together
-//! with the seal of the relocation records: no segment is opened in a
-//! victim before that seal is written.
-//! Packing matters for workloads that seal small segments (e.g. a sync
-//! after every tiny commit): cleaning such victims one at a time frees
-//! one slot per sealed output — zero net progress — while packing
-//! compacts many of them into a single output segment.
+//! unused disk space" (§2). The unit of cleaning is the *slot*, which
+//! holds one full segment or several sealed early by flushes (see
+//! `segment.rs`); per-slot liveness (`live_count`, `residents`) does
+//! not care which. The policy is greedy lowest-utilisation, *packing*:
+//! victims are the sealed slots with the fewest live blocks, taken
+//! together as long as their combined live blocks fit in one output
+//! segment. Live blocks are copied into the current segment (with fresh
+//! `Write` records preserving their logical timestamps), and the victim
+//! slots are released together with the seal of the relocation records:
+//! no segment is opened in a victim before that seal is written.
+//! Packing pays where overwrites and deletions leave many slots with a
+//! handful of live blocks each: one batch, one seal and one checkpoint
+//! test hand back all of them, where cleaning them one at a time seals
+//! (header, summary, barrier on the next flush) once per slot freed.
 //!
-//! Correctness constraint: a slot may be reused only when its old
-//! records are covered by a checkpoint — otherwise a later recovery scan
-//! would miss operations that used to live there. The cleaner writes a
-//! checkpoint automatically when its candidates are not yet covered.
+//! Correctness constraint: a slot may be reused only when every
+//! segment in it is covered by a checkpoint — otherwise a later
+//! recovery scan would miss operations that used to live there. Hence
+//! `slot_seq` holds the *newest* segment of each slot, the slot the log
+//! is being written into is nobody's victim
+//! ([`LogState::open_slot`]), and the cleaner writes a checkpoint
+//! automatically when its candidates are not yet covered.
 //!
 //! The cleaner relocates blocks of arbitrary identifiers, so it only
 //! ever runs inside a *full* mutation session (all shards write-locked).
@@ -34,9 +39,10 @@ use ld_disk::BlockDevice;
 
 /// The policy both cleaners share (this one and [`crate::cleanerd`]).
 impl LogState {
-    /// Slots holding a sealed segment, with its sequence number.
+    /// Slots holding sealed segments only — not the one the log is
+    /// being written into — with the sequence number of the newest.
     fn sealed_slots(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        let current = self.builder.as_ref().map(|b| b.slot().get());
+        let current = self.open_slot();
         (0..self.slot_seq.len() as u32)
             .map(|slot| (slot, self.slot_seq[slot as usize]))
             .filter(move |&(slot, seq)| {
@@ -157,6 +163,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             self.clean_batch(&victims)?;
         }
         let free_segments = self.log().free_slots.len() as u32;
+        self.log().clean_fell_short = (free_segments as usize) < target;
         self.lld.obs.event(
             self.lld.now(),
             crate::obs::TraceEvent::CleanerPass {

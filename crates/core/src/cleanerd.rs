@@ -496,8 +496,8 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
     out.freed = ld.with_mutation(|m| {
         let freed = m.log().release_covered_empty();
         m.sync_free_hint();
-        freed
-    });
+        Ok(freed)
+    })?;
     ld.obs.stage_end(
         ld.now(),
         trace,

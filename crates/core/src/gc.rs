@@ -174,7 +174,7 @@ impl<D: BlockDevice> LldInner<D> {
             // exists for.
             let seal_timer = self.obs.timer();
             self.obs.stage_begin(self.now(), trace, Stage::Seal);
-            let seal = self.with_mutation_at(0, 0, |m| m.roll_segment(0));
+            let seal = self.with_mutation_at(0, 0, |m| m.roll_for_flush());
             self.after_scoped();
             self.obs
                 .stage_end(self.now(), trace, Stage::Seal, Obs::elapsed(seal_timer));
@@ -203,7 +203,7 @@ impl<D: BlockDevice> LldInner<D> {
         } else {
             let seal_timer = self.obs.timer();
             self.obs.stage_begin(self.now(), trace, Stage::Seal);
-            let seal = self.with_mutation_at(0, 0, |m| m.roll_segment(0));
+            let seal = self.with_mutation_at(0, 0, |m| m.roll_for_flush());
             self.after_scoped();
             self.obs
                 .stage_end(self.now(), trace, Stage::Seal, Obs::elapsed(seal_timer));

@@ -20,15 +20,16 @@ use ld_disk::crc32;
 /// Size of the fixed-length superblock encoding.
 pub(crate) const SUPERBLOCK_LEN: usize = 64;
 const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
-/// 3: segment headers carry `next_slot` / `prev_link` / `epoch` and the
-/// checkpoint header the chain head (see `segment.rs`). Other versions
-/// are refused, not converted.
-const FORMAT_VERSION: u32 = 3;
+/// 4: a slot holds several segments back to back, a block address
+/// counts from the slot's start, and the checkpoint's chain head names a
+/// block inside a slot (see `segment.rs`). Other versions are refused,
+/// not converted.
+const FORMAT_VERSION: u32 = 4;
 
 /// Per-entry sizes in a checkpoint area (see `checkpoint.rs`).
 pub(crate) const CKPT_BLOCK_ENTRY: u64 = 40;
 pub(crate) const CKPT_LIST_ENTRY: u64 = 32;
-pub(crate) const CKPT_HEADER: u64 = 64;
+pub(crate) const CKPT_HEADER: u64 = 68;
 
 /// Per-slab directory entry: `n_blocks` u64, `n_lists` u64, slab crc32,
 /// padding u32.
@@ -50,7 +51,9 @@ pub(crate) const CKPT_DEDUP_ENTRY: u64 = crate::dedup::DEDUP_ENTRY_LEN as u64;
 pub struct Layout {
     /// Block size in bytes.
     pub block_size: usize,
-    /// Segment size in bytes (header block + data blocks + summary).
+    /// Size of one segment slot in bytes. A full segment (header block,
+    /// data blocks, summary) takes all of it; segments sealed early by
+    /// a flush share it.
     pub segment_bytes: usize,
     /// Number of segment slots.
     pub n_segments: u32,
@@ -70,6 +73,22 @@ pub struct Layout {
 
 fn round_up(v: u64, to: u64) -> u64 {
     v.div_ceil(to) * to
+}
+
+// Little-endian field readers for the fixed-layout headers (segment,
+// checkpoint). Callers index buffers they sized (or length-checked)
+// themselves, so the range is in bounds, and a range of N bytes always
+// fills an N-byte array.
+pub(crate) fn u32_at(buf: &[u8], at: usize) -> u32 {
+    let mut b = [0u8; 4];
+    b.copy_from_slice(&buf[at..at + 4]);
+    u32::from_le_bytes(b)
+}
+
+pub(crate) fn u64_at(buf: &[u8], at: usize) -> u64 {
+    let mut b = [0u8; 8];
+    b.copy_from_slice(&buf[at..at + 8]);
+    u64::from_le_bytes(b)
 }
 
 impl Layout {
@@ -129,15 +148,27 @@ impl Layout {
         self.data_start + u64::from(slot) * self.segment_bytes as u64
     }
 
-    /// Byte offset of the data block at `addr` (slot 0 of a segment is
-    /// the block right after the segment-header block).
-    pub fn block_offset(&self, addr: PhysAddr) -> u64 {
-        self.segment_offset(addr.segment.get()) + u64::from(addr.slot + 1) * self.block_size as u64
+    /// Byte offset of block `block` of segment slot `slot`, counting
+    /// the slot's first block (always a header) as 0.
+    pub(crate) fn block_at(&self, slot: u32, block: u32) -> u64 {
+        self.segment_offset(slot) + u64::from(block) * self.block_size as u64
     }
 
-    /// Data-block slots per segment.
+    /// Byte offset of the data block at `addr` (index 0 is the block
+    /// right after the slot's first block).
+    pub fn block_offset(&self, addr: PhysAddr) -> u64 {
+        self.block_at(addr.segment.get(), addr.slot + 1)
+    }
+
+    /// Blocks in one segment slot, headers and summaries included.
+    pub fn blocks_per_slot(&self) -> u32 {
+        (self.segment_bytes / self.block_size) as u32
+    }
+
+    /// Data-block indices per segment slot (the first block of a slot is
+    /// always a header).
     pub fn slots_per_segment(&self) -> u32 {
-        (self.segment_bytes / self.block_size - 1) as u32
+        self.blocks_per_slot() - 1
     }
 
     /// Total data-block slots on the device.
@@ -220,6 +251,18 @@ impl Layout {
         let block_size = u32f(&mut pos) as usize;
         let segment_bytes = u32f(&mut pos) as usize;
         let n_segments = u32f(&mut pos);
+        // What `LldConfig::validate` asks at format time. Everything
+        // that places a block or a header inside a slot divides by
+        // these.
+        if !block_size.is_power_of_two()
+            || block_size < 512
+            || !segment_bytes.is_multiple_of(block_size)
+            || segment_bytes / block_size < 4
+        {
+            return Err(LldError::Corrupt(format!(
+                "superblock geometry: {segment_bytes}-byte segments of {block_size}-byte blocks"
+            )));
+        }
         let u64g = |p: &mut usize| {
             let v = u64::from_le_bytes(buf[*p..*p + 8].try_into().expect("8 bytes"));
             *p += 8;
@@ -345,6 +388,26 @@ mod tests {
         assert!(Layout::decode_superblock(&buf[..10]).is_err());
         // All-zero block: checksum of zeros won't match either.
         assert!(Layout::decode_superblock(&[0u8; SUPERBLOCK_LEN]).is_err());
+    }
+
+    #[test]
+    fn superblock_geometry_is_checked() {
+        // Under a valid CRC: a block size of zero or not a power of
+        // two, a segment that is not whole blocks, or too few of them.
+        let good = Layout::compute(1 << 20, &small_config()).unwrap();
+        for (block_size, segment_bytes) in [(0, 4096), (768, 4608), (512, 4000), (512, 1536)] {
+            let layout = Layout {
+                block_size,
+                segment_bytes,
+                ..good.clone()
+            };
+            let buf =
+                layout.encode_superblock(ConcurrencyMode::Concurrent, ReadVisibility::OwnShadow);
+            assert!(
+                matches!(Layout::decode_superblock(&buf), Err(LldError::Corrupt(_))),
+                "{block_size} / {segment_bytes}"
+            );
+        }
     }
 
     #[test]

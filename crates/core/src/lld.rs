@@ -19,7 +19,7 @@ use crate::config::{CleanerConfig, ConcurrencyMode, LldConfig, ReadVisibility};
 use crate::error::{LldError, Result};
 use crate::flight::FlightRecorder;
 use crate::gc::GroupCommit;
-use crate::layout::{Layout, SUPERBLOCK_LEN};
+use crate::layout::{Layout, CKPT_HEADER, SUPERBLOCK_LEN};
 use crate::obs::{Obs, ObsSnapshot, Stage, TraceEvent};
 use crate::sampler::Sampler;
 use crate::segment::{header_link, ChainHead, SegmentBuilder, HEADER_PUNCH, NO_SLOT};
@@ -51,8 +51,9 @@ pub(crate) struct LogState {
     /// The segment currently being filled in memory. `None` only
     /// transiently (mid-roll) or when the disk is full.
     pub(crate) builder: Option<SegmentBuilder>,
-    /// Per physical slot: log sequence number of the sealed segment it
-    /// holds (0 = none/invalid).
+    /// Per physical slot: log sequence number of the newest sealed
+    /// segment it holds (0 = none/invalid). A checkpoint that covers it
+    /// covers every segment in the slot.
     pub(crate) slot_seq: Vec<u64>,
     /// Physical slots available for new segments.
     pub(crate) free_slots: BTreeSet<u32>,
@@ -63,13 +64,14 @@ pub(crate) struct LogState {
     /// (the cleaner's work list).
     pub(crate) residents: Vec<HashSet<BlockId>>,
     pub(crate) next_seq: u64,
-    /// Header CRC of the last sealed segment (0 before the first): the
-    /// `prev_link` of the next one.
-    pub(crate) tail_link: u32,
-    /// The slot the last sealed header points at, until
-    /// [`open_segment`](Mutation::open_segment) takes it. It stays in
-    /// `free_slots` meanwhile; `None` when that header says [`NO_SLOT`].
-    pub(crate) promised: Option<u32>,
+    /// Where the log goes on behind the last sealed segment, and that
+    /// segment's header CRC (`link`, 0 before the first: the `prev_link`
+    /// of the next one). With a builder open, its position. Without
+    /// one, what the last sealed header points at until
+    /// [`open_segment`](Mutation::open_segment) takes it: behind that
+    /// segment in its own slot, block 0 of a fresh slot, which stays in
+    /// `free_slots` meanwhile, or [`NO_SLOT`].
+    pub(crate) tail: ChainHead,
     /// Salt for the segment headers this mount writes (see
     /// `segment.rs`): drawn per format or recovery from the standard
     /// library's per-process random source.
@@ -77,6 +79,11 @@ pub(crate) struct LogState {
     /// Highest segment sequence number covered by an on-disk checkpoint.
     pub(crate) checkpoint_seq: u64,
     pub(crate) cleaning: bool,
+    /// The inline cleaner's last pass ended short of
+    /// `target_free_segments`: the disk is too full for it, and a flush
+    /// does not ask for the next pass early (see
+    /// [`roll_for_flush`](Mutation::roll_for_flush)).
+    pub(crate) clean_fell_short: bool,
 }
 
 impl LogState {
@@ -88,28 +95,36 @@ impl LogState {
             live_count: vec![0; n_segments],
             residents: vec![HashSet::new(); n_segments],
             next_seq: 1,
-            tail_link: 0,
-            promised: None,
+            tail: ChainHead {
+                slot: NO_SLOT,
+                base: 0,
+                link: 0,
+            },
             epoch: RandomState::new().build_hasher().finish() as u32,
             checkpoint_seq: 0,
             cleaning: false,
+            clean_fell_short: false,
         }
     }
 
     /// What a checkpoint taken now covers and records: the sequence
-    /// number of the last sealed segment, and where the log continues
-    /// — the open builder's slot, else the slot the last sealed header
-    /// points at.
+    /// number of the last sealed segment, and where the log continues.
     pub(crate) fn covered_point(&self) -> (u64, ChainHead) {
-        let (covered, slot) = match &self.builder {
-            Some(b) => (b.seq() - 1, b.slot().get()),
-            None => (self.next_seq - 1, self.promised.unwrap_or(NO_SLOT)),
+        let covered = match &self.builder {
+            Some(b) => b.seq() - 1,
+            None => self.next_seq - 1,
         };
-        let head = ChainHead {
-            slot,
-            link: self.tail_link,
-        };
-        (covered, head)
+        (covered, self.tail)
+    }
+
+    /// The slot the log is being written into: the builder's, or the one
+    /// the last sealed segment continues in. It holds sealed segments
+    /// and is not in `free_slots`, but it is not the cleaner's yet.
+    pub(crate) fn open_slot(&self) -> Option<u32> {
+        match &self.builder {
+            Some(b) => Some(b.slot().get()),
+            None => self.tail.in_slot().then_some(self.tail.slot),
+        }
     }
 }
 
@@ -398,6 +413,10 @@ pub struct LldInner<D> {
     /// Set by a scoped session whose segment roll found free segments
     /// scarce; drained by [`after_scoped`](LldInner::after_scoped).
     pub(crate) needs_clean: AtomicBool,
+    /// Set by a seal that leaves `n_segments` or more segments past the
+    /// last checkpoint; the session that finds it writes one when it
+    /// ends (see [`seal_current`](Mutation::seal_current)).
+    pub(crate) needs_checkpoint: AtomicBool,
     pub(crate) stats: StatsCell,
     pub(crate) obs: Obs,
     /// Coordination state of the background cleaner thread (a leaf
@@ -449,8 +468,11 @@ impl<D: BlockDevice + 'static> Lld<D> {
         // Write the superblock.
         let sb = layout.encode_superblock(config.concurrency, config.visibility);
         device.write_at(0, &sb)?;
-        // Invalidate both checkpoint areas and every segment header.
-        let zeros = [0u8; 64];
+        // Invalidate both checkpoint areas and the header at the start
+        // of every slot. Segments of the previous log further inside a
+        // slot stay on the medium: the new log starts at block 0 of
+        // slot 0 under a new epoch, and none of them links to it.
+        let zeros = [0u8; CKPT_HEADER as usize];
         device.write_at(layout.ckpt_a, &zeros)?;
         device.write_at(layout.ckpt_b, &zeros)?;
         for slot in 0..layout.n_segments {
@@ -475,6 +497,7 @@ impl<D: BlockDevice + 'static> Lld<D> {
             ts_counter: AtomicU64::new(0),
             free_slots_hint: AtomicU64::new(n as u64),
             needs_clean: AtomicBool::new(false),
+            needs_checkpoint: AtomicBool::new(false),
             stats: StatsCell::default(),
             obs: Obs::new(config.obs),
             cleanerd: Cleanerd::new(),
@@ -540,8 +563,13 @@ impl<D: BlockDevice> ld_disk::PipeObserver for PipeObsAdapter<D> {
 
 impl<D: BlockDevice> LldInner<D> {
     /// Runs `f` in a *full* mutation session: every ARU slot and every
-    /// map shard locked exclusively, in the canonical order.
-    pub(crate) fn with_mutation<T>(&self, f: impl FnOnce(&mut Mutation<'_, D>) -> T) -> T {
+    /// map shard locked exclusively, in the canonical order. If a seal
+    /// in the session found a checkpoint due and `f` succeeded, the
+    /// session writes it before it ends.
+    pub(crate) fn with_mutation<T>(
+        &self,
+        f: impl FnOnce(&mut Mutation<'_, D>) -> Result<T>,
+    ) -> Result<T> {
         self.stats.full_mutations.inc();
         let all = self.maps.all_set();
         let arus = self.maps.lock_arus(all);
@@ -551,7 +579,24 @@ impl<D: BlockDevice> LldInner<D> {
             map: MapView::new(self.maps.nshards(), arus, shards),
             log_guard: None,
         };
-        f(&mut m)
+        let out = f(&mut m);
+        // Here, where the operation is over, and not in the roll that
+        // found the suffix long: a roll may come halfway through a
+        // commit, with part of the unit in the tables and its commit
+        // record unwritten. (The inline cleaner's covering checkpoint
+        // does run inside the roll, as it always has — ROADMAP; this
+        // is not a second such place.) After an error the tables may
+        // be ahead of the log, so the flag stays up for a session that
+        // succeeds.
+        if out.is_ok()
+            && self.needs_checkpoint.swap(false, Ordering::Relaxed)
+            && m.checkpoint_inner().is_err()
+        {
+            // Nobody to hand the error to: the operation succeeded. The
+            // next seal asks again.
+            self.stats.checkpoint_failures.inc();
+        }
+        out
     }
 
     /// Runs `f` in a *scoped* mutation session holding only the ARU
@@ -595,13 +640,26 @@ impl<D: BlockDevice> LldInner<D> {
     }
 
     /// Post-scoped-session housekeeping: runs the cleaner under a full
-    /// session when a scoped segment roll found free segments scarce.
-    /// Must be called with no mapping-layer locks held.
+    /// session when a scoped segment roll found free segments scarce,
+    /// and writes the checkpoint a scoped seal found due. Reads two
+    /// flags and no lock: the synchronous seal holds the log mutex
+    /// across its device write. Must be called with no mapping-layer
+    /// locks held.
     pub(crate) fn after_scoped(&self) {
         if self.needs_clean.swap(false, Ordering::Relaxed) {
             // An error here resurfaces on the next operation that needs
             // space.
             let _ = self.run_cleaner();
+        }
+        // Whoever takes the flag writes the checkpoint: every thread
+        // that comes through here while it is up sees it, and one
+        // checkpoint is due. A failure is counted; the next seal asks
+        // again.
+        if self.needs_checkpoint.load(Ordering::Relaxed)
+            && self.needs_checkpoint.swap(false, Ordering::Relaxed)
+            && self.checkpoint().is_err()
+        {
+            self.stats.checkpoint_failures.inc();
         }
     }
 
@@ -836,7 +894,8 @@ impl<D: BlockDevice> LldInner<D> {
 
     /// Reads the data of a block at `addr`: from the in-memory segment
     /// buffer if the address is in the currently open segment, from the
-    /// cache or device otherwise.
+    /// cache or device otherwise — which includes the sealed segments
+    /// in front of the open one in its slot.
     ///
     /// Callers must hold at least shared access to the shard mapping
     /// `addr`'s block, so the cleaner cannot relocate `addr` mid-read.
@@ -844,13 +903,13 @@ impl<D: BlockDevice> LldInner<D> {
         {
             let log = self.log.lock();
             if let Some(b) = &log.builder {
-                if b.slot() == addr.segment {
-                    if addr.slot >= b.n_blocks() {
+                if b.slot() == addr.segment && addr.slot >= b.base() {
+                    let Some(data) = b.read_block(addr.slot) else {
                         return Err(LldError::Corrupt(format!(
                             "address {addr} beyond open segment contents"
                         )));
-                    }
-                    buf.copy_from_slice(b.read_block(addr.slot));
+                    };
+                    buf.copy_from_slice(data);
                     return Ok(());
                 }
             }
@@ -1317,13 +1376,40 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// [`LldInner::after_scoped`] when no (healthy) cleanerd is
     /// running.
     pub(crate) fn roll_segment(&mut self, reserve: usize) -> Result<()> {
+        self.roll(reserve, false)
+    }
+
+    /// [`roll_segment`](Self::roll_segment) for the flush leader, which
+    /// asks for the cleaner one slot earlier: *at* `min_free_segments`,
+    /// where [`scoped_ok`](LldInner::scoped_ok) already sends every
+    /// operation through a full session. While every seal took a slot
+    /// the pass fell on a flush anyway; now that a flush continues in
+    /// its slot it would fall on whichever write fills the slot, a
+    /// dozen operations later. The flush's caller waits for the device
+    /// as it is, and its barrier covers what the pass writes.
+    /// Only while passes reach their target
+    /// ([`LogState::clean_fell_short`]): one that cannot goes through
+    /// every covered slot before it gives up, and asking a slot early
+    /// would have it do so twice as often.
+    pub(crate) fn roll_for_flush(&mut self) -> Result<()> {
+        self.roll(0, true)
+    }
+
+    fn roll(&mut self, reserve: usize, for_flush: bool) -> Result<()> {
         let had_content = self.seal_current()?;
         if self.log().builder.is_none() {
             self.open_segment(reserve)?;
         }
         if had_content && self.lld.cleaner_cfg.enabled {
-            let free = self.log().free_slots.len() as u32;
-            if free < self.lld.cleaner_cfg.min_free_segments {
+            let CleanerConfig {
+                min_free_segments: min_free,
+                target_free_segments: target,
+                ..
+            } = self.lld.cleaner_cfg;
+            let log = self.log();
+            let free = log.free_slots.len() as u32;
+            let early = for_flush && !log.clean_fell_short && free == min_free && free < target;
+            if free < min_free || early {
                 if self.map.holds_all_shards_write() {
                     if !self.log().cleaning {
                         self.run_cleaner_inner()?;
@@ -1331,7 +1417,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 } else if !self.lld.cleanerd.kick() {
                     self.lld.needs_clean.store(true, Ordering::Relaxed);
                 }
-            } else if free < self.lld.cleaner_cfg.target_free_segments {
+            } else if free < target {
                 // Low watermark: wake cleanerd early, while there is
                 // still headroom, so foreground operations never reach
                 // the full-session fallback at all.
@@ -1356,24 +1442,29 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 let seal_blocks = b.n_blocks();
                 let seal_bytes = b.encoded_len() as u64;
                 let slot = b.slot().get();
-                let seg_off = self.lld.layout.segment_offset(slot);
-                // The successor's slot goes into this header, so it is
-                // chosen now; it stays in `free_slots` until
-                // `open_segment` takes it.
-                let promised = self.log().free_slots.first().copied();
-                let header = b.header_bytes(promised.unwrap_or(NO_SLOT));
+                let layout = &self.lld.layout;
+                let seg_off = layout.block_at(slot, b.base());
+                // The successor's position goes into this header, so it
+                // is chosen now: behind this segment while the slot has
+                // room, else block 0 of a free slot, which stays in
+                // `free_slots` until `open_segment` takes it.
+                let (next_slot, next_base) = match b.successor_base() {
+                    Some(base) => (slot, base),
+                    None => (self.log().free_slots.first().copied().unwrap_or(NO_SLOT), 0),
+                };
+                let header = b.header_bytes(next_slot);
                 if self.lld.device.is_pipelined() {
                     // The data blocks were streamed to the device as they
                     // were placed (see `place_block_data`), so the seal
                     // writes only the tail: the summary, then the header
                     // *last*. The pipeline applies writes in FIFO order,
-                    // so the header — the one thing that makes the slot
-                    // scan as a sealed segment — cannot reach the device
-                    // before every byte it vouches for; a crash anywhere
-                    // in the stream recovers as "no segment", the same
-                    // all-or-nothing the single-write path gets from its
-                    // prefix-torn writes.
-                    let data_end = (1 + u64::from(seal_blocks)) * self.lld.layout.block_size as u64;
+                    // so the header — the one thing that makes the
+                    // position scan as a sealed segment — cannot reach
+                    // the device before every byte it vouches for; a
+                    // crash anywhere in the stream recovers as "no
+                    // segment", the same all-or-nothing the single-write
+                    // path gets from its prefix-torn writes.
+                    let data_end = (1 + u64::from(seal_blocks)) * layout.block_size as u64;
                     if !b.summary_bytes().is_empty() {
                         self.lld
                             .device
@@ -1383,10 +1474,22 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 } else {
                     self.lld.device.write_at(seg_off, &b.seal(&header))?;
                 }
+                let n_segments = u64::from(layout.n_segments);
                 let log = self.log();
                 log.slot_seq[slot as usize] = seal_seq;
-                log.tail_link = header_link(&header);
-                log.promised = promised;
+                log.tail = ChainHead {
+                    slot: next_slot,
+                    base: next_base,
+                    link: header_link(&header),
+                };
+                // While every seal took a slot, the cleaner had to
+                // checkpoint before the log could wrap, so a restart
+                // never replayed more than `n_segments` segments. Now a
+                // slot holds many: keep that bound by asking for a
+                // checkpoint once the suffix is that long.
+                if seal_seq - log.checkpoint_seq >= n_segments {
+                    self.lld.needs_checkpoint.store(true, Ordering::Relaxed);
+                }
                 self.lld.stats.segments_sealed.inc();
                 self.lld.obs.event(
                     self.lld.now(),
@@ -1411,50 +1514,45 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         }
     }
 
-    /// Opens a new segment — in the slot the last sealed header points
-    /// at, else in the lowest free slot — refusing if that would leave
-    /// fewer than `reserve` slots free.
+    /// Opens a new segment where the last sealed header points — behind
+    /// that segment in its slot, or in a fresh slot — else in the lowest
+    /// free slot. Taking a fresh slot is refused if it would leave fewer
+    /// than `reserve` slots free.
     pub(crate) fn open_segment(&mut self, reserve: usize) -> Result<()> {
         debug_assert!(self.log().builder.is_none());
-        if self.log().free_slots.len() <= reserve {
-            return Err(LldError::DiskFull);
-        }
         let log = self.log();
-        let slot = match log.promised.take() {
-            Some(slot) if log.free_slots.remove(&slot) => slot,
-            Some(slot) => {
-                return Err(LldError::Corrupt(format!(
-                    "internal: slot {slot}, which the log's tail points at, was taken"
-                )))
+        if !log.tail.in_slot() {
+            if log.free_slots.len() <= reserve {
+                return Err(LldError::DiskFull);
             }
-            None => log.free_slots.pop_first().ok_or(LldError::DiskFull)?,
-        };
-        self.sync_free_hint();
-        // The slot may hold a cleaned segment whose blocks are cached;
-        // new data written here must never be shadowed by stale entries.
-        self.lld
-            .cache
-            .lock()
-            .invalidate_segment(SegmentId::new(slot));
-        if self.lld.device.is_pipelined() {
-            // This slot's data blocks will be streamed to the device
-            // *before* its header (header-last seal). If the slot holds
-            // an old sealed segment, its stale header would stay valid
-            // over half-overwritten data until the new header lands —
-            // and a crash in that window would resurrect the old
-            // segment filled with new bytes. Punch the old header first;
-            // FIFO write order then guarantees no scan of this slot
-            // succeeds until the new header is on disk.
+            let slot = match log.tail.slot {
+                NO_SLOT => log.free_slots.pop_first().ok_or(LldError::DiskFull)?,
+                slot if log.free_slots.remove(&slot) => slot,
+                slot => {
+                    return Err(LldError::Corrupt(format!(
+                        "internal: slot {slot}, which the log's tail points at, was taken"
+                    )))
+                }
+            };
+            log.tail.slot = slot;
+            log.tail.base = 0;
+            self.sync_free_hint();
+            // The slot may hold a cleaned segment whose blocks are
+            // cached; new data written here must never be shadowed by
+            // stale entries.
             self.lld
-                .device
-                .write_at(self.lld.layout.segment_offset(slot), &HEADER_PUNCH)?;
+                .cache
+                .lock()
+                .invalidate_segment(SegmentId::new(slot));
         }
         let layout = &self.lld.layout;
         let log = self.log();
+        let ChainHead { slot, base, link } = log.tail;
         let builder = SegmentBuilder::new(
             SegmentId::new(slot),
+            base,
             log.next_seq,
-            log.tail_link,
+            link,
             log.epoch,
             layout.block_size,
             layout.segment_bytes,
@@ -1462,6 +1560,16 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         log.next_seq += 1;
         log.builder = Some(builder);
         Ok(())
+    }
+
+    /// [`open_segment`](Self::open_segment), except that a disk with no
+    /// slot to spare stays without an open segment: whoever appends next
+    /// opens one, under its own reserve.
+    pub(crate) fn open_segment_if_free(&mut self, reserve: usize) -> Result<()> {
+        match self.open_segment(reserve) {
+            Ok(()) | Err(LldError::DiskFull) => Ok(()),
+            Err(e) => Err(e),
+        }
     }
 
     /// Emits a (non-`Write`) summary record into the current segment.
@@ -1525,7 +1633,8 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
             // device and the seal writes only summary + header. Safe
             // because the builder is append-only (a block is never
             // rewritten in place; re-placing allocates a new slot) and
-            // the slot's stale header was punched at `open_segment`.
+            // whatever header the segment's base still holds cannot
+            // link to the log's tail (docs/PIPELINE.md).
             self.lld
                 .device
                 .write_at(self.lld.layout.block_offset(addr), data)?;

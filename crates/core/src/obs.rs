@@ -1282,6 +1282,7 @@ fn lld_stats_from(v: &json::Value) -> LldStats {
             "cleaner_stale_skips" => s.cleaner_stale_skips = n,
             "backpressure_stalls" => s.backpressure_stalls = n,
             "checkpoints" => s.checkpoints = n,
+            "checkpoint_failures" => s.checkpoint_failures = n,
             "list_walk_steps" => s.list_walk_steps = n,
             "shadow_cow_records" => s.shadow_cow_records = n,
             "shadow_records_merged" => s.shadow_records_merged = n,
@@ -1472,6 +1473,7 @@ fn lld_stats_json(s: &LldStats) -> String {
     o.u64("cleaner_stale_skips", s.cleaner_stale_skips);
     o.u64("backpressure_stalls", s.backpressure_stalls);
     o.u64("checkpoints", s.checkpoints);
+    o.u64("checkpoint_failures", s.checkpoint_failures);
     o.u64("list_walk_steps", s.list_walk_steps);
     o.u64("shadow_cow_records", s.shadow_cow_records);
     o.u64("shadow_records_merged", s.shadow_records_merged);

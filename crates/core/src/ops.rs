@@ -473,11 +473,15 @@ impl<D: BlockDevice> Mutation<'_, D> {
         match stream {
             Stream::Merged(tag) => {
                 let members = self.walk_list(StateRef::Committed, list)?;
+                // Room for the record first: a `DiskFull` on the roll
+                // must find the tables as the log has them.
+                let rec = Record::DeleteList { list, ts, aru: tag };
+                self.ensure_room(0, rec.encoded_len(), 0)?;
                 for &b in &members {
                     self.dealloc_block(StateRef::Committed, b, ts)?;
                 }
                 self.dealloc_list(StateRef::Committed, list, ts)?;
-                self.emit_reserve(Record::DeleteList { list, ts, aru: tag }, 0)?;
+                self.emit_reserve(rec, 0)?;
                 match tag {
                     None => {
                         self.release_ids(members, vec![list]);
@@ -579,16 +583,16 @@ impl<D: BlockDevice> Mutation<'_, D> {
                     .view_block(StateRef::Committed, block)
                     .filter(|r| r.allocated)
                     .ok_or(LldError::BlockNotAllocated(block))?;
+                // Room for the record first, as in `delete_list_op`.
+                let rec = Record::DeleteBlock {
+                    block,
+                    ts,
+                    aru: tag,
+                };
+                self.ensure_room(0, rec.encoded_len(), 0)?;
                 self.unlink_block(StateRef::Committed, block, ts)?;
                 self.dealloc_block(StateRef::Committed, block, ts)?;
-                self.emit_reserve(
-                    Record::DeleteBlock {
-                        block,
-                        ts,
-                        aru: tag,
-                    },
-                    0,
-                )?;
+                self.emit_reserve(rec, 0)?;
                 match tag {
                     None => {
                         self.release_ids(vec![block], Vec::new());

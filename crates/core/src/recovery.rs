@@ -25,10 +25,12 @@
 //!    slabs are CRC-checked, decoded and inserted into one
 //!    [`ReplayState`].
 //! 2. **Scan** — the log's chain is walked from the checkpoint's
-//!    [`ChainHead`] (slot 0, link 0 without one): a segment is accepted
-//!    iff header CRC, sequence number and `prev_link` fit, and the
-//!    first miss ends the log. Reads are 2 × suffix + 1 whatever the
-//!    device size; only a [`NO_SLOT`] hop probes every slot.
+//!    [`ChainHead`] (block 0 of slot 0, link 0 without one): a segment
+//!    is accepted iff header CRC, sequence number and `prev_link` fit,
+//!    and the first miss ends the log. A hop inside a slot costs one
+//!    read (the summary's read brings the next header with it), a hop
+//!    to another slot two, whatever the device size; only a [`NO_SLOT`]
+//!    hop probes every slot.
 //! 3. **Replay** — [`drive_chain`] walks the chain in log order,
 //!    resolves ARU commit points, and each effective record is applied
 //!    to the replay state.
@@ -45,7 +47,9 @@ use crate::gc::GroupCommit;
 use crate::layout::Layout;
 use crate::lld::{Lld, LldInner, LogState};
 use crate::obs::{recovery_trace, Obs, Stage};
-use crate::segment::{read_header, read_summary, ChainHead, NO_SLOT};
+use crate::segment::{
+    parse_header, read_header, read_summary, valid_base, ChainHead, SegmentHeader, NO_SLOT,
+};
 use crate::shard::Maps;
 use crate::state::{BlockRecord, ListRecord, StateOverlay, Tables};
 use crate::summary::Record;
@@ -62,7 +66,8 @@ pub struct RecoveryReport {
     /// Sequence number of the checkpoint recovery started from (0 =
     /// none; the whole log was replayed).
     pub checkpoint_seq: u64,
-    /// Segment slots whose header the scan phase read.
+    /// Positions (block 0 of a slot, or the block behind a segment)
+    /// whose header the scan phase examined.
     pub segments_scanned: u32,
     /// Valid segments replayed (sequence numbers above the checkpoint).
     pub segments_replayed: u32,
@@ -602,7 +607,11 @@ impl<D: BlockDevice + 'static> Lld<D> {
         };
         let mut ckpt_seq = 0u64;
         // Without a checkpoint: where `LogState::fresh` starts the log.
-        let mut head = ChainHead { slot: 0, link: 0 };
+        let mut head = ChainHead {
+            slot: 0,
+            base: 0,
+            link: 0,
+        };
         let mut ts_floor = 0u64;
         let mut block_floor = 1u64;
         let mut list_floor = 1u64;
@@ -645,6 +654,15 @@ impl<D: BlockDevice + 'static> Lld<D> {
             }
             break;
         }
+        // A head where no writer starts a segment would open one that
+        // can take nothing.
+        let blocks_per_slot = layout.blocks_per_slot();
+        if head.slot != NO_SLOT && !valid_base(blocks_per_slot, head.base) {
+            return Err(LldError::Corrupt(format!(
+                "checkpoint's log head is block {} of a {blocks_per_slot}-block slot",
+                head.base
+            )));
+        }
         report.checkpoint_seq = ckpt_seq;
         report.snapshot_load_ns = t_snap.elapsed().as_nanos() as u64;
         obs.stage_end(
@@ -659,33 +677,53 @@ impl<D: BlockDevice + 'static> Lld<D> {
         obs.stage_begin(0, trace, Stage::RecoveryScan);
         let mut chain: Vec<(SegmentId, Vec<Record>)> = Vec::new();
         let mut slot_seq = vec![0u64; n];
+        // The bytes at `head`'s position, when the read of the summary
+        // in front of it brought them along.
+        let mut fetched = None;
         // Each accepted hop raises the expected sequence number and a
-        // slot holds one header: hostile pointers cannot make a loop.
-        while chain.len() < n {
+        // position holds one header: hostile pointers cannot make a
+        // loop, and the device has this many positions. (Not
+        // `n_segments`: the writer bounds the suffix there, but a failed
+        // checkpoint must not cut a valid log short.)
+        let max_links = n as u64 * u64::from(blocks_per_slot);
+        while (chain.len() as u64) < max_links {
             let seq = ckpt_seq + 1 + chain.len() as u64;
-            let candidates = match head.slot {
-                NO_SLOT => 0..layout.n_segments,
-                // Empty for a slot the device lacks; finalize rejects it.
-                s => s..(s + 1).min(layout.n_segments),
-            };
-            let mut found = None;
-            for slot in candidates.map(SegmentId::new) {
-                report.segments_scanned += 1;
-                if let Some(h) = read_header(&device, &layout, slot)?
-                    .filter(|h| h.seq == seq && h.prev_link == head.link)
-                {
-                    found = Some((slot, h));
-                    break;
+            let links_on = |h: &SegmentHeader| h.seq == seq && h.prev_link == head.link;
+            let found = match head.slot {
+                // Sealed while nothing was free: the log went on at
+                // block 0 of whatever slot came up.
+                NO_SLOT => {
+                    let mut found = None;
+                    for slot in (0..layout.n_segments).map(SegmentId::new) {
+                        report.segments_scanned += 1;
+                        found = read_header(&device, &layout, slot, 0)?.filter(links_on);
+                        if found.is_some() {
+                            break;
+                        }
+                    }
+                    found
                 }
-            }
-            let Some((slot, h)) = found else { break };
-            let Some(records) = read_summary(&device, &layout, slot, &h)? else {
+                // A slot the device lacks; finalize rejects it.
+                s if s >= layout.n_segments => None,
+                s => {
+                    report.segments_scanned += 1;
+                    let slot = SegmentId::new(s);
+                    match fetched.take() {
+                        Some(bytes) => parse_header(&bytes, &layout, slot, head.base),
+                        None => read_header(&device, &layout, slot, head.base)?,
+                    }
+                    .filter(links_on)
+                }
+            };
+            let Some(h) = found else { break };
+            let Some(read) = read_summary(&device, &layout, &h)? else {
                 report.torn_tails_detected += 1;
                 break;
             };
-            chain.push((slot, records));
-            slot_seq[slot.get() as usize] = seq;
+            chain.push((h.slot, read.records));
+            slot_seq[h.slot.get() as usize] = seq;
             head = h.next;
+            fetched = read.successor;
         }
         report.scan_ns = t_scan.elapsed().as_nanos() as u64;
         obs.stage_end(0, trace, Stage::RecoveryScan, report.scan_ns);
@@ -760,8 +798,18 @@ impl<D: BlockDevice + 'static> Lld<D> {
         let mut log = LogState::fresh(n);
         log.checkpoint_seq = ckpt_seq;
         log.next_seq = ckpt_seq + 1 + u64::from(report.segments_replayed);
-        log.tail_link = head.link;
-        log.promised = (head.slot != NO_SLOT).then_some(head.slot);
+        log.tail = head;
+        // A head inside a slot: the segment in front of it is in that
+        // slot too, so the slot is in use whatever else it holds — if
+        // the walk did not pass through it, as the checkpoint's last
+        // covered segment.
+        if let Some(s) = log.open_slot() {
+            let seq = slot_seq.get_mut(s as usize).ok_or_else(|| {
+                LldError::Corrupt(format!("log tail points into slot {s}, off the device"))
+            })?;
+            *seq = (*seq).max(ckpt_seq);
+            log.free_slots.remove(&s);
+        }
         // A slot stays in use if it is part of the replayed chain or
         // still holds live blocks — then the checkpoint covers it, and
         // it goes by the checkpoint's sequence number. The rest is free.
@@ -777,10 +825,12 @@ impl<D: BlockDevice + 'static> Lld<D> {
         log.live_count = live_count;
         log.residents = residents;
         // The tail's pointer is on disk, so the next segment must go
-        // there; no crash leaves it at a slot in use or off the device.
-        if let Some(p) = log.promised.filter(|p| !log.free_slots.contains(p)) {
+        // there; no crash leaves it at the start of a slot in use or
+        // off the device.
+        if head.slot != NO_SLOT && !head.in_slot() && !log.free_slots.contains(&head.slot) {
             return Err(LldError::Corrupt(format!(
-                "log tail points at slot {p}, which is not free"
+                "log tail points at slot {}, which is not free",
+                head.slot
             )));
         }
 
@@ -803,6 +853,7 @@ impl<D: BlockDevice + 'static> Lld<D> {
             ts_counter: AtomicU64::new(ts_floor.max(ts_max)),
             free_slots_hint: AtomicU64::new(0),
             needs_clean: AtomicBool::new(false),
+            needs_checkpoint: AtomicBool::new(false),
             stats: Default::default(),
             obs,
             cleanerd: Cleanerd::new(),
@@ -814,10 +865,11 @@ impl<D: BlockDevice + 'static> Lld<D> {
         });
         ld.install_pipe_observer();
         ld.stats.list_walk_steps.add(walk_steps);
-        ld.with_mutation(|m| -> Result<()> {
+        // A crash can leave every slot in use; the disk must still come
+        // up, for the deletions that make room again.
+        ld.with_mutation(|m| {
             m.sync_free_hint();
-            m.open_segment(0)?;
-            Ok(())
+            m.open_segment_if_free(0)
         })?;
 
         if config.check_on_recovery {

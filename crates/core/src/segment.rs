@@ -11,9 +11,19 @@
 //! +--------+---------+---------+-----+----------------+
 //! ```
 //!
-//! The 44-byte header (format version 3) threads the segments into one
-//! log, so recovery follows pointers from the checkpoint's
-//! [`ChainHead`] instead of probing every slot (docs/RECOVERY.md):
+//! A flush seals whatever the segment holds, so a segment may be far
+//! smaller than its slot. The next one then starts in the same slot, at
+//! the block after the summary (its *base*); only a slot with fewer than
+//! [`MIN_SEGMENT_BLOCKS`] blocks left hands on to a fresh one:
+//!
+//! ```text
+//! slot: | hdr | data.. | summary | hdr | data.. | summary | .. unused |
+//!         ^ base 0                 ^ base = 1 + n_blocks + ⌈summary / block⌉
+//! ```
+//!
+//! The 44-byte header threads the segments into one log, so recovery
+//! follows pointers from the checkpoint's [`ChainHead`] instead of
+//! probing every slot (docs/RECOVERY.md):
 //!
 //! ```text
 //!  0 magic u64         24 summary_crc u32
@@ -23,16 +33,20 @@
 //!                      40 header_crc u32  over bytes 0..40
 //! ```
 //!
-//! `next_slot` is chosen at seal time ([`NO_SLOT`] if nothing was
-//! free). `prev_link` makes the pointers a hash chain: a CRC-valid
-//! header with the right sequence number, left by a timeline recovery
-//! has since abandoned, does not link and ends the walk — also when
-//! both timelines logged the same operations, because `epoch` differs
-//! per mount. The summary CRC exposes a torn segment write, which
-//! recovery treats as never written.
+//! `next_slot` is chosen at seal time. The segment's own slot means
+//! "right behind my summary": the successor's base follows from
+//! `n_blocks` and `summary_len`, so no field can aim the walk at an
+//! arbitrary block. Another slot means its block 0, and [`NO_SLOT`] that
+//! nothing was free. `prev_link` makes the pointers a hash chain: a
+//! CRC-valid header with the right sequence number, left where the walk
+//! looks by an earlier use of the slot or by a timeline recovery has
+//! since abandoned, does not link and ends the walk — also when both
+//! timelines logged the same operations, because `epoch` differs per
+//! mount. The summary CRC exposes a torn segment write, which recovery
+//! treats as never written.
 
 use crate::error::{LldError, Result};
-use crate::layout::Layout;
+use crate::layout::{u32_at, u64_at, Layout};
 use crate::summary::Record;
 use crate::types::SegmentId;
 use ld_disk::{crc32, BlockDevice};
@@ -40,23 +54,41 @@ use ld_disk::{crc32, BlockDevice};
 const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936; // "LDSEG996"
 pub(crate) const HEADER_LEN: usize = 44;
 /// Written over the start of a header to invalidate it (a zero magic
-/// never validates); as long as the unchained header was, so format
-/// and punch write what they always wrote.
+/// never validates). Format punches block 0 of every slot, where the
+/// log of a fresh disk starts.
 pub(crate) const HEADER_PUNCH: [u8; 32] = [0; 32];
 /// `next_slot` of a segment sealed while no slot was free: its
-/// successor is found by probing every slot.
+/// successor is found by probing block 0 of every slot.
 pub(crate) const NO_SLOT: u32 = u32::MAX;
+/// The fewest blocks a segment takes: header, one data block, one block
+/// of summary. A seal that leaves fewer closes the slot.
+const MIN_SEGMENT_BLOCKS: u32 = 3;
 
-/// Where the log continues: the slot the next segment is (or will be)
-/// written to, and the header CRC of the segment before it.
+/// Whether a segment may start at block `base` of a slot of
+/// `blocks_per_slot` blocks: a writer starts one only where
+/// [`MIN_SEGMENT_BLOCKS`] are left, and a reader accepts a pointer or a
+/// checkpointed head nowhere else.
+pub(crate) fn valid_base(blocks_per_slot: u32, base: u32) -> bool {
+    base.checked_add(MIN_SEGMENT_BLOCKS)
+        .is_some_and(|end| end <= blocks_per_slot)
+}
+
+/// Where the log continues: the slot and block the next segment's
+/// header is (or will be) written to, and the header CRC of the segment
+/// before it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ChainHead {
     pub(crate) slot: u32,
+    pub(crate) base: u32,
     pub(crate) link: u32,
 }
 
-fn u32_at(buf: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
+impl ChainHead {
+    /// Whether the log continues in the slot of the segment before it
+    /// (a segment is never empty, so its successor's base is not 0).
+    pub(crate) fn in_slot(&self) -> bool {
+        self.slot != NO_SLOT && self.base > 0
+    }
 }
 
 /// The link a successor stores for the segment sealed under `header`.
@@ -68,20 +100,25 @@ pub(crate) fn header_link(header: &[u8; HEADER_LEN]) -> u32 {
 #[derive(Debug)]
 pub(crate) struct SegmentBuilder {
     slot: SegmentId,
+    /// Block of the slot this segment's header goes to.
+    base: u32,
     seq: u64,
     prev_link: u32,
     epoch: u32,
     block_size: usize,
+    /// Size of the whole slot in bytes.
     capacity: usize,
     data: Vec<u8>,
     summary: Vec<u8>,
 }
 
 impl SegmentBuilder {
-    /// Starts an empty segment in physical slot `slot` with log sequence
-    /// number `seq`, after the segment whose header CRC is `prev_link`.
+    /// Starts an empty segment at block `base` of physical slot `slot`
+    /// with log sequence number `seq`, after the segment whose header
+    /// CRC is `prev_link`.
     pub(crate) fn new(
         slot: SegmentId,
+        base: u32,
         seq: u64,
         prev_link: u32,
         epoch: u32,
@@ -90,6 +127,7 @@ impl SegmentBuilder {
     ) -> Self {
         SegmentBuilder {
             slot,
+            base,
             seq,
             prev_link,
             epoch,
@@ -102,6 +140,10 @@ impl SegmentBuilder {
 
     pub(crate) fn slot(&self) -> SegmentId {
         self.slot
+    }
+
+    pub(crate) fn base(&self) -> u32 {
+        self.base
     }
 
     pub(crate) fn seq(&self) -> u64 {
@@ -117,9 +159,9 @@ impl SegmentBuilder {
     }
 
     /// Whether `extra_blocks` data blocks plus `extra_summary` summary
-    /// bytes still fit.
+    /// bytes still fit between this segment's base and the slot's end.
     pub(crate) fn fits(&self, extra_blocks: usize, extra_summary: usize) -> bool {
-        let used = self.block_size // header block
+        let used = (self.base as usize + 1) * self.block_size // up to and including the header block
             + self.data.len()
             + extra_blocks * self.block_size
             + self.summary.len()
@@ -127,7 +169,8 @@ impl SegmentBuilder {
         used <= self.capacity
     }
 
-    /// Appends one data block and returns its slot index.
+    /// Appends one data block and returns its index in the slot (the
+    /// `slot` of its [`PhysAddr`](crate::types::PhysAddr)).
     ///
     /// # Panics
     ///
@@ -136,7 +179,7 @@ impl SegmentBuilder {
     pub(crate) fn push_block(&mut self, data: &[u8]) -> u32 {
         assert_eq!(data.len(), self.block_size, "data must be one block");
         assert!(self.fits(1, 0), "segment overflow");
-        let idx = self.n_blocks();
+        let idx = self.base + self.n_blocks();
         self.data.extend_from_slice(data);
         idx
     }
@@ -153,30 +196,44 @@ impl SegmentBuilder {
     }
 
     /// Reads back a data block already placed in this (unsealed)
-    /// segment.
-    pub(crate) fn read_block(&self, slot: u32) -> &[u8] {
-        let start = slot as usize * self.block_size;
-        &self.data[start..start + self.block_size]
+    /// segment, by its index in the slot. `None`: the index belongs to
+    /// an earlier segment of the slot, or to nothing yet.
+    pub(crate) fn read_block(&self, idx: u32) -> Option<&[u8]> {
+        let start = idx.checked_sub(self.base)? as usize * self.block_size;
+        self.data.get(start..start + self.block_size)
+    }
+
+    /// The block of the slot right behind this segment as it stands:
+    /// header, data blocks, summary rounded up to a block.
+    fn end(&self) -> u32 {
+        self.base + 1 + self.n_blocks() + self.summary.len().div_ceil(self.block_size) as u32
+    }
+
+    /// The base of a successor in the same slot, if a seal now leaves
+    /// room for one.
+    pub(crate) fn successor_base(&self) -> Option<u32> {
+        let end = self.end();
+        valid_base((self.capacity / self.block_size) as u32, end).then_some(end)
     }
 
     /// Encodes the sealed-segment header alone, pointing at `next_slot`.
-    /// A slot holds a valid segment exactly when these bytes (with their
-    /// CRC) are on disk, which is what lets a streaming writer place
-    /// data blocks and summary first and commit the segment with the
-    /// header *last*.
+    /// A position holds a valid segment exactly when these bytes (with
+    /// their CRC) are on disk, which is what lets a streaming writer
+    /// place data blocks and summary first and commit the segment with
+    /// the header *last*.
     pub(crate) fn header_bytes(&self, next_slot: u32) -> [u8; HEADER_LEN] {
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(&SEGMENT_MAGIC.to_le_bytes());
-        header.extend_from_slice(&self.seq.to_le_bytes());
-        header.extend_from_slice(&self.n_blocks().to_le_bytes());
-        header.extend_from_slice(&(self.summary.len() as u32).to_le_bytes());
-        header.extend_from_slice(&crc32(&self.summary).to_le_bytes());
-        header.extend_from_slice(&next_slot.to_le_bytes());
-        header.extend_from_slice(&self.prev_link.to_le_bytes());
-        header.extend_from_slice(&self.epoch.to_le_bytes());
-        let header_crc = crc32(&header);
-        header.extend_from_slice(&header_crc.to_le_bytes());
-        header.try_into().expect("header is HEADER_LEN bytes")
+        let mut header = [0u8; HEADER_LEN];
+        header[0..8].copy_from_slice(&SEGMENT_MAGIC.to_le_bytes());
+        header[8..16].copy_from_slice(&self.seq.to_le_bytes());
+        header[16..20].copy_from_slice(&self.n_blocks().to_le_bytes());
+        header[20..24].copy_from_slice(&(self.summary.len() as u32).to_le_bytes());
+        header[24..28].copy_from_slice(&crc32(&self.summary).to_le_bytes());
+        header[28..32].copy_from_slice(&next_slot.to_le_bytes());
+        header[32..36].copy_from_slice(&self.prev_link.to_le_bytes());
+        header[36..40].copy_from_slice(&self.epoch.to_le_bytes());
+        let header_crc = crc32(&header[..HEADER_LEN - 4]);
+        header[HEADER_LEN - 4..].copy_from_slice(&header_crc.to_le_bytes());
+        header
     }
 
     /// The encoded summary records accumulated so far. On disk they sit
@@ -192,7 +249,7 @@ impl SegmentBuilder {
     }
 
     /// Encodes the segment under `header` for a single device write.
-    /// Returns the bytes to write at the segment's offset.
+    /// Returns the bytes to write at the segment's base.
     pub(crate) fn seal(&self, header: &[u8; HEADER_LEN]) -> Vec<u8> {
         let mut buf = vec![0u8; self.encoded_len()];
         buf[..HEADER_LEN].copy_from_slice(header);
@@ -202,76 +259,131 @@ impl SegmentBuilder {
     }
 }
 
-/// A sealed segment's header as read back from disk, CRC and magic
-/// already verified.
+/// A sealed segment's header as read back from disk: CRC and magic
+/// verified, and the segment it describes ends inside its slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SegmentHeader {
     pub(crate) seq: u64,
+    /// Where it was read from.
+    pub(crate) slot: SegmentId,
+    base: u32,
     n_blocks: u32,
     summary_len: u32,
     summary_crc: u32,
     /// Header CRC of segment `seq - 1`.
     pub(crate) prev_link: u32,
-    /// Where the log goes on: `next_slot` ([`NO_SLOT`]: nowhere was
-    /// free) and this header's own CRC.
+    /// Where the log goes on — behind this segment's summary, at block
+    /// 0 of another slot, or at [`NO_SLOT`] — and this header's own
+    /// CRC.
     pub(crate) next: ChainHead,
 }
 
-/// Probes the header in physical slot `slot`. `None`: no sealed segment
-/// — the header never landed, was punched, or is stale garbage.
+/// Validates the header bytes found at block `base` of `slot`. `None`:
+/// no sealed segment there — the header never landed, was punched, is
+/// stale garbage or user data, or describes a segment (or an in-slot
+/// successor) that does not fit between `base` and the end of the slot,
+/// which no writer produces.
+pub(crate) fn parse_header(
+    header: &[u8; HEADER_LEN],
+    layout: &Layout,
+    slot: SegmentId,
+    base: u32,
+) -> Option<SegmentHeader> {
+    let link = header_link(header);
+    if crc32(&header[..HEADER_LEN - 4]) != link || u64_at(header, 0) != SEGMENT_MAGIC {
+        return None;
+    }
+    let (n_blocks, summary_len) = (u32_at(header, 16), u32_at(header, 20));
+    let summary_blocks = u64::from(summary_len).div_ceil(layout.block_size as u64);
+    let end = u64::from(base) + 1 + u64::from(n_blocks) + summary_blocks;
+    let blocks_per_slot = layout.blocks_per_slot();
+    if end > u64::from(blocks_per_slot) {
+        return None;
+    }
+    let end = end as u32; // at most `blocks_per_slot`
+    let next_slot = u32_at(header, 28);
+    let next_base = if next_slot == slot.get() {
+        if !valid_base(blocks_per_slot, end) {
+            return None;
+        }
+        end
+    } else {
+        0
+    };
+    Some(SegmentHeader {
+        seq: u64_at(header, 8),
+        slot,
+        base,
+        n_blocks,
+        summary_len,
+        summary_crc: u32_at(header, 24),
+        prev_link: u32_at(header, 32),
+        next: ChainHead {
+            slot: next_slot,
+            base: next_base,
+            link,
+        },
+    })
+}
+
+/// Probes the header at block `base` of physical slot `slot` (see
+/// [`parse_header`]).
 pub(crate) fn read_header<D: BlockDevice>(
     device: &D,
     layout: &Layout,
     slot: SegmentId,
+    base: u32,
 ) -> Result<Option<SegmentHeader>> {
     let mut header = [0u8; HEADER_LEN];
-    device.read_at(layout.segment_offset(slot.get()), &mut header)?;
-    let link = header_link(&header);
-    if crc32(&header[..HEADER_LEN - 4]) != link
-        || u64::from_le_bytes(header[0..8].try_into().expect("8 bytes")) != SEGMENT_MAGIC
-    {
-        return Ok(None);
-    }
-    Ok(Some(SegmentHeader {
-        seq: u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")),
-        n_blocks: u32_at(&header, 16),
-        summary_len: u32_at(&header, 20),
-        summary_crc: u32_at(&header, 24),
-        prev_link: u32_at(&header, 32),
-        next: ChainHead {
-            slot: u32_at(&header, 28),
-            link,
-        },
-    }))
+    device.read_at(layout.block_at(slot.get(), base), &mut header)?;
+    Ok(parse_header(&header, layout, slot, base))
 }
 
-/// Reads and decodes the summary `header` vouches for. `None`: the
-/// summary fails its checksum — a segment write torn by a crash,
-/// treated as never written but reported separately.
+/// What the read of a sealed segment's summary returns.
+#[derive(Debug)]
+pub(crate) struct SummaryRead {
+    pub(crate) records: Vec<Record>,
+    /// The bytes at the successor's header position, when the log goes
+    /// on right behind this summary.
+    pub(crate) successor: Option<[u8; HEADER_LEN]>,
+}
+
+/// Reads and decodes the summary `header` vouches for. When the log
+/// goes on right behind it, the same read fetches the bytes at the
+/// successor's header position too (one device access per link instead
+/// of two). `None`: the summary fails its checksum — a segment write
+/// torn by a crash, treated as never written but reported separately.
 pub(crate) fn read_summary<D: BlockDevice>(
     device: &D,
     layout: &Layout,
-    slot: SegmentId,
     header: &SegmentHeader,
-) -> Result<Option<Vec<Record>>> {
-    let data_bytes = (1 + header.n_blocks as usize) * layout.block_size;
+) -> Result<Option<SummaryRead>> {
+    let slot = header.slot;
     let summary_len = header.summary_len as usize;
-    if data_bytes + summary_len > layout.segment_bytes {
-        return Ok(None);
-    }
-    let mut summary = vec![0u8; summary_len];
-    device.read_at(
-        layout.segment_offset(slot.get()) + data_bytes as u64,
-        &mut summary,
-    )?;
-    if crc32(&summary) != header.summary_crc {
+    let start = header.base + 1 + header.n_blocks;
+    let adjacent = header.next.slot == slot.get();
+    let mut buf = if adjacent {
+        // `parse_header` checked that this ends inside the slot.
+        vec![0u8; (header.next.base - start) as usize * layout.block_size + HEADER_LEN]
+    } else {
+        vec![0u8; summary_len]
+    };
+    device.read_at(layout.block_at(slot.get(), start), &mut buf)?;
+    let summary = &buf[..summary_len];
+    if crc32(summary) != header.summary_crc {
         return Ok(None);
     }
     let seq = header.seq;
-    Record::decode_all(&summary).map(Some).map_err(|e| match e {
+    let records = Record::decode_all(summary).map_err(|e| match e {
         LldError::Corrupt(msg) => LldError::Corrupt(format!("segment {slot} seq {seq}: {msg}")),
         other => other,
-    })
+    })?;
+    let successor = adjacent.then(|| {
+        let mut next = [0u8; HEADER_LEN];
+        next.copy_from_slice(&buf[buf.len() - HEADER_LEN..]);
+        next
+    });
+    Ok(Some(SummaryRead { records, successor }))
 }
 
 #[cfg(test)]
@@ -292,25 +404,38 @@ mod tests {
         Layout::compute(1 << 20, &cfg).unwrap()
     }
 
+    fn builder_at(slot: u32, base: u32, seq: u64) -> SegmentBuilder {
+        SegmentBuilder::new(SegmentId::new(slot), base, seq, 0, 7, 512, 8 * 512)
+    }
+
     fn builder(slot: u32, seq: u64) -> SegmentBuilder {
-        SegmentBuilder::new(SegmentId::new(slot), seq, 0, 7, 512, 8 * 512)
+        builder_at(slot, 0, seq)
     }
 
     fn sealed(b: &SegmentBuilder) -> Vec<u8> {
         b.seal(&b.header_bytes(NO_SLOT))
     }
 
-    /// Sequence number and records of the segment in `slot`, if its
-    /// header and summary both verify.
+    /// Sequence number and records of the segment at block `base` of
+    /// `slot`, if its header and summary both verify.
+    fn read_segment_at(
+        device: &MemDisk,
+        layout: &Layout,
+        slot: SegmentId,
+        base: u32,
+    ) -> Result<Option<(u64, Vec<Record>)>> {
+        let Some(h) = read_header(device, layout, slot, base)? else {
+            return Ok(None);
+        };
+        Ok(read_summary(device, layout, &h)?.map(|read| (h.seq, read.records)))
+    }
+
     fn read_segment(
         device: &MemDisk,
         layout: &Layout,
         slot: SegmentId,
     ) -> Result<Option<(u64, Vec<Record>)>> {
-        let Some(h) = read_header(device, layout, slot)? else {
-            return Ok(None);
-        };
-        Ok(read_summary(device, layout, slot, &h)?.map(|records| (h.seq, records)))
+        read_segment_at(device, layout, slot, 0)
     }
 
     fn sample_record(n: u64) -> Record {
@@ -328,6 +453,10 @@ mod tests {
         assert!(b.fits(7, 0));
         assert!(!b.fits(7, 1));
         assert!(!b.fits(8, 0));
+        // From block 3 on, the header and 4 more blocks are left.
+        let b = builder_at(0, 3, 2);
+        assert!(b.fits(4, 0));
+        assert!(!b.fits(4, 1));
     }
 
     #[test]
@@ -337,8 +466,9 @@ mod tests {
         let idx = b.push_block(&block);
         assert_eq!(idx, 0);
         assert_eq!(b.push_block(&vec![0xCDu8; 512]), 1);
-        assert_eq!(b.read_block(0), &block[..]);
-        assert_eq!(b.read_block(1)[0], 0xCD);
+        assert_eq!(b.read_block(0), Some(&block[..]));
+        assert_eq!(b.read_block(1).unwrap()[0], 0xCD);
+        assert_eq!(b.read_block(2), None);
         b.push_record(&sample_record(1));
         assert_eq!(b.n_blocks(), 2);
         assert!(!b.is_empty());
@@ -366,6 +496,85 @@ mod tests {
             read_segment(&device, &layout, SegmentId::new(2)).unwrap(),
             None
         );
+    }
+
+    #[test]
+    fn segments_sit_back_to_back_in_a_slot() {
+        let layout = layout();
+        let device = MemDisk::new(1 << 20);
+        let slot = SegmentId::new(2);
+        let mut first = builder(2, 5);
+        assert_eq!(first.push_block(&vec![1u8; 512]), 0);
+        first.push_record(&sample_record(1));
+        // Header, one data block, one block of summary: three blocks.
+        assert_eq!(first.successor_base(), Some(3));
+        let h1 = first.header_bytes(2);
+        device
+            .write_at(layout.block_at(2, 0), &first.seal(&h1))
+            .unwrap();
+
+        let mut second = SegmentBuilder::new(slot, 3, 6, header_link(&h1), 7, 512, 8 * 512);
+        // Addresses count from the slot's start, so `Layout::block_offset`
+        // finds the block without knowing which segment holds it.
+        assert_eq!(second.push_block(&vec![2u8; 512]), 3);
+        assert_eq!(second.push_block(&vec![3u8; 512]), 4);
+        assert_eq!(second.read_block(4).unwrap()[0], 3);
+        assert_eq!(second.read_block(0), None, "the first segment's block");
+        second.push_record(&sample_record(2));
+        // It ends at block 7 of 8: the slot is closed.
+        assert_eq!(second.successor_base(), None);
+        device
+            .write_at(
+                layout.block_at(2, 3),
+                &second.seal(&second.header_bytes(NO_SLOT)),
+            )
+            .unwrap();
+        let addr = crate::types::PhysAddr {
+            segment: slot,
+            slot: 4,
+        };
+        let mut buf = [0u8; 512];
+        device.read_at(layout.block_offset(addr), &mut buf).unwrap();
+        assert_eq!(buf[0], 3);
+
+        // The first summary's read brings the second header with it.
+        let h = read_header(&device, &layout, slot, 0).unwrap().unwrap();
+        assert_eq!((h.next.slot, h.next.base), (2, 3));
+        let read = read_summary(&device, &layout, &h).unwrap().unwrap();
+        assert_eq!(read.records, vec![sample_record(1)]);
+        let h2 = parse_header(&read.successor.expect("adjacent"), &layout, slot, 3).unwrap();
+        assert_eq!((h2.seq, h2.prev_link), (6, h.next.link));
+        assert_eq!(h2.next.slot, NO_SLOT);
+        let read = read_summary(&device, &layout, &h2).unwrap().unwrap();
+        assert_eq!(read.records, vec![sample_record(2)]);
+        assert_eq!(read.successor, None, "the log goes on elsewhere");
+    }
+
+    #[test]
+    fn header_that_overruns_its_slot_is_no_segment() {
+        // Positions past block 0 used to hold user data, so a CRC-valid
+        // header may sit anywhere; one whose segment (or whose in-slot
+        // successor) would not fit behind it is not a segment.
+        let layout = layout();
+        let slot = SegmentId::new(1);
+        let mut b = builder_at(1, 4, 9);
+        b.push_block(&vec![1u8; 512]);
+        b.push_record(&sample_record(1));
+        let fits = b.header_bytes(NO_SLOT); // blocks 4, 5, 6 of 8
+        assert!(parse_header(&fits, &layout, slot, 4).is_some());
+        assert!(parse_header(&fits, &layout, slot, 5).is_some());
+        assert!(parse_header(&fits, &layout, slot, 6).is_none());
+        // Two blocks are left behind it: no room for a successor.
+        let hostile = b.header_bytes(1);
+        assert!(parse_header(&hostile, &layout, slot, 4).is_none());
+        assert!(parse_header(&hostile, &layout, slot, 2).is_some());
+        // Field values near the integer limits do not wrap.
+        let mut huge = fits;
+        huge[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        huge[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&huge[..HEADER_LEN - 4]);
+        huge[HEADER_LEN - 4..].copy_from_slice(&crc.to_le_bytes());
+        assert!(parse_header(&huge, &layout, slot, u32::MAX).is_none());
     }
 
     #[test]
@@ -410,45 +619,53 @@ mod tests {
         // summary, then the header last — in separate writes. The
         // resulting image must scan identically to the single-write
         // seal, and every prefix of that write order must scan as "no
-        // segment" (all-or-nothing without a big atomic write).
+        // segment" (all-or-nothing without a big atomic write). Same
+        // thing at a base inside the slot.
         let layout = layout();
-        let mut b = builder(1, 42);
-        b.push_block(&vec![7u8; 512]);
-        b.push_block(&vec![9u8; 512]);
-        b.push_record(&sample_record(1));
-        let off = layout.segment_offset(1);
+        for base in [0u32, 2] {
+            let mut b = builder_at(1, base, 42);
+            let first = b.push_block(&vec![7u8; 512]);
+            b.push_block(&vec![9u8; 512]);
+            b.push_record(&sample_record(1));
+            let off = layout.block_at(1, base);
 
-        let streamed = MemDisk::new(1 << 20);
-        let id = SegmentId::new(1);
-        // Prefix 0: nothing written yet.
-        assert_eq!(read_segment(&streamed, &layout, id).unwrap(), None);
-        for (i, block) in [&b.data[..512], &b.data[512..]].into_iter().enumerate() {
-            streamed
-                .write_at(off + (1 + i as u64) * 512, block)
-                .unwrap();
-            assert_eq!(read_segment(&streamed, &layout, id).unwrap(), None);
+            let streamed = MemDisk::new(1 << 20);
+            let id = SegmentId::new(1);
+            // Prefix 0: nothing written yet.
+            assert_eq!(read_segment_at(&streamed, &layout, id, base).unwrap(), None);
+            for (i, block) in [&b.data[..512], &b.data[512..]].into_iter().enumerate() {
+                let addr = crate::types::PhysAddr {
+                    segment: id,
+                    slot: first + i as u32,
+                };
+                streamed.write_at(layout.block_offset(addr), block).unwrap();
+                assert_eq!(read_segment_at(&streamed, &layout, id, base).unwrap(), None);
+            }
+            streamed.write_at(off + 3 * 512, b.summary_bytes()).unwrap();
+            assert_eq!(read_segment_at(&streamed, &layout, id, base).unwrap(), None);
+            streamed.write_at(off, &b.header_bytes(NO_SLOT)).unwrap();
+
+            let single = MemDisk::new(1 << 20);
+            single.write_at(off, &sealed(&b)).unwrap();
+            assert_eq!(
+                read_segment_at(&streamed, &layout, id, base).unwrap(),
+                read_segment_at(&single, &layout, id, base).unwrap()
+            );
+            assert!(read_segment_at(&streamed, &layout, id, base)
+                .unwrap()
+                .is_some());
         }
-        streamed.write_at(off + 3 * 512, b.summary_bytes()).unwrap();
-        assert_eq!(read_segment(&streamed, &layout, id).unwrap(), None);
-        streamed.write_at(off, &b.header_bytes(NO_SLOT)).unwrap();
-
-        let single = MemDisk::new(1 << 20);
-        single.write_at(off, &sealed(&b)).unwrap();
-        assert_eq!(
-            read_segment(&streamed, &layout, id).unwrap(),
-            read_segment(&single, &layout, id).unwrap()
-        );
-        assert!(read_segment(&streamed, &layout, id).unwrap().is_some());
     }
 
     #[test]
     fn punched_header_kills_a_stale_segment() {
-        // Reusing a slot for streaming: the old sealed segment's header
-        // must be invalidated before new data lands, or a crash
-        // mid-stream would resurrect the old segment over new bytes.
+        // Format starts a new log at block 0 of slot 0 with sequence
+        // number 1 and no predecessor — exactly what the first segment
+        // of the previous log there says of itself. The punch is what
+        // keeps it out.
         let layout = layout();
         let device = MemDisk::new(1 << 20);
-        let mut old = builder(0, 3);
+        let mut old = builder(0, 1);
         old.push_block(&vec![1u8; 512]);
         old.push_record(&sample_record(1));
         let off = layout.segment_offset(0);
@@ -456,19 +673,17 @@ mod tests {
         assert!(read_segment(&device, &layout, SegmentId::new(0))
             .unwrap()
             .is_some());
-        // Punch, then stream one new data block and crash.
         device.write_at(off, &HEADER_PUNCH).unwrap();
-        device.write_at(off + 512, &vec![0xFFu8; 512]).unwrap();
         assert_eq!(
             read_segment(&device, &layout, SegmentId::new(0)).unwrap(),
             None,
-            "stale header must not validate over mixed data"
+            "a punched header must not validate"
         );
     }
 
     #[test]
     fn data_block_offsets_match_layout() {
-        // Block slot i of the builder must land where
+        // Block index i of the builder must land where
         // Layout::block_offset says it is.
         let layout = layout();
         let device = MemDisk::new(1 << 20);

@@ -62,6 +62,11 @@ pub struct LldStats {
     pub backpressure_stalls: u64,
     /// Checkpoints written.
     pub checkpoints: u64,
+    /// Checkpoints the log's suffix bound asked for that failed (the
+    /// operation that found one due had succeeded, so the error went to
+    /// no caller). The next seal asks again: a count that keeps rising
+    /// means restarts replay more than `n_segments` segments.
+    pub checkpoint_failures: u64,
     /// Steps taken walking lists to find predecessors or members.
     pub list_walk_steps: u64,
     /// Alternative records created by copy-on-write into a shadow state.
@@ -187,6 +192,7 @@ pub(crate) struct StatsCell {
     pub(crate) cleaner_stale_skips: Counter,
     pub(crate) backpressure_stalls: Counter,
     pub(crate) checkpoints: Counter,
+    pub(crate) checkpoint_failures: Counter,
     pub(crate) list_walk_steps: Counter,
     pub(crate) shadow_cow_records: Counter,
     pub(crate) shadow_records_merged: Counter,
@@ -230,6 +236,7 @@ impl StatsCell {
             cleaner_stale_skips: self.cleaner_stale_skips.get(),
             backpressure_stalls: self.backpressure_stalls.get(),
             checkpoints: self.checkpoints.get(),
+            checkpoint_failures: self.checkpoint_failures.get(),
             list_walk_steps: self.list_walk_steps.get(),
             shadow_cow_records: self.shadow_cow_records.get(),
             shadow_records_merged: self.shadow_records_merged.get(),
@@ -278,6 +285,7 @@ impl StatsCell {
             cleaner_stale_skips,
             backpressure_stalls,
             checkpoints,
+            checkpoint_failures,
             list_walk_steps,
             shadow_cow_records,
             shadow_records_merged,
@@ -318,6 +326,7 @@ impl StatsCell {
             cleaner_stale_skips,
             backpressure_stalls,
             checkpoints,
+            checkpoint_failures,
             list_walk_steps,
             shadow_cow_records,
             shadow_records_merged,

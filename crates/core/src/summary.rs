@@ -17,12 +17,14 @@ use crate::types::{AruId, BlockId, ListId, Timestamp};
 /// One segment-summary record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
-    /// A data block was written to `slot` of the segment containing this
-    /// record. Tagged with an ARU when the write belongs to one.
+    /// A data block was written to index `slot` of the segment slot
+    /// containing this record. Tagged with an ARU when the write belongs
+    /// to one.
     Write {
         /// The logical block.
         block: BlockId,
-        /// Data-block slot within this segment.
+        /// Index of the block in the segment slot (see
+        /// [`PhysAddr::slot`](crate::PhysAddr)).
         slot: u32,
         /// Logical time of the write.
         ts: Timestamp,

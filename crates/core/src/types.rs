@@ -37,12 +37,16 @@ pub struct Timestamp(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SegmentId(u32);
 
-/// A physical block address: a segment plus a data-block slot within it.
+/// A physical block address: a segment slot plus a block index within
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhysAddr {
-    /// The segment holding the block.
+    /// The segment slot holding the block.
     pub segment: SegmentId,
-    /// Data-block slot within the segment (0-based).
+    /// Index of the block in the slot, counted from the block after the
+    /// slot's first (always a header). A slot holds several segments
+    /// back to back; the index does not say which of them the block
+    /// belongs to.
     pub slot: u32,
 }
 

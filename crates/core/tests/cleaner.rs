@@ -250,14 +250,13 @@ fn manual_checkpoint_then_clean_reuses_dead_segments_at(mode: Mode) {
     assert_eq!(buf, block(39));
 }
 
-/// Regression for the sync-commit packing limit: a durability-heavy
-/// workload seals a nearly-empty paper-scale segment per commit (two
-/// 4 KB blocks in 0.5 MB), so after one log wrap almost every slot
-/// holds a sealed segment with a couple of live blocks. A cleaner that
-/// relocates one victim per sealed output frees one slot per slot
-/// consumed — zero net progress — and the disk wrongly reports
-/// `DiskFull` after ~900 commits. Packing several such victims into one
-/// output segment must keep this workload running indefinitely.
+/// A durability-heavy workload at the paper's scale: a sync commit of
+/// two 4 KB blocks per list, most lists deleted again soon after. The
+/// commits sit back to back in their 0.5 MB slots, so it is the
+/// deletions that leave every slot sparse — a few live blocks each
+/// after a log wrap — and the cleaner has to compact many such victims
+/// into one output segment, again and again, without the disk ever
+/// reporting `DiskFull` and without losing a surviving block.
 #[test]
 fn sync_commit_storm_compacts_without_disk_full() {
     each_mode(sync_commit_storm_compacts_without_disk_full_at);
@@ -274,10 +273,12 @@ fn sync_commit_storm_compacts_without_disk_full_at(mode: Mode) {
             ..LldConfig::default()
         },
     );
-    // ~34 MB: superblock + checkpoint areas + ~60 paper-scale segments.
-    let ld = Lld::format(MemDisk::new(34 << 20), &cfg).unwrap();
+    // 18 MB: superblock + checkpoint areas + 35 paper-scale segments.
+    // A commit takes four blocks of its slot, so 2400 of them are two
+    // trips round the device.
+    let ld = Lld::format(MemDisk::new(18 << 20), &cfg).unwrap();
     let mut lists = Vec::new();
-    for i in 0..950u32 {
+    for i in 0..2400u32 {
         let aru = ld.begin_aru().unwrap();
         let l = ld.new_list(Ctx::Aru(aru)).unwrap();
         let b0 = ld.new_block(Ctx::Aru(aru), l, Position::First).unwrap();
@@ -287,14 +288,23 @@ fn sync_commit_storm_compacts_without_disk_full_at(mode: Mode) {
         ld.write(Ctx::Aru(aru), b1, &vec![byte; 4096]).unwrap();
         ld.end_aru_sync(aru)
             .unwrap_or_else(|e| panic!("sync commit {i} failed: {e}"));
-        lists.push((l, b0, b1, byte));
+        if i % 16 == 0 {
+            lists.push((l, b0, b1, byte));
+        } else {
+            ld.delete_list(Ctx::Simple, l)
+                .unwrap_or_else(|e| panic!("deletion {i} failed: {e}"));
+        }
     }
     let stats = ld.stats();
     assert!(stats.cleaner_runs > 0, "cleaner never ran");
     assert!(stats.blocks_relocated > 0, "nothing was relocated");
-    // Spot-check early commits: their blocks went through several
-    // relocations and must still read back intact.
-    for &(l, b0, b1, byte) in lists.iter().step_by(97) {
+    assert!(
+        stats.segments_sealed > 8 * u64::from(ld.n_segments()),
+        "commits did not share slots"
+    );
+    // The survivors went through several relocations and must still
+    // read back intact.
+    for &(l, b0, b1, byte) in &lists {
         assert_eq!(ld.list_blocks(Ctx::Simple, l).unwrap(), vec![b0, b1]);
         let mut buf = vec![0u8; 4096];
         ld.read(Ctx::Simple, b0, &mut buf).unwrap();
@@ -377,4 +387,57 @@ fn crash_during_cleaning_era_recovers_current_state_at(mode: Mode) {
         crash_at += 450_000;
     }
     assert!(crashes_seen >= 4, "only {crashes_seen} crash points fired");
+}
+
+/// The study's device (`mt_throughput --clean-pressure`): 20 slots of 8
+/// blocks, cleaner asked for 8 free slots. `live` blocks are allocated
+/// and written once, flushed, and then 200 ARUs rewrite the last eight
+/// of them two at a time, every fourth one flushed.
+fn churn_on_eight_block_slots(live: usize) -> Result<ld_core::LldStats, LldError> {
+    let mut cfg = config((false, false, 8));
+    cfg.cleaner.target_free_segments = 8;
+    cfg.cleaner.backpressure_free_segments = 1;
+    let cap = 512 + 2 * 64 * 1024 + 16 * 8 * 512;
+    let ld = Lld::format(MemDisk::new(cap as u64), &cfg)?;
+    assert_eq!(ld.n_segments(), 20);
+    let l = ld.new_list(Ctx::Simple)?;
+    let mut blocks = Vec::new();
+    for _ in 0..live {
+        let pos = blocks
+            .last()
+            .map_or(Position::First, |&p| Position::After(p));
+        let b = ld.new_block(Ctx::Simple, l, pos)?;
+        ld.write(Ctx::Simple, b, &block(0xCD))?;
+        blocks.push(b);
+    }
+    ld.flush()?;
+    let hot = &blocks[live - 8..];
+    for i in 0..200usize {
+        let aru = ld.begin_aru()?;
+        for k in 0..2 {
+            ld.write(Ctx::Aru(aru), hot[(2 * i + k) % 8], &block(i as u8))?;
+        }
+        ld.end_aru(aru)?;
+        if i % 4 == 3 {
+            ld.flush()?;
+        }
+    }
+    Ok(ld.stats())
+}
+
+/// The losing regime of partial segments (EXPERIMENTS.md "Clean
+/// pressure"): where a slot is 8 blocks, the header and summary block
+/// of every partial segment are a quarter of it and up to two blocks at
+/// its end stay unused. This churn ran out of room above 96 live blocks
+/// while every seal took a slot, and does above 86 since format 4. The
+/// pin keeps that loss from growing unnoticed; a change that moves it
+/// either way moves the record with it.
+#[test]
+fn churn_capacity_on_eight_block_slots_is_86_live_blocks() {
+    let held = churn_on_eight_block_slots(86).expect("86 live blocks fit");
+    assert!(held.blocks_relocated > 0, "the log wrapped");
+    assert!(matches!(
+        churn_on_eight_block_slots(88),
+        Err(LldError::DiskFull)
+    ));
 }

@@ -1,0 +1,286 @@
+//! A flush seals what the open segment holds and the next segment
+//! starts behind it in the same slot: how slots fill, where reads of
+//! the open slot are served from, and the checkpoint that bounds the
+//! log suffix now that a wrapping log no longer does.
+
+use ld_core::{CleanerConfig, Ctx, Lld, LldConfig, Position};
+use ld_disk::MemDisk;
+
+const BS: usize = 512;
+/// Blocks per segment slot.
+const BPS: usize = 16;
+
+/// One point of the mode matrix: pipelined writer, background cleaner,
+/// map shards.
+type Mode = (bool, bool, usize);
+
+const MODES: [Mode; 8] = [
+    (false, false, 8),
+    (false, false, 1),
+    (false, true, 8),
+    (false, true, 1),
+    (true, false, 8),
+    (true, false, 1),
+    (true, true, 8),
+    (true, true, 1),
+];
+
+/// Runs `test` at every point; a failure's captured output names it.
+fn each_mode(test: fn(Mode)) {
+    for mode in MODES {
+        eprintln!("(pipelined, cleanerd, shards) = {mode:?}");
+        test(mode);
+    }
+}
+
+fn config((pipeline, cleanerd, shards): Mode) -> LldConfig {
+    LldConfig {
+        block_size: BS,
+        segment_bytes: BPS * BS,
+        max_blocks: Some(512),
+        max_lists: Some(64),
+        pipeline,
+        map_shards: shards,
+        cleaner: CleanerConfig {
+            background: cleanerd,
+            ..CleanerConfig::default()
+        },
+        ..LldConfig::default()
+    }
+}
+
+fn block(byte: u8) -> Vec<u8> {
+    vec![byte; BS]
+}
+
+/// Capacity of a device with exactly `slots` segment slots.
+fn device_bytes(slots: u64) -> u64 {
+    let layout = ld_core::Layout::compute(1 << 20, &config(MODES[0])).unwrap();
+    layout.data_start + slots * (BPS * BS) as u64
+}
+
+fn slots_in_use(ld: &Lld<MemDisk>) -> u32 {
+    ld.n_segments() - ld.free_segments()
+}
+
+/// Ten flushes of two blocks each: a segment is a header, two data
+/// blocks and a block of summary, so four fill a slot and the ten take
+/// three slots — not ten.
+#[test]
+fn flushes_fill_slots_before_taking_new_ones() {
+    each_mode(flushes_fill_slots_before_taking_new_ones_at);
+}
+
+fn flushes_fill_slots_before_taking_new_ones_at(mode: Mode) {
+    let ld = Lld::format(MemDisk::new(device_bytes(32)), &config(mode)).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let b0 = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
+    let b1 = ld.new_block(Ctx::Simple, l, Position::After(b0)).unwrap();
+    for byte in 1..=10u8 {
+        let aru = ld.begin_aru().unwrap();
+        ld.write(Ctx::Aru(aru), b0, &block(byte)).unwrap();
+        ld.write(Ctx::Aru(aru), b1, &block(byte)).unwrap();
+        ld.end_aru_sync(aru).unwrap();
+    }
+    assert_eq!(ld.stats().segments_sealed, 10);
+    assert_eq!(slots_in_use(&ld), 10u32.div_ceil(4));
+    // The last overwrite sits at blocks 5 and 6 of the third slot.
+    let addr = ld.block_info(b1).unwrap().addr.unwrap();
+    assert_eq!((addr.segment.get(), addr.slot), (2, 5));
+
+    let image = ld.into_device().into_image();
+    let (ld2, report) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
+    assert_eq!(report.segments_replayed, 10);
+    assert_eq!(slots_in_use(&ld2), 3);
+    let mut buf = block(0);
+    for b in [b0, b1] {
+        ld2.read(Ctx::Simple, b, &mut buf).unwrap();
+        assert_eq!(buf, block(10));
+    }
+}
+
+/// The open slot holds sealed segments in front of the open one. A
+/// block in one of those is read from the cache or the device like any
+/// other sealed block; only the open segment's own blocks come from its
+/// buffer.
+#[test]
+fn sealed_blocks_of_the_open_slot_are_not_read_from_the_builder() {
+    each_mode(sealed_blocks_of_the_open_slot_are_not_read_from_the_builder_at);
+}
+
+fn sealed_blocks_of_the_open_slot_are_not_read_from_the_builder_at(mode: Mode) {
+    for read_cache_blocks in [64, 0] {
+        let cfg = LldConfig {
+            read_cache_blocks,
+            ..config(mode)
+        };
+        let ld = Lld::format(MemDisk::new(device_bytes(32)), &cfg).unwrap();
+        let l = ld.new_list(Ctx::Simple).unwrap();
+        let sealed = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
+        let open = ld
+            .new_block(Ctx::Simple, l, Position::After(sealed))
+            .unwrap();
+        ld.write(Ctx::Simple, sealed, &block(0x5E)).unwrap();
+        ld.flush().unwrap();
+        ld.write(Ctx::Simple, open, &block(0x09)).unwrap();
+        let at = |b| ld.block_info(b).unwrap().addr.unwrap();
+        assert_eq!(at(sealed).segment, at(open).segment, "one slot");
+        assert!(at(sealed).slot < at(open).slot);
+
+        let lookups = || {
+            let s = ld.stats();
+            (s.cache_hits + s.cache_misses, s.cache_misses)
+        };
+        let mut buf = block(0);
+        let before = lookups();
+        ld.read(Ctx::Simple, open, &mut buf).unwrap();
+        assert_eq!(buf, block(0x09));
+        assert_eq!(lookups(), before, "the open segment's block: no lookup");
+        ld.read(Ctx::Simple, sealed, &mut buf).unwrap();
+        assert_eq!(buf, block(0x5E));
+        let after = lookups();
+        assert_eq!(after.0, before.0 + 1, "the sealed block: one lookup");
+        if read_cache_blocks == 0 {
+            assert_eq!(after.1, before.1 + 1, "and, uncached, a device read");
+        }
+    }
+}
+
+/// Sync commits on a device far too large for them to wrap the log: no
+/// cleaner pass ever runs, so no cleaner writes a checkpoint. The seal
+/// that makes the suffix `n_segments` long asks for one, and a restart
+/// never replays more links than that.
+#[test]
+fn suffix_bound_checkpoints_a_log_that_never_wraps() {
+    each_mode(suffix_bound_checkpoints_a_log_that_never_wraps_at);
+}
+
+fn suffix_bound_checkpoints_a_log_that_never_wraps_at(mode: Mode) {
+    let ld = Lld::format(MemDisk::new(device_bytes(64)), &config(mode)).unwrap();
+    let n = u64::from(ld.n_segments());
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
+    let within_bound = |when: &str| {
+        let sealed = ld.stats().segments_sealed;
+        let covered = ld.checkpoint_seq();
+        assert!(
+            sealed - covered <= n,
+            "{when}: {sealed} sealed, checkpoint at {covered}"
+        );
+    };
+    // Three blocks a commit, five commits a slot: 125 commits take 25
+    // of the 64 slots, and the 64th seal is due a checkpoint. The flush
+    // leader's seal runs in a scoped session.
+    for i in 0..125u32 {
+        let aru = ld.begin_aru().unwrap();
+        ld.write(Ctx::Aru(aru), b, &block(i as u8)).unwrap();
+        ld.end_aru_sync(aru).unwrap();
+        within_bound("sync commit");
+    }
+    assert_eq!(ld.stats().checkpoints, 1);
+    assert_eq!(ld.checkpoint_seq(), n);
+
+    // Lazy commits now, each with a deletion in its log, which commits
+    // in a full session: the seals come from slots running full inside
+    // those, and the 128th is due the next checkpoint.
+    let mut last = b;
+    for i in 0..60u32 {
+        let aru = ld.begin_aru().unwrap();
+        let nb = ld
+            .new_block(Ctx::Aru(aru), l, Position::After(last))
+            .unwrap();
+        ld.write(Ctx::Aru(aru), nb, &block(i as u8)).unwrap();
+        ld.delete_block(Ctx::Aru(aru), last).unwrap();
+        ld.end_aru(aru).unwrap();
+        last = nb;
+        within_bound("lazy commit");
+    }
+    let stats = ld.stats();
+    assert!(stats.commit_full_fallbacks >= 60);
+    assert!(
+        stats.segments_sealed >= 2 * n,
+        "the second phase sealed too"
+    );
+    assert_eq!(stats.checkpoints, 2);
+    assert_eq!(stats.cleaner_runs, 0, "the log never came near wrapping");
+    assert!(slots_in_use(&ld) <= 32);
+    ld.flush().unwrap();
+    let covered = ld.checkpoint_seq();
+
+    let image = ld.into_device().into_image();
+    let (ld2, report) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
+    assert_eq!(report.checkpoint_seq, covered);
+    assert!(
+        u64::from(report.segments_replayed) <= n,
+        "{} links replayed",
+        report.segments_replayed
+    );
+    assert_eq!(ld2.list_blocks(Ctx::Simple, l).unwrap(), vec![last]);
+    let mut buf = block(0);
+    ld2.read(Ctx::Simple, last, &mut buf).unwrap();
+    assert_eq!(buf, block(59));
+}
+
+/// Overwrite churn on a half-full device, a flush every fourth commit.
+/// Returns the inline cleaner's passes: all of them, and those that ran
+/// inside a `flush` call.
+fn churn_counting_passes(mode: Mode, slots: u64, live: usize, commits: usize) -> (u64, u64) {
+    let ld = Lld::format(MemDisk::new(device_bytes(slots)), &config(mode)).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let mut blocks = Vec::new();
+    for _ in 0..live {
+        let pos = blocks
+            .last()
+            .map_or(Position::First, |&p| Position::After(p));
+        let b = ld.new_block(Ctx::Simple, l, pos).unwrap();
+        ld.write(Ctx::Simple, b, &block(0xEE)).unwrap();
+        blocks.push(b);
+    }
+    ld.flush().unwrap();
+    let mut in_flush = 0;
+    for i in 0..commits {
+        let aru = ld.begin_aru().unwrap();
+        for k in 0..2 {
+            let b = blocks[(7 * i + 3 * k) % live];
+            ld.write(Ctx::Aru(aru), b, &block(i as u8)).unwrap();
+        }
+        ld.end_aru(aru).unwrap();
+        if i % 4 == 3 {
+            let before = ld.stats().cleaner_runs;
+            ld.flush().unwrap();
+            in_flush += ld.stats().cleaner_runs - before;
+        }
+    }
+    (ld.stats().cleaner_runs, in_flush)
+}
+
+/// While every seal took a slot, the inline cleaner's pass fell on a
+/// flush, whose caller waits for the device anyway. A flush now goes on
+/// in its slot, and the pass would fall on whichever write fills it. So
+/// the flush leader asks one slot early, at `min_free_segments` free,
+/// and most passes are back on flushes.
+#[test]
+fn the_inline_cleaner_runs_at_a_flush() {
+    for mode in MODES.into_iter().filter(|&(_, cleanerd, _)| !cleanerd) {
+        eprintln!("(pipelined, cleanerd, shards) = {mode:?}");
+        let (passes, in_flush) = churn_counting_passes(mode, 32, 192, 1200);
+        assert!(passes >= 10, "{passes} passes: the log wrapped");
+        assert!(
+            4 * in_flush >= 3 * passes,
+            "{in_flush} of {passes} passes ran in a flush"
+        );
+    }
+}
+
+/// Only while passes reach their target. On a disk too full for that a
+/// pass goes through every covered slot before it gives up; asked a
+/// slot early it would do so at every flush here, 100 times and not 44.
+#[test]
+fn a_cleaner_that_falls_short_is_not_asked_early() {
+    let (passes, in_flush) = churn_counting_passes(MODES[0], 32, 328, 400);
+    assert!(passes >= 10, "{passes} passes: the log wrapped");
+    assert!(
+        passes <= 60 && 2 * in_flush < passes,
+        "{in_flush} of {passes} passes ran in one of the 100 flushes"
+    );
+}

@@ -139,10 +139,18 @@ fn check_recovered(image: Vec<u8>, cfg: &LldConfig, records: &[AruRecord], label
     durable
 }
 
+/// Seals since format (one slot in use) that took no new slot: each is
+/// a segment whose successor was streamed behind it in the same slot.
+/// The log of these workloads never wraps.
+fn in_slot_seals(ld: &Lld<SimDisk<MemDisk>>) -> u64 {
+    ld.stats().segments_sealed - u64::from(ld.n_segments() - ld.free_segments() - 1)
+}
+
 /// Sweeps crash bytes across the whole workload: before, during, and
 /// after the run's writes. Every point must recover all-or-nothing.
 fn power_cut_sweep(shards: usize) {
     let cfg = config(shards);
+    let mut in_slot = 0;
     for case in 0..24u64 {
         let crash_after = 2_000 + case * 2_500;
         let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010())
@@ -155,6 +163,7 @@ fn power_cut_sweep(shards: usize) {
         };
         assert!(ld.pipelined(), "config must select the pipelined path");
         let records = run_arus(&ld, 10);
+        in_slot += in_slot_seals(&ld);
         // If the budget outlived the workload, cut the power now so
         // recovery always runs against a crashed image.
         ld.device().force_crash();
@@ -166,6 +175,7 @@ fn power_cut_sweep(shards: usize) {
             &format!("shards {shards}, crash {crash_after}"),
         );
     }
+    assert!(in_slot > 0, "shards {shards}: every seal took a slot");
 }
 
 #[test]
@@ -191,6 +201,7 @@ fn sync_ack_means_drained(shards: usize) {
         records.iter().all(|r| r.durable),
         "no fault armed: every commit must succeed"
     );
+    assert!(in_slot_seals(&ld) > 0, "every seal took a slot");
     ld.device().force_crash();
     let image = ld.into_device().into_inner().into_image();
     let durable = check_recovered(

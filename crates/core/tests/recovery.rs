@@ -392,17 +392,20 @@ fn flushed_commit_after_gap_survives_second_crash() {
     // segment 2. Recovery stops at the gap; what is written and flushed
     // *after* that recovery must survive the next crash — the gap is
     // refilled, not skipped, and the stale segment 3 behind it does not
-    // link to the new segment 2.
+    // link to the new segment 2. All of it inside one slot: the three
+    // segments sit back to back in slot 0.
     let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     for byte in 1..=3u8 {
         ld.write(Ctx::Simple, b, &block(byte)).unwrap();
-        ld.flush().unwrap(); // seq 1, 2, 3 in slots 0, 1, 2
+        ld.flush().unwrap(); // seq 1, 2, 3 at blocks 0, 3, 6 of slot 0
     }
+    assert_eq!(ld.n_segments() - ld.free_segments(), 1, "one slot in use");
     let mut image = ld.into_device().into_image();
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
-    let seq2 = layout.segment_offset(1) as usize;
+    let seq2 = layout.segment_offset(0) as usize + 3 * BS;
+    assert_eq!(image[seq2 + 8], 2, "segment 2's header is at block 3");
     image[seq2..seq2 + 32].fill(0);
 
     let (ld2, report) = Lld::recover(MemDisk::from_image(image)).unwrap();
@@ -410,11 +413,16 @@ fn flushed_commit_after_gap_survives_second_crash() {
 
     // No read in between: a read ticks the logical clock, and this
     // overwrite is meant to log the very record the lost segment 2
-    // held (same block, slot and timestamp) — the two timelines then
-    // differ only in the mount epoch of their headers.
+    // held (same block, address and timestamp), so the new segment 2
+    // ends where the old one did and the stale segment 3 sits exactly
+    // where the log goes on — the two timelines then differ only in
+    // the mount epoch of their headers.
     ld2.write(Ctx::Simple, b, &block(4)).unwrap();
     ld2.flush().unwrap();
-    let (ld3, report) = crash_and_recover(ld2);
+    let image = ld2.into_device().into_image();
+    let seq3 = layout.segment_offset(0) as usize + 6 * BS;
+    assert_eq!(image[seq3 + 8], 3, "the stale segment 3 is still there");
+    let (ld3, report) = Lld::recover(MemDisk::from_image(image)).unwrap();
     assert_eq!(report.segments_replayed, 2, "the gap was refilled");
     let mut buf = block(0);
     ld3.read(Ctx::Simple, b, &mut buf).unwrap();

@@ -224,6 +224,67 @@ fn interleaved_aru_commit_then_reuse_of_freed_ids_at(mode: Mode) {
     );
 }
 
+/// A deletion whose record needs a new segment when no slot is free
+/// fails with `DiskFull` and leaves no trace: the tables stay as the
+/// log has them, so what the disk serves afterwards is what a recovery
+/// of its image serves.
+#[test]
+fn deletion_on_a_full_disk_fails_without_a_trace() {
+    each_mode(deletion_on_a_full_disk_fails_without_a_trace_at);
+}
+
+fn deletion_on_a_full_disk_fails_without_a_trace_at(mode: Mode) {
+    let mut cfg = config(mode);
+    cfg.cleaner.enabled = false;
+    let layout = ld_core::Layout::compute(1 << 20, &cfg).unwrap();
+    let capacity = layout.data_start + 8 * cfg.segment_bytes as u64;
+    let ld = Lld::format(MemDisk::new(capacity), &cfg).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let mut blocks = Vec::new();
+    // Fill up: the last free slot is kept back for deletions.
+    while let Ok(b) = ld.new_block(Ctx::Simple, l, Position::First) {
+        if ld.write(Ctx::Simple, b, &block(0xF1)).is_err() {
+            break;
+        }
+        blocks.push(b);
+    }
+    assert_eq!(ld.free_segments(), 1);
+    // Flushed deletions take two blocks each (header, summary): they
+    // use up the open slot, then the last free one, until one of them
+    // finds no room for its record.
+    let refused = loop {
+        let b = blocks.pop().expect("the disk never ran full");
+        match ld.delete_block(Ctx::Simple, b) {
+            Ok(()) => {}
+            Err(LldError::DiskFull) => break b,
+            Err(e) => panic!("{e}"),
+        }
+        // Fails once no successor can be opened; the seal is written.
+        let _ = ld.flush();
+    };
+    assert_eq!(ld.free_segments(), 0);
+    let members = ld.list_blocks(Ctx::Simple, l).unwrap();
+    assert!(members.contains(&refused), "the refused deletion unlinked");
+    assert!(ld.block_info(refused).is_some(), "and deallocated");
+    assert_eq!(read_byte(&ld, refused), 0xF1);
+    assert!(matches!(
+        ld.delete_list(Ctx::Simple, l),
+        Err(LldError::DiskFull)
+    ));
+    assert_eq!(ld.list_blocks(Ctx::Simple, l).unwrap(), members);
+    assert_eq!(ld.allocated_block_count(), members.len() as u64);
+
+    let image = ld.into_device().into_image();
+    let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg).unwrap();
+    assert_eq!(ld2.list_blocks(Ctx::Simple, l).unwrap(), members);
+}
+
+fn read_byte(ld: &Lld<MemDisk>, b: ld_core::BlockId) -> u8 {
+    let mut buf = block(0);
+    ld.read(Ctx::Simple, b, &mut buf).unwrap();
+    buf[0]
+}
+
 #[test]
 fn read_cache_can_be_disabled() {
     let cfg = LldConfig {

@@ -134,6 +134,7 @@ fn consistency_at_every_crash_point_with_arus_at(mode: Mode) {
     // completely absent.
     let mut crash_at = 4000u64;
     let mut tested = 0;
+    let mut in_slot_seals = 0;
     loop {
         let mut fs = sim_fs(mode);
         fs.ld()
@@ -160,6 +161,11 @@ fn consistency_at_every_crash_point_with_arus_at(mode: Mode) {
             Ok(())
         })();
         let crashed = result.is_err();
+        // Seals that took no new slot since format (one slot in use):
+        // the next segment started behind them. The log never wraps.
+        let ld = fs.ld();
+        in_slot_seals +=
+            ld.stats().segments_sealed - u64::from(ld.n_segments() - ld.free_segments() - 1);
 
         let mut fs2 = crash_and_remount(fs, &ld_config(mode));
         let report = fs2.verify().unwrap();
@@ -196,6 +202,7 @@ fn consistency_at_every_crash_point_with_arus_at(mode: Mode) {
         crash_at += 7000;
     }
     assert!(tested >= 5, "sweep covered only {tested} crash points");
+    assert!(in_slot_seals > 0, "every seal took a slot");
 }
 
 #[test]

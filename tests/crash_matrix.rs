@@ -46,6 +46,18 @@ fn with_mode((pipeline, cleanerd, shards): Mode, base: LldConfig) -> LldConfig {
     }
 }
 
+fn slots_in_use<D: ld_aru::disk::BlockDevice>(ld: &Lld<D>) -> u32 {
+    ld.n_segments() - ld.free_segments()
+}
+
+/// Seals since this disk was formatted (one slot in use) or recovered
+/// (`slots_at_start` in use) that took no new slot. On a log that does
+/// not wrap each of them is a segment whose successor started behind it
+/// in the same slot.
+fn in_slot_seals<D: ld_aru::disk::BlockDevice>(ld: &Lld<D>, slots_at_start: u32) -> u64 {
+    ld.stats().segments_sealed - u64::from(slots_in_use(ld) - slots_at_start)
+}
+
 fn ld_config(mode: Mode) -> LldConfig {
     with_mode(
         mode,
@@ -64,6 +76,7 @@ fn any_crash_point_recovers_consistent() {
 
 fn any_crash_point(mode: Mode) {
     let mut rng = SmallRng::seed_from_u64(0xC4A5_4001);
+    let mut in_slot = 0;
     for case in 0..24 {
         let crash_after = rng.gen_range(50_000, 4_000_000);
         let n_files = 4 + rng.gen_index(20);
@@ -101,6 +114,7 @@ fn any_crash_point(mode: Mode) {
             }
             fs.flush()
         })();
+        in_slot += in_slot_seals(fs.ld(), 1);
 
         // Recover from the surviving image.
         let image = fs.into_ld().into_device().into_inner().into_image();
@@ -131,6 +145,7 @@ fn any_crash_point(mode: Mode) {
             );
         }
     }
+    assert!(in_slot > 0, "{mode:?}: no flush left room in its slot");
 }
 
 /// Power cuts while the *background* cleaner (`cleanerd`) is live:
@@ -261,6 +276,7 @@ fn double_crash(mode: Mode) {
     // Crash once, recover, do a little work, crash again mid-work,
     // recover again: consistency must hold at both steps.
     let mut rng = SmallRng::seed_from_u64(0xC4A5_4002);
+    let mut in_slot_after_recovery = 0;
     for case in 0..24 {
         let crash_after = rng.gen_range(100_000, 1_000_000);
         let second_crash = rng.gen_range(10_000, 200_000);
@@ -289,6 +305,7 @@ fn double_crash(mode: Mode) {
         let sim2 = SimDisk::new(MemDisk::from_image(image), DiskModel::hp_c3010())
             .with_faults(FaultPlan::new().crash_after_bytes(second_crash));
         let (ld2, _) = Lld::recover_with(sim2, &ld_config(mode)).unwrap();
+        let slots_recovered = slots_in_use(&ld2);
         let mut fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
         assert!(
             fs2.verify().unwrap().is_consistent(),
@@ -303,6 +320,7 @@ fn double_crash(mode: Mode) {
             }
             Ok(())
         })();
+        in_slot_after_recovery += in_slot_seals(fs2.ld(), slots_recovered);
 
         let image2 = fs2.into_ld().into_device().into_inner().into_image();
         let (ld3, _) = Lld::recover_with(MemDisk::from_image(image2), &ld_config(mode)).unwrap();
@@ -314,6 +332,10 @@ fn double_crash(mode: Mode) {
             report.problems
         );
     }
+    assert!(
+        in_slot_after_recovery > 0,
+        "{mode:?}: no recovered log went on inside a slot"
+    );
 }
 
 /// The write-id dedup journal and the ARU commit must be atomic as a
@@ -339,6 +361,7 @@ fn dedup_journal_and_commit(mode: Mode) {
         },
     );
     let mut rng = SmallRng::seed_from_u64(0xC4A5_4003);
+    let mut in_slot = 0;
     for case in 0..18 {
         let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
         let ld = Lld::format(sim, &cfg).unwrap();
@@ -376,6 +399,7 @@ fn dedup_journal_and_commit(mode: Mode) {
         if !ld.device().is_crashed() {
             ld.device().force_crash();
         }
+        in_slot += in_slot_seals(&ld, 1);
 
         let image = ld.into_device().into_inner().into_image();
         let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg).unwrap();
@@ -399,6 +423,10 @@ fn dedup_journal_and_commit(mode: Mode) {
             );
         }
     }
+    assert!(
+        in_slot > 0,
+        "{mode:?}: no commit shared a slot with another"
+    );
 }
 
 // ----------------------------------------------------------------------
@@ -544,6 +572,7 @@ fn reordered_persistence(mode: Mode) {
         ld.flush().unwrap();
 
         let mut ld = ld;
+        let mut slots_at_start = 1;
         for round in 0..2 {
             for _ in 0..40 + rng.gen_index(80) {
                 let p = rng.gen_index(pairs.len());
@@ -565,6 +594,10 @@ fn reordered_persistence(mode: Mode) {
                     p.flushed = p.written;
                 }
             }
+            assert!(
+                in_slot_seals(&ld, slots_at_start) > 0,
+                "{mode:?} REORDER_SEED={seed} round {round}: every seal took a slot"
+            );
 
             let image = ld.into_device().crash(&mut rng);
             let (ld2, _) = Lld::recover_with(ReorderDisk::from_image(image), &cfg)
@@ -595,6 +628,7 @@ fn reordered_persistence(mode: Mode) {
                 p.flushed = got[0];
                 p.written = got[0];
             }
+            slots_at_start = slots_in_use(&ld2);
             ld = ld2;
         }
     }

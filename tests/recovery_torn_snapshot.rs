@@ -30,9 +30,10 @@ use ld_aru::disk::{crc32, DiskModel, FaultPlan, MemDisk, SimDisk};
 use ld_aru::workload::pattern_fill;
 
 const BS: usize = 512;
-/// Mirrors `layout.rs`: checkpoint header and reserved directory bytes
-/// ahead of the first snapshot slab in an area.
-const CKPT_SLAB_START: u64 = 64 + 64 * 24;
+/// Mirrors `layout.rs`: checkpoint header, then the reserved directory
+/// bytes ahead of the first snapshot slab in an area.
+const CKPT_HEADER: usize = 68;
+const CKPT_SLAB_START: u64 = CKPT_HEADER as u64 + 64 * 24;
 
 /// A point of the mode matrix these tests can tell apart: pipelined
 /// writer (checkpoint writes then go through its queue), map shards
@@ -258,7 +259,7 @@ fn stale_snapshot_under_reallocating_suffix() {
 /// the header's directory CRC and own CRC, a directory entry's slab CRC,
 /// and the `seg`/`slot` fields of a 40-byte block entry.
 const HDR_DIR_CRC: usize = 44;
-const HDR_CRC: usize = 60;
+const HDR_CRC: usize = CKPT_HEADER - 4;
 const DIR_ENTRY: usize = 24;
 const DIR_SLAB_CRC: usize = 16;
 const ENTRY_SEG: usize = 8;
@@ -276,7 +277,7 @@ fn put_u32(image: &mut [u8], off: usize, v: u32) {
 /// area at `area`, so edits under them pass as a valid checkpoint.
 fn reseal_header(image: &mut [u8], area: usize) {
     let shards = u32::from_le_bytes(image[area + 40..area + 44].try_into().unwrap()) as usize;
-    let dir = area + 64;
+    let dir = area + CKPT_HEADER;
     let dir_crc = crc32(&image[dir..dir + shards * DIR_ENTRY]);
     put_u32(image, area + HDR_DIR_CRC, dir_crc);
     let crc = crc32(&image[area..area + HDR_CRC]);
@@ -291,7 +292,7 @@ fn snapshot_entry_outside_device_is_corrupt() {
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let area = layout.ckpt_a as usize;
     let slab = area + CKPT_SLAB_START as usize;
-    let dir = area + 64;
+    let dir = area + CKPT_HEADER;
     let slab_len = (u64_at(&image, dir) * 40 + u64_at(&image, dir + 8) * 32) as usize;
     for (field, value) in [
         (ENTRY_SEG, layout.n_segments),
@@ -325,7 +326,8 @@ fn overflowing_directory_entry_falls_back_to_older_area() {
 
     let mut hostile = image.clone();
     let area = layout.ckpt_b as usize;
-    hostile[area + 64..area + 72].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+    hostile[area + CKPT_HEADER..area + CKPT_HEADER + 8]
+        .copy_from_slice(&(u64::MAX / 2).to_le_bytes());
     reseal_header(&mut hostile, area);
     let (fp, seq) = recover_fp(&hostile, (false, 8), &world);
     assert!(seq > 0 && seq < clean_seq, "older area not used: {seq}");
