@@ -47,15 +47,15 @@
 //! the same sync-commit workload runs twice per thread count — device
 //! writes and barriers on the caller's thread vs writes streamed
 //! through the pipeline's I/O thread ([`PipelinedDisk`]) — and the
-//! report is ops/s for each plus the pipelined/sync speedup. With the
-//! pipeline, the group-commit leader hands leadership off between the
-//! segment seal and the barrier wait, so the next batch's seal writes
-//! reach the device while the previous barrier is still in flight.
-//! This study charges a per-byte transfer cost on top of the barrier
-//! cost (on the `latency` device): the synchronous path pays
-//! `W + F` per batch, the pipelined path streams each batch's data
-//! blocks to the device as they are placed — overlapping them with the
-//! previous batch's in-flight barrier — and pays `max(W, F)`.
+//! report is ops/s for each plus the pipelined/sync speedup. On both
+//! paths the group-commit leader lets go of leadership between the
+//! segment seal and the barrier wait, so with two or more callers the
+//! next batch's seal write reaches the device while the previous
+//! barrier is still in flight. This study charges a per-byte transfer
+//! cost on top of the barrier cost (on the `latency` device): one
+//! caller on the synchronous path pays `W + F` per batch; what the
+//! pipelined path adds is that each batch's data blocks stream to the
+//! device as they are placed, ahead of the seal.
 //!
 //! `--device {mem,latency,file}` selects the backing device for any
 //! study: `latency` (default) charges a realistic wall-clock barrier
@@ -518,6 +518,7 @@ fn run_pipeline_compare(
                     .u64("sync_batch_max", s.flush_batch_max)
                     .u64("pipelined_batch_max", p.flush_batch_max)
                     .u64("pipeline_stalls", p.pipeline_stalls)
+                    .u64("sync_inflight_barriers_max", s.inflight_barriers)
                     .u64("inflight_barriers_max", p.inflight_barriers)
                     .finish(),
             );

@@ -141,10 +141,11 @@ pub struct LldConfig {
     pub map_shards: usize,
     /// Route device writes and barriers through a
     /// [`PipelinedDisk`](ld_disk::PipelinedDisk): a dedicated I/O
-    /// thread with a bounded submission queue, so the group-commit
-    /// leader hands off a sealed segment and the next batch fills while
-    /// the previous barrier is still in flight. A runtime knob, not
-    /// persisted on disk. Default off. See docs/PIPELINE.md.
+    /// thread with a bounded submission queue, so a segment's blocks
+    /// stream to the device as they are placed. (The group-commit
+    /// leader lets the next batch seal during its barrier on either
+    /// path.) A runtime knob, not persisted on disk. Default off. See
+    /// docs/PIPELINE.md.
     pub pipeline: bool,
     /// Observability: event tracing, latency histograms, and ARU spans
     /// (default on; see [`ObsConfig::disabled`]).

@@ -6,7 +6,10 @@
 //! a single device barrier covering every ticket taken before the seal.
 //! Followers block on the batch outcome instead of issuing their own
 //! barriers — the classic group commit the paper's lazy `EndARU`
-//! durability invites.
+//! durability invites. The leader lets go of leadership between its
+//! seal and its barrier, on either device path, so the next batch's
+//! seal write overlaps this batch's barrier (docs/CONCURRENCY.md,
+//! "Group commit").
 
 use crate::error::{LldError, Result};
 use crate::lld::LldInner;
@@ -16,43 +19,46 @@ use ld_disk::BlockDevice;
 use ld_disk::{Condvar, Mutex};
 use std::time::Instant;
 
+/// A leader may claim while fewer than this many batches are released
+/// but unretired: one in its barrier and one behind it, plain double
+/// buffering. Callers arriving while both are out pile into the next
+/// batch instead of each leading a batch of one, and after a power cut
+/// at most one batch's writes have run ahead of a pending barrier.
+const MAX_INFLIGHT_BATCHES: u64 = 2;
+
 #[derive(Debug, Default)]
 struct GcState {
     /// Tickets issued to durability callers.
     started: u64,
     /// Highest ticket claimed into some leader's batch. Batch size is
-    /// computed against this (not `done`) under the state lock, so a
-    /// caller arriving while a pipelined batch is still in its barrier
-    /// wait is never counted twice and never lost: it is above
-    /// `claimed`, so it belongs to the next leader's batch.
+    /// computed against this under the state lock, so a caller arriving
+    /// while a batch is still in its barrier is never counted twice and
+    /// never lost: it is above `claimed`, so it belongs to the next
+    /// leader's batch.
     claimed: u64,
-    /// Highest ticket covered by a completed batch: every caller with
-    /// `ticket < done` has had its work sealed and barriered.
+    /// Highest `covering` of a batch whose barrier succeeded: every
+    /// caller with `ticket < done` is durable. Barriers retire out of
+    /// order and a later one covers every earlier seal, so `done` only
+    /// moves forward.
     done: u64,
-    /// A leader is currently sealing (and, on the synchronous device
-    /// path, barriering). On the pipelined path leadership is handed
-    /// off before the barrier wait, so the next batch seals while the
-    /// previous barrier is in flight.
+    /// Highest `covering` of a batch that failed, and its error: what a
+    /// caller with `done <= ticket < failed.0` reports. Forward-only too.
+    failed: Option<(u64, LldError)>,
+    /// A leader is sealing. It lets go before its barrier, so the next
+    /// batch seals while this one's barrier is in the device.
     leader_active: bool,
-    /// Outcome of the most recent batch (`None` = success). Followers
-    /// covered by a batch report its outcome; a follower that sleeps
-    /// through several batches reports the latest one — conservative,
-    /// since a device that fails a barrier keeps failing (and a later
-    /// successful barrier also covers earlier writes).
-    last_error: Option<LldError>,
-    /// When the previous leader released leadership (handed off on the
-    /// pipelined path, or completed its batch) — the next claim turns
-    /// the gap into the `gc_leader_handoff_ns` histogram. `None` while
-    /// a leader is active or when instrumentation is off.
+    /// Batches released but not yet retired (the claim gate).
+    inflight: u64,
+    /// When the previous leader released leadership; the next claim
+    /// turns the gap into the `gc_leader_handoff_ns` histogram. `None`
+    /// while a leader is active or when instrumentation is off.
     handoff_at: Option<Instant>,
 }
 
 /// The shared queue state of the group-commit stage. Near the bottom of
 /// the lock hierarchy: never hold it while acquiring the map or log
-/// locks. The one lock that sits *below* it is the pipelined device's
-/// queue mutex — the leadership gate reads the in-flight barrier gauge
-/// while holding the gc state lock (and the pipeline never takes gc
-/// locks), so that order is acyclic.
+/// locks, and nothing is acquired under it but the trace ring's leaf
+/// mutex.
 #[derive(Debug, Default)]
 pub(crate) struct GroupCommit {
     state: Mutex<GcState>,
@@ -91,35 +97,29 @@ impl<D: BlockDevice> LldInner<D> {
         let q_timer = self.obs.timer();
         self.obs.stage_begin(self.now(), trace, Stage::QueueWait);
         loop {
-            if st.done > ticket {
-                // A batch sealed after our ticket was taken: our work is
-                // covered by its outcome.
-                let res = match &st.last_error {
-                    Some(e) => Err(e.clone()),
-                    None => Ok(()),
-                };
+            // A follower reports the batch that covered it: `Ok` once
+            // any barrier issued after its seal succeeded, else the
+            // error of a failed batch that covered it (also, early, of
+            // a later one that failed while its own barrier was still
+            // out: the safe direction), else it waits.
+            let covered = if st.done > ticket {
+                Some(Ok(()))
+            } else {
+                let failed = st.failed.as_ref().filter(|(to, _)| *to > ticket);
+                failed.map(|(_, e)| Err(e.clone()))
+            };
+            if let Some(res) = covered {
                 drop(st);
                 self.obs
                     .stage_end(self.now(), trace, Stage::QueueWait, Obs::elapsed(q_timer));
-                if res.is_ok() {
-                    self.obs
-                        .flush_done(self.now(), self.stats.segments_sealed.get(), timer);
-                }
-                self.obs
-                    .stage_end(self.now(), trace, Stage::Commit, Obs::elapsed(timer));
-                return res;
+                return self.flush_end(res, trace, timer);
             }
-            // Claim leadership only when the device can absorb another
-            // barrier-producing batch. On the pipelined path the
-            // previous leader hands off while its barrier is still in
-            // flight; gating the claim on a free barrier slot (at most
-            // one batch flushing + one staged) keeps batches *large* —
-            // callers arriving while both slots are busy accumulate
-            // into the next batch instead of each leading a batch of
-            // one — and bounds how far write submission runs ahead of a
-            // pending barrier after a power cut. Waiters are woken by
-            // every batch completion (which is also when a slot frees).
-            if !st.leader_active && self.device.barrier_slot_free() {
+            // A caller some leader has claimed only waits for that
+            // batch (it is woken when the batch retires); an unclaimed
+            // one leads as soon as leadership is free and the gate is
+            // open. Waiters are woken by every release and retirement,
+            // which is when any of this can change.
+            if ticket >= st.claimed && !st.leader_active && st.inflight < MAX_INFLIGHT_BATCHES {
                 break;
             }
             st = self.gc.cv.wait(st);
@@ -154,62 +154,46 @@ impl<D: BlockDevice> LldInner<D> {
 
         // Seal under the log lock alone (a log-only scoped session: the
         // seal touches no mapping shard, so readers and shard-scoped
-        // writers proceed during the seal), then barrier without any
-        // lock so the whole stack proceeds during the device wait —
-        // correct because the batch's writes were issued before this
-        // point and the barrier orders against issued writes.
-        let mut handed_off = false;
-        let res = if let Some(pipe) = self.device.as_pipelined() {
-            // Pipelined device: seal, *submit* the barrier, hand
-            // leadership off, then wait. The barrier's cover must be
-            // captured before the handoff — otherwise the next leader's
-            // seal writes would land inside this barrier's cover and a
-            // fault felling them would take this (already complete)
-            // batch down with it. Submitting also takes the barrier
-            // slot the claim gate checks, so the next leader seals only
-            // while the device is within its double-buffer bound. The
-            // wait runs this batch's inner flush on this thread while
-            // the I/O thread streams the next batch's seal writes to
-            // the device — the write/barrier overlap the pipeline
-            // exists for.
-            let seal_timer = self.obs.timer();
-            self.obs.stage_begin(self.now(), trace, Stage::Seal);
-            let seal = self.with_mutation_at(0, 0, |m| m.roll_for_flush());
-            self.after_scoped();
-            self.obs
-                .stage_end(self.now(), trace, Stage::Seal, Obs::elapsed(seal_timer));
-            match seal.and_then(|()| pipe.submit_barrier().map_err(LldError::from)) {
-                Err(e) => Err(e),
-                Ok(barrier) => {
-                    {
-                        let mut st = self.gc.state.lock();
-                        st.leader_active = false;
-                        st.handoff_at = self.obs.timer();
-                    }
-                    handed_off = true;
-                    self.gc.cv.notify_all();
-                    let wait_timer = self.obs.timer();
-                    self.obs.stage_begin(self.now(), trace, Stage::BarrierWait);
-                    let res = pipe.wait_barrier(barrier).map_err(LldError::from);
-                    self.obs.stage_end(
-                        self.now(),
-                        trace,
-                        Stage::BarrierWait,
-                        Obs::elapsed(wait_timer),
-                    );
-                    res
-                }
+        // writers proceed during the seal). `after_scoped` runs with
+        // leadership still held, so an inline cleaner pass or a due
+        // checkpoint is written ahead of the barrier that covers it.
+        let seal_timer = self.obs.timer();
+        self.obs.stage_begin(self.now(), trace, Stage::Seal);
+        let seal = self.with_mutation_at(0, 0, |m| m.roll_for_flush());
+        self.after_scoped();
+        self.obs
+            .stage_end(self.now(), trace, Stage::Seal, Obs::elapsed(seal_timer));
+
+        // Take the barrier's ticket, let go of leadership, then wait
+        // for the barrier with no lock held: the next leader's seal
+        // write overlaps this barrier. A barrier vouches for the writes
+        // the device had acknowledged when it was issued, and this
+        // batch's seal write has returned, so nothing the next leader
+        // does can uncover it; the ticket is taken before the release
+        // so that the next seal's writes stay out of this barrier's
+        // cover and a fault felling them cannot fail this batch. A seal
+        // (or ticket) that fails does not hand off: leadership goes
+        // in the same critical section that records the error below,
+        // so the error is on record before the next leader can claim.
+        let barrier = seal.and_then(|()| self.device.submit_barrier().map_err(LldError::from));
+        let released = barrier.is_ok();
+        let res = barrier.and_then(|barrier| {
+            let gate_open = {
+                let mut st = self.gc.state.lock();
+                st.leader_active = false;
+                st.inflight += 1;
+                self.stats.inflight_barriers.record_max(st.inflight);
+                st.handoff_at = self.obs.timer();
+                st.inflight < MAX_INFLIGHT_BATCHES
+            };
+            // With the gate shut nobody can lead before a retirement,
+            // and that wakes everyone itself.
+            if gate_open {
+                self.gc.cv.notify_all();
             }
-        } else {
-            let seal_timer = self.obs.timer();
-            self.obs.stage_begin(self.now(), trace, Stage::Seal);
-            let seal = self.with_mutation_at(0, 0, |m| m.roll_for_flush());
-            self.after_scoped();
-            self.obs
-                .stage_end(self.now(), trace, Stage::Seal, Obs::elapsed(seal_timer));
             let wait_timer = self.obs.timer();
             self.obs.stage_begin(self.now(), trace, Stage::BarrierWait);
-            let res = seal.and_then(|()| self.device.flush().map_err(LldError::from));
+            let res = self.device.wait_barrier(barrier).map_err(LldError::from);
             self.obs.stage_end(
                 self.now(),
                 trace,
@@ -217,23 +201,30 @@ impl<D: BlockDevice> LldInner<D> {
                 Obs::elapsed(wait_timer),
             );
             res
-        };
+        });
 
         let mut st = self.gc.state.lock();
-        // Barriers can complete out of submission order on the
-        // pipelined path (a later leader's barrier may retire first;
-        // it covers this batch's earlier writes), so `done` only moves
-        // forward.
-        st.done = st.done.max(covering);
-        if !handed_off {
-            // After a handoff the flag belongs to the next leader.
+        if released {
+            st.inflight -= 1;
+        } else {
             st.leader_active = false;
             st.handoff_at = self.obs.timer();
         }
-        st.last_error = res.as_ref().err().cloned();
+        match &res {
+            Ok(()) => st.done = st.done.max(covering),
+            Err(e) if st.failed.as_ref().is_none_or(|(to, _)| covering > *to) => {
+                st.failed = Some((covering, e.clone()));
+            }
+            Err(_) => {}
+        }
         drop(st);
+        // Followers of this batch, and callers the gate held back.
         self.gc.cv.notify_all();
+        self.flush_end(res, trace, timer)
+    }
 
+    /// Closes a durability caller's `commit` span.
+    fn flush_end(&self, res: Result<()>, trace: u64, timer: Option<Instant>) -> Result<()> {
         if res.is_ok() {
             self.obs
                 .flush_done(self.now(), self.stats.segments_sealed.get(), timer);

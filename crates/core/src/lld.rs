@@ -144,8 +144,8 @@ pub(crate) enum DevicePath<D> {
     /// Writes and barriers run on the caller's thread.
     Sync(D),
     /// Writes stream through the pipeline's I/O thread; barriers run on
-    /// the threads waiting for them, overlapping the next batch's
-    /// writes.
+    /// the threads waiting for them. (On either arm a flush leader's
+    /// barrier overlaps the next leader's seal: see `gc.rs`.)
     Pipelined(PipelinedDisk<D>),
 }
 
@@ -169,30 +169,18 @@ impl<D> DevicePath<D> {
         }
     }
 
-    /// Whether the pipelined path is active (the group-commit leader
-    /// hands off the barrier wait when it is).
+    /// Whether the pipelined path is active (the seal then writes only
+    /// the tail of a segment whose blocks were streamed as they were
+    /// placed).
     pub(crate) fn is_pipelined(&self) -> bool {
         matches!(self, DevicePath::Pipelined(_))
     }
 
-    /// The pipelined device, when that path is active. The group-commit
-    /// leader uses this to split its barrier into submit + wait so
-    /// leadership can be handed off in between.
+    /// The pipelined device, when that path is active.
     pub(crate) fn as_pipelined(&self) -> Option<&PipelinedDisk<D>> {
         match self {
             DevicePath::Sync(_) => None,
             DevicePath::Pipelined(p) => Some(p),
-        }
-    }
-
-    /// Whether the group-commit stage may start another
-    /// barrier-producing batch: always on the synchronous path (the
-    /// leader holds leadership through its own barrier), and gated on a
-    /// free pipeline barrier slot on the pipelined path.
-    pub(crate) fn barrier_slot_free(&self) -> bool {
-        match self {
-            DevicePath::Sync(_) => true,
-            DevicePath::Pipelined(p) => p.barrier_slot_free(),
         }
     }
 
@@ -217,6 +205,30 @@ impl<D> DevicePath<D> {
         match self {
             DevicePath::Sync(d) => d,
             DevicePath::Pipelined(p) => p.into_inner(),
+        }
+    }
+}
+
+/// A barrier in two halves, so the group-commit leader can let go of
+/// leadership in between: `flush` is `wait_barrier(submit_barrier()?)`
+/// on both arms.
+impl<D: BlockDevice> DevicePath<D> {
+    /// Takes the barrier's ticket: the pipeline's cover (the writes
+    /// submitted so far), nothing on the synchronous path, where every
+    /// write the barrier must cover has already returned.
+    pub(crate) fn submit_barrier(&self) -> ld_disk::Result<u64> {
+        match self {
+            DevicePath::Sync(_) => Ok(0),
+            DevicePath::Pipelined(p) => p.submit_barrier(),
+        }
+    }
+
+    /// Waits for the barrier on the calling thread: the device's own
+    /// `flush` on the synchronous path.
+    pub(crate) fn wait_barrier(&self, ticket: u64) -> ld_disk::Result<()> {
+        match self {
+            DevicePath::Sync(d) => d.flush(),
+            DevicePath::Pipelined(p) => p.wait_barrier(ticket),
         }
     }
 }
@@ -709,13 +721,12 @@ impl<D: BlockDevice> LldInner<D> {
     }
 
     /// A snapshot of the operation counters. With the pipelined device
-    /// path, `pipeline_stalls` and `inflight_barriers` are filled from
-    /// the pipeline's counters (they stay 0 in synchronous mode).
+    /// path, `pipeline_stalls` is filled from the pipeline's counters
+    /// (it stays 0 in synchronous mode).
     pub fn stats(&self) -> LldStats {
         let mut s = self.stats.snapshot();
         if let Some(p) = self.device.pipeline_stats() {
             s.pipeline_stalls = p.stalls;
-            s.inflight_barriers = p.inflight_barriers_max;
         }
         s.trace_events_dropped = self.obs.ring().dropped();
         s

@@ -707,10 +707,10 @@ impl Obs {
         );
     }
 
-    /// Records the gap between a pipelined leader releasing leadership
-    /// and the next leader claiming it (histogram only: the two sides
-    /// run on different threads, so a begin/end pair would break
-    /// per-thread span nesting).
+    /// Records the gap between a leader releasing leadership (before
+    /// its barrier, on either writer) and the next leader claiming it
+    /// (histogram only: the two sides run on different threads, so a
+    /// begin/end pair would break per-thread span nesting).
     #[inline]
     pub(crate) fn leader_handoff(&self, nanos: u64) {
         if self.cfg.enabled {

@@ -111,9 +111,9 @@ pub struct LldStats {
     /// submission queue (0 when the synchronous device path is in use;
     /// see `LldConfig::pipeline`).
     pub pipeline_stalls: u64,
-    /// Maximum number of simultaneously in-flight (submitted but not
-    /// retired) device barriers observed on the pipelined path (0 in
-    /// synchronous mode).
+    /// Most group-commit batches ever in their device barrier at once:
+    /// a leader lets go of leadership before its barrier on both device
+    /// paths, and the claim gate holds this at 2 or below.
     pub inflight_barriers: u64,
     /// Trace events evicted from the bounded [`TraceRing`]
     /// (crate::obs::TraceRing) by wraparound — non-zero means the trace
@@ -202,6 +202,7 @@ pub(crate) struct StatsCell {
     pub(crate) flush_batches: Counter,
     pub(crate) flush_batch_callers: Counter,
     pub(crate) flush_batch_max: Counter,
+    pub(crate) inflight_barriers: Counter,
     pub(crate) full_mutations: Counter,
     pub(crate) scoped_mutations: Counter,
     pub(crate) single_shard_commits: Counter,
@@ -246,6 +247,7 @@ impl StatsCell {
             flush_batches: self.flush_batches.get(),
             flush_batch_callers: self.flush_batch_callers.get(),
             flush_batch_max: self.flush_batch_max.get(),
+            inflight_barriers: self.inflight_barriers.get(),
             full_mutations: self.full_mutations.get(),
             scoped_mutations: self.scoped_mutations.get(),
             single_shard_commits: self.single_shard_commits.get(),
@@ -257,7 +259,6 @@ impl StatsCell {
             // Filled from the pipelined device path / the trace ring
             // by `Lld::stats`; the cell itself never counts these.
             pipeline_stalls: 0,
-            inflight_barriers: 0,
             trace_events_dropped: 0,
         }
     }
@@ -295,6 +296,7 @@ impl StatsCell {
             flush_batches,
             flush_batch_callers,
             flush_batch_max,
+            inflight_barriers,
             full_mutations,
             scoped_mutations,
             single_shard_commits,
@@ -336,6 +338,7 @@ impl StatsCell {
             flush_batches,
             flush_batch_callers,
             flush_batch_max,
+            inflight_barriers,
             full_mutations,
             scoped_mutations,
             single_shard_commits,

@@ -5,13 +5,12 @@
 //! a dedicated I/O thread behind a bounded submission queue. `write_at`
 //! becomes an enqueue (cheap, returns as soon as the request is
 //! queued); `flush` becomes "wait until every write my barrier covers
-//! has been applied, then barrier the inner device". Because a sealed
-//! segment's writes no longer occupy the sealing thread, the layer
-//! above (the logical disk's group-commit leader) hands off a sealed
-//! segment and lets the *next* batch fill — and its seal writes reach
-//! the device — while the previous barrier is still in flight:
-//! double-buffered segment staging, with the write work of batch *k+1*
-//! overlapping the barrier wait of batch *k*.
+//! has been applied, then barrier the inner device". A segment's
+//! writes no longer occupy the thread that placed or sealed them, and
+//! the layer above (the logical disk's group-commit leader, which lets
+//! the next batch seal during its barrier on any device) gets
+//! double-buffered segment staging: the write work of batch *k+1*
+//! overlaps the barrier wait of batch *k*.
 //!
 //! # Queue protocol
 //!
@@ -43,13 +42,12 @@
 //! the device — and, under fault injection, exhaust the byte budget —
 //! between a barrier's cover being applied and its inner flush
 //! entering the device. The layer above bounds that window: the
-//! group-commit leader hands leadership off only while the in-flight
-//! barrier count is below [`barrier_slot_free`]'s bound, so at most one
-//! trailing batch's writes can race a pending barrier. After a power
-//! cut the pipelined disk therefore acknowledges at most one batch
-//! fewer than the unpipelined one would have — never more.
-//!
-//! [`barrier_slot_free`]: PipelinedDisk::barrier_slot_free
+//! logical disk's group-commit stage lets a leader claim only while
+//! fewer than two released batches are unretired (its own count, the
+//! same for both device paths), so at most one trailing batch's writes
+//! can race a pending barrier. After a power cut at most one batch
+//! fewer is acknowledged than a leader that held on through its barrier
+//! would have acknowledged — never one more.
 //!
 //! # Durability and failure semantics
 //!
@@ -108,16 +106,6 @@ const DEFAULT_MAX_QUEUED_REQUESTS: usize = 1024;
 /// for too long.
 const MAX_MERGED_BYTES: usize = 1 << 20;
 
-/// Barrier slots exposed to the layer above via
-/// [`barrier_slot_free`](PipelinedDisk::barrier_slot_free): one barrier
-/// in its device flush plus one staged behind it. Two slots are exactly
-/// double buffering — batch *k+1*'s writes overlap batch *k*'s barrier
-/// — while keeping the crash window tight: when a barrier's inner flush
-/// is issued, at most one later batch's writes can have consumed fault
-/// budget ahead of it, so a power cut costs at most one acknowledged
-/// batch relative to the synchronous path.
-const MAX_INFLIGHT_BARRIERS: u64 = 2;
-
 /// A positioned write on the submission queue, tagged with its sequence
 /// number, enqueue time (for the submission-latency histogram), and the
 /// submitting thread's trace id (so the I/O thread can attribute the
@@ -172,9 +160,6 @@ struct PipeState {
     /// Highest applied-snapshot among the in-flight flushes (meaningful
     /// only while `flushes_inflight > 0`).
     flush_cover: u64,
-    /// Barriers submitted but not yet retired or failed (gauge; the
-    /// group-commit leader's handoff gate reads it).
-    inflight_barriers: u64,
     /// First inner-device error, latched; fails all queued and future
     /// requests.
     error: Option<DiskError>,
@@ -194,7 +179,6 @@ struct PipeCounters {
     barriers_coalesced: AtomicU64,
     writes_merged: AtomicU64,
     stalls: AtomicU64,
-    inflight_barriers_max: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -265,9 +249,6 @@ pub struct PipelineStatsSnapshot {
     /// Times a submitter blocked because the queue was at its byte or
     /// request bound.
     pub stalls: u64,
-    /// Maximum number of simultaneously in-flight (submitted but not
-    /// retired) barriers observed.
-    pub inflight_barriers_max: u64,
     /// Queue depth sampled at each enqueue.
     pub queue_depth: HistogramSnapshot,
     /// Nanoseconds from enqueue to applied-on-inner-device, per write.
@@ -301,7 +282,6 @@ impl<D: BlockDevice + 'static> PipelinedDisk<D> {
                 durable: 0,
                 flushes_inflight: 0,
                 flush_cover: 0,
-                inflight_barriers: 0,
                 error: None,
                 stop: false,
                 handle: None,
@@ -372,7 +352,6 @@ impl<D> PipelinedDisk<D> {
             barriers_coalesced: c.barriers_coalesced.load(Ordering::Relaxed),
             writes_merged: c.writes_merged.load(Ordering::Relaxed),
             stalls: c.stalls.load(Ordering::Relaxed),
-            inflight_barriers_max: c.inflight_barriers_max.load(Ordering::Relaxed),
             queue_depth: self.shared.queue_depth.snapshot(),
             submit_ns: self.shared.submit_ns.snapshot(),
             media_write_ns: self.shared.media_write_ns.snapshot(),
@@ -390,7 +369,6 @@ impl<D> PipelinedDisk<D> {
         c.barriers_coalesced.store(0, Ordering::Relaxed);
         c.writes_merged.store(0, Ordering::Relaxed);
         c.stalls.store(0, Ordering::Relaxed);
-        c.inflight_barriers_max.store(0, Ordering::Relaxed);
         self.shared.queue_depth.reset();
         self.shared.submit_ns.reset();
         self.shared.media_write_ns.reset();
@@ -407,24 +385,6 @@ impl<D> PipelinedDisk<D> {
     pub fn set_observer(&self, observer: Arc<dyn PipeObserver>) {
         *self.shared.observer.0.lock() = Some(observer);
     }
-
-    /// Whether the layer above may start another barrier-producing
-    /// batch: fewer than two barriers (`MAX_INFLIGHT_BARRIERS`) are
-    /// submitted-but-unretired.
-    ///
-    /// The logical disk's group-commit stage gates its leadership
-    /// handoff on this: a new leader seals (producing device writes)
-    /// only while a barrier slot is free. That keeps the pipeline to
-    /// classic double buffering — one batch flushing, one staging — and
-    /// bounds how far fault-budget consumption can run ahead of a
-    /// pending barrier (see the [module docs](self)). Callers that are
-    /// gated should sleep on their own condition variable and re-check
-    /// when a durability batch completes; the gauge is monotone only
-    /// within a barrier's lifetime, so polling it without a wakeup
-    /// source would spin.
-    pub fn barrier_slot_free(&self) -> bool {
-        self.shared.state.lock().inflight_barriers < MAX_INFLIGHT_BARRIERS
-    }
 }
 
 impl<D: BlockDevice> PipelinedDisk<D> {
@@ -432,9 +392,7 @@ impl<D: BlockDevice> PipelinedDisk<D> {
     /// returned cover is the sequence number of the last write
     /// submitted before this call; pass it to
     /// [`wait_barrier`](Self::wait_barrier) to block until a covering
-    /// inner flush completes. Every `submit_barrier` must be paired
-    /// with a `wait_barrier`, or the in-flight gauge leaks and
-    /// [`barrier_slot_free`](Self::barrier_slot_free) wedges shut.
+    /// inner flush completes.
     ///
     /// This is the pipelining hook for layers that overlap barrier
     /// latency with new work: the logical disk's group-commit leader
@@ -447,16 +405,15 @@ impl<D: BlockDevice> PipelinedDisk<D> {
     ///
     /// The latched sticky error, if any (no ticket is then taken).
     pub fn submit_barrier(&self) -> Result<u64> {
-        let mut st = self.shared.state.lock();
+        let st = self.shared.state.lock();
         if let Some(e) = &st.error {
             return Err(e.clone());
         }
         let cover = st.submitted;
-        st.inflight_barriers += 1;
-        let c = &self.shared.counters;
-        c.barriers_submitted.fetch_add(1, Ordering::Relaxed);
-        c.inflight_barriers_max
-            .fetch_max(st.inflight_barriers, Ordering::Relaxed);
+        self.shared
+            .counters
+            .barriers_submitted
+            .fetch_add(1, Ordering::Relaxed);
         Ok(cover)
     }
 
@@ -479,15 +436,15 @@ impl<D: BlockDevice> PipelinedDisk<D> {
         let c = &self.shared.counters;
         let mut flushed = false;
         let mut st = self.shared.state.lock();
-        let res = loop {
+        loop {
             if let Some(e) = &st.error {
-                break Err(e.clone());
+                return Err(e.clone());
             }
             if st.durable >= cover {
                 if !flushed {
                     c.barriers_coalesced.fetch_add(1, Ordering::Relaxed);
                 }
-                break Ok(());
+                return Ok(());
             }
             let ride = st.flushes_inflight > 0 && st.flush_cover >= cover;
             if st.applied >= cover && !ride {
@@ -538,9 +495,7 @@ impl<D: BlockDevice> PipelinedDisk<D> {
                 continue;
             }
             st = self.shared.done.wait(st);
-        };
-        st.inflight_barriers = st.inflight_barriers.saturating_sub(1);
-        res
+        }
     }
 }
 
@@ -804,19 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_slots_gate_and_recover() {
-        let d = PipelinedDisk::new(MemDisk::new(4096));
-        assert!(d.barrier_slot_free());
-        let c1 = d.submit_barrier().unwrap();
-        let c2 = d.submit_barrier().unwrap();
-        assert!(!d.barrier_slot_free(), "both slots taken");
-        d.wait_barrier(c1).unwrap();
-        assert!(d.barrier_slot_free(), "slot freed on retirement");
-        d.wait_barrier(c2).unwrap();
-        assert!(d.barrier_slot_free());
-    }
-
-    #[test]
     fn contiguous_writes_coalesce_into_one_inner_call() {
         // Stall the I/O thread behind a slow first write so the
         // contiguous followers queue up, then verify they reached the
@@ -935,7 +877,6 @@ mod tests {
             400,
             "every ticket retires exactly once"
         );
-        assert!(s.inflight_barriers_max >= 1);
     }
 
     #[test]
