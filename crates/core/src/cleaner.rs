@@ -4,9 +4,9 @@
 //! "If LLD runs out of disk space it uses a segment cleaner to reclaim
 //! unused disk space" (§2). The unit of cleaning is the *slot*, which
 //! holds one full segment or several sealed early by flushes (see
-//! `segment.rs`); per-slot liveness (`live_count`, `residents`) does
-//! not care which. The policy is greedy lowest-utilisation, *packing*:
-//! victims are the sealed slots with the fewest live blocks, taken
+//! `segment.rs`); per-slot liveness (`residents`) does not care which.
+//! The policy is greedy lowest-utilisation, *packing*: victims are the
+//! sealed slots with the fewest live blocks, taken
 //! together as long as their combined live blocks fit in one output
 //! segment. Live blocks are copied into the current segment (with fresh
 //! `Write` records preserving their logical timestamps), and the victim
@@ -63,7 +63,7 @@ impl LogState {
         let mut cands: Vec<(u32, u32, u64)> = self
             .sealed_slots()
             .filter(|&(_, seq)| seq <= max_seq)
-            .map(|(slot, seq)| (self.live_count[slot as usize], slot, seq))
+            .map(|(slot, seq)| (self.residents[slot as usize].len() as u32, slot, seq))
             .collect();
         cands.sort_unstable();
         let mut victims = Vec::new();
@@ -86,9 +86,7 @@ impl LogState {
         let dead: Vec<u32> = self
             .sealed_slots()
             .filter(|&(slot, seq)| {
-                seq <= self.checkpoint_seq
-                    && self.live_count[slot as usize] == 0
-                    && self.residents[slot as usize].is_empty()
+                seq <= self.checkpoint_seq && self.residents[slot as usize].is_empty()
             })
             .map(|(slot, _)| slot)
             .collect();

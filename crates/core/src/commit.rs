@@ -517,7 +517,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
     /// Applies one logged list operation to state `st`, collecting
     /// identifiers this made free. Used for commit validation (scratch
     /// shadow state), commit replay (committed state), and recovery
-    /// replay (committed state).
+    /// replay (committed state, through
+    /// [`replay_record`](Self::replay_record)).
     pub(crate) fn apply_list_op(
         &mut self,
         st: StateRef,

@@ -57,11 +57,8 @@ pub(crate) struct LogState {
     pub(crate) slot_seq: Vec<u64>,
     /// Physical slots available for new segments.
     pub(crate) free_slots: BTreeSet<u32>,
-    /// Per physical slot: number of blocks whose current address is in
-    /// it.
-    pub(crate) live_count: Vec<u32>,
     /// Per physical slot: the blocks whose current address is in it
-    /// (the cleaner's work list).
+    /// (the cleaner's work list, and its length the slot's live count).
     pub(crate) residents: Vec<HashSet<BlockId>>,
     pub(crate) next_seq: u64,
     /// Where the log goes on behind the last sealed segment, and that
@@ -92,7 +89,6 @@ impl LogState {
             builder: None,
             slot_seq: vec![0; n_segments],
             free_slots: (0..n_segments as u32).collect(),
-            live_count: vec![0; n_segments],
             residents: vec![HashSet::new(); n_segments],
             next_seq: 1,
             tail: ChainHead {
@@ -362,11 +358,17 @@ impl<D> Lld<D> {
         inner.cleanerd.shutdown_and_join();
         inner.sampler.shutdown_and_join();
         // After the joins the background threads' handle clones are
-        // gone, so this session holds the only strong reference (the
-        // pipe observer holds only a `Weak`).
-        match Arc::try_unwrap(inner) {
-            Ok(inner) => inner.device.unwrap(),
-            Err(_) => unreachable!("outstanding references to the logical disk"),
+        // gone, so this session holds the only lasting strong
+        // reference. The pipe observer holds a `Weak`, which it
+        // upgrades for the length of one callback on the I/O thread —
+        // and that thread may still be working through queued writes.
+        let mut shared = inner;
+        loop {
+            match Arc::try_unwrap(shared) {
+                Ok(inner) => return inner.device.unwrap(),
+                Err(still) => shared = still,
+            }
+            std::thread::yield_now();
         }
     }
 }
@@ -492,30 +494,7 @@ impl<D: BlockDevice + 'static> Lld<D> {
         }
         device.flush()?;
 
-        let n = layout.n_segments as usize;
-        let ld = Lld::from_inner(LldInner {
-            device: DevicePath::new(device, config.pipeline),
-            layout,
-            concurrency: config.concurrency,
-            visibility: config.visibility,
-            cleaner_cfg: config.cleaner,
-            maps: Maps::fresh(config.map_shards),
-            log: Mutex::new(LogState::fresh(n)),
-            cache: Mutex::new(BlockCache::new(config.read_cache_blocks)),
-            gc: GroupCommit::new(),
-            ckpt_io: Mutex::new(crate::checkpoint::CkptSlots::default()),
-            dedup: Mutex::new(crate::dedup::DedupCache::new(config.dedup_capacity)),
-            dedup_cv: ld_disk::Condvar::new(),
-            ts_counter: AtomicU64::new(0),
-            free_slots_hint: AtomicU64::new(n as u64),
-            needs_clean: AtomicBool::new(false),
-            needs_checkpoint: AtomicBool::new(false),
-            stats: StatsCell::default(),
-            obs: Obs::new(config.obs),
-            cleanerd: Cleanerd::new(),
-            sampler: Sampler::new(),
-            flight: config.flight_dir.clone().map(FlightRecorder::new),
-        });
+        let ld = Lld::from_inner(LldInner::new(device, layout, config));
         ld.install_pipe_observer();
         ld.with_mutation(|m| m.open_segment(0))?;
         crate::cleanerd::spawn_if_configured(&ld);
@@ -569,6 +548,39 @@ impl<D: BlockDevice> ld_disk::PipeObserver for PipeObsAdapter<D> {
     fn fault(&self, error: &ld_disk::DiskError) {
         if let Some(ld) = self.inner.upgrade() {
             let _ = ld.flight_dump("pipeline_fault", &error.to_string());
+        }
+    }
+}
+
+impl<D: BlockDevice + 'static> LldInner<D> {
+    /// The state of an empty disk on `device`: no record in any shard,
+    /// every slot free, no segment open. [`Lld::format`] opens the
+    /// first segment in it; recovery fills it from the checkpoint and
+    /// the log first.
+    pub(crate) fn new(device: D, layout: Layout, config: &LldConfig) -> Self {
+        let n = layout.n_segments as usize;
+        LldInner {
+            device: DevicePath::new(device, config.pipeline),
+            layout,
+            concurrency: config.concurrency,
+            visibility: config.visibility,
+            cleaner_cfg: config.cleaner,
+            maps: Maps::fresh(config.map_shards),
+            log: Mutex::new(LogState::fresh(n)),
+            cache: Mutex::new(BlockCache::new(config.read_cache_blocks)),
+            gc: GroupCommit::new(),
+            ckpt_io: Mutex::new(crate::checkpoint::CkptSlots::default()),
+            dedup: Mutex::new(crate::dedup::DedupCache::new(config.dedup_capacity)),
+            dedup_cv: ld_disk::Condvar::new(),
+            ts_counter: AtomicU64::new(0),
+            free_slots_hint: AtomicU64::new(n as u64),
+            needs_clean: AtomicBool::new(false),
+            needs_checkpoint: AtomicBool::new(false),
+            stats: StatsCell::default(),
+            obs: Obs::new(config.obs),
+            cleanerd: Cleanerd::new(),
+            sampler: Sampler::new(),
+            flight: config.flight_dir.clone().map(FlightRecorder::new),
         }
     }
 }
@@ -1141,14 +1153,10 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         }
         let log = self.log();
         if let Some(a) = old {
-            let s = a.segment.get() as usize;
-            log.live_count[s] = log.live_count[s].saturating_sub(1);
-            log.residents[s].remove(&id);
+            log.residents[a.segment.get() as usize].remove(&id);
         }
         if let Some(a) = new {
-            let s = a.segment.get() as usize;
-            log.live_count[s] += 1;
-            log.residents[s].insert(id);
+            log.residents[a.segment.get() as usize].insert(id);
         }
     }
 

@@ -278,6 +278,15 @@ pub(crate) struct SegmentHeader {
     pub(crate) next: ChainHead,
 }
 
+impl SegmentHeader {
+    /// The slot indices of its data blocks, the only ones its `Write`
+    /// records name ([`SegmentBuilder::push_block`]). [`parse_header`]
+    /// checked that they end inside the slot.
+    pub(crate) fn data_blocks(&self) -> std::ops::Range<u32> {
+        self.base..self.base + self.n_blocks
+    }
+}
+
 /// Validates the header bytes found at block `base` of `slot`. `None`:
 /// no sealed segment there — the header never landed, was punched, is
 /// stale garbage or user data, or describes a segment (or an in-slot

@@ -115,8 +115,9 @@ impl MapShard {
         }
     }
 
-    /// Records that block id `raw` is in use (recovery replay): it
-    /// leaves the free set and the allocator is raised past it.
+    /// Records that block id `raw` is in use (recovery: a snapshot
+    /// entry or a replayed allocation): it leaves the free set and the
+    /// allocator is raised past it.
     pub(crate) fn note_block_id(&mut self, raw: u64, n: u64) {
         self.free_blocks.remove(&raw);
         self.next_block_raw = self.next_block_raw.max(raw + n);
@@ -164,69 +165,24 @@ pub(crate) struct Maps {
 
 impl Maps {
     pub(crate) fn fresh(nshards: usize) -> Self {
+        debug_assert!(nshards.is_power_of_two() && nshards <= 64);
         let n = nshards as u64;
-        Self::wrap(
-            (0..nshards as u32).map(|i| MapShard::fresh(i, n)).collect(),
-            0,
-            0,
-        )
-    }
-
-    /// Builds the sharded layer from recovered checkpoint tables:
-    /// records are distributed to their owning shards and each shard's
-    /// allocators start at its first id at or above the checkpoint's
-    /// global floor (then raised past every id actually present).
-    pub(crate) fn from_tables(
-        nshards: usize,
-        tables: Tables,
-        block_floor: u64,
-        list_floor: u64,
-    ) -> Self {
-        let n = nshards as u64;
-        let mut shards: Vec<MapShard> = (0..nshards as u32)
-            .map(|i| {
-                let mut s = MapShard::fresh(i, n);
-                s.next_block_raw = striped_ceil(block_floor, i, n);
-                s.next_list_raw = striped_ceil(list_floor, i, n);
-                s
-            })
-            .collect();
-        let mask = n - 1;
-        let nb = tables.blocks.len() as u64;
-        let nl = tables.lists.len() as u64;
-        for (id, rec) in tables.blocks {
-            let s = &mut shards[(id.get() & mask) as usize];
-            s.note_block_id(id.get(), n);
-            s.persistent.blocks.insert(id, rec);
-        }
-        for (id, rec) in tables.lists {
-            let s = &mut shards[(id.get() & mask) as usize];
-            s.note_list_id(id.get(), n);
-            s.persistent.lists.insert(id, rec);
-        }
-        Self::wrap(shards, nb, nl)
-    }
-
-    fn wrap(shards: Vec<MapShard>, nb: u64, nl: u64) -> Self {
-        let count = shards.len();
-        debug_assert!(count.is_power_of_two() && count <= 64);
         Maps {
-            shards: shards
-                .into_iter()
-                .map(|s| ShardSlot {
-                    lock: RwLock::new(s),
+            shards: (0..nshards as u32)
+                .map(|i| ShardSlot {
+                    lock: RwLock::new(MapShard::fresh(i, n)),
                     read_locks: Counter::default(),
                     write_locks: Counter::default(),
                 })
                 .collect(),
-            arus: (0..count).map(|_| Mutex::new(BTreeMap::new())).collect(),
+            arus: (0..nshards).map(|_| Mutex::new(BTreeMap::new())).collect(),
             next_aru_raw: AtomicU64::new(1),
             // Start at the shard owning raw id 1, so the first list on a
             // fresh disk gets id 1 under every shard count (clients pin
             // well-known metadata to it).
-            list_rr: AtomicU64::new(1 % count as u64),
-            allocated_blocks: AtomicU64::new(nb),
-            allocated_lists: AtomicU64::new(nl),
+            list_rr: AtomicU64::new(1 % n),
+            allocated_blocks: AtomicU64::new(0),
+            allocated_lists: AtomicU64::new(0),
         }
     }
 
@@ -327,32 +283,6 @@ impl Maps {
                 (i, ShardGuard::Write(slot.lock.write()))
             })
             .collect()
-    }
-
-    /// Records identifiers that replay allocated and then finally freed
-    /// (recovery): each raw id leaves with the allocator raised past it
-    /// *and* a free-set entry, exactly as a serial alloc/free pair would
-    /// have left its shard. Call order (note, then insert) matters:
-    /// `note_*_id` removes the id from the free set before re-adding.
-    pub(crate) fn inject_freed(
-        &self,
-        freed_blocks: impl IntoIterator<Item = u64>,
-        freed_lists: impl IntoIterator<Item = u64>,
-    ) {
-        let n = self.shards.len() as u64;
-        let mask = self.mask();
-        let mut guards: Vec<RwLockWriteGuard<'_, MapShard>> =
-            self.shards.iter().map(|s| s.lock.write()).collect();
-        for raw in freed_blocks {
-            let sh = &mut *guards[(raw & mask) as usize];
-            sh.note_block_id(raw, n);
-            sh.free_blocks.insert(raw);
-        }
-        for raw in freed_lists {
-            let sh = &mut *guards[(raw & mask) as usize];
-            sh.note_list_id(raw, n);
-            sh.free_lists.insert(raw);
-        }
     }
 
     /// Per-shard lock-acquisition counters.
@@ -752,33 +682,6 @@ mod tests {
                 assert!(seen.insert(raw), "duplicate id {raw}");
             }
         }
-    }
-
-    #[test]
-    fn from_tables_distributes_and_raises_allocators() {
-        let mut tables = Tables::default();
-        for raw in [1u64, 5, 9, 14] {
-            tables.blocks.insert(
-                BlockId::new(raw),
-                BlockRecord::fresh(crate::types::Timestamp::ZERO),
-            );
-        }
-        let maps = Maps::from_tables(4, tables, 10, 1);
-        assert_eq!(maps.allocated_blocks.load(Ordering::Relaxed), 4);
-        let guards = maps.lock_read(maps.all_set());
-        for (i, g) in &guards {
-            let sh: &MapShard = g;
-            // Allocator is past the floor and past every present id.
-            assert!(sh.next_block_raw >= 10);
-            assert_eq!(sh.next_block_raw % 4, u64::from(*i));
-            for id in sh.persistent.blocks.keys() {
-                assert_eq!(maps.shard_of(id.get()), *i);
-                assert!(sh.next_block_raw > id.get());
-            }
-        }
-        // 1, 5, 9 land in shard 1; 14 in shard 2.
-        assert_eq!(guards[1].1.persistent.blocks.len(), 3);
-        assert_eq!(guards[2].1.persistent.blocks.len(), 1);
     }
 
     #[test]

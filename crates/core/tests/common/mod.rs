@@ -1,0 +1,79 @@
+//! What the image-forging suites share: where the on-disk fields sit,
+//! and how to make an edit under them pass its checksum again.
+
+#![allow(dead_code)] // each suite uses its own subset
+
+use ld_disk::crc32;
+
+// Segment header fields (see `segment.rs`).
+pub const H_SEQ: usize = 8;
+pub const H_N_BLOCKS: usize = 16;
+pub const H_SUMMARY_LEN: usize = 20;
+pub const H_SUMMARY_CRC: usize = 24;
+pub const H_NEXT: usize = 28;
+pub const H_PREV: usize = 32;
+pub const H_CRC: usize = 40;
+pub const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936;
+
+// Checkpoint header fields (see `checkpoint.rs`).
+pub const C_HEAD_SLOT: usize = 56;
+pub const C_HEAD_BASE: usize = 60;
+pub const C_CRC: usize = 64;
+/// The header's length; the slab directory follows, in room reserved
+/// for 64 entries, and the slabs follow that.
+pub const C_LEN: usize = 68;
+pub const C_DIR_ENTRY: usize = 24;
+pub const C_DIR_RESERVE: usize = 64 * C_DIR_ENTRY;
+
+// Superblock: the CRC over the bytes in front of it (see `layout.rs`).
+pub const S_CRC: usize = 60;
+
+pub fn u32_at(image: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(image[at..at + 4].try_into().unwrap())
+}
+
+pub fn u64_at(image: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(image[at..at + 8].try_into().unwrap())
+}
+
+pub fn put_u32(image: &mut [u8], at: usize, v: u32) {
+    image[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Recomputes the CRC of the segment header at `off`, so an edit under
+/// it passes as a sealed header. Returns the new CRC (the segment's
+/// link).
+pub fn reseal(image: &mut [u8], off: usize) -> u32 {
+    let crc = crc32(&image[off..off + H_CRC]);
+    put_u32(image, off + H_CRC, crc);
+    crc
+}
+
+pub fn header_valid(image: &[u8], off: usize) -> bool {
+    u64_at(image, off) == SEGMENT_MAGIC
+        && crc32(&image[off..off + H_CRC]) == u32_at(image, off + H_CRC)
+}
+
+/// Byte range of the summary of the segment whose header is at `off`,
+/// on `block_size`-byte blocks: behind the header block and the data
+/// blocks.
+pub fn summary_range(image: &[u8], off: usize, block_size: usize) -> std::ops::Range<usize> {
+    let start = off + (1 + u32_at(image, off + H_N_BLOCKS) as usize) * block_size;
+    start..start + u32_at(image, off + H_SUMMARY_LEN) as usize
+}
+
+/// Makes an edit of the summary of the segment at `off` pass: recomputes
+/// the summary CRC in the header, then the header's own. The header's
+/// CRC is the link its successor checks, so the log ends behind this
+/// segment.
+pub fn reseal_summary(image: &mut [u8], off: usize, block_size: usize) {
+    let crc = crc32(&image[summary_range(image, off, block_size)]);
+    put_u32(image, off + H_SUMMARY_CRC, crc);
+    reseal(image, off);
+}
+
+/// Recomputes the CRC of the checkpoint header at `area`.
+pub fn reseal_checkpoint(image: &mut [u8], area: usize) {
+    let crc = crc32(&image[area..area + C_CRC]);
+    put_u32(image, area + C_CRC, crc);
+}

@@ -7,6 +7,9 @@
 //!
 //! Every test runs on both writers ([`both_writers`]).
 
+mod common;
+
+use common::*;
 use ld_core::{CleanerConfig, Ctx, Lld, LldConfig, LldError, Position, RecoveryReport};
 use ld_disk::{crc32, DiskModel, MemDisk, SimDisk};
 
@@ -14,21 +17,6 @@ const BS: usize = 512;
 /// Blocks per segment slot.
 const BPS: usize = 16;
 const SEG: usize = BPS * BS;
-
-// Segment header fields (see `segment.rs`).
-const H_SEQ: usize = 8;
-const H_N_BLOCKS: usize = 16;
-const H_SUMMARY_LEN: usize = 20;
-const H_SUMMARY_CRC: usize = 24;
-const H_NEXT: usize = 28;
-const H_PREV: usize = 32;
-const H_CRC: usize = 40;
-const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936;
-
-// Checkpoint header fields (see `checkpoint.rs`).
-const C_HEAD_SLOT: usize = 56;
-const C_HEAD_BASE: usize = 60;
-const C_CRC: usize = 64;
 
 fn config(pipeline: bool) -> LldConfig {
     LldConfig {
@@ -58,32 +46,6 @@ fn block(byte: u8) -> Vec<u8> {
 fn device_bytes(slots: u64) -> u64 {
     let layout = ld_core::Layout::compute(1 << 20, &config(false)).unwrap();
     layout.data_start + slots * SEG as u64
-}
-
-fn u32_at(image: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(image[at..at + 4].try_into().unwrap())
-}
-
-fn u64_at(image: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(image[at..at + 8].try_into().unwrap())
-}
-
-fn put_u32(image: &mut [u8], at: usize, v: u32) {
-    image[at..at + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-/// Recomputes the CRC of the segment header at `off`, so an edit under
-/// it passes as a sealed header. Returns the new CRC (the segment's
-/// link).
-fn reseal(image: &mut [u8], off: usize) -> u32 {
-    let crc = crc32(&image[off..off + H_CRC]);
-    put_u32(image, off + H_CRC, crc);
-    crc
-}
-
-fn header_valid(image: &[u8], off: usize) -> bool {
-    u64_at(image, off) == SEGMENT_MAGIC
-        && crc32(&image[off..off + H_CRC]) == u32_at(image, off + H_CRC)
 }
 
 fn seg_off(image: &[u8], slot: u32) -> usize {
@@ -450,6 +412,46 @@ fn hostile_pointers_are_corrupt_not_fatal_on(pipeline: bool) {
     let (ld, report) = recover(&hostile, pipeline).unwrap();
     assert_eq!(report.segments_replayed, 9);
     assert_eq!(read_byte(&ld, b), 9);
+
+    // Records recomputed under valid CRCs, on the tail (a resealed
+    // header changes the link its successor checks). Its one record
+    // places the block at the segment's one data block.
+    let summary = summary_range(&image, tail, BS);
+    let at_block = summary.start + 9; // behind the tag and the block id
+    assert_eq!((image[summary.start], summary.len()), (1, 29), "a `Write`");
+    assert_eq!(u32_at(&image, at_block), at[11].1);
+    // One past the segment's last block, and where `Layout::block_offset`
+    // would overflow.
+    for slot in [at[11].1 + 1, u32::MAX] {
+        let mut hostile = image.clone();
+        put_u32(&mut hostile, at_block, slot);
+        reseal_summary(&mut hostile, tail, BS);
+        let got = recover(&hostile, pipeline);
+        assert!(
+            matches!(got, Err(LldError::Corrupt(_))),
+            "write at block {slot}: {:?}",
+            got.map(|(_, r)| r)
+        );
+    }
+    // A second `Link` of the block, which is on its list already: what
+    // the live path refuses, replay refuses.
+    let list = ld.block_info(b).unwrap().list.unwrap();
+    let mut link = vec![4u8]; // the record's tag
+    for field in [list.get(), b.get(), 0, 1_000, 0] {
+        link.extend_from_slice(&field.to_le_bytes()); // list, block, pred, ts, aru
+    }
+    let mut hostile = image.clone();
+    hostile[summary.end..summary.end + link.len()].copy_from_slice(&link);
+    put_u32(
+        &mut hostile,
+        tail + H_SUMMARY_LEN,
+        (summary.len() + link.len()) as u32,
+    );
+    reseal_summary(&mut hostile, tail, BS);
+    match recover(&hostile, pipeline) {
+        Err(LldError::Corrupt(msg)) => assert!(msg.contains("is already on list"), "{msg}"),
+        other => panic!("second link: {:?}", other.map(|(_, r)| r)),
+    }
 }
 
 /// (e) The scan phase reads once per hop inside a slot (the summary's
@@ -572,12 +574,6 @@ fn reformat_over_in_slot_segments_recovers_empty_on(pipeline: bool) {
     assert_eq!(read_byte(&ld, b), 0x77);
 }
 
-/// Recomputes the CRC of the checkpoint header at `area`.
-fn reseal_checkpoint(image: &mut [u8], area: usize) {
-    let crc = crc32(&image[area..area + C_CRC]);
-    put_u32(image, area + C_CRC, crc);
-}
-
 /// (h) The checkpoint's head names a block inside a slot. One that
 /// leaves no room for a segment is a typed error; one that is in range
 /// keeps its slot out of the free set although nothing in the slot is
@@ -637,6 +633,60 @@ fn checkpoint_head_inside_a_slot_on(pipeline: bool) {
     ));
 }
 
+/// (i) A record whose timestamp runs backwards, recomputed under valid
+/// CRCs. The seal keeps the newer of two versions of a record, so half
+/// of the deletion would lose to the checkpoint — the predecessor would
+/// still point at the block the other half removed. A typed error, not
+/// a list that no longer walks.
+#[test]
+fn timestamp_that_runs_backwards_is_corrupt() {
+    both_writers(timestamp_that_runs_backwards_is_corrupt_on);
+}
+
+fn timestamp_that_runs_backwards_is_corrupt_on(pipeline: bool) {
+    let ld = Lld::format(MemDisk::new(2 << 20), &config(pipeline)).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let blocks: Vec<_> = (1..=3)
+        .map(|byte| {
+            let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
+            ld.write(Ctx::Simple, b, &block(byte)).unwrap();
+            b
+        })
+        .collect();
+    ld.checkpoint().unwrap();
+    // The middle one: its predecessor is in the checkpoint and nothing
+    // behind the checkpoint touches it again.
+    ld.delete_block(Ctx::Simple, blocks[1]).unwrap();
+    ld.flush().unwrap();
+    let image = ld.into_device().into_image();
+    let tail = pos_off(&image, *chain(&image).last().unwrap());
+    let summary = summary_range(&image, tail, BS);
+    assert_eq!(
+        (image[summary.start], summary.len()),
+        (5, 25),
+        "one `DeleteBlock`"
+    );
+
+    let (ld, report) = recover(&image, pipeline).unwrap();
+    assert_eq!((report.segments_replayed, report.records_applied), (1, 1));
+    assert_eq!(
+        ld.list_blocks(Ctx::Simple, l).unwrap(),
+        [blocks[2], blocks[0]],
+        "control"
+    );
+
+    let mut hostile = image.clone();
+    let ts = summary.start + 9; // behind the tag and the block id
+    hostile[ts..ts + 8].copy_from_slice(&1u64.to_le_bytes());
+    reseal_summary(&mut hostile, tail, BS);
+    let got = recover(&hostile, pipeline);
+    assert!(
+        matches!(got, Err(LldError::Corrupt(_))),
+        "{:?}",
+        got.map(|(ld, r)| (ld.list_blocks(Ctx::Simple, l), r))
+    );
+}
+
 /// An image of the previous format (superblock version 3, valid CRC) is
 /// refused by the version check, not walked as if its addresses meant
 /// the same.
@@ -649,8 +699,8 @@ fn older_format_version_is_refused_on(pipeline: bool) {
     let (mut image, _) = image_with_segments(1, pipeline);
     assert_eq!(u32_at(&image, 8), 4, "superblock version field");
     put_u32(&mut image, 8, 3);
-    let crc = crc32(&image[..60]);
-    put_u32(&mut image, 60, crc);
+    let crc = crc32(&image[..S_CRC]);
+    put_u32(&mut image, S_CRC, crc);
     match recover(&image, pipeline) {
         Err(LldError::Corrupt(msg)) => assert!(msg.contains("version 3"), "{msg}"),
         other => panic!("{:?}", other.map(|(_, r)| r)),

@@ -1,0 +1,246 @@
+//! A seeded bit-flip fuzzer for `recover` (docs/INVARIANTS.md: no image
+//! makes `recover` panic).
+//!
+//! Each case takes one image — a checkpoint, a suffix of full and
+//! in-slot partial segments, ARUs, tagged commits and deletions, from
+//! either writer — and flips 1–4 bits in it. *Raw* flips land in the
+//! superblock, a checkpoint area or a used slot and leave the checksums
+//! alone: a CRC catches them, and recovery falls back to the other
+//! area or ends the log earlier. *Resealed* flips recompute the
+//! checksum above the flipped field the way `recovery_chain.rs` does by
+//! hand (segment header, summary, checkpoint header), so recovery takes
+//! the field at its word.
+//!
+//! Either way `recover` returns: a typed error, or a disk on which
+//! `check()` succeeds and every allocated list walks to its end. It
+//! never panics.
+//!
+//! About 200 cases in tier-1; `RECOVERY_FUZZ_CASES=n` runs more (CI:
+//! 5,000 in release mode). A failure prints `RECOVERY_FUZZ_SEED=n`, and
+//! that variable re-runs the one case.
+
+mod common;
+
+use common::*;
+use ld_core::{Ctx, Layout, ListId, Lld, LldConfig, Position};
+use ld_disk::MemDisk;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+const BS: usize = 512;
+/// Blocks per segment slot.
+const BPS: usize = 16;
+/// More lists than any image here allocates: the oracle walks every
+/// identifier up to it.
+const MAX_LISTS: u64 = 64;
+
+fn config(pipeline: bool) -> LldConfig {
+    LldConfig {
+        block_size: BS,
+        segment_bytes: BPS * BS,
+        max_blocks: Some(256),
+        max_lists: Some(MAX_LISTS),
+        pipeline,
+        ..LldConfig::default()
+    }
+}
+
+fn block(byte: u8) -> Vec<u8> {
+    vec![byte; BS]
+}
+
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        // xorshift64*
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        ((self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % n as u64) as usize
+    }
+}
+
+/// The image every case of one writer starts from, and where its parts
+/// are.
+struct Base {
+    image: Vec<u8>,
+    layout: Layout,
+    /// Byte offsets of the valid segment headers, block 0 of a slot or
+    /// inside one.
+    headers: Vec<usize>,
+}
+
+fn base_image(pipeline: bool) -> Base {
+    let ld = Lld::format(MemDisk::new(1 << 20), &config(pipeline)).unwrap();
+    // One unit per flush: partial segments, several to a slot. Every
+    // third commit is tagged (a `WriteId` record, a dedup entry).
+    let unit = |list: ListId, n: u8| {
+        let aru = ld.begin_aru().unwrap();
+        let members = ld.list_blocks(Ctx::Aru(aru), list).unwrap();
+        let pos = match members.get(usize::from(n) % 3) {
+            Some(&pred) => Position::After(pred),
+            None => Position::First,
+        };
+        let b = ld.new_block(Ctx::Aru(aru), list, pos).unwrap();
+        ld.write(Ctx::Aru(aru), b, &block(n)).unwrap();
+        if n.is_multiple_of(3) {
+            ld.end_aru_tagged(aru, 7, 1, u64::from(n) + 1).unwrap();
+        } else {
+            ld.end_aru(aru).unwrap();
+        }
+        ld.flush().unwrap();
+        b
+    };
+    let (keep, doomed) = (
+        ld.new_list(Ctx::Simple).unwrap(),
+        ld.new_list(Ctx::Simple).unwrap(),
+    );
+    let early: Vec<_> = (0..6).map(|n| unit(keep, n)).collect();
+    unit(doomed, 6);
+    ld.delete_block(Ctx::Simple, early[1]).unwrap();
+    ld.checkpoint().unwrap(); // area A
+    unit(keep, 7);
+    ld.checkpoint().unwrap(); // area B, the newer
+    let late: Vec<_> = (8..14).map(|n| unit(keep, n)).collect();
+    // Full segments: overwrites with no flush in between.
+    for n in 0..40u8 {
+        ld.write(Ctx::Simple, late[usize::from(n) % late.len()], &block(n))
+            .unwrap();
+    }
+    ld.delete_block(Ctx::Simple, early[3]).unwrap();
+    ld.delete_block(Ctx::Simple, late[2]).unwrap();
+    ld.delete_list(Ctx::Simple, doomed).unwrap();
+    // An ARU that never ends leaves an orphan for `check()`.
+    let aru = ld.begin_aru().unwrap();
+    ld.new_block(Ctx::Aru(aru), keep, Position::First).unwrap();
+    unit(keep, 14);
+    let image = ld.into_device().into_image();
+
+    let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
+    let headers: Vec<usize> = (0..layout.n_segments)
+        .flat_map(|slot| (0..BPS as u32).map(move |base| (slot, base)))
+        .map(|(slot, base)| layout.segment_offset(slot) as usize + base as usize * BS)
+        .filter(|&off| header_valid(&image, off))
+        .collect();
+    let (_, report) = Lld::recover_with(MemDisk::from_image(image.clone()), &config(pipeline))
+        .expect("the base image recovers");
+    assert!(report.checkpoint_seq > 0 && report.segments_replayed > 8);
+    assert!(report.orphan_blocks_freed > 0);
+    assert!(headers.len() > report.segments_replayed as usize);
+    Base {
+        image,
+        layout,
+        headers,
+    }
+}
+
+/// Flips 1–4 bits of `image[range]`.
+fn flip(image: &mut [u8], range: std::ops::Range<usize>, rng: &mut Rng) {
+    for _ in 0..1 + rng.below(4) {
+        let bit = rng.below(range.len() * 8);
+        image[range.start + bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+/// The image of case `seed`, and what was done to it.
+fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String) {
+    let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+    let mut image = base.image.clone();
+    let layout = &base.layout;
+    let area = [layout.ckpt_a, layout.ckpt_b][rng.below(2)] as usize;
+    let header = base.headers[rng.below(base.headers.len())];
+    let summary = summary_range(&image, header, BS);
+    let what = match rng.below(9) {
+        0 => {
+            flip(&mut image, 0..S_CRC + 4, &mut rng);
+            "raw: superblock".to_string()
+        }
+        1 => {
+            flip(&mut image, area..area + C_LEN, &mut rng);
+            format!("raw: checkpoint header at {area}")
+        }
+        2 => {
+            // The directory of eight slabs, or the start of the slabs.
+            let slabs = area + C_LEN + C_DIR_RESERVE;
+            let range = [
+                area + C_LEN..area + C_LEN + 8 * C_DIR_ENTRY,
+                slabs..slabs + 1024,
+            ];
+            flip(&mut image, range[rng.below(2)].clone(), &mut rng);
+            format!("raw: checkpoint body at {area}")
+        }
+        3 => {
+            flip(&mut image, header..header + H_CRC + 4, &mut rng);
+            format!("raw: segment header at {header}")
+        }
+        4 => {
+            flip(&mut image, header + BS..summary.end, &mut rng);
+            format!("raw: segment body at {header}")
+        }
+        5 | 6 => {
+            flip(&mut image, header + H_SEQ..header + H_CRC, &mut rng);
+            reseal(&mut image, header);
+            format!("resealed: segment header at {header}")
+        }
+        7 => {
+            flip(&mut image, summary, &mut rng);
+            reseal_summary(&mut image, header, BS);
+            format!("resealed: summary at {header}")
+        }
+        _ => {
+            flip(&mut image, area..area + C_CRC, &mut rng);
+            reseal_checkpoint(&mut image, area);
+            format!("resealed: checkpoint header at {area}")
+        }
+    };
+    (image, what)
+}
+
+/// `recover` on the image of case `seed`; what went wrong, if anything
+/// did.
+fn run_case(base: &Base, pipeline: bool, seed: u64) -> Result<(), String> {
+    let (image, what) = mutate(base, seed);
+    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
+        let Ok((ld, _)) = Lld::recover_with(MemDisk::from_image(image), &config(pipeline)) else {
+            return Ok(()); // a typed error
+        };
+        ld.check().map_err(|e| format!("check(): {e}"))?;
+        for l in (1..=MAX_LISTS).map(ListId::new) {
+            if ld.list_info(l).is_some() {
+                ld.list_blocks(Ctx::Simple, l)
+                    .map_err(|e| format!("{l} does not walk: {e}"))?;
+            }
+        }
+        Ok(())
+    }));
+    match outcome {
+        Ok(Ok(())) => Ok(()),
+        Ok(Err(e)) => Err(format!("{what}: {e}")),
+        Err(_) => Err(format!("{what}: panicked")),
+    }
+}
+
+#[test]
+fn no_flipped_image_makes_recover_panic() {
+    let var = |name: &str| {
+        std::env::var(name)
+            .ok()
+            .map(|v| v.parse::<u64>().unwrap_or_else(|_| panic!("{name}={v}")))
+    };
+    let seeds = match var("RECOVERY_FUZZ_SEED") {
+        Some(seed) => seed..seed + 1,
+        None => 0..var("RECOVERY_FUZZ_CASES").unwrap_or(200),
+    };
+    // The panics the cases catch are the finding, not noise: keep their
+    // messages, the failing seed is printed with them.
+    let bases = [base_image(false), base_image(true)];
+    let failed: Vec<String> = seeds
+        .filter_map(|seed| {
+            let pipeline = seed % 2 == 1;
+            run_case(&bases[usize::from(pipeline)], pipeline, seed)
+                .err()
+                .map(|e| format!("RECOVERY_FUZZ_SEED={seed} (pipeline: {pipeline}) {e}"))
+        })
+        .collect();
+    assert!(failed.is_empty(), "{}", failed.join("\n"));
+}
