@@ -139,6 +139,7 @@ struct Run {
     cross_shard_commits: u64,
     pipeline_stalls: u64,
     inflight_barriers: u64,
+    inflight_segments: u64,
 }
 
 /// The backing device for a run, selected with `--device`.
@@ -211,6 +212,7 @@ fn measure_run(
             cross_shard_commits: stats.cross_shard_commits,
             pipeline_stalls: stats.pipeline_stalls,
             inflight_barriers: stats.inflight_barriers,
+            inflight_segments: stats.inflight_segments,
         };
         let jsonl = ld.sampler_jsonl();
         (run, ld.obs_snapshot(), jsonl)
@@ -398,6 +400,7 @@ fn main() {
                     .u64("cross_shard_commits", r.cross_shard_commits)
                     .u64("pipeline_stalls", r.pipeline_stalls)
                     .u64("inflight_barriers", r.inflight_barriers)
+                    .u64("inflight_segments", r.inflight_segments)
                     .finish(),
             );
         }
@@ -520,6 +523,7 @@ fn run_pipeline_compare(
                     .u64("pipeline_stalls", p.pipeline_stalls)
                     .u64("sync_inflight_barriers_max", s.inflight_barriers)
                     .u64("inflight_barriers_max", p.inflight_barriers)
+                    .u64("sync_inflight_segments_max", s.inflight_segments)
                     .finish(),
             );
         }

@@ -254,7 +254,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
     /// next, under its own reserve).
     fn ckpt_begin(&mut self, reserve: usize) -> Result<CkptWrite> {
         debug_assert!(self.map.holds_all_shards_write());
-        if self.seal_current()? {
+        if self.seal_current()? && self.log().builder.is_none() {
             self.open_segment_if_free(reserve)?;
         }
         // This checkpoint covers the seal that asked for one, its own
@@ -265,6 +265,11 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // a sealed-or-current segment the checkpoint covers, so drain
         // them all before the persistent tables are snapshotted.
         self.map.drain_committed();
+        // W2: a flush leader holds no shard and may still be writing its
+        // seal; what a checkpoint covers is on the device, for recovery
+        // and for the cleaners, which read covered victims from there.
+        let lld = self.lld;
+        lld.wait_written(&mut self.log_guard, |log| log.inflight.is_empty())?;
         let (covered, head) = self.log().covered_point();
         let floor = |next: fn(&crate::shard::MapShard) -> u64| {
             self.map.shards_held().map(next).max().unwrap_or(1)
@@ -278,7 +283,6 @@ impl<D: BlockDevice> Mutation<'_, D> {
             sh.snap_pending = true;
             sh.snap_copy = None;
         }
-        let lld = self.lld;
         // The log mutex is held (taken above for the covered point);
         // `ckpt_io` is its leaf.
         let mut io = lld.ckpt_io.lock();

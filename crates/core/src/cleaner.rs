@@ -91,8 +91,7 @@ impl LogState {
             .map(|(slot, _)| slot)
             .collect();
         for &slot in &dead {
-            self.slot_seq[slot as usize] = 0;
-            self.free_slots.insert(slot);
+            self.release_slot(slot);
         }
         dead.len() as u32
     }
@@ -208,7 +207,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
                     .expect("resident block has a committed record");
                 let addr = rec.addr.expect("resident block has an address");
                 debug_assert_eq!(addr.segment.get(), victim);
-                // The victim is sealed, so its data is on the device.
+                // The victim is checkpoint-covered, so its data is on
+                // the device (W2).
                 self.lld
                     .device
                     .read_at(self.lld.layout.block_offset(addr), &mut buf)?;
@@ -222,11 +222,11 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // Release the victims *before* sealing the relocation records:
         // the seal chooses the next segment's slot, and the freed slots
         // may be the only ones left. The session holds the log from
-        // here through the seal, and nothing is written into a victim
-        // until a segment is opened in it, after that seal.
+        // here through the seal and its write, and nothing is written
+        // into a victim before every segment sealed by now is on the
+        // device (the release stamp, W3).
         for &(victim, _) in victims {
-            self.log().slot_seq[victim as usize] = 0;
-            self.log().free_slots.insert(victim);
+            self.log().release_slot(victim);
         }
         self.seal_current()?;
         self.sync_free_hint();

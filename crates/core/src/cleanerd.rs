@@ -272,7 +272,8 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
     let mut out = PassOutcome::default();
 
     // Phase 1: victim snapshot under the log mutex alone. Victims are
-    // sealed, non-free slots, packed greedily by ascending live count
+    // sealed, non-free slots below the written watermark (phase 3 reads
+    // them from the device), packed greedily by ascending live count
     // so that several mostly-empty segments compact into (at most) one
     // output segment's worth of relocated blocks.
     let slots_cap = ld.layout.slots_per_segment();
@@ -280,7 +281,7 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
     ld.obs.stage_begin(ld.now(), trace, Stage::CleanerSnapshot);
     let mut victims: Vec<Victim> = {
         let log = ld.log.lock();
-        log.pack_victims(u64::MAX, slots_cap, MAX_VICTIMS_PER_PASS)
+        log.pack_victims(log.watermark() - 1, slots_cap, MAX_VICTIMS_PER_PASS)
             .into_iter()
             .map(|(slot, seq)| Victim {
                 slot,

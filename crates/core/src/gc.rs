@@ -2,8 +2,8 @@
 //!
 //! Concurrent durability requests (`flush`, `end_aru_sync`) enqueue
 //! here: each caller takes a ticket, one caller becomes the *leader*,
-//! seals the open segment (under the mapping and log locks) and issues
-//! a single device barrier covering every ticket taken before the seal.
+//! seals the open segment (under the log lock), writes it and issues a
+//! single device barrier covering every ticket taken before the seal.
 //! Followers block on the batch outcome instead of issuing their own
 //! barriers — the classic group commit the paper's lazy `EndARU`
 //! durability invites. The leader lets go of leadership between its
@@ -82,7 +82,8 @@ impl<D: BlockDevice> LldInner<D> {
     ///
     /// # Errors
     ///
-    /// Device errors from the segment write or the barrier.
+    /// Device errors from the barrier and from any segment write so
+    /// far (sticky: [`LogicalDisk::flush`](crate::LogicalDisk::flush)).
     pub fn flush(&self) -> Result<()> {
         let timer = self.obs.timer();
         let mut st = self.gc.state.lock();
@@ -153,8 +154,8 @@ impl<D: BlockDevice> LldInner<D> {
         let _trace_ctx = ld_disk::trace_scope(trace);
 
         // Seal under the log lock alone (a log-only scoped session: the
-        // seal touches no mapping shard, so readers and shard-scoped
-        // writers proceed during the seal). `after_scoped` runs with
+        // seal touches no mapping shard) and write under no lock at all,
+        // in the session's epilogue. `after_scoped` runs with
         // leadership still held, so an inline cleaner pass or a due
         // checkpoint is written ahead of the barrier that covers it.
         let seal_timer = self.obs.timer();
@@ -167,15 +168,19 @@ impl<D: BlockDevice> LldInner<D> {
         // Take the barrier's ticket, let go of leadership, then wait
         // for the barrier with no lock held: the next leader's seal
         // write overlaps this barrier. A barrier vouches for the writes
-        // the device had acknowledged when it was issued, and this
-        // batch's seal write has returned, so nothing the next leader
-        // does can uncover it; the ticket is taken before the release
-        // so that the next seal's writes stay out of this barrier's
-        // cover and a fault felling them cannot fail this batch. A seal
-        // (or ticket) that fails does not hand off: leadership goes
-        // in the same critical section that records the error below,
-        // so the error is on record before the next leader can claim.
-        let barrier = seal.and_then(|()| self.device.submit_barrier().map_err(LldError::from));
+        // the device had acknowledged when it was issued: this batch's
+        // seal write has returned, and the leader first waits out every
+        // earlier segment still on its way from the thread that sealed
+        // it (W1), so nothing the next leader does can uncover them.
+        // The ticket is taken before the release so that the next
+        // seal's writes stay out of this barrier's cover and a fault
+        // felling them cannot fail this batch. A seal, write or ticket
+        // that fails does not hand off: leadership goes in the critical
+        // section that records the error below, before anyone can claim.
+        let barrier = seal.and_then(|sealed| {
+            self.wait_written(&mut None, |log| log.watermark() > sealed)?;
+            self.device.submit_barrier().map_err(LldError::from)
+        });
         let released = barrier.is_ok();
         let res = barrier.and_then(|barrier| {
             let gate_open = {

@@ -60,7 +60,8 @@ pub trait LogicalDisk {
     ///
     /// # Errors
     ///
-    /// Implementation-specific; see [`Lld::end_aru`].
+    /// Implementation-specific; see [`Lld::end_aru`]. `Ok` promises no
+    /// durability, as for [`write`](LogicalDisk::write).
     fn end_aru(&self, aru: AruId) -> Result<()>;
 
     /// Aborts an atomic recovery unit (extension).
@@ -102,7 +103,8 @@ pub trait LogicalDisk {
     ///
     /// # Errors
     ///
-    /// See [`Lld::write`].
+    /// See [`Lld::write`]. `Ok` promises no durability: a segment write
+    /// that fails later is [`flush`](LogicalDisk::flush)'s to report.
     fn write(&self, ctx: Ctx, block: BlockId, data: &[u8]) -> Result<()>;
 
     /// Reads exactly one block of data.
@@ -123,7 +125,10 @@ pub trait LogicalDisk {
     ///
     /// # Errors
     ///
-    /// See [`Lld::flush`].
+    /// See [`Lld::flush`]. A segment write that failed, whether or not
+    /// the operation that sealed the segment had returned `Ok` by then,
+    /// stays on record (on either writer): this call and every later
+    /// one, [`Lld::checkpoint`] included, report it.
     fn flush(&self) -> Result<()>;
 
     /// Commits an atomic recovery unit and makes it durable before

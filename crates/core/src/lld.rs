@@ -31,7 +31,7 @@ use crate::types::{AruId, BlockId, ListId, PhysAddr, Position, SegmentId, Timest
 use ld_disk::Mutex;
 use ld_disk::{BlockDevice, PipelinedDisk};
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard};
@@ -81,6 +81,16 @@ pub(crate) struct LogState {
     /// does not ask for the next pass early (see
     /// [`roll_for_flush`](Mutation::roll_for_flush)).
     pub(crate) clean_fell_short: bool,
+    /// Sealed segments whose device write has not returned, oldest
+    /// first; the waiters of [`LldInner::written`] watch the lowest
+    /// sequence number here (docs/INVARIANTS.md I4, W1–W4).
+    pub(crate) inflight: VecDeque<Arc<SegmentBuilder>>,
+    /// Per slot: the last segment sealed when the cleaner released it.
+    /// The slot is not written while that one or an older is in flight.
+    pub(crate) reuse_after: Vec<u64>,
+    /// The first segment write that failed. Sticky: every later flush
+    /// and checkpoint reports it.
+    pub(crate) write_error: Option<LldError>,
 }
 
 impl LogState {
@@ -100,7 +110,22 @@ impl LogState {
             checkpoint_seq: 0,
             cleaning: false,
             clean_fell_short: false,
+            inflight: VecDeque::new(),
+            reuse_after: vec![0; n_segments],
+            write_error: None,
         }
+    }
+
+    /// The written watermark: every segment below it is on the device.
+    pub(crate) fn watermark(&self) -> u64 {
+        self.inflight.front().map_or(u64::MAX, |s| s.seq())
+    }
+
+    /// Hands `slot` back for reuse: behind everything sealed so far.
+    pub(crate) fn release_slot(&mut self, slot: u32) {
+        self.slot_seq[slot as usize] = 0;
+        self.reuse_after[slot as usize] = self.next_seq - 1;
+        self.free_slots.insert(slot);
     }
 
     /// What a checkpoint taken now covers and records: the sequence
@@ -126,9 +151,8 @@ impl LogState {
 
 /// The device path below the logical disk: either the wrapped device
 /// directly (synchronous writes and barriers on the caller's thread) or
-/// a [`PipelinedDisk`] around it (writes queued to a dedicated I/O
-/// thread, barriers run on their waiters' threads; selected by
-/// [`LldConfig::pipeline`]).
+/// a [`PipelinedDisk`] around it (writes queued to an I/O thread,
+/// barriers on their waiters' threads; [`LldConfig::pipeline`]).
 ///
 /// The enum keeps `Lld<D>` generic over the *inner* device type in both
 /// modes, so the mode is a runtime knob: `device()` still borrows the
@@ -137,7 +161,8 @@ impl LogState {
 /// running).
 #[derive(Debug)]
 pub(crate) enum DevicePath<D> {
-    /// Writes and barriers run on the caller's thread.
+    /// Writes and barriers run on the caller's thread, a sealed
+    /// segment's write after its session let go of its locks.
     Sync(D),
     /// Writes stream through the pipeline's I/O thread; barriers run on
     /// the threads waiting for them. (On either arm a flush leader's
@@ -392,6 +417,10 @@ pub struct LldInner<D> {
     pub(crate) maps: Maps,
     /// The log pipeline (see [`LogState`]).
     pub(crate) log: Mutex<LogState>,
+    /// Paired with `log`: notified when a segment leaves
+    /// [`LogState::inflight`]. Its waiters hold nothing the writer
+    /// needs: retiring takes `log` alone.
+    pub(crate) written: ld_disk::Condvar,
     /// Data-block read cache (leaf lock, held only across one probe or
     /// insert).
     pub(crate) cache: Mutex<BlockCache>,
@@ -459,6 +488,9 @@ pub(crate) struct Mutation<'a, D> {
     pub(crate) lld: &'a LldInner<D>,
     pub(crate) map: MapView<'a>,
     pub(crate) log_guard: Option<MutexGuard<'a, LogState>>,
+    /// The segment this session sealed and has not written (see
+    /// [`seal_current`](Self::seal_current)).
+    pending: Option<Arc<SegmentBuilder>>,
 }
 
 impl<D: BlockDevice + 'static> Lld<D> {
@@ -567,6 +599,7 @@ impl<D: BlockDevice + 'static> LldInner<D> {
             cleaner_cfg: config.cleaner,
             maps: Maps::fresh(config.map_shards),
             log: Mutex::new(LogState::fresh(n)),
+            written: ld_disk::Condvar::new(),
             cache: Mutex::new(BlockCache::new(config.read_cache_blocks)),
             gc: GroupCommit::new(),
             ckpt_io: Mutex::new(crate::checkpoint::CkptSlots::default()),
@@ -602,6 +635,7 @@ impl<D: BlockDevice> LldInner<D> {
             lld: self,
             map: MapView::new(self.maps.nshards(), arus, shards),
             log_guard: None,
+            pending: None,
         };
         let out = f(&mut m);
         // Here, where the operation is over, and not in the roll that
@@ -642,8 +676,60 @@ impl<D: BlockDevice> LldInner<D> {
             lld: self,
             map: MapView::new(self.maps.nshards(), arus, shards),
             log_guard: None,
+            pending: None,
         };
-        f(&mut m)
+        let out = f(&mut m);
+        // The epilogue: a segment the session sealed goes to the device
+        // now, with every lock let go — nobody waits out the transfer.
+        // An error has nobody to go to: it stays on record.
+        let pending = m.pending.take();
+        drop(m);
+        if let Some(seg) = pending {
+            let _ = self.write_sealed(&seg, &mut None);
+        }
+        out
+    }
+
+    /// Waits on [`written`](Self::written) until `ready` holds; `Err`
+    /// if a segment write has failed by then. `held` is the caller's
+    /// hold on the log, if any: let go of for the wait, held afterwards.
+    pub(crate) fn wait_written<'a>(
+        &'a self,
+        held: &mut Option<MutexGuard<'a, LogState>>,
+        ready: impl Fn(&LogState) -> bool,
+    ) -> Result<()> {
+        let mut log = held.take().unwrap_or_else(|| self.log.lock());
+        while !ready(&log) {
+            log = self.written.wait(log);
+        }
+        let failed = log.write_error.clone();
+        *held = Some(log);
+        failed.map_or(Ok(()), Err)
+    }
+
+    /// Writes the sealed `seg` once its slot may be overwritten (W3)
+    /// and takes it out of `inflight`, latching a failure. A caller
+    /// that holds the log (`held`) keeps it across the write.
+    fn write_sealed<'a>(
+        &'a self,
+        seg: &SegmentBuilder,
+        held: &mut Option<MutexGuard<'a, LogState>>,
+    ) -> Result<()> {
+        let (slot, in_place) = (seg.slot().get(), held.is_some());
+        let _ = self.wait_written(held, |log| log.watermark() > log.reuse_after[slot as usize]);
+        if !in_place {
+            *held = None;
+        }
+        let at = self.layout.block_at(slot, seg.base());
+        let written = self.device.write_at(at, seg.bytes());
+        let res = written.map_err(LldError::from);
+        let log = held.get_or_insert_with(|| self.log.lock());
+        log.inflight.retain(|s| s.seq() != seg.seq());
+        if let Err(e) = &res {
+            log.write_error.get_or_insert_with(|| e.clone());
+        }
+        self.written.notify_all();
+        res
     }
 
     /// Acquires a read-only view of the ARU slots in `aru_set` and the
@@ -666,9 +752,9 @@ impl<D: BlockDevice> LldInner<D> {
     /// Post-scoped-session housekeeping: runs the cleaner under a full
     /// session when a scoped segment roll found free segments scarce,
     /// and writes the checkpoint a scoped seal found due. Reads two
-    /// flags and no lock: the synchronous seal holds the log mutex
-    /// across its device write. Must be called with no mapping-layer
-    /// locks held.
+    /// flags and no lock. Must be called with no mapping-layer locks
+    /// held; the session's own seal is on the device by now, and the
+    /// checkpoint waits for everyone else's (W2).
     pub(crate) fn after_scoped(&self) {
         if self.needs_clean.swap(false, Ordering::Relaxed) {
             // An error here resurfaces on the next operation that needs
@@ -915,26 +1001,27 @@ impl<D: BlockDevice> LldInner<D> {
     // Shared read plumbing
     // ------------------------------------------------------------------
 
-    /// Reads the data of a block at `addr`: from the in-memory segment
-    /// buffer if the address is in the currently open segment, from the
-    /// cache or device otherwise — which includes the sealed segments
-    /// in front of the open one in its slot.
+    /// Reads the data of a block at `addr`: from memory if the address
+    /// is in the open segment or in a sealed one not yet written (W4),
+    /// from the cache or device otherwise — which includes the written
+    /// segments in front of the open one in its slot.
     ///
     /// Callers must hold at least shared access to the shard mapping
     /// `addr`'s block, so the cleaner cannot relocate `addr` mid-read.
     pub(crate) fn read_block_data(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<()> {
         {
             let log = self.log.lock();
-            if let Some(b) = &log.builder {
-                if b.slot() == addr.segment && addr.slot >= b.base() {
-                    let Some(data) = b.read_block(addr.slot) else {
-                        return Err(LldError::Corrupt(format!(
-                            "address {addr} beyond open segment contents"
-                        )));
-                    };
-                    buf.copy_from_slice(data);
-                    return Ok(());
-                }
+            let in_memory = log.inflight.iter().map(Arc::as_ref).chain(&log.builder);
+            let mut here = in_memory.filter(|b| b.slot() == addr.segment);
+            if let Some(data) = here.find_map(|b| b.read_block(addr.slot)) {
+                buf.copy_from_slice(data);
+                return Ok(());
+            }
+            let open = log.builder.as_ref();
+            if open.is_some_and(|b| b.slot() == addr.segment && addr.slot >= b.base()) {
+                return Err(LldError::Corrupt(format!(
+                    "address {addr} beyond open segment contents"
+                )));
             }
         }
         if self.cache.lock().get(addr, buf) {
@@ -951,7 +1038,16 @@ impl<D: BlockDevice> LldInner<D> {
     pub(crate) fn read_superblock(device: &D) -> Result<(Layout, ConcurrencyMode, ReadVisibility)> {
         let mut buf = [0u8; SUPERBLOCK_LEN];
         device.read_at(0, &mut buf)?;
-        Layout::decode_superblock(&buf)
+        let decoded = Layout::decode_superblock(&buf)?;
+        // Recovery sizes per-slot tables by `n_segments`: the slots exist.
+        let l = &decoded.0;
+        let slots = u64::from(l.n_segments).checked_mul(l.segment_bytes as u64);
+        let end = slots.and_then(|bytes| bytes.checked_add(l.data_start));
+        if end.is_none_or(|end| end > device.capacity()) {
+            let msg = format!("superblock: {} slots do not fit the device", l.n_segments);
+            return Err(LldError::Corrupt(msg));
+        }
+        Ok(decoded)
     }
 
     /// Whether this disk runs the background cleaner thread.
@@ -1409,9 +1505,12 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// Only while passes reach their target
     /// ([`LogState::clean_fell_short`]): one that cannot goes through
     /// every covered slot before it gives up, and asking a slot early
-    /// would have it do so twice as often.
-    pub(crate) fn roll_for_flush(&mut self) -> Result<()> {
-        self.roll(0, true)
+    /// would have it do so twice as often. Returns the sequence number
+    /// of the last segment sealed, by this roll or by another caller's
+    /// a moment earlier: what the leader's barrier has to cover (W1).
+    pub(crate) fn roll_for_flush(&mut self) -> Result<u64> {
+        self.roll(0, true)?;
+        Ok(self.log().covered_point().0)
     }
 
     fn roll(&mut self, reserve: usize, for_flush: bool) -> Result<()> {
@@ -1446,22 +1545,31 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         Ok(())
     }
 
-    /// Seals and writes the current segment. Returns `true` if a
-    /// segment was actually written (the builder is then `None`); an
-    /// empty builder is left in place and `false` returned.
+    /// Seals the current segment. Returns `true` if one was sealed (the
+    /// builder is then `None`); an empty builder is left in place and
+    /// `false` returned.
+    ///
+    /// The pipelined arm enqueues its writes here. The synchronous arm
+    /// leaves the segment in [`LogState::inflight`] as the session's
+    /// pending seal, for [`LldInner::with_mutation_at`]'s epilogue —
+    /// unless the session holds every shard or rolls a second time:
+    /// then it is written here, under the session's locks
+    /// (docs/CONCURRENCY.md, "Seal writes").
     pub(crate) fn seal_current(&mut self) -> Result<bool> {
+        let lld = self.lld;
         match self.log().builder.take() {
             None => Ok(false),
             Some(b) if b.is_empty() => {
                 self.log().builder = Some(b);
                 Ok(false)
             }
-            Some(b) => {
+            Some(mut b) => {
+                let earlier = self.pending.take();
                 let seal_seq = b.seq();
                 let seal_blocks = b.n_blocks();
                 let seal_bytes = b.encoded_len() as u64;
                 let slot = b.slot().get();
-                let layout = &self.lld.layout;
+                let layout = &lld.layout;
                 let seg_off = layout.block_at(slot, b.base());
                 // The successor's position goes into this header, so it
                 // is chosen now: behind this segment while the slot has
@@ -1472,7 +1580,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                     None => (self.log().free_slots.first().copied().unwrap_or(NO_SLOT), 0),
                 };
                 let header = b.header_bytes(next_slot);
-                if self.lld.device.is_pipelined() {
+                if lld.device.is_pipelined() {
                     // The data blocks were streamed to the device as they
                     // were placed (see `place_block_data`), so the seal
                     // writes only the tail: the summary, then the header
@@ -1485,15 +1593,17 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                     // path gets from its prefix-torn writes.
                     let data_end = (1 + u64::from(seal_blocks)) * layout.block_size as u64;
                     if !b.summary_bytes().is_empty() {
-                        self.lld
-                            .device
-                            .write_at(seg_off + data_end, b.summary_bytes())?;
+                        lld.device.write_at(seg_off + data_end, b.summary_bytes())?;
                     }
-                    self.lld.device.write_at(seg_off, &header)?;
+                    lld.device.write_at(seg_off, &header)?;
                 } else {
-                    self.lld.device.write_at(seg_off, &b.seal(&header))?;
+                    let b = Arc::new(b);
+                    self.log().inflight.push_back(Arc::clone(&b));
+                    let unwritten = self.log().inflight.len() as u64;
+                    lld.stats.inflight_segments.record_max(unwritten);
+                    self.pending = Some(b);
                 }
-                let n_segments = u64::from(layout.n_segments);
+                let n_segments = u64::from(lld.layout.n_segments);
                 let log = self.log();
                 log.slot_seq[slot as usize] = seal_seq;
                 log.tail = ChainHead {
@@ -1521,13 +1631,21 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 );
                 // Committed → persistent transition for every shard this
                 // session holds exclusively: their alternative records'
-                // summary entries are now on disk. Records of shards this
+                // summary entries are sealed, and on disk before anything
+                // vouches for them (W1, W2). Records of shards this
                 // session does not hold drain at a later seal that does
                 // (the overlay keeps every view correct meanwhile, and
                 // the checkpointer runs under a full session, so its
                 // encode always sees fully drained tables).
                 let drained = self.map.drain_committed();
                 self.lld.stats.committed_records_drained.add(drained);
+                // In place: the earlier seal of a session that rolls again,
+                // and this one if the session holds every shard. Either
+                // may wait (W3), letting go of a log that is in order.
+                let full = self.map.holds_all_shards_write();
+                for seg in earlier.into_iter().chain(self.pending.take_if(|_| full)) {
+                    lld.write_sealed(&seg, &mut self.log_guard)?;
+                }
                 Ok(true)
             }
         }
@@ -1614,7 +1732,8 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// Enters one data block into the segment stream with its `Write`
     /// record (reserved together so they land in the same segment) and
     /// updates the committed state. Shared by simple writes, ARU commit,
-    /// and cleaner relocation.
+    /// and cleaner relocation. On the synchronous arm the block reaches
+    /// the device with its segment; until then reads find it in memory.
     pub(crate) fn place_block_data(
         &mut self,
         id: BlockId,
@@ -1647,8 +1766,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         if self.lld.device.is_pipelined() {
             // Stream the block to its final device offset now — an
             // enqueue onto the pipeline, applied by the I/O thread while
-            // this batch keeps filling (and while the previous batch's
-            // barrier is in flight). By seal time the data is on the
+            // this batch keeps filling. By seal time the data is on the
             // device and the seal writes only summary + header. Safe
             // because the builder is append-only (a block is never
             // rewritten in place; re-placing allocates a new slot) and

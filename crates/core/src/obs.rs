@@ -1300,6 +1300,7 @@ fn lld_stats_from(v: &json::Value) -> LldStats {
             "walk_escalations" => s.walk_escalations = n,
             "pipeline_stalls" => s.pipeline_stalls = n,
             "inflight_barriers" => s.inflight_barriers = n,
+            "inflight_segments" => s.inflight_segments = n,
             "trace_events_dropped" => s.trace_events_dropped = n,
             "writeids_recorded" => s.writeids_recorded = n,
             "writeids_deduped" => s.writeids_deduped = n,
@@ -1491,6 +1492,7 @@ fn lld_stats_json(s: &LldStats) -> String {
     o.u64("walk_escalations", s.walk_escalations);
     o.u64("pipeline_stalls", s.pipeline_stalls);
     o.u64("inflight_barriers", s.inflight_barriers);
+    o.u64("inflight_segments", s.inflight_segments);
     o.u64("trace_events_dropped", s.trace_events_dropped);
     o.u64("writeids_recorded", s.writeids_recorded);
     o.u64("writeids_deduped", s.writeids_deduped);
@@ -1703,6 +1705,7 @@ impl fmt::Display for ObsSnapshot {
             ("walk_escalations", s.walk_escalations),
             ("pipeline_stalls", s.pipeline_stalls),
             ("inflight_barriers", s.inflight_barriers),
+            ("inflight_segments", s.inflight_segments),
             ("trace_events_dropped", s.trace_events_dropped),
         ] {
             writeln!(f, "  {name:<28} {v}")?;

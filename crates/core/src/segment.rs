@@ -108,7 +108,11 @@ pub(crate) struct SegmentBuilder {
     block_size: usize,
     /// Size of the whole slot in bytes.
     capacity: usize,
-    data: Vec<u8>,
+    /// As it goes to the device: the header block, the data blocks and,
+    /// once [`header_bytes`](Self::header_bytes) sealed it, the summary.
+    bytes: Vec<u8>,
+    n_blocks: u32,
+    /// The records so far; the seal moves them behind the data.
     summary: Vec<u8>,
 }
 
@@ -133,7 +137,8 @@ impl SegmentBuilder {
             epoch,
             block_size,
             capacity,
-            data: Vec::new(),
+            bytes: vec![0; block_size],
+            n_blocks: 0,
             summary: Vec::new(),
         }
     }
@@ -151,20 +156,19 @@ impl SegmentBuilder {
     }
 
     pub(crate) fn n_blocks(&self) -> u32 {
-        (self.data.len() / self.block_size) as u32
+        self.n_blocks
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.data.is_empty() && self.summary.is_empty()
+        self.encoded_len() == self.block_size
     }
 
     /// Whether `extra_blocks` data blocks plus `extra_summary` summary
     /// bytes still fit between this segment's base and the slot's end.
     pub(crate) fn fits(&self, extra_blocks: usize, extra_summary: usize) -> bool {
-        let used = (self.base as usize + 1) * self.block_size // up to and including the header block
-            + self.data.len()
+        let used = self.base as usize * self.block_size
+            + self.encoded_len()
             + extra_blocks * self.block_size
-            + self.summary.len()
             + extra_summary;
         used <= self.capacity
     }
@@ -179,8 +183,9 @@ impl SegmentBuilder {
     pub(crate) fn push_block(&mut self, data: &[u8]) -> u32 {
         assert_eq!(data.len(), self.block_size, "data must be one block");
         assert!(self.fits(1, 0), "segment overflow");
-        let idx = self.base + self.n_blocks();
-        self.data.extend_from_slice(data);
+        let idx = self.base + self.n_blocks;
+        self.bytes.extend_from_slice(data);
+        self.n_blocks += 1;
         idx
     }
 
@@ -195,18 +200,19 @@ impl SegmentBuilder {
         rec.encode(&mut self.summary);
     }
 
-    /// Reads back a data block already placed in this (unsealed)
-    /// segment, by its index in the slot. `None`: the index belongs to
-    /// an earlier segment of the slot, or to nothing yet.
+    /// Reads back a data block placed in this segment (open or sealed),
+    /// by its index in the slot. `None`: the index belongs to another
+    /// segment of the slot, or to nothing yet.
     pub(crate) fn read_block(&self, idx: u32) -> Option<&[u8]> {
-        let start = idx.checked_sub(self.base)? as usize * self.block_size;
-        self.data.get(start..start + self.block_size)
+        let i = idx.checked_sub(self.base).filter(|&i| i < self.n_blocks)?;
+        let start = (1 + i as usize) * self.block_size;
+        Some(&self.bytes[start..start + self.block_size])
     }
 
     /// The block of the slot right behind this segment as it stands:
     /// header, data blocks, summary rounded up to a block.
     fn end(&self) -> u32 {
-        self.base + 1 + self.n_blocks() + self.summary.len().div_ceil(self.block_size) as u32
+        self.base + (self.encoded_len().div_ceil(self.block_size)) as u32
     }
 
     /// The base of a successor in the same slot, if a seal now leaves
@@ -216,46 +222,46 @@ impl SegmentBuilder {
         valid_base((self.capacity / self.block_size) as u32, end).then_some(end)
     }
 
-    /// Encodes the sealed-segment header alone, pointing at `next_slot`.
-    /// A position holds a valid segment exactly when these bytes (with
-    /// their CRC) are on disk, which is what lets a streaming writer
-    /// place data blocks and summary first and commit the segment with
-    /// the header *last*.
-    pub(crate) fn header_bytes(&self, next_slot: u32) -> [u8; HEADER_LEN] {
+    /// Seals the segment: moves the summary behind the data, encodes
+    /// the header, pointing at `next_slot`, into the front of
+    /// [`bytes`](Self::bytes), and returns it. A position holds a valid
+    /// segment exactly when these bytes (with their CRC) are on disk,
+    /// which is what lets a streaming writer place data blocks and
+    /// summary first and commit the segment with the header *last*.
+    pub(crate) fn header_bytes(&mut self, next_slot: u32) -> [u8; HEADER_LEN] {
+        let summary = std::mem::take(&mut self.summary);
+        self.bytes.extend_from_slice(&summary);
+        let summary = self.summary_bytes();
         let mut header = [0u8; HEADER_LEN];
         header[0..8].copy_from_slice(&SEGMENT_MAGIC.to_le_bytes());
         header[8..16].copy_from_slice(&self.seq.to_le_bytes());
-        header[16..20].copy_from_slice(&self.n_blocks().to_le_bytes());
-        header[20..24].copy_from_slice(&(self.summary.len() as u32).to_le_bytes());
-        header[24..28].copy_from_slice(&crc32(&self.summary).to_le_bytes());
+        header[16..20].copy_from_slice(&self.n_blocks.to_le_bytes());
+        header[20..24].copy_from_slice(&(summary.len() as u32).to_le_bytes());
+        header[24..28].copy_from_slice(&crc32(summary).to_le_bytes());
         header[28..32].copy_from_slice(&next_slot.to_le_bytes());
         header[32..36].copy_from_slice(&self.prev_link.to_le_bytes());
         header[36..40].copy_from_slice(&self.epoch.to_le_bytes());
         let header_crc = crc32(&header[..HEADER_LEN - 4]);
         header[HEADER_LEN - 4..].copy_from_slice(&header_crc.to_le_bytes());
+        self.bytes[..HEADER_LEN].copy_from_slice(&header);
         header
     }
 
-    /// The encoded summary records accumulated so far. On disk they sit
+    /// The summary of a sealed segment, where it sits on disk:
     /// immediately after the last data block.
     pub(crate) fn summary_bytes(&self) -> &[u8] {
-        &self.summary
+        &self.bytes[(1 + self.n_blocks as usize) * self.block_size..]
     }
 
-    /// Total on-media size of the sealed segment: header block + data
-    /// blocks + summary.
+    /// Total on-media size of the segment as it stands: header block +
+    /// data blocks + summary.
     pub(crate) fn encoded_len(&self) -> usize {
-        self.block_size + self.data.len() + self.summary.len()
+        self.bytes.len() + self.summary.len()
     }
 
-    /// Encodes the segment under `header` for a single device write.
-    /// Returns the bytes to write at the segment's base.
-    pub(crate) fn seal(&self, header: &[u8; HEADER_LEN]) -> Vec<u8> {
-        let mut buf = vec![0u8; self.encoded_len()];
-        buf[..HEADER_LEN].copy_from_slice(header);
-        buf[self.block_size..self.block_size + self.data.len()].copy_from_slice(&self.data);
-        buf[self.block_size + self.data.len()..].copy_from_slice(&self.summary);
-        buf
+    /// The sealed segment, for a single device write at its base.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.bytes
     }
 }
 
@@ -421,8 +427,9 @@ mod tests {
         builder_at(slot, 0, seq)
     }
 
-    fn sealed(b: &SegmentBuilder) -> Vec<u8> {
-        b.seal(&b.header_bytes(NO_SLOT))
+    fn sealed(b: &mut SegmentBuilder) -> &[u8] {
+        b.header_bytes(NO_SLOT);
+        b.bytes()
     }
 
     /// Sequence number and records of the segment at block `base` of
@@ -491,8 +498,8 @@ mod tests {
         b.push_block(&vec![7u8; 512]);
         b.push_record(&sample_record(1));
         b.push_record(&sample_record(2));
-        let bytes = sealed(&b);
-        device.write_at(layout.segment_offset(1), &bytes).unwrap();
+        let bytes = sealed(&mut b);
+        device.write_at(layout.segment_offset(1), bytes).unwrap();
 
         let (seq, records) = read_segment(&device, &layout, SegmentId::new(1))
             .unwrap()
@@ -519,7 +526,7 @@ mod tests {
         assert_eq!(first.successor_base(), Some(3));
         let h1 = first.header_bytes(2);
         device
-            .write_at(layout.block_at(2, 0), &first.seal(&h1))
+            .write_at(layout.block_at(2, 0), first.bytes())
             .unwrap();
 
         let mut second = SegmentBuilder::new(slot, 3, 6, header_link(&h1), 7, 512, 8 * 512);
@@ -533,10 +540,7 @@ mod tests {
         // It ends at block 7 of 8: the slot is closed.
         assert_eq!(second.successor_base(), None);
         device
-            .write_at(
-                layout.block_at(2, 3),
-                &second.seal(&second.header_bytes(NO_SLOT)),
-            )
+            .write_at(layout.block_at(2, 3), sealed(&mut second))
             .unwrap();
         let addr = crate::types::PhysAddr {
             segment: slot,
@@ -593,7 +597,7 @@ mod tests {
         let mut b = builder(0, 7);
         b.push_block(&vec![1u8; 512]);
         b.push_record(&sample_record(1));
-        let bytes = sealed(&b);
+        let bytes = sealed(&mut b);
         // Simulate a torn write: the tail of the summary never lands and
         // the medium holds stale bytes there instead.
         device
@@ -612,8 +616,8 @@ mod tests {
     fn corrupt_header_is_rejected() {
         let layout = layout();
         let device = MemDisk::new(1 << 20);
-        let b = builder(0, 7);
-        let mut bytes = sealed(&b);
+        let mut b = builder(0, 7);
+        let mut bytes = sealed(&mut b).to_vec();
         bytes[9] ^= 0x10; // flip a bit in seq
         device.write_at(layout.segment_offset(0), &bytes).unwrap();
         assert_eq!(
@@ -642,20 +646,22 @@ mod tests {
             let id = SegmentId::new(1);
             // Prefix 0: nothing written yet.
             assert_eq!(read_segment_at(&streamed, &layout, id, base).unwrap(), None);
-            for (i, block) in [&b.data[..512], &b.data[512..]].into_iter().enumerate() {
+            let header = b.header_bytes(NO_SLOT);
+            for idx in [first, first + 1] {
                 let addr = crate::types::PhysAddr {
                     segment: id,
-                    slot: first + i as u32,
+                    slot: idx,
                 };
+                let block = b.read_block(idx).unwrap();
                 streamed.write_at(layout.block_offset(addr), block).unwrap();
                 assert_eq!(read_segment_at(&streamed, &layout, id, base).unwrap(), None);
             }
             streamed.write_at(off + 3 * 512, b.summary_bytes()).unwrap();
             assert_eq!(read_segment_at(&streamed, &layout, id, base).unwrap(), None);
-            streamed.write_at(off, &b.header_bytes(NO_SLOT)).unwrap();
+            streamed.write_at(off, &header).unwrap();
 
             let single = MemDisk::new(1 << 20);
-            single.write_at(off, &sealed(&b)).unwrap();
+            single.write_at(off, b.bytes()).unwrap();
             assert_eq!(
                 read_segment_at(&streamed, &layout, id, base).unwrap(),
                 read_segment_at(&single, &layout, id, base).unwrap()
@@ -678,7 +684,7 @@ mod tests {
         old.push_block(&vec![1u8; 512]);
         old.push_record(&sample_record(1));
         let off = layout.segment_offset(0);
-        device.write_at(off, &sealed(&old)).unwrap();
+        device.write_at(off, sealed(&mut old)).unwrap();
         assert!(read_segment(&device, &layout, SegmentId::new(0))
             .unwrap()
             .is_some());
@@ -700,7 +706,7 @@ mod tests {
         b.push_block(&vec![0x11u8; 512]);
         b.push_block(&vec![0x22u8; 512]);
         device
-            .write_at(layout.segment_offset(3), &sealed(&b))
+            .write_at(layout.segment_offset(3), sealed(&mut b))
             .unwrap();
         let addr = crate::types::PhysAddr {
             segment: SegmentId::new(3),

@@ -115,6 +115,8 @@ pub struct LldStats {
     /// a leader lets go of leadership before its barrier on both device
     /// paths, and the claim gate holds this at 2 or below.
     pub inflight_barriers: u64,
+    /// Most sealed segments ever awaiting their device write at once.
+    pub inflight_segments: u64,
     /// Trace events evicted from the bounded [`TraceRing`]
     /// (crate::obs::TraceRing) by wraparound — non-zero means the trace
     /// in `ObsSnapshot::events` is truncated at the front.
@@ -203,6 +205,7 @@ pub(crate) struct StatsCell {
     pub(crate) flush_batch_callers: Counter,
     pub(crate) flush_batch_max: Counter,
     pub(crate) inflight_barriers: Counter,
+    pub(crate) inflight_segments: Counter,
     pub(crate) full_mutations: Counter,
     pub(crate) scoped_mutations: Counter,
     pub(crate) single_shard_commits: Counter,
@@ -248,6 +251,7 @@ impl StatsCell {
             flush_batch_callers: self.flush_batch_callers.get(),
             flush_batch_max: self.flush_batch_max.get(),
             inflight_barriers: self.inflight_barriers.get(),
+            inflight_segments: self.inflight_segments.get(),
             full_mutations: self.full_mutations.get(),
             scoped_mutations: self.scoped_mutations.get(),
             single_shard_commits: self.single_shard_commits.get(),
@@ -297,6 +301,7 @@ impl StatsCell {
             flush_batch_callers,
             flush_batch_max,
             inflight_barriers,
+            inflight_segments,
             full_mutations,
             scoped_mutations,
             single_shard_commits,
@@ -339,6 +344,7 @@ impl StatsCell {
             flush_batch_callers,
             flush_batch_max,
             inflight_barriers,
+            inflight_segments,
             full_mutations,
             scoped_mutations,
             single_shard_commits,

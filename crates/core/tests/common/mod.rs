@@ -25,7 +25,9 @@ pub const C_LEN: usize = 68;
 pub const C_DIR_ENTRY: usize = 24;
 pub const C_DIR_RESERVE: usize = 64 * C_DIR_ENTRY;
 
-// Superblock: the CRC over the bytes in front of it (see `layout.rs`).
+// Superblock: the slot count, and the CRC over the bytes in front of it
+// (see `layout.rs`).
+pub const S_N_SEGMENTS: usize = 20;
 pub const S_CRC: usize = 60;
 
 pub fn u32_at(image: &[u8], at: usize) -> u32 {
@@ -70,6 +72,12 @@ pub fn reseal_summary(image: &mut [u8], off: usize, block_size: usize) {
     let crc = crc32(&image[summary_range(image, off, block_size)]);
     put_u32(image, off + H_SUMMARY_CRC, crc);
     reseal(image, off);
+}
+
+/// Recomputes the CRC of the superblock.
+pub fn reseal_superblock(image: &mut [u8]) {
+    let crc = crc32(&image[..S_CRC]);
+    put_u32(image, S_CRC, crc);
 }
 
 /// Recomputes the CRC of the checkpoint header at `area`.

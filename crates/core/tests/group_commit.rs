@@ -13,13 +13,20 @@
 //!    so arrivals pile into the next batch; one caller never waits.
 //! 3. **A follower reports the batch that covered it**, not the latest
 //!    batch's outcome.
+//! 4. **Acknowledged, not issued** (docs/INVARIANTS.md I4) — the default
+//!    writer's seal write happens after its session let go of every
+//!    lock, so a later segment can reach the device first. What waits
+//!    for the earlier write instead: a barrier (W1), a checkpoint (W2),
+//!    a write into a slot the cleaner handed back (W3); a read is served
+//!    from memory meanwhile (W4); a write that fails stays on record.
 //!
-//! Each runs on both writers ({sync, pipelined}); the crash test also
-//! at 8 and 1 map shards.
+//! Each runs on both writers ({sync, pipelined}) wherever they share the
+//! behaviour; the crash tests also at 8 and 1 map shards.
 
 use ld_core::obs::TraceEvent;
 use ld_core::{BlockId, Ctx, ListId, Lld, LldConfig, LldError, Position, Stage};
 use ld_disk::{BlockDevice, Condvar, DiskError, MemDisk, Mutex, SmallRng};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -567,4 +574,368 @@ fn a_follower_reports_the_batch_that_covered_it() {
         assert_eq!((stats.flush_batches, stats.flush_batch_callers), (5, 7));
         assert_eq!(stats.inflight_barriers, 2);
     }
+}
+
+// ---------------------------------------------------------------------
+// 4. Acknowledged, not issued
+// ---------------------------------------------------------------------
+
+/// How long the choreography gives something that must not happen to
+/// happen. Only a correct run waits it out.
+const GRACE: Duration = Duration::from_millis(250);
+
+#[derive(Debug, Default)]
+struct ParkState {
+    /// A write that starts in this range waits for the verdict.
+    range: Option<Range<u64>>,
+    /// `Some(true)` lets it go on, `Some(false)` fails it.
+    verdict: Option<bool>,
+    parked: usize,
+    /// Offsets of the writes that have returned, and the barriers
+    /// entered.
+    writes: Vec<u64>,
+    flushes: usize,
+}
+
+/// A device that parks the writes into a chosen range until the test
+/// says how they end. The medium is the writes that returned: a parked
+/// one is not on it.
+#[derive(Debug)]
+struct ParkDisk {
+    inner: MemDisk,
+    state: Mutex<ParkState>,
+    cv: Condvar,
+}
+
+impl ParkDisk {
+    fn new() -> Self {
+        ParkDisk {
+            inner: MemDisk::new(CAPACITY),
+            state: Mutex::default(),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Parks every write into `range` from now on (`verdict` `None`) or
+    /// ends it at once, and forgets the writes so far.
+    fn park(&self, range: Range<u64>, verdict: Option<bool>) {
+        let mut st = self.state.lock();
+        st.range = Some(range);
+        st.verdict = verdict;
+        st.writes.clear();
+    }
+
+    fn release(&self, ok: bool) {
+        self.state.lock().verdict = Some(ok);
+        self.cv.notify_all();
+    }
+
+    /// Waits for `done`, which has to come.
+    fn wait_for(&self, what: &str, done: impl Fn(&ParkState) -> bool) {
+        let mut st = self.state.lock();
+        while !done(&st) {
+            let (guard, timed_out) = self.cv.wait_timeout(st, PATIENCE);
+            if timed_out {
+                drop(guard);
+                panic!("{what}: never happened");
+            }
+            st = guard;
+        }
+    }
+
+    /// Whether `holds` stays true for [`GRACE`].
+    fn stays(&self, holds: impl Fn(&ParkState) -> bool) -> bool {
+        let deadline = Instant::now() + GRACE;
+        let mut st = self.state.lock();
+        while holds(&st) {
+            let now = Instant::now();
+            if now >= deadline {
+                return true;
+            }
+            st = self.cv.wait_timeout(st, deadline - now).0;
+        }
+        false
+    }
+
+    /// The image a power cut leaves now.
+    fn cut(&self) -> MemDisk {
+        MemDisk::from_image(self.inner.snapshot())
+    }
+}
+
+/// Lets parked writes go when the test ends, also by a failed assertion.
+struct ReleaseOnDrop<'a>(&'a ParkDisk);
+
+impl Drop for ReleaseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.release(true);
+    }
+}
+
+impl BlockDevice for ParkDisk {
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> ld_disk::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, buf: &[u8]) -> ld_disk::Result<()> {
+        let mut st = self.state.lock();
+        if st.range.as_ref().is_some_and(|r| r.contains(&offset)) {
+            st.parked += 1;
+            self.cv.notify_all();
+            while st.verdict.is_none() {
+                let (guard, timed_out) = self.cv.wait_timeout(st, PATIENCE);
+                if timed_out {
+                    return Err(DiskError::Io(format!("write at {offset}: no verdict")));
+                }
+                st = guard;
+            }
+            st.parked -= 1;
+            if st.verdict == Some(false) {
+                return Err(DiskError::Io(format!("write at {offset} failed")));
+            }
+        }
+        self.inner.write_at(offset, buf)?;
+        st.writes.push(offset);
+        self.cv.notify_all();
+        Ok(())
+    }
+    fn flush(&self) -> ld_disk::Result<()> {
+        self.state.lock().flushes += 1;
+        self.cv.notify_all();
+        Ok(())
+    }
+}
+
+/// The bytes of segment slot `slot`.
+fn slot_range(ld: &Lld<ParkDisk>, slot: u32) -> Range<u64> {
+    let (layout, _, _) = Lld::probe(ld.device()).unwrap();
+    layout.segment_offset(slot)..layout.segment_offset(slot + 1)
+}
+
+/// A list of `n` blocks, each allocated and not yet written.
+fn new_blocks(ld: &Lld<ParkDisk>, n: usize) -> Vec<BlockId> {
+    let list = ld.new_list(Ctx::Simple).unwrap();
+    (0..n)
+        .map(|_| ld.new_block(Ctx::Simple, list, Position::First).unwrap())
+        .collect()
+}
+
+/// The byte block `b` is filled with.
+fn read(ld: &Lld<impl BlockDevice>, b: BlockId) -> u8 {
+    let mut buf = block(0);
+    ld.read(Ctx::Simple, b, &mut buf).unwrap();
+    assert_eq!(buf, block(buf[0]), "a torn block");
+    buf[0]
+}
+
+/// (a) W1. A's roll seals a segment whose write stays on its way; B's
+/// commit lands in the next segment, and B's flush leads. No barrier
+/// goes out, and B is not acknowledged, before A's write has returned:
+/// a cut there leaves B's segment on the medium behind a hole, and
+/// recovery ends the log at the hole.
+#[test]
+fn a_barrier_waits_for_every_earlier_segment() {
+    each_mode(a_barrier_waits_at);
+}
+
+fn a_barrier_waits_at(mode: Mode) {
+    let cfg = config(mode);
+    let ld = &Lld::format(ParkDisk::new(), &cfg).unwrap();
+    let dev = ld.device();
+    let kept = new_blocks(ld, 1)[0];
+    let a = new_blocks(ld, 2);
+    ld.write(Ctx::Simple, kept, &block(9)).unwrap();
+    ld.flush().unwrap(); // acknowledged: survives whatever follows
+    dev.park(slot_range(ld, 0), None);
+    let _release = ReleaseOnDrop(dev);
+    let flushes = dev.state.lock().flushes;
+
+    std::thread::scope(|s| {
+        // A fills slot 0. The write that rolls parks: in its epilogue,
+        // holding nothing, on the default writer at 8 shards; under its
+        // locks at 1 shard; on the I/O thread (at A's first streamed
+        // block, while A runs on) on the pipelined writer.
+        let ta = s.spawn(|| (0..16).try_for_each(|i| ld.write(Ctx::Simple, a[i % 2], &block(1))));
+        dev.wait_for("A's write parks", |st| st.parked == 1);
+        let (ids_tx, ids_rx) = std::sync::mpsc::channel();
+        let tb = s.spawn(move || {
+            let aru = ld.begin_aru()?;
+            let list = ld.new_list(Ctx::Aru(aru))?;
+            let b = ld.new_block(Ctx::Aru(aru), list, Position::First)?;
+            ld.write(Ctx::Aru(aru), b, &block(2))?;
+            ld.end_aru(aru)?;
+            ids_tx.send((list, b)).unwrap();
+            ld.flush()
+        });
+        let overtaken = mode == (false, 8);
+        if overtaken {
+            let next = slot_range(ld, 1);
+            dev.wait_for("B's segment reaches the device", |st| {
+                st.writes.iter().any(|at| next.contains(at))
+            });
+        }
+        assert!(
+            dev.stays(|st| st.flushes == flushes),
+            "a barrier went out while an earlier segment was on its way"
+        );
+        assert!(!tb.is_finished(), "B was acknowledged");
+
+        let (ld2, report) = Lld::recover_with(dev.cut(), &cfg).unwrap();
+        assert_eq!(
+            report.segments_replayed, 1,
+            "the log ends before A's segment"
+        );
+        assert_eq!(read(&ld2, kept), 9);
+        if let Ok((list, _)) = ids_rx.try_recv() {
+            let survived = ld2.list_blocks(Ctx::Simple, list).unwrap_or_default();
+            assert!(survived.is_empty(), "B's unit is behind the hole");
+        } else {
+            assert!(!overtaken, "B committed while A held nothing");
+        }
+
+        dev.release(true);
+        ta.join().unwrap().unwrap();
+        tb.join().unwrap().unwrap();
+    });
+    assert!(dev.state.lock().flushes > flushes);
+    assert_eq!(read(ld, a[1]), 1);
+}
+
+/// (b) W4 and (c) W2, on the default writer. A flush leader's seal is
+/// on its way (the leader holds no shard, so this is the same at 8
+/// shards and at 1). A read of a block in it, with no cache to find it
+/// in, is served from memory; a checkpoint does not publish before the
+/// write has returned, since it would cover a segment that is not on
+/// the device.
+#[test]
+fn an_unwritten_segment_is_read_from_memory_and_holds_back_a_checkpoint() {
+    for shards in [8, 1] {
+        let cfg = LldConfig {
+            read_cache_blocks: 0,
+            ..config((false, shards))
+        };
+        let ld = Lld::format(ParkDisk::new(), &cfg).unwrap();
+        let dev = ld.device();
+        let x = new_blocks(&ld, 1)[0];
+        ld.write(Ctx::Simple, x, &block(1)).unwrap();
+        ld.flush().unwrap();
+        let first_slot = slot_range(&ld, 0);
+        dev.park(first_slot.clone(), None);
+        let _release = ReleaseOnDrop(dev);
+        let covered = ld.checkpoint_seq();
+
+        ld.write(Ctx::Simple, x, &block(2)).unwrap();
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| ld.flush());
+            dev.wait_for("the leader's seal parks", |st| st.parked == 1);
+            assert_eq!(ld.stats().inflight_segments, 1);
+            assert_eq!(read(&ld, x), 2, "shards={shards}");
+
+            let checkpoint = s.spawn(|| ld.checkpoint());
+            assert!(
+                dev.stays(|st| st.writes.iter().all(|at| first_slot.contains(at))),
+                "shards={shards}: a write into a checkpoint area"
+            );
+            assert!(!checkpoint.is_finished());
+            assert_eq!(ld.checkpoint_seq(), covered, "shards={shards}");
+
+            dev.release(true);
+            leader.join().unwrap().unwrap();
+            checkpoint.join().unwrap().unwrap();
+        });
+        assert!(ld.checkpoint_seq() > covered);
+        assert_eq!(read(&ld, x), 2);
+    }
+}
+
+/// (d) W3. The overwrites that empty slot 0 sit in a segment on its
+/// way; the cleaner hands slot 0 back; the log comes round to it. The
+/// segment sealed into it reaches the device only behind the one that
+/// emptied it: a cut before that finds the old contents of every block
+/// that lived there.
+#[test]
+fn a_released_slot_is_overwritten_only_behind_what_emptied_it() {
+    for shards in [8, 1] {
+        let cfg = LldConfig {
+            segment_bytes: 8 * BS,
+            ..config((false, shards))
+        };
+        let ld = Lld::format(ParkDisk::new(), &cfg).unwrap();
+        let dev = ld.device();
+        let (old, other) = (new_blocks(&ld, 4), new_blocks(&ld, 2));
+        for (i, &b) in old.iter().enumerate() {
+            ld.write(Ctx::Simple, b, &block(10 + i as u8)).unwrap();
+        }
+        ld.checkpoint().unwrap();
+        let lives_in = |b: BlockId| ld.block_info(b).unwrap().addr.unwrap().segment.get();
+        assert!(old.iter().all(|&b| lives_in(b) == 0));
+        let slot0 = slot_range(&ld, 0);
+        let written_to_slot0 = |st: &ParkState| st.writes.iter().any(|at| slot0.contains(at));
+        dev.park(slot_range(&ld, 1), None);
+        let _release = ReleaseOnDrop(dev);
+
+        for (i, &b) in old.iter().enumerate() {
+            ld.write(Ctx::Simple, b, &block(20 + i as u8)).unwrap();
+        }
+        assert!(old.iter().all(|&b| lives_in(b) == 1));
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| ld.flush());
+            dev.wait_for("the leader's seal parks", |st| st.parked == 1);
+            let free = ld.free_segments();
+            ld.run_cleaner().unwrap();
+            assert_eq!(ld.free_segments(), free + 1, "slot 0 is handed back");
+            // Two slots' worth of writes: the first fills slot 2, where
+            // the log went on, the second slot 0.
+            let writer = s
+                .spawn(|| (0..14).try_for_each(|i| ld.write(Ctx::Simple, other[i % 2], &block(3))));
+            assert!(
+                dev.stays(|st| !written_to_slot0(st)),
+                "shards={shards}: slot 0 overwritten ahead of what emptied it"
+            );
+            assert!(!writer.is_finished());
+
+            let (ld2, _) = Lld::recover_with(dev.cut(), &cfg).unwrap();
+            for (i, &b) in old.iter().enumerate() {
+                assert_eq!(read(&ld2, b), 10 + i as u8, "shards={shards}");
+            }
+
+            dev.release(true);
+            leader.join().unwrap().unwrap();
+            writer.join().unwrap().unwrap();
+        });
+        assert!(written_to_slot0(&dev.state.lock()));
+        assert_eq!(read(&ld, old[3]), 23);
+    }
+}
+
+/// (e) The error contract. A segment write that fails behind an
+/// operation that has returned stays on record, and every later flush
+/// reports it: that error on the default writer; on the pipelined one,
+/// whose device latches its own faults, an error. The operation whose
+/// roll sealed the segment has returned `Ok` where the write is its
+/// epilogue's: the default writer at 8 shards. (At 1 shard it writes
+/// under its locks and reports the error itself; the pipelined device
+/// refuses whatever is submitted after its fault.)
+#[test]
+fn a_failed_segment_write_fails_every_later_flush() {
+    each_mode(|mode| {
+        let ld = Lld::format(ParkDisk::new(), &config(mode)).unwrap();
+        let a = new_blocks(&ld, 2);
+        ld.device().park(slot_range(&ld, 0), Some(false));
+        let ops: Vec<_> = (0..16)
+            .map(|i| ld.write(Ctx::Simple, a[i % 2], &block(1)))
+            .collect();
+        if mode == (false, 8) {
+            assert!(ops.iter().all(|r| r.is_ok()), "{ops:?}");
+        }
+        for nth in ["the next flush", "and the one after it"] {
+            match ld.flush() {
+                Err(LldError::Disk(DiskError::Io(m))) if m.ends_with("failed") => {}
+                Err(_) if mode.0 => {}
+                got => panic!("{nth}: {got:?}"),
+            }
+        }
+    });
 }

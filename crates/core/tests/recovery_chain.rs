@@ -452,6 +452,22 @@ fn hostile_pointers_are_corrupt_not_fatal_on(pipeline: bool) {
         Err(LldError::Corrupt(msg)) => assert!(msg.contains("is already on list"), "{msg}"),
         other => panic!("second link: {:?}", other.map(|(_, r)| r)),
     }
+
+    // A superblock that claims slots the device does not have: recovery
+    // sizes its per-slot tables by that count.
+    for claim in [n + 1, u32::MAX] {
+        let mut hostile = image.clone();
+        put_u32(&mut hostile, S_N_SEGMENTS, claim);
+        reseal_superblock(&mut hostile);
+        let got = recover(&hostile, pipeline);
+        assert!(
+            matches!(got, Err(LldError::Corrupt(_))),
+            "{claim} slots: {:?}",
+            got.map(|(_, r)| r)
+        );
+        let probed = Lld::probe(&MemDisk::from_image(hostile));
+        assert!(matches!(probed, Err(LldError::Corrupt(_))), "{claim} slots");
+    }
 }
 
 /// (e) The scan phase reads once per hop inside a slot (the summary's

@@ -8,8 +8,8 @@
 //! alone: a CRC catches them, and recovery falls back to the other
 //! area or ends the log earlier. *Resealed* flips recompute the
 //! checksum above the flipped field the way `recovery_chain.rs` does by
-//! hand (segment header, summary, checkpoint header), so recovery takes
-//! the field at its word.
+//! hand (segment header, summary, checkpoint header, the superblock's
+//! slot count), so recovery takes the field at its word.
 //!
 //! Either way `recover` returns: a typed error, or a disk on which
 //! `check()` succeeds and every allocated list walks to its end. It
@@ -150,7 +150,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String) {
     let area = [layout.ckpt_a, layout.ckpt_b][rng.below(2)] as usize;
     let header = base.headers[rng.below(base.headers.len())];
     let summary = summary_range(&image, header, BS);
-    let what = match rng.below(9) {
+    let what = match rng.below(10) {
         0 => {
             flip(&mut image, 0..S_CRC + 4, &mut rng);
             "raw: superblock".to_string()
@@ -186,6 +186,13 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String) {
             flip(&mut image, summary, &mut rng);
             reseal_summary(&mut image, header, BS);
             format!("resealed: summary at {header}")
+        }
+        8 => {
+            // The one superblock field bounded against the device so
+            // far (docs/INVARIANTS.md I3, "Not reached").
+            flip(&mut image, S_N_SEGMENTS..S_N_SEGMENTS + 4, &mut rng);
+            reseal_superblock(&mut image);
+            "resealed: superblock slot count".to_string()
         }
         _ => {
             flip(&mut image, area..area + C_CRC, &mut rng);
