@@ -9,10 +9,13 @@
 //! overwrites (1×, 2×, 4×, 8× the base update count) before the
 //! checkpoint, while the post-checkpoint suffix stays fixed. With a
 //! covering checkpoint, restart reads the snapshot slabs and replays
-//! only the fixed suffix, so wall time stays roughly flat; the same
-//! history recovered *without* a checkpoint replays every update and
-//! grows linearly with log length. The gap is what the checkpoint
-//! subsystem is for.
+//! only the fixed suffix, so wall time stays roughly flat. The same
+//! history written *without* that explicit checkpoint used to replay
+//! every update and grow linearly with log length; since the writer
+//! bounds the suffix by its summary bytes too (docs/RECOVERY.md "The
+//! suffix bound") it checkpoints of its own accord once the log is as
+//! long as the tables, and that column is flat as well: it now shows
+//! the bound at work, not a log without one.
 //!
 //! **Restart vs device size** — the same checkpointed working set and
 //! the same suffix of 48 flushed update ARUs on devices of 64, 256 and

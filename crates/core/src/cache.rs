@@ -3,9 +3,13 @@
 //! The paper's Minix file system sits on a buffer cache; without one,
 //! every inode or directory read-modify-write would pay a disk read.
 //! Keying by *physical* address makes consistency trivial in a
-//! log-structured disk: a physical block is never overwritten in place,
-//! so an entry can only go stale when the cleaner frees its segment —
-//! [`BlockCache::invalidate_segment`] handles that single case.
+//! log-structured disk: a block on the device is never overwritten in
+//! place, so an entry can only go stale when the cleaner frees its
+//! segment — [`BlockCache::invalidate_segment`] handles that single
+//! case. (A slot of the *open* segment may be rewritten, by a write that
+//! then [`insert`](BlockCache::insert)s the new contents under the same
+//! address; reads of the open segment are served from its buffer
+//! anyway.)
 
 use crate::types::{PhysAddr, SegmentId};
 use std::collections::{BTreeMap, HashMap, HashSet};

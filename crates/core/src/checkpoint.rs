@@ -137,6 +137,8 @@ pub(crate) struct SlabData {
 /// steps have put into the area so far.
 struct CkptWrite {
     covered: u64,
+    /// [`LogState::summary_sealed`] at the covered point.
+    covered_summary: u64,
     head: ChainHead,
     ts: u64,
     /// Global allocator floors (the max over shards); recovery
@@ -271,6 +273,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         let lld = self.lld;
         lld.wait_written(&mut self.log_guard, |log| log.inflight.is_empty())?;
         let (covered, head) = self.log().covered_point();
+        let covered_summary = self.log().summary_sealed;
         let floor = |next: fn(&crate::shard::MapShard) -> u64| {
             self.map.shards_held().map(next).max().unwrap_or(1)
         };
@@ -289,6 +292,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         io.gen += 1;
         Ok(CkptWrite {
             covered,
+            covered_summary,
             head,
             ts: lld.now(),
             block_floor,
@@ -426,6 +430,7 @@ impl<D: BlockDevice> LldInner<D> {
         io.use_b = w.area == self.layout.ckpt_a;
         drop(io);
         log.checkpoint_seq = w.covered;
+        log.checkpoint_summary = w.covered_summary;
         self.stats.checkpoints.inc();
         self.obs.event(
             self.now(),
@@ -708,6 +713,52 @@ mod tests {
         ld.needs_checkpoint.store(true, Relaxed);
         ld.after_scoped();
         assert_eq!(ld.stats().checkpoint_failures, 2);
+    }
+
+    /// The byte-counted suffix bound (`seal_current`): a seal asks for a
+    /// checkpoint once the summary bytes past the last one reach the
+    /// encoded size of the tables, and never below 64 KiB; the
+    /// checkpoint's commit starts the count again.
+    #[test]
+    fn a_suffix_as_long_as_the_tables_asks_for_a_checkpoint() {
+        let cfg = LldConfig {
+            block_size: 512,
+            segment_bytes: 128 * 512,
+            max_blocks: Some(4096),
+            ..LldConfig::default()
+        };
+        // 256 slots: the seal-count rule stays out of the way.
+        let ld = Lld::format(MemDisk::new(16 << 20), &cfg).unwrap();
+        let suffix = || {
+            let log = ld.log.lock();
+            log.summary_sealed - log.checkpoint_summary
+        };
+        // `n` empty units, a 17-byte commit record each, then sealed.
+        let log_units = |n: u64| {
+            for _ in 0..n {
+                ld.end_aru(ld.begin_aru().unwrap()).unwrap();
+            }
+            ld.flush().unwrap();
+        };
+
+        // A nearly empty disk: the tables are smaller than any flush,
+        // and the floor speaks.
+        log_units(3000);
+        assert_eq!((suffix(), ld.stats().checkpoints), (3000 * 17, 0));
+        log_units(1000);
+        assert_eq!((suffix(), ld.stats().checkpoints), (0, 1), "68,000 B");
+
+        // 2,000 blocks on a list: 80,032 bytes of tables.
+        let list = ld.new_list(Ctx::Simple).unwrap();
+        for _ in 0..2000 {
+            ld.new_block(Ctx::Simple, list, Position::First).unwrap();
+        }
+        ld.checkpoint().unwrap();
+        let before = ld.stats().checkpoints;
+        log_units(4500);
+        assert_eq!((suffix(), ld.stats().checkpoints), (4500 * 17, before));
+        log_units(300);
+        assert_eq!((suffix(), ld.stats().checkpoints), (0, before + 1));
     }
 
     /// On a full disk the cleaner's checkpoint seals the open segment

@@ -28,7 +28,7 @@ use crate::aru::{Aru, ListOp, WriteTag};
 use crate::config::ConcurrencyMode;
 use crate::dedup::{Reservation, TaggedCommit, WriteIdOutcome};
 use crate::error::{LldError, Result};
-use crate::lld::{LldInner, Mutation, StateRef};
+use crate::lld::{LldInner, Mutation, StateRef, WRITE_REC_LEN};
 use crate::shard::SCRATCH_ARU_RAW;
 use crate::summary::Record;
 use crate::types::{AruId, BlockId, ListId, Position, Timestamp};
@@ -432,66 +432,35 @@ impl<D: BlockDevice> Mutation<'_, D> {
         }
         self.lld.obs.shard_spread(spread);
 
-        // 1. Buffered block data enters the segment stream, tagged.
-        for (b, data) in &aru.shadow_data {
-            self.place_block_data(*b, data, commit_ts, Some(id), 1)?;
-            self.lld.stats.shadow_records_merged.inc();
-        }
-
-        // 2. Re-execute the list-operation log in the committed state,
-        //    generating the real summary entries.
-        let mut freed_blocks = Vec::new();
-        let mut freed_lists = Vec::new();
-        for op in &aru.link_log {
-            self.apply_list_op(
-                StateRef::Committed,
-                op,
-                commit_ts,
-                &mut freed_blocks,
-                &mut freed_lists,
-            )
-            .map_err(|e| LldError::Corrupt(format!("validated commit failed to apply: {e}")))?;
-            let rec = match *op {
-                ListOp::Insert { list, block, pred } => Record::Link {
-                    list,
-                    block,
-                    pred,
-                    ts: commit_ts,
-                    aru: Some(id),
-                },
-                ListOp::DeleteBlock { block } => Record::DeleteBlock {
-                    block,
-                    ts: commit_ts,
-                    aru: Some(id),
-                },
-                ListOp::DeleteList { list } => Record::DeleteList {
-                    list,
-                    ts: commit_ts,
-                    aru: Some(id),
-                },
-            };
-            self.emit(rec)?;
-            self.lld.stats.shadow_records_merged.inc();
-        }
-
-        // 2b. A networked commit journals its idempotency key inside
-        //     the unit: the dedup entry becomes recoverable exactly
-        //     when the unit's effects do.
-        if let Some(tag) = aru.write_tag {
-            self.emit(Record::WriteId {
-                aru: id,
-                client: tag.client,
-                generation: tag.generation,
-                write_id: tag.write_id,
-                ts: commit_ts,
-            })?;
-        }
-
-        // 3. The commit record makes the whole unit recoverable.
-        self.emit(Record::Commit {
+        // I5 (docs/INVARIANTS.md): the unit's writes may take the place
+        // of versions still in the open segment only if its commit record
+        // lands there too. Checked once, for the whole unit and to the
+        // byte; a unit that does not fit appends and rolls where it will.
+        let commit = Record::Commit {
             aru: id,
             ts: commit_ts,
-        })?;
+        };
+        let links = aru.link_log.iter().map(|op| op_record(op, id, commit_ts));
+        let write_id = aru.write_tag.map(|tag| write_id_record(tag, id, commit_ts));
+        let summary = aru.shadow_data.len() * WRITE_REC_LEN
+            + links
+                .chain(write_id)
+                .map(|r| r.encoded_len())
+                .sum::<usize>()
+            + commit.encoded_len();
+        let open = self.log().builder.as_ref();
+        self.unit_ends_in = open
+            .filter(|b| b.fits(aru.shadow_data.len(), summary))
+            .map(|b| b.seq());
+        let mut freed_blocks = Vec::new();
+        let mut freed_lists = Vec::new();
+        let logged = self.log_unit(&aru, commit_ts, &mut freed_blocks, &mut freed_lists);
+        let ends_in = self.unit_ends_in.take();
+        logged?;
+        debug_assert!(
+            ends_in.is_none() || self.log().builder.as_ref().map(|b| b.seq()) == ends_in,
+            "a roll between an absorbed write and its commit record"
+        );
 
         // Identifiers deallocated by the ARU become reusable only now,
         // after the commit record precedes any reallocation in the log.
@@ -512,6 +481,51 @@ impl<D: BlockDevice> Mutation<'_, D> {
             self.lld.stats.writeids_recorded.inc();
         }
         Ok(())
+    }
+
+    /// The real pass's three steps: the unit's records enter the log,
+    /// its commit record last, and its effects the committed state.
+    fn log_unit(
+        &mut self,
+        aru: &Aru,
+        commit_ts: Timestamp,
+        freed_blocks: &mut Vec<BlockId>,
+        freed_lists: &mut Vec<ListId>,
+    ) -> Result<()> {
+        let id = aru.id;
+        // 1. Buffered block data enters the segment stream, tagged.
+        for (b, data) in &aru.shadow_data {
+            self.place_block_data(*b, data, commit_ts, Some(id), 1)?;
+            self.lld.stats.shadow_records_merged.inc();
+        }
+
+        // 2. Re-execute the list-operation log in the committed state,
+        //    generating the real summary entries.
+        for op in &aru.link_log {
+            self.apply_list_op(
+                StateRef::Committed,
+                op,
+                commit_ts,
+                freed_blocks,
+                freed_lists,
+            )
+            .map_err(|e| LldError::Corrupt(format!("validated commit failed to apply: {e}")))?;
+            self.emit(op_record(op, id, commit_ts))?;
+            self.lld.stats.shadow_records_merged.inc();
+        }
+
+        // 2b. A networked commit journals its idempotency key inside
+        //     the unit: the dedup entry becomes recoverable exactly
+        //     when the unit's effects do.
+        if let Some(tag) = aru.write_tag {
+            self.emit(write_id_record(tag, id, commit_ts))?;
+        }
+
+        // 3. The commit record makes the whole unit recoverable.
+        self.emit(Record::Commit {
+            aru: id,
+            ts: commit_ts,
+        })
     }
 
     /// Applies one logged list operation to state `st`, collecting
@@ -564,5 +578,31 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 Ok(())
             }
         }
+    }
+}
+
+/// The summary record of one logged list operation of unit `aru`.
+fn op_record(op: &ListOp, aru: AruId, ts: Timestamp) -> Record {
+    let aru = Some(aru);
+    match *op {
+        ListOp::Insert { list, block, pred } => Record::Link {
+            list,
+            block,
+            pred,
+            ts,
+            aru,
+        },
+        ListOp::DeleteBlock { block } => Record::DeleteBlock { block, ts, aru },
+        ListOp::DeleteList { list } => Record::DeleteList { list, ts, aru },
+    }
+}
+
+fn write_id_record(tag: WriteTag, aru: AruId, ts: Timestamp) -> Record {
+    Record::WriteId {
+        aru,
+        client: tag.client,
+        generation: tag.generation,
+        write_id: tag.write_id,
+        ts,
     }
 }

@@ -19,7 +19,7 @@ use crate::config::{CleanerConfig, ConcurrencyMode, LldConfig, ReadVisibility};
 use crate::error::{LldError, Result};
 use crate::flight::FlightRecorder;
 use crate::gc::GroupCommit;
-use crate::layout::{Layout, CKPT_HEADER, SUPERBLOCK_LEN};
+use crate::layout::{Layout, CKPT_BLOCK_ENTRY, CKPT_HEADER, CKPT_LIST_ENTRY, SUPERBLOCK_LEN};
 use crate::obs::{Obs, ObsSnapshot, Stage, TraceEvent};
 use crate::sampler::Sampler;
 use crate::segment::{header_link, ChainHead, SegmentBuilder, HEADER_PUNCH, NO_SLOT};
@@ -42,6 +42,10 @@ pub(crate) use crate::shard::{ShardLockStats, StateRef};
 /// for a data block and its record together, so they land in the same
 /// segment).
 pub(crate) const WRITE_REC_LEN: usize = 1 + 8 + 4 + 8 + 8;
+
+/// The fewest summary bytes past a checkpoint that ask for the next
+/// one: a nearly empty disk's tables are smaller than any one flush.
+const MIN_SUFFIX_BYTES: u64 = 64 << 10;
 
 /// The log pipeline: the open segment builder and the slot / sequence /
 /// free-slot / live-block accounting behind it, plus the cleaner and
@@ -75,6 +79,11 @@ pub(crate) struct LogState {
     pub(crate) epoch: u32,
     /// Highest segment sequence number covered by an on-disk checkpoint.
     pub(crate) checkpoint_seq: u64,
+    /// Summary bytes sealed so far, and the count at the covered point
+    /// of the last checkpoint: the suffix in the unit a restart pays for
+    /// replaying it (see [`seal_current`](Mutation::seal_current)).
+    pub(crate) summary_sealed: u64,
+    pub(crate) checkpoint_summary: u64,
     pub(crate) cleaning: bool,
     /// The inline cleaner's last pass ended short of
     /// `target_free_segments`: the disk is too full for it, and a flush
@@ -108,6 +117,8 @@ impl LogState {
             },
             epoch: RandomState::new().build_hasher().finish() as u32,
             checkpoint_seq: 0,
+            summary_sealed: 0,
+            checkpoint_summary: 0,
             cleaning: false,
             clean_fell_short: false,
             inflight: VecDeque::new(),
@@ -457,8 +468,9 @@ pub struct LldInner<D> {
     /// scarce; drained by [`after_scoped`](LldInner::after_scoped).
     pub(crate) needs_clean: AtomicBool,
     /// Set by a seal that leaves `n_segments` or more segments past the
-    /// last checkpoint; the session that finds it writes one when it
-    /// ends (see [`seal_current`](Mutation::seal_current)).
+    /// last checkpoint, or as many summary bytes as the tables encode
+    /// to; the session that finds it writes one when it ends (see
+    /// [`seal_current`](Mutation::seal_current)).
     pub(crate) needs_checkpoint: AtomicBool,
     pub(crate) stats: StatsCell,
     pub(crate) obs: Obs,
@@ -491,6 +503,11 @@ pub(crate) struct Mutation<'a, D> {
     /// The segment this session sealed and has not written (see
     /// [`seal_current`](Self::seal_current)).
     pending: Option<Arc<SegmentBuilder>>,
+    /// Sequence number of the open segment, while this session logs a
+    /// unit that it has checked ends there, commit record and all: the
+    /// unit's tagged writes may absorb (docs/INVARIANTS.md I5). Set and
+    /// cleared by `commit_concurrent`.
+    pub(crate) unit_ends_in: Option<u64>,
 }
 
 impl<D: BlockDevice + 'static> Lld<D> {
@@ -636,6 +653,7 @@ impl<D: BlockDevice> LldInner<D> {
             map: MapView::new(self.maps.nshards(), arus, shards),
             log_guard: None,
             pending: None,
+            unit_ends_in: None,
         };
         let out = f(&mut m);
         // Here, where the operation is over, and not in the roll that
@@ -677,6 +695,7 @@ impl<D: BlockDevice> LldInner<D> {
             map: MapView::new(self.maps.nshards(), arus, shards),
             log_guard: None,
             pending: None,
+            unit_ends_in: None,
         };
         let out = f(&mut m);
         // The epilogue: a segment the session sealed goes to the device
@@ -1580,6 +1599,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                     None => (self.log().free_slots.first().copied().unwrap_or(NO_SLOT), 0),
                 };
                 let header = b.header_bytes(next_slot);
+                let seal_summary = b.summary_bytes().len() as u64;
                 if lld.device.is_pipelined() {
                     // The data blocks were streamed to the device as they
                     // were placed (see `place_block_data`), so the seal
@@ -1604,6 +1624,9 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                     self.pending = Some(b);
                 }
                 let n_segments = u64::from(lld.layout.n_segments);
+                let table_bytes = (lld.allocated_block_count() * CKPT_BLOCK_ENTRY
+                    + lld.allocated_list_count() * CKPT_LIST_ENTRY)
+                    .max(MIN_SUFFIX_BYTES);
                 let log = self.log();
                 log.slot_seq[slot as usize] = seal_seq;
                 log.tail = ChainHead {
@@ -1613,10 +1636,18 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 };
                 // While every seal took a slot, the cleaner had to
                 // checkpoint before the log could wrap, so a restart
-                // never replayed more than `n_segments` segments. Now a
+                // never crossed more than `n_segments` headers. Now a
                 // slot holds many: keep that bound by asking for a
-                // checkpoint once the suffix is that long.
-                if seal_seq - log.checkpoint_seq >= n_segments {
+                // checkpoint once the suffix is that long. It is what
+                // bounds a log of small flushes. A log of full segments is
+                // bounded in restart's other unit, the summary bytes it
+                // replays: once they reach the encoded size of the tables,
+                // loading a snapshot is the cheaper restart, and the
+                // checkpoint is paid for by as many bytes of log.
+                log.summary_sealed += seal_summary;
+                if seal_seq - log.checkpoint_seq >= n_segments
+                    || log.summary_sealed - log.checkpoint_summary >= table_bytes
+                {
                     self.lld.needs_checkpoint.store(true, Ordering::Relaxed);
                 }
                 self.lld.stats.segments_sealed.inc();
@@ -1742,50 +1773,96 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         tag: Option<AruId>,
         reserve: usize,
     ) -> Result<PhysAddr> {
-        self.ensure_room(1, WRITE_REC_LEN, reserve)?;
-        let addr = {
-            let b = self
-                .log()
-                .builder
-                .as_mut()
-                .expect("ensure_room leaves a builder");
-            let slot_idx = b.push_block(data);
-            let addr = PhysAddr {
-                segment: b.slot(),
-                slot: slot_idx,
-            };
-            let rec = Record::Write {
-                block: id,
-                slot: slot_idx,
-                ts,
-                aru: tag,
-            };
-            b.push_record(&rec);
-            addr
+        let addr = match self.absorb_block(id, data, ts, tag) {
+            Some(kept) => kept,
+            None => {
+                self.ensure_room(1, WRITE_REC_LEN, reserve)?;
+                let b = self
+                    .log()
+                    .builder
+                    .as_mut()
+                    .expect("ensure_room leaves a builder");
+                let addr = PhysAddr {
+                    segment: b.slot(),
+                    slot: b.push_block(data),
+                };
+                b.push_record(&Record::Write {
+                    block: id,
+                    slot: addr.slot,
+                    ts,
+                    aru: tag,
+                });
+                if self.lld.device.is_pipelined() {
+                    // Stream the block to its final device offset now —
+                    // an enqueue onto the pipeline, applied by the I/O
+                    // thread while this batch keeps filling. By seal time
+                    // the data is on the device and the seal writes only
+                    // summary + header. Safe because this arm never
+                    // rewrites a block it placed (re-placing allocates a
+                    // new slot) and whatever header the segment's base
+                    // still holds cannot link to the log's tail
+                    // (docs/PIPELINE.md).
+                    self.lld
+                        .device
+                        .write_at(self.lld.layout.block_offset(addr), data)?;
+                }
+                self.lld.stats.data_blocks_written.inc();
+                addr
+            }
         };
-        if self.lld.device.is_pipelined() {
-            // Stream the block to its final device offset now — an
-            // enqueue onto the pipeline, applied by the I/O thread while
-            // this batch keeps filling. By seal time the data is on the
-            // device and the seal writes only summary + header. Safe
-            // because the builder is append-only (a block is never
-            // rewritten in place; re-placing allocates a new slot) and
-            // whatever header the segment's base still holds cannot
-            // link to the log's tail (docs/PIPELINE.md).
-            self.lld
-                .device
-                .write_at(self.lld.layout.block_offset(addr), data)?;
-        }
         self.lld.stats.records_emitted.inc();
         self.lld.stats.summary_bytes.add(WRITE_REC_LEN as u64);
-        self.lld.stats.data_blocks_written.inc();
 
         self.lld.cache.lock().insert(addr, data);
+        // Read here: a roll above may have had the cleaner move the block.
         let old = self.map.committed_view_block(id).and_then(|r| r.addr);
         self.adjust_addr(id, old, Some(addr));
         let r = self.block_mut(StateRef::Committed, id)?;
         r.addr = Some(addr);
         r.ts = ts;
         Ok(addr)
+    }
+
+    /// *Absorbs* a write to a block whose committed version still sits
+    /// in the open segment: the new data takes that version's place and
+    /// only the record is appended, so a version superseded before its
+    /// segment seals never reaches the device (the paper's §3: a
+    /// committed version has to become persistent only if it is still
+    /// the committed one then). Returns the address, which the block
+    /// keeps; `None` if the write has to append.
+    ///
+    /// Allowed only to a write whose commit point lands in this same
+    /// segment (docs/INVARIANTS.md I5): an untagged write, or a tagged
+    /// one of the unit [`unit_ends_in`](Self::unit_ends_in) names. Never
+    /// on the pipelined arm, which streamed the old version out when it
+    /// placed it.
+    fn absorb_block(
+        &mut self,
+        id: BlockId,
+        data: &[u8],
+        ts: Timestamp,
+        tag: Option<AruId>,
+    ) -> Option<PhysAddr> {
+        if self.lld.device.is_pipelined() {
+            return None;
+        }
+        let held = self.map.committed_view_block(id)?.addr?;
+        let unit = self.unit_ends_in;
+        let b = self.log().builder.as_mut()?;
+        let commits_here = tag.is_none() || unit == Some(b.seq());
+        if !(commits_here && b.slot() == held.segment && b.fits(0, WRITE_REC_LEN)) {
+            return None;
+        }
+        if !b.rewrite_block(held.slot, data) {
+            return None;
+        }
+        b.push_record(&Record::Write {
+            block: id,
+            slot: held.slot,
+            ts,
+            aru: tag,
+        });
+        self.lld.stats.blocks_absorbed.inc();
+        Some(held)
     }
 }

@@ -406,6 +406,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         obs.stage_begin(0, trace, Stage::RecoveryScan);
         let mut chain: Vec<ChainSegment> = Vec::new();
         let mut slot_seq = vec![0u64; n];
+        let mut suffix_summary = 0u64;
         // The bytes at `head`'s position, when the read of the summary
         // in front of it brought them along.
         let mut fetched = None;
@@ -455,6 +456,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 records: read.records,
             });
             slot_seq[h.slot.get() as usize] = seq;
+            suffix_summary += u64::from(h.summary_len());
             head = h.next;
             fetched = read.successor;
         }
@@ -520,6 +522,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
         self.map.drain_committed();
         let log = self.log();
         log.checkpoint_seq = ckpt_seq;
+        // The suffix just replayed is still the suffix, in both units.
+        log.summary_sealed = suffix_summary;
         log.next_seq = ckpt_seq + 1 + u64::from(report.segments_replayed);
         log.tail = head;
         // A head inside a slot: the segment in front of it is in that

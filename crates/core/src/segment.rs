@@ -11,6 +11,12 @@
 //! +--------+---------+---------+-----+----------------+
 //! ```
 //!
+//! Until the seal nothing of the segment is on the device, and the
+//! buffer is not append-only: a write to a block whose last version is
+//! still in it takes that version's slot
+//! ([`SegmentBuilder::rewrite_block`]; the rule is docs/INVARIANTS.md
+//! I5) and only the summary grows.
+//!
 //! A flush seals whatever the segment holds, so a segment may be far
 //! smaller than its slot. The next one then starts in the same slot, at
 //! the block after the summary (its *base*); only a slot with fewer than
@@ -200,13 +206,33 @@ impl SegmentBuilder {
         rec.encode(&mut self.summary);
     }
 
+    /// Where in [`bytes`](Self::bytes) the data block with index `idx`
+    /// in the slot sits, if it is one of this segment's.
+    fn block_range(&self, idx: u32) -> Option<std::ops::Range<usize>> {
+        let i = idx.checked_sub(self.base).filter(|&i| i < self.n_blocks)?;
+        let start = (1 + i as usize) * self.block_size;
+        Some(start..start + self.block_size)
+    }
+
+    /// Replaces the data of a block placed in this segment, while it is
+    /// still open: nothing of it has been handed to the device, so the
+    /// version it held never existed there. Whether the caller may is
+    /// docs/INVARIANTS.md I5. `false`: `idx` is not a block of this
+    /// segment, and nothing changed.
+    pub(crate) fn rewrite_block(&mut self, idx: u32, data: &[u8]) -> bool {
+        assert_eq!(data.len(), self.block_size, "data must be one block");
+        let Some(at) = self.block_range(idx) else {
+            return false;
+        };
+        self.bytes[at].copy_from_slice(data);
+        true
+    }
+
     /// Reads back a data block placed in this segment (open or sealed),
     /// by its index in the slot. `None`: the index belongs to another
     /// segment of the slot, or to nothing yet.
     pub(crate) fn read_block(&self, idx: u32) -> Option<&[u8]> {
-        let i = idx.checked_sub(self.base).filter(|&i| i < self.n_blocks)?;
-        let start = (1 + i as usize) * self.block_size;
-        Some(&self.bytes[start..start + self.block_size])
+        self.block_range(idx).map(|at| &self.bytes[at])
     }
 
     /// The block of the slot right behind this segment as it stands:
@@ -290,6 +316,10 @@ impl SegmentHeader {
     /// checked that they end inside the slot.
     pub(crate) fn data_blocks(&self) -> std::ops::Range<u32> {
         self.base..self.base + self.n_blocks
+    }
+
+    pub(crate) fn summary_len(&self) -> u32 {
+        self.summary_len
     }
 }
 
@@ -485,6 +515,11 @@ mod tests {
         assert_eq!(b.read_block(0), Some(&block[..]));
         assert_eq!(b.read_block(1).unwrap()[0], 0xCD);
         assert_eq!(b.read_block(2), None);
+        // A rewrite takes the slot; the segment grows by nothing.
+        assert!(b.rewrite_block(0, &vec![0xEFu8; 512]));
+        assert!(!b.rewrite_block(2, &block), "not this segment's");
+        assert_eq!(b.read_block(0).unwrap()[0], 0xEF);
+        assert_eq!(b.read_block(1).unwrap()[0], 0xCD);
         b.push_record(&sample_record(1));
         assert_eq!(b.n_blocks(), 2);
         assert!(!b.is_empty());

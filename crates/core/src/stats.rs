@@ -43,6 +43,11 @@ pub struct LldStats {
     pub summary_bytes: u64,
     /// Data blocks entered into the segment stream (includes relocations).
     pub data_blocks_written: u64,
+    /// Writes that took the place of the block's previous version in the
+    /// open segment instead of appending a copy (docs/INVARIANTS.md I5):
+    /// a version superseded before its segment seals costs no device
+    /// bytes. Not counted in `data_blocks_written`.
+    pub blocks_absorbed: u64,
     /// Blocks copied forward by the segment cleaner.
     pub blocks_relocated: u64,
     /// Cleaner invocations: inline full-session runs plus background
@@ -187,6 +192,7 @@ pub(crate) struct StatsCell {
     pub(crate) records_emitted: Counter,
     pub(crate) summary_bytes: Counter,
     pub(crate) data_blocks_written: Counter,
+    pub(crate) blocks_absorbed: Counter,
     pub(crate) blocks_relocated: Counter,
     pub(crate) cleaner_runs: Counter,
     pub(crate) cleaner_passes: Counter,
@@ -233,6 +239,7 @@ impl StatsCell {
             records_emitted: self.records_emitted.get(),
             summary_bytes: self.summary_bytes.get(),
             data_blocks_written: self.data_blocks_written.get(),
+            blocks_absorbed: self.blocks_absorbed.get(),
             blocks_relocated: self.blocks_relocated.get(),
             cleaner_runs: self.cleaner_runs.get(),
             cleaner_passes: self.cleaner_passes.get(),
@@ -283,6 +290,7 @@ impl StatsCell {
             records_emitted,
             summary_bytes,
             data_blocks_written,
+            blocks_absorbed,
             blocks_relocated,
             cleaner_runs,
             cleaner_passes,
@@ -326,6 +334,7 @@ impl StatsCell {
             records_emitted,
             summary_bytes,
             data_blocks_written,
+            blocks_absorbed,
             blocks_relocated,
             cleaner_runs,
             cleaner_passes,

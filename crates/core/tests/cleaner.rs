@@ -6,6 +6,9 @@
 use ld_core::{CleanerConfig, Ctx, Lld, LldConfig, LldError, Position};
 use ld_disk::MemDisk;
 
+mod common;
+use common::churn_ring;
+
 const BS: usize = 512;
 
 /// One point of the mode matrix: pipelined writer, background cleaner,
@@ -74,16 +77,18 @@ fn overwrite_churn_triggers_cleaning_not_disk_full() {
 fn overwrite_churn_triggers_cleaning_not_disk_full_at(mode: Mode) {
     let ld = small_disk(mode);
     let l = ld.new_list(Ctx::Simple).unwrap();
-    let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
+    let hot = churn_ring(&ld, l, None);
     // Each overwrite consumes a data slot; ~7 slots per segment and ~24
     // segments means >1000 overwrites guarantee several log wraps.
-    for i in 0..1200u32 {
+    for i in 0..1200usize {
+        let b = hot[i % hot.len()];
         ld.write(Ctx::Simple, b, &block((i % 251) as u8)).unwrap();
     }
     assert!(ld.stats().cleaner_runs > 0, "cleaner must have run");
     assert!(ld.stats().checkpoints > 0, "cleaning forces checkpoints");
     let mut buf = block(0);
-    ld.read(Ctx::Simple, b, &mut buf).unwrap();
+    ld.read(Ctx::Simple, hot[1199 % hot.len()], &mut buf)
+        .unwrap();
     assert_eq!(buf, block((1199 % 251) as u8));
 }
 
@@ -108,12 +113,11 @@ fn live_data_survives_relocation_at(mode: Mode) {
         keep.push(b);
         prev = Some(b);
     }
-    // ...plus heavy churn on one hot block to wrap the log.
-    let hot = ld
-        .new_block(Ctx::Simple, l, Position::After(prev.unwrap()))
-        .unwrap();
-    for i in 0..1200u32 {
-        ld.write(Ctx::Simple, hot, &block((i % 250) as u8)).unwrap();
+    // ...plus heavy churn on a few hot blocks to wrap the log.
+    let hot = churn_ring(&ld, l, prev);
+    for i in 0..1200usize {
+        let b = hot[i % hot.len()];
+        ld.write(Ctx::Simple, b, &block((i % 250) as u8)).unwrap();
     }
     assert!(
         ld.stats().blocks_relocated > 0,
@@ -136,11 +140,10 @@ fn recovery_after_cleaning_sees_current_state_at(mode: Mode) {
     let l = ld.new_list(Ctx::Simple).unwrap();
     let stable = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     ld.write(Ctx::Simple, stable, &block(0x55)).unwrap();
-    let hot = ld
-        .new_block(Ctx::Simple, l, Position::After(stable))
-        .unwrap();
-    for i in 0..1500u32 {
-        ld.write(Ctx::Simple, hot, &block((i % 13) as u8)).unwrap();
+    let hot = churn_ring(&ld, l, Some(stable));
+    for i in 0..1500usize {
+        let b = hot[i % hot.len()];
+        ld.write(Ctx::Simple, b, &block((i % 13) as u8)).unwrap();
     }
     assert!(ld.stats().cleaner_runs > 0);
     ld.flush().unwrap();
@@ -151,9 +154,11 @@ fn recovery_after_cleaning_sees_current_state_at(mode: Mode) {
     let mut buf = block(0);
     ld2.read(Ctx::Simple, stable, &mut buf).unwrap();
     assert_eq!(buf, block(0x55));
-    ld2.read(Ctx::Simple, hot, &mut buf).unwrap();
+    ld2.read(Ctx::Simple, hot[1499 % hot.len()], &mut buf)
+        .unwrap();
     assert_eq!(buf, block((1499 % 13) as u8));
-    assert_eq!(ld2.list_blocks(Ctx::Simple, l).unwrap(), vec![stable, hot]);
+    let members = [&[stable][..], &hot[..]].concat();
+    assert_eq!(ld2.list_blocks(Ctx::Simple, l).unwrap(), members);
 }
 
 #[test]
@@ -232,12 +237,14 @@ fn manual_checkpoint_then_clean_reuses_dead_segments() {
 fn manual_checkpoint_then_clean_reuses_dead_segments_at(mode: Mode) {
     let ld = small_disk(mode);
     let l = ld.new_list(Ctx::Simple).unwrap();
-    let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
+    let hot = churn_ring(&ld, l, None);
     // Burn through several segments of overwrites (all dead but the
-    // last), without reaching the cleaner trigger.
+    // last two), without reaching the cleaner trigger.
     for i in 0..40u8 {
+        let b = hot[usize::from(i) % hot.len()];
         ld.write(Ctx::Simple, b, &block(i)).unwrap();
     }
+    assert!(ld.stats().segments_sealed >= 5, "several segments");
     let free_before = ld.free_segments();
     ld.checkpoint().unwrap();
     ld.run_cleaner().unwrap();
@@ -246,7 +253,7 @@ fn manual_checkpoint_then_clean_reuses_dead_segments_at(mode: Mode) {
         "cleaning dead segments cannot lose space"
     );
     let mut buf = block(0);
-    ld.read(Ctx::Simple, b, &mut buf).unwrap();
+    ld.read(Ctx::Simple, hot[39 % hot.len()], &mut buf).unwrap();
     assert_eq!(buf, block(39));
 }
 
@@ -351,12 +358,11 @@ fn crash_during_cleaning_era_recovers_current_state_at(mode: Mode) {
         ld.flush().unwrap();
 
         // Churn until the crash point fires (or the workload ends).
-        let hot = ld
-            .new_block(Ctx::Simple, l, Position::After(prev.unwrap()))
-            .unwrap();
+        let hot = churn_ring(&ld, l, prev);
         let mut crashed = false;
-        for i in 0..3000u32 {
-            if ld.write(Ctx::Simple, hot, &block((i % 199) as u8)).is_err() {
+        for i in 0..3000usize {
+            let b = hot[i % hot.len()];
+            if ld.write(Ctx::Simple, b, &block((i % 199) as u8)).is_err() {
                 crashed = true;
                 break;
             }

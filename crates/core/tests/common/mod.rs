@@ -1,9 +1,36 @@
-//! What the image-forging suites share: where the on-disk fields sit,
-//! and how to make an edit under them pass its checksum again.
+//! What the suites share: where the on-disk fields sit and how to make
+//! an edit under them pass its checksum again (the image-forging
+//! suites), and the blocks an overwrite churn rotates over.
 
 #![allow(dead_code)] // each suite uses its own subset
 
-use ld_disk::crc32;
+use ld_core::{BlockId, Ctx, ListId, Lld, Position};
+use ld_disk::{crc32, BlockDevice};
+
+/// The blocks an overwrite churn rotates over (`ring[i % ring.len()]`
+/// for its `i`th write): as many as a slot has blocks, allocated on
+/// `list` in order behind `after` (`None`: from the front). A segment
+/// holds fewer, its header taking one, so a write that comes round to a
+/// block finds the version it supersedes in a sealed segment and
+/// appends: a slot's worth of log for a slot's worth of writes, which is
+/// what the suites that want the log to roll, wrap and be cleaned are
+/// after. A churn on fewer blocks can stay inside the open segment,
+/// where each write takes the place of the last version and the log
+/// grows by a record (docs/INVARIANTS.md I5).
+pub fn churn_ring<D: BlockDevice>(
+    ld: &Lld<D>,
+    list: ListId,
+    mut after: Option<BlockId>,
+) -> Vec<BlockId> {
+    (0..ld.segment_bytes() / ld.block_size())
+        .map(|_| {
+            let pos = after.map_or(Position::First, Position::After);
+            let b = ld.new_block(Ctx::Simple, list, pos).unwrap();
+            after = Some(b);
+            b
+        })
+        .collect()
+}
 
 // Segment header fields (see `segment.rs`).
 pub const H_SEQ: usize = 8;

@@ -30,6 +30,8 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+mod common;
+
 const BS: usize = 512;
 const CAPACITY: u64 = 4 << 20;
 
@@ -714,6 +716,12 @@ fn slot_range(ld: &Lld<ParkDisk>, slot: u32) -> Range<u64> {
     layout.segment_offset(slot)..layout.segment_offset(slot + 1)
 }
 
+/// As many blocks as a slot has, allocated and not yet written: writes
+/// that go round them each append (see [`common::churn_ring`]).
+fn new_ring(ld: &Lld<ParkDisk>) -> Vec<BlockId> {
+    common::churn_ring(ld, ld.new_list(Ctx::Simple).unwrap(), None)
+}
+
 /// A list of `n` blocks, each allocated and not yet written.
 fn new_blocks(ld: &Lld<ParkDisk>, n: usize) -> Vec<BlockId> {
     let list = ld.new_list(Ctx::Simple).unwrap();
@@ -745,7 +753,7 @@ fn a_barrier_waits_at(mode: Mode) {
     let ld = &Lld::format(ParkDisk::new(), &cfg).unwrap();
     let dev = ld.device();
     let kept = new_blocks(ld, 1)[0];
-    let a = new_blocks(ld, 2);
+    let a = new_ring(ld);
     ld.write(Ctx::Simple, kept, &block(9)).unwrap();
     ld.flush().unwrap(); // acknowledged: survives whatever follows
     dev.park(slot_range(ld, 0), None);
@@ -757,7 +765,8 @@ fn a_barrier_waits_at(mode: Mode) {
         // holding nothing, on the default writer at 8 shards; under its
         // locks at 1 shard; on the I/O thread (at A's first streamed
         // block, while A runs on) on the pipelined writer.
-        let ta = s.spawn(|| (0..16).try_for_each(|i| ld.write(Ctx::Simple, a[i % 2], &block(1))));
+        let ta =
+            s.spawn(|| (0..16).try_for_each(|i| ld.write(Ctx::Simple, a[i % a.len()], &block(1))));
         dev.wait_for("A's write parks", |st| st.parked == 1);
         let (ids_tx, ids_rx) = std::sync::mpsc::channel();
         let tb = s.spawn(move || {
@@ -864,7 +873,7 @@ fn a_released_slot_is_overwritten_only_behind_what_emptied_it() {
         };
         let ld = Lld::format(ParkDisk::new(), &cfg).unwrap();
         let dev = ld.device();
-        let (old, other) = (new_blocks(&ld, 4), new_blocks(&ld, 2));
+        let (old, other) = (new_blocks(&ld, 4), new_ring(&ld));
         for (i, &b) in old.iter().enumerate() {
             ld.write(Ctx::Simple, b, &block(10 + i as u8)).unwrap();
         }
@@ -888,8 +897,9 @@ fn a_released_slot_is_overwritten_only_behind_what_emptied_it() {
             assert_eq!(ld.free_segments(), free + 1, "slot 0 is handed back");
             // Two slots' worth of writes: the first fills slot 2, where
             // the log went on, the second slot 0.
-            let writer = s
-                .spawn(|| (0..14).try_for_each(|i| ld.write(Ctx::Simple, other[i % 2], &block(3))));
+            let writer = s.spawn(|| {
+                (0..14).try_for_each(|i| ld.write(Ctx::Simple, other[i % other.len()], &block(3)))
+            });
             assert!(
                 dev.stays(|st| !written_to_slot0(st)),
                 "shards={shards}: slot 0 overwritten ahead of what emptied it"
@@ -922,11 +932,12 @@ fn a_released_slot_is_overwritten_only_behind_what_emptied_it() {
 fn a_failed_segment_write_fails_every_later_flush() {
     each_mode(|mode| {
         let ld = Lld::format(ParkDisk::new(), &config(mode)).unwrap();
-        let a = new_blocks(&ld, 2);
+        let a = new_ring(&ld);
         ld.device().park(slot_range(&ld, 0), Some(false));
         let ops: Vec<_> = (0..16)
-            .map(|i| ld.write(Ctx::Simple, a[i % 2], &block(1)))
+            .map(|i| ld.write(Ctx::Simple, a[i % a.len()], &block(1)))
             .collect();
+        assert!(mode.0 || ld.stats().segments_sealed > 0, "no write rolled");
         if mode == (false, 8) {
             assert!(ops.iter().all(|r| r.is_ok()), "{ops:?}");
         }

@@ -4,6 +4,8 @@
 use ld_core::{Ctx, Lld, LldConfig, LldError, Position};
 use ld_disk::{DiskModel, MemDisk, SimDisk};
 
+mod common;
+
 const BS: usize = 512;
 
 fn config() -> LldConfig {
@@ -273,12 +275,12 @@ fn data_survives_many_overwrites_of_other_blocks() {
     let list = ld.new_list(Ctx::Simple).unwrap();
     let stable = ld.new_block(Ctx::Simple, list, Position::First).unwrap();
     ld.write(Ctx::Simple, stable, &block(0x5A)).unwrap();
-    let churn = ld
-        .new_block(Ctx::Simple, list, Position::After(stable))
-        .unwrap();
+    let churn = common::churn_ring(&ld, list, Some(stable));
     for i in 0..100u8 {
-        ld.write(Ctx::Simple, churn, &block(i)).unwrap();
+        let b = churn[usize::from(i) % churn.len()];
+        ld.write(Ctx::Simple, b, &block(i)).unwrap();
     }
+    assert!(ld.stats().segments_sealed >= 4, "segment boundaries");
     let mut buf = block(0);
     ld.read(Ctx::Simple, stable, &mut buf).unwrap();
     assert_eq!(buf, block(0x5A));

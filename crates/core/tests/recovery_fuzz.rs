@@ -102,9 +102,17 @@ fn base_image(pipeline: bool) -> Base {
     unit(keep, 7);
     ld.checkpoint().unwrap(); // area B, the newer
     let late: Vec<_> = (8..14).map(|n| unit(keep, n)).collect();
-    // Full segments: overwrites with no flush in between.
+    // Overwrites with no flush in between. Of a few blocks: each takes
+    // the place of the version in the open segment, a summary that names
+    // a slot many times over. Then of more blocks than a slot has, so
+    // that each appends: full segments.
+    let ring = churn_ring(&ld, keep, None);
     for n in 0..40u8 {
         ld.write(Ctx::Simple, late[usize::from(n) % late.len()], &block(n))
+            .unwrap();
+    }
+    for n in 0..40u8 {
+        ld.write(Ctx::Simple, ring[usize::from(n) % ring.len()], &block(n))
             .unwrap();
     }
     ld.delete_block(Ctx::Simple, early[3]).unwrap();

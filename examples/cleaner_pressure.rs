@@ -9,9 +9,23 @@
 //!
 //! Run with: `cargo run --example cleaner_pressure`
 
-use ld_core::{CleanerConfig, Ctx, Lld, LldConfig, Position};
+use ld_core::{BlockId, CleanerConfig, Ctx, ListId, Lld, LldConfig, LldError, Position};
 use ld_disk::MemDisk;
 use ld_workload::pattern_fill;
+
+/// The blocks the churn goes round: as many as a slot has, so that each
+/// overwrite finds the version it supersedes in a sealed segment and
+/// appends. (Overwriting *one* block makes no log to clean: each write
+/// takes the place of the last in the open segment, and only the record
+/// is appended.)
+fn hot_ring(ld: &Lld<MemDisk>, list: ListId, mut after: BlockId) -> Result<Vec<BlockId>, LldError> {
+    (0..ld.segment_bytes() / ld.block_size())
+        .map(|_| {
+            after = ld.new_block(Ctx::Simple, list, Position::After(after))?;
+            Ok(after)
+        })
+        .collect()
+}
 
 fn config(background: bool) -> LldConfig {
     LldConfig {
@@ -53,11 +67,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         prev = Some(b);
     }
 
-    // ...plus a hot block overwritten until the log wraps repeatedly.
-    let hot = ld.new_block(Ctx::Simple, list, Position::After(prev.unwrap()))?;
+    // ...plus a few hot blocks overwritten until the log wraps
+    // repeatedly.
+    let hot = hot_ring(&ld, list, prev.unwrap())?;
     for i in 0..2000u64 {
         pattern_fill(&mut buf, 1_000_000 + i);
-        ld.write(Ctx::Simple, hot, &buf)?;
+        ld.write(Ctx::Simple, hot[i as usize % hot.len()], &buf)?;
     }
 
     let s = ld.stats();
@@ -94,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pattern_fill(&mut expect, i as u64);
         assert_eq!(buf, expect);
     }
-    ld2.read(Ctx::Simple, hot, &mut buf)?;
+    ld2.read(Ctx::Simple, hot[1999 % hot.len()], &mut buf)?;
     pattern_fill(&mut expect, 1_000_000 + 1999);
     assert_eq!(buf, expect);
     println!("recovered state matches the last committed writes");
@@ -119,10 +134,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cold.push(b);
         prev = Some(b);
     }
-    let hot = ld.new_block(Ctx::Simple, list, Position::After(prev.unwrap()))?;
+    let hot = hot_ring(&ld, list, prev.unwrap())?;
     for i in 0..2000u64 {
         pattern_fill(&mut buf, 2_000_000 + i);
-        ld.write(Ctx::Simple, hot, &buf)?;
+        ld.write(Ctx::Simple, hot[i as usize % hot.len()], &buf)?;
     }
     let s = ld.stats();
     println!(
@@ -157,7 +172,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pattern_fill(&mut expect, i as u64);
         assert_eq!(buf, expect);
     }
-    ld2.read(Ctx::Simple, hot, &mut buf)?;
+    ld2.read(Ctx::Simple, hot[1999 % hot.len()], &mut buf)?;
     pattern_fill(&mut expect, 2_000_000 + 1999);
     assert_eq!(buf, expect);
     println!("recovered state matches the last committed writes");

@@ -13,6 +13,9 @@ use ld_aru::disk::{DiskModel, FaultPlan, MemDisk, SimDisk, SmallRng};
 use ld_aru::minixfs::{FsConfig, FsError, MinixFs};
 use ld_aru::workload::pattern_fill;
 
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+
 /// One point of the mode matrix: pipelined writer, background cleaner,
 /// map shards.
 type Mode = (bool, bool, usize);
@@ -155,8 +158,8 @@ fn any_crash_point(mode: Mode) {
 /// checkpoint, and after the release sweep (segment writes, checkpoint
 /// writes, and relocation writes from the cleaner thread all advance
 /// the same byte budget the fault plan counts). After recovery:
-/// committed ARUs are all-or-nothing (the two hot blocks written by
-/// the same ARU always read the same generation), no relocated cold
+/// committed ARUs are all-or-nothing (two hot blocks written by the
+/// same ARU always read the same generation), no relocated cold
 /// block is lost, and the disk stays usable. Exercised on both writers
 /// at 1 and 8 map shards.
 #[test]
@@ -198,20 +201,21 @@ fn background_clean_crash_points_are_all_or_nothing() {
                 prev = Some(b);
             }
             let hot = ld.new_list(Ctx::Simple).unwrap();
-            let h0 = ld.new_block(Ctx::Simple, hot, Position::First).unwrap();
-            let h1 = ld.new_block(Ctx::Simple, hot, Position::After(h0)).unwrap();
+            let hot = common::churn_ring(&ld, hot, None);
+            let pairs: Vec<&[_]> = hot.chunks(2).collect();
             ld.flush().unwrap();
 
-            // Hot churn: each ARU overwrites both hot blocks with the
-            // same byte, so after any crash the recovered pair must
-            // match — a torn pair means a torn ARU.
+            // Hot churn: each ARU overwrites both blocks of a hot pair
+            // with the same byte, so after any crash a recovered pair
+            // must match — a torn pair means a torn ARU.
             let mut crashed = false;
-            for i in 0..2500u32 {
+            for i in 0..2500usize {
                 let byte = (i % 251) as u8;
+                let pair = pairs[i % pairs.len()];
                 let res = (|| {
                     let aru = ld.begin_aru()?;
-                    ld.write(Ctx::Aru(aru), h0, &vec![byte; 512])?;
-                    ld.write(Ctx::Aru(aru), h1, &vec![byte; 512])?;
+                    ld.write(Ctx::Aru(aru), pair[0], &vec![byte; 512])?;
+                    ld.write(Ctx::Aru(aru), pair[1], &vec![byte; 512])?;
                     ld.end_aru(aru)?;
                     if i % 16 == 0 {
                         ld.flush()?;
@@ -242,15 +246,17 @@ fn background_clean_crash_points_are_all_or_nothing() {
                     "{shards}, crash at {crash_at}: cold block {i} corrupt"
                 );
             }
-            let mut b0 = vec![0u8; 512];
-            let mut b1 = vec![0u8; 512];
-            ld2.read(Ctx::Simple, h0, &mut b0).unwrap();
-            ld2.read(Ctx::Simple, h1, &mut b1).unwrap();
-            assert_eq!(
-                b0, b1,
-                "{shards}, crash at {crash_at}: torn ARU ({} vs {})",
-                b0[0], b1[0]
-            );
+            for pair in pairs {
+                let mut b0 = vec![0u8; 512];
+                let mut b1 = vec![0u8; 512];
+                ld2.read(Ctx::Simple, pair[0], &mut b0).unwrap();
+                ld2.read(Ctx::Simple, pair[1], &mut b1).unwrap();
+                assert_eq!(
+                    b0, b1,
+                    "{shards}, crash at {crash_at}: torn ARU ({} vs {})",
+                    b0[0], b1[0]
+                );
+            }
 
             // The disk stays fully usable after recovery.
             let nb = ld2.new_block(Ctx::Simple, l, Position::First).unwrap();
@@ -470,16 +476,24 @@ impl ReorderDisk {
     /// The image a power cut leaves: the last flushed one plus each
     /// later write with probability one half, in issue order.
     fn crash(self, rng: &mut SmallRng) -> Vec<u8> {
-        let Journal {
-            durable: mut image,
-            pending,
-        } = self.journal.into_inner().unwrap();
-        for write in &pending {
-            if rng.gen_index(2) == 0 {
+        self.crash_keeping(|_| rng.gen_index(2) == 0)
+    }
+
+    /// The last flushed image plus the later writes `keep` picks, by
+    /// their place in issue order.
+    fn crash_keeping(&self, mut keep: impl FnMut(usize) -> bool) -> Vec<u8> {
+        let j = self.journal.lock().unwrap();
+        let mut image = j.durable.clone();
+        for (i, write) in j.pending.iter().enumerate() {
+            if keep(i) {
                 Journal::apply(&mut image, write);
             }
         }
         image
+    }
+
+    fn pending_writes(&self) -> usize {
+        self.journal.lock().unwrap().pending.len()
     }
 }
 
@@ -557,7 +571,11 @@ fn reordered_persistence(mode: Mode) {
         let ld = Lld::format(ReorderDisk::from_image(vec![0u8; 16 << 20]), &cfg).unwrap();
         let list = ld.new_list(Ctx::Simple).unwrap();
         let mut pairs: Vec<Pair> = Vec::new();
-        for _ in 0..4 {
+        // Twice as many blocks as a segment holds: the pair an ARU picks
+        // is sometimes still in the open segment, where its writes take
+        // the place of the last version (docs/INVARIANTS.md I5), and
+        // more often in a sealed one, so that the log grows.
+        for _ in 0..16 {
             let b0 = ld.new_block(Ctx::Simple, list, Position::First).unwrap();
             let b1 = ld.new_block(Ctx::Simple, list, Position::First).unwrap();
             for b in [b0, b1] {
@@ -632,4 +650,234 @@ fn reordered_persistence(mode: Mode) {
             ld = ld2;
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// Absorbed writes (docs/INVARIANTS.md I5)
+// ----------------------------------------------------------------------
+
+const ABSORB_BS: usize = 512;
+/// Blocks to a slot.
+const ABSORB_SLOT: usize = 32;
+/// The units swept: blocks whose last version is in the open segment,
+/// and blocks whose last version is in a sealed one.
+const ABSORB_UNITS: [(usize, usize); 4] = [(1, 1), (2, 2), (3, 1), (2, 0)];
+
+fn absorb_config(shards: usize, concurrency: ld_aru::core::ConcurrencyMode) -> LldConfig {
+    LldConfig {
+        block_size: ABSORB_BS,
+        segment_bytes: ABSORB_SLOT * ABSORB_BS,
+        max_blocks: Some(512),
+        max_lists: Some(64),
+        map_shards: shards,
+        concurrency,
+        ..LldConfig::default()
+    }
+}
+
+/// One unit logged against an open segment that is `fillers` blocks
+/// fuller than it has to be, and every seal since the last barrier.
+struct AbsorbRun {
+    dev: ReorderDisk,
+    cfg: LldConfig,
+    /// Blocks whose committed version sat in the open segment when the
+    /// unit overwrote them, and blocks whose version sat in a sealed one.
+    x: Vec<ld_aru::core::BlockId>,
+    y: Vec<ld_aru::core::BlockId>,
+    /// Whether that segment was still the open one when the unit began.
+    x_open: bool,
+    /// What the unit's commit added to `blocks_absorbed`, and whether it
+    /// rolled the segment.
+    absorbed: u64,
+    rolled: bool,
+}
+
+/// Version 1 of every `x` and `y`, flushed. Version 2 of every `x`,
+/// untagged, into the open segment, and `fillers` other blocks behind
+/// it. Then the unit: version 3 of every `x` and `y` (the `x` first, by
+/// identifier: the ones a unit may absorb come before the ones that take
+/// room). Then enough other blocks to roll the segment its commit record
+/// is in. No barrier after the first.
+fn absorb_run(shards: usize, nx: usize, ny: usize, fillers: usize) -> AbsorbRun {
+    let cfg = absorb_config(shards, ld_aru::core::ConcurrencyMode::Concurrent);
+    let ld = Lld::format(ReorderDisk::from_image(vec![0u8; 1 << 20]), &cfg).unwrap();
+    let list = ld.new_list(Ctx::Simple).unwrap();
+    let fresh = |n: usize| -> Vec<_> {
+        (0..n)
+            .map(|_| ld.new_block(Ctx::Simple, list, Position::First).unwrap())
+            .collect()
+    };
+    let (x, y, filler) = (fresh(nx), fresh(ny), fresh(fillers + ABSORB_SLOT));
+    let put = |ctx, b, version: u8| ld.write(ctx, b, &[version; ABSORB_BS]).unwrap();
+    x.iter().chain(&y).for_each(|&b| put(Ctx::Simple, b, 1));
+    ld.flush().unwrap();
+
+    x.iter().for_each(|&b| put(Ctx::Simple, b, 2));
+    let sealed = ld.stats().segments_sealed;
+    filler[..fillers]
+        .iter()
+        .for_each(|&b| put(Ctx::Simple, b, 7));
+    let x_open = ld.stats().segments_sealed == sealed;
+
+    let aru = ld.begin_aru().unwrap();
+    x.iter().chain(&y).for_each(|&b| put(Ctx::Aru(aru), b, 3));
+    let before = ld.stats();
+    ld.end_aru(aru).unwrap();
+    let after = ld.stats();
+    filler[fillers..]
+        .iter()
+        .for_each(|&b| put(Ctx::Simple, b, 7));
+    assert!(ld.stats().segments_sealed > after.segments_sealed);
+    AbsorbRun {
+        dev: ld.into_device(),
+        cfg,
+        x,
+        y,
+        x_open,
+        absorbed: after.blocks_absorbed - before.blocks_absorbed,
+        rolled: after.segments_sealed > before.segments_sealed,
+    }
+}
+
+impl AbsorbRun {
+    /// Recovers `image` and returns the version every `x` holds and the
+    /// version every `y` holds. The unit is all or nothing, and when it
+    /// is nothing what it superseded is intact: (1, 1) with nothing past
+    /// the barrier, (2, 1) with the untagged writes, (3, 3) with the
+    /// unit.
+    fn versions(&self, image: Vec<u8>, at: &str) -> (u8, u8) {
+        let (ld, _) = Lld::recover_with(MemDisk::from_image(image), &self.cfg)
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        let version = |blocks: &[ld_aru::core::BlockId]| {
+            let read: Vec<u8> = (blocks.iter())
+                .map(|&b| {
+                    let mut buf = vec![0u8; ABSORB_BS];
+                    ld.read(Ctx::Simple, b, &mut buf).unwrap();
+                    assert!(buf.iter().all(|&v| v == buf[0]), "{at}: a mixed block");
+                    buf[0]
+                })
+                .collect();
+            assert!(
+                read.iter().all(|&v| v == read[0]),
+                "{at}: versions {read:?}"
+            );
+            read.first().copied()
+        };
+        let vx = version(&self.x).expect("a unit overwrites");
+        let got = (vx, version(&self.y).unwrap_or(if vx == 3 { 3 } else { 1 }));
+        assert!(
+            [(1, 1), (2, 1), (3, 3)].contains(&got),
+            "{at}: the overwritten blocks hold version {}, the others version {}",
+            got.0,
+            got.1
+        );
+        got
+    }
+}
+
+/// I5 (a). A unit of `nx + ny` blocks against an open segment at every
+/// fill level around the one where it stops fitting, and the image after
+/// every seal. Where the unit fits, commit record and all, its writes
+/// take the place of the versions in the open segment; where it does
+/// not it absorbs nothing: its commit record is in the next segment,
+/// and a cut between the two finds the untagged versions where they
+/// were.
+#[test]
+fn an_absorbed_unit_is_all_or_nothing_at_every_seal() {
+    for shards in [8, 1] {
+        for (nx, ny) in ABSORB_UNITS {
+            let (mut fit, mut straddled) = (0, 0);
+            for fillers in 0..ABSORB_SLOT {
+                let at = format!("{shards} shards, {nx}+{ny} blocks behind {fillers}");
+                let run = absorb_run(shards, nx, ny, fillers);
+                let seals = run.dev.pending_writes();
+                let seen: Vec<(u8, u8)> = (0..=seals)
+                    .map(|cut| {
+                        let image = run.dev.crash_keeping(|i| i < cut);
+                        run.versions(image, &format!("{at}, {cut} of {seals} seals"))
+                    })
+                    .collect();
+                assert_eq!(seen[0], (1, 1), "{at}");
+                assert_eq!(seen[seals], (3, 3), "{at}");
+                assert!(seen.is_sorted(), "{at}: {seen:?}");
+                if run.rolled {
+                    assert_eq!(run.absorbed, 0, "{at}: a unit that rolled absorbed");
+                    // Part of it sealed without its commit record.
+                    assert!(!run.x_open || seen.contains(&(2, 1)), "{at}: {seen:?}");
+                    straddled += usize::from(run.x_open);
+                } else if run.x_open {
+                    assert_eq!(run.absorbed, nx as u64, "{at}: it fits");
+                    assert!(!seen.contains(&(2, 1)), "{at}: {seen:?}");
+                    fit += 1;
+                }
+            }
+            // A unit of overwrites alone takes no room but its records'.
+            assert!(
+                fit > 0 && (straddled > 0 || ny == 0),
+                "{nx}+{ny}: {fit}, {straddled}"
+            );
+        }
+    }
+}
+
+/// I5 (b). The same where the seals no barrier separates persist in any
+/// combination: every run of (a) in which the unit found the versions it
+/// overwrote in the open segment, each cut a few ways per seed.
+///
+/// Repro of one seed: `REORDER_SEED=<seed> cargo test --test crash_matrix absorbed`.
+#[test]
+fn an_absorbed_unit_is_all_or_nothing_under_reordered_persistence() {
+    let seeds: Vec<u64> = match std::env::var("REORDER_SEED") {
+        Ok(s) => vec![s.parse().expect("REORDER_SEED is a number")],
+        Err(_) => (0..4).collect(),
+    };
+    for shards in [8, 1] {
+        for (nx, ny) in ABSORB_UNITS {
+            let runs = (0..ABSORB_SLOT).map(|fillers| absorb_run(shards, nx, ny, fillers));
+            for (fillers, run) in runs.enumerate().filter(|(_, run)| run.x_open) {
+                for &seed in &seeds {
+                    let mut rng = SmallRng::seed_from_u64(0xC4A5_4005 ^ seed);
+                    for cut in 0..3 {
+                        let image = run.dev.crash_keeping(|_| rng.gen_index(2) == 0);
+                        let at = format!(
+                            "{shards} shards, {nx}+{ny} blocks behind {fillers}, REORDER_SEED={seed} cut {cut}"
+                        );
+                        run.versions(image, &at);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// I5 (c). In `Sequential` mode a tagged write goes straight into the
+/// committed state and its commit record may land anywhere: it never
+/// takes the place of the version it supersedes, which is the one a
+/// crash before the commit record brings back.
+#[test]
+fn a_sequential_tagged_write_never_reuses_a_slot() {
+    let cfg = absorb_config(8, ld_aru::core::ConcurrencyMode::Sequential);
+    let ld = Lld::format(MemDisk::new(1 << 20), &cfg).unwrap();
+    let list = ld.new_list(Ctx::Simple).unwrap();
+    let b = ld.new_block(Ctx::Simple, list, Position::First).unwrap();
+    let addr = || ld.block_info(b).unwrap().addr.unwrap();
+    ld.write(Ctx::Simple, b, &[1; ABSORB_BS]).unwrap();
+    let first = addr();
+    ld.write(Ctx::Simple, b, &[2; ABSORB_BS]).unwrap();
+    assert_eq!((addr(), ld.stats().blocks_absorbed), (first, 1));
+
+    let aru = ld.begin_aru().unwrap();
+    ld.write(Ctx::Aru(aru), b, &[3; ABSORB_BS]).unwrap();
+    let tagged = addr();
+    ld.write(Ctx::Aru(aru), b, &[4; ABSORB_BS]).unwrap();
+    assert!(first != tagged && tagged != addr());
+    assert_eq!(ld.stats().blocks_absorbed, 1);
+    ld.flush().unwrap();
+
+    let image = ld.into_device().into_image();
+    let (ld2, report) = Lld::recover_with(MemDisk::from_image(image), &cfg).unwrap();
+    assert_eq!(report.discarded_arus, 1);
+    let mut buf = vec![0u8; ABSORB_BS];
+    ld2.read(Ctx::Simple, b, &mut buf).unwrap();
+    assert_eq!(buf, [2; ABSORB_BS]);
 }

@@ -134,11 +134,15 @@ fn all_three_table1_versions_run_the_same_workload() {
 fn aru_latency_workload_recovers() {
     let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
     let ld = Lld::format(sim, &ld_config()).unwrap();
-    AruLatencyWorkload { count: 5000 }.run(&ld).unwrap();
-    assert_eq!(ld.stats().arus_committed, 5000);
+    // 17 bytes of commit record each: short of the 64 KiB of summary at
+    // which the log of a nearly empty disk asks for a checkpoint, so
+    // recovery finds every unit in the log.
+    AruLatencyWorkload { count: 3000 }.run(&ld).unwrap();
+    assert_eq!(ld.stats().arus_committed, 3000);
+    assert_eq!(ld.stats().checkpoints, 0);
     let image = ld.into_device().into_inner().into_image();
     let (_, report) = Lld::recover(MemDisk::from_image(image)).unwrap();
-    assert_eq!(report.committed_arus, 5000);
+    assert_eq!(report.committed_arus, 3000);
     assert_eq!(report.discarded_arus, 0);
 }
 
