@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ld_core::{ConcurrencyMode, Lld, LldConfig, ReadVisibility};
+use ld_core::{CleanerConfig, ConcurrencyMode, Lld, LldConfig, ReadVisibility};
 use ld_disk::{DiskModel, MemDisk, SimDisk, VirtualClock};
 use ld_minixfs::{DeletePolicy, FsConfig, MinixFs};
 use std::sync::Arc;
@@ -135,7 +135,11 @@ impl BenchConfig {
         cfg
     }
 
-    /// The logical-disk configuration for `version`.
+    /// The logical-disk configuration for `version`. The paper's LLD
+    /// is one process and the tables run on `SimDisk`'s virtual clock:
+    /// every column cleans inline (a second thread's device time would
+    /// simply be added, and its scheduling would make the tables
+    /// unrepeatable).
     pub fn ld_config(&self, version: Version) -> LldConfig {
         LldConfig {
             block_size: self.block_size,
@@ -145,6 +149,10 @@ impl BenchConfig {
                 _ => ConcurrencyMode::Concurrent,
             },
             visibility: ReadVisibility::OwnShadow,
+            cleaner: CleanerConfig {
+                background: false,
+                ..CleanerConfig::default()
+            },
             ..LldConfig::default()
         }
     }

@@ -233,7 +233,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
     /// when its candidate segments are not yet covered.
     pub(crate) fn checkpoint_inner(&mut self) -> Result<()> {
         let lld = self.lld;
-        let mut w = self.ckpt_begin(0)?;
+        let mut w = self.ckpt_begin()?;
         // Every slab is taken before one is written, so an error below
         // leaves no shard pending. Nobody else can begin while this
         // session holds every shard, so no step can find the generation
@@ -252,12 +252,12 @@ impl<D: BlockDevice> Mutation<'_, D> {
     /// state becomes persistent and is included), pins what the
     /// checkpoint covers, and takes the inactive area. Needs a full
     /// session. If the next segment needs a fresh slot, it is opened
-    /// only if that leaves `reserve` slots free (else by whoever appends
-    /// next, under its own reserve).
-    fn ckpt_begin(&mut self, reserve: usize) -> Result<CkptWrite> {
+    /// only if that leaves the last one free (else by whoever appends
+    /// next, under its own reserve; the cleaners' relocation has none).
+    fn ckpt_begin(&mut self) -> Result<CkptWrite> {
         debug_assert!(self.map.holds_all_shards_write());
         if self.seal_current()? && self.log().builder.is_none() {
-            self.open_segment_if_free(reserve)?;
+            self.open_segment_if_free(1)?;
         }
         // This checkpoint covers the seal that asked for one, its own
         // included.
@@ -344,10 +344,7 @@ impl<D: BlockDevice> LldInner<D> {
     /// Called by the background cleaner (`cleanerd`), so its covering
     /// checkpoints are not stop-the-world table dumps.
     pub(crate) fn checkpoint_incremental(&self) -> Result<bool> {
-        // Like its relocation, the cleaner's checkpoint leaves the last
-        // free slot to deletions: until the release sweep that follows,
-        // the pass has freed nothing.
-        let mut w = self.with_mutation(|m| m.ckpt_begin(1))?;
+        let mut w = self.with_mutation(|m| m.ckpt_begin())?;
         let mut steps = || -> Result<bool> {
             for i in 0..self.maps.nshards() {
                 let slab = self.with_mutation_at(0, 1u64 << i, |m| m.snapshot_slab(i));
@@ -529,53 +526,60 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
     }))
 }
 
-/// Reads and verifies the write-id dedup slab of a checkpoint whose
-/// header was already validated. Returns the raw slab bytes (empty if
-/// the checkpoint carries none); `None` on a CRC mismatch (the whole
-/// area must then be considered invalid).
-pub(crate) fn read_dedup_slab<D: BlockDevice>(
-    device: &D,
-    hdr: &CkptHeaderInfo,
-) -> Result<Option<Vec<u8>>> {
-    if hdr.n_dedup == 0 {
-        return Ok(Some(Vec::new()));
+impl CkptHeaderInfo {
+    /// Reads the snapshot slabs and the dedup slab of a checkpoint
+    /// whose header was validated — they lie back to back — with one
+    /// device read.
+    pub(crate) fn read_body<D: BlockDevice + ?Sized>(&self, device: &D) -> Result<Vec<u8>> {
+        let start = self.slabs[0].offset;
+        let end = self.dedup_off + self.n_dedup * CKPT_DEDUP_ENTRY;
+        let mut body = vec![0u8; (end - start) as usize];
+        device.read_at(start, &mut body)?;
+        Ok(body)
     }
-    let mut payload = vec![0u8; (hdr.n_dedup * CKPT_DEDUP_ENTRY) as usize];
-    device.read_at(hdr.dedup_off, &mut payload)?;
-    if crc32(&payload) != hdr.dedup_crc {
-        return Ok(None);
+
+    fn slice<'a>(&self, body: &'a [u8], offset: u64, len: u64) -> &'a [u8] {
+        &body[(offset - self.slabs[0].offset) as usize..][..len as usize]
     }
-    Ok(Some(payload))
+
+    /// The write-id dedup slab in `body` (empty if the checkpoint
+    /// carries none); `None` on a CRC mismatch (the whole area must
+    /// then be considered invalid).
+    pub(crate) fn dedup_slab<'a>(&self, body: &'a [u8]) -> Option<&'a [u8]> {
+        let payload = self.slice(body, self.dedup_off, self.n_dedup * CKPT_DEDUP_ENTRY);
+        (payload.is_empty() || crc32(payload) == self.dedup_crc).then_some(payload)
+    }
+
+    /// Decodes snapshot slab `i` out of `body`. `None` on a CRC
+    /// mismatch (the whole area must then be considered invalid).
+    ///
+    /// # Errors
+    ///
+    /// [`LldError::Corrupt`] on a zero identifier (a CRC-valid slab can
+    /// never contain one).
+    pub(crate) fn decode_slab(&self, body: &[u8], i: usize) -> Result<Option<SlabData>> {
+        let slab = &self.slabs[i];
+        let payload = self.slice(body, slab.offset, slab.len);
+        if crc32(payload) != slab.crc {
+            return Ok(None);
+        }
+        decode_entries(payload, slab).map(Some)
+    }
 }
 
-/// Reads and decodes one snapshot slab. `None` on a CRC mismatch (the
-/// whole area must then be considered invalid).
-///
-/// # Errors
-///
-/// [`LldError::Corrupt`] on a zero identifier (a CRC-valid slab can
-/// never contain one), or device errors.
-pub(crate) fn decode_slab<D: BlockDevice + ?Sized>(
-    device: &D,
-    slab: &SlabInfo,
-) -> Result<Option<SlabData>> {
-    let mut payload = vec![0u8; slab.len as usize];
-    device.read_at(slab.offset, &mut payload)?;
-    if crc32(&payload) != slab.crc {
-        return Ok(None);
-    }
+fn decode_entries(payload: &[u8], slab: &SlabInfo) -> Result<SlabData> {
     let mut out = SlabData {
         blocks: Vec::with_capacity(slab.n_blocks as usize),
         lists: Vec::with_capacity(slab.n_lists as usize),
     };
     let mut pos = 0usize;
     for _ in 0..slab.n_blocks {
-        let id = u64_at(&payload, pos);
-        let seg = u32_at(&payload, pos + 8);
-        let slot = u32_at(&payload, pos + 12);
-        let succ = u64_at(&payload, pos + 16);
-        let list = u64_at(&payload, pos + 24);
-        let ts = u64_at(&payload, pos + 32);
+        let id = u64_at(payload, pos);
+        let seg = u32_at(payload, pos + 8);
+        let slot = u32_at(payload, pos + 12);
+        let succ = u64_at(payload, pos + 16);
+        let list = u64_at(payload, pos + 24);
+        let ts = u64_at(payload, pos + 32);
         pos += CKPT_BLOCK_ENTRY as usize;
         if id == 0 {
             return Err(LldError::Corrupt("zero block id in checkpoint".into()));
@@ -595,10 +599,10 @@ pub(crate) fn decode_slab<D: BlockDevice + ?Sized>(
         ));
     }
     for _ in 0..slab.n_lists {
-        let id = u64_at(&payload, pos);
-        let first = u64_at(&payload, pos + 8);
-        let last = u64_at(&payload, pos + 16);
-        let ts = u64_at(&payload, pos + 24);
+        let id = u64_at(payload, pos);
+        let first = u64_at(payload, pos + 8);
+        let last = u64_at(payload, pos + 16);
+        let ts = u64_at(payload, pos + 24);
         pos += CKPT_LIST_ENTRY as usize;
         if id == 0 {
             return Err(LldError::Corrupt("zero list id in checkpoint".into()));
@@ -613,15 +617,24 @@ pub(crate) fn decode_slab<D: BlockDevice + ?Sized>(
             },
         ));
     }
-    Ok(Some(out))
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::obs::TraceEvent;
-    use crate::{Ctx, Lld, LldConfig, Position};
+    use crate::{CleanerConfig, Ctx, Lld, LldConfig, Position};
     use ld_disk::{DiskModel, MemDisk, SimDisk};
+
+    /// The paper's single-threaded cleaner: no `cleanerd` to write a
+    /// checkpoint of its own where a test counts them.
+    fn inline_cleaner() -> CleanerConfig {
+        CleanerConfig {
+            background: false,
+            ..CleanerConfig::default()
+        }
+    }
 
     /// Everything recovery would load from one area, in a comparable
     /// order, plus the byte count the area occupies.
@@ -629,17 +642,16 @@ mod tests {
         let hdr = read_header_dir(ld.device(), &ld.layout, area)
             .unwrap()
             .expect("a valid checkpoint");
-        let slabs = hdr
-            .slabs
-            .iter()
-            .map(|s| {
-                let mut d = decode_slab(ld.device(), s).unwrap().expect("slab CRC");
+        let body = hdr.read_body(ld.device()).unwrap();
+        let slabs = (0..hdr.slabs.len())
+            .map(|i| {
+                let mut d = hdr.decode_slab(&body, i).unwrap().expect("slab CRC");
                 d.blocks.sort_by_key(|(id, _)| id.get());
                 d.lists.sort_by_key(|(id, _)| id.get());
                 d
             })
             .collect();
-        let dedup = read_dedup_slab(ld.device(), &hdr).unwrap().expect("CRC");
+        let dedup = hdr.dedup_slab(&body).expect("CRC").to_vec();
         let end = hdr.dedup_off + dedup.len() as u64 - area;
         (slabs, dedup, end)
     }
@@ -688,6 +700,7 @@ mod tests {
         let cfg = LldConfig {
             block_size: 512,
             segment_bytes: 16 * 512,
+            cleaner: inline_cleaner(),
             ..LldConfig::default()
         };
         let device = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010());
@@ -725,6 +738,7 @@ mod tests {
             block_size: 512,
             segment_bytes: 128 * 512,
             max_blocks: Some(4096),
+            cleaner: inline_cleaner(),
             ..LldConfig::default()
         };
         // 256 slots: the seal-count rule stays out of the way.

@@ -50,16 +50,29 @@ impl LogState {
             })
     }
 
-    /// Chooses victims: sealed segments no newer than `max_seq`, fewest
-    /// live blocks first, taken together while their combined live
-    /// blocks fit in one output segment (`pack_cap` slots) and there
-    /// are fewer than `max_victims` of them. Returns `(slot, seq)`.
-    pub(crate) fn pack_victims(
+    /// The victims of a pass, and whether the checkpoint covers them:
+    /// covered slots first, which come back as soon as they are empty;
+    /// only when no sealed slot is covered, those below the written
+    /// watermark (the cleaner reads victims from the device), and the
+    /// caller writes a checkpoint before it releases one.
+    pub(crate) fn pick_victims(
         &self,
-        max_seq: u64,
         pack_cap: u32,
         max_victims: usize,
-    ) -> Vec<(u32, u64)> {
+    ) -> (Vec<(u32, u64)>, bool) {
+        let written = self.watermark() - 1;
+        let covered = self.pack_victims(self.checkpoint_seq.min(written), pack_cap, max_victims);
+        if !covered.is_empty() || self.sealed_slots().next().is_none() {
+            return (covered, true);
+        }
+        (self.pack_victims(written, pack_cap, max_victims), false)
+    }
+
+    /// Sealed segments no newer than `max_seq`, fewest live blocks
+    /// first, taken together while their combined live blocks fit in
+    /// one output segment (`pack_cap` slots) and there are fewer than
+    /// `max_victims` of them. Returns `(slot, seq)`.
+    fn pack_victims(&self, max_seq: u64, pack_cap: u32, max_victims: usize) -> Vec<(u32, u64)> {
         let mut cands: Vec<(u32, u32, u64)> = self
             .sealed_slots()
             .filter(|&(_, seq)| seq <= max_seq)
@@ -127,26 +140,39 @@ impl<D: BlockDevice> Drop for CleaningGuard<'_, '_, D> {
 impl<D: BlockDevice> Mutation<'_, D> {
     /// Cleaner entry point, also called from
     /// [`roll_segment`](Mutation::roll_segment) when free slots are
-    /// scarce. Requires a full session. The `cleaning` flag guards
-    /// against re-entry through the segment rolls cleaning itself
-    /// performs; a guard type resets it on every exit path.
+    /// scarce.
     pub(crate) fn run_cleaner_inner(&mut self) -> Result<()> {
+        let target = self.lld.cleaner_cfg.target_free_segments.max(1) as usize;
+        self.clean_until(target, false)
+    }
+
+    /// Cleans until `target` slots are free, in a full session; the
+    /// `cleaning` flag keeps the rolls of a pass from starting another
+    /// (a guard resets it on every exit path). `compact` is the reserve
+    /// pass ([`Mutation::open_under`]): a checkpoint first, which takes
+    /// no slot and makes every sealed slot a candidate; then each
+    /// victim is released as it empties and nothing is sealed between
+    /// two, so that part-full slots pack together (two of four live
+    /// blocks are two batches) and one free slot is room to start.
+    pub(crate) fn clean_until(&mut self, target: usize, compact: bool) -> Result<()> {
         debug_assert!(self.map.holds_all_shards_write());
         if self.log().cleaning {
             return Ok(());
         }
         self.log().cleaning = true;
         let guard = CleaningGuard(self);
-        guard.0.clean_until_target()
+        guard.0.clean_loop(target, compact)
     }
 
-    fn clean_until_target(&mut self) -> Result<()> {
+    fn clean_loop(&mut self, target: usize, compact: bool) -> Result<()> {
         self.lld.stats.cleaner_runs.inc();
         let relocated_before = self.lld.stats.blocks_relocated.get();
+        if compact {
+            self.checkpoint_inner()?;
+        }
         // Fast pass first, regardless of the target.
         self.log().release_covered_empty();
         self.sync_free_hint();
-        let target = self.lld.cleaner_cfg.target_free_segments.max(1) as usize;
         // Bounded by the number of segments: each iteration frees at
         // least one victim or stops.
         for _ in 0..self.lld.layout.n_segments {
@@ -154,10 +180,15 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 break;
             }
             let victims = self.pick_victims()?;
-            if victims.is_empty() {
+            // Emptiest first: where that one is as full as a segment
+            // gets (a block is the summary's), nothing is left to gain.
+            let packed = victims.len() == 1
+                && self.log().residents[victims[0].0 as usize].len() as u32 + 2
+                    > self.lld.layout.slots_per_segment();
+            if victims.is_empty() || compact && packed {
                 break;
             }
-            self.clean_batch(&victims)?;
+            self.clean_batch(&victims, compact)?;
         }
         let free_segments = self.log().free_slots.len() as u32;
         self.log().clean_fell_short = (free_segments as usize) < target;
@@ -176,19 +207,18 @@ impl<D: BlockDevice> Mutation<'_, D> {
     /// one.
     fn pick_victims(&mut self) -> Result<Vec<(u32, u64)>> {
         let pack_cap = self.lld.layout.slots_per_segment();
-        let pick = |log: &LogState| log.pack_victims(log.checkpoint_seq, pack_cap, usize::MAX);
-        let victims = pick(self.log());
-        if !victims.is_empty() || self.log().sealed_slots().next().is_none() {
+        let (victims, covered) = self.log().pick_victims(pack_cap, usize::MAX);
+        if covered {
             return Ok(victims);
         }
         self.checkpoint_inner()?;
-        Ok(pick(self.log()))
+        Ok(self.log().pick_victims(pack_cap, usize::MAX).0)
     }
 
     /// Relocates every live block out of the `victims`, seals the
     /// relocation records *once* for the whole batch, and frees the
-    /// slots.
-    fn clean_batch(&mut self, victims: &[(u32, u64)]) -> Result<()> {
+    /// slots; `compact` frees each as it empties and seals nothing.
+    fn clean_batch(&mut self, victims: &[(u32, u64)], compact: bool) -> Result<()> {
         let mut buf = vec![0u8; self.lld.layout.block_size];
         for &(victim, _) in victims {
             let residents: Vec<BlockId> = {
@@ -218,21 +248,23 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 self.lld.stats.blocks_relocated.inc();
             }
             debug_assert!(self.log().residents[victim as usize].is_empty());
+            if compact {
+                self.log().release_slot(victim);
+            }
         }
         // Release the victims *before* sealing the relocation records:
         // the seal chooses the next segment's slot, and the freed slots
         // may be the only ones left. The session holds the log from
         // here through the seal and its write, and nothing is written
-        // into a victim before every segment sealed by now is on the
-        // device (the release stamp, W3).
-        for &(victim, _) in victims {
-            self.log().release_slot(victim);
+        // into a victim before every segment sealed by now, or open, is
+        // on the device (the release stamp, W3).
+        if !compact {
+            for &(victim, _) in victims {
+                self.log().release_slot(victim);
+            }
+            self.seal_current()?;
         }
-        self.seal_current()?;
         self.sync_free_hint();
-        if self.log().builder.is_none() {
-            self.open_segment(0)?;
-        }
         Ok(())
     }
 }

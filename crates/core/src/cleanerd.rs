@@ -1,44 +1,46 @@
-//! The background cleaner thread ("cleanerd").
+//! The background cleaner thread ("cleanerd"), the default cleaner.
 //!
 //! The inline cleaner (see `cleaner.rs`) runs inside a *full* mutation
-//! session — every shard write-locked — so cleaning stalls all ARU
-//! traffic for the whole pass. `cleanerd` moves that work to a
-//! dedicated thread that:
+//! session — every shard write-locked — on whichever thread found the
+//! shortage. `cleanerd` moves that work to a dedicated thread that:
 //!
-//! 1. **snapshots** victim candidates and their live-block sets under
-//!    the log mutex alone (and prefilters the sets under shard *read*
-//!    locks),
-//! 2. **prefetches** every victim block's data from the device with no
-//!    lock held at all — a sealed victim's bytes are immutable until
-//!    its slot is freed, and a slot freed-and-reused mid-read is caught
-//!    by the re-validation below, so slow media reads never extend any
+//! 1. **snapshots** the victims — the inline cleaner's choice
+//!    (`LogState::pick_victims`: checkpoint-covered slots first) — and
+//!    their live-block sets under the log mutex alone,
+//! 2. **prefilters** the sets under shard *read* locks, and then, a
+//!    victim at a time,
+//! 3. **prefetches** the victim's blocks from the device with no lock
+//!    held at all — a sealed victim's bytes are immutable until its
+//!    slot is freed, and a slot freed-and-reused mid-read is caught by
+//!    the re-validation below, so slow media reads never extend any
 //!    lock hold time,
-//! 3. **relocates** the prefetched blocks in short *scoped* write-lock
-//!    windows, re-validating each block's mapping at relocation time
-//!    and skipping blocks mutated since the snapshot,
-//! 4. writes the **covering checkpoint** itself — *incrementally*
-//!    (`checkpoint_incremental`): the covered point is pinned in one
-//!    short full session, then each shard's snapshot slab is encoded
-//!    under only that shard's write lock and written with no
-//!    mapping-layer locks held — and only then
-//! 5. **releases** victim slots (after re-validating, under a full
-//!    session, that each slot is sealed, covered, and empty of live
-//!    blocks).
+//! 4. **relocates** them in short *scoped* write-lock windows,
+//!    re-validating each block's mapping at relocation time and
+//!    skipping blocks mutated since the snapshot, and **releases** the
+//!    victim — covered and now empty — in one short full session, so a
+//!    slot comes back when it is empty and not when the pass ends.
+//! 5. Only a pass whose victims were *not* covered (none was) ends as
+//!    it used to: it writes the **covering checkpoint** itself —
+//!    *incrementally* (`checkpoint_incremental`): the covered point is
+//!    pinned in one short full session, then each shard's snapshot slab
+//!    is encoded under only that shard's write lock and written with no
+//!    mapping-layer locks held — and then runs the release sweep.
 //!
 //! Foreground operations in disjoint shards keep committing while
 //! phases 1–4 run; no phase of a background pass dumps the whole map
-//! under a stop-the-world session anymore (the release sweep's full
-//! session only walks per-slot counters).
+//! under a stop-the-world session (the release sweep's full session
+//! only walks per-slot counters).
 //!
 //! Lifecycle is watermark-driven: segment rolls kick the thread when
 //! free segments drop below the *low watermark*
 //! (`cleaner.target_free_segments`), and space-consuming foreground
 //! operations briefly stall at the *high watermark*
 //! (`cleaner.backpressure_free_segments`) to let the thread catch up.
-//! The inline full-session cleaner remains the emergency fallback: a
-//! full session under `min_free_segments` still cleans inline, and a
-//! scoped roll that cannot kick a healthy cleanerd sets the
-//! `needs_clean` flag as before.
+//! The inline full-session cleaner is the reserve: at the emergency
+//! level (`min_free_segments`) it runs where a kick is refused — no
+//! thread, or a `futile` one, whose last round freed nothing — and a
+//! full session that finds no slot for its segment compacts before it
+//! reports `DiskFull` (`Mutation::clean_until`).
 //!
 //! Lock order (see docs/CLEANER.md for the full proof): the
 //! coordination state below is a leaf lock, never held while acquiring
@@ -93,9 +95,10 @@ struct CleanerdState {
     /// Pending wake-ups (coalesced; cleared when the thread starts a
     /// round).
     kicks: u64,
-    /// The last pass freed nothing: the disk is genuinely near-full of
+    /// The last round freed nothing: the disk is genuinely near-full of
     /// live data, so kicks and stalls are pointless until the periodic
-    /// poll observes progress again. The inline fallback takes over.
+    /// poll observes progress again. The inline cleaner takes over: the
+    /// one state both cleaners consult.
     futile: bool,
     handle: Option<JoinHandle<()>>,
 }
@@ -139,7 +142,7 @@ impl Cleanerd {
 
 /// Starts the cleaner thread when the configuration asks for one.
 pub(crate) fn spawn_if_configured<D: BlockDevice + 'static>(ld: &Lld<D>) {
-    if !ld.cleaner_cfg.enabled || !ld.cleaner_cfg.background {
+    if !ld.cleaner_background() {
         return;
     }
     // Mark running before the spawn so a kick arriving between the two
@@ -258,8 +261,8 @@ fn cleanerd_main<D: BlockDevice + 'static>(ld: &LldInner<D>) {
     ld.cleanerd.eased.notify_all();
 }
 
-/// One background cleaning pass: snapshot → relocate → checkpoint →
-/// release.
+/// One background cleaning pass: snapshot, then relocate → release a
+/// victim at a time (→ checkpoint → release where none was covered).
 fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
     let timer = ld.obs.timer();
     ld.stats.cleaner_runs.inc();
@@ -272,16 +275,22 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
     let mut out = PassOutcome::default();
 
     // Phase 1: victim snapshot under the log mutex alone. Victims are
-    // sealed, non-free slots below the written watermark (phase 3 reads
-    // them from the device), packed greedily by ascending live count
-    // so that several mostly-empty segments compact into (at most) one
-    // output segment's worth of relocated blocks.
+    // the inline cleaner's (`LogState::pick_victims`: covered slots
+    // first, emptiest first, one output segment's worth) and no more of
+    // them than the low watermark is short of: the round goes on while
+    // it is, and a victim left for later has fewer live blocks by then.
+    // A `covered` pass writes no checkpoint and hands each victim back
+    // as soon as it is empty.
     let slots_cap = ld.layout.slots_per_segment();
     let phase_timer = ld.obs.timer();
     ld.obs.stage_begin(ld.now(), trace, Stage::CleanerSnapshot);
-    let mut victims: Vec<Victim> = {
+    let (mut victims, covered): (Vec<Victim>, bool) = {
         let log = ld.log.lock();
-        log.pack_victims(log.watermark() - 1, slots_cap, MAX_VICTIMS_PER_PASS)
+        let short = (ld.cleaner_cfg.target_free_segments as usize)
+            .saturating_sub(log.free_slots.len())
+            .clamp(1, MAX_VICTIMS_PER_PASS);
+        let (picked, covered) = log.pick_victims(slots_cap, short);
+        let victims = picked
             .into_iter()
             .map(|(slot, seq)| Victim {
                 slot,
@@ -303,7 +312,8 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
                     .collect(),
                 lost: false,
             })
-            .collect()
+            .collect();
+        (victims, covered)
     };
     ld.obs.stage_end(
         ld.now(),
@@ -356,59 +366,50 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
         Obs::elapsed(phase_timer),
     );
 
-    // Phase 3: prefetch every victim block's data with *no* lock held.
-    // Safe because a sealed slot's bytes never change while the slot is
-    // allocated; the only way they can change is the slot being freed
-    // and reused, which bumps `slot_seq` — and the write windows below
-    // re-verify the sequence number (and each block's committed
-    // address) before any prefetched byte is placed, so a torn or stale
-    // read is discarded, never relocated. Keeping media reads — the
-    // slow half of relocation on a real device — outside the windows is
-    // what makes them short.
-    let phase_timer = ld.obs.timer();
-    ld.obs.stage_begin(ld.now(), trace, Stage::CleanerPrefetch);
-    for v in &mut victims {
-        for (_, addr, data) in &mut v.blocks {
-            data.resize(ld.layout.block_size, 0);
-            if ld
-                .device
-                .read_at(ld.layout.block_offset(*addr), data)
-                .is_err()
-            {
-                v.lost = true;
-                break;
-            }
-        }
-    }
-    ld.obs.stage_end(
-        ld.now(),
-        trace,
-        Stage::CleanerPrefetch,
-        Obs::elapsed(phase_timer),
-    );
-
-    // Phase 4: relocate in short scoped write windows. Each window
-    // first re-verifies (under the log mutex, which then stays held for
-    // the rest of the window) that the victim still holds the
-    // snapshotted sealed segment, then re-validates every block's
-    // committed address before copying it forward. Unlike the inline
-    // cleaner, relocation keeps one slot in reserve (`reserve = 1`):
-    // the victims are released only in the final phase, so until then
-    // the pass is a space *consumer* and must never take the last slot
-    // — that slot stays available for deletions and the inline
-    // fallback.
+    // Phases 3 and 4, a victim at a time, so that the first slot comes
+    // back after one victim's reads and not after all of them.
     let mut aborted = false;
-    let phase_timer = ld.obs.timer();
-    ld.obs.stage_begin(ld.now(), trace, Stage::CleanerRelocate);
     for v in &mut victims {
-        if aborted || v.lost {
-            // An earlier window failed (device error or out of room),
-            // or this victim's prefetch failed: stop relocating, but
-            // still release any victims completed before the failure.
-            v.lost = true;
+        // Phase 3: prefetch the victim's blocks with *no* lock held.
+        // Safe because a sealed slot's bytes never change while the slot
+        // is allocated; the only way they can change is the slot being
+        // freed and reused, which bumps `slot_seq` — and the write
+        // windows below re-verify the sequence number (and each block's
+        // committed address) before any prefetched byte is placed, so a
+        // torn or stale read is discarded, never relocated. Keeping
+        // media reads — the slow half of relocation on a real device —
+        // outside the windows is what makes them short.
+        let phase_timer = ld.obs.timer();
+        ld.obs.stage_begin(ld.now(), trace, Stage::CleanerPrefetch);
+        // Once a window has failed (device error or out of room) nothing
+        // more is relocated; what was completed before is still released.
+        v.lost = aborted
+            || v.blocks.iter_mut().any(|(_, addr, data)| {
+                data.resize(ld.layout.block_size, 0);
+                let read = ld.device.read_at(ld.layout.block_offset(*addr), data);
+                read.is_err()
+            });
+        ld.obs.stage_end(
+            ld.now(),
+            trace,
+            Stage::CleanerPrefetch,
+            Obs::elapsed(phase_timer),
+        );
+        if v.lost {
             continue;
         }
-        let mut lost = false;
+
+        // Phase 4: relocate in short scoped write windows. Each window
+        // first re-verifies (under the log mutex, which then stays held
+        // for the rest of the window) that the victim still holds the
+        // snapshotted sealed segment, then re-validates every block's
+        // committed address before copying it forward. Unlike the inline
+        // cleaner, relocation keeps one slot in reserve (`reserve = 1`):
+        // until a victim is released the pass is a space *consumer* and
+        // must never take the last slot — that slot stays available for
+        // deletions and the inline reserve.
+        let phase_timer = ld.obs.timer();
+        ld.obs.stage_begin(ld.now(), trace, Stage::CleanerRelocate);
         for chunk in v.blocks.chunks(RELOC_BATCH) {
             let mut bits = 0u64;
             for (id, _, _) in chunk {
@@ -445,66 +446,44 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
                 Ok(true)
             });
             ld.after_scoped();
-            match window {
-                Ok(true) => {}
-                Ok(false) => {
-                    lost = true;
-                    break;
-                }
-                Err(_) => {
-                    lost = true;
-                    aborted = true;
-                    break;
-                }
+            if !matches!(window, Ok(true)) {
+                v.lost = true;
+                aborted = window.is_err();
+                break;
             }
         }
-        v.lost = lost;
-    }
-    ld.obs.stage_end(
-        ld.now(),
-        trace,
-        Stage::CleanerRelocate,
-        Obs::elapsed(phase_timer),
-    );
-
-    // Final phases under one full session: the covering checkpoint
-    // (which seals the segment holding the relocation records, so they
-    // are on disk before any victim can be reused) and the release
-    // sweep. The sweep frees *every* sealed slot that is covered by the
-    // checkpoint and empty of live blocks — provably reclaimable
-    // whatever happened since the snapshot — which both releases our
-    // victims and picks up any other segment foreground deletions
-    // emptied.
-    if victims.iter().all(|v| v.lost) {
-        // Nothing to release; the relocation records (if any) seal with
-        // the normal segment stream.
-        ld.obs.cleaner_pass_done(
+        v.blocks = Vec::new();
+        ld.obs.stage_end(
             ld.now(),
-            ld.free_slots_hint.load(Ordering::Relaxed) as u32,
-            out.relocated,
-            timer,
+            trace,
+            Stage::CleanerRelocate,
+            Obs::elapsed(phase_timer),
         );
-        return Ok(out);
+        // A covered victim comes back right behind its last window, as
+        // the inline cleaner releases its batch before the seal is
+        // written: the release stamp (W3) orders the slot's reuse behind
+        // the segment holding the relocation records.
+        if covered && !v.lost {
+            out.freed += release_sweep(ld)?;
+        }
     }
-    let phase_timer = ld.obs.timer();
-    ld.obs.stage_begin(ld.now(), trace, Stage::CleanerRelease);
-    // The covering checkpoint is written a shard at a time — each
-    // slab under only its shard's write lock — instead of as a
-    // stop-the-world table dump. An abort (another checkpoint began
-    // mid-flight) is fine: `checkpoint_seq` is then at least as fresh,
-    // and the sweep below keys off it, not off who wrote it.
-    ld.checkpoint_incremental()?;
-    out.freed = ld.with_mutation(|m| {
-        let freed = m.log().release_covered_empty();
-        m.sync_free_hint();
-        Ok(freed)
-    })?;
-    ld.obs.stage_end(
-        ld.now(),
-        trace,
-        Stage::CleanerRelease,
-        Obs::elapsed(phase_timer),
-    );
+
+    // Phase 5, for victims the checkpoint did not cover when they were
+    // picked: the covering checkpoint — unless somebody else's has
+    // covered them by now — which seals the segment holding the
+    // relocation records, and the release sweep.
+    if !covered && victims.iter().any(|v| !v.lost) {
+        // Written a shard at a time — each slab under only its shard's
+        // write lock — instead of as a stop-the-world table dump. An
+        // abort (another checkpoint began mid-flight) is fine:
+        // `checkpoint_seq` is then at least as fresh, and the sweep
+        // keys off it, not off who wrote it.
+        let checkpoint_seq = ld.log.lock().checkpoint_seq;
+        if victims.iter().any(|v| !v.lost && v.seq > checkpoint_seq) {
+            ld.checkpoint_incremental()?;
+        }
+        out.freed += release_sweep(ld)?;
+    }
 
     ld.stats.cleaner_stale_skips.add(out.stale);
     ld.obs.cleaner_pass_done(
@@ -516,6 +495,26 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
     Ok(out)
 }
 
+/// The release sweep, in one short full session: frees *every* sealed
+/// slot that is covered by the checkpoint and empty of live blocks —
+/// provably reclaimable whatever happened since the snapshot — which
+/// both releases the pass's victims and picks up any other slot
+/// foreground deletions emptied. Stalled operations re-check at once.
+fn release_sweep<D: BlockDevice>(ld: &LldInner<D>) -> Result<u32> {
+    let timer = ld.obs.timer();
+    let trace = ld_disk::current_trace();
+    ld.obs.stage_begin(ld.now(), trace, Stage::CleanerRelease);
+    let freed = ld.with_mutation(|m| {
+        let freed = m.log().release_covered_empty();
+        m.sync_free_hint();
+        Ok(freed)
+    })?;
+    ld.cleanerd.eased.notify_all();
+    ld.obs
+        .stage_end(ld.now(), trace, Stage::CleanerRelease, Obs::elapsed(timer));
+    Ok(freed)
+}
+
 impl<D: BlockDevice> LldInner<D> {
     /// High-watermark backpressure gate: called by space-consuming
     /// public operations *before they take any locks*. When free
@@ -525,11 +524,10 @@ impl<D: BlockDevice> LldInner<D> {
     /// scoped instead of degrading to a full session with inline
     /// cleaning.
     pub(crate) fn cleaner_gate(&self) {
-        let cfg = &self.cleaner_cfg;
-        if !cfg.enabled || !cfg.background {
+        if !self.cleaner_background() {
             return;
         }
-        let stall_at = u64::from(cfg.backpressure_free_segments);
+        let stall_at = u64::from(self.cleaner_cfg.backpressure_free_segments);
         if self.free_slots_hint.load(Ordering::Relaxed) > stall_at {
             return;
         }

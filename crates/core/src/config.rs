@@ -57,22 +57,24 @@ pub struct CleanerConfig {
     /// Whether the cleaner may run at all. With the cleaner disabled the
     /// disk simply reports [`LldError::DiskFull`] when the log wraps.
     pub enabled: bool,
-    /// Run cleaning on a dedicated background thread (`cleanerd`). The
-    /// thread wakes when the free-segment count drops below
-    /// `target_free_segments` (the low watermark), relocates live blocks
-    /// in short scoped write windows, writes the covering checkpoint
-    /// itself, and releases victim slots — all off the foreground
-    /// mutation path. The inline full-session cleaner remains as the
-    /// emergency fallback when the device is genuinely near-full. See
-    /// docs/CLEANER.md. Default off.
+    /// Run cleaning on a dedicated background thread (`cleanerd`;
+    /// default on). The thread wakes when the free-segment count drops
+    /// below `target_free_segments` (the low watermark), relocates live
+    /// blocks in short scoped write windows and hands each victim slot
+    /// back as it empties, with a covering checkpoint only when no
+    /// victim is covered. The inline full-session cleaner is the
+    /// reserve: it runs where the thread cannot help (stopped, futile,
+    /// or no slot left to open). `false` asks for the paper's cleaner,
+    /// and [`ConcurrencyMode::Sequential`] never spawns the thread (the
+    /// paper's `old` LLD is one process, and its open-ARU window must
+    /// not get an asynchronous checkpoint writer). See docs/CLEANER.md.
     pub background: bool,
     /// High-watermark backpressure threshold for background mode: when
     /// the free-segment count is at or below this value, foreground
     /// space-consuming operations briefly stall (bounded, ~50ms) to give
     /// `cleanerd` a window to free slots before they fall back to full
-    /// sessions with inline cleaning. Must not exceed
-    /// `min_free_segments` when the cleaner is enabled. Ignored unless
-    /// `background` is set.
+    /// sessions. Must not exceed `min_free_segments` when the cleaner
+    /// is enabled. Ignored unless `background` is set.
     pub backpressure_free_segments: u32,
 }
 
@@ -82,7 +84,7 @@ impl Default for CleanerConfig {
             min_free_segments: 3,
             target_free_segments: 6,
             enabled: true,
-            background: false,
+            background: true,
             backpressure_free_segments: 3,
         }
     }
@@ -307,7 +309,7 @@ mod tests {
     fn default_modes_are_constants() {
         let c = LldConfig::default();
         assert!(!c.pipeline);
-        assert!(!c.cleaner.background);
+        assert!(c.cleaner.background);
         assert_eq!(c.map_shards, 8);
     }
 

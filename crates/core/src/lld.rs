@@ -132,7 +132,8 @@ impl LogState {
         self.inflight.front().map_or(u64::MAX, |s| s.seq())
     }
 
-    /// Hands `slot` back for reuse: behind everything sealed so far.
+    /// Hands `slot` back for reuse: behind everything sealed so far and
+    /// the open segment, which may hold the records that emptied it.
     pub(crate) fn release_slot(&mut self, slot: u32) {
         self.slot_seq[slot as usize] = 0;
         self.reuse_after[slot as usize] = self.next_seq - 1;
@@ -1069,9 +1070,11 @@ impl<D: BlockDevice> LldInner<D> {
         Ok(decoded)
     }
 
-    /// Whether this disk runs the background cleaner thread.
+    /// Whether this disk runs the background cleaner thread: never in
+    /// sequential mode (the paper's `old` LLD is one process).
     pub fn cleaner_background(&self) -> bool {
-        self.cleaner_cfg.enabled && self.cleaner_cfg.background
+        let cfg = &self.cleaner_cfg;
+        cfg.enabled && cfg.background && self.concurrency() == ConcurrencyMode::Concurrent
     }
 }
 
@@ -1503,12 +1506,11 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     }
 
     /// Seals and writes the current segment (if it has content) and
-    /// opens a new one. When free segments are scarce, a full session
-    /// runs the cleaner inline; a scoped session cannot (the cleaner
-    /// touches every shard) and instead wakes the background cleaner
-    /// thread, falling back to flagging
-    /// [`LldInner::after_scoped`] when no (healthy) cleanerd is
-    /// running.
+    /// opens a new one. When free segments are scarce it wakes the
+    /// background cleaner thread; where there is none to take over, a
+    /// full session runs the cleaner inline and a scoped one, which
+    /// cannot (the cleaner touches every shard), flags
+    /// [`LldInner::after_scoped`].
     pub(crate) fn roll_segment(&mut self, reserve: usize) -> Result<()> {
         self.roll(reserve, false)
     }
@@ -1533,33 +1535,50 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     }
 
     fn roll(&mut self, reserve: usize, for_flush: bool) -> Result<()> {
-        let had_content = self.seal_current()?;
-        if self.log().builder.is_none() {
-            self.open_segment(reserve)?;
-        }
-        if had_content && self.lld.cleaner_cfg.enabled {
-            let CleanerConfig {
-                min_free_segments: min_free,
-                target_free_segments: target,
-                ..
-            } = self.lld.cleaner_cfg;
+        let rolled = self.seal_current()?;
+        self.open_under(reserve)?;
+        let cfg = self.lld.cleaner_cfg;
+        if rolled && cfg.enabled {
+            let (min_free, target) = (cfg.min_free_segments, cfg.target_free_segments);
             let log = self.log();
             let free = log.free_slots.len() as u32;
             let early = for_flush && !log.clean_fell_short && free == min_free && free < target;
-            if free < min_free || early {
-                if self.map.holds_all_shards_write() {
-                    if !self.log().cleaning {
-                        self.run_cleaner_inner()?;
-                    }
-                } else if !self.lld.cleanerd.kick() {
+            // Below the low watermark a healthy `cleanerd` is woken; at the
+            // emergency level it takes over where consumers wait for it at
+            // the gate, else (none, futile, a lower gate) inline cleans.
+            let handed_over =
+                free < target && self.lld.cleanerd.kick() && free <= cfg.backpressure_free_segments;
+            if !handed_over && (free < min_free || early) {
+                if !self.map.holds_all_shards_write() {
                     self.lld.needs_clean.store(true, Ordering::Relaxed);
+                } else if !self.log().cleaning {
+                    self.run_cleaner_inner()?;
                 }
-            } else if free < target {
-                // Low watermark: wake cleanerd early, while there is
-                // still headroom, so foreground operations never reach
-                // the full-session fallback at all.
-                let _ = self.lld.cleanerd.kick();
             }
+        }
+        self.open_under(reserve)
+    }
+
+    /// Opens a segment unless one is open (an inline pass seals its
+    /// last batch and opens nothing: a roll opens under its own
+    /// reserve). With `cleanerd`, a full session that finds no slot runs
+    /// the reserve pass ([`clean_until`](Self::clean_until)) before it
+    /// reports `DiskFull`: the last inline pass may be long past, and the
+    /// thread's holds what it relocated into until it releases.
+    pub(crate) fn open_under(&mut self, reserve: usize) -> Result<()> {
+        if self.log().builder.is_some() {
+            return Ok(());
+        }
+        let may_compact = self.lld.cleaner_background()
+            && self.map.holds_all_shards_write()
+            && !self.log().cleaning;
+        match self.open_segment(reserve) {
+            Err(LldError::DiskFull) if may_compact => {}
+            opened => return opened,
+        }
+        self.clean_until(reserve + 1, true)?;
+        if self.seal_current()? || self.log().builder.is_none() {
+            self.open_segment(reserve)?;
         }
         Ok(())
     }

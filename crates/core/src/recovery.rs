@@ -184,15 +184,15 @@ fn drive_chain(
 /// Decodes every slab of `hdr`. `None` if any slab fails its CRC (the
 /// whole area is then invalid and the caller falls back to the other
 /// one).
-fn load_slabs<D: BlockDevice>(
-    device: &D,
+fn load_slabs(
     hdr: &CkptHeaderInfo,
+    body: &[u8],
     obs: &Obs,
 ) -> Result<Option<Vec<checkpoint::SlabData>>> {
     let mut out = Vec::with_capacity(hdr.slabs.len());
-    for s in &hdr.slabs {
+    for i in 0..hdr.slabs.len() {
         let timer = obs.timer();
-        match checkpoint::decode_slab(device, s)? {
+        match hdr.decode_slab(body, i)? {
             Some(sd) => {
                 obs.recovery_slab_load(timer);
                 out.push(sd);
@@ -324,13 +324,15 @@ impl<D: BlockDevice> Mutation<'_, D> {
         let mut ts_floor = 0u64;
         let mut dedup_seed: Vec<u8> = Vec::new();
         for (hdr, is_a) in cands {
-            let Some(slabs) = load_slabs(device, &hdr, obs)? else {
+            // Slabs and dedup slab lie back to back: one device read.
+            let body = hdr.read_body(device)?;
+            let Some(slabs) = load_slabs(&hdr, &body, obs)? else {
                 continue; // torn slab: the whole area is invalid
             };
-            let Some(seed) = checkpoint::read_dedup_slab(device, &hdr)? else {
+            let Some(seed) = hdr.dedup_slab(&body) else {
                 continue; // torn dedup slab: the whole area is invalid
             };
-            dedup_seed = seed;
+            dedup_seed = seed.to_vec();
             ckpt_seq = hdr.seq;
             head = hdr.head;
             ts_floor = hdr.ts_counter;
@@ -655,9 +657,12 @@ mod tests {
             check_on_recovery: false,
             ..LldConfig::default()
         };
-        // The pass in the middle of the history has work to do.
+        // The pass in the middle of the history has work to do: the one
+        // `run_cleaner` call, on the inline cleaner (no thread writes a
+        // checkpoint behind the history's back).
         let slots = Layout::compute(DEVICE, &cfg).unwrap().n_segments;
         cfg.cleaner.target_free_segments = slots - 8;
+        cfg.cleaner.background = false;
         cfg
     }
 

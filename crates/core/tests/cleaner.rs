@@ -4,7 +4,8 @@
 //! both writers, one and eight map shards.
 
 use ld_core::{CleanerConfig, Ctx, Lld, LldConfig, LldError, Position};
-use ld_disk::MemDisk;
+use ld_disk::{BlockDevice, Condvar, DiskError, MemDisk, Mutex};
+use std::time::{Duration, Instant};
 
 mod common;
 use common::churn_ring;
@@ -399,8 +400,8 @@ fn crash_during_cleaning_era_recovers_current_state_at(mode: Mode) {
 /// blocks, cleaner asked for 8 free slots. `live` blocks are allocated
 /// and written once, flushed, and then 200 ARUs rewrite the last eight
 /// of them two at a time, every fourth one flushed.
-fn churn_on_eight_block_slots(live: usize) -> Result<ld_core::LldStats, LldError> {
-    let mut cfg = config((false, false, 8));
+fn churn_on_eight_block_slots(live: usize, cleanerd: bool) -> Result<ld_core::LldStats, LldError> {
+    let mut cfg = config((false, cleanerd, 8));
     cfg.cleaner.target_free_segments = 8;
     cfg.cleaner.backpressure_free_segments = 1;
     let cap = 512 + 2 * 64 * 1024 + 16 * 8 * 512;
@@ -437,13 +438,237 @@ fn churn_on_eight_block_slots(live: usize) -> Result<ld_core::LldStats, LldError
 /// its end stay unused. This churn ran out of room above 96 live blocks
 /// while every seal took a slot, and does above 86 since format 4. The
 /// pin keeps that loss from growing unnoticed; a change that moves it
-/// either way moves the record with it.
+/// either way moves the record with it. The 86 / 88 pin is the inline
+/// cleaner's, whose passes are the only thing that moves blocks there.
+/// With `cleanerd` the same churn is not repeatable: the thread's
+/// relocations share the open segment with the hot writes, the slots
+/// they leave part-full are beyond the to-target pass (it seals every
+/// batch apart, and two slots of four live blocks are more than one
+/// batch), and this device sets its gate (1) below the emergency level
+/// (3). What holds 86 there is the reserve pass of a roll that finds no
+/// slot (`Mutation::clean_until`): without it a third of the runs
+/// report `DiskFull`.
 #[test]
 fn churn_capacity_on_eight_block_slots_is_86_live_blocks() {
-    let held = churn_on_eight_block_slots(86).expect("86 live blocks fit");
+    let held = churn_on_eight_block_slots(86, false).expect("86 live blocks fit");
     assert!(held.blocks_relocated > 0, "the log wrapped");
     assert!(matches!(
-        churn_on_eight_block_slots(88),
+        churn_on_eight_block_slots(88, false),
         Err(LldError::DiskFull)
     ));
+    for round in 0..20 {
+        let held = churn_on_eight_block_slots(86, true)
+            .unwrap_or_else(|e| panic!("86 live blocks fit with cleanerd, round {round}: {e}"));
+        assert!(held.blocks_relocated > 0, "the log wrapped");
+    }
+}
+
+/// A device that parks the `nth` block read into a byte range until
+/// the test lets it go.
+#[derive(Debug)]
+struct ParkReads {
+    inner: MemDisk,
+    range: std::ops::Range<u64>,
+    /// Block reads into `range` to go before one parks, whether one is
+    /// parked, and whether it may go on.
+    state: Mutex<(usize, bool, bool)>,
+    cv: Condvar,
+}
+
+const PATIENCE: Duration = Duration::from_secs(20);
+
+impl ParkReads {
+    fn new(inner: MemDisk, range: std::ops::Range<u64>, nth: usize) -> Self {
+        ParkReads {
+            inner,
+            range,
+            state: Mutex::new((nth, false, false)),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn wait_for_parked(&self) {
+        let mut st = self.state.lock();
+        while !st.1 {
+            let (guard, timed_out) = self.cv.wait_timeout(st, PATIENCE);
+            assert!(!timed_out, "no read parked");
+            st = guard;
+        }
+    }
+
+    fn release(&self) {
+        self.state.lock().2 = true;
+        self.cv.notify_all();
+    }
+}
+
+impl BlockDevice for ParkReads {
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> ld_disk::Result<()> {
+        let mut st = self.state.lock();
+        if buf.len() == BS && st.0 > 0 && self.range.contains(&offset) {
+            st.0 -= 1;
+            if st.0 == 0 {
+                st.1 = true;
+                self.cv.notify_all();
+                while !st.2 {
+                    let (guard, timed_out) = self.cv.wait_timeout(st, PATIENCE);
+                    if timed_out {
+                        return Err(DiskError::Io(format!("read at {offset}: never let go")));
+                    }
+                    st = guard;
+                }
+            }
+        }
+        drop(st);
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, buf: &[u8]) -> ld_disk::Result<()> {
+        self.inner.write_at(offset, buf)
+    }
+    fn flush(&self) -> ld_disk::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Lets a parked read go when the test ends, also by a failed assertion.
+struct LetGoOnDrop<'a>(&'a ParkReads);
+
+impl Drop for LetGoOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
+/// Polls until `done`, which has to come.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + PATIENCE;
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}: never happened");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A slot comes back when it is empty, not when the pass ends: in a
+/// pass over three covered victims of two live blocks each, the first
+/// slot is free again while the read of the third victim's first block
+/// is still in the device. (A pass that releases its victims together
+/// at its end has freed nothing by then.)
+#[test]
+fn cleanerd_hands_a_covered_victim_back_before_it_reads_the_next() {
+    let inline = config((false, false, 8));
+    let cap = 512 + 2 * 64 * 1024 + 40 * 8 * 512;
+    let ld = Lld::format(MemDisk::new(cap as u64), &inline).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let mut blocks = Vec::new();
+    for i in 0..18u8 {
+        let pos = blocks
+            .last()
+            .map_or(Position::First, |&p| Position::After(p));
+        let b = ld.new_block(Ctx::Simple, l, pos).unwrap();
+        ld.write(Ctx::Simple, b, &block(i)).unwrap();
+        blocks.push(b);
+    }
+    ld.flush().unwrap();
+    // The three lowest slots keep two live blocks each; what else lived
+    // there is rewritten, further on in the log.
+    let slot_of = |b| ld.block_info(b).unwrap().addr.unwrap().segment.get();
+    let mut kept = std::collections::BTreeMap::<u32, u32>::new();
+    for (i, &b) in blocks.iter().enumerate() {
+        let seen = kept.entry(slot_of(b)).or_default();
+        *seen += 1;
+        if *seen > 2 {
+            ld.write(Ctx::Simple, b, &block(i as u8)).unwrap();
+        }
+    }
+    let sparse: Vec<u32> = kept.keys().copied().take(3).collect();
+    let live_in = |slot| blocks.iter().filter(|&&b| slot_of(b) == slot).count();
+    assert!(sparse.iter().all(|&s| live_in(s) == 2), "{kept:?}");
+    ld.checkpoint().unwrap();
+    let image = ld.into_device().into_image();
+
+    // Three slots fewer free than the thread wants: its first pass
+    // takes the three sparsest. The fifth block it reads out of them is
+    // the third victim's first (recovery reads nothing there: the
+    // checkpoint covers them).
+    let (probe, _) = Lld::recover_with(MemDisk::from_image(image), &inline).unwrap();
+    let free = probe.free_segments();
+    let (layout, _, _) = Lld::probe(probe.device()).unwrap();
+    let victims = layout.segment_offset(sparse[0])..layout.segment_offset(sparse[2] + 1);
+    let mut cfg = config((false, true, 8));
+    cfg.cleaner.target_free_segments = free + 3;
+    let device = ParkReads::new(probe.into_device(), victims, 5);
+    let (ld, _) = Lld::recover_with(device, &cfg).unwrap();
+    let _let_go = LetGoOnDrop(ld.device());
+    ld.device().wait_for_parked();
+    // Two slots back, less the one the relocated blocks may have taken.
+    assert!(
+        ld.free_segments() > free,
+        "nothing released while the third victim is being read"
+    );
+    let stats = ld.stats();
+    assert_eq!(stats.cleaner_passes, 1, "one pass took all three");
+    assert_eq!(stats.checkpoints, 0, "covered victims: no checkpoint");
+    ld.device().release();
+    wait_until("the third victim is relocated", || {
+        ld.stats().cleaner_blocks_relocated >= 6
+    });
+    for (i, &b) in blocks.iter().enumerate() {
+        let mut buf = block(0);
+        ld.read(Ctx::Simple, b, &mut buf).unwrap();
+        assert_eq!(buf, block(i as u8));
+    }
+}
+
+/// With a healthy thread the inline cleaner is the reserve: a disk
+/// recovered with as few slots free as `backpressure_free_segments`
+/// commits its first ARU without relocating a block on the caller's
+/// thread. The caller waits at the gate, the thread cleans.
+#[test]
+fn first_commit_after_recovery_leaves_cleaning_to_cleanerd() {
+    // The inline cleaner, asked for three free slots, leaves the disk
+    // at the default emergency level.
+    let mut tight = config((false, false, 8));
+    tight.cleaner.target_free_segments = tight.cleaner.min_free_segments;
+    let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512;
+    let ld = Lld::format(MemDisk::new(cap as u64), &tight).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let ring = churn_ring(&ld, l, None);
+    let cfg = config((false, true, 8));
+    let at_level = cfg.cleaner.backpressure_free_segments;
+    // A cut after a flush, where recovery finds that many slots free
+    // (it does not count the slot of a segment that was never sealed).
+    let mut cuts = (0..2000).filter_map(|i| {
+        ld.write(Ctx::Simple, ring[i % ring.len()], &block(i as u8))
+            .unwrap();
+        if i < 200 || i % 4 != 3 {
+            return None;
+        }
+        ld.flush().unwrap();
+        let image = ld.device().snapshot();
+        let (probe, _) = Lld::recover_with(MemDisk::from_image(image.clone()), &tight).unwrap();
+        (probe.free_segments() == at_level).then_some(image)
+    });
+    let image = cuts
+        .next()
+        .expect("the churn never left that few slots free");
+    drop(cuts);
+    drop(ld);
+
+    let (ld, _) = Lld::recover_with(MemDisk::from_image(image), &cfg).unwrap();
+    assert_eq!(ld.free_segments(), at_level);
+    let on_caller = |s: &ld_core::LldStats| s.blocks_relocated - s.cleaner_blocks_relocated;
+    let before = on_caller(&ld.stats());
+    let aru = ld.begin_aru().unwrap();
+    ld.write(Ctx::Aru(aru), ring[0], &block(0x77)).unwrap();
+    ld.end_aru_sync(aru).unwrap();
+    let stats = ld.stats();
+    assert_eq!(on_caller(&stats), before, "the caller cleaned inline");
+    assert!(
+        stats.backpressure_stalls >= 1,
+        "the caller did not wait at the gate"
+    );
+    wait_until("cleanerd frees a slot", || ld.free_segments() > at_level);
 }

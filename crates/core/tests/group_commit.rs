@@ -867,10 +867,11 @@ fn an_unwritten_segment_is_read_from_memory_and_holds_back_a_checkpoint() {
 #[test]
 fn a_released_slot_is_overwritten_only_behind_what_emptied_it() {
     for shards in [8, 1] {
-        let cfg = LldConfig {
+        let mut cfg = LldConfig {
             segment_bytes: 8 * BS,
             ..config((false, shards))
         };
+        cfg.cleaner.background = false; // the inline cleaner: `run_cleaner` below
         let ld = Lld::format(ParkDisk::new(), &cfg).unwrap();
         let dev = ld.device();
         let (old, other) = (new_blocks(&ld, 4), new_ring(&ld));
@@ -917,6 +918,85 @@ fn a_released_slot_is_overwritten_only_behind_what_emptied_it() {
         });
         assert!(written_to_slot0(&dev.state.lock()));
         assert_eq!(read(&ld, old[3]), 23);
+    }
+}
+
+/// (d'), the same with `cleanerd`, which hands a covered victim back
+/// with no checkpoint and no seal of its own: the thread relocates what
+/// lives in slot 0 into the open segment and releases the slot at once;
+/// the write of that segment — the relocation records — stays on its
+/// way; the log's next segment goes to slot 0. It reaches the device
+/// only behind the parked one: a cut before that finds every block
+/// where the checkpoint says it is, with its contents.
+#[test]
+fn a_slot_cleanerd_released_is_overwritten_only_behind_what_emptied_it() {
+    for shards in [8, 1] {
+        let mut cfg = LldConfig {
+            segment_bytes: 8 * BS,
+            ..config((false, shards))
+        };
+        assert!(cfg.cleaner.background, "the default cleaner is the thread");
+        // The thread wants every slot but the log's own free: it cleans
+        // as soon as there is a victim.
+        let slots = Lld::format(ParkDisk::new(), &cfg).unwrap().n_segments();
+        cfg.cleaner.target_free_segments = slots - 1;
+        let ld = Lld::format(ParkDisk::new(), &cfg).unwrap();
+        let dev = ld.device();
+        let (old, other) = (new_blocks(&ld, 4), new_ring(&ld));
+        for (i, &b) in old.iter().enumerate() {
+            ld.write(Ctx::Simple, b, &block(10 + i as u8)).unwrap();
+        }
+        let lives_in = |b: BlockId| ld.block_info(b).unwrap().addr.unwrap().segment.get();
+        let slot0 = slot_range(&ld, 0);
+        let written_to_slot0 = |st: &ParkState| st.writes.iter().any(|at| slot0.contains(at));
+        // Slot 0 is sealed and covered, the log goes on in slot 1, and
+        // one slot fewer than the thread wants is free.
+        ld.checkpoint().unwrap();
+        let checkpoints = ld.stats().checkpoints;
+        let deadline = Instant::now() + PATIENCE;
+        while ld.free_segments() < slots - 1 {
+            assert!(Instant::now() < deadline, "cleanerd never released slot 0");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(old.iter().all(|&b| lives_in(b) == 1));
+        assert_eq!(ld.stats().cleaner_blocks_relocated, 4);
+        assert_eq!(
+            ld.stats().checkpoints,
+            checkpoints,
+            "released with no checkpoint"
+        );
+        assert_eq!(
+            ld.stats().segments_sealed,
+            1,
+            "and no seal: the records are in memory"
+        );
+        dev.park(slot_range(&ld, 1), None);
+        let _release = ReleaseOnDrop(dev);
+
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| ld.flush());
+            dev.wait_for("the leader's seal parks", |st| st.parked == 1);
+            // A slot's worth of writes: the log went on in slot 0.
+            let writer = s.spawn(|| {
+                (0..7).try_for_each(|i| ld.write(Ctx::Simple, other[i % other.len()], &block(3)))
+            });
+            assert!(
+                dev.stays(|st| !written_to_slot0(st)),
+                "shards={shards}: slot 0 overwritten ahead of the relocation records"
+            );
+            assert!(!writer.is_finished());
+
+            let (ld2, _) = Lld::recover_with(dev.cut(), &cfg).unwrap();
+            for (i, &b) in old.iter().enumerate() {
+                assert_eq!(read(&ld2, b), 10 + i as u8, "shards={shards}");
+            }
+
+            dev.release(true);
+            leader.join().unwrap().unwrap();
+            writer.join().unwrap().unwrap();
+        });
+        assert!(written_to_slot0(&dev.state.lock()));
+        assert_eq!(read(&ld, old[3]), 13);
     }
 }
 

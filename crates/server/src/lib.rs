@@ -46,7 +46,8 @@ use ld_disk::BlockDevice;
 
 use wire::{flag, op, status, Body};
 
-/// How often an idle session polls the shutdown flag.
+/// How often an idle session polls the shutdown flag; the accept
+/// thread's back-off after an error.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// How long shutdown waits for a session's in-flight request (a frame
 /// whose first byte has arrived) before abandoning the connection.
@@ -114,7 +115,6 @@ impl<D: BlockDevice + 'static> Server<D> {
             ));
         }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
             ld,
@@ -161,7 +161,11 @@ impl<D: BlockDevice + 'static> Server<D> {
     /// cleaner and sampler threads — to take the device out.
     pub fn shutdown(mut self) -> (Arc<Lld<D>>, Result<(), LldError>) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
+        // The accept thread is blocked in `accept()`: a throw-away
+        // connection makes it return and see the flag. If none can be
+        // made the thread is not waited for: it ends with its next one.
+        let woken = (0..3).any(|_| TcpStream::connect_timeout(&self.addr, POLL_INTERVAL).is_ok());
+        if let Some(t) = self.accept_thread.take().filter(|_| woken) {
             let _ = t.join();
         }
         let handlers = std::mem::take(&mut *self.shared.handlers.lock().expect("handler registry"));
@@ -178,10 +182,11 @@ impl<D: BlockDevice + 'static> Server<D> {
 
 fn accept_loop<D: BlockDevice + 'static>(listener: &TcpListener, shared: &Arc<Shared<D>>) {
     loop {
+        let accepted = listener.accept();
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 shared.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
                 let s = Arc::clone(shared);
@@ -198,12 +203,10 @@ fn accept_loop<D: BlockDevice + 'static>(listener: &TcpListener, shared: &Arc<Sh
                     .expect("handler registry")
                     .push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
             Err(_) => {
+                // A lasting error (no descriptor left) must not spin.
                 shared.stats.conn_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(POLL_INTERVAL);
             }
         }
     }

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ld_client::{BlockRef, Client, ClientConfig, ClientError, Durability, ListRef, Txn};
 use ld_core::{Ctx, Lld, LldConfig, Timestamp};
@@ -433,4 +433,64 @@ fn generation_bump_and_regression() {
 
     drop(c2);
     server.shutdown().1.unwrap();
+}
+
+/// The accept thread blocks in `accept()`: a client that connects once
+/// the thread has got there is served at once. A loop that polls and
+/// sleeps 5 ms makes such a connect wait out the rest of a sleep: the
+/// rounds connect at twenty phases of that period, a quarter of a
+/// millisecond apart, so on that loop more than half of them wait over
+/// 2 ms whatever the host does. The median is what is bounded: the host
+/// is shared, and a round that loses the processor for a scheduler tick
+/// says nothing about the loop.
+#[test]
+fn a_connect_is_served_without_waiting_out_a_poll() {
+    const ROUNDS: usize = 20;
+    let mut took = Vec::new();
+    for round in 0..ROUNDS as u32 {
+        let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config(DEFAULT)).unwrap());
+        let server = Server::start(ld, "127.0.0.1:0").unwrap();
+        let addr = server.local_addr().to_string();
+        std::thread::sleep(Duration::from_millis(20) + Duration::from_micros(250) * round);
+        let t0 = Instant::now();
+        let mut c = Client::connect(&addr, 9, 1, quick_retries()).unwrap();
+        assert_eq!(c.lookup(1).unwrap(), None);
+        took.push(t0.elapsed());
+        drop(c);
+        server.shutdown().1.unwrap();
+    }
+    let mut sorted = took.clone();
+    sorted.sort_unstable();
+    assert!(
+        sorted[ROUNDS / 2] < Duration::from_millis(2),
+        "connect + lookup, {ROUNDS} rounds: {took:?}"
+    );
+}
+
+/// `shutdown` wakes the blocked accept thread itself: it returns
+/// promptly with nobody connected, and with an idle client connected
+/// (whose session sees the flag at its next read timeout).
+#[test]
+fn shutdown_returns_promptly_with_no_client_and_with_an_idle_one() {
+    for idle_client in [false, true] {
+        let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config(DEFAULT)).unwrap());
+        let server = Server::start(ld, "127.0.0.1:0").unwrap();
+        let addr = server.local_addr().to_string();
+        let client = idle_client.then(|| Client::connect(&addr, 9, 1, quick_retries()).unwrap());
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        let (ld, flushed) = server.shutdown();
+        let took = t0.elapsed();
+        flushed.unwrap();
+        assert!(
+            took < Duration::from_secs(1),
+            "shutdown took {took:?} (idle client: {idle_client})"
+        );
+        assert_eq!(
+            Arc::strong_count(&ld),
+            1,
+            "a server thread outlived shutdown"
+        );
+        drop(client);
+    }
 }

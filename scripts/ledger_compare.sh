@@ -12,7 +12,10 @@
 # workload and end-to-end metric both medians, both quartile spreads,
 # how many pairs the change won, the relative gap and the metric's
 # bound from BENCHMARK.json; exits 1 if a median of the change is worse
-# than the parent's by more than its bound, or if more operations failed.
+# than the parent's by more than its bound, if on a timing row (s, ms,
+# 1/s) the change's runs spread (q3 - q1) by more than the bound times
+# the parent's median (too wide to tell: what refused PR 17's first
+# round), or if more operations failed.
 # Results are kept in target/ledger_compare/runs/.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -68,6 +71,9 @@ for w in workloads:
         if gap > m["bound"]:
             bad.append(f"{w} {name}: {gap:+.1%} past its bound of {m['bound']:.0%}")
             mark = "  <-- out of bound"
+        if m["unit"] in ("s", "ms", "1/s") and c3 - c1 > m["bound"] * pm:
+            bad.append(f"{w} {name}: runs spread by {c3 - c1:.4g}, more than {m['bound']:.0%} of the parent's {pm:.4g}")
+            mark += "  <-- spread too wide"
         print(f"{w:<15}{name:<15}{pm:>11.4g}{f'[{p1:.4g}, {p3:.4g}]':>24}{cm:>11.4g}{f'[{c1:.4g}, {c3:.4g}]':>24}"
               f"{f'{wins}/{n}':>7}{gap:>+8.1%}{m['bound']:>7.0%}{mark}")
     print(f"{w:<15}{'failed_ops':<15}{failed['parent']:>11}{'':>24}{failed['change']:>11}")

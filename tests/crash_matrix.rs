@@ -161,7 +161,9 @@ fn any_crash_point(mode: Mode) {
 /// committed ARUs are all-or-nothing (two hot blocks written by the
 /// same ARU always read the same generation), no relocated cold
 /// block is lost, and the disk stays usable. Exercised on both writers
-/// at 1 and 8 map shards.
+/// at 1 and 8 map shards. The sweep has to contain the ending with no
+/// checkpoint: a pass over covered victims, each handed back as it
+/// empties.
 #[test]
 fn background_clean_crash_points_are_all_or_nothing() {
     for mode in MODES.into_iter().filter(|&(_, cleanerd, _)| cleanerd) {
@@ -179,6 +181,7 @@ fn background_clean_crash_points_are_all_or_nothing() {
         let mut crash_at = 150_000u64;
         let mut crashes = 0u32;
         let mut background_passes = 0u64;
+        let mut released_without_a_checkpoint = 0;
         while crash_at < 2_600_000 {
             let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512;
             let sim = SimDisk::new(MemDisk::new(cap as u64), DiskModel::hp_c3010())
@@ -209,6 +212,10 @@ fn background_clean_crash_points_are_all_or_nothing() {
             // with the same byte, so after any crash a recovered pair
             // must match — a torn pair means a torn ARU.
             let mut crashed = false;
+            // Free slots, inline cleaner runs and checkpoints as of the
+            // ARU before, and the ARU that last saw a checkpoint.
+            let mut seen = (ld.free_segments(), 0, ld.stats().checkpoints);
+            let mut checkpoint_at = 0;
             for i in 0..2500usize {
                 let byte = (i % 251) as u8;
                 let pair = pairs[i % pairs.len()];
@@ -226,6 +233,27 @@ fn background_clean_crash_points_are_all_or_nothing() {
                     crashed = true;
                     break;
                 }
+                // Slots that come back while the inline cleaner is idle
+                // are the thread's release sweep. A pass that writes a
+                // checkpoint counts it and sweeps right behind it, so a
+                // sweep with no checkpoint by anybody in the eight ARUs
+                // before it is that of a pass over covered victims. Free
+                // slots are read first: the read that sees a sweep is
+                // then followed by one that sees what it came behind.
+                let free = ld.free_segments();
+                let stats = ld.stats();
+                let now = (
+                    free,
+                    stats.cleaner_runs - stats.cleaner_passes,
+                    stats.checkpoints,
+                );
+                if now.2 != seen.2 {
+                    checkpoint_at = i;
+                }
+                if now.0 > seen.0 && now.1 == seen.1 && i > checkpoint_at + 8 {
+                    released_without_a_checkpoint += 1;
+                }
+                seen = now;
             }
             if crashed {
                 crashes += 1;
@@ -269,6 +297,10 @@ fn background_clean_crash_points_are_all_or_nothing() {
         assert!(
             background_passes > 0,
             "{shards}: the background cleaner never ran a pass"
+        );
+        assert!(
+            released_without_a_checkpoint > 0,
+            "{shards}: no pass handed slots back without writing a checkpoint"
         );
     }
 }
