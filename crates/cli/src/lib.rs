@@ -264,8 +264,8 @@ pub fn cmd_info(image: &str) -> Result<String> {
     );
     let _ = writeln!(
         out,
-        "restart:          {} snapshot slabs, {} threads",
-        report.snap_shards, report.threads_used
+        "restart:          {} snapshot slabs in {} bytes, {} threads",
+        report.snap_shards, report.snapshot_bytes, report.threads_used
     );
     let _ = writeln!(
         out,

@@ -8,9 +8,9 @@
 
 use crate::error::{LldError, Result};
 use crate::lld::LldInner;
+use crate::state::BlockRecord;
 use crate::types::{BlockId, Ctx};
 use ld_disk::BlockDevice;
-use std::collections::HashSet;
 
 /// What the consistency check found and did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -41,24 +41,20 @@ impl<D: BlockDevice> LldInner<D> {
             if active > 0 {
                 return Err(LldError::ArusActive { count: active });
             }
-            let ids: HashSet<BlockId> = view
-                .shards_held()
-                .flat_map(|s| {
-                    s.persistent
-                        .blocks
-                        .keys()
-                        .chain(s.committed.blocks.keys())
-                        .copied()
-                })
-                .collect();
-            let mut orphans: Vec<BlockId> = ids
-                .into_iter()
-                .filter(|&id| {
-                    view.committed_view_block(id)
-                        .map(|r| r.allocated && r.list.is_none())
-                        .unwrap_or(false)
-                })
-                .collect();
+            // The committed view, a shard at a time: an alternative
+            // record stands in front of the persistent one (both are in
+            // the shard the identifier hashes to).
+            let orphan = |r: &BlockRecord| r.allocated && r.list.is_none();
+            let mut orphans: Vec<BlockId> = Vec::new();
+            for sh in view.shards_held() {
+                let (newer, older) = (&sh.committed.blocks, &sh.persistent.blocks);
+                orphans.extend(newer.iter().filter(|(_, r)| orphan(r)).map(|(&id, _)| id));
+                orphans.extend(
+                    (older.iter())
+                        .filter(|(id, r)| orphan(r) && !newer.contains_key(id))
+                        .map(|(&id, _)| id),
+                );
+            }
             orphans.sort_unstable();
             orphans
         };

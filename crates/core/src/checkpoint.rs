@@ -10,26 +10,58 @@
 //! and the cleaner only reuses slots whose sequence number the latest
 //! checkpoint covers.
 //!
-//! # On-disk format (sharded; header as of format version 4)
+//! # On-disk format (format version 5)
 //!
 //! Each of the two alternating areas (A/B) holds one checkpoint as
 //! *per-shard snapshot slabs* behind a header and a slab directory:
 //!
 //! ```text
-//! area+0    header (68 B): magic u32, head link u32, covered seq, ts,
-//!           floors, snap_shards, dir crc, n_dedup, dedup crc,
+//! area+0    header (68 B): magic u32 "LCK5", head link u32, covered
+//!           seq, ts, floors, snap_shards, dir crc, n_dedup, dedup crc,
 //!           head slot u32, head base u32, header crc
 //! area+68   directory (24 B per slab, space reserved for 64):
-//!           n_blocks, n_lists, slab crc
-//! area+68+1536  slab 0 | slab 1 | … (block entries then list entries)
-//!               | dedup slab (32 B per write-id outcome)
+//!           n_blocks u64, n_lists u64, slab crc u32, slab length u32
+//! area+68+1536  slab 0 | slab 1 | … | dedup slab (32 B per write-id
+//!               outcome)
 //! ```
 //!
 //! Slab `i` holds the records of map shard `i` at checkpoint time (the
 //! shard count is a runtime knob: recovery redistributes entries by id,
 //! so an image checkpointed at 8 shards recovers at any count). Every
-//! slab carries its own CRC, so recovery can load and verify slabs
+//! slab carries its own CRC, so recovery can verify slabs
 //! independently.
+//!
+//! A slab is *column-packed*: most of every u64 of a record is zero, and
+//! what is not is close to its neighbours'.
+//!
+//! ```text
+//! slab+0    10 column descriptors (9 B each): minimum u64, width u8
+//!           (0..=8) — block id, segment, slot, successor, list, ts;
+//!           list id, first, last, ts
+//! slab+90   n_blocks rows, each column's `value − minimum` in `width`
+//!           little-endian bytes, then n_lists rows likewise
+//! ```
+//!
+//! A column whose values are all equal takes no bytes in a row. "None"
+//! never costs a column its width: an absent successor, list, first or
+//! last is 0 (identifiers are not), an absent address is segment 0 with
+//! a present one stored as `segment + 1`, and the slot beside it is 0.
+//! Row order within a slab is unspecified (hash-map iteration); every
+//! row is keyed by its identifier. A row is never wider than 40 B (a
+//! block: 8 + 4 + 4 + 8 + 8 + 8) or 32 B (a list), which is what
+//! `Layout::compute` sizes the area by.
+//!
+//! What a reader refuses. The *area* is invalid, and recovery falls back
+//! to the other one, on: a bad magic or header CRC, a slab count outside
+//! 1..=64, a directory CRC mismatch, a slab or dedup slab that ends
+//! outside the area or fails its CRC, a descriptor width above 8, and a
+//! slab length that is not what its counts and descriptors add up to
+//! (checked arithmetic). The *image* is [`LldError::Corrupt`] when a
+//! slab that passed all of that holds a row recovery cannot take at its
+//! word: `minimum + delta` past `u64::MAX`, an identifier of zero or
+//! above [`MAX_RAW_ID`] (the allocators count on from it), a segment or
+//! slot the device does not have, an identifier twice; so is an
+//! allocator floor above `MAX_RAW_ID` in the header of the area chosen.
 //!
 //! The header also records where the log continues past the covered
 //! sequence number — the [`ChainHead`]: the slot and the block in it
@@ -71,17 +103,17 @@
 
 use crate::error::{LldError, Result};
 use crate::layout::{
-    u32_at, u64_at, Layout, CKPT_BLOCK_ENTRY, CKPT_DEDUP_ENTRY, CKPT_DIR_ENTRY, CKPT_DIR_RESERVE,
-    CKPT_HEADER, CKPT_LIST_ENTRY, MAX_SNAP_SHARDS,
+    u32_at, u64_at, Layout, CKPT_DEDUP_ENTRY, CKPT_DIR_ENTRY, CKPT_DIR_RESERVE, CKPT_HEADER,
+    CKPT_SLAB_DESC, MAX_SNAP_SHARDS,
 };
 use crate::lld::{LldInner, LogState, Mutation};
 use crate::segment::ChainHead;
 use crate::state::{BlockRecord, ListRecord, Tables};
-use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp};
+use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp, MAX_RAW_ID};
 use ld_disk::{crc32, BlockDevice};
 use std::sync::atomic::Ordering;
 
-const CKPT_MAGIC: u32 = 0x4C43_4B34; // "LCK4"
+const CKPT_MAGIC: u32 = 0x4C43_4B35; // "LCK5"
 
 /// Checkpoint-area I/O state, behind the `ckpt_io` leaf mutex (see the
 /// module docs).
@@ -110,6 +142,8 @@ pub(crate) struct SlabInfo {
 /// A decoded checkpoint header + slab directory (slabs not yet read).
 #[derive(Debug, Clone)]
 pub(crate) struct CkptHeaderInfo {
+    /// Absolute device offset of the area.
+    area: u64,
     /// Highest segment sequence number whose effects are included.
     pub(crate) seq: u64,
     pub(crate) ts_counter: u64,
@@ -124,13 +158,6 @@ pub(crate) struct CkptHeaderInfo {
     /// Number of 32-byte dedup entries.
     pub(crate) n_dedup: u64,
     pub(crate) dedup_crc: u32,
-}
-
-/// One decoded snapshot slab.
-#[derive(Debug, Default)]
-pub(crate) struct SlabData {
-    pub(crate) blocks: Vec<(BlockId, BlockRecord)>,
-    pub(crate) lists: Vec<(ListId, ListRecord)>,
 }
 
 /// One checkpoint being written: what *begin* pinned, and what the slab
@@ -153,7 +180,7 @@ struct CkptWrite {
     /// Offset of the next slab, relative to the area.
     end: u64,
     /// The directory so far: per slab written its block count, list
-    /// count, CRC and 4 bytes of padding.
+    /// count, CRC and byte length.
     dir: Vec<u8>,
 }
 
@@ -179,10 +206,121 @@ impl CkptWrite {
     }
 }
 
-/// One shard's tables as of the covered point, encoded: every block
-/// record (40 B each) then every list record (32 B each). Entry order
-/// within a slab is unspecified (hash-map iteration); decoding keys
-/// every entry by its identifier, so order never matters.
+/// One column descriptor on disk: the minimum (u64), then the byte
+/// width (u8).
+const COL_DESC: usize = 9;
+const BLOCK_COLS: usize = 6;
+const LIST_COLS: usize = 4;
+const _: () = assert!(((BLOCK_COLS + LIST_COLS) * COL_DESC) as u64 == CKPT_SLAB_DESC);
+
+/// How the rows of one table are packed: per column the smallest value,
+/// stored once, and the bytes the largest `value − min` needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Columns<const N: usize> {
+    min: [u64; N],
+    width: [u8; N],
+}
+
+impl<const N: usize> Columns<N> {
+    /// The narrowest packing of `rows`; all zero for none.
+    fn fit(rows: impl Iterator<Item = [u64; N]>) -> Self {
+        let (mut min, mut max) = ([u64::MAX; N], [0u64; N]);
+        for row in rows {
+            for (c, v) in row.into_iter().enumerate() {
+                min[c] = min[c].min(v);
+                max[c] = max[c].max(v);
+            }
+        }
+        // No row: `min` is still above `max`.
+        let min: [u64; N] = std::array::from_fn(|c| min[c].min(max[c]));
+        let width = std::array::from_fn(|c| {
+            let bits = u64::BITS - (max[c] - min[c]).leading_zeros();
+            bits.div_ceil(8) as u8
+        });
+        Columns { min, width }
+    }
+
+    fn row_len(&self) -> u64 {
+        self.width.iter().map(|&w| u64::from(w)).sum()
+    }
+
+    fn put_desc(&self, out: &mut Vec<u8>) {
+        for (min, width) in self.min.iter().zip(self.width) {
+            out.extend_from_slice(&min.to_le_bytes());
+            out.push(width);
+        }
+    }
+
+    fn put_row(&self, row: [u64; N], out: &mut Vec<u8>) {
+        for (c, v) in row.into_iter().enumerate() {
+            let delta = (v - self.min[c]).to_le_bytes();
+            out.extend_from_slice(&delta[..usize::from(self.width[c])]);
+        }
+    }
+
+    /// Reads `N` descriptors; `None` on a width no u64 has.
+    fn parse(desc: &[u8]) -> Option<Self> {
+        let min = std::array::from_fn(|c| u64_at(desc, c * COL_DESC));
+        let width: [u8; N] = std::array::from_fn(|c| desc[c * COL_DESC + 8]);
+        width
+            .iter()
+            .all(|&w| w <= 8)
+            .then_some(Columns { min, width })
+    }
+
+    /// Unpacks row `i` of the `len`-byte rows in `rows` (`len` is
+    /// [`row_len`](Self::row_len), and may be 0: every column holds one
+    /// value); `None` if a `min + delta` passes `u64::MAX`.
+    fn row(&self, rows: &[u8], len: usize, i: u64) -> Option<[u64; N]> {
+        let mut at = i as usize * len;
+        let mut out = [0u64; N];
+        for (c, v) in out.iter_mut().enumerate() {
+            let width = usize::from(self.width[c]);
+            // Eight bytes at once wherever the rows still have them,
+            // cut to the column's: a copy of `width` bytes is a call.
+            let delta = match rows.get(at..at + 8) {
+                Some(wide) => {
+                    let mask = u64::MAX.checked_shr(64 - 8 * width as u32);
+                    u64::from_le_bytes(wide.try_into().expect("8 bytes")) & mask.unwrap_or(0)
+                }
+                None => {
+                    let mut le = [0u8; 8];
+                    le[..width].copy_from_slice(&rows[at..at + width]);
+                    u64::from_le_bytes(le)
+                }
+            };
+            *v = self.min[c].checked_add(delta)?;
+            at += width;
+        }
+        Some(out)
+    }
+}
+
+fn block_row(id: BlockId, r: &BlockRecord) -> [u64; BLOCK_COLS] {
+    let (segment, slot) = r.addr.map_or((0, 0), |a| {
+        (u64::from(a.segment.get()) + 1, u64::from(a.slot))
+    });
+    [
+        id.get(),
+        segment,
+        slot,
+        BlockId::encode_opt(r.successor),
+        ListId::encode_opt(r.list),
+        r.ts.get(),
+    ]
+}
+
+fn list_row(id: ListId, r: &ListRecord) -> [u64; LIST_COLS] {
+    [
+        id.get(),
+        BlockId::encode_opt(r.first),
+        BlockId::encode_opt(r.last),
+        r.ts.get(),
+    ]
+}
+
+/// One shard's tables as of the covered point, encoded (see the module
+/// docs).
 struct Slab {
     bytes: Vec<u8>,
     n_blocks: u64,
@@ -190,36 +328,25 @@ struct Slab {
 }
 
 fn encode_slab(tables: &Tables) -> Slab {
-    let mut payload = Vec::with_capacity(
-        (tables.blocks.len() as u64 * CKPT_BLOCK_ENTRY
-            + tables.lists.len() as u64 * CKPT_LIST_ENTRY) as usize,
-    );
-    for (id, r) in &tables.blocks {
-        payload.extend_from_slice(&id.get().to_le_bytes());
-        match r.addr {
-            Some(a) => {
-                payload.extend_from_slice(&a.segment.get().to_le_bytes());
-                payload.extend_from_slice(&a.slot.to_le_bytes());
-            }
-            None => {
-                payload.extend_from_slice(&u32::MAX.to_le_bytes());
-                payload.extend_from_slice(&u32::MAX.to_le_bytes());
-            }
-        }
-        payload.extend_from_slice(&BlockId::encode_opt(r.successor).to_le_bytes());
-        payload.extend_from_slice(&ListId::encode_opt(r.list).to_le_bytes());
-        payload.extend_from_slice(&r.ts.get().to_le_bytes());
+    let block_rows = || tables.blocks.iter().map(|(&id, r)| block_row(id, r));
+    let list_rows = || tables.lists.iter().map(|(&id, r)| list_row(id, r));
+    let (blocks, lists) = (Columns::fit(block_rows()), Columns::fit(list_rows()));
+    let (n_blocks, n_lists) = (tables.blocks.len() as u64, tables.lists.len() as u64);
+    let len = CKPT_SLAB_DESC + n_blocks * blocks.row_len() + n_lists * lists.row_len();
+    let mut bytes = Vec::with_capacity(len as usize);
+    blocks.put_desc(&mut bytes);
+    lists.put_desc(&mut bytes);
+    for row in block_rows() {
+        blocks.put_row(row, &mut bytes);
     }
-    for (id, r) in &tables.lists {
-        payload.extend_from_slice(&id.get().to_le_bytes());
-        payload.extend_from_slice(&BlockId::encode_opt(r.first).to_le_bytes());
-        payload.extend_from_slice(&BlockId::encode_opt(r.last).to_le_bytes());
-        payload.extend_from_slice(&r.ts.get().to_le_bytes());
+    for row in list_rows() {
+        lists.put_row(row, &mut bytes);
     }
+    debug_assert_eq!(bytes.len() as u64, len);
     Slab {
-        bytes: payload,
-        n_blocks: tables.blocks.len() as u64,
-        n_lists: tables.lists.len() as u64,
+        bytes,
+        n_blocks,
+        n_lists,
     }
 }
 
@@ -376,6 +503,9 @@ impl<D: BlockDevice> LldInner<D> {
         if w.end + slab.bytes.len() as u64 > self.layout.ckpt_area_size {
             return Err(area_overflow());
         }
+        let len = u32::try_from(slab.bytes.len()).map_err(|_| {
+            LldError::Config("a checkpoint slab holds at most 4 GiB: raise map_shards".into())
+        })?;
         // Check the generation *under* `ckpt_io`, and write under it
         // too: a later beginner waits for this write, and this writer
         // never writes once a later one has begun.
@@ -388,8 +518,8 @@ impl<D: BlockDevice> LldInner<D> {
         w.dir.extend_from_slice(&slab.n_blocks.to_le_bytes());
         w.dir.extend_from_slice(&slab.n_lists.to_le_bytes());
         w.dir.extend_from_slice(&crc32(&slab.bytes).to_le_bytes());
-        w.dir.extend_from_slice(&[0u8; 4]); // padding
-        w.end += slab.bytes.len() as u64;
+        w.dir.extend_from_slice(&len.to_le_bytes());
+        w.end += u64::from(len);
         Ok(true)
     }
 
@@ -440,21 +570,22 @@ impl<D: BlockDevice> LldInner<D> {
     }
 }
 
-/// Reads and validates one area's header and slab directory, resolving
-/// each slab's absolute offset. `None` if the area holds no valid
-/// checkpoint (bad magic, CRC, or geometry).
+/// Reads and validates one area's header and slab directory (one device
+/// read for both), resolving each slab's absolute offset. `None` if the
+/// area holds no valid checkpoint (bad magic, CRC, or geometry).
 pub(crate) fn read_header_dir<D: BlockDevice>(
     device: &D,
     layout: &Layout,
     area: u64,
 ) -> Result<Option<CkptHeaderInfo>> {
     const BODY: usize = CKPT_HEADER as usize - 4;
-    let mut header = [0u8; CKPT_HEADER as usize];
-    device.read_at(area, &mut header)?;
-    if crc32(&header[..BODY]) != u32_at(&header, BODY) {
+    let mut buf = [0u8; (CKPT_HEADER + CKPT_DIR_RESERVE) as usize];
+    device.read_at(area, &mut buf)?;
+    let (header, dir) = buf.split_at(CKPT_HEADER as usize);
+    if crc32(&header[..BODY]) != u32_at(header, BODY) {
         return Ok(None);
     }
-    let u32at = |p: usize| u32_at(&header, p);
+    let u32at = |p: usize| u32_at(header, p);
     if u32at(0) != CKPT_MAGIC {
         return Ok(None);
     }
@@ -463,10 +594,10 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
         base: u32at(60),
         link: u32at(4),
     };
-    let seq = u64_at(&header, 8);
-    let ts_counter = u64_at(&header, 16);
-    let block_floor = u64_at(&header, 24);
-    let list_floor = u64_at(&header, 32);
+    let seq = u64_at(header, 8);
+    let ts_counter = u64_at(header, 16);
+    let block_floor = u64_at(header, 24);
+    let list_floor = u64_at(header, 32);
     let snap_shards = u32at(40);
     let dir_crc = u32at(44);
     let n_dedup = u64::from(u32at(48));
@@ -474,46 +605,32 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
     if snap_shards == 0 || u64::from(snap_shards) > MAX_SNAP_SHARDS {
         return Ok(None);
     }
-    let mut dir_bytes = vec![0u8; snap_shards as usize * CKPT_DIR_ENTRY as usize];
-    device.read_at(area + CKPT_HEADER, &mut dir_bytes)?;
-    if crc32(&dir_bytes) != dir_crc {
+    let dir = &dir[..snap_shards as usize * CKPT_DIR_ENTRY as usize];
+    if crc32(dir) != dir_crc {
         return Ok(None);
     }
     let mut slabs = Vec::with_capacity(snap_shards as usize);
     let mut off = area + CKPT_HEADER + CKPT_DIR_RESERVE;
     let end = area + layout.ckpt_area_size;
-    for e in 0..snap_shards as usize {
-        let p = e * CKPT_DIR_ENTRY as usize;
-        let n_blocks = u64_at(&dir_bytes, p);
-        let n_lists = u64_at(&dir_bytes, p + 8);
-        let Some(len) = n_blocks
-            .checked_mul(CKPT_BLOCK_ENTRY)
-            .and_then(|b| b.checked_add(n_lists.checked_mul(CKPT_LIST_ENTRY)?))
-        else {
+    for entry in dir.chunks_exact(CKPT_DIR_ENTRY as usize) {
+        let len = u64::from(u32_at(entry, 20));
+        let Some(next) = off.checked_add(len).filter(|&next| next <= end) else {
             return Ok(None);
         };
-        let Some(next) = off.checked_add(len) else {
-            return Ok(None);
-        };
-        if next > end {
-            return Ok(None);
-        }
         slabs.push(SlabInfo {
             offset: off,
             len,
-            n_blocks,
-            n_lists,
-            crc: u32_at(&dir_bytes, p + 16),
+            n_blocks: u64_at(entry, 0),
+            n_lists: u64_at(entry, 8),
+            crc: u32_at(entry, 16),
         });
         off = next;
     }
-    let Some(dedup_end) = off.checked_add(n_dedup * CKPT_DEDUP_ENTRY) else {
-        return Ok(None);
-    };
-    if dedup_end > end {
+    if (off.checked_add(n_dedup * CKPT_DEDUP_ENTRY)).is_none_or(|dedup_end| dedup_end > end) {
         return Ok(None);
     }
     Ok(Some(CkptHeaderInfo {
+        area,
         seq,
         ts_counter,
         block_floor,
@@ -527,6 +644,12 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
 }
 
 impl CkptHeaderInfo {
+    /// Bytes the checkpoint takes in its area: header, directory
+    /// reserve, slabs, dedup slab.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.dedup_off + self.n_dedup * CKPT_DEDUP_ENTRY - self.area
+    }
+
     /// Reads the snapshot slabs and the dedup slab of a checkpoint
     /// whose header was validated — they lie back to back — with one
     /// device read.
@@ -550,82 +673,134 @@ impl CkptHeaderInfo {
         (payload.is_empty() || crc32(payload) == self.dedup_crc).then_some(payload)
     }
 
-    /// Decodes snapshot slab `i` out of `body`. `None` on a CRC
-    /// mismatch (the whole area must then be considered invalid).
-    ///
-    /// # Errors
-    ///
-    /// [`LldError::Corrupt`] on a zero identifier (a CRC-valid slab can
-    /// never contain one).
-    pub(crate) fn decode_slab(&self, body: &[u8], i: usize) -> Result<Option<SlabData>> {
-        let slab = &self.slabs[i];
-        let payload = self.slice(body, slab.offset, slab.len);
-        if crc32(payload) != slab.crc {
-            return Ok(None);
-        }
-        decode_entries(payload, slab).map(Some)
+    /// Opens every snapshot slab in `body` ([`SlabInfo::open`]). `None`
+    /// if any slab fails (the whole area must then be considered
+    /// invalid); no row has been looked at.
+    pub(crate) fn slabs<'a>(&self, body: &'a [u8]) -> Option<Vec<SlabReader<'a>>> {
+        (self.slabs.iter())
+            .map(|info| info.open(self.slice(body, info.offset, info.len)))
+            .collect()
     }
 }
 
-fn decode_entries(payload: &[u8], slab: &SlabInfo) -> Result<SlabData> {
-    let mut out = SlabData {
-        blocks: Vec::with_capacity(slab.n_blocks as usize),
-        lists: Vec::with_capacity(slab.n_lists as usize),
-    };
-    let mut pos = 0usize;
-    for _ in 0..slab.n_blocks {
-        let id = u64_at(payload, pos);
-        let seg = u32_at(payload, pos + 8);
-        let slot = u32_at(payload, pos + 12);
-        let succ = u64_at(payload, pos + 16);
-        let list = u64_at(payload, pos + 24);
-        let ts = u64_at(payload, pos + 32);
-        pos += CKPT_BLOCK_ENTRY as usize;
-        if id == 0 {
-            return Err(LldError::Corrupt("zero block id in checkpoint".into()));
+impl SlabInfo {
+    /// Checks the slab in `payload`: its CRC, its descriptors, and that
+    /// its length is what they and its counts add up to.
+    fn open<'a>(&self, payload: &'a [u8]) -> Option<SlabReader<'a>> {
+        if crc32(payload) != self.crc {
+            return None;
         }
-        out.blocks.push((
-            BlockId::new(id),
-            BlockRecord {
+        let (desc, rows) = payload.split_at_checked(CKPT_SLAB_DESC as usize)?;
+        let blocks = Columns::parse(desc)?;
+        let lists = Columns::parse(&desc[BLOCK_COLS * COL_DESC..])?;
+        let block_bytes = self.n_blocks.checked_mul(blocks.row_len())?;
+        let list_bytes = self.n_lists.checked_mul(lists.row_len())?;
+        if block_bytes.checked_add(list_bytes)? != rows.len() as u64 {
+            return None;
+        }
+        let (block_rows, list_rows) = rows.split_at(block_bytes as usize);
+        Some(SlabReader {
+            n_blocks: self.n_blocks,
+            n_lists: self.n_lists,
+            blocks,
+            lists,
+            block_rows,
+            list_rows,
+        })
+    }
+}
+
+/// One snapshot slab whose checksum and descriptors hold, ready to hand
+/// out its rows. Recovery enters them straight into the shard tables.
+#[derive(Debug)]
+pub(crate) struct SlabReader<'a> {
+    pub(crate) n_blocks: u64,
+    pub(crate) n_lists: u64,
+    blocks: Columns<BLOCK_COLS>,
+    lists: Columns<LIST_COLS>,
+    block_rows: &'a [u8],
+    list_rows: &'a [u8],
+}
+
+fn checked_id(raw: u64, what: &str) -> Result<u64> {
+    if raw == 0 || raw > MAX_RAW_ID {
+        return Err(LldError::Corrupt(format!(
+            "{what} identifier {raw} in checkpoint"
+        )));
+    }
+    Ok(raw)
+}
+
+fn row_overflow() -> LldError {
+    LldError::Corrupt("a checkpoint row's value passes u64::MAX".into())
+}
+
+impl SlabReader<'_> {
+    /// The block-number-map rows.
+    ///
+    /// # Errors
+    ///
+    /// Each item is [`LldError::Corrupt`] for a row that no writer
+    /// produces (see the module docs); a CRC-valid slab can hold one.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = Result<(BlockId, BlockRecord)>> + '_ {
+        let len = self.blocks.row_len() as usize;
+        (0..self.n_blocks).map(move |i| {
+            let row = self.blocks.row(self.block_rows, len, i);
+            let [id, segment, slot, successor, list, ts] = row.ok_or_else(row_overflow)?;
+            let id = BlockId::new(checked_id(id, "block")?);
+            let addr = match segment.checked_sub(1) {
+                None => None,
+                Some(at) => {
+                    let (Ok(at), Ok(slot)) = (u32::try_from(at), u32::try_from(slot)) else {
+                        return Err(LldError::Corrupt(format!(
+                            "checkpoint places {id} at slot {at}, block {slot}"
+                        )));
+                    };
+                    Some(PhysAddr {
+                        segment: SegmentId::new(at),
+                        slot,
+                    })
+                }
+            };
+            let rec = BlockRecord {
                 allocated: true,
-                addr: (seg != u32::MAX).then(|| PhysAddr {
-                    segment: SegmentId::new(seg),
-                    slot,
-                }),
-                successor: BlockId::decode_opt(succ),
+                addr,
+                successor: BlockId::decode_opt(successor),
                 list: ListId::decode_opt(list),
                 ts: Timestamp::new(ts),
-            },
-        ));
+            };
+            Ok((id, rec))
+        })
     }
-    for _ in 0..slab.n_lists {
-        let id = u64_at(payload, pos);
-        let first = u64_at(payload, pos + 8);
-        let last = u64_at(payload, pos + 16);
-        let ts = u64_at(payload, pos + 24);
-        pos += CKPT_LIST_ENTRY as usize;
-        if id == 0 {
-            return Err(LldError::Corrupt("zero list id in checkpoint".into()));
-        }
-        out.lists.push((
-            ListId::new(id),
-            ListRecord {
+
+    /// The list-table rows.
+    ///
+    /// # Errors
+    ///
+    /// As for [`blocks`](Self::blocks).
+    pub(crate) fn lists(&self) -> impl Iterator<Item = Result<(ListId, ListRecord)>> + '_ {
+        let len = self.lists.row_len() as usize;
+        (0..self.n_lists).map(move |i| {
+            let row = self.lists.row(self.list_rows, len, i);
+            let [id, first, last, ts] = row.ok_or_else(row_overflow)?;
+            let rec = ListRecord {
                 allocated: true,
                 first: BlockId::decode_opt(first),
                 last: BlockId::decode_opt(last),
                 ts: Timestamp::new(ts),
-            },
-        ));
+            };
+            Ok((ListId::new(checked_id(id, "list")?), rec))
+        })
     }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::{CKPT_BLOCK_ROW_MAX, CKPT_LIST_ROW_MAX};
     use crate::obs::TraceEvent;
     use crate::{CleanerConfig, Ctx, Lld, LldConfig, Position};
-    use ld_disk::{DiskModel, MemDisk, SimDisk};
+    use ld_disk::{DiskModel, MemDisk, SimDisk, SmallRng};
 
     /// The paper's single-threaded cleaner: no `cleanerd` to write a
     /// checkpoint of its own where a test counts them.
@@ -636,29 +811,33 @@ mod tests {
         }
     }
 
+    type SlabRows = (Vec<(BlockId, BlockRecord)>, Vec<(ListId, ListRecord)>);
+
+    /// The rows of one slab, in identifier order.
+    fn rows(slab: &SlabReader<'_>) -> SlabRows {
+        let mut blocks: Vec<_> = slab.blocks().collect::<Result<_>>().unwrap();
+        let mut lists: Vec<_> = slab.lists().collect::<Result<_>>().unwrap();
+        blocks.sort_by_key(|(id, _)| id.get());
+        lists.sort_by_key(|(id, _)| id.get());
+        (blocks, lists)
+    }
+
     /// Everything recovery would load from one area, in a comparable
     /// order, plus the byte count the area occupies.
-    fn load(ld: &Lld<MemDisk>, area: u64) -> (Vec<SlabData>, Vec<u8>, u64) {
+    fn load(ld: &Lld<MemDisk>, area: u64) -> (Vec<SlabRows>, Vec<u8>, u64) {
         let hdr = read_header_dir(ld.device(), &ld.layout, area)
             .unwrap()
             .expect("a valid checkpoint");
         let body = hdr.read_body(ld.device()).unwrap();
-        let slabs = (0..hdr.slabs.len())
-            .map(|i| {
-                let mut d = hdr.decode_slab(&body, i).unwrap().expect("slab CRC");
-                d.blocks.sort_by_key(|(id, _)| id.get());
-                d.lists.sort_by_key(|(id, _)| id.get());
-                d
-            })
-            .collect();
+        let slabs = hdr.slabs(&body).expect("slab CRCs and descriptors");
         let dedup = hdr.dedup_slab(&body).expect("CRC").to_vec();
-        let end = hdr.dedup_off + dedup.len() as u64 - area;
-        (slabs, dedup, end)
+        (slabs.iter().map(rows).collect(), dedup, hdr.bytes())
     }
 
     /// The foreground and the cleanerd checkpoint of one state are the
     /// same checkpoint: same tables, same dedup cache, same size — and
-    /// the size each reports in its trace event is the size on disk.
+    /// the size each reports in its trace event is the size on disk,
+    /// which is what recovery reports having loaded.
     #[test]
     fn both_drivers_write_the_same_checkpoint() {
         let cfg = LldConfig {
@@ -678,7 +857,11 @@ mod tests {
         assert!(ld.checkpoint_incremental().unwrap()); // area B
 
         let (a, b) = (load(&ld, ld.layout.ckpt_a), load(&ld, ld.layout.ckpt_b));
-        assert_eq!(format!("{:?}", a.0), format!("{:?}", b.0), "tables");
+        assert_eq!(a.0, b.0, "tables");
+        assert_eq!(
+            a.0.iter().map(|(blocks, _)| blocks.len()).sum::<usize>(),
+            20
+        );
         assert_eq!(a.1.len() as u64, 20 * CKPT_DEDUP_ENTRY);
         assert_eq!(a.1, b.1, "dedup cache");
         assert_eq!(a.2, b.2);
@@ -689,6 +872,312 @@ mod tests {
             })
             .collect();
         assert_eq!(reported, [a.2, b.2]);
+        let (_, report) = Lld::recover_with(ld.into_device(), &cfg).unwrap();
+        assert_eq!((report.snap_shards, report.snapshot_bytes), (8, b.2));
+    }
+
+    /// What a reader makes of `slab` alone: `None` where it refuses the
+    /// slab, else the tables its rows give, or the first row's error.
+    fn reopen(slab: &Slab) -> Option<Result<Tables>> {
+        let info = SlabInfo {
+            offset: 0,
+            len: slab.bytes.len() as u64,
+            n_blocks: slab.n_blocks,
+            n_lists: slab.n_lists,
+            crc: crc32(&slab.bytes),
+        };
+        let reader = info.open(&slab.bytes)?;
+        Some((|| {
+            Ok(Tables {
+                blocks: reader.blocks().collect::<Result<_>>()?,
+                lists: reader.lists().collect::<Result<_>>()?,
+            })
+        })())
+    }
+
+    /// One column of a seeded table: values in `1..=max`, spread over as
+    /// many bytes as chance had it.
+    struct Col {
+        base: u64,
+        span: u64,
+    }
+
+    impl Col {
+        fn new(rng: &mut SmallRng, max: u64) -> Col {
+            let span = match rng.next_u64() % 9 {
+                8 => u64::MAX,
+                width => (1 << (8 * width)) - 1,
+            }
+            .min(max - 1);
+            Col {
+                base: 1 + rng.next_u64() % (max - span),
+                span,
+            }
+        }
+
+        fn value(&self, rng: &mut SmallRng) -> u64 {
+            self.base + rng.next_u64() % (self.span + 1)
+        }
+
+        /// A third of the optional fields are absent.
+        fn opt(&self, rng: &mut SmallRng) -> Option<u64> {
+            let v = self.value(rng);
+            (!rng.next_u64().is_multiple_of(3)).then_some(v)
+        }
+    }
+
+    /// Seeded tables of up to `n` blocks and `n / 2` lists.
+    fn tables(rng: &mut SmallRng, n: u64) -> Tables {
+        let mut t = Tables::default();
+        let [id, successor, list, first, last, ts] =
+            [MAX_RAW_ID, u64::MAX, u64::MAX, u64::MAX, u64::MAX, u64::MAX]
+                .map(|max| Col::new(rng, max));
+        // A segment below `n_segments`, itself a u32.
+        let segment = Col::new(rng, u64::from(u32::MAX) - 1);
+        let slot = Col::new(rng, u64::from(u32::MAX));
+        for _ in 0..rng.next_u64() % (n + 1) {
+            let rec = BlockRecord {
+                allocated: true,
+                addr: segment.opt(rng).map(|segment| PhysAddr {
+                    segment: SegmentId::new(segment as u32),
+                    slot: slot.value(rng) as u32,
+                }),
+                successor: successor.opt(rng).map(BlockId::new),
+                list: list.opt(rng).map(ListId::new),
+                ts: Timestamp::new(ts.value(rng)),
+            };
+            t.blocks.insert(BlockId::new(id.value(rng)), rec);
+        }
+        let id = Col::new(rng, MAX_RAW_ID);
+        for _ in 0..rng.next_u64() % (n / 2 + 1) {
+            let rec = ListRecord {
+                allocated: true,
+                first: first.opt(rng).map(BlockId::new),
+                last: last.opt(rng).map(BlockId::new),
+                ts: Timestamp::new(ts.value(rng)),
+            };
+            t.lists.insert(ListId::new(id.value(rng)), rec);
+        }
+        t
+    }
+
+    /// What format 4 took for the same tables.
+    fn fixed_width(t: &Tables) -> u64 {
+        t.blocks.len() as u64 * CKPT_BLOCK_ROW_MAX + t.lists.len() as u64 * CKPT_LIST_ROW_MAX
+    }
+
+    /// Seeded tables of every shape come back as they went in, and never
+    /// take more than the descriptors over format 4's fixed-width rows:
+    /// the bound `Layout::compute` sizes the area by.
+    #[test]
+    fn slabs_round_trip_within_the_fixed_width_bound() {
+        let mut rng = SmallRng::seed_from_u64(0x5EED_0005);
+        let mut widths = std::collections::BTreeSet::new();
+        for case in 0..400 {
+            let tables = tables(&mut rng, [0, 1, 2, 40][case % 4]);
+            let slab = encode_slab(&tables);
+            assert!(
+                slab.bytes.len() as u64 <= CKPT_SLAB_DESC + fixed_width(&tables),
+                "case {case}: {} bytes",
+                slab.bytes.len()
+            );
+            assert_eq!(reopen(&slab).unwrap().unwrap(), tables, "case {case}");
+            widths.extend(
+                slab.bytes[..CKPT_SLAB_DESC as usize]
+                    .chunks(COL_DESC)
+                    .map(|d| d[8]),
+            );
+        }
+        assert_eq!(widths, (0..=8).collect(), "every width was exercised");
+    }
+
+    fn block(id: u64, rec: BlockRecord) -> Tables {
+        Tables {
+            blocks: [(BlockId::new(id), rec)].into(),
+            ..Tables::default()
+        }
+    }
+
+    /// The corners by hand: nothing, one entry, columns of one value,
+    /// columns that span every u64, identifiers at the bound.
+    #[test]
+    fn slab_corners_round_trip() {
+        let empty = encode_slab(&Tables::default());
+        assert_eq!(empty.bytes, [0u8; CKPT_SLAB_DESC as usize]);
+        assert_eq!(reopen(&empty).unwrap().unwrap(), Tables::default());
+
+        // One entry: every column is its own minimum, no row bytes.
+        let mut one = block(
+            MAX_RAW_ID,
+            BlockRecord {
+                addr: Some(PhysAddr {
+                    segment: SegmentId::new(u32::MAX - 1),
+                    slot: u32::MAX,
+                }),
+                successor: Some(BlockId::new(u64::MAX)),
+                list: Some(ListId::new(u64::MAX)),
+                ..BlockRecord::fresh(Timestamp::new(u64::MAX))
+            },
+        );
+        let slab = encode_slab(&one);
+        assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC);
+        assert_eq!(reopen(&slab).unwrap().unwrap(), one);
+
+        // A second, at the other end of every column: every width there
+        // is, and the rows are as wide as format 4's.
+        one.blocks
+            .insert(BlockId::new(1), BlockRecord::fresh(Timestamp::ZERO));
+        one.lists
+            .insert(ListId::new(1), ListRecord::fresh(Timestamp::ZERO));
+        one.lists.insert(
+            ListId::new(MAX_RAW_ID),
+            ListRecord {
+                first: Some(BlockId::new(u64::MAX)),
+                last: Some(BlockId::new(u64::MAX)),
+                ..ListRecord::fresh(Timestamp::new(u64::MAX))
+            },
+        );
+        let slab = encode_slab(&one);
+        assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC + fixed_width(&one));
+        assert_eq!(reopen(&slab).unwrap().unwrap(), one);
+
+        // Many rows that differ in their identifier only.
+        let mut same = Tables::default();
+        for id in 1000..1256 {
+            same.blocks
+                .insert(BlockId::new(id), BlockRecord::fresh(Timestamp::new(7)));
+        }
+        let slab = encode_slab(&same);
+        assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC + 256);
+        assert_eq!(reopen(&slab).unwrap().unwrap(), same);
+    }
+
+    /// One shard's stripe of `local_append`'s tables (two-block lists,
+    /// dense identifiers, blocks laid out in allocation order) packs to
+    /// under 0.3 of its fixed-width size.
+    #[test]
+    fn dense_tables_pack_to_under_a_third() {
+        let (shard, stripe) = (3u64, 8u64);
+        let mut t = Tables::default();
+        for n in 0..928u64 {
+            let list = ListId::new(n * stripe + shard);
+            let ids = [
+                BlockId::new(2 * n * stripe + shard),
+                BlockId::new((2 * n + 1) * stripe + shard),
+            ];
+            for (k, id) in ids.into_iter().enumerate() {
+                let at = 2 * n + k as u64;
+                let rec = BlockRecord {
+                    allocated: true,
+                    addr: Some(PhysAddr {
+                        segment: SegmentId::new((at / 127) as u32),
+                        slot: (at % 127) as u32,
+                    }),
+                    successor: (k == 0).then_some(ids[1]),
+                    list: Some(list),
+                    ts: Timestamp::new(10 * n + k as u64),
+                };
+                t.blocks.insert(id, rec);
+            }
+            let rec = ListRecord {
+                allocated: true,
+                first: Some(ids[0]),
+                last: Some(ids[1]),
+                ts: Timestamp::new(10 * n + 3),
+            };
+            t.lists.insert(list, rec);
+        }
+        let slab = encode_slab(&t);
+        assert_eq!(reopen(&slab).unwrap().unwrap(), t);
+        let (packed, fixed) = (slab.bytes.len() as u64, fixed_width(&t));
+        assert!(10 * packed <= 3 * fixed, "{packed} of {fixed} bytes");
+    }
+
+    /// A slab that passes its CRC is still not taken at its word: no
+    /// descriptors, a width no u64 has, a length other than what counts
+    /// and widths add up to, counts whose product overflows — the reader
+    /// refuses the slab; a row whose value passes `u64::MAX`, whose
+    /// identifier is zero or past the bound, whose address no u32 holds
+    /// — the row is an error.
+    #[test]
+    fn hostile_slabs_are_refused_or_typed_errors() {
+        let mut t = block(5, BlockRecord::fresh(Timestamp::new(1)));
+        t.blocks
+            .insert(BlockId::new(300), BlockRecord::fresh(Timestamp::new(2)));
+        t.lists
+            .insert(ListId::new(9), ListRecord::fresh(Timestamp::new(3)));
+        t.lists
+            .insert(ListId::new(10), ListRecord::fresh(Timestamp::new(4)));
+        let good = encode_slab(&t);
+        assert_eq!(reopen(&good).unwrap().unwrap(), t);
+        let edit = |f: &dyn Fn(&mut Slab)| {
+            let mut slab = encode_slab(&t);
+            f(&mut slab);
+            reopen(&slab)
+        };
+        let min = |col: usize| col * COL_DESC;
+        let width = |col: usize| col * COL_DESC + 8;
+
+        // Refused whole.
+        assert!(edit(&|s| s.bytes.truncate(CKPT_SLAB_DESC as usize - 1)).is_none());
+        assert!(edit(&|s| s.bytes[width(0)] = 9).is_none());
+        assert!(edit(&|s| s.bytes[width(9)] = 200).is_none());
+        assert!(edit(&|s| s.bytes[width(5)] += 1).is_none());
+        assert!(edit(&|s| s.bytes.push(0)).is_none());
+        assert!(edit(&|s| s.n_blocks += 1).is_none());
+        assert!(edit(&|s| s.n_lists = 0).is_none());
+        assert!(
+            edit(&|s| s.n_blocks = u64::MAX / 2 + 2).is_none(),
+            "product overflows"
+        );
+        assert!(
+            edit(&|s| s.n_lists = u64::MAX - 1).is_none(),
+            "sum overflows"
+        );
+
+        // Row errors.
+        let corrupt = |got: Option<Result<Tables>>| matches!(got, Some(Err(LldError::Corrupt(_))));
+        let put =
+            |s: &mut Slab, at: usize, v: u64| s.bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        assert!(
+            corrupt(edit(&|s| put(s, min(0), u64::MAX - 200))),
+            "block id overflows"
+        );
+        assert!(
+            corrupt(edit(&|s| put(s, min(0), MAX_RAW_ID - 294))),
+            "block id past the bound"
+        );
+        assert!(corrupt(edit(&|s| put(s, min(0), 0))), "block id zero");
+        assert!(
+            corrupt(edit(&|s| put(s, min(6), u64::MAX))),
+            "list id overflows"
+        );
+        assert!(
+            corrupt(edit(&|s| put(s, min(6), MAX_RAW_ID))),
+            "list id past the bound"
+        );
+        assert!(
+            corrupt(edit(&|s| put(s, min(5), u64::MAX))),
+            "timestamp overflows"
+        );
+        assert!(
+            corrupt(edit(&|s| put(s, min(1), 1 << 32 | 1))),
+            "segment past u32"
+        );
+        assert!(
+            corrupt(edit(&|s| {
+                put(s, min(1), 1);
+                put(s, min(2), 1 << 32);
+            })),
+            "slot past u32"
+        );
+        // At the bound, and an absent address whatever its slot says.
+        let at_bound = edit(&|s| put(s, min(0), MAX_RAW_ID - 295))
+            .unwrap()
+            .unwrap();
+        assert!(at_bound.blocks.contains_key(&BlockId::new(MAX_RAW_ID)));
+        let no_addr = edit(&|s| put(s, min(2), 1 << 40)).unwrap().unwrap();
+        assert_eq!(no_addr, t);
     }
 
     /// The checkpoint a seal found due is written by a full session
@@ -730,8 +1219,8 @@ mod tests {
 
     /// The byte-counted suffix bound (`seal_current`): a seal asks for a
     /// checkpoint once the summary bytes past the last one reach the
-    /// encoded size of the tables, and never below 64 KiB; the
-    /// checkpoint's commit starts the count again.
+    /// weight of the tables (40 B a block, 32 B a list), and never below
+    /// 64 KiB; the checkpoint's commit starts the count again.
     #[test]
     fn a_suffix_as_long_as_the_tables_asks_for_a_checkpoint() {
         let cfg = LldConfig {
@@ -762,7 +1251,7 @@ mod tests {
         log_units(1000);
         assert_eq!((suffix(), ld.stats().checkpoints), (0, 1), "68,000 B");
 
-        // 2,000 blocks on a list: 80,032 bytes of tables.
+        // 2,000 blocks on a list weigh 80,032 bytes.
         let list = ld.new_list(Ctx::Simple).unwrap();
         for _ in 0..2000 {
             ld.new_block(Ctx::Simple, list, Position::First).unwrap();

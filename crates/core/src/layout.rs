@@ -20,19 +20,26 @@ use ld_disk::crc32;
 /// Size of the fixed-length superblock encoding.
 pub(crate) const SUPERBLOCK_LEN: usize = 64;
 const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
-/// 4: a slot holds several segments back to back, a block address
-/// counts from the slot's start, and the checkpoint's chain head names a
-/// block inside a slot (see `segment.rs`). Other versions are refused,
-/// not converted.
-const FORMAT_VERSION: u32 = 4;
+/// 5: checkpoint slabs are column-packed (see `checkpoint.rs`); since 4
+/// a slot holds several segments back to back, a block address counts
+/// from the slot's start, and the checkpoint's chain head names a block
+/// inside a slot (see `segment.rs`). Other versions are refused, not
+/// converted.
+const FORMAT_VERSION: u32 = 5;
 
-/// Per-entry sizes in a checkpoint area (see `checkpoint.rs`).
-pub(crate) const CKPT_BLOCK_ENTRY: u64 = 40;
-pub(crate) const CKPT_LIST_ENTRY: u64 = 32;
+/// The widest a row of a checkpoint slab gets (see `checkpoint.rs`):
+/// every column of a block or of a list at its full width. What the
+/// area is sized by; a slab's rows are as wide as its values need.
+pub(crate) const CKPT_BLOCK_ROW_MAX: u64 = 40;
+pub(crate) const CKPT_LIST_ROW_MAX: u64 = 32;
 pub(crate) const CKPT_HEADER: u64 = 68;
+/// The column descriptors at the start of every slab: a minimum (u64)
+/// and a byte width (u8) for each of the six block and four list
+/// columns.
+pub(crate) const CKPT_SLAB_DESC: u64 = 10 * 9;
 
 /// Per-slab directory entry: `n_blocks` u64, `n_lists` u64, slab crc32,
-/// padding u32.
+/// slab length u32.
 pub(crate) const CKPT_DIR_ENTRY: u64 = 24;
 /// Slab-count ceiling a checkpoint area can describe (one slab per map
 /// shard; shard counts are capped at `MAX_MAP_SHARDS = 64`). The
@@ -114,12 +121,20 @@ impl Layout {
             .max(16);
         let max_lists = config.max_lists.unwrap_or(max_blocks).max(16);
 
+        // Every slab fits whatever its tables hold: a row is never
+        // wider than its maximum, and the descriptors of as many slabs as
+        // a directory describes come out of the room of the dedup slab,
+        // which takes what is left (`ckpt_commit`): the write-id cache
+        // gives up its oldest 180 entries before a table entry is left
+        // out, and the area is no larger than format 4's unless the
+        // cache is smaller than that.
         let ckpt_area_size = round_up(
             CKPT_HEADER
                 + CKPT_DIR_RESERVE
-                + max_blocks * CKPT_BLOCK_ENTRY
-                + max_lists * CKPT_LIST_ENTRY
-                + config.dedup_capacity as u64 * CKPT_DEDUP_ENTRY,
+                + max_blocks * CKPT_BLOCK_ROW_MAX
+                + max_lists * CKPT_LIST_ROW_MAX
+                + (config.dedup_capacity as u64 * CKPT_DEDUP_ENTRY)
+                    .max(MAX_SNAP_SHARDS * CKPT_SLAB_DESC),
             bs,
         );
         let data_start = bs + 2 * ckpt_area_size;
@@ -338,8 +353,44 @@ mod tests {
         assert_eq!(layout.ckpt_area_size % 512, 0);
         assert!(
             layout.ckpt_area_size
-                >= CKPT_HEADER + CKPT_DIR_RESERVE + 100 * CKPT_BLOCK_ENTRY + 50 * CKPT_LIST_ENTRY
+                >= CKPT_HEADER
+                    + CKPT_DIR_RESERVE
+                    + MAX_SNAP_SHARDS * CKPT_SLAB_DESC
+                    + 100 * CKPT_BLOCK_ROW_MAX
+                    + 50 * CKPT_LIST_ROW_MAX
         );
+    }
+
+    /// Format 5 packs the slabs and leaves the areas where they were:
+    /// the geometry of the benchmark's four devices (default
+    /// configuration) is format 4's, recorded from PR 22's tree, so its
+    /// cleaner sees the same slots. Only a write-id cache too small to
+    /// lend the descriptors their room grows the area.
+    #[test]
+    fn geometry_is_format_4s() {
+        let pinned = [
+            (32u64, 61, 1_232_896, 614_400, 8_001),
+            (64, 123, 2_396_160, 1_196_032, 16_129),
+            (128, 246, 4_739_072, 2_367_488, 32_385),
+            (256, 494, 9_424_896, 4_710_400, 64_897),
+        ];
+        for (mib, n_segments, data_start, ckpt_area_size, max_blocks) in pinned {
+            let l = Layout::compute(mib << 20, &LldConfig::default()).unwrap();
+            assert_eq!(
+                (l.n_segments, l.data_start, l.ckpt_area_size, l.max_blocks),
+                (n_segments, data_start, ckpt_area_size, max_blocks),
+                "{mib} MiB"
+            );
+            assert_eq!(l.max_lists, max_blocks);
+        }
+        // 16 write-ids are 512 B: not the room of 64 slabs' descriptors.
+        let small_cache = LldConfig {
+            dedup_capacity: 16,
+            ..small_config()
+        };
+        let l = Layout::compute(1 << 20, &small_cache).unwrap();
+        let slabs = MAX_SNAP_SHARDS * CKPT_SLAB_DESC + 100 * 40 + 50 * 32;
+        assert!(l.ckpt_area_size >= CKPT_HEADER + CKPT_DIR_RESERVE + slabs);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::config::{CleanerConfig, ConcurrencyMode, LldConfig, ReadVisibility};
 use crate::error::{LldError, Result};
 use crate::flight::FlightRecorder;
 use crate::gc::GroupCommit;
-use crate::layout::{Layout, CKPT_BLOCK_ENTRY, CKPT_HEADER, CKPT_LIST_ENTRY, SUPERBLOCK_LEN};
+use crate::layout::{Layout, CKPT_HEADER, SUPERBLOCK_LEN};
 use crate::obs::{Obs, ObsSnapshot, Stage, TraceEvent};
 use crate::sampler::Sampler;
 use crate::segment::{header_link, ChainHead, SegmentBuilder, HEADER_PUNCH, NO_SLOT};
@@ -42,6 +42,16 @@ pub(crate) use crate::shard::{ShardLockStats, StateRef};
 /// for a data block and its record together, so they land in the same
 /// segment).
 pub(crate) const WRITE_REC_LEN: usize = 1 + 8 + 4 + 8 + 8;
+
+/// What an allocated block and an allocated list weigh in the suffix
+/// bound (`seal_current`): a seal asks for a checkpoint once the summary
+/// bytes past the last one reach the weight of the tables. A rule of
+/// thumb for what replaying a suffix costs against loading a snapshot,
+/// not the snapshot's size: these were format 4's entry sizes, and a
+/// packed slab is a quarter of that (docs/RECOVERY.md "The suffix
+/// bound").
+const SUFFIX_WEIGHT_BLOCK: u64 = 40;
+const SUFFIX_WEIGHT_LIST: u64 = 32;
 
 /// The fewest summary bytes past a checkpoint that ask for the next
 /// one: a nearly empty disk's tables are smaller than any one flush.
@@ -1643,8 +1653,8 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                     self.pending = Some(b);
                 }
                 let n_segments = u64::from(lld.layout.n_segments);
-                let table_bytes = (lld.allocated_block_count() * CKPT_BLOCK_ENTRY
-                    + lld.allocated_list_count() * CKPT_LIST_ENTRY)
+                let table_weight = (lld.allocated_block_count() * SUFFIX_WEIGHT_BLOCK
+                    + lld.allocated_list_count() * SUFFIX_WEIGHT_LIST)
                     .max(MIN_SUFFIX_BYTES);
                 let log = self.log();
                 log.slot_seq[slot as usize] = seal_seq;
@@ -1660,12 +1670,12 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 // checkpoint once the suffix is that long. It is what
                 // bounds a log of small flushes. A log of full segments is
                 // bounded in restart's other unit, the summary bytes it
-                // replays: once they reach the encoded size of the tables,
-                // loading a snapshot is the cheaper restart, and the
-                // checkpoint is paid for by as many bytes of log.
+                // replays: once they reach the weight of the tables
+                // (`SUFFIX_WEIGHT_*`), loading a snapshot is the cheaper
+                // restart.
                 log.summary_sealed += seal_summary;
                 if seal_seq - log.checkpoint_seq >= n_segments
-                    || log.summary_sealed - log.checkpoint_summary >= table_bytes
+                    || log.summary_sealed - log.checkpoint_summary >= table_weight
                 {
                     self.lld.needs_checkpoint.store(true, Ordering::Relaxed);
                 }

@@ -1445,6 +1445,7 @@ fn recovery_from(v: &json::Value) -> RecoveryReport {
         orphan_blocks_freed: get_u64(v, "orphan_blocks_freed") as usize,
         snap_shards: get_u64(v, "snap_shards") as u32,
         threads_used: get_u64(v, "threads_used") as u32,
+        snapshot_bytes: get_u64(v, "snapshot_bytes"),
         snapshot_load_ns: get_u64(v, "snapshot_load_ns"),
         scan_ns: get_u64(v, "scan_ns"),
         replay_ns: get_u64(v, "replay_ns"),
@@ -1657,6 +1658,7 @@ fn recovery_json(r: &RecoveryReport) -> String {
     o.u64("orphan_blocks_freed", r.orphan_blocks_freed as u64);
     o.u64("snap_shards", r.snap_shards as u64);
     o.u64("threads_used", r.threads_used as u64);
+    o.u64("snapshot_bytes", r.snapshot_bytes);
     o.u64("snapshot_load_ns", r.snapshot_load_ns);
     o.u64("scan_ns", r.scan_ns);
     o.u64("replay_ns", r.replay_ns);
@@ -1779,6 +1781,7 @@ impl fmt::Display for ObsSnapshot {
             )?;
             writeln!(f, "  {:<28} {}", "snap_shards", r.snap_shards)?;
             writeln!(f, "  {:<28} {}", "threads_used", r.threads_used)?;
+            writeln!(f, "  {:<28} {}", "snapshot_bytes", r.snapshot_bytes)?;
             writeln!(f, "  {:<28} {}", "snapshot_load_ns", r.snapshot_load_ns)?;
             writeln!(f, "  {:<28} {}", "scan_ns", r.scan_ns)?;
             writeln!(f, "  {:<28} {}", "replay_ns", r.replay_ns)?;

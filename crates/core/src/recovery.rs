@@ -22,9 +22,10 @@
 //! ([`LldInner::new`]) and fills it inside one full mutation session:
 //!
 //! 1. **Snapshot load** — the newest valid checkpoint's per-shard
-//!    slabs are CRC-checked and decoded, and each entry goes straight
-//!    into its shard's persistent table (allocator raised past it, its
-//!    address entered in its slot's `residents`).
+//!    slabs are CRC-checked, and each row is decoded straight into its
+//!    shard's persistent table, sized once from the directory's counts
+//!    (allocator raised past it, its address entered in its slot's
+//!    `residents`).
 //! 2. **Scan** — the log's chain is walked from the checkpoint's
 //!    [`ChainHead`] (block 0 of slot 0, link 0 without one): a segment
 //!    is accepted iff header CRC, sequence number and `prev_link` fit,
@@ -46,20 +47,20 @@
 //!    the consistency check runs.
 
 use crate::aru::ListOp;
-use crate::checkpoint::{self, CkptHeaderInfo, CkptSlots};
+use crate::checkpoint::{self, CkptHeaderInfo, CkptSlots, SlabReader};
 use crate::config::{LldConfig, MAX_MAP_SHARDS};
 use crate::dedup::DedupCache;
 use crate::error::{LldError, Result};
 use crate::layout::Layout;
 use crate::lld::{Lld, LldInner, Mutation, StateRef};
-use crate::obs::{recovery_trace, Obs, Stage};
+use crate::obs::{recovery_trace, Stage};
 use crate::segment::{
     parse_header, read_header, read_summary, valid_base, ChainHead, SegmentHeader, NO_SLOT,
 };
 use crate::shard::striped_ceil;
 use crate::state::{BlockRecord, ListRecord};
 use crate::summary::Record;
-use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp};
+use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp, MAX_RAW_ID};
 use ld_disk::BlockDevice;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -97,6 +98,9 @@ pub struct RecoveryReport {
     pub snap_shards: u32,
     /// Threads recovery ran on: always 1 (the caller's).
     pub threads_used: u32,
+    /// Bytes of the checkpoint the snapshot-load phase loaded: header,
+    /// directory, slabs and dedup slab (0 = no checkpoint).
+    pub snapshot_bytes: u64,
     /// Wall time of the snapshot-load phase.
     pub snapshot_load_ns: u64,
     /// Wall time of the segment-scan phase.
@@ -181,28 +185,6 @@ fn drive_chain(
     Ok(())
 }
 
-/// Decodes every slab of `hdr`. `None` if any slab fails its CRC (the
-/// whole area is then invalid and the caller falls back to the other
-/// one).
-fn load_slabs(
-    hdr: &CkptHeaderInfo,
-    body: &[u8],
-    obs: &Obs,
-) -> Result<Option<Vec<checkpoint::SlabData>>> {
-    let mut out = Vec::with_capacity(hdr.slabs.len());
-    for i in 0..hdr.slabs.len() {
-        let timer = obs.timer();
-        match hdr.decode_slab(body, i)? {
-            Some(sd) => {
-                obs.recovery_slab_load(timer);
-                out.push(sd);
-            }
-            None => return Ok(None),
-        }
-    }
-    Ok(Some(out))
-}
-
 // ----------------------------------------------------------------------
 // Recovery proper
 // ----------------------------------------------------------------------
@@ -227,6 +209,9 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // commit record), so the count may pass the cap on the way.
         let op = match *rec {
             Record::NewBlock { block, .. } => {
+                if block.get() > MAX_RAW_ID {
+                    return Err(corrupt(format!("allocation of {block}, past the bound")));
+                }
                 if self
                     .map
                     .committed_view_block(block)
@@ -241,6 +226,9 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 return Ok(());
             }
             Record::NewList { list, .. } => {
+                if list.get() > MAX_RAW_ID {
+                    return Err(corrupt(format!("allocation of {list}, past the bound")));
+                }
                 if self
                     .map
                     .committed_view_list(list)
@@ -326,12 +314,19 @@ impl<D: BlockDevice> Mutation<'_, D> {
         for (hdr, is_a) in cands {
             // Slabs and dedup slab lie back to back: one device read.
             let body = hdr.read_body(device)?;
-            let Some(slabs) = load_slabs(&hdr, &body, obs)? else {
-                continue; // torn slab: the whole area is invalid
+            // Every checksum and descriptor before a row is entered: a
+            // torn area leaves the tables empty for the other one.
+            let (Some(slabs), Some(seed)) = (hdr.slabs(&body), hdr.dedup_slab(&body)) else {
+                continue;
             };
-            let Some(seed) = hdr.dedup_slab(&body) else {
-                continue; // torn dedup slab: the whole area is invalid
-            };
+            // The allocators count on from the floors and from every
+            // identifier entered.
+            if hdr.block_floor.max(hdr.list_floor) > MAX_RAW_ID {
+                return Err(LldError::Corrupt(format!(
+                    "checkpoint's allocator floors ({}, {}) pass the largest identifier",
+                    hdr.block_floor, hdr.list_floor
+                )));
+            }
             dedup_seed = seed.to_vec();
             ckpt_seq = hdr.seq;
             head = hdr.head;
@@ -340,20 +335,37 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 use_b: is_a,
                 gen: 0,
             };
-            report.snap_shards = hdr.slabs.len() as u32;
+            report.snap_shards = slabs.len() as u32;
+            report.snapshot_bytes = hdr.bytes();
             // The floors are global; each shard starts at its first
-            // identifier at or above them.
+            // identifier at or above them. Its tables are sized once: by
+            // its own slab where the image was checkpointed at this shard
+            // count, else by an even share; never past the format's caps,
+            // whatever a directory says.
+            let rows = |n: fn(&SlabReader<'_>) -> u64, cap: u64, i: u32| {
+                let rows = if slabs.len() == nshards as usize {
+                    n(&slabs[i as usize])
+                } else {
+                    let total = slabs.iter().map(n).fold(0, u64::saturating_add);
+                    total.div_ceil(stripe)
+                };
+                rows.min(cap) as usize
+            };
             for i in 0..nshards {
                 let sh = self.map.shard_mut(i);
                 sh.next_block_raw = striped_ceil(hdr.block_floor, i, stripe);
                 sh.next_list_raw = striped_ceil(hdr.list_floor, i, stripe);
+                let tables = &mut sh.persistent;
+                (tables.blocks).reserve(rows(|s| s.n_blocks, layout.max_blocks, i));
+                (tables.lists).reserve(rows(|s| s.n_lists, layout.max_lists, i));
             }
-            for sd in slabs {
-                let (blocks, lists) = (sd.blocks.len() as u64, sd.lists.len() as u64);
+            for slab in &slabs {
+                let timer = obs.timer();
                 let maps = &lld.maps;
-                maps.allocated_blocks.fetch_add(blocks, Ordering::Relaxed);
-                maps.allocated_lists.fetch_add(lists, Ordering::Relaxed);
-                for (id, rec) in sd.blocks {
+                (maps.allocated_blocks).fetch_add(slab.n_blocks, Ordering::Relaxed);
+                (maps.allocated_lists).fetch_add(slab.n_lists, Ordering::Relaxed);
+                for entry in slab.blocks() {
+                    let (id, rec) = entry?;
                     if let Some(a) = rec.addr {
                         // `residents` is indexed by this address; a
                         // CRC-valid slab can still name a segment or
@@ -374,7 +386,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
                         return Err(LldError::Corrupt(format!("checkpoint holds {id} twice")));
                     }
                 }
-                for (id, rec) in sd.lists {
+                for entry in slab.lists() {
+                    let (id, rec) = entry?;
                     ts_floor = ts_floor.max(rec.ts.get());
                     let sh = self.map.list_shard_mut(id);
                     sh.note_list_id(id.get(), stripe);
@@ -382,6 +395,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                         return Err(LldError::Corrupt(format!("checkpoint holds {id} twice")));
                     }
                 }
+                obs.recovery_slab_load(timer);
             }
             break;
         }
@@ -989,6 +1003,25 @@ mod tests {
             match m.replay_record(seg, &stray, None) {
                 Err(LldError::Corrupt(msg)) => assert!(msg.contains("write to unallocated")),
                 other => panic!("{other:?}"),
+            }
+
+            // So is an allocation the allocators cannot count on from
+            // (`raw + shards`): the bound a checkpoint's rows keep.
+            let past = [
+                Record::NewBlock {
+                    block: BlockId::new(u64::MAX - 1),
+                    ts: ts(5),
+                },
+                Record::NewList {
+                    list: ListId::new(MAX_RAW_ID + 1),
+                    ts: ts(5),
+                },
+            ];
+            for rec in &past {
+                match m.replay_record(seg, rec, None) {
+                    Err(LldError::Corrupt(msg)) => assert!(msg.contains("past the bound")),
+                    other => panic!("{other:?}"),
+                }
             }
 
             // Deleting the list frees its members' identifiers, until a

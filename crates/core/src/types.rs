@@ -20,6 +20,12 @@ pub struct BlockId(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ListId(u64);
 
+/// The largest raw block or list identifier, and allocator floor, an
+/// image may hold. Each shard's allocator counts on from the largest it
+/// has seen in steps of the shard count (`shard.rs`); half the space
+/// leaves it more identifiers than a process hands out.
+pub(crate) const MAX_RAW_ID: u64 = u64::MAX >> 1;
+
 /// An atomic-recovery-unit identifier, returned by
 /// [`Lld::begin_aru`](crate::Lld::begin_aru).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -43,14 +43,19 @@ pub const H_CRC: usize = 40;
 pub const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936;
 
 // Checkpoint header fields (see `checkpoint.rs`).
+pub const C_SNAP_SHARDS: usize = 40;
+pub const C_DIR_CRC: usize = 44;
 pub const C_HEAD_SLOT: usize = 56;
 pub const C_HEAD_BASE: usize = 60;
 pub const C_CRC: usize = 64;
 /// The header's length; the slab directory follows, in room reserved
-/// for 64 entries, and the slabs follow that.
+/// for 64 entries, and the slabs follow that, back to back.
 pub const C_LEN: usize = 68;
 pub const C_DIR_ENTRY: usize = 24;
 pub const C_DIR_RESERVE: usize = 64 * C_DIR_ENTRY;
+// In a directory entry: the slab's CRC and its length in bytes.
+pub const C_DIR_SLAB_CRC: usize = 16;
+pub const C_DIR_SLAB_LEN: usize = 20;
 
 // Superblock: the slot count, and the CRC over the bytes in front of it
 // (see `layout.rs`).
@@ -105,6 +110,33 @@ pub fn reseal_summary(image: &mut [u8], off: usize, block_size: usize) {
 pub fn reseal_superblock(image: &mut [u8]) {
     let crc = crc32(&image[..S_CRC]);
     put_u32(image, S_CRC, crc);
+}
+
+/// Byte ranges of the slabs of the checkpoint at `area`, from its
+/// directory (which must be intact).
+pub fn slab_ranges(image: &[u8], area: usize) -> Vec<std::ops::Range<usize>> {
+    let mut start = area + C_LEN + C_DIR_RESERVE;
+    (0..u32_at(image, area + C_SNAP_SHARDS) as usize)
+        .map(|i| {
+            let entry = area + C_LEN + i * C_DIR_ENTRY;
+            let range = start..start + u32_at(image, entry + C_DIR_SLAB_LEN) as usize;
+            start = range.end;
+            range
+        })
+        .collect()
+}
+
+/// Makes an edit of slab `i` of the checkpoint at `area` pass:
+/// recomputes the slab's CRC in its directory entry, the directory's
+/// CRC in the header, then the header's own.
+pub fn reseal_slab(image: &mut [u8], area: usize, i: usize) {
+    let slab_crc = crc32(&image[slab_ranges(image, area)[i].clone()]);
+    let dir = area + C_LEN;
+    put_u32(image, dir + i * C_DIR_ENTRY + C_DIR_SLAB_CRC, slab_crc);
+    let shards = u32_at(image, area + C_SNAP_SHARDS) as usize;
+    let dir_crc = crc32(&image[dir..dir + shards * C_DIR_ENTRY]);
+    put_u32(image, area + C_DIR_CRC, dir_crc);
+    reseal_checkpoint(image, area);
 }
 
 /// Recomputes the CRC of the checkpoint header at `area`.

@@ -703,9 +703,9 @@ fn timestamp_that_runs_backwards_is_corrupt_on(pipeline: bool) {
     );
 }
 
-/// An image of the previous format (superblock version 3, valid CRC) is
-/// refused by the version check, not walked as if its addresses meant
-/// the same.
+/// An image of the previous format (superblock version 4, valid CRC) is
+/// refused by the version check, not read as if its checkpoint slabs
+/// were packed the same.
 #[test]
 fn older_format_version_is_refused() {
     both_writers(older_format_version_is_refused_on);
@@ -713,12 +713,12 @@ fn older_format_version_is_refused() {
 
 fn older_format_version_is_refused_on(pipeline: bool) {
     let (mut image, _) = image_with_segments(1, pipeline);
-    assert_eq!(u32_at(&image, 8), 4, "superblock version field");
-    put_u32(&mut image, 8, 3);
+    assert_eq!(u32_at(&image, 8), 5, "superblock version field");
+    put_u32(&mut image, 8, 4);
     let crc = crc32(&image[..S_CRC]);
     put_u32(&mut image, S_CRC, crc);
     match recover(&image, pipeline) {
-        Err(LldError::Corrupt(msg)) => assert!(msg.contains("version 3"), "{msg}"),
+        Err(LldError::Corrupt(msg)) => assert!(msg.contains("version 4"), "{msg}"),
         other => panic!("{:?}", other.map(|(_, r)| r)),
     }
 }

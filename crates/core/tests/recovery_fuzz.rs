@@ -15,6 +15,16 @@
 //! `check()` succeeds and every allocated list walks to its end. It
 //! never panics.
 //!
+//! *Resealed slab* flips land in a checkpoint slab's column descriptors
+//! or rows, under a recomputed slab, directory and header checksum, so
+//! they reach the decoder. Rows under a valid checksum are the tables:
+//! recovery bounds what becomes an index or feeds the allocators'
+//! arithmetic and does not walk every list to see that its rows link
+//! up (a hash probe per block on every restart). So there the disk
+//! that comes back may hold a list whose chain a flip broke, and what
+//! is asked of `check()` and of every walk is that they return — `Ok`
+//! or a typed error — and that nothing panics.
+//!
 //! About 200 cases in tier-1; `RECOVERY_FUZZ_CASES=n` runs more (CI:
 //! 5,000 in release mode). A failure prints `RECOVERY_FUZZ_SEED=n`, and
 //! that variable re-runs the one case.
@@ -150,15 +160,17 @@ fn flip(image: &mut [u8], range: std::ops::Range<usize>, rng: &mut Rng) {
     }
 }
 
-/// The image of case `seed`, and what was done to it.
-fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String) {
+/// The image of case `seed`, what was done to it, and whether the disk
+/// that comes back must be whole (see the module docs).
+fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, bool) {
     let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
     let mut image = base.image.clone();
     let layout = &base.layout;
     let area = [layout.ckpt_a, layout.ckpt_b][rng.below(2)] as usize;
     let header = base.headers[rng.below(base.headers.len())];
     let summary = summary_range(&image, header, BS);
-    let what = match rng.below(10) {
+    let kind = rng.below(12);
+    let what = match kind {
         0 => {
             flip(&mut image, 0..S_CRC + 4, &mut rng);
             "raw: superblock".to_string()
@@ -202,28 +214,46 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String) {
             reseal_superblock(&mut image);
             "resealed: superblock slot count".to_string()
         }
+        9 | 10 => {
+            // Descriptors or rows of one slab, taken at their word.
+            let slabs = slab_ranges(&image, area);
+            let i = rng.below(slabs.len());
+            flip(&mut image, slabs[i].clone(), &mut rng);
+            reseal_slab(&mut image, area, i);
+            format!("resealed: slab {i} at {area}")
+        }
         _ => {
             flip(&mut image, area..area + C_CRC, &mut rng);
             reseal_checkpoint(&mut image, area);
             format!("resealed: checkpoint header at {area}")
         }
     };
-    (image, what)
+    (image, what, !matches!(kind, 9 | 10))
 }
 
 /// `recover` on the image of case `seed`; what went wrong, if anything
 /// did.
 fn run_case(base: &Base, pipeline: bool, seed: u64) -> Result<(), String> {
-    let (image, what) = mutate(base, seed);
+    let (image, what, whole) = mutate(base, seed);
     let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
         let Ok((ld, _)) = Lld::recover_with(MemDisk::from_image(image), &config(pipeline)) else {
             return Ok(()); // a typed error
         };
-        ld.check().map_err(|e| format!("check(): {e}"))?;
+        let typed = |what: String, e| {
+            if whole {
+                Err(format!("{what}: {e}"))
+            } else {
+                Ok(())
+            }
+        };
+        if let Err(e) = ld.check() {
+            typed("check()".into(), e)?;
+        }
         for l in (1..=MAX_LISTS).map(ListId::new) {
             if ld.list_info(l).is_some() {
-                ld.list_blocks(Ctx::Simple, l)
-                    .map_err(|e| format!("{l} does not walk: {e}"))?;
+                if let Err(e) = ld.list_blocks(Ctx::Simple, l) {
+                    typed(format!("{l} does not walk"), e)?;
+                }
             }
         }
         Ok(())

@@ -1,7 +1,7 @@
 //! Torn and stale checkpoint snapshots.
 //!
-//! The sharded checkpoint (format v2) is written slab-by-slab into the
-//! inactive A/B area, so a power cut can land mid-slab, between the
+//! The sharded checkpoint is written slab-by-slab into the inactive A/B
+//! area, so a power cut can land mid-slab, between the
 //! slab writes and the header, or after the header of a *previous*
 //! checkpoint (leaving a stale-but-valid snapshot under a newer log
 //! suffix). In every one of those states recovery must reconstruct
@@ -18,9 +18,12 @@
 //!   workload that checkpoints repeatedly, so cuts land inside slab
 //!   writes, directory writes, and header publishes at whatever
 //!   offsets the encoder actually uses.
-//! * Hostile snapshots: CRC-valid areas whose entries name a segment or
-//!   slot the device does not have (typed error), or whose directory
-//!   lengths overflow (area rejected, fall back) — never a panic.
+//! * Hostile snapshots: CRC-valid areas whose rows name a segment or
+//!   slot the device does not have, an identifier or allocator floor
+//!   the allocators cannot count on from, or a value past `u64::MAX`
+//!   (typed error); whose directory counts overflow or whose column
+//!   descriptors are no descriptors or disagree with the slab's length
+//!   (area rejected, fall back) — never a panic.
 //! * Shard-count migration: an image checkpointed at 8 map shards
 //!   recovered at 1 and at 16 (the snapshot shard count is a property
 //!   of the image, the map shard count a property of the process).
@@ -256,27 +259,41 @@ fn stale_snapshot_under_reallocating_suffix() {
 }
 
 /// Byte offsets inside a checkpoint area (mirrors `checkpoint.rs`):
-/// the header's directory CRC and own CRC, a directory entry's slab CRC,
-/// and the `seg`/`slot` fields of a 40-byte block entry.
+/// the header's allocator floors, directory CRC and own CRC; a directory
+/// entry's slab CRC and slab length; and, in the table of column
+/// descriptors a slab starts with (9 bytes each: minimum u64, width u8),
+/// the columns of a block's identifier, segment and slot.
+const HDR_BLOCK_FLOOR: usize = 24;
+const HDR_LIST_FLOOR: usize = 32;
 const HDR_DIR_CRC: usize = 44;
 const HDR_CRC: usize = CKPT_HEADER - 4;
 const DIR_ENTRY: usize = 24;
 const DIR_SLAB_CRC: usize = 16;
-const ENTRY_SEG: usize = 8;
-const ENTRY_SLOT: usize = 12;
+const DIR_SLAB_LEN: usize = 20;
+const COL_DESC: usize = 9;
+const COL_WIDTH: usize = 8;
+const COL_BLOCK_ID: usize = 0;
+const COL_SEG: usize = 1;
+const COL_SLOT: usize = 2;
+/// What `types.rs` bounds an identifier and an allocator floor by.
+const MAX_RAW_ID: u64 = u64::MAX >> 1;
 
-fn u64_at(image: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(image[off..off + 8].try_into().unwrap())
+fn u32_at(image: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(image[off..off + 4].try_into().unwrap())
 }
 
 fn put_u32(image: &mut [u8], off: usize, v: u32) {
     image[off..off + 4].copy_from_slice(&v.to_le_bytes());
 }
 
+fn put_u64(image: &mut [u8], off: usize, v: u64) {
+    image[off..off + 8].copy_from_slice(&v.to_le_bytes());
+}
+
 /// Recomputes the directory CRC and the header CRC of the checkpoint
 /// area at `area`, so edits under them pass as a valid checkpoint.
 fn reseal_header(image: &mut [u8], area: usize) {
-    let shards = u32::from_le_bytes(image[area + 40..area + 44].try_into().unwrap()) as usize;
+    let shards = u32_at(image, area + 40) as usize;
     let dir = area + CKPT_HEADER;
     let dir_crc = crc32(&image[dir..dir + shards * DIR_ENTRY]);
     put_u32(image, area + HDR_DIR_CRC, dir_crc);
@@ -284,35 +301,150 @@ fn reseal_header(image: &mut [u8], area: usize) {
     put_u32(image, area + HDR_CRC, crc);
 }
 
-/// A CRC-valid slab whose block entry names a segment (or a slot) the
-/// device does not have is a typed error, not an out-of-bounds index.
-#[test]
-fn snapshot_entry_outside_device_is_corrupt() {
+/// Recomputes the CRC of the first slab of the area at `area` and
+/// everything above it, so an edit of the slab reaches the decoder.
+fn reseal_first_slab(image: &mut [u8], area: usize) {
+    let slab = area + CKPT_SLAB_START as usize;
+    let dir = area + CKPT_HEADER;
+    let len = u32_at(image, dir + DIR_SLAB_LEN) as usize;
+    let slab_crc = crc32(&image[slab..slab + len]);
+    put_u32(image, dir + DIR_SLAB_CRC, slab_crc);
+    reseal_header(image, area);
+}
+
+/// The crash image of a disk checkpointed once at one map shard (area
+/// A, every block written), where area A and its one slab start, and
+/// its layout.
+fn one_slab_image() -> (Vec<u8>, usize, usize, ld_aru::core::Layout) {
     let (image, _) = build_image((false, 1), 10);
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let area = layout.ckpt_a as usize;
-    let slab = area + CKPT_SLAB_START as usize;
-    let dir = area + CKPT_HEADER;
-    let slab_len = (u64_at(&image, dir) * 40 + u64_at(&image, dir + 8) * 32) as usize;
-    for (field, value) in [
-        (ENTRY_SEG, layout.n_segments),
-        (ENTRY_SLOT, layout.slots_per_segment()),
+    (image, area, area + CKPT_SLAB_START as usize, layout)
+}
+
+fn recover_one_shard(image: Vec<u8>) -> Result<ld_aru::core::RecoveryReport, LldError> {
+    Lld::recover_with(MemDisk::from_image(image), &config((false, 1))).map(|(_, r)| r)
+}
+
+/// A CRC-valid slab whose block rows name a segment (or a slot) the
+/// device does not have is a typed error, not an out-of-bounds index.
+/// Every block of the image has an address, so raising a column's
+/// minimum moves every row: a segment is stored as itself plus one.
+#[test]
+fn snapshot_entry_outside_device_is_corrupt() {
+    let (image, area, slab, layout) = one_slab_image();
+    for (col, min) in [
+        (COL_SEG, u64::from(layout.n_segments) + 1),
+        (COL_SLOT, u64::from(layout.slots_per_segment())),
+        // No u32 holds it.
+        (COL_SEG, 1 << 32),
+        (COL_SLOT, 1 << 32),
     ] {
         let mut hostile = image.clone();
-        put_u32(&mut hostile, slab + field, value);
-        let slab_crc = crc32(&hostile[slab..slab + slab_len]);
-        put_u32(&mut hostile, dir + DIR_SLAB_CRC, slab_crc);
-        reseal_header(&mut hostile, area);
-        let got = Lld::recover_with(MemDisk::from_image(hostile), &config((false, 1)));
+        put_u64(&mut hostile, slab + col * COL_DESC, min);
+        reseal_first_slab(&mut hostile, area);
+        let got = recover_one_shard(hostile);
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
-            "entry field at +{field} = {value}: {:?}",
-            got.map(|(_, r)| r)
+            "column {col} from {min}: {got:?}"
         );
     }
 }
 
-/// A directory entry whose counts overflow the slab-length product
+/// ROADMAP C8's hole: the allocators count on from every identifier and
+/// floor a checkpoint holds (`raw + shards`), so one near `u64::MAX`
+/// overflowed them. Past the bound, or past `u64::MAX` once its delta is
+/// added, it is a typed error; floors at the bound are taken (and
+/// identifiers: `checkpoint.rs`'s round trip).
+#[test]
+fn identifier_or_floor_near_u64_max_is_corrupt() {
+    let (image, area, slab, _) = one_slab_image();
+    let id_min = slab + COL_BLOCK_ID * COL_DESC;
+    type Edit = fn(&mut [u8], usize, usize);
+    let cases: [(&str, Edit, bool); 5] = [
+        (
+            "block floor",
+            |i, a, _| put_u64(i, a + HDR_BLOCK_FLOOR, u64::MAX - 3),
+            false,
+        ),
+        (
+            "list floor",
+            |i, a, _| put_u64(i, a + HDR_LIST_FLOOR, MAX_RAW_ID + 1),
+            false,
+        ),
+        (
+            "floors at the bound",
+            |i, a, _| {
+                put_u64(i, a + HDR_BLOCK_FLOOR, MAX_RAW_ID);
+                put_u64(i, a + HDR_LIST_FLOOR, MAX_RAW_ID);
+            },
+            true,
+        ),
+        // The image's block identifiers are 1 and up: the largest delta
+        // is at least 71.
+        (
+            "min + delta past u64::MAX",
+            |i, _, m| put_u64(i, m, u64::MAX - 8),
+            false,
+        ),
+        (
+            "identifiers past the bound",
+            |i, _, m| put_u64(i, m, MAX_RAW_ID),
+            false,
+        ),
+    ];
+    for (what, edit, taken) in cases {
+        let mut hostile = image.clone();
+        edit(&mut hostile, area, id_min);
+        reseal_first_slab(&mut hostile, area);
+        let got = recover_one_shard(hostile);
+        match (&got, taken) {
+            (Ok(report), true) => assert!(report.checkpoint_seq > 0, "{what}: {report:?}"),
+            (Err(LldError::Corrupt(_)), false) => {}
+            _ => panic!("{what}: {got:?}"),
+        }
+    }
+}
+
+/// A slab whose descriptors are no descriptors (a width no u64 has) or
+/// do not add up to the slab's length invalidates its area like a bad
+/// CRC: nothing of it is entered, and recovery falls back — here to the
+/// whole log, which gives the same disk.
+#[test]
+fn descriptor_that_disagrees_with_its_slab_falls_back() {
+    let (image, area, slab, _) = one_slab_image();
+    let clean = recover_one_shard(image.clone()).unwrap();
+    assert!(clean.checkpoint_seq > 0 && clean.snapshot_bytes > 0);
+    let width = |col: usize| slab + col * COL_DESC + COL_WIDTH;
+    for (what, at, value) in [
+        ("a width of 9", width(COL_BLOCK_ID), 9),
+        ("a width of 255", width(9), 255),
+        (
+            "rows a byte narrower than the slab",
+            width(COL_SLOT),
+            image[width(COL_SLOT)] - 1,
+        ),
+        (
+            "rows a byte wider than the slab",
+            width(COL_SEG),
+            image[width(COL_SEG)] + 1,
+        ),
+    ] {
+        let mut hostile = image.clone();
+        hostile[at] = value;
+        reseal_first_slab(&mut hostile, area);
+        let got = recover_one_shard(hostile).unwrap();
+        assert_eq!((got.checkpoint_seq, got.snapshot_bytes), (0, 0), "{what}");
+        assert!(got.segments_replayed > clean.segments_replayed, "{what}");
+    }
+    // A slab cut short of its descriptors.
+    let mut hostile = image.clone();
+    put_u32(&mut hostile, area + CKPT_HEADER + DIR_SLAB_LEN, 89);
+    reseal_first_slab(&mut hostile, area);
+    assert_eq!(recover_one_shard(hostile).unwrap().checkpoint_seq, 0);
+}
+
+/// A directory entry whose block count times the row width overflows
 /// invalidates its area like any other bad geometry: recovery falls
 /// back to the older area and replays the longer suffix.
 #[test]
