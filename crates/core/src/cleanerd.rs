@@ -51,9 +51,11 @@
 use crate::error::Result;
 use crate::lld::{Lld, LldInner};
 use crate::obs::{cleaner_trace, Obs, Stage};
+use crate::segment::SegmentBuilder;
 use crate::types::{BlockId, PhysAddr, SegmentId};
 use ld_disk::{BlockDevice, Condvar, Mutex};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -100,6 +102,14 @@ struct CleanerdState {
     /// poll observes progress again. The inline cleaner takes over: the
     /// one state both cleaners consult.
     futile: bool,
+    /// The thread is in its wait at the loop head, or on its way there
+    /// (not yet started, or just woken): no round is running and no seal
+    /// is being written.
+    parked: bool,
+    /// A sealed segment a lazy session handed over
+    /// ([`offer_seal`](Cleanerd::offer_seal)); the thread writes it
+    /// before anything else, also on its way out.
+    seal: Option<Arc<SegmentBuilder>>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -117,6 +127,26 @@ impl Cleanerd {
             return false;
         }
         st.kicks += 1;
+        self.wake.notify_one();
+        true
+    }
+
+    /// Offers the thread a sealed segment to write. It takes one only
+    /// while it is parked with nothing asked of it: a caller that finds
+    /// it in a round, about to start one (a pending kick: the roll that
+    /// finds free slots below the low watermark kicks before its
+    /// session ends), writing an earlier seal, futile, stopping or
+    /// absent gets `false` and writes the segment itself. Nobody ever
+    /// waits for the thread. One job at a time is what was measured
+    /// (docs/CLEANER.md) and what keeps a round live: its covering
+    /// checkpoint waits for every unwritten segment (W2), and one queued
+    /// behind the round would be waiting for the round.
+    pub(crate) fn offer_seal(&self, seg: &Arc<SegmentBuilder>) -> bool {
+        let mut st = self.state.lock();
+        if !st.parked || st.kicks > 0 || st.seal.is_some() || st.stop || st.futile {
+            return false;
+        }
+        st.seal = Some(Arc::clone(seg));
         self.wake.notify_one();
         true
     }
@@ -145,9 +175,14 @@ pub(crate) fn spawn_if_configured<D: BlockDevice + 'static>(ld: &Lld<D>) {
     if !ld.cleaner_background() {
         return;
     }
-    // Mark running before the spawn so a kick arriving between the two
-    // is accepted rather than falling back to inline cleaning.
-    ld.cleanerd.state.lock().running = true;
+    // Mark running and parked before the spawn so a kick or a seal
+    // arriving between the two is accepted: the thread looks at both
+    // before its first wait.
+    {
+        let mut st = ld.cleanerd.state.lock();
+        st.running = true;
+        st.parked = true;
+    }
     let inner = ld.arc_inner();
     let handle = std::thread::Builder::new()
         .name("ld-cleanerd".into())
@@ -203,17 +238,36 @@ fn cleanerd_main<D: BlockDevice + 'static>(ld: &LldInner<D>) {
     let low_watermark = u64::from(ld.cleaner_cfg.target_free_segments);
     let mut st = ld.cleanerd.state.lock();
     loop {
+        // A handed-over seal first, and before leaving: nobody else
+        // writes it. The thread holds nothing meanwhile; a failure is
+        // latched for the next flush (docs/INVARIANTS.md I4).
+        if let Some(seg) = st.seal.take() {
+            st.parked = false;
+            drop(st);
+            let _ = ld.write_sealed(&seg, &mut None);
+            st = ld.cleanerd.state.lock();
+            continue;
+        }
         if st.stop {
             break;
         }
         if st.kicks == 0 {
+            st.parked = true;
             let (g, _timed_out) = ld.cleanerd.wake.wait_timeout(st, POLL);
             st = g;
-            if st.stop {
-                break;
+            if st.stop || st.seal.is_some() {
+                continue;
             }
         }
         st.kicks = 0;
+        if ld.free_slots_hint.load(Ordering::Relaxed) >= low_watermark {
+            // Nothing to clean — a poll, or a kick that foreground
+            // deletions or the inline cleaner overtook: stay parked, and
+            // accept kicks again.
+            st.futile = false;
+            continue;
+        }
+        st.parked = false;
         drop(st);
 
         let mut attempted = false;
@@ -250,10 +304,6 @@ fn cleanerd_main<D: BlockDevice + 'static>(ld: &LldInner<D>) {
         st = ld.cleanerd.state.lock();
         if attempted {
             st.futile = !freed_any;
-        } else if ld.free_slots_hint.load(Ordering::Relaxed) >= low_watermark {
-            // Headroom restored by foreground deletions / inline
-            // cleaning: accept kicks again.
-            st.futile = false;
         }
     }
     st.running = false;

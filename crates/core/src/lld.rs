@@ -514,6 +514,9 @@ pub(crate) struct Mutation<'a, D> {
     /// The segment this session sealed and has not written (see
     /// [`seal_current`](Self::seal_current)).
     pending: Option<Arc<SegmentBuilder>>,
+    /// The session's caller waits for its seal to be on the device (the
+    /// flush leader, W1): the epilogue writes it and offers it to nobody.
+    seal_awaited: bool,
     /// Sequence number of the open segment, while this session logs a
     /// unit that it has checked ends there, commit record and all: the
     /// unit's tagged writes may absorb (docs/INVARIANTS.md I5). Set and
@@ -664,6 +667,7 @@ impl<D: BlockDevice> LldInner<D> {
             map: MapView::new(self.maps.nshards(), arus, shards),
             log_guard: None,
             pending: None,
+            seal_awaited: false,
             unit_ends_in: None,
         };
         let out = f(&mut m);
@@ -706,16 +710,23 @@ impl<D: BlockDevice> LldInner<D> {
             map: MapView::new(self.maps.nshards(), arus, shards),
             log_guard: None,
             pending: None,
+            seal_awaited: false,
             unit_ends_in: None,
         };
         let out = f(&mut m);
         // The epilogue: a segment the session sealed goes to the device
-        // now, with every lock let go — nobody waits out the transfer.
+        // now, with every lock let go — nobody waits out the transfer,
+        // and a lazy operation not even its own: it offers the segment
+        // to the parked `cleanerd` and writes only what that refuses.
         // An error has nobody to go to: it stays on record.
-        let pending = m.pending.take();
+        let (pending, awaited) = (m.pending.take(), m.seal_awaited);
         drop(m);
         if let Some(seg) = pending {
-            let _ = self.write_sealed(&seg, &mut None);
+            if !awaited && self.cleanerd.offer_seal(&seg) {
+                self.stats.seals_handed_off.inc();
+            } else {
+                let _ = self.write_sealed(&seg, &mut None);
+            }
         }
         out
     }
@@ -740,7 +751,7 @@ impl<D: BlockDevice> LldInner<D> {
     /// Writes the sealed `seg` once its slot may be overwritten (W3)
     /// and takes it out of `inflight`, latching a failure. A caller
     /// that holds the log (`held`) keeps it across the write.
-    fn write_sealed<'a>(
+    pub(crate) fn write_sealed<'a>(
         &'a self,
         seg: &SegmentBuilder,
         held: &mut Option<MutexGuard<'a, LogState>>,
@@ -751,7 +762,13 @@ impl<D: BlockDevice> LldInner<D> {
             *held = None;
         }
         let at = self.layout.block_at(slot, seg.base());
+        // The span lands on the thread that writes: the sealer's own,
+        // or `ld-cleanerd` for a seal it was handed.
+        let (timer, trace) = (self.obs.timer(), ld_disk::current_trace());
+        self.obs.stage_begin(self.now(), trace, Stage::MediaWrite);
         let written = self.device.write_at(at, seg.bytes());
+        self.obs
+            .stage_end(self.now(), trace, Stage::MediaWrite, Obs::elapsed(timer));
         let res = written.map_err(LldError::from);
         let log = held.get_or_insert_with(|| self.log.lock());
         log.inflight.retain(|s| s.seq() != seg.seq());
@@ -1540,6 +1557,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// of the last segment sealed, by this roll or by another caller's
     /// a moment earlier: what the leader's barrier has to cover (W1).
     pub(crate) fn roll_for_flush(&mut self) -> Result<u64> {
+        self.seal_awaited = true;
         self.roll(0, true)?;
         Ok(self.log().covered_point().0)
     }

@@ -1272,6 +1272,7 @@ fn lld_stats_from(v: &json::Value) -> LldStats {
             "arus_aborted" => s.arus_aborted = n,
             "commit_conflicts" => s.commit_conflicts = n,
             "segments_sealed" => s.segments_sealed = n,
+            "seals_handed_off" => s.seals_handed_off = n,
             "records_emitted" => s.records_emitted = n,
             "summary_bytes" => s.summary_bytes = n,
             "data_blocks_written" => s.data_blocks_written = n,
@@ -1466,6 +1467,7 @@ fn lld_stats_json(s: &LldStats) -> String {
     o.u64("arus_aborted", s.arus_aborted);
     o.u64("commit_conflicts", s.commit_conflicts);
     o.u64("segments_sealed", s.segments_sealed);
+    o.u64("seals_handed_off", s.seals_handed_off);
     o.u64("records_emitted", s.records_emitted);
     o.u64("summary_bytes", s.summary_bytes);
     o.u64("data_blocks_written", s.data_blocks_written);
@@ -1682,6 +1684,7 @@ impl fmt::Display for ObsSnapshot {
             ("arus_aborted", s.arus_aborted),
             ("commit_conflicts", s.commit_conflicts),
             ("segments_sealed", s.segments_sealed),
+            ("seals_handed_off", s.seals_handed_off),
             ("records_emitted", s.records_emitted),
             ("summary_bytes", s.summary_bytes),
             ("data_blocks_written", s.data_blocks_written),

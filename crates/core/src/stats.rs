@@ -37,6 +37,10 @@ pub struct LldStats {
     pub commit_conflicts: u64,
     /// Segments sealed and written to the device.
     pub segments_sealed: u64,
+    /// Of those, the seals a lazy operation handed to the parked
+    /// `cleanerd` thread instead of writing itself
+    /// (docs/CONCURRENCY.md, "Seal writes").
+    pub seals_handed_off: u64,
     /// Summary records emitted.
     pub records_emitted: u64,
     /// Total encoded summary bytes emitted.
@@ -189,6 +193,7 @@ pub(crate) struct StatsCell {
     pub(crate) arus_aborted: Counter,
     pub(crate) commit_conflicts: Counter,
     pub(crate) segments_sealed: Counter,
+    pub(crate) seals_handed_off: Counter,
     pub(crate) records_emitted: Counter,
     pub(crate) summary_bytes: Counter,
     pub(crate) data_blocks_written: Counter,
@@ -236,6 +241,7 @@ impl StatsCell {
             arus_aborted: self.arus_aborted.get(),
             commit_conflicts: self.commit_conflicts.get(),
             segments_sealed: self.segments_sealed.get(),
+            seals_handed_off: self.seals_handed_off.get(),
             records_emitted: self.records_emitted.get(),
             summary_bytes: self.summary_bytes.get(),
             data_blocks_written: self.data_blocks_written.get(),
@@ -287,6 +293,7 @@ impl StatsCell {
             arus_aborted,
             commit_conflicts,
             segments_sealed,
+            seals_handed_off,
             records_emitted,
             summary_bytes,
             data_blocks_written,
@@ -331,6 +338,7 @@ impl StatsCell {
             arus_aborted,
             commit_conflicts,
             segments_sealed,
+            seals_handed_off,
             records_emitted,
             summary_bytes,
             data_blocks_written,

@@ -1,11 +1,15 @@
 //! What the suites share: where the on-disk fields sit and how to make
 //! an edit under them pass its checksum again (the image-forging
-//! suites), and the blocks an overwrite churn rotates over.
+//! suites), the blocks an overwrite churn rotates over, and a device
+//! that parks chosen writes (the suites that own a segment write in
+//! flight).
 
 #![allow(dead_code)] // each suite uses its own subset
 
 use ld_core::{BlockId, Ctx, ListId, Lld, Position};
-use ld_disk::{crc32, BlockDevice};
+use ld_disk::{crc32, BlockDevice, Condvar, DiskError, MemDisk, Mutex};
+use std::ops::Range;
+use std::time::{Duration, Instant};
 
 /// The blocks an overwrite churn rotates over (`ring[i % ring.len()]`
 /// for its `i`th write): as many as a slot has blocks, allocated on
@@ -143,4 +147,156 @@ pub fn reseal_slab(image: &mut [u8], area: usize, i: usize) {
 pub fn reseal_checkpoint(image: &mut [u8], area: usize) {
     let crc = crc32(&image[area..area + C_CRC]);
     put_u32(image, area + C_CRC, crc);
+}
+
+// A device that parks chosen writes (docs/INVARIANTS.md I4).
+
+/// How long the choreography waits for a step before it calls the
+/// test failed (a broken protocol shows as a step that never comes).
+pub const PATIENCE: Duration = Duration::from_secs(20);
+
+/// How long the choreography gives something that must not happen to
+/// happen. Only a correct run waits it out.
+pub const GRACE: Duration = Duration::from_millis(250);
+
+#[derive(Debug, Default)]
+pub struct ParkState {
+    /// A write that starts in this range waits for the verdict.
+    pub range: Option<Range<u64>>,
+    /// If set, only a write issued on the thread of this name does.
+    pub thread: Option<&'static str>,
+    /// `Some(true)` lets it go on, `Some(false)` fails it.
+    pub verdict: Option<bool>,
+    pub parked: usize,
+    /// Offsets of the writes that have returned, and the barriers
+    /// entered.
+    pub writes: Vec<u64>,
+    pub flushes: usize,
+}
+
+impl ParkState {
+    /// Whether a write into `range` has returned.
+    pub fn wrote_into(&self, range: &Range<u64>) -> bool {
+        self.writes.iter().any(|at| range.contains(at))
+    }
+}
+
+/// A device that parks the writes into a chosen range until the test
+/// says how they end. The medium is the writes that returned: a parked
+/// one is not on it.
+#[derive(Debug)]
+pub struct ParkDisk {
+    inner: MemDisk,
+    pub state: Mutex<ParkState>,
+    cv: Condvar,
+}
+
+impl ParkDisk {
+    pub fn new(capacity: u64) -> Self {
+        ParkDisk {
+            inner: MemDisk::new(capacity),
+            state: Mutex::default(),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Parks every write into `range` from now on (`verdict` `None`) or
+    /// ends it at once, and forgets the writes so far.
+    pub fn park(&self, range: Range<u64>, verdict: Option<bool>) {
+        let mut st = self.state.lock();
+        st.range = Some(range);
+        st.thread = None;
+        st.verdict = verdict;
+        st.writes.clear();
+    }
+
+    /// [`park`](Self::park)s the writes into `range` that are issued on
+    /// the thread named `thread`; everybody else's go through.
+    pub fn park_on(&self, thread: &'static str, range: Range<u64>) {
+        self.park(range, None);
+        self.state.lock().thread = Some(thread);
+    }
+
+    pub fn release(&self, ok: bool) {
+        self.state.lock().verdict = Some(ok);
+        self.cv.notify_all();
+    }
+
+    /// Waits for `done`, which has to come.
+    pub fn wait_for(&self, what: &str, done: impl Fn(&ParkState) -> bool) {
+        let mut st = self.state.lock();
+        while !done(&st) {
+            let (guard, timed_out) = self.cv.wait_timeout(st, PATIENCE);
+            if timed_out {
+                drop(guard);
+                panic!("{what}: never happened");
+            }
+            st = guard;
+        }
+    }
+
+    /// Whether `holds` stays true for [`GRACE`].
+    pub fn stays(&self, holds: impl Fn(&ParkState) -> bool) -> bool {
+        let deadline = Instant::now() + GRACE;
+        let mut st = self.state.lock();
+        while holds(&st) {
+            let now = Instant::now();
+            if now >= deadline {
+                return true;
+            }
+            st = self.cv.wait_timeout(st, deadline - now).0;
+        }
+        false
+    }
+
+    /// The image a power cut leaves now.
+    pub fn cut(&self) -> MemDisk {
+        MemDisk::from_image(self.inner.snapshot())
+    }
+}
+
+/// Lets parked writes go when the test ends, also by a failed assertion.
+pub struct ReleaseOnDrop<'a>(pub &'a ParkDisk);
+
+impl Drop for ReleaseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.release(true);
+    }
+}
+
+impl BlockDevice for ParkDisk {
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> ld_disk::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, buf: &[u8]) -> ld_disk::Result<()> {
+        let mut st = self.state.lock();
+        let mine = st.thread.is_none() || st.thread == std::thread::current().name();
+        if mine && st.range.as_ref().is_some_and(|r| r.contains(&offset)) {
+            st.parked += 1;
+            self.cv.notify_all();
+            while st.verdict.is_none() {
+                let (guard, timed_out) = self.cv.wait_timeout(st, PATIENCE);
+                if timed_out {
+                    return Err(DiskError::Io(format!("write at {offset}: no verdict")));
+                }
+                st = guard;
+            }
+            st.parked -= 1;
+            if st.verdict == Some(false) {
+                return Err(DiskError::Io(format!("write at {offset} failed")));
+            }
+        }
+        self.inner.write_at(offset, buf)?;
+        st.writes.push(offset);
+        self.cv.notify_all();
+        Ok(())
+    }
+    fn flush(&self) -> ld_disk::Result<()> {
+        self.state.lock().flushes += 1;
+        self.cv.notify_all();
+        Ok(())
+    }
 }

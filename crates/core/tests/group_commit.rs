@@ -19,6 +19,10 @@
 //!    for the earlier write instead: a barrier (W1), a checkpoint (W2),
 //!    a write into a slot the cleaner handed back (W3); a read is served
 //!    from memory meanwhile (W4); a write that fails stays on record.
+//! 5. **Written behind its caller** — a lazy operation that fills a
+//!    segment hands it to the parked `cleanerd` thread and returns; the
+//!    waits of 4 hold all the same, a busy thread is offered nothing,
+//!    and shutting down drains what it was handed.
 //!
 //! Each runs on both writers ({sync, pipelined}) wherever they share the
 //! behaviour; the crash tests also at 8 and 1 map shards.
@@ -31,6 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
+use common::{ParkDisk, ParkState, ReleaseOnDrop, PATIENCE};
 
 const BS: usize = 512;
 const CAPACITY: u64 = 4 << 20;
@@ -374,10 +379,6 @@ fn one_caller_leads_every_batch_and_never_waits_for_a_wake_up() {
 // 3. A follower reports the batch that covered it
 // ---------------------------------------------------------------------
 
-/// How long the choreography waits for a step before it calls the
-/// test failed (a broken protocol shows as a step that never comes).
-const PATIENCE: Duration = Duration::from_secs(20);
-
 #[derive(Debug, Default)]
 struct GateState {
     armed: bool,
@@ -582,143 +583,15 @@ fn a_follower_reports_the_batch_that_covered_it() {
 // 4. Acknowledged, not issued
 // ---------------------------------------------------------------------
 
-/// How long the choreography gives something that must not happen to
-/// happen. Only a correct run waits it out.
-const GRACE: Duration = Duration::from_millis(250);
-
-#[derive(Debug, Default)]
-struct ParkState {
-    /// A write that starts in this range waits for the verdict.
-    range: Option<Range<u64>>,
-    /// `Some(true)` lets it go on, `Some(false)` fails it.
-    verdict: Option<bool>,
-    parked: usize,
-    /// Offsets of the writes that have returned, and the barriers
-    /// entered.
-    writes: Vec<u64>,
-    flushes: usize,
-}
-
-/// A device that parks the writes into a chosen range until the test
-/// says how they end. The medium is the writes that returned: a parked
-/// one is not on it.
-#[derive(Debug)]
-struct ParkDisk {
-    inner: MemDisk,
-    state: Mutex<ParkState>,
-    cv: Condvar,
-}
-
-impl ParkDisk {
-    fn new() -> Self {
-        ParkDisk {
-            inner: MemDisk::new(CAPACITY),
-            state: Mutex::default(),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Parks every write into `range` from now on (`verdict` `None`) or
-    /// ends it at once, and forgets the writes so far.
-    fn park(&self, range: Range<u64>, verdict: Option<bool>) {
-        let mut st = self.state.lock();
-        st.range = Some(range);
-        st.verdict = verdict;
-        st.writes.clear();
-    }
-
-    fn release(&self, ok: bool) {
-        self.state.lock().verdict = Some(ok);
-        self.cv.notify_all();
-    }
-
-    /// Waits for `done`, which has to come.
-    fn wait_for(&self, what: &str, done: impl Fn(&ParkState) -> bool) {
-        let mut st = self.state.lock();
-        while !done(&st) {
-            let (guard, timed_out) = self.cv.wait_timeout(st, PATIENCE);
-            if timed_out {
-                drop(guard);
-                panic!("{what}: never happened");
-            }
-            st = guard;
-        }
-    }
-
-    /// Whether `holds` stays true for [`GRACE`].
-    fn stays(&self, holds: impl Fn(&ParkState) -> bool) -> bool {
-        let deadline = Instant::now() + GRACE;
-        let mut st = self.state.lock();
-        while holds(&st) {
-            let now = Instant::now();
-            if now >= deadline {
-                return true;
-            }
-            st = self.cv.wait_timeout(st, deadline - now).0;
-        }
-        false
-    }
-
-    /// The image a power cut leaves now.
-    fn cut(&self) -> MemDisk {
-        MemDisk::from_image(self.inner.snapshot())
-    }
-}
-
-/// Lets parked writes go when the test ends, also by a failed assertion.
-struct ReleaseOnDrop<'a>(&'a ParkDisk);
-
-impl Drop for ReleaseOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.release(true);
-    }
-}
-
-impl BlockDevice for ParkDisk {
-    fn capacity(&self) -> u64 {
-        self.inner.capacity()
-    }
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> ld_disk::Result<()> {
-        self.inner.read_at(offset, buf)
-    }
-    fn write_at(&self, offset: u64, buf: &[u8]) -> ld_disk::Result<()> {
-        let mut st = self.state.lock();
-        if st.range.as_ref().is_some_and(|r| r.contains(&offset)) {
-            st.parked += 1;
-            self.cv.notify_all();
-            while st.verdict.is_none() {
-                let (guard, timed_out) = self.cv.wait_timeout(st, PATIENCE);
-                if timed_out {
-                    return Err(DiskError::Io(format!("write at {offset}: no verdict")));
-                }
-                st = guard;
-            }
-            st.parked -= 1;
-            if st.verdict == Some(false) {
-                return Err(DiskError::Io(format!("write at {offset} failed")));
-            }
-        }
-        self.inner.write_at(offset, buf)?;
-        st.writes.push(offset);
-        self.cv.notify_all();
-        Ok(())
-    }
-    fn flush(&self) -> ld_disk::Result<()> {
-        self.state.lock().flushes += 1;
-        self.cv.notify_all();
-        Ok(())
-    }
-}
-
 /// The bytes of segment slot `slot`.
-fn slot_range(ld: &Lld<ParkDisk>, slot: u32) -> Range<u64> {
+fn slot_range(ld: &Lld<impl BlockDevice>, slot: u32) -> Range<u64> {
     let (layout, _, _) = Lld::probe(ld.device()).unwrap();
     layout.segment_offset(slot)..layout.segment_offset(slot + 1)
 }
 
 /// As many blocks as a slot has, allocated and not yet written: writes
 /// that go round them each append (see [`common::churn_ring`]).
-fn new_ring(ld: &Lld<ParkDisk>) -> Vec<BlockId> {
+fn new_ring(ld: &Lld<impl BlockDevice>) -> Vec<BlockId> {
     common::churn_ring(ld, ld.new_list(Ctx::Simple).unwrap(), None)
 }
 
@@ -738,6 +611,29 @@ fn read(ld: &Lld<impl BlockDevice>, b: BlockId) -> u8 {
     buf[0]
 }
 
+/// The thread each segment write so far was issued on, in the order
+/// their `media_write` spans began: its registered name, or `caller`.
+fn media_write_threads(ld: &Lld<impl BlockDevice>) -> Vec<String> {
+    let names = ld_disk::thread_names();
+    let begins = ld.obs().ring().entries().into_iter().filter(|e| {
+        matches!(
+            e.event,
+            TraceEvent::StageBegin {
+                stage: Stage::MediaWrite,
+                ..
+            }
+        )
+    });
+    begins
+        .map(|e| {
+            names
+                .get(&e.tid)
+                .map_or("caller", String::as_str)
+                .to_string()
+        })
+        .collect()
+}
+
 /// (a) W1. A's roll seals a segment whose write stays on its way; B's
 /// commit lands in the next segment, and B's flush leads. No barrier
 /// goes out, and B is not acknowledged, before A's write has returned:
@@ -750,7 +646,7 @@ fn a_barrier_waits_for_every_earlier_segment() {
 
 fn a_barrier_waits_at(mode: Mode) {
     let cfg = config(mode);
-    let ld = &Lld::format(ParkDisk::new(), &cfg).unwrap();
+    let ld = &Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
     let dev = ld.device();
     let kept = new_blocks(ld, 1)[0];
     let a = new_ring(ld);
@@ -825,7 +721,7 @@ fn an_unwritten_segment_is_read_from_memory_and_holds_back_a_checkpoint() {
             read_cache_blocks: 0,
             ..config((false, shards))
         };
-        let ld = Lld::format(ParkDisk::new(), &cfg).unwrap();
+        let ld = Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
         let dev = ld.device();
         let x = new_blocks(&ld, 1)[0];
         ld.write(Ctx::Simple, x, &block(1)).unwrap();
@@ -872,7 +768,7 @@ fn a_released_slot_is_overwritten_only_behind_what_emptied_it() {
             ..config((false, shards))
         };
         cfg.cleaner.background = false; // the inline cleaner: `run_cleaner` below
-        let ld = Lld::format(ParkDisk::new(), &cfg).unwrap();
+        let ld = Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
         let dev = ld.device();
         let (old, other) = (new_blocks(&ld, 4), new_ring(&ld));
         for (i, &b) in old.iter().enumerate() {
@@ -938,9 +834,11 @@ fn a_slot_cleanerd_released_is_overwritten_only_behind_what_emptied_it() {
         assert!(cfg.cleaner.background, "the default cleaner is the thread");
         // The thread wants every slot but the log's own free: it cleans
         // as soon as there is a victim.
-        let slots = Lld::format(ParkDisk::new(), &cfg).unwrap().n_segments();
+        let slots = Lld::format(ParkDisk::new(CAPACITY), &cfg)
+            .unwrap()
+            .n_segments();
         cfg.cleaner.target_free_segments = slots - 1;
-        let ld = Lld::format(ParkDisk::new(), &cfg).unwrap();
+        let ld = Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
         let dev = ld.device();
         let (old, other) = (new_blocks(&ld, 4), new_ring(&ld));
         for (i, &b) in old.iter().enumerate() {
@@ -1004,14 +902,15 @@ fn a_slot_cleanerd_released_is_overwritten_only_behind_what_emptied_it() {
 /// operation that has returned stays on record, and every later flush
 /// reports it: that error on the default writer; on the pipelined one,
 /// whose device latches its own faults, an error. The operation whose
-/// roll sealed the segment has returned `Ok` where the write is its
-/// epilogue's: the default writer at 8 shards. (At 1 shard it writes
-/// under its locks and reports the error itself; the pipelined device
-/// refuses whatever is submitted after its fault.)
+/// roll sealed the segment has returned `Ok` where the write is not its
+/// own: the default writer at 8 shards, where the failing write is
+/// issued by `ld-cleanerd`, which the operation handed the segment to.
+/// (At 1 shard it writes under its locks and reports the error itself;
+/// the pipelined device refuses whatever is submitted after its fault.)
 #[test]
 fn a_failed_segment_write_fails_every_later_flush() {
     each_mode(|mode| {
-        let ld = Lld::format(ParkDisk::new(), &config(mode)).unwrap();
+        let ld = Lld::format(ParkDisk::new(CAPACITY), &config(mode)).unwrap();
         let a = new_ring(&ld);
         ld.device().park(slot_range(&ld, 0), Some(false));
         let ops: Vec<_> = (0..16)
@@ -1020,6 +919,7 @@ fn a_failed_segment_write_fails_every_later_flush() {
         assert!(mode.0 || ld.stats().segments_sealed > 0, "no write rolled");
         if mode == (false, 8) {
             assert!(ops.iter().all(|r| r.is_ok()), "{ops:?}");
+            assert_eq!(ld.stats().seals_handed_off, 1, "the thread was parked");
         }
         for nth in ["the next flush", "and the one after it"] {
             match ld.flush() {
@@ -1028,5 +928,330 @@ fn a_failed_segment_write_fails_every_later_flush() {
                 got => panic!("{nth}: {got:?}"),
             }
         }
+        if mode == (false, 8) {
+            // The flushes waited for it (W1), so its span is closed; the
+            // others are the leaders' own seals.
+            let on_thread = |t: &&String| *t == "ld-cleanerd";
+            let writers = media_write_threads(&ld);
+            assert_eq!(writers.iter().filter(on_thread).count(), 1, "{writers:?}");
+        }
     });
+}
+
+// ---------------------------------------------------------------------
+// 5. Written behind its caller
+// ---------------------------------------------------------------------
+
+/// Lazy two-block ARUs over `blocks`, from the front, until one seals a
+/// segment. Returns the blocks committed and the byte each holds.
+fn commit_until_a_seal(ld: &Lld<impl BlockDevice>, blocks: &[BlockId]) -> Vec<(BlockId, u8)> {
+    let sealed = ld.stats().segments_sealed;
+    let mut done = Vec::new();
+    for pair in blocks.chunks(2) {
+        let byte = done.len() as u8 + 1;
+        let aru = ld.begin_aru().unwrap();
+        for &b in pair {
+            ld.write(Ctx::Aru(aru), b, &block(byte)).unwrap();
+        }
+        ld.end_aru(aru).unwrap();
+        done.extend(pair.iter().map(|&b| (b, byte)));
+        if ld.stats().segments_sealed > sealed {
+            return done;
+        }
+    }
+    panic!("{} blocks sealed no segment", blocks.len());
+}
+
+/// (a) The hand-off, and W4 behind it. At 8 shards the `end_aru` that
+/// fills slot 0 returns while the segment's write is parked — on
+/// `ld-cleanerd`, which it was handed to — and every block committed so
+/// far reads back, from memory: there is no cache and the device has
+/// none of it. At 1 shard the session holds every shard and writes
+/// under its locks (docs/CONCURRENCY.md, "Seal writes"): nothing is
+/// offered and the call does not return, which is also what the 8-shard
+/// call did before there was a hand-off.
+#[test]
+fn a_lazy_commit_returns_while_its_segment_is_parked() {
+    for shards in [8, 1] {
+        let cfg = LldConfig {
+            read_cache_blocks: 0,
+            ..config((false, shards))
+        };
+        let ld = &Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
+        let dev = ld.device();
+        let blocks = [new_ring(ld), new_ring(ld)].concat();
+        let slot0 = slot_range(ld, 0);
+        dev.park(slot0.clone(), None);
+        let _release = ReleaseOnDrop(dev);
+
+        std::thread::scope(|s| {
+            let committer = s.spawn(|| commit_until_a_seal(ld, &blocks));
+            dev.wait_for("the seal's write parks", |st| st.parked == 1);
+            if shards == 1 {
+                assert!(dev.stays(|st| st.parked == 1));
+                assert!(!committer.is_finished(), "written under its locks");
+                assert_eq!(ld.stats().seals_handed_off, 0);
+                eprintln!("shards=1: segment 1 parked in its own session; end_aru waits");
+                dev.release(true);
+                committer.join().unwrap();
+                return;
+            }
+            // A call that wrote its own segment would sit in the device
+            // until its patience ran out, and find nothing parked then.
+            let done = committer.join().unwrap();
+            let st = dev.state.lock();
+            assert_eq!(st.parked, 1, "end_aru waited out its segment's write");
+            assert!(!st.wrote_into(&slot0));
+            drop(st);
+            assert_eq!(ld.stats().seals_handed_off, 1);
+            assert_eq!(ld.stats().inflight_segments, 1);
+            for &(b, byte) in &done {
+                assert_eq!(read(ld, b), byte, "a committed block, from memory");
+            }
+            eprintln!(
+                "shards=8: segment 1 parked on ld-cleanerd; end_aru returned, \
+                 {} blocks read back from memory",
+                done.len()
+            );
+            dev.release(true);
+        });
+        ld.flush().unwrap();
+        assert!(dev.state.lock().wrote_into(&slot0));
+        let writer = if shards == 8 { "ld-cleanerd" } else { "caller" };
+        assert_eq!(media_write_threads(ld)[0], writer, "shards={shards}");
+    }
+}
+
+/// (b) W1 and W2 with the segment on the thread, its operation long
+/// returned: a flush sends no barrier and a checkpoint publishes
+/// nothing until the parked write is let go, and a cut meanwhile ends
+/// the log in front of it.
+#[test]
+fn a_handed_off_segment_holds_back_a_barrier_and_a_checkpoint() {
+    let cfg = config((false, 8));
+    let ld = &Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
+    let dev = ld.device();
+    let blocks = [new_ring(ld), new_ring(ld)].concat();
+    let log_start = slot_range(ld, 0).start;
+    dev.park(slot_range(ld, 0), None);
+    let _release = ReleaseOnDrop(dev);
+    commit_until_a_seal(ld, &blocks);
+    dev.wait_for("the thread's write parks", |st| st.parked == 1);
+    assert_eq!(ld.stats().seals_handed_off, 1);
+    let (flushes, covered) = (dev.state.lock().flushes, ld.checkpoint_seq());
+    eprintln!("segment 1 parked on ld-cleanerd; a flush and a checkpoint arrive");
+
+    std::thread::scope(|s| {
+        let flusher = s.spawn(|| ld.flush());
+        assert!(
+            dev.stays(|st| st.flushes == flushes),
+            "a barrier went out while the thread held an earlier segment"
+        );
+        assert!(!flusher.is_finished());
+        let checkpointer = s.spawn(|| ld.checkpoint());
+        assert!(
+            dev.stays(|st| st.writes.iter().all(|&at| at >= log_start)),
+            "a write into a checkpoint area"
+        );
+        assert!(!checkpointer.is_finished());
+        assert_eq!(ld.checkpoint_seq(), covered);
+
+        let (_, report) = Lld::recover_with(dev.cut(), &cfg).unwrap();
+        assert_eq!(report.segments_replayed, 0, "the log ends before segment 1");
+
+        dev.release(true);
+        flusher.join().unwrap().unwrap();
+        checkpointer.join().unwrap().unwrap();
+    });
+    assert!(dev.state.lock().flushes > flushes);
+    assert!(ld.checkpoint_seq() > covered);
+}
+
+/// (c) One segment at a time. While the thread sits in the write it was
+/// handed, the seals that follow are offered to nobody: each is written
+/// by the operation that made it, reaches the device ahead of the
+/// parked one, and no more segments are ever unwritten than the load's
+/// one thread plus one.
+#[test]
+fn a_busy_thread_is_offered_nothing_and_the_caller_writes() {
+    let ld = &Lld::format(ParkDisk::new(CAPACITY), &config((false, 8))).unwrap();
+    let dev = ld.device();
+    let blocks: Vec<BlockId> = (0..6).flat_map(|_| new_ring(ld)).collect();
+    dev.park(slot_range(ld, 0), None);
+    let _release = ReleaseOnDrop(dev);
+    let mut at = commit_until_a_seal(ld, &blocks).len();
+    dev.wait_for("the thread's write parks", |st| st.parked == 1);
+    for slot in [1, 2] {
+        at += commit_until_a_seal(ld, &blocks[at..]).len();
+        let st = dev.state.lock();
+        assert!(
+            st.wrote_into(&slot_range(ld, slot)),
+            "slot {slot}: its caller wrote it before it returned"
+        );
+        assert_eq!(st.parked, 1);
+    }
+    let stats = ld.stats();
+    assert_eq!((stats.segments_sealed, stats.seals_handed_off), (3, 1));
+    assert_eq!(stats.inflight_segments, 2, "one load thread, plus one");
+    eprintln!("segment 1 parked on ld-cleanerd; segments 2 and 3 written by their callers");
+    dev.release(true);
+    ld.flush().unwrap();
+    let writers = media_write_threads(ld);
+    assert_eq!(writers[..3], ["ld-cleanerd", "caller", "caller"]);
+}
+
+/// (d) One job at a time. The thread is inside a round — its relocation
+/// window filled a segment, and that segment's write, the window's own
+/// epilogue, is parked — and free slots are below the low watermark.
+/// A seal made meanwhile is not handed to it: its caller writes it.
+#[test]
+fn a_cleaner_in_a_round_is_offered_no_seal() {
+    let mut cfg = LldConfig {
+        segment_bytes: 8 * BS,
+        ..config((false, 8))
+    };
+    // The thread wants every slot but the log's own free: the first
+    // roll leaves it one short.
+    let slots = Lld::format(ParkDisk::new(CAPACITY), &cfg)
+        .unwrap()
+        .n_segments();
+    cfg.cleaner.target_free_segments = slots - 1;
+    let ld = &Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
+    let dev = ld.device();
+    let (ring, other) = (new_ring(ld), new_ring(ld));
+    dev.park(slot_range(ld, 1), None);
+    let _release = ReleaseOnDrop(dev);
+
+    // Seven writes fill slot 0; the eighth rolls, kicks the thread and
+    // lands in slot 1. The round finds slot 0's seven blocks one too
+    // many for the open segment: the window that moves them rolls.
+    for &b in &ring {
+        ld.write(Ctx::Simple, b, &block(1)).unwrap();
+    }
+    dev.wait_for("the round's seal parks", |st| st.parked == 1);
+    // (A pass that came before slot 0's own write had returned found
+    // no victim; the next poll's did.)
+    let stats = ld.stats();
+    assert!(stats.cleaner_passes >= 1, "{stats:?}");
+    assert!(ld.free_segments() < slots - 1);
+    let sealed = stats.segments_sealed;
+
+    for &b in &other {
+        ld.write(Ctx::Simple, b, &block(2)).unwrap();
+    }
+    let stats = ld.stats();
+    assert!(stats.segments_sealed > sealed, "the writes rolled");
+    assert_eq!(stats.seals_handed_off, 0, "{stats:?}");
+    assert_eq!(dev.state.lock().parked, 1);
+    eprintln!(
+        "segment 2 parked in the cleaner's round; {} seals since, each written by its caller",
+        stats.segments_sealed - sealed
+    );
+    dev.release(true);
+    ld.flush().unwrap();
+    assert_eq!(read(ld, ring[0]), 1);
+    assert_eq!(read(ld, other[0]), 2);
+}
+
+/// (e) Shutting down. `into_device` and `drop` join the thread, and the
+/// thread writes what it was handed before it leaves: neither returns
+/// while the write is parked, and the segment is on the device when
+/// they do.
+#[test]
+fn shutting_down_drains_a_handed_off_segment() {
+    for consume in [true, false] {
+        let cfg = config((false, 8));
+        let dev = Arc::new(ParkDisk::new(CAPACITY));
+        let ld = Lld::format(Arc::clone(&dev), &cfg).unwrap();
+        let blocks = [new_ring(&ld), new_ring(&ld)].concat();
+        let slot0 = slot_range(&ld, 0);
+        dev.park(slot0.clone(), None);
+        let _release = ReleaseOnDrop(&dev);
+        let done = commit_until_a_seal(&ld, &blocks);
+        dev.wait_for("the thread's write parks", |st| st.parked == 1);
+        assert_eq!(ld.stats().seals_handed_off, 1);
+
+        std::thread::scope(|s| {
+            let closer = s.spawn(move || match consume {
+                true => drop(ld.into_device()),
+                false => drop(ld),
+            });
+            assert!(dev.stays(|st| st.parked == 1));
+            assert!(!closer.is_finished(), "consume={consume}");
+            eprintln!("segment 1 parked on ld-cleanerd; consume={consume} waits for it");
+            dev.release(true);
+            closer.join().unwrap();
+        });
+        assert!(dev.state.lock().wrote_into(&slot0));
+        let (ld2, report) = Lld::recover_with(dev.cut(), &cfg).unwrap();
+        assert_eq!(report.segments_replayed, 1, "consume={consume}");
+        // The unit that spans the seal is not complete in segment 1.
+        for &(b, byte) in &done[..done.len() - 2] {
+            assert_eq!(read(&ld2, b), byte, "consume={consume}");
+        }
+    }
+}
+
+/// The offsets of the writes a fixed single-threaded load issues, in
+/// the order the device saw them, and what the disk counted.
+fn write_order(
+    background: bool,
+    concurrency: ld_core::ConcurrencyMode,
+) -> (Vec<u64>, ld_core::LldStats) {
+    let mut cfg = LldConfig {
+        concurrency,
+        ..config((false, 8))
+    };
+    cfg.cleaner.background = background;
+    let ld = Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
+    let blocks = [new_ring(&ld), new_ring(&ld)].concat();
+    ld.device().park(0..0, None); // forget the format's writes
+    for (i, pair) in blocks.chunks(2).cycle().take(60).enumerate() {
+        let aru = ld.begin_aru().unwrap();
+        for &b in pair {
+            ld.write(Ctx::Aru(aru), b, &block(i as u8)).unwrap();
+        }
+        ld.end_aru(aru).unwrap();
+        ld.write(Ctx::Simple, blocks[(7 * i) % blocks.len()], &block(i as u8))
+            .unwrap();
+        match i % 20 {
+            9 => ld.flush().unwrap(),
+            19 => ld.checkpoint().unwrap(),
+            _ => {}
+        }
+    }
+    ld.flush().unwrap();
+    let writes = ld.device().state.lock().writes.clone();
+    (writes, ld.stats())
+}
+
+/// (f) No thread, no hand-off. With the inline cleaner — which is all
+/// `Sequential` mode and the paper's bins ever run — every segment is
+/// written by whoever sealed it, and the device sees the writes PR 23's
+/// tree issues for the same load, in the same order (the constants are
+/// that tree's, from this function). With the thread the same writes
+/// reach the device, some of them from `ld-cleanerd` and out of turn.
+#[test]
+fn without_the_thread_the_device_sees_the_same_writes_in_the_same_order() {
+    use ld_core::ConcurrencyMode::{Concurrent, Sequential};
+    let digest = |writes: &[u64]| {
+        let bytes: Vec<u8> = writes.iter().flat_map(|at| at.to_le_bytes()).collect();
+        (writes.len(), ld_disk::crc32(&bytes))
+    };
+    let (mut inline, stats) = write_order(false, Concurrent);
+    assert_eq!(stats.seals_handed_off, 0);
+    assert_eq!(digest(&inline), (48, 3_900_289_295), "{inline:?}");
+    let (sequential, stats) = write_order(false, Sequential);
+    assert_eq!(stats.seals_handed_off, 0);
+    assert_eq!(digest(&sequential), (48, 2_561_675_489), "{sequential:?}");
+
+    let (mut handed, stats) = write_order(true, Concurrent);
+    assert!(stats.seals_handed_off > 0, "{stats:?}");
+    eprintln!(
+        "{} of {} seals written by ld-cleanerd",
+        stats.seals_handed_off, stats.segments_sealed
+    );
+    inline.sort_unstable();
+    handed.sort_unstable();
+    assert_eq!(inline, handed);
 }

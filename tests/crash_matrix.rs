@@ -15,6 +15,7 @@ use ld_aru::workload::pattern_fill;
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
+use common::{ParkDisk, ReleaseOnDrop};
 
 /// One point of the mode matrix: pipelined writer, background cleaner,
 /// map shards.
@@ -302,6 +303,123 @@ fn background_clean_crash_points_are_all_or_nothing() {
             released_without_a_checkpoint > 0,
             "{shards}: no pass handed slots back without writing a checkpoint"
         );
+    }
+}
+
+/// A power cut with a hand-off in flight (docs/CONCURRENCY.md, "Seal
+/// writes"), on the default writer with `cleanerd`. Segment N is with
+/// the thread, its write not returned; N+1, written by the operation
+/// that sealed it, is on the device; the units committed since are in
+/// the open segment. N+1 links to a header that is not there, so
+/// recovery ends the log before N: what the last flush acknowledged is
+/// there, nothing later is, and no unit is torn. With the write let go
+/// and one more flush, everything is there.
+///
+/// Per case the flushed prefix is longer, and N begins further into its
+/// slot.
+#[test]
+fn a_cut_with_a_hand_off_in_flight_ends_the_log_before_it() {
+    const BS: usize = 512;
+    let cfg = with_mode(
+        (false, true, 8),
+        LldConfig {
+            block_size: BS,
+            segment_bytes: 16 * BS,
+            max_blocks: Some(512),
+            max_lists: Some(64),
+            ..LldConfig::default()
+        },
+    );
+    for prefix in 1..=4usize {
+        let ld = Lld::format(ParkDisk::new(4 << 20), &cfg).unwrap();
+        let dev = ld.device();
+        let list = ld.new_list(Ctx::Simple).unwrap();
+        let mut blocks = Vec::new();
+        for i in 0..24 {
+            blocks.push(ld.new_block(Ctx::Simple, list, Position::First).unwrap());
+            if i % 6 == 5 {
+                ld.flush().unwrap();
+            }
+        }
+        let pairs: Vec<&[_]> = blocks.chunks(2).collect();
+        let mut written = vec![0u8; pairs.len()];
+        let mut units = 0..;
+        let mut commit_next = |written: &mut Vec<u8>| {
+            let u: usize = units.next().unwrap();
+            let (p, gen) = (u % pairs.len(), 1 + (u / pairs.len()) as u8);
+            let aru = ld.begin_aru().unwrap();
+            for &b in pairs[p] {
+                ld.write(Ctx::Aru(aru), b, &vec![gen; BS]).unwrap();
+            }
+            ld.end_aru(aru).unwrap();
+            written[p] = gen;
+        };
+
+        // One lap and `prefix` more pairs of units, flushed two at a time.
+        for _ in 0..pairs.len() / 2 + prefix {
+            commit_next(&mut written);
+            commit_next(&mut written);
+            ld.flush().unwrap();
+        }
+        // From here on what the thread is handed parks. N is the first
+        // seal behind a flush that it is: one sealed while the thread
+        // was on its way back from the last is written by its caller.
+        let (layout, _, _) = Lld::probe(dev).unwrap();
+        dev.park_on("ld-cleanerd", layout.segment_offset(0)..u64::MAX);
+        let _release = ReleaseOnDrop(dev);
+        let seals = || ld.stats().segments_sealed;
+        let flushed = loop {
+            ld.flush().unwrap();
+            let (flushed, sealed) = (written.clone(), seals());
+            let handed_off = ld.stats().seals_handed_off;
+            while seals() == sealed {
+                commit_next(&mut written);
+            }
+            if ld.stats().seals_handed_off > handed_off {
+                break flushed;
+            }
+        };
+        dev.wait_for("N's write parks on the thread", |st| st.parked == 1);
+        let (sealed, on_device) = (seals(), dev.state.lock().writes.len());
+        while seals() == sealed {
+            commit_next(&mut written);
+        }
+        commit_next(&mut written);
+        {
+            let st = dev.state.lock();
+            assert_eq!(st.writes.len(), on_device + 1, "prefix {prefix}: N+1");
+            assert_eq!(st.parked, 1, "prefix {prefix}: N is still with the thread");
+        }
+
+        let generations = |image: MemDisk, at: &str| -> Vec<u8> {
+            let (ld2, _) = Lld::recover_with(image, &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
+            let got = pairs.iter().enumerate().map(|(i, pair)| {
+                let mut both = [vec![0u8; BS], vec![0u8; BS]];
+                for (buf, &b) in both.iter_mut().zip(*pair) {
+                    ld2.read(Ctx::Simple, b, buf).unwrap();
+                    assert!(
+                        buf.iter().all(|&x| x == buf[0]),
+                        "{at}: pair {i}, a mixed block"
+                    );
+                }
+                assert_eq!(both[0], both[1], "{at}: pair {i} torn");
+                both[0][0]
+            });
+            let got = got.collect();
+            // The recovered disk is usable.
+            let nb = ld2.new_block(Ctx::Simple, list, Position::First).unwrap();
+            ld2.write(Ctx::Simple, nb, &vec![0x11; BS]).unwrap();
+            ld2.flush().unwrap();
+            got
+        };
+        let at = format!("prefix {prefix}, cut with N in flight");
+        assert_ne!(flushed, written, "{at}: nothing to lose");
+        assert_eq!(generations(dev.cut(), &at), flushed, "{at}");
+
+        dev.release(true);
+        ld.flush().unwrap();
+        let at = format!("prefix {prefix}, cut after the next flush");
+        assert_eq!(generations(dev.cut(), &at), written, "{at}");
     }
 }
 
@@ -703,6 +821,13 @@ fn absorb_config(shards: usize, concurrency: ld_aru::core::ConcurrencyMode) -> L
         max_lists: Some(64),
         map_shards: shards,
         concurrency,
+        // One writer: the sweep below cuts between seals in the order
+        // they were issued, which is the log's only where no seal is
+        // handed to `cleanerd`.
+        cleaner: CleanerConfig {
+            background: false,
+            ..CleanerConfig::default()
+        },
         ..LldConfig::default()
     }
 }
