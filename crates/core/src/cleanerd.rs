@@ -88,10 +88,25 @@ pub(crate) struct Cleanerd {
     eased: Condvar,
 }
 
+/// What the thread is doing. One job at a time, set under the state
+/// lock by whoever gives the thread the job.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum Job {
+    /// No thread: none was configured, or it has exited.
+    #[default]
+    Absent,
+    /// In its wait at the loop head, or on its way there.
+    Idle,
+    /// Handed a sealed segment ([`offer_seal`](Cleanerd::offer_seal)),
+    /// from the offer until the write has returned.
+    Writing,
+    /// In a cleaning round.
+    Round,
+}
+
 #[derive(Debug, Default)]
 struct CleanerdState {
-    /// The thread is alive and accepting kicks.
-    running: bool,
+    job: Job,
     /// Shutdown requested; the thread exits at the next loop head.
     stop: bool,
     /// Pending wake-ups (coalesced; cleared when the thread starts a
@@ -102,15 +117,18 @@ struct CleanerdState {
     /// poll observes progress again. The inline cleaner takes over: the
     /// one state both cleaners consult.
     futile: bool,
-    /// The thread is in its wait at the loop head, or on its way there
-    /// (not yet started, or just woken): no round is running and no seal
-    /// is being written.
-    parked: bool,
-    /// A sealed segment a lazy session handed over
-    /// ([`offer_seal`](Cleanerd::offer_seal)); the thread writes it
-    /// before anything else, also on its way out.
+    /// The segment of a `Writing` job until the thread picks it up; it
+    /// writes it before anything else, also on its way out.
     seal: Option<Arc<SegmentBuilder>>,
     handle: Option<JoinHandle<()>>,
+}
+
+impl CleanerdState {
+    /// A thread that takes kicks: alive, not stopping, and its last
+    /// round got somewhere.
+    fn healthy(&self) -> bool {
+        self.job != Job::Absent && !self.stop && !self.futile
+    }
 }
 
 impl Cleanerd {
@@ -123,7 +141,7 @@ impl Cleanerd {
     /// in which case the caller falls back to inline cleaning.
     pub(crate) fn kick(&self) -> bool {
         let mut st = self.state.lock();
-        if !st.running || st.stop || st.futile {
+        if !st.healthy() {
             return false;
         }
         st.kicks += 1;
@@ -132,7 +150,7 @@ impl Cleanerd {
     }
 
     /// Offers the thread a sealed segment to write. It takes one only
-    /// while it is parked with nothing asked of it: a caller that finds
+    /// while it is idle with nothing asked of it: a caller that finds
     /// it in a round, about to start one (a pending kick: the roll that
     /// finds free slots below the low watermark kicks before its
     /// session ends), writing an earlier seal, futile, stopping or
@@ -143,9 +161,10 @@ impl Cleanerd {
     /// behind the round would be waiting for the round.
     pub(crate) fn offer_seal(&self, seg: &Arc<SegmentBuilder>) -> bool {
         let mut st = self.state.lock();
-        if !st.parked || st.kicks > 0 || st.seal.is_some() || st.stop || st.futile {
+        if st.job != Job::Idle || st.kicks > 0 || st.stop || st.futile {
             return false;
         }
+        st.job = Job::Writing;
         st.seal = Some(Arc::clone(seg));
         self.wake.notify_one();
         true
@@ -175,14 +194,9 @@ pub(crate) fn spawn_if_configured<D: BlockDevice + 'static>(ld: &Lld<D>) {
     if !ld.cleaner_background() {
         return;
     }
-    // Mark running and parked before the spawn so a kick or a seal
-    // arriving between the two is accepted: the thread looks at both
-    // before its first wait.
-    {
-        let mut st = ld.cleanerd.state.lock();
-        st.running = true;
-        st.parked = true;
-    }
+    // Idle before the spawn, so a kick or a seal arriving between the
+    // two is accepted: the thread looks for both before its first wait.
+    ld.cleanerd.state.lock().job = Job::Idle;
     let inner = ld.arc_inner();
     let handle = std::thread::Builder::new()
         .name("ld-cleanerd".into())
@@ -242,17 +256,16 @@ fn cleanerd_main<D: BlockDevice + 'static>(ld: &LldInner<D>) {
         // writes it. The thread holds nothing meanwhile; a failure is
         // latched for the next flush (docs/INVARIANTS.md I4).
         if let Some(seg) = st.seal.take() {
-            st.parked = false;
             drop(st);
             let _ = ld.write_sealed(&seg, &mut None);
             st = ld.cleanerd.state.lock();
+            st.job = Job::Idle;
             continue;
         }
         if st.stop {
             break;
         }
         if st.kicks == 0 {
-            st.parked = true;
             let (g, _timed_out) = ld.cleanerd.wake.wait_timeout(st, POLL);
             st = g;
             if st.stop || st.seal.is_some() {
@@ -262,12 +275,12 @@ fn cleanerd_main<D: BlockDevice + 'static>(ld: &LldInner<D>) {
         st.kicks = 0;
         if ld.free_slots_hint.load(Ordering::Relaxed) >= low_watermark {
             // Nothing to clean — a poll, or a kick that foreground
-            // deletions or the inline cleaner overtook: stay parked, and
+            // deletions or the inline cleaner overtook: stay idle, and
             // accept kicks again.
             st.futile = false;
             continue;
         }
-        st.parked = false;
+        st.job = Job::Round;
         drop(st);
 
         let mut attempted = false;
@@ -302,11 +315,12 @@ fn cleanerd_main<D: BlockDevice + 'static>(ld: &LldInner<D>) {
         }
 
         st = ld.cleanerd.state.lock();
+        st.job = Job::Idle;
         if attempted {
             st.futile = !freed_any;
         }
     }
-    st.running = false;
+    st.job = Job::Absent;
     drop(st);
     ld.cleanerd.eased.notify_all();
 }
@@ -583,7 +597,7 @@ impl<D: BlockDevice> LldInner<D> {
         }
         let deadline = Instant::now() + STALL_MAX;
         let mut st = self.cleanerd.state.lock();
-        if !st.running || st.stop || st.futile {
+        if !st.healthy() {
             return;
         }
         st.kicks += 1;
@@ -595,11 +609,7 @@ impl<D: BlockDevice> LldInner<D> {
         let trace = ld_disk::current_trace();
         let stall_timer = self.obs.timer();
         self.obs.stage_begin(self.now(), trace, Stage::CleanerGate);
-        while self.free_slots_hint.load(Ordering::Relaxed) <= stall_at
-            && st.running
-            && !st.stop
-            && !st.futile
-        {
+        while self.free_slots_hint.load(Ordering::Relaxed) <= stall_at && st.healthy() {
             let now = Instant::now();
             if now >= deadline {
                 break;

@@ -642,8 +642,21 @@ impl ReorderDisk {
         image
     }
 
-    fn pending_writes(&self) -> usize {
-        self.journal.lock().unwrap().pending.len()
+    /// The pending writes' places in issue order, sorted by the log
+    /// sequence number each carries: all of them are seals (a segment
+    /// header leads each, `seq` at byte 8). With `cleanerd` writing the
+    /// seals handed to it the device may see segment N after N + 1.
+    fn pending_in_log_order(&self) -> Vec<usize> {
+        const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936;
+        let j = self.journal.lock().unwrap();
+        let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let mut order: Vec<usize> = (0..j.pending.len()).collect();
+        order.sort_by_key(|&i| {
+            let bytes = &j.pending[i].1;
+            assert_eq!(u64_at(bytes, 0), SEGMENT_MAGIC, "write {i} is no seal");
+            u64_at(bytes, 8)
+        });
+        order
     }
 }
 
@@ -821,13 +834,6 @@ fn absorb_config(shards: usize, concurrency: ld_aru::core::ConcurrencyMode) -> L
         max_lists: Some(64),
         map_shards: shards,
         concurrency,
-        // One writer: the sweep below cuts between seals in the order
-        // they were issued, which is the log's only where no seal is
-        // handed to `cleanerd`.
-        cleaner: CleanerConfig {
-            background: false,
-            ..CleanerConfig::default()
-        },
         ..LldConfig::default()
     }
 }
@@ -847,6 +853,8 @@ struct AbsorbRun {
     /// rolled the segment.
     absorbed: u64,
     rolled: bool,
+    /// Seals `cleanerd` wrote (`LldStats::seals_handed_off`).
+    handed_off: u64,
 }
 
 /// Version 1 of every `x` and `y`, flushed. Version 2 of every `x`,
@@ -885,7 +893,9 @@ fn absorb_run(shards: usize, nx: usize, ny: usize, fillers: usize) -> AbsorbRun 
         .iter()
         .for_each(|&b| put(Ctx::Simple, b, 7));
     assert!(ld.stats().segments_sealed > after.segments_sealed);
+    let handed_off = ld.stats().seals_handed_off;
     AbsorbRun {
+        handed_off,
         dev: ld.into_device(),
         cfg,
         x,
@@ -943,14 +953,17 @@ impl AbsorbRun {
 fn an_absorbed_unit_is_all_or_nothing_at_every_seal() {
     for shards in [8, 1] {
         for (nx, ny) in ABSORB_UNITS {
-            let (mut fit, mut straddled) = (0, 0);
+            let (mut fit, mut straddled, mut handed_off) = (0, 0, 0);
             for fillers in 0..ABSORB_SLOT {
                 let at = format!("{shards} shards, {nx}+{ny} blocks behind {fillers}");
                 let run = absorb_run(shards, nx, ny, fillers);
-                let seals = run.dev.pending_writes();
+                handed_off += run.handed_off;
+                // Prefixes of the log, whoever wrote which seal when.
+                let order = run.dev.pending_in_log_order();
+                let seals = order.len();
                 let seen: Vec<(u8, u8)> = (0..=seals)
                     .map(|cut| {
-                        let image = run.dev.crash_keeping(|i| i < cut);
+                        let image = run.dev.crash_keeping(|i| order[..cut].contains(&i));
                         run.versions(image, &format!("{at}, {cut} of {seals} seals"))
                     })
                     .collect();
@@ -972,6 +985,14 @@ fn an_absorbed_unit_is_all_or_nothing_at_every_seal() {
             assert!(
                 fit > 0 && (straddled > 0 || ny == 0),
                 "{nx}+{ny}: {fit}, {straddled}"
+            );
+            // The default writer: some of those seals were `cleanerd`'s
+            // (at one shard every session is a full one and writes its
+            // own).
+            assert_eq!(
+                handed_off > 0,
+                shards > 1,
+                "{shards} shards, {nx}+{ny}: {handed_off} seals handed off"
             );
         }
     }
