@@ -43,27 +43,13 @@
 //! one past it, where the run is expected to end in `DiskFull` and is
 //! reported as such ([`PRESSURE_FILLS`]).
 //!
-//! A fourth study, `--pipeline`, measures the pipelined device layer:
-//! the same sync-commit workload runs twice per thread count — device
-//! writes and barriers on the caller's thread vs writes streamed
-//! through the pipeline's I/O thread ([`PipelinedDisk`]) — and the
-//! report is ops/s for each plus the pipelined/sync speedup. On both
-//! paths the group-commit leader lets go of leadership between the
-//! segment seal and the barrier wait, so with two or more callers the
-//! next batch's seal write reaches the device while the previous
-//! barrier is still in flight. This study charges a per-byte transfer
-//! cost on top of the barrier cost (on the `latency` device): one
-//! caller on the synchronous path pays `W + F` per batch; what the
-//! pipelined path adds is that each batch's data blocks stream to the
-//! device as they are placed, ahead of the seal.
-//!
 //! `--device {mem,latency,file}` selects the backing device for any
 //! study: `latency` (default) charges a realistic wall-clock barrier
 //! cost over memory, `mem` is raw memory (lock-bound), and `file` is a
 //! real temporary file with positioned I/O and `fdatasync` barriers.
 //!
 //! Usage: `mt_throughput [--quick] [--json] [--threads 1,2,4,8]
-//! [--arus N] [--disjoint | --hot | --clean-pressure | --pipeline]
+//! [--arus N] [--disjoint | --hot | --clean-pressure]
 //! [--device mem|latency|file] [--shards N]
 //! [--trace-out FILE] [--sampler-out FILE]`
 //!
@@ -72,8 +58,6 @@
 //! turns the background metrics sampler on (200 Hz) and writes the
 //! last run's time series as JSON Lines. Both apply to the default
 //! group-commit study.
-//!
-//! [`PipelinedDisk`]: ld_disk::PipelinedDisk
 
 use ld_bench::{BenchConfig, Version};
 use ld_core::obs::json::{Arr, Obj};
@@ -98,31 +82,6 @@ const BARRIER_COST: Duration = Duration::from_micros(500);
 /// with foreground commits.
 const READ_COST: Duration = Duration::from_micros(250);
 
-/// Modeled sequential write bandwidth for the `--pipeline` runs on the
-/// `latency` device, in bytes/second. Charging writes per *byte* (not
-/// per call) keeps the cost honest for both paths: the synchronous
-/// seal's one big segment write and the pipelined path's streamed
-/// blocks plus tiny summary/header writes pay the same total transfer
-/// time for the same bytes. At 48 MiB/s a group-commit batch's data
-/// transfer takes on the order of half the [`PIPELINE_BARRIER_COST`]
-/// barrier, the balanced regime for double buffering: the I/O thread's
-/// streaming of batch *k+1* roughly fills batch *k*'s barrier wait, so
-/// the synchronous path spends `W + F` per batch while the pipelined
-/// path approaches `max(W, F)`.
-const WRITE_BANDWIDTH: u64 = 48 << 20;
-
-/// Barrier cost for the `--pipeline` comparison. The 500 µs
-/// [`BARRIER_COST`] of the group-commit study models a cheap cache
-/// flush; a *durable* barrier — a SCSI `SYNCHRONIZE CACHE` on the
-/// paper's disks, `FLUSH` on a modern SSD — costs milliseconds, and
-/// that is the cost an async segment writer exists to hide. At 2 ms
-/// against 64 MiB/s transfer, a group-commit batch's write time and
-/// half the barrier time are comparable, so the double-buffered
-/// pipeline can keep both its in-flight barrier slots busy while the
-/// I/O thread streams the next batch. Override with
-/// `LD_BENCH_BARRIER_US` (and `LD_BENCH_WRITE_BW`) to sweep the model.
-const PIPELINE_BARRIER_COST: Duration = Duration::from_millis(2);
-
 #[derive(Debug)]
 struct Run {
     threads: usize,
@@ -137,7 +96,6 @@ struct Run {
     scoped_mutations: u64,
     full_mutations: u64,
     cross_shard_commits: u64,
-    pipeline_stalls: u64,
     inflight_barriers: u64,
     inflight_segments: u64,
 }
@@ -148,7 +106,7 @@ enum DeviceKind {
     /// Raw memory: no per-op cost, isolates lock behavior.
     Mem,
     /// Memory plus a wall-clock barrier charge (the default): the
-    /// window group commit and the pipeline batch in.
+    /// window group commit batches in.
     Latency,
     /// A real temporary file: positioned I/O, `fdatasync` barriers.
     File,
@@ -179,8 +137,6 @@ impl DeviceKind {
 fn measure_run(
     kind: DeviceKind,
     capacity: u64,
-    write_bandwidth: u64,
-    barrier_cost: Duration,
     cfg: &LldConfig,
     wl: &MtWorkload,
 ) -> (Run, ld_core::ObsSnapshot, String) {
@@ -210,7 +166,6 @@ fn measure_run(
             scoped_mutations: stats.scoped_mutations,
             full_mutations: stats.full_mutations,
             cross_shard_commits: stats.cross_shard_commits,
-            pipeline_stalls: stats.pipeline_stalls,
             inflight_barriers: stats.inflight_barriers,
             inflight_segments: stats.inflight_segments,
         };
@@ -220,17 +175,15 @@ fn measure_run(
     match kind {
         DeviceKind::Mem => go(MemDisk::new(capacity), cfg, wl),
         DeviceKind::Latency => go(
-            LatencyDisk::new(MemDisk::new(capacity), barrier_cost)
-                .with_write_bandwidth(write_bandwidth),
+            LatencyDisk::new(MemDisk::new(capacity), BARRIER_COST),
             cfg,
             wl,
         ),
         DeviceKind::File => {
             let path = std::env::temp_dir().join(format!(
-                "ld-mt-{}-{}t-{}.img",
+                "ld-mt-{}-{}t.img",
                 std::process::id(),
-                wl.threads,
-                if cfg.pipeline { "pipe" } else { "sync" }
+                wl.threads
             ));
             let run = go(
                 FileDisk::create(&path, capacity).expect("create file disk"),
@@ -258,7 +211,6 @@ fn main() {
     let mut label = "private lists, end_aru_sync";
     let mut shards_override: Option<usize> = None;
     let mut clean_pressure = false;
-    let mut pipeline_compare = false;
     let mut device_kind = DeviceKind::Latency;
     let mut trace_out: Option<String> = None;
     let mut sampler_out: Option<String> = None;
@@ -266,7 +218,6 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--clean-pressure" => clean_pressure = true,
-            "--pipeline" => pipeline_compare = true,
             "--trace-out" => trace_out = it.next().cloned(),
             "--sampler-out" => sampler_out = it.next().cloned(),
             "--device" => {
@@ -333,18 +284,6 @@ fn main() {
     }
     let map_shards = ld_cfg.map_shards;
 
-    if pipeline_compare {
-        run_pipeline_compare(
-            &thread_counts,
-            total_arus,
-            device_kind,
-            cfg.capacity,
-            &ld_cfg,
-            json,
-        );
-        return;
-    }
-
     let mut runs: Vec<Run> = Vec::new();
     let mut last_obs = None;
     let mut last_jsonl = String::new();
@@ -357,8 +296,7 @@ fn main() {
             mode,
             seed: 42,
         };
-        let (run, obs, jsonl) =
-            measure_run(device_kind, cfg.capacity, 0, BARRIER_COST, &ld_cfg, &wl);
+        let (run, obs, jsonl) = measure_run(device_kind, cfg.capacity, &ld_cfg, &wl);
         runs.push(run);
         last_obs = Some(obs);
         last_jsonl = jsonl;
@@ -398,7 +336,6 @@ fn main() {
                     .u64("scoped_mutations", r.scoped_mutations)
                     .u64("full_mutations", r.full_mutations)
                     .u64("cross_shard_commits", r.cross_shard_commits)
-                    .u64("pipeline_stalls", r.pipeline_stalls)
                     .u64("inflight_barriers", r.inflight_barriers)
                     .u64("inflight_segments", r.inflight_segments)
                     .finish(),
@@ -446,122 +383,6 @@ fn main() {
             r.threads,
             r.flush_batch_callers as f64 / r.flush_batches.max(1) as f64,
             r.flush_batch_max
-        );
-    }
-}
-
-/// Runs the sync-commit workload twice per thread count — barriers on
-/// the caller's thread vs the pipelined device layer — and reports
-/// ops/s for each plus the speedup. This is the experiment behind
-/// `BENCH_pipeline.json` in CI.
-fn run_pipeline_compare(
-    thread_counts: &[usize],
-    total_arus: usize,
-    kind: DeviceKind,
-    capacity: u64,
-    base_cfg: &LldConfig,
-    json: bool,
-) {
-    let bw = std::env::var("LD_BENCH_WRITE_BW")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(WRITE_BANDWIDTH);
-    let barrier = std::env::var("LD_BENCH_BARRIER_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map(Duration::from_micros)
-        .unwrap_or(PIPELINE_BARRIER_COST);
-    // Every `end_aru_sync` seals a mostly-empty segment, so a log sized
-    // for steady state would wrap several times and put *both* modes
-    // inside a cleaner storm — the run would measure relocation, not
-    // the device path (cleaning cost has its own experiment,
-    // `--clean-pressure`). Size the log to hold every seal instead; the
-    // configured capacity is kept as metadata-and-slack margin.
-    let capacity = capacity + (total_arus as u64 + 2) * base_cfg.segment_bytes as u64;
-    let mut rows: Vec<(Run, Run)> = Vec::new();
-    for &threads in thread_counts {
-        let wl = MtWorkload {
-            threads,
-            arus_per_thread: total_arus.max(threads) / threads,
-            // Write-heavy commits (32 KiB of data each): segment
-            // transfer is a first-order cost, as with the paper's
-            // 0.5 MB segments — the regime an async segment writer
-            // exists for. With 2-block commits the barrier dominates
-            // and group commit alone already amortizes it.
-            blocks_per_aru: 8,
-            sync_every: 1,
-            mode: MtMode::Disjoint,
-            seed: 42,
-        };
-        let sync_cfg = LldConfig {
-            pipeline: false,
-            ..base_cfg.clone()
-        };
-        let pipe_cfg = LldConfig {
-            pipeline: true,
-            ..base_cfg.clone()
-        };
-        let (sync_run, _, _) = measure_run(kind, capacity, bw, barrier, &sync_cfg, &wl);
-        let (pipe_run, _, _) = measure_run(kind, capacity, bw, barrier, &pipe_cfg, &wl);
-        rows.push((sync_run, pipe_run));
-    }
-
-    if json {
-        let mut arr = Arr::new();
-        for (s, p) in &rows {
-            arr.push_raw(
-                &Obj::new()
-                    .u64("threads", s.threads as u64)
-                    .u64("arus", s.arus)
-                    .f64("sync_ops_per_sec", s.ops_per_sec)
-                    .f64("pipelined_ops_per_sec", p.ops_per_sec)
-                    .f64("speedup", p.ops_per_sec / s.ops_per_sec.max(1e-9))
-                    .u64("sync_flush_batches", s.flush_batches)
-                    .u64("pipelined_flush_batches", p.flush_batches)
-                    .u64("sync_batch_max", s.flush_batch_max)
-                    .u64("pipelined_batch_max", p.flush_batch_max)
-                    .u64("pipeline_stalls", p.pipeline_stalls)
-                    .u64("sync_inflight_barriers_max", s.inflight_barriers)
-                    .u64("inflight_barriers_max", p.inflight_barriers)
-                    .u64("sync_inflight_segments_max", s.inflight_segments)
-                    .finish(),
-            );
-        }
-        let mut out = Obj::new();
-        out.str("experiment", "pipeline_throughput")
-            .str("device", kind.label())
-            .str("workload", "private lists, end_aru_sync")
-            .u64("total_arus", total_arus as u64)
-            .raw("runs", &arr.finish());
-        println!("{}", out.finish());
-        return;
-    }
-
-    println!(
-        "Pipelined device layer: {total_arus} ARUs, 8 blocks each, end_aru_sync, {} device",
-        kind.label()
-    );
-    println!(
-        "  threads | sync ops/s | pipelined ops/s | speedup | sync batches | pipe batches | inflight | stalls"
-    );
-    for (s, p) in &rows {
-        println!(
-            "  {:>7} | {:>10.0} | {:>15.0} | {:>6.2}x | {:>12} | {:>12} | {:>8} | {:>6}",
-            s.threads,
-            s.ops_per_sec,
-            p.ops_per_sec,
-            p.ops_per_sec / s.ops_per_sec.max(1e-9),
-            s.flush_batches,
-            p.flush_batches,
-            p.inflight_barriers,
-            p.pipeline_stalls
-        );
-    }
-    if let Some((s, p)) = rows.iter().find(|(s, _)| s.threads >= 4) {
-        println!(
-            "  at {} threads the pipelined device sustains {:.2}x the synchronous ops/s",
-            s.threads,
-            p.ops_per_sec / s.ops_per_sec.max(1e-9)
         );
     }
 }

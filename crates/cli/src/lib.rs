@@ -92,16 +92,14 @@ ldctl — Logical Disk image tool
   ldctl cat <image> <path>        print a file's contents (lossy UTF-8)
   ldctl put <image> <path> <local-file>   copy a local file in
   ldctl verify <image>            run the file-system consistency check
-  ldctl serve <image> [--addr HOST:PORT] [--pipeline]
+  ldctl serve <image> [--addr HOST:PORT]
                                   recover the image and serve it over TCP
                                   (default 127.0.0.1:9931); prints
                                   \"listening on <addr>\" when ready, then
                                   runs until stdin reads \"quit\" or closes,
                                   draining sessions and flushing before exit
-                                  (see docs/PROTOCOL.md for the protocol);
-                                  --pipeline routes writes through the
-                                  pipelined device layer
-  ldctl stats [<image>] [--json] [--threads N] [--pipeline]
+                                  (see docs/PROTOCOL.md for the protocol)
+  ldctl stats [<image>] [--json] [--threads N]
               [--snapshot-file <path>] [--remote HOST:PORT]
                                   observability snapshot: counters, latency
                                   histograms, ARU spans, trace events; with
@@ -109,15 +107,12 @@ ldctl — Logical Disk image tool
                                   workload on the simulated disk; --threads N
                                   drives it from N OS threads sharing the
                                   disk (group-commit batching under load);
-                                  --pipeline routes writes through the
-                                  pipelined device layer (adds the queue
-                                  depth / submission latency histograms);
                                   --snapshot-file renders a snapshot saved
                                   earlier with `stats --json` instead of
                                   running anything; --remote fetches the
                                   snapshot (including the server's session
                                   counters) from a running `ldctl serve`
-  ldctl trace [--chrome] [--threads N] [--pipeline] [--out FILE]
+  ldctl trace [--chrome] [--threads N] [--out FILE]
               [--snapshot-file <path>]
                                   run the multi-threaded workload (default
                                   8 threads) with a large trace ring and
@@ -125,7 +120,7 @@ ldctl — Logical Disk image tool
                                   Chrome Trace Event Format for
                                   chrome://tracing / Perfetto, otherwise a
                                   human-readable event table
-  ldctl top [--threads N] [--pipeline] [--hz N] [--jsonl FILE]
+  ldctl top [--threads N] [--hz N] [--jsonl FILE]
                                   run the workload with the background
                                   metrics sampler on (default 200 Hz) and
                                   print per-interval commit / flush / block
@@ -415,7 +410,6 @@ pub fn cmd_serve(image: &str, args: &[String]) -> Result<String> {
     use std::sync::Arc;
 
     let addr = parse_str(args, "--addr")?.unwrap_or("127.0.0.1:9931");
-    let pipeline = args.iter().any(|a| a == "--pipeline");
     let device = FileDisk::open(image)?;
     let (_, concurrency, visibility) = Lld::probe(&device)?;
     let (ld, report) = Lld::recover_with(
@@ -423,7 +417,6 @@ pub fn cmd_serve(image: &str, args: &[String]) -> Result<String> {
         &LldConfig {
             concurrency,
             visibility,
-            pipeline,
             ..LldConfig::default()
         },
     )?;
@@ -481,7 +474,6 @@ pub fn cmd_serve(image: &str, args: &[String]) -> Result<String> {
 pub fn cmd_stats(args: &[String]) -> Result<String> {
     let json = args.iter().any(|a| a == "--json");
     let threads = parse_u64(args, "--threads")?.unwrap_or(1) as usize;
-    let pipeline = args.iter().any(|a| a == "--pipeline");
     let snapshot_file = parse_str(args, "--snapshot-file")?;
     let remote = parse_str(args, "--remote")?;
     // Skip flags and their values when looking for the image operand.
@@ -504,7 +496,7 @@ pub fn cmd_stats(args: &[String]) -> Result<String> {
             let (ld, _) = Lld::recover(device)?;
             ld.obs_snapshot()
         }
-        (None, None, None) if threads > 1 => threaded_snapshot(threads, pipeline)?,
+        (None, None, None) if threads > 1 => threaded_snapshot(threads)?,
         (None, None, None) => scripted_snapshot()?,
     };
     if json {
@@ -569,17 +561,14 @@ fn scripted_snapshot() -> Result<ld_core::ObsSnapshot> {
 /// barrier costs real wall-clock time: that is the window in which
 /// concurrent durability callers pile into one group-commit batch, and
 /// without it the batching counters this command exists to show would
-/// stay at 1. With `pipeline`, writes stream through the pipelined
-/// device layer instead, so the snapshot carries its queue-depth and
-/// submission-latency histograms and the in-flight barrier gauge.
-fn threaded_snapshot(threads: usize, pipeline: bool) -> Result<ld_core::ObsSnapshot> {
+/// stay at 1.
+fn threaded_snapshot(threads: usize) -> Result<ld_core::ObsSnapshot> {
     let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
     let ld = Lld::format(
         LatencyDisk::new(sim, std::time::Duration::from_micros(500)),
         &LldConfig {
             block_size: 512,
             segment_bytes: 16 * 512,
-            pipeline,
             ..LldConfig::default()
         },
     )?;
@@ -599,14 +588,13 @@ fn threaded_snapshot(threads: usize, pipeline: bool) -> Result<ld_core::ObsSnaps
 /// [`cmd_stats`]`--threads`, but with a trace ring large enough to hold
 /// every stage event of the run, so the exported trace is complete
 /// rather than a tail.
-fn traced_snapshot(threads: usize, pipeline: bool) -> Result<ObsSnapshot> {
+fn traced_snapshot(threads: usize) -> Result<ObsSnapshot> {
     let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
     let ld = Lld::format(
         LatencyDisk::new(sim, std::time::Duration::from_micros(500)),
         &LldConfig {
             block_size: 512,
             segment_bytes: 16 * 512,
-            pipeline,
             obs: ObsConfig {
                 ring_capacity: 1 << 15,
                 ..ObsConfig::default()
@@ -639,14 +627,13 @@ fn traced_snapshot(threads: usize, pipeline: bool) -> Result<ObsSnapshot> {
 pub fn cmd_trace(args: &[String]) -> Result<String> {
     let chrome = args.iter().any(|a| a == "--chrome");
     let threads = parse_u64(args, "--threads")?.unwrap_or(8) as usize;
-    let pipeline = args.iter().any(|a| a == "--pipeline");
     let out_file = parse_str(args, "--out")?;
     let snap = match parse_str(args, "--snapshot-file")? {
         Some(path) => {
             let text = std::fs::read_to_string(path)?;
             ObsSnapshot::from_json(&text).map_err(CtlError::Parse)?
         }
-        None => traced_snapshot(threads, pipeline)?,
+        None => traced_snapshot(threads)?,
     };
     let rendered = if chrome {
         snap.to_chrome_trace()
@@ -696,13 +683,12 @@ fn render_trace_table(snap: &ObsSnapshot) -> String {
 /// `{"t_ms":…,"snapshot":{…}}` object per line) for offline analysis.
 pub fn cmd_top(args: &[String]) -> Result<String> {
     let threads = parse_u64(args, "--threads")?.unwrap_or(4) as usize;
-    let pipeline = args.iter().any(|a| a == "--pipeline");
     let hz = parse_u64(args, "--hz")?.unwrap_or(200) as f64;
     if !(hz > 0.0 && hz <= 1000.0) {
         return Err(CtlError::Usage("--hz must be in (0, 1000]".into()));
     }
     let jsonl_file = parse_str(args, "--jsonl")?;
-    let jsonl = sampled_jsonl(threads, pipeline, hz)?;
+    let jsonl = sampled_jsonl(threads, hz)?;
     if let Some(path) = jsonl_file {
         std::fs::write(path, &jsonl)?;
     }
@@ -711,14 +697,13 @@ pub fn cmd_top(args: &[String]) -> Result<String> {
 
 /// Runs the multi-threaded workload with the background metrics
 /// sampler on, returning the captured time series as JSON Lines.
-fn sampled_jsonl(threads: usize, pipeline: bool, hz: f64) -> Result<String> {
+fn sampled_jsonl(threads: usize, hz: f64) -> Result<String> {
     let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
     let ld = Lld::format(
         LatencyDisk::new(sim, std::time::Duration::from_micros(500)),
         &LldConfig {
             block_size: 512,
             segment_bytes: 16 * 512,
-            pipeline,
             metrics_hz: Some(hz),
             ..LldConfig::default()
         },
@@ -817,7 +802,7 @@ fn render_top(jsonl: &str) -> Result<String> {
 }
 
 /// `ldctl flight`: pretty-print a crash flight-recorder dump written
-/// by the disk on a pipeline fault or a cleaner-thread panic.
+/// by the disk on a cleaner pass error or a cleaner-thread panic.
 pub fn cmd_flight(file: &str) -> Result<String> {
     let text = std::fs::read_to_string(file)?;
     let v = json::parse(&text).map_err(CtlError::Parse)?;

@@ -198,17 +198,6 @@ fn stats_on_image_includes_recovery() {
 }
 
 #[test]
-fn stats_threaded_pipeline_reports_queue_histograms() {
-    let json = run(&args(&["stats", "--threads", "2", "--pipeline", "--json"])).unwrap();
-    assert!(json.contains("\"pipeline_queue_depth\""), "{json}");
-    assert!(json.contains("\"pipeline_submit_ns\""), "{json}");
-    assert!(json.contains("\"group_commit_batch\""), "{json}");
-    // Without the flag the pipeline histograms must be absent.
-    let json = run(&args(&["stats", "--threads", "2", "--json"])).unwrap();
-    assert!(!json.contains("\"pipeline_queue_depth\""), "{json}");
-}
-
-#[test]
 fn format_requires_size() {
     let image = temp_image("nosize");
     assert!(matches!(
@@ -255,7 +244,6 @@ fn trace_chrome_export_is_valid_and_cross_thread() {
         "--chrome",
         "--threads",
         "4",
-        "--pipeline",
         "--out",
         &path,
     ]))
@@ -266,8 +254,7 @@ fn trace_chrome_export_is_valid_and_cross_thread() {
     let events = v.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
     assert!(!events.is_empty());
     // Complete ("X") span events must appear on more than one thread:
-    // callers run commit/queue_wait, the pipeline I/O thread runs
-    // media_write/barrier_ack.
+    // every caller runs its own commit/queue_wait.
     let mut span_tids = std::collections::BTreeSet::new();
     let mut names = std::collections::BTreeSet::new();
     for e in events {

@@ -43,13 +43,8 @@ struct Serve {
 }
 
 fn spawn_serve(image: &str) -> Serve {
-    spawn_serve_with(image, &[])
-}
-
-fn spawn_serve_with(image: &str, flags: &[&str]) -> Serve {
     let mut child = ldctl()
         .args(["serve", image, "--addr", "127.0.0.1:0"])
-        .args(flags)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -147,33 +142,10 @@ fn serve_roundtrip_remote_stats_and_graceful_quit() {
 /// holds exactly one block per write_id.
 #[test]
 fn serve_survives_sigkill_with_exactly_once_reconciliation() {
-    sigkill_reconciles("sigkill", &[]);
-}
-
-/// The same on the pipelined writer, which only `serve --pipeline`
-/// selects.
-#[test]
-fn pipelined_serve_survives_sigkill_with_exactly_once_reconciliation() {
-    sigkill_reconciles("sigkill-pipelined", &["--pipeline"]);
-}
-
-fn sigkill_reconciles(name: &str, flags: &[&str]) {
-    let image = temp_image(name);
+    let image = temp_image("sigkill");
     format_image(&image);
-    let mut serve = spawn_serve_with(&image, flags);
+    let mut serve = spawn_serve(&image);
     let client_id = 21u64;
-
-    // The pipeline's histograms are in the snapshot exactly when the
-    // served disk is pipelined.
-    let stats = ldctl()
-        .args(["stats", "--remote", &serve.addr, "--json"])
-        .output()
-        .expect("run ldctl stats --remote");
-    assert!(stats.status.success());
-    assert_eq!(
-        String::from_utf8_lossy(&stats.stdout).contains("pipeline_queue_depth"),
-        flags.contains(&"--pipeline")
-    );
 
     let mut c = Client::connect(&serve.addr, client_id, 1, quick()).unwrap();
     let mut setup = Txn::new();
@@ -200,7 +172,7 @@ fn sigkill_reconciles(name: &str, flags: &[&str]) {
     assert!(acked.len() >= 30, "too few commits before the kill");
 
     // Restart on the same image; recovery rebuilds the dedup cache.
-    let mut serve2 = spawn_serve_with(&image, flags);
+    let mut serve2 = spawn_serve(&image);
     let mut c = Client::connect(&serve2.addr, client_id, 1, quick()).unwrap();
 
     for wid in &acked {

@@ -332,8 +332,8 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
     ld.stats.cleaner_runs.inc();
     ld.stats.cleaner_passes.inc();
     // One trace per pass (the pass ordinal), stamped into the
-    // thread-local context so the relocation writes the pass issues are
-    // attributed to it by the pipelined device.
+    // thread-local context so the segment writes the pass issues are
+    // attributed to it.
     let trace = cleaner_trace(ld.stats.cleaner_passes.get());
     let _trace_ctx = ld_disk::trace_scope(trace);
     let mut out = PassOutcome::default();

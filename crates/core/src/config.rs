@@ -141,14 +141,6 @@ pub struct LldConfig {
     /// shards never contend. A runtime knob, not persisted on disk: the
     /// same device may be recovered with any shard count.
     pub map_shards: usize,
-    /// Route device writes and barriers through a
-    /// [`PipelinedDisk`](ld_disk::PipelinedDisk): a dedicated I/O
-    /// thread with a bounded submission queue, so a segment's blocks
-    /// stream to the device as they are placed. (The group-commit
-    /// leader lets the next batch seal during its barrier on either
-    /// path.) A runtime knob, not persisted on disk. Default off. See
-    /// docs/PIPELINE.md.
-    pub pipeline: bool,
     /// Observability: event tracing, latency histograms, and ARU spans
     /// (default on; see [`ObsConfig::disabled`]).
     pub obs: ObsConfig,
@@ -169,9 +161,8 @@ pub struct LldConfig {
     /// window accordingly (see docs/PROTOCOL.md).
     pub dedup_capacity: usize,
     /// Directory the crash flight recorder dumps into. When set, a
-    /// device error latched on a background thread (the pipeline I/O
-    /// thread), a failed background cleaner pass, or a panic on the
-    /// cleaner thread writes a JSON sidecar file
+    /// failed background cleaner pass or a panic on the cleaner thread
+    /// writes a JSON sidecar file
     /// (`ld-flight-<pid>-<n>.json`) with the last trace events and a
     /// final stats snapshot. Best-effort: dump I/O errors are ignored.
     ///
@@ -193,7 +184,6 @@ impl Default for LldConfig {
             check_on_recovery: true,
             read_cache_blocks: 1024,
             map_shards: 8,
-            pipeline: false,
             obs: ObsConfig::default(),
             metrics_hz: None,
             dedup_capacity: 1024,
@@ -308,7 +298,6 @@ mod tests {
     #[test]
     fn default_modes_are_constants() {
         let c = LldConfig::default();
-        assert!(!c.pipeline);
         assert!(c.cleaner.background);
         assert_eq!(c.map_shards, 8);
     }

@@ -1,10 +1,9 @@
 //! The crash flight recorder.
 //!
 //! Some failures happen on threads where no caller is waiting for the
-//! result: the pipelined device latches an error on its I/O thread, a
-//! background cleaner pass fails, the cleaner thread panics. The error
-//! *does* resurface eventually (the pipeline replays it to the next
-//! caller; the cleaner's poisoned locks take the next session down),
+//! result: a background cleaner pass fails, the cleaner thread panics.
+//! The error *does* resurface eventually (the cleaner's poisoned locks
+//! take the next session down),
 //! but by then the interesting state — what the system was doing when
 //! it went wrong — is gone. The flight recorder captures that state at
 //! the moment of failure: a JSON sidecar file with the failure reason,
@@ -44,8 +43,8 @@ impl FlightRecorder {
     }
 
     /// Writes one dump file and returns its path. `reason` is a short
-    /// machine-readable tag (`pipeline_fault`, `cleaner_pass_error`,
-    /// `cleaner_panic`), `detail` the human-readable error text.
+    /// machine-readable tag (`cleaner_pass_error`, `cleaner_panic`),
+    /// `detail` the human-readable error text.
     /// Best-effort: returns `None` if the directory or file cannot be
     /// written.
     pub fn dump(&self, reason: &str, detail: &str, snapshot: &ObsSnapshot) -> Option<PathBuf> {

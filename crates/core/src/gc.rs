@@ -7,9 +7,8 @@
 //! Followers block on the batch outcome instead of issuing their own
 //! barriers — the classic group commit the paper's lazy `EndARU`
 //! durability invites. The leader lets go of leadership between its
-//! seal and its barrier, on either device path, so the next batch's
-//! seal write overlaps this batch's barrier (docs/CONCURRENCY.md,
-//! "Group commit").
+//! seal and its barrier, so the next batch's seal write overlaps this
+//! batch's barrier (docs/CONCURRENCY.md, "Group commit").
 
 use crate::error::{LldError, Result};
 use crate::lld::LldInner;
@@ -148,9 +147,7 @@ impl<D: BlockDevice> LldInner<D> {
         self.obs.group_commit(self.now(), batch, trace, first_trace);
 
         // Stamp the leader's flush trace into the thread-local context
-        // for the rest of the batch: the pipelined device reads it at
-        // `write_at` (attributing the seal's media writes, which land on
-        // the I/O thread, back to this batch) and at the barrier ack.
+        // for the rest of the batch: the seal's media write reads it.
         let _trace_ctx = ld_disk::trace_scope(trace);
 
         // Seal under the log lock alone (a log-only scoped session: the
@@ -165,24 +162,19 @@ impl<D: BlockDevice> LldInner<D> {
         self.obs
             .stage_end(self.now(), trace, Stage::Seal, Obs::elapsed(seal_timer));
 
-        // Take the barrier's ticket, let go of leadership, then wait
-        // for the barrier with no lock held: the next leader's seal
-        // write overlaps this barrier. A barrier vouches for the writes
-        // the device had acknowledged when it was issued: this batch's
-        // seal write has returned, and the leader first waits out every
-        // earlier segment still on its way from the thread that sealed
-        // it (W1), so nothing the next leader does can uncover them.
-        // The ticket is taken before the release so that the next
-        // seal's writes stay out of this barrier's cover and a fault
-        // felling them cannot fail this batch. A seal, write or ticket
-        // that fails does not hand off: leadership goes in the critical
-        // section that records the error below, before anyone can claim.
-        let barrier = seal.and_then(|sealed| {
-            self.wait_written(&mut None, |log| log.watermark() > sealed)?;
-            self.device.submit_barrier().map_err(LldError::from)
-        });
-        let released = barrier.is_ok();
-        let res = barrier.and_then(|barrier| {
+        // Let go of leadership, then barrier with no lock held: the next
+        // leader's seal write overlaps this barrier. A barrier vouches
+        // for the writes the device had acknowledged when it was issued:
+        // this batch's seal write has returned, and the leader first
+        // waits out every earlier segment still on its way from the
+        // thread that sealed it (W1), so nothing the next leader does
+        // can uncover them. A seal or write that fails does not hand
+        // off: leadership goes in the critical section that records the
+        // error below, before anyone can claim.
+        let written =
+            seal.and_then(|sealed| self.wait_written(&mut None, |log| log.watermark() > sealed));
+        let released = written.is_ok();
+        let res = written.and_then(|()| {
             let gate_open = {
                 let mut st = self.gc.state.lock();
                 st.leader_active = false;
@@ -198,7 +190,7 @@ impl<D: BlockDevice> LldInner<D> {
             }
             let wait_timer = self.obs.timer();
             self.obs.stage_begin(self.now(), trace, Stage::BarrierWait);
-            let res = self.device.wait_barrier(barrier).map_err(LldError::from);
+            let res = self.device.flush().map_err(LldError::from);
             self.obs.stage_end(
                 self.now(),
                 trace,

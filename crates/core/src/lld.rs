@@ -1,5 +1,5 @@
 //! The logical disk proper: the layered state (sharded mapping layer,
-//! log pipeline behind an append mutex), struct definition, formatting,
+//! log state behind an append mutex), struct definition, formatting,
 //! segment plumbing, and the version-state access helpers shared by all
 //! operations.
 //!
@@ -28,8 +28,8 @@ use crate::state::{BlockRecord, ListRecord};
 use crate::stats::{LldStats, StatsCell};
 use crate::summary::Record;
 use crate::types::{AruId, BlockId, ListId, PhysAddr, Position, SegmentId, Timestamp};
+use ld_disk::BlockDevice;
 use ld_disk::Mutex;
-use ld_disk::{BlockDevice, PipelinedDisk};
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hasher};
@@ -57,7 +57,7 @@ const SUFFIX_WEIGHT_LIST: u64 = 32;
 /// one: a nearly empty disk's tables are smaller than any one flush.
 const MIN_SUFFIX_BYTES: u64 = 64 << 10;
 
-/// The log pipeline: the open segment builder and the slot / sequence /
+/// The log state: the open segment builder and the slot / sequence /
 /// free-slot / live-block accounting behind it, plus the cleaner and
 /// checkpoint cursors. Serialized by a single append mutex.
 #[derive(Debug)]
@@ -171,144 +171,6 @@ impl LogState {
     }
 }
 
-/// The device path below the logical disk: either the wrapped device
-/// directly (synchronous writes and barriers on the caller's thread) or
-/// a [`PipelinedDisk`] around it (writes queued to an I/O thread,
-/// barriers on their waiters' threads; [`LldConfig::pipeline`]).
-///
-/// The enum keeps `Lld<D>` generic over the *inner* device type in both
-/// modes, so the mode is a runtime knob: `device()` still borrows the
-/// `D` the caller handed in, and `into_device()` still returns it
-/// (draining and joining the pipeline's I/O thread first when one is
-/// running).
-#[derive(Debug)]
-pub(crate) enum DevicePath<D> {
-    /// Writes and barriers run on the caller's thread, a sealed
-    /// segment's write after its session let go of its locks.
-    Sync(D),
-    /// Writes stream through the pipeline's I/O thread; barriers run on
-    /// the threads waiting for them. (On either arm a flush leader's
-    /// barrier overlaps the next leader's seal: see `gc.rs`.)
-    Pipelined(PipelinedDisk<D>),
-}
-
-impl<D: BlockDevice + 'static> DevicePath<D> {
-    pub(crate) fn new(device: D, pipelined: bool) -> Self {
-        if pipelined {
-            DevicePath::Pipelined(PipelinedDisk::new(device))
-        } else {
-            DevicePath::Sync(device)
-        }
-    }
-}
-
-impl<D> DevicePath<D> {
-    /// Borrows the inner device (bypassing the pipeline queue; only
-    /// meaningful for inspection or deliberately racy fault arming).
-    pub(crate) fn as_inner(&self) -> &D {
-        match self {
-            DevicePath::Sync(d) => d,
-            DevicePath::Pipelined(p) => p.inner(),
-        }
-    }
-
-    /// Whether the pipelined path is active (the seal then writes only
-    /// the tail of a segment whose blocks were streamed as they were
-    /// placed).
-    pub(crate) fn is_pipelined(&self) -> bool {
-        matches!(self, DevicePath::Pipelined(_))
-    }
-
-    /// The pipelined device, when that path is active.
-    pub(crate) fn as_pipelined(&self) -> Option<&PipelinedDisk<D>> {
-        match self {
-            DevicePath::Sync(_) => None,
-            DevicePath::Pipelined(p) => Some(p),
-        }
-    }
-
-    /// The pipeline's counters and histograms, when pipelined.
-    pub(crate) fn pipeline_stats(&self) -> Option<ld_disk::PipelineStatsSnapshot> {
-        match self {
-            DevicePath::Sync(_) => None,
-            DevicePath::Pipelined(p) => Some(p.pipeline_stats()),
-        }
-    }
-
-    /// Resets the pipeline's counters, when pipelined.
-    pub(crate) fn reset_pipeline_stats(&self) {
-        if let DevicePath::Pipelined(p) = self {
-            p.reset_pipeline_stats();
-        }
-    }
-
-    /// Consumes the path, draining and joining the pipeline's I/O
-    /// thread if one is running, and returns the inner device.
-    pub(crate) fn unwrap(self) -> D {
-        match self {
-            DevicePath::Sync(d) => d,
-            DevicePath::Pipelined(p) => p.into_inner(),
-        }
-    }
-}
-
-/// A barrier in two halves, so the group-commit leader can let go of
-/// leadership in between: `flush` is `wait_barrier(submit_barrier()?)`
-/// on both arms.
-impl<D: BlockDevice> DevicePath<D> {
-    /// Takes the barrier's ticket: the pipeline's cover (the writes
-    /// submitted so far), nothing on the synchronous path, where every
-    /// write the barrier must cover has already returned.
-    pub(crate) fn submit_barrier(&self) -> ld_disk::Result<u64> {
-        match self {
-            DevicePath::Sync(_) => Ok(0),
-            DevicePath::Pipelined(p) => p.submit_barrier(),
-        }
-    }
-
-    /// Waits for the barrier on the calling thread: the device's own
-    /// `flush` on the synchronous path.
-    pub(crate) fn wait_barrier(&self, ticket: u64) -> ld_disk::Result<()> {
-        match self {
-            DevicePath::Sync(d) => d.flush(),
-            DevicePath::Pipelined(p) => p.wait_barrier(ticket),
-        }
-    }
-}
-
-impl<D: BlockDevice> BlockDevice for DevicePath<D> {
-    fn capacity(&self) -> u64 {
-        match self {
-            DevicePath::Sync(d) => d.capacity(),
-            DevicePath::Pipelined(p) => p.capacity(),
-        }
-    }
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> ld_disk::Result<()> {
-        match self {
-            DevicePath::Sync(d) => d.read_at(offset, buf),
-            DevicePath::Pipelined(p) => p.read_at(offset, buf),
-        }
-    }
-    fn write_at(&self, offset: u64, buf: &[u8]) -> ld_disk::Result<()> {
-        match self {
-            DevicePath::Sync(d) => d.write_at(offset, buf),
-            DevicePath::Pipelined(p) => p.write_at(offset, buf),
-        }
-    }
-    fn flush(&self) -> ld_disk::Result<()> {
-        match self {
-            DevicePath::Sync(d) => d.flush(),
-            DevicePath::Pipelined(p) => p.flush(),
-        }
-    }
-    fn stats_snapshot(&self) -> Option<ld_disk::DiskStatsSnapshot> {
-        match self {
-            DevicePath::Sync(d) => d.stats_snapshot(),
-            DevicePath::Pipelined(p) => p.stats_snapshot(),
-        }
-    }
-}
-
 /// The log-structured Logical Disk with atomic recovery units.
 ///
 /// `Lld` implements the LD interface — `Read`, `Write`, `NewBlock`,
@@ -319,7 +181,7 @@ impl<D: BlockDevice> BlockDevice for DevicePath<D> {
 /// ([`Lld::recover`]) restores either all or none of them.
 ///
 /// Every operation takes `&self`: the disk locks internally (a sharded
-/// readers-writer mapping layer, a mutex over the log pipeline, and a
+/// readers-writer mapping layer, a mutex over the log state, and a
 /// group-commit stage batching concurrent flushes), so one `Lld` can be
 /// shared between OS threads directly — e.g. as an `Arc<Lld<D>>`, or by
 /// reference from scoped threads — with reads proceeding concurrently
@@ -404,19 +266,9 @@ impl<D> Lld<D> {
         let inner = self.inner.take().expect("logical disk already consumed");
         inner.cleanerd.shutdown_and_join();
         inner.sampler.shutdown_and_join();
-        // After the joins the background threads' handle clones are
-        // gone, so this session holds the only lasting strong
-        // reference. The pipe observer holds a `Weak`, which it
-        // upgrades for the length of one callback on the I/O thread —
-        // and that thread may still be working through queued writes.
-        let mut shared = inner;
-        loop {
-            match Arc::try_unwrap(shared) {
-                Ok(inner) => return inner.device.unwrap(),
-                Err(still) => shared = still,
-            }
-            std::thread::yield_now();
-        }
+        Arc::into_inner(inner)
+            .expect("only the cleaner and sampler threads share the state, and both are joined")
+            .device
     }
 }
 
@@ -428,7 +280,7 @@ impl<D> Lld<D> {
 /// auto-deref.
 #[derive(Debug)]
 pub struct LldInner<D> {
-    pub(crate) device: DevicePath<D>,
+    pub(crate) device: D,
     pub(crate) layout: Layout,
     pub(crate) concurrency: ConcurrencyMode,
     pub(crate) visibility: ReadVisibility,
@@ -437,7 +289,7 @@ pub struct LldInner<D> {
     /// The sharded mapping layer (see [`crate::shard`]). Lock order:
     /// ARU slots ascending, then map shards ascending, then `log`.
     pub(crate) maps: Maps,
-    /// The log pipeline (see [`LogState`]).
+    /// The log state (see [`LogState`]).
     pub(crate) log: Mutex<LogState>,
     /// Paired with `log`: notified when a segment leaves
     /// [`LogState::inflight`]. Its waiters hold nothing the writer
@@ -558,60 +410,10 @@ impl<D: BlockDevice + 'static> Lld<D> {
         device.flush()?;
 
         let ld = Lld::from_inner(LldInner::new(device, layout, config));
-        ld.install_pipe_observer();
         ld.with_mutation(|m| m.open_segment(0))?;
         crate::cleanerd::spawn_if_configured(&ld);
         crate::sampler::spawn_if_configured(&ld, config.metrics_hz);
         Ok(ld)
-    }
-
-    /// Hooks the pipelined device (when active) into the observability
-    /// layer: its media-write and barrier-ack stages flow into the
-    /// trace ring, and an error latched on its I/O thread triggers a
-    /// flight dump. A no-op on the synchronous path.
-    pub(crate) fn install_pipe_observer(&self) {
-        let inner = self.arc_inner();
-        if let Some(p) = inner.device.as_pipelined() {
-            p.set_observer(Arc::new(PipeObsAdapter {
-                inner: Arc::downgrade(&inner),
-            }));
-        }
-    }
-}
-
-/// Translates the pipelined device's [`ld_disk::PipeObserver`]
-/// callbacks into the core observability layer. Holds a `Weak`: the
-/// disk owns the device which owns this observer, so a strong
-/// reference would be a cycle — and during teardown (`into_device`)
-/// the upgrade simply fails and the callbacks become no-ops.
-struct PipeObsAdapter<D> {
-    inner: std::sync::Weak<LldInner<D>>,
-}
-
-fn pipe_stage(stage: ld_disk::PipeStage) -> Stage {
-    match stage {
-        ld_disk::PipeStage::MediaWrite => Stage::MediaWrite,
-        ld_disk::PipeStage::BarrierAck => Stage::BarrierAck,
-    }
-}
-
-impl<D: BlockDevice> ld_disk::PipeObserver for PipeObsAdapter<D> {
-    fn stage_begin(&self, trace: u64, stage: ld_disk::PipeStage) {
-        if let Some(ld) = self.inner.upgrade() {
-            ld.obs.stage_begin(ld.now(), trace, pipe_stage(stage));
-        }
-    }
-
-    fn stage_end(&self, trace: u64, stage: ld_disk::PipeStage, nanos: u64) {
-        if let Some(ld) = self.inner.upgrade() {
-            ld.obs.stage_end(ld.now(), trace, pipe_stage(stage), nanos);
-        }
-    }
-
-    fn fault(&self, error: &ld_disk::DiskError) {
-        if let Some(ld) = self.inner.upgrade() {
-            let _ = ld.flight_dump("pipeline_fault", &error.to_string());
-        }
     }
 }
 
@@ -623,7 +425,7 @@ impl<D: BlockDevice + 'static> LldInner<D> {
     pub(crate) fn new(device: D, layout: Layout, config: &LldConfig) -> Self {
         let n = layout.n_segments as usize;
         LldInner {
-            device: DevicePath::new(device, config.pipeline),
+            device,
             layout,
             concurrency: config.concurrency,
             visibility: config.visibility,
@@ -865,14 +667,9 @@ impl<D: BlockDevice> LldInner<D> {
         self.maps.shard_stats()
     }
 
-    /// A snapshot of the operation counters. With the pipelined device
-    /// path, `pipeline_stalls` is filled from the pipeline's counters
-    /// (it stays 0 in synchronous mode).
+    /// A snapshot of the operation counters.
     pub fn stats(&self) -> LldStats {
         let mut s = self.stats.snapshot();
-        if let Some(p) = self.device.pipeline_stats() {
-            s.pipeline_stalls = p.stalls;
-        }
         s.trace_events_dropped = self.obs.ring().dropped();
         s
     }
@@ -909,14 +706,6 @@ impl<D: BlockDevice> LldInner<D> {
             histograms.push(("disk_read".to_string(), d.read_hist));
             histograms.push(("disk_write".to_string(), d.write_hist));
         }
-        if self.obs.enabled() {
-            if let Some(p) = self.device.pipeline_stats() {
-                histograms.push(("pipeline_queue_depth".to_string(), p.queue_depth));
-                histograms.push(("pipeline_submit_ns".to_string(), p.submit_ns));
-                histograms.push(("pipeline_media_write_ns".to_string(), p.media_write_ns));
-                histograms.push(("pipeline_barrier_ack_ns".to_string(), p.barrier_ack_ns));
-            }
-        }
         ObsSnapshot {
             lld: self.stats(),
             disk,
@@ -931,11 +720,9 @@ impl<D: BlockDevice> LldInner<D> {
         }
     }
 
-    /// Resets the operation counters (including the pipeline's, when
-    /// the pipelined device path is active).
+    /// Resets the operation counters.
     pub fn reset_stats(&self) {
         self.stats.reset();
-        self.device.reset_pipeline_stats();
     }
 
     /// Captures one metrics sample into the sampler ring right now, on
@@ -962,8 +749,8 @@ impl<D: BlockDevice> LldInner<D> {
     /// [`ObsSnapshot`]) into the configured flight directory, returning
     /// the file path. `None` when no directory is configured
     /// ([`LldConfig::flight_dir`]) or the write fails; never errors.
-    /// Called automatically on background-thread failures (pipeline
-    /// fault, cleaner pass error, cleaner panic); public so embedders
+    /// Called automatically on background-thread failures (cleaner
+    /// pass error, cleaner panic); public so embedders
     /// can dump on their own triggers too.
     pub fn flight_dump(&self, reason: &str, detail: &str) -> Option<std::path::PathBuf> {
         self.flight
@@ -1002,16 +789,14 @@ impl<D: BlockDevice> LldInner<D> {
     }
 
     /// Borrows the underlying device (e.g. to inspect simulator
-    /// statistics). With the pipelined device path this borrows the
-    /// *inner* device behind the pipeline queue.
+    /// statistics).
     pub fn device(&self) -> &D {
-        self.device.as_inner()
+        &self.device
     }
 
-    /// Whether device writes and barriers run through the pipelined
-    /// I/O thread (see [`LldConfig::pipeline`]).
+    /// Always `false`; stays only because `benchmark/` reads it (ROADMAP B0).
     pub fn pipelined(&self) -> bool {
-        self.device.is_pipelined()
+        false
     }
 
     /// A copy of the committed-state record of `block`, if allocated.
@@ -1127,7 +912,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         self.lld.tick()
     }
 
-    /// The log pipeline, locked lazily on first use (the canonical
+    /// The log state, locked lazily on first use (the canonical
     /// order puts `log` after every mapping-layer lock, all of which
     /// this session acquired at construction).
     pub(crate) fn log(&mut self) -> &mut LogState {
@@ -1615,8 +1400,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// builder is then `None`); an empty builder is left in place and
     /// `false` returned.
     ///
-    /// The pipelined arm enqueues its writes here. The synchronous arm
-    /// leaves the segment in [`LogState::inflight`] as the session's
+    /// The segment stays in [`LogState::inflight`] as the session's
     /// pending seal, for [`LldInner::with_mutation_at`]'s epilogue —
     /// unless the session holds every shard or rolls a second time:
     /// then it is written here, under the session's locks
@@ -1635,8 +1419,6 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 let seal_blocks = b.n_blocks();
                 let seal_bytes = b.encoded_len() as u64;
                 let slot = b.slot().get();
-                let layout = &lld.layout;
-                let seg_off = layout.block_at(slot, b.base());
                 // The successor's position goes into this header, so it
                 // is chosen now: behind this segment while the slot has
                 // room, else block 0 of a free slot, which stays in
@@ -1647,29 +1429,11 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 };
                 let header = b.header_bytes(next_slot);
                 let seal_summary = b.summary_bytes().len() as u64;
-                if lld.device.is_pipelined() {
-                    // The data blocks were streamed to the device as they
-                    // were placed (see `place_block_data`), so the seal
-                    // writes only the tail: the summary, then the header
-                    // *last*. The pipeline applies writes in FIFO order,
-                    // so the header — the one thing that makes the
-                    // position scan as a sealed segment — cannot reach
-                    // the device before every byte it vouches for; a
-                    // crash anywhere in the stream recovers as "no
-                    // segment", the same all-or-nothing the single-write
-                    // path gets from its prefix-torn writes.
-                    let data_end = (1 + u64::from(seal_blocks)) * layout.block_size as u64;
-                    if !b.summary_bytes().is_empty() {
-                        lld.device.write_at(seg_off + data_end, b.summary_bytes())?;
-                    }
-                    lld.device.write_at(seg_off, &header)?;
-                } else {
-                    let b = Arc::new(b);
-                    self.log().inflight.push_back(Arc::clone(&b));
-                    let unwritten = self.log().inflight.len() as u64;
-                    lld.stats.inflight_segments.record_max(unwritten);
-                    self.pending = Some(b);
-                }
+                let b = Arc::new(b);
+                self.log().inflight.push_back(Arc::clone(&b));
+                let unwritten = self.log().inflight.len() as u64;
+                lld.stats.inflight_segments.record_max(unwritten);
+                self.pending = Some(b);
                 let n_segments = u64::from(lld.layout.n_segments);
                 let table_weight = (lld.allocated_block_count() * SUFFIX_WEIGHT_BLOCK
                     + lld.allocated_list_count() * SUFFIX_WEIGHT_LIST)
@@ -1810,8 +1574,8 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// Enters one data block into the segment stream with its `Write`
     /// record (reserved together so they land in the same segment) and
     /// updates the committed state. Shared by simple writes, ARU commit,
-    /// and cleaner relocation. On the synchronous arm the block reaches
-    /// the device with its segment; until then reads find it in memory.
+    /// and cleaner relocation. The block reaches the device with its
+    /// segment; until then reads find it in memory.
     pub(crate) fn place_block_data(
         &mut self,
         id: BlockId,
@@ -1839,20 +1603,6 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                     ts,
                     aru: tag,
                 });
-                if self.lld.device.is_pipelined() {
-                    // Stream the block to its final device offset now —
-                    // an enqueue onto the pipeline, applied by the I/O
-                    // thread while this batch keeps filling. By seal time
-                    // the data is on the device and the seal writes only
-                    // summary + header. Safe because this arm never
-                    // rewrites a block it placed (re-placing allocates a
-                    // new slot) and whatever header the segment's base
-                    // still holds cannot link to the log's tail
-                    // (docs/PIPELINE.md).
-                    self.lld
-                        .device
-                        .write_at(self.lld.layout.block_offset(addr), data)?;
-                }
                 self.lld.stats.data_blocks_written.inc();
                 addr
             }
@@ -1880,9 +1630,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     ///
     /// Allowed only to a write whose commit point lands in this same
     /// segment (docs/INVARIANTS.md I5): an untagged write, or a tagged
-    /// one of the unit [`unit_ends_in`](Self::unit_ends_in) names. Never
-    /// on the pipelined arm, which streamed the old version out when it
-    /// placed it.
+    /// one of the unit [`unit_ends_in`](Self::unit_ends_in) names.
     fn absorb_block(
         &mut self,
         id: BlockId,
@@ -1890,9 +1638,6 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         ts: Timestamp,
         tag: Option<AruId>,
     ) -> Option<PhysAddr> {
-        if self.lld.device.is_pipelined() {
-            return None;
-        }
         let held = self.map.committed_view_block(id)?.addr?;
         let unit = self.unit_ends_in;
         let b = self.log().builder.as_mut()?;

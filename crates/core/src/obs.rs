@@ -122,8 +122,8 @@ impl ObsConfig {
 /// One stage of a traced operation's cross-thread timeline. Stage
 /// begin/end events carry the operation's trace id, so a commit's full
 /// path — caller queue wait, leader seal, barrier wait on the leader's
-/// thread, media writes on the pipeline I/O thread — reassembles from
-/// the ring.
+/// thread, segment writes on the thread that issued them — reassembles
+/// from the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// The whole durability call (`flush`/`end_aru_sync`'s flush) on
@@ -134,17 +134,13 @@ pub enum Stage {
     QueueWait,
     /// The leader sealing the open segment (summary + header writes).
     Seal,
-    /// The leader waiting for its batch's barrier: `wait_barrier` on
-    /// the pipelined path, `device.flush()` on the sync path.
+    /// The leader waiting for its batch's barrier (`device.flush()`).
     BarrierWait,
     /// A foreground writer stalled in the cleaner's backpressure gate.
     CleanerGate,
-    /// The pipeline I/O thread applying one (possibly coalesced) write
-    /// to the inner device.
+    /// One sealed segment's device write, on the thread that issues it:
+    /// the sealing session's or `ld-cleanerd`.
     MediaWrite,
-    /// The inner device flush issued for a barrier, on the waiting
-    /// thread.
-    BarrierAck,
     /// Cleaner pass phase 1: victim snapshot under the log lock.
     CleanerSnapshot,
     /// Cleaner pass phase 2: liveness prefilter under shard read locks.
@@ -177,7 +173,6 @@ impl Stage {
             Stage::BarrierWait => "barrier_wait",
             Stage::CleanerGate => "cleaner_gate",
             Stage::MediaWrite => "media_write",
-            Stage::BarrierAck => "barrier_ack",
             Stage::CleanerSnapshot => "cleaner_snapshot",
             Stage::CleanerPrefilter => "cleaner_prefilter",
             Stage::CleanerPrefetch => "cleaner_prefetch",
@@ -200,7 +195,6 @@ impl Stage {
             "barrier_wait" => Stage::BarrierWait,
             "cleaner_gate" => Stage::CleanerGate,
             "media_write" => Stage::MediaWrite,
-            "barrier_ack" => Stage::BarrierAck,
             "cleaner_snapshot" => Stage::CleanerSnapshot,
             "cleaner_prefilter" => Stage::CleanerPrefilter,
             "cleaner_prefetch" => Stage::CleanerPrefetch,
@@ -1144,6 +1138,12 @@ impl ObsSnapshot {
     /// stage begin/end pairs matched into complete (`"X"`) duration
     /// events nested per commit, every other event as an instant.
     ///
+    /// A span runs from its begin entry's `wall_us` stamp to its end
+    /// entry's: both are taken on the span's own thread in program
+    /// order, so spans on one thread nest exactly. (The stage's `nanos`
+    /// also counts whatever the thread waited for between starting its
+    /// timer and recording the begin, a lock or the scheduler.)
+    ///
     /// Thread rows are labeled from
     /// [`ld_disk::thread_names`] when the snapshot was taken in this
     /// process; otherwise they fall back to `thread-<tid>`.
@@ -1164,11 +1164,7 @@ impl ObsSnapshot {
                         .or_default()
                         .push(e.wall_us);
                 }
-                TraceEvent::StageEnd {
-                    trace,
-                    stage,
-                    nanos,
-                } => {
+                TraceEvent::StageEnd { trace, stage, .. } => {
                     let begin = open.get_mut(&(e.tid, trace, stage)).and_then(Vec::pop);
                     let Some(begin_us) = begin else {
                         // The begin was evicted from the ring; the span
@@ -1184,7 +1180,7 @@ impl ObsSnapshot {
                     o.u64("pid", 1);
                     o.u64("tid", e.tid);
                     o.u64("ts", begin_us);
-                    o.f64("dur", nanos as f64 / 1000.0);
+                    o.u64("dur", e.wall_us.saturating_sub(begin_us));
                     let mut args = json::Obj::new();
                     args.u64("trace", trace);
                     args.u64("seq", e.seq);

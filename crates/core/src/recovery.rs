@@ -283,8 +283,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         report: &mut RecoveryReport,
     ) -> Result<Instant> {
         let lld = self.lld;
-        // Nothing is queued on the pipeline yet: read below it.
-        let (device, layout, obs) = (lld.device.as_inner(), &lld.layout, &lld.obs);
+        let (device, layout, obs) = (&lld.device, &lld.layout, &lld.obs);
         let n = layout.n_segments as usize;
         let nshards = lld.maps.nshards();
         let stripe = u64::from(nshards);
@@ -628,7 +627,6 @@ impl<D: BlockDevice + 'static> Lld<D> {
             )));
         }
         let ld = Lld::from_inner(LldInner::new(device, layout, &config));
-        ld.install_pipe_observer();
         let trace = recovery_trace(1);
         let mut report = RecoveryReport {
             threads_used: 1,

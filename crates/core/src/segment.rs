@@ -251,9 +251,7 @@ impl SegmentBuilder {
     /// Seals the segment: moves the summary behind the data, encodes
     /// the header, pointing at `next_slot`, into the front of
     /// [`bytes`](Self::bytes), and returns it. A position holds a valid
-    /// segment exactly when these bytes (with their CRC) are on disk,
-    /// which is what lets a streaming writer place data blocks and
-    /// summary first and commit the segment with the header *last*.
+    /// segment exactly when these bytes (with their CRC) are on disk.
     pub(crate) fn header_bytes(&mut self, next_slot: u32) -> [u8; HEADER_LEN] {
         let summary = std::mem::take(&mut self.summary);
         self.bytes.extend_from_slice(&summary);
@@ -659,52 +657,6 @@ mod tests {
             read_segment(&device, &layout, SegmentId::new(0)).unwrap(),
             None
         );
-    }
-
-    #[test]
-    fn streamed_writes_equal_single_seal_write() {
-        // The pipelined path streams data blocks first, then the
-        // summary, then the header last — in separate writes. The
-        // resulting image must scan identically to the single-write
-        // seal, and every prefix of that write order must scan as "no
-        // segment" (all-or-nothing without a big atomic write). Same
-        // thing at a base inside the slot.
-        let layout = layout();
-        for base in [0u32, 2] {
-            let mut b = builder_at(1, base, 42);
-            let first = b.push_block(&vec![7u8; 512]);
-            b.push_block(&vec![9u8; 512]);
-            b.push_record(&sample_record(1));
-            let off = layout.block_at(1, base);
-
-            let streamed = MemDisk::new(1 << 20);
-            let id = SegmentId::new(1);
-            // Prefix 0: nothing written yet.
-            assert_eq!(read_segment_at(&streamed, &layout, id, base).unwrap(), None);
-            let header = b.header_bytes(NO_SLOT);
-            for idx in [first, first + 1] {
-                let addr = crate::types::PhysAddr {
-                    segment: id,
-                    slot: idx,
-                };
-                let block = b.read_block(idx).unwrap();
-                streamed.write_at(layout.block_offset(addr), block).unwrap();
-                assert_eq!(read_segment_at(&streamed, &layout, id, base).unwrap(), None);
-            }
-            streamed.write_at(off + 3 * 512, b.summary_bytes()).unwrap();
-            assert_eq!(read_segment_at(&streamed, &layout, id, base).unwrap(), None);
-            streamed.write_at(off, &header).unwrap();
-
-            let single = MemDisk::new(1 << 20);
-            single.write_at(off, b.bytes()).unwrap();
-            assert_eq!(
-                read_segment_at(&streamed, &layout, id, base).unwrap(),
-                read_segment_at(&single, &layout, id, base).unwrap()
-            );
-            assert!(read_segment_at(&streamed, &layout, id, base)
-                .unwrap()
-                .is_some());
-        }
     }
 
     #[test]

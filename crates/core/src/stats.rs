@@ -116,13 +116,11 @@ pub struct LldStats {
     /// Read-path list walks that crossed a shard boundary and re-ran
     /// holding every shard.
     pub walk_escalations: u64,
-    /// Writers that blocked on the pipelined device's bounded
-    /// submission queue (0 when the synchronous device path is in use;
-    /// see `LldConfig::pipeline`).
+    /// Always 0; stays only because `benchmark/` reads it (ROADMAP B0).
     pub pipeline_stalls: u64,
     /// Most group-commit batches ever in their device barrier at once:
-    /// a leader lets go of leadership before its barrier on both device
-    /// paths, and the claim gate holds this at 2 or below.
+    /// a leader lets go of leadership before its barrier, and the claim
+    /// gate holds this at 2 or below.
     pub inflight_barriers: u64,
     /// Most sealed segments ever awaiting their device write at once.
     pub inflight_segments: u64,
@@ -273,8 +271,8 @@ impl StatsCell {
             walk_escalations: self.walk_escalations.get(),
             writeids_recorded: self.writeids_recorded.get(),
             writeids_deduped: self.writeids_deduped.get(),
-            // Filled from the pipelined device path / the trace ring
-            // by `Lld::stats`; the cell itself never counts these.
+            // `trace_events_dropped` is filled from the trace ring by
+            // `Lld::stats`; the cell itself never counts it.
             pipeline_stalls: 0,
             trace_events_dropped: 0,
         }

@@ -1,7 +1,7 @@
 //! Segment-cleaner behaviour: reclaiming space when the log wraps,
 //! preserving data across relocation, and recoverability afterwards —
 //! at every point of the mode matrix ([`each_mode`]): both cleaners,
-//! both writers, one and eight map shards.
+//! one and eight map shards.
 
 use ld_core::{CleanerConfig, Ctx, Lld, LldConfig, LldError, Position};
 use ld_disk::{BlockDevice, Condvar, DiskError, MemDisk, Mutex};
@@ -12,32 +12,21 @@ use common::churn_ring;
 
 const BS: usize = 512;
 
-/// One point of the mode matrix: pipelined writer, background cleaner,
-/// map shards.
-type Mode = (bool, bool, usize);
+/// One point of the mode matrix: background cleaner, map shards.
+type Mode = (bool, usize);
 
-const MODES: [Mode; 8] = [
-    (false, false, 8),
-    (false, false, 1),
-    (false, true, 8),
-    (false, true, 1),
-    (true, false, 8),
-    (true, false, 1),
-    (true, true, 8),
-    (true, true, 1),
-];
+const MODES: [Mode; 4] = [(false, 8), (false, 1), (true, 8), (true, 1)];
 
 /// Runs `test` at every point; a failure's captured output names it.
 fn each_mode(test: fn(Mode)) {
     for mode in MODES {
-        eprintln!("(pipelined, cleanerd, shards) = {mode:?}");
+        eprintln!("(cleanerd, shards) = {mode:?}");
         test(mode);
     }
 }
 
-fn with_mode((pipeline, cleanerd, shards): Mode, base: LldConfig) -> LldConfig {
+fn with_mode((cleanerd, shards): Mode, base: LldConfig) -> LldConfig {
     LldConfig {
-        pipeline,
         map_shards: shards,
         cleaner: CleanerConfig {
             background: cleanerd,
@@ -368,9 +357,9 @@ fn crash_during_cleaning_era_recovers_current_state_at(mode: Mode) {
                 break;
             }
         }
-        // On the pipelined device the crash latches on the I/O thread,
-        // so the writer may finish its enqueues without ever seeing the
-        // error; a durability probe drains the queue and surfaces it.
+        // A segment write that fails after its session let go (in the
+        // epilogue, or on `ld-cleanerd`) is latched, not returned to the
+        // writer; a durability probe surfaces it.
         if !crashed {
             crashed = ld.flush().is_err();
         }
@@ -401,7 +390,7 @@ fn crash_during_cleaning_era_recovers_current_state_at(mode: Mode) {
 /// and written once, flushed, and then 200 ARUs rewrite the last eight
 /// of them two at a time, every fourth one flushed.
 fn churn_on_eight_block_slots(live: usize, cleanerd: bool) -> Result<ld_core::LldStats, LldError> {
-    let mut cfg = config((false, cleanerd, 8));
+    let mut cfg = config((cleanerd, 8));
     cfg.cleaner.target_free_segments = 8;
     cfg.cleaner.backpressure_free_segments = 1;
     let cap = 512 + 2 * 64 * 1024 + 16 * 8 * 512;
@@ -558,7 +547,7 @@ fn wait_until(what: &str, done: impl Fn() -> bool) {
 /// at its end has freed nothing by then.)
 #[test]
 fn cleanerd_hands_a_covered_victim_back_before_it_reads_the_next() {
-    let inline = config((false, false, 8));
+    let inline = config((false, 8));
     let cap = 512 + 2 * 64 * 1024 + 40 * 8 * 512;
     let ld = Lld::format(MemDisk::new(cap as u64), &inline).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
@@ -597,7 +586,7 @@ fn cleanerd_hands_a_covered_victim_back_before_it_reads_the_next() {
     let free = probe.free_segments();
     let (layout, _, _) = Lld::probe(probe.device()).unwrap();
     let victims = layout.segment_offset(sparse[0])..layout.segment_offset(sparse[2] + 1);
-    let mut cfg = config((false, true, 8));
+    let mut cfg = config((true, 8));
     cfg.cleaner.target_free_segments = free + 3;
     let device = ParkReads::new(probe.into_device(), victims, 5);
     let (ld, _) = Lld::recover_with(device, &cfg).unwrap();
@@ -630,13 +619,13 @@ fn cleanerd_hands_a_covered_victim_back_before_it_reads_the_next() {
 fn first_commit_after_recovery_leaves_cleaning_to_cleanerd() {
     // The inline cleaner, asked for three free slots, leaves the disk
     // at the default emergency level.
-    let mut tight = config((false, false, 8));
+    let mut tight = config((false, 8));
     tight.cleaner.target_free_segments = tight.cleaner.min_free_segments;
     let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512;
     let ld = Lld::format(MemDisk::new(cap as u64), &tight).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let ring = churn_ring(&ld, l, None);
-    let cfg = config((false, true, 8));
+    let cfg = config((true, 8));
     let at_level = cfg.cleaner.backpressure_free_segments;
     // A cut after a flush, where recovery finds that many slots free
     // (it does not count the slot of a segment that was never sealed).

@@ -1,9 +1,9 @@
 //! The group-commit protocol under barriers that overlap in real time.
 //!
-//! A flush leader lets go of leadership before its barrier on both
-//! writers, so the next leader's seal runs while the previous barrier
-//! is in the device. `SimDisk`'s virtual clock never overlaps two
-//! barriers in real time; the devices here do. Three properties:
+//! A flush leader lets go of leadership before its barrier, so the
+//! next leader's seal runs while the previous barrier is in the device.
+//! `SimDisk`'s virtual clock never overlaps two barriers in real time;
+//! the devices here do. Three properties:
 //!
 //! 1. **Crash safety** — on a device whose barrier makes durable exactly
 //!    the writes that had returned when it was entered, every commit
@@ -24,8 +24,7 @@
 //!    waits of 4 hold all the same, a busy thread is offered nothing,
 //!    and shutting down drains what it was handed.
 //!
-//! Each runs on both writers ({sync, pipelined}) wherever they share the
-//! behaviour; the crash tests also at 8 and 1 map shards.
+//! The crash tests run at 8 and 1 map shards.
 
 use ld_core::obs::TraceEvent;
 use ld_core::{BlockId, Ctx, ListId, Lld, LldConfig, LldError, Position, Stage};
@@ -40,17 +39,16 @@ use common::{ParkDisk, ParkState, ReleaseOnDrop, PATIENCE};
 const BS: usize = 512;
 const CAPACITY: u64 = 4 << 20;
 
-/// A point of the mode matrix: pipelined writer, map shards. No log
-/// here wraps, so no cleaner runs.
-type Mode = (bool, usize);
+/// The map shards of a point of the mode matrix. No log here wraps, so
+/// no cleaner runs.
+type Mode = usize;
 
-fn config((pipeline, shards): Mode) -> LldConfig {
+fn config(shards: Mode) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: 16 * BS,
         max_blocks: Some(2048),
         max_lists: Some(1024),
-        pipeline,
         map_shards: shards,
         flight_dir: None,
         ..LldConfig::default()
@@ -59,9 +57,9 @@ fn config((pipeline, shards): Mode) -> LldConfig {
 
 /// Runs `test` at every point; a failure's captured output names it.
 fn each_mode(test: fn(Mode)) {
-    for mode in [(false, 8), (false, 1), (true, 8), (true, 1)] {
-        eprintln!("(pipelined, shards) = {mode:?}");
-        test(mode);
+    for shards in [8, 1] {
+        eprintln!("shards = {shards}");
+        test(shards);
     }
 }
 
@@ -240,16 +238,16 @@ fn power_cut_under_overlapping_barriers_keeps_every_acknowledged_commit() {
     each_mode(power_cut_at);
 }
 
-fn power_cut_at(mode: Mode) {
+fn power_cut_at(shards: Mode) {
     const THREADS: usize = 4;
     const COMMITS: usize = 16;
     let seeds: Vec<u64> = match std::env::var("GC_SEED") {
         Ok(s) => vec![s.parse().expect("GC_SEED is a number")],
         Err(_) => (1..=6).collect(),
     };
-    let cfg = config(mode);
+    let cfg = config(shards);
     for seed in seeds {
-        let at = format!("{mode:?} GC_SEED={seed}");
+        let at = format!("shards {shards} GC_SEED={seed}");
         let device = LagDisk::new(Duration::from_micros(100), Duration::from_millis(1));
         let ld = Arc::new(Lld::format(device, &cfg).unwrap());
         // A commit is about three device events; the cut falls anywhere
@@ -322,57 +320,82 @@ fn power_cut_at(mode: Mode) {
 fn at_most_two_batches_are_in_their_barrier_and_arrivals_batch() {
     const THREADS: usize = 8;
     const COMMITS: usize = 12;
-    for pipeline in [false, true] {
-        let device = LagDisk::new(Duration::ZERO, Duration::from_millis(2));
-        let ld = Arc::new(Lld::format(device, &config((pipeline, 8))).unwrap());
-        ld.reset_stats();
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let ld = Arc::clone(&ld);
-                s.spawn(move || {
-                    for i in 0..COMMITS {
-                        commit_list(&ld, t * COMMITS + i).expect("no fault armed");
-                    }
-                });
-            }
-        });
-        let stats = ld.stats();
-        let inside = ld.device().state.lock().max_inside_flush;
-        assert!(
-            inside <= 2,
-            "pipeline={pipeline}: {inside} callers inside the device's flush at once"
-        );
-        assert!(
-            stats.inflight_barriers <= 2,
-            "pipeline={pipeline}: {stats:?}"
-        );
-        assert_eq!(stats.flush_batch_callers, (THREADS * COMMITS) as u64);
-        // Without the gate every arrival finds leadership free and
-        // leads a batch of one; with it, eight callers behind two 2 ms
-        // barriers make batches of two to three.
-        assert!(
-            2 * stats.flush_batch_callers >= 3 * stats.flush_batches,
-            "pipeline={pipeline}: {} callers in {} batches",
-            stats.flush_batch_callers,
-            stats.flush_batches
-        );
-    }
+    let device = LagDisk::new(Duration::ZERO, Duration::from_millis(2));
+    let ld = Arc::new(Lld::format(device, &config(8)).unwrap());
+    ld.reset_stats();
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let ld = Arc::clone(&ld);
+            s.spawn(move || {
+                for i in 0..COMMITS {
+                    commit_list(&ld, t * COMMITS + i).expect("no fault armed");
+                }
+            });
+        }
+    });
+    let stats = ld.stats();
+    let inside = ld.device().state.lock().max_inside_flush;
+    assert!(
+        inside <= 2,
+        "{inside} callers inside the device's flush at once"
+    );
+    assert!(stats.inflight_barriers <= 2, "{stats:?}");
+    assert_eq!(stats.flush_batch_callers, (THREADS * COMMITS) as u64);
+    // Without the gate every arrival finds leadership free and
+    // leads a batch of one; with it, eight callers behind two 2 ms
+    // barriers make batches of two to three.
+    assert!(
+        2 * stats.flush_batch_callers >= 3 * stats.flush_batches,
+        "{} callers in {} batches",
+        stats.flush_batch_callers,
+        stats.flush_batches
+    );
+}
+
+/// The leader records its batch (`flush_batches`, `flush_batch_callers`,
+/// `flush_batch_max`) under the state lock *before* releasing it for
+/// the seal, so a caller arriving between that release and the seal
+/// belongs to the next batch: batches form while a barrier is still in
+/// the device, and every ticket is counted exactly once.
+#[test]
+fn group_commit_batches_count_every_caller_exactly_once() {
+    const THREADS: usize = 4;
+    const COMMITS: usize = 25;
+    let device = LagDisk::new(Duration::ZERO, Duration::from_micros(200));
+    let ld = Arc::new(Lld::format(device, &config(8)).unwrap());
+    ld.reset_stats();
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let ld = Arc::clone(&ld);
+            s.spawn(move || {
+                for i in 0..COMMITS {
+                    commit_list(&ld, t * COMMITS + i).expect("no fault armed");
+                }
+            });
+        }
+    });
+    let stats = ld.stats();
+    let total = (THREADS * COMMITS) as u64;
+    assert_eq!(stats.flush_batch_callers, total, "{stats:?}");
+    assert!((1..=total).contains(&stats.flush_batches), "{stats:?}");
+    assert!(
+        (1..=THREADS as u64).contains(&stats.flush_batch_max),
+        "a batch covers at most one ticket per thread: {stats:?}"
+    );
 }
 
 #[test]
 fn one_caller_leads_every_batch_and_never_waits_for_a_wake_up() {
-    for pipeline in [false, true] {
-        let device = LagDisk::new(Duration::ZERO, Duration::from_micros(200));
-        let ld = Lld::format(device, &config((pipeline, 8))).unwrap();
-        ld.reset_stats();
-        for i in 0..20 {
-            commit_list(&ld, i).expect("no fault armed");
-        }
-        let stats = ld.stats();
-        assert_eq!(stats.flush_batches, 20, "pipeline={pipeline}");
-        assert_eq!(stats.flush_batch_callers, 20, "pipeline={pipeline}");
-        assert_eq!(stats.inflight_barriers, 1, "pipeline={pipeline}");
+    let device = LagDisk::new(Duration::ZERO, Duration::from_micros(200));
+    let ld = Lld::format(device, &config(8)).unwrap();
+    ld.reset_stats();
+    for i in 0..20 {
+        commit_list(&ld, i).expect("no fault armed");
     }
+    let stats = ld.stats();
+    assert_eq!(stats.flush_batches, 20);
+    assert_eq!(stats.flush_batch_callers, 20);
+    assert_eq!(stats.inflight_barriers, 1);
 }
 
 // ---------------------------------------------------------------------
@@ -496,87 +519,79 @@ fn wait_tickets(ld: &Lld<GateDisk>, n: usize) {
 
 #[test]
 fn a_follower_reports_the_batch_that_covered_it() {
-    for pipeline in [false, true] {
-        let device = GateDisk {
-            inner: MemDisk::new(CAPACITY),
-            state: Mutex::default(),
-            cv: Condvar::new(),
+    let device = GateDisk {
+        inner: MemDisk::new(CAPACITY),
+        state: Mutex::default(),
+        cv: Condvar::new(),
+    };
+    let ld = Arc::new(Lld::format(device, &config(8)).unwrap());
+    let list = ld.new_list(Ctx::Simple).unwrap();
+    let blocks: Vec<_> = (0..7)
+        .map(|_| ld.new_block(Ctx::Simple, list, Position::First).unwrap())
+        .collect();
+    ld.flush().unwrap();
+    ld.reset_stats();
+    let base = tickets(&ld);
+    ld.device().set_armed(true);
+
+    // Caller `i` writes its own block and flushes; a flush with
+    // nothing to seal would ride an earlier barrier.
+    std::thread::scope(|s| {
+        let caller = |i: usize| {
+            let ld = Arc::clone(&ld);
+            let b = blocks[i];
+            s.spawn(move || {
+                ld.write(Ctx::Simple, b, &block(i as u8 + 1)).unwrap();
+                ld.flush()
+            })
         };
-        let ld = Arc::new(Lld::format(device, &config((pipeline, 8))).unwrap());
-        let list = ld.new_list(Ctx::Simple).unwrap();
-        let blocks: Vec<_> = (0..7)
-            .map(|_| ld.new_block(Ctx::Simple, list, Position::First).unwrap())
-            .collect();
-        ld.flush().unwrap();
-        ld.reset_stats();
-        let base = tickets(&ld);
-        ld.device().set_armed(true);
+        let dev = ld.device();
+        let _open = OpenOnDrop(dev);
 
-        // Caller `i` writes its own block and flushes; a flush with
-        // nothing to seal would ride an earlier barrier.
-        std::thread::scope(|s| {
-            let caller = |i: usize| {
-                let ld = Arc::clone(&ld);
-                let b = blocks[i];
-                s.spawn(move || {
-                    ld.write(Ctx::Simple, b, &block(i as u8 + 1)).unwrap();
-                    ld.flush()
-                })
-            };
-            let dev = ld.device();
-            let _open = OpenOnDrop(dev);
-
-            // Batches 0 and 1, one caller each, both in their barrier:
-            // the gate is shut.
-            let t0 = caller(0);
-            dev.wait_entered(1);
-            let t1 = caller(1);
-            dev.wait_entered(2);
-            // Batch 2 forms behind the gate: a leader and a follower.
-            let t2 = caller(2);
-            let t3 = caller(3);
-            wait_tickets(&ld, base + 4);
-            dev.release(0, true);
-            assert!(t0.join().unwrap().is_ok());
-            dev.wait_entered(3);
-            // Batch 3, the one that fails, likewise.
-            let t4 = caller(4);
-            let t5 = caller(5);
-            wait_tickets(&ld, base + 6);
-            dev.release(1, true);
-            assert!(t1.join().unwrap().is_ok());
-            dev.wait_entered(4);
-            // Batch 4 can only start once batch 2 has retired, so its
-            // barrier's entry says batch 2's success is on record
-            // before batch 3's failure.
-            let t6 = caller(6);
-            wait_tickets(&ld, base + 7);
-            dev.release(2, true);
-            dev.wait_entered(5);
-            dev.release(3, false);
-            let failed = |r: ld_core::Result<()>| match r {
-                Err(LldError::Disk(DiskError::Io(m))) => m == "barrier 3 failed",
-                _ => false,
-            };
-            assert!(failed(t4.join().unwrap()), "pipeline={pipeline}: batch 3");
-            assert!(failed(t5.join().unwrap()), "pipeline={pipeline}: batch 3");
-            // Batch 2's follower, even if it only wakes now, with the
-            // later failure on record, reports its own batch.
-            assert!(t2.join().unwrap().is_ok(), "pipeline={pipeline}: batch 2");
-            assert!(t3.join().unwrap().is_ok(), "pipeline={pipeline}: batch 2");
-            dev.release(4, true);
-            let next = t6.join().unwrap();
-            if pipeline {
-                // The pipelined device latches its first error.
-                assert!(failed(next), "pipeline={pipeline}: batch 4");
-            } else {
-                assert!(next.is_ok(), "pipeline={pipeline}: batch 4");
-            }
-        });
-        let stats = ld.stats();
-        assert_eq!((stats.flush_batches, stats.flush_batch_callers), (5, 7));
-        assert_eq!(stats.inflight_barriers, 2);
-    }
+        // Batches 0 and 1, one caller each, both in their barrier:
+        // the gate is shut.
+        let t0 = caller(0);
+        dev.wait_entered(1);
+        let t1 = caller(1);
+        dev.wait_entered(2);
+        // Batch 2 forms behind the gate: a leader and a follower.
+        let t2 = caller(2);
+        let t3 = caller(3);
+        wait_tickets(&ld, base + 4);
+        dev.release(0, true);
+        assert!(t0.join().unwrap().is_ok());
+        dev.wait_entered(3);
+        // Batch 3, the one that fails, likewise.
+        let t4 = caller(4);
+        let t5 = caller(5);
+        wait_tickets(&ld, base + 6);
+        dev.release(1, true);
+        assert!(t1.join().unwrap().is_ok());
+        dev.wait_entered(4);
+        // Batch 4 can only start once batch 2 has retired, so its
+        // barrier's entry says batch 2's success is on record
+        // before batch 3's failure.
+        let t6 = caller(6);
+        wait_tickets(&ld, base + 7);
+        dev.release(2, true);
+        dev.wait_entered(5);
+        dev.release(3, false);
+        let failed = |r: ld_core::Result<()>| match r {
+            Err(LldError::Disk(DiskError::Io(m))) => m == "barrier 3 failed",
+            _ => false,
+        };
+        assert!(failed(t4.join().unwrap()), "batch 3");
+        assert!(failed(t5.join().unwrap()), "batch 3");
+        // Batch 2's follower, even if it only wakes now, with the
+        // later failure on record, reports its own batch.
+        assert!(t2.join().unwrap().is_ok(), "batch 2");
+        assert!(t3.join().unwrap().is_ok(), "batch 2");
+        dev.release(4, true);
+        assert!(t6.join().unwrap().is_ok(), "batch 4");
+    });
+    let stats = ld.stats();
+    assert_eq!((stats.flush_batches, stats.flush_batch_callers), (5, 7));
+    assert_eq!(stats.inflight_barriers, 2);
 }
 
 // ---------------------------------------------------------------------
@@ -644,8 +659,8 @@ fn a_barrier_waits_for_every_earlier_segment() {
     each_mode(a_barrier_waits_at);
 }
 
-fn a_barrier_waits_at(mode: Mode) {
-    let cfg = config(mode);
+fn a_barrier_waits_at(shards: Mode) {
+    let cfg = config(shards);
     let ld = &Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
     let dev = ld.device();
     let kept = new_blocks(ld, 1)[0];
@@ -658,9 +673,7 @@ fn a_barrier_waits_at(mode: Mode) {
 
     std::thread::scope(|s| {
         // A fills slot 0. The write that rolls parks: in its epilogue,
-        // holding nothing, on the default writer at 8 shards; under its
-        // locks at 1 shard; on the I/O thread (at A's first streamed
-        // block, while A runs on) on the pipelined writer.
+        // holding nothing, at 8 shards; under its locks at 1 shard.
         let ta =
             s.spawn(|| (0..16).try_for_each(|i| ld.write(Ctx::Simple, a[i % a.len()], &block(1))));
         dev.wait_for("A's write parks", |st| st.parked == 1);
@@ -674,7 +687,7 @@ fn a_barrier_waits_at(mode: Mode) {
             ids_tx.send((list, b)).unwrap();
             ld.flush()
         });
-        let overtaken = mode == (false, 8);
+        let overtaken = shards == 8;
         if overtaken {
             let next = slot_range(ld, 1);
             dev.wait_for("B's segment reaches the device", |st| {
@@ -719,7 +732,7 @@ fn an_unwritten_segment_is_read_from_memory_and_holds_back_a_checkpoint() {
     for shards in [8, 1] {
         let cfg = LldConfig {
             read_cache_blocks: 0,
-            ..config((false, shards))
+            ..config(shards)
         };
         let ld = Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
         let dev = ld.device();
@@ -765,7 +778,7 @@ fn a_released_slot_is_overwritten_only_behind_what_emptied_it() {
     for shards in [8, 1] {
         let mut cfg = LldConfig {
             segment_bytes: 8 * BS,
-            ..config((false, shards))
+            ..config(shards)
         };
         cfg.cleaner.background = false; // the inline cleaner: `run_cleaner` below
         let ld = Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
@@ -829,7 +842,7 @@ fn a_slot_cleanerd_released_is_overwritten_only_behind_what_emptied_it() {
     for shards in [8, 1] {
         let mut cfg = LldConfig {
             segment_bytes: 8 * BS,
-            ..config((false, shards))
+            ..config(shards)
         };
         assert!(cfg.cleaner.background, "the default cleaner is the thread");
         // The thread wants every slot but the log's own free: it cleans
@@ -900,35 +913,32 @@ fn a_slot_cleanerd_released_is_overwritten_only_behind_what_emptied_it() {
 
 /// (e) The error contract. A segment write that fails behind an
 /// operation that has returned stays on record, and every later flush
-/// reports it: that error on the default writer; on the pipelined one,
-/// whose device latches its own faults, an error. The operation whose
-/// roll sealed the segment has returned `Ok` where the write is not its
-/// own: the default writer at 8 shards, where the failing write is
-/// issued by `ld-cleanerd`, which the operation handed the segment to.
-/// (At 1 shard it writes under its locks and reports the error itself;
-/// the pipelined device refuses whatever is submitted after its fault.)
+/// reports that error. The operation whose roll sealed the segment has
+/// returned `Ok` where the write is not its own: at 8 shards, where the
+/// failing write is issued by `ld-cleanerd`, which the operation handed
+/// the segment to. (At 1 shard it writes under its locks and reports
+/// the error itself.)
 #[test]
 fn a_failed_segment_write_fails_every_later_flush() {
-    each_mode(|mode| {
-        let ld = Lld::format(ParkDisk::new(CAPACITY), &config(mode)).unwrap();
+    each_mode(|shards| {
+        let ld = Lld::format(ParkDisk::new(CAPACITY), &config(shards)).unwrap();
         let a = new_ring(&ld);
         ld.device().park(slot_range(&ld, 0), Some(false));
         let ops: Vec<_> = (0..16)
             .map(|i| ld.write(Ctx::Simple, a[i % a.len()], &block(1)))
             .collect();
-        assert!(mode.0 || ld.stats().segments_sealed > 0, "no write rolled");
-        if mode == (false, 8) {
+        assert!(ld.stats().segments_sealed > 0, "no write rolled");
+        if shards == 8 {
             assert!(ops.iter().all(|r| r.is_ok()), "{ops:?}");
             assert_eq!(ld.stats().seals_handed_off, 1, "the thread was parked");
         }
         for nth in ["the next flush", "and the one after it"] {
             match ld.flush() {
                 Err(LldError::Disk(DiskError::Io(m))) if m.ends_with("failed") => {}
-                Err(_) if mode.0 => {}
                 got => panic!("{nth}: {got:?}"),
             }
         }
-        if mode == (false, 8) {
+        if shards == 8 {
             // The flushes waited for it (W1), so its span is closed; the
             // others are the leaders' own seals.
             let on_thread = |t: &&String| *t == "ld-cleanerd";
@@ -975,7 +985,7 @@ fn a_lazy_commit_returns_while_its_segment_is_parked() {
     for shards in [8, 1] {
         let cfg = LldConfig {
             read_cache_blocks: 0,
-            ..config((false, shards))
+            ..config(shards)
         };
         let ld = &Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
         let dev = ld.device();
@@ -1028,7 +1038,7 @@ fn a_lazy_commit_returns_while_its_segment_is_parked() {
 /// the log in front of it.
 #[test]
 fn a_handed_off_segment_holds_back_a_barrier_and_a_checkpoint() {
-    let cfg = config((false, 8));
+    let cfg = config(8);
     let ld = &Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
     let dev = ld.device();
     let blocks = [new_ring(ld), new_ring(ld)].concat();
@@ -1074,7 +1084,7 @@ fn a_handed_off_segment_holds_back_a_barrier_and_a_checkpoint() {
 /// one thread plus one.
 #[test]
 fn a_busy_thread_is_offered_nothing_and_the_caller_writes() {
-    let ld = &Lld::format(ParkDisk::new(CAPACITY), &config((false, 8))).unwrap();
+    let ld = &Lld::format(ParkDisk::new(CAPACITY), &config(8)).unwrap();
     let dev = ld.device();
     let blocks: Vec<BlockId> = (0..6).flat_map(|_| new_ring(ld)).collect();
     dev.park(slot_range(ld, 0), None);
@@ -1108,7 +1118,7 @@ fn a_busy_thread_is_offered_nothing_and_the_caller_writes() {
 fn a_cleaner_in_a_round_is_offered_no_seal() {
     let mut cfg = LldConfig {
         segment_bytes: 8 * BS,
-        ..config((false, 8))
+        ..config(8)
     };
     // The thread wants every slot but the log's own free: the first
     // roll leaves it one short.
@@ -1160,7 +1170,7 @@ fn a_cleaner_in_a_round_is_offered_no_seal() {
 #[test]
 fn shutting_down_drains_a_handed_off_segment() {
     for consume in [true, false] {
-        let cfg = config((false, 8));
+        let cfg = config(8);
         let dev = Arc::new(ParkDisk::new(CAPACITY));
         let ld = Lld::format(Arc::clone(&dev), &cfg).unwrap();
         let blocks = [new_ring(&ld), new_ring(&ld)].concat();
@@ -1200,7 +1210,7 @@ fn write_order(
 ) -> (Vec<u64>, ld_core::LldStats) {
     let mut cfg = LldConfig {
         concurrency,
-        ..config((false, 8))
+        ..config(8)
     };
     cfg.cleaner.background = background;
     let ld = Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
@@ -1226,7 +1236,7 @@ fn write_order(
 }
 
 /// (f) No thread, no hand-off. With the inline cleaner — which is all
-/// `Sequential` mode and the paper's bins ever run — every segment is
+/// `Sequential` shards and the paper's bins ever run — every segment is
 /// written by whoever sealed it, and the device sees the writes PR 23's
 /// tree issues for the same load, in the same order (the constants are
 /// that tree's, from this function). With the thread the same writes

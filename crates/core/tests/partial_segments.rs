@@ -10,36 +10,25 @@ const BS: usize = 512;
 /// Blocks per segment slot.
 const BPS: usize = 16;
 
-/// One point of the mode matrix: pipelined writer, background cleaner,
-/// map shards.
-type Mode = (bool, bool, usize);
+/// One point of the mode matrix: background cleaner, map shards.
+type Mode = (bool, usize);
 
-const MODES: [Mode; 8] = [
-    (false, false, 8),
-    (false, false, 1),
-    (false, true, 8),
-    (false, true, 1),
-    (true, false, 8),
-    (true, false, 1),
-    (true, true, 8),
-    (true, true, 1),
-];
+const MODES: [Mode; 4] = [(false, 8), (false, 1), (true, 8), (true, 1)];
 
 /// Runs `test` at every point; a failure's captured output names it.
 fn each_mode(test: fn(Mode)) {
     for mode in MODES {
-        eprintln!("(pipelined, cleanerd, shards) = {mode:?}");
+        eprintln!("(cleanerd, shards) = {mode:?}");
         test(mode);
     }
 }
 
-fn config((pipeline, cleanerd, shards): Mode) -> LldConfig {
+fn config((cleanerd, shards): Mode) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: BPS * BS,
         max_blocks: Some(512),
         max_lists: Some(64),
-        pipeline,
         map_shards: shards,
         cleaner: CleanerConfig {
             background: cleanerd,
@@ -261,8 +250,8 @@ fn churn_counting_passes(mode: Mode, slots: u64, live: usize, commits: usize) ->
 /// and most passes are back on flushes.
 #[test]
 fn the_inline_cleaner_runs_at_a_flush() {
-    for mode in MODES.into_iter().filter(|&(_, cleanerd, _)| !cleanerd) {
-        eprintln!("(pipelined, cleanerd, shards) = {mode:?}");
+    for mode in MODES.into_iter().filter(|&(cleanerd, _)| !cleanerd) {
+        eprintln!("(cleanerd, shards) = {mode:?}");
         let (passes, in_flush) = churn_counting_passes(mode, 32, 192, 1200);
         assert!(passes >= 10, "{passes} passes: the log wrapped");
         assert!(

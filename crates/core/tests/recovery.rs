@@ -135,12 +135,9 @@ fn torn_final_segment_is_ignored() {
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     ld.write(Ctx::Simple, b, &block(1)).unwrap();
     ld.flush().unwrap();
-    // Arm a crash point that tears the *next* segment mid-way through
-    // its data block (the plan counts bytes from its own creation). On
-    // the single-write path the big seal write tears inside the header
-    // block; on the pipelined path the streamed data-block write tears
-    // before summary and header are even submitted. Either way the
-    // segment never becomes valid.
+    // Arm a crash point that tears the *next* segment's seal write
+    // inside its header block (the plan counts bytes from its own
+    // creation): the segment never becomes valid.
     ld.device()
         .set_faults(FaultPlan::new().crash_after_bytes(BS as u64 / 2));
 

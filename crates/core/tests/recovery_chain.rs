@@ -4,8 +4,6 @@
 //! to block 0 of another slot otherwise — and accepts a segment only if
 //! its sequence number and `prev_link` fit, so these tests forge, tear
 //! and exhaust exactly those fields, inside a slot and across slots.
-//!
-//! Every test runs on both writers ([`both_writers`]).
 
 mod common;
 
@@ -18,23 +16,13 @@ const BS: usize = 512;
 const BPS: usize = 16;
 const SEG: usize = BPS * BS;
 
-fn config(pipeline: bool) -> LldConfig {
+fn config() -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: SEG,
         max_blocks: Some(256),
         max_lists: Some(64),
-        pipeline,
         ..LldConfig::default()
-    }
-}
-
-/// Runs `test` on the synchronous and on the pipelined writer; a
-/// failure's captured output names the one it was on.
-fn both_writers(test: fn(bool)) {
-    for pipeline in [false, true] {
-        eprintln!("pipeline: {pipeline}");
-        test(pipeline);
     }
 }
 
@@ -44,12 +32,12 @@ fn block(byte: u8) -> Vec<u8> {
 
 /// Capacity of a device with exactly `slots` segment slots.
 fn device_bytes(slots: u64) -> u64 {
-    let layout = ld_core::Layout::compute(1 << 20, &config(false)).unwrap();
+    let layout = ld_core::Layout::compute(1 << 20, &config()).unwrap();
     layout.data_start + slots * SEG as u64
 }
 
 fn seg_off(image: &[u8], slot: u32) -> usize {
-    let layout = ld_core::Layout::compute(image.len() as u64, &config(false)).unwrap();
+    let layout = ld_core::Layout::compute(image.len() as u64, &config()).unwrap();
     layout.segment_offset(slot) as usize
 }
 
@@ -92,8 +80,8 @@ fn chain(image: &[u8]) -> Vec<(u32, u32)> {
     out
 }
 
-fn recover(image: &[u8], pipeline: bool) -> Result<(Lld<MemDisk>, RecoveryReport), LldError> {
-    Lld::recover_with(MemDisk::from_image(image.to_vec()), &config(pipeline))
+fn recover(image: &[u8]) -> Result<(Lld<MemDisk>, RecoveryReport), LldError> {
+    Lld::recover_with(MemDisk::from_image(image.to_vec()), &config())
 }
 
 fn read_byte(ld: &Lld<MemDisk>, b: ld_core::BlockId) -> u8 {
@@ -106,8 +94,8 @@ fn read_byte(ld: &Lld<MemDisk>, b: ld_core::BlockId) -> u8 {
 /// One block overwritten and flushed `n` times: segments 1..=n, each a
 /// single `Write` record (the first also the allocation) and three
 /// blocks long, so five to a slot.
-fn image_with_segments(n: u8, pipeline: bool) -> (Vec<u8>, ld_core::BlockId) {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config(pipeline)).unwrap();
+fn image_with_segments(n: u8) -> (Vec<u8>, ld_core::BlockId) {
+    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     for byte in 1..=n {
@@ -127,12 +115,8 @@ fn image_with_segments(n: u8, pipeline: bool) -> (Vec<u8>, ld_core::BlockId) {
 /// the tail points behind itself, once where it points at a fresh slot.
 #[test]
 fn stale_successor_is_not_replayed() {
-    both_writers(stale_successor_is_not_replayed_on);
-}
-
-fn stale_successor_is_not_replayed_on(pipeline: bool) {
     for (n, in_slot) in [(2u8, true), (5, false)] {
-        let (image, b) = image_with_segments(n, pipeline);
+        let (image, b) = image_with_segments(n);
         let tail = *chain(&image).last().unwrap();
         let at = successor(&image, tail);
         assert_eq!(
@@ -162,7 +146,7 @@ fn stale_successor_is_not_replayed_on(pipeline: bool) {
         put_u32(&mut forged, to + H_PREV, link_of_tail ^ 1);
         reseal(&mut forged, to);
         assert!(header_valid(&forged, to));
-        let (ld, report) = recover(&forged, pipeline).unwrap();
+        let (ld, report) = recover(&forged).unwrap();
         assert_eq!(report.segments_replayed, u32::from(n));
         assert_eq!(
             report.segments_scanned,
@@ -173,7 +157,7 @@ fn stale_successor_is_not_replayed_on(pipeline: bool) {
 
         put_u32(&mut forged, to + H_PREV, link_of_tail);
         reseal(&mut forged, to);
-        let (ld, report) = recover(&forged, pipeline).unwrap();
+        let (ld, report) = recover(&forged).unwrap();
         assert_eq!(
             report.segments_replayed,
             u32::from(n) + 1,
@@ -188,11 +172,7 @@ fn stale_successor_is_not_replayed_on(pipeline: bool) {
 /// state as the untorn image.
 #[test]
 fn torn_newest_checkpoint_walks_from_the_older_head() {
-    both_writers(torn_newest_checkpoint_walks_from_the_older_head_on);
-}
-
-fn torn_newest_checkpoint_walks_from_the_older_head_on(pipeline: bool) {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config(pipeline)).unwrap();
+    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let mut blocks = Vec::new();
     let mut step = |ld: &Lld<MemDisk>, byte: u8| {
@@ -219,13 +199,13 @@ fn torn_newest_checkpoint_walks_from_the_older_head_on(pipeline: bool) {
     }
     let image = ld.into_device().into_image();
 
-    let (clean, clean_report) = recover(&image, pipeline).unwrap();
+    let (clean, clean_report) = recover(&image).unwrap();
     assert_eq!(clean_report.checkpoint_seq, newer);
 
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let mut torn = image.clone();
     torn[layout.ckpt_b as usize + 20] ^= 0xFF;
-    let (fallback, report) = recover(&torn, pipeline).unwrap();
+    let (fallback, report) = recover(&torn).unwrap();
     assert_eq!(report.checkpoint_seq, older, "older area used");
     assert_eq!(
         u64::from(report.segments_replayed),
@@ -248,10 +228,6 @@ fn torn_newest_checkpoint_walks_from_the_older_head_on(pipeline: bool) {
 /// block 0 of every slot for the one header that links on.
 #[test]
 fn log_continues_past_a_segment_sealed_on_a_full_disk() {
-    both_writers(log_continues_past_a_segment_sealed_on_a_full_disk_on);
-}
-
-fn log_continues_past_a_segment_sealed_on_a_full_disk_on(pipeline: bool) {
     let cfg = LldConfig {
         cleaner: CleanerConfig {
             enabled: false, // cleaning happens where the test says
@@ -259,7 +235,7 @@ fn log_continues_past_a_segment_sealed_on_a_full_disk_on(pipeline: bool) {
             target_free_segments: 2,
             ..CleanerConfig::default()
         },
-        ..config(pipeline)
+        ..config()
     };
     // Enough slots that the seals below stay under the suffix bound:
     // this test wants no checkpoint but its own.
@@ -357,13 +333,9 @@ fn log_continues_past_a_segment_sealed_on_a_full_disk_on(pipeline: bool) {
 /// is the one value that is not hostile.
 #[test]
 fn hostile_pointers_are_corrupt_not_fatal() {
-    both_writers(hostile_pointers_are_corrupt_not_fatal_on);
-}
-
-fn hostile_pointers_are_corrupt_not_fatal_on(pipeline: bool) {
     // Slots 0 and 1 hold five segments each, slot 2 the last two.
-    let (image, b) = image_with_segments(12, pipeline);
-    let n = recover(&image, pipeline).unwrap().0.n_segments();
+    let (image, b) = image_with_segments(12);
+    let n = recover(&image).unwrap().0.n_segments();
     let at = chain(&image);
     let tail = pos_off(&image, at[11]);
     assert_eq!(
@@ -375,7 +347,7 @@ fn hostile_pointers_are_corrupt_not_fatal_on(pipeline: bool) {
         let mut hostile = image.clone();
         put_u32(&mut hostile, tail + H_NEXT, ptr);
         reseal(&mut hostile, tail);
-        let got = recover(&hostile, pipeline);
+        let got = recover(&hostile);
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
             "tail -> {ptr}: {:?}",
@@ -385,7 +357,7 @@ fn hostile_pointers_are_corrupt_not_fatal_on(pipeline: bool) {
     let mut pointerless = image.clone();
     put_u32(&mut pointerless, tail + H_NEXT, u32::MAX);
     reseal(&mut pointerless, tail);
-    let (ld, report) = recover(&pointerless, pipeline).unwrap();
+    let (ld, report) = recover(&pointerless).unwrap();
     assert_eq!(report.segments_replayed, 12);
     assert_eq!(read_byte(&ld, b), 12);
 
@@ -398,10 +370,7 @@ fn hostile_pointers_are_corrupt_not_fatal_on(pipeline: bool) {
     let mut hostile = image.clone();
     put_u32(&mut hostile, mid + H_NEXT, 0);
     reseal(&mut hostile, mid);
-    assert!(matches!(
-        recover(&hostile, pipeline),
-        Err(LldError::Corrupt(_))
-    ));
+    assert!(matches!(recover(&hostile), Err(LldError::Corrupt(_))));
 
     // The same segment claiming that the log goes on behind it, where
     // one block is left: no writer seals that, so it is no segment, and
@@ -409,7 +378,7 @@ fn hostile_pointers_are_corrupt_not_fatal_on(pipeline: bool) {
     let mut hostile = image.clone();
     put_u32(&mut hostile, mid + H_NEXT, 1);
     reseal(&mut hostile, mid);
-    let (ld, report) = recover(&hostile, pipeline).unwrap();
+    let (ld, report) = recover(&hostile).unwrap();
     assert_eq!(report.segments_replayed, 9);
     assert_eq!(read_byte(&ld, b), 9);
 
@@ -426,7 +395,7 @@ fn hostile_pointers_are_corrupt_not_fatal_on(pipeline: bool) {
         let mut hostile = image.clone();
         put_u32(&mut hostile, at_block, slot);
         reseal_summary(&mut hostile, tail, BS);
-        let got = recover(&hostile, pipeline);
+        let got = recover(&hostile);
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
             "write at block {slot}: {:?}",
@@ -448,7 +417,7 @@ fn hostile_pointers_are_corrupt_not_fatal_on(pipeline: bool) {
         (summary.len() + link.len()) as u32,
     );
     reseal_summary(&mut hostile, tail, BS);
-    match recover(&hostile, pipeline) {
+    match recover(&hostile) {
         Err(LldError::Corrupt(msg)) => assert!(msg.contains("is already on list"), "{msg}"),
         other => panic!("second link: {:?}", other.map(|(_, r)| r)),
     }
@@ -459,7 +428,7 @@ fn hostile_pointers_are_corrupt_not_fatal_on(pipeline: bool) {
         let mut hostile = image.clone();
         put_u32(&mut hostile, S_N_SEGMENTS, claim);
         reseal_superblock(&mut hostile);
-        let got = recover(&hostile, pipeline);
+        let got = recover(&hostile);
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
             "{claim} slots: {:?}",
@@ -475,13 +444,9 @@ fn hostile_pointers_are_corrupt_not_fatal_on(pipeline: bool) {
 /// on a small device and on one sixteen times its size.
 #[test]
 fn scan_reads_follow_the_suffix_not_the_device() {
-    both_writers(scan_reads_follow_the_suffix_not_the_device_on);
-}
-
-fn scan_reads_follow_the_suffix_not_the_device_on(pipeline: bool) {
     let mut seen = Vec::new();
     for slots in [64u64, 1024] {
-        let ld = Lld::format(MemDisk::new(device_bytes(slots)), &config(pipeline)).unwrap();
+        let ld = Lld::format(MemDisk::new(device_bytes(slots)), &config()).unwrap();
         assert_eq!(u64::from(ld.n_segments()), slots);
         let l = ld.new_list(Ctx::Simple).unwrap();
         let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
@@ -492,7 +457,7 @@ fn scan_reads_follow_the_suffix_not_the_device_on(pipeline: bool) {
         let image = ld.into_device().into_image();
 
         let sim = SimDisk::new(MemDisk::from_image(image), DiskModel::hp_c3010());
-        let (ld2, report) = Lld::recover_with(sim, &config(pipeline)).unwrap();
+        let (ld2, report) = Lld::recover_with(sim, &config()).unwrap();
         assert_eq!(report.segments_replayed, 10);
         // Outside the scan: the superblock and one header read per
         // (empty) checkpoint area.
@@ -512,11 +477,7 @@ fn scan_reads_follow_the_suffix_not_the_device_on(pipeline: bool) {
 /// crash.
 #[test]
 fn torn_and_lost_segments_inside_a_slot_end_the_log() {
-    both_writers(torn_and_lost_segments_inside_a_slot_end_the_log_on);
-}
-
-fn torn_and_lost_segments_inside_a_slot_end_the_log_on(pipeline: bool) {
-    let (image, b) = image_with_segments(4, pipeline);
+    let (image, b) = image_with_segments(4);
     let at = chain(&image);
     let third = pos_off(&image, at[2]);
 
@@ -529,7 +490,7 @@ fn torn_and_lost_segments_inside_a_slot_end_the_log_on(pipeline: bool) {
     assert!(header_valid(&lost, pos_off(&lost, at[3])));
 
     for (name, damaged, torn_tails) in [("torn", torn, 1), ("lost", lost, 0)] {
-        let (ld, report) = recover(&damaged, pipeline).unwrap();
+        let (ld, report) = recover(&damaged).unwrap();
         assert_eq!(report.segments_replayed, 2, "{name}");
         assert_eq!(report.torn_tails_detected, torn_tails, "{name}");
         assert_eq!(read_byte(&ld, b), 2, "{name}");
@@ -539,14 +500,14 @@ fn torn_and_lost_segments_inside_a_slot_end_the_log_on(pipeline: bool) {
         // lands on it.
         ld.write(Ctx::Simple, b, &block(7)).unwrap();
         ld.flush().unwrap();
-        let (mid, report) = recover(&ld.device().snapshot(), pipeline).unwrap();
+        let (mid, report) = recover(&ld.device().snapshot()).unwrap();
         assert_eq!(report.segments_replayed, 3, "{name}");
         assert_eq!(read_byte(&mid, b), 7, "{name}");
         ld.write(Ctx::Simple, b, &block(8)).unwrap();
         ld.flush().unwrap();
         let again = ld.into_device().into_image();
         assert_eq!(chain(&again), at, "{name}: same positions");
-        let (ld, report) = recover(&again, pipeline).unwrap();
+        let (ld, report) = recover(&again).unwrap();
         assert_eq!(report.segments_replayed, 4, "{name}");
         assert_eq!(read_byte(&ld, b), 8, "{name}");
     }
@@ -558,19 +519,15 @@ fn torn_and_lost_segments_inside_a_slot_end_the_log_on(pipeline: bool) {
 /// once the new log has written its way up to where they sit.
 #[test]
 fn reformat_over_in_slot_segments_recovers_empty() {
-    both_writers(reformat_over_in_slot_segments_recovers_empty_on);
-}
-
-fn reformat_over_in_slot_segments_recovers_empty_on(pipeline: bool) {
-    let (image, _) = image_with_segments(12, pipeline);
+    let (image, _) = image_with_segments(12);
     let at = chain(&image);
-    let ld = Lld::format(MemDisk::from_image(image), &config(pipeline)).unwrap();
+    let ld = Lld::format(MemDisk::from_image(image), &config()).unwrap();
     let image = ld.into_device().into_image();
     let stale = at
         .iter()
         .filter(|&&pos| header_valid(&image, pos_off(&image, pos)));
     assert_eq!(stale.count(), 12 - 3, "all but the three at block 0");
-    let (ld, report) = recover(&image, pipeline).unwrap();
+    let (ld, report) = recover(&image).unwrap();
     assert_eq!((report.segments_scanned, report.segments_replayed), (1, 0));
     assert_eq!(ld.allocated_block_count(), 0);
 
@@ -585,7 +542,7 @@ fn reformat_over_in_slot_segments_recovers_empty_on(pipeline: bool) {
     assert_eq!(chain(&image).len(), 1);
     let old = pos_off(&image, at[1]);
     assert!(header_valid(&image, old) && u64_at(&image, old + H_SEQ) == 2);
-    let (ld, report) = recover(&image, pipeline).unwrap();
+    let (ld, report) = recover(&image).unwrap();
     assert_eq!((report.segments_scanned, report.segments_replayed), (2, 1));
     assert_eq!(read_byte(&ld, b), 0x77);
 }
@@ -596,11 +553,7 @@ fn reformat_over_in_slot_segments_recovers_empty_on(pipeline: bool) {
 /// live and nothing in it is replayed.
 #[test]
 fn checkpoint_head_inside_a_slot() {
-    both_writers(checkpoint_head_inside_a_slot_on);
-}
-
-fn checkpoint_head_inside_a_slot_on(pipeline: bool) {
-    let cfg = config(pipeline);
+    let cfg = config();
     let ld = Lld::format(MemDisk::new(2 << 20), &cfg).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
@@ -614,7 +567,7 @@ fn checkpoint_head_inside_a_slot_on(pipeline: bool) {
     assert_eq!(u32_at(&image, area + C_HEAD_SLOT), 0);
     assert_eq!(u32_at(&image, area + C_HEAD_BASE), 3, "behind segment 1");
 
-    let (ld, report) = recover(&image, pipeline).unwrap();
+    let (ld, report) = recover(&image).unwrap();
     assert_eq!(report.segments_replayed, 0);
     assert_eq!(ld.allocated_block_count(), 0, "nothing in slot 0 is live");
     assert_eq!(ld.free_segments(), free, "yet slot 0 is not free");
@@ -625,14 +578,14 @@ fn checkpoint_head_inside_a_slot_on(pipeline: bool) {
     ld.flush().unwrap();
     let image2 = ld.into_device().into_image();
     assert_eq!(chain(&image2), [(0, 0), (0, 3)]);
-    let (ld, _) = recover(&image2, pipeline).unwrap();
+    let (ld, _) = recover(&image2).unwrap();
     assert!(ld.list_blocks(Ctx::Simple, l).unwrap().is_empty());
 
     for base in [BPS as u32 - 2, BPS as u32, u32::MAX] {
         let mut hostile = image.clone();
         put_u32(&mut hostile, area + C_HEAD_BASE, base);
         reseal_checkpoint(&mut hostile, area);
-        let got = recover(&hostile, pipeline);
+        let got = recover(&hostile);
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
             "head base {base}: {:?}",
@@ -643,10 +596,7 @@ fn checkpoint_head_inside_a_slot_on(pipeline: bool) {
     let mut hostile = image.clone();
     put_u32(&mut hostile, area + C_HEAD_SLOT, layout.n_segments);
     reseal_checkpoint(&mut hostile, area);
-    assert!(matches!(
-        recover(&hostile, pipeline),
-        Err(LldError::Corrupt(_))
-    ));
+    assert!(matches!(recover(&hostile), Err(LldError::Corrupt(_))));
 }
 
 /// (i) A record whose timestamp runs backwards, recomputed under valid
@@ -656,11 +606,7 @@ fn checkpoint_head_inside_a_slot_on(pipeline: bool) {
 /// a list that no longer walks.
 #[test]
 fn timestamp_that_runs_backwards_is_corrupt() {
-    both_writers(timestamp_that_runs_backwards_is_corrupt_on);
-}
-
-fn timestamp_that_runs_backwards_is_corrupt_on(pipeline: bool) {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config(pipeline)).unwrap();
+    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let blocks: Vec<_> = (1..=3)
         .map(|byte| {
@@ -683,7 +629,7 @@ fn timestamp_that_runs_backwards_is_corrupt_on(pipeline: bool) {
         "one `DeleteBlock`"
     );
 
-    let (ld, report) = recover(&image, pipeline).unwrap();
+    let (ld, report) = recover(&image).unwrap();
     assert_eq!((report.segments_replayed, report.records_applied), (1, 1));
     assert_eq!(
         ld.list_blocks(Ctx::Simple, l).unwrap(),
@@ -695,7 +641,7 @@ fn timestamp_that_runs_backwards_is_corrupt_on(pipeline: bool) {
     let ts = summary.start + 9; // behind the tag and the block id
     hostile[ts..ts + 8].copy_from_slice(&1u64.to_le_bytes());
     reseal_summary(&mut hostile, tail, BS);
-    let got = recover(&hostile, pipeline);
+    let got = recover(&hostile);
     assert!(
         matches!(got, Err(LldError::Corrupt(_))),
         "{:?}",
@@ -708,16 +654,12 @@ fn timestamp_that_runs_backwards_is_corrupt_on(pipeline: bool) {
 /// were packed the same.
 #[test]
 fn older_format_version_is_refused() {
-    both_writers(older_format_version_is_refused_on);
-}
-
-fn older_format_version_is_refused_on(pipeline: bool) {
-    let (mut image, _) = image_with_segments(1, pipeline);
+    let (mut image, _) = image_with_segments(1);
     assert_eq!(u32_at(&image, 8), 5, "superblock version field");
     put_u32(&mut image, 8, 4);
     let crc = crc32(&image[..S_CRC]);
     put_u32(&mut image, S_CRC, crc);
-    match recover(&image, pipeline) {
+    match recover(&image) {
         Err(LldError::Corrupt(msg)) => assert!(msg.contains("version 4"), "{msg}"),
         other => panic!("{:?}", other.map(|(_, r)| r)),
     }

@@ -2,8 +2,8 @@
 //! makes `recover` panic).
 //!
 //! Each case takes one image — a checkpoint, a suffix of full and
-//! in-slot partial segments, ARUs, tagged commits and deletions, from
-//! either writer — and flips 1–4 bits in it. *Raw* flips land in the
+//! in-slot partial segments, ARUs, tagged commits and deletions — and
+//! flips 1–4 bits in it. *Raw* flips land in the
 //! superblock, a checkpoint area or a used slot and leave the checksums
 //! alone: a CRC catches them, and recovery falls back to the other
 //! area or ends the log earlier. *Resealed* flips recompute the
@@ -43,13 +43,12 @@ const BPS: usize = 16;
 /// identifier up to it.
 const MAX_LISTS: u64 = 64;
 
-fn config(pipeline: bool) -> LldConfig {
+fn config() -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: BPS * BS,
         max_blocks: Some(256),
         max_lists: Some(MAX_LISTS),
-        pipeline,
         ..LldConfig::default()
     }
 }
@@ -70,8 +69,7 @@ impl Rng {
     }
 }
 
-/// The image every case of one writer starts from, and where its parts
-/// are.
+/// The image every case starts from, and where its parts are.
 struct Base {
     image: Vec<u8>,
     layout: Layout,
@@ -80,8 +78,8 @@ struct Base {
     headers: Vec<usize>,
 }
 
-fn base_image(pipeline: bool) -> Base {
-    let ld = Lld::format(MemDisk::new(1 << 20), &config(pipeline)).unwrap();
+fn base_image() -> Base {
+    let ld = Lld::format(MemDisk::new(1 << 20), &config()).unwrap();
     // One unit per flush: partial segments, several to a slot. Every
     // third commit is tagged (a `WriteId` record, a dedup entry).
     let unit = |list: ListId, n: u8| {
@@ -140,7 +138,7 @@ fn base_image(pipeline: bool) -> Base {
         .map(|(slot, base)| layout.segment_offset(slot) as usize + base as usize * BS)
         .filter(|&off| header_valid(&image, off))
         .collect();
-    let (_, report) = Lld::recover_with(MemDisk::from_image(image.clone()), &config(pipeline))
+    let (_, report) = Lld::recover_with(MemDisk::from_image(image.clone()), &config())
         .expect("the base image recovers");
     assert!(report.checkpoint_seq > 0 && report.segments_replayed > 8);
     assert!(report.orphan_blocks_freed > 0);
@@ -233,10 +231,10 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, bool) {
 
 /// `recover` on the image of case `seed`; what went wrong, if anything
 /// did.
-fn run_case(base: &Base, pipeline: bool, seed: u64) -> Result<(), String> {
+fn run_case(base: &Base, seed: u64) -> Result<(), String> {
     let (image, what, whole) = mutate(base, seed);
     let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
-        let Ok((ld, _)) = Lld::recover_with(MemDisk::from_image(image), &config(pipeline)) else {
+        let Ok((ld, _)) = Lld::recover_with(MemDisk::from_image(image), &config()) else {
             return Ok(()); // a typed error
         };
         let typed = |what: String, e| {
@@ -278,13 +276,12 @@ fn no_flipped_image_makes_recover_panic() {
     };
     // The panics the cases catch are the finding, not noise: keep their
     // messages, the failing seed is printed with them.
-    let bases = [base_image(false), base_image(true)];
+    let base = base_image();
     let failed: Vec<String> = seeds
         .filter_map(|seed| {
-            let pipeline = seed % 2 == 1;
-            run_case(&bases[usize::from(pipeline)], pipeline, seed)
+            run_case(&base, seed)
                 .err()
-                .map(|e| format!("RECOVERY_FUZZ_SEED={seed} (pipeline: {pipeline}) {e}"))
+                .map(|e| format!("RECOVERY_FUZZ_SEED={seed} {e}"))
         })
         .collect();
     assert!(failed.is_empty(), "{}", failed.join("\n"));

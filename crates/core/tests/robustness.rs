@@ -7,20 +7,19 @@ use ld_disk::{DiskModel, FaultPlan, MemDisk, SimDisk};
 
 const BS: usize = 512;
 
-/// A point of the mode matrix: pipelined writer, map shards. (No log
-/// here wraps, so no cleaner runs.) The tests that crash or corrupt a
-/// disk run at every point; the rest at the default one.
-type Mode = (bool, usize);
+/// The map shards of a point of the mode matrix. (No log here wraps,
+/// so no cleaner runs.) The tests that crash or corrupt a disk run at
+/// every point; the rest at the default one.
+type Mode = usize;
 
-const DEFAULT: Mode = (false, 8);
+const DEFAULT: Mode = 8;
 
-fn config((pipeline, shards): Mode) -> LldConfig {
+fn config(shards: Mode) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: 16 * BS,
         max_blocks: Some(256),
         max_lists: Some(64),
-        pipeline,
         map_shards: shards,
         ..LldConfig::default()
     }
@@ -28,8 +27,8 @@ fn config((pipeline, shards): Mode) -> LldConfig {
 
 /// Runs `test` at every point; a failure's captured output names it.
 fn each_mode(test: fn(Mode)) {
-    for mode in [DEFAULT, (false, 1), (true, 8), (true, 1)] {
-        eprintln!("(pipelined, shards) = {mode:?}");
+    for mode in [DEFAULT, 1] {
+        eprintln!("shards = {mode}");
         test(mode);
     }
 }

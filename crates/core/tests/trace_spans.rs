@@ -15,11 +15,10 @@ const BS: usize = 512;
 
 /// `flight_dir` is the one field whose default reads the environment
 /// (`LD_ARU_FLIGHT_DIR`, which CI sets); these tests dump nothing.
-fn config(pipeline: bool) -> LldConfig {
+fn config() -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: 16 * BS,
-        pipeline,
         flight_dir: None,
         obs: ObsConfig {
             ring_capacity: 1 << 15,
@@ -66,7 +65,7 @@ fn index_spans(snap: &ObsSnapshot) -> SpanIndex {
 
 #[test]
 fn multi_thread_commit_spans_are_complete_and_nested() {
-    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &config(false)).unwrap());
+    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &config()).unwrap());
     let threads = 4;
     let commits_per_thread = 10;
     let handles: Vec<_> = (0..threads)
@@ -156,69 +155,13 @@ fn multi_thread_commit_spans_are_complete_and_nested() {
     assert!(h("gc_barrier_wait_ns") >= leaders.len() as u64);
 }
 
-#[test]
-fn pipelined_media_spans_land_on_the_io_thread() {
-    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &config(true)).unwrap());
-    let handles: Vec<_> = (0..2)
-        .map(|_| {
-            let ld = Arc::clone(&ld);
-            std::thread::spawn(move || {
-                for _ in 0..5 {
-                    sync_commit(&ld);
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let snap = ld.obs_snapshot();
-
-    // Caller-side tids (commit begins) vs media-write tids: the
-    // pipeline's I/O thread is its own thread, so the sets differ.
-    let tids_for = |want: &str| -> std::collections::BTreeSet<u64> {
-        snap.events
-            .iter()
-            .filter_map(|e| match &e.event {
-                TraceEvent::StageBegin { stage, .. } if stage.as_str() == want => Some(e.tid),
-                _ => None,
-            })
-            .collect()
-    };
-    let commit_tids = tids_for("commit");
-    let media_tids = tids_for("media_write");
-    assert!(!media_tids.is_empty(), "no media_write spans");
-    assert!(
-        media_tids.iter().all(|t| !commit_tids.contains(t)),
-        "media writes should run on the I/O thread, not callers: \
-         commit {commit_tids:?} media {media_tids:?}"
-    );
-
-    // Media-write spans carry commit trace ids, tying device work back
-    // to the commits that caused it.
-    let media_traces: std::collections::BTreeSet<u64> = snap
-        .events
-        .iter()
-        .filter_map(|e| match &e.event {
-            TraceEvent::StageBegin { trace, stage } if stage.as_str() == "media_write" => {
-                Some(*trace)
-            }
-            _ => None,
-        })
-        .collect();
-    assert!(
-        media_traces.iter().any(|t| *t != 0),
-        "no media write attributed to a commit trace"
-    );
-}
-
 /// Pins the JSON schema of [`ObsSnapshot::to_json`]: every key path,
 /// in serialization order, against a checked-in golden file. A failure
 /// means the wire format changed — update the golden file *and*
 /// `docs/OBSERVABILITY.md` deliberately.
 #[test]
 fn snapshot_json_schema_matches_golden() {
-    let ld = Lld::format(MemDisk::new(4 << 20), &config(false)).unwrap();
+    let ld = Lld::format(MemDisk::new(4 << 20), &config()).unwrap();
     sync_commit(&ld);
     let snap = ld.obs_snapshot();
     let v = json::parse(&snap.to_json()).unwrap();
@@ -281,7 +224,7 @@ fn snapshot_json_schema_matches_golden() {
 
 #[test]
 fn snapshot_json_round_trips_byte_identical() {
-    let ld = Lld::format(MemDisk::new(4 << 20), &config(false)).unwrap();
+    let ld = Lld::format(MemDisk::new(4 << 20), &config()).unwrap();
     for _ in 0..3 {
         sync_commit(&ld);
     }
@@ -299,7 +242,7 @@ fn snapshot_json_round_trips_byte_identical() {
 
 #[test]
 fn sampler_jsonl_round_trips_and_is_monotonic() {
-    let ld = Lld::format(MemDisk::new(4 << 20), &config(false)).unwrap();
+    let ld = Lld::format(MemDisk::new(4 << 20), &config()).unwrap();
     ld.sample_now();
     sync_commit(&ld);
     ld.sample_now();
@@ -341,7 +284,7 @@ fn trace_ring_wraparound_is_counted_in_stats() {
                 ring_capacity: 16,
                 ..ObsConfig::default()
             },
-            ..config(false)
+            ..config()
         },
     )
     .unwrap();

@@ -13,32 +13,20 @@ use std::time::Duration;
 
 /// Delegates to an inner device, sleeping for a fixed wall-clock
 /// duration on every [`flush`](BlockDevice::flush) — and, optionally,
-/// on every [`read_at`](BlockDevice::read_at) or
-/// [`write_at`](BlockDevice::write_at).
+/// on every [`read_at`](BlockDevice::read_at).
 ///
-/// By default writes are passed through untouched, mirroring a device
-/// with a volatile write cache where acknowledged writes are cheap and
-/// the cache flush is the expensive step. The optional read delay
-/// models the other real cost of such a device: a read that misses the
-/// cache goes to the media
-/// ([`with_read_delay`](LatencyDisk::with_read_delay) — off by
-/// default). The optional write delay
-/// ([`with_write_delay`](LatencyDisk::with_write_delay) — also off by
-/// default) charges a fixed per-call transfer cost, and the write
-/// bandwidth ([`with_write_bandwidth`](LatencyDisk::with_write_bandwidth))
-/// charges a per-byte cost, so a 32-byte header is proportionally
-/// cheaper than a full segment. With a write cost and a flush delay the
-/// disk exposes the `W`-overlaps-`F` opportunity a pipelined device
-/// layer exploits, since the sleeps are charged on whichever thread
-/// issues the call and concurrent calls sleep concurrently.
+/// Writes are passed through untouched, mirroring a device with a
+/// volatile write cache where acknowledged writes are cheap and the
+/// cache flush is the expensive step. The optional read delay models
+/// the other real cost of such a device: a read that misses the cache
+/// goes to the media ([`with_read_delay`](LatencyDisk::with_read_delay)
+/// — off by default). The sleeps are charged on whichever thread issues
+/// the call, and concurrent calls sleep concurrently.
 #[derive(Debug)]
 pub struct LatencyDisk<D> {
     inner: D,
     flush_delay: Duration,
     read_delay: Duration,
-    write_delay: Duration,
-    /// Modeled sequential write bandwidth in bytes/second (0 = off).
-    write_bytes_per_sec: u64,
 }
 
 impl<D: BlockDevice> LatencyDisk<D> {
@@ -48,8 +36,6 @@ impl<D: BlockDevice> LatencyDisk<D> {
             inner,
             flush_delay,
             read_delay: Duration::ZERO,
-            write_delay: Duration::ZERO,
-            write_bytes_per_sec: 0,
         }
     }
 
@@ -58,29 +44,6 @@ impl<D: BlockDevice> LatencyDisk<D> {
     #[must_use]
     pub fn with_read_delay(mut self, read_delay: Duration) -> Self {
         self.read_delay = read_delay;
-        self
-    }
-
-    /// Additionally charges `write_delay` of real time per
-    /// [`write_at`](BlockDevice::write_at) — a transfer cost, making
-    /// write work visible to wall-clock experiments (and overlappable
-    /// with an in-flight barrier by a pipelined layer).
-    #[must_use]
-    pub fn with_write_delay(mut self, write_delay: Duration) -> Self {
-        self.write_delay = write_delay;
-        self
-    }
-
-    /// Additionally charges each [`write_at`](BlockDevice::write_at)
-    /// its payload length at `bytes_per_sec` of modeled sequential
-    /// bandwidth — a *size-proportional* transfer cost, so streaming a
-    /// segment block by block is priced like writing it in one call.
-    /// `0` turns the charge off. Composes with
-    /// [`with_write_delay`](LatencyDisk::with_write_delay) (fixed
-    /// per-call cost, e.g. command overhead).
-    #[must_use]
-    pub fn with_write_bandwidth(mut self, bytes_per_sec: u64) -> Self {
-        self.write_bytes_per_sec = bytes_per_sec;
         self
     }
 
@@ -108,16 +71,6 @@ impl<D: BlockDevice> BlockDevice for LatencyDisk<D> {
     }
 
     fn write_at(&self, offset: u64, buf: &[u8]) -> Result<()> {
-        let mut delay = self.write_delay;
-        if let Some(nanos) = (buf.len() as u64)
-            .saturating_mul(1_000_000_000)
-            .checked_div(self.write_bytes_per_sec)
-        {
-            delay += Duration::from_nanos(nanos);
-        }
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
         self.inner.write_at(offset, buf)
     }
 
@@ -168,36 +121,6 @@ mod tests {
         let start = Instant::now();
         d.flush().unwrap();
         assert!(start.elapsed() < Duration::from_millis(5));
-    }
-
-    #[test]
-    fn write_delay_charges_transfer_time_per_write() {
-        let d = LatencyDisk::new(MemDisk::new(1024), Duration::ZERO)
-            .with_write_delay(Duration::from_millis(5));
-        let start = Instant::now();
-        d.write_at(0, b"abc").unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(5));
-        let mut buf = [0u8; 3];
-        // Reads and the barrier stay free.
-        let start = Instant::now();
-        d.read_at(0, &mut buf).unwrap();
-        d.flush().unwrap();
-        assert!(start.elapsed() < Duration::from_millis(5));
-        assert_eq!(&buf, b"abc");
-    }
-
-    #[test]
-    fn write_bandwidth_charges_proportionally_to_length() {
-        // 1 MiB/s: 10 KiB ≈ 10 ms, 1 byte ≈ 1 µs.
-        let d =
-            LatencyDisk::new(MemDisk::new(1 << 20), Duration::ZERO).with_write_bandwidth(1 << 20);
-        let start = Instant::now();
-        d.write_at(0, &[3u8; 10 << 10]).unwrap();
-        let big = start.elapsed();
-        assert!(big >= Duration::from_millis(9), "10 KiB at 1 MiB/s");
-        let start = Instant::now();
-        d.write_at(0, b"x").unwrap();
-        assert!(start.elapsed() < big / 4, "tiny write must be cheap");
     }
 
     #[test]

@@ -51,7 +51,6 @@ mod hist;
 mod latency;
 mod mem;
 mod model;
-mod pipeline;
 mod rng;
 mod sim;
 mod stats;
@@ -70,14 +69,12 @@ pub use hist::{
 pub use latency::LatencyDisk;
 pub use mem::MemDisk;
 pub use model::DiskModel;
-pub use pipeline::{PipelineStatsSnapshot, PipelinedDisk};
 pub use rng::SmallRng;
 pub use sim::SimDisk;
 pub use stats::{DiskStats, DiskStatsSnapshot};
 pub use sync::{Condvar, Mutex, RwLock};
 pub use trace::{
-    current_trace, register_thread_name, thread_names, thread_tag, trace_scope, PipeObserver,
-    PipeStage, TraceScope,
+    current_trace, register_thread_name, thread_names, thread_tag, trace_scope, TraceScope,
 };
 
 /// Result alias for device operations.

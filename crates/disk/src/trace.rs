@@ -1,11 +1,9 @@
 //! Cross-thread trace plumbing shared by the device and logical-disk
-//! layers: compact per-thread tags, a thread-local *trace context*, and
-//! the observer hook the pipelined device reports its stages through.
+//! layers: compact per-thread tags and a thread-local *trace context*.
 //!
 //! The observability layer proper (event ring, snapshots, exporters)
-//! lives in `ld_core::obs`; this module holds only the pieces that must
-//! sit *below* it in the crate graph, because the pipelined device — a
-//! `ld_disk` type — participates in traces that the core layer owns.
+//! lives in `ld_core::obs`; this module holds only the pieces that
+//! every layer, the device included, can reach.
 //!
 //! # Thread tags
 //!
@@ -14,8 +12,7 @@
 //! emitted them without dragging `ThreadId`'s opaque representation
 //! around. Threads with a meaningful role register a name
 //! ([`register_thread_name`]) that exporters resolve via
-//! [`thread_names`] — the pipeline I/O thread, the cleaner daemon, and
-//! the metrics sampler all do.
+//! [`thread_names`] — the cleaner daemon and the metrics sampler do.
 //!
 //! # Trace context
 //!
@@ -23,13 +20,11 @@
 //! group-commit flush batch, one cleaner pass) whose stages may execute
 //! on several threads. The id travels two ways: explicitly, as a field
 //! on stage events, and implicitly, via the thread-local set by
-//! [`trace_scope`] — which the pipelined device reads at `write_at`
-//! time to stamp each queued write, so the I/O thread can attribute the
-//! eventual media write back to the commit that produced it. Id `0`
-//! means "no trace".
+//! [`trace_scope`] — which a segment's media write reads, so a write
+//! issued by the flush leader or by `ld-cleanerd` is attributed to the
+//! operation that produced it. Id `0` means "no trace".
 
 use crate::sync::Mutex;
-use crate::DiskError;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,40 +92,6 @@ impl Drop for TraceScope {
     fn drop(&mut self) {
         TRACE_ID.with(|t| t.set(self.prev));
     }
-}
-
-/// Stages of the pipelined device's write path, reported through
-/// [`PipeObserver`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipeStage {
-    /// The I/O thread applying one (possibly coalesced) write to the
-    /// inner device.
-    MediaWrite,
-    /// A barrier waiter issuing the inner device flush.
-    BarrierAck,
-}
-
-/// Hook the pipelined device reports trace-relevant moments through.
-///
-/// Installed (optionally) by the layer above via
-/// [`PipelinedDisk::set_observer`](crate::PipelinedDisk::set_observer);
-/// callbacks run on whatever thread performs the stage — media writes
-/// on the I/O thread, barrier acks on the waiting caller's thread — so
-/// implementations must be cheap and must not call back into the
-/// device.
-pub trait PipeObserver: Send + Sync {
-    /// A stage is starting under trace `trace` (0 = untraced).
-    fn stage_begin(&self, trace: u64, stage: PipeStage);
-
-    /// The stage started by the matching `stage_begin` finished after
-    /// `nanos` wall-clock nanoseconds.
-    fn stage_end(&self, trace: u64, stage: PipeStage, nanos: u64);
-
-    /// A device error latched on the I/O thread (the queue is about to
-    /// be discarded). This is the flight-recorder trigger: it fires on
-    /// a background thread where no caller will observe the error
-    /// until their next call.
-    fn fault(&self, error: &DiskError);
 }
 
 #[cfg(test)]

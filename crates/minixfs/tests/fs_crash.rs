@@ -9,25 +9,24 @@ use ld_minixfs::{FsConfig, FsError, MinixFs};
 
 const BS: usize = 512;
 
-/// A point of the mode matrix: pipelined writer, map shards. (No log
-/// here wraps, so no cleaner runs.)
-type Mode = (bool, usize);
+/// The map shards of a point of the mode matrix. (No log here wraps,
+/// so no cleaner runs.)
+type Mode = usize;
 
 /// Runs `test` at every point; a failure's captured output names it.
 fn each_mode(test: fn(Mode)) {
-    for mode in [(false, 8), (false, 1), (true, 8), (true, 1)] {
-        eprintln!("(pipelined, shards) = {mode:?}");
+    for mode in [8, 1] {
+        eprintln!("shards = {mode}");
         test(mode);
     }
 }
 
-fn ld_config((pipeline, shards): Mode) -> LldConfig {
+fn ld_config(shards: Mode) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: 16 * BS,
         max_blocks: Some(2048),
         max_lists: Some(512),
-        pipeline,
         map_shards: shards,
         ..LldConfig::default()
     }

@@ -14,20 +14,19 @@ use ld_server::Server;
 
 const BS: usize = 512;
 
-/// A point of the mode matrix: pipelined writer, map shards. The two
-/// tests that stop a server under load and recover its disk run at
-/// every point; the protocol tests at the default one.
-type Mode = (bool, usize);
+/// The map shards of a point of the mode matrix. The two tests that
+/// stop a server under load and recover its disk run at every point;
+/// the protocol tests at the default one.
+type Mode = usize;
 
-const DEFAULT: Mode = (false, 8);
+const DEFAULT: Mode = 8;
 
-fn config((pipeline, shards): Mode) -> LldConfig {
+fn config(shards: Mode) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: 16 * BS,
         max_blocks: Some(4096),
         max_lists: Some(256),
-        pipeline,
         map_shards: shards,
         ..LldConfig::default()
     }
@@ -35,8 +34,8 @@ fn config((pipeline, shards): Mode) -> LldConfig {
 
 /// Runs `test` at every point; a failure's captured output names it.
 fn each_mode(test: fn(Mode)) {
-    for mode in [DEFAULT, (false, 1), (true, 8), (true, 1)] {
-        eprintln!("(pipelined, shards) = {mode:?}");
+    for mode in [DEFAULT, 1] {
+        eprintln!("shards = {mode}");
         test(mode);
     }
 }

@@ -14,8 +14,10 @@ Checks, stdlib only:
   thread (no span half-overlaps another on the same tid);
 * the per-stage span names the commit path must emit are all present
   (queue_wait, seal, barrier_wait under a commit span);
-* at least one traced commit is cross-thread: spans sharing one trace
-  id (args.trace) appear on more than one tid;
+* at least one group commit is cross-thread: some "group_commit"
+  instant with args.batch > 1 covers "commit" spans (args.trace in
+  first_trace .. first_trace + batch) on at least two tids — callers
+  on different threads acknowledged by one leader's barrier;
 * the sampler JSONL parses line by line, t_ms never moves backwards,
   and the cumulative counters are monotonic.
 
@@ -41,11 +43,15 @@ def check_chrome_trace(path):
 
     spans_by_tid = defaultdict(list)
     names = set()
-    tids_by_trace = defaultdict(set)
+    commit_tids = defaultdict(set)
+    batches = []
     for e in events:
         ph = e.get("ph")
         if ph not in ("X", "i", "M"):
             fail(f"{path}: unexpected event phase {ph!r}: {e}")
+        args = e.get("args", {})
+        if ph == "i" and e.get("name") == "group_commit" and args.get("batch", 0) > 1:
+            batches.append((args["first_trace"], args["batch"]))
         if ph != "X":
             continue
         for key in ("name", "ts", "pid", "tid", "dur"):
@@ -53,41 +59,43 @@ def check_chrome_trace(path):
                 fail(f"{path}: X event missing {key!r}: {e}")
         names.add(e["name"])
         spans_by_tid[e["tid"]].append((e["ts"], e["ts"] + e["dur"], e["name"]))
-        trace = e.get("args", {}).get("trace")
-        if trace:
-            tids_by_trace[trace].add(e["tid"])
+        if e["name"] == "commit" and "trace" in args:
+            commit_tids[args["trace"]].add(e["tid"])
 
     for required in ("commit", "queue_wait", "seal", "barrier_wait"):
         if required not in names:
             fail(f"{path}: no {required!r} span in trace (got {sorted(names)})")
 
     # Spans on one thread must nest: sorted by (start, -end), each span
-    # either contains the next or ends before it starts. Span begin
-    # timestamps come from the trace ring's clock while durations come
-    # from per-stage timers, so allow a few microseconds of rounding
-    # slack before calling a half-overlap.
-    eps = 4.0
+    # either contains the next or ends before it starts. Both ends are
+    # the trace ring's stamps, taken on the span's thread in order, so
+    # there is no slack.
     for tid, spans in spans_by_tid.items():
         spans.sort(key=lambda s: (s[0], -s[1]))
         stack = []
         for start, end, name in spans:
-            while stack and stack[-1][1] <= start + eps:
+            while stack and stack[-1][1] <= start:
                 stack.pop()
-            if stack and end > stack[-1][1] + eps:
+            if stack and end > stack[-1][1]:
                 fail(
                     f"{path}: tid {tid}: span {name} [{start},{end}) "
                     f"half-overlaps {stack[-1][2]} [{stack[-1][0]},{stack[-1][1]})"
                 )
             stack.append((start, end, name))
 
-    cross = [t for t, tids in tids_by_trace.items() if len(tids) > 1]
+    def covered_tids(first, batch):
+        return set().union(*(commit_tids[first + i] for i in range(batch)))
+
+    cross = [b for b in batches if len(covered_tids(*b)) > 1]
     if not cross:
-        fail(f"{path}: no commit trace id spans more than one thread")
+        fail(f"{path}: no group commit covers commits on more than one thread "
+             f"({len(batches)} batches of two or more)")
 
     n_spans = sum(len(s) for s in spans_by_tid.values())
     print(
         f"check_obs: {path}: {len(events)} events, {n_spans} spans on "
-        f"{len(spans_by_tid)} threads, {len(cross)} cross-thread commits"
+        f"{len(spans_by_tid)} threads, {len(cross)} of {len(batches)} "
+        f"multi-caller batches cross threads"
     )
 
 

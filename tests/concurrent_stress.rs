@@ -13,26 +13,24 @@ use ld_aru::disk::MemDisk;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// The points of the mode matrix threads can tell apart: pipelined
-/// writer (the group-commit leader hands off its barrier), map shards
+/// The points of the mode matrix threads can tell apart: map shards
 /// (one lock versus eight). The log never wraps, so no cleaner runs.
-const MODES: [(bool, usize); 4] = [(false, 8), (false, 1), (true, 8), (true, 1)];
+const MODES: [usize; 2] = [8, 1];
 
 /// Runs `test` at every point; a failure's captured output names it.
-fn each_mode(test: fn((bool, usize))) {
-    for mode in MODES {
-        eprintln!("(pipelined, shards) = {mode:?}");
-        test(mode);
+fn each_mode(test: fn(usize)) {
+    for shards in MODES {
+        eprintln!("shards = {shards}");
+        test(shards);
     }
 }
 
-fn ld_config((pipeline, shards): (bool, usize)) -> LldConfig {
+fn ld_config(shards: usize) -> LldConfig {
     LldConfig {
         block_size: 512,
         segment_bytes: 16 * 512,
         max_blocks: Some(4096),
         max_lists: Some(512),
-        pipeline,
         map_shards: shards,
         ..LldConfig::default()
     }
@@ -43,8 +41,8 @@ fn interleaved_arus_from_threads_commit_atomically() {
     each_mode(interleaved_arus);
 }
 
-fn interleaved_arus(mode: (bool, usize)) {
-    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &ld_config(mode)).unwrap());
+fn interleaved_arus(shards: usize) {
+    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &ld_config(shards)).unwrap());
     let n_threads = 4;
     let arus_per_thread = 25;
 
@@ -106,8 +104,8 @@ fn threads_with_aborts_and_commits_leave_clean_state() {
     each_mode(aborts_and_commits);
 }
 
-fn aborts_and_commits(mode: (bool, usize)) {
-    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &ld_config(mode)).unwrap());
+fn aborts_and_commits(shards: usize) {
+    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &ld_config(shards)).unwrap());
     std::thread::scope(|s| {
         for t in 0..4 {
             let ld = Arc::clone(&ld);
@@ -142,8 +140,8 @@ fn concurrent_durability_callers_share_group_commit_batches() {
     each_mode(durability_callers);
 }
 
-fn durability_callers(mode: (bool, usize)) {
-    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &ld_config(mode)).unwrap());
+fn durability_callers(shards: usize) {
+    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &ld_config(shards)).unwrap());
     let n_threads = 8;
     let arus_per_thread = 10;
 

@@ -5,8 +5,8 @@
 //!
 //! Cases are generated from a seeded RNG, so every run explores the
 //! same deterministic matrix — once per point of the mode matrix
-//! ([`MODES`]) that the workload can tell apart: both writers, one and
-//! eight map shards, and both cleaners where the log wraps.
+//! ([`MODES`]) that the workload can tell apart: one and eight map
+//! shards, and both cleaners where the log wraps.
 
 use ld_aru::core::{CleanerConfig, Ctx, Lld, LldConfig, Position};
 use ld_aru::disk::{DiskModel, FaultPlan, MemDisk, SimDisk, SmallRng};
@@ -17,30 +17,19 @@ use ld_aru::workload::pattern_fill;
 mod common;
 use common::{ParkDisk, ReleaseOnDrop};
 
-/// One point of the mode matrix: pipelined writer, background cleaner,
-/// map shards.
-type Mode = (bool, bool, usize);
+/// One point of the mode matrix: background cleaner, map shards.
+type Mode = (bool, usize);
 
-const MODES: [Mode; 8] = [
-    (false, false, 8),
-    (false, false, 1),
-    (false, true, 8),
-    (false, true, 1),
-    (true, false, 8),
-    (true, false, 1),
-    (true, true, 8),
-    (true, true, 1),
-];
+const MODES: [Mode; 4] = [(false, 8), (false, 1), (true, 8), (true, 1)];
 
 /// Where the log never wraps the cleaner has nothing to do, and the
-/// modes differ only by writer and shard count.
+/// modes differ only by shard count.
 fn modes_without_cleaning() -> impl Iterator<Item = Mode> {
-    MODES.into_iter().filter(|&(_, cleanerd, _)| !cleanerd)
+    MODES.into_iter().filter(|&(cleanerd, _)| !cleanerd)
 }
 
-fn with_mode((pipeline, cleanerd, shards): Mode, base: LldConfig) -> LldConfig {
+fn with_mode((cleanerd, shards): Mode, base: LldConfig) -> LldConfig {
     LldConfig {
-        pipeline,
         map_shards: shards,
         cleaner: CleanerConfig {
             background: cleanerd,
@@ -161,13 +150,12 @@ fn any_crash_point(mode: Mode) {
 /// the same byte budget the fault plan counts). After recovery:
 /// committed ARUs are all-or-nothing (two hot blocks written by the
 /// same ARU always read the same generation), no relocated cold
-/// block is lost, and the disk stays usable. Exercised on both writers
-/// at 1 and 8 map shards. The sweep has to contain the ending with no
-/// checkpoint: a pass over covered victims, each handed back as it
-/// empties.
+/// block is lost, and the disk stays usable. Exercised at 1 and 8 map
+/// shards. The sweep has to contain the ending with no checkpoint: a
+/// pass over covered victims, each handed back as it empties.
 #[test]
 fn background_clean_crash_points_are_all_or_nothing() {
-    for mode in MODES.into_iter().filter(|&(_, cleanerd, _)| cleanerd) {
+    for mode in MODES.into_iter().filter(|&(cleanerd, _)| cleanerd) {
         let shards = format!("{mode:?}");
         let cfg = with_mode(
             mode,
@@ -321,7 +309,7 @@ fn background_clean_crash_points_are_all_or_nothing() {
 fn a_cut_with_a_hand_off_in_flight_ends_the_log_before_it() {
     const BS: usize = 512;
     let cfg = with_mode(
-        (false, true, 8),
+        (true, 8),
         LldConfig {
             block_size: BS,
             segment_bytes: 16 * BS,
@@ -586,6 +574,170 @@ fn dedup_journal_and_commit(mode: Mode) {
 }
 
 // ----------------------------------------------------------------------
+// Acknowledged commits under a power cut
+// ----------------------------------------------------------------------
+
+/// The default configuration on small segments, at `shards` map shards:
+/// both sweeps below run at 1 and 8, since the group-commit leader's
+/// seal and hand-off interleave differently with the shard count.
+fn ack_config(shards: usize) -> LldConfig {
+    LldConfig {
+        block_size: 512,
+        segment_bytes: 8 * 512,
+        max_blocks: Some(512),
+        max_lists: Some(128),
+        map_shards: shards,
+        ..LldConfig::default()
+    }
+}
+
+/// One three-block ARU attempt: its list, blocks, pattern tag, and how
+/// far it got before the power cut.
+#[derive(Debug)]
+struct AruRecord {
+    list: ld_aru::core::ListId,
+    blocks: Vec<ld_aru::core::BlockId>,
+    tag: u8,
+    committed: bool,
+    durable: bool,
+}
+
+fn ack_block(tag: u8, k: usize) -> Vec<u8> {
+    vec![tag ^ ((k as u8) << 6); 512]
+}
+
+/// Runs up to `n` three-block ARUs, each committing with `end_aru`
+/// followed by `flush`, stopping at the first device error.
+fn run_acked_arus(ld: &Lld<SimDisk<MemDisk>>, n: u8) -> Vec<AruRecord> {
+    let mut out = Vec::new();
+    for tag in 1..=n {
+        let Ok(aru) = ld.begin_aru() else { break };
+        let Ok(list) = ld.new_list(Ctx::Aru(aru)) else {
+            break;
+        };
+        let mut rec = AruRecord {
+            list,
+            blocks: Vec::new(),
+            tag,
+            committed: false,
+            durable: false,
+        };
+        let placed = (0..3).try_for_each(|k| {
+            let pos = rec
+                .blocks
+                .last()
+                .map_or(Position::First, |&p| Position::After(p));
+            let b = ld.new_block(Ctx::Aru(aru), list, pos)?;
+            rec.blocks.push(b);
+            ld.write(Ctx::Aru(aru), b, &ack_block(tag, k))
+        });
+        rec.committed = placed.is_ok() && ld.end_aru(aru).is_ok();
+        rec.durable = rec.committed && ld.flush().is_ok();
+        let done = !rec.durable;
+        out.push(rec);
+        if done {
+            break;
+        }
+    }
+    out
+}
+
+/// Recovers the crash image and checks every record: a durable ARU is
+/// there whole, any other is there whole and committed or not at all,
+/// and every block holds its pattern. Returns the durable ARUs.
+fn check_acked(image: Vec<u8>, cfg: &LldConfig, records: &[AruRecord], at: &str) -> usize {
+    let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), cfg)
+        .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+    let mut durable = 0;
+    let mut buf = vec![0u8; 512];
+    for rec in records {
+        let survived = ld2.list_blocks(Ctx::Simple, rec.list).unwrap_or_default();
+        if rec.durable {
+            assert_eq!(survived, rec.blocks, "{at}: durable ARU {} lost", rec.tag);
+            durable += 1;
+        }
+        if survived.is_empty() {
+            continue;
+        }
+        assert!(rec.committed, "{at}: ARU {} survived uncommitted", rec.tag);
+        assert_eq!(survived, rec.blocks, "{at}: ARU {} torn", rec.tag);
+        for (k, &b) in survived.iter().enumerate() {
+            ld2.read(Ctx::Simple, b, &mut buf).unwrap();
+            assert_eq!(
+                buf,
+                ack_block(rec.tag, k),
+                "{at}: ARU {} block {k}",
+                rec.tag
+            );
+        }
+    }
+    durable
+}
+
+/// Sweeps a byte budget across format and the whole workload: every
+/// cut recovers all-or-nothing, and every flush acknowledged before it
+/// survives. Some flushes must continue in their slot.
+fn power_cut_sweep(shards: usize) {
+    let cfg = ack_config(shards);
+    let mut in_slot = 0;
+    for case in 0..24u64 {
+        let crash_after = 2_000 + case * 2_500;
+        let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010())
+            .with_faults(FaultPlan::new().crash_after_bytes(crash_after));
+        let ld = match Lld::format(sim, &cfg) {
+            Ok(ld) => ld,
+            // The budget can be shorter than format itself.
+            Err(ld_aru::core::LldError::Disk(_)) => continue,
+            Err(e) => panic!("shards {shards}, crash {crash_after}: format: {e}"),
+        };
+        let records = run_acked_arus(&ld, 10);
+        in_slot += in_slot_seals(&ld, 1);
+        // A budget that outlived the workload is cut now.
+        ld.device().force_crash();
+        let image = ld.into_device().into_inner().into_image();
+        let at = format!("shards {shards}, crash {crash_after}");
+        check_acked(image, &cfg, &records, &at);
+    }
+    assert!(in_slot > 0, "shards {shards}: every seal took a slot");
+}
+
+#[test]
+fn power_cut_sweep_is_all_or_nothing_single_shard() {
+    power_cut_sweep(1);
+}
+
+#[test]
+fn power_cut_sweep_is_all_or_nothing_eight_shards() {
+    power_cut_sweep(8);
+}
+
+/// With no fault armed, sync-commit ten ARUs and cut the power right
+/// after the last acknowledgment: a flush that returned before its
+/// writes were on the device would lose an ARU here.
+fn sync_ack_means_durable(shards: usize) {
+    let cfg = ack_config(shards);
+    let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010());
+    let ld = Lld::format(sim, &cfg).unwrap();
+    let records = run_acked_arus(&ld, 10);
+    assert!(records.iter().all(|r| r.durable), "no fault armed");
+    assert!(in_slot_seals(&ld, 1) > 0, "every seal took a slot");
+    ld.device().force_crash();
+    let image = ld.into_device().into_inner().into_image();
+    let at = format!("shards {shards}, cut after the last ack");
+    assert_eq!(check_acked(image, &cfg, &records, &at), 10, "{at}");
+}
+
+#[test]
+fn sync_ack_means_durable_single_shard() {
+    sync_ack_means_durable(1);
+}
+
+#[test]
+fn sync_ack_means_durable_eight_shards() {
+    sync_ack_means_durable(8);
+}
+
+// ----------------------------------------------------------------------
 // Reordered persistence
 // ----------------------------------------------------------------------
 
@@ -694,17 +846,16 @@ impl ld_aru::disk::BlockDevice for ReorderDisk {
 /// (all-or-nothing), that generation is at least the last flushed one
 /// (no durable commit lost) and at most the last written.
 ///
-/// The device is large enough that the log never wraps, and the writer
-/// is the synchronous one: its seal is a single write, the unit this
-/// model reorders. (The pipelined writer's header-last protocol and the
-/// cleaner's reuse of a victim slot both rely on the device persisting
-/// writes in issue order; neither is under test here.)
+/// The device is large enough that the log never wraps. A seal is a
+/// single write, the unit this model reorders. (The cleaner's reuse of
+/// a victim slot relies on the device persisting writes in issue order;
+/// it is not under test here.)
 ///
 /// Repro of one seed: `REORDER_SEED=<seed> cargo test --test crash_matrix reordered`.
 #[test]
 fn reordered_persistence_keeps_flushed_commits_across_two_crashes() {
     for shards in [8, 1] {
-        reordered_persistence((false, false, shards));
+        reordered_persistence((false, shards));
     }
 }
 

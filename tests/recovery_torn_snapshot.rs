@@ -38,21 +38,19 @@ const BS: usize = 512;
 const CKPT_HEADER: usize = 68;
 const CKPT_SLAB_START: u64 = CKPT_HEADER as u64 + 64 * 24;
 
-/// A point of the mode matrix these tests can tell apart: pipelined
-/// writer (checkpoint writes then go through its queue), map shards
+/// A point of the mode matrix these tests can tell apart: map shards
 /// (one slab each). The log never wraps, so no cleaner runs.
-type Mode = (bool, usize);
+type Mode = usize;
 
-const MODES: [Mode; 4] = [(false, 8), (false, 1), (true, 8), (true, 1)];
+const MODES: [Mode; 2] = [8, 1];
 
-fn config((pipeline, shards): Mode) -> LldConfig {
+fn config(shards: Mode) -> LldConfig {
     LldConfig {
         block_size: BS,
         segment_bytes: 16 * BS,
         max_blocks: Some(2048),
         max_lists: Some(256),
         map_shards: shards,
-        pipeline,
         ..LldConfig::default()
     }
 }
@@ -172,7 +170,7 @@ fn mid_slab_tear_falls_back_to_full_scan() {
     for mode in MODES {
         let (image, world) = build_image(mode, 40);
         let (clean_fp, clean_seq) = recover_fp(&image, mode, &world);
-        assert!(clean_seq > 0, "{mode:?}: checkpoint not found clean");
+        assert!(clean_seq > 0, "shards {mode}: checkpoint not found clean");
 
         let probe = MemDisk::from_image(image.clone());
         let (layout, _, _) = Lld::probe(&probe).unwrap();
@@ -182,8 +180,8 @@ fn mid_slab_tear_falls_back_to_full_scan() {
         torn[(layout.ckpt_a + CKPT_SLAB_START + 8) as usize] ^= 0xFF;
 
         let (fp, seq) = recover_fp(&torn, mode, &world);
-        assert_eq!(seq, 0, "{mode:?}: torn snapshot not rejected");
-        assert_eq!(fp, clean_fp, "{mode:?}: full-scan fallback diverges");
+        assert_eq!(seq, 0, "shards {mode}: torn snapshot not rejected");
+        assert_eq!(fp, clean_fp, "shards {mode}: full-scan fallback diverges");
     }
 }
 
@@ -253,8 +251,11 @@ fn stale_snapshot_under_reallocating_suffix() {
         let live_fp = fingerprint(&ld, &world);
         let image = ld.into_device().into_image();
         let (fp, seq) = recover_fp(&image, mode, &world);
-        assert!(seq > 0, "{mode:?}: checkpoint not used");
-        assert_eq!(fp, live_fp, "{mode:?}: replay diverges from the live disk");
+        assert!(seq > 0, "shards {mode}: checkpoint not used");
+        assert_eq!(
+            fp, live_fp,
+            "shards {mode}: replay diverges from the live disk"
+        );
     }
 }
 
@@ -316,14 +317,14 @@ fn reseal_first_slab(image: &mut [u8], area: usize) {
 /// A, every block written), where area A and its one slab start, and
 /// its layout.
 fn one_slab_image() -> (Vec<u8>, usize, usize, ld_aru::core::Layout) {
-    let (image, _) = build_image((false, 1), 10);
+    let (image, _) = build_image(1, 10);
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let area = layout.ckpt_a as usize;
     (image, area, area + CKPT_SLAB_START as usize, layout)
 }
 
 fn recover_one_shard(image: Vec<u8>) -> Result<ld_aru::core::RecoveryReport, LldError> {
-    Lld::recover_with(MemDisk::from_image(image), &config((false, 1))).map(|(_, r)| r)
+    Lld::recover_with(MemDisk::from_image(image), &config(1)).map(|(_, r)| r)
 }
 
 /// A CRC-valid slab whose block rows name a segment (or a slot) the
@@ -449,11 +450,11 @@ fn descriptor_that_disagrees_with_its_slab_falls_back() {
 /// back to the older area and replays the longer suffix.
 #[test]
 fn overflowing_directory_entry_falls_back_to_older_area() {
-    let (ld, world) = build_disk((false, 8), 20);
+    let (ld, world) = build_disk(8, 20);
     ld.flush().unwrap();
     ld.checkpoint().unwrap(); // area B (newer)
     let image = ld.into_device().into_image();
-    let (clean_fp, clean_seq) = recover_fp(&image, (false, 8), &world);
+    let (clean_fp, clean_seq) = recover_fp(&image, 8, &world);
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
 
     let mut hostile = image.clone();
@@ -461,7 +462,7 @@ fn overflowing_directory_entry_falls_back_to_older_area() {
     hostile[area + CKPT_HEADER..area + CKPT_HEADER + 8]
         .copy_from_slice(&(u64::MAX / 2).to_le_bytes());
     reseal_header(&mut hostile, area);
-    let (fp, seq) = recover_fp(&hostile, (false, 8), &world);
+    let (fp, seq) = recover_fp(&hostile, 8, &world);
     assert!(seq > 0 && seq < clean_seq, "older area not used: {seq}");
     assert_eq!(fp, clean_fp, "fallback state diverges");
 }
@@ -472,11 +473,11 @@ fn overflowing_directory_entry_falls_back_to_older_area() {
 /// other.
 #[test]
 fn snapshot_shard_count_migrates() {
-    let (image, world) = build_image((false, 8), 60);
-    let (base_fp, base_seq) = recover_fp(&image, (false, 8), &world);
+    let (image, world) = build_image(8, 60);
+    let (base_fp, base_seq) = recover_fp(&image, 8, &world);
     assert!(base_seq > 0);
     for &shards in &[1usize, 16] {
-        let (fp, seq) = recover_fp(&image, (false, shards), &world);
+        let (fp, seq) = recover_fp(&image, shards, &world);
         assert_eq!(seq, base_seq, "shards {shards}");
         assert_eq!(fp, base_fp, "recover at {shards} shards diverges");
     }
@@ -532,9 +533,9 @@ fn checkpoint_write_crash_matrix() {
             // The flushed base blocks all survive, each holding its
             // base pattern or some round's overwrite.
             for (i, c) in fp.contents.iter().enumerate().take(sealed) {
-                let c = c
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("{mode:?}, cut {crash_at}: flushed block {i} lost"));
+                let c = c.as_ref().unwrap_or_else(|| {
+                    panic!("shards {mode}, cut {crash_at}: flushed block {i} lost")
+                });
                 let written = std::iter::once(i as u64)
                     .chain((0..40u64).map(|round| 0x1000 + round * 100 + i as u64))
                     .any(|seed| {
@@ -543,7 +544,7 @@ fn checkpoint_write_crash_matrix() {
                     });
                 assert!(
                     written,
-                    "{mode:?}, cut {crash_at}: block {i} holds bytes never written"
+                    "shards {mode}, cut {crash_at}: block {i} holds bytes never written"
                 );
             }
             assert!(crashed || crash_at > 200_000, "cut {crash_at} never fired");
