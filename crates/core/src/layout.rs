@@ -227,8 +227,8 @@ impl Layout {
     ///
     /// # Errors
     ///
-    /// Returns [`LldError::Corrupt`] on a bad magic, version, or
-    /// checksum.
+    /// Returns [`LldError::Corrupt`] on a bad magic, version, checksum
+    /// or geometry.
     pub fn decode_superblock(buf: &[u8]) -> Result<(Layout, ConcurrencyMode, ReadVisibility)> {
         if buf.len() < SUPERBLOCK_LEN {
             return Err(LldError::Corrupt("superblock too short".into()));
@@ -307,6 +307,23 @@ impl Layout {
             }
         };
         let bs = block_size as u64;
+        // The two checkpoint areas lie between the superblock's block and
+        // slot 0, each sized as `compute` sizes it for the tables: room
+        // for a header and its directory, which `read_header_dir` reads,
+        // and for a full row of every block and list it may hold.
+        let needed = (max_blocks.checked_mul(CKPT_BLOCK_ROW_MAX))
+            .zip(max_lists.checked_mul(CKPT_LIST_ROW_MAX))
+            .and_then(|(blocks, lists)| blocks.checked_add(lists))
+            .and_then(|rows| rows.checked_add(CKPT_HEADER + CKPT_DIR_RESERVE));
+        let areas_end = (ckpt_area_size.checked_mul(2)).and_then(|both| both.checked_add(bs));
+        if needed.is_none_or(|needed| needed > ckpt_area_size)
+            || areas_end.is_none_or(|end| end > data_start)
+        {
+            return Err(LldError::Corrupt(format!(
+                "superblock geometry: checkpoint areas of {ckpt_area_size} bytes \
+                 for {max_blocks} blocks and {max_lists} lists, slot 0 at byte {data_start}"
+            )));
+        }
         Ok((
             Layout {
                 block_size,
@@ -459,6 +476,56 @@ mod tests {
                 "{block_size} / {segment_bytes}"
             );
         }
+    }
+
+    #[test]
+    fn hostile_checkpoint_geometry_is_corrupt() {
+        // Under a valid CRC: areas whose end overflows or passes slot 0,
+        // areas too small for a header and its directory, or for the
+        // tables the superblock says they hold.
+        let good = Layout::compute(1 << 20, &small_config()).unwrap();
+        let min = CKPT_HEADER + CKPT_DIR_RESERVE;
+        let (area, start) = (good.ckpt_area_size, good.data_start);
+        let (blocks, lists) = (good.max_blocks, good.max_lists);
+        let hostile = [
+            (u64::MAX, start, blocks, lists),
+            (u64::MAX / 2, u64::MAX, blocks, lists),
+            (area, start - 1, blocks, lists),
+            (0, start, 0, 0),
+            (min - 1, start, 0, 0),
+            (area, start, u64::MAX, lists),
+            (area, start, blocks, u64::MAX / 16),
+            (area, start, area / CKPT_BLOCK_ROW_MAX, 0),
+        ];
+        for (ckpt_area_size, data_start, max_blocks, max_lists) in hostile {
+            let layout = Layout {
+                ckpt_area_size,
+                data_start,
+                max_blocks,
+                max_lists,
+                ..good.clone()
+            };
+            let buf =
+                layout.encode_superblock(ConcurrencyMode::Concurrent, ReadVisibility::Committed);
+            assert!(
+                matches!(Layout::decode_superblock(&buf), Err(LldError::Corrupt(_))),
+                "{layout:?}"
+            );
+        }
+        // The smallest areas a superblock may name still decode.
+        let tight = Layout {
+            ckpt_area_size: min,
+            data_start: 512 + 2 * min,
+            max_blocks: 0,
+            max_lists: 0,
+            ..good.clone()
+        };
+        let buf = tight.encode_superblock(ConcurrencyMode::Concurrent, ReadVisibility::Committed);
+        let (decoded, _, _) = Layout::decode_superblock(&buf).unwrap();
+        assert_eq!(
+            (decoded.ckpt_b, decoded.data_start),
+            (512 + min, 512 + 2 * min)
+        );
     }
 
     #[test]

@@ -553,6 +553,12 @@ impl<D: BlockDevice> LldInner<D> {
     /// Writes the sealed `seg` once its slot may be overwritten (W3)
     /// and takes it out of `inflight`, latching a failure. A caller
     /// that holds the log (`held`) keeps it across the write.
+    ///
+    /// Two device writes: the 44-byte header at the segment's base, then
+    /// the body from the block behind it, issued only once the header's
+    /// write has returned. Under a prefix cut they land as one write
+    /// would, header, data, summary last (docs/RECOVERY.md, "What a
+    /// segment's base holds until its seal lands").
     pub(crate) fn write_sealed<'a>(
         &'a self,
         seg: &SegmentBuilder,
@@ -568,7 +574,10 @@ impl<D: BlockDevice> LldInner<D> {
         // or `ld-cleanerd` for a seal it was handed.
         let (timer, trace) = (self.obs.timer(), ld_disk::current_trace());
         self.obs.stage_begin(self.now(), trace, Stage::MediaWrite);
-        let written = self.device.write_at(at, seg.bytes());
+        let written = self.device.write_at(at, seg.header()).and_then(|()| {
+            let body_at = at + self.layout.block_size as u64;
+            self.device.write_at(body_at, seg.body())
+        });
         self.obs
             .stage_end(self.now(), trace, Stage::MediaWrite, Obs::elapsed(timer));
         let res = written.map_err(LldError::from);

@@ -1,9 +1,9 @@
 //! In-memory segment construction and on-disk segment encoding.
 //!
-//! A segment is filled in main memory and written to disk in a single
-//! device write (§2 of the paper). Its first block is a header; data
-//! blocks follow; the segment summary (encoded [`Record`]s) sits after
-//! the last data block:
+//! A segment is filled in main memory and written to disk in two device
+//! writes, the header and then the body (§2 of the paper has one). Its
+//! first block is a header; data blocks follow; the segment summary
+//! (encoded [`Record`]s) sits after the last data block:
 //!
 //! ```text
 //! +--------+---------+---------+-----+----------------+
@@ -50,6 +50,13 @@
 //! timelines logged the same operations, because `epoch` differs per
 //! mount. The summary CRC exposes a torn segment write, which recovery
 //! treats as never written.
+//!
+//! The header keeps its whole block in the slot, but only its 44 bytes
+//! are written: the rest of the block holds whatever it held, and no
+//! reader looks there. The header goes first and the body (data blocks,
+//! then summary) from the next block, so a prefix of the two writes is
+//! a prefix of the segment; docs/RECOVERY.md has the argument for any
+//! subset of them.
 
 use crate::error::{LldError, Result};
 use crate::layout::{u32_at, u64_at, Layout};
@@ -114,9 +121,11 @@ pub(crate) struct SegmentBuilder {
     block_size: usize,
     /// Size of the whole slot in bytes.
     capacity: usize,
-    /// As it goes to the device: the header block, the data blocks and,
-    /// once [`header_bytes`](Self::header_bytes) sealed it, the summary.
-    bytes: Vec<u8>,
+    /// Zero until [`header_bytes`](Self::header_bytes) seals the segment.
+    header: [u8; HEADER_LEN],
+    /// As it goes to the device behind the header block: the data
+    /// blocks and, once sealed, the summary.
+    body: Vec<u8>,
     n_blocks: u32,
     /// The records so far; the seal moves them behind the data.
     summary: Vec<u8>,
@@ -143,7 +152,8 @@ impl SegmentBuilder {
             epoch,
             block_size,
             capacity,
-            bytes: vec![0; block_size],
+            header: [0; HEADER_LEN],
+            body: Vec::new(),
             n_blocks: 0,
             summary: Vec::new(),
         }
@@ -166,7 +176,7 @@ impl SegmentBuilder {
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.encoded_len() == self.block_size
+        self.body.is_empty() && self.summary.is_empty()
     }
 
     /// Whether `extra_blocks` data blocks plus `extra_summary` summary
@@ -190,7 +200,7 @@ impl SegmentBuilder {
         assert_eq!(data.len(), self.block_size, "data must be one block");
         assert!(self.fits(1, 0), "segment overflow");
         let idx = self.base + self.n_blocks;
-        self.bytes.extend_from_slice(data);
+        self.body.extend_from_slice(data);
         self.n_blocks += 1;
         idx
     }
@@ -206,11 +216,11 @@ impl SegmentBuilder {
         rec.encode(&mut self.summary);
     }
 
-    /// Where in [`bytes`](Self::bytes) the data block with index `idx`
-    /// in the slot sits, if it is one of this segment's.
+    /// Where in [`body`](Self::body) the data block with index `idx` in
+    /// the slot sits, if it is one of this segment's.
     fn block_range(&self, idx: u32) -> Option<std::ops::Range<usize>> {
         let i = idx.checked_sub(self.base).filter(|&i| i < self.n_blocks)?;
-        let start = (1 + i as usize) * self.block_size;
+        let start = i as usize * self.block_size;
         Some(start..start + self.block_size)
     }
 
@@ -224,7 +234,7 @@ impl SegmentBuilder {
         let Some(at) = self.block_range(idx) else {
             return false;
         };
-        self.bytes[at].copy_from_slice(data);
+        self.body[at].copy_from_slice(data);
         true
     }
 
@@ -232,7 +242,7 @@ impl SegmentBuilder {
     /// by its index in the slot. `None`: the index belongs to another
     /// segment of the slot, or to nothing yet.
     pub(crate) fn read_block(&self, idx: u32) -> Option<&[u8]> {
-        self.block_range(idx).map(|at| &self.bytes[at])
+        self.block_range(idx).map(|at| &self.body[at])
     }
 
     /// The block of the slot right behind this segment as it stands:
@@ -249,12 +259,12 @@ impl SegmentBuilder {
     }
 
     /// Seals the segment: moves the summary behind the data, encodes
-    /// the header, pointing at `next_slot`, into the front of
-    /// [`bytes`](Self::bytes), and returns it. A position holds a valid
-    /// segment exactly when these bytes (with their CRC) are on disk.
+    /// the header, pointing at `next_slot`, into [`header`](Self::header),
+    /// and returns it. A position holds a valid segment exactly when
+    /// these bytes (with their CRC) are on disk.
     pub(crate) fn header_bytes(&mut self, next_slot: u32) -> [u8; HEADER_LEN] {
         let summary = std::mem::take(&mut self.summary);
-        self.bytes.extend_from_slice(&summary);
+        self.body.extend_from_slice(&summary);
         let summary = self.summary_bytes();
         let mut header = [0u8; HEADER_LEN];
         header[0..8].copy_from_slice(&SEGMENT_MAGIC.to_le_bytes());
@@ -267,25 +277,31 @@ impl SegmentBuilder {
         header[36..40].copy_from_slice(&self.epoch.to_le_bytes());
         let header_crc = crc32(&header[..HEADER_LEN - 4]);
         header[HEADER_LEN - 4..].copy_from_slice(&header_crc.to_le_bytes());
-        self.bytes[..HEADER_LEN].copy_from_slice(&header);
+        self.header = header;
         header
     }
 
     /// The summary of a sealed segment, where it sits on disk:
     /// immediately after the last data block.
     pub(crate) fn summary_bytes(&self) -> &[u8] {
-        &self.bytes[(1 + self.n_blocks as usize) * self.block_size..]
+        &self.body[self.n_blocks as usize * self.block_size..]
     }
 
     /// Total on-media size of the segment as it stands: header block +
     /// data blocks + summary.
     pub(crate) fn encoded_len(&self) -> usize {
-        self.bytes.len() + self.summary.len()
+        self.block_size + self.body.len() + self.summary.len()
     }
 
-    /// The sealed segment, for a single device write at its base.
-    pub(crate) fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The sealed segment's header, the first write, at its base.
+    pub(crate) fn header(&self) -> &[u8; HEADER_LEN] {
+        &self.header
+    }
+
+    /// The sealed segment's data blocks and summary, the second write,
+    /// one block behind its base.
+    pub(crate) fn body(&self) -> &[u8] {
+        &self.body
     }
 }
 
@@ -455,9 +471,20 @@ mod tests {
         builder_at(slot, 0, seq)
     }
 
-    fn sealed(b: &mut SegmentBuilder) -> &[u8] {
+    /// Writes the segment as `LldInner::write_sealed` does: the header
+    /// at its base, then the body from the block behind it.
+    fn write_seal(device: &MemDisk, layout: &Layout, b: &SegmentBuilder) {
+        let at = layout.block_at(b.slot().get(), b.base());
+        device.write_at(at, b.header()).unwrap();
+        device
+            .write_at(at + layout.block_size as u64, b.body())
+            .unwrap();
+    }
+
+    /// Seals `b` with no successor and writes it.
+    fn seal_and_write(device: &MemDisk, layout: &Layout, b: &mut SegmentBuilder) {
         b.header_bytes(NO_SLOT);
-        b.bytes()
+        write_seal(device, layout, b);
     }
 
     /// Sequence number and records of the segment at block `base` of
@@ -531,8 +558,7 @@ mod tests {
         b.push_block(&vec![7u8; 512]);
         b.push_record(&sample_record(1));
         b.push_record(&sample_record(2));
-        let bytes = sealed(&mut b);
-        device.write_at(layout.segment_offset(1), bytes).unwrap();
+        seal_and_write(&device, &layout, &mut b);
 
         let (seq, records) = read_segment(&device, &layout, SegmentId::new(1))
             .unwrap()
@@ -558,9 +584,7 @@ mod tests {
         // Header, one data block, one block of summary: three blocks.
         assert_eq!(first.successor_base(), Some(3));
         let h1 = first.header_bytes(2);
-        device
-            .write_at(layout.block_at(2, 0), first.bytes())
-            .unwrap();
+        write_seal(&device, &layout, &first);
 
         let mut second = SegmentBuilder::new(slot, 3, 6, header_link(&h1), 7, 512, 8 * 512);
         // Addresses count from the slot's start, so `Layout::block_offset`
@@ -572,9 +596,7 @@ mod tests {
         second.push_record(&sample_record(2));
         // It ends at block 7 of 8: the slot is closed.
         assert_eq!(second.successor_base(), None);
-        device
-            .write_at(layout.block_at(2, 3), sealed(&mut second))
-            .unwrap();
+        seal_and_write(&device, &layout, &mut second);
         let addr = crate::types::PhysAddr {
             segment: slot,
             slot: 4,
@@ -630,15 +652,14 @@ mod tests {
         let mut b = builder(0, 7);
         b.push_block(&vec![1u8; 512]);
         b.push_record(&sample_record(1));
-        let bytes = sealed(&mut b);
-        // Simulate a torn write: the tail of the summary never lands and
-        // the medium holds stale bytes there instead.
-        device
-            .write_at(layout.segment_offset(0), &vec![0xEEu8; 8 * 512])
-            .unwrap();
-        device
-            .write_at(layout.segment_offset(0), &bytes[..bytes.len() - 9])
-            .unwrap();
+        b.header_bytes(NO_SLOT);
+        // Simulate a torn body write: the tail of the summary never
+        // lands and the medium holds stale bytes there instead.
+        let at = layout.segment_offset(0);
+        device.write_at(at, &vec![0xEEu8; 8 * 512]).unwrap();
+        device.write_at(at, b.header()).unwrap();
+        let body = b.body();
+        device.write_at(at + 512, &body[..body.len() - 9]).unwrap();
         assert_eq!(
             read_segment(&device, &layout, SegmentId::new(0)).unwrap(),
             None
@@ -650,9 +671,10 @@ mod tests {
         let layout = layout();
         let device = MemDisk::new(1 << 20);
         let mut b = builder(0, 7);
-        let mut bytes = sealed(&mut b).to_vec();
-        bytes[9] ^= 0x10; // flip a bit in seq
-        device.write_at(layout.segment_offset(0), &bytes).unwrap();
+        seal_and_write(&device, &layout, &mut b);
+        let mut header = *b.header();
+        header[9] ^= 0x10; // flip a bit in seq
+        device.write_at(layout.segment_offset(0), &header).unwrap();
         assert_eq!(
             read_segment(&device, &layout, SegmentId::new(0)).unwrap(),
             None
@@ -671,7 +693,7 @@ mod tests {
         old.push_block(&vec![1u8; 512]);
         old.push_record(&sample_record(1));
         let off = layout.segment_offset(0);
-        device.write_at(off, sealed(&mut old)).unwrap();
+        seal_and_write(&device, &layout, &mut old);
         assert!(read_segment(&device, &layout, SegmentId::new(0))
             .unwrap()
             .is_some());
@@ -692,9 +714,7 @@ mod tests {
         let mut b = builder(3, 1);
         b.push_block(&vec![0x11u8; 512]);
         b.push_block(&vec![0x22u8; 512]);
-        device
-            .write_at(layout.segment_offset(3), sealed(&mut b))
-            .unwrap();
+        seal_and_write(&device, &layout, &mut b);
         let addr = crate::types::PhysAddr {
             segment: SegmentId::new(3),
             slot: 1,

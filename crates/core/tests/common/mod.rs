@@ -44,6 +44,9 @@ pub const H_SUMMARY_CRC: usize = 24;
 pub const H_NEXT: usize = 28;
 pub const H_PREV: usize = 32;
 pub const H_CRC: usize = 40;
+/// The header's length: a seal writes this much at its base, then the
+/// body from the next block.
+pub const H_LEN: usize = 44;
 pub const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936;
 
 // Checkpoint header fields (see `checkpoint.rs`).
@@ -61,9 +64,13 @@ pub const C_DIR_RESERVE: usize = 64 * C_DIR_ENTRY;
 pub const C_DIR_SLAB_CRC: usize = 16;
 pub const C_DIR_SLAB_LEN: usize = 20;
 
-// Superblock: the slot count, and the CRC over the bytes in front of it
-// (see `layout.rs`).
+// Superblock: the geometry fields, and the CRC over the bytes in front
+// of it (see `layout.rs`).
 pub const S_N_SEGMENTS: usize = 20;
+pub const S_DATA_START: usize = 24;
+pub const S_CKPT_AREA_SIZE: usize = 32;
+pub const S_MAX_BLOCKS: usize = 40;
+pub const S_MAX_LISTS: usize = 48;
 pub const S_CRC: usize = 60;
 
 pub fn u32_at(image: &[u8], at: usize) -> u32 {
@@ -168,16 +175,22 @@ pub struct ParkState {
     /// `Some(true)` lets it go on, `Some(false)` fails it.
     pub verdict: Option<bool>,
     pub parked: usize,
-    /// Offsets of the writes that have returned, and the barriers
-    /// entered.
-    pub writes: Vec<u64>,
+    /// Offset and length of each write that has returned, and the
+    /// barriers entered.
+    pub writes: Vec<(u64, usize)>,
     pub flushes: usize,
 }
 
 impl ParkState {
     /// Whether a write into `range` has returned.
     pub fn wrote_into(&self, range: &Range<u64>) -> bool {
-        self.writes.iter().any(|at| range.contains(at))
+        self.writes.iter().any(|(at, _)| range.contains(at))
+    }
+
+    /// The segment headers that have returned (each seal's first
+    /// write; docs/RECOVERY.md).
+    pub fn seals(&self) -> usize {
+        self.writes.iter().filter(|&&(_, len)| len == H_LEN).count()
     }
 }
 
@@ -290,7 +303,7 @@ impl BlockDevice for ParkDisk {
             }
         }
         self.inner.write_at(offset, buf)?;
-        st.writes.push(offset);
+        st.writes.push((offset, buf.len()));
         self.cv.notify_all();
         Ok(())
     }

@@ -664,3 +664,112 @@ fn older_format_version_is_refused() {
         other => panic!("{:?}", other.map(|(_, r)| r)),
     }
 }
+
+/// A device that keeps two media: one takes the writes as issued, the
+/// other each seal as one request, the way the trees before PR 26 wrote
+/// it. There a segment header is held back until its body follows a
+/// block further on, and the two go down as the header padded with
+/// zeros to its block, then the body.
+struct OneWriteSeals {
+    issued: MemDisk,
+    one: MemDisk,
+    header: ld_disk::Mutex<Option<(u64, Vec<u8>)>>,
+}
+
+impl ld_disk::BlockDevice for OneWriteSeals {
+    fn capacity(&self) -> u64 {
+        self.issued.capacity()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> ld_disk::Result<()> {
+        self.issued.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, buf: &[u8]) -> ld_disk::Result<()> {
+        self.issued.write_at(offset, buf)?;
+        let mut held = self.header.lock();
+        if let Some((at, mut one)) = held.take() {
+            assert_eq!(offset, at + BS as u64, "a header's body follows it");
+            one.resize(BS, 0);
+            one.extend_from_slice(buf);
+            return self.one.write_at(at, &one);
+        }
+        if buf.len() == H_LEN && u64_at(buf, 0) == SEGMENT_MAGIC {
+            *held = Some((offset, buf.to_vec()));
+            return Ok(());
+        }
+        self.one.write_at(offset, buf)
+    }
+    fn flush(&self) -> ld_disk::Result<()> {
+        assert!(self.header.lock().is_none(), "a seal's body never came");
+        Ok(())
+    }
+}
+
+/// (j) Format 5 as the trees before PR 26 wrote it, each seal one write
+/// with its header padded with zeros to a block, recovers to the state
+/// the two-write seal leaves, on a medium whose header blocks held stale
+/// bytes: the images differ only in that padding, which no reader looks
+/// at, and the format did not change.
+#[test]
+fn an_image_of_single_write_seals_recovers_the_same() {
+    let mut cfg = config();
+    cfg.cleaner = CleanerConfig {
+        background: false, // one writer: a header's body follows it
+        ..cfg.cleaner
+    };
+    let stale = vec![0xEE; device_bytes(16) as usize];
+    let dev = OneWriteSeals {
+        issued: MemDisk::from_image(stale.clone()),
+        one: MemDisk::from_image(stale),
+        header: ld_disk::Mutex::new(None),
+    };
+    let ld = Lld::format(dev, &cfg).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let ring = churn_ring(&ld, l, None);
+    for (i, &b) in ring.iter().cycle().take(40).enumerate() {
+        ld.write(Ctx::Simple, b, &block(i as u8)).unwrap();
+        match i % 9 {
+            4 => ld.flush().unwrap(),
+            8 => ld.checkpoint().unwrap(),
+            _ => {}
+        }
+        if i % 5 == 0 {
+            let aru = ld.begin_aru().unwrap();
+            let nb = ld.new_block(Ctx::Aru(aru), l, Position::First).unwrap();
+            ld.write(Ctx::Aru(aru), nb, &block(0xA0 + i as u8)).unwrap();
+            ld.end_aru(aru).unwrap();
+        }
+    }
+    ld.flush().unwrap();
+    let dev = ld.into_device();
+    let (two, one) = (dev.issued.into_image(), dev.one.into_image());
+
+    let headers = chain(&two);
+    assert!(headers.len() > 8, "{headers:?}");
+    assert_eq!(chain(&one), headers);
+    let padding: Vec<_> = (headers.iter())
+        .map(|&pos| pos_off(&two, pos))
+        .map(|off| off + H_LEN..off + BS)
+        .collect();
+    let differ: Vec<usize> = (0..two.len()).filter(|&i| two[i] != one[i]).collect();
+    assert!(differ.iter().all(|i| padding.iter().any(|p| p.contains(i))));
+    assert_eq!(
+        differ.len(),
+        headers.len() * (BS - H_LEN),
+        "stale against zeros"
+    );
+
+    let state = |image: &[u8]| {
+        let (ld, report) = recover(image).unwrap();
+        let blocks = ld.list_blocks(Ctx::Simple, l).unwrap();
+        let bytes: Vec<u8> = blocks.iter().map(|&b| read_byte(&ld, b)).collect();
+        (
+            blocks,
+            bytes,
+            report.segments_replayed,
+            report.checkpoint_seq,
+        )
+    };
+    let got = state(&two);
+    assert!(got.2 > 0, "a suffix to replay: {got:?}");
+    assert_eq!(state(&one), got);
+}

@@ -9,7 +9,7 @@
 //! area or ends the log earlier. *Resealed* flips recompute the
 //! checksum above the flipped field the way `recovery_chain.rs` does by
 //! hand (segment header, summary, checkpoint header, the superblock's
-//! slot count), so recovery takes the field at its word.
+//! geometry fields), so recovery takes the field at its word.
 //!
 //! Either way `recover` returns: a typed error, or a disk on which
 //! `check()` succeeds and every allocated list walks to its end. It
@@ -206,11 +206,26 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, bool) {
             format!("resealed: summary at {header}")
         }
         8 => {
-            // The one superblock field bounded against the device so
-            // far (docs/INVARIANTS.md I3, "Not reached").
-            flip(&mut image, S_N_SEGMENTS..S_N_SEGMENTS + 4, &mut rng);
+            // A geometry field of the superblock: flipped, or every
+            // other time set near the limit of its type, where
+            // arithmetic on it wraps.
+            let (at, len, name) = [
+                (S_N_SEGMENTS, 4, "slot count"),
+                (S_DATA_START, 8, "data_start"),
+                (S_CKPT_AREA_SIZE, 8, "ckpt_area_size"),
+                (S_MAX_BLOCKS, 8, "max_blocks"),
+                (S_MAX_LISTS, 8, "max_lists"),
+            ][rng.below(5)];
+            let how = if rng.below(2) == 0 {
+                let near_max = u64::MAX - rng.below(4096) as u64;
+                image[at..at + len].copy_from_slice(&near_max.to_le_bytes()[..len]);
+                "set near its limit"
+            } else {
+                flip(&mut image, at..at + len, &mut rng);
+                "flipped"
+            };
             reseal_superblock(&mut image);
-            "resealed: superblock slot count".to_string()
+            format!("resealed: superblock {name}, {how}")
         }
         9 | 10 => {
             // Descriptors or rows of one slab, taken at their word.

@@ -19,6 +19,8 @@
 //! * [`SimDisk`] — a wrapper combining a device with a model, a clock,
 //!   I/O [`DiskStats`], and deterministic [`FaultPlan`] fault injection
 //!   (crash points and torn writes) for crash-recovery testing.
+//! * [`ReorderDisk`] — a device whose unflushed writes persist in any
+//!   combination, for protocols that must not lean on issue order.
 //! * [`crc32`] — checksums for on-disk structures.
 //!
 //! # Example
@@ -51,6 +53,7 @@ mod hist;
 mod latency;
 mod mem;
 mod model;
+mod reorder;
 mod rng;
 mod sim;
 mod stats;
@@ -69,6 +72,7 @@ pub use hist::{
 pub use latency::LatencyDisk;
 pub use mem::MemDisk;
 pub use model::DiskModel;
+pub use reorder::ReorderDisk;
 pub use rng::SmallRng;
 pub use sim::SimDisk;
 pub use stats::{DiskStats, DiskStatsSnapshot};

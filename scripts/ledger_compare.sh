@@ -10,8 +10,10 @@
 # one workload at a time, pair i with seed i on both sides, the parent
 # first in odd pairs and the change first in even ones. Prints per
 # workload and end-to-end metric both medians, both quartile spreads,
-# how many pairs the change won, the relative gap and the metric's
-# bound from BENCHMARK.json; exits 1 if a median of the change is worse
+# both ranges ([min, max]), how many pairs the change won, the relative
+# gap and the metric's bound from BENCHMARK.json, and marks a row
+# "separated" when every run of the change beats every run of the
+# parent. Exits 1 if a median of the change is worse
 # than the parent's by more than its bound, if on a timing row (s, ms,
 # 1/s) the change's runs spread (q3 - q1) by more than the bound times
 # the parent's median (too wide to tell: what refused PR 17's first
@@ -57,7 +59,10 @@ def quartiles(v):
     q1, _, q3 = statistics.quantiles(v, n=4)
     return q1, statistics.median(v), q3
 bad = []
-print(f"{'workload':<15}{'metric':<15}{'parent':>11}{'[q1, q3]':>24}{'change':>11}{'[q1, q3]':>24}{'wins':>7}{'gap':>8}{'bound':>7}")
+def span(lo, hi):
+    return f"[{lo:.4g}, {hi:.4g}]"
+print(f"{'workload':<15}{'metric':<15}{'parent':>11}{'[q1, q3]':>24}{'[min, max]':>24}"
+      f"{'change':>11}{'[q1, q3]':>24}{'[min, max]':>24}{'wins':>7}{'gap':>8}{'bound':>7}")
 for w in workloads:
     runs = {s: [json.load(open(f"{out}/{s}.{i}.{w}.json")) for i in range(1, n + 1)] for s in ("parent", "change")}
     failed = {s: sum(r["failed"] for r in runs[s]) for s in runs}
@@ -67,16 +72,18 @@ for w in workloads:
         (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
         gap = worse * (cm - pm) / pm
         wins = sum(worse * (b - a) < 0 for a, b in zip(p, c))
-        mark = ""
+        separated = all(worse * (b - a) < 0 for a in p for b in c)
+        mark = "  separated" if separated else ""
         if gap > m["bound"]:
             bad.append(f"{w} {name}: {gap:+.1%} past its bound of {m['bound']:.0%}")
             mark = "  <-- out of bound"
         if m["unit"] in ("s", "ms", "1/s") and c3 - c1 > m["bound"] * pm:
             bad.append(f"{w} {name}: runs spread by {c3 - c1:.4g}, more than {m['bound']:.0%} of the parent's {pm:.4g}")
             mark += "  <-- spread too wide"
-        print(f"{w:<15}{name:<15}{pm:>11.4g}{f'[{p1:.4g}, {p3:.4g}]':>24}{cm:>11.4g}{f'[{c1:.4g}, {c3:.4g}]':>24}"
+        print(f"{w:<15}{name:<15}{pm:>11.4g}{span(p1, p3):>24}{span(min(p), max(p)):>24}"
+              f"{cm:>11.4g}{span(c1, c3):>24}{span(min(c), max(c)):>24}"
               f"{f'{wins}/{n}':>7}{gap:>+8.1%}{m['bound']:>7.0%}{mark}")
-    print(f"{w:<15}{'failed_ops':<15}{failed['parent']:>11}{'':>24}{failed['change']:>11}")
+    print(f"{w:<15}{'failed_ops':<15}{failed['parent']:>11}{'':>48}{failed['change']:>11}")
     if failed["change"] > failed["parent"]:
         bad.append(f"{w}: {failed['change']} failed operations, parent {failed['parent']}")
 for b in bad:

@@ -9,13 +9,13 @@
 //! shards, and both cleaners where the log wraps.
 
 use ld_aru::core::{CleanerConfig, Ctx, Lld, LldConfig, Position};
-use ld_aru::disk::{DiskModel, FaultPlan, MemDisk, SimDisk, SmallRng};
+use ld_aru::disk::{DiskModel, FaultPlan, MemDisk, ReorderDisk, SimDisk, SmallRng};
 use ld_aru::minixfs::{FsConfig, FsError, MinixFs};
 use ld_aru::workload::pattern_fill;
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
-use common::{ParkDisk, ReleaseOnDrop};
+use common::{u64_at, ParkDisk, ReleaseOnDrop, H_LEN, H_SEQ, SEGMENT_MAGIC};
 
 /// One point of the mode matrix: background cleaner, map shards.
 type Mode = (bool, usize);
@@ -368,14 +368,14 @@ fn a_cut_with_a_hand_off_in_flight_ends_the_log_before_it() {
             }
         };
         dev.wait_for("N's write parks on the thread", |st| st.parked == 1);
-        let (sealed, on_device) = (seals(), dev.state.lock().writes.len());
+        let (sealed, on_device) = (seals(), dev.state.lock().seals());
         while seals() == sealed {
             commit_next(&mut written);
         }
         commit_next(&mut written);
         {
             let st = dev.state.lock();
-            assert_eq!(st.writes.len(), on_device + 1, "prefix {prefix}: N+1");
+            assert_eq!(st.seals(), on_device + 1, "prefix {prefix}: N+1");
             assert_eq!(st.parked, 1, "prefix {prefix}: N is still with the thread");
         }
 
@@ -741,98 +741,31 @@ fn sync_ack_means_durable_eight_shards() {
 // Reordered persistence
 // ----------------------------------------------------------------------
 
-/// A device whose unflushed writes persist in no particular order: it
-/// keeps the image as of the last `flush` and the writes issued since,
-/// and a crash keeps a random *subset* of those writes (each whole —
-/// the byte-budget faults above already tear writes). Every other
-/// fault in this file keeps a *prefix*.
-struct ReorderDisk {
-    current: MemDisk,
-    journal: std::sync::Mutex<Journal>,
-}
-
-struct Journal {
-    /// The image as of the last flush.
-    durable: Vec<u8>,
-    /// Writes issued since, in issue order.
-    pending: Vec<(u64, Vec<u8>)>,
-}
-
-impl Journal {
-    fn apply(image: &mut [u8], (off, bytes): &(u64, Vec<u8>)) {
-        image[*off as usize..*off as usize + bytes.len()].copy_from_slice(bytes);
-    }
-}
-
-impl ReorderDisk {
-    fn from_image(image: Vec<u8>) -> Self {
-        ReorderDisk {
-            current: MemDisk::from_image(image.clone()),
-            journal: std::sync::Mutex::new(Journal {
-                durable: image,
-                pending: Vec::new(),
-            }),
-        }
-    }
-
-    /// The image a power cut leaves: the last flushed one plus each
-    /// later write with probability one half, in issue order.
-    fn crash(self, rng: &mut SmallRng) -> Vec<u8> {
-        self.crash_keeping(|_| rng.gen_index(2) == 0)
-    }
-
-    /// The last flushed image plus the later writes `keep` picks, by
-    /// their place in issue order.
-    fn crash_keeping(&self, mut keep: impl FnMut(usize) -> bool) -> Vec<u8> {
-        let j = self.journal.lock().unwrap();
-        let mut image = j.durable.clone();
-        for (i, write) in j.pending.iter().enumerate() {
-            if keep(i) {
-                Journal::apply(&mut image, write);
-            }
-        }
-        image
-    }
-
-    /// The pending writes' places in issue order, sorted by the log
-    /// sequence number each carries: all of them are seals (a segment
-    /// header leads each, `seq` at byte 8). With `cleanerd` writing the
-    /// seals handed to it the device may see segment N after N + 1.
-    fn pending_in_log_order(&self) -> Vec<usize> {
-        const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936;
-        let j = self.journal.lock().unwrap();
-        let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
-        let mut order: Vec<usize> = (0..j.pending.len()).collect();
-        order.sort_by_key(|&i| {
-            let bytes = &j.pending[i].1;
-            assert_eq!(u64_at(bytes, 0), SEGMENT_MAGIC, "write {i} is no seal");
-            u64_at(bytes, 8)
-        });
-        order
-    }
-}
-
-impl ld_aru::disk::BlockDevice for ReorderDisk {
-    fn capacity(&self) -> u64 {
-        self.current.capacity()
-    }
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> ld_aru::disk::Result<()> {
-        self.current.read_at(offset, buf)
-    }
-    fn write_at(&self, offset: u64, buf: &[u8]) -> ld_aru::disk::Result<()> {
-        self.current.write_at(offset, buf)?;
-        let mut j = self.journal.lock().unwrap();
-        j.pending.push((offset, buf.to_vec()));
-        Ok(())
-    }
-    fn flush(&self) -> ld_aru::disk::Result<()> {
-        let mut j = self.journal.lock().unwrap();
-        let Journal { durable, pending } = &mut *j;
-        for write in pending.drain(..) {
-            Journal::apply(durable, &write);
-        }
-        Ok(())
-    }
+/// The unflushed seals on `dev` in log order, each as the places in
+/// issue order of its two writes: the header (`H_LEN` bytes, `seq` at
+/// byte 8) and the body a block behind it (docs/RECOVERY.md). Every
+/// pending write is half of one. With `cleanerd` writing the seals
+/// handed to it the device may see segment N after N + 1.
+fn seals_in_log_order(dev: &ReorderDisk, block_size: usize) -> Vec<[usize; 2]> {
+    let pending = dev.pending();
+    let is_header = |bytes: &[u8]| bytes.len() == H_LEN && u64_at(bytes, 0) == SEGMENT_MAGIC;
+    let mut seals: Vec<(u64, [usize; 2])> = (pending.iter().enumerate())
+        .filter(|(_, (_, bytes))| is_header(bytes))
+        .map(|(h, (at, bytes))| {
+            let body_at = at + block_size as u64;
+            let body = (pending.iter().enumerate().skip(h + 1))
+                .position(|(_, (off, bytes))| *off == body_at && !is_header(bytes))
+                .unwrap_or_else(|| panic!("the header at {at} has no body behind it"));
+            (u64_at(bytes, H_SEQ), [h, h + 1 + body])
+        })
+        .collect();
+    assert_eq!(
+        2 * seals.len(),
+        pending.len(),
+        "a pending write is no seal's"
+    );
+    seals.sort_by_key(|&(seq, _)| seq);
+    seals.into_iter().map(|(_, writes)| writes).collect()
 }
 
 /// Seals that no barrier separates may reach the medium in any order,
@@ -846,10 +779,10 @@ impl ld_aru::disk::BlockDevice for ReorderDisk {
 /// (all-or-nothing), that generation is at least the last flushed one
 /// (no durable commit lost) and at most the last written.
 ///
-/// The device is large enough that the log never wraps. A seal is a
-/// single write, the unit this model reorders. (The cleaner's reuse of
-/// a victim slot relies on the device persisting writes in issue order;
-/// it is not under test here.)
+/// The device is large enough that the log never wraps. A seal is two
+/// writes, header and body, and the model reorders those too. (The
+/// cleaner's reuse of a victim slot relies on the device persisting
+/// writes in issue order; it is not under test here.)
 ///
 /// Repro of one seed: `REORDER_SEED=<seed> cargo test --test crash_matrix reordered`.
 #[test]
@@ -964,6 +897,162 @@ fn reordered_persistence(mode: Mode) {
             ld = ld2;
         }
     }
+}
+
+const SEAL_BS: usize = 512;
+
+/// The generation both blocks of every pair hold, which must be one.
+fn pair_generations<D: ld_aru::disk::BlockDevice>(
+    ld: &Lld<D>,
+    pairs: &[[ld_aru::core::BlockId; 2]],
+    at: &str,
+) -> Vec<u8> {
+    let generation = |b| {
+        let mut buf = vec![0u8; SEAL_BS];
+        ld.read(Ctx::Simple, b, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == buf[0]), "{at}: a mixed block");
+        buf[0]
+    };
+    let got = pairs.iter().enumerate().map(|(i, &[b0, b1])| {
+        let g = generation(b0);
+        assert_eq!(g, generation(b1), "{at}: pair {i} torn");
+        g
+    });
+    got.collect()
+}
+
+/// Two-block units on `pairs`, from `first` on, generation `gen + i` for
+/// the `i`th, until one of them seals a segment. Returns the
+/// generations as they stand after the units whose commit records the
+/// sealed segment holds, which are all those before the one that
+/// sealed it: a seal happens when something does not fit, and that
+/// unit's commit record goes to the next segment.
+fn units_until_a_seal<D: ld_aru::disk::BlockDevice>(
+    ld: &Lld<D>,
+    pairs: &[[ld_aru::core::BlockId; 2]],
+    mut generations: Vec<u8>,
+    first: usize,
+    gen: u8,
+) -> Vec<u8> {
+    let sealed = ld.stats().segments_sealed;
+    for i in 0..pairs.len() {
+        let (p, g) = ((first + i) % pairs.len(), gen + i as u8);
+        let aru = ld.begin_aru().unwrap();
+        for b in pairs[p] {
+            ld.write(Ctx::Aru(aru), b, &[g; SEAL_BS]).unwrap();
+        }
+        ld.end_aru(aru).unwrap();
+        if ld.stats().segments_sealed > sealed {
+            return generations;
+        }
+        generations[p] = g;
+    }
+    panic!("{} units sealed no segment", pairs.len());
+}
+
+/// A seal is two writes, the header at its base and then the body
+/// (docs/RECOVERY.md, "What a segment's base holds until its seal
+/// lands"), and a device that reorders may keep either without the
+/// other. Per shard count, on the default cleaner: flush a state, then
+/// commit two-block units until a segment seals, and cut keeping each
+/// subset of that seal's two writes. Recovery gives the flushed state,
+/// or with both writes that state plus every unit whose commit record
+/// the segment holds; never half a unit (the unit that sealed it has
+/// blocks in it and its commit record behind it).
+///
+/// Then the abandoned timeline. Only the header landed; the disk
+/// recovered from that writes a segment with the same `seq` at the same
+/// base, with other contents, and only its body lands. The stale header
+/// links where the new one would, and validates only over the summary
+/// it was sealed with: the log ends in front of it.
+///
+/// The medium is not zeroed first: where a header-only cut looks for a
+/// summary it finds stale bytes, as on a disk that has been written.
+#[test]
+fn a_seal_is_all_or_nothing_under_any_subset_of_its_two_writes() {
+    for shards in [8, 1] {
+        two_write_seal(shards);
+    }
+}
+
+fn two_write_seal(shards: usize) {
+    let cfg = with_mode(
+        (true, shards),
+        LldConfig {
+            block_size: SEAL_BS,
+            segment_bytes: 16 * SEAL_BS,
+            max_blocks: Some(512),
+            max_lists: Some(64),
+            ..LldConfig::default()
+        },
+    );
+    let ld = Lld::format(ReorderDisk::from_image(vec![0xA5; 4 << 20]), &cfg).unwrap();
+    let list = ld.new_list(Ctx::Simple).unwrap();
+    // More blocks than a segment holds: every unit appends.
+    let pairs: Vec<[ld_aru::core::BlockId; 2]> = (0..12)
+        .map(|_| [(); 2].map(|()| ld.new_block(Ctx::Simple, list, Position::First).unwrap()))
+        .collect();
+    for b in pairs.iter().flatten() {
+        ld.write(Ctx::Simple, *b, &[1; SEAL_BS]).unwrap();
+    }
+    ld.flush().unwrap();
+    let flushed = vec![1u8; pairs.len()];
+    let whole = units_until_a_seal(&ld, &pairs, flushed.clone(), 0, 2);
+    assert_ne!(whole, flushed, "shards {shards}: the segment holds no unit");
+    let handed_off = ld.stats().seals_handed_off;
+    let dev = ld.into_device(); // `cleanerd` writes what it was handed first
+    let seals = seals_in_log_order(&dev, SEAL_BS);
+    assert_eq!(seals.len(), 1, "shards {shards}: one seal since the flush");
+    let [header, body] = seals[0];
+
+    let recovered = |image: Vec<u8>, at: &str| {
+        let (ld2, _) = Lld::recover_with(ReorderDisk::from_image(image), &cfg)
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        let got = pair_generations(&ld2, &pairs, at);
+        (ld2, got)
+    };
+    for (kept, want) in [
+        ("neither write", &flushed),
+        ("the header", &flushed),
+        ("the body", &flushed),
+        ("both writes", &whole),
+    ] {
+        let keep = |i| match kept {
+            "the header" => i == header,
+            "the body" => i == body,
+            "both writes" => true,
+            _ => false,
+        };
+        let at = format!("shards {shards}, a cut that keeps {kept}");
+        assert_eq!(&recovered(dev.crash_keeping(keep), &at).1, want, "{at}");
+    }
+
+    let at = format!("shards {shards}, the abandoned timeline");
+    let (ld2, got) = recovered(dev.crash_keeping(|i| i == header), &at);
+    assert_eq!(got, flushed, "{at}");
+    // Other pairs, other generations: another summary.
+    let again = units_until_a_seal(&ld2, &pairs, flushed.clone(), 6, 40);
+    assert_ne!(again, flushed, "{at}: the segment holds no unit");
+    let dev2 = ld2.into_device();
+    let seals2 = seals_in_log_order(&dev2, SEAL_BS);
+    assert_eq!(seals2.len(), 1, "{at}: one seal since recovery");
+    let [header2, body2] = seals2[0];
+    let (old, new) = (&dev.pending()[header], &dev2.pending()[header2]);
+    assert_eq!(old.0, new.0, "{at}: the same base");
+    assert_eq!(
+        u64_at(&old.1, H_SEQ),
+        u64_at(&new.1, H_SEQ),
+        "{at}: the same seq"
+    );
+    assert_ne!(old.1, new.1, "{at}: another header");
+    assert_eq!(
+        recovered(dev2.crash_keeping(|_| true), &at).1,
+        again,
+        "{at}"
+    );
+    let only_the_new_body = dev2.crash_keeping(|i| i == body2);
+    assert_eq!(recovered(only_the_new_body, &at).1, flushed, "{at}");
+    eprintln!("shards {shards}: {handed_off} seals handed off; every subset recovers whole");
 }
 
 // ----------------------------------------------------------------------
@@ -1110,11 +1199,14 @@ fn an_absorbed_unit_is_all_or_nothing_at_every_seal() {
                 let run = absorb_run(shards, nx, ny, fillers);
                 handed_off += run.handed_off;
                 // Prefixes of the log, whoever wrote which seal when.
-                let order = run.dev.pending_in_log_order();
+                let order = seals_in_log_order(&run.dev, ABSORB_BS);
                 let seals = order.len();
                 let seen: Vec<(u8, u8)> = (0..=seals)
                     .map(|cut| {
-                        let image = run.dev.crash_keeping(|i| order[..cut].contains(&i));
+                        let kept = &order[..cut];
+                        let image = run
+                            .dev
+                            .crash_keeping(|i| kept.iter().any(|s| s.contains(&i)));
                         run.versions(image, &format!("{at}, {cut} of {seals} seals"))
                     })
                     .collect();
