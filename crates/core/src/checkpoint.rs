@@ -46,10 +46,10 @@
 //! never costs a column its width: an absent successor, list, first or
 //! last is 0 (identifiers are not), an absent address is segment 0 with
 //! a present one stored as `segment + 1`, and the slot beside it is 0.
-//! Row order within a slab is unspecified (hash-map iteration); every
-//! row is keyed by its identifier. A row is never wider than 40 B (a
-//! block: 8 + 4 + 4 + 8 + 8 + 8) or 32 B (a list), which is what
-//! `Layout::compute` sizes the area by.
+//! Row order within a slab is unspecified (hash-map iteration, under a
+//! hash key drawn per process); every row is keyed by its identifier. A
+//! row is never wider than 40 B (a block: 8 + 4 + 4 + 8 + 8 + 8) or
+//! 32 B (a list), which is what `Layout::compute` sizes the area by.
 //!
 //! What a reader refuses. The *area* is invalid, and recovery falls back
 //! to the other one, on: a bad magic or header CRC, a slab count outside
@@ -993,7 +993,7 @@ mod tests {
 
     fn block(id: u64, rec: BlockRecord) -> Tables {
         Tables {
-            blocks: [(BlockId::new(id), rec)].into(),
+            blocks: [(BlockId::new(id), rec)].into_iter().collect(),
             ..Tables::default()
         }
     }

@@ -24,14 +24,14 @@ use crate::obs::{Obs, ObsSnapshot, Stage, TraceEvent};
 use crate::sampler::Sampler;
 use crate::segment::{header_link, ChainHead, SegmentBuilder, HEADER_PUNCH, NO_SLOT};
 use crate::shard::{MapView, Maps, WalkOutcome, SCRATCH_ARU_RAW};
-use crate::state::{BlockRecord, ListRecord};
+use crate::state::{BlockRecord, IdSet, ListRecord};
 use crate::stats::{LldStats, StatsCell};
 use crate::summary::Record;
 use crate::types::{AruId, BlockId, ListId, PhysAddr, Position, SegmentId, Timestamp};
 use ld_disk::BlockDevice;
 use ld_disk::Mutex;
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard};
@@ -73,7 +73,7 @@ pub(crate) struct LogState {
     pub(crate) free_slots: BTreeSet<u32>,
     /// Per physical slot: the blocks whose current address is in it
     /// (the cleaner's work list, and its length the slot's live count).
-    pub(crate) residents: Vec<HashSet<BlockId>>,
+    pub(crate) residents: Vec<IdSet<BlockId>>,
     pub(crate) next_seq: u64,
     /// Where the log goes on behind the last sealed segment, and that
     /// segment's header CRC (`link`, 0 before the first: the `prev_link`
@@ -118,7 +118,7 @@ impl LogState {
             builder: None,
             slot_seq: vec![0; n_segments],
             free_slots: (0..n_segments as u32).collect(),
-            residents: vec![HashSet::new(); n_segments],
+            residents: vec![IdSet::default(); n_segments],
             next_seq: 1,
             tail: ChainHead {
                 slot: NO_SLOT,

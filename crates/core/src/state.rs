@@ -14,9 +14,92 @@
 //! iteration over one overlay; the whole-state transitions (shadow →
 //! committed at `EndARU`, committed → persistent at segment write) drain
 //! one overlay into the level below.
+//!
+//! The maps keyed by identifier hash with [`IdBuild`], a keyed folded
+//! multiply: two 64×64→128-bit products per identifier where std's
+//! SipHash runs its rounds. Its key is drawn once per process, so
+//! iteration order (and a checkpoint slab's row order) is per process.
 
 use crate::types::{BlockId, ListId, PhysAddr, Timestamp};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
+
+/// A map keyed by block or list identifier.
+pub(crate) type IdMap<K, V> = HashMap<K, V, IdBuild>;
+/// A set of block or list identifiers.
+pub(crate) type IdSet<K> = HashSet<K, IdBuild>;
+
+/// Builds [`IdHasher`]s under the process's key `(k0, k1)`, drawn once
+/// from std's [`RandomState`]. The key is not optional: an unkeyed
+/// multiply is invertible, so a CRC-valid checkpoint slab could choose
+/// identifiers that all land in one bucket and make recovery quadratic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct IdBuild {
+    k0: u64,
+    k1: u64,
+}
+
+impl Default for IdBuild {
+    fn default() -> Self {
+        static KEY: OnceLock<IdBuild> = OnceLock::new();
+        *KEY.get_or_init(|| {
+            let s = RandomState::new();
+            IdBuild {
+                k0: s.hash_one(0u64),
+                k1: s.hash_one(1u64) | 1,
+            }
+        })
+    }
+}
+
+impl BuildHasher for IdBuild {
+    type Hasher = IdHasher;
+
+    fn build_hasher(&self) -> IdHasher {
+        IdHasher {
+            h: self.k0,
+            key: *self,
+        }
+    }
+}
+
+/// Folds each word in with `h = fold(h ^ x, k1)`, starting from
+/// `h = k0`, and `finish` folds `k0` in once more: an identifier is one
+/// `write_u64`, so two multiplies. One alone leaves the low bits of
+/// identifiers that differ only in their high bits to `hi(r)`: on half
+/// of all keys the low 16 bits of 32,768 such identifiers then take
+/// under 24,000 values, as few as 2,000 (EXPERIMENTS.md "Study 13").
+#[derive(Debug)]
+pub(crate) struct IdHasher {
+    h: u64,
+    key: IdBuild,
+}
+
+/// `lo(r) ^ hi(r)` of the 128-bit product `r = a · b`.
+fn fold(a: u64, b: u64) -> u64 {
+    let r = u128::from(a) * u128::from(b);
+    (r as u64) ^ ((r >> 64) as u64)
+}
+
+impl Hasher for IdHasher {
+    fn write_u64(&mut self, x: u64) {
+        self.h = fold(self.h ^ x, self.key.k1);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        fold(self.h ^ self.key.k0, self.key.k1)
+    }
+}
 
 /// One version of a logical block's meta-data: the block-number-map
 /// entry of the paper (physical address, allocation state, position
@@ -84,9 +167,9 @@ impl ListRecord {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tables {
     /// The block-number-map.
-    pub blocks: HashMap<BlockId, BlockRecord>,
+    pub blocks: IdMap<BlockId, BlockRecord>,
     /// The list-table.
-    pub lists: HashMap<ListId, ListRecord>,
+    pub lists: IdMap<ListId, ListRecord>,
 }
 
 /// A set of alternative records layered over the state below it
@@ -98,9 +181,9 @@ pub struct Tables {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StateOverlay {
     /// Alternative block records in this state.
-    pub blocks: HashMap<BlockId, BlockRecord>,
+    pub blocks: IdMap<BlockId, BlockRecord>,
     /// Alternative list records in this state.
-    pub lists: HashMap<ListId, ListRecord>,
+    pub lists: IdMap<ListId, ListRecord>,
 }
 
 impl StateOverlay {
@@ -228,6 +311,26 @@ mod tests {
             .insert(BlockId::new(1), BlockRecord::fresh(Timestamp::new(5)));
         overlay.drain_into(&mut tables);
         assert_eq!(tables.blocks[&BlockId::new(1)].ts, Timestamp::new(20));
+    }
+
+    /// 32,768 identifiers at the spacings the allocators hand out (one
+    /// shard, 8 and 64 shards) and at two a crafted slab could choose:
+    /// the low 16 bits (the bucket of a 65,536-bucket table) and the top
+    /// 7 (hashbrown's tag) spread as a random function's would.
+    #[test]
+    fn the_identifier_hash_spreads_low_and_top_bits() {
+        let build = IdBuild::default();
+        assert_eq!(build, IdBuild::default(), "one key per process");
+        for spacing in [1u64, 8, 64, 1 << 32, 1 << 40] {
+            let hashes: Vec<u64> = (1..=32_768u64)
+                .map(|i| build.hash_one(BlockId::new(i * spacing)))
+                .collect();
+            let low: HashSet<u64> = hashes.iter().map(|h| h & 0xFFFF).collect();
+            let top: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+            // A random function gives ≈ 25,786 and 128.
+            assert!(low.len() >= 24_000, "spacing {spacing}: {} low", low.len());
+            assert!(top.len() >= 120, "spacing {spacing}: {} top", top.len());
+        }
     }
 
     #[test]

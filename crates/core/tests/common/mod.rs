@@ -52,6 +52,8 @@ pub const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936;
 // Checkpoint header fields (see `checkpoint.rs`).
 pub const C_SNAP_SHARDS: usize = 40;
 pub const C_DIR_CRC: usize = 44;
+pub const C_N_DEDUP: usize = 48;
+pub const C_DEDUP_CRC: usize = 52;
 pub const C_HEAD_SLOT: usize = 56;
 pub const C_HEAD_BASE: usize = 60;
 pub const C_CRC: usize = 64;
@@ -63,6 +65,8 @@ pub const C_DIR_RESERVE: usize = 64 * C_DIR_ENTRY;
 // In a directory entry: the slab's CRC and its length in bytes.
 pub const C_DIR_SLAB_CRC: usize = 16;
 pub const C_DIR_SLAB_LEN: usize = 20;
+/// A dedup-slab entry: client, write id, generation, commit timestamp.
+pub const C_DEDUP_ENTRY: usize = 32;
 
 // Superblock: the geometry fields, and the CRC over the bytes in front
 // of it (see `layout.rs`).
@@ -147,6 +151,22 @@ pub fn reseal_slab(image: &mut [u8], area: usize, i: usize) {
     let shards = u32_at(image, area + C_SNAP_SHARDS) as usize;
     let dir_crc = crc32(&image[dir..dir + shards * C_DIR_ENTRY]);
     put_u32(image, area + C_DIR_CRC, dir_crc);
+    reseal_checkpoint(image, area);
+}
+
+/// Byte range of the dedup slab of the checkpoint at `area`: behind its
+/// last slab.
+pub fn dedup_range(image: &[u8], area: usize) -> std::ops::Range<usize> {
+    let slabs = slab_ranges(image, area);
+    let start = slabs.last().map_or(area + C_LEN + C_DIR_RESERVE, |r| r.end);
+    start..start + u32_at(image, area + C_N_DEDUP) as usize * C_DEDUP_ENTRY
+}
+
+/// Makes an edit of the dedup slab of the checkpoint at `area` pass:
+/// recomputes its CRC in the header, then the header's own.
+pub fn reseal_dedup(image: &mut [u8], area: usize) {
+    let crc = crc32(&image[dedup_range(image, area)]);
+    put_u32(image, area + C_DEDUP_CRC, crc);
     reseal_checkpoint(image, area);
 }
 

@@ -23,7 +23,9 @@
 //! up (a hash probe per block on every restart). So there the disk
 //! that comes back may hold a list whose chain a flip broke, and what
 //! is asked of `check()` and of every walk is that they return — `Ok`
-//! or a typed error — and that nothing panics.
+//! or a typed error — and that nothing panics. *Resealed dedup* flips
+//! land in the write-id outcomes behind the slabs, under a recomputed
+//! dedup and header checksum, and are asked the same.
 //!
 //! About 200 cases in tier-1; `RECOVERY_FUZZ_CASES=n` runs more (CI:
 //! 5,000 in release mode). A failure prints `RECOVERY_FUZZ_SEED=n`, and
@@ -143,6 +145,9 @@ fn base_image() -> Base {
     assert!(report.checkpoint_seq > 0 && report.segments_replayed > 8);
     assert!(report.orphan_blocks_freed > 0);
     assert!(headers.len() > report.segments_replayed as usize);
+    for area in [layout.ckpt_a, layout.ckpt_b] {
+        assert!(!dedup_range(&image, area as usize).is_empty());
+    }
     Base {
         image,
         layout,
@@ -167,7 +172,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, bool) {
     let area = [layout.ckpt_a, layout.ckpt_b][rng.below(2)] as usize;
     let header = base.headers[rng.below(base.headers.len())];
     let summary = summary_range(&image, header, BS);
-    let kind = rng.below(12);
+    let kind = rng.below(13);
     let what = match kind {
         0 => {
             flip(&mut image, 0..S_CRC + 4, &mut rng);
@@ -235,13 +240,20 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, bool) {
             reseal_slab(&mut image, area, i);
             format!("resealed: slab {i} at {area}")
         }
-        _ => {
+        11 => {
             flip(&mut image, area..area + C_CRC, &mut rng);
             reseal_checkpoint(&mut image, area);
             format!("resealed: checkpoint header at {area}")
         }
+        _ => {
+            // The write-id outcomes a retry is answered from.
+            let range = dedup_range(&image, area);
+            flip(&mut image, range, &mut rng);
+            reseal_dedup(&mut image, area);
+            format!("resealed: dedup slab at {area}")
+        }
     };
-    (image, what, !matches!(kind, 9 | 10))
+    (image, what, !matches!(kind, 9 | 10 | 12))
 }
 
 /// `recover` on the image of case `seed`; what went wrong, if anything
