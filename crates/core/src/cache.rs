@@ -1,5 +1,8 @@
 //! An LRU cache of data blocks, keyed by physical address.
 //!
+//! An entry holds the block's extent, the bytes its address names; a hit
+//! zero-fills the rest of the caller's block, as a device read does.
+//!
 //! The paper's Minix file system sits on a buffer cache; without one,
 //! every inode or directory read-modify-write would pay a disk read.
 //! Keying by *physical* address makes consistency trivial in a
@@ -11,6 +14,7 @@
 //! address; reads of the open segment are served from its buffer
 //! anyway.)
 
+use crate::segment::{zero_past_extent, SECTOR};
 use crate::types::{PhysAddr, SegmentId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -48,8 +52,8 @@ impl BlockCache {
         }
     }
 
-    /// Copies the cached block into `buf` and refreshes its recency.
-    /// Returns `false` on a miss.
+    /// Copies the cached block into `buf`, zero-filled past its extent,
+    /// and refreshes its recency. Returns `false` on a miss.
     pub(crate) fn get(&mut self, addr: PhysAddr, buf: &mut [u8]) -> bool {
         if self.capacity == 0 {
             return false;
@@ -57,7 +61,7 @@ impl BlockCache {
         let Some((stamp, data)) = self.map.get_mut(&addr) else {
             return false;
         };
-        buf.copy_from_slice(data);
+        zero_past_extent(buf, addr.sectors).copy_from_slice(data);
         let old = *stamp;
         self.tick += 1;
         *stamp = self.tick;
@@ -66,12 +70,14 @@ impl BlockCache {
         true
     }
 
-    /// Inserts (or refreshes) a block, evicting the least recently used
+    /// Inserts (or refreshes) the block `data` at `addr`, keeping the
+    /// extent the address names, and evicting the least recently used
     /// entry if full.
     pub(crate) fn insert(&mut self, addr: PhysAddr, data: &[u8]) {
         if self.capacity == 0 {
             return;
         }
+        let data = &data[..addr.sectors as usize * SECTOR];
         self.tick += 1;
         if let Some((old, existing)) = self.map.get_mut(&addr) {
             self.order.remove(&{ *old });
@@ -120,32 +126,52 @@ impl BlockCache {
 mod tests {
     use super::*;
 
-    fn addr(seg: u32, slot: u32) -> PhysAddr {
+    /// A one-sector extent at sector `sector` of slot `seg`.
+    fn addr(seg: u32, sector: u32) -> PhysAddr {
         PhysAddr {
             segment: SegmentId::new(seg),
-            slot,
+            sector,
+            sectors: 1,
         }
+    }
+
+    /// A 1 KiB block whose first byte is `b` and whose extent is that
+    /// sector alone.
+    fn block(b: u8) -> [u8; 1024] {
+        let mut d = [0u8; 1024];
+        d[0] = b;
+        d
     }
 
     #[test]
     fn hit_and_miss() {
         let mut c = BlockCache::new(4);
-        let mut buf = [0u8; 4];
+        let mut buf = [0xEEu8; 1024];
         assert!(!c.get(addr(0, 0), &mut buf));
-        c.insert(addr(0, 0), &[1, 2, 3, 4]);
+        c.insert(addr(0, 0), &block(1));
         assert!(c.get(addr(0, 0), &mut buf));
-        assert_eq!(buf, [1, 2, 3, 4]);
+        // The extent, zero-filled: an entry keeps one sector.
+        assert_eq!(buf, block(1));
+        assert_eq!(c.map[&addr(0, 0)].1.len(), 512);
+        // An all-zero block keeps nothing.
+        let zero = PhysAddr {
+            sectors: 0,
+            ..addr(0, 1)
+        };
+        c.insert(zero, &block(0));
+        assert!(c.get(zero, &mut buf));
+        assert_eq!(buf, block(0));
     }
 
     #[test]
     fn lru_eviction_order() {
         let mut c = BlockCache::new(2);
-        c.insert(addr(0, 0), &[0]);
-        c.insert(addr(0, 1), &[1]);
+        c.insert(addr(0, 0), &block(0));
+        c.insert(addr(0, 1), &block(1));
         // Touch entry 0 so entry 1 becomes the victim.
-        let mut buf = [0u8; 1];
+        let mut buf = [0u8; 1024];
         assert!(c.get(addr(0, 0), &mut buf));
-        c.insert(addr(0, 2), &[2]);
+        c.insert(addr(0, 2), &block(2));
         assert_eq!(c.len(), 2);
         assert!(c.get(addr(0, 0), &mut buf));
         assert!(!c.get(addr(0, 1), &mut buf));
@@ -155,22 +181,22 @@ mod tests {
     #[test]
     fn reinsert_updates_data() {
         let mut c = BlockCache::new(2);
-        c.insert(addr(1, 0), &[9]);
-        c.insert(addr(1, 0), &[7]);
+        c.insert(addr(1, 0), &block(9));
+        c.insert(addr(1, 0), &block(7));
         assert_eq!(c.len(), 1);
-        let mut buf = [0u8; 1];
+        let mut buf = [0u8; 1024];
         assert!(c.get(addr(1, 0), &mut buf));
-        assert_eq!(buf, [7]);
+        assert_eq!(buf, block(7));
     }
 
     #[test]
     fn segment_invalidation() {
         let mut c = BlockCache::new(8);
-        c.insert(addr(3, 0), &[1]);
-        c.insert(addr(3, 1), &[2]);
-        c.insert(addr(4, 0), &[3]);
+        c.insert(addr(3, 0), &block(1));
+        c.insert(addr(3, 1), &block(2));
+        c.insert(addr(4, 0), &block(3));
         c.invalidate_segment(SegmentId::new(3));
-        let mut buf = [0u8; 1];
+        let mut buf = [0u8; 1024];
         assert!(!c.get(addr(3, 0), &mut buf));
         assert!(!c.get(addr(3, 1), &mut buf));
         assert!(c.get(addr(4, 0), &mut buf));
@@ -180,12 +206,12 @@ mod tests {
     #[test]
     fn interleaved_insert_evict_invalidate_keeps_index_consistent() {
         let mut c = BlockCache::new(2);
-        let mut buf = [0u8; 1];
+        let mut buf = [0u8; 1024];
         // Fill, then evict the LRU entry (seg 3 slot 0) by inserting a
         // third address: the reverse index must forget the victim.
-        c.insert(addr(3, 0), &[1]);
-        c.insert(addr(3, 1), &[2]);
-        c.insert(addr(4, 0), &[3]);
+        c.insert(addr(3, 0), &block(1));
+        c.insert(addr(3, 1), &block(2));
+        c.insert(addr(4, 0), &block(3));
         assert_eq!(c.len(), 2);
         // Invalidating seg 3 must drop exactly the surviving seg-3
         // entry, not resurrect or double-free the evicted one.
@@ -196,8 +222,8 @@ mod tests {
         assert!(c.get(addr(4, 0), &mut buf));
         // Reuse the invalidated segment: new entries index cleanly and
         // a second invalidation sees only them.
-        c.insert(addr(3, 0), &[7]);
-        c.insert(addr(3, 1), &[8]); // evicts seg 4 slot 0
+        c.insert(addr(3, 0), &block(7));
+        c.insert(addr(3, 1), &block(8)); // evicts seg 4 slot 0
         assert!(!c.get(addr(4, 0), &mut buf));
         c.invalidate_segment(SegmentId::new(4)); // nothing left there
         assert_eq!(c.len(), 2);
@@ -210,8 +236,8 @@ mod tests {
     #[test]
     fn zero_capacity_disables() {
         let mut c = BlockCache::new(0);
-        c.insert(addr(0, 0), &[1]);
-        let mut buf = [0u8; 1];
+        c.insert(addr(0, 0), &block(1));
+        let mut buf = [0u8; 1024];
         assert!(!c.get(addr(0, 0), &mut buf));
         assert_eq!(c.len(), 0);
     }

@@ -10,7 +10,7 @@
 //! and the cleaner only reuses slots whose sequence number the latest
 //! checkpoint covers.
 //!
-//! # On-disk format (format version 5)
+//! # On-disk format (format version 6)
 //!
 //! Each of the two alternating areas (A/B) holds one checkpoint as
 //! *per-shard snapshot slabs* behind a header and a slab directory:
@@ -35,21 +35,29 @@
 //! what is not is close to its neighbours'.
 //!
 //! ```text
-//! slab+0    10 column descriptors (9 B each): minimum u64, width u8
-//!           (0..=8) — block id, segment, slot, successor, list, ts;
+//! slab+0    11 column descriptors (9 B each): minimum u64, then width
+//!           (0..=8) and shift (0..=15) in one byte, `width | shift << 4`
+//!           — block id, segment, sector, sectors, successor, list, ts;
 //!           list id, first, last, ts
-//! slab+90   n_blocks rows, each column's `value − minimum` in `width`
-//!           little-endian bytes, then n_lists rows likewise
+//! slab+99   n_blocks rows, each column's `(value − minimum) >> shift`
+//!           in `width` little-endian bytes, then n_lists rows likewise
 //! ```
 //!
-//! A column whose values are all equal takes no bytes in a row. "None"
-//! never costs a column its width: an absent successor, list, first or
-//! last is 0 (identifiers are not), an absent address is segment 0 with
-//! a present one stored as `segment + 1`, and the slot beside it is 0.
+//! A column whose values are all equal takes no bytes in a row: the
+//! sector count of an address is the constant 8 on a disk of full 4 KiB
+//! blocks, and 0 bytes a row. The shift drops the low bits every value
+//! of a column shares with the others: a full block's sector is a
+//! multiple of 8, so a table of full blocks stores its sector column as
+//! narrow as format 5 stored block indices, and a shard's identifiers
+//! share their residue modulo the shard count. "None" never costs a column its width: an
+//! absent successor, list, first or last is 0 (identifiers are not), an
+//! absent address is segment 0 with a present one stored as `segment +
+//! 1`, and the sector and count beside it are 0 and a full block's.
 //! Row order within a slab is unspecified (hash-map iteration, under a
 //! hash key drawn per process); every row is keyed by its identifier. A
-//! row is never wider than 40 B (a block: 8 + 4 + 4 + 8 + 8 + 8) or
-//! 32 B (a list), which is what `Layout::compute` sizes the area by.
+//! row is never wider than 40 B (a block: 8 + 4 + 3 + 1 + 8 + 8 + 8 —
+//! a slot has fewer than 2²³ sectors and a block at most 128) or 32 B
+//! (a list), which is what `Layout::compute` sizes the area by.
 //!
 //! What a reader refuses. The *area* is invalid, and recovery falls back
 //! to the other one, on: a bad magic or header CRC, a slab count outside
@@ -59,8 +67,9 @@
 //! (checked arithmetic). The *image* is [`LldError::Corrupt`] when a
 //! slab that passed all of that holds a row recovery cannot take at its
 //! word: `minimum + delta` past `u64::MAX`, an identifier of zero or
-//! above [`MAX_RAW_ID`] (the allocators count on from it), a segment or
-//! slot the device does not have, an identifier twice; so is an
+//! above [`MAX_RAW_ID`] (the allocators count on from it), a segment,
+//! sector or sector count the device does not have (checked by recovery
+//! against the layout), an identifier twice; so is an
 //! allocator floor above `MAX_RAW_ID` in the header of the area chosen.
 //!
 //! The header also records where the log continues past the covered
@@ -209,35 +218,50 @@ impl CkptWrite {
 /// One column descriptor on disk: the minimum (u64), then the byte
 /// width (u8).
 const COL_DESC: usize = 9;
-const BLOCK_COLS: usize = 6;
+const BLOCK_COLS: usize = 7;
 const LIST_COLS: usize = 4;
 const _: () = assert!(((BLOCK_COLS + LIST_COLS) * COL_DESC) as u64 == CKPT_SLAB_DESC);
 
 /// How the rows of one table are packed: per column the smallest value,
-/// stored once, and the bytes the largest `value − min` needs.
+/// stored once, the low bits every `value − min` has zero, and the
+/// bytes the largest `(value − min) >> shift` needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Columns<const N: usize> {
     min: [u64; N],
     width: [u8; N],
+    shift: [u8; N],
 }
+
+/// The largest shift a descriptor holds (its byte's high nibble).
+const MAX_SHIFT: u32 = 15;
 
 impl<const N: usize> Columns<N> {
     /// The narrowest packing of `rows`; all zero for none.
     fn fit(rows: impl Iterator<Item = [u64; N]>) -> Self {
         let (mut min, mut max) = ([u64::MAX; N], [0u64; N]);
+        // The bits in which some value differs from the first row's:
+        // every `value − min` is a multiple of 2^(their trailing zeros).
+        let (mut first, mut differ) = (None, [0u64; N]);
         for row in rows {
+            let first = *first.get_or_insert(row);
             for (c, v) in row.into_iter().enumerate() {
                 min[c] = min[c].min(v);
                 max[c] = max[c].max(v);
+                differ[c] |= v ^ first[c];
             }
         }
         // No row: `min` is still above `max`.
         let min: [u64; N] = std::array::from_fn(|c| min[c].min(max[c]));
-        let width = std::array::from_fn(|c| {
-            let bits = u64::BITS - (max[c] - min[c]).leading_zeros();
-            bits.div_ceil(8) as u8
+        // A column of one value has nothing to shift.
+        let shift: [u8; N] = std::array::from_fn(|c| match differ[c] {
+            0 => 0,
+            bits => bits.trailing_zeros().min(MAX_SHIFT) as u8,
         });
-        Columns { min, width }
+        let width = std::array::from_fn(|c| {
+            let span = (max[c] - min[c]) >> shift[c];
+            (u64::BITS - span.leading_zeros()).div_ceil(8) as u8
+        });
+        Columns { min, width, shift }
     }
 
     fn row_len(&self) -> u64 {
@@ -245,15 +269,15 @@ impl<const N: usize> Columns<N> {
     }
 
     fn put_desc(&self, out: &mut Vec<u8>) {
-        for (min, width) in self.min.iter().zip(self.width) {
-            out.extend_from_slice(&min.to_le_bytes());
-            out.push(width);
+        for c in 0..N {
+            out.extend_from_slice(&self.min[c].to_le_bytes());
+            out.push(self.width[c] | self.shift[c] << 4);
         }
     }
 
     fn put_row(&self, row: [u64; N], out: &mut Vec<u8>) {
         for (c, v) in row.into_iter().enumerate() {
-            let delta = (v - self.min[c]).to_le_bytes();
+            let delta = ((v - self.min[c]) >> self.shift[c]).to_le_bytes();
             out.extend_from_slice(&delta[..usize::from(self.width[c])]);
         }
     }
@@ -261,16 +285,17 @@ impl<const N: usize> Columns<N> {
     /// Reads `N` descriptors; `None` on a width no u64 has.
     fn parse(desc: &[u8]) -> Option<Self> {
         let min = std::array::from_fn(|c| u64_at(desc, c * COL_DESC));
-        let width: [u8; N] = std::array::from_fn(|c| desc[c * COL_DESC + 8]);
+        let packed: [u8; N] = std::array::from_fn(|c| desc[c * COL_DESC + 8]);
+        let (width, shift) = (packed.map(|b| b & 0xF), packed.map(|b| b >> 4));
         width
             .iter()
             .all(|&w| w <= 8)
-            .then_some(Columns { min, width })
+            .then_some(Columns { min, width, shift })
     }
 
     /// Unpacks row `i` of the `len`-byte rows in `rows` (`len` is
     /// [`row_len`](Self::row_len), and may be 0: every column holds one
-    /// value); `None` if a `min + delta` passes `u64::MAX`.
+    /// value); `None` if a `min + (delta << shift)` passes `u64::MAX`.
     fn row(&self, rows: &[u8], len: usize, i: u64) -> Option<[u64; N]> {
         let mut at = i as usize * len;
         let mut out = [0u64; N];
@@ -289,6 +314,7 @@ impl<const N: usize> Columns<N> {
                     u64::from_le_bytes(le)
                 }
             };
+            let delta = delta.checked_mul(1 << self.shift[c])?;
             *v = self.min[c].checked_add(delta)?;
             at += width;
         }
@@ -296,14 +322,18 @@ impl<const N: usize> Columns<N> {
     }
 }
 
-fn block_row(id: BlockId, r: &BlockRecord) -> [u64; BLOCK_COLS] {
-    let (segment, slot) = r.addr.map_or((0, 0), |a| {
-        (u64::from(a.segment.get()) + 1, u64::from(a.slot))
+/// `full`: a full block's sector count, what an absent address stores
+/// as its count, so that a table of full blocks has one value there.
+fn block_row(id: BlockId, r: &BlockRecord, full: u64) -> [u64; BLOCK_COLS] {
+    let (segment, sector, sectors) = r.addr.map_or((0, 0, full), |a| {
+        let segment = u64::from(a.segment.get()) + 1;
+        (segment, u64::from(a.sector), u64::from(a.sectors))
     });
     [
         id.get(),
         segment,
-        slot,
+        sector,
+        sectors,
         BlockId::encode_opt(r.successor),
         ListId::encode_opt(r.list),
         r.ts.get(),
@@ -327,8 +357,9 @@ struct Slab {
     n_lists: u64,
 }
 
-fn encode_slab(tables: &Tables) -> Slab {
-    let block_rows = || tables.blocks.iter().map(|(&id, r)| block_row(id, r));
+/// Encodes `tables` on a disk whose blocks take `full` sectors.
+fn encode_slab(tables: &Tables, full: u64) -> Slab {
+    let block_rows = || tables.blocks.iter().map(|(&id, r)| block_row(id, r, full));
     let list_rows = || tables.lists.iter().map(|(&id, r)| list_row(id, r));
     let (blocks, lists) = (Columns::fit(block_rows()), Columns::fit(list_rows()));
     let (n_blocks, n_lists) = (tables.blocks.len() as u64, tables.lists.len() as u64);
@@ -440,10 +471,11 @@ impl<D: BlockDevice> Mutation<'_, D> {
     /// *begin*, the live persistent tables otherwise. The session must
     /// hold shard `i` exclusively.
     fn snapshot_slab(&mut self, i: u32) -> Slab {
+        let full = u64::from(self.lld.layout.sectors_per_block());
         let sh = self.map.shard_mut(i);
         sh.snap_pending = false;
         let snap = sh.snap_copy.take();
-        encode_slab(snap.as_ref().unwrap_or(&sh.persistent))
+        encode_slab(snap.as_ref().unwrap_or(&sh.persistent), full)
     }
 }
 
@@ -746,19 +778,24 @@ impl SlabReader<'_> {
         let len = self.blocks.row_len() as usize;
         (0..self.n_blocks).map(move |i| {
             let row = self.blocks.row(self.block_rows, len, i);
-            let [id, segment, slot, successor, list, ts] = row.ok_or_else(row_overflow)?;
+            let [id, segment, sector, sectors, successor, list, ts] =
+                row.ok_or_else(row_overflow)?;
             let id = BlockId::new(checked_id(id, "block")?);
             let addr = match segment.checked_sub(1) {
                 None => None,
                 Some(at) => {
-                    let (Ok(at), Ok(slot)) = (u32::try_from(at), u32::try_from(slot)) else {
+                    let fields = (u32::try_from(at), u32::try_from(sector));
+                    let (Ok(at), Ok(sector), Ok(sectors)) =
+                        (fields.0, fields.1, sectors.try_into())
+                    else {
                         return Err(LldError::Corrupt(format!(
-                            "checkpoint places {id} at slot {at}, block {slot}"
+                            "checkpoint places {id} at slot {at}, sector {sector} + {sectors}"
                         )));
                     };
                     Some(PhysAddr {
                         segment: SegmentId::new(at),
-                        slot,
+                        sector,
+                        sectors,
                     })
                 }
             };
@@ -932,15 +969,18 @@ mod tests {
         let [id, successor, list, first, last, ts] =
             [MAX_RAW_ID, u64::MAX, u64::MAX, u64::MAX, u64::MAX, u64::MAX]
                 .map(|max| Col::new(rng, max));
-        // A segment below `n_segments`, itself a u32.
+        // A segment below `n_segments`, itself a u32; a sector of a
+        // slot of at most 4 GiB; a count of a block of at most 64 KiB.
         let segment = Col::new(rng, u64::from(u32::MAX) - 1);
-        let slot = Col::new(rng, u64::from(u32::MAX));
+        let sector = Col::new(rng, 1 << 23);
+        let sectors = Col::new(rng, 128);
         for _ in 0..rng.next_u64() % (n + 1) {
             let rec = BlockRecord {
                 allocated: true,
                 addr: segment.opt(rng).map(|segment| PhysAddr {
                     segment: SegmentId::new(segment as u32),
-                    slot: slot.value(rng) as u32,
+                    sector: sector.value(rng) as u32,
+                    sectors: sectors.value(rng) as u32,
                 }),
                 successor: successor.opt(rng).map(BlockId::new),
                 list: list.opt(rng).map(ListId::new),
@@ -966,6 +1006,43 @@ mod tests {
         t.blocks.len() as u64 * CKPT_BLOCK_ROW_MAX + t.lists.len() as u64 * CKPT_LIST_ROW_MAX
     }
 
+    /// A table of full blocks pays nothing for the sector count: the
+    /// column holds one value, a block's 8 sectors, also where a block
+    /// has no address. One short block gives it a byte a row. The sector
+    /// column, a multiple of 8 on full blocks, is stored shifted: as
+    /// narrow as the block indices of format 5.
+    #[test]
+    fn full_blocks_pay_nothing_for_the_count_column() {
+        let mut t = Tables::default();
+        for id in 1..=100u64 {
+            let addr = (id % 10 != 0).then(|| PhysAddr {
+                segment: SegmentId::new((id / 30) as u32),
+                sector: 8 * (id % 30) as u32 + 8,
+                sectors: 8,
+            });
+            let rec = BlockRecord {
+                addr,
+                ..BlockRecord::fresh(Timestamp::new(id))
+            };
+            t.blocks.insert(BlockId::new(id), rec);
+        }
+        let width = |slab: &Slab| slab.bytes[3 * COL_DESC + 8] & 0xF;
+        let full = encode_slab(&t, 8);
+        assert_eq!(width(&full), 0);
+        assert_eq!(
+            full.bytes[2 * COL_DESC + 8],
+            1 | 3 << 4,
+            "sectors 8..=240, by 8"
+        );
+        assert_eq!(reopen(&full).unwrap().unwrap(), t);
+        let short = t.blocks.get_mut(&BlockId::new(7)).unwrap();
+        short.addr.as_mut().unwrap().sectors = 2;
+        let mixed = encode_slab(&t, 8);
+        assert_eq!(width(&mixed), 1);
+        assert_eq!(mixed.bytes.len(), full.bytes.len() + 100);
+        assert_eq!(reopen(&mixed).unwrap().unwrap(), t);
+    }
+
     /// Seeded tables of every shape come back as they went in, and never
     /// take more than the descriptors over format 4's fixed-width rows:
     /// the bound `Layout::compute` sizes the area by.
@@ -975,7 +1052,7 @@ mod tests {
         let mut widths = std::collections::BTreeSet::new();
         for case in 0..400 {
             let tables = tables(&mut rng, [0, 1, 2, 40][case % 4]);
-            let slab = encode_slab(&tables);
+            let slab = encode_slab(&tables, 8);
             assert!(
                 slab.bytes.len() as u64 <= CKPT_SLAB_DESC + fixed_width(&tables),
                 "case {case}: {} bytes",
@@ -985,7 +1062,7 @@ mod tests {
             widths.extend(
                 slab.bytes[..CKPT_SLAB_DESC as usize]
                     .chunks(COL_DESC)
-                    .map(|d| d[8]),
+                    .map(|d| d[8] & 0xF),
             );
         }
         assert_eq!(widths, (0..=8).collect(), "every width was exercised");
@@ -1002,7 +1079,7 @@ mod tests {
     /// columns that span every u64, identifiers at the bound.
     #[test]
     fn slab_corners_round_trip() {
-        let empty = encode_slab(&Tables::default());
+        let empty = encode_slab(&Tables::default(), 8);
         assert_eq!(empty.bytes, [0u8; CKPT_SLAB_DESC as usize]);
         assert_eq!(reopen(&empty).unwrap().unwrap(), Tables::default());
 
@@ -1012,14 +1089,15 @@ mod tests {
             BlockRecord {
                 addr: Some(PhysAddr {
                     segment: SegmentId::new(u32::MAX - 1),
-                    slot: u32::MAX,
+                    sector: (1 << 23) - 1,
+                    sectors: 128,
                 }),
                 successor: Some(BlockId::new(u64::MAX)),
                 list: Some(ListId::new(u64::MAX)),
                 ..BlockRecord::fresh(Timestamp::new(u64::MAX))
             },
         );
-        let slab = encode_slab(&one);
+        let slab = encode_slab(&one, 8);
         assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC);
         assert_eq!(reopen(&slab).unwrap().unwrap(), one);
 
@@ -1037,7 +1115,7 @@ mod tests {
                 ..ListRecord::fresh(Timestamp::new(u64::MAX))
             },
         );
-        let slab = encode_slab(&one);
+        let slab = encode_slab(&one, 8);
         assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC + fixed_width(&one));
         assert_eq!(reopen(&slab).unwrap().unwrap(), one);
 
@@ -1047,7 +1125,7 @@ mod tests {
             same.blocks
                 .insert(BlockId::new(id), BlockRecord::fresh(Timestamp::new(7)));
         }
-        let slab = encode_slab(&same);
+        let slab = encode_slab(&same, 8);
         assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC + 256);
         assert_eq!(reopen(&slab).unwrap().unwrap(), same);
     }
@@ -1071,7 +1149,8 @@ mod tests {
                     allocated: true,
                     addr: Some(PhysAddr {
                         segment: SegmentId::new((at / 127) as u32),
-                        slot: (at % 127) as u32,
+                        sector: 8 * (1 + (at % 127) as u32),
+                        sectors: 8,
                     }),
                     successor: (k == 0).then_some(ids[1]),
                     list: Some(list),
@@ -1087,7 +1166,7 @@ mod tests {
             };
             t.lists.insert(list, rec);
         }
-        let slab = encode_slab(&t);
+        let slab = encode_slab(&t, 8);
         assert_eq!(reopen(&slab).unwrap().unwrap(), t);
         let (packed, fixed) = (slab.bytes.len() as u64, fixed_width(&t));
         assert!(10 * packed <= 3 * fixed, "{packed} of {fixed} bytes");
@@ -1108,10 +1187,10 @@ mod tests {
             .insert(ListId::new(9), ListRecord::fresh(Timestamp::new(3)));
         t.lists
             .insert(ListId::new(10), ListRecord::fresh(Timestamp::new(4)));
-        let good = encode_slab(&t);
+        let good = encode_slab(&t, 8);
         assert_eq!(reopen(&good).unwrap().unwrap(), t);
         let edit = |f: &dyn Fn(&mut Slab)| {
-            let mut slab = encode_slab(&t);
+            let mut slab = encode_slab(&t, 8);
             f(&mut slab);
             reopen(&slab)
         };
@@ -1149,15 +1228,15 @@ mod tests {
         );
         assert!(corrupt(edit(&|s| put(s, min(0), 0))), "block id zero");
         assert!(
-            corrupt(edit(&|s| put(s, min(6), u64::MAX))),
+            corrupt(edit(&|s| put(s, min(7), u64::MAX))),
             "list id overflows"
         );
         assert!(
-            corrupt(edit(&|s| put(s, min(6), MAX_RAW_ID))),
+            corrupt(edit(&|s| put(s, min(7), MAX_RAW_ID))),
             "list id past the bound"
         );
         assert!(
-            corrupt(edit(&|s| put(s, min(5), u64::MAX))),
+            corrupt(edit(&|s| put(s, min(6), u64::MAX))),
             "timestamp overflows"
         );
         assert!(
@@ -1169,15 +1248,40 @@ mod tests {
                 put(s, min(1), 1);
                 put(s, min(2), 1 << 32);
             })),
-            "slot past u32"
+            "sector past u32"
+        );
+        assert!(
+            corrupt(edit(&|s| {
+                put(s, min(1), 1);
+                put(s, min(3), 1 << 32);
+            })),
+            "sector count past u32"
         );
         // At the bound, and an absent address whatever its slot says.
         let at_bound = edit(&|s| put(s, min(0), MAX_RAW_ID - 295))
             .unwrap()
             .unwrap();
         assert!(at_bound.blocks.contains_key(&BlockId::new(MAX_RAW_ID)));
-        let no_addr = edit(&|s| put(s, min(2), 1 << 40)).unwrap().unwrap();
-        assert_eq!(no_addr, t);
+        // A shift that carries a delta past `u64::MAX`, at a width the
+        // rows keep.
+        let wide = block(7, BlockRecord::fresh(Timestamp::new(u64::MAX)));
+        let mut wide = encode_slab(
+            &Tables {
+                blocks: (wide.blocks.into_iter())
+                    .chain([(BlockId::new(8), BlockRecord::fresh(Timestamp::ZERO))])
+                    .collect(),
+                ..Tables::default()
+            },
+            8,
+        );
+        assert_eq!(wide.bytes[width(6)], 8, "the timestamps span a u64");
+        wide.bytes[width(6)] = 8 | 15 << 4;
+        assert!(corrupt(reopen(&wide)), "shifted delta overflows");
+        let no_addr = edit(&|s| {
+            put(s, min(2), 1 << 40);
+            put(s, min(3), 1 << 40);
+        });
+        assert_eq!(no_addr.unwrap().unwrap(), t);
     }
 
     /// The checkpoint a seal found due is written by a full session

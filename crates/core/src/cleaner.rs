@@ -6,9 +6,9 @@
 //! holds one full segment or several sealed early by flushes (see
 //! `segment.rs`); per-slot liveness (`residents`) does not care which.
 //! The policy is greedy lowest-utilisation, *packing*: victims are the
-//! sealed slots with the fewest live blocks, taken
-//! together as long as their combined live blocks fit in one output
-//! segment. Live blocks are copied into the current segment (with fresh
+//! sealed slots with the fewest live sectors (`live_sectors`, what their
+//! blocks' extents take), taken together as long as their combined live
+//! sectors fit in one output segment. Live blocks are copied into the current segment (with fresh
 //! `Write` records preserving their logical timestamps), and the victim
 //! slots are released together with the seal of the relocation records:
 //! no segment is opened in a victim before that seal is written.
@@ -68,21 +68,22 @@ impl LogState {
         (self.pack_victims(written, pack_cap, max_victims), false)
     }
 
-    /// Sealed segments no newer than `max_seq`, fewest live blocks
-    /// first, taken together while their combined live blocks fit in
-    /// one output segment (`pack_cap` slots) and there are fewer than
+    /// Sealed segments no newer than `max_seq`, fewest live sectors
+    /// first, taken together while their combined live sectors fit in
+    /// one output segment (`pack_cap` sectors) and there are fewer than
     /// `max_victims` of them. Returns `(slot, seq)`.
     fn pack_victims(&self, max_seq: u64, pack_cap: u32, max_victims: usize) -> Vec<(u32, u64)> {
-        let mut cands: Vec<(u32, u32, u64)> = self
+        let mut cands: Vec<(u64, u32, u64)> = self
             .sealed_slots()
             .filter(|&(_, seq)| seq <= max_seq)
-            .map(|(slot, seq)| (self.residents[slot as usize].len() as u32, slot, seq))
+            .map(|(slot, seq)| (self.live_sectors[slot as usize], slot, seq))
             .collect();
         cands.sort_unstable();
         let mut victims = Vec::new();
-        let mut total_live = 0u32;
+        let mut total_live = 0u64;
         for (live, slot, seq) in cands {
-            if !victims.is_empty() && (total_live + live > pack_cap || victims.len() >= max_victims)
+            if !victims.is_empty()
+                && (total_live + live > u64::from(pack_cap) || victims.len() >= max_victims)
             {
                 break;
             }
@@ -182,9 +183,11 @@ impl<D: BlockDevice> Mutation<'_, D> {
             let victims = self.pick_victims()?;
             // Emptiest first: where that one is as full as a segment
             // gets (a block is the summary's), nothing is left to gain.
+            let layout = &self.lld.layout;
             let packed = victims.len() == 1
-                && self.log().residents[victims[0].0 as usize].len() as u32 + 2
-                    > self.lld.layout.slots_per_segment();
+                && self.log().live_sectors[victims[0].0 as usize]
+                    + u64::from(2 * layout.sectors_per_block())
+                    > u64::from(layout.data_sectors_per_slot());
             if victims.is_empty() || compact && packed {
                 break;
             }
@@ -206,7 +209,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
     /// checkpoint first if every sealed segment is newer than the last
     /// one.
     fn pick_victims(&mut self) -> Result<Vec<(u32, u64)>> {
-        let pack_cap = self.lld.layout.slots_per_segment();
+        let pack_cap = self.lld.layout.data_sectors_per_slot();
         let (victims, covered) = self.log().pick_victims(pack_cap, usize::MAX);
         if covered {
             return Ok(victims);
@@ -239,9 +242,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 debug_assert_eq!(addr.segment.get(), victim);
                 // The victim is checkpoint-covered, so its data is on
                 // the device (W2).
-                self.lld
-                    .device
-                    .read_at(self.lld.layout.block_offset(addr), &mut buf)?;
+                self.lld.read_extent(addr, &mut buf)?;
                 // Re-enter the block with its original timestamp: the
                 // relocation is not a logical write.
                 self.place_block_data(id, &buf, rec.ts, None, 0)?;

@@ -345,7 +345,7 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
     // it is, and a victim left for later has fewer live blocks by then.
     // A `covered` pass writes no checkpoint and hands each victim back
     // as soon as it is empty.
-    let slots_cap = ld.layout.slots_per_segment();
+    let pack_cap = ld.layout.data_sectors_per_slot();
     let phase_timer = ld.obs.timer();
     ld.obs.stage_begin(ld.now(), trace, Stage::CleanerSnapshot);
     let (mut victims, covered): (Vec<Victim>, bool) = {
@@ -353,7 +353,7 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
         let short = (ld.cleaner_cfg.target_free_segments as usize)
             .saturating_sub(log.free_slots.len())
             .clamp(1, MAX_VICTIMS_PER_PASS);
-        let (picked, covered) = log.pick_victims(slots_cap, short);
+        let (picked, covered) = log.pick_victims(pack_cap, short);
         let victims = picked
             .into_iter()
             .map(|(slot, seq)| Victim {
@@ -368,7 +368,8 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
                             id,
                             PhysAddr {
                                 segment: SegmentId::new(slot),
-                                slot: 0,
+                                sector: 0,
+                                sectors: 0,
                             },
                             Vec::new(),
                         )
@@ -450,8 +451,7 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
         v.lost = aborted
             || v.blocks.iter_mut().any(|(_, addr, data)| {
                 data.resize(ld.layout.block_size, 0);
-                let read = ld.device.read_at(ld.layout.block_offset(*addr), data);
-                read.is_err()
+                ld.read_extent(*addr, data).is_err()
             });
         ld.obs.stage_end(
             ld.now(),

@@ -29,6 +29,7 @@ use crate::config::ConcurrencyMode;
 use crate::dedup::{Reservation, TaggedCommit, WriteIdOutcome};
 use crate::error::{LldError, Result};
 use crate::lld::{LldInner, Mutation, StateRef, WRITE_REC_LEN};
+use crate::segment::extent;
 use crate::shard::SCRATCH_ARU_RAW;
 use crate::summary::Record;
 use crate::types::{AruId, BlockId, ListId, Position, Timestamp};
@@ -442,16 +443,17 @@ impl<D: BlockDevice> Mutation<'_, D> {
         };
         let links = aru.link_log.iter().map(|op| op_record(op, id, commit_ts));
         let write_id = aru.write_tag.map(|tag| write_id_record(tag, id, commit_ts));
-        let summary = aru.shadow_data.len() * WRITE_REC_LEN
+        let writes = (aru.shadow_data.values())
+            .map(|data| extent(data).len() + WRITE_REC_LEN)
+            .sum::<usize>();
+        let bytes = writes
             + links
                 .chain(write_id)
                 .map(|r| r.encoded_len())
                 .sum::<usize>()
             + commit.encoded_len();
         let open = self.log().builder.as_ref();
-        self.unit_ends_in = open
-            .filter(|b| b.fits(aru.shadow_data.len(), summary))
-            .map(|b| b.seq());
+        self.unit_ends_in = open.filter(|b| b.fits(bytes)).map(|b| b.seq());
         let mut freed_blocks = Vec::new();
         let mut freed_lists = Vec::new();
         let logged = self.log_unit(&aru, commit_ts, &mut freed_blocks, &mut freed_lists);

@@ -1,5 +1,6 @@
 use crate::error::{LldError, Result};
 use crate::obs::ObsConfig;
+use crate::segment::MAX_BLOCK_SIZE;
 
 /// Whether the logical disk supports *concurrent* atomic recovery units.
 ///
@@ -108,7 +109,8 @@ impl Default for CleanerConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LldConfig {
     /// Logical and physical block size in bytes (default 4096, the
-    /// paper's value). Must be a power of two, at least 512.
+    /// paper's value). Must be a power of two, at least 512 and at most
+    /// 64 KiB.
     pub block_size: usize,
     /// Total size of one segment in bytes, including the segment header
     /// block and the summary (default 512 KiB, the paper's 0.5 MByte).
@@ -215,9 +217,10 @@ impl LldConfig {
     /// Returns [`LldError::Config`] describing the first violated
     /// constraint.
     pub fn validate(&self) -> Result<()> {
-        if !self.block_size.is_power_of_two() || self.block_size < 512 {
+        if !self.block_size.is_power_of_two() || !(512..=MAX_BLOCK_SIZE).contains(&self.block_size)
+        {
             return Err(LldError::Config(format!(
-                "block_size {} must be a power of two >= 512",
+                "block_size {} must be a power of two in 512..={MAX_BLOCK_SIZE}",
                 self.block_size
             )));
         }
@@ -311,6 +314,12 @@ mod tests {
         assert!(matches!(c.validate(), Err(LldError::Config(_))));
         let c = LldConfig {
             block_size: 256,
+            ..LldConfig::default()
+        };
+        assert!(matches!(c.validate(), Err(LldError::Config(_))));
+        let c = LldConfig {
+            block_size: 1 << 17,
+            segment_bytes: 1 << 20,
             ..LldConfig::default()
         };
         assert!(c.validate().is_err());

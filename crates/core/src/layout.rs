@@ -14,18 +14,21 @@
 
 use crate::config::{ConcurrencyMode, LldConfig, ReadVisibility};
 use crate::error::{LldError, Result};
+use crate::segment::{MAX_BLOCK_SIZE, SECTOR};
 use crate::types::PhysAddr;
 use ld_disk::crc32;
 
 /// Size of the fixed-length superblock encoding.
 pub(crate) const SUPERBLOCK_LEN: usize = 64;
 const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
-/// 5: checkpoint slabs are column-packed (see `checkpoint.rs`); since 4
-/// a slot holds several segments back to back, a block address counts
-/// from the slot's start, and the checkpoint's chain head names a block
-/// inside a slot (see `segment.rs`). Other versions are refused, not
-/// converted.
-const FORMAT_VERSION: u32 = 5;
+/// 6: a data block is stored as its extent and a segment's data area
+/// is packed by sectors, so an address names a sector offset and count
+/// (see `segment.rs`), and a slab has a sector-count column and a shift
+/// per column; since 5 checkpoint slabs are column-packed (see
+/// `checkpoint.rs`); since 4 a slot holds several segments back to
+/// back, and the checkpoint's chain head names a block inside a slot.
+/// Other versions are refused, not converted.
+const FORMAT_VERSION: u32 = 6;
 
 /// The widest a row of a checkpoint slab gets (see `checkpoint.rs`):
 /// every column of a block or of a list at its full width. What the
@@ -34,9 +37,9 @@ pub(crate) const CKPT_BLOCK_ROW_MAX: u64 = 40;
 pub(crate) const CKPT_LIST_ROW_MAX: u64 = 32;
 pub(crate) const CKPT_HEADER: u64 = 68;
 /// The column descriptors at the start of every slab: a minimum (u64)
-/// and a byte width (u8) for each of the six block and four list
+/// and a byte width (u8) for each of the seven block and four list
 /// columns.
-pub(crate) const CKPT_SLAB_DESC: u64 = 10 * 9;
+pub(crate) const CKPT_SLAB_DESC: u64 = 11 * 9;
 
 /// Per-slab directory entry: `n_blocks` u64, `n_lists` u64, slab crc32,
 /// slab length u32.
@@ -125,7 +128,7 @@ impl Layout {
         // wider than its maximum, and the descriptors of as many slabs as
         // a directory describes come out of the room of the dedup slab,
         // which takes what is left (`ckpt_commit`): the write-id cache
-        // gives up its oldest 180 entries before a table entry is left
+        // gives up its oldest 198 entries before a table entry is left
         // out, and the area is no larger than format 4's unless the
         // cache is smaller than that.
         let ckpt_area_size = round_up(
@@ -169,15 +172,31 @@ impl Layout {
         self.segment_offset(slot) + u64::from(block) * self.block_size as u64
     }
 
-    /// Byte offset of the data block at `addr` (index 0 is the block
-    /// right after the slot's first block).
+    /// Byte offset of the extent at `addr` (its sector counts from the
+    /// slot's start).
     pub fn block_offset(&self, addr: PhysAddr) -> u64 {
-        self.block_at(addr.segment.get(), addr.slot + 1)
+        self.segment_offset(addr.segment.get()) + u64::from(addr.sector) * SECTOR as u64
     }
 
     /// Blocks in one segment slot, headers and summaries included.
     pub fn blocks_per_slot(&self) -> u32 {
         (self.segment_bytes / self.block_size) as u32
+    }
+
+    /// Sectors a full block's extent takes.
+    pub fn sectors_per_block(&self) -> u32 {
+        (self.block_size / SECTOR) as u32
+    }
+
+    /// Sectors in one segment slot.
+    pub fn sectors_per_slot(&self) -> u32 {
+        (self.segment_bytes / SECTOR) as u32
+    }
+
+    /// Sectors of a slot behind its first header: the most live data a
+    /// slot holds, and what one output segment of a cleaner pass packs.
+    pub fn data_sectors_per_slot(&self) -> u32 {
+        self.sectors_per_slot() - self.sectors_per_block()
     }
 
     /// Data-block indices per segment slot (the first block of a slot is
@@ -270,7 +289,7 @@ impl Layout {
         // that places a block or a header inside a slot divides by
         // these.
         if !block_size.is_power_of_two()
-            || block_size < 512
+            || !(512..=MAX_BLOCK_SIZE).contains(&block_size)
             || !segment_bytes.is_multiple_of(block_size)
             || segment_bytes / block_size < 4
         {
@@ -378,8 +397,8 @@ mod tests {
         );
     }
 
-    /// Format 5 packs the slabs and leaves the areas where they were:
-    /// the geometry of the benchmark's four devices (default
+    /// Formats 5 and 6 pack the slabs and leave the areas where they
+    /// were: the geometry of the benchmark's four devices (default
     /// configuration) is format 4's, recorded from PR 22's tree, so its
     /// cleaner sees the same slots. Only a write-id cache too small to
     /// lend the descriptors their room grows the area.
@@ -426,10 +445,15 @@ mod tests {
         assert_eq!(s1 - layout.segment_offset(0), layout.segment_bytes as u64);
         let addr = PhysAddr {
             segment: SegmentId::new(1),
-            slot: 3,
+            sector: 4,
+            sectors: 1,
         };
-        // Slot 3 sits 4 blocks into the segment (after the header block).
+        // Sector 4 counts from the slot's start (its header included).
         assert_eq!(layout.block_offset(addr), s1 + 4 * 512);
+        assert_eq!(
+            (layout.sectors_per_block(), layout.sectors_per_slot()),
+            (1, 8)
+        );
     }
 
     #[test]
@@ -463,7 +487,13 @@ mod tests {
         // Under a valid CRC: a block size of zero or not a power of
         // two, a segment that is not whole blocks, or too few of them.
         let good = Layout::compute(1 << 20, &small_config()).unwrap();
-        for (block_size, segment_bytes) in [(0, 4096), (768, 4608), (512, 4000), (512, 1536)] {
+        for (block_size, segment_bytes) in [
+            (0, 4096),
+            (768, 4608),
+            (512, 4000),
+            (512, 1536),
+            (1 << 17, 1 << 20),
+        ] {
             let layout = Layout {
                 block_size,
                 segment_bytes,

@@ -22,7 +22,9 @@ use crate::gc::GroupCommit;
 use crate::layout::{Layout, CKPT_HEADER, SUPERBLOCK_LEN};
 use crate::obs::{Obs, ObsSnapshot, Stage, TraceEvent};
 use crate::sampler::Sampler;
-use crate::segment::{header_link, ChainHead, SegmentBuilder, HEADER_PUNCH, NO_SLOT};
+use crate::segment::{
+    extent, header_link, zero_past_extent, ChainHead, SegmentBuilder, HEADER_PUNCH, NO_SLOT,
+};
 use crate::shard::{MapView, Maps, WalkOutcome, SCRATCH_ARU_RAW};
 use crate::state::{BlockRecord, IdSet, ListRecord};
 use crate::stats::{LldStats, StatsCell};
@@ -72,8 +74,11 @@ pub(crate) struct LogState {
     /// Physical slots available for new segments.
     pub(crate) free_slots: BTreeSet<u32>,
     /// Per physical slot: the blocks whose current address is in it
-    /// (the cleaner's work list, and its length the slot's live count).
+    /// (the cleaner's work list).
     pub(crate) residents: Vec<IdSet<BlockId>>,
+    /// Per physical slot: the sectors its residents' extents take (its
+    /// live count). `add_resident` / `remove_resident` keep the two.
+    pub(crate) live_sectors: Vec<u64>,
     pub(crate) next_seq: u64,
     /// Where the log goes on behind the last sealed segment, and that
     /// segment's header CRC (`link`, 0 before the first: the `prev_link`
@@ -119,6 +124,7 @@ impl LogState {
             slot_seq: vec![0; n_segments],
             free_slots: (0..n_segments as u32).collect(),
             residents: vec![IdSet::default(); n_segments],
+            live_sectors: vec![0; n_segments],
             next_seq: 1,
             tail: ChainHead {
                 slot: NO_SLOT,
@@ -140,6 +146,22 @@ impl LogState {
     /// The written watermark: every segment below it is on the device.
     pub(crate) fn watermark(&self) -> u64 {
         self.inflight.front().map_or(u64::MAX, |s| s.seq())
+    }
+
+    /// Enters `id` as a resident of the slot `addr` names.
+    pub(crate) fn add_resident(&mut self, id: BlockId, addr: PhysAddr) {
+        let slot = addr.segment.get() as usize;
+        if self.residents[slot].insert(id) {
+            self.live_sectors[slot] += u64::from(addr.sectors);
+        }
+    }
+
+    /// Takes `id`, whose address was `addr`, out of its slot's residents.
+    fn remove_resident(&mut self, id: BlockId, addr: PhysAddr) {
+        let slot = addr.segment.get() as usize;
+        if self.residents[slot].remove(&id) {
+            self.live_sectors[slot] -= u64::from(addr.sectors);
+        }
     }
 
     /// Hands `slot` back for reuse: behind everything sealed so far and
@@ -842,24 +864,27 @@ impl<D: BlockDevice> LldInner<D> {
     // Shared read plumbing
     // ------------------------------------------------------------------
 
-    /// Reads the data of a block at `addr`: from memory if the address
-    /// is in the open segment or in a sealed one not yet written (W4),
-    /// from the cache or device otherwise — which includes the written
-    /// segments in front of the open one in its slot.
+    /// Reads the data of a block at `addr` into `buf`, zero-filled past
+    /// its extent: from memory if the address is in the open segment or
+    /// in a sealed one not yet written (W4), from the cache or device
+    /// otherwise — which includes the written segments in front of the
+    /// open one in its slot. An all-zero block reads nothing.
     ///
     /// Callers must hold at least shared access to the shard mapping
     /// `addr`'s block, so the cleaner cannot relocate `addr` mid-read.
     pub(crate) fn read_block_data(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<()> {
+        if addr.sectors == 0 {
+            buf.fill(0);
+            return Ok(());
+        }
         {
             let log = self.log.lock();
-            let in_memory = log.inflight.iter().map(Arc::as_ref).chain(&log.builder);
-            let mut here = in_memory.filter(|b| b.slot() == addr.segment);
-            if let Some(data) = here.find_map(|b| b.read_block(addr.slot)) {
-                buf.copy_from_slice(data);
+            let mut in_memory = log.inflight.iter().map(Arc::as_ref).chain(&log.builder);
+            if in_memory.any(|b| b.read_block(addr, buf)) {
                 return Ok(());
             }
             let open = log.builder.as_ref();
-            if open.is_some_and(|b| b.slot() == addr.segment && addr.slot >= b.base()) {
+            if open.is_some_and(|b| b.slot() == addr.segment && addr.sector >= b.data_start()) {
                 return Err(LldError::Corrupt(format!(
                     "address {addr} beyond open segment contents"
                 )));
@@ -870,8 +895,20 @@ impl<D: BlockDevice> LldInner<D> {
             return Ok(());
         }
         self.stats.cache_misses.inc();
-        self.device.read_at(self.layout.block_offset(addr), buf)?;
+        self.read_extent(addr, buf)?;
         self.cache.lock().insert(addr, buf);
+        Ok(())
+    }
+
+    /// Reads the extent at `addr` from the device into `block`,
+    /// zero-filled past it: the device half of every block read (the
+    /// cache fill, the cleaners' copies).
+    pub(crate) fn read_extent(&self, addr: PhysAddr, block: &mut [u8]) -> Result<()> {
+        let extent = zero_past_extent(block, addr.sectors);
+        if !extent.is_empty() {
+            self.device
+                .read_at(self.layout.block_offset(addr), extent)?;
+        }
         Ok(())
     }
 
@@ -1092,10 +1129,10 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         }
         let log = self.log();
         if let Some(a) = old {
-            log.residents[a.segment.get() as usize].remove(&id);
+            log.remove_resident(id, a);
         }
         if let Some(a) = new {
-            log.residents[a.segment.get() as usize].insert(id);
+            log.add_resident(id, a);
         }
     }
 
@@ -1295,22 +1332,17 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     // Segment plumbing
     // ------------------------------------------------------------------
 
-    /// Ensures the current segment can absorb `blocks` data blocks plus
-    /// `summary` bytes of records, rolling to a new segment if needed.
+    /// Ensures the current segment can take `bytes` more — extents and
+    /// summary records — rolling to a new segment if needed.
     ///
     /// `reserve` is the number of free segment slots that must remain
     /// after a roll: space-*consuming* operations pass 1 so the last
     /// slot stays available for deletions and cleaning (otherwise a
     /// full log could never be emptied again); space-*reclaiming*
     /// operations pass 0.
-    pub(crate) fn ensure_room(
-        &mut self,
-        blocks: usize,
-        summary: usize,
-        reserve: usize,
-    ) -> Result<()> {
+    pub(crate) fn ensure_room(&mut self, bytes: usize, reserve: usize) -> Result<()> {
         let fits = match &self.log().builder {
-            Some(b) => b.fits(blocks, summary),
+            Some(b) => b.fits(bytes),
             None => false,
         };
         if fits {
@@ -1318,7 +1350,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         }
         self.roll_segment(reserve)?;
         match &self.log().builder {
-            Some(b) if b.fits(blocks, summary) => Ok(()),
+            Some(b) if b.fits(bytes) => Ok(()),
             Some(_) => Err(LldError::Config(
                 "request does not fit in an empty segment".into(),
             )),
@@ -1426,6 +1458,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 let earlier = self.pending.take();
                 let seal_seq = b.seq();
                 let seal_blocks = b.n_blocks();
+                let seal_data = b.data_bytes();
                 let seal_bytes = b.encoded_len() as u64;
                 let slot = b.slot().get();
                 // The successor's position goes into this header, so it
@@ -1471,6 +1504,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                     self.lld.needs_checkpoint.store(true, Ordering::Relaxed);
                 }
                 self.lld.stats.segments_sealed.inc();
+                self.lld.stats.data_bytes_written.add(seal_data);
                 self.lld.obs.event(
                     self.lld.now(),
                     TraceEvent::SegmentSeal {
@@ -1569,7 +1603,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// space-reclaiming records such as deletions).
     pub(crate) fn emit_reserve(&mut self, rec: Record, reserve: usize) -> Result<()> {
         let len = rec.encoded_len();
-        self.ensure_room(0, len, reserve)?;
+        self.ensure_room(len, reserve)?;
         self.log()
             .builder
             .as_mut()
@@ -1580,11 +1614,11 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         Ok(())
     }
 
-    /// Enters one data block into the segment stream with its `Write`
-    /// record (reserved together so they land in the same segment) and
-    /// updates the committed state. Shared by simple writes, ARU commit,
-    /// and cleaner relocation. The block reaches the device with its
-    /// segment; until then reads find it in memory.
+    /// Enters one data block into the segment stream — its [`extent`] —
+    /// with its `Write` record (reserved together so they land in the
+    /// same segment) and updates the committed state. Shared by simple
+    /// writes, ARU commit, and cleaner relocation. The block reaches the
+    /// device with its segment; until then reads find it in memory.
     pub(crate) fn place_block_data(
         &mut self,
         id: BlockId,
@@ -1593,22 +1627,20 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         tag: Option<AruId>,
         reserve: usize,
     ) -> Result<PhysAddr> {
-        let addr = match self.absorb_block(id, data, ts, tag) {
+        let stored = extent(data);
+        let addr = match self.absorb_block(id, stored, ts, tag) {
             Some(kept) => kept,
             None => {
-                self.ensure_room(1, WRITE_REC_LEN, reserve)?;
+                self.ensure_room(stored.len() + WRITE_REC_LEN, reserve)?;
                 let b = self
                     .log()
                     .builder
                     .as_mut()
                     .expect("ensure_room leaves a builder");
-                let addr = PhysAddr {
-                    segment: b.slot(),
-                    slot: b.push_block(data),
-                };
+                let addr = b.push_extent(stored);
                 b.push_record(&Record::Write {
                     block: id,
-                    slot: addr.slot,
+                    slot: addr.extent(),
                     ts,
                     aru: tag,
                 });
@@ -1630,12 +1662,13 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     }
 
     /// *Absorbs* a write to a block whose committed version still sits
-    /// in the open segment: the new data takes that version's place and
-    /// only the record is appended, so a version superseded before its
-    /// segment seals never reaches the device (the paper's §3: a
-    /// committed version has to become persistent only if it is still
-    /// the committed one then). Returns the address, which the block
-    /// keeps; `None` if the write has to append.
+    /// in the open segment: the new extent takes that version's place,
+    /// zero-padded to it, and only the record is appended, so a version
+    /// superseded before its segment seals never reaches the device (the
+    /// paper's §3: a committed version has to become persistent only if
+    /// it is still the committed one then). Returns the address, which
+    /// the block keeps; `None` if the write has to append — also when
+    /// `stored` is longer than the version's extent.
     ///
     /// Allowed only to a write whose commit point lands in this same
     /// segment (docs/INVARIANTS.md I5): an untagged write, or a tagged
@@ -1643,7 +1676,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     fn absorb_block(
         &mut self,
         id: BlockId,
-        data: &[u8],
+        stored: &[u8],
         ts: Timestamp,
         tag: Option<AruId>,
     ) -> Option<PhysAddr> {
@@ -1651,15 +1684,15 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         let unit = self.unit_ends_in;
         let b = self.log().builder.as_mut()?;
         let commits_here = tag.is_none() || unit == Some(b.seq());
-        if !(commits_here && b.slot() == held.segment && b.fits(0, WRITE_REC_LEN)) {
+        if !(commits_here && b.slot() == held.segment && b.fits(WRITE_REC_LEN)) {
             return None;
         }
-        if !b.rewrite_block(held.slot, data) {
+        if !b.rewrite_extent(held, stored) {
             return None;
         }
         b.push_record(&Record::Write {
             block: id,
-            slot: held.slot,
+            slot: held.extent(),
             ts,
             aru: tag,
         });

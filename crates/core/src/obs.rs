@@ -1272,6 +1272,7 @@ fn lld_stats_from(v: &json::Value) -> LldStats {
             "records_emitted" => s.records_emitted = n,
             "summary_bytes" => s.summary_bytes = n,
             "data_blocks_written" => s.data_blocks_written = n,
+            "data_bytes_written" => s.data_bytes_written = n,
             "blocks_absorbed" => s.blocks_absorbed = n,
             "blocks_relocated" => s.blocks_relocated = n,
             "cleaner_runs" => s.cleaner_runs = n,
@@ -1467,6 +1468,7 @@ fn lld_stats_json(s: &LldStats) -> String {
     o.u64("records_emitted", s.records_emitted);
     o.u64("summary_bytes", s.summary_bytes);
     o.u64("data_blocks_written", s.data_blocks_written);
+    o.u64("data_bytes_written", s.data_bytes_written);
     o.u64("blocks_absorbed", s.blocks_absorbed);
     o.u64("blocks_relocated", s.blocks_relocated);
     o.u64("cleaner_runs", s.cleaner_runs);
@@ -1684,6 +1686,7 @@ impl fmt::Display for ObsSnapshot {
             ("records_emitted", s.records_emitted),
             ("summary_bytes", s.summary_bytes),
             ("data_blocks_written", s.data_blocks_written),
+            ("data_bytes_written", s.data_bytes_written),
             ("blocks_absorbed", s.blocks_absorbed),
             ("blocks_relocated", s.blocks_relocated),
             ("cleaner_runs", s.cleaner_runs),

@@ -476,7 +476,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 // Room for the record first: a `DiskFull` on the roll
                 // must find the tables as the log has them.
                 let rec = Record::DeleteList { list, ts, aru: tag };
-                self.ensure_room(0, rec.encoded_len(), 0)?;
+                self.ensure_room(rec.encoded_len(), 0)?;
                 for &b in &members {
                     self.dealloc_block(StateRef::Committed, b, ts)?;
                 }
@@ -589,7 +589,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                     ts,
                     aru: tag,
                 };
-                self.ensure_room(0, rec.encoded_len(), 0)?;
+                self.ensure_room(rec.encoded_len(), 0)?;
                 self.unlink_block(StateRef::Committed, block, ts)?;
                 self.dealloc_block(StateRef::Committed, block, ts)?;
                 self.emit_reserve(rec, 0)?;

@@ -118,18 +118,20 @@ pub struct RecoveryReport {
 /// One segment of the chain the scan accepted.
 struct ChainSegment {
     slot: SegmentId,
-    /// Where its data blocks sit in the slot (from its header): what
+    /// The sectors of its data area in the slot (from its header): what
     /// its `Write` records may name.
-    data_blocks: Range<u32>,
+    data_sectors: Range<u32>,
     records: Vec<Record>,
 }
 
 /// Replays the suffix chain in log order, resolving ARU commit points,
 /// and hands each effective batch to `emit`: a committed ARU's records
 /// with its commit timestamp, or a single directly-applied record with
-/// `None`.
+/// `None`. A `Write` record's extent must lie in its segment's data
+/// area and take at most `block_sectors`.
 fn drive_chain(
     chain: &[ChainSegment],
+    block_sectors: u32,
     report: &mut RecoveryReport,
     ts_max: &mut u64,
     mut emit: impl FnMut(&[(SegmentId, Record)], Option<Timestamp>) -> Result<()>,
@@ -141,17 +143,22 @@ fn drive_chain(
         report.segments_replayed += 1;
         for rec in &seg.records {
             *ts_max = (*ts_max).max(rec.ts().get());
-            // A segment only ever places blocks between its own header
-            // and summary; a CRC-valid record can still say otherwise.
+            // A segment only ever places extents of at most a block
+            // between its own header and summary; a CRC-valid record can
+            // still say otherwise.
             if let Record::Write {
                 block, slot: at, ..
             } = *rec
             {
-                if !seg.data_blocks.contains(&at) {
+                let a = PhysAddr::from_extent(slot, at);
+                let area = &seg.data_sectors;
+                if a.sectors > block_sectors
+                    || a.sector < area.start
+                    || a.sector + a.sectors > area.end
+                {
                     return Err(LldError::Corrupt(format!(
-                        "replaying {slot}: write record places {block} at block {at}, \
-                         outside the segment's {:?}",
-                        seg.data_blocks
+                        "replaying {slot}: write record places {block} at {a}, \
+                         outside the segment's sectors {area:?} or past a block"
                     )));
                 }
             }
@@ -243,7 +250,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 return Ok(());
             }
             Record::Write { block, slot, .. } => {
-                let addr = PhysAddr { segment: seg, slot };
+                let addr = PhysAddr::from_extent(seg, slot);
                 let r = (self.block_mut(StateRef::Committed, block).ok())
                     .filter(|r| r.allocated)
                     .ok_or_else(|| corrupt(format!("write to unallocated {block}")))?;
@@ -366,17 +373,20 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 for entry in slab.blocks() {
                     let (id, rec) = entry?;
                     if let Some(a) = rec.addr {
-                        // `residents` is indexed by this address; a
-                        // CRC-valid slab can still name a segment or
-                        // slot the device does not have.
+                        // `residents` is indexed by this address, and a
+                        // read transfers its extent; a CRC-valid slab can
+                        // still name a segment, sectors or a count the
+                        // device does not have.
+                        let end = u64::from(a.sector) + u64::from(a.sectors);
                         if a.segment.get() >= layout.n_segments
-                            || a.slot >= layout.slots_per_segment()
+                            || a.sectors > layout.sectors_per_block()
+                            || end > u64::from(layout.sectors_per_slot())
                         {
                             return Err(LldError::Corrupt(format!(
                                 "checkpoint places {id} at {a}, outside the device"
                             )));
                         }
-                        self.log().residents[a.segment.get() as usize].insert(id);
+                        self.log().add_resident(id, a);
                     }
                     ts_floor = ts_floor.max(rec.ts.get());
                     let sh = self.map.block_shard_mut(id);
@@ -467,7 +477,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             };
             chain.push(ChainSegment {
                 slot: h.slot,
-                data_blocks: h.data_blocks(),
+                data_sectors: h.data_sectors(layout),
                 records: read.records,
             });
             slot_seq[h.slot.get() as usize] = seq;
@@ -488,7 +498,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // idempotent, so a slab entry replayed again is harmless.
         let mut dedup = DedupCache::decode(config.dedup_capacity, &dedup_seed)?;
         let timer = obs.timer();
-        drive_chain(&chain, report, &mut ts_max, |recs, cts| {
+        let block_sectors = layout.sectors_per_block();
+        drive_chain(&chain, block_sectors, report, &mut ts_max, |recs, cts| {
             for (seg, rec) in recs {
                 if let Record::WriteId {
                     client,

@@ -2,19 +2,28 @@
 //!
 //! A segment is filled in main memory and written to disk in two device
 //! writes, the header and then the body (§2 of the paper has one). Its
-//! first block is a header; data blocks follow; the segment summary
-//! (encoded [`Record`]s) sits after the last data block:
+//! first block is a header; the data area follows; the segment summary
+//! (encoded [`Record`]s) sits right behind the data area's last sector:
 //!
 //! ```text
-//! +--------+---------+---------+-----+----------------+
-//! | header | data[0] | data[1] | ... | summary records|
-//! +--------+---------+---------+-----+----------------+
+//! +--------+---------+---------+-----+---------+----------------+
+//! | header | data[0] | data[1] | ... | data[k] | summary records|
+//! +--------+---------+---------+-----+---------+----------------+
+//!          ^ the block after the header, then [`SECTOR`]s, packed
 //! ```
+//!
+//! A data block is stored as its *extent* ([`extent`]): its bytes up to
+//! the last non-zero one, rounded up to a 512-byte sector; an all-zero
+//! block takes no sector. Its address ([`PhysAddr`]) names the extent's
+//! first sector in the slot and its sector count, and every read
+//! transfers the extent and zero-fills the rest of the caller's block
+//! ([`zero_past_extent`]). A full block is 8 sectors of a 4 KiB block, so
+//! a segment of full blocks is laid out as if the unit were blocks.
 //!
 //! Until the seal nothing of the segment is on the device, and the
 //! buffer is not append-only: a write to a block whose last version is
-//! still in it takes that version's slot
-//! ([`SegmentBuilder::rewrite_block`]; the rule is docs/INVARIANTS.md
+//! still in it takes that version's place when its extent fits there
+//! ([`SegmentBuilder::rewrite_extent`]; the rule is docs/INVARIANTS.md
 //! I5) and only the summary grows.
 //!
 //! A flush seals whatever the segment holds, so a segment may be far
@@ -24,7 +33,7 @@
 //!
 //! ```text
 //! slot: | hdr | data.. | summary | hdr | data.. | summary | .. unused |
-//!         ^ base 0                 ^ base = 1 + n_blocks + ⌈summary / block⌉
+//!         ^ base 0                 ^ base + ⌈(block + 512 × n_sectors + summary_len) / block⌉
 //! ```
 //!
 //! The 44-byte header threads the segments into one log, so recovery
@@ -34,26 +43,27 @@
 //! ```text
 //!  0 magic u64         24 summary_crc u32
 //!  8 seq u64           28 next_slot u32   slot of segment seq+1
-//! 16 n_blocks u32      32 prev_link u32   header CRC of segment seq-1
+//! 16 n_sectors u32     32 prev_link u32   header CRC of segment seq-1
 //! 20 summary_len u32   36 epoch u32       per-mount salt
 //!                      40 header_crc u32  over bytes 0..40
 //! ```
 //!
-//! `next_slot` is chosen at seal time. The segment's own slot means
-//! "right behind my summary": the successor's base follows from
-//! `n_blocks` and `summary_len`, so no field can aim the walk at an
-//! arbitrary block. Another slot means its block 0, and [`NO_SLOT`] that
-//! nothing was free. `prev_link` makes the pointers a hash chain: a
-//! CRC-valid header with the right sequence number, left where the walk
-//! looks by an earlier use of the slot or by a timeline recovery has
-//! since abandoned, does not link and ends the walk — also when both
-//! timelines logged the same operations, because `epoch` differs per
-//! mount. The summary CRC exposes a torn segment write, which recovery
-//! treats as never written.
+//! `n_sectors` is the data area's size in sectors: the summary starts
+//! that many sectors behind the header block. `next_slot` is chosen at
+//! seal time. The segment's own slot means "right behind my summary":
+//! the successor's base follows from `n_sectors` and `summary_len`, so
+//! no field can aim the walk at an arbitrary block. Another slot means
+//! its block 0, and [`NO_SLOT`] that nothing was free. `prev_link` makes
+//! the pointers a hash chain: a CRC-valid header with the right sequence
+//! number, left where the walk looks by an earlier use of the slot or by
+//! a timeline recovery has since abandoned, does not link and ends the
+//! walk — also when both timelines logged the same operations, because
+//! `epoch` differs per mount. The summary CRC exposes a torn segment
+//! write, which recovery treats as never written.
 //!
 //! The header keeps its whole block in the slot, but only its 44 bytes
 //! are written: the rest of the block holds whatever it held, and no
-//! reader looks there. The header goes first and the body (data blocks,
+//! reader looks there. The header goes first and the body (data area,
 //! then summary) from the next block, so a prefix of the two writes is
 //! a prefix of the segment; docs/RECOVERY.md has the argument for any
 //! subset of them.
@@ -61,11 +71,18 @@
 use crate::error::{LldError, Result};
 use crate::layout::{u32_at, u64_at, Layout};
 use crate::summary::Record;
-use crate::types::SegmentId;
+use crate::types::{PhysAddr, SegmentId};
 use ld_disk::{crc32, BlockDevice};
+use std::ops::Range;
 
 const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936; // "LDSEG996"
 pub(crate) const HEADER_LEN: usize = 44;
+/// The unit a segment's data area is packed in: an extent is whole
+/// sectors, and an address counts them.
+pub(crate) const SECTOR: usize = 512;
+/// The largest block size: an extent's sector count is one byte of a
+/// `Write` record's 4-byte field ([`PhysAddr::extent`]).
+pub(crate) const MAX_BLOCK_SIZE: usize = 128 * SECTOR;
 /// Written over the start of a header to invalidate it (a zero magic
 /// never validates). Format punches block 0 of every slot, where the
 /// log of a fresh disk starts.
@@ -76,6 +93,26 @@ pub(crate) const NO_SLOT: u32 = u32::MAX;
 /// The fewest blocks a segment takes: header, one data block, one block
 /// of summary. A seal that leaves fewer closes the slot.
 const MIN_SEGMENT_BLOCKS: u32 = 3;
+
+/// What a segment stores of `block`: its bytes up to the last non-zero
+/// one, rounded up to a [`SECTOR`] — nothing for an all-zero block.
+pub(crate) fn extent(block: &[u8]) -> &[u8] {
+    let sectors = block
+        .chunks(SECTOR)
+        .rposition(|s| s.iter().fold(0, |any, &b| any | b) != 0)
+        .map_or(0, |last| last + 1);
+    &block[..sectors * SECTOR]
+}
+
+/// Zero-fills `block` past its first `sectors` sectors and returns
+/// those, for the caller to fill with a stored extent: every read of a
+/// block — open segment, in-flight seal, cache, device — goes through
+/// here.
+pub(crate) fn zero_past_extent(block: &mut [u8], sectors: u32) -> &mut [u8] {
+    let (front, rest) = block.split_at_mut(sectors as usize * SECTOR);
+    rest.fill(0);
+    front
+}
 
 /// Whether a segment may start at block `base` of a slot of
 /// `blocks_per_slot` blocks: a writer starts one only where
@@ -124,8 +161,11 @@ pub(crate) struct SegmentBuilder {
     /// Zero until [`header_bytes`](Self::header_bytes) seals the segment.
     header: [u8; HEADER_LEN],
     /// As it goes to the device behind the header block: the data
-    /// blocks and, once sealed, the summary.
+    /// area and, once sealed, the summary.
     body: Vec<u8>,
+    /// Sectors of the data area.
+    n_sectors: u32,
+    /// Extents appended (for the seal's trace event).
     n_blocks: u32,
     /// The records so far; the seal moves them behind the data.
     summary: Vec<u8>,
@@ -154,6 +194,7 @@ impl SegmentBuilder {
             capacity,
             header: [0; HEADER_LEN],
             body: Vec::new(),
+            n_sectors: 0,
             n_blocks: 0,
             summary: Vec::new(),
         }
@@ -175,34 +216,49 @@ impl SegmentBuilder {
         self.n_blocks
     }
 
+    /// Bytes of the data area.
+    pub(crate) fn data_bytes(&self) -> u64 {
+        u64::from(self.n_sectors) * SECTOR as u64
+    }
+
     pub(crate) fn is_empty(&self) -> bool {
         self.body.is_empty() && self.summary.is_empty()
     }
 
-    /// Whether `extra_blocks` data blocks plus `extra_summary` summary
-    /// bytes still fit between this segment's base and the slot's end.
-    pub(crate) fn fits(&self, extra_blocks: usize, extra_summary: usize) -> bool {
-        let used = self.base as usize * self.block_size
-            + self.encoded_len()
-            + extra_blocks * self.block_size
-            + extra_summary;
-        used <= self.capacity
+    /// Whether `extra` more bytes — extents and summary records — still
+    /// fit between this segment's base and the slot's end.
+    pub(crate) fn fits(&self, extra: usize) -> bool {
+        self.base as usize * self.block_size + self.encoded_len() + extra <= self.capacity
     }
 
-    /// Appends one data block and returns its index in the slot (the
-    /// `slot` of its [`PhysAddr`](crate::types::PhysAddr)).
+    /// The first sector of the data area, counted from the slot's start.
+    pub(crate) fn data_start(&self) -> u32 {
+        (self.base + 1) * (self.block_size / SECTOR) as u32
+    }
+
+    /// Appends one block's [`extent`] to the data area and returns its
+    /// address.
     ///
     /// # Panics
     ///
-    /// Panics if `data` is not exactly one block or the block does not
-    /// fit; callers check [`fits`](Self::fits) first.
-    pub(crate) fn push_block(&mut self, data: &[u8]) -> u32 {
-        assert_eq!(data.len(), self.block_size, "data must be one block");
-        assert!(self.fits(1, 0), "segment overflow");
-        let idx = self.base + self.n_blocks;
-        self.body.extend_from_slice(data);
+    /// Panics if `extent` is not whole sectors of at most one block, or
+    /// does not fit; callers check [`fits`](Self::fits) first.
+    pub(crate) fn push_extent(&mut self, extent: &[u8]) -> PhysAddr {
+        assert!(
+            extent.len() <= self.block_size && extent.len().is_multiple_of(SECTOR),
+            "an extent is whole sectors of one block"
+        );
+        assert!(self.fits(extent.len()), "segment overflow");
+        let sectors = (extent.len() / SECTOR) as u32;
+        let addr = PhysAddr {
+            segment: self.slot,
+            sector: self.data_start() + self.n_sectors,
+            sectors,
+        };
+        self.body.extend_from_slice(extent);
+        self.n_sectors += sectors;
         self.n_blocks += 1;
-        idx
+        addr
     }
 
     /// Appends one summary record.
@@ -212,41 +268,52 @@ impl SegmentBuilder {
     /// Panics if the record does not fit; callers check
     /// [`fits`](Self::fits) first.
     pub(crate) fn push_record(&mut self, rec: &Record) {
-        assert!(self.fits(0, rec.encoded_len()), "summary overflow");
+        assert!(self.fits(rec.encoded_len()), "summary overflow");
         rec.encode(&mut self.summary);
     }
 
-    /// Where in [`body`](Self::body) the data block with index `idx` in
-    /// the slot sits, if it is one of this segment's.
-    fn block_range(&self, idx: u32) -> Option<std::ops::Range<usize>> {
-        let i = idx.checked_sub(self.base).filter(|&i| i < self.n_blocks)?;
-        let start = i as usize * self.block_size;
-        Some(start..start + self.block_size)
+    /// Where in [`body`](Self::body) the extent at `addr` sits, if it is
+    /// one of this segment's.
+    fn extent_range(&self, addr: PhysAddr) -> Option<Range<usize>> {
+        if addr.segment != self.slot {
+            return None;
+        }
+        let start = addr.sector.checked_sub(self.data_start())?;
+        let end = start.checked_add(addr.sectors)?;
+        (end <= self.n_sectors).then(|| start as usize * SECTOR..end as usize * SECTOR)
     }
 
-    /// Replaces the data of a block placed in this segment, while it is
-    /// still open: nothing of it has been handed to the device, so the
-    /// version it held never existed there. Whether the caller may is
-    /// docs/INVARIANTS.md I5. `false`: `idx` is not a block of this
-    /// segment, and nothing changed.
-    pub(crate) fn rewrite_block(&mut self, idx: u32, data: &[u8]) -> bool {
-        assert_eq!(data.len(), self.block_size, "data must be one block");
-        let Some(at) = self.block_range(idx) else {
+    /// Replaces the extent at `held`, placed in this segment while it is
+    /// still open, with `extent` zero-padded to `held`'s sectors: nothing
+    /// of it has been handed to the device, so the version it held never
+    /// existed there. Whether the caller may is docs/INVARIANTS.md I5.
+    /// `false`: `held` is not this segment's, or `extent` is longer than
+    /// it, and nothing changed.
+    pub(crate) fn rewrite_extent(&mut self, held: PhysAddr, extent: &[u8]) -> bool {
+        if extent.len() > held.sectors as usize * SECTOR {
+            return false;
+        }
+        let Some(at) = self.extent_range(held) else {
             return false;
         };
-        self.body[at].copy_from_slice(data);
+        let sectors = (extent.len() / SECTOR) as u32;
+        zero_past_extent(&mut self.body[at], sectors).copy_from_slice(extent);
         true
     }
 
-    /// Reads back a data block placed in this segment (open or sealed),
-    /// by its index in the slot. `None`: the index belongs to another
-    /// segment of the slot, or to nothing yet.
-    pub(crate) fn read_block(&self, idx: u32) -> Option<&[u8]> {
-        self.block_range(idx).map(|at| &self.body[at])
+    /// Reads back the block at `addr` placed in this segment (open or
+    /// sealed) into `block`, zero-filled past its extent. `false`: the
+    /// address belongs to another segment, or to nothing yet.
+    pub(crate) fn read_block(&self, addr: PhysAddr, block: &mut [u8]) -> bool {
+        let Some(at) = self.extent_range(addr) else {
+            return false;
+        };
+        zero_past_extent(block, addr.sectors).copy_from_slice(&self.body[at]);
+        true
     }
 
     /// The block of the slot right behind this segment as it stands:
-    /// header, data blocks, summary rounded up to a block.
+    /// header, data area, summary rounded up to a block.
     fn end(&self) -> u32 {
         self.base + (self.encoded_len().div_ceil(self.block_size)) as u32
     }
@@ -269,7 +336,7 @@ impl SegmentBuilder {
         let mut header = [0u8; HEADER_LEN];
         header[0..8].copy_from_slice(&SEGMENT_MAGIC.to_le_bytes());
         header[8..16].copy_from_slice(&self.seq.to_le_bytes());
-        header[16..20].copy_from_slice(&self.n_blocks.to_le_bytes());
+        header[16..20].copy_from_slice(&self.n_sectors.to_le_bytes());
         header[20..24].copy_from_slice(&(summary.len() as u32).to_le_bytes());
         header[24..28].copy_from_slice(&crc32(summary).to_le_bytes());
         header[28..32].copy_from_slice(&next_slot.to_le_bytes());
@@ -282,13 +349,13 @@ impl SegmentBuilder {
     }
 
     /// The summary of a sealed segment, where it sits on disk:
-    /// immediately after the last data block.
+    /// immediately after the data area's last sector.
     pub(crate) fn summary_bytes(&self) -> &[u8] {
-        &self.body[self.n_blocks as usize * self.block_size..]
+        &self.body[self.n_sectors as usize * SECTOR..]
     }
 
     /// Total on-media size of the segment as it stands: header block +
-    /// data blocks + summary.
+    /// data area + summary.
     pub(crate) fn encoded_len(&self) -> usize {
         self.block_size + self.body.len() + self.summary.len()
     }
@@ -298,7 +365,7 @@ impl SegmentBuilder {
         &self.header
     }
 
-    /// The sealed segment's data blocks and summary, the second write,
+    /// The sealed segment's data area and summary, the second write,
     /// one block behind its base.
     pub(crate) fn body(&self) -> &[u8] {
         &self.body
@@ -313,7 +380,7 @@ pub(crate) struct SegmentHeader {
     /// Where it was read from.
     pub(crate) slot: SegmentId,
     base: u32,
-    n_blocks: u32,
+    n_sectors: u32,
     summary_len: u32,
     summary_crc: u32,
     /// Header CRC of segment `seq - 1`.
@@ -325,15 +392,24 @@ pub(crate) struct SegmentHeader {
 }
 
 impl SegmentHeader {
-    /// The slot indices of its data blocks, the only ones its `Write`
-    /// records name ([`SegmentBuilder::push_block`]). [`parse_header`]
-    /// checked that they end inside the slot.
-    pub(crate) fn data_blocks(&self) -> std::ops::Range<u32> {
-        self.base..self.base + self.n_blocks
+    /// The sectors of its data area, counted from the slot's start: the
+    /// only ones its `Write` records name
+    /// ([`SegmentBuilder::push_extent`]). [`parse_header`] checked that
+    /// they end inside the slot.
+    pub(crate) fn data_sectors(&self, layout: &Layout) -> Range<u32> {
+        let start = (self.base + 1) * layout.sectors_per_block();
+        start..start + self.n_sectors
     }
 
     pub(crate) fn summary_len(&self) -> u32 {
         self.summary_len
+    }
+
+    /// Byte offset in the slot of the summary: right behind the data
+    /// area.
+    fn summary_at(&self, layout: &Layout) -> u64 {
+        (u64::from(self.base) + 1) * layout.block_size as u64
+            + u64::from(self.n_sectors) * SECTOR as u64
     }
 }
 
@@ -352,9 +428,11 @@ pub(crate) fn parse_header(
     if crc32(&header[..HEADER_LEN - 4]) != link || u64_at(header, 0) != SEGMENT_MAGIC {
         return None;
     }
-    let (n_blocks, summary_len) = (u32_at(header, 16), u32_at(header, 20));
-    let summary_blocks = u64::from(summary_len).div_ceil(layout.block_size as u64);
-    let end = u64::from(base) + 1 + u64::from(n_blocks) + summary_blocks;
+    let (n_sectors, summary_len) = (u32_at(header, 16), u32_at(header, 20));
+    let bs = layout.block_size as u64;
+    let bytes =
+        (u64::from(base) + 1) * bs + u64::from(n_sectors) * SECTOR as u64 + u64::from(summary_len);
+    let end = bytes.div_ceil(bs);
     let blocks_per_slot = layout.blocks_per_slot();
     if end > u64::from(blocks_per_slot) {
         return None;
@@ -373,7 +451,7 @@ pub(crate) fn parse_header(
         seq: u64_at(header, 8),
         slot,
         base,
-        n_blocks,
+        n_sectors,
         summary_len,
         summary_crc: u32_at(header, 24),
         prev_link: u32_at(header, 32),
@@ -419,15 +497,16 @@ pub(crate) fn read_summary<D: BlockDevice>(
 ) -> Result<Option<SummaryRead>> {
     let slot = header.slot;
     let summary_len = header.summary_len as usize;
-    let start = header.base + 1 + header.n_blocks;
+    let start = header.summary_at(layout);
     let adjacent = header.next.slot == slot.get();
     let mut buf = if adjacent {
         // `parse_header` checked that this ends inside the slot.
-        vec![0u8; (header.next.base - start) as usize * layout.block_size + HEADER_LEN]
+        let next_at = u64::from(header.next.base) * layout.block_size as u64;
+        vec![0u8; (next_at - start) as usize + HEADER_LEN]
     } else {
         vec![0u8; summary_len]
     };
-    device.read_at(layout.block_at(slot.get(), start), &mut buf)?;
+    device.read_at(layout.segment_offset(slot.get()) + start, &mut buf)?;
     let summary = &buf[..summary_len];
     if crc32(summary) != header.summary_crc {
         return Ok(None);
@@ -449,7 +528,8 @@ pub(crate) fn read_summary<D: BlockDevice>(
 mod tests {
     use super::*;
     use crate::config::LldConfig;
-    use crate::types::{BlockId, Timestamp};
+    use crate::types::{BlockId, Ctx, Position, Timestamp};
+    use crate::Lld;
     use ld_disk::MemDisk;
 
     fn layout() -> Layout {
@@ -516,38 +596,119 @@ mod tests {
         }
     }
 
+    /// A `block_size`-byte block whose last non-zero byte is at `last`
+    /// (`None`: all zeros).
+    fn block_to(block_size: usize, last: Option<usize>) -> Vec<u8> {
+        let mut b = vec![0u8; block_size];
+        if let Some(last) = last {
+            b[..=last].fill(0x5A);
+        }
+        b
+    }
+
+    #[test]
+    fn extent_ends_at_the_last_non_zero_sector() {
+        for bs in [512usize, 4096] {
+            assert!(extent(&block_to(bs, None)).is_empty(), "{bs}: all zeros");
+            assert_eq!(extent(&block_to(bs, Some(0))).len(), 512, "{bs}");
+            assert_eq!(extent(&block_to(bs, Some(511))).len(), 512, "{bs}");
+            assert_eq!(extent(&block_to(bs, Some(bs - 1))).len(), bs, "{bs}: full");
+            // A non-zero byte alone in the last sector keeps them all.
+            let mut lone = vec![0u8; bs];
+            lone[bs - 1] = 1;
+            assert_eq!(extent(&lone).len(), bs, "{bs}");
+        }
+        // The paper's 1 KB file in a 4 KiB block: two sectors.
+        assert_eq!(extent(&block_to(4096, Some(1023))).len(), 1024);
+        assert_eq!(extent(&block_to(4096, Some(1024))).len(), 1536);
+
+        // A read zero-fills what the extent leaves.
+        let mut buf = vec![0xEEu8; 4096];
+        zero_past_extent(&mut buf, 2).fill(7);
+        assert!(buf[..1024].iter().all(|&b| b == 7));
+        assert!(buf[1024..].iter().all(|&b| b == 0));
+    }
+
     #[test]
     fn builder_tracks_capacity() {
         let b = builder(0, 1);
         assert!(b.is_empty());
         // Header takes one block, so 7 data blocks fit with no summary.
-        assert!(b.fits(7, 0));
-        assert!(!b.fits(7, 1));
-        assert!(!b.fits(8, 0));
+        assert!(b.fits(7 * 512));
+        assert!(!b.fits(7 * 512 + 1));
         // From block 3 on, the header and 4 more blocks are left.
         let b = builder_at(0, 3, 2);
-        assert!(b.fits(4, 0));
-        assert!(!b.fits(4, 1));
+        assert!(b.fits(4 * 512));
+        assert!(!b.fits(4 * 512 + 1));
     }
 
     #[test]
     fn push_and_read_back() {
         let mut b = builder(2, 9);
         let block = vec![0xABu8; 512];
-        let idx = b.push_block(&block);
-        assert_eq!(idx, 0);
-        assert_eq!(b.push_block(&vec![0xCDu8; 512]), 1);
-        assert_eq!(b.read_block(0), Some(&block[..]));
-        assert_eq!(b.read_block(1).unwrap()[0], 0xCD);
-        assert_eq!(b.read_block(2), None);
-        // A rewrite takes the slot; the segment grows by nothing.
-        assert!(b.rewrite_block(0, &vec![0xEFu8; 512]));
-        assert!(!b.rewrite_block(2, &block), "not this segment's");
-        assert_eq!(b.read_block(0).unwrap()[0], 0xEF);
-        assert_eq!(b.read_block(1).unwrap()[0], 0xCD);
+        let a0 = b.push_extent(&block);
+        // The data area starts at the block behind the header.
+        assert_eq!((a0.sector, a0.sectors), (1, 1));
+        let a1 = b.push_extent(&[0xCDu8; 512]);
+        assert_eq!((a1.sector, a1.sectors), (2, 1));
+        let zero = b.push_extent(&[]);
+        assert_eq!((zero.sector, zero.sectors), (3, 0), "an all-zero block");
+        let mut buf = vec![0xEEu8; 512];
+        assert!(b.read_block(a0, &mut buf));
+        assert_eq!(buf, block);
+        assert!(b.read_block(zero, &mut buf));
+        assert_eq!(buf, [0u8; 512]);
+        let elsewhere = PhysAddr {
+            segment: SegmentId::new(3),
+            ..a0
+        };
+        assert!(!b.read_block(elsewhere, &mut buf));
+        let past = PhysAddr { sector: 3, ..a0 };
+        assert!(!b.read_block(past, &mut buf));
+        // A rewrite takes the place; the segment grows by nothing.
+        assert!(b.rewrite_extent(a0, &[0xEFu8; 512]));
+        assert!(!b.rewrite_extent(past, &block), "not this segment's");
+        assert!(b.read_block(a0, &mut buf));
+        assert_eq!(buf[0], 0xEF);
+        assert!(b.read_block(a1, &mut buf));
+        assert_eq!(buf[0], 0xCD);
         b.push_record(&sample_record(1));
-        assert_eq!(b.n_blocks(), 2);
+        assert_eq!(b.n_blocks(), 3);
+        assert_eq!(b.data_bytes(), 2 * 512);
         assert!(!b.is_empty());
+    }
+
+    /// I5's placement half: a rewrite takes a version's place only when
+    /// the new extent fits inside it, zero-padded; a longer one is
+    /// refused (the caller appends).
+    #[test]
+    fn absorb_fits_or_appends() {
+        let mut b = SegmentBuilder::new(SegmentId::new(1), 0, 1, 0, 7, 4096, 16 * 4096);
+        let short = b.push_extent(extent(&block_to(4096, Some(1500))));
+        assert_eq!((short.sector, short.sectors), (8, 3));
+        let next = b.push_extent(extent(&block_to(4096, Some(4095))));
+        assert_eq!((next.sector, next.sectors), (11, 8));
+        let before = b.encoded_len();
+
+        // Shorter: fits, and the sectors it no longer needs read as zeros.
+        assert!(b.rewrite_extent(short, extent(&block_to(4096, Some(100)))));
+        let mut buf = vec![0xEEu8; 4096];
+        assert!(b.read_block(short, &mut buf));
+        assert_eq!(buf, block_to(4096, Some(100)));
+        // Equal: fits. All zeros: fits anything.
+        assert!(b.rewrite_extent(short, extent(&block_to(4096, Some(1535)))));
+        assert!(b.rewrite_extent(short, extent(&block_to(4096, None))));
+        assert!(b.read_block(short, &mut buf));
+        assert_eq!(buf, [0u8; 4096]);
+        // Longer: refused, nothing changed; the neighbour is intact.
+        assert!(!b.rewrite_extent(short, extent(&block_to(4096, Some(1536)))));
+        assert!(b.read_block(next, &mut buf));
+        assert_eq!(buf, block_to(4096, Some(4095)));
+        assert_eq!(b.encoded_len(), before);
+        // An all-zero version has no room for anything but zeros.
+        let zero = b.push_extent(&[]);
+        assert!(b.rewrite_extent(zero, &[]));
+        assert!(!b.rewrite_extent(zero, &[1u8; 512]));
     }
 
     #[test]
@@ -555,7 +716,7 @@ mod tests {
         let layout = layout();
         let device = MemDisk::new(1 << 20);
         let mut b = builder(1, 42);
-        b.push_block(&vec![7u8; 512]);
+        b.push_extent(&[7u8; 512]);
         b.push_record(&sample_record(1));
         b.push_record(&sample_record(2));
         seal_and_write(&device, &layout, &mut b);
@@ -579,7 +740,7 @@ mod tests {
         let device = MemDisk::new(1 << 20);
         let slot = SegmentId::new(2);
         let mut first = builder(2, 5);
-        assert_eq!(first.push_block(&vec![1u8; 512]), 0);
+        assert_eq!(first.push_extent(&[1u8; 512]).sector, 1);
         first.push_record(&sample_record(1));
         // Header, one data block, one block of summary: three blocks.
         assert_eq!(first.successor_base(), Some(3));
@@ -589,20 +750,26 @@ mod tests {
         let mut second = SegmentBuilder::new(slot, 3, 6, header_link(&h1), 7, 512, 8 * 512);
         // Addresses count from the slot's start, so `Layout::block_offset`
         // finds the block without knowing which segment holds it.
-        assert_eq!(second.push_block(&vec![2u8; 512]), 3);
-        assert_eq!(second.push_block(&vec![3u8; 512]), 4);
-        assert_eq!(second.read_block(4).unwrap()[0], 3);
-        assert_eq!(second.read_block(0), None, "the first segment's block");
+        let a = second.push_extent(&[2u8; 512]);
+        let b = second.push_extent(&[3u8; 512]);
+        assert_eq!((a.sector, b.sector), (4, 5));
+        let mut buf = [0u8; 512];
+        assert!(second.read_block(b, &mut buf));
+        assert_eq!(buf[0], 3);
+        let first_block = PhysAddr {
+            segment: slot,
+            sector: 1,
+            sectors: 1,
+        };
+        assert!(
+            !second.read_block(first_block, &mut buf),
+            "the first segment's block"
+        );
         second.push_record(&sample_record(2));
         // It ends at block 7 of 8: the slot is closed.
         assert_eq!(second.successor_base(), None);
         seal_and_write(&device, &layout, &mut second);
-        let addr = crate::types::PhysAddr {
-            segment: slot,
-            slot: 4,
-        };
-        let mut buf = [0u8; 512];
-        device.read_at(layout.block_offset(addr), &mut buf).unwrap();
+        device.read_at(layout.block_offset(b), &mut buf).unwrap();
         assert_eq!(buf[0], 3);
 
         // The first summary's read brings the second header with it.
@@ -613,9 +780,52 @@ mod tests {
         let h2 = parse_header(&read.successor.expect("adjacent"), &layout, slot, 3).unwrap();
         assert_eq!((h2.seq, h2.prev_link), (6, h.next.link));
         assert_eq!(h2.next.slot, NO_SLOT);
+        assert_eq!(h2.data_sectors(&layout), 4..6);
         let read = read_summary(&device, &layout, &h2).unwrap().unwrap();
         assert_eq!(read.records, vec![sample_record(2)]);
         assert_eq!(read.successor, None, "the log goes on elsewhere");
+    }
+
+    /// Short extents pack the data area by sectors: the summary starts
+    /// behind the last one, not at a block boundary, and the successor's
+    /// base follows from the sector count.
+    #[test]
+    fn short_extents_pack_by_sectors() {
+        let cfg = LldConfig {
+            block_size: 4096,
+            segment_bytes: 16 * 4096,
+            ..LldConfig::default()
+        };
+        let layout = Layout::compute(4 << 20, &cfg).unwrap();
+        let device = MemDisk::new(4 << 20);
+        let slot = SegmentId::new(1);
+        let mut b = SegmentBuilder::new(slot, 0, 1, 0, 7, 4096, 16 * 4096);
+        let blocks = [
+            block_to(4096, None),
+            block_to(4096, Some(1000)),
+            block_to(4096, Some(4095)),
+            block_to(4096, Some(10)),
+        ];
+        let addrs: Vec<PhysAddr> = blocks.iter().map(|d| b.push_extent(extent(d))).collect();
+        let at: Vec<(u32, u32)> = addrs.iter().map(|a| (a.sector, a.sectors)).collect();
+        assert_eq!(at, [(8, 0), (8, 2), (10, 8), (18, 1)]);
+        b.push_record(&sample_record(1));
+        // 4096 + 11 × 512 + 17 bytes: three blocks.
+        assert_eq!(b.successor_base(), Some(3));
+        b.header_bytes(1);
+        write_seal(&device, &layout, &b);
+        let h = read_header(&device, &layout, slot, 0).unwrap().unwrap();
+        assert_eq!(h.data_sectors(&layout), 8..19);
+        assert_eq!((h.next.slot, h.next.base), (1, 3));
+        let read = read_summary(&device, &layout, &h).unwrap().unwrap();
+        assert_eq!(read.records, vec![sample_record(1)]);
+        // Each extent reads back where its address says, zero-filled.
+        for (addr, want) in addrs.iter().zip(&blocks) {
+            let mut buf = vec![0xEEu8; 4096];
+            let front = zero_past_extent(&mut buf, addr.sectors);
+            device.read_at(layout.block_offset(*addr), front).unwrap();
+            assert_eq!(&buf, want, "{addr}");
+        }
     }
 
     #[test]
@@ -626,7 +836,7 @@ mod tests {
         let layout = layout();
         let slot = SegmentId::new(1);
         let mut b = builder_at(1, 4, 9);
-        b.push_block(&vec![1u8; 512]);
+        b.push_extent(&[1u8; 512]);
         b.push_record(&sample_record(1));
         let fits = b.header_bytes(NO_SLOT); // blocks 4, 5, 6 of 8
         assert!(parse_header(&fits, &layout, slot, 4).is_some());
@@ -650,7 +860,7 @@ mod tests {
         let layout = layout();
         let device = MemDisk::new(1 << 20);
         let mut b = builder(0, 7);
-        b.push_block(&vec![1u8; 512]);
+        b.push_extent(&[1u8; 512]);
         b.push_record(&sample_record(1));
         b.header_bytes(NO_SLOT);
         // Simulate a torn body write: the tail of the summary never
@@ -690,7 +900,7 @@ mod tests {
         let layout = layout();
         let device = MemDisk::new(1 << 20);
         let mut old = builder(0, 1);
-        old.push_block(&vec![1u8; 512]);
+        old.push_extent(&[1u8; 512]);
         old.push_record(&sample_record(1));
         let off = layout.segment_offset(0);
         seal_and_write(&device, &layout, &mut old);
@@ -707,20 +917,110 @@ mod tests {
 
     #[test]
     fn data_block_offsets_match_layout() {
-        // Block index i of the builder must land where
+        // The extent at an address must land where
         // Layout::block_offset says it is.
         let layout = layout();
         let device = MemDisk::new(1 << 20);
         let mut b = builder(3, 1);
-        b.push_block(&vec![0x11u8; 512]);
-        b.push_block(&vec![0x22u8; 512]);
+        b.push_extent(&[0x11u8; 512]);
+        let addr = b.push_extent(&[0x22u8; 512]);
         seal_and_write(&device, &layout, &mut b);
-        let addr = crate::types::PhysAddr {
-            segment: SegmentId::new(3),
-            slot: 1,
-        };
         let mut buf = [0u8; 512];
         device.read_at(layout.block_offset(addr), &mut buf).unwrap();
         assert_eq!(buf[0], 0x22);
+    }
+
+    /// A disk of 4 KiB blocks holding two: `short` (1,000 bytes) and a
+    /// full one behind it in the data area, so a read that took a whole
+    /// block at `short`'s address would return the other's bytes in its
+    /// tail. No `cleanerd`: a scoped session's epilogue writes its own
+    /// seal.
+    fn two_block_disk() -> (Lld<MemDisk>, BlockId, Vec<u8>) {
+        let mut cfg = LldConfig {
+            block_size: 4096,
+            segment_bytes: 16 * 4096,
+            ..LldConfig::default()
+        };
+        cfg.cleaner.background = false;
+        let ld = Lld::format(MemDisk::new(4 << 20), &cfg).unwrap();
+        let list = ld.new_list(Ctx::Simple).unwrap();
+        let short = ld.new_block(Ctx::Simple, list, Position::First).unwrap();
+        let next = ld.new_block(Ctx::Simple, list, Position::First).unwrap();
+        let data = block_to(4096, Some(999));
+        ld.write(Ctx::Simple, short, &data).unwrap();
+        ld.write(Ctx::Simple, next, &[0xCD; 4096]).unwrap();
+        (ld, short, data)
+    }
+
+    /// The block at `addr` as `read_block_data` returns it, into a
+    /// buffer of stale bytes.
+    fn read_at(ld: &crate::lld::LldInner<MemDisk>, addr: PhysAddr) -> Vec<u8> {
+        let mut buf = vec![0xEEu8; 4096];
+        ld.read_block_data(addr, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn a_short_block_reads_back_zero_filled_from_everywhere() {
+        let (ld, short, data) = two_block_disk();
+        let addr = ld.block_info(short).unwrap().addr.unwrap();
+        assert_eq!(addr.sectors, 2);
+
+        // The open segment.
+        assert_eq!(read_at(&ld, addr), data, "open segment");
+
+        // An in-flight seal: sealed by a scoped session, whose epilogue
+        // writes it only once the session is over.
+        ld.with_mutation_at(0, 0, |m| {
+            assert!(m.seal_current().unwrap());
+            assert_eq!(m.log().inflight.len(), 1);
+            m.log_guard = None;
+            assert_eq!(read_at(m.lld, addr), data, "in-flight seal");
+        });
+        assert!(ld.log.lock().inflight.is_empty());
+
+        // The cache, which the write filled.
+        let before = ld.stats();
+        assert_eq!(read_at(&ld, addr), data, "cache");
+        assert_eq!(ld.stats().cache_hits, before.cache_hits + 1);
+
+        // The device.
+        ld.cache.lock().invalidate_segment(addr.segment);
+        let before = ld.stats();
+        assert_eq!(read_at(&ld, addr), data, "device");
+        assert_eq!(ld.stats().cache_misses, before.cache_misses + 1);
+        let mut buf = vec![0u8; 4096];
+        ld.read(Ctx::Simple, short, &mut buf).unwrap();
+        assert_eq!(buf, data);
+    }
+
+    /// I5's placement half on the live disk: an overwrite whose extent
+    /// fits the version still in the open segment is absorbed and keeps
+    /// its address; a longer one appends.
+    #[test]
+    fn absorb_fits_against_absorb_appends() {
+        let (ld, short, _) = two_block_disk();
+        let held = ld.block_info(short).unwrap().addr.unwrap();
+        let before = ld.stats();
+        let shorter = block_to(4096, Some(10));
+        ld.write(Ctx::Simple, short, &shorter).unwrap();
+        let s = ld.stats();
+        assert_eq!(s.blocks_absorbed, before.blocks_absorbed + 1);
+        assert_eq!(s.data_blocks_written, before.data_blocks_written);
+        assert_eq!(ld.block_info(short).unwrap().addr, Some(held));
+        assert_eq!(read_at(&ld, held), shorter);
+
+        let longer = block_to(4096, Some(1024));
+        ld.write(Ctx::Simple, short, &longer).unwrap();
+        let s = ld.stats();
+        assert_eq!(s.blocks_absorbed, before.blocks_absorbed + 1);
+        assert_eq!(s.data_blocks_written, before.data_blocks_written + 1);
+        let moved = ld.block_info(short).unwrap().addr.unwrap();
+        assert_eq!((moved.sector, moved.sectors), (held.sector + 10, 3));
+        ld.flush().unwrap();
+        assert_eq!(ld.stats().data_bytes_written, (2 + 8 + 3) * 512);
+        let mut buf = vec![0u8; 4096];
+        ld.read(Ctx::Simple, short, &mut buf).unwrap();
+        assert_eq!(buf, longer);
     }
 }

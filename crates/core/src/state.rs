@@ -237,10 +237,11 @@ mod tests {
     use super::*;
     use crate::types::SegmentId;
 
-    fn addr(seg: u32, slot: u32) -> PhysAddr {
+    fn addr(seg: u32, sector: u32) -> PhysAddr {
         PhysAddr {
             segment: SegmentId::new(seg),
-            slot,
+            sector,
+            sectors: 8,
         }
     }
 

@@ -47,6 +47,11 @@ pub struct LldStats {
     pub summary_bytes: u64,
     /// Data blocks entered into the segment stream (includes relocations).
     pub data_blocks_written: u64,
+    /// Bytes of the data areas of sealed segments: what their blocks'
+    /// extents take, each up to its last non-zero 512-byte sector. At
+    /// most `data_blocks_written × block_size`; the gap is the zeros a
+    /// seal did not write.
+    pub data_bytes_written: u64,
     /// Writes that took the place of the block's previous version in the
     /// open segment instead of appending a copy (docs/INVARIANTS.md I5):
     /// a version superseded before its segment seals costs no device
@@ -195,6 +200,7 @@ pub(crate) struct StatsCell {
     pub(crate) records_emitted: Counter,
     pub(crate) summary_bytes: Counter,
     pub(crate) data_blocks_written: Counter,
+    pub(crate) data_bytes_written: Counter,
     pub(crate) blocks_absorbed: Counter,
     pub(crate) blocks_relocated: Counter,
     pub(crate) cleaner_runs: Counter,
@@ -243,6 +249,7 @@ impl StatsCell {
             records_emitted: self.records_emitted.get(),
             summary_bytes: self.summary_bytes.get(),
             data_blocks_written: self.data_blocks_written.get(),
+            data_bytes_written: self.data_bytes_written.get(),
             blocks_absorbed: self.blocks_absorbed.get(),
             blocks_relocated: self.blocks_relocated.get(),
             cleaner_runs: self.cleaner_runs.get(),
@@ -295,6 +302,7 @@ impl StatsCell {
             records_emitted,
             summary_bytes,
             data_blocks_written,
+            data_bytes_written,
             blocks_absorbed,
             blocks_relocated,
             cleaner_runs,
@@ -340,6 +348,7 @@ impl StatsCell {
             records_emitted,
             summary_bytes,
             data_blocks_written,
+            data_bytes_written,
             blocks_absorbed,
             blocks_relocated,
             cleaner_runs,

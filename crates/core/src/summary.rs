@@ -17,14 +17,16 @@ use crate::types::{AruId, BlockId, ListId, Timestamp};
 /// One segment-summary record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
-    /// A data block was written to index `slot` of the segment slot
-    /// containing this record. Tagged with an ARU when the write belongs
-    /// to one.
+    /// A data block was written to the extent `slot` of the segment
+    /// slot containing this record. Tagged with an ARU when the write
+    /// belongs to one.
     Write {
         /// The logical block.
         block: BlockId,
-        /// Index of the block in the segment slot (see
-        /// [`PhysAddr::slot`](crate::PhysAddr)).
+        /// Where the block's extent sits in the segment slot (see
+        /// [`PhysAddr`](crate::PhysAddr)): its first sector in the high
+        /// 24 bits, its sector count in the low 8. Recovery checks both
+        /// against the segment's data area and the block size.
         slot: u32,
         /// Logical time of the write.
         ts: Timestamp,

@@ -43,17 +43,22 @@ pub struct Timestamp(u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SegmentId(u32);
 
-/// A physical block address: a segment slot plus a block index within
-/// it.
+/// A physical block address: where in a segment slot the block's stored
+/// *extent* sits — its bytes up to the last non-zero one, in whole
+/// 512-byte sectors (see `segment.rs`). A read zero-fills the rest of
+/// the block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PhysAddr {
     /// The segment slot holding the block.
     pub segment: SegmentId,
-    /// Index of the block in the slot, counted from the block after the
-    /// slot's first (always a header). A slot holds several segments
-    /// back to back; the index does not say which of them the block
+    /// First sector of the extent, counted from the slot's start (whose
+    /// first block is always a header). A slot holds several segments
+    /// back to back; the offset does not say which of them the block
     /// belongs to.
-    pub slot: u32,
+    pub sector: u32,
+    /// Sectors the extent takes: at most a block's, 0 for an all-zero
+    /// block.
+    pub sectors: u32,
 }
 
 /// The stream an operation executes in: the merged stream (a *simple*
@@ -160,9 +165,29 @@ impl fmt::Display for SegmentId {
     }
 }
 
+impl PhysAddr {
+    /// The extent as a `Write` record carries it in its 4-byte field:
+    /// the sector in the high 24 bits (a slot of at most 4 GiB has
+    /// fewer than 2²³), the count in the low 8 (a block of at most
+    /// 64 KiB has at most 128).
+    pub(crate) fn extent(self) -> u32 {
+        debug_assert!(self.sector < 1 << 24 && self.sectors < 1 << 8);
+        self.sector << 8 | self.sectors
+    }
+
+    /// The address in `segment` of a `Write` record's extent.
+    pub(crate) fn from_extent(segment: SegmentId, extent: u32) -> PhysAddr {
+        PhysAddr {
+            segment,
+            sector: extent >> 8,
+            sectors: extent & 0xFF,
+        }
+    }
+}
+
 impl fmt::Display for PhysAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}+{}", self.segment, self.slot)
+        write!(f, "{}+{}:{}", self.segment, self.sector, self.sectors)
     }
 }
 
@@ -209,10 +234,11 @@ mod tests {
         assert_eq!(
             PhysAddr {
                 segment: SegmentId::new(2),
-                slot: 5
+                sector: 40,
+                sectors: 8
             }
             .to_string(),
-            "s2+5"
+            "s2+40:8"
         );
         assert_eq!(Ctx::Simple.to_string(), "simple");
         assert_eq!(Ctx::Aru(AruId::new(1)).to_string(), "aru1");
@@ -239,6 +265,22 @@ mod tests {
         let ctx: Ctx = AruId::new(4).into();
         assert_eq!(ctx.aru(), Some(AruId::new(4)));
         assert_eq!(Ctx::default(), Ctx::Simple);
+    }
+
+    #[test]
+    fn extent_packs_sector_and_count() {
+        let seg = SegmentId::new(3);
+        for (sector, sectors) in [(0, 0), (8, 2), ((1 << 23) - 1, 128), (1 << 23, 255)] {
+            let addr = PhysAddr {
+                segment: seg,
+                sector,
+                sectors,
+            };
+            assert_eq!(PhysAddr::from_extent(seg, addr.extent()), addr);
+        }
+        // What a 4 KiB block at sector 16 packs to.
+        let full = PhysAddr::from_extent(seg, 16 << 8 | 8);
+        assert_eq!((full.sector, full.sectors), (16, 8));
     }
 
     #[test]

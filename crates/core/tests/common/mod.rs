@@ -38,7 +38,8 @@ pub fn churn_ring<D: BlockDevice>(
 
 // Segment header fields (see `segment.rs`).
 pub const H_SEQ: usize = 8;
-pub const H_N_BLOCKS: usize = 16;
+/// The data area's size in 512-byte sectors.
+pub const H_N_SECTORS: usize = 16;
 pub const H_SUMMARY_LEN: usize = 20;
 pub const H_SUMMARY_CRC: usize = 24;
 pub const H_NEXT: usize = 28;
@@ -105,9 +106,9 @@ pub fn header_valid(image: &[u8], off: usize) -> bool {
 
 /// Byte range of the summary of the segment whose header is at `off`,
 /// on `block_size`-byte blocks: behind the header block and the data
-/// blocks.
+/// area's sectors.
 pub fn summary_range(image: &[u8], off: usize, block_size: usize) -> std::ops::Range<usize> {
-    let start = off + (1 + u32_at(image, off + H_N_BLOCKS) as usize) * block_size;
+    let start = off + block_size + u32_at(image, off + H_N_SECTORS) as usize * 512;
     start..start + u32_at(image, off + H_SUMMARY_LEN) as usize
 }
 

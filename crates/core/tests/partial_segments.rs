@@ -73,9 +73,10 @@ fn flushes_fill_slots_before_taking_new_ones_at(mode: Mode) {
     }
     assert_eq!(ld.stats().segments_sealed, 10);
     assert_eq!(slots_in_use(&ld), 10u32.div_ceil(4));
-    // The last overwrite sits at blocks 5 and 6 of the third slot.
+    // The last overwrite sits at blocks 5 and 6 of the third slot
+    // (sectors, counted from the slot's start, on 512-byte blocks).
     let addr = ld.block_info(b1).unwrap().addr.unwrap();
-    assert_eq!((addr.segment.get(), addr.slot), (2, 5));
+    assert_eq!((addr.segment.get(), addr.sector, addr.sectors), (2, 6, 1));
 
     let image = ld.into_device().into_image();
     let (ld2, report) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
@@ -114,7 +115,7 @@ fn sealed_blocks_of_the_open_slot_are_not_read_from_the_builder_at(mode: Mode) {
         ld.write(Ctx::Simple, open, &block(0x09)).unwrap();
         let at = |b| ld.block_info(b).unwrap().addr.unwrap();
         assert_eq!(at(sealed).segment, at(open).segment, "one slot");
-        assert!(at(sealed).slot < at(open).slot);
+        assert!(at(sealed).sector < at(open).sector);
 
         let lookups = || {
             let s = ld.stats();

@@ -54,11 +54,9 @@ fn successor(image: &[u8], pos: (u32, u32)) -> (u32, u32) {
     if next != pos.0 {
         return (next, 0);
     }
-    let summary_blocks = (u32_at(image, off + H_SUMMARY_LEN) as usize).div_ceil(BS) as u32;
-    (
-        next,
-        pos.1 + 1 + u32_at(image, off + H_N_BLOCKS) + summary_blocks,
-    )
+    let data = u32_at(image, off + H_N_SECTORS) as usize * 512;
+    let bytes = BS + data + u32_at(image, off + H_SUMMARY_LEN) as usize;
+    (next, pos.1 + bytes.div_ceil(BS) as u32)
 }
 
 /// Positions of segments 1, 2, … of a log that starts at block 0 of
@@ -78,6 +76,12 @@ fn chain(image: &[u8]) -> Vec<(u32, u32)> {
         (pos, link) = (successor(image, pos), u32_at(image, off + H_CRC));
     }
     out
+}
+
+/// A `Write` record's extent field: first sector (counted from the
+/// slot's start) and sector count.
+fn extent(sector: u32, sectors: u32) -> u32 {
+    sector << 8 | sectors
 }
 
 fn recover(image: &[u8]) -> Result<(Lld<MemDisk>, RecoveryReport), LldError> {
@@ -128,7 +132,7 @@ fn stale_successor_is_not_replayed() {
         let next_seq = u64::from(n) + 1;
 
         // The tail's three blocks, re-labelled as its successor. Its one
-        // record places the block by its index in the slot, so the copy
+        // record places the block by its sector in the slot, so the copy
         // gets a data block of its own and a record that says so.
         let mut forged = image.clone();
         forged.copy_within(from..from + 3 * BS, to);
@@ -136,7 +140,7 @@ fn stale_successor_is_not_replayed() {
         let record = to + 2 * BS;
         let len = u32_at(&forged, to + H_SUMMARY_LEN) as usize;
         assert_eq!((forged[record], len), (1, 29), "one `Write` record");
-        put_u32(&mut forged, record + 9, at.1);
+        put_u32(&mut forged, record + 9, extent(at.1 + 1, 1));
         let summary_crc = crc32(&forged[record..record + len]);
         put_u32(&mut forged, to + H_SUMMARY_CRC, summary_crc);
         forged[to + H_SEQ..to + H_SEQ + 8].copy_from_slice(&next_seq.to_le_bytes());
@@ -384,14 +388,22 @@ fn hostile_pointers_are_corrupt_not_fatal() {
 
     // Records recomputed under valid CRCs, on the tail (a resealed
     // header changes the link its successor checks). Its one record
-    // places the block at the segment's one data block.
+    // places the block at the segment's one data sector.
     let summary = summary_range(&image, tail, BS);
     let at_block = summary.start + 9; // behind the tag and the block id
     assert_eq!((image[summary.start], summary.len()), (1, 29), "a `Write`");
-    assert_eq!(u32_at(&image, at_block), at[11].1);
-    // One past the segment's last block, and where `Layout::block_offset`
-    // would overflow.
-    for slot in [at[11].1 + 1, u32::MAX] {
+    let data = at[11].1 + 1;
+    assert_eq!(u32_at(&image, at_block), extent(data, 1));
+    // One sector past the segment's data area, in front of it, more
+    // sectors than a block has, and where `Layout::block_offset` would
+    // overflow.
+    for slot in [
+        extent(data + 1, 1),
+        extent(data, 2),
+        extent(data - 1, 1),
+        extent(data - 1, 2),
+        u32::MAX,
+    ] {
         let mut hostile = image.clone();
         put_u32(&mut hostile, at_block, slot);
         reseal_summary(&mut hostile, tail, BS);
@@ -649,19 +661,22 @@ fn timestamp_that_runs_backwards_is_corrupt() {
     );
 }
 
-/// An image of the previous format (superblock version 4, valid CRC) is
-/// refused by the version check, not read as if its checkpoint slabs
-/// were packed the same.
+/// An image of the previous formats (superblock version 5 or 4, valid
+/// CRC) is refused by the version check, not read as if its segments
+/// were packed by sectors or its checkpoint slabs the same.
 #[test]
 fn older_format_version_is_refused() {
-    let (mut image, _) = image_with_segments(1);
-    assert_eq!(u32_at(&image, 8), 5, "superblock version field");
-    put_u32(&mut image, 8, 4);
-    let crc = crc32(&image[..S_CRC]);
-    put_u32(&mut image, S_CRC, crc);
-    match recover(&image) {
-        Err(LldError::Corrupt(msg)) => assert!(msg.contains("version 4"), "{msg}"),
-        other => panic!("{:?}", other.map(|(_, r)| r)),
+    let (image, _) = image_with_segments(1);
+    assert_eq!(u32_at(&image, 8), 6, "superblock version field");
+    for older in [5, 4] {
+        let mut image = image.clone();
+        put_u32(&mut image, 8, older);
+        let crc = crc32(&image[..S_CRC]);
+        put_u32(&mut image, S_CRC, crc);
+        match recover(&image) {
+            Err(LldError::Corrupt(msg)) => assert!(msg.contains(&format!("version {older}"))),
+            other => panic!("{:?}", other.map(|(_, r)| r)),
+        }
     }
 }
 

@@ -27,6 +27,17 @@
 //! land in the write-id outcomes behind the slabs, under a recomputed
 //! dedup and header checksum, and are asked the same.
 //!
+//! *Hostile* kinds set one field, under its recomputed checksums, to a
+//! value no writer produces, and `recover` must return
+//! [`LldError::Corrupt`]: a replayed `Write` record whose extent runs
+//! past its segment's data area or takes more sectors than a block has,
+//! a snapshot row of the checkpoint recovery loads whose sector count
+//! does, a superblock whose block size is zero or no block size, and a
+//! checkpoint head with no room for a segment behind it. One more cuts
+//! the superblock's slot count to the slots the image uses, give or take
+//! one: at the count itself every slot is in use, and the disk must
+//! still come up whole (for the deletions that make room again).
+//!
 //! About 200 cases in tier-1; `RECOVERY_FUZZ_CASES=n` runs more (CI:
 //! 5,000 in release mode). A failure prints `RECOVERY_FUZZ_SEED=n`, and
 //! that variable re-runs the one case.
@@ -34,7 +45,7 @@
 mod common;
 
 use common::*;
-use ld_core::{Ctx, Layout, ListId, Lld, LldConfig, Position};
+use ld_core::{Ctx, Layout, ListId, Lld, LldConfig, LldError, Position};
 use ld_disk::MemDisk;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -71,6 +82,17 @@ impl Rng {
     }
 }
 
+/// What a case's disk is asked (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Oracle {
+    /// A typed error, or a disk that checks and whose lists walk.
+    Whole,
+    /// A typed error, or a disk on which `check()` and every walk return.
+    Returns,
+    /// [`LldError::Corrupt`].
+    Corrupt,
+}
+
 /// The image every case starts from, and where its parts are.
 struct Base {
     image: Vec<u8>,
@@ -78,6 +100,68 @@ struct Base {
     /// Byte offsets of the valid segment headers, block 0 of a slot or
     /// inside one.
     headers: Vec<usize>,
+    /// The checkpoint area recovery loads (the newer).
+    newer: usize,
+    /// Byte offsets of the `Write` records' extent fields in the
+    /// segments recovery replays, with the offset of each one's header.
+    replayed_writes: Vec<(usize, usize)>,
+    /// One more than the highest slot holding a segment.
+    used_slots: u32,
+}
+
+/// Superblock: the block size field.
+const S_BLOCK_SIZE: usize = 12;
+
+/// The headers of the segments recovery replays behind the checkpoint
+/// at `area`, found the way recovery walks the chain (a hop with no
+/// pointer ends the walk here).
+fn replayed_chain(image: &[u8], layout: &Layout, area: usize) -> Vec<usize> {
+    let (mut slot, mut base) = (
+        u32_at(image, area + C_HEAD_SLOT),
+        u32_at(image, area + C_HEAD_BASE),
+    );
+    let (mut link, mut seq) = (u32_at(image, area + 4), u64_at(image, area + 8));
+    let mut out = Vec::new();
+    while slot < layout.n_segments {
+        let off = layout.segment_offset(slot) as usize + base as usize * BS;
+        if !header_valid(image, off)
+            || u64_at(image, off + H_SEQ) != seq + 1
+            || u32_at(image, off + H_PREV) != link
+        {
+            break;
+        }
+        out.push(off);
+        let next = u32_at(image, off + H_NEXT);
+        let bytes = BS
+            + u32_at(image, off + H_N_SECTORS) as usize * 512
+            + u32_at(image, off + H_SUMMARY_LEN) as usize;
+        (slot, base) = match next == slot {
+            true => (slot, base + bytes.div_ceil(BS) as u32),
+            false => (next, 0),
+        };
+        (link, seq) = (u32_at(image, off + H_CRC), seq + 1);
+    }
+    out
+}
+
+/// Offsets of the extent fields of the `Write` records in `summary`.
+fn write_extents(image: &[u8], summary: std::ops::Range<usize>) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut at = summary.start;
+    while at < summary.end {
+        let len = match image[at] {
+            1 => {
+                out.push(at + 9); // behind the tag and the block id
+                29
+            }
+            2 | 3 | 7 => 17,
+            5 | 6 => 25,
+            4 | 8 => 41,
+            tag => panic!("summary record tag {tag}"),
+        };
+        at += len;
+    }
+    out
 }
 
 fn base_image() -> Base {
@@ -143,6 +227,22 @@ fn base_image() -> Base {
     let (_, report) = Lld::recover_with(MemDisk::from_image(image.clone()), &config())
         .expect("the base image recovers");
     assert!(report.checkpoint_seq > 0 && report.segments_replayed > 8);
+    let newer = layout.ckpt_b as usize;
+    assert_eq!(u64_at(&image, newer + 8), report.checkpoint_seq, "area B");
+    let chain = replayed_chain(&image, &layout, newer);
+    assert_eq!(chain.len(), report.segments_replayed as usize);
+    let replayed_writes: Vec<(usize, usize)> = (chain.iter())
+        .flat_map(|&h| {
+            let summary = summary_range(&image, h, BS);
+            write_extents(&image, summary)
+                .into_iter()
+                .map(move |w| (h, w))
+        })
+        .collect();
+    assert!(replayed_writes.len() > 40);
+    let slot_of =
+        |off: usize| ((off as u64 - layout.data_start) / layout.segment_bytes as u64) as u32;
+    let used_slots = 1 + headers.iter().map(|&h| slot_of(h)).max().unwrap();
     assert!(report.orphan_blocks_freed > 0);
     assert!(headers.len() > report.segments_replayed as usize);
     for area in [layout.ckpt_a, layout.ckpt_b] {
@@ -152,6 +252,9 @@ fn base_image() -> Base {
         image,
         layout,
         headers,
+        newer,
+        replayed_writes,
+        used_slots,
     }
 }
 
@@ -163,16 +266,16 @@ fn flip(image: &mut [u8], range: std::ops::Range<usize>, rng: &mut Rng) {
     }
 }
 
-/// The image of case `seed`, what was done to it, and whether the disk
-/// that comes back must be whole (see the module docs).
-fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, bool) {
+/// The image of case `seed`, what was done to it, and what its disk is
+/// asked (see the module docs).
+fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
     let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
     let mut image = base.image.clone();
     let layout = &base.layout;
     let area = [layout.ckpt_a, layout.ckpt_b][rng.below(2)] as usize;
     let header = base.headers[rng.below(base.headers.len())];
     let summary = summary_range(&image, header, BS);
-    let kind = rng.below(13);
+    let kind = rng.below(18);
     let what = match kind {
         0 => {
             flip(&mut image, 0..S_CRC + 4, &mut rng);
@@ -245,27 +348,97 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, bool) {
             reseal_checkpoint(&mut image, area);
             format!("resealed: checkpoint header at {area}")
         }
-        _ => {
+        12 => {
             // The write-id outcomes a retry is answered from.
             let range = dedup_range(&image, area);
             flip(&mut image, range, &mut rng);
             reseal_dedup(&mut image, area);
             format!("resealed: dedup slab at {area}")
         }
+        13 => {
+            // A replayed `Write` record's extent: past the data area,
+            // in front of it, more sectors than a 512-byte block has,
+            // or none of those fields at all.
+            let (header, field) = base.replayed_writes[rng.below(base.replayed_writes.len())];
+            let (sector, sectors) = (u32_at(&image, field) >> 8, u32_at(&image, field) & 0xFF);
+            // On 512-byte blocks a sector is a block: the data area
+            // starts behind the header's.
+            let start =
+                ((header - layout.data_start as usize) % layout.segment_bytes / BS) as u32 + 1;
+            let end = start + u32_at(&image, header + H_N_SECTORS);
+            let hostile = [
+                end << 8 | 1,
+                (start - 1) << 8 | 1,
+                sector << 8 | (2 + rng.below(254) as u32),
+                u32::MAX,
+            ][rng.below(4)];
+            put_u32(&mut image, field, hostile);
+            reseal_summary(&mut image, header, BS);
+            format!("hostile: write extent {sector}+{sectors} as {hostile:#x} at {header}")
+        }
+        14 => {
+            // The sector-count column of a slab recovery loads: every
+            // row with an address past a 512-byte block's one sector.
+            let slabs = slab_ranges(&image, base.newer);
+            let with_rows: Vec<usize> = (0..slabs.len())
+                .filter(|&i| u64_at(&image, base.newer + C_LEN + i * C_DIR_ENTRY) > 0)
+                .collect();
+            let i = with_rows[rng.below(with_rows.len())];
+            let count = slabs[i].start + 3 * 9;
+            let min = [2 + rng.below(300) as u64, 1 << 32, u64::MAX - 1][rng.below(3)];
+            image[count..count + 8].copy_from_slice(&min.to_le_bytes());
+            reseal_slab(&mut image, base.newer, i);
+            format!("hostile: slab {i} sector counts from {min}")
+        }
+        15 => {
+            // C8: a block size of zero, or none there is.
+            let size = [0, 256, 768, 1 << 17, u32::MAX][rng.below(5)];
+            put_u32(&mut image, S_BLOCK_SIZE, size);
+            reseal_superblock(&mut image);
+            format!("hostile: superblock block size {size}")
+        }
+        16 => {
+            // C8: every slot in use, and one either side of it.
+            let slots = base.used_slots + rng.below(3) as u32 - 1;
+            put_u32(&mut image, S_N_SEGMENTS, slots);
+            reseal_superblock(&mut image);
+            format!(
+                "resealed: superblock slot count {slots} of {} in use",
+                base.used_slots
+            )
+        }
+        _ => {
+            // C8: a checkpoint head with no room for a segment behind it.
+            let head = [BPS as u32 - 2, BPS as u32 - 1, BPS as u32, u32::MAX][rng.below(4)];
+            put_u32(&mut image, base.newer + C_HEAD_BASE, head);
+            reseal_checkpoint(&mut image, base.newer);
+            format!("hostile: checkpoint head at block {head}")
+        }
     };
-    (image, what, !matches!(kind, 9 | 10 | 12))
+    let oracle = match kind {
+        9 | 10 | 12 => Oracle::Returns,
+        13..=15 | 17 => Oracle::Corrupt,
+        _ => Oracle::Whole,
+    };
+    (image, what, oracle)
 }
 
 /// `recover` on the image of case `seed`; what went wrong, if anything
 /// did.
 fn run_case(base: &Base, seed: u64) -> Result<(), String> {
-    let (image, what, whole) = mutate(base, seed);
+    let (image, what, oracle) = mutate(base, seed);
     let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
-        let Ok((ld, _)) = Lld::recover_with(MemDisk::from_image(image), &config()) else {
-            return Ok(()); // a typed error
+        let recovered = Lld::recover_with(MemDisk::from_image(image), &config());
+        let ld = match (recovered, oracle) {
+            (Err(LldError::Corrupt(_)), _) => return Ok(()),
+            (got, Oracle::Corrupt) => {
+                return Err(format!("not Corrupt: {:?}", got.map(|(_, r)| r)));
+            }
+            (Err(_), _) => return Ok(()), // a typed error
+            (Ok((ld, _)), _) => ld,
         };
         let typed = |what: String, e| {
-            if whole {
+            if oracle == Oracle::Whole {
                 Err(format!("{what}: {e}"))
             } else {
                 Ok(())

@@ -231,9 +231,11 @@ fn background_clean_crash_points_are_all_or_nothing() {
                 // then followed by one that sees what it came behind.
                 let free = ld.free_segments();
                 let stats = ld.stats();
+                // A pass counts a run and a pass, and a snapshot may
+                // fall between the two.
                 let now = (
                     free,
-                    stats.cleaner_runs - stats.cleaner_passes,
+                    stats.cleaner_runs.saturating_sub(stats.cleaner_passes),
                     stats.checkpoints,
                 );
                 if now.2 != seen.2 {
@@ -1301,4 +1303,227 @@ fn a_sequential_tagged_write_never_reuses_a_slot() {
     let mut buf = vec![0u8; ABSORB_BS];
     ld2.read(Ctx::Simple, b, &mut buf).unwrap();
     assert_eq!(buf, [2; ABSORB_BS]);
+}
+
+// ----------------------------------------------------------------------
+// Mixed extents
+// ----------------------------------------------------------------------
+
+const MIX_BS: usize = 4096;
+/// What a unit writes to a block, by its length up to the last non-zero
+/// byte: nothing (an all-zero block takes no sector), two sectors,
+/// three, and a full block of eight.
+const MIX_LENS: [usize; 4] = [0, 700, 1500, MIX_BS];
+const MIX_PAIRS: usize = 16;
+const MIX_SEGMENT: usize = 16 * MIX_BS;
+
+fn mix_config(mode: Mode) -> LldConfig {
+    with_mode(
+        mode,
+        LldConfig {
+            block_size: MIX_BS,
+            segment_bytes: MIX_SEGMENT,
+            max_blocks: Some(256),
+            max_lists: Some(16),
+            ..LldConfig::default()
+        },
+    )
+}
+
+/// Generation `gen` of block `k` of pair `p`: its first bytes `gen`, as
+/// many as the rotation through [`MIX_LENS`] gives it, then zeros. The
+/// two blocks of a pair are never both empty, so a pair's contents name
+/// its generation.
+fn mix_block(p: usize, k: usize, gen: u8) -> Vec<u8> {
+    let mut b = vec![0u8; MIX_BS];
+    b[..MIX_LENS[(p + k + gen as usize) % MIX_LENS.len()]].fill(gen);
+    b
+}
+
+struct MixPair {
+    blocks: [ld_aru::core::BlockId; 2],
+    flushed: u8,
+    written: u8,
+}
+
+/// Sixteen pairs on one list, each written at generation 1, flushed.
+fn mix_pairs<D: ld_aru::disk::BlockDevice>(
+    ld: &Lld<D>,
+) -> Result<Vec<MixPair>, ld_aru::core::LldError> {
+    let list = ld.new_list(Ctx::Simple)?;
+    let mut pairs = Vec::new();
+    for p in 0..MIX_PAIRS {
+        let mut blocks = Vec::new();
+        for k in 0..2 {
+            let b = ld.new_block(Ctx::Simple, list, Position::First)?;
+            ld.write(Ctx::Simple, b, &mix_block(p, k, 1))?;
+            blocks.push(b);
+        }
+        pairs.push(MixPair {
+            blocks: [blocks[0], blocks[1]],
+            flushed: 1,
+            written: 1,
+        });
+    }
+    ld.flush()?;
+    Ok(pairs)
+}
+
+/// One unit: generation `pairs[p].written + 1` on both blocks of pair
+/// `p`, which counts as written before the commit is tried (a cut may
+/// keep it or not).
+fn mix_unit<D: ld_aru::disk::BlockDevice>(
+    ld: &Lld<D>,
+    pairs: &mut [MixPair],
+    p: usize,
+) -> Result<(), ld_aru::core::LldError> {
+    let gen = pairs[p].written + 1;
+    pairs[p].written = gen;
+    let aru = ld.begin_aru()?;
+    for (k, &b) in pairs[p].blocks.iter().enumerate() {
+        ld.write(Ctx::Aru(aru), b, &mix_block(p, k, gen))?;
+    }
+    ld.end_aru(aru)
+}
+
+/// The generation every pair reads, whole in both blocks and zero past
+/// each block's extent, and between its last flushed and its last
+/// written one.
+fn mix_generations<D: ld_aru::disk::BlockDevice>(
+    ld: &Lld<D>,
+    pairs: &[MixPair],
+    at: &str,
+) -> Vec<u8> {
+    let read = |b| {
+        let mut buf = vec![0xEEu8; MIX_BS];
+        ld.read(Ctx::Simple, b, &mut buf).unwrap();
+        buf
+    };
+    let gens = pairs.iter().enumerate().map(|(p, pair)| {
+        let got = pair.blocks.map(read);
+        (pair.flushed..=pair.written)
+            .find(|&g| (0..2).all(|k| got[k] == mix_block(p, k, g)))
+            .unwrap_or_else(|| {
+                panic!(
+                    "{at}: pair {p} torn or lost (flushed {}, written {})",
+                    pair.flushed, pair.written
+                )
+            })
+    });
+    gens.collect()
+}
+
+/// Power cuts across a workload whose seals mix empty, short and full
+/// blocks on a device small enough that the log wraps: units rewrite
+/// the first half of the pairs, and a cleaner that keeps ten of the
+/// twelve slots free copies the other half's extents forward. Every cut
+/// recovers each pair whole at a generation no older than its last
+/// flush.
+fn mixed_extent_power_cuts(mode: Mode) {
+    let mut cfg = mix_config(mode);
+    cfg.cleaner.target_free_segments = 10;
+    let layout = ld_aru::core::Layout::compute(4 << 20, &cfg).unwrap();
+    let capacity = layout.data_start + 12 * MIX_SEGMENT as u64;
+    let (mut cut, mut relocated) = (0, 0);
+    for case in 0..20u64 {
+        // The last budget outlives the workload.
+        let crash_after = 30_000 + case * 80_000;
+        let sim = SimDisk::new(MemDisk::new(capacity), DiskModel::hp_c3010())
+            .with_faults(FaultPlan::new().crash_after_bytes(crash_after));
+        let at = format!("{mode:?}, crash after {crash_after} bytes");
+        let ld = match Lld::format(sim, &cfg) {
+            Ok(ld) => ld,
+            Err(ld_aru::core::LldError::Disk(_)) => continue,
+            Err(e) => panic!("{at}: format: {e}"),
+        };
+        let Ok(mut pairs) = mix_pairs(&ld) else {
+            continue;
+        };
+        for i in 0..300 {
+            let p = i * 3 % (MIX_PAIRS / 2);
+            let unit = mix_unit(&ld, &mut pairs, p).and_then(|()| match i % 8 {
+                7 => ld.flush(),
+                _ => Ok(()),
+            });
+            if unit.is_err() {
+                cut += 1;
+                break;
+            }
+            if i % 8 == 7 {
+                for pair in &mut pairs {
+                    pair.flushed = pair.written;
+                }
+            }
+        }
+        let stats = ld.stats();
+        relocated += stats.blocks_relocated;
+        assert!(
+            stats.data_bytes_written < stats.data_blocks_written * MIX_BS as u64,
+            "{at}: nothing trimmed"
+        );
+        ld.device().force_crash();
+        let image = ld.into_device().into_inner().into_image();
+        let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg)
+            .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+        mix_generations(&ld2, &pairs, &at);
+    }
+    assert!(cut > 10, "{mode:?}: {cut} budgets cut the workload");
+    assert!(relocated > 0, "{mode:?}: the log never wrapped");
+}
+
+#[test]
+fn mixed_extent_seals_are_all_or_nothing_under_power_cuts() {
+    for mode in MODES {
+        mixed_extent_power_cuts(mode);
+    }
+}
+
+/// Units until three segments seal with no flush in between, then a cut
+/// keeping each subset of those seals' six writes (header and body
+/// each): recovery replays the longest prefix of the log whose seals
+/// kept both writes, and gives exactly the generations the units whose
+/// commit records those seals hold left behind. The medium is not zeroed
+/// first, so a lost body leaves stale bytes where a summary is looked
+/// for.
+fn mixed_extent_subsets(mode: Mode) {
+    let cfg = mix_config(mode);
+    let ld = Lld::format(ReorderDisk::from_image(vec![0xA5; 4 << 20]), &cfg).unwrap();
+    let mut pairs = mix_pairs(&ld).unwrap();
+    // `states[s]`: the generations once the first `s` seals are on the
+    // medium. A unit during which a segment seals has its commit record
+    // behind that seal.
+    let generations = |pairs: &[MixPair]| pairs.iter().map(|p| p.written).collect::<Vec<u8>>();
+    let mut states = vec![generations(&pairs)];
+    for i in 0.. {
+        let (before, sealed) = (generations(&pairs), ld.stats().segments_sealed);
+        mix_unit(&ld, &mut pairs, i * 5 % MIX_PAIRS).unwrap();
+        if ld.stats().segments_sealed > sealed {
+            states.push(before);
+            if states.len() == 4 {
+                break;
+            }
+        }
+    }
+    let dev = ld.into_device(); // `cleanerd` writes what it was handed first
+    let seals = seals_in_log_order(&dev, MIX_BS);
+    assert_eq!(seals.len(), 3, "{mode:?}: three seals since the flush");
+    let writes: Vec<usize> = seals.iter().flatten().copied().collect();
+    for mask in 0..1u32 << writes.len() {
+        let kept = |j: usize| mask >> j & 1 == 1;
+        let image = dev.crash_keeping(|i| writes.iter().position(|&w| w == i).is_some_and(kept));
+        let at = format!("{mode:?}, writes kept {mask:06b}");
+        let (ld2, _) = Lld::recover_with(ReorderDisk::from_image(image), &cfg)
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        let whole = (0..seals.len())
+            .take_while(|&s| kept(2 * s) && kept(2 * s + 1))
+            .count();
+        assert_eq!(mix_generations(&ld2, &pairs, &at), states[whole], "{at}");
+    }
+}
+
+#[test]
+fn mixed_extent_seals_are_all_or_nothing_under_any_subset_of_their_writes() {
+    for mode in MODES {
+        mixed_extent_subsets(mode);
+    }
 }

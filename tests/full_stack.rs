@@ -74,8 +74,10 @@ fn mixed_workload_with_cleaner_pressure_and_recovery() {
         max_file_size: 12_000,
         seed: 20260705,
     };
-    // Small disk: the cleaner will have to work.
-    let mut fs = build(8 << 20, &ld_config(), fs_config());
+    // Small disk: the cleaner will have to work (a file's last block
+    // is stored up to its last non-zero sector, so 8 MiB no longer
+    // fills).
+    let mut fs = build(4 << 20, &ld_config(), fs_config());
     wl.run(&mut fs).unwrap();
     let cleaner_runs = fs.ld().stats().cleaner_runs;
     fs.flush().unwrap();

@@ -263,7 +263,8 @@ fn stale_snapshot_under_reallocating_suffix() {
 /// the header's allocator floors, directory CRC and own CRC; a directory
 /// entry's slab CRC and slab length; and, in the table of column
 /// descriptors a slab starts with (9 bytes each: minimum u64, width u8),
-/// the columns of a block's identifier, segment and slot.
+/// the columns of a block's identifier, segment, sector and sector
+/// count.
 const HDR_BLOCK_FLOOR: usize = 24;
 const HDR_LIST_FLOOR: usize = 32;
 const HDR_DIR_CRC: usize = 44;
@@ -275,7 +276,8 @@ const COL_DESC: usize = 9;
 const COL_WIDTH: usize = 8;
 const COL_BLOCK_ID: usize = 0;
 const COL_SEG: usize = 1;
-const COL_SLOT: usize = 2;
+const COL_SECTOR: usize = 2;
+const COL_SECTORS: usize = 3;
 /// What `types.rs` bounds an identifier and an allocator floor by.
 const MAX_RAW_ID: u64 = u64::MAX >> 1;
 
@@ -327,19 +329,22 @@ fn recover_one_shard(image: Vec<u8>) -> Result<ld_aru::core::RecoveryReport, Lld
     Lld::recover_with(MemDisk::from_image(image), &config(1)).map(|(_, r)| r)
 }
 
-/// A CRC-valid slab whose block rows name a segment (or a slot) the
-/// device does not have is a typed error, not an out-of-bounds index.
-/// Every block of the image has an address, so raising a column's
-/// minimum moves every row: a segment is stored as itself plus one.
+/// A CRC-valid slab whose block rows name a segment, sectors or a
+/// sector count the device does not have is a typed error, not an
+/// out-of-bounds index or read. Every block of the image has an
+/// address, so raising a column's minimum moves every row: a segment is
+/// stored as itself plus one.
 #[test]
 fn snapshot_entry_outside_device_is_corrupt() {
     let (image, area, slab, layout) = one_slab_image();
     for (col, min) in [
         (COL_SEG, u64::from(layout.n_segments) + 1),
-        (COL_SLOT, u64::from(layout.slots_per_segment())),
+        (COL_SECTOR, u64::from(layout.sectors_per_slot())),
+        (COL_SECTORS, u64::from(layout.sectors_per_block()) + 1),
         // No u32 holds it.
         (COL_SEG, 1 << 32),
-        (COL_SLOT, 1 << 32),
+        (COL_SECTOR, 1 << 32),
+        (COL_SECTORS, 1 << 32),
     ] {
         let mut hostile = image.clone();
         put_u64(&mut hostile, slab + col * COL_DESC, min);
@@ -422,8 +427,8 @@ fn descriptor_that_disagrees_with_its_slab_falls_back() {
         ("a width of 255", width(9), 255),
         (
             "rows a byte narrower than the slab",
-            width(COL_SLOT),
-            image[width(COL_SLOT)] - 1,
+            width(COL_SECTOR),
+            image[width(COL_SECTOR)] - 1,
         ),
         (
             "rows a byte wider than the slab",
