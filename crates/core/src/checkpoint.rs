@@ -10,7 +10,7 @@
 //! and the cleaner only reuses slots whose sequence number the latest
 //! checkpoint covers.
 //!
-//! # On-disk format (format version 6)
+//! # On-disk format (format version 7)
 //!
 //! Each of the two alternating areas (A/B) holds one checkpoint as
 //! *per-shard snapshot slabs* behind a header and a slab directory:
@@ -73,7 +73,7 @@
 //! allocator floor above `MAX_RAW_ID` in the header of the area chosen.
 //!
 //! The header also records where the log continues past the covered
-//! sequence number — the [`ChainHead`]: the slot and the block in it
+//! sequence number — the [`ChainHead`]: the slot and the sector in it
 //! where segment `seq + 1` is (or will be), and the header CRC of
 //! segment `seq` — which is where recovery starts its walk of the
 //! suffix (see `segment.rs`).

@@ -275,8 +275,8 @@ impl LldConfig {
         Ok(())
     }
 
-    /// Data-block slots per segment (one block is reserved for the
-    /// segment header; the summary grows into the remaining space).
+    /// The most full data blocks a segment holds: its header sector and
+    /// its summary need room, so one block fewer than the slot has.
     pub fn max_slots_per_segment(&self) -> u32 {
         (self.segment_bytes / self.block_size - 1) as u32
     }

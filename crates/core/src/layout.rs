@@ -21,14 +21,16 @@ use ld_disk::crc32;
 /// Size of the fixed-length superblock encoding.
 pub(crate) const SUPERBLOCK_LEN: usize = 64;
 const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
-/// 6: a data block is stored as its extent and a segment's data area
-/// is packed by sectors, so an address names a sector offset and count
-/// (see `segment.rs`), and a slab has a sector-count column and a shift
-/// per column; since 5 checkpoint slabs are column-packed (see
-/// `checkpoint.rs`); since 4 a slot holds several segments back to
-/// back, and the checkpoint's chain head names a block inside a slot.
-/// Other versions are refused, not converted.
-const FORMAT_VERSION: u32 = 6;
+/// 7: a segment's base counts sectors, not blocks — its header takes one
+/// sector and its body starts at the next, and the checkpoint's chain
+/// head names a sector inside a slot (see `segment.rs`); since 6 a data
+/// block is stored as its extent and a segment's data area is packed by
+/// sectors, so an address names a sector offset and count, and a slab
+/// has a sector-count column and a shift per column; since 5 checkpoint
+/// slabs are column-packed (see `checkpoint.rs`); since 4 a slot holds
+/// several segments back to back. Other versions are refused, not
+/// converted.
+const FORMAT_VERSION: u32 = 7;
 
 /// The widest a row of a checkpoint slab gets (see `checkpoint.rs`):
 /// every column of a block or of a list at its full width. What the
@@ -61,7 +63,7 @@ pub(crate) const CKPT_DEDUP_ENTRY: u64 = crate::dedup::DEDUP_ENTRY_LEN as u64;
 pub struct Layout {
     /// Block size in bytes.
     pub block_size: usize,
-    /// Size of one segment slot in bytes. A full segment (header block,
+    /// Size of one segment slot in bytes. A full segment (header sector,
     /// data blocks, summary) takes all of it; segments sealed early by
     /// a flush share it.
     pub segment_bytes: usize,
@@ -166,12 +168,6 @@ impl Layout {
         self.data_start + u64::from(slot) * self.segment_bytes as u64
     }
 
-    /// Byte offset of block `block` of segment slot `slot`, counting
-    /// the slot's first block (always a header) as 0.
-    pub(crate) fn block_at(&self, slot: u32, block: u32) -> u64 {
-        self.segment_offset(slot) + u64::from(block) * self.block_size as u64
-    }
-
     /// Byte offset of the extent at `addr` (its sector counts from the
     /// slot's start).
     pub fn block_offset(&self, addr: PhysAddr) -> u64 {
@@ -199,15 +195,10 @@ impl Layout {
         self.sectors_per_slot() - self.sectors_per_block()
     }
 
-    /// Data-block indices per segment slot (the first block of a slot is
-    /// always a header).
+    /// The most full data blocks one segment slot holds: its header
+    /// sector and its summary need room, so one block fewer than it has.
     pub fn slots_per_segment(&self) -> u32 {
         self.blocks_per_slot() - 1
-    }
-
-    /// Total data-block slots on the device.
-    pub fn total_slots(&self) -> u64 {
-        u64::from(self.n_segments) * u64::from(self.slots_per_segment())
     }
 
     /// Encodes the superblock (layout plus semantic modes).

@@ -23,7 +23,8 @@ use crate::layout::{Layout, CKPT_HEADER, SUPERBLOCK_LEN};
 use crate::obs::{Obs, ObsSnapshot, Stage, TraceEvent};
 use crate::sampler::Sampler;
 use crate::segment::{
-    extent, header_link, zero_past_extent, ChainHead, SegmentBuilder, HEADER_PUNCH, NO_SLOT,
+    extent, header_link, header_offset, zero_past_extent, ChainHead, SegmentBuilder, HEADER_PUNCH,
+    NO_SLOT, SECTOR,
 };
 use crate::shard::{MapView, Maps, WalkOutcome, SCRATCH_ARU_RAW};
 use crate::state::{BlockRecord, IdSet, ListRecord};
@@ -85,7 +86,7 @@ pub(crate) struct LogState {
     /// of the next one). With a builder open, its position. Without
     /// one, what the last sealed header points at until
     /// [`open_segment`](Mutation::open_segment) takes it: behind that
-    /// segment in its own slot, block 0 of a fresh slot, which stays in
+    /// segment in its own slot, sector 0 of a fresh slot, which stays in
     /// `free_slots` meanwhile, or [`NO_SLOT`].
     pub(crate) tail: ChainHead,
     /// Salt for the segment headers this mount writes (see
@@ -421,7 +422,7 @@ impl<D: BlockDevice + 'static> Lld<D> {
         device.write_at(0, &sb)?;
         // Invalidate both checkpoint areas and the header at the start
         // of every slot. Segments of the previous log further inside a
-        // slot stay on the medium: the new log starts at block 0 of
+        // slot stay on the medium: the new log starts at sector 0 of
         // slot 0 under a new epoch, and none of them links to it.
         let zeros = [0u8; CKPT_HEADER as usize];
         device.write_at(layout.ckpt_a, &zeros)?;
@@ -577,7 +578,7 @@ impl<D: BlockDevice> LldInner<D> {
     /// that holds the log (`held`) keeps it across the write.
     ///
     /// Two device writes: the 44-byte header at the segment's base, then
-    /// the body from the block behind it, issued only once the header's
+    /// the body from the sector behind it, issued only once the header's
     /// write has returned. Under a prefix cut they land as one write
     /// would, header, data, summary last (docs/RECOVERY.md, "What a
     /// segment's base holds until its seal lands").
@@ -591,15 +592,13 @@ impl<D: BlockDevice> LldInner<D> {
         if !in_place {
             *held = None;
         }
-        let at = self.layout.block_at(slot, seg.base());
+        let at = header_offset(&self.layout, slot, seg.base());
         // The span lands on the thread that writes: the sealer's own,
         // or `ld-cleanerd` for a seal it was handed.
         let (timer, trace) = (self.obs.timer(), ld_disk::current_trace());
         self.obs.stage_begin(self.now(), trace, Stage::MediaWrite);
-        let written = self.device.write_at(at, seg.header()).and_then(|()| {
-            let body_at = at + self.layout.block_size as u64;
-            self.device.write_at(body_at, seg.body())
-        });
+        let written = (self.device.write_at(at, seg.header()))
+            .and_then(|()| self.device.write_at(at + SECTOR as u64, seg.body()));
         self.obs
             .stage_end(self.now(), trace, Stage::MediaWrite, Obs::elapsed(timer));
         let res = written.map_err(LldError::from);
@@ -1463,7 +1462,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 let slot = b.slot().get();
                 // The successor's position goes into this header, so it
                 // is chosen now: behind this segment while the slot has
-                // room, else block 0 of a free slot, which stays in
+                // room, else sector 0 of a free slot, which stays in
                 // `free_slots` until `open_segment` takes it.
                 let (next_slot, next_base) = match b.successor_base() {
                     Some(base) => (slot, base),

@@ -27,7 +27,7 @@
 //!    (allocator raised past it, its address entered in its slot's
 //!    `residents`).
 //! 2. **Scan** — the log's chain is walked from the checkpoint's
-//!    [`ChainHead`] (block 0 of slot 0, link 0 without one): a segment
+//!    [`ChainHead`] (sector 0 of slot 0, link 0 without one): a segment
 //!    is accepted iff header CRC, sequence number and `prev_link` fit,
 //!    and the first miss ends the log. A hop inside a slot costs one
 //!    read (the summary's read brings the next header with it), a hop
@@ -74,7 +74,7 @@ pub struct RecoveryReport {
     /// Sequence number of the checkpoint recovery started from (0 =
     /// none; the whole log was replayed).
     pub checkpoint_seq: u64,
-    /// Positions (block 0 of a slot, or the block behind a segment)
+    /// Positions (sector 0 of a slot, or the sector behind a segment)
     /// whose header the scan phase examined.
     pub segments_scanned: u32,
     /// Valid segments replayed (sequence numbers above the checkpoint).
@@ -410,10 +410,11 @@ impl<D: BlockDevice> Mutation<'_, D> {
         }
         // A head where no writer starts a segment would open one that
         // can take nothing.
-        let blocks_per_slot = layout.blocks_per_slot();
-        if head.slot != NO_SLOT && !valid_base(blocks_per_slot, head.base) {
+        let slot_sectors = layout.sectors_per_slot();
+        if head.slot != NO_SLOT && !valid_base(slot_sectors, layout.sectors_per_block(), head.base)
+        {
             return Err(LldError::Corrupt(format!(
-                "checkpoint's log head is block {} of a {blocks_per_slot}-block slot",
+                "checkpoint's log head is sector {} of a {slot_sectors}-sector slot",
                 head.base
             )));
         }
@@ -440,13 +441,13 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // loop, and the device has this many positions. (Not
         // `n_segments`: the writer bounds the suffix there, but a failed
         // checkpoint must not cut a valid log short.)
-        let max_links = n as u64 * u64::from(blocks_per_slot);
+        let max_links = n as u64 * u64::from(slot_sectors);
         while (chain.len() as u64) < max_links {
             let seq = ckpt_seq + 1 + chain.len() as u64;
             let links_on = |h: &SegmentHeader| h.seq == seq && h.prev_link == head.link;
             let found = match head.slot {
                 // Sealed while nothing was free: the log went on at
-                // block 0 of whatever slot came up.
+                // sector 0 of whatever slot came up.
                 NO_SLOT => {
                     let mut found = None;
                     for slot in (0..layout.n_segments).map(SegmentId::new) {
@@ -477,7 +478,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             };
             chain.push(ChainSegment {
                 slot: h.slot,
-                data_sectors: h.data_sectors(layout),
+                data_sectors: h.data_sectors(),
                 records: read.records,
             });
             slot_seq[h.slot.get() as usize] = seq;

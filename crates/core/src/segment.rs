@@ -2,14 +2,15 @@
 //!
 //! A segment is filled in main memory and written to disk in two device
 //! writes, the header and then the body (§2 of the paper has one). Its
-//! first block is a header; the data area follows; the segment summary
-//! (encoded [`Record`]s) sits right behind the data area's last sector:
+//! first [`SECTOR`] is a header; the data area follows; the segment
+//! summary (encoded [`Record`]s) sits right behind the data area's last
+//! sector:
 //!
 //! ```text
 //! +--------+---------+---------+-----+---------+----------------+
 //! | header | data[0] | data[1] | ... | data[k] | summary records|
 //! +--------+---------+---------+-----+---------+----------------+
-//!          ^ the block after the header, then [`SECTOR`]s, packed
+//!  ^ base   ^ base + 1: a base, an address and a length count sectors
 //! ```
 //!
 //! A data block is stored as its *extent* ([`extent`]): its bytes up to
@@ -17,8 +18,7 @@
 //! block takes no sector. Its address ([`PhysAddr`]) names the extent's
 //! first sector in the slot and its sector count, and every read
 //! transfers the extent and zero-fills the rest of the caller's block
-//! ([`zero_past_extent`]). A full block is 8 sectors of a 4 KiB block, so
-//! a segment of full blocks is laid out as if the unit were blocks.
+//! ([`zero_past_extent`]). On 512-byte blocks a sector is a block.
 //!
 //! Until the seal nothing of the segment is on the device, and the
 //! buffer is not append-only: a write to a block whose last version is
@@ -28,12 +28,13 @@
 //!
 //! A flush seals whatever the segment holds, so a segment may be far
 //! smaller than its slot. The next one then starts in the same slot, at
-//! the block after the summary (its *base*); only a slot with fewer than
-//! [`MIN_SEGMENT_BLOCKS`] blocks left hands on to a fresh one:
+//! the sector after the summary (its *base*); only a slot with no room
+//! left for a header sector, one block and a sector of summary
+//! ([`valid_base`]) hands on to a fresh one:
 //!
 //! ```text
 //! slot: | hdr | data.. | summary | hdr | data.. | summary | .. unused |
-//!         ^ base 0                 ^ base + ⌈(block + 512 × n_sectors + summary_len) / block⌉
+//!         ^ base 0                 ^ base + 1 + n_sectors + ⌈summary_len / 512⌉
 //! ```
 //!
 //! The 44-byte header threads the segments into one log, so recovery
@@ -49,11 +50,11 @@
 //! ```
 //!
 //! `n_sectors` is the data area's size in sectors: the summary starts
-//! that many sectors behind the header block. `next_slot` is chosen at
+//! that many sectors behind the header's. `next_slot` is chosen at
 //! seal time. The segment's own slot means "right behind my summary":
 //! the successor's base follows from `n_sectors` and `summary_len`, so
-//! no field can aim the walk at an arbitrary block. Another slot means
-//! its block 0, and [`NO_SLOT`] that nothing was free. `prev_link` makes
+//! no field can aim the walk at an arbitrary sector. Another slot means
+//! its sector 0, and [`NO_SLOT`] that nothing was free. `prev_link` makes
 //! the pointers a hash chain: a CRC-valid header with the right sequence
 //! number, left where the walk looks by an earlier use of the slot or by
 //! a timeline recovery has since abandoned, does not link and ends the
@@ -61,12 +62,14 @@
 //! `epoch` differs per mount. The summary CRC exposes a torn segment
 //! write, which recovery treats as never written.
 //!
-//! The header keeps its whole block in the slot, but only its 44 bytes
-//! are written: the rest of the block holds whatever it held, and no
+//! The header keeps its whole sector in the slot, but only its 44 bytes
+//! are written: the rest of the sector holds whatever it held, and no
 //! reader looks there. The header goes first and the body (data area,
-//! then summary) from the next block, so a prefix of the two writes is
+//! then summary) from the next sector, so a prefix of the two writes is
 //! a prefix of the segment; docs/RECOVERY.md has the argument for any
-//! subset of them.
+//! subset of them. Nothing but the summary separates a header from the
+//! one in front of it, so the scan's read of a summary that brings the
+//! successor's header along (`read_summary`) transfers no padding.
 
 use crate::error::{LldError, Result};
 use crate::layout::{u32_at, u64_at, Layout};
@@ -84,15 +87,12 @@ pub(crate) const SECTOR: usize = 512;
 /// `Write` record's 4-byte field ([`PhysAddr::extent`]).
 pub(crate) const MAX_BLOCK_SIZE: usize = 128 * SECTOR;
 /// Written over the start of a header to invalidate it (a zero magic
-/// never validates). Format punches block 0 of every slot, where the
+/// never validates). Format punches sector 0 of every slot, where the
 /// log of a fresh disk starts.
 pub(crate) const HEADER_PUNCH: [u8; 32] = [0; 32];
 /// `next_slot` of a segment sealed while no slot was free: its
-/// successor is found by probing block 0 of every slot.
+/// successor is found by probing sector 0 of every slot.
 pub(crate) const NO_SLOT: u32 = u32::MAX;
-/// The fewest blocks a segment takes: header, one data block, one block
-/// of summary. A seal that leaves fewer closes the slot.
-const MIN_SEGMENT_BLOCKS: u32 = 3;
 
 /// What a segment stores of `block`: its bytes up to the last non-zero
 /// one, rounded up to a [`SECTOR`] — nothing for an all-zero block.
@@ -114,16 +114,23 @@ pub(crate) fn zero_past_extent(block: &mut [u8], sectors: u32) -> &mut [u8] {
     front
 }
 
-/// Whether a segment may start at block `base` of a slot of
-/// `blocks_per_slot` blocks: a writer starts one only where
-/// [`MIN_SEGMENT_BLOCKS`] are left, and a reader accepts a pointer or a
-/// checkpointed head nowhere else.
-pub(crate) fn valid_base(blocks_per_slot: u32, base: u32) -> bool {
-    base.checked_add(MIN_SEGMENT_BLOCKS)
-        .is_some_and(|end| end <= blocks_per_slot)
+/// Whether a segment may start at sector `base` of a slot of
+/// `slot_sectors` sectors, on blocks of `block_sectors`: a writer starts
+/// one only where a header sector, one block and a sector of summary
+/// are left, and a reader accepts a pointer or a checkpointed head
+/// nowhere else.
+pub(crate) fn valid_base(slot_sectors: u32, block_sectors: u32, base: u32) -> bool {
+    let least = 1 + u64::from(block_sectors) + 1;
+    u64::from(base) + least <= u64::from(slot_sectors)
 }
 
-/// Where the log continues: the slot and block the next segment's
+/// Byte offset of sector `base` of slot `slot`, where a segment's header
+/// goes.
+pub(crate) fn header_offset(layout: &Layout, slot: u32, base: u32) -> u64 {
+    layout.segment_offset(slot) + u64::from(base) * SECTOR as u64
+}
+
+/// Where the log continues: the slot and sector the next segment's
 /// header is (or will be) written to, and the header CRC of the segment
 /// before it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,7 +157,7 @@ pub(crate) fn header_link(header: &[u8; HEADER_LEN]) -> u32 {
 #[derive(Debug)]
 pub(crate) struct SegmentBuilder {
     slot: SegmentId,
-    /// Block of the slot this segment's header goes to.
+    /// Sector of the slot this segment's header goes to.
     base: u32,
     seq: u64,
     prev_link: u32,
@@ -160,7 +167,7 @@ pub(crate) struct SegmentBuilder {
     capacity: usize,
     /// Zero until [`header_bytes`](Self::header_bytes) seals the segment.
     header: [u8; HEADER_LEN],
-    /// As it goes to the device behind the header block: the data
+    /// As it goes to the device behind the header sector: the data
     /// area and, once sealed, the summary.
     body: Vec<u8>,
     /// Sectors of the data area.
@@ -172,7 +179,7 @@ pub(crate) struct SegmentBuilder {
 }
 
 impl SegmentBuilder {
-    /// Starts an empty segment at block `base` of physical slot `slot`
+    /// Starts an empty segment at sector `base` of physical slot `slot`
     /// with log sequence number `seq`, after the segment whose header
     /// CRC is `prev_link`.
     pub(crate) fn new(
@@ -228,12 +235,13 @@ impl SegmentBuilder {
     /// Whether `extra` more bytes — extents and summary records — still
     /// fit between this segment's base and the slot's end.
     pub(crate) fn fits(&self, extra: usize) -> bool {
-        self.base as usize * self.block_size + self.encoded_len() + extra <= self.capacity
+        self.base as usize * SECTOR + self.encoded_len() + extra <= self.capacity
     }
 
-    /// The first sector of the data area, counted from the slot's start.
+    /// The first sector of the data area, counted from the slot's start:
+    /// the one behind the header's.
     pub(crate) fn data_start(&self) -> u32 {
-        (self.base + 1) * (self.block_size / SECTOR) as u32
+        self.base + 1
     }
 
     /// Appends one block's [`extent`] to the data area and returns its
@@ -312,17 +320,18 @@ impl SegmentBuilder {
         true
     }
 
-    /// The block of the slot right behind this segment as it stands:
-    /// header, data area, summary rounded up to a block.
+    /// The sector of the slot right behind this segment as it stands:
+    /// header, data area, summary rounded up to a sector.
     fn end(&self) -> u32 {
-        self.base + (self.encoded_len().div_ceil(self.block_size)) as u32
+        self.base + self.encoded_len().div_ceil(SECTOR) as u32
     }
 
     /// The base of a successor in the same slot, if a seal now leaves
     /// room for one.
     pub(crate) fn successor_base(&self) -> Option<u32> {
         let end = self.end();
-        valid_base((self.capacity / self.block_size) as u32, end).then_some(end)
+        let (slot, block) = (self.capacity / SECTOR, self.block_size / SECTOR);
+        valid_base(slot as u32, block as u32, end).then_some(end)
     }
 
     /// Seals the segment: moves the summary behind the data, encodes
@@ -354,10 +363,10 @@ impl SegmentBuilder {
         &self.body[self.n_sectors as usize * SECTOR..]
     }
 
-    /// Total on-media size of the segment as it stands: header block +
+    /// Total on-media size of the segment as it stands: header sector +
     /// data area + summary.
     pub(crate) fn encoded_len(&self) -> usize {
-        self.block_size + self.body.len() + self.summary.len()
+        SECTOR + self.body.len() + self.summary.len()
     }
 
     /// The sealed segment's header, the first write, at its base.
@@ -366,7 +375,7 @@ impl SegmentBuilder {
     }
 
     /// The sealed segment's data area and summary, the second write,
-    /// one block behind its base.
+    /// one sector behind its base.
     pub(crate) fn body(&self) -> &[u8] {
         &self.body
     }
@@ -385,7 +394,7 @@ pub(crate) struct SegmentHeader {
     summary_crc: u32,
     /// Header CRC of segment `seq - 1`.
     pub(crate) prev_link: u32,
-    /// Where the log goes on — behind this segment's summary, at block
+    /// Where the log goes on — behind this segment's summary, at sector
     /// 0 of another slot, or at [`NO_SLOT`] — and this header's own
     /// CRC.
     pub(crate) next: ChainHead,
@@ -396,8 +405,8 @@ impl SegmentHeader {
     /// only ones its `Write` records name
     /// ([`SegmentBuilder::push_extent`]). [`parse_header`] checked that
     /// they end inside the slot.
-    pub(crate) fn data_sectors(&self, layout: &Layout) -> Range<u32> {
-        let start = (self.base + 1) * layout.sectors_per_block();
+    pub(crate) fn data_sectors(&self) -> Range<u32> {
+        let start = self.base + 1;
         start..start + self.n_sectors
     }
 
@@ -407,13 +416,12 @@ impl SegmentHeader {
 
     /// Byte offset in the slot of the summary: right behind the data
     /// area.
-    fn summary_at(&self, layout: &Layout) -> u64 {
-        (u64::from(self.base) + 1) * layout.block_size as u64
-            + u64::from(self.n_sectors) * SECTOR as u64
+    fn summary_at(&self) -> u64 {
+        (u64::from(self.base) + 1 + u64::from(self.n_sectors)) * SECTOR as u64
     }
 }
 
-/// Validates the header bytes found at block `base` of `slot`. `None`:
+/// Validates the header bytes found at sector `base` of `slot`. `None`:
 /// no sealed segment there — the header never landed, was punched, is
 /// stale garbage or user data, or describes a segment (or an in-slot
 /// successor) that does not fit between `base` and the end of the slot,
@@ -429,18 +437,16 @@ pub(crate) fn parse_header(
         return None;
     }
     let (n_sectors, summary_len) = (u32_at(header, 16), u32_at(header, 20));
-    let bs = layout.block_size as u64;
-    let bytes =
-        (u64::from(base) + 1) * bs + u64::from(n_sectors) * SECTOR as u64 + u64::from(summary_len);
-    let end = bytes.div_ceil(bs);
-    let blocks_per_slot = layout.blocks_per_slot();
-    if end > u64::from(blocks_per_slot) {
+    let end =
+        u64::from(base) + 1 + u64::from(n_sectors) + u64::from(summary_len).div_ceil(SECTOR as u64);
+    let slot_sectors = layout.sectors_per_slot();
+    if end > u64::from(slot_sectors) {
         return None;
     }
-    let end = end as u32; // at most `blocks_per_slot`
+    let end = end as u32; // at most `slot_sectors`
     let next_slot = u32_at(header, 28);
     let next_base = if next_slot == slot.get() {
-        if !valid_base(blocks_per_slot, end) {
+        if !valid_base(slot_sectors, layout.sectors_per_block(), end) {
             return None;
         }
         end
@@ -463,7 +469,7 @@ pub(crate) fn parse_header(
     })
 }
 
-/// Probes the header at block `base` of physical slot `slot` (see
+/// Probes the header at sector `base` of physical slot `slot` (see
 /// [`parse_header`]).
 pub(crate) fn read_header<D: BlockDevice>(
     device: &D,
@@ -472,7 +478,7 @@ pub(crate) fn read_header<D: BlockDevice>(
     base: u32,
 ) -> Result<Option<SegmentHeader>> {
     let mut header = [0u8; HEADER_LEN];
-    device.read_at(layout.block_at(slot.get(), base), &mut header)?;
+    device.read_at(header_offset(layout, slot.get(), base), &mut header)?;
     Ok(parse_header(&header, layout, slot, base))
 }
 
@@ -497,11 +503,11 @@ pub(crate) fn read_summary<D: BlockDevice>(
 ) -> Result<Option<SummaryRead>> {
     let slot = header.slot;
     let summary_len = header.summary_len as usize;
-    let start = header.summary_at(layout);
+    let start = header.summary_at();
     let adjacent = header.next.slot == slot.get();
     let mut buf = if adjacent {
         // `parse_header` checked that this ends inside the slot.
-        let next_at = u64::from(header.next.base) * layout.block_size as u64;
+        let next_at = u64::from(header.next.base) * SECTOR as u64;
         vec![0u8; (next_at - start) as usize + HEADER_LEN]
     } else {
         vec![0u8; summary_len]
@@ -552,13 +558,11 @@ mod tests {
     }
 
     /// Writes the segment as `LldInner::write_sealed` does: the header
-    /// at its base, then the body from the block behind it.
+    /// at its base, then the body from the sector behind it.
     fn write_seal(device: &MemDisk, layout: &Layout, b: &SegmentBuilder) {
-        let at = layout.block_at(b.slot().get(), b.base());
+        let at = header_offset(layout, b.slot().get(), b.base());
         device.write_at(at, b.header()).unwrap();
-        device
-            .write_at(at + layout.block_size as u64, b.body())
-            .unwrap();
+        device.write_at(at + SECTOR as u64, b.body()).unwrap();
     }
 
     /// Seals `b` with no successor and writes it.
@@ -567,7 +571,7 @@ mod tests {
         write_seal(device, layout, b);
     }
 
-    /// Sequence number and records of the segment at block `base` of
+    /// Sequence number and records of the segment at sector `base` of
     /// `slot`, if its header and summary both verify.
     fn read_segment_at(
         device: &MemDisk,
@@ -640,6 +644,11 @@ mod tests {
         let b = builder_at(0, 3, 2);
         assert!(b.fits(4 * 512));
         assert!(!b.fits(4 * 512 + 1));
+        // A base leaves room for a header sector, a block and a sector of
+        // summary: 3 sectors of 512-byte blocks, 10 of 4 KiB ones.
+        assert!(valid_base(8, 1, 5) && !valid_base(8, 1, 6));
+        assert!(valid_base(128, 8, 118) && !valid_base(128, 8, 119));
+        assert!(!valid_base(128, 8, u32::MAX));
     }
 
     #[test]
@@ -685,9 +694,9 @@ mod tests {
     fn absorb_fits_or_appends() {
         let mut b = SegmentBuilder::new(SegmentId::new(1), 0, 1, 0, 7, 4096, 16 * 4096);
         let short = b.push_extent(extent(&block_to(4096, Some(1500))));
-        assert_eq!((short.sector, short.sectors), (8, 3));
+        assert_eq!((short.sector, short.sectors), (1, 3));
         let next = b.push_extent(extent(&block_to(4096, Some(4095))));
-        assert_eq!((next.sector, next.sectors), (11, 8));
+        assert_eq!((next.sector, next.sectors), (4, 8));
         let before = b.encoded_len();
 
         // Shorter: fits, and the sectors it no longer needs read as zeros.
@@ -780,15 +789,16 @@ mod tests {
         let h2 = parse_header(&read.successor.expect("adjacent"), &layout, slot, 3).unwrap();
         assert_eq!((h2.seq, h2.prev_link), (6, h.next.link));
         assert_eq!(h2.next.slot, NO_SLOT);
-        assert_eq!(h2.data_sectors(&layout), 4..6);
+        assert_eq!(h2.data_sectors(), 4..6);
         let read = read_summary(&device, &layout, &h2).unwrap().unwrap();
         assert_eq!(read.records, vec![sample_record(2)]);
         assert_eq!(read.successor, None, "the log goes on elsewhere");
     }
 
-    /// Short extents pack the data area by sectors: the summary starts
-    /// behind the last one, not at a block boundary, and the successor's
-    /// base follows from the sector count.
+    /// Short extents pack the data area by sectors: it starts at the
+    /// sector behind the header, the summary starts behind its last one,
+    /// and the successor's base is the sector behind the summary — none
+    /// of them at a block boundary.
     #[test]
     fn short_extents_pack_by_sectors() {
         let cfg = LldConfig {
@@ -808,17 +818,34 @@ mod tests {
         ];
         let addrs: Vec<PhysAddr> = blocks.iter().map(|d| b.push_extent(extent(d))).collect();
         let at: Vec<(u32, u32)> = addrs.iter().map(|a| (a.sector, a.sectors)).collect();
-        assert_eq!(at, [(8, 0), (8, 2), (10, 8), (18, 1)]);
+        assert_eq!(at, [(1, 0), (1, 2), (3, 8), (11, 1)]);
         b.push_record(&sample_record(1));
-        // 4096 + 11 × 512 + 17 bytes: three blocks.
-        assert_eq!(b.successor_base(), Some(3));
-        b.header_bytes(1);
+        // 512 + 11 × 512 + 17 bytes: thirteen sectors.
+        assert_eq!(b.successor_base(), Some(13));
+        let h1 = b.header_bytes(1);
         write_seal(&device, &layout, &b);
         let h = read_header(&device, &layout, slot, 0).unwrap().unwrap();
-        assert_eq!(h.data_sectors(&layout), 8..19);
-        assert_eq!((h.next.slot, h.next.base), (1, 3));
+        assert_eq!(h.data_sectors(), 1..12);
+        assert_eq!((h.next.slot, h.next.base), (1, 13));
         let read = read_summary(&device, &layout, &h).unwrap().unwrap();
         assert_eq!(read.records, vec![sample_record(1)]);
+
+        // A successor in the middle of a block: its header, data area and
+        // summary follow sector for sector.
+        let mut next = SegmentBuilder::new(slot, 13, 2, header_link(&h1), 7, 4096, 16 * 4096);
+        let full = next.push_extent(extent(&blocks[2]));
+        assert_eq!((full.sector, full.sectors), (14, 8));
+        next.push_record(&sample_record(2));
+        next.header_bytes(NO_SLOT);
+        write_seal(&device, &layout, &next);
+        // The first summary's read, 17 bytes and the next header behind
+        // them, brings it along.
+        let read = read_summary(&device, &layout, &h).unwrap().unwrap();
+        let h2 = parse_header(&read.successor.expect("adjacent"), &layout, slot, 13).unwrap();
+        assert_eq!((h2.seq, h2.prev_link), (2, h.next.link));
+        assert_eq!(h2.data_sectors(), 14..22);
+        let read = read_summary(&device, &layout, &h2).unwrap().unwrap();
+        assert_eq!(read.records, vec![sample_record(2)]);
         // Each extent reads back where its address says, zero-filled.
         for (addr, want) in addrs.iter().zip(&blocks) {
             let mut buf = vec![0xEEu8; 4096];
@@ -830,7 +857,7 @@ mod tests {
 
     #[test]
     fn header_that_overruns_its_slot_is_no_segment() {
-        // Positions past block 0 used to hold user data, so a CRC-valid
+        // Positions past sector 0 used to hold user data, so a CRC-valid
         // header may sit anywhere; one whose segment (or whose in-slot
         // successor) would not fit behind it is not a segment.
         let layout = layout();
@@ -893,7 +920,7 @@ mod tests {
 
     #[test]
     fn punched_header_kills_a_stale_segment() {
-        // Format starts a new log at block 0 of slot 0 with sequence
+        // Format starts a new log at sector 0 of slot 0 with sequence
         // number 1 and no predecessor — exactly what the first segment
         // of the previous log there says of itself. The punch is what
         // keeps it out.

@@ -46,8 +46,11 @@ pub const H_NEXT: usize = 28;
 pub const H_PREV: usize = 32;
 pub const H_CRC: usize = 40;
 /// The header's length: a seal writes this much at its base, then the
-/// body from the next block.
+/// body from the next sector.
 pub const H_LEN: usize = 44;
+/// The unit a segment's base, its data area and its addresses count:
+/// the header takes one, and the body starts at the next.
+pub const SECTOR: usize = 512;
 pub const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936;
 
 // Checkpoint header fields (see `checkpoint.rs`).
@@ -104,20 +107,27 @@ pub fn header_valid(image: &[u8], off: usize) -> bool {
         && crc32(&image[off..off + H_CRC]) == u32_at(image, off + H_CRC)
 }
 
-/// Byte range of the summary of the segment whose header is at `off`,
-/// on `block_size`-byte blocks: behind the header block and the data
-/// area's sectors.
-pub fn summary_range(image: &[u8], off: usize, block_size: usize) -> std::ops::Range<usize> {
-    let start = off + block_size + u32_at(image, off + H_N_SECTORS) as usize * 512;
+/// Byte range of the summary of the segment whose header is at `off`:
+/// behind the header's sector and the data area's.
+pub fn summary_range(image: &[u8], off: usize) -> std::ops::Range<usize> {
+    let start = off + (1 + u32_at(image, off + H_N_SECTORS) as usize) * SECTOR;
     start..start + u32_at(image, off + H_SUMMARY_LEN) as usize
+}
+
+/// How many sectors the segment whose header is at `off` takes, header
+/// and summary included: its in-slot successor's base is its own plus
+/// this.
+pub fn segment_sectors(image: &[u8], off: usize) -> u32 {
+    let summary = u32_at(image, off + H_SUMMARY_LEN).div_ceil(SECTOR as u32);
+    1 + u32_at(image, off + H_N_SECTORS) + summary
 }
 
 /// Makes an edit of the summary of the segment at `off` pass: recomputes
 /// the summary CRC in the header, then the header's own. The header's
 /// CRC is the link its successor checks, so the log ends behind this
 /// segment.
-pub fn reseal_summary(image: &mut [u8], off: usize, block_size: usize) {
-    let crc = crc32(&image[summary_range(image, off, block_size)]);
+pub fn reseal_summary(image: &mut [u8], off: usize) {
+    let crc = crc32(&image[summary_range(image, off)]);
     put_u32(image, off + H_SUMMARY_CRC, crc);
     reseal(image, off);
 }

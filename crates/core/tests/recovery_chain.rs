@@ -1,7 +1,7 @@
 //! The log chain's own failure modes. Recovery finds the suffix by
-//! following `next_slot` from the checkpoint's head — to the block
+//! following `next_slot` from the checkpoint's head — to the sector
 //! behind a segment's summary when that names the segment's own slot,
-//! to block 0 of another slot otherwise — and accepts a segment only if
+//! to sector 0 of another slot otherwise — and accepts a segment only if
 //! its sequence number and `prev_link` fit, so these tests forge, tear
 //! and exhaust exactly those fields, inside a slot and across slots.
 
@@ -41,25 +41,24 @@ fn seg_off(image: &[u8], slot: u32) -> usize {
     layout.segment_offset(slot) as usize
 }
 
-/// Byte offset of block `base` of `slot`.
+/// Byte offset of sector `base` of `slot` (on 512-byte blocks, block
+/// `base`).
 fn pos_off(image: &[u8], (slot, base): (u32, u32)) -> usize {
-    seg_off(image, slot) + base as usize * BS
+    seg_off(image, slot) + base as usize * SECTOR
 }
 
 /// Where the segment whose header is at `pos` says the log goes on:
-/// behind its own summary, or at block 0 of another slot.
+/// behind its own summary, or at sector 0 of another slot.
 fn successor(image: &[u8], pos: (u32, u32)) -> (u32, u32) {
     let off = pos_off(image, pos);
     let next = u32_at(image, off + H_NEXT);
     if next != pos.0 {
         return (next, 0);
     }
-    let data = u32_at(image, off + H_N_SECTORS) as usize * 512;
-    let bytes = BS + data + u32_at(image, off + H_SUMMARY_LEN) as usize;
-    (next, pos.1 + bytes.div_ceil(BS) as u32)
+    (next, pos.1 + segment_sectors(image, off))
 }
 
-/// Positions of segments 1, 2, … of a log that starts at block 0 of
+/// Positions of segments 1, 2, … of a log that starts at sector 0 of
 /// slot 0, found the way recovery finds them.
 fn chain(image: &[u8]) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
@@ -389,7 +388,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     // Records recomputed under valid CRCs, on the tail (a resealed
     // header changes the link its successor checks). Its one record
     // places the block at the segment's one data sector.
-    let summary = summary_range(&image, tail, BS);
+    let summary = summary_range(&image, tail);
     let at_block = summary.start + 9; // behind the tag and the block id
     assert_eq!((image[summary.start], summary.len()), (1, 29), "a `Write`");
     let data = at[11].1 + 1;
@@ -406,7 +405,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     ] {
         let mut hostile = image.clone();
         put_u32(&mut hostile, at_block, slot);
-        reseal_summary(&mut hostile, tail, BS);
+        reseal_summary(&mut hostile, tail);
         let got = recover(&hostile);
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
@@ -428,7 +427,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
         tail + H_SUMMARY_LEN,
         (summary.len() + link.len()) as u32,
     );
-    reseal_summary(&mut hostile, tail, BS);
+    reseal_summary(&mut hostile, tail);
     match recover(&hostile) {
         Err(LldError::Corrupt(msg)) => assert!(msg.contains("is already on list"), "{msg}"),
         other => panic!("second link: {:?}", other.map(|(_, r)| r)),
@@ -481,6 +480,101 @@ fn scan_reads_follow_the_suffix_not_the_device() {
         seen.push(scan_reads);
     }
     assert_eq!(seen[0], seen[1], "reads depend on the device size");
+}
+
+/// A device that records the offset and length of every read.
+struct CountingDisk {
+    inner: MemDisk,
+    reads: ld_disk::Mutex<Vec<(u64, usize)>>,
+}
+
+impl ld_disk::BlockDevice for CountingDisk {
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> ld_disk::Result<()> {
+        self.reads.lock().push((offset, buf.len()));
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, buf: &[u8]) -> ld_disk::Result<()> {
+        self.inner.write_at(offset, buf)
+    }
+    fn flush(&self) -> ld_disk::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// (e') The same walk in bytes, on 4 KiB blocks, over a log of sync
+/// commits of two full blocks each: a hop inside a slot transfers the
+/// summary rounded up to a sector and the successor's 44-byte header
+/// behind it, not the padding up to a block boundary (a segment's base
+/// counts sectors, so most headers sit in the middle of a block).
+#[test]
+fn an_in_slot_hop_reads_its_summary_and_the_next_header_only() {
+    const BIG: usize = 4096;
+    let cfg = LldConfig {
+        block_size: BIG,
+        segment_bytes: 16 * BIG,
+        max_blocks: Some(256),
+        max_lists: Some(64),
+        ..LldConfig::default()
+    };
+    let ld = Lld::format(MemDisk::new(4 << 20), &cfg).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let pair = [(); 2].map(|()| ld.new_block(Ctx::Simple, l, Position::First).unwrap());
+    for generation in 1..=12u8 {
+        let aru = ld.begin_aru().unwrap();
+        for b in pair {
+            ld.write(Ctx::Aru(aru), b, &[generation; BIG]).unwrap();
+        }
+        ld.end_aru(aru).unwrap();
+        ld.flush().unwrap();
+    }
+    let image = ld.into_device().into_image();
+    let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
+
+    // Every header on the medium, by its sequence number.
+    let headers: std::collections::HashMap<u64, usize> = (0..layout.n_segments)
+        .flat_map(|slot| (0..layout.sectors_per_slot()).map(move |s| (slot, s)))
+        .map(|(slot, s)| layout.segment_offset(slot) as usize + s as usize * SECTOR)
+        .filter(|&off| header_valid(&image, off))
+        .map(|off| (u64_at(&image, off + H_SEQ), off))
+        .collect();
+
+    let dev = CountingDisk {
+        inner: MemDisk::from_image(image.clone()),
+        reads: ld_disk::Mutex::new(Vec::new()),
+    };
+    let (ld2, report) = Lld::recover_with(dev, &cfg).unwrap();
+    assert_eq!(report.segments_replayed, 12);
+    let mut buf = vec![0u8; BIG];
+    for b in pair {
+        ld2.read(Ctx::Simple, b, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 12));
+    }
+    // An in-slot hop is the read that ends with the successor's header.
+    let reads = ld2.device().reads.lock().clone();
+    let (mut in_slot, mut mid_block) = (0, 0);
+    for (at, len) in reads {
+        let next = at as usize + len - H_LEN.min(len);
+        if len <= H_LEN || at < layout.data_start || !header_valid(&image, next) {
+            continue;
+        }
+        in_slot += 1;
+        mid_block += usize::from(!(next - layout.data_start as usize).is_multiple_of(BIG));
+        let header = headers[&(u64_at(&image, next + H_SEQ) - 1)];
+        let summary_len = u32_at(&image, header + H_SUMMARY_LEN) as usize;
+        let bound = summary_len.div_ceil(SECTOR) * SECTOR + H_LEN;
+        assert!(
+            len <= bound,
+            "the hop from the header at {header} reads {len} bytes, past {bound}"
+        );
+    }
+    assert!(in_slot >= 8, "{in_slot} in-slot hops");
+    assert!(
+        mid_block >= 4,
+        "{mid_block} headers in the middle of a block"
+    );
 }
 
 /// (f) A crash tears a segment write in the middle of a slot, or loses
@@ -559,7 +653,7 @@ fn reformat_over_in_slot_segments_recovers_empty() {
     assert_eq!(read_byte(&ld, b), 0x77);
 }
 
-/// (h) The checkpoint's head names a block inside a slot. One that
+/// (h) The checkpoint's head names a sector inside a slot. One that
 /// leaves no room for a segment is a typed error; one that is in range
 /// keeps its slot out of the free set although nothing in the slot is
 /// live and nothing in it is replayed.
@@ -634,7 +728,7 @@ fn timestamp_that_runs_backwards_is_corrupt() {
     ld.flush().unwrap();
     let image = ld.into_device().into_image();
     let tail = pos_off(&image, *chain(&image).last().unwrap());
-    let summary = summary_range(&image, tail, BS);
+    let summary = summary_range(&image, tail);
     assert_eq!(
         (image[summary.start], summary.len()),
         (5, 25),
@@ -652,7 +746,7 @@ fn timestamp_that_runs_backwards_is_corrupt() {
     let mut hostile = image.clone();
     let ts = summary.start + 9; // behind the tag and the block id
     hostile[ts..ts + 8].copy_from_slice(&1u64.to_le_bytes());
-    reseal_summary(&mut hostile, tail, BS);
+    reseal_summary(&mut hostile, tail);
     let got = recover(&hostile);
     assert!(
         matches!(got, Err(LldError::Corrupt(_))),
@@ -661,14 +755,15 @@ fn timestamp_that_runs_backwards_is_corrupt() {
     );
 }
 
-/// An image of the previous formats (superblock version 5 or 4, valid
-/// CRC) is refused by the version check, not read as if its segments
-/// were packed by sectors or its checkpoint slabs the same.
+/// An image of the previous formats (superblock version 6, 5 or 4,
+/// valid CRC) is refused by the version check, not read as if its
+/// segment bases counted sectors, its segments were packed by sectors
+/// or its checkpoint slabs the same.
 #[test]
 fn older_format_version_is_refused() {
     let (image, _) = image_with_segments(1);
-    assert_eq!(u32_at(&image, 8), 6, "superblock version field");
-    for older in [5, 4] {
+    assert_eq!(u32_at(&image, 8), 7, "superblock version field");
+    for older in [6, 5, 4] {
         let mut image = image.clone();
         put_u32(&mut image, 8, older);
         let crc = crc32(&image[..S_CRC]);

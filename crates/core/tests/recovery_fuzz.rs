@@ -1,9 +1,12 @@
 //! A seeded bit-flip fuzzer for `recover` (docs/INVARIANTS.md: no image
 //! makes `recover` panic).
 //!
-//! Each case takes one image — a checkpoint, a suffix of full and
-//! in-slot partial segments, ARUs, tagged commits and deletions — and
-//! flips 1–4 bits in it. *Raw* flips land in the
+//! Each case takes one of two images — a checkpoint, a suffix of full
+//! and in-slot partial segments, ARUs, tagged commits and deletions — and
+//! flips 1–4 bits in it. The two differ in their block size: on 512-byte
+//! blocks a sector is a block, on 4 KiB blocks most in-slot headers sit
+//! in the middle of a block, right behind the summary in front of them
+//! (a segment's base counts sectors). *Raw* flips land in the
 //! superblock, a checkpoint area or a used slot and leave the checksums
 //! alone: a CRC catches them, and recovery falls back to the other
 //! area or ends the log earlier. *Resealed* flips recompute the
@@ -36,7 +39,10 @@
 //! checkpoint head with no room for a segment behind it. One more cuts
 //! the superblock's slot count to the slots the image uses, give or take
 //! one: at the count itself every slot is in use, and the disk must
-//! still come up whole (for the deletions that make room again).
+//! still come up whole (for the deletions that make room again). And one
+//! sets the checkpoint head to each sector around the last base a slot
+//! has room behind, under its recomputed checksum: a typed error or a
+//! disk that checks, whichever side of that edge it lands on.
 //!
 //! About 200 cases in tier-1; `RECOVERY_FUZZ_CASES=n` runs more (CI:
 //! 5,000 in release mode). A failure prints `RECOVERY_FUZZ_SEED=n`, and
@@ -49,25 +55,22 @@ use ld_core::{Ctx, Layout, ListId, Lld, LldConfig, LldError, Position};
 use ld_disk::MemDisk;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-const BS: usize = 512;
+/// The block size and the device size of the two images.
+const IMAGES: [(usize, u64); 2] = [(512, 1 << 20), (4096, 4 << 20)];
 /// Blocks per segment slot.
 const BPS: usize = 16;
 /// More lists than any image here allocates: the oracle walks every
 /// identifier up to it.
 const MAX_LISTS: u64 = 64;
 
-fn config() -> LldConfig {
+fn config(block_size: usize) -> LldConfig {
     LldConfig {
-        block_size: BS,
-        segment_bytes: BPS * BS,
+        block_size,
+        segment_bytes: BPS * block_size,
         max_blocks: Some(256),
         max_lists: Some(MAX_LISTS),
         ..LldConfig::default()
     }
-}
-
-fn block(byte: u8) -> Vec<u8> {
-    vec![byte; BS]
 }
 
 struct Rng(u64);
@@ -95,9 +98,10 @@ enum Oracle {
 
 /// The image every case starts from, and where its parts are.
 struct Base {
+    config: LldConfig,
     image: Vec<u8>,
     layout: Layout,
-    /// Byte offsets of the valid segment headers, block 0 of a slot or
+    /// Byte offsets of the valid segment headers, sector 0 of a slot or
     /// inside one.
     headers: Vec<usize>,
     /// The checkpoint area recovery loads (the newer).
@@ -123,7 +127,7 @@ fn replayed_chain(image: &[u8], layout: &Layout, area: usize) -> Vec<usize> {
     let (mut link, mut seq) = (u32_at(image, area + 4), u64_at(image, area + 8));
     let mut out = Vec::new();
     while slot < layout.n_segments {
-        let off = layout.segment_offset(slot) as usize + base as usize * BS;
+        let off = layout.segment_offset(slot) as usize + base as usize * SECTOR;
         if !header_valid(image, off)
             || u64_at(image, off + H_SEQ) != seq + 1
             || u32_at(image, off + H_PREV) != link
@@ -132,11 +136,8 @@ fn replayed_chain(image: &[u8], layout: &Layout, area: usize) -> Vec<usize> {
         }
         out.push(off);
         let next = u32_at(image, off + H_NEXT);
-        let bytes = BS
-            + u32_at(image, off + H_N_SECTORS) as usize * 512
-            + u32_at(image, off + H_SUMMARY_LEN) as usize;
         (slot, base) = match next == slot {
-            true => (slot, base + bytes.div_ceil(BS) as u32),
+            true => (slot, base + segment_sectors(image, off)),
             false => (next, 0),
         };
         (link, seq) = (u32_at(image, off + H_CRC), seq + 1);
@@ -164,8 +165,10 @@ fn write_extents(image: &[u8], summary: std::ops::Range<usize>) -> Vec<usize> {
     out
 }
 
-fn base_image() -> Base {
-    let ld = Lld::format(MemDisk::new(1 << 20), &config()).unwrap();
+fn base_image((block_size, device_bytes): (usize, u64)) -> Base {
+    let config = config(block_size);
+    let block = |byte: u8| vec![byte; block_size];
+    let ld = Lld::format(MemDisk::new(device_bytes), &config).unwrap();
     // One unit per flush: partial segments, several to a slot. Every
     // third commit is tagged (a `WriteId` record, a dedup entry).
     let unit = |list: ListId, n: u8| {
@@ -220,11 +223,20 @@ fn base_image() -> Base {
 
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let headers: Vec<usize> = (0..layout.n_segments)
-        .flat_map(|slot| (0..BPS as u32).map(move |base| (slot, base)))
-        .map(|(slot, base)| layout.segment_offset(slot) as usize + base as usize * BS)
+        .flat_map(|slot| (0..layout.sectors_per_slot()).map(move |base| (slot, base)))
+        .map(|(slot, base)| layout.segment_offset(slot) as usize + base as usize * SECTOR)
         .filter(|&off| header_valid(&image, off))
         .collect();
-    let (_, report) = Lld::recover_with(MemDisk::from_image(image.clone()), &config())
+    let mid_block = headers
+        .iter()
+        .filter(|&&off| !off.is_multiple_of(block_size))
+        .count();
+    assert_eq!(
+        mid_block > 8,
+        block_size > SECTOR,
+        "{block_size}: {mid_block}"
+    );
+    let (_, report) = Lld::recover_with(MemDisk::from_image(image.clone()), &config)
         .expect("the base image recovers");
     assert!(report.checkpoint_seq > 0 && report.segments_replayed > 8);
     let newer = layout.ckpt_b as usize;
@@ -233,7 +245,7 @@ fn base_image() -> Base {
     assert_eq!(chain.len(), report.segments_replayed as usize);
     let replayed_writes: Vec<(usize, usize)> = (chain.iter())
         .flat_map(|&h| {
-            let summary = summary_range(&image, h, BS);
+            let summary = summary_range(&image, h);
             write_extents(&image, summary)
                 .into_iter()
                 .map(move |w| (h, w))
@@ -249,6 +261,7 @@ fn base_image() -> Base {
         assert!(!dedup_range(&image, area as usize).is_empty());
     }
     Base {
+        config,
         image,
         layout,
         headers,
@@ -272,10 +285,14 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
     let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
     let mut image = base.image.clone();
     let layout = &base.layout;
+    let block_sectors = layout.sectors_per_block();
+    // The last base a slot has room behind: a header sector, a block and
+    // a sector of summary.
+    let last_base = layout.sectors_per_slot() - 2 - block_sectors;
     let area = [layout.ckpt_a, layout.ckpt_b][rng.below(2)] as usize;
     let header = base.headers[rng.below(base.headers.len())];
-    let summary = summary_range(&image, header, BS);
-    let kind = rng.below(18);
+    let summary = summary_range(&image, header);
+    let kind = rng.below(19);
     let what = match kind {
         0 => {
             flip(&mut image, 0..S_CRC + 4, &mut rng);
@@ -300,7 +317,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             format!("raw: segment header at {header}")
         }
         4 => {
-            flip(&mut image, header + BS..summary.end, &mut rng);
+            flip(&mut image, header + SECTOR..summary.end, &mut rng);
             format!("raw: segment body at {header}")
         }
         5 | 6 => {
@@ -310,7 +327,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
         }
         7 => {
             flip(&mut image, summary, &mut rng);
-            reseal_summary(&mut image, header, BS);
+            reseal_summary(&mut image, header);
             format!("resealed: summary at {header}")
         }
         8 => {
@@ -357,35 +374,36 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
         }
         13 => {
             // A replayed `Write` record's extent: past the data area,
-            // in front of it, more sectors than a 512-byte block has,
-            // or none of those fields at all.
+            // in front of it, more sectors than a block has, or none of
+            // those fields at all.
             let (header, field) = base.replayed_writes[rng.below(base.replayed_writes.len())];
             let (sector, sectors) = (u32_at(&image, field) >> 8, u32_at(&image, field) & 0xFF);
-            // On 512-byte blocks a sector is a block: the data area
-            // starts behind the header's.
+            // The data area starts at the sector behind the header's.
             let start =
-                ((header - layout.data_start as usize) % layout.segment_bytes / BS) as u32 + 1;
+                ((header - layout.data_start as usize) % layout.segment_bytes / SECTOR) as u32 + 1;
             let end = start + u32_at(&image, header + H_N_SECTORS);
+            let too_many = block_sectors + 1 + rng.below(255 - block_sectors as usize) as u32;
             let hostile = [
                 end << 8 | 1,
                 (start - 1) << 8 | 1,
-                sector << 8 | (2 + rng.below(254) as u32),
+                sector << 8 | too_many,
                 u32::MAX,
             ][rng.below(4)];
             put_u32(&mut image, field, hostile);
-            reseal_summary(&mut image, header, BS);
+            reseal_summary(&mut image, header);
             format!("hostile: write extent {sector}+{sectors} as {hostile:#x} at {header}")
         }
         14 => {
             // The sector-count column of a slab recovery loads: every
-            // row with an address past a 512-byte block's one sector.
+            // row with an address past a block's sectors.
             let slabs = slab_ranges(&image, base.newer);
             let with_rows: Vec<usize> = (0..slabs.len())
                 .filter(|&i| u64_at(&image, base.newer + C_LEN + i * C_DIR_ENTRY) > 0)
                 .collect();
             let i = with_rows[rng.below(with_rows.len())];
             let count = slabs[i].start + 3 * 9;
-            let min = [2 + rng.below(300) as u64, 1 << 32, u64::MAX - 1][rng.below(3)];
+            let past = u64::from(block_sectors) + 1 + rng.below(300) as u64;
+            let min = [past, 1 << 32, u64::MAX - 1][rng.below(3)];
             image[count..count + 8].copy_from_slice(&min.to_le_bytes());
             reseal_slab(&mut image, base.newer, i);
             format!("hostile: slab {i} sector counts from {min}")
@@ -407,12 +425,22 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
                 base.used_slots
             )
         }
-        _ => {
+        17 => {
             // C8: a checkpoint head with no room for a segment behind it.
-            let head = [BPS as u32 - 2, BPS as u32 - 1, BPS as u32, u32::MAX][rng.below(4)];
+            let slot = layout.sectors_per_slot();
+            let head = [last_base + 1, slot - 1, slot, u32::MAX][rng.below(4)];
             put_u32(&mut image, base.newer + C_HEAD_BASE, head);
             reseal_checkpoint(&mut image, base.newer);
-            format!("hostile: checkpoint head at block {head}")
+            format!("hostile: checkpoint head at sector {head}")
+        }
+        _ => {
+            // Format 7's head: each sector from one before the last base
+            // a slot has room behind to one past the slot's end.
+            let span = layout.sectors_per_slot() + 3 - last_base;
+            let head = last_base - 1 + rng.below(span as usize) as u32;
+            put_u32(&mut image, base.newer + C_HEAD_BASE, head);
+            reseal_checkpoint(&mut image, base.newer);
+            format!("resealed: checkpoint head at sector {head}, last base {last_base}")
         }
     };
     let oracle = match kind {
@@ -427,8 +455,9 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
 /// did.
 fn run_case(base: &Base, seed: u64) -> Result<(), String> {
     let (image, what, oracle) = mutate(base, seed);
+    let what = format!("{}-byte blocks, {what}", base.config.block_size);
     let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
-        let recovered = Lld::recover_with(MemDisk::from_image(image), &config());
+        let recovered = Lld::recover_with(MemDisk::from_image(image), &base.config);
         let ld = match (recovered, oracle) {
             (Err(LldError::Corrupt(_)), _) => return Ok(()),
             (got, Oracle::Corrupt) => {
@@ -476,10 +505,10 @@ fn no_flipped_image_makes_recover_panic() {
     };
     // The panics the cases catch are the finding, not noise: keep their
     // messages, the failing seed is printed with them.
-    let base = base_image();
+    let bases = IMAGES.map(base_image);
     let failed: Vec<String> = seeds
         .filter_map(|seed| {
-            run_case(&base, seed)
+            run_case(&bases[seed as usize % bases.len()], seed)
                 .err()
                 .map(|e| format!("RECOVERY_FUZZ_SEED={seed} {e}"))
         })

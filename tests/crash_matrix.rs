@@ -15,7 +15,7 @@ use ld_aru::workload::pattern_fill;
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
-use common::{u64_at, ParkDisk, ReleaseOnDrop, H_LEN, H_SEQ, SEGMENT_MAGIC};
+use common::{u64_at, ParkDisk, ReleaseOnDrop, H_LEN, H_SEQ, SECTOR, SEGMENT_MAGIC};
 
 /// One point of the mode matrix: background cleaner, map shards.
 type Mode = (bool, usize);
@@ -745,16 +745,16 @@ fn sync_ack_means_durable_eight_shards() {
 
 /// The unflushed seals on `dev` in log order, each as the places in
 /// issue order of its two writes: the header (`H_LEN` bytes, `seq` at
-/// byte 8) and the body a block behind it (docs/RECOVERY.md). Every
+/// byte 8) and the body a sector behind it (docs/RECOVERY.md). Every
 /// pending write is half of one. With `cleanerd` writing the seals
 /// handed to it the device may see segment N after N + 1.
-fn seals_in_log_order(dev: &ReorderDisk, block_size: usize) -> Vec<[usize; 2]> {
+fn seals_in_log_order(dev: &ReorderDisk) -> Vec<[usize; 2]> {
     let pending = dev.pending();
     let is_header = |bytes: &[u8]| bytes.len() == H_LEN && u64_at(bytes, 0) == SEGMENT_MAGIC;
     let mut seals: Vec<(u64, [usize; 2])> = (pending.iter().enumerate())
         .filter(|(_, (_, bytes))| is_header(bytes))
         .map(|(h, (at, bytes))| {
-            let body_at = at + block_size as u64;
+            let body_at = at + SECTOR as u64;
             let body = (pending.iter().enumerate().skip(h + 1))
                 .position(|(_, (off, bytes))| *off == body_at && !is_header(bytes))
                 .unwrap_or_else(|| panic!("the header at {at} has no body behind it"));
@@ -1003,7 +1003,7 @@ fn two_write_seal(shards: usize) {
     assert_ne!(whole, flushed, "shards {shards}: the segment holds no unit");
     let handed_off = ld.stats().seals_handed_off;
     let dev = ld.into_device(); // `cleanerd` writes what it was handed first
-    let seals = seals_in_log_order(&dev, SEAL_BS);
+    let seals = seals_in_log_order(&dev);
     assert_eq!(seals.len(), 1, "shards {shards}: one seal since the flush");
     let [header, body] = seals[0];
 
@@ -1036,7 +1036,7 @@ fn two_write_seal(shards: usize) {
     let again = units_until_a_seal(&ld2, &pairs, flushed.clone(), 6, 40);
     assert_ne!(again, flushed, "{at}: the segment holds no unit");
     let dev2 = ld2.into_device();
-    let seals2 = seals_in_log_order(&dev2, SEAL_BS);
+    let seals2 = seals_in_log_order(&dev2);
     assert_eq!(seals2.len(), 1, "{at}: one seal since recovery");
     let [header2, body2] = seals2[0];
     let (old, new) = (&dev.pending()[header], &dev2.pending()[header2]);
@@ -1201,7 +1201,7 @@ fn an_absorbed_unit_is_all_or_nothing_at_every_seal() {
                 let run = absorb_run(shards, nx, ny, fillers);
                 handed_off += run.handed_off;
                 // Prefixes of the log, whoever wrote which seal when.
-                let order = seals_in_log_order(&run.dev, ABSORB_BS);
+                let order = seals_in_log_order(&run.dev);
                 let seals = order.len();
                 let seen: Vec<(u8, u8)> = (0..=seals)
                     .map(|cut| {
@@ -1505,7 +1505,7 @@ fn mixed_extent_subsets(mode: Mode) {
         }
     }
     let dev = ld.into_device(); // `cleanerd` writes what it was handed first
-    let seals = seals_in_log_order(&dev, MIX_BS);
+    let seals = seals_in_log_order(&dev);
     assert_eq!(seals.len(), 3, "{mode:?}: three seals since the flush");
     let writes: Vec<usize> = seals.iter().flatten().copied().collect();
     for mask in 0..1u32 << writes.len() {
