@@ -10,7 +10,7 @@
 //! and the cleaner only reuses slots whose sequence number the latest
 //! checkpoint covers.
 //!
-//! # On-disk format (format version 7)
+//! # On-disk format (format version 8)
 //!
 //! Each of the two alternating areas (A/B) holds one checkpoint as
 //! *per-shard snapshot slabs* behind a header and a slab directory:
@@ -31,46 +31,74 @@
 //! slab carries its own CRC, so recovery can verify slabs
 //! independently.
 //!
-//! A slab is *column-packed*: most of every u64 of a record is zero, and
-//! what is not is close to its neighbours'.
+//! A slab is *column-packed*: its rows are sorted by identifier, and
+//! every value is stored as its distance from a *predictor*, something
+//! the reader has already decoded:
 //!
 //! ```text
-//! slab+0    11 column descriptors (9 B each): minimum u64, then width
-//!           (0..=8) and shift (0..=15) in one byte, `width | shift << 4`
-//!           — block id, segment, sector, sectors, successor, list, ts;
-//!           list id, first, last, ts
-//! slab+99   n_blocks rows, each column's `(value − minimum) >> shift`
-//!           in `width` little-endian bytes, then n_lists rows likewise
+//! slab+0    11 column descriptors (10 B each): minimum u64, width in
+//!           bits u8 (0..=64), shift u8 (0..=63) — block id, segment,
+//!           sector, sectors, successor, list, ts; list id, first, last,
+//!           ts
+//! slab+110  n_blocks rows, then n_lists rows, each table bit-packed
+//!           from its first byte: per row and column, least significant
+//!           bit first, `(coded − minimum) >> shift` in `width` bits; a
+//!           table takes ⌈n × Σ widths / 8⌉ bytes, its last byte padded
+//!           with zeros
 //! ```
 //!
-//! A column whose values are all equal takes no bytes in a row: the
+//! A column's *coded* value is, for the identifier, the plain
+//! difference from the previous row's (rows are sorted, and the first
+//! row's predecessor is 0); for a block's segment, sector, list and
+//! timestamp and a list's first and timestamp, the zigzag of the
+//! wrapping difference from the previous row's value; for a block's
+//! successor and a list's last, the zigzag of the difference from the
+//! row's own identifier and first; a block's sector count is stored as
+//! it is. The zigzag of a wrapping difference is a bijection on u64, so
+//! a small step either way is a small number and every value has a code.
+//!
+//! A column whose coded values are all equal takes no bits in a row: the
 //! sector count of an address is the constant 8 on a disk of full 4 KiB
-//! blocks, and 0 bytes a row. The shift drops the low bits every value
-//! of a column shares with the others: a full block's sector is a
-//! multiple of 8, so a table of full blocks stores its sector column as
-//! narrow as format 5 stored block indices, and a shard's identifiers
-//! share their residue modulo the shard count. "None" never costs a column its width: an
-//! absent successor, list, first or last is 0 (identifiers are not), an
-//! absent address is segment 0 with a present one stored as `segment +
-//! 1`, and the sector and count beside it are 0 and a full block's.
-//! Row order within a slab is unspecified (hash-map iteration, under a
-//! hash key drawn per process); every row is keyed by its identifier. A
-//! row is never wider than 40 B (a block: 8 + 4 + 3 + 1 + 8 + 8 + 8 —
-//! a slot has fewer than 2²³ sectors and a block at most 128) or 32 B
-//! (a list), which is what `Layout::compute` sizes the area by.
+//! blocks. The shift drops the low bits every coded value of a column
+//! shares with the others. "None" never costs a column its width: an absent successor,
+//! list, first or last is 0 (identifiers are not), an absent address is
+//! segment 0 with a present one stored as `segment + 1`, and the sector
+//! and count beside it are 0 and a full block's. A slab is a function of
+//! its tables: the same entries give the same bytes, whatever the order
+//! they were inserted in or the capacity of the map.
+//!
+//! **The bound.** A row is never wider than 40 B (a block) or 32 B (a
+//! list), which is what `Layout::compute` sizes the area by. A column's
+//! width is that of its largest `coded − minimum`, so at most that of its
+//! largest coded value: an identifier delta is below 2⁶³ (identifiers
+//! are at most [`MAX_RAW_ID`]), 63 bits; a stored segment is at most
+//! `u32::MAX` (a segment is below `n_segments`, itself a u32), so the
+//! zigzag of a difference of two is below 2³³, 33 bits; a sector is
+//! below 2²³ (a slot of at most 4 GiB), 24 bits; a count is at most 128
+//! (a block of at most 64 KiB), 8 bits; successor, list and timestamp
+//! are any u64, 64 bits each. 63 + 33 + 24 + 8 + 64 + 64 + 64 = 320 bits
+//! = 40 B. A list row is at most 63 + 64 + 64 + 64 = 255 bits, under
+//! 32 B. A variable-length code (format 5's rejected delta-varint) spends
+//! a continuation bit a byte and takes up to 50 B a block; a column's
+//! fixed width in bits does not.
 //!
 //! What a reader refuses. The *area* is invalid, and recovery falls back
 //! to the other one, on: a bad magic or header CRC, a slab count outside
-//! 1..=64, a directory CRC mismatch, a slab or dedup slab that ends
-//! outside the area or fails its CRC, a descriptor width above 8, and a
-//! slab length that is not what its counts and descriptors add up to
-//! (checked arithmetic). The *image* is [`LldError::Corrupt`] when a
-//! slab that passed all of that holds a row recovery cannot take at its
-//! word: `minimum + delta` past `u64::MAX`, an identifier of zero or
-//! above [`MAX_RAW_ID`] (the allocators count on from it), a segment,
-//! sector or sector count the device does not have (checked by recovery
-//! against the layout), an identifier twice; so is an
-//! allocator floor above `MAX_RAW_ID` in the header of the area chosen.
+//! 1..=64, a directory CRC mismatch, a directory that counts more blocks
+//! or lists than the layout's `max_blocks` or `max_lists` (a table whose
+//! widths are all 0 takes no bytes for any count, and its identifiers
+//! step by the minimum, so only the caps bound it), a slab or dedup slab
+//! that ends outside the area or fails its CRC, a descriptor width above 64, a
+//! shift above 63 or `width + shift` above 64, and a table whose rows are
+//! not ⌈n × Σ widths / 8⌉ bytes (checked arithmetic). The *image* is
+//! [`LldError::Corrupt`] when a slab that passed all of that holds a row
+//! recovery cannot take at its word: `minimum + (delta << shift)` past
+//! `u64::MAX`, an identifier of zero or above [`MAX_RAW_ID`] (the
+//! allocators count on from it, and an identifier delta that carries
+//! past it is this case), a segment, sector or sector count the device
+//! does not have (checked by recovery against the layout), an identifier
+//! twice (an identifier delta of 0); so is an allocator floor above
+//! `MAX_RAW_ID` in the header of the area chosen.
 //!
 //! The header also records where the log continues past the covered
 //! sequence number — the [`ChainHead`]: the slot and the sector in it
@@ -112,8 +140,8 @@
 
 use crate::error::{LldError, Result};
 use crate::layout::{
-    u32_at, u64_at, Layout, CKPT_DEDUP_ENTRY, CKPT_DIR_ENTRY, CKPT_DIR_RESERVE, CKPT_HEADER,
-    CKPT_SLAB_DESC, MAX_SNAP_SHARDS,
+    u32_at, u64_at, Layout, CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH, CKPT_DEDUP_ENTRY,
+    CKPT_DIR_ENTRY, CKPT_DIR_RESERVE, CKPT_HEADER, CKPT_SLAB_DESC, MAX_SNAP_SHARDS,
 };
 use crate::lld::{LldInner, LogState, Mutation};
 use crate::segment::ChainHead;
@@ -215,16 +243,85 @@ impl CkptWrite {
     }
 }
 
-/// One column descriptor on disk: the minimum (u64), then the byte
-/// width (u8).
-const COL_DESC: usize = 9;
+const COL_DESC: usize = CKPT_COL_DESC;
 const BLOCK_COLS: usize = 7;
 const LIST_COLS: usize = 4;
 const _: () = assert!(((BLOCK_COLS + LIST_COLS) * COL_DESC) as u64 == CKPT_SLAB_DESC);
 
-/// How the rows of one table are packed: per column the smallest value,
-/// stored once, the low bits every `value − min` has zero, and the
-/// bytes the largest `(value − min) >> shift` needs.
+/// The zigzag of `v − pred`, wrapping: a small step either way is a
+/// small number, and every u64 is the code of exactly one value.
+fn zigzag(v: u64, pred: u64) -> u64 {
+    let d = v.wrapping_sub(pred);
+    (d << 1) ^ ((d as i64 >> 63) as u64)
+}
+
+/// The value whose [`zigzag`] from `pred` is `z`.
+fn unzigzag(z: u64, pred: u64) -> u64 {
+    pred.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg())
+}
+
+/// A block row's coded values, given the previous row (all zero before
+/// the first): the identifier's plain difference (rows are sorted), the
+/// successor from the row's own identifier, the sector count as it is,
+/// everything else from the previous row.
+fn code_block(prev: &[u64; BLOCK_COLS], row: &[u64; BLOCK_COLS]) -> [u64; BLOCK_COLS] {
+    let [id, segment, sector, sectors, successor, list, ts] = *row;
+    [
+        id - prev[0],
+        zigzag(segment, prev[1]),
+        zigzag(sector, prev[2]),
+        sectors,
+        zigzag(successor, id),
+        zigzag(list, prev[5]),
+        zigzag(ts, prev[6]),
+    ]
+}
+
+/// Inverts [`code_block`]; `None` if the identifier passes `u64::MAX`.
+fn decode_block(prev: &[u64; BLOCK_COLS], c: [u64; BLOCK_COLS]) -> Option<[u64; BLOCK_COLS]> {
+    let id = prev[0].checked_add(c[0])?;
+    Some([
+        id,
+        unzigzag(c[1], prev[1]),
+        unzigzag(c[2], prev[2]),
+        c[3],
+        unzigzag(c[4], id),
+        unzigzag(c[5], prev[5]),
+        unzigzag(c[6], prev[6]),
+    ])
+}
+
+/// A list row's coded values: `last` from the row's own `first`, the
+/// rest from the previous row.
+fn code_list(prev: &[u64; LIST_COLS], row: &[u64; LIST_COLS]) -> [u64; LIST_COLS] {
+    let [id, first, last, ts] = *row;
+    [
+        id - prev[0],
+        zigzag(first, prev[1]),
+        zigzag(last, first),
+        zigzag(ts, prev[3]),
+    ]
+}
+
+/// Inverts [`code_list`].
+fn decode_list(prev: &[u64; LIST_COLS], c: [u64; LIST_COLS]) -> Option<[u64; LIST_COLS]> {
+    let (id, first) = (prev[0].checked_add(c[0])?, unzigzag(c[1], prev[1]));
+    Some([id, first, unzigzag(c[2], first), unzigzag(c[3], prev[3])])
+}
+
+/// Sorts `rows` by identifier and codes each in place from its
+/// predecessor.
+fn code_rows<const N: usize>(rows: &mut [[u64; N]], code: fn(&[u64; N], &[u64; N]) -> [u64; N]) {
+    rows.sort_unstable_by_key(|row| row[0]);
+    for i in (0..rows.len()).rev() {
+        let prev = i.checked_sub(1).map_or([0; N], |p| rows[p]);
+        rows[i] = code(&prev, &rows[i]);
+    }
+}
+
+/// How the coded rows of one table are packed: per column the smallest
+/// value, stored once, the low bits every `value − min` has zero, and
+/// the bits the largest `(value − min) >> shift` needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Columns<const N: usize> {
     min: [u64; N],
@@ -232,19 +329,16 @@ struct Columns<const N: usize> {
     shift: [u8; N],
 }
 
-/// The largest shift a descriptor holds (its byte's high nibble).
-const MAX_SHIFT: u32 = 15;
-
 impl<const N: usize> Columns<N> {
     /// The narrowest packing of `rows`; all zero for none.
-    fn fit(rows: impl Iterator<Item = [u64; N]>) -> Self {
+    fn fit(rows: &[[u64; N]]) -> Self {
         let (mut min, mut max) = ([u64::MAX; N], [0u64; N]);
         // The bits in which some value differs from the first row's:
         // every `value − min` is a multiple of 2^(their trailing zeros).
-        let (mut first, mut differ) = (None, [0u64; N]);
+        let first = rows.first().copied().unwrap_or([0; N]);
+        let mut differ = [0u64; N];
         for row in rows {
-            let first = *first.get_or_insert(row);
-            for (c, v) in row.into_iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
                 min[c] = min[c].min(v);
                 max[c] = max[c].max(v);
                 differ[c] |= v ^ first[c];
@@ -255,68 +349,123 @@ impl<const N: usize> Columns<N> {
         // A column of one value has nothing to shift.
         let shift: [u8; N] = std::array::from_fn(|c| match differ[c] {
             0 => 0,
-            bits => bits.trailing_zeros().min(MAX_SHIFT) as u8,
+            bits => bits.trailing_zeros() as u8,
         });
+        // `(max − min) >> shift` is below 2^(64 − shift): `width + shift`
+        // is at most 64.
         let width = std::array::from_fn(|c| {
             let span = (max[c] - min[c]) >> shift[c];
-            (u64::BITS - span.leading_zeros()).div_ceil(8) as u8
+            (u64::BITS - span.leading_zeros()) as u8
         });
         Columns { min, width, shift }
     }
 
-    fn row_len(&self) -> u64 {
+    /// Bits one row takes.
+    fn row_bits(&self) -> u64 {
         self.width.iter().map(|&w| u64::from(w)).sum()
+    }
+
+    /// Bytes `n` rows take; `None` past `u64::MAX`.
+    fn table_bytes(&self, n: u64) -> Option<u64> {
+        Some(n.checked_mul(self.row_bits())?.div_ceil(8))
     }
 
     fn put_desc(&self, out: &mut Vec<u8>) {
         for c in 0..N {
             out.extend_from_slice(&self.min[c].to_le_bytes());
-            out.push(self.width[c] | self.shift[c] << 4);
+            out.extend_from_slice(&[self.width[c], self.shift[c]]);
         }
     }
 
-    fn put_row(&self, row: [u64; N], out: &mut Vec<u8>) {
-        for (c, v) in row.into_iter().enumerate() {
-            let delta = ((v - self.min[c]) >> self.shift[c]).to_le_bytes();
-            out.extend_from_slice(&delta[..usize::from(self.width[c])]);
+    /// Bit-packs the coded `rows`, least significant bit first, and pads
+    /// the last byte with zeros.
+    fn put_rows(&self, rows: &[[u64; N]], out: &mut Vec<u8>) {
+        let (mut acc, mut bits) = (0u128, 0u32);
+        for row in rows {
+            for (c, &v) in row.iter().enumerate() {
+                acc |= u128::from((v - self.min[c]) >> self.shift[c]) << bits;
+                bits += u32::from(self.width[c]);
+                if bits >= 64 {
+                    out.extend_from_slice(&(acc as u64).to_le_bytes());
+                    acc >>= 64;
+                    bits -= 64;
+                }
+            }
         }
+        out.extend_from_slice(&(acc as u64).to_le_bytes()[..bits.div_ceil(8) as usize]);
     }
 
-    /// Reads `N` descriptors; `None` on a width no u64 has.
+    /// Reads `N` descriptors; `None` on a width above 64, a shift above
+    /// 63 or the two above 64 together, so that no row's
+    /// `delta << shift` loses a bit.
     fn parse(desc: &[u8]) -> Option<Self> {
         let min = std::array::from_fn(|c| u64_at(desc, c * COL_DESC));
-        let packed: [u8; N] = std::array::from_fn(|c| desc[c * COL_DESC + 8]);
-        let (width, shift) = (packed.map(|b| b & 0xF), packed.map(|b| b >> 4));
-        width
-            .iter()
-            .all(|&w| w <= 8)
+        let width: [u8; N] = std::array::from_fn(|c| desc[c * COL_DESC + CKPT_COL_WIDTH]);
+        let shift: [u8; N] = std::array::from_fn(|c| desc[c * COL_DESC + CKPT_COL_SHIFT]);
+        (0..N)
+            .all(|c| shift[c] < 64 && u32::from(width[c]) + u32::from(shift[c]) <= 64)
             .then_some(Columns { min, width, shift })
     }
+}
 
-    /// Unpacks row `i` of the `len`-byte rows in `rows` (`len` is
-    /// [`row_len`](Self::row_len), and may be 0: every column holds one
-    /// value); `None` if a `min + (delta << shift)` passes `u64::MAX`.
-    fn row(&self, rows: &[u8], len: usize, i: u64) -> Option<[u64; N]> {
-        let mut at = i as usize * len;
+/// Hands out the coded rows of one table, a word of the packed bytes at
+/// a time.
+#[derive(Debug)]
+struct BitRows<'a, const N: usize> {
+    cols: Columns<N>,
+    /// Per column, its low `width` bits set.
+    mask: [u64; N],
+    bytes: &'a [u8],
+    /// The next byte to load into `acc`.
+    at: usize,
+    /// Loaded bits not yet handed out, the next one lowest.
+    acc: u128,
+    bits: u32,
+}
+
+impl<'a, const N: usize> BitRows<'a, N> {
+    fn new(cols: Columns<N>, bytes: &'a [u8]) -> Self {
+        let mask = cols.width.map(|w| ((1u128 << w) - 1) as u64);
+        BitRows {
+            cols,
+            mask,
+            bytes,
+            at: 0,
+            acc: 0,
+            bits: 0,
+        }
+    }
+
+    /// Loads the next 8 bytes above the bits held (zeros past the end).
+    fn refill(&mut self) {
+        let word = match self.bytes.get(self.at..self.at + 8) {
+            Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
+            None => {
+                let tail = &self.bytes[self.at.min(self.bytes.len())..];
+                let mut le = [0u8; 8];
+                le[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(le)
+            }
+        };
+        self.acc |= u128::from(word) << self.bits;
+        self.bits += 64;
+        self.at += 8;
+    }
+
+    /// The next row's coded values, `min + (delta << shift)`; `None` if
+    /// one passes `u64::MAX`. [`Columns::parse`] checked every `width +
+    /// shift`, so no shift here loses a bit.
+    #[inline]
+    fn next_row(&mut self) -> Option<[u64; N]> {
         let mut out = [0u64; N];
         for (c, v) in out.iter_mut().enumerate() {
-            let width = usize::from(self.width[c]);
-            // Eight bytes at once wherever the rows still have them,
-            // cut to the column's: a copy of `width` bytes is a call.
-            let delta = match rows.get(at..at + 8) {
-                Some(wide) => {
-                    let mask = u64::MAX.checked_shr(64 - 8 * width as u32);
-                    u64::from_le_bytes(wide.try_into().expect("8 bytes")) & mask.unwrap_or(0)
-                }
-                None => {
-                    let mut le = [0u8; 8];
-                    le[..width].copy_from_slice(&rows[at..at + width]);
-                    u64::from_le_bytes(le)
-                }
-            };
-            let delta = delta.checked_mul(1 << self.shift[c])?;
-            *v = self.min[c].checked_add(delta)?;
-            at += width;
+            if self.bits < 64 {
+                self.refill();
+            }
+            let delta = self.acc as u64 & self.mask[c];
+            self.acc >>= self.cols.width[c];
+            self.bits -= u32::from(self.cols.width[c]);
+            *v = self.cols.min[c].checked_add(delta << self.cols.shift[c])?;
         }
         Some(out)
     }
@@ -359,20 +508,24 @@ struct Slab {
 
 /// Encodes `tables` on a disk whose blocks take `full` sectors.
 fn encode_slab(tables: &Tables, full: u64) -> Slab {
-    let block_rows = || tables.blocks.iter().map(|(&id, r)| block_row(id, r, full));
-    let list_rows = || tables.lists.iter().map(|(&id, r)| list_row(id, r));
-    let (blocks, lists) = (Columns::fit(block_rows()), Columns::fit(list_rows()));
-    let (n_blocks, n_lists) = (tables.blocks.len() as u64, tables.lists.len() as u64);
-    let len = CKPT_SLAB_DESC + n_blocks * blocks.row_len() + n_lists * lists.row_len();
+    let mut blocks: Vec<_> = (tables.blocks.iter())
+        .map(|(&id, r)| block_row(id, r, full))
+        .collect();
+    let mut lists: Vec<_> = (tables.lists.iter())
+        .map(|(&id, r)| list_row(id, r))
+        .collect();
+    code_rows(&mut blocks, code_block);
+    code_rows(&mut lists, code_list);
+    let (block_cols, list_cols) = (Columns::fit(&blocks), Columns::fit(&lists));
+    let (n_blocks, n_lists) = (blocks.len() as u64, lists.len() as u64);
+    let len = CKPT_SLAB_DESC
+        + block_cols.table_bytes(n_blocks).expect("a table in memory")
+        + list_cols.table_bytes(n_lists).expect("a table in memory");
     let mut bytes = Vec::with_capacity(len as usize);
-    blocks.put_desc(&mut bytes);
-    lists.put_desc(&mut bytes);
-    for row in block_rows() {
-        blocks.put_row(row, &mut bytes);
-    }
-    for row in list_rows() {
-        lists.put_row(row, &mut bytes);
-    }
+    block_cols.put_desc(&mut bytes);
+    list_cols.put_desc(&mut bytes);
+    block_cols.put_rows(&blocks, &mut bytes);
+    list_cols.put_rows(&lists, &mut bytes);
     debug_assert_eq!(bytes.len() as u64, len);
     Slab {
         bytes,
@@ -661,6 +814,12 @@ pub(crate) fn read_header_dir<D: BlockDevice>(
     if (off.checked_add(n_dedup * CKPT_DEDUP_ENTRY)).is_none_or(|dedup_end| dedup_end > end) {
         return Ok(None);
     }
+    // No writer holds more rows than the allocators hand out, and a
+    // table whose columns all take 0 bits would count on for free.
+    let total = |n: fn(&SlabInfo) -> u64| slabs.iter().map(n).fold(0, u64::saturating_add);
+    if total(|s| s.n_blocks) > layout.max_blocks || total(|s| s.n_lists) > layout.max_lists {
+        return Ok(None);
+    }
     Ok(Some(CkptHeaderInfo {
         area,
         seq,
@@ -717,7 +876,7 @@ impl CkptHeaderInfo {
 
 impl SlabInfo {
     /// Checks the slab in `payload`: its CRC, its descriptors, and that
-    /// its length is what they and its counts add up to.
+    /// each table's rows take what they and its count add up to.
     fn open<'a>(&self, payload: &'a [u8]) -> Option<SlabReader<'a>> {
         if crc32(payload) != self.crc {
             return None;
@@ -725,8 +884,8 @@ impl SlabInfo {
         let (desc, rows) = payload.split_at_checked(CKPT_SLAB_DESC as usize)?;
         let blocks = Columns::parse(desc)?;
         let lists = Columns::parse(&desc[BLOCK_COLS * COL_DESC..])?;
-        let block_bytes = self.n_blocks.checked_mul(blocks.row_len())?;
-        let list_bytes = self.n_lists.checked_mul(lists.row_len())?;
+        let block_bytes = blocks.table_bytes(self.n_blocks)?;
+        let list_bytes = lists.table_bytes(self.n_lists)?;
         if block_bytes.checked_add(list_bytes)? != rows.len() as u64 {
             return None;
         }
@@ -743,7 +902,8 @@ impl SlabInfo {
 }
 
 /// One snapshot slab whose checksum and descriptors hold, ready to hand
-/// out its rows. Recovery enters them straight into the shard tables.
+/// out its rows, in identifier order. Recovery enters them straight
+/// into the shard tables.
 #[derive(Debug)]
 pub(crate) struct SlabReader<'a> {
     pub(crate) n_blocks: u64,
@@ -767,6 +927,23 @@ fn row_overflow() -> LldError {
     LldError::Corrupt("a checkpoint row's value passes u64::MAX".into())
 }
 
+/// The rows of one table, each decoded from its coded values and the
+/// row before it; `Err` where a value passes `u64::MAX`.
+fn decoded<'a, const N: usize>(
+    cols: Columns<N>,
+    bytes: &'a [u8],
+    n: u64,
+    decode: impl Fn(&[u64; N], [u64; N]) -> Option<[u64; N]> + 'a,
+) -> impl Iterator<Item = Result<[u64; N]>> + 'a {
+    let mut rows = BitRows::new(cols, bytes);
+    let mut prev = [0u64; N];
+    (0..n).map(move |_| {
+        let row = rows.next_row().and_then(|coded| decode(&prev, coded));
+        prev = row.ok_or_else(row_overflow)?;
+        Ok(prev)
+    })
+}
+
 impl SlabReader<'_> {
     /// The block-number-map rows.
     ///
@@ -775,11 +952,9 @@ impl SlabReader<'_> {
     /// Each item is [`LldError::Corrupt`] for a row that no writer
     /// produces (see the module docs); a CRC-valid slab can hold one.
     pub(crate) fn blocks(&self) -> impl Iterator<Item = Result<(BlockId, BlockRecord)>> + '_ {
-        let len = self.blocks.row_len() as usize;
-        (0..self.n_blocks).map(move |i| {
-            let row = self.blocks.row(self.block_rows, len, i);
-            let [id, segment, sector, sectors, successor, list, ts] =
-                row.ok_or_else(row_overflow)?;
+        let rows = decoded(self.blocks, self.block_rows, self.n_blocks, decode_block);
+        rows.map(|row| {
+            let [id, segment, sector, sectors, successor, list, ts] = row?;
             let id = BlockId::new(checked_id(id, "block")?);
             let addr = match segment.checked_sub(1) {
                 None => None,
@@ -816,10 +991,9 @@ impl SlabReader<'_> {
     ///
     /// As for [`blocks`](Self::blocks).
     pub(crate) fn lists(&self) -> impl Iterator<Item = Result<(ListId, ListRecord)>> + '_ {
-        let len = self.lists.row_len() as usize;
-        (0..self.n_lists).map(move |i| {
-            let row = self.lists.row(self.list_rows, len, i);
-            let [id, first, last, ts] = row.ok_or_else(row_overflow)?;
+        let rows = decoded(self.lists, self.list_rows, self.n_lists, decode_list);
+        rows.map(|row| {
+            let [id, first, last, ts] = row?;
             let rec = ListRecord {
                 allocated: true,
                 first: BlockId::decode_opt(first),
@@ -850,31 +1024,35 @@ mod tests {
 
     type SlabRows = (Vec<(BlockId, BlockRecord)>, Vec<(ListId, ListRecord)>);
 
-    /// The rows of one slab, in identifier order.
+    /// The rows of one slab, as the reader hands them out.
     fn rows(slab: &SlabReader<'_>) -> SlabRows {
-        let mut blocks: Vec<_> = slab.blocks().collect::<Result<_>>().unwrap();
-        let mut lists: Vec<_> = slab.lists().collect::<Result<_>>().unwrap();
-        blocks.sort_by_key(|(id, _)| id.get());
-        lists.sort_by_key(|(id, _)| id.get());
+        let blocks: Vec<_> = slab.blocks().collect::<Result<_>>().unwrap();
+        let lists: Vec<_> = slab.lists().collect::<Result<_>>().unwrap();
+        assert!(blocks.is_sorted_by_key(|(id, _)| id.get()));
+        assert!(lists.is_sorted_by_key(|(id, _)| id.get()));
         (blocks, lists)
     }
 
-    /// Everything recovery would load from one area, in a comparable
-    /// order, plus the byte count the area occupies.
-    fn load(ld: &Lld<MemDisk>, area: u64) -> (Vec<SlabRows>, Vec<u8>, u64) {
+    /// Everything recovery would load from one area: the rows of every
+    /// slab, the slabs' bytes, the dedup slab, and the byte count the
+    /// area occupies.
+    fn load(ld: &Lld<MemDisk>, area: u64) -> (Vec<SlabRows>, Vec<u8>, Vec<u8>, u64) {
         let hdr = read_header_dir(ld.device(), &ld.layout, area)
             .unwrap()
             .expect("a valid checkpoint");
         let body = hdr.read_body(ld.device()).unwrap();
         let slabs = hdr.slabs(&body).expect("slab CRCs and descriptors");
+        let slab_bytes = body[..(hdr.dedup_off - hdr.slabs[0].offset) as usize].to_vec();
         let dedup = hdr.dedup_slab(&body).expect("CRC").to_vec();
-        (slabs.iter().map(rows).collect(), dedup, hdr.bytes())
+        let rows = slabs.iter().map(rows).collect();
+        (rows, slab_bytes, dedup, hdr.bytes())
     }
 
     /// The foreground and the cleanerd checkpoint of one state are the
-    /// same checkpoint: same tables, same dedup cache, same size — and
-    /// the size each reports in its trace event is the size on disk,
-    /// which is what recovery reports having loaded.
+    /// same checkpoint: the same slab bytes, so the same tables, the
+    /// same dedup cache, the same size — and the size each reports in
+    /// its trace event is the size on disk, which is what recovery
+    /// reports having loaded.
     #[test]
     fn both_drivers_write_the_same_checkpoint() {
         let cfg = LldConfig {
@@ -894,27 +1072,29 @@ mod tests {
         assert!(ld.checkpoint_incremental().unwrap()); // area B
 
         let (a, b) = (load(&ld, ld.layout.ckpt_a), load(&ld, ld.layout.ckpt_b));
+        assert_eq!(a.1, b.1, "slab bytes");
         assert_eq!(a.0, b.0, "tables");
         assert_eq!(
             a.0.iter().map(|(blocks, _)| blocks.len()).sum::<usize>(),
             20
         );
-        assert_eq!(a.1.len() as u64, 20 * CKPT_DEDUP_ENTRY);
-        assert_eq!(a.1, b.1, "dedup cache");
-        assert_eq!(a.2, b.2);
+        assert_eq!(a.2.len() as u64, 20 * CKPT_DEDUP_ENTRY);
+        assert_eq!(a.2, b.2, "dedup cache");
+        assert_eq!(a.3, b.3);
         let reported: Vec<u64> = (ld.obs().ring().entries().iter())
             .filter_map(|e| match e.event {
                 TraceEvent::Checkpoint { bytes, .. } => Some(bytes),
                 _ => None,
             })
             .collect();
-        assert_eq!(reported, [a.2, b.2]);
+        assert_eq!(reported, [a.3, b.3]);
         let (_, report) = Lld::recover_with(ld.into_device(), &cfg).unwrap();
-        assert_eq!((report.snap_shards, report.snapshot_bytes), (8, b.2));
+        assert_eq!((report.snap_shards, report.snapshot_bytes), (8, b.3));
     }
 
     /// What a reader makes of `slab` alone: `None` where it refuses the
-    /// slab, else the tables its rows give, or the first row's error.
+    /// slab, else the tables its rows give, or the first row's error —
+    /// an identifier twice included, as recovery enters rows.
     fn reopen(slab: &Slab) -> Option<Result<Tables>> {
         let info = SlabInfo {
             offset: 0,
@@ -924,16 +1104,42 @@ mod tests {
             crc: crc32(&slab.bytes),
         };
         let reader = info.open(&slab.bytes)?;
+        let twice = |id: &dyn std::fmt::Display| LldError::Corrupt(format!("{id} twice"));
         Some((|| {
-            Ok(Tables {
-                blocks: reader.blocks().collect::<Result<_>>()?,
-                lists: reader.lists().collect::<Result<_>>()?,
-            })
+            let mut t = Tables::default();
+            for entry in reader.blocks() {
+                let (id, rec) = entry?;
+                if t.blocks.insert(id, rec).is_some() {
+                    return Err(twice(&id));
+                }
+            }
+            for entry in reader.lists() {
+                let (id, rec) = entry?;
+                if t.lists.insert(id, rec).is_some() {
+                    return Err(twice(&id));
+                }
+            }
+            Ok(t)
         })())
     }
 
+    /// Column `col`'s descriptor fields in `slab`.
+    fn width(slab: &Slab, col: usize) -> u8 {
+        slab.bytes[col * COL_DESC + CKPT_COL_WIDTH]
+    }
+
+    fn shift(slab: &Slab, col: usize) -> u8 {
+        slab.bytes[col * COL_DESC + CKPT_COL_SHIFT]
+    }
+
+    /// Bits a block row and a list row take in `slab`.
+    fn row_bits(slab: &Slab) -> (u32, u32) {
+        let sum = |cols: std::ops::Range<usize>| cols.map(|c| u32::from(width(slab, c))).sum();
+        (sum(0..BLOCK_COLS), sum(BLOCK_COLS..BLOCK_COLS + LIST_COLS))
+    }
+
     /// One column of a seeded table: values in `1..=max`, spread over as
-    /// many bytes as chance had it.
+    /// many bits as chance had it.
     struct Col {
         base: u64,
         span: u64,
@@ -941,9 +1147,9 @@ mod tests {
 
     impl Col {
         fn new(rng: &mut SmallRng, max: u64) -> Col {
-            let span = match rng.next_u64() % 9 {
-                8 => u64::MAX,
-                width => (1 << (8 * width)) - 1,
+            let span = match rng.next_u64() % 65 {
+                64 => u64::MAX,
+                bits => (1 << bits) - 1,
             }
             .min(max - 1);
             Col {
@@ -1008,9 +1214,7 @@ mod tests {
 
     /// A table of full blocks pays nothing for the sector count: the
     /// column holds one value, a block's 8 sectors, also where a block
-    /// has no address. One short block gives it a byte a row. The sector
-    /// column, a multiple of 8 on full blocks, is stored shifted: as
-    /// narrow as the block indices of format 5.
+    /// has no address. One short block gives it bits in every row.
     #[test]
     fn full_blocks_pay_nothing_for_the_count_column() {
         let mut t = Tables::default();
@@ -1026,26 +1230,24 @@ mod tests {
             };
             t.blocks.insert(BlockId::new(id), rec);
         }
-        let width = |slab: &Slab| slab.bytes[3 * COL_DESC + 8] & 0xF;
         let full = encode_slab(&t, 8);
-        assert_eq!(width(&full), 0);
-        assert_eq!(
-            full.bytes[2 * COL_DESC + 8],
-            1 | 3 << 4,
-            "sectors 8..=240, by 8"
-        );
+        assert_eq!(width(&full, 3), 0);
         assert_eq!(reopen(&full).unwrap().unwrap(), t);
         let short = t.blocks.get_mut(&BlockId::new(7)).unwrap();
         short.addr.as_mut().unwrap().sectors = 2;
         let mixed = encode_slab(&t, 8);
-        assert_eq!(width(&mixed), 1);
-        assert_eq!(mixed.bytes.len(), full.bytes.len() + 100);
+        // 2 and 8 share their low bit: the count column is stored as
+        // `(count − 2) >> 1`, 2 bits, 25 bytes over 100 rows.
+        assert_eq!((width(&mixed, 3), shift(&mixed, 3)), (2, 1));
+        assert_eq!(mixed.bytes.len(), full.bytes.len() + 25);
         assert_eq!(reopen(&mixed).unwrap().unwrap(), t);
     }
 
     /// Seeded tables of every shape come back as they went in, and never
     /// take more than the descriptors over format 4's fixed-width rows:
-    /// the bound `Layout::compute` sizes the area by.
+    /// the bound `Layout::compute` sizes the area by. Every width a
+    /// descriptor holds is exercised, and rows built by hand to take
+    /// every column's widest reach that bound exactly.
     #[test]
     fn slabs_round_trip_within_the_fixed_width_bound() {
         let mut rng = SmallRng::seed_from_u64(0x5EED_0005);
@@ -1058,14 +1260,96 @@ mod tests {
                 "case {case}: {} bytes",
                 slab.bytes.len()
             );
+            let (block_bits, list_bits) = row_bits(&slab);
+            assert!(block_bits <= 320 && list_bits <= 255, "case {case}");
             assert_eq!(reopen(&slab).unwrap().unwrap(), tables, "case {case}");
-            widths.extend(
-                slab.bytes[..CKPT_SLAB_DESC as usize]
-                    .chunks(COL_DESC)
-                    .map(|d| d[8] & 0xF),
+            widths.extend((0..BLOCK_COLS + LIST_COLS).map(|c| width(&slab, c)));
+        }
+        // And every width from 1 by hand: list timestamps coded 0, 1
+        // and 2^w − 1, the zigzags of 0, −1 and −2^(w−1).
+        for w in 1..=64u32 {
+            let t1 = u64::MAX;
+            let t2 = t1.wrapping_sub(1 << (w - 1));
+            let mut t = Tables::default();
+            for (id, ts) in [(1, 0), (2, t1), (3, t2)] {
+                t.lists
+                    .insert(ListId::new(id), ListRecord::fresh(Timestamp::new(ts)));
+            }
+            let slab = encode_slab(&t, 8);
+            assert_eq!(u32::from(width(&slab, 10)), w);
+            assert_eq!(reopen(&slab).unwrap().unwrap(), t, "width {w}");
+            widths.insert(width(&slab, 10));
+        }
+        assert_eq!(widths, (0..=64).collect(), "every width was exercised");
+
+        // Each column's coded values span its widest, from 0 (or 1) to
+        // the top, with an odd step so that nothing shifts.
+        let top = 1u64 << 63;
+        let at = |segment: u32, sector: u32, sectors: u32| PhysAddr {
+            segment: SegmentId::new(segment),
+            sector,
+            sectors,
+        };
+        let worst = [
+            (1, at(0, 0, 1), 0, 0, 0),
+            (3, at(u32::MAX - 1, (1 << 23) - 1, 128), top + 3, top, top),
+            (MAX_RAW_ID, at(u32::MAX - 2, 0, 0), MAX_RAW_ID, top, top),
+        ];
+        let mut t = Tables::default();
+        for (id, addr, successor, list, ts) in worst {
+            let rec = BlockRecord {
+                allocated: true,
+                addr: Some(addr),
+                successor: BlockId::decode_opt(successor),
+                list: ListId::decode_opt(list),
+                ts: Timestamp::new(ts),
+            };
+            t.blocks.insert(BlockId::new(id), rec);
+        }
+        for (id, first, last, ts) in [(1, 0, 0, 0), (3, top, 0, top), (MAX_RAW_ID, top, top, top)] {
+            let rec = ListRecord {
+                allocated: true,
+                first: BlockId::decode_opt(first),
+                last: BlockId::decode_opt(last),
+                ts: Timestamp::new(ts),
+            };
+            t.lists.insert(ListId::new(id), rec);
+        }
+        let slab = encode_slab(&t, 8);
+        let block_widths: Vec<u8> = (0..BLOCK_COLS).map(|c| width(&slab, c)).collect();
+        assert_eq!(block_widths, [63, 33, 24, 8, 64, 64, 64]);
+        assert_eq!(row_bits(&slab), (320, 255));
+        assert_eq!(
+            slab.bytes.len() as u64,
+            CKPT_SLAB_DESC + 3 * CKPT_BLOCK_ROW_MAX + (3 * 255u64).div_ceil(8)
+        );
+        assert!((3 * 255u64).div_ceil(8) <= 3 * CKPT_LIST_ROW_MAX);
+        assert_eq!(reopen(&slab).unwrap().unwrap(), t);
+    }
+
+    /// A slab is a function of its tables: rows are sorted, so the same
+    /// entries encode to the same bytes whatever order they were
+    /// inserted in and whatever the maps' capacity.
+    #[test]
+    fn a_slab_is_a_function_of_its_tables() {
+        let mut rng = SmallRng::seed_from_u64(0x5EED_0008);
+        for case in 0..50 {
+            let t = tables(&mut rng, 60);
+            let mut blocks: Vec<_> = t.blocks.iter().map(|(&id, r)| (id, r.clone())).collect();
+            let mut lists: Vec<_> = t.lists.iter().map(|(&id, r)| (id, r.clone())).collect();
+            blocks.sort_by_key(|(id, _)| std::cmp::Reverse(id.get()));
+            lists.sort_by_key(|(id, _)| std::cmp::Reverse(id.get()));
+            let mut other = Tables::default();
+            other.blocks.reserve(4096);
+            other.lists.reserve(4096);
+            other.blocks.extend(blocks);
+            other.lists.extend(lists);
+            assert_eq!(
+                encode_slab(&t, 8).bytes,
+                encode_slab(&other, 8).bytes,
+                "case {case}"
             );
         }
-        assert_eq!(widths, (0..=8).collect(), "every width was exercised");
     }
 
     fn block(id: u64, rec: BlockRecord) -> Tables {
@@ -1101,8 +1385,7 @@ mod tests {
         assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC);
         assert_eq!(reopen(&slab).unwrap().unwrap(), one);
 
-        // A second, at the other end of every column: every width there
-        // is, and the rows are as wide as format 4's.
+        // A second, at the other end of every column.
         one.blocks
             .insert(BlockId::new(1), BlockRecord::fresh(Timestamp::ZERO));
         one.lists
@@ -1116,25 +1399,29 @@ mod tests {
             },
         );
         let slab = encode_slab(&one, 8);
-        assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC + fixed_width(&one));
+        assert!(slab.bytes.len() as u64 <= CKPT_SLAB_DESC + fixed_width(&one));
         assert_eq!(reopen(&slab).unwrap().unwrap(), one);
 
-        // Many rows that differ in their identifier only.
+        // Many rows that differ in their identifier only: after the
+        // first row's 1,000 the identifier steps by 1, and an absent
+        // successor is coded from its row's identifier.
         let mut same = Tables::default();
         for id in 1000..1256 {
             same.blocks
                 .insert(BlockId::new(id), BlockRecord::fresh(Timestamp::new(7)));
         }
         let slab = encode_slab(&same, 8);
-        assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC + 256);
+        let widths: Vec<u8> = (0..BLOCK_COLS).map(|c| width(&slab, c)).collect();
+        assert_eq!(widths, [10, 0, 0, 0, 8, 0, 3]);
+        assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC + 256 * 21 / 8);
         assert_eq!(reopen(&slab).unwrap().unwrap(), same);
     }
 
     /// One shard's stripe of `local_append`'s tables (two-block lists,
     /// dense identifiers, blocks laid out in allocation order) packs to
-    /// under 0.3 of its fixed-width size.
+    /// under a tenth of its fixed-width size (10,086 of 103,936 bytes).
     #[test]
-    fn dense_tables_pack_to_under_a_third() {
+    fn dense_tables_pack_to_under_a_tenth() {
         let (shard, stripe) = (3u64, 8u64);
         let mut t = Tables::default();
         for n in 0..928u64 {
@@ -1169,17 +1456,20 @@ mod tests {
         let slab = encode_slab(&t, 8);
         assert_eq!(reopen(&slab).unwrap().unwrap(), t);
         let (packed, fixed) = (slab.bytes.len() as u64, fixed_width(&t));
-        assert!(10 * packed <= 3 * fixed, "{packed} of {fixed} bytes");
+        assert!(10 * packed <= fixed, "{packed} of {fixed} bytes");
     }
 
     /// A slab that passes its CRC is still not taken at its word: no
-    /// descriptors, a width no u64 has, a length other than what counts
-    /// and widths add up to, counts whose product overflows — the reader
-    /// refuses the slab; a row whose value passes `u64::MAX`, whose
-    /// identifier is zero or past the bound, whose address no u32 holds
-    /// — the row is an error.
+    /// descriptors, a width or shift no u64 has, rows other than what
+    /// counts and widths add up to, counts whose product overflows — the
+    /// reader refuses the slab; a row whose value passes `u64::MAX`,
+    /// whose identifier is zero, past the bound or a repeat, whose
+    /// address no u32 holds — the row is an error.
     #[test]
     fn hostile_slabs_are_refused_or_typed_errors() {
+        // Block identifiers 5, 300: coded 5 and 295, stored from 5 by a
+        // shift of 1, 0 and 145 in 8 bits. Lists 9, 10: coded 9 and 1,
+        // stored from 1 by a shift of 3, 1 and 0 in 1 bit.
         let mut t = block(5, BlockRecord::fresh(Timestamp::new(1)));
         t.blocks
             .insert(BlockId::new(300), BlockRecord::fresh(Timestamp::new(2)));
@@ -1189,20 +1479,45 @@ mod tests {
             .insert(ListId::new(10), ListRecord::fresh(Timestamp::new(4)));
         let good = encode_slab(&t, 8);
         assert_eq!(reopen(&good).unwrap().unwrap(), t);
+        assert_eq!(
+            (u64_at(&good.bytes, 0), width(&good, 0), shift(&good, 0)),
+            (5, 8, 1)
+        );
+        assert_eq!(
+            (
+                u64_at(&good.bytes, 7 * COL_DESC),
+                width(&good, 7),
+                shift(&good, 7)
+            ),
+            (1, 1, 3)
+        );
         let edit = |f: &dyn Fn(&mut Slab)| {
             let mut slab = encode_slab(&t, 8);
             f(&mut slab);
             reopen(&slab)
         };
         let min = |col: usize| col * COL_DESC;
-        let width = |col: usize| col * COL_DESC + 8;
+        let width = |col: usize| col * COL_DESC + CKPT_COL_WIDTH;
+        let shift = |col: usize| col * COL_DESC + CKPT_COL_SHIFT;
 
         // Refused whole.
         assert!(edit(&|s| s.bytes.truncate(CKPT_SLAB_DESC as usize - 1)).is_none());
-        assert!(edit(&|s| s.bytes[width(0)] = 9).is_none());
+        assert!(edit(&|s| s.bytes[width(0)] = 65).is_none(), "a width of 65");
         assert!(edit(&|s| s.bytes[width(9)] = 200).is_none());
-        assert!(edit(&|s| s.bytes[width(5)] += 1).is_none());
-        assert!(edit(&|s| s.bytes.push(0)).is_none());
+        assert!(
+            edit(&|s| s.bytes[shift(0)] = 57).is_none(),
+            "width + shift of 65"
+        );
+        assert!(edit(&|s| s.bytes[shift(3)] = 64).is_none(), "a shift of 64");
+        assert!(
+            edit(&|s| s.bytes.truncate(s.bytes.len() - 1)).is_none(),
+            "a byte short"
+        );
+        assert!(edit(&|s| s.bytes.push(0)).is_none(), "a byte long");
+        assert!(
+            edit(&|s| s.bytes[width(5)] += 4).is_none(),
+            "rows a byte wider"
+        );
         assert!(edit(&|s| s.n_blocks += 1).is_none());
         assert!(edit(&|s| s.n_lists = 0).is_none());
         assert!(
@@ -1213,6 +1528,12 @@ mod tests {
             edit(&|s| s.n_lists = u64::MAX - 1).is_none(),
             "sum overflows"
         );
+        // `width + shift` of 64 is taken: a shift of 56 carries the
+        // second block identifier past the bound.
+        assert!(matches!(
+            edit(&|s| s.bytes[shift(0)] = 56),
+            Some(Err(LldError::Corrupt(_)))
+        ));
 
         // Row errors.
         let corrupt = |got: Option<Result<Tables>>| matches!(got, Some(Err(LldError::Corrupt(_))));
@@ -1223,65 +1544,145 @@ mod tests {
             "block id overflows"
         );
         assert!(
-            corrupt(edit(&|s| put(s, min(0), MAX_RAW_ID - 294))),
+            corrupt(edit(&|s| put(s, min(0), MAX_RAW_ID + 1))),
             "block id past the bound"
         );
         assert!(corrupt(edit(&|s| put(s, min(0), 0))), "block id zero");
+        // The first identifier is in bounds, the second the first plus
+        // a delta that carries it past the bound, or past u64::MAX.
+        assert!(
+            corrupt(edit(&|s| put(s, min(0), MAX_RAW_ID / 2 + 1))),
+            "block id delta past the bound"
+        );
+        assert!(
+            corrupt(edit(&|s| put(s, min(0), MAX_RAW_ID))),
+            "block id delta wraps"
+        );
+        // Lists 8 and 8: a delta of 0 is the same identifier twice.
+        assert!(corrupt(edit(&|s| put(s, min(7), 0))), "a repeated list id");
         assert!(
             corrupt(edit(&|s| put(s, min(7), u64::MAX))),
             "list id overflows"
         );
         assert!(
-            corrupt(edit(&|s| put(s, min(7), MAX_RAW_ID))),
+            corrupt(edit(&|s| put(s, min(7), MAX_RAW_ID + 1))),
             "list id past the bound"
         );
         assert!(
-            corrupt(edit(&|s| put(s, min(6), u64::MAX))),
-            "timestamp overflows"
+            corrupt(edit(&|s| put(s, min(4), u64::MAX))),
+            "a successor's minimum + delta overflows"
         );
         assert!(
-            corrupt(edit(&|s| put(s, min(1), 1 << 32 | 1))),
+            corrupt(edit(&|s| put(s, min(1), zigzag((1 << 32) + 1, 0)))),
             "segment past u32"
         );
         assert!(
             corrupt(edit(&|s| {
-                put(s, min(1), 1);
-                put(s, min(2), 1 << 32);
+                put(s, min(1), zigzag(1, 0));
+                put(s, min(2), zigzag(1 << 32, 0));
             })),
             "sector past u32"
         );
         assert!(
             corrupt(edit(&|s| {
-                put(s, min(1), 1);
+                put(s, min(1), zigzag(1, 0));
                 put(s, min(3), 1 << 32);
             })),
             "sector count past u32"
         );
-        // At the bound, and an absent address whatever its slot says.
-        let at_bound = edit(&|s| put(s, min(0), MAX_RAW_ID - 295))
+        // At the bound: the first identifier `m`, the second `m + m +
+        // 145` with the shift gone.
+        let at_bound = edit(&|s| {
+            put(s, min(0), (MAX_RAW_ID - 145) / 2);
+            s.bytes[shift(0)] = 0;
+        });
+        assert!(at_bound
             .unwrap()
-            .unwrap();
-        assert!(at_bound.blocks.contains_key(&BlockId::new(MAX_RAW_ID)));
+            .unwrap()
+            .blocks
+            .contains_key(&BlockId::new(MAX_RAW_ID)));
         // A shift that carries a delta past `u64::MAX`, at a width the
-        // rows keep.
-        let wide = block(7, BlockRecord::fresh(Timestamp::new(u64::MAX)));
+        // rows keep: the timestamps of rows 7 and 8 are coded 1 and 2.
         let mut wide = encode_slab(
             &Tables {
-                blocks: (wide.blocks.into_iter())
-                    .chain([(BlockId::new(8), BlockRecord::fresh(Timestamp::ZERO))])
-                    .collect(),
+                blocks: [
+                    (
+                        BlockId::new(7),
+                        BlockRecord::fresh(Timestamp::new(u64::MAX)),
+                    ),
+                    (BlockId::new(8), BlockRecord::fresh(Timestamp::ZERO)),
+                ]
+                .into_iter()
+                .collect(),
                 ..Tables::default()
             },
             8,
         );
-        assert_eq!(wide.bytes[width(6)], 8, "the timestamps span a u64");
-        wide.bytes[width(6)] = 8 | 15 << 4;
+        assert_eq!(wide.bytes[width(6)], 1, "the timestamps are a step apart");
+        wide.bytes[min(6)..min(6) + 8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        wide.bytes[shift(6)] = 63;
         assert!(corrupt(reopen(&wide)), "shifted delta overflows");
+        // An absent address, whatever its sector and count say.
         let no_addr = edit(&|s| {
             put(s, min(2), 1 << 40);
             put(s, min(3), 1 << 40);
         });
         assert_eq!(no_addr.unwrap().unwrap(), t);
+
+        // A table whose widths are all 0 takes no bytes for any count,
+        // and its identifiers step by the minimum, 1, 2, 3, …: only the
+        // layout's caps bound the rows a directory may count.
+        let cfg = LldConfig {
+            block_size: 512,
+            segment_bytes: 16 * 512,
+            map_shards: 1,
+            ..LldConfig::default()
+        };
+        let ld = Lld::format(MemDisk::new(4 << 20), &cfg).unwrap();
+        ld.checkpoint().unwrap(); // area A: one slab, no rows
+        let (layout, device) = (&ld.layout, ld.device());
+        let (area, dir) = (layout.ckpt_a, layout.ckpt_a + CKPT_HEADER);
+        let at = dir + CKPT_DIR_RESERVE;
+        let mut zero = vec![0u8; CKPT_SLAB_DESC as usize];
+        device.read_at(at, &mut zero).unwrap();
+        assert_eq!(zero, encode_slab(&Tables::default(), 1).bytes);
+        zero[min(0)] = 1;
+        zero[min(7)] = 1;
+        let counted = |n_blocks: u64, n_lists: u64| {
+            let mut entry = Vec::new();
+            entry.extend_from_slice(&n_blocks.to_le_bytes());
+            entry.extend_from_slice(&n_lists.to_le_bytes());
+            entry.extend_from_slice(&crc32(&zero).to_le_bytes());
+            entry.extend_from_slice(&(zero.len() as u32).to_le_bytes());
+            let mut header = [0u8; CKPT_HEADER as usize];
+            device.read_at(area, &mut header).unwrap();
+            header[44..48].copy_from_slice(&crc32(&entry).to_le_bytes());
+            let crc = crc32(&header[..CKPT_HEADER as usize - 4]);
+            header[CKPT_HEADER as usize - 4..].copy_from_slice(&crc.to_le_bytes());
+            device.write_at(at, &zero).unwrap();
+            device.write_at(dir, &entry).unwrap();
+            device.write_at(area, &header).unwrap();
+            read_header_dir(device, layout, area).unwrap()
+        };
+        let at_caps = counted(layout.max_blocks, layout.max_lists).expect("counts at the caps");
+        let body = at_caps.read_body(device).unwrap();
+        let slab = &at_caps.slabs(&body).expect("descriptors")[0];
+        let ids = slab.blocks().map(|row| row.unwrap().0.get());
+        assert!(ids.eq(1..=layout.max_blocks));
+        assert!(slab
+            .lists()
+            .map(|row| row.unwrap().0.get())
+            .eq(1..=layout.max_lists));
+        assert!(
+            counted(layout.max_blocks + 1, 0).is_none(),
+            "a block past the cap"
+        );
+        assert!(
+            counted(0, layout.max_lists + 1).is_none(),
+            "a list past the cap"
+        );
+        assert!(counted(1 << 40, 0).is_none(), "2^40 rows of no bytes");
+        assert!(counted(u64::MAX, u64::MAX).is_none());
     }
 
     /// The checkpoint a seal found due is written by a full session

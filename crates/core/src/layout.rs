@@ -21,16 +21,18 @@ use ld_disk::crc32;
 /// Size of the fixed-length superblock encoding.
 pub(crate) const SUPERBLOCK_LEN: usize = 64;
 const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
-/// 7: a segment's base counts sectors, not blocks — its header takes one
-/// sector and its body starts at the next, and the checkpoint's chain
-/// head names a sector inside a slot (see `segment.rs`); since 6 a data
-/// block is stored as its extent and a segment's data area is packed by
-/// sectors, so an address names a sector offset and count, and a slab
-/// has a sector-count column and a shift per column; since 5 checkpoint
-/// slabs are column-packed (see `checkpoint.rs`); since 4 a slot holds
-/// several segments back to back. Other versions are refused, not
-/// converted.
-const FORMAT_VERSION: u32 = 7;
+/// 8: a checkpoint slab stores its rows sorted by identifier, each
+/// column as the zigzag of its difference from a predictor, bit-packed at
+/// the column's width in bits (see `checkpoint.rs`); since 7 a segment's
+/// base counts sectors, not blocks — its header takes one sector and its
+/// body starts at the next, and the checkpoint's chain head names a
+/// sector inside a slot (see `segment.rs`); since 6 a data block is
+/// stored as its extent and a segment's data area is packed by sectors,
+/// so an address names a sector offset and count, and a slab has a
+/// sector-count column and a shift per column; since 5 checkpoint slabs
+/// are column-packed; since 4 a slot holds several segments back to
+/// back. Other versions are refused, not converted.
+const FORMAT_VERSION: u32 = 8;
 
 /// The widest a row of a checkpoint slab gets (see `checkpoint.rs`):
 /// every column of a block or of a list at its full width. What the
@@ -38,10 +40,21 @@ const FORMAT_VERSION: u32 = 7;
 pub(crate) const CKPT_BLOCK_ROW_MAX: u64 = 40;
 pub(crate) const CKPT_LIST_ROW_MAX: u64 = 32;
 pub(crate) const CKPT_HEADER: u64 = 68;
-/// The column descriptors at the start of every slab: a minimum (u64)
-/// and a byte width (u8) for each of the seven block and four list
-/// columns.
-pub(crate) const CKPT_SLAB_DESC: u64 = 11 * 9;
+/// One column descriptor of a checkpoint slab: the minimum (u64 at 0),
+/// the width in bits (u8 at [`CKPT_COL_WIDTH`], 0..=64) and the shift
+/// (u8 at [`CKPT_COL_SHIFT`], 0..=63). Exported for the tests that edit
+/// a slab inside an image.
+#[doc(hidden)]
+pub const CKPT_COL_DESC: usize = 10;
+/// Where a column descriptor holds its width in bits.
+#[doc(hidden)]
+pub const CKPT_COL_WIDTH: usize = 8;
+/// Where a column descriptor holds its shift.
+#[doc(hidden)]
+pub const CKPT_COL_SHIFT: usize = 9;
+/// The column descriptors at the start of every slab, one for each of
+/// the seven block and four list columns.
+pub(crate) const CKPT_SLAB_DESC: u64 = 11 * CKPT_COL_DESC as u64;
 
 /// Per-slab directory entry: `n_blocks` u64, `n_lists` u64, slab crc32,
 /// slab length u32.
@@ -130,7 +143,7 @@ impl Layout {
         // wider than its maximum, and the descriptors of as many slabs as
         // a directory describes come out of the room of the dedup slab,
         // which takes what is left (`ckpt_commit`): the write-id cache
-        // gives up its oldest 198 entries before a table entry is left
+        // gives up its oldest 220 entries before a table entry is left
         // out, and the area is no larger than format 4's unless the
         // cache is smaller than that.
         let ckpt_area_size = round_up(
@@ -388,7 +401,7 @@ mod tests {
         );
     }
 
-    /// Formats 5 and 6 pack the slabs and leave the areas where they
+    /// Formats 5 to 8 pack the slabs and leave the areas where they
     /// were: the geometry of the benchmark's four devices (default
     /// configuration) is format 4's, recorded from PR 22's tree, so its
     /// cleaner sees the same slots. Only a write-id cache too small to

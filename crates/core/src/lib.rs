@@ -93,6 +93,8 @@ pub use error::{LldError, Result};
 pub use flight::FlightRecorder;
 pub use interface::LogicalDisk;
 pub use layout::Layout;
+#[doc(hidden)]
+pub use layout::{CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH};
 pub use lld::{Lld, LldInner};
 pub use obs::{
     aru_trace, cleaner_trace, flush_trace, AruSpan, Obs, ObsConfig, ObsSnapshot, ServerCounters,

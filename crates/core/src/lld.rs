@@ -51,8 +51,8 @@ pub(crate) const WRITE_REC_LEN: usize = 1 + 8 + 4 + 8 + 8;
 /// bytes past the last one reach the weight of the tables. A rule of
 /// thumb for what replaying a suffix costs against loading a snapshot,
 /// not the snapshot's size: these were format 4's entry sizes, and a
-/// packed slab is a quarter of that (docs/RECOVERY.md "The suffix
-/// bound").
+/// format 8 slab is about a tenth of that (docs/RECOVERY.md "The
+/// suffix bound").
 const SUFFIX_WEIGHT_BLOCK: u64 = 40;
 const SUFFIX_WEIGHT_LIST: u64 = 32;
 

@@ -755,15 +755,15 @@ fn timestamp_that_runs_backwards_is_corrupt() {
     );
 }
 
-/// An image of the previous formats (superblock version 6, 5 or 4,
+/// An image of the previous formats (superblock version 7, 6, 5 or 4,
 /// valid CRC) is refused by the version check, not read as if its
-/// segment bases counted sectors, its segments were packed by sectors
-/// or its checkpoint slabs the same.
+/// checkpoint slabs were sorted and bit-packed, its segment bases
+/// counted sectors or its segments were packed by sectors.
 #[test]
 fn older_format_version_is_refused() {
     let (image, _) = image_with_segments(1);
-    assert_eq!(u32_at(&image, 8), 7, "superblock version field");
-    for older in [6, 5, 4] {
+    assert_eq!(u32_at(&image, 8), 8, "superblock version field");
+    for older in [7, 6, 5, 4] {
         let mut image = image.clone();
         put_u32(&mut image, 8, older);
         let crc = crc32(&image[..S_CRC]);

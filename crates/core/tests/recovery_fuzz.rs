@@ -28,7 +28,9 @@
 //! is asked of `check()` and of every walk is that they return — `Ok`
 //! or a typed error — and that nothing panics. *Resealed dedup* flips
 //! land in the write-id outcomes behind the slabs, under a recomputed
-//! dedup and header checksum, and are asked the same.
+//! dedup and header checksum, and are asked the same; so are *resealed
+//! rows* flips, 1–8 bits inside a slab's bit-packed rows behind its
+//! descriptors, where one flip moves every value decoded after it.
 //!
 //! *Hostile* kinds set one field, under its recomputed checksums, to a
 //! value no writer produces, and `recover` must return
@@ -51,7 +53,7 @@
 mod common;
 
 use common::*;
-use ld_core::{Ctx, Layout, ListId, Lld, LldConfig, LldError, Position};
+use ld_core::{Ctx, Layout, ListId, Lld, LldConfig, LldError, Position, CKPT_COL_DESC};
 use ld_disk::MemDisk;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -273,7 +275,12 @@ fn base_image((block_size, device_bytes): (usize, u64)) -> Base {
 
 /// Flips 1–4 bits of `image[range]`.
 fn flip(image: &mut [u8], range: std::ops::Range<usize>, rng: &mut Rng) {
-    for _ in 0..1 + rng.below(4) {
+    flip_up_to(4, image, range, rng);
+}
+
+/// Flips 1 to `most` bits of `image[range]`.
+fn flip_up_to(most: usize, image: &mut [u8], range: std::ops::Range<usize>, rng: &mut Rng) {
+    for _ in 0..1 + rng.below(most) {
         let bit = rng.below(range.len() * 8);
         image[range.start + bit / 8] ^= 1 << (bit % 8);
     }
@@ -292,7 +299,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
     let area = [layout.ckpt_a, layout.ckpt_b][rng.below(2)] as usize;
     let header = base.headers[rng.below(base.headers.len())];
     let summary = summary_range(&image, header);
-    let kind = rng.below(19);
+    let kind = rng.below(20);
     let what = match kind {
         0 => {
             flip(&mut image, 0..S_CRC + 4, &mut rng);
@@ -401,7 +408,11 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
                 .filter(|&i| u64_at(&image, base.newer + C_LEN + i * C_DIR_ENTRY) > 0)
                 .collect();
             let i = with_rows[rng.below(with_rows.len())];
-            let count = slabs[i].start + 3 * 9;
+            let count = slabs[i].start + 3 * CKPT_COL_DESC;
+            // The count column is stored as it is: its minimum is a
+            // count some row has (0 for an all-zero block).
+            let min = u64_at(&image, count);
+            assert!(min <= u64::from(block_sectors), "{min}");
             let past = u64::from(block_sectors) + 1 + rng.below(300) as u64;
             let min = [past, 1 << 32, u64::MAX - 1][rng.below(3)];
             image[count..count + 8].copy_from_slice(&min.to_le_bytes());
@@ -433,6 +444,19 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             reseal_checkpoint(&mut image, base.newer);
             format!("hostile: checkpoint head at sector {head}")
         }
+        19 => {
+            // The bit-packed rows of one slab, behind its descriptors:
+            // a flip there moves every value decoded after it.
+            let slabs = slab_ranges(&image, area);
+            let desc = 11 * CKPT_COL_DESC;
+            let with_rows: Vec<usize> = (0..slabs.len())
+                .filter(|&i| slabs[i].len() > desc)
+                .collect();
+            let i = with_rows[rng.below(with_rows.len())];
+            flip_up_to(8, &mut image, slabs[i].start + desc..slabs[i].end, &mut rng);
+            reseal_slab(&mut image, area, i);
+            format!("resealed: packed rows of slab {i} at {area}")
+        }
         _ => {
             // Format 7's head: each sector from one before the last base
             // a slot has room behind to one past the slot's end.
@@ -444,7 +468,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
         }
     };
     let oracle = match kind {
-        9 | 10 | 12 => Oracle::Returns,
+        9 | 10 | 12 | 19 => Oracle::Returns,
         13..=15 | 17 => Oracle::Corrupt,
         _ => Oracle::Whole,
     };

@@ -21,14 +21,17 @@
 //! * Hostile snapshots: CRC-valid areas whose rows name a segment or
 //!   slot the device does not have, an identifier or allocator floor
 //!   the allocators cannot count on from, or a value past `u64::MAX`
-//!   (typed error); whose directory counts overflow or whose column
+//!   (typed error); whose directory counts overflow or pass the
+//!   layout's caps (a slab of 0-bit rows holds any count), or whose column
 //!   descriptors are no descriptors or disagree with the slab's length
 //!   (area rejected, fall back) — never a panic.
 //! * Shard-count migration: an image checkpointed at 8 map shards
 //!   recovered at 1 and at 16 (the snapshot shard count is a property
 //!   of the image, the map shard count a property of the process).
 
-use ld_aru::core::{Ctx, Lld, LldConfig, LldError, Position};
+use ld_aru::core::{
+    Ctx, Lld, LldConfig, LldError, Position, CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH,
+};
 use ld_aru::disk::{crc32, DiskModel, FaultPlan, MemDisk, SimDisk};
 use ld_aru::workload::pattern_fill;
 
@@ -262,9 +265,9 @@ fn stale_snapshot_under_reallocating_suffix() {
 /// Byte offsets inside a checkpoint area (mirrors `checkpoint.rs`):
 /// the header's allocator floors, directory CRC and own CRC; a directory
 /// entry's slab CRC and slab length; and, in the table of column
-/// descriptors a slab starts with (9 bytes each: minimum u64, width u8),
-/// the columns of a block's identifier, segment, sector and sector
-/// count.
+/// descriptors a slab starts with (`CKPT_COL_DESC` bytes each: minimum
+/// u64, width in bits, shift), the columns of a block's identifier,
+/// segment, sector and sector count.
 const HDR_BLOCK_FLOOR: usize = 24;
 const HDR_LIST_FLOOR: usize = 32;
 const HDR_DIR_CRC: usize = 44;
@@ -272,8 +275,6 @@ const HDR_CRC: usize = CKPT_HEADER - 4;
 const DIR_ENTRY: usize = 24;
 const DIR_SLAB_CRC: usize = 16;
 const DIR_SLAB_LEN: usize = 20;
-const COL_DESC: usize = 9;
-const COL_WIDTH: usize = 8;
 const COL_BLOCK_ID: usize = 0;
 const COL_SEG: usize = 1;
 const COL_SECTOR: usize = 2;
@@ -291,6 +292,15 @@ fn put_u32(image: &mut [u8], off: usize, v: u32) {
 
 fn put_u64(image: &mut [u8], off: usize, v: u64) {
     image[off..off + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+fn u64_at(image: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(image[off..off + 8].try_into().unwrap())
+}
+
+/// The minimum of column `col` of the slab at `slab`.
+fn column_min(image: &[u8], slab: usize, col: usize) -> u64 {
+    u64_at(image, slab + col * CKPT_COL_DESC)
 }
 
 /// Recomputes the directory CRC and the header CRC of the checkpoint
@@ -332,22 +342,35 @@ fn recover_one_shard(image: Vec<u8>) -> Result<ld_aru::core::RecoveryReport, Lld
 /// A CRC-valid slab whose block rows name a segment, sectors or a
 /// sector count the device does not have is a typed error, not an
 /// out-of-bounds index or read. Every block of the image has an
-/// address, so raising a column's minimum moves every row: a segment is
-/// stored as itself plus one.
+/// address and a full block's sector count, so the count column holds
+/// one value, and raising its minimum moves every row. A segment and a
+/// sector are coded as the zigzag of their difference from the row
+/// before (the first row's from 0): a minimum of `2m` moves the first
+/// row's value up by at least `m` where its code was even, and down past
+/// zero, out of any u32, where it was odd.
 #[test]
 fn snapshot_entry_outside_device_is_corrupt() {
     let (image, area, slab, layout) = one_slab_image();
+    // Each column lands where its name says.
+    let spb = u64::from(layout.sectors_per_block());
+    assert_eq!(column_min(&image, slab, COL_SECTORS), spb);
+    assert_eq!(
+        image[slab + COL_SECTORS * CKPT_COL_DESC + CKPT_COL_WIDTH],
+        0
+    );
+    assert!(column_min(&image, slab, COL_SEG) <= 2 * u64::from(layout.n_segments));
+    assert!(column_min(&image, slab, COL_SECTOR) <= 2 * u64::from(layout.sectors_per_slot()));
     for (col, min) in [
-        (COL_SEG, u64::from(layout.n_segments) + 1),
-        (COL_SECTOR, u64::from(layout.sectors_per_slot())),
-        (COL_SECTORS, u64::from(layout.sectors_per_block()) + 1),
+        (COL_SEG, 2 * (u64::from(layout.n_segments) + 1)),
+        (COL_SECTOR, 2 * u64::from(layout.sectors_per_slot())),
+        (COL_SECTORS, spb + 1),
         // No u32 holds it.
-        (COL_SEG, 1 << 32),
-        (COL_SECTOR, 1 << 32),
+        (COL_SEG, 1 << 34),
+        (COL_SECTOR, 1 << 34),
         (COL_SECTORS, 1 << 32),
     ] {
         let mut hostile = image.clone();
-        put_u64(&mut hostile, slab + col * COL_DESC, min);
+        put_u64(&mut hostile, slab + col * CKPT_COL_DESC, min);
         reseal_first_slab(&mut hostile, area);
         let got = recover_one_shard(hostile);
         assert!(
@@ -365,7 +388,10 @@ fn snapshot_entry_outside_device_is_corrupt() {
 #[test]
 fn identifier_or_floor_near_u64_max_is_corrupt() {
     let (image, area, slab, _) = one_slab_image();
-    let id_min = slab + COL_BLOCK_ID * COL_DESC;
+    let id_min = slab + COL_BLOCK_ID * CKPT_COL_DESC;
+    // Identifiers are sorted and coded as the difference from the one
+    // before: the image's first is 1, and so is its smallest step.
+    assert_eq!(column_min(&image, slab, COL_BLOCK_ID), 1);
     type Edit = fn(&mut [u8], usize, usize);
     let cases: [(&str, Edit, bool); 5] = [
         (
@@ -386,15 +412,16 @@ fn identifier_or_floor_near_u64_max_is_corrupt() {
             },
             true,
         ),
-        // The image's block identifiers are 1 and up: the largest delta
-        // is at least 71.
+        // The first identifier past the bound; or the first at the
+        // bound, and the second, itself plus a step of at least the
+        // bound, past it or past `u64::MAX`.
         (
-            "min + delta past u64::MAX",
-            |i, _, m| put_u64(i, m, u64::MAX - 8),
+            "identifiers past the bound",
+            |i, _, m| put_u64(i, m, MAX_RAW_ID + 1),
             false,
         ),
         (
-            "identifiers past the bound",
+            "a step from the bound",
             |i, _, m| put_u64(i, m, MAX_RAW_ID),
             false,
         ),
@@ -412,26 +439,36 @@ fn identifier_or_floor_near_u64_max_is_corrupt() {
     }
 }
 
-/// A slab whose descriptors are no descriptors (a width no u64 has) or
-/// do not add up to the slab's length invalidates its area like a bad
-/// CRC: nothing of it is entered, and recovery falls back — here to the
-/// whole log, which gives the same disk.
+/// A slab whose descriptors are no descriptors (a width or shift no
+/// u64 has) or do not add up to the slab's length invalidates its area
+/// like a bad CRC: nothing of it is entered, and recovery falls back —
+/// here to the whole log, which gives the same disk.
 #[test]
 fn descriptor_that_disagrees_with_its_slab_falls_back() {
     let (image, area, slab, _) = one_slab_image();
     let clean = recover_one_shard(image.clone()).unwrap();
     assert!(clean.checkpoint_seq > 0 && clean.snapshot_bytes > 0);
-    let width = |col: usize| slab + col * COL_DESC + COL_WIDTH;
+    let width = |col: usize| slab + col * CKPT_COL_DESC + CKPT_COL_WIDTH;
+    let shift = |col: usize| slab + col * CKPT_COL_DESC + CKPT_COL_SHIFT;
+    // More than 8 rows, so that a bit a row is more than a byte.
+    assert!(u64_at(&image, area + CKPT_HEADER) > 8, "n_blocks");
+    assert!(image[width(COL_SECTOR)] > 0 && image[width(COL_SEG)] < 64);
     for (what, at, value) in [
-        ("a width of 9", width(COL_BLOCK_ID), 9),
+        ("a width of 65", width(COL_BLOCK_ID), 65),
         ("a width of 255", width(9), 255),
         (
-            "rows a byte narrower than the slab",
+            "a width and shift of 65",
+            shift(COL_SECTOR),
+            65 - image[width(COL_SECTOR)],
+        ),
+        ("a shift of 64", shift(COL_SECTORS), 64),
+        (
+            "rows a bit narrower than the slab",
             width(COL_SECTOR),
             image[width(COL_SECTOR)] - 1,
         ),
         (
-            "rows a byte wider than the slab",
+            "rows a bit wider than the slab",
             width(COL_SEG),
             image[width(COL_SEG)] + 1,
         ),
@@ -445,7 +482,8 @@ fn descriptor_that_disagrees_with_its_slab_falls_back() {
     }
     // A slab cut short of its descriptors.
     let mut hostile = image.clone();
-    put_u32(&mut hostile, area + CKPT_HEADER + DIR_SLAB_LEN, 89);
+    let short = 11 * CKPT_COL_DESC as u32 - 1;
+    put_u32(&mut hostile, area + CKPT_HEADER + DIR_SLAB_LEN, short);
     reseal_first_slab(&mut hostile, area);
     assert_eq!(recover_one_shard(hostile).unwrap().checkpoint_seq, 0);
 }
@@ -470,6 +508,38 @@ fn overflowing_directory_entry_falls_back_to_older_area() {
     let (fp, seq) = recover_fp(&hostile, 8, &world);
     assert!(seq > 0 && seq < clean_seq, "older area not used: {seq}");
     assert_eq!(fp, clean_fp, "fallback state diverges");
+}
+
+/// A directory may not count more rows than the layout's caps. A slab
+/// whose columns all take 0 bits holds any number of rows in no bytes,
+/// and identifiers stepping from a minimum of 1 are all valid: without
+/// the caps, recovery would enter rows until memory ran out. Past them
+/// the area is refused and recovery replays the whole log; at them the
+/// same slab is taken.
+#[test]
+fn zero_width_rows_past_the_caps_fall_back() {
+    let ld = Lld::format(MemDisk::new(4 << 20), &config(1)).unwrap();
+    ld.checkpoint().unwrap(); // area A: one slab, no rows
+    let image = ld.into_device().into_image();
+    let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
+    let area = layout.ckpt_a as usize;
+    let (dir, slab) = (area + CKPT_HEADER, area + CKPT_SLAB_START as usize);
+    let desc = 11 * CKPT_COL_DESC;
+    assert_eq!(u32_at(&image, dir + DIR_SLAB_LEN) as usize, desc);
+    assert!(image[slab..slab + desc].iter().all(|&b| b == 0));
+    for (n_blocks, taken) in [
+        (3, true),
+        (layout.max_blocks, true),
+        (layout.max_blocks + 1, false),
+        (1 << 40, false),
+    ] {
+        let mut hostile = image.clone();
+        put_u64(&mut hostile, slab + COL_BLOCK_ID * CKPT_COL_DESC, 1);
+        put_u64(&mut hostile, dir, n_blocks);
+        reseal_first_slab(&mut hostile, area);
+        let got = recover_one_shard(hostile).unwrap();
+        assert_eq!(got.snapshot_bytes > 0, taken, "{n_blocks} rows: {got:?}");
+    }
 }
 
 /// An image checkpointed at 8 map shards recovered at 1 and at 16: the
