@@ -496,7 +496,9 @@ pub fn cmd_stats(args: &[String]) -> Result<String> {
             let (ld, _) = Lld::recover(device)?;
             ld.obs_snapshot()
         }
-        (None, None, None) if threads > 1 => threaded_snapshot(threads)?,
+        (None, None, None) if threads > 1 => {
+            threaded_snapshot(threads, ObsConfig::default().ring_capacity)?
+        }
         (None, None, None) => scripted_snapshot()?,
     };
     if json {
@@ -553,65 +555,44 @@ fn scripted_snapshot() -> Result<ld_core::ObsSnapshot> {
     Ok(snap)
 }
 
-/// The `stats --threads N` workload: N OS threads share one simulated
-/// logical disk through its `&self` interface, each committing a
-/// stream of synchronous disjoint ARUs (see [`cmd_stats`]).
+/// The `stats --threads N` and `trace` workload: N OS threads share
+/// one simulated logical disk through its `&self` interface, each
+/// committing a stream of synchronous disjoint ARUs (see
+/// [`cmd_stats`]). `trace` passes a ring large enough to hold every
+/// stage event of the run, so its export is complete rather than a
+/// tail.
+fn threaded_snapshot(threads: usize, ring_capacity: usize) -> Result<ObsSnapshot> {
+    let ld = latency_lld(ring_capacity, None)?;
+    ld_workload::MtWorkload::smoke(threads).run(&ld)?;
+    Ok(ld.obs_snapshot())
+}
+
+/// The disk of the multi-threaded workloads, with a trace ring of
+/// `ring_capacity` events and the metrics sampler at `metrics_hz`.
 ///
 /// The simulated device is wrapped in a [`LatencyDisk`] so each write
 /// barrier costs real wall-clock time: that is the window in which
 /// concurrent durability callers pile into one group-commit batch, and
-/// without it the batching counters this command exists to show would
+/// without it the batching counters these commands exist to show would
 /// stay at 1.
-fn threaded_snapshot(threads: usize) -> Result<ld_core::ObsSnapshot> {
+fn latency_lld(
+    ring_capacity: usize,
+    metrics_hz: Option<f64>,
+) -> Result<Lld<LatencyDisk<SimDisk<MemDisk>>>> {
     let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
-    let ld = Lld::format(
-        LatencyDisk::new(sim, std::time::Duration::from_micros(500)),
-        &LldConfig {
-            block_size: 512,
-            segment_bytes: 16 * 512,
-            ..LldConfig::default()
-        },
-    )?;
-    let wl = ld_workload::MtWorkload {
-        threads,
-        arus_per_thread: 50,
-        blocks_per_aru: 2,
-        sync_every: 1,
-        mode: ld_workload::MtMode::Disjoint,
-        seed: 1,
-    };
-    wl.run(&ld)?;
-    Ok(ld.obs_snapshot())
-}
-
-/// The `trace` workload: the multi-threaded disjoint-ARU workload of
-/// [`cmd_stats`]`--threads`, but with a trace ring large enough to hold
-/// every stage event of the run, so the exported trace is complete
-/// rather than a tail.
-fn traced_snapshot(threads: usize) -> Result<ObsSnapshot> {
-    let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
-    let ld = Lld::format(
+    Ok(Lld::format(
         LatencyDisk::new(sim, std::time::Duration::from_micros(500)),
         &LldConfig {
             block_size: 512,
             segment_bytes: 16 * 512,
             obs: ObsConfig {
-                ring_capacity: 1 << 15,
+                ring_capacity,
                 ..ObsConfig::default()
             },
+            metrics_hz,
             ..LldConfig::default()
         },
-    )?;
-    let wl = ld_workload::MtWorkload {
-        threads,
-        arus_per_thread: 50,
-        blocks_per_aru: 2,
-        sync_every: 1,
-        mode: ld_workload::MtMode::Disjoint,
-        seed: 1,
-    };
-    wl.run(&ld)?;
-    Ok(ld.obs_snapshot())
+    )?)
 }
 
 /// `ldctl trace`: run the multi-threaded workload and export its
@@ -633,7 +614,7 @@ pub fn cmd_trace(args: &[String]) -> Result<String> {
             let text = std::fs::read_to_string(path)?;
             ObsSnapshot::from_json(&text).map_err(CtlError::Parse)?
         }
-        None => traced_snapshot(threads)?,
+        None => threaded_snapshot(threads, 1 << 15)?,
     };
     let rendered = if chrome {
         snap.to_chrome_trace()
@@ -698,27 +679,14 @@ pub fn cmd_top(args: &[String]) -> Result<String> {
 /// Runs the multi-threaded workload with the background metrics
 /// sampler on, returning the captured time series as JSON Lines.
 fn sampled_jsonl(threads: usize, hz: f64) -> Result<String> {
-    let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
-    let ld = Lld::format(
-        LatencyDisk::new(sim, std::time::Duration::from_micros(500)),
-        &LldConfig {
-            block_size: 512,
-            segment_bytes: 16 * 512,
-            metrics_hz: Some(hz),
-            ..LldConfig::default()
-        },
-    )?;
+    let ld = latency_lld(ObsConfig::default().ring_capacity, Some(hz))?;
     // Bracket the run with explicit samples so the series always has a
     // zero baseline and a final data point, even when the workload
     // finishes inside one sampling period.
     ld.sample_now();
     let wl = ld_workload::MtWorkload {
-        threads,
         arus_per_thread: 100,
-        blocks_per_aru: 2,
-        sync_every: 1,
-        mode: ld_workload::MtMode::Disjoint,
-        seed: 1,
+        ..ld_workload::MtWorkload::smoke(threads)
     };
     wl.run(&ld)?;
     ld.sample_now();

@@ -385,10 +385,11 @@ fn crash_during_cleaning_era_recovers_current_state_at(mode: Mode) {
     assert!(crashes_seen >= 4, "only {crashes_seen} crash points fired");
 }
 
-/// The study's device (`mt_throughput --clean-pressure`): 20 slots of 8
-/// blocks, cleaner asked for 8 free slots. `live` blocks are allocated
-/// and written once, flushed, and then 200 ARUs rewrite the last eight
-/// of them two at a time, every fourth one flushed.
+/// The clean-pressure study's device (EXPERIMENTS.md "Clean
+/// pressure"): 20 slots of 8 blocks, cleaner asked for 8 free slots.
+/// `live` blocks are allocated and written once, flushed, and then 200
+/// ARUs rewrite the last eight of them two at a time, every fourth one
+/// flushed.
 fn churn_on_eight_block_slots(live: usize, cleanerd: bool) -> Result<ld_core::LldStats, LldError> {
     let mut cfg = config((cleanerd, 8));
     cfg.cleaner.target_free_segments = 8;

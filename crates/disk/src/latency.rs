@@ -12,39 +12,23 @@ use crate::{BlockDevice, DiskStatsSnapshot, Result};
 use std::time::Duration;
 
 /// Delegates to an inner device, sleeping for a fixed wall-clock
-/// duration on every [`flush`](BlockDevice::flush) — and, optionally,
-/// on every [`read_at`](BlockDevice::read_at).
+/// duration on every [`flush`](BlockDevice::flush).
 ///
-/// Writes are passed through untouched, mirroring a device with a
-/// volatile write cache where acknowledged writes are cheap and the
-/// cache flush is the expensive step. The optional read delay models
-/// the other real cost of such a device: a read that misses the cache
-/// goes to the media ([`with_read_delay`](LatencyDisk::with_read_delay)
-/// — off by default). The sleeps are charged on whichever thread issues
-/// the call, and concurrent calls sleep concurrently.
+/// Reads and writes are passed through untouched, mirroring a device
+/// with a volatile write cache where acknowledged writes are cheap and
+/// the cache flush is the expensive step. The sleep is charged on
+/// whichever thread issues the barrier, and concurrent barriers sleep
+/// concurrently.
 #[derive(Debug)]
 pub struct LatencyDisk<D> {
     inner: D,
     flush_delay: Duration,
-    read_delay: Duration,
 }
 
 impl<D: BlockDevice> LatencyDisk<D> {
     /// Wraps `inner`, charging `flush_delay` of real time per barrier.
     pub fn new(inner: D, flush_delay: Duration) -> Self {
-        LatencyDisk {
-            inner,
-            flush_delay,
-            read_delay: Duration::ZERO,
-        }
-    }
-
-    /// Additionally charges `read_delay` of real time per
-    /// [`read_at`](BlockDevice::read_at) — a media-read cost.
-    #[must_use]
-    pub fn with_read_delay(mut self, read_delay: Duration) -> Self {
-        self.read_delay = read_delay;
-        self
+        LatencyDisk { inner, flush_delay }
     }
 
     /// The wrapped device.
@@ -64,9 +48,6 @@ impl<D: BlockDevice> BlockDevice for LatencyDisk<D> {
     }
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        if !self.read_delay.is_zero() {
-            std::thread::sleep(self.read_delay);
-        }
         self.inner.read_at(offset, buf)
     }
 
@@ -105,22 +86,6 @@ mod tests {
         d.flush().unwrap();
         assert!(start.elapsed() >= Duration::from_millis(5));
         assert_eq!(d.into_inner().capacity(), 1024);
-    }
-
-    #[test]
-    fn read_delay_charges_media_time_per_read() {
-        let d = LatencyDisk::new(MemDisk::new(1024), Duration::ZERO)
-            .with_read_delay(Duration::from_millis(5));
-        d.write_at(0, b"abc").unwrap();
-        let mut buf = [0u8; 3];
-        let start = Instant::now();
-        d.read_at(0, &mut buf).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(5));
-        assert_eq!(&buf, b"abc");
-        // The barrier itself stays free.
-        let start = Instant::now();
-        d.flush().unwrap();
-        assert!(start.elapsed() < Duration::from_millis(5));
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   connections meet in the core's group-commit stage: one leader
 //!   seals, one barrier covers the whole batch. The server adds no
 //!   batching logic at all; cross-connection batching is an emergent
-//!   property worth measuring (`net_throughput` bench).
+//!   property (`tests/server.rs` asserts that sync commits from eight
+//!   connections take fewer barriers than commits).
 //!
 //! Shutdown ordering matters and is part of the contract:
 //! [`Server::shutdown`] stops accepting, drains each session's

@@ -1,7 +1,8 @@
 //! End-to-end server tests over real TCP sockets: protocol round
 //! trips, exactly-once tagged commits, graceful shutdown under load,
-//! and the in-process crash harness (fault-injected device under a
-//! live server, recovery, and serial-oracle reconciliation).
+//! group commit across connections, and the in-process crash harness
+//! (fault-injected device under a live server, recovery, and
+//! serial-oracle reconciliation).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -9,14 +10,14 @@ use std::time::{Duration, Instant};
 
 use ld_client::{BlockRef, Client, ClientConfig, ClientError, Durability, ListRef, Txn};
 use ld_core::{Ctx, Lld, LldConfig, Timestamp};
-use ld_disk::{DiskModel, FaultPlan, MemDisk, SimDisk};
+use ld_disk::{BlockDevice, DiskModel, FaultPlan, LatencyDisk, MemDisk, SimDisk};
 use ld_server::Server;
 
 const BS: usize = 512;
 
-/// The map shards of a point of the mode matrix. The two tests that
-/// stop a server under load and recover its disk run at every point;
-/// the protocol tests at the default one.
+/// The map shards of a point of the mode matrix. The tests that put a
+/// server under load run at every point; the protocol tests at the
+/// default one.
 type Mode = usize;
 
 const DEFAULT: Mode = 8;
@@ -259,6 +260,71 @@ fn shutdown_under_load_loses_no_acknowledged_commit_at(mode: Mode) {
             assert_eq!(buf, payload(client, *wid), "client {client} wid {wid} data");
         }
     }
+}
+
+/// Synchronous commits from different connections share barriers. The
+/// server adds no batching of its own: each session's `END_ARU` is an
+/// `end_aru_sync` on the shared disk, and while one group-commit
+/// leader's barrier is in the device the other sessions' commits queue
+/// behind it, so the next leader covers them all with one barrier. A
+/// 20 ms barrier makes that overlap certain; a leader that retired only
+/// itself would issue a barrier per commit.
+#[test]
+fn sync_commits_from_different_connections_share_barriers() {
+    each_mode(sync_commits_from_different_connections_share_barriers_at);
+}
+
+fn sync_commits_from_different_connections_share_barriers_at(mode: Mode) {
+    const CLIENTS: u64 = 8;
+    const COMMITS: u64 = 6;
+    let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
+    let disk = LatencyDisk::new(sim, Duration::from_millis(20));
+    let ld = Arc::new(Lld::format(disk, &config(mode)).unwrap());
+    let flushes = || ld.device().stats_snapshot().unwrap().flushes;
+    let before = flushes();
+    let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr().to_string();
+
+    let workers: Vec<_> = (1..=CLIENTS)
+        .map(|client| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(&addr, client, 1, quick_retries()).unwrap();
+                let mut acked = Vec::new();
+                for wid in 1..=COMMITS {
+                    let mut txn = Txn::new();
+                    let l = txn.new_list();
+                    let b = txn.new_block(ListRef::Slot(l), None);
+                    txn.write(BlockRef::Slot(b), &payload(client, wid));
+                    let out = c.commit(&txn, wid, Durability::Sync).unwrap();
+                    assert!(!out.deduped, "client {client} wid {wid} deduped");
+                    acked.push((wid, out.ids[1]));
+                }
+                for (wid, block) in acked {
+                    assert_eq!(
+                        c.read(block).unwrap(),
+                        payload(client, wid),
+                        "client {client} wid {wid} data"
+                    );
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    let barriers = flushes() - before;
+    let commits = CLIENTS * COMMITS;
+    assert!(
+        barriers < commits,
+        "{commits} sync commits from {CLIENTS} connections took {barriers} barriers"
+    );
+    for client in 1..=CLIENTS {
+        for wid in 1..=COMMITS {
+            assert!(ld.write_id_lookup(client, wid).is_some());
+        }
+    }
+    server.shutdown().1.unwrap();
 }
 
 /// The in-process crash harness: a fault-injected device dies under a

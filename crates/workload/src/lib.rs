@@ -34,7 +34,7 @@ mod small_file;
 pub use aru_latency::{AruLatencyResult, AruLatencyWorkload};
 pub use large_file::{LargeFilePhase, LargeFileWorkload};
 pub use mixed::{MixedOp, MixedWorkload};
-pub use mt::{MtMode, MtReport, MtWorkload};
+pub use mt::{MtReport, MtWorkload};
 pub use small_file::SmallFileWorkload;
 
 use ld_disk::SmallRng;

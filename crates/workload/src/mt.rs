@@ -5,34 +5,11 @@
 //! operation takes `&self`), so the threads share a plain reference —
 //! no external lock. Each thread builds private lists, so the ARUs
 //! never contend on logical objects; all contention is inside the disk
-//! system (mapping tables, log append, group commit), which is exactly
-//! what the multi-threaded benchmarks want to measure.
+//! system (mapping tables, log append, group commit), which is what
+//! `ldctl stats --threads`, `ldctl trace` and `ldctl top` show.
 
 use crate::pattern_fill;
 use ld_core::{Ctx, LogicalDisk, Position, Result};
-
-/// How the threads' working sets relate to each other (and therefore
-/// to the logical disk's map shards).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MtMode {
-    /// Each thread builds its own private lists. New lists spread
-    /// round-robin across the map shards, so concurrent ARUs mostly
-    /// touch disjoint shards — the best case for sharded locking.
-    #[default]
-    Disjoint,
-    /// All threads rewrite pre-allocated blocks of one shared list.
-    /// Every block of a list is allocated from the list's own map
-    /// shard, so every writer contends on that single shard — the
-    /// worst case, where sharding cannot help.
-    HotShard,
-    /// Each thread rewrites the pre-allocated blocks of its own private
-    /// list, over and over. The live working set stays tiny while every
-    /// ARU turns its previous versions into dead blocks, so on a small
-    /// device the log wraps continuously and the segment cleaner runs
-    /// throughout — the workload for comparing the inline cleaner
-    /// against the background `cleanerd`.
-    Churn,
-}
 
 /// N threads, each committing a stream of small ARUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,12 +20,6 @@ pub struct MtWorkload {
     pub arus_per_thread: usize,
     /// Blocks allocated and written inside each ARU.
     pub blocks_per_aru: usize,
-    /// Commit synchronously (`end_aru_sync`) every k-th ARU; `0` means
-    /// never (lazy durability, one flush at the end). `1` makes every
-    /// commit durable, which maximizes group-commit contention.
-    pub sync_every: usize,
-    /// How the threads' working sets overlap.
-    pub mode: MtMode,
     /// Mixed into the data patterns so distinct runs write distinct
     /// bytes.
     pub seed: u64,
@@ -68,14 +39,13 @@ pub struct MtReport {
 }
 
 impl MtWorkload {
-    /// A small configuration for tests and CI smoke runs.
+    /// A small configuration: what `ldctl stats --threads N` and
+    /// `ldctl trace` run, and the tests' default.
     pub fn smoke(threads: usize) -> Self {
         MtWorkload {
             threads,
             arus_per_thread: 50,
             blocks_per_aru: 2,
-            sync_every: 1,
-            mode: MtMode::Disjoint,
             seed: 1,
         }
     }
@@ -87,8 +57,9 @@ impl MtWorkload {
     }
 
     /// Runs the workload: spawns [`threads`](MtWorkload::threads) OS
-    /// threads over the shared disk and waits for all of them. A final
-    /// flush makes the tail of lazy commits durable.
+    /// threads over the shared disk and waits for all of them. Every
+    /// ARU commits with `end_aru_sync`, so the threads contend on group
+    /// commit; a final flush closes the run.
     ///
     /// # Errors
     ///
@@ -99,14 +70,6 @@ impl MtWorkload {
     ///
     /// Panics if a worker thread itself panics.
     pub fn run<L: LogicalDisk + Sync>(&self, ld: &L) -> Result<MtReport> {
-        match self.mode {
-            MtMode::Disjoint => self.run_disjoint(ld),
-            MtMode::HotShard => self.run_hot(ld),
-            MtMode::Churn => self.run_churn(ld),
-        }
-    }
-
-    fn run_disjoint<L: LogicalDisk + Sync>(&self, ld: &L) -> Result<MtReport> {
         let block_size = ld.block_size();
         let results: Vec<Result<MtReport>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..self.threads)
@@ -133,156 +96,9 @@ impl MtWorkload {
                                 prev = Some(blk);
                                 report.blocks_written += 1;
                             }
-                            if self.sync_every > 0 && (i + 1) % self.sync_every == 0 {
-                                ld.end_aru_sync(aru)?;
-                            } else {
-                                ld.end_aru(aru)?;
-                            }
+                            ld.end_aru_sync(aru)?;
                             report.arus_committed += 1;
                             report.ops += self.ops_per_aru();
-                        }
-                        Ok(report)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        let mut total = MtReport::default();
-        for r in results {
-            let r = r?;
-            total.arus_committed += r.arus_committed;
-            total.blocks_written += r.blocks_written;
-            total.ops += r.ops;
-        }
-        ld.flush()?;
-        Ok(total)
-    }
-
-    /// The hot-shard variant: one shared list is pre-built with
-    /// `threads * blocks_per_aru` blocks (all in the list's map shard),
-    /// each thread owns a disjoint slice of them, and every ARU
-    /// rewrites its thread's blocks. ARUs never conflict (disjoint
-    /// blocks) but every write and commit serializes on one shard.
-    fn run_hot<L: LogicalDisk + Sync>(&self, ld: &L) -> Result<MtReport> {
-        let block_size = ld.block_size();
-        let list = ld.new_list(Ctx::Simple)?;
-        let mut blocks = Vec::with_capacity(self.threads * self.blocks_per_aru);
-        let mut prev = None;
-        for _ in 0..self.threads * self.blocks_per_aru {
-            let pos = match prev {
-                None => Position::First,
-                Some(p) => Position::After(p),
-            };
-            let b = ld.new_block(Ctx::Simple, list, pos)?;
-            blocks.push(b);
-            prev = Some(b);
-        }
-        let results: Vec<Result<MtReport>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.threads)
-                .map(|t| {
-                    let mine = &blocks[t * self.blocks_per_aru..(t + 1) * self.blocks_per_aru];
-                    s.spawn(move || -> Result<MtReport> {
-                        let mut data = vec![0u8; block_size];
-                        let mut report = MtReport::default();
-                        for i in 0..self.arus_per_thread {
-                            let tag = self
-                                .seed
-                                .wrapping_mul(0x0010_0000_000F)
-                                .wrapping_add((t * 1_000_003 + i) as u64);
-                            let aru = ld.begin_aru()?;
-                            for (b, &blk) in mine.iter().enumerate() {
-                                pattern_fill(&mut data, tag ^ (b as u64) << 48);
-                                ld.write(Ctx::Aru(aru), blk, &data)?;
-                                report.blocks_written += 1;
-                            }
-                            if self.sync_every > 0 && (i + 1) % self.sync_every == 0 {
-                                ld.end_aru_sync(aru)?;
-                            } else {
-                                ld.end_aru(aru)?;
-                            }
-                            report.arus_committed += 1;
-                            // begin + per-block write + commit.
-                            report.ops += 2 + mine.len() as u64;
-                        }
-                        Ok(report)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-        let mut total = MtReport::default();
-        for r in results {
-            let r = r?;
-            total.arus_committed += r.arus_committed;
-            total.blocks_written += r.blocks_written;
-            total.ops += r.ops;
-        }
-        ld.flush()?;
-        Ok(total)
-    }
-
-    /// The overwrite-churn variant: each thread gets a private list
-    /// pre-built with a pool of `4 * blocks_per_aru` blocks (lists
-    /// spread round-robin across the map shards), and every ARU
-    /// rewrites the next `blocks_per_aru` of them round-robin.
-    /// Rotating through a pool — rather than hammering the same pair —
-    /// means each version stays live for several ARUs, so sealed
-    /// segments hold a mix of live and dead blocks and the segment
-    /// cleaner has real relocation work to do on every pass, not just
-    /// free-for-the-taking dead segments.
-    fn run_churn<L: LogicalDisk + Sync>(&self, ld: &L) -> Result<MtReport> {
-        let block_size = ld.block_size();
-        let pool = 4 * self.blocks_per_aru;
-        let mut sets = Vec::with_capacity(self.threads);
-        for _ in 0..self.threads {
-            let list = ld.new_list(Ctx::Simple)?;
-            let mut mine = Vec::with_capacity(pool);
-            let mut prev = None;
-            for _ in 0..pool {
-                let pos = match prev {
-                    None => Position::First,
-                    Some(p) => Position::After(p),
-                };
-                let b = ld.new_block(Ctx::Simple, list, pos)?;
-                mine.push(b);
-                prev = Some(b);
-            }
-            sets.push(mine);
-        }
-        let results: Vec<Result<MtReport>> = std::thread::scope(|s| {
-            let handles: Vec<_> = sets
-                .iter()
-                .enumerate()
-                .map(|(t, mine)| {
-                    s.spawn(move || -> Result<MtReport> {
-                        let mut data = vec![0u8; block_size];
-                        let mut report = MtReport::default();
-                        for i in 0..self.arus_per_thread {
-                            let tag = self
-                                .seed
-                                .wrapping_mul(0x0010_0000_000F)
-                                .wrapping_add((t * 1_000_003 + i) as u64);
-                            let aru = ld.begin_aru()?;
-                            for b in 0..self.blocks_per_aru {
-                                let blk = mine[(i * self.blocks_per_aru + b) % pool];
-                                pattern_fill(&mut data, tag ^ (b as u64) << 48);
-                                ld.write(Ctx::Aru(aru), blk, &data)?;
-                                report.blocks_written += 1;
-                            }
-                            if self.sync_every > 0 && (i + 1) % self.sync_every == 0 {
-                                ld.end_aru_sync(aru)?;
-                            } else {
-                                ld.end_aru(aru)?;
-                            }
-                            report.arus_committed += 1;
-                            // begin + per-block write + commit.
-                            report.ops += 2 + self.blocks_per_aru as u64;
                         }
                         Ok(report)
                     })
@@ -332,8 +148,6 @@ mod tests {
             threads: 4,
             arus_per_thread: 25,
             blocks_per_aru: 2,
-            sync_every: 0,
-            mode: MtMode::Disjoint,
             seed: 7,
         };
         let report = w.run(&ld).unwrap();
@@ -363,67 +177,11 @@ mod tests {
             threads: 1,
             arus_per_thread: 10,
             blocks_per_aru: 1,
-            sync_every: 2,
-            mode: MtMode::Disjoint,
             seed: 3,
         };
         let report = w.run(&ld).unwrap();
         assert_eq!(report.arus_committed, 10);
         // Single-threaded sync commits can never batch.
         assert_eq!(ld.stats().flush_batch_max, 1);
-    }
-
-    #[test]
-    fn churn_mode_wraps_the_log_and_keeps_the_cleaner_busy() {
-        // A deliberately tiny disk so the overwrite churn wraps the log.
-        let ld = Lld::format(
-            MemDisk::new(512 + 2 * 64 * 1024 + 24 * 8 * 512),
-            &LldConfig {
-                block_size: 512,
-                segment_bytes: 8 * 512,
-                max_blocks: Some(512),
-                max_lists: Some(64),
-                ..LldConfig::default()
-            },
-        )
-        .unwrap();
-        let w = MtWorkload {
-            threads: 4,
-            arus_per_thread: 100,
-            blocks_per_aru: 2,
-            sync_every: 4,
-            mode: MtMode::Churn,
-            seed: 13,
-        };
-        let report = w.run(&ld).unwrap();
-        assert_eq!(report.arus_committed, 400);
-        assert_eq!(report.blocks_written, 800);
-        let stats = ld.stats();
-        assert_eq!(stats.arus_committed, 400);
-        assert!(stats.cleaner_runs > 0, "churn must trigger the cleaner");
-        assert!(ld.active_arus().is_empty());
-    }
-
-    #[test]
-    fn hot_shard_mode_rewrites_without_conflicts() {
-        let ld = ld();
-        let w = MtWorkload {
-            threads: 4,
-            arus_per_thread: 20,
-            blocks_per_aru: 2,
-            sync_every: 0,
-            mode: MtMode::HotShard,
-            seed: 11,
-        };
-        let report = w.run(&ld).unwrap();
-        assert_eq!(report.arus_committed, 80);
-        assert_eq!(report.blocks_written, 160);
-        assert_eq!(report.ops, 80 * 4);
-        let stats = ld.stats();
-        assert_eq!(stats.arus_committed, 80);
-        assert_eq!(stats.commit_conflicts, 0);
-        // Only the setup allocated blocks: threads * blocks_per_aru.
-        assert_eq!(stats.new_blocks, 8);
-        assert!(ld.active_arus().is_empty());
     }
 }

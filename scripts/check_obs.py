@@ -2,8 +2,8 @@
 """Validate the observability exports produced by the trace and sampler
 paths — used by the CI obs-smoke job and runnable locally:
 
-    cargo run --release -q -p ld-bench --bin mt_throughput -- \
-        --quick --threads 8 --trace-out trace.json --sampler-out samples.jsonl
+    cargo run --release -q -p ld-ctl -- trace --chrome --threads 8 --out trace.json
+    cargo run --release -q -p ld-ctl -- top --threads 8 --jsonl samples.jsonl
     python3 scripts/check_obs.py trace.json samples.jsonl
 
 Checks, stdlib only:
