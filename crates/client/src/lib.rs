@@ -11,16 +11,20 @@
 //!   safe to repeat verbatim, so transport errors just retry them.
 //! * **Exactly-once commits.** A [`Txn`] is a *replayable program* of
 //!   allocations and writes, committed under a caller-chosen
-//!   `write_id`. If the connection dies before the acknowledgement
-//!   arrives, the client cannot know whether the commit happened — so
-//!   on reconnect it first asks the server ([`wire::op::LOOKUP`])
-//!   whether `write_id` is recorded. Recorded: the commit happened,
-//!   return the recorded outcome ([`CommitOutcome::deduped`], no ids —
-//!   the original acknowledgement carrying them was lost). Not
-//!   recorded: replay the whole program under a fresh ARU and try the
-//!   tagged commit again. The server-side dedup cache (journaled with
-//!   the commit, rebuilt by recovery) makes this race-free even across
-//!   a server crash.
+//!   `write_id` as one request: a single [`wire::op::COMMIT`] frame
+//!   that the server runs in one ARU as it reads it. So the window in
+//!   which a commit's fate is unknown is that one request. If the
+//!   connection dies before the answer arrives, the client cannot know
+//!   whether the commit happened — so on reconnect it first asks the
+//!   server ([`wire::op::LOOKUP`]) whether `write_id` is recorded.
+//!   Recorded: the commit happened, return the recorded outcome
+//!   ([`CommitOutcome::deduped`], no ids — the original answer
+//!   carrying them was lost). Not recorded: send the frame again. The
+//!   server-side dedup cache (journaled with the commit, rebuilt by
+//!   recovery) makes this race-free even across a server crash.
+//!
+//! The client never opens an ARU of its own (`BEGIN_ARU` … `END_ARU`):
+//! one frame per commit.
 //!
 //! The one thing the client must guarantee in exchange: never reuse a
 //! `write_id` for a different transaction within a generation.
@@ -29,7 +33,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::io;
+use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -144,17 +148,76 @@ pub enum BlockRef {
     Id(u64),
 }
 
+/// A list or block as a `COMMIT` program names it
+/// ([`wire::reference`]).
+#[derive(Debug, Clone, Copy)]
+enum Ref {
+    Slot(u32),
+    Id(u64),
+}
+
+impl From<ListRef> for Ref {
+    fn from(r: ListRef) -> Ref {
+        match r {
+            ListRef::Slot(Slot(i)) => Ref::Slot(i as u32),
+            ListRef::Id(id) => Ref::Id(id),
+        }
+    }
+}
+
+impl From<BlockRef> for Ref {
+    fn from(r: BlockRef) -> Ref {
+        match r {
+            BlockRef::Slot(Slot(i)) => Ref::Slot(i as u32),
+            BlockRef::Id(id) => Ref::Id(id),
+        }
+    }
+}
+
+impl Ref {
+    fn wire_len(self) -> usize {
+        match self {
+            Ref::Slot(_) => 5,
+            Ref::Id(_) => 9,
+        }
+    }
+
+    fn put(self, out: &mut Vec<u8>) {
+        match self {
+            Ref::Slot(slot) => {
+                out.push(wire::reference::SLOT);
+                out.extend_from_slice(&slot.to_le_bytes());
+            }
+            Ref::Id(id) => {
+                out.push(wire::reference::ID);
+                out.extend_from_slice(&id.to_le_bytes());
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum TxnOp {
     NewList,
+    /// `pred` is `Ref::Id(0)` for the front of the list.
     NewBlock {
-        list: ListRef,
-        pred: Option<BlockRef>,
+        list: Ref,
+        pred: Ref,
     },
     Write {
-        block: BlockRef,
+        block: Ref,
         data: Vec<u8>,
     },
+}
+
+impl TxnOp {
+    fn wire_len(&self) -> usize {
+        match self {
+            TxnOp::NewList => 1,
+            TxnOp::NewBlock { list, pred } => 1 + list.wire_len() + pred.wire_len(),
+            TxnOp::Write { block, data } => 1 + block.wire_len() + 4 + data.len(),
+        }
+    }
 }
 
 /// Commit durability: lazy trusts a later flush (or server shutdown)
@@ -195,14 +258,17 @@ impl Txn {
     pub fn new_block(&mut self, list: ListRef, pred: Option<BlockRef>) -> Slot {
         let s = Slot(self.slots);
         self.slots += 1;
-        self.ops.push(TxnOp::NewBlock { list, pred });
+        self.ops.push(TxnOp::NewBlock {
+            list: list.into(),
+            pred: pred.map_or(Ref::Id(0), Ref::from),
+        });
         s
     }
 
     /// Writes `data` to `block` inside the transaction's ARU.
     pub fn write(&mut self, block: BlockRef, data: &[u8]) {
         self.ops.push(TxnOp::Write {
-            block,
+            block: block.into(),
             data: data.to_vec(),
         });
     }
@@ -216,7 +282,51 @@ impl Txn {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
+
+    /// The payload length of this program's `COMMIT` frame.
+    fn frame_len(&self) -> usize {
+        1 + 1 + 8 + 4 + self.ops.iter().map(TxnOp::wire_len).sum::<usize>()
+    }
+
+    /// Writes this program as one `COMMIT` frame of payload length
+    /// `len` ([`frame_len`](Txn::frame_len)), without building it whole.
+    fn write_commit<W: Write>(&self, w: W, len: u32, flags: u8, write_id: u64) -> io::Result<()> {
+        let mut w = BufWriter::with_capacity(WRITE_BUFFER, w);
+        let mut head = Vec::with_capacity(32);
+        head.extend_from_slice(&len.to_le_bytes());
+        head.extend_from_slice(&[op::COMMIT, flags]);
+        head.extend_from_slice(&write_id.to_le_bytes());
+        head.extend_from_slice(&(self.ops.len() as u32).to_le_bytes());
+        w.write_all(&head)?;
+        for opn in &self.ops {
+            head.clear();
+            let data: &[u8] = match opn {
+                TxnOp::NewList => {
+                    head.push(op::NEW_LIST);
+                    &[]
+                }
+                TxnOp::NewBlock { list, pred } => {
+                    head.push(op::NEW_BLOCK);
+                    list.put(&mut head);
+                    pred.put(&mut head);
+                    &[]
+                }
+                TxnOp::Write { block, data } => {
+                    head.push(op::WRITE);
+                    block.put(&mut head);
+                    head.extend_from_slice(&(data.len() as u32).to_le_bytes());
+                    data
+                }
+            };
+            w.write_all(&head)?;
+            w.write_all(data)?;
+        }
+        w.flush()
+    }
 }
+
+/// How much of a `COMMIT` frame the client hands the socket at a time.
+const WRITE_BUFFER: usize = 64 << 10;
 
 /// A connection to an `ld-server`, carrying a fixed client identity.
 pub struct Client {
@@ -313,18 +423,20 @@ impl Client {
         }
     }
 
-    /// One request/response exchange on the current connection. A
+    /// One request/response exchange on the current connection.
+    fn raw_request(&mut self, payload: &[u8]) -> Result<Vec<u8>> {
+        self.exchange(|w| wire::write_frame(w, payload))
+    }
+
+    /// Sends one request with `send` and reads its response. A
     /// transport failure poisons the connection (dropped so the next
     /// call redials); a server error leaves it healthy.
-    fn raw_request(&mut self, payload: &[u8]) -> Result<Vec<u8>> {
+    fn exchange(&mut self, send: impl FnOnce(&mut TcpStream) -> io::Result<()>) -> Result<Vec<u8>> {
         let stream = self
             .stream
             .as_mut()
             .ok_or_else(|| ClientError::Io(io::ErrorKind::NotConnected.into()))?;
-        let exchanged = (|| {
-            wire::write_frame(stream, payload)?;
-            wire::read_frame(stream)
-        })();
+        let exchanged = send(stream).and_then(|()| wire::read_frame(stream));
         let resp = match exchanged {
             Ok(Some(r)) => r,
             Ok(None) => {
@@ -464,34 +576,46 @@ impl Client {
         Ok(blocks)
     }
 
-    /// Commits `txn` exactly once under `write_id`.
+    /// Commits `txn` exactly once under `write_id`, in one request.
     ///
-    /// The transaction program runs inside a fresh ARU and ends with a
-    /// tagged commit. If the connection dies at *any* point — before,
-    /// during, or after the commit request — the client reconnects,
-    /// asks the server whether `write_id` is recorded, and either
-    /// returns the recorded outcome (`deduped = true`) or replays the
-    /// whole program. Replay is safe precisely because the commit is
-    /// tagged: if the lost acknowledgement's commit did land, the
-    /// replayed ARU is aborted server-side and the recorded outcome
+    /// The whole program travels as one [`op::COMMIT`] frame, which the
+    /// server runs in a fresh ARU and commits under the tag. If the
+    /// connection dies before the answer arrives, the client
+    /// reconnects, asks the server whether `write_id` is recorded, and
+    /// either returns the recorded outcome (`deduped = true`) or sends
+    /// the frame again. Resending is safe because the commit is
+    /// tagged: if the lost answer's commit did land, the resent
+    /// program's ARU is aborted server-side and the recorded outcome
     /// returned instead.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Server`] on semantic rejection (the attempt's
-    /// ARU is aborted first); exhausted retries on persistent
-    /// transport failure.
+    /// [`ClientError::Server`] on semantic rejection (the server has
+    /// aborted the attempt's ARU); exhausted retries on persistent
+    /// transport failure; [`ClientError::Io`] without a retry if the
+    /// program does not fit one frame's `u32` length.
     pub fn commit(
         &mut self,
         txn: &Txn,
         write_id: u64,
         durability: Durability,
     ) -> Result<CommitOutcome> {
+        let flags = flag::TAGGED
+            | match durability {
+                Durability::Sync => flag::SYNC,
+                Durability::Lazy => 0,
+            };
+        let len = u32::try_from(txn.frame_len()).map_err(|_| {
+            ClientError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "transaction exceeds one frame",
+            ))
+        })?;
         let mut last = String::new();
         for attempt in 0..=self.config.max_retries {
             if attempt > 0 {
                 std::thread::sleep(self.config.retry_backoff);
-                // Reconcile before replaying: did the lost attempt
+                // Reconcile before resending: did the lost attempt
                 // commit?
                 match self.lookup(write_id) {
                     Ok(Some((generation, commit_ts))) => {
@@ -510,112 +634,38 @@ impl Client {
                     }
                 }
             }
-            match self.try_commit(txn, write_id, durability) {
-                Ok(out) => return Ok(out),
+            let sent = self
+                .ensure_connected()
+                .and_then(|()| self.exchange(|w| txn.write_commit(w, len, flags, write_id)));
+            match sent {
+                Ok(resp) => return commit_outcome(&resp, txn.slots),
                 Err(e @ ClientError::Server(_)) => return Err(e),
                 Err(e) => last = e.to_string(),
             }
         }
         Err(ClientError::RetriesExhausted(last))
     }
+}
 
-    /// One commit attempt on the current connection; any transport
-    /// error aborts the attempt (the server aborts the session's ARUs
-    /// when the connection drops).
-    fn try_commit(
-        &mut self,
-        txn: &Txn,
-        write_id: u64,
-        durability: Durability,
-    ) -> Result<CommitOutcome> {
-        self.ensure_connected()?;
-        let aru = {
-            let resp = self.raw_request(&[op::BEGIN_ARU])?;
-            Body::new(&resp)
-                .u64()
-                .map_err(|e| ClientError::Protocol(e.to_string()))?
-        };
-        let mut ids = vec![0u64; txn.slots];
-        let mut slot = 0usize;
-        let list_of = |ids: &[u64], r: ListRef| match r {
-            ListRef::Slot(Slot(i)) => ids[i],
-            ListRef::Id(id) => id,
-        };
-        let block_of = |ids: &[u64], r: BlockRef| match r {
-            BlockRef::Slot(Slot(i)) => ids[i],
-            BlockRef::Id(id) => id,
-        };
-        for opn in &txn.ops {
-            let resp = match opn {
-                TxnOp::NewList => {
-                    let mut req = vec![op::NEW_LIST];
-                    req.extend_from_slice(&aru.to_le_bytes());
-                    self.op_in_aru(aru, &req)?
-                }
-                TxnOp::NewBlock { list, pred } => {
-                    let mut req = vec![op::NEW_BLOCK];
-                    req.extend_from_slice(&aru.to_le_bytes());
-                    req.extend_from_slice(&list_of(&ids, *list).to_le_bytes());
-                    let pred = pred.map_or(0, |p| block_of(&ids, p));
-                    req.extend_from_slice(&pred.to_le_bytes());
-                    self.op_in_aru(aru, &req)?
-                }
-                TxnOp::Write { block, data } => {
-                    let mut req = vec![op::WRITE];
-                    req.extend_from_slice(&aru.to_le_bytes());
-                    req.extend_from_slice(&block_of(&ids, *block).to_le_bytes());
-                    req.extend_from_slice(data);
-                    self.op_in_aru(aru, &req)?
-                }
-            };
-            if matches!(opn, TxnOp::NewList | TxnOp::NewBlock { .. }) {
-                ids[slot] = Body::new(&resp)
-                    .u64()
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                slot += 1;
-            }
-        }
-        let mut req = vec![op::END_ARU];
-        req.extend_from_slice(&aru.to_le_bytes());
-        let flags = flag::TAGGED
-            | match durability {
-                Durability::Sync => flag::SYNC,
-                Durability::Lazy => 0,
-            };
-        req.push(flags);
-        req.extend_from_slice(&write_id.to_le_bytes());
-        let resp = self.raw_request(&req)?;
-        let mut body = Body::new(&resp);
-        let deduped = body
-            .u8()
-            .map_err(|e| ClientError::Protocol(e.to_string()))?
-            != 0;
-        let generation = body
-            .u64()
-            .map_err(|e| ClientError::Protocol(e.to_string()))?;
-        let commit_ts = body
-            .u64()
-            .map_err(|e| ClientError::Protocol(e.to_string()))?;
-        Ok(CommitOutcome {
-            deduped,
-            generation,
-            commit_ts,
-            ids: if deduped { Vec::new() } else { ids },
-        })
+/// Decodes a `COMMIT` answer: `deduped generation commit_ts` and the
+/// `slots` identifiers minted (none when deduped).
+fn commit_outcome(resp: &[u8], slots: usize) -> Result<CommitOutcome> {
+    let bad = |e: io::Error| ClientError::Protocol(e.to_string());
+    let mut body = Body::new(resp);
+    let deduped = body.u8().map_err(bad)? != 0;
+    let generation = body.u64().map_err(bad)?;
+    let commit_ts = body.u64().map_err(bad)?;
+    let n = body.u32().map_err(bad)? as usize;
+    if n != if deduped { 0 } else { slots } {
+        return Err(ClientError::Protocol(format!(
+            "commit answered {n} identifiers for {slots} slots"
+        )));
     }
-
-    /// Runs one in-ARU operation; on semantic rejection the ARU is
-    /// aborted (best effort) so the attempt leaves nothing behind.
-    fn op_in_aru(&mut self, aru: u64, req: &[u8]) -> Result<Vec<u8>> {
-        match self.raw_request(req) {
-            Ok(resp) => Ok(resp),
-            Err(e @ ClientError::Server(_)) => {
-                let mut abort = vec![op::ABORT_ARU];
-                abort.extend_from_slice(&aru.to_le_bytes());
-                let _ = self.raw_request(&abort);
-                Err(e)
-            }
-            Err(e) => Err(e),
-        }
-    }
+    let ids = (0..n).map(|_| body.u64()).collect::<io::Result<_>>();
+    Ok(CommitOutcome {
+        deduped,
+        generation,
+        commit_ts,
+        ids: ids.map_err(bad)?,
+    })
 }

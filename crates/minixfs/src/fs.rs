@@ -219,11 +219,16 @@ impl<L: LogicalDisk> MinixFs<L> {
             dirty_inodes: HashMap::new(),
             stats: FsStats::default(),
         };
-        // Rebuild the free-inode set by scanning the table.
+        // Rebuild the free-inode set by scanning the table, one read per
+        // table block.
         let mut buf = vec![0u8; block_size];
+        let mut loaded = None;
         for raw in 1..=inode_count {
             let (bi, slot) = fs.inode_slot(Ino::new(raw));
-            fs.ld.read(Ctx::Simple, fs.inode_blocks[bi], &mut buf)?;
+            if loaded != Some(bi) {
+                fs.ld.read(Ctx::Simple, fs.inode_blocks[bi], &mut buf)?;
+                loaded = Some(bi);
+            }
             if Inode::decode(&buf, slot)?.is_none() {
                 fs.free_inodes.insert(raw);
             }

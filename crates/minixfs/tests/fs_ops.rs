@@ -1,6 +1,6 @@
 //! File-system operation tests: namespace, I/O, policies, mount.
 
-use ld_core::{Lld, LldConfig};
+use ld_core::{Ctx, ListId, Lld, LldConfig};
 use ld_disk::MemDisk;
 use ld_minixfs::{DeletePolicy, FileKind, FsConfig, FsError, Ino, MinixFs};
 
@@ -307,6 +307,31 @@ fn mount_after_clean_flush() {
     fs2.read_at(ino2, 0, &mut buf).unwrap();
     assert_eq!(&buf, b"persist me");
     assert!(fs2.verify().unwrap().is_consistent());
+}
+
+/// Mount reads each inode-table block once and decodes all its slots
+/// from that one read: at most the table's blocks plus the meta list's.
+#[test]
+fn mount_reads_each_inode_block_once() {
+    let mut fs = fresh();
+    fs.create("/a").unwrap();
+    fs.mkdir("/d").unwrap();
+    fs.flush().unwrap();
+    let free = fs.free_inode_count();
+
+    let image = fs.into_ld().into_device().into_image();
+    let (ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
+    let meta_blocks = ld2.list_blocks(Ctx::Simple, ListId::new(1)).unwrap().len() as u64;
+    let inodes_per_block = (BS / 32) as u64;
+    let table_blocks = u64::from(fs_config().inode_count).div_ceil(inodes_per_block);
+    let before = ld2.stats().reads;
+    let fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
+    let reads = fs2.ld().stats().reads - before;
+    assert!(
+        reads <= table_blocks + meta_blocks,
+        "mount made {reads} reads for {table_blocks} table and {meta_blocks} meta blocks"
+    );
+    assert_eq!(fs2.free_inode_count(), free);
 }
 
 #[test]

@@ -15,6 +15,12 @@
 //!   in a bounded dedup cache, so a client retrying after a lost
 //!   acknowledgement — or after a whole server crash and recovery —
 //!   gets the recorded outcome instead of a re-execution.
+//! * **One request per transaction.** [`wire::op::COMMIT`] carries a
+//!   whole transaction program; the session runs it in one ARU as it
+//!   reads the frame, so no buffer grows with the program, and on any
+//!   error aborts the ARU and drains the rest. The interactive opcodes
+//!   (`BEGIN_ARU` … `END_ARU`) share its executors, one per LD
+//!   operation, and its end-of-ARU step.
 //! * **Group commit for free.** Synchronous commits from different
 //!   connections meet in the core's group-commit stage: one leader
 //!   seals, one barrier covers the whole batch. The server adds no
@@ -35,7 +41,7 @@
 pub mod wire;
 
 use std::collections::HashSet;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -221,99 +227,185 @@ struct Session {
     arus: HashSet<u64>,
 }
 
-/// Reads one frame, polling the shutdown flag while the connection is
-/// idle. Returns `Ok(None)` when the session should close: clean EOF,
-/// or shutdown observed at a frame boundary. Once a frame has started
-/// it is drained to completion so an in-flight request is never torn —
-/// bounded by [`DRAIN_GRACE`] after shutdown.
-fn read_frame_poll(stream: &mut TcpStream, shutdown: &AtomicBool) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    let mut n = 0usize;
-    let mut deadline: Option<Instant> = None;
-    while n < 4 {
-        match stream.read(&mut len_buf[n..]) {
-            Ok(0) => {
-                if n == 0 {
-                    return Ok(None);
-                }
-                return Err(io::ErrorKind::UnexpectedEof.into());
-            }
-            Ok(k) => n += k,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    if n == 0 {
-                        return Ok(None);
-                    }
-                    let d = *deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
-                    if Instant::now() > d {
-                        return Err(io::ErrorKind::TimedOut.into());
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > wire::MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame exceeds MAX_FRAME",
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    let mut got = 0usize;
-    while got < payload.len() {
-        match stream.read(&mut payload[got..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(k) => got += k,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    let d = *deadline.get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
-                    if Instant::now() > d {
-                        return Err(io::ErrorKind::TimedOut.into());
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(Some(payload))
+/// Why a request failed.
+enum Fault {
+    /// The request is wrong: it is answered with an error response,
+    /// the rest of its frame is drained, and the session goes on.
+    Request(String),
+    /// The connection failed: the session ends.
+    Io(io::Error),
 }
 
-fn session_loop<D: BlockDevice + 'static>(mut stream: TcpStream, shared: &Shared<D>) {
+impl From<io::Error> for Fault {
+    fn from(e: io::Error) -> Fault {
+        Fault::Io(e)
+    }
+}
+
+impl From<String> for Fault {
+    fn from(msg: String) -> Fault {
+        Fault::Request(msg)
+    }
+}
+
+/// One request frame on a session's stream, with the count of its
+/// payload bytes not yet read (`left`). Every frame goes through it: an ordinary request is read
+/// whole, bounded by [`wire::MAX_FRAME`]; a `COMMIT` is read a field at
+/// a time while it runs, bounded by its length prefix. A frame that has
+/// started is read to its end, so an in-flight request is never torn —
+/// bounded by [`DRAIN_GRACE`] after shutdown.
+struct Frame<'a, R> {
+    r: &'a mut R,
+    shutdown: &'a AtomicBool,
+    deadline: Option<Instant>,
+    len: u32,
+    left: u32,
+}
+
+impl<'a, R: Read> Frame<'a, R> {
+    /// Reads the next frame's length prefix, polling the shutdown flag
+    /// while the connection is idle. `Ok(None)` when the session should
+    /// close: clean EOF, or shutdown observed at a frame boundary.
+    fn next(r: &'a mut R, shutdown: &'a AtomicBool) -> io::Result<Option<Frame<'a, R>>> {
+        let mut f = Frame {
+            r,
+            shutdown,
+            deadline: None,
+            len: 0,
+            left: 0,
+        };
+        let mut len = [0u8; 4];
+        if !f.read_polled(&mut len, true)? {
+            return Ok(None);
+        }
+        f.len = u32::from_le_bytes(len);
+        f.left = f.len;
+        Ok(Some(f))
+    }
+
+    /// Fills `buf` from the stream. With `idle` set, a clean EOF or a
+    /// shutdown before its first byte returns `Ok(false)`.
+    fn read_polled(&mut self, buf: &mut [u8], idle: bool) -> io::Result<bool> {
+        let mut n = 0usize;
+        while n < buf.len() {
+            match self.r.read(&mut buf[n..]) {
+                Ok(0) if idle && n == 0 => return Ok(false),
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(k) => n += k,
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    if self.shutdown.load(Ordering::SeqCst) {
+                        if idle && n == 0 {
+                            return Ok(false);
+                        }
+                        let d = *self
+                            .deadline
+                            .get_or_insert_with(|| Instant::now() + DRAIN_GRACE);
+                        if Instant::now() > d {
+                            return Err(io::ErrorKind::TimedOut.into());
+                        }
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
+
+    /// Reads the frame's next `buf.len()` bytes; a frame that holds
+    /// fewer is a wrong request.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), Fault> {
+        let n = u32::try_from(buf.len())
+            .ok()
+            .filter(|&n| n <= self.left)
+            .ok_or_else(|| Fault::Request("truncated message body".into()))?;
+        self.read_polled(buf, false)?;
+        self.left -= n;
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], Fault> {
+        let mut buf = [0u8; N];
+        self.fill(&mut buf)?;
+        Ok(buf)
+    }
+
+    fn u8(&mut self) -> Result<u8, Fault> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, Fault> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    fn u64(&mut self) -> Result<u64, Fault> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// The rest of a frame the server holds whole. A frame longer than
+    /// [`wire::MAX_FRAME`] ends the session rather than make the server
+    /// allocate what a corrupt prefix asks for.
+    fn rest(&mut self) -> io::Result<Vec<u8>> {
+        if self.len > wire::MAX_FRAME {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "frame exceeds MAX_FRAME",
+            ));
+        }
+        let mut buf = vec![0u8; self.left as usize];
+        self.read_polled(&mut buf, false)?;
+        self.left = 0;
+        Ok(buf)
+    }
+
+    /// Reads and discards what is left of the frame.
+    fn drain(&mut self) -> io::Result<()> {
+        let mut scratch = [0u8; 4096];
+        while self.left > 0 {
+            let n = scratch.len().min(self.left as usize);
+            self.read_polled(&mut scratch[..n], false)?;
+            self.left -= n as u32;
+        }
+        Ok(())
+    }
+}
+
+/// A session's read buffer: a `COMMIT` is read a few bytes at a time,
+/// and this turns its fields into one read call per 64 KiB.
+const READ_BUFFER: usize = 64 << 10;
+
+fn session_loop<D: BlockDevice + 'static>(stream: TcpStream, shared: &Shared<D>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let mut stream = BufReader::with_capacity(READ_BUFFER, stream);
     let mut sess = Session {
         client: 0,
         generation: 0,
         arus: HashSet::new(),
     };
     loop {
-        let payload = match read_frame_poll(&mut stream, &shared.shutdown) {
-            Ok(Some(p)) => p,
+        let served = match Frame::next(&mut stream, &shared.shutdown) {
+            Ok(Some(mut frame)) => serve(shared, &mut sess, &mut frame).map(|r| (frame.len, r)),
             Ok(None) => break,
-            Err(_) => {
-                shared.stats.conn_errors.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
+            Err(e) => Err(e),
+        };
+        let Ok((len, resp)) = served else {
+            shared.stats.conn_errors.fetch_add(1, Ordering::Relaxed);
+            break;
         };
         shared
             .stats
             .bytes_in
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        let resp = handle_request(shared, &mut sess, &payload);
+            .fetch_add(u64::from(len), Ordering::Relaxed);
         shared.stats.ops_served.fetch_add(1, Ordering::Relaxed);
         shared
             .stats
             .bytes_out
             .fetch_add(resp.len() as u64, Ordering::Relaxed);
-        if write_response(&mut stream, &resp).is_err() {
+        if write_response(stream.get_mut(), &resp).is_err() {
             shared.stats.conn_errors.fetch_add(1, Ordering::Relaxed);
             break;
         }
@@ -346,6 +438,43 @@ fn err_resp(msg: &str) -> Vec<u8> {
     resp
 }
 
+/// Reads and answers one request. A wrong request is answered with an
+/// error response once the rest of its frame is drained; `Err` means
+/// the connection failed and the session ends.
+fn serve<D: BlockDevice + 'static, R: Read>(
+    shared: &Shared<D>,
+    sess: &mut Session,
+    frame: &mut Frame<'_, R>,
+) -> io::Result<Vec<u8>> {
+    let res = (|| {
+        if frame.left == 0 {
+            return Err(Fault::Request("empty request".into()));
+        }
+        let opcode = frame.u8()?;
+        let body = match opcode {
+            op::COMMIT => None,
+            _ => Some(frame.rest()?),
+        };
+        // Identity gate: everything except HELLO and STATS acts on
+        // behalf of a known client incarnation.
+        if sess.client == 0 && !matches!(opcode, op::HELLO | op::STATS) {
+            return Err(Fault::Request("hello required before this request".into()));
+        }
+        match body {
+            None => commit(shared, sess, frame),
+            Some(body) => Ok(handle_request(shared, sess, opcode, &body)?),
+        }
+    })();
+    match res {
+        Ok(resp) => Ok(resp),
+        Err(Fault::Request(msg)) => {
+            frame.drain()?;
+            Ok(err_resp(&msg))
+        }
+        Err(Fault::Io(e)) => Err(e),
+    }
+}
+
 fn ctx_of(sess: &Session, aru: u64) -> Result<Ctx, String> {
     if aru == 0 {
         return Ok(Ctx::Simple);
@@ -356,167 +485,302 @@ fn ctx_of(sess: &Session, aru: u64) -> Result<Ctx, String> {
     Ok(Ctx::Aru(AruId::new(aru)))
 }
 
+// One executor per LD operation, shared by the interactive requests and
+// the ops of a `COMMIT` program, so each operation's rules exist once.
+
+fn new_list<D: BlockDevice + 'static>(ld: &Lld<D>, ctx: Ctx) -> Result<u64, String> {
+    ld.new_list(ctx).map(|l| l.get()).map_err(|e| e.to_string())
+}
+
+fn new_block<D: BlockDevice + 'static>(
+    ld: &Lld<D>,
+    ctx: Ctx,
+    list: u64,
+    pred: u64,
+) -> Result<u64, String> {
+    if list == 0 {
+        return Err("list id must be non-zero".into());
+    }
+    let pos = if pred == 0 {
+        Position::First
+    } else {
+        Position::After(BlockId::new(pred))
+    };
+    ld.new_block(ctx, ListId::new(list), pos)
+        .map(|b| b.get())
+        .map_err(|e| e.to_string())
+}
+
+fn write<D: BlockDevice + 'static>(
+    ld: &Lld<D>,
+    ctx: Ctx,
+    block: u64,
+    data: &[u8],
+) -> Result<(), String> {
+    if block == 0 {
+        return Err("block id must be non-zero".into());
+    }
+    ld.write(ctx, BlockId::new(block), data)
+        .map_err(|e| e.to_string())
+}
+
+/// Ends `aru` as `flags` ask — a tagged or an untagged commit, then a
+/// `SYNC` flush — appends `deduped generation commit_ts` to `resp`, and
+/// returns whether the commit was deduped. The ARU leaves the session's set as soon as it is gone
+/// (committed, or aborted by a dedup hit), before the flush, so a
+/// flush error or a disconnect cannot undo a commit.
+fn end_aru<D: BlockDevice + 'static>(
+    shared: &Shared<D>,
+    sess: &mut Session,
+    aru: u64,
+    flags: u8,
+    write_id: u64,
+    resp: &mut Vec<u8>,
+) -> Result<bool, String> {
+    let ld = &shared.ld;
+    let id = AruId::new(aru);
+    let (deduped, generation, ts) = if flags & flag::TAGGED != 0 {
+        let out = ld
+            .end_aru_tagged(id, sess.client, sess.generation, write_id)
+            .map_err(|e| e.to_string())?;
+        if out.deduped {
+            shared.stats.retries_deduped.fetch_add(1, Ordering::Relaxed);
+        }
+        (
+            out.deduped,
+            out.outcome.generation,
+            out.outcome.commit_ts.get(),
+        )
+    } else {
+        ld.end_aru(id).map_err(|e| e.to_string())?;
+        (false, sess.generation, 0)
+    };
+    sess.arus.remove(&aru);
+    if flags & flag::SYNC != 0 {
+        // Group commit: concurrent sync commits from other connections
+        // share this barrier.
+        ld.flush().map_err(|e| e.to_string())?;
+    }
+    resp.push(u8::from(deduped));
+    resp.extend_from_slice(&generation.to_le_bytes());
+    resp.extend_from_slice(&ts.to_le_bytes());
+    Ok(deduped)
+}
+
+/// The most identifiers a `COMMIT` may mint: its answer carries each,
+/// and an answer is a frame held whole.
+const MAX_MINTED: usize = (wire::MAX_FRAME as usize - 22) / 8;
+
+/// Runs a `COMMIT` as it is read: one fresh ARU, each op executed as
+/// soon as its fields have arrived, a write's data through one
+/// block-sized buffer. On any fault the ARU is aborted; the caller
+/// drains what is left of the frame.
+fn commit<D: BlockDevice + 'static, R: Read>(
+    shared: &Shared<D>,
+    sess: &mut Session,
+    frame: &mut Frame<'_, R>,
+) -> Result<Vec<u8>, Fault> {
+    let ld = &shared.ld;
+    let flags = frame.u8()?;
+    let write_id = frame.u64()?;
+    let n = frame.u32()?;
+    let aru = ld.begin_aru().map_err(|e| e.to_string())?;
+    let mut resp = vec![status::OK];
+    let ran = run_program(ld, aru, n, frame).and_then(|minted| {
+        if frame.left != 0 {
+            return Err(Fault::Request(format!(
+                "{} bytes after the program",
+                frame.left
+            )));
+        }
+        let deduped = end_aru(shared, sess, aru.get(), flags, write_id, &mut resp)?;
+        // A deduped commit's ARU was aborted: its identifiers are not
+        // the recorded ones.
+        let minted = if deduped { &[] } else { &minted[..] };
+        resp.extend_from_slice(&(minted.len() as u32).to_le_bytes());
+        for id in minted {
+            resp.extend_from_slice(&id.to_le_bytes());
+        }
+        Ok(())
+    });
+    if let Err(fault) = ran {
+        // Gone already if the commit itself went through and only its
+        // flush failed.
+        let _ = ld.abort_aru(aru);
+        return Err(fault);
+    }
+    Ok(resp)
+}
+
+/// Reads and executes the `n` ops of a program inside `aru`; returns
+/// the identifiers it minted, in slot order.
+fn run_program<D: BlockDevice + 'static, R: Read>(
+    ld: &Lld<D>,
+    aru: AruId,
+    n: u32,
+    frame: &mut Frame<'_, R>,
+) -> Result<Vec<u64>, Fault> {
+    let ctx = Ctx::Aru(aru);
+    // Each slot's identifier, and whether it names a list.
+    let mut minted: Vec<(u64, bool)> = Vec::new();
+    let mut data = vec![0u8; ld.block_size()];
+    for _ in 0..n {
+        match frame.u8()? {
+            op::NEW_LIST => minted.push((new_list(ld, ctx)?, true)),
+            op::NEW_BLOCK => {
+                let list = reference(frame, &minted, true)?;
+                let pred = reference(frame, &minted, false)?;
+                minted.push((new_block(ld, ctx, list, pred)?, false));
+            }
+            op::WRITE => {
+                let block = reference(frame, &minted, false)?;
+                let len = frame.u32()? as usize;
+                if len > data.len() {
+                    return Err(Fault::Request(format!(
+                        "write of {len} bytes exceeds the {}-byte block",
+                        data.len()
+                    )));
+                }
+                frame.fill(&mut data[..len])?;
+                write(ld, ctx, block, &data[..len])?;
+            }
+            other => return Err(Fault::Request(format!("unknown program op {other}"))),
+        }
+        if minted.len() > MAX_MINTED {
+            return Err(Fault::Request(format!(
+                "a program mints at most {MAX_MINTED} identifiers"
+            )));
+        }
+    }
+    Ok(minted.into_iter().map(|(id, _)| id).collect())
+}
+
+/// Reads one reference of a program: an identifier, or the slot of an
+/// earlier allocation of the kind wanted (a list, or else a block).
+fn reference<R: Read>(
+    frame: &mut Frame<'_, R>,
+    minted: &[(u64, bool)],
+    list: bool,
+) -> Result<u64, Fault> {
+    let kind = if list { "list" } else { "block" };
+    match frame.u8()? {
+        wire::reference::ID => frame.u64(),
+        wire::reference::SLOT => {
+            let slot = frame.u32()?;
+            match minted.get(slot as usize) {
+                Some(&(id, is_list)) if is_list == list => Ok(id),
+                Some(_) => Err(Fault::Request(format!("slot {slot} is not a {kind}"))),
+                None => Err(Fault::Request(format!("slot {slot} is not minted yet"))),
+            }
+        }
+        other => Err(Fault::Request(format!("unknown reference kind {other}"))),
+    }
+}
+
+/// Answers one request the server holds whole.
 fn handle_request<D: BlockDevice + 'static>(
     shared: &Shared<D>,
     sess: &mut Session,
+    opcode: u8,
     payload: &[u8],
-) -> Vec<u8> {
+) -> Result<Vec<u8>, String> {
     let ld = &shared.ld;
     let mut body = Body::new(payload);
-    let opcode = match body.u8() {
-        Ok(c) => c,
-        Err(_) => return err_resp("empty request"),
-    };
-    // Identity gate: everything except HELLO and STATS acts on behalf
-    // of a known client incarnation.
-    if sess.client == 0 && !matches!(opcode, op::HELLO | op::STATS) {
-        return err_resp("hello required before this request");
-    }
-    let res: Result<Vec<u8>, String> = (|| {
-        let mut resp = vec![status::OK];
-        match opcode {
-            op::HELLO => {
-                let client = body.u64().map_err(|e| e.to_string())?;
-                let generation = body.u64().map_err(|e| e.to_string())?;
-                let evicted = ld
-                    .client_hello(client, generation)
-                    .map_err(|e| e.to_string())?;
-                sess.client = client;
-                sess.generation = generation;
-                resp.extend_from_slice(&(evicted as u64).to_le_bytes());
-            }
-            op::BEGIN_ARU => {
-                let aru = ld.begin_aru().map_err(|e| e.to_string())?;
-                sess.arus.insert(aru.get());
-                resp.extend_from_slice(&aru.get().to_le_bytes());
-            }
-            op::NEW_LIST => {
-                let aru = body.u64().map_err(|e| e.to_string())?;
-                let ctx = ctx_of(sess, aru)?;
-                let list = ld.new_list(ctx).map_err(|e| e.to_string())?;
-                resp.extend_from_slice(&list.get().to_le_bytes());
-            }
-            op::NEW_BLOCK => {
-                let aru = body.u64().map_err(|e| e.to_string())?;
-                let list = body.u64().map_err(|e| e.to_string())?;
-                let pred = body.u64().map_err(|e| e.to_string())?;
-                let ctx = ctx_of(sess, aru)?;
-                if list == 0 {
-                    return Err("list id must be non-zero".into());
-                }
-                let pos = if pred == 0 {
-                    Position::First
-                } else {
-                    Position::After(BlockId::new(pred))
-                };
-                let block = ld
-                    .new_block(ctx, ListId::new(list), pos)
-                    .map_err(|e| e.to_string())?;
-                resp.extend_from_slice(&block.get().to_le_bytes());
-            }
-            op::WRITE => {
-                let aru = body.u64().map_err(|e| e.to_string())?;
-                let block = body.u64().map_err(|e| e.to_string())?;
-                let ctx = ctx_of(sess, aru)?;
-                if block == 0 {
-                    return Err("block id must be non-zero".into());
-                }
-                ld.write(ctx, BlockId::new(block), body.rest())
-                    .map_err(|e| e.to_string())?;
-            }
-            op::READ => {
-                let block = body.u64().map_err(|e| e.to_string())?;
-                if block == 0 {
-                    return Err("block id must be non-zero".into());
-                }
-                let mut buf = vec![0u8; ld.block_size()];
-                ld.read(Ctx::Simple, BlockId::new(block), &mut buf)
-                    .map_err(|e| e.to_string())?;
-                resp.extend_from_slice(&buf);
-            }
-            op::END_ARU => {
-                let aru = body.u64().map_err(|e| e.to_string())?;
-                let flags = body.u8().map_err(|e| e.to_string())?;
-                let write_id = body.u64().map_err(|e| e.to_string())?;
-                if aru == 0 || !sess.arus.contains(&aru) {
-                    return Err(format!("aru{aru} is not owned by this session"));
-                }
-                let id = AruId::new(aru);
-                let (deduped, generation, ts) = if flags & flag::TAGGED != 0 {
-                    let out = ld
-                        .end_aru_tagged(id, sess.client, sess.generation, write_id)
-                        .map_err(|e| e.to_string())?;
-                    if out.deduped {
-                        shared.stats.retries_deduped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    (
-                        u8::from(out.deduped),
-                        out.outcome.generation,
-                        out.outcome.commit_ts.get(),
-                    )
-                } else {
-                    ld.end_aru(id).map_err(|e| e.to_string())?;
-                    (0, sess.generation, 0)
-                };
-                // The ARU is gone either way (committed, or aborted by
-                // a dedup hit).
-                sess.arus.remove(&aru);
-                if flags & flag::SYNC != 0 {
-                    // Group commit: concurrent sync commits from other
-                    // connections share this barrier.
-                    ld.flush().map_err(|e| e.to_string())?;
-                }
-                resp.push(deduped);
-                resp.extend_from_slice(&generation.to_le_bytes());
-                resp.extend_from_slice(&ts.to_le_bytes());
-            }
-            op::FLUSH => {
-                ld.flush().map_err(|e| e.to_string())?;
-            }
-            op::STATS => {
-                let mut snap = ld.obs_snapshot();
-                snap.server = shared.stats.snapshot();
-                wire::put_str(&mut resp, &snap.to_json());
-            }
-            op::LOOKUP => {
-                let write_id = body.u64().map_err(|e| e.to_string())?;
-                match ld.write_id_lookup(sess.client, write_id) {
-                    Some(o) => {
-                        resp.push(1);
-                        resp.extend_from_slice(&o.generation.to_le_bytes());
-                        resp.extend_from_slice(&o.commit_ts.get().to_le_bytes());
-                    }
-                    None => resp.push(0),
-                }
-            }
-            op::LIST_BLOCKS => {
-                let aru = body.u64().map_err(|e| e.to_string())?;
-                let list = body.u64().map_err(|e| e.to_string())?;
-                let ctx = ctx_of(sess, aru)?;
-                if list == 0 {
-                    return Err("list id must be non-zero".into());
-                }
-                let blocks = ld
-                    .list_blocks(ctx, ListId::new(list))
-                    .map_err(|e| e.to_string())?;
-                resp.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-                for b in blocks {
-                    resp.extend_from_slice(&b.get().to_le_bytes());
-                }
-            }
-            op::ABORT_ARU => {
-                let aru = body.u64().map_err(|e| e.to_string())?;
-                if aru == 0 || !sess.arus.remove(&aru) {
-                    return Err(format!("aru{aru} is not owned by this session"));
-                }
-                ld.abort_aru(AruId::new(aru)).map_err(|e| e.to_string())?;
-            }
-            other => return Err(format!("unknown opcode {other}")),
+    let mut resp = vec![status::OK];
+    match opcode {
+        op::HELLO => {
+            let client = body.u64().map_err(|e| e.to_string())?;
+            let generation = body.u64().map_err(|e| e.to_string())?;
+            let evicted = ld
+                .client_hello(client, generation)
+                .map_err(|e| e.to_string())?;
+            sess.client = client;
+            sess.generation = generation;
+            resp.extend_from_slice(&(evicted as u64).to_le_bytes());
         }
-        Ok(resp)
-    })();
-    match res {
-        Ok(resp) => resp,
-        Err(msg) => err_resp(&msg),
+        op::BEGIN_ARU => {
+            let aru = ld.begin_aru().map_err(|e| e.to_string())?;
+            sess.arus.insert(aru.get());
+            resp.extend_from_slice(&aru.get().to_le_bytes());
+        }
+        op::NEW_LIST => {
+            let aru = body.u64().map_err(|e| e.to_string())?;
+            let list = new_list(ld, ctx_of(sess, aru)?)?;
+            resp.extend_from_slice(&list.to_le_bytes());
+        }
+        op::NEW_BLOCK => {
+            let aru = body.u64().map_err(|e| e.to_string())?;
+            let list = body.u64().map_err(|e| e.to_string())?;
+            let pred = body.u64().map_err(|e| e.to_string())?;
+            let block = new_block(ld, ctx_of(sess, aru)?, list, pred)?;
+            resp.extend_from_slice(&block.to_le_bytes());
+        }
+        op::WRITE => {
+            let aru = body.u64().map_err(|e| e.to_string())?;
+            let block = body.u64().map_err(|e| e.to_string())?;
+            write(ld, ctx_of(sess, aru)?, block, body.rest())?;
+        }
+        op::READ => {
+            let block = body.u64().map_err(|e| e.to_string())?;
+            if block == 0 {
+                return Err("block id must be non-zero".into());
+            }
+            let mut buf = vec![0u8; ld.block_size()];
+            ld.read(Ctx::Simple, BlockId::new(block), &mut buf)
+                .map_err(|e| e.to_string())?;
+            resp.extend_from_slice(&buf);
+        }
+        op::END_ARU => {
+            let aru = body.u64().map_err(|e| e.to_string())?;
+            let flags = body.u8().map_err(|e| e.to_string())?;
+            let write_id = body.u64().map_err(|e| e.to_string())?;
+            if aru == 0 || !sess.arus.contains(&aru) {
+                return Err(format!("aru{aru} is not owned by this session"));
+            }
+            end_aru(shared, sess, aru, flags, write_id, &mut resp)?;
+        }
+        op::FLUSH => {
+            ld.flush().map_err(|e| e.to_string())?;
+        }
+        op::STATS => {
+            let mut snap = ld.obs_snapshot();
+            snap.server = shared.stats.snapshot();
+            wire::put_str(&mut resp, &snap.to_json());
+        }
+        op::LOOKUP => {
+            let write_id = body.u64().map_err(|e| e.to_string())?;
+            match ld.write_id_lookup(sess.client, write_id) {
+                Some(o) => {
+                    resp.push(1);
+                    resp.extend_from_slice(&o.generation.to_le_bytes());
+                    resp.extend_from_slice(&o.commit_ts.get().to_le_bytes());
+                }
+                None => resp.push(0),
+            }
+        }
+        op::LIST_BLOCKS => {
+            let aru = body.u64().map_err(|e| e.to_string())?;
+            let list = body.u64().map_err(|e| e.to_string())?;
+            let ctx = ctx_of(sess, aru)?;
+            if list == 0 {
+                return Err("list id must be non-zero".into());
+            }
+            let blocks = ld
+                .list_blocks(ctx, ListId::new(list))
+                .map_err(|e| e.to_string())?;
+            resp.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+            for b in blocks {
+                resp.extend_from_slice(&b.get().to_le_bytes());
+            }
+        }
+        op::ABORT_ARU => {
+            let aru = body.u64().map_err(|e| e.to_string())?;
+            if aru == 0 || !sess.arus.remove(&aru) {
+                return Err(format!("aru{aru} is not owned by this session"));
+            }
+            ld.abort_aru(AruId::new(aru)).map_err(|e| e.to_string())?;
+        }
+        other => return Err(format!("unknown opcode {other}")),
     }
+    Ok(resp)
 }

@@ -14,13 +14,19 @@
 //! deliberately dumb: no negotiation, no compression, no pipelining —
 //! one outstanding request per connection, which keeps the session
 //! state machine (and its crash-reconciliation story) checkable.
+//!
+//! A transaction is one request, [`op::COMMIT`]: its program travels in
+//! the frame and the server runs it as it reads it. The interactive
+//! opcodes ([`op::BEGIN_ARU`] … [`op::END_ARU`]) drive an ARU one
+//! request per operation; `ld-client` does not send them.
 
 use std::io::{self, Read, Write};
 
-/// Upper bound on one frame's payload, requests and responses alike.
-/// Large enough for a block write at the biggest supported block size
-/// plus headers; small enough that a corrupt length prefix cannot make
-/// a peer allocate gigabytes.
+/// Upper bound on the payload of a frame that is held whole: every
+/// response, and every request but [`op::COMMIT`], which is read as it
+/// runs and bounded by its `u32` length only. Large enough for a block
+/// write at the biggest supported block size plus headers; small enough
+/// that a corrupt length prefix cannot make a peer allocate gigabytes.
 pub const MAX_FRAME: u32 = 1 << 20;
 
 /// Protocol opcodes (request payloads are documented in
@@ -29,18 +35,27 @@ pub mod op {
     /// `client_id:u64 generation:u64` — must be the session's first
     /// request (except [`STATS`]); registers the client incarnation.
     pub const HELLO: u8 = 1;
-    /// no body — opens an ARU owned by this session.
+    /// no body — opens an ARU owned by this session (interactive).
     pub const BEGIN_ARU: u8 = 2;
-    /// `aru:u64` (0 = simple context).
+    /// `aru:u64` (0 = simple context). In a [`COMMIT`] program: no
+    /// fields, and the new list takes the next slot.
     pub const NEW_LIST: u8 = 3;
-    /// `aru:u64 list:u64 pred:u64` (pred 0 = front of the list).
+    /// `aru:u64 list:u64 pred:u64` (pred 0 = front of the list). In a
+    /// [`COMMIT`] program: `list:ref pred:ref` (see
+    /// [`reference`](super::reference); pred id 0 = front), and the new
+    /// block takes the next slot.
     pub const NEW_BLOCK: u8 = 4;
-    /// `aru:u64 block:u64 data:[u8]` (data runs to the frame end).
+    /// `aru:u64 block:u64 data:[u8]` (data runs to the frame end). In a
+    /// [`COMMIT`] program: `block:ref len:u32 data[len]`.
     pub const WRITE: u8 = 5;
     /// `block:u64` — simple-context read of one block.
     pub const READ: u8 = 6;
     /// `aru:u64 flags:u8 write_id:u64` (flags: [`flag::SYNC`],
-    /// [`flag::TAGGED`]; write_id meaningful only when tagged).
+    /// [`flag::TAGGED`]; write_id meaningful only when tagged) —
+    /// commits an interactive ARU.
+    ///
+    /// [`flag::SYNC`]: super::flag::SYNC
+    /// [`flag::TAGGED`]: super::flag::TAGGED
     pub const END_ARU: u8 = 7;
     /// no body — group-committed durability barrier.
     pub const FLUSH: u8 = 8;
@@ -54,9 +69,28 @@ pub mod op {
     pub const LIST_BLOCKS: u8 = 11;
     /// `aru:u64` — aborts an ARU owned by this session.
     pub const ABORT_ARU: u8 = 12;
+    /// `flags:u8 write_id:u64 n:u32` then a program of `n` ops, each a
+    /// [`NEW_LIST`], [`NEW_BLOCK`] or [`WRITE`] tag and its fields. The
+    /// server runs the program in one fresh ARU as it reads it and ends
+    /// the ARU as [`END_ARU`] does; on any error it aborts the ARU and
+    /// drains the frame. Answers `deduped:u8 generation:u64
+    /// commit_ts:u64 n:u32 id:u64 × n`: the identifiers minted, in slot
+    /// order (none when deduped).
+    pub const COMMIT: u8 = 13;
 }
 
-/// `END_ARU` flag bits.
+/// How a [`op::COMMIT`] program names a list or block: `kind:u8` and
+/// then the kind's field.
+pub mod reference {
+    /// `id:u64` — an identifier that exists before the program.
+    pub const ID: u8 = 0;
+    /// `slot:u32` — the identifier minted by the program's allocation
+    /// number `slot` (counted from 0), which must come earlier and be
+    /// of the kind wanted.
+    pub const SLOT: u8 = 1;
+}
+
+/// `END_ARU` and `COMMIT` flag bits.
 pub mod flag {
     /// Follow the commit with a group-committed flush (durable ack).
     pub const SYNC: u8 = 1;

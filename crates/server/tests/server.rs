@@ -4,7 +4,10 @@
 //! (fault-injected device under a live server, recovery, and
 //! serial-oracle reconciliation).
 
+mod common;
+
 use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -194,6 +197,150 @@ fn session_disconnect_aborts_open_arus() {
     server.shutdown().1.unwrap();
 }
 
+/// Exactly-once across a `COMMIT` cut in half. A raw connection sends
+/// the first half of a tagged frame and drops: the server has begun the
+/// ARU and run the ops it read, and the hang-up aborts it. Nothing of it
+/// is visible and its write-id is not recorded, so `Client::commit`
+/// under the same write-id lands once, and a repeat answers `deduped`.
+#[test]
+fn a_commit_cut_in_half_leaves_nothing_and_lands_once() {
+    use common::{commit_payload, connect_raw, frame, Op, Ref};
+    use ld_server::wire::flag;
+
+    let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config(DEFAULT)).unwrap());
+    let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr().to_string();
+    let mut c = Client::connect(&addr, 6, 1, quick_retries()).unwrap();
+    let mut setup = Txn::new();
+    let l = setup.new_list();
+    let b = setup.new_block(ListRef::Slot(l), None);
+    setup.write(BlockRef::Slot(b), &payload(6, 1));
+    let base = c.commit(&setup, 1, Durability::Sync).unwrap();
+    let (list, block) = (base.ids[0], base.ids[1]);
+
+    // Overwrite the committed block, then add a block to its list.
+    let ops = [
+        Op::Write(Ref::Id(block), payload(6, 2)),
+        Op::NewBlock(Ref::Id(list), Ref::Id(block)),
+        Op::Write(Ref::Slot(0), payload(6, 2)),
+    ];
+    let whole = frame(&commit_payload(flag::TAGGED | flag::SYNC, 2, 3, &ops));
+    {
+        let mut s = connect_raw(&addr, 6);
+        s.write_all(&whole[..whole.len() / 2]).unwrap();
+        s.flush().unwrap();
+    } // dropped mid-frame
+    let open = |s: &ld_core::LldStats| s.arus_begun - s.arus_committed - s.arus_aborted;
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while (ld.stats().arus_begun < 2 || open(&ld.stats()) > 0) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let stats = ld.stats();
+    assert_eq!(stats.arus_begun, 2, "the half frame began its ARU");
+    assert_eq!(open(&stats), 0, "the half frame's ARU was aborted");
+    assert_eq!(c.read(block).unwrap(), payload(6, 1));
+    assert_eq!(c.list_blocks(list).unwrap(), vec![block]);
+    assert_eq!(c.lookup(2).unwrap(), None);
+
+    let mut txn = Txn::new();
+    txn.write(BlockRef::Id(block), &payload(6, 2));
+    let added = txn.new_block(ListRef::Id(list), Some(BlockRef::Id(block)));
+    txn.write(BlockRef::Slot(added), &payload(6, 2));
+    let out = c.commit(&txn, 2, Durability::Sync).unwrap();
+    assert!(!out.deduped);
+    let again = c.commit(&txn, 2, Durability::Sync).unwrap();
+    assert!(again.deduped);
+    assert_eq!(again.commit_ts, out.commit_ts);
+    assert_eq!(c.list_blocks(list).unwrap(), vec![block, out.ids[0]]);
+    assert_eq!(c.read(block).unwrap(), payload(6, 2));
+    assert_eq!(c.read(out.ids[0]).unwrap(), payload(6, 2));
+
+    drop(c);
+    server.shutdown().1.unwrap();
+}
+
+/// `Client::commit` is one request, whatever its program holds (four
+/// round trips for a two-write `Txn` when each op was one).
+#[test]
+fn a_commit_is_one_request() {
+    let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config(DEFAULT)).unwrap());
+    let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr().to_string();
+    let mut c = Client::connect(&addr, 8, 1, quick_retries()).unwrap();
+
+    let mut setup = Txn::new();
+    let l = setup.new_list();
+    let b1 = setup.new_block(ListRef::Slot(l), None);
+    let b2 = setup.new_block(ListRef::Slot(l), Some(BlockRef::Slot(b1)));
+    setup.write(BlockRef::Slot(b1), &payload(8, 1));
+    setup.write(BlockRef::Slot(b2), &payload(8, 1));
+    let before = server.stats().ops_served;
+    let out = c.commit(&setup, 1, Durability::Sync).unwrap();
+    assert_eq!(server.stats().ops_served - before, 1);
+
+    let durabilities = [Durability::Lazy, Durability::Sync].into_iter().cycle();
+    for (wid, durability) in (2..8).zip(durabilities) {
+        let mut txn = Txn::new();
+        txn.write(BlockRef::Id(out.ids[1]), &payload(8, wid));
+        txn.write(BlockRef::Id(out.ids[2]), &payload(8, wid));
+        let before = server.stats().ops_served;
+        c.commit(&txn, wid, durability).unwrap();
+        assert_eq!(server.stats().ops_served - before, 1, "write_id {wid}");
+    }
+
+    drop(c);
+    server.shutdown().1.unwrap();
+}
+
+/// A program larger than `MAX_FRAME` commits: a `COMMIT` is run as it
+/// is read and never held whole, so only its `u32` length bounds it.
+#[test]
+fn a_commit_larger_than_max_frame_commits_and_reads_back() {
+    const BIG: usize = 4096;
+    const BLOCKS: u64 = 300;
+    let cfg = LldConfig {
+        block_size: BIG,
+        segment_bytes: 16 * BIG,
+        ..config(DEFAULT)
+    };
+    let ld = Arc::new(Lld::format(MemDisk::new(16 << 20), &cfg).unwrap());
+    let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr().to_string();
+    let mut c = Client::connect(&addr, 9, 1, quick_retries()).unwrap();
+
+    let data = |i: u64| {
+        let mut d = vec![0u8; BIG];
+        d[..8].copy_from_slice(&i.to_le_bytes());
+        d[BIG - 8..].copy_from_slice(&(!i).to_le_bytes());
+        d
+    };
+    let mut txn = Txn::new();
+    let list = txn.new_list();
+    let mut pred = None;
+    for i in 0..BLOCKS {
+        let b = txn.new_block(ListRef::Slot(list), pred);
+        txn.write(BlockRef::Slot(b), &data(i));
+        pred = Some(BlockRef::Slot(b));
+    }
+    let before = server.stats();
+    let out = c.commit(&txn, 1, Durability::Sync).unwrap();
+    let after = server.stats();
+    assert_eq!(after.ops_served - before.ops_served, 1);
+    assert!(
+        after.bytes_in - before.bytes_in > u64::from(ld_server::wire::MAX_FRAME),
+        "the program fit one frame held whole"
+    );
+
+    let blocks = c.list_blocks(out.ids[0]).unwrap();
+    assert_eq!(blocks, out.ids[1..]);
+    for (i, b) in (0..BLOCKS).zip(blocks) {
+        assert_eq!(c.read(b).unwrap(), data(i), "block {i}");
+    }
+
+    drop(c);
+    server.shutdown().1.unwrap();
+}
+
 /// Graceful shutdown under load: clients hammer tagged lazy commits
 /// while the server shuts down mid-stream. Every commit that was
 /// *acknowledged* must exist (with its data) on the recovered image —
@@ -263,8 +410,8 @@ fn shutdown_under_load_loses_no_acknowledged_commit_at(mode: Mode) {
 }
 
 /// Synchronous commits from different connections share barriers. The
-/// server adds no batching of its own: each session's `END_ARU` is an
-/// `end_aru_sync` on the shared disk, and while one group-commit
+/// server adds no batching of its own: each session's `COMMIT` ends in
+/// an `end_aru_sync` on the shared disk, and while one group-commit
 /// leader's barrier is in the device the other sessions' commits queue
 /// behind it, so the next leader covers them all with one barrier. A
 /// 20 ms barrier makes that overlap certain; a leader that retired only
