@@ -31,6 +31,18 @@
 //! under a stop-the-world session (the release sweep's full session
 //! only walks per-slot counters).
 //!
+//! Between rounds the thread takes two jobs off operations that need
+//! not wait for them, one at a time: a sealed segment a lazy operation
+//! hands over ([`Cleanerd::offer_seal`]), and the checkpoint a seal
+//! found due once the log's suffix is past its bound
+//! ([`Cleanerd::offer_checkpoint`]), which it writes behind any segment
+//! it holds, with the same incremental writer. While it checkpoints it
+//! refuses seals, as in a round: the checkpoint's *begin* waits for
+//! every unwritten segment. Where it refuses a checkpoint — absent,
+//! `futile` or stopping — or the suffix is past twice its bound, the
+//! session that found it due writes it itself (docs/CLEANER.md "The
+//! thread's other jobs").
+//!
 //! Lifecycle is watermark-driven: segment rolls kick the thread when
 //! free segments drop below the *low watermark*
 //! (`cleaner.target_free_segments`), and space-consuming foreground
@@ -102,6 +114,9 @@ enum Job {
     Writing,
     /// In a cleaning round.
     Round,
+    /// Writing a checkpoint a seal found due
+    /// ([`offer_checkpoint`](Cleanerd::offer_checkpoint)).
+    Checkpoint,
 }
 
 #[derive(Debug, Default)]
@@ -120,6 +135,10 @@ struct CleanerdState {
     /// The segment of a `Writing` job until the thread picks it up; it
     /// writes it before anything else, also on its way out.
     seal: Option<Arc<SegmentBuilder>>,
+    /// A seal found the log's suffix past its bound: the thread writes a
+    /// checkpoint next, behind the seal it holds, if the suffix still is
+    /// by then.
+    checkpoint: bool,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -151,10 +170,10 @@ impl Cleanerd {
 
     /// Offers the thread a sealed segment to write. It takes one only
     /// while it is idle with nothing asked of it: a caller that finds
-    /// it in a round, about to start one (a pending kick: the roll that
-    /// finds free slots below the low watermark kicks before its
-    /// session ends), writing an earlier seal, futile, stopping or
-    /// absent gets `false` and writes the segment itself. Nobody ever
+    /// it in a round or a checkpoint, about to start a round (a pending
+    /// kick: the roll that finds free slots below the low watermark
+    /// kicks before its session ends), writing an earlier seal, futile,
+    /// stopping or absent gets `false` and writes the segment itself. Nobody ever
     /// waits for the thread. One job at a time is what was measured
     /// (docs/CLEANER.md) and what keeps a round live: its covering
     /// checkpoint waits for every unwritten segment (W2), and one queued
@@ -166,6 +185,26 @@ impl Cleanerd {
         }
         st.job = Job::Writing;
         st.seal = Some(Arc::clone(seg));
+        self.wake.notify_one();
+        true
+    }
+
+    /// Offers the thread the checkpoint a seal found due. It takes it
+    /// whatever its job, as the next one: behind the seal it was handed,
+    /// behind the round it is in, before a round it was kicked for.
+    /// Offers coalesce, and one made while it checkpoints asks for a
+    /// second checkpoint that the thread writes only if the suffix is
+    /// still past its bound once the first has committed. A thread that
+    /// is futile, stopping or absent refuses (`false`), and the caller
+    /// writes the checkpoint itself. While the thread checkpoints, its
+    /// job is not `Idle`, so it refuses seals: its *begin* waits for
+    /// every unwritten segment (W2).
+    pub(crate) fn offer_checkpoint(&self) -> bool {
+        let mut st = self.state.lock();
+        if !st.healthy() {
+            return false;
+        }
+        st.checkpoint = true;
         self.wake.notify_one();
         true
     }
@@ -265,10 +304,29 @@ fn cleanerd_main<D: BlockDevice + 'static>(ld: &LldInner<D>) {
         if st.stop {
             break;
         }
+        // Then a checkpoint a seal found due, unless somebody else's has
+        // shortened the suffix since. A failure is counted; the next
+        // seal asks again.
+        if std::mem::take(&mut st.checkpoint) {
+            st.job = Job::Checkpoint;
+            drop(st);
+            let due = ld.suffix_past(&ld.log.lock(), 1);
+            if due {
+                match ld.checkpoint_incremental() {
+                    Ok(true) => ld.stats.checkpoints_handed_off.inc(),
+                    // Another writer began meanwhile: as fresh.
+                    Ok(false) => {}
+                    Err(_) => ld.stats.checkpoint_failures.inc(),
+                }
+            }
+            st = ld.cleanerd.state.lock();
+            st.job = Job::Idle;
+            continue;
+        }
         if st.kicks == 0 {
             let (g, _timed_out) = ld.cleanerd.wake.wait_timeout(st, POLL);
             st = g;
-            if st.stop || st.seal.is_some() {
+            if st.stop || st.seal.is_some() || st.checkpoint {
                 continue;
             }
         }

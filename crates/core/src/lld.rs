@@ -478,7 +478,7 @@ impl<D: BlockDevice> LldInner<D> {
     /// Runs `f` in a *full* mutation session: every ARU slot and every
     /// map shard locked exclusively, in the canonical order. If a seal
     /// in the session found a checkpoint due and `f` succeeded, the
-    /// session writes it before it ends.
+    /// session hands it to `cleanerd` or writes it before it ends.
     pub(crate) fn with_mutation<T>(
         &self,
         f: impl FnOnce(&mut Mutation<'_, D>) -> Result<T>,
@@ -503,9 +503,11 @@ impl<D: BlockDevice> LldInner<D> {
         // does run inside the roll, as it always has — ROADMAP; this
         // is not a second such place.) After an error the tables may
         // be ahead of the log, so the flag stays up for a session that
-        // succeeds.
+        // succeeds. The checkpoint goes to `cleanerd` first; the session
+        // writes one the thread refuses, or one overdue.
         if out.is_ok()
             && self.needs_checkpoint.swap(false, Ordering::Relaxed)
+            && !self.hand_off_checkpoint(m.log())
             && m.checkpoint_inner().is_err()
         {
             // Nobody to hand the error to: the operation succeeded. The
@@ -513,6 +515,29 @@ impl<D: BlockDevice> LldInner<D> {
             self.stats.checkpoint_failures.inc();
         }
         out
+    }
+
+    /// Whether the log's suffix, from the last checkpoint to the last
+    /// sealed segment, is `times` its bound long or longer, in either of
+    /// restart's units: segment headers (the device's slot count) or
+    /// summary bytes (the weight of the tables). Once is due a
+    /// checkpoint, twice is overdue (docs/RECOVERY.md "The suffix
+    /// bound").
+    pub(crate) fn suffix_past(&self, log: &LogState, times: u64) -> bool {
+        let table_weight = (self.allocated_block_count() * SUFFIX_WEIGHT_BLOCK
+            + self.allocated_list_count() * SUFFIX_WEIGHT_LIST)
+            .max(MIN_SUFFIX_BYTES);
+        let (sealed, _) = log.covered_point();
+        sealed - log.checkpoint_seq >= times * u64::from(self.layout.n_segments)
+            || log.summary_sealed - log.checkpoint_summary >= times * table_weight
+    }
+
+    /// Offers a checkpoint a seal found due to `cleanerd`, which writes
+    /// it behind any seal it holds; `false` where the caller writes it
+    /// itself: no healthy thread takes it, or the suffix is past twice
+    /// its bound, which is the bound's hard edge.
+    fn hand_off_checkpoint(&self, log: &LogState) -> bool {
+        !self.suffix_past(log, 2) && self.cleanerd.offer_checkpoint()
     }
 
     /// Runs `f` in a *scoped* mutation session holding only the ARU
@@ -630,25 +655,28 @@ impl<D: BlockDevice> LldInner<D> {
 
     /// Post-scoped-session housekeeping: runs the cleaner under a full
     /// session when a scoped segment roll found free segments scarce,
-    /// and writes the checkpoint a scoped seal found due. Reads two
-    /// flags and no lock. Must be called with no mapping-layer locks
-    /// held; the session's own seal is on the device by now, and the
-    /// checkpoint waits for everyone else's (W2).
+    /// and hands off or writes the checkpoint a scoped seal found due.
+    /// Reads two flags and no lock while neither is up. Must be called
+    /// with no mapping-layer locks held; the session's own seal is on
+    /// the device or with `cleanerd` by now, and an inline checkpoint
+    /// waits for every seal (W2).
     pub(crate) fn after_scoped(&self) {
         if self.needs_clean.swap(false, Ordering::Relaxed) {
             // An error here resurfaces on the next operation that needs
             // space.
             let _ = self.run_cleaner();
         }
-        // Whoever takes the flag writes the checkpoint: every thread
+        // Whoever takes the flag sees to the checkpoint: every thread
         // that comes through here while it is up sees it, and one
-        // checkpoint is due. A failure is counted; the next seal asks
-        // again.
+        // checkpoint is due. It offers it to `cleanerd` and writes what
+        // that refuses. A failure is counted; the next seal asks again.
         if self.needs_checkpoint.load(Ordering::Relaxed)
             && self.needs_checkpoint.swap(false, Ordering::Relaxed)
-            && self.checkpoint().is_err()
         {
-            self.stats.checkpoint_failures.inc();
+            let handed_off = self.hand_off_checkpoint(&self.log.lock());
+            if !handed_off && self.checkpoint().is_err() {
+                self.stats.checkpoint_failures.inc();
+            }
         }
     }
 
@@ -1475,10 +1503,6 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 let unwritten = self.log().inflight.len() as u64;
                 lld.stats.inflight_segments.record_max(unwritten);
                 self.pending = Some(b);
-                let n_segments = u64::from(lld.layout.n_segments);
-                let table_weight = (lld.allocated_block_count() * SUFFIX_WEIGHT_BLOCK
-                    + lld.allocated_list_count() * SUFFIX_WEIGHT_LIST)
-                    .max(MIN_SUFFIX_BYTES);
                 let log = self.log();
                 log.slot_seq[slot as usize] = seal_seq;
                 log.tail = ChainHead {
@@ -1497,9 +1521,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 // (`SUFFIX_WEIGHT_*`), loading a snapshot is the cheaper
                 // restart.
                 log.summary_sealed += seal_summary;
-                if seal_seq - log.checkpoint_seq >= n_segments
-                    || log.summary_sealed - log.checkpoint_summary >= table_weight
-                {
+                if lld.suffix_past(log, 1) {
                     self.lld.needs_checkpoint.store(true, Ordering::Relaxed);
                 }
                 self.lld.stats.segments_sealed.inc();

@@ -1281,6 +1281,7 @@ fn lld_stats_from(v: &json::Value) -> LldStats {
             "cleaner_stale_skips" => s.cleaner_stale_skips = n,
             "backpressure_stalls" => s.backpressure_stalls = n,
             "checkpoints" => s.checkpoints = n,
+            "checkpoints_handed_off" => s.checkpoints_handed_off = n,
             "checkpoint_failures" => s.checkpoint_failures = n,
             "list_walk_steps" => s.list_walk_steps = n,
             "shadow_cow_records" => s.shadow_cow_records = n,
@@ -1477,6 +1478,7 @@ fn lld_stats_json(s: &LldStats) -> String {
     o.u64("cleaner_stale_skips", s.cleaner_stale_skips);
     o.u64("backpressure_stalls", s.backpressure_stalls);
     o.u64("checkpoints", s.checkpoints);
+    o.u64("checkpoints_handed_off", s.checkpoints_handed_off);
     o.u64("checkpoint_failures", s.checkpoint_failures);
     o.u64("list_walk_steps", s.list_walk_steps);
     o.u64("shadow_cow_records", s.shadow_cow_records);
@@ -1695,6 +1697,7 @@ impl fmt::Display for ObsSnapshot {
             ("cleaner_stale_skips", s.cleaner_stale_skips),
             ("backpressure_stalls", s.backpressure_stalls),
             ("checkpoints", s.checkpoints),
+            ("checkpoints_handed_off", s.checkpoints_handed_off),
             ("list_walk_steps", s.list_walk_steps),
             ("shadow_cow_records", s.shadow_cow_records),
             ("shadow_records_merged", s.shadow_records_merged),

@@ -76,6 +76,11 @@ pub struct LldStats {
     pub backpressure_stalls: u64,
     /// Checkpoints written.
     pub checkpoints: u64,
+    /// Of those, the checkpoints the `cleanerd` thread wrote for a seal
+    /// that found the log's suffix past its bound and handed the
+    /// checkpoint off instead of writing it (docs/RECOVERY.md, "The
+    /// suffix bound").
+    pub checkpoints_handed_off: u64,
     /// Checkpoints the log's suffix bound asked for that failed (the
     /// operation that found one due had succeeded, so the error went to
     /// no caller). The next seal asks again: a count that keeps rising
@@ -209,6 +214,7 @@ pub(crate) struct StatsCell {
     pub(crate) cleaner_stale_skips: Counter,
     pub(crate) backpressure_stalls: Counter,
     pub(crate) checkpoints: Counter,
+    pub(crate) checkpoints_handed_off: Counter,
     pub(crate) checkpoint_failures: Counter,
     pub(crate) list_walk_steps: Counter,
     pub(crate) shadow_cow_records: Counter,
@@ -258,6 +264,7 @@ impl StatsCell {
             cleaner_stale_skips: self.cleaner_stale_skips.get(),
             backpressure_stalls: self.backpressure_stalls.get(),
             checkpoints: self.checkpoints.get(),
+            checkpoints_handed_off: self.checkpoints_handed_off.get(),
             checkpoint_failures: self.checkpoint_failures.get(),
             list_walk_steps: self.list_walk_steps.get(),
             shadow_cow_records: self.shadow_cow_records.get(),
@@ -311,6 +318,7 @@ impl StatsCell {
             cleaner_stale_skips,
             backpressure_stalls,
             checkpoints,
+            checkpoints_handed_off,
             checkpoint_failures,
             list_walk_steps,
             shadow_cow_records,
@@ -357,6 +365,7 @@ impl StatsCell {
             cleaner_stale_skips,
             backpressure_stalls,
             checkpoints,
+            checkpoints_handed_off,
             checkpoint_failures,
             list_walk_steps,
             shadow_cow_records,

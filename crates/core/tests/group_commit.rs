@@ -1291,3 +1291,101 @@ fn without_the_thread_the_device_sees_the_same_writes_in_the_same_order() {
     handed.sort_unstable();
     assert_eq!(inline, handed);
 }
+
+/// Simple writes and flushes, a flush seal each, until `segments_sealed`
+/// reaches `count`.
+fn flush_until_sealed(ld: &Lld<impl BlockDevice>, b: BlockId, count: u64) {
+    let mut byte = 0u8;
+    while ld.stats().segments_sealed < count {
+        byte = byte.wrapping_add(1);
+        ld.write(Ctx::Simple, b, &block(byte)).unwrap();
+        ld.flush().unwrap();
+    }
+    assert_eq!(ld.stats().segments_sealed, count);
+}
+
+/// Waits for `done`, at most half of [`PATIENCE`]: a call held up by a
+/// parked write fails here, before the device gives the write up.
+fn eventually(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + PATIENCE / 2;
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}: never happened");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// (g) The checkpoint's hand-off. A lazy `end_aru` seals the segment
+/// that makes the suffix `n_segments` long, and hands both the segment
+/// and the checkpoint that seal asks for to the thread, whose write of
+/// the segment is parked. The call returns meanwhile, and nothing is
+/// checkpointed. Let go, the thread writes the segment and then a
+/// checkpoint that covers it. (Before the hand-off, the call wrote the
+/// checkpoint itself, and its *begin* waited for the parked segment,
+/// W2: `end_aru` did not return until the write was let go.)
+#[test]
+fn a_lazy_commit_hands_off_the_checkpoint_its_seal_asks_for() {
+    let ld = &Lld::format(ParkDisk::new(CAPACITY), &config(8)).unwrap();
+    let dev = ld.device();
+    let n = u64::from(ld.n_segments());
+    let blocks = [new_ring(ld), new_ring(ld)].concat();
+    let one = new_blocks(ld, 1)[0];
+    flush_until_sealed(ld, one, n - 1);
+    assert_eq!((ld.checkpoint_seq(), ld.stats().checkpoints), (0, 0));
+    dev.park_on("ld-cleanerd", slot_range(ld, 0).start..u64::MAX);
+    let _release = ReleaseOnDrop(dev);
+
+    std::thread::scope(|s| {
+        let committer = s.spawn(|| commit_until_a_seal(ld, &blocks));
+        dev.wait_for("the thread's write parks", |st| st.parked == 1);
+        eventually("end_aru returns", || committer.is_finished());
+        let done = committer.join().unwrap();
+        assert!(dev.stays(|st| st.parked == 1));
+        let stats = ld.stats();
+        assert_eq!((stats.segments_sealed, stats.seals_handed_off), (n, 1));
+        assert_eq!((ld.checkpoint_seq(), stats.checkpoints), (0, 0));
+        eprintln!(
+            "segment {n} parked on ld-cleanerd with the checkpoint it asked for; \
+             end_aru returned after {} blocks",
+            done.len()
+        );
+        dev.release(true);
+    });
+    eventually("the checkpoint lands", || ld.stats().checkpoints == 1);
+    assert!(ld.checkpoint_seq() >= n);
+    let stats = ld.stats();
+    assert_eq!(stats.checkpoints_handed_off, 1);
+    assert_eq!(stats.checkpoint_failures, 0);
+}
+
+/// (h) The bound's hard edge. The thread's checkpoint is parked in its
+/// first slab write, and sync commits go on sealing: each seal finds the
+/// suffix past its bound and is offered to the thread. The one that
+/// finds it twice `n_segments` long writes the checkpoint itself, so
+/// its commit does not return while the thread's write is parked, and
+/// when it does the suffix is short again.
+#[test]
+fn a_suffix_twice_its_bound_is_checkpointed_by_the_caller() {
+    let ld = &Lld::format(ParkDisk::new(CAPACITY), &config(8)).unwrap();
+    let dev = ld.device();
+    let n = u64::from(ld.n_segments());
+    let one = new_blocks(ld, 1)[0];
+    dev.park_on("ld-cleanerd", 0..slot_range(ld, 0).start);
+    let _release = ReleaseOnDrop(dev);
+    flush_until_sealed(ld, one, n);
+    dev.wait_for("the thread's checkpoint parks", |st| st.parked == 1);
+    flush_until_sealed(ld, one, 2 * n - 1);
+    assert_eq!(ld.checkpoint_seq(), 0);
+
+    std::thread::scope(|s| {
+        let committer = s.spawn(|| flush_until_sealed(ld, one, 2 * n));
+        assert!(dev.stays(|st| st.parked == 1));
+        assert!(!committer.is_finished(), "the checkpoint was handed off");
+        // (Not `checkpoint_seq`: the waiting checkpoint holds the log.)
+        assert_eq!(ld.stats().checkpoints, 0);
+        eprintln!("the thread's checkpoint parked; the seal at 2 x {n} waits to write one");
+        dev.release(true);
+        committer.join().unwrap();
+    });
+    assert_eq!(ld.checkpoint_seq(), 2 * n);
+    assert_eq!(ld.stats().checkpoint_failures, 0);
+}
