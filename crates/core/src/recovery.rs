@@ -365,6 +365,10 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 (tables.blocks).reserve(rows(|s| s.n_blocks, layout.max_blocks, i));
                 (tables.lists).reserve(rows(|s| s.n_lists, layout.max_lists, i));
             }
+            // A slot's `residents` is sized once, for every row the slabs
+            // place in it, and filled after the last slab.
+            let mut placed: Vec<(BlockId, PhysAddr)> = Vec::new();
+            let mut per_slot = vec![0usize; layout.n_segments as usize];
             for slab in &slabs {
                 let timer = obs.timer();
                 let maps = &lld.maps;
@@ -386,7 +390,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
                                 "checkpoint places {id} at {a}, outside the device"
                             )));
                         }
-                        self.log().add_resident(id, a);
+                        per_slot[a.segment.get() as usize] += 1;
+                        placed.push((id, a));
                     }
                     ts_floor = ts_floor.max(rec.ts.get());
                     let sh = self.map.block_shard_mut(id);
@@ -405,6 +410,13 @@ impl<D: BlockDevice> Mutation<'_, D> {
                     }
                 }
                 obs.recovery_slab_load(timer);
+            }
+            let log = self.log();
+            for (set, n) in log.residents.iter_mut().zip(per_slot) {
+                set.reserve(n);
+            }
+            for (id, a) in placed {
+                log.add_resident(id, a);
             }
             break;
         }

@@ -12,8 +12,9 @@ pub(crate) const DIRENT_SIZE: usize = 32;
 /// Longest representable file name.
 pub(crate) const MAX_NAME: usize = DIRENT_SIZE - 5;
 
-/// Decodes the entry at `slot`; `None` for a free slot.
-pub(crate) fn decode(block: &[u8], slot: usize) -> Result<Option<(Ino, String)>> {
+/// Decodes the entry at `slot`, its name borrowed from `block`; `None`
+/// for a free slot.
+pub(crate) fn decode(block: &[u8], slot: usize) -> Result<Option<(Ino, &str)>> {
     let off = slot * DIRENT_SIZE;
     let raw = &block[off..off + DIRENT_SIZE];
     let ino = u32::from_le_bytes(raw[0..4].try_into().expect("4 bytes"));
@@ -25,8 +26,7 @@ pub(crate) fn decode(block: &[u8], slot: usize) -> Result<Option<(Ino, String)>>
         return Err(FsError::Corrupt(format!("bad dirent name length {len}")));
     }
     let name = std::str::from_utf8(&raw[5..5 + len])
-        .map_err(|_| FsError::Corrupt("dirent name is not utf-8".into()))?
-        .to_string();
+        .map_err(|_| FsError::Corrupt("dirent name is not utf-8".into()))?;
     Ok(Some((Ino::new(ino), name)))
 }
 
@@ -62,10 +62,7 @@ mod tests {
     fn round_trip() {
         let mut block = vec![0u8; 512];
         encode(&mut block, 2, Ino::new(7), "hello.txt").unwrap();
-        assert_eq!(
-            decode(&block, 2).unwrap(),
-            Some((Ino::new(7), "hello.txt".to_string()))
-        );
+        assert_eq!(decode(&block, 2).unwrap(), Some((Ino::new(7), "hello.txt")));
         assert_eq!(decode(&block, 0).unwrap(), None);
         encode_free(&mut block, 2);
         assert_eq!(decode(&block, 2).unwrap(), None);
@@ -89,6 +86,11 @@ mod tests {
         let mut block = vec![0u8; 64];
         block[0] = 1; // ino 1
         block[4] = 60; // impossible length
+        assert!(matches!(decode(&block, 0), Err(FsError::Corrupt(_))));
+        block[4] = 0; // no name
+        assert!(matches!(decode(&block, 0), Err(FsError::Corrupt(_))));
+        block[4] = 1;
+        block[5] = 0xFF; // not utf-8
         assert!(matches!(decode(&block, 0), Err(FsError::Corrupt(_))));
     }
 }

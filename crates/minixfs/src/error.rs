@@ -28,6 +28,11 @@ pub enum FsError {
     BadInode(Ino),
     /// On-disk file-system structures are inconsistent.
     Corrupt(String),
+    /// `link` on a file whose link count is at the on-disk limit
+    /// (`u16::MAX`).
+    TooManyLinks(String),
+    /// `rename` of a directory to a path inside itself.
+    IntoOwnSubtree(String),
 }
 
 impl fmt::Display for FsError {
@@ -44,6 +49,10 @@ impl fmt::Display for FsError {
             FsError::InvalidPath(p) => write!(f, "invalid path: {p}"),
             FsError::BadInode(i) => write!(f, "bad inode {i}"),
             FsError::Corrupt(msg) => write!(f, "file system corrupt: {msg}"),
+            FsError::TooManyLinks(p) => write!(f, "too many links: {p}"),
+            FsError::IntoOwnSubtree(p) => {
+                write!(f, "cannot move a directory into its own subtree: {p}")
+            }
         }
     }
 }

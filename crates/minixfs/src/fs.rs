@@ -15,7 +15,8 @@ use crate::error::{FsError, Result};
 use crate::inode::{Inode, INODE_SIZE};
 use crate::types::{DirEntry, FileKind, Ino, Stat};
 use ld_core::{BlockId, Ctx, ListId, LogicalDisk, Position};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::ControlFlow;
 
 const SB_MAGIC: u64 = 0x4D4E_584C_4C44_3936; // "MNXLLD96"
 const SB_VERSION: u32 = 1;
@@ -59,6 +60,33 @@ impl FsStats {
     }
 }
 
+/// Where a directory entry lives: the index of its block in the
+/// directory's list and its slot in that block, ordered as a scan meets
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct DirSlot {
+    block: usize,
+    slot: usize,
+}
+
+/// What one scan of a directory found for a name.
+#[derive(Debug, Default)]
+struct Probe {
+    /// The entry with the name, and where it is.
+    hit: Option<(Ino, DirSlot)>,
+    /// The first free slot the scan passed: where a new entry goes when
+    /// there is no hit; `None` when the directory is full.
+    free: Option<DirSlot>,
+}
+
+/// Where a block appended to a list of `blocks` goes.
+fn append_pos(blocks: &[BlockId]) -> Position {
+    match blocks.last() {
+        None => Position::First,
+        Some(&p) => Position::After(p),
+    }
+}
+
 /// A Minix-like file system on a Logical Disk.
 ///
 /// # Example
@@ -94,8 +122,11 @@ pub struct MinixFs<L> {
     /// Inodes whose latest committed value has not been written back to
     /// the logical disk yet (the Minix buffer-cache delayed write for
     /// size updates; flushed by [`MinixFs::flush`] and before any
-    /// direct write of the same inode-table block).
-    dirty_inodes: HashMap<u32, Inode>,
+    /// direct write of the same inode-table block). Ordered, so the
+    /// updates one table block holds are one range.
+    dirty_inodes: BTreeMap<u32, Inode>,
+    /// The one block buffer every read-modify-write and scan reuses.
+    buf: Vec<u8>,
     stats: FsStats,
 }
 
@@ -158,7 +189,8 @@ impl<L: LogicalDisk> MinixFs<L> {
             inodes_per_block,
             free_inodes: (1..=inode_count).collect(),
             blocks_cache: HashMap::new(),
-            dirty_inodes: HashMap::new(),
+            dirty_inodes: BTreeMap::new(),
+            buf: vec![0; block_size],
             stats: FsStats::default(),
         };
 
@@ -216,20 +248,20 @@ impl<L: LogicalDisk> MinixFs<L> {
             inodes_per_block,
             free_inodes: BTreeSet::new(),
             blocks_cache: HashMap::new(),
-            dirty_inodes: HashMap::new(),
+            dirty_inodes: BTreeMap::new(),
+            buf: vec![0; block_size],
             stats: FsStats::default(),
         };
         // Rebuild the free-inode set by scanning the table, one read per
         // table block.
-        let mut buf = vec![0u8; block_size];
         let mut loaded = None;
         for raw in 1..=inode_count {
             let (bi, slot) = fs.inode_slot(Ino::new(raw));
             if loaded != Some(bi) {
-                fs.ld.read(Ctx::Simple, fs.inode_blocks[bi], &mut buf)?;
+                fs.ld.read(Ctx::Simple, fs.inode_blocks[bi], &mut fs.buf)?;
                 loaded = Some(bi);
             }
-            if Inode::decode(&buf, slot)?.is_none() {
+            if Inode::decode(&fs.buf, slot)?.is_none() {
                 fs.free_inodes.insert(raw);
             }
         }
@@ -290,19 +322,15 @@ impl<L: LogicalDisk> MinixFs<L> {
         Ok(())
     }
 
-    /// Writes every delayed inode update into its table block.
+    /// Writes every delayed inode update into its table block, in table
+    /// order.
     fn write_back_dirty_inodes(&mut self) -> Result<()> {
-        let mut dirty: Vec<u32> = self.dirty_inodes.keys().copied().collect();
-        dirty.sort_unstable();
-        for raw in dirty {
-            if let Some(inode) = self.dirty_inodes.get(&raw).cloned() {
-                // write_inode merges (and clears) every dirty inode that
-                // shares the block, so later iterations may find their
-                // entry already gone.
-                self.write_inode(Ctx::Simple, Ino::new(raw), Some(&inode))?;
-            }
+        // write_inode merges (and clears) every dirty inode that shares
+        // the block, so each pass takes a whole block's worth.
+        while let Some((&raw, inode)) = self.dirty_inodes.first_key_value() {
+            let inode = inode.clone();
+            self.write_inode(Ctx::Simple, Ino::new(raw), Some(&inode))?;
         }
-        debug_assert!(self.dirty_inodes.is_empty());
         Ok(())
     }
 
@@ -326,9 +354,8 @@ impl<L: LogicalDisk> MinixFs<L> {
             return Ok(inode.clone());
         }
         let (bi, slot) = self.inode_slot(ino);
-        let mut buf = vec![0u8; self.block_size];
-        self.ld.read(ctx, self.inode_blocks[bi], &mut buf)?;
-        Inode::decode(&buf, slot)?.ok_or(FsError::BadInode(ino))
+        self.ld.read(ctx, self.inode_blocks[bi], &mut self.buf)?;
+        Inode::decode(&self.buf, slot)?.ok_or(FsError::BadInode(ino))
     }
 
     /// Writes (or frees, with `None`) an inode slot. Any delayed inode
@@ -336,62 +363,48 @@ impl<L: LogicalDisk> MinixFs<L> {
     /// (they are durable afterwards, so their dirty entries clear).
     fn write_inode(&mut self, ctx: Ctx, ino: Ino, inode: Option<&Inode>) -> Result<()> {
         let (bi, slot) = self.inode_slot(ino);
-        let mut buf = vec![0u8; self.block_size];
-        self.ld.read(ctx, self.inode_blocks[bi], &mut buf)?;
+        self.ld.read(ctx, self.inode_blocks[bi], &mut self.buf)?;
         let first_raw = bi as u32 * self.inodes_per_block + 1;
-        for other in first_raw..first_raw + self.inodes_per_block {
-            if other == ino.get() {
-                self.dirty_inodes.remove(&other);
-                continue;
-            }
-            if let Some(d) = self.dirty_inodes.remove(&other) {
-                d.encode(&mut buf, (other - first_raw) as usize);
+        let block_inodes = first_raw..first_raw + self.inodes_per_block;
+        while let Some((&other, _)) = self.dirty_inodes.range(block_inodes.clone()).next() {
+            let d = self.dirty_inodes.remove(&other).expect("a key just seen");
+            if other != ino.get() {
+                d.encode(&mut self.buf, (other - first_raw) as usize);
             }
         }
         match inode {
-            Some(inode) => inode.encode(&mut buf, slot),
-            None => Inode::encode_free(&mut buf, slot),
+            Some(inode) => inode.encode(&mut self.buf, slot),
+            None => Inode::encode_free(&mut self.buf, slot),
         }
-        self.ld.write(ctx, self.inode_blocks[bi], &buf)?;
+        self.ld.write(ctx, self.inode_blocks[bi], &self.buf)?;
         Ok(())
     }
 
-    /// The data blocks of a directory (used by verification).
-    pub(crate) fn dir_blocks(&mut self, ino: Ino) -> Result<Vec<BlockId>> {
-        self.data_blocks(Ctx::Simple, ino)
-    }
-
-    /// The data blocks of `ino`, cached.
-    fn data_blocks(&mut self, ctx: Ctx, ino: Ino) -> Result<Vec<BlockId>> {
-        if ctx.is_simple() {
-            if let Some(v) = self.blocks_cache.get(&ino.get()) {
-                return Ok(v.clone());
-            }
+    /// Makes sure `blocks_cache` holds the data blocks of `ino`.
+    fn cache_blocks(&mut self, ino: Ino) -> Result<()> {
+        if !self.blocks_cache.contains_key(&ino.get()) {
+            let blocks = match self.read_inode(Ctx::Simple, ino)?.data_list {
+                Some(list) => self.ld.list_blocks(Ctx::Simple, list)?,
+                None => Vec::new(),
+            };
+            self.blocks_cache.insert(ino.get(), blocks);
         }
-        let inode = self.read_inode(ctx, ino)?;
-        let blocks = match inode.data_list {
-            Some(list) => self.ld.list_blocks(ctx, list)?,
-            None => Vec::new(),
-        };
-        if ctx.is_simple() {
-            self.blocks_cache.insert(ino.get(), blocks.clone());
-        }
-        Ok(blocks)
+        Ok(())
     }
 
     // ------------------------------------------------------------------
     // Path and directory helpers
     // ------------------------------------------------------------------
 
-    fn split_path<'p>(&self, path: &'p str) -> Result<Vec<&'p str>> {
+    /// The components of an absolute path, each checked against the
+    /// name limit before any is looked up.
+    fn components(path: &str) -> Result<impl Iterator<Item = &str> + Clone> {
         if !path.starts_with('/') {
             return Err(FsError::InvalidPath(path.to_string()));
         }
-        let comps: Vec<&str> = path.split('/').filter(|c| !c.is_empty()).collect();
-        for c in &comps {
-            if c.len() > dir::MAX_NAME {
-                return Err(FsError::NameTooLong((*c).to_string()));
-            }
+        let comps = path.split('/').filter(|c| !c.is_empty());
+        if let Some(c) = comps.clone().find(|c| c.len() > dir::MAX_NAME) {
+            return Err(FsError::NameTooLong(c.to_string()));
         }
         Ok(comps)
     }
@@ -402,37 +415,33 @@ impl<L: LogicalDisk> MinixFs<L> {
     ///
     /// [`FsError::NotFound`] / [`FsError::NotADirectory`] along the way.
     pub fn lookup(&mut self, path: &str) -> Result<Ino> {
-        let comps = self.split_path(path)?;
         let mut cur = Ino::ROOT;
-        for comp in comps {
-            let inode = self.read_inode(Ctx::Simple, cur)?;
-            if inode.kind != FileKind::Dir {
-                return Err(FsError::NotADirectory(path.to_string()));
-            }
-            cur = self
-                .dir_lookup(Ctx::Simple, cur, comp)?
-                .ok_or_else(|| FsError::NotFound(path.to_string()))?
-                .0;
+        for comp in Self::components(path)? {
+            cur = self.step(cur, comp, path)?;
         }
         Ok(cur)
     }
 
+    /// The inode `name` names in `dir`, one step along `path`.
+    fn step(&mut self, dir: Ino, name: &str, path: &str) -> Result<Ino> {
+        if self.read_inode(Ctx::Simple, dir)?.kind != FileKind::Dir {
+            return Err(FsError::NotADirectory(path.to_string()));
+        }
+        let (ino, _) =
+            (self.probe(dir, name)?.hit).ok_or_else(|| FsError::NotFound(path.to_string()))?;
+        Ok(ino)
+    }
+
     /// Resolves a path to `(parent_dir, file_name)`.
     fn resolve_parent<'p>(&mut self, path: &'p str) -> Result<(Ino, &'p str)> {
-        let comps = self.split_path(path)?;
-        let (&name, parents) = comps
-            .split_last()
+        let mut comps = Self::components(path)?;
+        let mut name = comps
+            .next()
             .ok_or_else(|| FsError::InvalidPath(path.to_string()))?;
         let mut cur = Ino::ROOT;
-        for comp in parents {
-            let inode = self.read_inode(Ctx::Simple, cur)?;
-            if inode.kind != FileKind::Dir {
-                return Err(FsError::NotADirectory(path.to_string()));
-            }
-            cur = self
-                .dir_lookup(Ctx::Simple, cur, comp)?
-                .ok_or_else(|| FsError::NotFound(path.to_string()))?
-                .0;
+        for next in comps {
+            cur = self.step(cur, name, path)?;
+            name = next;
         }
         if self.read_inode(Ctx::Simple, cur)?.kind != FileKind::Dir {
             return Err(FsError::NotADirectory(path.to_string()));
@@ -440,58 +449,105 @@ impl<L: LogicalDisk> MinixFs<L> {
         Ok((cur, name))
     }
 
-    /// Scans `dir` for `name`; returns the inode and the (block index,
-    /// slot) of the entry.
-    fn dir_lookup(
+    /// The one directory scan: hands `visit` every slot of `dir` in
+    /// scan order, with its entry (the name borrowed from the block) or
+    /// `None` for a free slot, until `visit` breaks. It runs outside
+    /// any ARU, before one opens.
+    fn scan_dir(
         &mut self,
-        ctx: Ctx,
         dir: Ino,
-        name: &str,
-    ) -> Result<Option<(Ino, usize, usize)>> {
-        let blocks = self.data_blocks(ctx, dir)?;
+        mut visit: impl FnMut(DirSlot, Option<(Ino, &str)>) -> ControlFlow<()>,
+    ) -> Result<()> {
+        self.cache_blocks(dir)?;
         let slots = self.block_size / DIRENT_SIZE;
-        let mut buf = vec![0u8; self.block_size];
-        for (bi, &b) in blocks.iter().enumerate() {
-            self.ld.read(ctx, b, &mut buf)?;
+        for (block, &b) in self.blocks_cache[&dir.get()].iter().enumerate() {
+            self.ld.read(Ctx::Simple, b, &mut self.buf)?;
             for slot in 0..slots {
-                if let Some((ino, ename)) = dir::decode(&buf, slot)? {
-                    if ename == name {
-                        return Ok(Some((ino, bi, slot)));
-                    }
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    /// Adds an entry to `dir`, extending it by one block if needed.
-    fn dir_add(&mut self, ctx: Ctx, dir: Ino, name: &str, ino: Ino) -> Result<()> {
-        let blocks = self.data_blocks(ctx, dir)?;
-        let slots = self.block_size / DIRENT_SIZE;
-        let mut buf = vec![0u8; self.block_size];
-        for &b in &blocks {
-            self.ld.read(ctx, b, &mut buf)?;
-            for slot in 0..slots {
-                if dir::decode(&buf, slot)?.is_none() {
-                    dir::encode(&mut buf, slot, ino, name)?;
-                    self.ld.write(ctx, b, &buf)?;
+                if visit(DirSlot { block, slot }, dir::decode(&self.buf, slot)?).is_break() {
                     return Ok(());
                 }
             }
         }
-        // Directory is full: extend it.
+        Ok(())
+    }
+
+    /// Scans `dir` for `name` up to its entry, noting the first free
+    /// slot on the way.
+    fn probe(&mut self, dir: Ino, name: &str) -> Result<Probe> {
+        let mut found = Probe::default();
+        self.scan_dir(dir, |at, entry| match entry {
+            Some((ino, n)) if n == name => {
+                found.hit = Some((ino, at));
+                ControlFlow::Break(())
+            }
+            Some(_) => ControlFlow::Continue(()),
+            None => {
+                found.free.get_or_insert(at);
+                ControlFlow::Continue(())
+            }
+        })?;
+        Ok(found)
+    }
+
+    /// The entries of directory `dir`, in scan order.
+    pub(crate) fn entries(&mut self, dir: Ino) -> Result<Vec<DirEntry>> {
+        let mut out = Vec::new();
+        self.scan_dir(dir, |_, entry| {
+            if let Some((ino, name)) = entry {
+                out.push(DirEntry {
+                    name: name.to_string(),
+                    ino,
+                });
+            }
+            ControlFlow::Continue(())
+        })?;
+        Ok(out)
+    }
+
+    /// Sets the slot `at` of `dir`, which a probe found, to `entry`
+    /// (`None` frees it).
+    fn dir_set(
+        &mut self,
+        ctx: Ctx,
+        dir: Ino,
+        at: DirSlot,
+        entry: Option<(Ino, &str)>,
+    ) -> Result<()> {
+        self.cache_blocks(dir)?;
+        let b = self.blocks_cache[&dir.get()][at.block];
+        self.ld.read(ctx, b, &mut self.buf)?;
+        match entry {
+            Some((ino, name)) => dir::encode(&mut self.buf, at.slot, ino, name)?,
+            None => dir::encode_free(&mut self.buf, at.slot),
+        }
+        self.ld.write(ctx, b, &self.buf)?;
+        Ok(())
+    }
+
+    /// Enters `name` for `ino` in `dir`: at `free`, the first free slot
+    /// a probe found, or, when it found none, in a block appended to the
+    /// directory.
+    fn dir_add(
+        &mut self,
+        ctx: Ctx,
+        dir: Ino,
+        free: Option<DirSlot>,
+        name: &str,
+        ino: Ino,
+    ) -> Result<()> {
+        if let Some(at) = free {
+            return self.dir_set(ctx, dir, at, Some((ino, name)));
+        }
+        self.cache_blocks(dir)?;
+        let pos = append_pos(&self.blocks_cache[&dir.get()]);
         let mut inode = self.read_inode(ctx, dir)?;
         let list = inode
             .data_list
             .ok_or_else(|| FsError::Corrupt(format!("directory {dir} has no data list")))?;
-        let pos = match blocks.last() {
-            None => Position::First,
-            Some(&p) => Position::After(p),
-        };
         let nb = self.ld.new_block(ctx, list, pos)?;
-        buf.fill(0);
-        dir::encode(&mut buf, 0, ino, name)?;
-        self.ld.write(ctx, nb, &buf)?;
+        self.buf.fill(0);
+        dir::encode(&mut self.buf, 0, ino, name)?;
+        self.ld.write(ctx, nb, &self.buf)?;
         inode.size += self.block_size as u64;
         self.write_inode(ctx, dir, Some(&inode))?;
         if ctx.is_simple() {
@@ -502,19 +558,6 @@ impl<L: LogicalDisk> MinixFs<L> {
         Ok(())
     }
 
-    /// Removes `name` from `dir`.
-    fn dir_remove(&mut self, ctx: Ctx, dir: Ino, name: &str) -> Result<Ino> {
-        let (ino, bi, slot) = self
-            .dir_lookup(ctx, dir, name)?
-            .ok_or_else(|| FsError::NotFound(name.to_string()))?;
-        let blocks = self.data_blocks(ctx, dir)?;
-        let mut buf = vec![0u8; self.block_size];
-        self.ld.read(ctx, blocks[bi], &mut buf)?;
-        dir::encode_free(&mut buf, slot);
-        self.ld.write(ctx, blocks[bi], &buf)?;
-        Ok(ino)
-    }
-
     /// Lists the entries of the directory at `path`.
     ///
     /// # Errors
@@ -522,23 +565,10 @@ impl<L: LogicalDisk> MinixFs<L> {
     /// [`FsError::NotADirectory`] if the path names a file.
     pub fn readdir(&mut self, path: &str) -> Result<Vec<DirEntry>> {
         let ino = self.lookup(path)?;
-        let inode = self.read_inode(Ctx::Simple, ino)?;
-        if inode.kind != FileKind::Dir {
+        if self.read_inode(Ctx::Simple, ino)?.kind != FileKind::Dir {
             return Err(FsError::NotADirectory(path.to_string()));
         }
-        let blocks = self.data_blocks(Ctx::Simple, ino)?;
-        let slots = self.block_size / DIRENT_SIZE;
-        let mut buf = vec![0u8; self.block_size];
-        let mut out = Vec::new();
-        for &b in &blocks {
-            self.ld.read(Ctx::Simple, b, &mut buf)?;
-            for slot in 0..slots {
-                if let Some((ino, name)) = dir::decode(&buf, slot)? {
-                    out.push(DirEntry { name, ino });
-                }
-            }
-        }
-        Ok(out)
+        self.entries(ino)
     }
 
     // ------------------------------------------------------------------
@@ -582,30 +612,7 @@ impl<L: LogicalDisk> MinixFs<L> {
     /// [`FsError::AlreadyExists`], [`FsError::NoInodes`], path errors,
     /// and logical-disk errors.
     pub fn create(&mut self, path: &str) -> Result<Ino> {
-        let (parent, name) = self.resolve_parent(path)?;
-        if self.dir_lookup(Ctx::Simple, parent, name)?.is_some() {
-            return Err(FsError::AlreadyExists(path.to_string()));
-        }
-        let raw = *self.free_inodes.first().ok_or(FsError::NoInodes)?;
-        let ino = Ino::new(raw);
-        let name = name.to_string();
-        self.bracketed(|fs, ctx| {
-            let data_list = fs.ld.new_list(ctx)?;
-            fs.write_inode(
-                ctx,
-                ino,
-                Some(&Inode {
-                    kind: FileKind::File,
-                    nlinks: 1,
-                    size: 0,
-                    data_list: Some(data_list),
-                }),
-            )?;
-            fs.dir_add(ctx, parent, &name, ino)?;
-            Ok(())
-        })?;
-        self.free_inodes.remove(&raw);
-        self.blocks_cache.insert(raw, Vec::new());
+        let ino = self.make(path, FileKind::File)?;
         self.stats.files_created += 1;
         Ok(ino)
     }
@@ -616,31 +623,37 @@ impl<L: LogicalDisk> MinixFs<L> {
     ///
     /// As for [`create`](MinixFs::create).
     pub fn mkdir(&mut self, path: &str) -> Result<Ino> {
+        let ino = self.make(path, FileKind::Dir)?;
+        self.stats.dirs_created += 1;
+        Ok(ino)
+    }
+
+    /// `create` and `mkdir`: a fresh inode of `kind` with an empty data
+    /// list, entered in its parent.
+    fn make(&mut self, path: &str, kind: FileKind) -> Result<Ino> {
         let (parent, name) = self.resolve_parent(path)?;
-        if self.dir_lookup(Ctx::Simple, parent, name)?.is_some() {
+        let probe = self.probe(parent, name)?;
+        if probe.hit.is_some() {
             return Err(FsError::AlreadyExists(path.to_string()));
         }
         let raw = *self.free_inodes.first().ok_or(FsError::NoInodes)?;
         let ino = Ino::new(raw);
-        let name = name.to_string();
         self.bracketed(|fs, ctx| {
             let data_list = fs.ld.new_list(ctx)?;
             fs.write_inode(
                 ctx,
                 ino,
                 Some(&Inode {
-                    kind: FileKind::Dir,
+                    kind,
                     nlinks: 1,
                     size: 0,
                     data_list: Some(data_list),
                 }),
             )?;
-            fs.dir_add(ctx, parent, &name, ino)?;
-            Ok(())
+            fs.dir_add(ctx, parent, probe.free, name, ino)
         })?;
         self.free_inodes.remove(&raw);
         self.blocks_cache.insert(raw, Vec::new());
-        self.stats.dirs_created += 1;
         Ok(ino)
     }
 
@@ -652,14 +665,12 @@ impl<L: LogicalDisk> MinixFs<L> {
     /// [`FsError::IsADirectory`] on a directory; path errors.
     pub fn unlink(&mut self, path: &str) -> Result<()> {
         let (parent, name) = self.resolve_parent(path)?;
-        let (ino, _, _) = self
-            .dir_lookup(Ctx::Simple, parent, name)?
-            .ok_or_else(|| FsError::NotFound(path.to_string()))?;
+        let (ino, at) =
+            (self.probe(parent, name)?.hit).ok_or_else(|| FsError::NotFound(path.to_string()))?;
         let mut inode = self.read_inode(Ctx::Simple, ino)?;
         if inode.kind == FileKind::Dir {
             return Err(FsError::IsADirectory(path.to_string()));
         }
-        let name = name.to_string();
         if inode.nlinks > 1 {
             // Hard-linked elsewhere: drop this entry and the link count;
             // the data stays.
@@ -667,8 +678,7 @@ impl<L: LogicalDisk> MinixFs<L> {
             self.dirty_inodes.remove(&ino.get());
             return self.bracketed(|fs, ctx| {
                 fs.write_inode(ctx, ino, Some(&inode))?;
-                fs.dir_remove(ctx, parent, &name)?;
-                Ok(())
+                fs.dir_set(ctx, parent, at, None)
             });
         }
         let policy = self.cfg.delete_policy;
@@ -696,8 +706,7 @@ impl<L: LogicalDisk> MinixFs<L> {
                 }
             }
             fs.write_inode(ctx, ino, None)?;
-            fs.dir_remove(ctx, parent, &name)?;
-            Ok(())
+            fs.dir_set(ctx, parent, at, None)
         })?;
         self.free_inodes.insert(ino.get());
         self.blocks_cache.remove(&ino.get());
@@ -713,33 +722,30 @@ impl<L: LogicalDisk> MinixFs<L> {
     /// [`FsError::NotADirectory`] on a file.
     pub fn rmdir(&mut self, path: &str) -> Result<()> {
         let (parent, name) = self.resolve_parent(path)?;
-        let (ino, _, _) = self
-            .dir_lookup(Ctx::Simple, parent, name)?
-            .ok_or_else(|| FsError::NotFound(path.to_string()))?;
+        let (ino, at) =
+            (self.probe(parent, name)?.hit).ok_or_else(|| FsError::NotFound(path.to_string()))?;
         let inode = self.read_inode(Ctx::Simple, ino)?;
         if inode.kind != FileKind::Dir {
             return Err(FsError::NotADirectory(path.to_string()));
         }
-        // Must be empty.
-        let blocks = self.data_blocks(Ctx::Simple, ino)?;
-        let slots = self.block_size / DIRENT_SIZE;
-        let mut buf = vec![0u8; self.block_size];
-        for &b in &blocks {
-            self.ld.read(Ctx::Simple, b, &mut buf)?;
-            for slot in 0..slots {
-                if dir::decode(&buf, slot)?.is_some() {
-                    return Err(FsError::DirectoryNotEmpty(path.to_string()));
-                }
+        let mut live = false;
+        self.scan_dir(ino, |_, entry| {
+            live = entry.is_some();
+            if live {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
+        })?;
+        if live {
+            return Err(FsError::DirectoryNotEmpty(path.to_string()));
         }
-        let name = name.to_string();
         self.bracketed(|fs, ctx| {
             if let Some(list) = inode.data_list {
                 fs.ld.delete_list(ctx, list)?;
             }
             fs.write_inode(ctx, ino, None)?;
-            fs.dir_remove(ctx, parent, &name)?;
-            Ok(())
+            fs.dir_set(ctx, parent, at, None)
         })?;
         self.free_inodes.insert(ino.get());
         self.blocks_cache.remove(&ino.get());
@@ -754,6 +760,8 @@ impl<L: LogicalDisk> MinixFs<L> {
     /// # Errors
     ///
     /// [`FsError::IsADirectory`] when linking a directory;
+    /// [`FsError::TooManyLinks`] when the file already has `u16::MAX`
+    /// links, the most an inode records;
     /// [`FsError::AlreadyExists`] if the target name is taken.
     pub fn link(&mut self, existing: &str, new: &str) -> Result<()> {
         let ino = self.lookup(existing)?;
@@ -761,16 +769,18 @@ impl<L: LogicalDisk> MinixFs<L> {
         if inode.kind != FileKind::File {
             return Err(FsError::IsADirectory(existing.to_string()));
         }
+        if inode.nlinks >= u32::from(u16::MAX) {
+            return Err(FsError::TooManyLinks(existing.to_string()));
+        }
         let (parent, name) = self.resolve_parent(new)?;
-        if self.dir_lookup(Ctx::Simple, parent, name)?.is_some() {
+        let probe = self.probe(parent, name)?;
+        if probe.hit.is_some() {
             return Err(FsError::AlreadyExists(new.to_string()));
         }
-        let name = name.to_string();
         inode.nlinks += 1;
         self.bracketed(|fs, ctx| {
             fs.write_inode(ctx, ino, Some(&inode))?;
-            fs.dir_add(ctx, parent, &name, ino)?;
-            Ok(())
+            fs.dir_add(ctx, parent, probe.free, name, ino)
         })
     }
 
@@ -788,30 +798,24 @@ impl<L: LogicalDisk> MinixFs<L> {
         if new_size == inode.size {
             return Ok(());
         }
-        let bs = self.block_size as u64;
         let list = inode
             .data_list
             .ok_or_else(|| FsError::Corrupt(format!("file {ino} has no data list")))?;
-        let mut blocks = self.data_blocks(Ctx::Simple, ino)?;
-        let needed = new_size.div_ceil(bs) as usize;
-        if needed < blocks.len() {
-            // Shrink: drop blocks from the tail (freeing from the end
-            // keeps each predecessor search one step).
-            for &b in blocks[needed..].iter().rev() {
-                self.ld.delete_block(Ctx::Simple, b)?;
-            }
-            blocks.truncate(needed);
-        } else {
-            // Extend sparsely: allocate zero blocks up to the new end.
-            while blocks.len() < needed {
-                let pos = match blocks.last() {
-                    None => Position::First,
-                    Some(&p) => Position::After(p),
-                };
-                blocks.push(self.ld.new_block(Ctx::Simple, list, pos)?);
-            }
+        let needed = new_size.div_ceil(self.block_size as u64) as usize;
+        self.cache_blocks(ino)?;
+        let blocks = self.blocks_cache.get_mut(&ino.get()).expect("cached");
+        // Shrink: drop blocks from the tail (freeing from the end keeps
+        // each predecessor search one step).
+        while blocks.len() > needed {
+            let &b = blocks.last().expect("longer than needed");
+            self.ld.delete_block(Ctx::Simple, b)?;
+            blocks.pop();
         }
-        self.blocks_cache.insert(ino.get(), blocks);
+        // Extend sparsely: allocate zero blocks up to the new end.
+        while blocks.len() < needed {
+            let b = self.ld.new_block(Ctx::Simple, list, append_pos(blocks))?;
+            blocks.push(b);
+        }
         inode.size = new_size;
         self.dirty_inodes.insert(ino.get(), inode);
         Ok(())
@@ -822,20 +826,35 @@ impl<L: LogicalDisk> MinixFs<L> {
     ///
     /// # Errors
     ///
-    /// Path errors; [`FsError::AlreadyExists`] if the target exists.
+    /// Path errors; [`FsError::AlreadyExists`] if the target exists;
+    /// [`FsError::IntoOwnSubtree`] if `to` lies inside the directory
+    /// `from`.
     pub fn rename(&mut self, from: &str, to: &str) -> Result<()> {
         let (from_parent, from_name) = self.resolve_parent(from)?;
         let (to_parent, to_name) = self.resolve_parent(to)?;
-        self.dir_lookup(Ctx::Simple, from_parent, from_name)?
+        let (ino, from_at) = (self.probe(from_parent, from_name)?.hit)
             .ok_or_else(|| FsError::NotFound(from.to_string()))?;
-        if self.dir_lookup(Ctx::Simple, to_parent, to_name)?.is_some() {
+        let target = self.probe(to_parent, to_name)?;
+        if target.hit.is_some() {
             return Err(FsError::AlreadyExists(to.to_string()));
         }
-        let (from_name, to_name) = (from_name.to_string(), to_name.to_string());
+        // `to` resolved, so every component of it but the last is a
+        // directory: `from` is a prefix of it only when `from` is a
+        // directory that would be left unreachable, below itself.
+        let mut to_comps = Self::components(to)?;
+        if Self::components(from)?.all(|c| to_comps.next() == Some(c)) {
+            return Err(FsError::IntoOwnSubtree(to.to_string()));
+        }
+        // Within one directory the freed entry may come first; the new
+        // one then takes it, as a scan after the removal would.
+        let free = match target.free {
+            Some(f) if from_parent == to_parent => Some(f.min(from_at)),
+            None if from_parent == to_parent => Some(from_at),
+            free => free,
+        };
         self.bracketed(|fs, ctx| {
-            let ino = fs.dir_remove(ctx, from_parent, &from_name)?;
-            fs.dir_add(ctx, to_parent, &to_name, ino)?;
-            Ok(())
+            fs.dir_set(ctx, from_parent, from_at, None)?;
+            fs.dir_add(ctx, to_parent, free, to_name, ino)
         })
     }
 
@@ -852,37 +871,31 @@ impl<L: LogicalDisk> MinixFs<L> {
         let list = inode
             .data_list
             .ok_or_else(|| FsError::Corrupt(format!("file {ino} has no data list")))?;
-        let bs = self.block_size as u64;
-        let mut blocks = self.data_blocks(Ctx::Simple, ino)?;
+        let bs = self.block_size;
+        self.cache_blocks(ino)?;
+        let blocks = self.blocks_cache.get_mut(&ino.get()).expect("cached");
 
         // Extend so every touched block exists.
         let end = offset + data.len() as u64;
-        let needed = end.div_ceil(bs) as usize;
+        let needed = end.div_ceil(bs as u64) as usize;
         while blocks.len() < needed {
-            let pos = match blocks.last() {
-                None => Position::First,
-                Some(&p) => Position::After(p),
-            };
-            let b = self.ld.new_block(Ctx::Simple, list, pos)?;
+            let b = self.ld.new_block(Ctx::Simple, list, append_pos(blocks))?;
             blocks.push(b);
         }
-        self.blocks_cache.insert(ino.get(), blocks.clone());
 
         let mut written = 0usize;
-        let mut buf = vec![0u8; self.block_size];
         while written < data.len() {
             let pos = offset + written as u64;
-            let bi = (pos / bs) as usize;
-            let in_block = (pos % bs) as usize;
-            let n = (self.block_size - in_block).min(data.len() - written);
-            if n == self.block_size {
-                self.ld
-                    .write(Ctx::Simple, blocks[bi], &data[written..written + n])?;
+            let b = blocks[(pos / bs as u64) as usize];
+            let in_block = (pos % bs as u64) as usize;
+            let n = (bs - in_block).min(data.len() - written);
+            if n == bs {
+                self.ld.write(Ctx::Simple, b, &data[written..written + n])?;
             } else {
                 // Partial block: read-modify-write.
-                self.ld.read(Ctx::Simple, blocks[bi], &mut buf)?;
-                buf[in_block..in_block + n].copy_from_slice(&data[written..written + n]);
-                self.ld.write(Ctx::Simple, blocks[bi], &buf)?;
+                self.ld.read(Ctx::Simple, b, &mut self.buf)?;
+                self.buf[in_block..in_block + n].copy_from_slice(&data[written..written + n]);
+                self.ld.write(Ctx::Simple, b, &self.buf)?;
             }
             written += n;
         }
@@ -909,17 +922,17 @@ impl<L: LogicalDisk> MinixFs<L> {
             return Ok(0);
         }
         let want = (buf.len() as u64).min(inode.size - offset) as usize;
-        let blocks = self.data_blocks(Ctx::Simple, ino)?;
-        let bs = self.block_size as u64;
-        let mut block_buf = vec![0u8; self.block_size];
+        let bs = self.block_size;
+        self.cache_blocks(ino)?;
+        let blocks = &self.blocks_cache[&ino.get()];
         let mut read = 0usize;
         while read < want {
             let pos = offset + read as u64;
-            let bi = (pos / bs) as usize;
-            let in_block = (pos % bs) as usize;
-            let n = (self.block_size - in_block).min(want - read);
-            self.ld.read(Ctx::Simple, blocks[bi], &mut block_buf)?;
-            buf[read..read + n].copy_from_slice(&block_buf[in_block..in_block + n]);
+            let b = blocks[(pos / bs as u64) as usize];
+            let in_block = (pos % bs as u64) as usize;
+            let n = (bs - in_block).min(want - read);
+            self.ld.read(Ctx::Simple, b, &mut self.buf)?;
+            buf[read..read + n].copy_from_slice(&self.buf[in_block..in_block + n]);
             read += n;
         }
         self.stats.bytes_read += read as u64;
@@ -933,13 +946,43 @@ impl<L: LogicalDisk> MinixFs<L> {
     /// [`FsError::BadInode`] for a free or out-of-range inode.
     pub fn stat(&mut self, ino: Ino) -> Result<Stat> {
         let inode = self.read_inode(Ctx::Simple, ino)?;
-        let blocks = self.data_blocks(Ctx::Simple, ino)?;
+        self.cache_blocks(ino)?;
         Ok(Stat {
             ino,
             kind: inode.kind,
             size: inode.size,
             nlinks: inode.nlinks,
-            blocks: blocks.len() as u64,
+            blocks: self.blocks_cache[&ino.get()].len() as u64,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ld_core::{Lld, LldConfig};
+    use ld_disk::MemDisk;
+
+    #[test]
+    fn link_refuses_past_the_on_disk_link_count() {
+        let ld = Lld::format(MemDisk::new(4 << 20), &LldConfig::default()).unwrap();
+        let mut fs = MinixFs::format(ld, FsConfig::default()).unwrap();
+        let ino = fs.create("/f").unwrap();
+        let mut inode = fs.read_inode(Ctx::Simple, ino).unwrap();
+        inode.nlinks = u32::from(u16::MAX);
+        fs.write_inode(Ctx::Simple, ino, Some(&inode)).unwrap();
+        let writes = fs.ld().stats().writes;
+        assert_eq!(
+            fs.link("/f", "/g"),
+            Err(FsError::TooManyLinks("/f".to_string()))
+        );
+        assert_eq!(fs.ld().stats().writes, writes, "a refused link wrote");
+        assert!(matches!(fs.lookup("/g"), Err(FsError::NotFound(_))));
+        assert_eq!(fs.stat(ino).unwrap().nlinks, u32::from(u16::MAX));
+        // One below the limit still links, up to it.
+        inode.nlinks -= 1;
+        fs.write_inode(Ctx::Simple, ino, Some(&inode)).unwrap();
+        fs.link("/f", "/g").unwrap();
+        assert_eq!(fs.stat(ino).unwrap().nlinks, u32::from(u16::MAX));
     }
 }

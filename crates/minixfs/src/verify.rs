@@ -9,8 +9,8 @@
 
 use crate::error::Result;
 use crate::fs::MinixFs;
-use crate::types::{FileKind, Ino};
-use ld_core::{Ctx, LogicalDisk};
+use crate::types::{DirEntry, FileKind, Ino};
+use ld_core::LogicalDisk;
 use std::collections::HashMap;
 
 /// The result of [`MinixFs::verify`].
@@ -48,7 +48,7 @@ impl<L: LogicalDisk> MinixFs<L> {
         report.dirs += 1;
 
         while let Some((dir, path)) = stack.pop() {
-            let entries = match self.readdir_ino(dir) {
+            let entries = match self.entries(dir) {
                 Ok(e) => e,
                 Err(e) => {
                     report
@@ -57,7 +57,7 @@ impl<L: LogicalDisk> MinixFs<L> {
                     continue;
                 }
             };
-            for (name, ino) in entries {
+            for DirEntry { name, ino } in entries {
                 let child_path = if path == "/" {
                     format!("/{name}")
                 } else {
@@ -122,28 +122,5 @@ impl<L: LogicalDisk> MinixFs<L> {
             }
         }
         Ok(report)
-    }
-
-    /// `readdir` by inode (internal to verification).
-    fn readdir_ino(&mut self, dir: Ino) -> Result<Vec<(String, Ino)>> {
-        let blocks = {
-            // Reuse the public surface: stat gives the block count but
-            // we need the blocks themselves; go through the LD list.
-            let inode_list = self.stat(dir)?;
-            let _ = inode_list;
-            self.dir_blocks(dir)?
-        };
-        let slots = self.block_size() / crate::dir::DIRENT_SIZE;
-        let mut buf = vec![0u8; self.block_size()];
-        let mut out = Vec::new();
-        for &b in &blocks {
-            self.ld().read(Ctx::Simple, b, &mut buf)?;
-            for slot in 0..slots {
-                if let Some((ino, name)) = crate::dir::decode(&buf, slot)? {
-                    out.push((name, ino));
-                }
-            }
-        }
-        Ok(out)
     }
 }

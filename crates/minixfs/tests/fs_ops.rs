@@ -371,3 +371,26 @@ fn works_without_arus_old_minixlld() {
     assert!(fs.verify().unwrap().is_consistent());
     assert_eq!(fs.ld().stats().arus_begun, 0);
 }
+
+#[test]
+fn rename_into_own_subtree_is_refused() {
+    let mut fs = fresh();
+    let a = fs.mkdir("/a").unwrap();
+    fs.mkdir("/a/c").unwrap();
+    let arus = fs.ld().stats().arus_begun;
+    for to in ["/a/b", "/a/c/d", "//a/b/"] {
+        assert_eq!(
+            fs.rename("/a", to),
+            Err(FsError::IntoOwnSubtree(to.to_string()))
+        );
+    }
+    assert_eq!(fs.ld().stats().arus_begun, arus, "an ARU opened");
+    assert_eq!(fs.lookup("/a").unwrap(), a);
+    assert!(fs.lookup("/a/c").is_ok());
+    // A sibling whose name starts the same is not inside.
+    fs.rename("/a", "/ab").unwrap();
+    assert!(fs.lookup("/ab/c").is_ok());
+    let report = fs.verify().unwrap();
+    assert!(report.is_consistent(), "{:?}", report.problems);
+    assert_eq!(report.dirs, 3);
+}
