@@ -23,8 +23,8 @@
 //!   server-side dedup cache (journaled with the commit, rebuilt by
 //!   recovery) makes this race-free even across a server crash.
 //!
-//! The client never opens an ARU of its own (`BEGIN_ARU` … `END_ARU`):
-//! one frame per commit.
+//! No ARU outlives its request, so a dropped connection leaves nothing
+//! open on the server.
 //!
 //! The one thing the client must guarantee in exchange: never reuse a
 //! `write_id` for a different transaction within a generation.
@@ -559,7 +559,6 @@ impl Client {
     /// Semantic server errors; exhausted retries.
     pub fn list_blocks(&mut self, list: u64) -> Result<Vec<u64>> {
         let mut req = vec![op::LIST_BLOCKS];
-        req.extend_from_slice(&0u64.to_le_bytes());
         req.extend_from_slice(&list.to_le_bytes());
         let resp = self.request_idempotent(&req)?;
         let mut body = Body::new(&resp);

@@ -5,22 +5,22 @@
 //! binary protocol of [`wire`] (specified in docs/PROTOCOL.md). The
 //! interesting part is not the transport but the *failure contract*:
 //!
-//! * **Sessions** own the ARUs they begin. A connection that dies —
-//!   client crash, network partition, server drain — has its live ARUs
-//!   aborted, exactly as the paper's recovery discards uncommitted
-//!   ARUs: the connection is the failure domain.
+//! * **A request is the failure domain.** An ARU lives for one
+//!   request: [`wire::op::COMMIT`] carries a whole transaction program,
+//!   and the session runs it in one fresh ARU as it reads the frame, so
+//!   no buffer grows with the program. On any error — a wrong op, an LD
+//!   error, a connection that fails mid-frame — the ARU is aborted,
+//!   exactly as the paper's recovery discards ARUs with no commit
+//!   record. No ARU outlives its request, so a session's only state is
+//!   its `(client, generation)` identity.
 //! * **Exactly-once commits.** A client tags its commit with a
 //!   `(client, generation, write_id)` key ([`wire::flag::TAGGED`]).
 //!   The core journals the key inside the ARU and records the outcome
 //!   in a bounded dedup cache, so a client retrying after a lost
 //!   acknowledgement — or after a whole server crash and recovery —
-//!   gets the recorded outcome instead of a re-execution.
-//! * **One request per transaction.** [`wire::op::COMMIT`] carries a
-//!   whole transaction program; the session runs it in one ARU as it
-//!   reads the frame, so no buffer grows with the program, and on any
-//!   error aborts the ARU and drains the rest. The interactive opcodes
-//!   (`BEGIN_ARU` … `END_ARU`) share its executors, one per LD
-//!   operation, and its end-of-ARU step.
+//!   gets the recorded outcome instead of a re-execution. The only
+//!   commit whose fate a client can be unsure of is its one in flight,
+//!   and [`wire::op::LOOKUP`] settles it.
 //! * **Group commit for free.** Synchronous commits from different
 //!   connections meet in the core's group-commit stage: one leader
 //!   seals, one barrier covers the whole batch. The server adds no
@@ -30,18 +30,17 @@
 //!
 //! Shutdown ordering matters and is part of the contract:
 //! [`Server::shutdown`] stops accepting, drains each session's
-//! in-flight request, aborts what never committed, flushes so every
-//! *acknowledged* commit is durable, and only then hands the disk back
-//! — at which point the caller can `into_device()` (joining cleanerd
-//! and sampler) knowing no request thread is left behind.
+//! in-flight request, flushes so every *acknowledged* commit is
+//! durable, and only then hands the disk back — at which point the
+//! caller can `into_device()` (joining cleanerd and sampler) knowing no
+//! request thread is left behind.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod wire;
 
-use std::collections::HashSet;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -51,7 +50,7 @@ use std::time::{Duration, Instant};
 use ld_core::{AruId, BlockId, Ctx, ListId, Lld, LldError, Position, ServerCounters};
 use ld_disk::BlockDevice;
 
-use wire::{flag, op, status, Body};
+use wire::{flag, op, status};
 
 /// How often an idle session polls the shutdown flag; the accept
 /// thread's back-off after an error.
@@ -158,8 +157,8 @@ impl<D: BlockDevice + 'static> Server<D> {
 
     /// Gracefully shuts the server down: stop accepting, drain every
     /// session's in-flight request (new requests are refused by
-    /// closing the connection), abort uncommitted session ARUs, flush
-    /// so all acknowledged commits are durable, and return the disk.
+    /// closing the connection), flush so all acknowledged commits are
+    /// durable, and return the disk.
     ///
     /// The flush outcome is returned alongside the disk handle: once
     /// every handler thread has been joined the `Arc` is unique again,
@@ -219,12 +218,11 @@ fn accept_loop<D: BlockDevice + 'static>(listener: &TcpListener, shared: &Arc<Sh
     }
 }
 
-/// Per-connection session state: the announced client identity and the
-/// ARUs this connection has begun and not yet ended.
+/// Per-connection session state: the announced client identity. No
+/// ARU outlives the request that began it, so there is nothing else.
 struct Session {
     client: u64,
     generation: u64,
-    arus: HashSet<u64>,
 }
 
 /// Why a request failed.
@@ -248,10 +246,16 @@ impl From<String> for Fault {
     }
 }
 
+impl From<LldError> for Fault {
+    fn from(e: LldError) -> Fault {
+        Fault::Request(e.to_string())
+    }
+}
+
 /// One request frame on a session's stream, with the count of its
-/// payload bytes not yet read (`left`). Every frame goes through it: an ordinary request is read
-/// whole, bounded by [`wire::MAX_FRAME`]; a `COMMIT` is read a field at
-/// a time while it runs, bounded by its length prefix. A frame that has
+/// payload bytes not yet read (`left`). Every request is read from it a
+/// field at a time as it is served, bounded by its length prefix (and,
+/// but for a `COMMIT`, by [`wire::MAX_FRAME`]). A frame that has
 /// started is read to its end, so an in-flight request is never torn —
 /// bounded by [`DRAIN_GRACE`] after shutdown.
 struct Frame<'a, R> {
@@ -345,20 +349,24 @@ impl<'a, R: Read> Frame<'a, R> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    /// The rest of a frame the server holds whole. A frame longer than
-    /// [`wire::MAX_FRAME`] ends the session rather than make the server
-    /// allocate what a corrupt prefix asks for.
-    fn rest(&mut self) -> io::Result<Vec<u8>> {
-        if self.len > wire::MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame exceeds MAX_FRAME",
-            ));
+    /// Refuses bytes left over after a request's fields.
+    fn end(&self) -> Result<(), Fault> {
+        match self.left {
+            0 => Ok(()),
+            n => Err(Fault::Request(format!("{n} bytes after the request"))),
         }
-        let mut buf = vec![0u8; self.left as usize];
-        self.read_polled(&mut buf, false)?;
-        self.left = 0;
-        Ok(buf)
+    }
+
+    /// Reads a fixed-shape request's `N` `u64` fields and checks that
+    /// nothing follows them, so a wrong request is refused before it
+    /// acts.
+    fn fields<const N: usize>(&mut self) -> Result<[u64; N], Fault> {
+        let mut out = [0u64; N];
+        for v in &mut out {
+            *v = self.u64()?;
+        }
+        self.end()?;
+        Ok(out)
     }
 
     /// Reads and discards what is left of the frame.
@@ -373,7 +381,7 @@ impl<'a, R: Read> Frame<'a, R> {
     }
 }
 
-/// A session's read buffer: a `COMMIT` is read a few bytes at a time,
+/// A session's read buffer: a request is read a few bytes at a time,
 /// and this turns its fields into one read call per 64 KiB.
 const READ_BUFFER: usize = 64 << 10;
 
@@ -384,7 +392,6 @@ fn session_loop<D: BlockDevice + 'static>(stream: TcpStream, shared: &Shared<D>)
     let mut sess = Session {
         client: 0,
         generation: 0,
-        arus: HashSet::new(),
     };
     loop {
         let served = match Frame::next(&mut stream, &shared.shutdown) {
@@ -405,7 +412,7 @@ fn session_loop<D: BlockDevice + 'static>(stream: TcpStream, shared: &Shared<D>)
             .stats
             .bytes_out
             .fetch_add(resp.len() as u64, Ordering::Relaxed);
-        if write_response(stream.get_mut(), &resp).is_err() {
+        if wire::write_frame(stream.get_mut(), &resp).is_err() {
             shared.stats.conn_errors.fetch_add(1, Ordering::Relaxed);
             break;
         }
@@ -415,21 +422,6 @@ fn session_loop<D: BlockDevice + 'static>(stream: TcpStream, shared: &Shared<D>)
             break;
         }
     }
-    // The connection is the failure domain: whatever this session left
-    // uncommitted is undone, exactly like recovery discards ARUs with
-    // no commit record.
-    for aru in sess.arus.drain() {
-        let _ = shared.ld.abort_aru(AruId::new(aru));
-    }
-}
-
-/// Writes a response frame; a write timeout retries until the flag
-/// logic in the session loop gives up (the stream's write timeout is
-/// unset, so in practice this blocks until the kernel buffers it).
-fn write_response(stream: &mut TcpStream, resp: &[u8]) -> io::Result<()> {
-    stream.write_all(&(resp.len() as u32).to_le_bytes())?;
-    stream.write_all(resp)?;
-    stream.flush()
 }
 
 fn err_resp(msg: &str) -> Vec<u8> {
@@ -451,19 +443,21 @@ fn serve<D: BlockDevice + 'static, R: Read>(
             return Err(Fault::Request("empty request".into()));
         }
         let opcode = frame.u8()?;
-        let body = match opcode {
-            op::COMMIT => None,
-            _ => Some(frame.rest()?),
-        };
+        // Only a `COMMIT` may be longer than `MAX_FRAME`: any other
+        // length is a corrupt prefix, and the session ends rather than
+        // drain it.
+        if opcode != op::COMMIT && frame.len > wire::MAX_FRAME {
+            return Err(Fault::Io(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "frame exceeds MAX_FRAME",
+            )));
+        }
         // Identity gate: everything except HELLO and STATS acts on
         // behalf of a known client incarnation.
         if sess.client == 0 && !matches!(opcode, op::HELLO | op::STATS) {
             return Err(Fault::Request("hello required before this request".into()));
         }
-        match body {
-            None => commit(shared, sess, frame),
-            Some(body) => Ok(handle_request(shared, sess, opcode, &body)?),
-        }
+        handle_request(shared, sess, opcode, frame)
     })();
     match res {
         Ok(resp) => Ok(resp),
@@ -475,74 +469,20 @@ fn serve<D: BlockDevice + 'static, R: Read>(
     }
 }
 
-fn ctx_of(sess: &Session, aru: u64) -> Result<Ctx, String> {
-    if aru == 0 {
-        return Ok(Ctx::Simple);
-    }
-    if !sess.arus.contains(&aru) {
-        return Err(format!("aru{aru} is not owned by this session"));
-    }
-    Ok(Ctx::Aru(AruId::new(aru)))
-}
-
-// One executor per LD operation, shared by the interactive requests and
-// the ops of a `COMMIT` program, so each operation's rules exist once.
-
-fn new_list<D: BlockDevice + 'static>(ld: &Lld<D>, ctx: Ctx) -> Result<u64, String> {
-    ld.new_list(ctx).map(|l| l.get()).map_err(|e| e.to_string())
-}
-
-fn new_block<D: BlockDevice + 'static>(
-    ld: &Lld<D>,
-    ctx: Ctx,
-    list: u64,
-    pred: u64,
-) -> Result<u64, String> {
-    if list == 0 {
-        return Err("list id must be non-zero".into());
-    }
-    let pos = if pred == 0 {
-        Position::First
-    } else {
-        Position::After(BlockId::new(pred))
-    };
-    ld.new_block(ctx, ListId::new(list), pos)
-        .map(|b| b.get())
-        .map_err(|e| e.to_string())
-}
-
-fn write<D: BlockDevice + 'static>(
-    ld: &Lld<D>,
-    ctx: Ctx,
-    block: u64,
-    data: &[u8],
-) -> Result<(), String> {
-    if block == 0 {
-        return Err("block id must be non-zero".into());
-    }
-    ld.write(ctx, BlockId::new(block), data)
-        .map_err(|e| e.to_string())
-}
-
 /// Ends `aru` as `flags` ask — a tagged or an untagged commit, then a
 /// `SYNC` flush — appends `deduped generation commit_ts` to `resp`, and
-/// returns whether the commit was deduped. The ARU leaves the session's set as soon as it is gone
-/// (committed, or aborted by a dedup hit), before the flush, so a
-/// flush error or a disconnect cannot undo a commit.
+/// returns whether the commit was deduped.
 fn end_aru<D: BlockDevice + 'static>(
     shared: &Shared<D>,
-    sess: &mut Session,
-    aru: u64,
+    sess: &Session,
+    aru: AruId,
     flags: u8,
     write_id: u64,
     resp: &mut Vec<u8>,
-) -> Result<bool, String> {
+) -> Result<bool, Fault> {
     let ld = &shared.ld;
-    let id = AruId::new(aru);
     let (deduped, generation, ts) = if flags & flag::TAGGED != 0 {
-        let out = ld
-            .end_aru_tagged(id, sess.client, sess.generation, write_id)
-            .map_err(|e| e.to_string())?;
+        let out = ld.end_aru_tagged(aru, sess.client, sess.generation, write_id)?;
         if out.deduped {
             shared.stats.retries_deduped.fetch_add(1, Ordering::Relaxed);
         }
@@ -552,14 +492,13 @@ fn end_aru<D: BlockDevice + 'static>(
             out.outcome.commit_ts.get(),
         )
     } else {
-        ld.end_aru(id).map_err(|e| e.to_string())?;
+        ld.end_aru(aru)?;
         (false, sess.generation, 0)
     };
-    sess.arus.remove(&aru);
     if flags & flag::SYNC != 0 {
         // Group commit: concurrent sync commits from other connections
         // share this barrier.
-        ld.flush().map_err(|e| e.to_string())?;
+        ld.flush()?;
     }
     resp.push(u8::from(deduped));
     resp.extend_from_slice(&generation.to_le_bytes());
@@ -568,8 +507,11 @@ fn end_aru<D: BlockDevice + 'static>(
 }
 
 /// The most identifiers a `COMMIT` may mint: its answer carries each,
-/// and an answer is a frame held whole.
+/// and an answer is one frame.
 const MAX_MINTED: usize = (wire::MAX_FRAME as usize - 22) / 8;
+
+/// The most blocks a `LIST_BLOCKS` answer carries, for the same reason.
+const MAX_LISTED: usize = (wire::MAX_FRAME as usize - 5) / 8;
 
 /// Runs a `COMMIT` as it is read: one fresh ARU, each op executed as
 /// soon as its fields have arrived, a write's data through one
@@ -577,23 +519,18 @@ const MAX_MINTED: usize = (wire::MAX_FRAME as usize - 22) / 8;
 /// drains what is left of the frame.
 fn commit<D: BlockDevice + 'static, R: Read>(
     shared: &Shared<D>,
-    sess: &mut Session,
+    sess: &Session,
     frame: &mut Frame<'_, R>,
 ) -> Result<Vec<u8>, Fault> {
     let ld = &shared.ld;
     let flags = frame.u8()?;
     let write_id = frame.u64()?;
     let n = frame.u32()?;
-    let aru = ld.begin_aru().map_err(|e| e.to_string())?;
+    let aru = ld.begin_aru()?;
     let mut resp = vec![status::OK];
     let ran = run_program(ld, aru, n, frame).and_then(|minted| {
-        if frame.left != 0 {
-            return Err(Fault::Request(format!(
-                "{} bytes after the program",
-                frame.left
-            )));
-        }
-        let deduped = end_aru(shared, sess, aru.get(), flags, write_id, &mut resp)?;
+        frame.end()?;
+        let deduped = end_aru(shared, sess, aru, flags, write_id, &mut resp)?;
         // A deduped commit's ARU was aborted: its identifiers are not
         // the recorded ones.
         let minted = if deduped { &[] } else { &minted[..] };
@@ -626,11 +563,19 @@ fn run_program<D: BlockDevice + 'static, R: Read>(
     let mut data = vec![0u8; ld.block_size()];
     for _ in 0..n {
         match frame.u8()? {
-            op::NEW_LIST => minted.push((new_list(ld, ctx)?, true)),
+            op::NEW_LIST => minted.push((ld.new_list(ctx)?.get(), true)),
             op::NEW_BLOCK => {
                 let list = reference(frame, &minted, true)?;
                 let pred = reference(frame, &minted, false)?;
-                minted.push((new_block(ld, ctx, list, pred)?, false));
+                if list == 0 {
+                    return Err(Fault::Request("list id must be non-zero".into()));
+                }
+                let pos = match pred {
+                    0 => Position::First,
+                    pred => Position::After(BlockId::new(pred)),
+                };
+                let block = ld.new_block(ctx, ListId::new(list), pos)?;
+                minted.push((block.get(), false));
             }
             op::WRITE => {
                 let block = reference(frame, &minted, false)?;
@@ -642,7 +587,10 @@ fn run_program<D: BlockDevice + 'static, R: Read>(
                     )));
                 }
                 frame.fill(&mut data[..len])?;
-                write(ld, ctx, block, &data[..len])?;
+                if block == 0 {
+                    return Err(Fault::Request("block id must be non-zero".into()));
+                }
+                ld.write(ctx, BlockId::new(block), &data[..len])?;
             }
             other => return Err(Fault::Request(format!("unknown program op {other}"))),
         }
@@ -677,78 +625,45 @@ fn reference<R: Read>(
     }
 }
 
-/// Answers one request the server holds whole.
-fn handle_request<D: BlockDevice + 'static>(
+/// Answers one request. Each is read from `frame` field by field; all
+/// but a `COMMIT` have a fixed shape, checked whole before they act.
+fn handle_request<D: BlockDevice + 'static, R: Read>(
     shared: &Shared<D>,
     sess: &mut Session,
     opcode: u8,
-    payload: &[u8],
-) -> Result<Vec<u8>, String> {
+    frame: &mut Frame<'_, R>,
+) -> Result<Vec<u8>, Fault> {
     let ld = &shared.ld;
-    let mut body = Body::new(payload);
     let mut resp = vec![status::OK];
     match opcode {
         op::HELLO => {
-            let client = body.u64().map_err(|e| e.to_string())?;
-            let generation = body.u64().map_err(|e| e.to_string())?;
-            let evicted = ld
-                .client_hello(client, generation)
-                .map_err(|e| e.to_string())?;
+            let [client, generation] = frame.fields()?;
+            let evicted = ld.client_hello(client, generation)?;
             sess.client = client;
             sess.generation = generation;
             resp.extend_from_slice(&(evicted as u64).to_le_bytes());
         }
-        op::BEGIN_ARU => {
-            let aru = ld.begin_aru().map_err(|e| e.to_string())?;
-            sess.arus.insert(aru.get());
-            resp.extend_from_slice(&aru.get().to_le_bytes());
-        }
-        op::NEW_LIST => {
-            let aru = body.u64().map_err(|e| e.to_string())?;
-            let list = new_list(ld, ctx_of(sess, aru)?)?;
-            resp.extend_from_slice(&list.to_le_bytes());
-        }
-        op::NEW_BLOCK => {
-            let aru = body.u64().map_err(|e| e.to_string())?;
-            let list = body.u64().map_err(|e| e.to_string())?;
-            let pred = body.u64().map_err(|e| e.to_string())?;
-            let block = new_block(ld, ctx_of(sess, aru)?, list, pred)?;
-            resp.extend_from_slice(&block.to_le_bytes());
-        }
-        op::WRITE => {
-            let aru = body.u64().map_err(|e| e.to_string())?;
-            let block = body.u64().map_err(|e| e.to_string())?;
-            write(ld, ctx_of(sess, aru)?, block, body.rest())?;
-        }
         op::READ => {
-            let block = body.u64().map_err(|e| e.to_string())?;
+            let [block] = frame.fields()?;
             if block == 0 {
-                return Err("block id must be non-zero".into());
+                return Err(Fault::Request("block id must be non-zero".into()));
             }
             let mut buf = vec![0u8; ld.block_size()];
-            ld.read(Ctx::Simple, BlockId::new(block), &mut buf)
-                .map_err(|e| e.to_string())?;
+            ld.read(Ctx::Simple, BlockId::new(block), &mut buf)?;
             resp.extend_from_slice(&buf);
         }
-        op::END_ARU => {
-            let aru = body.u64().map_err(|e| e.to_string())?;
-            let flags = body.u8().map_err(|e| e.to_string())?;
-            let write_id = body.u64().map_err(|e| e.to_string())?;
-            if aru == 0 || !sess.arus.contains(&aru) {
-                return Err(format!("aru{aru} is not owned by this session"));
-            }
-            end_aru(shared, sess, aru, flags, write_id, &mut resp)?;
-        }
         op::FLUSH => {
-            ld.flush().map_err(|e| e.to_string())?;
+            let [] = frame.fields()?;
+            ld.flush()?;
         }
         op::STATS => {
+            let [] = frame.fields()?;
             let mut snap = ld.obs_snapshot();
             snap.server = shared.stats.snapshot();
             wire::put_str(&mut resp, &snap.to_json());
         }
         op::LOOKUP => {
-            let write_id = body.u64().map_err(|e| e.to_string())?;
+            let [write_id] = frame.fields()?;
             match ld.write_id_lookup(sess.client, write_id) {
                 Some(o) => {
                     resp.push(1);
@@ -759,28 +674,24 @@ fn handle_request<D: BlockDevice + 'static>(
             }
         }
         op::LIST_BLOCKS => {
-            let aru = body.u64().map_err(|e| e.to_string())?;
-            let list = body.u64().map_err(|e| e.to_string())?;
-            let ctx = ctx_of(sess, aru)?;
+            let [list] = frame.fields()?;
             if list == 0 {
-                return Err("list id must be non-zero".into());
+                return Err(Fault::Request("list id must be non-zero".into()));
             }
-            let blocks = ld
-                .list_blocks(ctx, ListId::new(list))
-                .map_err(|e| e.to_string())?;
+            let blocks = ld.list_blocks(Ctx::Simple, ListId::new(list))?;
+            if blocks.len() > MAX_LISTED {
+                return Err(Fault::Request(format!(
+                    "list {list} holds {} blocks; an answer lists at most {MAX_LISTED}",
+                    blocks.len()
+                )));
+            }
             resp.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
             for b in blocks {
                 resp.extend_from_slice(&b.get().to_le_bytes());
             }
         }
-        op::ABORT_ARU => {
-            let aru = body.u64().map_err(|e| e.to_string())?;
-            if aru == 0 || !sess.arus.remove(&aru) {
-                return Err(format!("aru{aru} is not owned by this session"));
-            }
-            ld.abort_aru(AruId::new(aru)).map_err(|e| e.to_string())?;
-        }
-        other => return Err(format!("unknown opcode {other}")),
+        op::COMMIT => return commit(shared, sess, frame),
+        other => return Err(Fault::Request(format!("unknown opcode {other}"))),
     }
     Ok(resp)
 }

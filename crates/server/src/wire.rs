@@ -16,46 +16,41 @@
 //! state machine (and its crash-reconciliation story) checkable.
 //!
 //! A transaction is one request, [`op::COMMIT`]: its program travels in
-//! the frame and the server runs it as it reads it. The interactive
-//! opcodes ([`op::BEGIN_ARU`] … [`op::END_ARU`]) drive an ARU one
-//! request per operation; `ld-client` does not send them.
+//! the frame and the server runs it in one ARU as it reads it. No ARU
+//! outlives its request. Every other request has a fixed shape, and
+//! bytes left over after a request's fields are an error.
 
 use std::io::{self, Read, Write};
 
-/// Upper bound on the payload of a frame that is held whole: every
-/// response, and every request but [`op::COMMIT`], which is read as it
-/// runs and bounded by its `u32` length only. Large enough for a block
-/// write at the biggest supported block size plus headers; small enough
-/// that a corrupt length prefix cannot make a peer allocate gigabytes.
+/// Upper bound on a frame's payload: every response, and every request
+/// but [`op::COMMIT`], which is read as it runs and bounded by its `u32`
+/// length only. Large enough for a `READ` answer at the biggest
+/// supported block size; small enough that a corrupt length prefix
+/// cannot make a peer allocate gigabytes.
 pub const MAX_FRAME: u32 = 1 << 20;
 
 /// Protocol opcodes (request payloads are documented in
-/// docs/PROTOCOL.md).
+/// docs/PROTOCOL.md). Numbers 2, 7 and 12 are retired: the server
+/// answers them, like any opcode it does not serve, with an error, and
+/// no new opcode may reuse them.
 pub mod op {
     /// `client_id:u64 generation:u64` — must be the session's first
     /// request (except [`STATS`]); registers the client incarnation.
     pub const HELLO: u8 = 1;
-    /// no body — opens an ARU owned by this session (interactive).
-    pub const BEGIN_ARU: u8 = 2;
-    /// `aru:u64` (0 = simple context). In a [`COMMIT`] program: no
-    /// fields, and the new list takes the next slot.
+    /// A [`COMMIT`] program op with no fields: the new list takes the
+    /// next slot.
     pub const NEW_LIST: u8 = 3;
-    /// `aru:u64 list:u64 pred:u64` (pred 0 = front of the list). In a
-    /// [`COMMIT`] program: `list:ref pred:ref` (see
-    /// [`reference`](super::reference); pred id 0 = front), and the new
+    /// A [`COMMIT`] program op, `list:ref pred:ref` (see
+    /// [`reference`](super::reference); pred id 0 = front): the new
     /// block takes the next slot.
     pub const NEW_BLOCK: u8 = 4;
-    /// `aru:u64 block:u64 data:[u8]` (data runs to the frame end). In a
-    /// [`COMMIT`] program: `block:ref len:u32 data[len]`.
+    /// A [`COMMIT`] program op, `block:ref len:u32 data[len]`.
     pub const WRITE: u8 = 5;
     /// `block:u64` — simple-context read of one block.
     pub const READ: u8 = 6;
-    /// `aru:u64 flags:u8 write_id:u64` (flags: [`flag::SYNC`],
-    /// [`flag::TAGGED`]; write_id meaningful only when tagged) —
-    /// commits an interactive ARU.
-    ///
-    /// [`flag::SYNC`]: super::flag::SYNC
-    /// [`flag::TAGGED`]: super::flag::TAGGED
+    /// Retired: ended an ARU that a session held open across requests.
+    /// The server does not serve it; the number stays reserved, and
+    /// `benchmark/src/report.rs` still encodes it.
     pub const END_ARU: u8 = 7;
     /// no body — group-committed durability barrier.
     pub const FLUSH: u8 = 8;
@@ -65,15 +60,14 @@ pub mod op {
     /// `write_id:u64` — looks up the session client's recorded commit
     /// outcome (the reconnect reconciliation step).
     pub const LOOKUP: u8 = 10;
-    /// `aru:u64 list:u64` — block ids of `list`, in list order.
+    /// `list:u64` — block ids of a committed list, in list order.
     pub const LIST_BLOCKS: u8 = 11;
-    /// `aru:u64` — aborts an ARU owned by this session.
-    pub const ABORT_ARU: u8 = 12;
     /// `flags:u8 write_id:u64 n:u32` then a program of `n` ops, each a
     /// [`NEW_LIST`], [`NEW_BLOCK`] or [`WRITE`] tag and its fields. The
-    /// server runs the program in one fresh ARU as it reads it and ends
-    /// the ARU as [`END_ARU`] does; on any error it aborts the ARU and
-    /// drains the frame. Answers `deduped:u8 generation:u64
+    /// server runs the program in one fresh ARU as it reads it and
+    /// commits the ARU under `flags` ([`flag`](super::flag)) and
+    /// `write_id` (meaningful only when tagged); on any error it aborts
+    /// the ARU and drains the frame. Answers `deduped:u8 generation:u64
     /// commit_ts:u64 n:u32 id:u64 × n`: the identifiers minted, in slot
     /// order (none when deduped).
     pub const COMMIT: u8 = 13;
@@ -90,7 +84,7 @@ pub mod reference {
     pub const SLOT: u8 = 1;
 }
 
-/// `END_ARU` and `COMMIT` flag bits.
+/// `COMMIT` flag bits.
 pub mod flag {
     /// Follow the commit with a group-committed flush (durable ack).
     pub const SYNC: u8 = 1;
@@ -157,7 +151,7 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Cursor-style reader over a request/response body.
+/// Cursor-style reader over a frame's payload.
 #[derive(Debug)]
 pub struct Body<'a> {
     buf: &'a [u8],

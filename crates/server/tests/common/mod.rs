@@ -77,14 +77,25 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The payload of a `HELLO` as `(client, 1)`.
+pub fn hello(client: u64) -> Vec<u8> {
+    let mut out = vec![op::HELLO];
+    out.extend_from_slice(&client.to_le_bytes());
+    out.extend_from_slice(&1u64.to_le_bytes());
+    out
+}
+
+/// Connects, with a 10 s read timeout, and says nothing yet.
+pub fn connect_silent(addr: &str) -> TcpStream {
+    let s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s
+}
+
 /// Connects and says `HELLO` as `(client, 1)`.
 pub fn connect_raw(addr: &str, client: u64) -> TcpStream {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut hello = vec![op::HELLO];
-    hello.extend_from_slice(&client.to_le_bytes());
-    hello.extend_from_slice(&1u64.to_le_bytes());
-    let resp = exchange(&mut s, &frame(&hello)).unwrap();
+    let mut s = connect_silent(addr);
+    let resp = exchange(&mut s, &frame(&hello(client))).unwrap();
     assert_eq!(resp[0], status::OK, "hello refused");
     s
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ld_client::{BlockRef, Client, ClientConfig, ClientError, Durability, ListRef, Txn};
-use ld_core::{Ctx, Lld, LldConfig, Timestamp};
+use ld_core::{Ctx, Lld, LldConfig, Position, Timestamp};
 use ld_disk::{BlockDevice, DiskModel, FaultPlan, LatencyDisk, MemDisk, SimDisk};
 use ld_server::Server;
 
@@ -138,68 +138,10 @@ fn duplicate_write_id_returns_recorded_outcome() {
     server.shutdown().1.unwrap();
 }
 
-#[test]
-fn session_disconnect_aborts_open_arus() {
-    let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config(DEFAULT)).unwrap());
-    let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
-    let addr = server.local_addr().to_string();
-
-    // Commit a baseline list, then open an ARU, stage a write, and
-    // drop the connection without committing.
-    let mut c1 = Client::connect(&addr, 1, 1, quick_retries()).unwrap();
-    let mut setup = Txn::new();
-    let l = setup.new_list();
-    let b = setup.new_block(ListRef::Slot(l), None);
-    setup.write(BlockRef::Slot(b), &payload(1, 1));
-    let out = c1.commit(&setup, 1, Durability::Sync).unwrap();
-    drop(c1);
-
-    {
-        // Raw protocol session: BEGIN_ARU + WRITE, then disconnect.
-        use ld_server::wire::{self, op, status, Body};
-        use std::io::Write as _;
-        let mut s = std::net::TcpStream::connect(&addr).unwrap();
-        let mut hello = vec![op::HELLO];
-        hello.extend_from_slice(&2u64.to_le_bytes());
-        hello.extend_from_slice(&1u64.to_le_bytes());
-        wire::write_frame(&mut s, &hello).unwrap();
-        let resp = wire::read_frame(&mut s).unwrap().unwrap();
-        assert_eq!(resp[0], status::OK);
-        wire::write_frame(&mut s, &[op::BEGIN_ARU]).unwrap();
-        let resp = wire::read_frame(&mut s).unwrap().unwrap();
-        assert_eq!(resp[0], status::OK);
-        let aru = Body::new(&resp[1..]).u64().unwrap();
-        let mut w = vec![op::WRITE];
-        w.extend_from_slice(&aru.to_le_bytes());
-        w.extend_from_slice(&out.ids[1].to_le_bytes());
-        w.extend_from_slice(&payload(2, 99));
-        wire::write_frame(&mut s, &w).unwrap();
-        let resp = wire::read_frame(&mut s).unwrap().unwrap();
-        assert_eq!(resp[0], status::OK);
-        s.flush().unwrap();
-    } // dropped without END_ARU
-
-    // Give the server a moment to notice the hangup and abort.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let open = |s: &ld_core::LldStats| s.arus_begun - s.arus_committed - s.arus_aborted;
-    while open(&ld.stats()) > 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let stats = ld.stats();
-    assert_eq!(open(&stats), 0, "abandoned ARU was aborted");
-    assert!(stats.arus_aborted >= 1);
-    // The uncommitted write never became visible.
-    let mut buf = vec![0u8; BS];
-    ld.read(Ctx::Simple, ld_core::BlockId::new(out.ids[1]), &mut buf)
-        .unwrap();
-    assert_eq!(buf, payload(1, 1));
-
-    server.shutdown().1.unwrap();
-}
-
 /// Exactly-once across a `COMMIT` cut in half. A raw connection sends
 /// the first half of a tagged frame and drops: the server has begun the
-/// ARU and run the ops it read, and the hang-up aborts it. Nothing of it
+/// ARU and run the ops it read, and the hang-up aborts it (no ARU
+/// outlives its request, so this is all a hang-up can cut). Nothing of it
 /// is visible and its write-id is not recorded, so `Client::commit`
 /// under the same write-id lands once, and a repeat answers `deduped`.
 #[test]
@@ -254,6 +196,94 @@ fn a_commit_cut_in_half_leaves_nothing_and_lands_once() {
     assert_eq!(c.list_blocks(list).unwrap(), vec![block, out.ids[0]]);
     assert_eq!(c.read(block).unwrap(), payload(6, 2));
     assert_eq!(c.read(out.ids[0]).unwrap(), payload(6, 2));
+
+    drop(c);
+    server.shutdown().1.unwrap();
+}
+
+/// A retired opcode is refused like any other the server does not
+/// serve, and bytes left over after a request's fields are refused
+/// before the request acts: a `FLUSH` that carries them flushes
+/// nothing. Each gets a typed `ERR`, and the session goes on to serve a
+/// `COMMIT`.
+#[test]
+fn a_retired_opcode_or_bytes_left_over_get_an_error_and_the_session_goes_on() {
+    use common::{commit_payload, connect_raw, exchange, frame, Op, Ref};
+    use ld_server::wire::{flag, op, status};
+
+    let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config(DEFAULT)).unwrap());
+    let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr().to_string();
+    let mut c = Client::connect(&addr, 4, 1, quick_retries()).unwrap();
+    let mut setup = Txn::new();
+    let l = setup.new_list();
+    let b = setup.new_block(ListRef::Slot(l), None);
+    setup.write(BlockRef::Slot(b), &payload(4, 1));
+    let block = c.commit(&setup, 1, Durability::Sync).unwrap().ids[1];
+
+    let mut s = connect_raw(&addr, 4);
+    for retired in [2u8, 7, 12] {
+        for len in [0, 8] {
+            let mut req = vec![retired];
+            req.extend_from_slice(&1u64.to_le_bytes()[..len]);
+            let resp = exchange(&mut s, &frame(&req)).unwrap();
+            assert_eq!(resp[0], status::ERR, "opcode {retired} was served");
+        }
+    }
+    let flushes = || ld.stats().flush_batch_callers;
+    let before = flushes();
+    let resp = exchange(&mut s, &frame(&[op::FLUSH, 0xAB, 0xCD])).unwrap();
+    assert_eq!(resp[0], status::ERR);
+    assert_eq!(flushes(), before, "a refused FLUSH flushed");
+    let resp = exchange(&mut s, &frame(&[op::FLUSH])).unwrap();
+    assert_eq!(resp[0], status::OK);
+    assert_eq!(flushes(), before + 1);
+
+    let ops = [Op::Write(Ref::Id(block), payload(4, 2))];
+    let resp = exchange(&mut s, &frame(&commit_payload(flag::TAGGED, 2, 1, &ops))).unwrap();
+    assert_eq!(resp[0], status::OK);
+    assert_eq!(c.read(block).unwrap(), payload(4, 2));
+    assert!(c.lookup(2).unwrap().is_some());
+    assert_eq!(server.stats().conn_errors, 0);
+
+    drop((c, s));
+    server.shutdown().1.unwrap();
+}
+
+/// A `LIST_BLOCKS` answer is one frame. A list of (`MAX_FRAME` − 5) / 8
+/// blocks comes back whole; one block more is a typed error on a
+/// session that goes on, not a frame the client must refuse and retry.
+#[test]
+fn list_blocks_answers_at_most_one_frame() {
+    const MAX_LISTED: usize = (ld_server::wire::MAX_FRAME as usize - 5) / 8;
+    let cfg = LldConfig {
+        block_size: 4096,
+        segment_bytes: 64 * 4096,
+        max_blocks: Some(1 << 18),
+        ..config(DEFAULT)
+    };
+    let ld = Arc::new(Lld::format(MemDisk::new(64 << 20), &cfg).unwrap());
+    let list = ld.new_list(Ctx::Simple).unwrap();
+    let mut expect = Vec::with_capacity(MAX_LISTED);
+    for _ in 0..MAX_LISTED {
+        let b = ld.new_block(Ctx::Simple, list, Position::First).unwrap();
+        expect.push(b.get());
+    }
+    expect.reverse();
+    let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr().to_string();
+    let mut c = Client::connect(&addr, 5, 1, quick_retries()).unwrap();
+    assert_eq!(c.list_blocks(list.get()).unwrap(), expect);
+
+    ld.new_block(Ctx::Simple, list, Position::First).unwrap();
+    match c.list_blocks(list.get()) {
+        Err(ClientError::Server(msg)) => assert!(msg.contains("at most"), "{msg}"),
+        other => panic!("{} blocks answered {other:?}", MAX_LISTED + 1),
+    }
+    let stats = server.stats();
+    assert_eq!(stats.conn_errors, 0);
+    assert_eq!(stats.sessions_opened, 1);
+    assert_eq!(c.lookup(1).unwrap(), None);
 
     drop(c);
     server.shutdown().1.unwrap();

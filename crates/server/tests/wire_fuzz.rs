@@ -1,18 +1,24 @@
-//! A seeded fuzzer for hostile `COMMIT` frames (docs/PROTOCOL.md,
-//! "Limits and errors").
+//! A seeded fuzzer for hostile requests (docs/PROTOCOL.md, "Limits and
+//! errors").
 //!
-//! Each case builds a valid program of 1–8 ops — new lists, new blocks
-//! on them or on a list committed before the cases, writes to its own
-//! blocks or to a block committed before — and gives it one defect: a
-//! cut anywhere in the frame (mid-op or mid-header, the frame's length
-//! cut with it), an unknown op tag, a reference kind other than id or
-//! slot, a slot not minted yet, a list's slot used as a block (or a
-//! block's as a list), write data longer than a block, bytes left over
-//! after the program, or an `n` larger than the frame holds. One kind in
-//! nine is left valid, which checks the encoder against the server.
+//! Most cases build a valid `COMMIT` program of 1–8 ops — new lists,
+//! new blocks on them or on a list committed before the cases, writes
+//! to its own blocks or to a block committed before — and give it one
+//! defect: a cut anywhere in the frame (mid-op or mid-header, the
+//! frame's length cut with it), an unknown op tag, a reference kind
+//! other than id or slot, a slot not minted yet, a list's slot used as
+//! a block (or a block's as a list), write data longer than a block,
+//! bytes left over after the program, or an `n` larger than the frame
+//! holds. The other kinds cover every other request: a fixed-shape
+//! request (`HELLO`, `READ`, `FLUSH`, `STATS`, `LOOKUP`, `LIST_BLOCKS`)
+//! cut short or with bytes left over, an opcode the server does not
+//! serve (among them the retired 2, 7 and 12 and the bare program tags
+//! 3, 4 and 5), and a request sent before `HELLO`. One kind in
+//! thirteen is a valid `COMMIT`, which checks the encoder against the
+//! server.
 //!
-//! A defective frame must get a typed `ERR` response, leave no ARU open
-//! (`arus_begun == arus_committed + arus_aborted`), commit nothing
+//! A defective request must get a typed `ERR` response, leave no ARU
+//! open (`arus_begun == arus_committed + arus_aborted`), commit nothing
 //! (`LOOKUP` of its write-id finds nothing, and the block committed
 //! before still holds its data), and the next request on the connection
 //! is answered correctly or the connection is closed. No session
@@ -28,7 +34,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{commit_payload, connect_raw, exchange, frame, lookup_raw, Op, Ref};
+use common::{
+    commit_payload, connect_raw, connect_silent, exchange, frame, hello, lookup_raw, Op, Ref,
+};
 use ld_client::{BlockRef, Client, ClientConfig, Durability, ListRef, Txn};
 use ld_core::{BlockId, Ctx, Lld, LldConfig};
 use ld_disk::{MemDisk, SmallRng};
@@ -48,10 +56,14 @@ enum Kind {
     LongWrite,
     LeftOver,
     NTooLarge,
+    RequestCut,
+    RequestLeftOver,
+    Unserved,
+    BeforeHello,
     Valid,
 }
 
-const KINDS: [Kind; 9] = [
+const KINDS: [Kind; 13] = [
     Kind::Truncated,
     Kind::UnknownOp,
     Kind::UnknownReference,
@@ -60,6 +72,10 @@ const KINDS: [Kind; 9] = [
     Kind::LongWrite,
     Kind::LeftOver,
     Kind::NTooLarge,
+    Kind::RequestCut,
+    Kind::RequestLeftOver,
+    Kind::Unserved,
+    Kind::BeforeHello,
     Kind::Valid,
 ];
 
@@ -117,7 +133,7 @@ fn defect(
             let len = BS + 1 + rng.gen_index(BS);
             vec![Op::Write(Ref::Id(base.block), data(rng, len))]
         }
-        Kind::Truncated | Kind::LeftOver | Kind::NTooLarge | Kind::Valid => Vec::new(),
+        _ => Vec::new(),
     }
 }
 
@@ -180,12 +196,84 @@ fn program(rng: &mut SmallRng, kind: Kind, write_id: u64, base: &Base) -> (Vec<u
     (payload, base_data)
 }
 
+/// A well-formed request of a fixed shape, its opcode one of `ops`.
+fn fixed_request(rng: &mut SmallRng, ops: &[u8], write_id: u64, base: &Base) -> Vec<u8> {
+    let opcode = ops[rng.gen_index(ops.len())];
+    if opcode == op::HELLO {
+        return hello(CLIENT);
+    }
+    let mut out = vec![opcode];
+    match opcode {
+        op::READ => out.extend_from_slice(&base.block.to_le_bytes()),
+        op::LOOKUP => out.extend_from_slice(&write_id.to_le_bytes()),
+        op::LIST_BLOCKS => out.extend_from_slice(&base.list.to_le_bytes()),
+        _ => {}
+    }
+    out
+}
+
+/// A request with an opcode the server does not serve, and 0–24 bytes
+/// of body: half the time a whole number of `u64` fields, the shape of
+/// every fixed request.
+fn unserved(rng: &mut SmallRng) -> Vec<u8> {
+    // Unassigned, retired (2, 7, 12) or a bare program op tag (3, 4, 5).
+    const NAMED: [u8; 7] = [0, 2, 3, 4, 5, 7, 12];
+    let opcode = if rng.gen_bool(0.5) {
+        NAMED[rng.gen_index(NAMED.len())]
+    } else {
+        op::COMMIT + 1 + rng.gen_index(usize::from(u8::MAX - op::COMMIT)) as u8
+    };
+    let len = if rng.gen_bool(0.5) {
+        8 * rng.gen_index(4)
+    } else {
+        rng.gen_index(25)
+    };
+    let mut out = vec![opcode];
+    out.extend(data(rng, len));
+    out
+}
+
+/// A case's request payload, and the data a valid one leaves in the
+/// base block.
+fn request(rng: &mut SmallRng, kind: Kind, write_id: u64, base: &Base) -> (Vec<u8>, Vec<u8>) {
+    let with_fields = [op::HELLO, op::READ, op::LOOKUP, op::LIST_BLOCKS];
+    let payload = match kind {
+        Kind::RequestCut => {
+            let mut p = fixed_request(rng, &with_fields, write_id, base);
+            let cut = rng.gen_index(p.len());
+            p.truncate(cut);
+            p
+        }
+        Kind::RequestLeftOver => {
+            let all = [with_fields.as_slice(), &[op::FLUSH, op::STATS]].concat();
+            let mut p = fixed_request(rng, &all, write_id, base);
+            let extra = 1 + rng.gen_index(16);
+            p.extend(data(rng, extra));
+            p
+        }
+        Kind::Unserved => unserved(rng),
+        Kind::BeforeHello => match rng.gen_index(3) {
+            0 => {
+                let ops = [op::READ, op::FLUSH, op::LOOKUP, op::LIST_BLOCKS];
+                fixed_request(rng, &ops, write_id, base)
+            }
+            1 => program(rng, Kind::Valid, write_id, base).0,
+            _ => unserved(rng),
+        },
+        _ => return program(rng, kind, write_id, base),
+    };
+    (payload, base.data.clone())
+}
+
 fn run_case(addr: &str, ld: &Lld<MemDisk>, base: &mut Base, seed: u64) -> Result<(), String> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let kind = KINDS[seed as usize % KINDS.len()];
     let write_id = seed + 1;
-    let (payload, base_data) = program(&mut rng, kind, write_id, base);
-    let mut s = connect_raw(addr, CLIENT);
+    let (payload, base_data) = request(&mut rng, kind, write_id, base);
+    let mut s = match kind {
+        Kind::BeforeHello => connect_silent(addr),
+        _ => connect_raw(addr, CLIENT),
+    };
     let resp = exchange(&mut s, &frame(&payload)).ok_or(format!("{kind:?}: no answer"))?;
     let valid = kind == Kind::Valid;
     match (resp[0], valid) {
@@ -208,6 +296,12 @@ fn run_case(addr: &str, ld: &Lld<MemDisk>, base: &mut Base, seed: u64) -> Result
         ));
     }
     // The next request: answered correctly, or the connection is closed.
+    if kind == Kind::BeforeHello {
+        match exchange(&mut s, &frame(&hello(CLIENT))) {
+            Some(resp) if resp[0] != status::OK => return Err(format!("{kind:?}: hello refused")),
+            _ => {}
+        }
+    }
     if let Some(found) = lookup_raw(&mut s, write_id) {
         if found != valid {
             return Err(format!("{kind:?}: lookup found {found}"));
