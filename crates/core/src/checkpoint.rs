@@ -10,7 +10,7 @@
 //! and the cleaner only reuses slots whose sequence number the latest
 //! checkpoint covers.
 //!
-//! # On-disk format (format version 8)
+//! # On-disk format (format version 9; the checkpoint is as in 8)
 //!
 //! Each of the two alternating areas (A/B) holds one checkpoint as
 //! *per-shard snapshot slabs* behind a header and a slab directory:
@@ -1722,10 +1722,11 @@ mod tests {
         assert_eq!(ld.stats().checkpoint_failures, 2);
     }
 
-    /// The byte-counted suffix bound (`seal_current`): a seal asks for a
-    /// checkpoint once the summary bytes past the last one reach the
-    /// weight of the tables (40 B a block, 32 B a list), and never below
-    /// 64 KiB; the checkpoint's commit starts the count again.
+    /// The record-counted suffix bound (`seal_current`): a seal asks for
+    /// a checkpoint once the summary records past the last one, each at
+    /// its format-8 width, reach the weight of the tables (40 a block,
+    /// 32 a list), and never below 64 Ki; the checkpoint's commit starts
+    /// the count again.
     #[test]
     fn a_suffix_as_long_as_the_tables_asks_for_a_checkpoint() {
         let cfg = LldConfig {
@@ -1741,7 +1742,8 @@ mod tests {
             let log = ld.log.lock();
             log.summary_sealed - log.checkpoint_summary
         };
-        // `n` empty units, a 17-byte commit record each, then sealed.
+        // `n` empty units, a commit record each (weight 17, whatever
+        // it encodes to), then sealed.
         let log_units = |n: u64| {
             for _ in 0..n {
                 ld.end_aru(ld.begin_aru().unwrap()).unwrap();
@@ -1754,9 +1756,9 @@ mod tests {
         log_units(3000);
         assert_eq!((suffix(), ld.stats().checkpoints), (3000 * 17, 0));
         log_units(1000);
-        assert_eq!((suffix(), ld.stats().checkpoints), (0, 1), "68,000 B");
+        assert_eq!((suffix(), ld.stats().checkpoints), (0, 1), "68,000");
 
-        // 2,000 blocks on a list weigh 80,032 bytes.
+        // 2,000 blocks on a list weigh 80,032.
         let list = ld.new_list(Ctx::Simple).unwrap();
         for _ in 0..2000 {
             ld.new_block(Ctx::Simple, list, Position::First).unwrap();

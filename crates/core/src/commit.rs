@@ -28,10 +28,10 @@ use crate::aru::{Aru, ListOp, WriteTag};
 use crate::config::ConcurrencyMode;
 use crate::dedup::{Reservation, TaggedCommit, WriteIdOutcome};
 use crate::error::{LldError, Result};
-use crate::lld::{LldInner, Mutation, StateRef, WRITE_REC_LEN};
+use crate::lld::{LldInner, Mutation, StateRef};
 use crate::segment::extent;
 use crate::shard::SCRATCH_ARU_RAW;
-use crate::summary::Record;
+use crate::summary::{Record, WRITE_REC_LEN};
 use crate::types::{AruId, BlockId, ListId, Position, Timestamp};
 use ld_disk::BlockDevice;
 use std::sync::atomic::Ordering;

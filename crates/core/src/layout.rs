@@ -21,9 +21,11 @@ use ld_disk::crc32;
 /// Size of the fixed-length superblock encoding.
 pub(crate) const SUPERBLOCK_LEN: usize = 64;
 const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
-/// 8: a checkpoint slab stores its rows sorted by identifier, each
-/// column as the zigzag of its difference from a predictor, bit-packed at
-/// the column's width in bits (see `checkpoint.rs`); since 7 a segment's
+/// 9: a segment-summary record is its tag byte and its fields as
+/// unsigned LEB128 varints (see `summary.rs`); since 8 a checkpoint
+/// slab stores its rows sorted by identifier, each column as the zigzag
+/// of its difference from a predictor, bit-packed at the column's width
+/// in bits (see `checkpoint.rs`); since 7 a segment's
 /// base counts sectors, not blocks — its header takes one sector and its
 /// body starts at the next, and the checkpoint's chain head names a
 /// sector inside a slot (see `segment.rs`); since 6 a data block is
@@ -32,7 +34,7 @@ const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
 /// sector-count column and a shift per column; since 5 checkpoint slabs
 /// are column-packed; since 4 a slot holds several segments back to
 /// back. Other versions are refused, not converted.
-const FORMAT_VERSION: u32 = 8;
+const FORMAT_VERSION: u32 = 9;
 
 /// The widest a row of a checkpoint slab gets (see `checkpoint.rs`):
 /// every column of a block or of a list at its full width. What the

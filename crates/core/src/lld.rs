@@ -29,7 +29,7 @@ use crate::segment::{
 use crate::shard::{MapView, Maps, WalkOutcome, SCRATCH_ARU_RAW};
 use crate::state::{BlockRecord, IdSet, ListRecord};
 use crate::stats::{LldStats, StatsCell};
-use crate::summary::Record;
+use crate::summary::{Record, WRITE_REC_LEN};
 use crate::types::{AruId, BlockId, ListId, PhysAddr, Position, SegmentId, Timestamp};
 use ld_disk::BlockDevice;
 use ld_disk::Mutex;
@@ -41,24 +41,20 @@ use std::sync::{Arc, MutexGuard};
 
 pub(crate) use crate::shard::{ShardLockStats, StateRef};
 
-/// Encoded length of a `Write` summary record (needed to reserve room
-/// for a data block and its record together, so they land in the same
-/// segment).
-pub(crate) const WRITE_REC_LEN: usize = 1 + 8 + 4 + 8 + 8;
-
 /// What an allocated block and an allocated list weigh in the suffix
 /// bound (`seal_current`): a seal asks for a checkpoint once the summary
-/// bytes past the last one reach the weight of the tables. A rule of
-/// thumb for what replaying a suffix costs against loading a snapshot,
-/// not the snapshot's size: these were format 4's entry sizes, and a
-/// format 8 slab is about a tenth of that (docs/RECOVERY.md "The
-/// suffix bound").
+/// records past the last one, each at its
+/// [`suffix_weight`](Record::suffix_weight) (its format 8 width in
+/// bytes), reach the weight of the tables. A rule of thumb for what
+/// replaying a suffix costs against loading a snapshot, not the
+/// snapshot's size: these were format 4's entry sizes, and a format 8
+/// slab is about a tenth of that (docs/RECOVERY.md "The suffix bound").
 const SUFFIX_WEIGHT_BLOCK: u64 = 40;
 const SUFFIX_WEIGHT_LIST: u64 = 32;
 
-/// The fewest summary bytes past a checkpoint that ask for the next
+/// The least record weight past a checkpoint that asks for the next
 /// one: a nearly empty disk's tables are smaller than any one flush.
-const MIN_SUFFIX_BYTES: u64 = 64 << 10;
+const MIN_SUFFIX_WEIGHT: u64 = 64 << 10;
 
 /// The log state: the open segment builder and the slot / sequence /
 /// free-slot / live-block accounting behind it, plus the cleaner and
@@ -95,9 +91,11 @@ pub(crate) struct LogState {
     pub(crate) epoch: u32,
     /// Highest segment sequence number covered by an on-disk checkpoint.
     pub(crate) checkpoint_seq: u64,
-    /// Summary bytes sealed so far, and the count at the covered point
-    /// of the last checkpoint: the suffix in the unit a restart pays for
-    /// replaying it (see [`seal_current`](Mutation::seal_current)).
+    /// Summary records sealed so far, each at its
+    /// [`suffix_weight`](Record::suffix_weight), and the count at the
+    /// covered point of the last checkpoint: the suffix in the unit a
+    /// restart pays for replaying it (see
+    /// [`seal_current`](Mutation::seal_current)).
     pub(crate) summary_sealed: u64,
     pub(crate) checkpoint_summary: u64,
     pub(crate) cleaning: bool,
@@ -354,8 +352,8 @@ pub struct LldInner<D> {
     /// scarce; drained by [`after_scoped`](LldInner::after_scoped).
     pub(crate) needs_clean: AtomicBool,
     /// Set by a seal that leaves `n_segments` or more segments past the
-    /// last checkpoint, or as many summary bytes as the tables encode
-    /// to; the session that finds it writes one when it ends (see
+    /// last checkpoint, or summary records that weigh as much as the
+    /// tables; the session that finds it writes one when it ends (see
     /// [`seal_current`](Mutation::seal_current)).
     pub(crate) needs_checkpoint: AtomicBool,
     pub(crate) stats: StatsCell,
@@ -520,13 +518,13 @@ impl<D: BlockDevice> LldInner<D> {
     /// Whether the log's suffix, from the last checkpoint to the last
     /// sealed segment, is `times` its bound long or longer, in either of
     /// restart's units: segment headers (the device's slot count) or
-    /// summary bytes (the weight of the tables). Once is due a
-    /// checkpoint, twice is overdue (docs/RECOVERY.md "The suffix
-    /// bound").
+    /// summary records weighted by kind (the weight of the tables). Once
+    /// is due a checkpoint, twice is overdue (docs/RECOVERY.md "The
+    /// suffix bound").
     pub(crate) fn suffix_past(&self, log: &LogState, times: u64) -> bool {
         let table_weight = (self.allocated_block_count() * SUFFIX_WEIGHT_BLOCK
             + self.allocated_list_count() * SUFFIX_WEIGHT_LIST)
-            .max(MIN_SUFFIX_BYTES);
+            .max(MIN_SUFFIX_WEIGHT);
         let (sealed, _) = log.covered_point();
         sealed - log.checkpoint_seq >= times * u64::from(self.layout.n_segments)
             || log.summary_sealed - log.checkpoint_summary >= times * table_weight
@@ -1497,7 +1495,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                     None => (self.log().free_slots.first().copied().unwrap_or(NO_SLOT), 0),
                 };
                 let header = b.header_bytes(next_slot);
-                let seal_summary = b.summary_bytes().len() as u64;
+                let seal_summary = b.summary_weight();
                 let b = Arc::new(b);
                 self.log().inflight.push_back(Arc::clone(&b));
                 let unwritten = self.log().inflight.len() as u64;
@@ -1516,10 +1514,10 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 // slot holds many: keep that bound by asking for a
                 // checkpoint once the suffix is that long. It is what
                 // bounds a log of small flushes. A log of full segments is
-                // bounded in restart's other unit, the summary bytes it
-                // replays: once they reach the weight of the tables
-                // (`SUFFIX_WEIGHT_*`), loading a snapshot is the cheaper
-                // restart.
+                // bounded in restart's other unit, the summary records it
+                // replays, weighted by kind: once they reach the weight of
+                // the tables (`SUFFIX_WEIGHT_*`), loading a snapshot is the
+                // cheaper restart.
                 log.summary_sealed += seal_summary;
                 if lld.suffix_past(log, 1) {
                     self.lld.needs_checkpoint.store(true, Ordering::Relaxed);
@@ -1623,9 +1621,9 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// Emits a record with an explicit slot reserve (0 for
     /// space-reclaiming records such as deletions).
     pub(crate) fn emit_reserve(&mut self, rec: Record, reserve: usize) -> Result<()> {
-        let len = rec.encoded_len();
-        self.ensure_room(len, reserve)?;
-        self.log()
+        self.ensure_room(rec.encoded_len(), reserve)?;
+        let len = self
+            .log()
             .builder
             .as_mut()
             .expect("ensure_room leaves a builder")
@@ -1649,7 +1647,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         reserve: usize,
     ) -> Result<PhysAddr> {
         let stored = extent(data);
-        let addr = match self.absorb_block(id, stored, ts, tag) {
+        let (addr, len) = match self.absorb_block(id, stored, ts, tag) {
             Some(kept) => kept,
             None => {
                 self.ensure_room(stored.len() + WRITE_REC_LEN, reserve)?;
@@ -1659,18 +1657,18 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                     .as_mut()
                     .expect("ensure_room leaves a builder");
                 let addr = b.push_extent(stored);
-                b.push_record(&Record::Write {
+                let len = b.push_record(&Record::Write {
                     block: id,
                     slot: addr.extent(),
                     ts,
                     aru: tag,
                 });
                 self.lld.stats.data_blocks_written.inc();
-                addr
+                (addr, len)
             }
         };
         self.lld.stats.records_emitted.inc();
-        self.lld.stats.summary_bytes.add(WRITE_REC_LEN as u64);
+        self.lld.stats.summary_bytes.add(len as u64);
 
         self.lld.cache.lock().insert(addr, data);
         // Read here: a roll above may have had the cleaner move the block.
@@ -1688,8 +1686,9 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// superseded before its segment seals never reaches the device (the
     /// paper's §3: a committed version has to become persistent only if
     /// it is still the committed one then). Returns the address, which
-    /// the block keeps; `None` if the write has to append — also when
-    /// `stored` is longer than the version's extent.
+    /// the block keeps, and the bytes of the record; `None` if the write
+    /// has to append — also when `stored` is longer than the version's
+    /// extent.
     ///
     /// Allowed only to a write whose commit point lands in this same
     /// segment (docs/INVARIANTS.md I5): an untagged write, or a tagged
@@ -1700,7 +1699,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         stored: &[u8],
         ts: Timestamp,
         tag: Option<AruId>,
-    ) -> Option<PhysAddr> {
+    ) -> Option<(PhysAddr, usize)> {
         let held = self.map.committed_view_block(id)?.addr?;
         let unit = self.unit_ends_in;
         let b = self.log().builder.as_mut()?;
@@ -1711,13 +1710,13 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         if !b.rewrite_extent(held, stored) {
             return None;
         }
-        b.push_record(&Record::Write {
+        let len = b.push_record(&Record::Write {
             block: id,
             slot: held.extent(),
             ts,
             aru: tag,
         });
         self.lld.stats.blocks_absorbed.inc();
-        Some(held)
+        Some((held, len))
     }
 }

@@ -488,13 +488,13 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 report.torn_tails_detected += 1;
                 break;
             };
+            suffix_summary += read.records.iter().map(Record::suffix_weight).sum::<u64>();
             chain.push(ChainSegment {
                 slot: h.slot,
                 data_sectors: h.data_sectors(),
                 records: read.records,
             });
             slot_seq[h.slot.get() as usize] = seq;
-            suffix_summary += u64::from(h.summary_len());
             head = h.next;
             fetched = read.successor;
         }

@@ -83,8 +83,8 @@ pub(crate) const HEADER_LEN: usize = 44;
 /// The unit a segment's data area is packed in: an extent is whole
 /// sectors, and an address counts them.
 pub(crate) const SECTOR: usize = 512;
-/// The largest block size: an extent's sector count is one byte of a
-/// `Write` record's 4-byte field ([`PhysAddr::extent`]).
+/// The largest block size: an extent's sector count is the low byte of
+/// a `Write` record's 32-bit extent field ([`PhysAddr::extent`]).
 pub(crate) const MAX_BLOCK_SIZE: usize = 128 * SECTOR;
 /// Written over the start of a header to invalidate it (a zero magic
 /// never validates). Format punches sector 0 of every slot, where the
@@ -176,6 +176,8 @@ pub(crate) struct SegmentBuilder {
     n_blocks: u32,
     /// The records so far; the seal moves them behind the data.
     summary: Vec<u8>,
+    /// The records' [`suffix_weight`](Record::suffix_weight)s, summed.
+    summary_weight: u64,
 }
 
 impl SegmentBuilder {
@@ -204,6 +206,7 @@ impl SegmentBuilder {
             n_sectors: 0,
             n_blocks: 0,
             summary: Vec::new(),
+            summary_weight: 0,
         }
     }
 
@@ -269,15 +272,23 @@ impl SegmentBuilder {
         addr
     }
 
-    /// Appends one summary record.
+    /// Appends one summary record and returns the bytes it took.
     ///
     /// # Panics
     ///
-    /// Panics if the record does not fit; callers check
-    /// [`fits`](Self::fits) first.
-    pub(crate) fn push_record(&mut self, rec: &Record) {
-        assert!(self.fits(rec.encoded_len()), "summary overflow");
+    /// Panics if the record does not fit: callers reserve room for it
+    /// first ([`fits`](Self::fits)), a `Write` record at its widest.
+    pub(crate) fn push_record(&mut self, rec: &Record) -> usize {
+        let before = self.summary.len();
         rec.encode(&mut self.summary);
+        assert!(self.fits(0), "summary overflow: the reservation was short");
+        self.summary_weight += rec.suffix_weight();
+        self.summary.len() - before
+    }
+
+    /// What the records pushed so far weigh in the suffix bound.
+    pub(crate) fn summary_weight(&self) -> u64 {
+        self.summary_weight
     }
 
     /// Where in [`body`](Self::body) the extent at `addr` sits, if it is
@@ -408,10 +419,6 @@ impl SegmentHeader {
     pub(crate) fn data_sectors(&self) -> Range<u32> {
         let start = self.base + 1;
         start..start + self.n_sectors
-    }
-
-    pub(crate) fn summary_len(&self) -> u32 {
-        self.summary_len
     }
 
     /// Byte offset in the slot of the summary: right behind the data
@@ -820,7 +827,7 @@ mod tests {
         let at: Vec<(u32, u32)> = addrs.iter().map(|a| (a.sector, a.sectors)).collect();
         assert_eq!(at, [(1, 0), (1, 2), (3, 8), (11, 1)]);
         b.push_record(&sample_record(1));
-        // 512 + 11 × 512 + 17 bytes: thirteen sectors.
+        // 512 + 11 × 512 + 3 bytes: thirteen sectors.
         assert_eq!(b.successor_base(), Some(13));
         let h1 = b.header_bytes(1);
         write_seal(&device, &layout, &b);
@@ -838,7 +845,7 @@ mod tests {
         next.push_record(&sample_record(2));
         next.header_bytes(NO_SLOT);
         write_seal(&device, &layout, &next);
-        // The first summary's read, 17 bytes and the next header behind
+        // The first summary's read, 3 bytes and the next header behind
         // them, brings it along.
         let read = read_summary(&device, &layout, &h).unwrap().unwrap();
         let h2 = parse_header(&read.successor.expect("adjacent"), &layout, slot, 13).unwrap();

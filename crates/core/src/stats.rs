@@ -43,7 +43,7 @@ pub struct LldStats {
     pub seals_handed_off: u64,
     /// Summary records emitted.
     pub records_emitted: u64,
-    /// Total encoded summary bytes emitted.
+    /// Summary bytes emitted: what the records encoded to.
     pub summary_bytes: u64,
     /// Data blocks entered into the segment stream (includes relocations).
     pub data_blocks_written: u64,

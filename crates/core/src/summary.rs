@@ -10,6 +10,14 @@
 //! [`Record::Commit`] record is found in the log. This is what makes a
 //! torn tail — summary entries persisted without their commit record —
 //! recover to "none of the operations happened".
+//!
+//! Format 9 encodes a record as its tag byte followed by its fields,
+//! each an unsigned LEB128 varint, in the order the variant declares
+//! them (an absent `aru` or `pred` is 0). A record decodes on its own:
+//! nothing carries over from the record before it. A field has exactly
+//! one encoding — at most ten bytes, nothing past bit 63, no overlong
+//! form — and an extent must fit 32 bits; anything else, a zero
+//! identifier or a record cut inside a field is [`LldError::Corrupt`].
 
 use crate::error::{LldError, Result};
 use crate::types::{AruId, BlockId, ListId, Timestamp};
@@ -117,12 +125,33 @@ const TAG_DELETE_LIST: u8 = 6;
 const TAG_COMMIT: u8 = 7;
 const TAG_WRITE_ID: u8 = 8;
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// The widest a varint gets: ⌈64 / 7⌉ bytes for a `u64`, ⌈32 / 7⌉ for
+/// a `u32`.
+const VARINT_MAX: usize = 10;
+const VARINT32_MAX: usize = 5;
+
+/// The widest encoding of a [`Record::Write`]: the tag, the block, the
+/// extent, the timestamp and the ARU tag at their widest. What a data
+/// block's record reserves before its extent's address is known.
+pub(crate) const WRITE_REC_LEN: usize = 1 + VARINT_MAX + VARINT32_MAX + VARINT_MAX + VARINT_MAX;
+
+/// Appends `v` as an unsigned LEB128 varint: seven bits a byte, low
+/// bits first, the high bit set on every byte but the last.
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// The bytes [`put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+fn corrupt(what: &str) -> LldError {
+    LldError::Corrupt(format!("summary record: {what}"))
 }
 
 struct Reader<'a> {
@@ -130,40 +159,47 @@ struct Reader<'a> {
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
+impl Reader<'_> {
     fn u8(&mut self) -> Result<u8> {
         let v = *self
             .buf
             .get(self.pos)
-            .ok_or_else(|| LldError::Corrupt("truncated summary record".into()))?;
+            .ok_or_else(|| corrupt("cut inside a field"))?;
         self.pos += 1;
         Ok(v)
     }
 
-    fn u32(&mut self) -> Result<u32> {
-        let bytes = self
-            .buf
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| LldError::Corrupt("truncated summary record".into()))?;
-        self.pos += 4;
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+    /// One varint, in its one canonical encoding: at most
+    /// [`VARINT_MAX`] bytes, no bit past the 64th, and no trailing zero
+    /// byte that a shorter encoding would have left off.
+    fn u64(&mut self) -> Result<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.u8()?;
+            let low = u64::from(b & 0x7F);
+            if shift == 63 && low > 1 {
+                return Err(corrupt("varint wider than 64 bits"));
+            }
+            v |= low << shift;
+            if b & 0x80 == 0 {
+                if b == 0 && shift > 0 {
+                    return Err(corrupt("overlong varint"));
+                }
+                return Ok(v);
+            }
+        }
+        Err(corrupt("varint longer than 10 bytes"))
     }
 
-    fn u64(&mut self) -> Result<u64> {
-        let bytes = self
-            .buf
-            .get(self.pos..self.pos + 8)
-            .ok_or_else(|| LldError::Corrupt("truncated summary record".into()))?;
-        self.pos += 8;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+    fn u32(&mut self) -> Result<u32> {
+        u32::try_from(self.u64()?).map_err(|_| corrupt("extent wider than 32 bits"))
     }
 
     fn id<T>(&mut self, wrap: fn(u64) -> T) -> Result<T> {
-        let raw = self.u64()?;
-        if raw == 0 {
-            return Err(LldError::Corrupt("zero identifier in record".into()));
+        match self.u64()? {
+            0 => Err(corrupt("zero identifier")),
+            raw => Ok(wrap(raw)),
         }
-        Ok(wrap(raw))
     }
 }
 
@@ -178,20 +214,20 @@ impl Record {
                 aru,
             } => {
                 buf.push(TAG_WRITE);
-                put_u64(buf, block.get());
-                put_u32(buf, slot);
-                put_u64(buf, ts.get());
-                put_u64(buf, AruId::encode_opt(aru));
+                put_varint(buf, block.get());
+                put_varint(buf, u64::from(slot));
+                put_varint(buf, ts.get());
+                put_varint(buf, AruId::encode_opt(aru));
             }
             Record::NewBlock { block, ts } => {
                 buf.push(TAG_NEW_BLOCK);
-                put_u64(buf, block.get());
-                put_u64(buf, ts.get());
+                put_varint(buf, block.get());
+                put_varint(buf, ts.get());
             }
             Record::NewList { list, ts } => {
                 buf.push(TAG_NEW_LIST);
-                put_u64(buf, list.get());
-                put_u64(buf, ts.get());
+                put_varint(buf, list.get());
+                put_varint(buf, ts.get());
             }
             Record::Link {
                 list,
@@ -201,28 +237,28 @@ impl Record {
                 aru,
             } => {
                 buf.push(TAG_LINK);
-                put_u64(buf, list.get());
-                put_u64(buf, block.get());
-                put_u64(buf, BlockId::encode_opt(pred));
-                put_u64(buf, ts.get());
-                put_u64(buf, AruId::encode_opt(aru));
+                put_varint(buf, list.get());
+                put_varint(buf, block.get());
+                put_varint(buf, BlockId::encode_opt(pred));
+                put_varint(buf, ts.get());
+                put_varint(buf, AruId::encode_opt(aru));
             }
             Record::DeleteBlock { block, ts, aru } => {
                 buf.push(TAG_DELETE_BLOCK);
-                put_u64(buf, block.get());
-                put_u64(buf, ts.get());
-                put_u64(buf, AruId::encode_opt(aru));
+                put_varint(buf, block.get());
+                put_varint(buf, ts.get());
+                put_varint(buf, AruId::encode_opt(aru));
             }
             Record::DeleteList { list, ts, aru } => {
                 buf.push(TAG_DELETE_LIST);
-                put_u64(buf, list.get());
-                put_u64(buf, ts.get());
-                put_u64(buf, AruId::encode_opt(aru));
+                put_varint(buf, list.get());
+                put_varint(buf, ts.get());
+                put_varint(buf, AruId::encode_opt(aru));
             }
             Record::Commit { aru, ts } => {
                 buf.push(TAG_COMMIT);
-                put_u64(buf, aru.get());
-                put_u64(buf, ts.get());
+                put_varint(buf, aru.get());
+                put_varint(buf, ts.get());
             }
             Record::WriteId {
                 aru,
@@ -232,22 +268,68 @@ impl Record {
                 ts,
             } => {
                 buf.push(TAG_WRITE_ID);
-                put_u64(buf, aru.get());
-                put_u64(buf, client);
-                put_u64(buf, generation);
-                put_u64(buf, write_id);
-                put_u64(buf, ts.get());
+                put_varint(buf, aru.get());
+                put_varint(buf, client);
+                put_varint(buf, generation);
+                put_varint(buf, write_id);
+                put_varint(buf, ts.get());
             }
         }
     }
 
-    /// The encoded size of this record in bytes.
+    /// The encoded size of this record in bytes: what
+    /// [`encode`](Self::encode) appends.
     pub fn encoded_len(&self) -> usize {
+        let v = varint_len;
+        1 + match *self {
+            Record::Write {
+                block,
+                slot,
+                ts,
+                aru,
+            } => v(block.get()) + v(u64::from(slot)) + v(ts.get()) + v(AruId::encode_opt(aru)),
+            Record::NewBlock { block, ts } => v(block.get()) + v(ts.get()),
+            Record::NewList { list, ts } => v(list.get()) + v(ts.get()),
+            Record::Link {
+                list,
+                block,
+                pred,
+                ts,
+                aru,
+            } => {
+                v(list.get())
+                    + v(block.get())
+                    + v(BlockId::encode_opt(pred))
+                    + v(ts.get())
+                    + v(AruId::encode_opt(aru))
+            }
+            Record::DeleteBlock { block, ts, aru } => {
+                v(block.get()) + v(ts.get()) + v(AruId::encode_opt(aru))
+            }
+            Record::DeleteList { list, ts, aru } => {
+                v(list.get()) + v(ts.get()) + v(AruId::encode_opt(aru))
+            }
+            Record::Commit { aru, ts } => v(aru.get()) + v(ts.get()),
+            Record::WriteId {
+                aru,
+                client,
+                generation,
+                write_id,
+                ts,
+            } => v(aru.get()) + v(client) + v(generation) + v(write_id) + v(ts.get()),
+        }
+    }
+
+    /// What this record weighs in the suffix bound
+    /// (`LldInner::suffix_past`): its fixed-width size in format 8,
+    /// whatever it encodes to now. The bound counts records replayed,
+    /// weighted by kind, so a shorter encoding keeps its cadence.
+    pub(crate) fn suffix_weight(&self) -> u64 {
         match self {
-            Record::Write { .. } => 1 + 8 + 4 + 8 + 8,
-            Record::NewBlock { .. } | Record::NewList { .. } | Record::Commit { .. } => 1 + 8 + 8,
-            Record::Link { .. } | Record::WriteId { .. } => 1 + 8 + 8 + 8 + 8 + 8,
-            Record::DeleteBlock { .. } | Record::DeleteList { .. } => 1 + 8 + 8 + 8,
+            Record::NewBlock { .. } | Record::NewList { .. } | Record::Commit { .. } => 17,
+            Record::DeleteBlock { .. } | Record::DeleteList { .. } => 25,
+            Record::Write { .. } => 29,
+            Record::Link { .. } | Record::WriteId { .. } => 41,
         }
     }
 
@@ -281,7 +363,8 @@ impl Record {
     ///
     /// # Errors
     ///
-    /// Returns [`LldError::Corrupt`] on an unknown tag or a truncated
+    /// Returns [`LldError::Corrupt`] on an unknown tag, a field that is
+    /// not in its canonical encoding or out of range, or a truncated
     /// record. Callers validate the summary checksum first, so decode
     /// errors indicate real corruption rather than a torn write.
     pub fn decode_all(buf: &[u8]) -> Result<Vec<Record>> {
@@ -325,22 +408,13 @@ impl Record {
                     aru: r.id(AruId::new)?,
                     ts: Timestamp::new(r.u64()?),
                 },
-                TAG_WRITE_ID => {
-                    let aru = r.id(AruId::new)?;
-                    let client = r.u64()?;
-                    let generation = r.u64()?;
-                    let write_id = r.u64()?;
-                    if client == 0 || write_id == 0 {
-                        return Err(LldError::Corrupt("zero identifier in record".into()));
-                    }
-                    Record::WriteId {
-                        aru,
-                        client,
-                        generation,
-                        write_id,
-                        ts: Timestamp::new(r.u64()?),
-                    }
-                }
+                TAG_WRITE_ID => Record::WriteId {
+                    aru: r.id(AruId::new)?,
+                    client: r.id(|v| v)?,
+                    generation: r.u64()?,
+                    write_id: r.id(|v| v)?,
+                    ts: Timestamp::new(r.u64()?),
+                },
                 other => {
                     return Err(LldError::Corrupt(format!(
                         "unknown summary record tag {other}"
@@ -456,10 +530,87 @@ mod tests {
 
     #[test]
     fn zero_id_rejected_in_decode() {
-        let mut buf = vec![TAG_NEW_BLOCK];
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        buf.extend_from_slice(&5u64.to_le_bytes());
-        assert!(Record::decode_all(&buf).is_err());
+        for buf in [
+            vec![TAG_NEW_BLOCK, 0, 5],
+            vec![TAG_COMMIT, 0, 5],
+            vec![TAG_WRITE_ID, 1, 0, 1, 1, 5],
+            vec![TAG_WRITE_ID, 1, 1, 1, 0, 5],
+        ] {
+            assert!(matches!(
+                Record::decode_all(&buf),
+                Err(LldError::Corrupt(m)) if m.contains("zero identifier")
+            ));
+        }
+    }
+
+    #[test]
+    fn fields_take_only_the_bytes_they_need() {
+        let write = |block: u64, slot: u32, ts: u64, aru: u64| Record::Write {
+            block: BlockId::new(block),
+            slot,
+            ts: Timestamp::new(ts),
+            aru: AruId::decode_opt(aru),
+        };
+        assert_eq!(write(1, 1, 1, 0).encoded_len(), 5);
+        assert_eq!(write(127, 127, 127, 127).encoded_len(), 5);
+        assert_eq!(write(128, 128, 128, 128).encoded_len(), 9);
+        let widest = write(u64::MAX, u32::MAX, u64::MAX, u64::MAX);
+        assert_eq!(widest.encoded_len(), WRITE_REC_LEN);
+        let mut buf = Vec::new();
+        widest.encode(&mut buf);
+        assert_eq!(buf.len(), WRITE_REC_LEN);
+        assert_eq!(Record::decode_all(&buf).unwrap(), vec![widest]);
+    }
+
+    /// `NewBlock` with a `ts` field of `ts_bytes`, block 1.
+    fn new_block(ts_bytes: &[u8]) -> Vec<u8> {
+        let mut buf = vec![TAG_NEW_BLOCK, 1];
+        buf.extend_from_slice(ts_bytes);
+        buf
+    }
+
+    fn corrupt_with(buf: &[u8], what: &str) {
+        match Record::decode_all(buf) {
+            Err(LldError::Corrupt(m)) => assert!(m.contains(what), "{m}"),
+            other => panic!("{buf:?}: {other:?}, wanted {what}"),
+        }
+    }
+
+    #[test]
+    fn a_field_has_one_encoding() {
+        let mut max = vec![0xFF; 9];
+        max.push(0x01);
+        assert_eq!(
+            Record::decode_all(&new_block(&max)).unwrap()[0].ts(),
+            Timestamp::new(u64::MAX)
+        );
+        // Ten bytes that do not end, and an eleventh.
+        let mut long = vec![0x80; 10];
+        long.push(0x01);
+        corrupt_with(&new_block(&long), "longer than 10 bytes");
+        // Bit 64 and up.
+        let mut wide = vec![0xFF; 9];
+        wide.push(0x02);
+        corrupt_with(&new_block(&wide), "wider than 64 bits");
+        // 5 as two bytes, and 0 as two.
+        corrupt_with(&new_block(&[0x85, 0x00]), "overlong");
+        corrupt_with(&new_block(&[0x80, 0x00]), "overlong");
+        // Cut before the last byte of a varint.
+        corrupt_with(&new_block(&[0x85]), "cut inside a field");
+    }
+
+    #[test]
+    fn an_extent_fits_32_bits() {
+        let mut buf = Vec::new();
+        samples()[3].encode(&mut buf);
+        // Tag, block 1, then the extent: 2^32 in place of 7.
+        let wide = [&buf[..2], &[0x80, 0x80, 0x80, 0x80, 0x10][..], &buf[3..]].concat();
+        corrupt_with(&wide, "extent wider than 32 bits");
+        let max = [&buf[..2], &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F][..], &buf[3..]].concat();
+        assert!(matches!(
+            Record::decode_all(&max).unwrap()[..],
+            [Record::Write { slot: u32::MAX, .. }]
+        ));
     }
 
     #[test]

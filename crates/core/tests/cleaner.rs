@@ -320,7 +320,8 @@ fn crash_during_cleaning_era_recovers_current_state_at(mode: Mode) {
     // Sweep crash points through a workload that keeps the cleaner
     // busy. Whatever instant the power fails — mid-relocation,
     // mid-checkpoint, mid-segment-write — recovery must reproduce the
-    // last flushed state of the stable blocks.
+    // last flushed state of the stable blocks. The points are 350 KB
+    // apart: the workload writes ≈ 1.4–1.7 MB, so four of them fire.
     use ld_disk::{DiskModel, FaultPlan, SimDisk};
 
     let mut crash_at = 300_000u64;
@@ -380,7 +381,7 @@ fn crash_during_cleaning_era_recovers_current_state_at(mode: Mode) {
         ld2.write(Ctx::Simple, nb, &block(0x11)).unwrap();
         ld2.flush().unwrap();
 
-        crash_at += 450_000;
+        crash_at += 350_000;
     }
     assert!(crashes_seen >= 4, "only {crashes_seen} crash points fired");
 }
@@ -426,29 +427,32 @@ fn churn_on_eight_block_slots(live: usize, cleanerd: bool) -> Result<ld_core::Ll
 /// pressure"): where a slot is 8 blocks, the header and summary block
 /// of every partial segment are a quarter of it and up to two blocks at
 /// its end stay unused. This churn ran out of room above 96 live blocks
-/// while every seal took a slot, and does above 86 since format 4. The
-/// pin keeps that loss from growing unnoticed; a change that moves it
-/// either way moves the record with it. The 86 / 88 pin is the inline
-/// cleaner's, whose passes are the only thing that moves blocks there.
-/// With `cleanerd` the same churn is not repeatable: the thread's
-/// relocations share the open segment with the hot writes, the slots
-/// they leave part-full are beyond the to-target pass (it seals every
-/// batch apart, and two slots of four live blocks are more than one
-/// batch), and this device sets its gate (1) below the emergency level
-/// (3). What holds 86 there is the reserve pass of a roll that finds no
-/// slot (`Mutation::clean_until`): without it a third of the runs
-/// report `DiskFull`.
+/// while every seal took a slot, above 86 from format 4 to format 8, and
+/// first at 85 in format 9. Past the edge the count does not fall off
+/// evenly (format 9: 86, 88, 90 and 92 hold, every other count from 85
+/// to 93 and all above run out), so the pin is the first count that
+/// runs out and the one below it. It keeps that loss from growing
+/// unnoticed; a change that moves it either way moves the record with
+/// it. The 84 / 85 pin is the inline cleaner's, whose passes are the
+/// only thing that moves blocks there. With `cleanerd` the same churn
+/// is not repeatable: the thread's relocations share the open segment
+/// with the hot writes, the slots they leave part-full are beyond the
+/// to-target pass (it seals every batch apart, and two slots of four
+/// live blocks are more than one batch), and this device sets its gate
+/// (1) below the emergency level (3). What holds 84 there is the
+/// reserve pass of a roll that finds no slot (`Mutation::clean_until`):
+/// without it a third of the runs reported `DiskFull` at 86 in format 8.
 #[test]
-fn churn_capacity_on_eight_block_slots_is_86_live_blocks() {
-    let held = churn_on_eight_block_slots(86, false).expect("86 live blocks fit");
+fn churn_capacity_on_eight_block_slots_is_84_live_blocks() {
+    let held = churn_on_eight_block_slots(84, false).expect("84 live blocks fit");
     assert!(held.blocks_relocated > 0, "the log wrapped");
     assert!(matches!(
-        churn_on_eight_block_slots(88, false),
+        churn_on_eight_block_slots(85, false),
         Err(LldError::DiskFull)
     ));
     for round in 0..20 {
-        let held = churn_on_eight_block_slots(86, true)
-            .unwrap_or_else(|e| panic!("86 live blocks fit with cleanerd, round {round}: {e}"));
+        let held = churn_on_eight_block_slots(84, true)
+            .unwrap_or_else(|e| panic!("84 live blocks fit with cleanerd, round {round}: {e}"));
         assert!(held.blocks_relocated > 0, "the log wrapped");
     }
 }

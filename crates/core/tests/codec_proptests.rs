@@ -22,8 +22,25 @@ impl DecodeOptPublic for BlockId {
     }
 }
 
+/// Where an unsigned LEB128 varint (format 9's summary fields) changes
+/// width, and its widest.
+const BOUNDARY: [u64; 5] = [1, 127, 128, u32::MAX as u64, u64::MAX];
+
+/// The bytes LEB128 takes for each of [`BOUNDARY`].
+const BOUNDARY_WIDTH: [usize; 5] = [1, 1, 2, 5, 10];
+
+/// A value of any width: a boundary, or a random one cut to a random
+/// number of bits.
+fn value(rng: &mut SmallRng) -> u64 {
+    if rng.gen_bool(0.3) {
+        BOUNDARY[rng.gen_index(BOUNDARY.len())]
+    } else {
+        rng.next_u64() >> rng.gen_index(64)
+    }
+}
+
 fn id_raw(rng: &mut SmallRng) -> u64 {
-    rng.next_u64().max(1)
+    value(rng).max(1)
 }
 
 fn opt_id_raw(rng: &mut SmallRng) -> u64 {
@@ -35,42 +52,92 @@ fn opt_id_raw(rng: &mut SmallRng) -> u64 {
 }
 
 fn random_record(rng: &mut SmallRng) -> Record {
-    match rng.gen_index(7) {
+    match rng.gen_index(8) {
         0 => Record::Write {
             block: BlockId::new(id_raw(rng)),
-            slot: rng.next_u64() as u32,
-            ts: Timestamp::new(rng.next_u64()),
+            slot: value(rng) as u32,
+            ts: Timestamp::new(value(rng)),
             aru: AruId::decode_opt_public(opt_id_raw(rng)),
         },
         1 => Record::NewBlock {
             block: BlockId::new(id_raw(rng)),
-            ts: Timestamp::new(rng.next_u64()),
+            ts: Timestamp::new(value(rng)),
         },
         2 => Record::NewList {
             list: ListId::new(id_raw(rng)),
-            ts: Timestamp::new(rng.next_u64()),
+            ts: Timestamp::new(value(rng)),
         },
         3 => Record::Link {
             list: ListId::new(id_raw(rng)),
             block: BlockId::new(id_raw(rng)),
             pred: BlockId::decode_opt_public(opt_id_raw(rng)),
-            ts: Timestamp::new(rng.next_u64()),
+            ts: Timestamp::new(value(rng)),
             aru: AruId::decode_opt_public(opt_id_raw(rng)),
         },
         4 => Record::DeleteBlock {
             block: BlockId::new(id_raw(rng)),
-            ts: Timestamp::new(rng.next_u64()),
+            ts: Timestamp::new(value(rng)),
             aru: AruId::decode_opt_public(opt_id_raw(rng)),
         },
         5 => Record::DeleteList {
             list: ListId::new(id_raw(rng)),
-            ts: Timestamp::new(rng.next_u64()),
+            ts: Timestamp::new(value(rng)),
             aru: AruId::decode_opt_public(opt_id_raw(rng)),
         },
-        _ => Record::Commit {
+        6 => Record::Commit {
             aru: AruId::new(id_raw(rng)),
-            ts: Timestamp::new(rng.next_u64()),
+            ts: Timestamp::new(value(rng)),
         },
+        _ => Record::WriteId {
+            aru: AruId::new(id_raw(rng)),
+            client: id_raw(rng),
+            generation: value(rng),
+            write_id: id_raw(rng),
+            ts: Timestamp::new(value(rng)),
+        },
+    }
+}
+
+/// `ts`, `client` and `write_id` at every combination of the varint
+/// boundaries round-trip, each field taking the bytes LEB128 gives it.
+#[test]
+fn boundary_values_round_trip() {
+    let widths = BOUNDARY.iter().zip(BOUNDARY_WIDTH);
+    for (&ts, ts_width) in widths.clone() {
+        for (&client, client_width) in widths.clone() {
+            for (&write_id, id_width) in widths.clone() {
+                let note = Record::WriteId {
+                    aru: AruId::new(1),
+                    client,
+                    generation: 0,
+                    write_id,
+                    ts: Timestamp::new(ts),
+                };
+                // A tag, the ARU, the three fields, the generation.
+                assert_eq!(
+                    note.encoded_len(),
+                    1 + 1 + ts_width + client_width + id_width + 1
+                );
+                let commit = Record::Commit {
+                    aru: AruId::new(client),
+                    ts: Timestamp::new(ts),
+                };
+                let write = Record::Write {
+                    block: BlockId::new(write_id),
+                    slot: u32::try_from(client).unwrap_or(u32::MAX),
+                    ts: Timestamp::new(ts),
+                    aru: None,
+                };
+                let records = vec![note, commit, write];
+                let mut buf = Vec::new();
+                for r in &records {
+                    let before = buf.len();
+                    r.encode(&mut buf);
+                    assert_eq!(buf.len() - before, r.encoded_len());
+                }
+                assert_eq!(Record::decode_all(&buf).unwrap(), records);
+            }
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 
 #![allow(dead_code)] // each suite uses its own subset
 
-use ld_core::{BlockId, Ctx, ListId, Lld, Position};
+use ld_core::{BlockId, Ctx, ListId, Lld, Position, Record};
 use ld_disk::{crc32, BlockDevice, Condvar, DiskError, MemDisk, Mutex};
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -130,6 +130,54 @@ pub fn reseal_summary(image: &mut [u8], off: usize) {
     let crc = crc32(&image[summary_range(image, off)]);
     put_u32(image, off + H_SUMMARY_CRC, crc);
     reseal(image, off);
+}
+
+/// The records of the summary of the segment at `off`, each with its
+/// byte range in the image: a decode walk. A record has one encoding,
+/// so its range is as long as [`Record::encoded_len`] says.
+pub fn summary_records(image: &[u8], off: usize) -> Vec<(Range<usize>, Record)> {
+    let summary = summary_range(image, off);
+    let mut at = summary.start;
+    let records = Record::decode_all(&image[summary.clone()]).unwrap();
+    let walk: Vec<_> = (records.into_iter())
+        .map(|rec| {
+            let range = at..at + rec.encoded_len();
+            at = range.end;
+            (range, rec)
+        })
+        .collect();
+    assert_eq!(at, summary.end, "the records cover the summary");
+    walk
+}
+
+/// `rec`'s encoding.
+pub fn encode(rec: &Record) -> Vec<u8> {
+    let mut buf = Vec::new();
+    rec.encode(&mut buf);
+    buf
+}
+
+/// Puts `bytes` in place of `image[range]`, a range inside the summary
+/// of the segment at `off` (or empty at its end), moves the rest of the
+/// summary along, and makes the edit pass ([`reseal_summary`]). The
+/// summary must not take another sector: the successor's position
+/// follows from its length.
+pub fn splice_summary(image: &mut [u8], off: usize, range: Range<usize>, bytes: &[u8]) {
+    let summary = summary_range(image, off);
+    assert!(summary.start <= range.start && range.end <= summary.end);
+    let edited = [
+        &image[summary.start..range.start],
+        bytes,
+        &image[range.end..summary.end],
+    ]
+    .concat();
+    assert!(
+        edited.len().div_ceil(SECTOR) <= summary.len().div_ceil(SECTOR),
+        "the summary at {off} outgrows its sectors"
+    );
+    image[summary.start..summary.start + edited.len()].copy_from_slice(&edited);
+    put_u32(image, off + H_SUMMARY_LEN, edited.len() as u32);
+    reseal_summary(image, off);
 }
 
 /// Recomputes the CRC of the superblock.

@@ -4,7 +4,8 @@
 //! log suffix now that a wrapping log no longer does.
 
 use ld_core::{CleanerConfig, Ctx, Lld, LldConfig, Position};
-use ld_disk::MemDisk;
+use ld_disk::{BlockDevice, MemDisk, SmallRng};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 const BS: usize = 512;
@@ -297,4 +298,86 @@ fn a_cleaner_that_falls_short_is_not_asked_early() {
         passes <= 60 && 2 * in_flush < passes,
         "{in_flush} of {passes} passes ran in one of the 100 flushes"
     );
+}
+
+/// A device that adds up the `summary_len` of every segment header
+/// written to it: a seal's header is its one 44-byte write.
+struct SummaryTally {
+    inner: MemDisk,
+    bytes: AtomicU64,
+}
+
+impl BlockDevice for SummaryTally {
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> ld_disk::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, buf: &[u8]) -> ld_disk::Result<()> {
+        if buf.len() == 44 {
+            let len = u32::from_le_bytes(buf[20..24].try_into().unwrap());
+            self.bytes.fetch_add(u64::from(len), Relaxed);
+        }
+        self.inner.write_at(offset, buf)
+    }
+    fn flush(&self) -> ld_disk::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// `LldStats::summary_bytes` counts the bytes the records encoded to,
+/// so after a flush it is what the sealed headers say their summaries
+/// hold — over a seeded history of simple and ARU writes (absorbed and
+/// appended, all-zero and not), allocations, deletions, tagged commits,
+/// checkpoints and the inline cleaner's relocations.
+#[test]
+fn summary_bytes_are_what_the_seals_hold() {
+    let cfg = config((false, 8));
+    let device = SummaryTally {
+        inner: MemDisk::new(device_bytes(24)),
+        bytes: AtomicU64::new(0),
+    };
+    let ld = Lld::format(device, &cfg).unwrap();
+    let mut rng = SmallRng::seed_from_u64(0x5EED_0009);
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let mut live = Vec::new();
+    let mut write_id = 0;
+    let content = |rng: &mut SmallRng| block([0, 1 + rng.gen_index(255) as u8][rng.gen_index(2)]);
+    for _ in 0..3000 {
+        let r = rng.gen_index(100);
+        if r < 30 && !live.is_empty() {
+            let b = live[rng.gen_index(live.len())];
+            ld.write(Ctx::Simple, b, &content(&mut rng)).unwrap();
+        } else if r < 45 && live.len() < 150 {
+            let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
+            live.push(b);
+        } else if r < 55 && live.len() > 8 {
+            let b = live.swap_remove(rng.gen_index(live.len()));
+            ld.delete_block(Ctx::Simple, b).unwrap();
+        } else if r < 80 && !live.is_empty() {
+            let aru = ld.begin_aru().unwrap();
+            for _ in 0..1 + rng.gen_index(3) {
+                let b = live[rng.gen_index(live.len())];
+                ld.write(Ctx::Aru(aru), b, &content(&mut rng)).unwrap();
+            }
+            if rng.gen_bool(0.3) {
+                write_id += 1;
+                ld.end_aru_tagged(aru, 7, 1, write_id).unwrap();
+            } else {
+                ld.end_aru(aru).unwrap();
+            }
+        } else if r < 97 {
+            ld.flush().unwrap();
+        } else {
+            ld.checkpoint().unwrap();
+        }
+    }
+    ld.flush().unwrap();
+    let stats = ld.stats();
+    assert!(
+        stats.blocks_absorbed > 0 && stats.blocks_relocated > 0,
+        "{stats:?}"
+    );
+    assert_eq!(stats.summary_bytes, ld.device().bytes.load(Relaxed));
 }

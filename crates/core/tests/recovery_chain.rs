@@ -8,8 +8,10 @@
 mod common;
 
 use common::*;
-use ld_core::{CleanerConfig, Ctx, Lld, LldConfig, LldError, Position, RecoveryReport};
-use ld_disk::{crc32, DiskModel, MemDisk, SimDisk};
+use ld_core::{
+    CleanerConfig, Ctx, Lld, LldConfig, LldError, Position, Record, RecoveryReport, Timestamp,
+};
+use ld_disk::{DiskModel, MemDisk, SimDisk};
 
 const BS: usize = 512;
 /// Blocks per segment slot.
@@ -36,8 +38,9 @@ fn device_bytes(slots: u64) -> u64 {
     layout.data_start + slots * SEG as u64
 }
 
+/// Byte offset of `slot`, in the geometry the image's superblock names.
 fn seg_off(image: &[u8], slot: u32) -> usize {
-    let layout = ld_core::Layout::compute(image.len() as u64, &config()).unwrap();
+    let (layout, _, _) = ld_core::Layout::decode_superblock(image).unwrap();
     layout.segment_offset(slot) as usize
 }
 
@@ -136,12 +139,18 @@ fn stale_successor_is_not_replayed() {
         let mut forged = image.clone();
         forged.copy_within(from..from + 3 * BS, to);
         forged[to + BS..to + 2 * BS].fill(9);
-        let record = to + 2 * BS;
-        let len = u32_at(&forged, to + H_SUMMARY_LEN) as usize;
-        assert_eq!((forged[record], len), (1, 29), "one `Write` record");
-        put_u32(&mut forged, record + 9, extent(at.1 + 1, 1));
-        let summary_crc = crc32(&forged[record..record + len]);
-        put_u32(&mut forged, to + H_SUMMARY_CRC, summary_crc);
+        let records = summary_records(&forged, to);
+        let [(ref record, Record::Write { block, ts, aru, .. })] = records[..] else {
+            panic!("one `Write` record: {records:?}");
+        };
+        let slot = extent(at.1 + 1, 1);
+        let write = encode(&Record::Write {
+            block,
+            slot,
+            ts,
+            aru,
+        });
+        splice_summary(&mut forged, to, record.clone(), &write);
         forged[to + H_SEQ..to + H_SEQ + 8].copy_from_slice(&next_seq.to_le_bytes());
         put_u32(&mut forged, to + H_NEXT, u32::MAX);
         let link_of_tail = u32_at(&image, from + H_CRC);
@@ -238,6 +247,10 @@ fn log_continues_past_a_segment_sealed_on_a_full_disk() {
             target_free_segments: 2,
             ..CleanerConfig::default()
         },
+        // More identifiers than the slots hold blocks: the disk fills
+        // up, not the block table (a slot holds 14 of these blocks and
+        // their records since format 9, 12 before).
+        max_blocks: Some(512),
         ..config()
     };
     // Enough slots that the seals below stay under the suffix bound:
@@ -388,11 +401,21 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     // Records recomputed under valid CRCs, on the tail (a resealed
     // header changes the link its successor checks). Its one record
     // places the block at the segment's one data sector.
-    let summary = summary_range(&image, tail);
-    let at_block = summary.start + 9; // behind the tag and the block id
-    assert_eq!((image[summary.start], summary.len()), (1, 29), "a `Write`");
+    let records = summary_records(&image, tail);
+    let [(
+        ref record,
+        Record::Write {
+            block,
+            slot,
+            ts,
+            aru,
+        },
+    )] = records[..]
+    else {
+        panic!("a `Write`: {records:?}");
+    };
     let data = at[11].1 + 1;
-    assert_eq!(u32_at(&image, at_block), extent(data, 1));
+    assert_eq!(slot, extent(data, 1));
     // One sector past the segment's data area, in front of it, more
     // sectors than a block has, and where `Layout::block_offset` would
     // overflow.
@@ -404,8 +427,13 @@ fn hostile_pointers_are_corrupt_not_fatal() {
         u32::MAX,
     ] {
         let mut hostile = image.clone();
-        put_u32(&mut hostile, at_block, slot);
-        reseal_summary(&mut hostile, tail);
+        let write = encode(&Record::Write {
+            block,
+            slot,
+            ts,
+            aru,
+        });
+        splice_summary(&mut hostile, tail, record.clone(), &write);
         let got = recover(&hostile);
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
@@ -415,19 +443,16 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     }
     // A second `Link` of the block, which is on its list already: what
     // the live path refuses, replay refuses.
-    let list = ld.block_info(b).unwrap().list.unwrap();
-    let mut link = vec![4u8]; // the record's tag
-    for field in [list.get(), b.get(), 0, 1_000, 0] {
-        link.extend_from_slice(&field.to_le_bytes()); // list, block, pred, ts, aru
-    }
+    let link = encode(&Record::Link {
+        list: ld.block_info(b).unwrap().list.unwrap(),
+        block: b,
+        pred: None,
+        ts: Timestamp::new(1_000),
+        aru: None,
+    });
     let mut hostile = image.clone();
-    hostile[summary.end..summary.end + link.len()].copy_from_slice(&link);
-    put_u32(
-        &mut hostile,
-        tail + H_SUMMARY_LEN,
-        (summary.len() + link.len()) as u32,
-    );
-    reseal_summary(&mut hostile, tail);
+    let end = record.end;
+    splice_summary(&mut hostile, tail, end..end, &link);
     match recover(&hostile) {
         Err(LldError::Corrupt(msg)) => assert!(msg.contains("is already on list"), "{msg}"),
         other => panic!("second link: {:?}", other.map(|(_, r)| r)),
@@ -728,12 +753,10 @@ fn timestamp_that_runs_backwards_is_corrupt() {
     ld.flush().unwrap();
     let image = ld.into_device().into_image();
     let tail = pos_off(&image, *chain(&image).last().unwrap());
-    let summary = summary_range(&image, tail);
-    assert_eq!(
-        (image[summary.start], summary.len()),
-        (5, 25),
-        "one `DeleteBlock`"
-    );
+    let records = summary_records(&image, tail);
+    let [(ref record, Record::DeleteBlock { block, aru, .. })] = records[..] else {
+        panic!("one `DeleteBlock`: {records:?}");
+    };
 
     let (ld, report) = recover(&image).unwrap();
     assert_eq!((report.segments_replayed, report.records_applied), (1, 1));
@@ -744,9 +767,12 @@ fn timestamp_that_runs_backwards_is_corrupt() {
     );
 
     let mut hostile = image.clone();
-    let ts = summary.start + 9; // behind the tag and the block id
-    hostile[ts..ts + 8].copy_from_slice(&1u64.to_le_bytes());
-    reseal_summary(&mut hostile, tail);
+    let delete = encode(&Record::DeleteBlock {
+        block,
+        ts: Timestamp::new(1),
+        aru,
+    });
+    splice_summary(&mut hostile, tail, record.clone(), &delete);
     let got = recover(&hostile);
     assert!(
         matches!(got, Err(LldError::Corrupt(_))),
@@ -755,21 +781,26 @@ fn timestamp_that_runs_backwards_is_corrupt() {
     );
 }
 
-/// An image of the previous formats (superblock version 7, 6, 5 or 4,
-/// valid CRC) is refused by the version check, not read as if its
-/// checkpoint slabs were sorted and bit-packed, its segment bases
-/// counted sectors or its segments were packed by sectors.
+/// An image of the previous formats (superblock version 8, 7, 6, 5 or
+/// 4, valid CRC) is refused by the version check, and the message names
+/// the version: it is not read as if its summary records were varints,
+/// its checkpoint slabs sorted and bit-packed, its segment bases counted
+/// sectors or its segments were packed by sectors. The format-9 image
+/// it was patched from mounts.
 #[test]
 fn older_format_version_is_refused() {
-    let (image, _) = image_with_segments(1);
-    assert_eq!(u32_at(&image, 8), 8, "superblock version field");
-    for older in [7, 6, 5, 4] {
+    let (image, b) = image_with_segments(1);
+    assert_eq!(u32_at(&image, 8), 9, "superblock version field");
+    let (ld, _) = recover(&image).expect("a format-9 image mounts");
+    assert_eq!(read_byte(&ld, b), 1);
+    for older in [8, 7, 6, 5, 4] {
         let mut image = image.clone();
         put_u32(&mut image, 8, older);
-        let crc = crc32(&image[..S_CRC]);
-        put_u32(&mut image, S_CRC, crc);
+        reseal_superblock(&mut image);
         match recover(&image) {
-            Err(LldError::Corrupt(msg)) => assert!(msg.contains(&format!("version {older}"))),
+            Err(LldError::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("version {older}")), "{msg}")
+            }
             other => panic!("{:?}", other.map(|(_, r)| r)),
         }
     }

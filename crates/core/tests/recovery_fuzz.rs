@@ -46,6 +46,14 @@
 //! has room behind, under its recomputed checksum: a typed error or a
 //! disk that checks, whichever side of that edge it lands on.
 //!
+//! Format 9's kinds reach the summary's varint decoder: one field of a
+//! replayed record, found by a decode walk ([`summary_records`]) and
+//! spliced in under its recomputed checksums, becomes an 11-byte
+//! varint, an overlong one, an extent past 32 bits or a zero
+//! identifier, or the summary ends inside it. Each must be
+//! [`LldError::Corrupt`]. A hostile `Write` extent is spliced the same
+//! way, through `Record::encode`.
+//!
 //! About 200 cases in tier-1; `RECOVERY_FUZZ_CASES=n` runs more (CI:
 //! 5,000 in release mode). A failure prints `RECOVERY_FUZZ_SEED=n`, and
 //! that variable re-runs the one case.
@@ -53,7 +61,7 @@
 mod common;
 
 use common::*;
-use ld_core::{Ctx, Layout, ListId, Lld, LldConfig, LldError, Position, CKPT_COL_DESC};
+use ld_core::{Ctx, Layout, ListId, Lld, LldConfig, LldError, Position, Record, CKPT_COL_DESC};
 use ld_disk::MemDisk;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -108,15 +116,29 @@ struct Base {
     headers: Vec<usize>,
     /// The checkpoint area recovery loads (the newer).
     newer: usize,
-    /// Byte offsets of the `Write` records' extent fields in the
-    /// segments recovery replays, with the offset of each one's header.
-    replayed_writes: Vec<(usize, usize)>,
+    /// The records of the segments recovery replays, each with its
+    /// segment's header and its byte range, where the summary leaves
+    /// [`SLACK`] bytes in its last sector: room for a longer field.
+    replayed: Vec<(usize, std::ops::Range<usize>, Record)>,
     /// One more than the highest slot holding a segment.
     used_slots: u32,
 }
 
+impl Base {
+    /// The `Write` records of [`replayed`](Self::replayed).
+    fn replayed_writes(&self) -> Vec<&(usize, std::ops::Range<usize>, Record)> {
+        (self.replayed.iter())
+            .filter(|r| matches!(r.2, Record::Write { .. }))
+            .collect()
+    }
+}
+
 /// Superblock: the block size field.
 const S_BLOCK_SIZE: usize = 12;
+
+/// The most a hostile record grows its summary by: an 11-byte varint in
+/// place of a 1-byte one.
+const SLACK: usize = 16;
 
 /// The headers of the segments recovery replays behind the checkpoint
 /// at `area`, found the way recovery walks the chain (a hop with no
@@ -147,24 +169,93 @@ fn replayed_chain(image: &[u8], layout: &Layout, area: usize) -> Vec<usize> {
     out
 }
 
-/// Offsets of the extent fields of the `Write` records in `summary`.
-fn write_extents(image: &[u8], summary: std::ops::Range<usize>) -> Vec<usize> {
+/// `v` as an unsigned LEB128 varint.
+fn leb128(mut v: u64) -> Vec<u8> {
     let mut out = Vec::new();
-    let mut at = summary.start;
-    while at < summary.end {
-        let len = match image[at] {
-            1 => {
-                out.push(at + 9); // behind the tag and the block id
-                29
-            }
-            2 | 3 | 7 => 17,
-            5 | 6 => 25,
-            4 | 8 => 41,
-            tag => panic!("summary record tag {tag}"),
-        };
-        at += len;
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
+/// The byte ranges of the fields of `bytes`, one record's encoding:
+/// behind the tag, each field ends at a byte with the high bit clear.
+fn field_ranges(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut out = Vec::new();
+    let mut start = 1;
+    for (i, &b) in bytes.iter().enumerate().skip(1) {
+        if b & 0x80 == 0 {
+            out.push(start..i + 1);
+            start = i + 1;
+        }
     }
     out
+}
+
+/// Which fields of a record with `tag` are identifiers, never 0
+/// (`summary.rs`): the block, list, committed ARU, client, write id.
+fn id_fields(tag: u8) -> &'static [usize] {
+    match tag {
+        4 => &[0, 1],
+        8 => &[0, 1, 3],
+        _ => &[0],
+    }
+}
+
+/// A varint-level hostile kind (see [`mutate`]): `rec`'s encoding with
+/// one field made into what no writer produces, and whether the summary
+/// ends right behind it (a cut).
+fn hostile_record(kind: usize, rec: &Record, rng: &mut Rng) -> (Vec<u8>, bool, String) {
+    let bytes = encode(rec);
+    let fields = field_ranges(&bytes);
+    let i = match kind {
+        22 => 1, // a `Write`'s extent
+        23 => {
+            let ids = id_fields(bytes[0]);
+            ids[rng.below(ids.len())]
+        }
+        _ => rng.below(fields.len()),
+    };
+    let (head, field, tail) = (
+        &bytes[..fields[i].start],
+        &bytes[fields[i].clone()],
+        &bytes[fields[i].end..],
+    );
+    let (hostile, what) = match kind {
+        20 => {
+            // Every byte but the eleventh goes on.
+            let mut long: Vec<u8> = field.iter().map(|b| b | 0x80).collect();
+            long.resize(10, 0x80);
+            long.push(0x01);
+            (long, "an 11-byte varint")
+        }
+        21 => {
+            let mut over = field.to_vec();
+            *over.last_mut().unwrap() |= 0x80;
+            over.push(0x00);
+            (over, "an overlong varint")
+        }
+        22 => {
+            // Above the record's own extent: a reader that dropped the
+            // high bits would replay a valid write.
+            let Record::Write { slot, .. } = *rec else {
+                unreachable!()
+            };
+            let past = 1 << (32 + rng.below(32)) | u64::from(slot);
+            (leb128(past), "an extent past 32 bits")
+        }
+        23 => (vec![0], "a zero identifier"),
+        _ => {
+            // The field's first byte says more follow, and the summary
+            // ends there.
+            let cut = [head, &[field[0] | 0x80]].concat();
+            return (cut, true, format!("a cut inside field {i} of {rec:?}"));
+        }
+    };
+    let out = [head, &hostile[..], tail].concat();
+    (out, false, format!("{what} in field {i} of {rec:?}"))
 }
 
 fn base_image((block_size, device_bytes): (usize, u64)) -> Base {
@@ -245,15 +336,18 @@ fn base_image((block_size, device_bytes): (usize, u64)) -> Base {
     assert_eq!(u64_at(&image, newer + 8), report.checkpoint_seq, "area B");
     let chain = replayed_chain(&image, &layout, newer);
     assert_eq!(chain.len(), report.segments_replayed as usize);
-    let replayed_writes: Vec<(usize, usize)> = (chain.iter())
+    let replayed: Vec<_> = (chain.iter())
+        .filter(|&&h| {
+            let len = summary_range(&image, h).len();
+            len.div_ceil(SECTOR) * SECTOR - len >= SLACK
+        })
         .flat_map(|&h| {
-            let summary = summary_range(&image, h);
-            write_extents(&image, summary)
-                .into_iter()
-                .map(move |w| (h, w))
+            let records = summary_records(&image, h);
+            records.into_iter().map(move |(range, rec)| (h, range, rec))
         })
         .collect();
-    assert!(replayed_writes.len() > 40);
+    let writes = (replayed.iter()).filter(|r| matches!(r.2, Record::Write { .. }));
+    assert!(writes.count() > 40);
     let slot_of =
         |off: usize| ((off as u64 - layout.data_start) / layout.segment_bytes as u64) as u32;
     let used_slots = 1 + headers.iter().map(|&h| slot_of(h)).max().unwrap();
@@ -268,7 +362,7 @@ fn base_image((block_size, device_bytes): (usize, u64)) -> Base {
         layout,
         headers,
         newer,
-        replayed_writes,
+        replayed,
         used_slots,
     }
 }
@@ -299,7 +393,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
     let area = [layout.ckpt_a, layout.ckpt_b][rng.below(2)] as usize;
     let header = base.headers[rng.below(base.headers.len())];
     let summary = summary_range(&image, header);
-    let kind = rng.below(20);
+    let kind = rng.below(25);
     let what = match kind {
         0 => {
             flip(&mut image, 0..S_CRC + 4, &mut rng);
@@ -383,8 +477,18 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             // A replayed `Write` record's extent: past the data area,
             // in front of it, more sectors than a block has, or none of
             // those fields at all.
-            let (header, field) = base.replayed_writes[rng.below(base.replayed_writes.len())];
-            let (sector, sectors) = (u32_at(&image, field) >> 8, u32_at(&image, field) & 0xFF);
+            let writes = base.replayed_writes();
+            let (header, range, rec) = writes[rng.below(writes.len())];
+            let Record::Write {
+                block,
+                slot,
+                ts,
+                aru,
+            } = *rec
+            else {
+                unreachable!()
+            };
+            let (sector, sectors) = (slot >> 8, slot & 0xFF);
             // The data area starts at the sector behind the header's.
             let start =
                 ((header - layout.data_start as usize) % layout.segment_bytes / SECTOR) as u32 + 1;
@@ -396,8 +500,13 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
                 sector << 8 | too_many,
                 u32::MAX,
             ][rng.below(4)];
-            put_u32(&mut image, field, hostile);
-            reseal_summary(&mut image, header);
+            let write = encode(&Record::Write {
+                block,
+                slot: hostile,
+                ts,
+                aru,
+            });
+            splice_summary(&mut image, *header, range.clone(), &write);
             format!("hostile: write extent {sector}+{sectors} as {hostile:#x} at {header}")
         }
         14 => {
@@ -457,7 +566,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             reseal_slab(&mut image, area, i);
             format!("resealed: packed rows of slab {i} at {area}")
         }
-        _ => {
+        18 => {
             // Format 7's head: each sector from one before the last base
             // a slot has room behind to one past the slot's end.
             let span = layout.sectors_per_slot() + 3 - last_base;
@@ -466,10 +575,27 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             reseal_checkpoint(&mut image, base.newer);
             format!("resealed: checkpoint head at sector {head}, last base {last_base}")
         }
+        _ => {
+            // C8, format 9: one field of a replayed record in no
+            // encoding a writer produces, or out of its range.
+            let pick = match kind {
+                22 => base.replayed_writes(),
+                _ => base.replayed.iter().collect(),
+            };
+            let (header, range, rec) = pick[rng.below(pick.len())];
+            let (bytes, cut, what) = hostile_record(kind, rec, &mut rng);
+            let summary_end = summary_range(&image, *header).end;
+            let range = match cut {
+                true => range.start..summary_end,
+                false => range.clone(),
+            };
+            splice_summary(&mut image, *header, range, &bytes);
+            format!("hostile: {what} at {header}")
+        }
     };
     let oracle = match kind {
         9 | 10 | 12 | 19 => Oracle::Returns,
-        13..=15 | 17 => Oracle::Corrupt,
+        13..=15 | 17 | 20.. => Oracle::Corrupt,
         _ => Oracle::Whole,
     };
     (image, what, oracle)

@@ -63,9 +63,12 @@ mod tests {
         let w = AruLatencyWorkload { count: 1000 };
         let res = w.run(&ld).unwrap();
         assert_eq!(res.arus, 1000);
-        // 1000 commit records × 17 bytes ≈ 17 KB; a segment holds
-        // ~3.5 KB of summary here, so several segments were written.
-        assert!(ld.stats().segments_sealed >= 4);
+        // 1000 commit records of at most 5 bytes each (a tag, then an
+        // ARU id and a timestamp below 2^14, two varint bytes each) ≈
+        // 4.8 KB; a segment holds ~3.5 KB of summary here, so two
+        // segments were written.
+        assert!(ld.stats().summary_bytes <= 5 * 1000);
+        assert!(ld.stats().segments_sealed >= 2);
         assert_eq!(ld.stats().arus_committed, 1000);
         assert_eq!(ld.stats().records_emitted, 1000);
     }

@@ -138,9 +138,9 @@ fn aru_latency_workload_recovers() {
     let mut cfg = ld_config();
     cfg.cleaner.background = false; // the checkpoint count below is the log's own
     let ld = Lld::format(sim, &cfg).unwrap();
-    // 17 bytes of commit record each: short of the 64 KiB of summary at
-    // which the log of a nearly empty disk asks for a checkpoint, so
-    // recovery finds every unit in the log.
+    // A commit record each, weighing 17 in the suffix bound: short of
+    // the 64 Ki at which the log of a nearly empty disk asks for a
+    // checkpoint, so recovery finds every unit in the log.
     AruLatencyWorkload { count: 3000 }.run(&ld).unwrap();
     assert_eq!(ld.stats().arus_committed, 3000);
     assert_eq!(ld.stats().checkpoints, 0);
