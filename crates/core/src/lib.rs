@@ -77,6 +77,7 @@ mod layout;
 mod lld;
 pub mod obs;
 mod ops;
+mod record;
 mod recovery;
 mod sampler;
 mod segment;
@@ -98,8 +99,9 @@ pub use layout::{CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH};
 pub use lld::{Lld, LldInner};
 pub use obs::{
     aru_trace, cleaner_trace, flush_trace, AruSpan, Obs, ObsConfig, ObsSnapshot, ServerCounters,
-    SpanOutcome, Stage, TraceEntry, TraceEvent, TraceRing,
+    ServerStats, SpanOutcome, Stage, TraceEntry, TraceEvent, TraceRing,
 };
+pub use record::Counter;
 pub use recovery::RecoveryReport;
 pub use shard::ShardLockStats;
 pub use state::{BlockRecord, ListRecord};

@@ -26,6 +26,7 @@
 //! format time with [`ObsConfig::disabled()`]; disabled, every hook is
 //! a single branch.
 
+use crate::record::{flat_record, FlatRecord};
 use crate::recovery::RecoveryReport;
 use crate::shard::ShardLockStats;
 use crate::stats::LldStats;
@@ -91,16 +92,16 @@ pub struct ObsConfig {
     /// Capacity of the trace-event ring buffer; older events are
     /// dropped (and counted) once it is full.
     pub ring_capacity: usize,
-    /// Number of *finished* ARU spans retained, newest first.
-    pub max_spans: usize,
 }
+
+/// Number of *finished* ARU spans retained, newest first.
+const MAX_SPANS: usize = 256;
 
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             enabled: true,
             ring_capacity: 1024,
-            max_spans: 256,
         }
     }
 }
@@ -119,218 +120,279 @@ impl ObsConfig {
 // Trace events
 // ----------------------------------------------------------------------
 
-/// One stage of a traced operation's cross-thread timeline. Stage
-/// begin/end events carry the operation's trace id, so a commit's full
-/// path — caller queue wait, leader seal, barrier wait on the leader's
-/// thread, segment writes on the thread that issued them — reassembles
-/// from the ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Stage {
-    /// The whole durability call (`flush`/`end_aru_sync`'s flush) on
-    /// the caller's thread; every other gc stage nests inside it.
-    Commit,
-    /// From taking a gc ticket to being covered by a batch (follower)
-    /// or claiming leadership (leader).
-    QueueWait,
-    /// The leader sealing the open segment (summary + header writes).
-    Seal,
-    /// The leader waiting for its batch's barrier (`device.flush()`).
-    BarrierWait,
-    /// A foreground writer stalled in the cleaner's backpressure gate.
-    CleanerGate,
-    /// One sealed segment's device write, on the thread that issues it:
-    /// the sealing session's or `ld-cleanerd`.
-    MediaWrite,
-    /// Cleaner pass phase 1: victim snapshot under the log lock.
-    CleanerSnapshot,
-    /// Cleaner pass phase 2: liveness prefilter under shard read locks.
-    CleanerPrefilter,
-    /// Cleaner pass phase 3: block prefetch with no locks held.
-    CleanerPrefetch,
-    /// Cleaner pass phase 4: relocation in short scoped-write windows.
-    CleanerRelocate,
-    /// Cleaner pass final phase: checkpoint and segment release.
-    CleanerRelease,
-    /// Recovery phase 1: locating and decoding per-shard checkpoint
-    /// snapshot slabs.
-    RecoverySnapshotLoad,
-    /// Recovery phase 2: scanning segment summaries for the suffix.
-    RecoveryScan,
-    /// Recovery phase 3: replaying suffix records into the map.
-    RecoveryReplay,
-    /// Recovery phase 4: merging shards, rebuilding allocator and log
-    /// state, and running the post-recovery check.
-    RecoveryFinalize,
+/// Declares a fieldless enum whose variants each carry a stable name:
+/// `Variant = "name"`. Emits `as_str` and its inverse `from_str`.
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $( $(#[$vmeta:meta])* $variant:ident = $str:literal ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $( $(#[$vmeta])* $variant, )*
+        }
+
+        impl $name {
+            /// Stable snake_case name (used by JSON output and exporters).
+            pub fn as_str(&self) -> &'static str {
+                match self {
+                    $($name::$variant => $str,)*
+                }
+            }
+
+            /// Parses the name produced by `as_str`.
+            #[allow(clippy::should_implement_trait)] // fallible, Option-returning
+            pub fn from_str(s: &str) -> Option<$name> {
+                match s {
+                    $($str => Some($name::$variant),)*
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-impl Stage {
-    /// Stable snake_case name (used by JSON output and exporters).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Stage::Commit => "commit",
-            Stage::QueueWait => "queue_wait",
-            Stage::Seal => "seal",
-            Stage::BarrierWait => "barrier_wait",
-            Stage::CleanerGate => "cleaner_gate",
-            Stage::MediaWrite => "media_write",
-            Stage::CleanerSnapshot => "cleaner_snapshot",
-            Stage::CleanerPrefilter => "cleaner_prefilter",
-            Stage::CleanerPrefetch => "cleaner_prefetch",
-            Stage::CleanerRelocate => "cleaner_relocate",
-            Stage::CleanerRelease => "cleaner_release",
-            Stage::RecoverySnapshotLoad => "recovery_snapshot_load",
-            Stage::RecoveryScan => "recovery_scan",
-            Stage::RecoveryReplay => "recovery_replay",
-            Stage::RecoveryFinalize => "recovery_finalize",
+/// Declares [`TraceEvent`]: each variant with its JSON `type` name and
+/// its payload fields, each field under its own name as JSON key or
+/// under `field as "key"`. Emits `kind`, the payload writer and reader.
+macro_rules! trace_events {
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    (
+        $(#[$meta:meta])*
+        pub enum TraceEvent {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $kind:literal {
+                    $( $(#[$fmeta:meta])* $field:ident $(as $key:literal)?: $ty:ty ),* $(,)?
+                }
+            ),* $(,)?
         }
+    ) => {
+        $(#[$meta])*
+        pub enum TraceEvent {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty, )* }, )*
+        }
+
+        impl TraceEvent {
+            /// Stable snake_case name of the event type (used by JSON output).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $kind,)*
+                }
+            }
+
+            /// Writes the payload fields under their JSON keys.
+            fn write_payload(&self, o: &mut json::Obj) {
+                match *self {
+                    $(TraceEvent::$variant { $($field),* } => {
+                        $( Payload::put($field, o, trace_events!(@key $field $($key)?)); )*
+                    })*
+                }
+            }
+
+            /// Rebuilds an event of type `kind` from its payload keys in
+            /// `v` (`None` for an unknown type or stage name).
+            fn read_payload(kind: &str, v: &json::Value) -> Option<TraceEvent> {
+                Some(match kind {
+                    $($kind => TraceEvent::$variant {
+                        $( $field: Payload::take(v.get(trace_events!(@key $field $($key)?)))?, )*
+                    },)*
+                    _ => return None,
+                })
+            }
+        }
+    };
+}
+
+/// A trace-event payload field's JSON form. A missing or non-numeric
+/// number reads 0; a stage must name one.
+trait Payload: Sized {
+    fn put(self, o: &mut json::Obj, key: &str);
+    fn take(v: Option<&json::Value>) -> Option<Self>;
+}
+
+impl Payload for u64 {
+    fn put(self, o: &mut json::Obj, key: &str) {
+        o.u64(key, self);
     }
 
-    /// Parses the name produced by [`Stage::as_str`].
-    #[allow(clippy::should_implement_trait)] // fallible, Option-returning
-    pub fn from_str(s: &str) -> Option<Stage> {
-        Some(match s {
-            "commit" => Stage::Commit,
-            "queue_wait" => Stage::QueueWait,
-            "seal" => Stage::Seal,
-            "barrier_wait" => Stage::BarrierWait,
-            "cleaner_gate" => Stage::CleanerGate,
-            "media_write" => Stage::MediaWrite,
-            "cleaner_snapshot" => Stage::CleanerSnapshot,
-            "cleaner_prefilter" => Stage::CleanerPrefilter,
-            "cleaner_prefetch" => Stage::CleanerPrefetch,
-            "cleaner_relocate" => Stage::CleanerRelocate,
-            "cleaner_release" => Stage::CleanerRelease,
-            "recovery_snapshot_load" => Stage::RecoverySnapshotLoad,
-            "recovery_scan" => Stage::RecoveryScan,
-            "recovery_replay" => Stage::RecoveryReplay,
-            "recovery_finalize" => Stage::RecoveryFinalize,
-            _ => return None,
-        })
+    fn take(v: Option<&json::Value>) -> Option<u64> {
+        Some(v.and_then(json::Value::as_u64).unwrap_or(0))
     }
 }
 
-/// One structured trace event. Identifiers are raw (`u64`/`u32`) so the
-/// payload stays `Copy` and serialization stays trivial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TraceEvent {
-    /// `BeginARU` returned a new ARU.
-    AruBegin {
-        /// Raw ARU id.
-        aru: u64,
-    },
-    /// `EndARU` committed the ARU.
-    AruCommit {
-        /// Raw ARU id.
-        aru: u64,
-        /// Operations executed inside the ARU.
-        ops: u64,
-        /// Shadow copy-on-write records the ARU accumulated.
-        cow_records: u64,
-    },
-    /// `AbortARU` discarded the ARU's shadow state.
-    AruAbort {
-        /// Raw ARU id.
-        aru: u64,
-    },
-    /// `EndARU` failed with a commit conflict; the ARU was aborted.
-    AruConflict {
-        /// Raw ARU id.
-        aru: u64,
-    },
-    /// A filled segment was sealed and written to the device.
-    SegmentSeal {
-        /// Physical segment slot.
-        segment: u32,
-        /// Log sequence number of the sealed segment.
-        seq: u64,
-        /// Data blocks in the segment.
-        blocks: u32,
-        /// Total bytes written (header + data + summary).
-        bytes: u64,
-    },
-    /// `Flush` completed: commit records are durable.
-    Flush {
-        /// Segments sealed so far (after this flush).
-        segments_sealed: u64,
-    },
-    /// A group-commit leader sealed and barriered for a batch of
-    /// concurrent durability callers.
-    GroupCommit {
-        /// Number of `flush`/`end_aru_sync` callers served by the one
-        /// seal + barrier.
-        batch: u64,
-        /// Trace id of the leader's own flush.
-        trace: u64,
-        /// Trace id of the first flush covered by this batch; the batch
-        /// covers traces `first_trace .. first_trace + batch`.
-        first_trace: u64,
-    },
-    /// A traced operation entered a stage (on the recording thread).
-    StageBegin {
-        /// Trace id of the operation (0 = untraced).
-        trace: u64,
-        /// The stage being entered.
-        stage: Stage,
-    },
-    /// A traced operation left a stage (on the recording thread).
-    StageEnd {
-        /// Trace id of the operation (0 = untraced).
-        trace: u64,
-        /// The stage being left.
-        stage: Stage,
-        /// Wall-clock nanoseconds spent in the stage.
-        nanos: u64,
-    },
-    /// The background cleaner thread woke with cleaning work (free
-    /// segments below the low watermark).
-    CleanerWake {
-        /// Free segment slots at wake-up.
-        free_segments: u32,
-    },
-    /// The cleaner finished a pass.
-    CleanerPass {
-        /// Free segment slots after the pass.
-        free_segments: u32,
-        /// Cumulative blocks relocated (after the pass).
-        blocks_relocated: u64,
-    },
-    /// A checkpoint was written.
-    Checkpoint {
-        /// Highest segment sequence number the checkpoint covers.
-        covered_seq: u64,
-        /// Payload bytes written.
-        bytes: u64,
-    },
-    /// Recovery finished its log scan.
-    RecoveryScan {
-        /// Segment slots examined.
-        segments_scanned: u32,
-        /// Valid segments replayed.
-        segments_replayed: u32,
-        /// Summary records applied.
-        records_applied: u64,
-    },
+impl Payload for u32 {
+    fn put(self, o: &mut json::Obj, key: &str) {
+        o.u64(key, u64::from(self));
+    }
+
+    fn take(v: Option<&json::Value>) -> Option<u32> {
+        u64::take(v).map(|n| n as u32)
+    }
 }
 
-impl TraceEvent {
-    /// Stable snake_case name of the event type (used by JSON output).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::AruBegin { .. } => "aru_begin",
-            TraceEvent::AruCommit { .. } => "aru_commit",
-            TraceEvent::AruAbort { .. } => "aru_abort",
-            TraceEvent::AruConflict { .. } => "aru_conflict",
-            TraceEvent::SegmentSeal { .. } => "segment_seal",
-            TraceEvent::Flush { .. } => "flush",
-            TraceEvent::GroupCommit { .. } => "group_commit",
-            TraceEvent::StageBegin { .. } => "stage_begin",
-            TraceEvent::StageEnd { .. } => "stage_end",
-            TraceEvent::CleanerWake { .. } => "cleaner_wake",
-            TraceEvent::CleanerPass { .. } => "cleaner_pass",
-            TraceEvent::Checkpoint { .. } => "checkpoint",
-            TraceEvent::RecoveryScan { .. } => "recovery_scan",
-        }
+impl Payload for Stage {
+    fn put(self, o: &mut json::Obj, key: &str) {
+        o.str(key, self.as_str());
+    }
+
+    fn take(v: Option<&json::Value>) -> Option<Stage> {
+        Stage::from_str(v?.as_str()?)
+    }
+}
+
+named_enum! {
+    /// One stage of a traced operation's cross-thread timeline. Stage
+    /// begin/end events carry the operation's trace id, so a commit's full
+    /// path — caller queue wait, leader seal, barrier wait on the leader's
+    /// thread, segment writes on the thread that issued them — reassembles
+    /// from the ring.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Stage {
+        /// The whole durability call (`flush`/`end_aru_sync`'s flush) on
+        /// the caller's thread; every other gc stage nests inside it.
+        Commit = "commit",
+        /// From taking a gc ticket to being covered by a batch (follower)
+        /// or claiming leadership (leader).
+        QueueWait = "queue_wait",
+        /// The leader sealing the open segment (summary + header writes).
+        Seal = "seal",
+        /// The leader waiting for its batch's barrier (`device.flush()`).
+        BarrierWait = "barrier_wait",
+        /// A foreground writer stalled in the cleaner's backpressure gate.
+        CleanerGate = "cleaner_gate",
+        /// One sealed segment's device write, on the thread that issues it:
+        /// the sealing session's or `ld-cleanerd`.
+        MediaWrite = "media_write",
+        /// Cleaner pass phase 1: victim snapshot under the log lock.
+        CleanerSnapshot = "cleaner_snapshot",
+        /// Cleaner pass phase 2: liveness prefilter under shard read locks.
+        CleanerPrefilter = "cleaner_prefilter",
+        /// Cleaner pass phase 3: block prefetch with no locks held.
+        CleanerPrefetch = "cleaner_prefetch",
+        /// Cleaner pass phase 4: relocation in short scoped-write windows.
+        CleanerRelocate = "cleaner_relocate",
+        /// Cleaner pass final phase: checkpoint and segment release.
+        CleanerRelease = "cleaner_release",
+        /// Recovery phase 1: locating and decoding per-shard checkpoint
+        /// snapshot slabs.
+        RecoverySnapshotLoad = "recovery_snapshot_load",
+        /// Recovery phase 2: scanning segment summaries for the suffix.
+        RecoveryScan = "recovery_scan",
+        /// Recovery phase 3: replaying suffix records into the map.
+        RecoveryReplay = "recovery_replay",
+        /// Recovery phase 4: merging shards, rebuilding allocator and log
+        /// state, and running the post-recovery check.
+        RecoveryFinalize = "recovery_finalize",
+    }
+}
+
+trace_events! {
+    /// One structured trace event. Identifiers are raw (`u64`/`u32`) so the
+    /// payload stays `Copy` and serialization stays trivial.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub enum TraceEvent {
+        /// `BeginARU` returned a new ARU.
+        AruBegin = "aru_begin" {
+            /// Raw ARU id.
+            aru: u64,
+        },
+        /// `EndARU` committed the ARU.
+        AruCommit = "aru_commit" {
+            /// Raw ARU id.
+            aru: u64,
+            /// Operations executed inside the ARU.
+            ops: u64,
+            /// Shadow copy-on-write records the ARU accumulated.
+            cow_records: u64,
+        },
+        /// `AbortARU` discarded the ARU's shadow state.
+        AruAbort = "aru_abort" {
+            /// Raw ARU id.
+            aru: u64,
+        },
+        /// `EndARU` failed with a commit conflict; the ARU was aborted.
+        AruConflict = "aru_conflict" {
+            /// Raw ARU id.
+            aru: u64,
+        },
+        /// A filled segment was sealed and written to the device.
+        SegmentSeal = "segment_seal" {
+            /// Physical segment slot.
+            segment: u32,
+            /// Log sequence number of the sealed segment.
+            seq as "segment_seq": u64,
+            /// Data blocks in the segment.
+            blocks: u32,
+            /// Total bytes written (header + data + summary).
+            bytes: u64,
+        },
+        /// `Flush` completed: commit records are durable.
+        Flush = "flush" {
+            /// Segments sealed so far (after this flush).
+            segments_sealed: u64,
+        },
+        /// A group-commit leader sealed and barriered for a batch of
+        /// concurrent durability callers.
+        GroupCommit = "group_commit" {
+            /// Number of `flush`/`end_aru_sync` callers served by the one
+            /// seal + barrier.
+            batch: u64,
+            /// Trace id of the leader's own flush.
+            trace: u64,
+            /// Trace id of the first flush covered by this batch; the batch
+            /// covers traces `first_trace .. first_trace + batch`.
+            first_trace: u64,
+        },
+        /// A traced operation entered a stage (on the recording thread).
+        StageBegin = "stage_begin" {
+            /// Trace id of the operation (0 = untraced).
+            trace: u64,
+            /// The stage being entered.
+            stage: Stage,
+        },
+        /// A traced operation left a stage (on the recording thread).
+        StageEnd = "stage_end" {
+            /// Trace id of the operation (0 = untraced).
+            trace: u64,
+            /// The stage being left.
+            stage: Stage,
+            /// Wall-clock nanoseconds spent in the stage.
+            nanos: u64,
+        },
+        /// The background cleaner thread woke with cleaning work (free
+        /// segments below the low watermark).
+        CleanerWake = "cleaner_wake" {
+            /// Free segment slots at wake-up.
+            free_segments: u32,
+        },
+        /// The cleaner finished a pass.
+        CleanerPass = "cleaner_pass" {
+            /// Free segment slots after the pass.
+            free_segments: u32,
+            /// Cumulative blocks relocated (after the pass).
+            blocks_relocated: u64,
+        },
+        /// A checkpoint was written.
+        Checkpoint = "checkpoint" {
+            /// Highest segment sequence number the checkpoint covers.
+            covered_seq: u64,
+            /// Payload bytes written.
+            bytes: u64,
+        },
+        /// Recovery finished its log scan.
+        RecoveryScan = "recovery_scan" {
+            /// Segment slots examined.
+            segments_scanned: u32,
+            /// Valid segments replayed.
+            segments_replayed: u32,
+            /// Summary records applied.
+            records_applied: u64,
+        },
     }
 }
 
@@ -448,40 +510,18 @@ impl TraceRing {
 // ARU lifecycle spans
 // ----------------------------------------------------------------------
 
-/// How an ARU's life ended (or that it has not).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanOutcome {
-    /// Still running.
-    Active,
-    /// Committed by `EndARU`.
-    Committed,
-    /// Aborted explicitly by `AbortARU`.
-    Aborted,
-    /// Aborted by `EndARU` because of a commit conflict.
-    Conflicted,
-}
-
-impl SpanOutcome {
-    /// Stable lowercase name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SpanOutcome::Active => "active",
-            SpanOutcome::Committed => "committed",
-            SpanOutcome::Aborted => "aborted",
-            SpanOutcome::Conflicted => "conflicted",
-        }
-    }
-
-    /// Parses the name produced by [`SpanOutcome::as_str`].
-    #[allow(clippy::should_implement_trait)] // fallible, Option-returning
-    pub fn from_str(s: &str) -> Option<SpanOutcome> {
-        Some(match s {
-            "active" => SpanOutcome::Active,
-            "committed" => SpanOutcome::Committed,
-            "aborted" => SpanOutcome::Aborted,
-            "conflicted" => SpanOutcome::Conflicted,
-            _ => return None,
-        })
+named_enum! {
+    /// How an ARU's life ended (or that it has not).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum SpanOutcome {
+        /// Still running.
+        Active = "active",
+        /// Committed by `EndARU`.
+        Committed = "committed",
+        /// Aborted explicitly by `AbortARU`.
+        Aborted = "aborted",
+        /// Aborted by `EndARU` because of a commit conflict.
+        Conflicted = "conflicted",
     }
 }
 
@@ -804,7 +844,7 @@ impl Obs {
             cow_records: active.cow_records,
             outcome,
         };
-        if table.finished.len() == self.cfg.max_spans.max(1) {
+        if table.finished.len() == MAX_SPANS {
             table.finished.pop_front();
         }
         table.finished.push_back(span);
@@ -985,26 +1025,33 @@ pub struct ObsSnapshot {
     pub server: ServerCounters,
 }
 
-/// Counters of a network server fronting a logical disk (see the
-/// `ld-server` crate). A plain value struct: the server owns the live
-/// atomics and copies them in before snapshotting.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ServerCounters {
-    /// Connections accepted.
-    pub sessions_opened: u64,
-    /// Connections closed (gracefully or by error/disconnect).
-    pub sessions_closed: u64,
-    /// Tagged commits answered from the dedup cache instead of
-    /// re-executing (client retries after a lost acknowledgement).
-    pub retries_deduped: u64,
-    /// Connections dropped on an I/O or protocol error.
-    pub conn_errors: u64,
-    /// Requests served (all opcodes, success or error response).
-    pub ops_served: u64,
-    /// Request payload bytes received.
-    pub bytes_in: u64,
-    /// Response payload bytes sent.
-    pub bytes_out: u64,
+flat_record! {
+    /// Counters of a network server fronting a logical disk (see the
+    /// `ld-server` crate). A plain value struct: the server counts in its
+    /// [`ServerStats`] and copies them in before snapshotting.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    pub struct ServerCounters {
+        /// Connections accepted.
+        sessions_opened: u64,
+        /// Connections closed (gracefully or by error/disconnect).
+        sessions_closed: u64,
+        /// Tagged commits answered from the dedup cache instead of
+        /// re-executing (client retries after a lost acknowledgement).
+        retries_deduped: u64,
+        /// Connections dropped on an I/O or protocol error.
+        conn_errors: u64,
+        /// Requests served (all opcodes, success or error response).
+        ops_served: u64,
+        /// Request payload bytes received.
+        bytes_in: u64,
+        /// Response payload bytes sent.
+        bytes_out: u64,
+    }
+
+    /// Live server counters, shared across all of a server's connection
+    /// threads; [`ServerStats::snapshot`] copies them into the
+    /// [`ServerCounters`] every stats surface uses.
+    pub struct ServerStats;
 }
 
 impl ObsSnapshot {
@@ -1019,7 +1066,7 @@ impl ObsSnapshot {
     /// Serializes the snapshot as a JSON object.
     pub fn to_json(&self) -> String {
         let mut o = json::Obj::new();
-        o.raw("lld", &lld_stats_json(&self.lld));
+        o.raw("lld", &record_json(&self.lld));
         match &self.disk {
             Some(d) => o.raw("disk", &disk_stats_json(d)),
             None => o.null("disk"),
@@ -1042,11 +1089,11 @@ impl ObsSnapshot {
         o.raw("spans", &spans.finish());
         let mut shards = json::Arr::new();
         for s in &self.shards {
-            shards.push_raw(&shard_json(s));
+            shards.push_raw(&record_json(s));
         }
         o.raw("shards", &shards.finish());
         match &self.recovery {
-            Some(r) => o.raw("recovery", &recovery_json(r)),
+            Some(r) => o.raw("recovery", &record_json(r)),
             None => o.null("recovery"),
         };
         let mut fs = json::Obj::new();
@@ -1055,15 +1102,7 @@ impl ObsSnapshot {
         }
         o.raw("fs_ops", &fs.finish());
         // Appended last so the golden-schema diff stays append-only.
-        let mut sv = json::Obj::new();
-        sv.u64("sessions_opened", self.server.sessions_opened);
-        sv.u64("sessions_closed", self.server.sessions_closed);
-        sv.u64("retries_deduped", self.server.retries_deduped);
-        sv.u64("conn_errors", self.server.conn_errors);
-        sv.u64("ops_served", self.server.ops_served);
-        sv.u64("bytes_in", self.server.bytes_in);
-        sv.u64("bytes_out", self.server.bytes_out);
-        o.raw("server", &sv.finish());
+        o.raw("server", &record_json(&self.server));
         o.finish()
     }
 
@@ -1079,8 +1118,13 @@ impl ObsSnapshot {
     pub fn from_value(v: &json::Value) -> Result<ObsSnapshot, String> {
         v.as_obj().ok_or("snapshot is not a JSON object")?;
         let mut snap = ObsSnapshot {
-            lld: v.get("lld").map(lld_stats_from).unwrap_or_default(),
+            lld: v.get("lld").map(record_from).unwrap_or_default(),
             dropped_events: get_u64(v, "dropped_events"),
+            recovery: v
+                .get("recovery")
+                .filter(|r| r.as_obj().is_some())
+                .map(record_from),
+            server: v.get("server").map(record_from).unwrap_or_default(),
             ..ObsSnapshot::default()
         };
         if let Some(d) = v.get("disk") {
@@ -1100,35 +1144,12 @@ impl ObsSnapshot {
             snap.spans = items.iter().map(span_from).collect();
         }
         if let Some(items) = v.get("shards").and_then(json::Value::as_arr) {
-            snap.shards = items
-                .iter()
-                .map(|s| ShardLockStats {
-                    shard: get_u64(s, "shard") as u32,
-                    read_locks: get_u64(s, "read_locks"),
-                    write_locks: get_u64(s, "write_locks"),
-                })
-                .collect();
-        }
-        if let Some(r) = v.get("recovery") {
-            if r.as_obj().is_some() {
-                snap.recovery = Some(recovery_from(r));
-            }
+            snap.shards = items.iter().map(record_from).collect();
         }
         if let Some(pairs) = v.get("fs_ops").and_then(json::Value::as_obj) {
             for (name, n) in pairs {
                 snap.fs_ops.push((name.clone(), n.as_u64().unwrap_or(0)));
             }
-        }
-        if let Some(sv) = v.get("server") {
-            snap.server = ServerCounters {
-                sessions_opened: get_u64(sv, "sessions_opened"),
-                sessions_closed: get_u64(sv, "sessions_closed"),
-                retries_deduped: get_u64(sv, "retries_deduped"),
-                conn_errors: get_u64(sv, "conn_errors"),
-                ops_served: get_u64(sv, "ops_served"),
-                bytes_in: get_u64(sv, "bytes_in"),
-                bytes_out: get_u64(sv, "bytes_out"),
-            };
         }
         Ok(snap)
     }
@@ -1199,15 +1220,7 @@ impl ObsSnapshot {
                     let mut args = json::Obj::new();
                     args.u64("seq", e.seq);
                     match other {
-                        TraceEvent::GroupCommit {
-                            batch,
-                            trace,
-                            first_trace,
-                        } => {
-                            args.u64("batch", batch);
-                            args.u64("trace", trace);
-                            args.u64("first_trace", first_trace);
-                        }
+                        TraceEvent::GroupCommit { .. } => other.write_payload(&mut args),
                         TraceEvent::AruBegin { aru }
                         | TraceEvent::AruAbort { aru }
                         | TraceEvent::AruConflict { aru }
@@ -1249,65 +1262,14 @@ fn get_u64(v: &json::Value, key: &str) -> u64 {
     v.get(key).and_then(json::Value::as_u64).unwrap_or(0)
 }
 
-fn lld_stats_from(v: &json::Value) -> LldStats {
-    let mut s = LldStats::default();
-    let Some(pairs) = v.as_obj() else {
-        return s;
-    };
-    for (k, val) in pairs {
-        let n = val.as_u64().unwrap_or(0);
-        match k.as_str() {
-            "reads" => s.reads = n,
-            "writes" => s.writes = n,
-            "new_blocks" => s.new_blocks = n,
-            "delete_blocks" => s.delete_blocks = n,
-            "new_lists" => s.new_lists = n,
-            "delete_lists" => s.delete_lists = n,
-            "arus_begun" => s.arus_begun = n,
-            "arus_committed" => s.arus_committed = n,
-            "arus_aborted" => s.arus_aborted = n,
-            "commit_conflicts" => s.commit_conflicts = n,
-            "segments_sealed" => s.segments_sealed = n,
-            "seals_handed_off" => s.seals_handed_off = n,
-            "records_emitted" => s.records_emitted = n,
-            "summary_bytes" => s.summary_bytes = n,
-            "data_blocks_written" => s.data_blocks_written = n,
-            "data_bytes_written" => s.data_bytes_written = n,
-            "blocks_absorbed" => s.blocks_absorbed = n,
-            "blocks_relocated" => s.blocks_relocated = n,
-            "cleaner_runs" => s.cleaner_runs = n,
-            "cleaner_passes" => s.cleaner_passes = n,
-            "cleaner_blocks_relocated" => s.cleaner_blocks_relocated = n,
-            "cleaner_stale_skips" => s.cleaner_stale_skips = n,
-            "backpressure_stalls" => s.backpressure_stalls = n,
-            "checkpoints" => s.checkpoints = n,
-            "checkpoints_handed_off" => s.checkpoints_handed_off = n,
-            "checkpoint_failures" => s.checkpoint_failures = n,
-            "list_walk_steps" => s.list_walk_steps = n,
-            "shadow_cow_records" => s.shadow_cow_records = n,
-            "shadow_records_merged" => s.shadow_records_merged = n,
-            "committed_records_drained" => s.committed_records_drained = n,
-            "cache_hits" => s.cache_hits = n,
-            "cache_misses" => s.cache_misses = n,
-            "flush_batches" => s.flush_batches = n,
-            "flush_batch_callers" => s.flush_batch_callers = n,
-            "flush_batch_max" => s.flush_batch_max = n,
-            "full_mutations" => s.full_mutations = n,
-            "scoped_mutations" => s.scoped_mutations = n,
-            "single_shard_commits" => s.single_shard_commits = n,
-            "cross_shard_commits" => s.cross_shard_commits = n,
-            "commit_full_fallbacks" => s.commit_full_fallbacks = n,
-            "walk_escalations" => s.walk_escalations = n,
-            "pipeline_stalls" => s.pipeline_stalls = n,
-            "inflight_barriers" => s.inflight_barriers = n,
-            "inflight_segments" => s.inflight_segments = n,
-            "trace_events_dropped" => s.trace_events_dropped = n,
-            "writeids_recorded" => s.writeids_recorded = n,
-            "writeids_deduped" => s.writeids_deduped = n,
-            _ => {}
-        }
+/// Rebuilds a flat record from the object [`record_json`] wrote. Keys
+/// the record does not declare are skipped; missing ones read 0.
+fn record_from<R: FlatRecord>(v: &json::Value) -> R {
+    let mut r = R::default();
+    for (k, val) in v.as_obj().unwrap_or_default() {
+        r.set(k, val.as_u64().unwrap_or(0));
     }
-    s
+    r
 }
 
 fn disk_stats_from(v: &json::Value) -> DiskStatsSnapshot {
@@ -1349,63 +1311,7 @@ fn histogram_from(v: &json::Value) -> HistogramSnapshot {
 }
 
 fn trace_entry_from(v: &json::Value) -> Option<TraceEntry> {
-    let kind = v.get("type")?.as_str()?;
-    let event = match kind {
-        "aru_begin" => TraceEvent::AruBegin {
-            aru: get_u64(v, "aru"),
-        },
-        "aru_commit" => TraceEvent::AruCommit {
-            aru: get_u64(v, "aru"),
-            ops: get_u64(v, "ops"),
-            cow_records: get_u64(v, "cow_records"),
-        },
-        "aru_abort" => TraceEvent::AruAbort {
-            aru: get_u64(v, "aru"),
-        },
-        "aru_conflict" => TraceEvent::AruConflict {
-            aru: get_u64(v, "aru"),
-        },
-        "segment_seal" => TraceEvent::SegmentSeal {
-            segment: get_u64(v, "segment") as u32,
-            seq: get_u64(v, "segment_seq"),
-            blocks: get_u64(v, "blocks") as u32,
-            bytes: get_u64(v, "bytes"),
-        },
-        "flush" => TraceEvent::Flush {
-            segments_sealed: get_u64(v, "segments_sealed"),
-        },
-        "group_commit" => TraceEvent::GroupCommit {
-            batch: get_u64(v, "batch"),
-            trace: get_u64(v, "trace"),
-            first_trace: get_u64(v, "first_trace"),
-        },
-        "stage_begin" => TraceEvent::StageBegin {
-            trace: get_u64(v, "trace"),
-            stage: Stage::from_str(v.get("stage")?.as_str()?)?,
-        },
-        "stage_end" => TraceEvent::StageEnd {
-            trace: get_u64(v, "trace"),
-            stage: Stage::from_str(v.get("stage")?.as_str()?)?,
-            nanos: get_u64(v, "nanos"),
-        },
-        "cleaner_wake" => TraceEvent::CleanerWake {
-            free_segments: get_u64(v, "free_segments") as u32,
-        },
-        "cleaner_pass" => TraceEvent::CleanerPass {
-            free_segments: get_u64(v, "free_segments") as u32,
-            blocks_relocated: get_u64(v, "blocks_relocated"),
-        },
-        "checkpoint" => TraceEvent::Checkpoint {
-            covered_seq: get_u64(v, "covered_seq"),
-            bytes: get_u64(v, "bytes"),
-        },
-        "recovery_scan" => TraceEvent::RecoveryScan {
-            segments_scanned: get_u64(v, "segments_scanned") as u32,
-            segments_replayed: get_u64(v, "segments_replayed") as u32,
-            records_applied: get_u64(v, "records_applied"),
-        },
-        _ => return None,
-    };
+    let event = TraceEvent::read_payload(v.get("type")?.as_str()?, v)?;
     Some(TraceEntry {
         seq: get_u64(v, "seq"),
         ts: get_u64(v, "ts"),
@@ -1431,84 +1337,12 @@ fn span_from(v: &json::Value) -> AruSpan {
     }
 }
 
-fn recovery_from(v: &json::Value) -> RecoveryReport {
-    RecoveryReport {
-        checkpoint_seq: get_u64(v, "checkpoint_seq"),
-        segments_scanned: get_u64(v, "segments_scanned") as u32,
-        segments_replayed: get_u64(v, "segments_replayed") as u32,
-        torn_tails_detected: get_u64(v, "torn_tails_detected") as u32,
-        records_applied: get_u64(v, "records_applied"),
-        committed_arus: get_u64(v, "committed_arus"),
-        discarded_arus: get_u64(v, "discarded_arus"),
-        discarded_records: get_u64(v, "discarded_records"),
-        orphan_blocks_freed: get_u64(v, "orphan_blocks_freed") as usize,
-        snap_shards: get_u64(v, "snap_shards") as u32,
-        threads_used: get_u64(v, "threads_used") as u32,
-        snapshot_bytes: get_u64(v, "snapshot_bytes"),
-        snapshot_load_ns: get_u64(v, "snapshot_load_ns"),
-        scan_ns: get_u64(v, "scan_ns"),
-        replay_ns: get_u64(v, "replay_ns"),
-        finalize_ns: get_u64(v, "finalize_ns"),
+/// A flat record as a JSON object, its fields in declaration order.
+fn record_json(r: &impl FlatRecord) -> String {
+    let mut o = json::Obj::new();
+    for (name, v) in r.fields() {
+        o.u64(name, v);
     }
-}
-
-fn lld_stats_json(s: &LldStats) -> String {
-    let mut o = json::Obj::new();
-    o.u64("reads", s.reads);
-    o.u64("writes", s.writes);
-    o.u64("new_blocks", s.new_blocks);
-    o.u64("delete_blocks", s.delete_blocks);
-    o.u64("new_lists", s.new_lists);
-    o.u64("delete_lists", s.delete_lists);
-    o.u64("arus_begun", s.arus_begun);
-    o.u64("arus_committed", s.arus_committed);
-    o.u64("arus_aborted", s.arus_aborted);
-    o.u64("commit_conflicts", s.commit_conflicts);
-    o.u64("segments_sealed", s.segments_sealed);
-    o.u64("seals_handed_off", s.seals_handed_off);
-    o.u64("records_emitted", s.records_emitted);
-    o.u64("summary_bytes", s.summary_bytes);
-    o.u64("data_blocks_written", s.data_blocks_written);
-    o.u64("data_bytes_written", s.data_bytes_written);
-    o.u64("blocks_absorbed", s.blocks_absorbed);
-    o.u64("blocks_relocated", s.blocks_relocated);
-    o.u64("cleaner_runs", s.cleaner_runs);
-    o.u64("cleaner_passes", s.cleaner_passes);
-    o.u64("cleaner_blocks_relocated", s.cleaner_blocks_relocated);
-    o.u64("cleaner_stale_skips", s.cleaner_stale_skips);
-    o.u64("backpressure_stalls", s.backpressure_stalls);
-    o.u64("checkpoints", s.checkpoints);
-    o.u64("checkpoints_handed_off", s.checkpoints_handed_off);
-    o.u64("checkpoint_failures", s.checkpoint_failures);
-    o.u64("list_walk_steps", s.list_walk_steps);
-    o.u64("shadow_cow_records", s.shadow_cow_records);
-    o.u64("shadow_records_merged", s.shadow_records_merged);
-    o.u64("committed_records_drained", s.committed_records_drained);
-    o.u64("cache_hits", s.cache_hits);
-    o.u64("cache_misses", s.cache_misses);
-    o.u64("flush_batches", s.flush_batches);
-    o.u64("flush_batch_callers", s.flush_batch_callers);
-    o.u64("flush_batch_max", s.flush_batch_max);
-    o.u64("full_mutations", s.full_mutations);
-    o.u64("scoped_mutations", s.scoped_mutations);
-    o.u64("single_shard_commits", s.single_shard_commits);
-    o.u64("cross_shard_commits", s.cross_shard_commits);
-    o.u64("commit_full_fallbacks", s.commit_full_fallbacks);
-    o.u64("walk_escalations", s.walk_escalations);
-    o.u64("pipeline_stalls", s.pipeline_stalls);
-    o.u64("inflight_barriers", s.inflight_barriers);
-    o.u64("inflight_segments", s.inflight_segments);
-    o.u64("trace_events_dropped", s.trace_events_dropped);
-    o.u64("writeids_recorded", s.writeids_recorded);
-    o.u64("writeids_deduped", s.writeids_deduped);
-    o.finish()
-}
-
-fn shard_json(s: &ShardLockStats) -> String {
-    let mut o = json::Obj::new();
-    o.u64("shard", s.shard as u64);
-    o.u64("read_locks", s.read_locks);
-    o.u64("write_locks", s.write_locks);
     o.finish()
 }
 
@@ -1551,81 +1385,7 @@ fn trace_entry_json(e: &TraceEntry) -> String {
     o.u64("tid", e.tid);
     o.u64("wall_us", e.wall_us);
     o.str("type", e.event.kind());
-    match e.event {
-        TraceEvent::AruBegin { aru }
-        | TraceEvent::AruAbort { aru }
-        | TraceEvent::AruConflict { aru } => {
-            o.u64("aru", aru);
-        }
-        TraceEvent::AruCommit {
-            aru,
-            ops,
-            cow_records,
-        } => {
-            o.u64("aru", aru);
-            o.u64("ops", ops);
-            o.u64("cow_records", cow_records);
-        }
-        TraceEvent::SegmentSeal {
-            segment,
-            seq,
-            blocks,
-            bytes,
-        } => {
-            o.u64("segment", segment as u64);
-            o.u64("segment_seq", seq);
-            o.u64("blocks", blocks as u64);
-            o.u64("bytes", bytes);
-        }
-        TraceEvent::Flush { segments_sealed } => {
-            o.u64("segments_sealed", segments_sealed);
-        }
-        TraceEvent::GroupCommit {
-            batch,
-            trace,
-            first_trace,
-        } => {
-            o.u64("batch", batch);
-            o.u64("trace", trace);
-            o.u64("first_trace", first_trace);
-        }
-        TraceEvent::StageBegin { trace, stage } => {
-            o.u64("trace", trace);
-            o.str("stage", stage.as_str());
-        }
-        TraceEvent::StageEnd {
-            trace,
-            stage,
-            nanos,
-        } => {
-            o.u64("trace", trace);
-            o.str("stage", stage.as_str());
-            o.u64("nanos", nanos);
-        }
-        TraceEvent::CleanerWake { free_segments } => {
-            o.u64("free_segments", free_segments as u64);
-        }
-        TraceEvent::CleanerPass {
-            free_segments,
-            blocks_relocated,
-        } => {
-            o.u64("free_segments", free_segments as u64);
-            o.u64("blocks_relocated", blocks_relocated);
-        }
-        TraceEvent::Checkpoint { covered_seq, bytes } => {
-            o.u64("covered_seq", covered_seq);
-            o.u64("bytes", bytes);
-        }
-        TraceEvent::RecoveryScan {
-            segments_scanned,
-            segments_replayed,
-            records_applied,
-        } => {
-            o.u64("segments_scanned", segments_scanned as u64);
-            o.u64("segments_replayed", segments_replayed as u64);
-            o.u64("records_applied", records_applied);
-        }
-    }
+    e.event.write_payload(&mut o);
     o.finish()
 }
 
@@ -1647,79 +1407,18 @@ fn span_json(s: &AruSpan) -> String {
     o.finish()
 }
 
-fn recovery_json(r: &RecoveryReport) -> String {
-    let mut o = json::Obj::new();
-    o.u64("checkpoint_seq", r.checkpoint_seq);
-    o.u64("segments_scanned", r.segments_scanned as u64);
-    o.u64("segments_replayed", r.segments_replayed as u64);
-    o.u64("torn_tails_detected", r.torn_tails_detected as u64);
-    o.u64("records_applied", r.records_applied);
-    o.u64("committed_arus", r.committed_arus);
-    o.u64("discarded_arus", r.discarded_arus);
-    o.u64("discarded_records", r.discarded_records);
-    o.u64("orphan_blocks_freed", r.orphan_blocks_freed as u64);
-    o.u64("snap_shards", r.snap_shards as u64);
-    o.u64("threads_used", r.threads_used as u64);
-    o.u64("snapshot_bytes", r.snapshot_bytes);
-    o.u64("snapshot_load_ns", r.snapshot_load_ns);
-    o.u64("scan_ns", r.scan_ns);
-    o.u64("replay_ns", r.replay_ns);
-    o.u64("finalize_ns", r.finalize_ns);
-    o.finish()
+/// A flat record as a titled block of the human table.
+fn write_record(f: &mut fmt::Formatter<'_>, title: &str, r: &impl FlatRecord) -> fmt::Result {
+    writeln!(f, "{title}")?;
+    for (name, v) in r.fields() {
+        writeln!(f, "  {name:<28} {v}")?;
+    }
+    Ok(())
 }
 
 impl fmt::Display for ObsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "LLD counters")?;
-        let s = &self.lld;
-        for (name, v) in [
-            ("reads", s.reads),
-            ("writes", s.writes),
-            ("new_blocks", s.new_blocks),
-            ("delete_blocks", s.delete_blocks),
-            ("new_lists", s.new_lists),
-            ("delete_lists", s.delete_lists),
-            ("arus_begun", s.arus_begun),
-            ("arus_committed", s.arus_committed),
-            ("arus_aborted", s.arus_aborted),
-            ("commit_conflicts", s.commit_conflicts),
-            ("segments_sealed", s.segments_sealed),
-            ("seals_handed_off", s.seals_handed_off),
-            ("records_emitted", s.records_emitted),
-            ("summary_bytes", s.summary_bytes),
-            ("data_blocks_written", s.data_blocks_written),
-            ("data_bytes_written", s.data_bytes_written),
-            ("blocks_absorbed", s.blocks_absorbed),
-            ("blocks_relocated", s.blocks_relocated),
-            ("cleaner_runs", s.cleaner_runs),
-            ("cleaner_passes", s.cleaner_passes),
-            ("cleaner_blocks_relocated", s.cleaner_blocks_relocated),
-            ("cleaner_stale_skips", s.cleaner_stale_skips),
-            ("backpressure_stalls", s.backpressure_stalls),
-            ("checkpoints", s.checkpoints),
-            ("checkpoints_handed_off", s.checkpoints_handed_off),
-            ("list_walk_steps", s.list_walk_steps),
-            ("shadow_cow_records", s.shadow_cow_records),
-            ("shadow_records_merged", s.shadow_records_merged),
-            ("committed_records_drained", s.committed_records_drained),
-            ("cache_hits", s.cache_hits),
-            ("cache_misses", s.cache_misses),
-            ("flush_batches", s.flush_batches),
-            ("flush_batch_callers", s.flush_batch_callers),
-            ("flush_batch_max", s.flush_batch_max),
-            ("full_mutations", s.full_mutations),
-            ("scoped_mutations", s.scoped_mutations),
-            ("single_shard_commits", s.single_shard_commits),
-            ("cross_shard_commits", s.cross_shard_commits),
-            ("commit_full_fallbacks", s.commit_full_fallbacks),
-            ("walk_escalations", s.walk_escalations),
-            ("pipeline_stalls", s.pipeline_stalls),
-            ("inflight_barriers", s.inflight_barriers),
-            ("inflight_segments", s.inflight_segments),
-            ("trace_events_dropped", s.trace_events_dropped),
-        ] {
-            writeln!(f, "  {name:<28} {v}")?;
-        }
+        write_record(f, "LLD counters", &self.lld)?;
         if !self.shards.is_empty() {
             writeln!(f, "Map shards")?;
             writeln!(
@@ -1766,31 +1465,7 @@ impl fmt::Display for ObsSnapshot {
             )?;
         }
         if let Some(r) = &self.recovery {
-            writeln!(f, "Recovery")?;
-            writeln!(f, "  {:<28} {}", "checkpoint_seq", r.checkpoint_seq)?;
-            writeln!(f, "  {:<28} {}", "segments_scanned", r.segments_scanned)?;
-            writeln!(f, "  {:<28} {}", "segments_replayed", r.segments_replayed)?;
-            writeln!(
-                f,
-                "  {:<28} {}",
-                "torn_tails_detected", r.torn_tails_detected
-            )?;
-            writeln!(f, "  {:<28} {}", "records_applied", r.records_applied)?;
-            writeln!(f, "  {:<28} {}", "committed_arus", r.committed_arus)?;
-            writeln!(f, "  {:<28} {}", "discarded_arus", r.discarded_arus)?;
-            writeln!(f, "  {:<28} {}", "discarded_records", r.discarded_records)?;
-            writeln!(
-                f,
-                "  {:<28} {}",
-                "orphan_blocks_freed", r.orphan_blocks_freed
-            )?;
-            writeln!(f, "  {:<28} {}", "snap_shards", r.snap_shards)?;
-            writeln!(f, "  {:<28} {}", "threads_used", r.threads_used)?;
-            writeln!(f, "  {:<28} {}", "snapshot_bytes", r.snapshot_bytes)?;
-            writeln!(f, "  {:<28} {}", "snapshot_load_ns", r.snapshot_load_ns)?;
-            writeln!(f, "  {:<28} {}", "scan_ns", r.scan_ns)?;
-            writeln!(f, "  {:<28} {}", "replay_ns", r.replay_ns)?;
-            writeln!(f, "  {:<28} {}", "finalize_ns", r.finalize_ns)?;
+            write_record(f, "Recovery", r)?;
         }
         if !self.fs_ops.is_empty() {
             writeln!(f, "File system")?;
@@ -1799,15 +1474,7 @@ impl fmt::Display for ObsSnapshot {
             }
         }
         if self.server != ServerCounters::default() {
-            let s = &self.server;
-            writeln!(f, "Server")?;
-            writeln!(f, "  {:<28} {}", "sessions_opened", s.sessions_opened)?;
-            writeln!(f, "  {:<28} {}", "sessions_closed", s.sessions_closed)?;
-            writeln!(f, "  {:<28} {}", "retries_deduped", s.retries_deduped)?;
-            writeln!(f, "  {:<28} {}", "conn_errors", s.conn_errors)?;
-            writeln!(f, "  {:<28} {}", "ops_served", s.ops_served)?;
-            writeln!(f, "  {:<28} {}", "bytes_in", s.bytes_in)?;
-            writeln!(f, "  {:<28} {}", "bytes_out", s.bytes_out)?;
+            write_record(f, "Server", &self.server)?;
         }
         if !self.spans.is_empty() {
             writeln!(f, "ARU spans")?;
@@ -2379,6 +2046,40 @@ mod tests {
         let mut a = json::Arr::new();
         a.push_u64(1).push_str("x").push_raw("{}");
         assert_eq!(a.finish(), "[1,\"x\",{}]");
+    }
+
+    /// `ldctl stats` prints the `Display` table: every declared counter
+    /// has exactly one row in its "LLD counters" block, and exactly one
+    /// key under `lld` in the JSON, each with the counter's value.
+    #[test]
+    fn every_lld_counter_is_displayed_and_serialized_once() {
+        let mut snap = ObsSnapshot::default();
+        let names: Vec<&str> = snap.lld.fields().into_iter().map(|(n, _)| n).collect();
+        for (i, name) in names.iter().enumerate() {
+            snap.lld.set(name, 1000 + i as u64);
+        }
+        let text = snap.to_string();
+        let block: Vec<&str> = text
+            .lines()
+            .skip_while(|l| *l != "LLD counters")
+            .skip(1)
+            .take_while(|l| l.starts_with("  "))
+            .collect();
+        let lld = json::parse(&snap.to_json()).unwrap();
+        let lld = lld.get("lld").and_then(json::Value::as_obj).unwrap();
+        for (i, name) in names.iter().enumerate() {
+            let row = format!("  {name:<28} {}", 1000 + i);
+            assert_eq!(
+                block.iter().filter(|l| **l == row).count(),
+                1,
+                "{name} in the table"
+            );
+            let keys: Vec<_> = lld.iter().filter(|(k, _)| k == name).collect();
+            assert_eq!(keys.len(), 1, "{name} under lld");
+            assert_eq!(keys[0].1.as_u64(), Some(1000 + i as u64));
+        }
+        assert_eq!(block.len(), names.len());
+        assert_eq!(lld.len(), names.len());
     }
 
     #[test]

@@ -54,6 +54,7 @@ use crate::error::{LldError, Result};
 use crate::layout::Layout;
 use crate::lld::{Lld, LldInner, Mutation, StateRef};
 use crate::obs::{recovery_trace, Stage};
+use crate::record::flat_record;
 use crate::segment::{
     parse_header, read_header, read_summary, valid_base, ChainHead, SegmentHeader, NO_SLOT,
 };
@@ -67,48 +68,50 @@ use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-/// What recovery found and did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct RecoveryReport {
-    /// Sequence number of the checkpoint recovery started from (0 =
-    /// none; the whole log was replayed).
-    pub checkpoint_seq: u64,
-    /// Positions (sector 0 of a slot, or the sector behind a segment)
-    /// whose header the scan phase examined.
-    pub segments_scanned: u32,
-    /// Valid segments replayed (sequence numbers above the checkpoint).
-    pub segments_replayed: u32,
-    /// 1 if the log ends at a header that links on but whose summary
-    /// fails its checksum: a segment write torn by the crash, treated
-    /// as never written.
-    pub torn_tails_detected: u32,
-    /// Summary records applied (committed effects).
-    pub records_applied: u64,
-    /// ARUs whose commit record was found (their records were applied).
-    pub committed_arus: u64,
-    /// ARUs discarded because their commit record never reached disk.
-    pub discarded_arus: u64,
-    /// Records belonging to discarded ARUs.
-    pub discarded_records: u64,
-    /// Orphaned blocks freed by the post-recovery consistency check.
-    pub orphan_blocks_freed: usize,
-    /// Snapshot slabs loaded from the chosen checkpoint (0 = no
-    /// checkpoint; the shard count the image was checkpointed at).
-    pub snap_shards: u32,
-    /// Threads recovery ran on: always 1 (the caller's).
-    pub threads_used: u32,
-    /// Bytes of the checkpoint the snapshot-load phase loaded: header,
-    /// directory, slabs and dedup slab (0 = no checkpoint).
-    pub snapshot_bytes: u64,
-    /// Wall time of the snapshot-load phase.
-    pub snapshot_load_ns: u64,
-    /// Wall time of the segment-scan phase.
-    pub scan_ns: u64,
-    /// Wall time of the suffix-replay phase.
-    pub replay_ns: u64,
-    /// Wall time of the finalize phase (log state, consistency check).
-    pub finalize_ns: u64,
+flat_record! {
+    /// What recovery found and did.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub struct RecoveryReport {
+        /// Sequence number of the checkpoint recovery started from (0 =
+        /// none; the whole log was replayed).
+        checkpoint_seq: u64,
+        /// Positions (sector 0 of a slot, or the sector behind a segment)
+        /// whose header the scan phase examined.
+        segments_scanned: u32,
+        /// Valid segments replayed (sequence numbers above the checkpoint).
+        segments_replayed: u32,
+        /// 1 if the log ends at a header that links on but whose summary
+        /// fails its checksum: a segment write torn by the crash, treated
+        /// as never written.
+        torn_tails_detected: u32,
+        /// Summary records applied (committed effects).
+        records_applied: u64,
+        /// ARUs whose commit record was found (their records were applied).
+        committed_arus: u64,
+        /// ARUs discarded because their commit record never reached disk.
+        discarded_arus: u64,
+        /// Records belonging to discarded ARUs.
+        discarded_records: u64,
+        /// Orphaned blocks freed by the post-recovery consistency check.
+        orphan_blocks_freed: usize,
+        /// Snapshot slabs loaded from the chosen checkpoint (0 = no
+        /// checkpoint; the shard count the image was checkpointed at).
+        snap_shards: u32,
+        /// Threads recovery ran on: always 1 (the caller's).
+        threads_used: u32,
+        /// Bytes of the checkpoint the snapshot-load phase loaded: header,
+        /// directory, slabs and dedup slab (0 = no checkpoint).
+        snapshot_bytes: u64,
+        /// Wall time of the snapshot-load phase.
+        snapshot_load_ns: u64,
+        /// Wall time of the segment-scan phase.
+        scan_ns: u64,
+        /// Wall time of the suffix-replay phase.
+        replay_ns: u64,
+        /// Wall time of the finalize phase (log state, consistency check).
+        finalize_ns: u64,
+    }
 }
 
 // ----------------------------------------------------------------------

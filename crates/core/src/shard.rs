@@ -20,8 +20,8 @@
 
 use crate::aru::Aru;
 use crate::error::{LldError, Result};
+use crate::record::{flat_record, Counter};
 use crate::state::{BlockRecord, ListRecord, StateOverlay, Tables};
-use crate::stats::Counter;
 use crate::types::{AruId, BlockId, ListId, Position};
 use ld_disk::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet};
@@ -129,16 +129,18 @@ impl MapShard {
     }
 }
 
-/// Per-shard lock-acquisition counters, surfaced through
-/// [`ObsSnapshot`](crate::obs::ObsSnapshot) and `ldctl stats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardLockStats {
-    /// Shard index.
-    pub shard: u32,
-    /// Shared (read) acquisitions of this shard's lock.
-    pub read_locks: u64,
-    /// Exclusive (write) acquisitions of this shard's lock.
-    pub write_locks: u64,
+flat_record! {
+    /// Per-shard lock-acquisition counters, surfaced through
+    /// [`ObsSnapshot`](crate::obs::ObsSnapshot) and `ldctl stats`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ShardLockStats {
+        /// Shard index.
+        shard: u32,
+        /// Shared (read) acquisitions of this shard's lock.
+        read_locks: u64,
+        /// Exclusive (write) acquisitions of this shard's lock.
+        write_locks: u64,
+    }
 }
 
 #[derive(Debug)]

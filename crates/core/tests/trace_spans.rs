@@ -6,8 +6,8 @@
 //! the bundled parser.
 
 use ld_core::obs::{json, TraceEvent};
-use ld_core::{Ctx, Lld, LldConfig, ObsConfig, ObsSnapshot, Position};
-use ld_disk::MemDisk;
+use ld_core::{Ctx, Lld, LldConfig, ObsConfig, ObsSnapshot, Position, ServerCounters};
+use ld_disk::{DiskModel, MemDisk, SimDisk};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -238,6 +238,49 @@ fn snapshot_json_round_trips_byte_identical() {
     );
     assert_eq!(reparsed.events.len(), snap.events.len());
     assert_eq!(reparsed.lld.arus_committed, snap.lld.arus_committed);
+}
+
+/// The same identity on a snapshot whose every record is filled: a
+/// recovered `SimDisk` image (so `disk` and `recovery` are objects),
+/// non-zero server counters, and `stage_end` / `segment_seal` events.
+#[test]
+fn filled_snapshot_json_round_trips_byte_identical() {
+    let sim = |mem| SimDisk::new(mem, DiskModel::hp_c3010());
+    let ld = Lld::format(sim(MemDisk::new(4 << 20)), &config()).unwrap();
+    for _ in 0..3 {
+        sync_commit(&ld);
+    }
+    let image = ld.into_device().into_inner().into_image();
+    let (ld, report) = Lld::recover_with(sim(MemDisk::from_image(image)), &config()).unwrap();
+    assert!(report.segments_replayed > 0);
+    sync_commit(&ld);
+    let mut snap = ld.obs_snapshot();
+    snap.server = ServerCounters {
+        sessions_opened: 3,
+        sessions_closed: 2,
+        retries_deduped: 1,
+        conn_errors: 4,
+        ops_served: 17,
+        bytes_in: 1_234,
+        bytes_out: 5_678,
+    };
+    assert!(snap.disk.is_some() && snap.recovery.is_some());
+    for kind in ["stage_end", "segment_seal"] {
+        assert!(
+            snap.events.iter().any(|e| e.event.kind() == kind),
+            "no {kind} event in the ring"
+        );
+    }
+    let first = snap.to_json();
+    let reparsed = ObsSnapshot::from_json(&first).unwrap();
+    assert_eq!(
+        reparsed.to_json(),
+        first,
+        "parse → serialize must be the identity"
+    );
+    assert_eq!(reparsed.recovery, snap.recovery);
+    assert_eq!(reparsed.server, snap.server);
+    assert_eq!(reparsed.events, snap.events);
 }
 
 #[test]

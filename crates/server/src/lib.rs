@@ -42,12 +42,12 @@ pub mod wire;
 
 use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ld_core::{AruId, BlockId, Ctx, ListId, Lld, LldError, Position, ServerCounters};
+use ld_core::{AruId, BlockId, Ctx, ListId, Lld, LldError, Position, ServerCounters, ServerStats};
 use ld_disk::BlockDevice;
 
 use wire::{flag, op, status};
@@ -58,35 +58,6 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// How long shutdown waits for a session's in-flight request (a frame
 /// whose first byte has arrived) before abandoning the connection.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
-
-/// Live server counters (shared across all connection threads); see
-/// [`ServerCounters`] for the snapshot form every stats surface uses.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    sessions_opened: AtomicU64,
-    sessions_closed: AtomicU64,
-    retries_deduped: AtomicU64,
-    conn_errors: AtomicU64,
-    ops_served: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-}
-
-impl ServerStats {
-    /// Copies the counters into the snapshot struct the observability
-    /// layer serializes.
-    pub fn snapshot(&self) -> ServerCounters {
-        ServerCounters {
-            sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
-            sessions_closed: self.sessions_closed.load(Ordering::Relaxed),
-            retries_deduped: self.retries_deduped.load(Ordering::Relaxed),
-            conn_errors: self.conn_errors.load(Ordering::Relaxed),
-            ops_served: self.ops_served.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-        }
-    }
-}
 
 struct Shared<D: BlockDevice> {
     ld: Arc<Lld<D>>,
@@ -194,13 +165,13 @@ fn accept_loop<D: BlockDevice + 'static>(listener: &TcpListener, shared: &Arc<Sh
         }
         match accepted {
             Ok((stream, _peer)) => {
-                shared.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
+                shared.stats.sessions_opened.inc();
                 let s = Arc::clone(shared);
                 let handle = std::thread::Builder::new()
                     .name("ld-server-session".into())
                     .spawn(move || {
                         session_loop(stream, &s);
-                        s.stats.sessions_closed.fetch_add(1, Ordering::Relaxed);
+                        s.stats.sessions_closed.inc();
                     })
                     .expect("spawn session thread");
                 shared
@@ -211,7 +182,7 @@ fn accept_loop<D: BlockDevice + 'static>(listener: &TcpListener, shared: &Arc<Sh
             }
             Err(_) => {
                 // A lasting error (no descriptor left) must not spin.
-                shared.stats.conn_errors.fetch_add(1, Ordering::Relaxed);
+                shared.stats.conn_errors.inc();
                 std::thread::sleep(POLL_INTERVAL);
             }
         }
@@ -400,20 +371,14 @@ fn session_loop<D: BlockDevice + 'static>(stream: TcpStream, shared: &Shared<D>)
             Err(e) => Err(e),
         };
         let Ok((len, resp)) = served else {
-            shared.stats.conn_errors.fetch_add(1, Ordering::Relaxed);
+            shared.stats.conn_errors.inc();
             break;
         };
-        shared
-            .stats
-            .bytes_in
-            .fetch_add(u64::from(len), Ordering::Relaxed);
-        shared.stats.ops_served.fetch_add(1, Ordering::Relaxed);
-        shared
-            .stats
-            .bytes_out
-            .fetch_add(resp.len() as u64, Ordering::Relaxed);
+        shared.stats.bytes_in.add(u64::from(len));
+        shared.stats.ops_served.inc();
+        shared.stats.bytes_out.add(resp.len() as u64);
         if wire::write_frame(stream.get_mut(), &resp).is_err() {
-            shared.stats.conn_errors.fetch_add(1, Ordering::Relaxed);
+            shared.stats.conn_errors.inc();
             break;
         }
         // One request per drain: after answering the in-flight request,
@@ -484,7 +449,7 @@ fn end_aru<D: BlockDevice + 'static>(
     let (deduped, generation, ts) = if flags & flag::TAGGED != 0 {
         let out = ld.end_aru_tagged(aru, sess.client, sess.generation, write_id)?;
         if out.deduped {
-            shared.stats.retries_deduped.fetch_add(1, Ordering::Relaxed);
+            shared.stats.retries_deduped.inc();
         }
         (
             out.deduped,
