@@ -588,8 +588,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
         let floor = |next: fn(&crate::shard::MapShard) -> u64| {
             self.map.shards_held().map(next).max().unwrap_or(1)
         };
-        let block_floor = floor(|s| s.next_block_raw);
-        let list_floor = floor(|s| s.next_list_raw);
+        let block_floor = floor(|s| s.block_ids.next_raw);
+        let list_floor = floor(|s| s.list_ids.next_raw);
         // Supersedes whatever an earlier writer left pending: its
         // copies are of an older covered point.
         for i in 0..self.lld.maps.nshards() {

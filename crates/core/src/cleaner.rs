@@ -235,7 +235,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             for id in residents {
                 let rec = self
                     .map
-                    .committed_view_block(id)
+                    .committed_view(id)
                     .cloned()
                     .expect("resident block has a committed record");
                 let addr = rec.addr.expect("resident block has an address");

@@ -466,7 +466,7 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
         let view = ld.read_view(0, bits);
         v.blocks.retain_mut(|(id, addr, _)| {
             match view
-                .committed_view_block(*id)
+                .committed_view(*id)
                 .filter(|r| r.allocated)
                 .and_then(|r| r.addr)
             {
@@ -548,7 +548,7 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
                 for (id, addr, data) in chunk {
                     let ts = match m
                         .map
-                        .committed_view_block(*id)
+                        .committed_view(*id)
                         .filter(|r| r.allocated && r.addr == Some(*addr))
                     {
                         Some(r) => r.ts,

@@ -31,6 +31,7 @@ use crate::error::{LldError, Result};
 use crate::lld::{LldInner, Mutation, StateRef};
 use crate::segment::extent;
 use crate::shard::SCRATCH_ARU_RAW;
+use crate::state::MapId;
 use crate::summary::{Record, WRITE_REC_LEN};
 use crate::types::{AruId, BlockId, ListId, Position, Timestamp};
 use ld_disk::BlockDevice;
@@ -72,7 +73,8 @@ impl<D: BlockDevice> LldInner<D> {
                 };
                 let ts = m.tick();
                 m.emit(Record::Commit { aru: id, ts })?;
-                m.release_ids(aru.pending_free_blocks, aru.pending_free_lists);
+                m.release_ids(aru.pending_free_blocks);
+                m.release_ids(aru.pending_free_lists);
                 m.lld.stats.arus_committed.inc();
                 Ok(ts.get())
             }),
@@ -335,12 +337,10 @@ impl<D: BlockDevice> LldInner<D> {
 }
 
 impl<D: BlockDevice> Mutation<'_, D> {
-    pub(crate) fn release_ids(&mut self, blocks: Vec<BlockId>, lists: Vec<ListId>) {
-        for b in blocks {
-            self.map.block_shard_mut(b).free_blocks.insert(b.get());
-        }
-        for l in lists {
-            self.map.list_shard_mut(l).free_lists.insert(l.get());
+    /// Returns `ids` to their stripes' free sets: they become reusable.
+    pub(crate) fn release_ids<I: MapId>(&mut self, ids: impl IntoIterator<Item = I>) {
+        for id in ids {
+            I::stripe(self.map.owner_mut(id)).free.insert(id.raw());
         }
     }
 
@@ -365,11 +365,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             .copied()
             .collect();
         for b in &data_blocks {
-            if self
-                .map
-                .committed_view_block(*b)
-                .is_none_or(|r| !r.allocated)
-            {
+            if self.map.committed_view(*b).is_none_or(|r| !r.allocated) {
                 conflict = Some(format!(
                     "buffered write to {b}, which is no longer allocated"
                 ));
@@ -468,8 +464,10 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // after the commit record precedes any reallocation in the log.
         // (Scoped commits are insert-only and free nothing, so the
         // per-shard inserts below never reach an un-held shard.)
-        self.release_ids(freed_blocks, freed_lists);
-        self.release_ids(aru.pending_free_blocks, aru.pending_free_lists);
+        self.release_ids(freed_blocks);
+        self.release_ids(freed_lists);
+        self.release_ids(aru.pending_free_blocks);
+        self.release_ids(aru.pending_free_lists);
         self.lld.stats.arus_committed.inc();
 
         // Record the outcome while the session is still held: a
@@ -547,7 +545,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             ListOp::Insert { list, block, pred } => {
                 let rec = self
                     .map
-                    .view_block(st, block)
+                    .view(st, block)
                     .filter(|r| r.allocated)
                     .ok_or(LldError::BlockNotAllocated(block))?;
                 if let Some(on) = rec.list {
@@ -561,7 +559,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             }
             ListOp::DeleteBlock { block } => {
                 self.map
-                    .view_block(st, block)
+                    .view(st, block)
                     .filter(|r| r.allocated)
                     .ok_or(LldError::BlockNotAllocated(block))?;
                 self.unlink_block(st, block, ts)?;
@@ -574,7 +572,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 for &b in &members {
                     self.dealloc_block(st, b, ts)?;
                 }
-                self.dealloc_list(st, list, ts)?;
+                self.dealloc(st, list, ts)?;
                 freed_blocks.extend(members);
                 freed_lists.push(list);
                 Ok(())

@@ -27,13 +27,13 @@ use crate::segment::{
     NO_SLOT, SECTOR,
 };
 use crate::shard::{MapView, Maps, WalkOutcome, SCRATCH_ARU_RAW};
-use crate::state::{BlockRecord, IdSet, ListRecord};
+use crate::state::{BlockRecord, IdSet, ListRecord, MapId};
 use crate::stats::{LldStats, StatsCell};
 use crate::summary::{Record, WRITE_REC_LEN};
 use crate::types::{AruId, BlockId, ListId, PhysAddr, Position, SegmentId, Timestamp};
 use ld_disk::BlockDevice;
 use ld_disk::Mutex;
-use std::collections::hash_map::RandomState;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeSet, VecDeque};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -858,17 +858,13 @@ impl<D: BlockDevice> LldInner<D> {
     /// A copy of the committed-state record of `block`, if allocated.
     pub fn block_info(&self, block: BlockId) -> Option<BlockRecord> {
         let view = self.read_view(0, self.maps.bit_of(block.get()));
-        view.committed_view_block(block)
-            .filter(|r| r.allocated)
-            .cloned()
+        view.committed_view(block).filter(|r| r.allocated).cloned()
     }
 
     /// A copy of the committed-state record of `list`, if allocated.
     pub fn list_info(&self, list: ListId) -> Option<ListRecord> {
         let view = self.read_view(0, self.maps.bit_of(list.get()));
-        view.committed_view_list(list)
-            .filter(|r| r.allocated)
-            .cloned()
+        view.committed_view(list).filter(|r| r.allocated).cloned()
     }
 
     // ------------------------------------------------------------------
@@ -1001,31 +997,35 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     // Identifiers
     // ------------------------------------------------------------------
 
-    /// Allocates a block id owned by `shard` (reserving the allocation
-    /// against the global cap; callers release the reservation with
-    /// [`Maps::unreserve_block`] if the operation fails before the
-    /// record is entered).
-    pub(crate) fn alloc_block_id(&mut self, shard: u32) -> Result<BlockId> {
-        self.lld
-            .maps
-            .try_reserve_block(self.lld.layout.max_blocks)?;
-        let n = u64::from(self.lld.maps.nshards());
-        Ok(BlockId::new(self.map.shard_mut(shard).alloc_block_raw(n)))
+    /// The allocation exception (§4): allocates an identifier from
+    /// `shard`'s stripe, logs it, and enters a fresh record in the
+    /// committed state whatever stream the operation runs in. The
+    /// reservation against the global cap is released if the record
+    /// cannot be logged.
+    pub(crate) fn alloc<I: MapId>(&mut self, shard: u32, ts: Timestamp) -> Result<I> {
+        let maps = &self.lld.maps;
+        maps.try_reserve::<I>(I::cap(&self.lld.layout))?;
+        let n = u64::from(maps.nshards());
+        let id = I::from_raw(I::stripe(self.map.shard_mut(shard)).alloc(n));
+        if let Err(e) = self.emit(id.logged(ts)) {
+            maps.unreserve::<I>();
+            return Err(e);
+        }
+        self.enter_fresh(id, ts);
+        Ok(id)
     }
 
-    /// Allocates a list id owned by `shard` (see
-    /// [`alloc_block_id`](Self::alloc_block_id)).
-    pub(crate) fn alloc_list_id(&mut self, shard: u32) -> Result<ListId> {
-        self.lld.maps.try_reserve_list(self.lld.layout.max_lists)?;
-        let n = u64::from(self.lld.maps.nshards());
-        Ok(ListId::new(self.map.shard_mut(shard).alloc_list_raw(n)))
+    /// Enters the fresh committed record of a newly allocated `id`: the
+    /// half of an allocation that replay shares.
+    pub(crate) fn enter_fresh<I: MapId>(&mut self, id: I, ts: Timestamp) {
+        I::table_mut(&mut self.map.owner_mut(id).committed).insert(id, I::unlinked(true, ts));
     }
 
     // ------------------------------------------------------------------
     // Copy-on-write record access
     // ------------------------------------------------------------------
 
-    /// Copy-on-write access to a block record in the given state: if the
+    /// Copy-on-write access to a record in the given state: if the
     /// state has no alternative record yet, the version below is copied
     /// in (the paper: "the disk system applies modifications to a copy of
     /// the committed version ... which then becomes the new shadow
@@ -1033,110 +1033,35 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     ///
     /// # Errors
     ///
-    /// Returns [`LldError::BlockNotAllocated`] if no version of the
-    /// block exists at all.
-    pub(crate) fn block_mut(&mut self, st: StateRef, id: BlockId) -> Result<&mut BlockRecord> {
+    /// [`LldError::BlockNotAllocated`] / [`LldError::ListNotAllocated`]
+    /// if no version of the identifier exists at all.
+    pub(crate) fn rec_mut<I: MapId>(&mut self, st: StateRef, id: I) -> Result<&mut I::Rec> {
         match st {
             StateRef::Committed => {
-                let sh = self.map.block_shard_mut(id);
-                if !sh.committed.blocks.contains_key(&id) {
-                    let base = sh
-                        .persistent
-                        .blocks
-                        .get(&id)
-                        .cloned()
-                        .ok_or(LldError::BlockNotAllocated(id))?;
-                    sh.committed.blocks.insert(id, base);
+                let sh = self.map.owner_mut(id);
+                match I::table_mut(&mut sh.committed).entry(id) {
+                    Entry::Occupied(e) => Ok(e.into_mut()),
+                    Entry::Vacant(e) => {
+                        let base = I::table(&sh.persistent).get(&id);
+                        Ok(e.insert(base.cloned().ok_or_else(|| id.not_allocated())?))
+                    }
                 }
-                Ok(sh.committed.blocks.get_mut(&id).expect("just inserted"))
             }
             StateRef::Shadow(aru) => {
                 let raw = aru.get();
-                let present = self
-                    .map
-                    .aru(raw)
-                    .ok_or(LldError::UnknownAru(aru))?
-                    .shadow
-                    .blocks
-                    .contains_key(&id);
-                if !present {
-                    let base = self
-                        .map
-                        .committed_view_block(id)
-                        .cloned()
-                        .ok_or(LldError::BlockNotAllocated(id))?;
+                let shadow = &self.map.aru(raw).ok_or(LldError::UnknownAru(aru))?.shadow;
+                if !I::table(shadow).contains_key(&id) {
+                    let base = self.map.committed_view(id).cloned();
+                    let base = base.ok_or_else(|| id.not_allocated())?;
                     self.lld.stats.shadow_cow_records.inc();
                     if raw != SCRATCH_ARU_RAW {
                         self.lld.obs.span_cow(raw);
                     }
-                    self.map
-                        .aru_mut(raw)
-                        .expect("checked above")
-                        .shadow
-                        .blocks
-                        .insert(id, base);
+                    let shadow = &mut self.map.aru_mut(raw).expect("checked above").shadow;
+                    I::table_mut(shadow).insert(id, base);
                 }
-                Ok(self
-                    .map
-                    .aru_mut(raw)
-                    .expect("checked above")
-                    .shadow
-                    .blocks
-                    .get_mut(&id)
-                    .expect("just inserted"))
-            }
-        }
-    }
-
-    pub(crate) fn list_mut(&mut self, st: StateRef, id: ListId) -> Result<&mut ListRecord> {
-        match st {
-            StateRef::Committed => {
-                let sh = self.map.list_shard_mut(id);
-                if !sh.committed.lists.contains_key(&id) {
-                    let base = sh
-                        .persistent
-                        .lists
-                        .get(&id)
-                        .cloned()
-                        .ok_or(LldError::ListNotAllocated(id))?;
-                    sh.committed.lists.insert(id, base);
-                }
-                Ok(sh.committed.lists.get_mut(&id).expect("just inserted"))
-            }
-            StateRef::Shadow(aru) => {
-                let raw = aru.get();
-                let present = self
-                    .map
-                    .aru(raw)
-                    .ok_or(LldError::UnknownAru(aru))?
-                    .shadow
-                    .lists
-                    .contains_key(&id);
-                if !present {
-                    let base = self
-                        .map
-                        .committed_view_list(id)
-                        .cloned()
-                        .ok_or(LldError::ListNotAllocated(id))?;
-                    self.lld.stats.shadow_cow_records.inc();
-                    if raw != SCRATCH_ARU_RAW {
-                        self.lld.obs.span_cow(raw);
-                    }
-                    self.map
-                        .aru_mut(raw)
-                        .expect("checked above")
-                        .shadow
-                        .lists
-                        .insert(id, base);
-                }
-                Ok(self
-                    .map
-                    .aru_mut(raw)
-                    .expect("checked above")
-                    .shadow
-                    .lists
-                    .get_mut(&id)
-                    .expect("just inserted"))
+                let shadow = &mut self.map.aru_mut(raw).expect("checked above").shadow;
+                Ok(I::table_mut(shadow).get_mut(&id).expect("just inserted"))
             }
         }
     }
@@ -1203,7 +1128,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         match pos {
             Position::First => {
                 let old_first = {
-                    let lr = self.list_mut(st, list)?;
+                    let lr = self.rec_mut(st, list)?;
                     let old = lr.first;
                     lr.first = Some(block);
                     if lr.last.is_none() {
@@ -1212,26 +1137,26 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                     lr.ts = ts;
                     old
                 };
-                let br = self.block_mut(st, block)?;
+                let br = self.rec_mut(st, block)?;
                 br.successor = old_first;
                 br.list = Some(list);
                 br.ts = ts;
             }
             Position::After(pred) => {
                 let pred_succ = {
-                    let pm = self.block_mut(st, pred)?;
+                    let pm = self.rec_mut(st, pred)?;
                     let old = pm.successor;
                     pm.successor = Some(block);
                     pm.ts = ts;
                     old
                 };
                 {
-                    let bm = self.block_mut(st, block)?;
+                    let bm = self.rec_mut(st, block)?;
                     bm.successor = pred_succ;
                     bm.list = Some(list);
                     bm.ts = ts;
                 }
-                let lr = self.list_mut(st, list)?;
+                let lr = self.rec_mut(st, list)?;
                 if lr.last == Some(pred) {
                     lr.last = Some(block);
                 }
@@ -1252,7 +1177,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     ) -> Result<()> {
         let rec = self
             .map
-            .view_block(st, block)
+            .view(st, block)
             .filter(|r| r.allocated)
             .ok_or(LldError::BlockNotAllocated(block))?;
         let Some(list) = rec.list else {
@@ -1263,7 +1188,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         // Predecessor search: walk from the head of the list.
         let lrec = self
             .map
-            .view_list(st, list)
+            .view(st, list)
             .filter(|r| r.allocated)
             .ok_or(LldError::ListNotAllocated(list))?;
         let mut pred: Option<BlockId> = None;
@@ -1279,7 +1204,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 return Err(LldError::Corrupt(format!("cycle while walking {list}")));
             }
             pred = Some(b);
-            cur = self.map.view_block(st, b).and_then(|r| r.successor);
+            cur = self.map.view(st, b).and_then(|r| r.successor);
             if cur.is_none() {
                 return Err(LldError::Corrupt(format!(
                     "{block} claims membership of {list} but is not on it"
@@ -1290,7 +1215,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
 
         match pred {
             None => {
-                let lr = self.list_mut(st, list)?;
+                let lr = self.rec_mut(st, list)?;
                 lr.first = successor;
                 if lr.last == Some(block) {
                     lr.last = None;
@@ -1299,27 +1224,26 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
             }
             Some(p) => {
                 {
-                    let pm = self.block_mut(st, p)?;
+                    let pm = self.rec_mut(st, p)?;
                     pm.successor = successor;
                     pm.ts = ts;
                 }
-                let lr = self.list_mut(st, list)?;
+                let lr = self.rec_mut(st, list)?;
                 if lr.last == Some(block) {
                     lr.last = Some(p);
                 }
                 lr.ts = ts;
             }
         }
-        let bm = self.block_mut(st, block)?;
+        let bm = self.rec_mut(st, block)?;
         bm.list = None;
         bm.successor = None;
         bm.ts = ts;
         Ok(())
     }
 
-    /// Marks `block` deallocated in state `st`. In the committed state
-    /// this also releases its physical address and decrements the
-    /// allocation count; identifier reuse is the caller's decision.
+    /// Marks `block` deallocated in state `st`, releasing its physical
+    /// address in the committed state.
     pub(crate) fn dealloc_block(
         &mut self,
         st: StateRef,
@@ -1327,29 +1251,20 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         ts: Timestamp,
     ) -> Result<()> {
         if st == StateRef::Committed {
-            let old = self.map.committed_view_block(block).and_then(|r| r.addr);
+            let old = self.map.committed_view(block).and_then(|r| r.addr);
             self.adjust_addr(block, old, None);
-            self.lld.maps.unreserve_block();
         }
-        let bm = self.block_mut(st, block)?;
-        bm.allocated = false;
-        bm.addr = None;
-        bm.list = None;
-        bm.successor = None;
-        bm.ts = ts;
-        Ok(())
+        self.dealloc(st, block, ts)
     }
 
-    /// Marks `list` deallocated in state `st`.
-    pub(crate) fn dealloc_list(&mut self, st: StateRef, list: ListId, ts: Timestamp) -> Result<()> {
+    /// Marks `id` deallocated in state `st`. In the committed state this
+    /// also decrements the allocation count; identifier reuse is the
+    /// caller's decision.
+    pub(crate) fn dealloc<I: MapId>(&mut self, st: StateRef, id: I, ts: Timestamp) -> Result<()> {
         if st == StateRef::Committed {
-            self.lld.maps.unreserve_list();
+            self.lld.maps.unreserve::<I>();
         }
-        let lm = self.list_mut(st, list)?;
-        lm.allocated = false;
-        lm.first = None;
-        lm.last = None;
-        lm.ts = ts;
+        *self.rec_mut(st, id)? = I::unlinked(false, ts);
         Ok(())
     }
 
@@ -1672,9 +1587,9 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
 
         self.lld.cache.lock().insert(addr, data);
         // Read here: a roll above may have had the cleaner move the block.
-        let old = self.map.committed_view_block(id).and_then(|r| r.addr);
+        let old = self.map.committed_view(id).and_then(|r| r.addr);
         self.adjust_addr(id, old, Some(addr));
-        let r = self.block_mut(StateRef::Committed, id)?;
+        let r = self.rec_mut(StateRef::Committed, id)?;
         r.addr = Some(addr);
         r.ts = ts;
         Ok(addr)
@@ -1700,7 +1615,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         ts: Timestamp,
         tag: Option<AruId>,
     ) -> Option<(PhysAddr, usize)> {
-        let held = self.map.committed_view_block(id)?.addr?;
+        let held = self.map.committed_view(id)?.addr?;
         let unit = self.unit_ends_in;
         let b = self.log().builder.as_mut()?;
         let commits_here = tag.is_none() || unit == Some(b.seq());

@@ -320,7 +320,7 @@ impl<D: BlockDevice> LldInner<D> {
                         let src = if a.shadow_data.contains_key(&block) {
                             DataSource::ShadowBuf(a.id)
                         } else {
-                            match map.committed_view_block(block).and_then(|r| r.addr) {
+                            match map.committed_view(block).and_then(|r| r.addr) {
                                 Some(addr) => DataSource::Addr(addr),
                                 None => DataSource::Zeros,
                             }
@@ -330,7 +330,7 @@ impl<D: BlockDevice> LldInner<D> {
                         }
                     }
                 }
-                if let Some(rec) = map.committed_view_block(block) {
+                if let Some(rec) = map.committed_view(block) {
                     if best.as_ref().is_none_or(|(ts, _, _)| rec.ts > *ts) {
                         let src = match rec.addr {
                             Some(addr) => DataSource::Addr(addr),
@@ -363,7 +363,7 @@ impl<D: BlockDevice> LldInner<D> {
             }
             // The ARU touched the block's links but not its data: fall
             // through to the committed data.
-            return match map.committed_view_block(block).and_then(|r| r.addr) {
+            return match map.committed_view(block).and_then(|r| r.addr) {
                 Some(addr) => Ok(DataSource::Addr(addr)),
                 None => Ok(DataSource::Zeros),
             };
@@ -373,7 +373,7 @@ impl<D: BlockDevice> LldInner<D> {
 
     fn resolve_committed(map: &MapView<'_>, block: BlockId) -> Result<DataSource> {
         let rec = map
-            .committed_view_block(block)
+            .committed_view(block)
             .filter(|r| r.allocated)
             .ok_or(LldError::BlockNotAllocated(block))?;
         Ok(match rec.addr {
@@ -418,7 +418,7 @@ impl<D: BlockDevice> LldInner<D> {
                         .arus_held()
                         .filter_map(|a| a.shadow.lists.get(&list).map(|r| (r.ts, a.id)))
                         .max_by_key(|(ts, _)| *ts);
-                    match (best, view.committed_view_list(list)) {
+                    match (best, view.committed_view(list)) {
                         (Some((sts, aru)), Some(c)) if sts > c.ts => StateRef::Shadow(aru),
                         (Some((_, _)), Some(_)) => StateRef::Committed,
                         (Some((_, aru)), None) => StateRef::Shadow(aru),
@@ -452,16 +452,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
     fn new_list_op(&mut self, ctx: Ctx, shard: u32) -> Result<ListId> {
         self.stream(ctx)?;
         let ts = self.tick();
-        let id = self.alloc_list_id(shard)?;
-        if let Err(e) = self.emit(Record::NewList { list: id, ts }) {
-            self.lld.maps.unreserve_list();
-            return Err(e);
-        }
-        self.map
-            .list_shard_mut(id)
-            .committed
-            .lists
-            .insert(id, crate::state::ListRecord::fresh(ts));
+        let id = self.alloc(shard, ts)?;
         self.lld.stats.new_lists.inc();
         Ok(id)
     }
@@ -480,11 +471,12 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 for &b in &members {
                     self.dealloc_block(StateRef::Committed, b, ts)?;
                 }
-                self.dealloc_list(StateRef::Committed, list, ts)?;
+                self.dealloc(StateRef::Committed, list, ts)?;
                 self.emit_reserve(rec, 0)?;
                 match tag {
                     None => {
-                        self.release_ids(members, vec![list]);
+                        self.release_ids(members);
+                        self.release_ids([list]);
                     }
                     Some(aru) => {
                         let a = self.map.aru_mut(aru.get()).expect("stream checked");
@@ -504,7 +496,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                         .shadow_data
                         .remove(&b);
                 }
-                self.dealloc_list(st, list, ts)?;
+                self.dealloc(st, list, ts)?;
                 self.map
                     .aru_mut(aru.get())
                     .expect("stream checked")
@@ -528,16 +520,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         let ts = self.tick();
         // The block id comes from the list's shard: the session already
         // holds it, and the list's members stay single-shard.
-        let id = self.alloc_block_id(self.map.shard_of(list.get()))?;
-        if let Err(e) = self.emit(Record::NewBlock { block: id, ts }) {
-            self.lld.maps.unreserve_block();
-            return Err(e);
-        }
-        self.map
-            .block_shard_mut(id)
-            .committed
-            .blocks
-            .insert(id, crate::state::BlockRecord::fresh(ts));
+        let id = self.alloc(self.map.shard_of(list.get()), ts)?;
         self.lld.stats.new_blocks.inc();
 
         match stream {
@@ -580,7 +563,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         match stream {
             Stream::Merged(tag) => {
                 self.map
-                    .view_block(StateRef::Committed, block)
+                    .view(StateRef::Committed, block)
                     .filter(|r| r.allocated)
                     .ok_or(LldError::BlockNotAllocated(block))?;
                 // Room for the record first, as in `delete_list_op`.
@@ -595,7 +578,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 self.emit_reserve(rec, 0)?;
                 match tag {
                     None => {
-                        self.release_ids(vec![block], Vec::new());
+                        self.release_ids([block]);
                     }
                     Some(aru) => self
                         .map
@@ -608,7 +591,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             Stream::Shadow(aru) => {
                 let st = StateRef::Shadow(aru);
                 self.map
-                    .view_block(st, block)
+                    .view(st, block)
                     .filter(|r| r.allocated)
                     .ok_or(LldError::BlockNotAllocated(block))?;
                 self.unlink_block(st, block, ts)?;
@@ -628,7 +611,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         match stream {
             Stream::Merged(tag) => {
                 self.map
-                    .view_block(StateRef::Committed, block)
+                    .view(StateRef::Committed, block)
                     .filter(|r| r.allocated)
                     .ok_or(LldError::BlockNotAllocated(block))?;
                 self.place_block_data(block, data, ts, tag, 1)?;
@@ -636,11 +619,11 @@ impl<D: BlockDevice> Mutation<'_, D> {
             Stream::Shadow(aru) => {
                 let st = StateRef::Shadow(aru);
                 self.map
-                    .view_block(st, block)
+                    .view(st, block)
                     .filter(|r| r.allocated)
                     .ok_or(LldError::BlockNotAllocated(block))?;
                 {
-                    let bm = self.block_mut(st, block)?;
+                    let bm = self.rec_mut(st, block)?;
                     bm.ts = ts;
                 }
                 self.map

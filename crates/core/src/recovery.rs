@@ -59,7 +59,7 @@ use crate::segment::{
     parse_header, read_header, read_summary, valid_base, ChainHead, SegmentHeader, NO_SLOT,
 };
 use crate::shard::striped_ceil;
-use crate::state::{BlockRecord, ListRecord};
+use crate::state::{BlockRecord, ListRecord, MapId};
 use crate::summary::Record;
 use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp, MAX_RAW_ID};
 use ld_disk::BlockDevice;
@@ -213,48 +213,12 @@ impl<D: BlockDevice> Mutation<'_, D> {
     ) -> Result<()> {
         let corrupt = |msg: String| LldError::Corrupt(format!("replaying {seg}: {msg}"));
         let ts = commit_ts.unwrap_or(rec.ts());
-        let stripe = u64::from(self.lld.maps.nshards());
-        // No cap on the reservations: the writer checked it, and a
-        // sequential ARU's deletions replay later than they ran (at its
-        // commit record), so the count may pass the cap on the way.
         let op = match *rec {
-            Record::NewBlock { block, .. } => {
-                if block.get() > MAX_RAW_ID {
-                    return Err(corrupt(format!("allocation of {block}, past the bound")));
-                }
-                if self
-                    .map
-                    .committed_view_block(block)
-                    .is_some_and(|r| r.allocated)
-                {
-                    return Err(corrupt(format!("allocation of {block}, already allocated")));
-                }
-                self.lld.maps.try_reserve_block(u64::MAX)?;
-                let sh = self.map.block_shard_mut(block);
-                sh.note_block_id(block.get(), stripe);
-                sh.committed.blocks.insert(block, BlockRecord::fresh(ts));
-                return Ok(());
-            }
-            Record::NewList { list, .. } => {
-                if list.get() > MAX_RAW_ID {
-                    return Err(corrupt(format!("allocation of {list}, past the bound")));
-                }
-                if self
-                    .map
-                    .committed_view_list(list)
-                    .is_some_and(|r| r.allocated)
-                {
-                    return Err(corrupt(format!("allocation of {list}, already allocated")));
-                }
-                self.lld.maps.try_reserve_list(u64::MAX)?;
-                let sh = self.map.list_shard_mut(list);
-                sh.note_list_id(list.get(), stripe);
-                sh.committed.lists.insert(list, ListRecord::fresh(ts));
-                return Ok(());
-            }
+            Record::NewBlock { block, .. } => return self.replay_alloc(block, ts, corrupt),
+            Record::NewList { list, .. } => return self.replay_alloc(list, ts, corrupt),
             Record::Write { block, slot, .. } => {
                 let addr = PhysAddr::from_extent(seg, slot);
-                let r = (self.block_mut(StateRef::Committed, block).ok())
+                let r = (self.rec_mut(StateRef::Committed, block).ok())
                     .filter(|r| r.allocated)
                     .ok_or_else(|| corrupt(format!("write to unallocated {block}")))?;
                 let old = r.addr.replace(addr);
@@ -279,7 +243,43 @@ impl<D: BlockDevice> Mutation<'_, D> {
         let (mut blocks, mut lists) = (Vec::new(), Vec::new());
         self.apply_list_op(StateRef::Committed, &op, ts, &mut blocks, &mut lists)
             .map_err(|e| corrupt(e.to_string()))?;
-        self.release_ids(blocks, lists);
+        self.release_ids(blocks);
+        self.release_ids(lists);
+        Ok(())
+    }
+
+    /// A replayed allocation: the identifier the log names leaves its
+    /// stripe, and the live path's fresh committed record is entered.
+    fn replay_alloc<I: MapId>(
+        &mut self,
+        id: I,
+        ts: Timestamp,
+        corrupt: impl Fn(String) -> LldError,
+    ) -> Result<()> {
+        if id.raw() > MAX_RAW_ID {
+            return Err(corrupt(format!("allocation of {id}, past the bound")));
+        }
+        if self.map.committed_view(id).is_some_and(I::allocated) {
+            return Err(corrupt(format!("allocation of {id}, already allocated")));
+        }
+        // No cap on the reservations: the writer checked it, and a
+        // sequential ARU's deletions replay later than they ran (at its
+        // commit record), so the count may pass the cap on the way.
+        self.lld.maps.try_reserve::<I>(u64::MAX)?;
+        let stripe = u64::from(self.lld.maps.nshards());
+        I::stripe(self.map.owner_mut(id)).note(id.raw(), stripe);
+        self.enter_fresh(id, ts);
+        Ok(())
+    }
+
+    /// Enters a checkpoint row in its shard's persistent table; its
+    /// identifier leaves the stripe.
+    fn load_row<I: MapId>(&mut self, id: I, rec: I::Rec, stripe: u64) -> Result<()> {
+        let sh = self.map.owner_mut(id);
+        I::stripe(sh).note(id.raw(), stripe);
+        if I::table_mut(&mut sh.persistent).insert(id, rec).is_some() {
+            return Err(LldError::Corrupt(format!("checkpoint holds {id} twice")));
+        }
         Ok(())
     }
 
@@ -362,8 +362,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
             };
             for i in 0..nshards {
                 let sh = self.map.shard_mut(i);
-                sh.next_block_raw = striped_ceil(hdr.block_floor, i, stripe);
-                sh.next_list_raw = striped_ceil(hdr.list_floor, i, stripe);
+                sh.block_ids.next_raw = striped_ceil(hdr.block_floor, i, stripe);
+                sh.list_ids.next_raw = striped_ceil(hdr.list_floor, i, stripe);
                 let tables = &mut sh.persistent;
                 (tables.blocks).reserve(rows(|s| s.n_blocks, layout.max_blocks, i));
                 (tables.lists).reserve(rows(|s| s.n_lists, layout.max_lists, i));
@@ -397,20 +397,12 @@ impl<D: BlockDevice> Mutation<'_, D> {
                         placed.push((id, a));
                     }
                     ts_floor = ts_floor.max(rec.ts.get());
-                    let sh = self.map.block_shard_mut(id);
-                    sh.note_block_id(id.get(), stripe);
-                    if sh.persistent.blocks.insert(id, rec).is_some() {
-                        return Err(LldError::Corrupt(format!("checkpoint holds {id} twice")));
-                    }
+                    self.load_row(id, rec, stripe)?;
                 }
                 for entry in slab.lists() {
                     let (id, rec) = entry?;
                     ts_floor = ts_floor.max(rec.ts.get());
-                    let sh = self.map.list_shard_mut(id);
-                    sh.note_list_id(id.get(), stripe);
-                    if sh.persistent.lists.insert(id, rec).is_some() {
-                        return Err(LldError::Corrupt(format!("checkpoint holds {id} twice")));
-                    }
+                    self.load_row(id, rec, stripe)?;
                 }
                 obs.recovery_slab_load(timer);
             }
@@ -721,12 +713,12 @@ mod tests {
         let (mut blocks, mut lists) = (BTreeMap::new(), BTreeMap::new());
         for sh in map.shards_held() {
             for &id in (sh.persistent.blocks.keys()).chain(sh.committed.blocks.keys()) {
-                if let Some(r) = map.committed_view_block(id).filter(|r| r.allocated) {
+                if let Some(r) = map.committed_view(id).filter(|r| r.allocated) {
                     blocks.insert(id, r.clone());
                 }
             }
             for &id in (sh.persistent.lists.keys()).chain(sh.committed.lists.keys()) {
-                if let Some(r) = map.committed_view_list(id).filter(|r| r.allocated) {
+                if let Some(r) = map.committed_view(id).filter(|r| r.allocated) {
                     lists.insert(id, r.clone());
                 }
             }
@@ -959,27 +951,27 @@ mod tests {
                     // allocators end past every identifier present.
                     for id in sh.persistent.blocks.keys().map(|b| b.get()) {
                         assert_eq!(rec.maps.shard_of(id) as usize, i, "{at}: b{id}");
-                        assert!(sh.next_block_raw > id, "{at}: b{id}");
-                        assert!(!sh.free_blocks.contains(&id), "{at}: b{id} is allocated");
+                        assert!(sh.block_ids.next_raw > id, "{at}: b{id}");
+                        assert!(!sh.block_ids.free.contains(&id), "{at}: b{id} is allocated");
                     }
                     for id in sh.persistent.lists.keys().map(|l| l.get()) {
                         assert_eq!(rec.maps.shard_of(id) as usize, i, "{at}: l{id}");
-                        assert!(sh.next_list_raw > id, "{at}: l{id}");
-                        assert!(!sh.free_lists.contains(&id), "{at}: l{id} is allocated");
+                        assert!(sh.list_ids.next_raw > id, "{at}: l{id}");
+                        assert!(!sh.list_ids.free.contains(&id), "{at}: l{id} is allocated");
                     }
-                    for &id in sh.free_blocks.iter().chain(&sh.free_lists) {
+                    for &id in sh.block_ids.free.iter().chain(&sh.list_ids.free) {
                         assert_eq!(rec.maps.shard_of(id) as usize, i, "{at}: free {id}");
                     }
                 }
                 for &id in &h.freed_blocks {
-                    let sh = map.shard(rec.maps.shard_of(id));
-                    assert!(sh.free_blocks.contains(&id), "{at}: b{id} was freed");
-                    assert!(sh.next_block_raw > id, "{at}: b{id}");
+                    let sh = map.try_shard(rec.maps.shard_of(id)).unwrap();
+                    assert!(sh.block_ids.free.contains(&id), "{at}: b{id} was freed");
+                    assert!(sh.block_ids.next_raw > id, "{at}: b{id}");
                 }
                 for &id in &h.freed_lists {
-                    let sh = map.shard(rec.maps.shard_of(id));
-                    assert!(sh.free_lists.contains(&id), "{at}: l{id} was freed");
-                    assert!(sh.next_list_raw > id, "{at}: l{id}");
+                    let sh = map.try_shard(rec.maps.shard_of(id)).unwrap();
+                    assert!(sh.list_ids.free.contains(&id), "{at}: l{id} was freed");
+                    assert!(sh.list_ids.next_raw > id, "{at}: l{id}");
                 }
             }
         }
@@ -996,7 +988,7 @@ mod tests {
         let (b1, b2) = (BlockId::new(2), BlockId::new(3));
         let free_blocks = |m: &Mutation<'_, MemDisk>| -> Vec<u64> {
             let mut all: Vec<u64> = (m.map.shards_held())
-                .flat_map(|s| s.free_blocks.iter().copied())
+                .flat_map(|s| s.block_ids.free.iter().copied())
                 .collect();
             all.sort_unstable();
             all
@@ -1031,20 +1023,35 @@ mod tests {
             }
 
             // So is an allocation the allocators cannot count on from
-            // (`raw + shards`): the bound a checkpoint's rows keep.
-            let past = [
-                Record::NewBlock {
-                    block: BlockId::new(u64::MAX - 1),
-                    ts: ts(5),
-                },
-                Record::NewList {
-                    list: ListId::new(MAX_RAW_ID + 1),
-                    ts: ts(5),
-                },
+            // (`raw + shards`): the bound a checkpoint's rows keep; and
+            // one of an identifier that is live, of either kind.
+            let bad = [
+                (
+                    Record::NewBlock {
+                        block: BlockId::new(u64::MAX - 1),
+                        ts: ts(5),
+                    },
+                    "past the bound",
+                ),
+                (
+                    Record::NewList {
+                        list: ListId::new(MAX_RAW_ID + 1),
+                        ts: ts(5),
+                    },
+                    "past the bound",
+                ),
+                (
+                    Record::NewBlock {
+                        block: b2,
+                        ts: ts(5),
+                    },
+                    "already allocated",
+                ),
+                (Record::NewList { list, ts: ts(5) }, "already allocated"),
             ];
-            for rec in &past {
+            for (rec, why) in &bad {
                 match m.replay_record(seg, rec, None) {
-                    Err(LldError::Corrupt(msg)) => assert!(msg.contains("past the bound")),
+                    Err(LldError::Corrupt(msg)) => assert!(msg.contains(why), "{msg}"),
                     other => panic!("{other:?}"),
                 }
             }
@@ -1058,7 +1065,7 @@ mod tests {
             };
             m.replay_record(seg, &delete, None)?;
             assert_eq!(free_blocks(m), [2, 3]);
-            assert!(m.map.list_shard_mut(list).free_lists.contains(&1));
+            assert!(m.map.owner_mut(list).list_ids.free.contains(&1));
             m.replay_record(
                 seg,
                 &Record::NewBlock {

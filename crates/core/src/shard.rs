@@ -11,6 +11,12 @@
 //! shard boundary. ARU descriptors live in a parallel table of mutex
 //! slots, keyed by `aru_id & (nshards - 1)`.
 //!
+//! The id stripe ([`IdStripe`]), the reservation against the global cap
+//! ([`Maps::try_reserve`]) and the standardised search
+//! ([`MapView::view`]) are each written once for blocks and lists,
+//! generic over the identifier kind ([`MapId`]): the identifier's type
+//! picks the table.
+//!
 //! Lock hierarchy (see docs/CONCURRENCY.md): ARU slots in ascending
 //! index order, then map shards in ascending index order, then the log
 //! mutex. [`Maps::lock_arus`] / [`Maps::lock_read`] /
@@ -21,7 +27,7 @@
 use crate::aru::Aru;
 use crate::error::{LldError, Result};
 use crate::record::{flat_record, Counter};
-use crate::state::{BlockRecord, ListRecord, StateOverlay, Tables};
+use crate::state::{MapId, StateOverlay, Tables};
 use crate::types::{AruId, BlockId, ListId, Position};
 use ld_disk::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet};
@@ -53,12 +59,9 @@ pub(crate) struct MapShard {
     pub(crate) persistent: Tables,
     /// Committed-but-not-yet-persistent alternative records.
     pub(crate) committed: StateOverlay,
-    /// Next never-used block id owned by this shard (congruent to the
-    /// shard index modulo the shard count).
-    pub(crate) next_block_raw: u64,
-    pub(crate) free_blocks: BTreeSet<u64>,
-    pub(crate) next_list_raw: u64,
-    pub(crate) free_lists: BTreeSet<u64>,
+    /// This shard's stripes of the block and list identifiers.
+    pub(crate) block_ids: IdStripe,
+    pub(crate) list_ids: IdStripe,
     /// A checkpoint has begun and covers this shard's log prefix, but
     /// has not yet taken its snapshot slab: the next committed-state
     /// drain must preserve the persistent tables as of the covered
@@ -71,6 +74,34 @@ pub(crate) struct MapShard {
     pub(crate) snap_copy: Option<Tables>,
 }
 
+/// The identifiers of one kind that one shard hands out.
+#[derive(Debug)]
+pub(crate) struct IdStripe {
+    /// Next never-used identifier (congruent to the shard index modulo
+    /// the shard count).
+    pub(crate) next_raw: u64,
+    /// Released identifiers, reused first.
+    pub(crate) free: BTreeSet<u64>,
+}
+
+impl IdStripe {
+    pub(crate) fn alloc(&mut self, n: u64) -> u64 {
+        self.free.pop_first().unwrap_or_else(|| {
+            let raw = self.next_raw;
+            self.next_raw += n;
+            raw
+        })
+    }
+
+    /// Records that `raw` is in use (recovery: a snapshot entry or a
+    /// replayed allocation): it leaves the free set and the allocator is
+    /// raised past it.
+    pub(crate) fn note(&mut self, raw: u64, n: u64) {
+        self.free.remove(&raw);
+        self.next_raw = self.next_raw.max(raw + n);
+    }
+}
+
 /// Smallest valid identifier owned by shard `idx` that is `>= floor`
 /// (identifier 0 is reserved, so shard 0's stripe starts at `n`).
 pub(crate) fn striped_ceil(floor: u64, idx: u32, n: u64) -> u64 {
@@ -81,51 +112,18 @@ pub(crate) fn striped_ceil(floor: u64, idx: u32, n: u64) -> u64 {
 
 impl MapShard {
     fn fresh(idx: u32, n: u64) -> Self {
+        let stripe = || IdStripe {
+            next_raw: striped_ceil(1, idx, n),
+            free: BTreeSet::new(),
+        };
         MapShard {
             persistent: Tables::default(),
             committed: StateOverlay::default(),
-            next_block_raw: striped_ceil(1, idx, n),
-            free_blocks: BTreeSet::new(),
-            next_list_raw: striped_ceil(1, idx, n),
-            free_lists: BTreeSet::new(),
+            block_ids: stripe(),
+            list_ids: stripe(),
             snap_pending: false,
             snap_copy: None,
         }
-    }
-
-    pub(crate) fn alloc_block_raw(&mut self, n: u64) -> u64 {
-        match self.free_blocks.pop_first() {
-            Some(raw) => raw,
-            None => {
-                let raw = self.next_block_raw;
-                self.next_block_raw += n;
-                raw
-            }
-        }
-    }
-
-    pub(crate) fn alloc_list_raw(&mut self, n: u64) -> u64 {
-        match self.free_lists.pop_first() {
-            Some(raw) => raw,
-            None => {
-                let raw = self.next_list_raw;
-                self.next_list_raw += n;
-                raw
-            }
-        }
-    }
-
-    /// Records that block id `raw` is in use (recovery: a snapshot
-    /// entry or a replayed allocation): it leaves the free set and the
-    /// allocator is raised past it.
-    pub(crate) fn note_block_id(&mut self, raw: u64, n: u64) {
-        self.free_blocks.remove(&raw);
-        self.next_block_raw = self.next_block_raw.max(raw + n);
-    }
-
-    pub(crate) fn note_list_id(&mut self, raw: u64, n: u64) {
-        self.free_lists.remove(&raw);
-        self.next_list_raw = self.next_list_raw.max(raw + n);
     }
 }
 
@@ -219,9 +217,9 @@ impl Maps {
         (self.list_rr.fetch_add(1, Ordering::Relaxed) & self.mask()) as u32
     }
 
-    /// Reserves one block allocation against `max`, atomically.
-    pub(crate) fn try_reserve_block(&self, max: u64) -> Result<()> {
-        self.allocated_blocks
+    /// Reserves one allocation of kind `I` against `max`, atomically.
+    pub(crate) fn try_reserve<I: MapId>(&self, max: u64) -> Result<()> {
+        I::reserved(self)
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
                 (n < max).then_some(n + 1)
             })
@@ -229,29 +227,10 @@ impl Maps {
             .map_err(|_| LldError::DiskFull)
     }
 
-    pub(crate) fn try_reserve_list(&self, max: u64) -> Result<()> {
-        self.allocated_lists
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < max).then_some(n + 1)
-            })
-            .map(|_| ())
-            .map_err(|_| LldError::DiskFull)
-    }
-
-    pub(crate) fn unreserve_block(&self) {
-        let _ = self
-            .allocated_blocks
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                Some(n.saturating_sub(1))
-            });
-    }
-
-    pub(crate) fn unreserve_list(&self) {
-        let _ = self
-            .allocated_lists
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                Some(n.saturating_sub(1))
-            });
+    pub(crate) fn unreserve<I: MapId>(&self) {
+        let _ = I::reserved(self).fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+            Some(n.saturating_sub(1))
+        });
     }
 
     fn bits(&self, set: u64) -> impl Iterator<Item = u32> + '_ {
@@ -377,11 +356,6 @@ impl<'a> MapView<'a> {
         self.shard_pos(idx).map(|p| &*self.shards[p].1)
     }
 
-    pub(crate) fn shard(&self, idx: u32) -> &MapShard {
-        self.try_shard(idx)
-            .unwrap_or_else(|| panic!("session does not hold map shard {idx}"))
-    }
-
     pub(crate) fn shard_mut(&mut self, idx: u32) -> &mut MapShard {
         let p = self
             .shard_pos(idx)
@@ -392,12 +366,9 @@ impl<'a> MapView<'a> {
         }
     }
 
-    pub(crate) fn block_shard_mut(&mut self, id: BlockId) -> &mut MapShard {
-        self.shard_mut(self.shard_of(id.get()))
-    }
-
-    pub(crate) fn list_shard_mut(&mut self, id: ListId) -> &mut MapShard {
-        self.shard_mut(self.shard_of(id.get()))
+    /// The held shard that owns `id`, for writing.
+    pub(crate) fn owner_mut<I: MapId>(&mut self, id: I) -> &mut MapShard {
+        self.shard_mut(self.shard_of(id.raw()))
     }
 
     // ------------------------------------------------------------------
@@ -461,99 +432,42 @@ impl<'a> MapView<'a> {
     // Version-state access (the standardised search)
     // ------------------------------------------------------------------
 
-    /// Committed view through shards that may not all be held: `Err`
-    /// carries the missing shard index.
-    fn try_committed_view_block(
-        &self,
-        id: BlockId,
-    ) -> std::result::Result<Option<&BlockRecord>, u32> {
-        let idx = self.shard_of(id.get());
-        let sh = self.try_shard(idx).ok_or(idx)?;
-        Ok(sh
-            .committed
-            .blocks
-            .get(&id)
-            .or_else(|| sh.persistent.blocks.get(&id)))
-    }
-
-    fn try_committed_view_list(&self, id: ListId) -> std::result::Result<Option<&ListRecord>, u32> {
-        let idx = self.shard_of(id.get());
-        let sh = self.try_shard(idx).ok_or(idx)?;
-        Ok(sh
-            .committed
-            .lists
-            .get(&id)
-            .or_else(|| sh.persistent.lists.get(&id)))
-    }
-
-    fn try_view_block(
-        &self,
-        st: StateRef,
-        id: BlockId,
-    ) -> std::result::Result<Option<&BlockRecord>, u32> {
+    /// Resolves a record in the given state (shadow → committed →
+    /// persistent) through shards that may not all be held: `Err`
+    /// carries the missing shard index. May return a deallocated record.
+    fn try_view<I: MapId>(&self, st: StateRef, id: I) -> std::result::Result<Option<&I::Rec>, u32> {
         if let StateRef::Shadow(aru) = st {
-            if let Some(rec) = self.aru(aru.get()).and_then(|a| a.shadow.blocks.get(&id)) {
+            if let Some(rec) = self
+                .aru(aru.get())
+                .and_then(|a| I::table(&a.shadow).get(&id))
+            {
                 return Ok(Some(rec));
             }
         }
-        self.try_committed_view_block(id)
+        let idx = self.shard_of(id.raw());
+        let sh = self.try_shard(idx).ok_or(idx)?;
+        Ok(I::table(&sh.committed)
+            .get(&id)
+            .or_else(|| I::table(&sh.persistent).get(&id)))
     }
 
-    fn try_view_list(
-        &self,
-        st: StateRef,
-        id: ListId,
-    ) -> std::result::Result<Option<&ListRecord>, u32> {
-        if let StateRef::Shadow(aru) = st {
-            if let Some(rec) = self.aru(aru.get()).and_then(|a| a.shadow.lists.get(&id)) {
-                return Ok(Some(rec));
-            }
-        }
-        self.try_committed_view_list(id)
-    }
-
-    /// The committed view of a block: committed overlay, falling through
-    /// to the persistent table. May return a deallocated record.
+    /// Resolves a record in the given state, as
+    /// [`try_view`](Self::try_view) does.
     ///
     /// # Panics
     ///
-    /// Panics if the block's shard is not held — mutation shard plans
-    /// cover every identifier they touch, and the read path uses
+    /// Panics if the identifier's shard is not held — mutation shard
+    /// plans cover every identifier they touch, and the read path uses
     /// [`walk_list`](Self::walk_list) (which escalates) instead.
-    pub(crate) fn committed_view_block(&self, id: BlockId) -> Option<&BlockRecord> {
-        let sh = self.shard(self.shard_of(id.get()));
-        sh.committed
-            .blocks
-            .get(&id)
-            .or_else(|| sh.persistent.blocks.get(&id))
+    pub(crate) fn view<I: MapId>(&self, st: StateRef, id: I) -> Option<&I::Rec> {
+        self.try_view(st, id)
+            .unwrap_or_else(|idx| panic!("session does not hold map shard {idx}"))
     }
 
-    pub(crate) fn committed_view_list(&self, id: ListId) -> Option<&ListRecord> {
-        let sh = self.shard(self.shard_of(id.get()));
-        sh.committed
-            .lists
-            .get(&id)
-            .or_else(|| sh.persistent.lists.get(&id))
-    }
-
-    /// Resolves a block record in the given state (shadow → committed →
-    /// persistent). May return a deallocated record.
-    pub(crate) fn view_block(&self, st: StateRef, id: BlockId) -> Option<&BlockRecord> {
-        if let StateRef::Shadow(aru) = st {
-            if let Some(rec) = self.aru(aru.get()).and_then(|a| a.shadow.blocks.get(&id)) {
-                return Some(rec);
-            }
-        }
-        self.committed_view_block(id)
-    }
-
-    pub(crate) fn view_list(&self, st: StateRef, id: ListId) -> Option<&ListRecord> {
-        if let StateRef::Shadow(aru) = st {
-            if let Some(rec) = self.aru(aru.get()).and_then(|a| a.shadow.lists.get(&id)) {
-                return Some(rec);
-            }
-        }
-        self.committed_view_list(id)
+    /// The committed view of a record: committed overlay, falling
+    /// through to the persistent table.
+    pub(crate) fn committed_view<I: MapId>(&self, id: I) -> Option<&I::Rec> {
+        self.view(StateRef::Committed, id)
     }
 
     /// Walks `list` in state `st` through the held shards, returning
@@ -570,7 +484,7 @@ impl<'a> MapView<'a> {
         list: ListId,
         max_blocks: u64,
     ) -> Result<WalkOutcome> {
-        let rec = match self.try_view_list(st, list) {
+        let rec = match self.try_view(st, list) {
             Err(s) => return Ok(WalkOutcome::NeedShard(s)),
             Ok(r) => r
                 .filter(|r| r.allocated)
@@ -585,7 +499,7 @@ impl<'a> MapView<'a> {
             if steps > bound {
                 return Err(LldError::Corrupt(format!("cycle while walking {list}")));
             }
-            let brec = match self.try_view_block(st, b) {
+            let brec = match self.try_view(st, b) {
                 Err(s) => return Ok(WalkOutcome::NeedShard(s)),
                 Ok(r) => r.filter(|r| r.allocated).ok_or_else(|| {
                     LldError::Corrupt(format!("list {list} references missing block {b}"))
@@ -604,12 +518,12 @@ impl<'a> MapView<'a> {
     /// possible in state `st` (list allocated; predecessor allocated and
     /// on the list).
     pub(crate) fn validate_insert(&self, st: StateRef, list: ListId, pos: Position) -> Result<()> {
-        self.view_list(st, list)
+        self.view(st, list)
             .filter(|r| r.allocated)
             .ok_or(LldError::ListNotAllocated(list))?;
         if let Position::After(pred) = pos {
             let p = self
-                .view_block(st, pred)
+                .view(st, pred)
                 .filter(|r| r.allocated)
                 .ok_or(LldError::BlockNotAllocated(pred))?;
             if p.list != Some(list) {
@@ -669,30 +583,39 @@ mod tests {
 
     #[test]
     fn fresh_shards_stripe_the_id_space() {
-        let maps = Maps::fresh(4);
-        let mut seen = BTreeSet::new();
-        let mut guards = maps.lock_write(maps.all_set());
-        for (i, g) in &mut guards {
-            let sh = match g {
-                ShardGuard::Write(g) => &mut **g,
-                ShardGuard::Read(_) => unreachable!(),
-            };
-            for _ in 0..3 {
-                let raw = sh.alloc_block_raw(4);
-                assert_eq!(raw % 4, u64::from(*i) % 4);
-                assert_ne!(raw, 0);
-                assert!(seen.insert(raw), "duplicate id {raw}");
+        fn stripes<I: MapId>() {
+            let maps = Maps::fresh(4);
+            let mut seen = BTreeSet::new();
+            let mut guards = maps.lock_write(maps.all_set());
+            for (i, g) in &mut guards {
+                let sh = match g {
+                    ShardGuard::Write(g) => &mut **g,
+                    ShardGuard::Read(_) => unreachable!(),
+                };
+                for _ in 0..3 {
+                    let raw = I::stripe(sh).alloc(4);
+                    assert_eq!(raw % 4, u64::from(*i) % 4);
+                    assert_ne!(raw, 0);
+                    assert!(seen.insert(raw), "duplicate id {raw}");
+                }
             }
         }
+        stripes::<BlockId>();
+        stripes::<ListId>();
     }
 
     #[test]
     fn reserve_respects_limit() {
-        let maps = Maps::fresh(2);
-        assert!(maps.try_reserve_block(2).is_ok());
-        assert!(maps.try_reserve_block(2).is_ok());
-        assert!(matches!(maps.try_reserve_block(2), Err(LldError::DiskFull)));
-        maps.unreserve_block();
-        assert!(maps.try_reserve_block(2).is_ok());
+        fn reserve<I: MapId>() {
+            let maps = Maps::fresh(2);
+            assert!(maps.try_reserve::<I>(2).is_ok());
+            assert!(maps.try_reserve::<I>(2).is_ok());
+            assert!(matches!(maps.try_reserve::<I>(2), Err(LldError::DiskFull)));
+            maps.unreserve::<I>();
+            assert!(maps.try_reserve::<I>(2).is_ok());
+            assert_eq!(I::reserved(&maps).load(Ordering::Relaxed), 2);
+        }
+        reserve::<BlockId>();
+        reserve::<ListId>();
     }
 }

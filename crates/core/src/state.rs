@@ -15,15 +15,29 @@
 //! committed at `EndARU`, committed → persistent at segment write) drain
 //! one overlay into the level below.
 //!
+//! The paper states these rules once "per block/list", and so does this
+//! crate: the two tables differ only in their record type, and
+//! [`MapId`], implemented by [`BlockId`] and [`ListId`], carries what
+//! differs. The standardised search (`MapView::view`), copy-on-write
+//! (`Mutation::rec_mut`), the allocation exception (`Mutation::alloc`,
+//! replayed by `replay_alloc`) and the drain are each written once for
+//! both tables, generic over it.
+//!
 //! The maps keyed by identifier hash with [`IdBuild`], a keyed folded
 //! multiply: two 64×64→128-bit products per identifier where std's
 //! SipHash runs its rounds. Its key is drawn once per process, so
 //! iteration order (and a checkpoint slab's row order) is per process.
 
+use crate::error::LldError;
+use crate::layout::Layout;
+use crate::shard::{IdStripe, MapShard, Maps};
+use crate::summary::Record;
 use crate::types::{BlockId, ListId, PhysAddr, Timestamp};
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, Hasher};
+use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::atomic::AtomicU64;
 use std::sync::OnceLock;
 
 /// A map keyed by block or list identifier.
@@ -160,10 +174,9 @@ impl ListRecord {
     }
 }
 
-/// The persistent state: the block-number-map and the list-table.
-///
-/// Entries exist only for allocated blocks/lists; deallocation removes
-/// the entry.
+/// The block-number-map and the list-table. As the persistent state its
+/// entries exist only for allocated blocks/lists (deallocation removes
+/// the entry); as a [`StateOverlay`] it holds alternative records.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tables {
     /// The block-number-map.
@@ -173,27 +186,19 @@ pub struct Tables {
 }
 
 /// A set of alternative records layered over the state below it
-/// (committed over persistent; shadow over committed).
-///
-/// An entry is present only if the record *differs* from the state below
-/// — including deallocations, which are represented as records with
-/// `allocated == false`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StateOverlay {
-    /// Alternative block records in this state.
-    pub blocks: IdMap<BlockId, BlockRecord>,
-    /// Alternative list records in this state.
-    pub lists: IdMap<ListId, ListRecord>,
-}
+/// (committed over persistent; shadow over committed): the same two
+/// tables, where an entry is present only if the record *differs* from
+/// the state below — including deallocations, which are represented as
+/// records with `allocated == false`.
+pub(crate) type StateOverlay = Tables;
 
-impl StateOverlay {
-    /// Whether the overlay holds no alternative records.
-    #[allow(dead_code)]
+impl Tables {
+    /// Whether both tables are empty.
     pub fn is_empty(&self) -> bool {
         self.blocks.is_empty() && self.lists.is_empty()
     }
 
-    /// Number of alternative records (blocks + lists).
+    /// Number of records (blocks + lists).
     pub fn len(&self) -> usize {
         self.blocks.len() + self.lists.len()
     }
@@ -205,31 +210,107 @@ impl StateOverlay {
     /// current version if more recent, otherwise it is discarded");
     /// deallocated records remove the entry.
     pub fn drain_into(&mut self, tables: &mut Tables) {
-        for (id, rec) in self.blocks.drain() {
-            if rec.allocated {
-                match tables.blocks.get(&id) {
-                    Some(existing) if existing.ts > rec.ts => {}
-                    _ => {
-                        tables.blocks.insert(id, rec);
-                    }
+        fn drain<I: MapId>(from: &mut Tables, to: &mut Tables) {
+            let below = I::table_mut(to);
+            for (id, rec) in I::table_mut(from).drain() {
+                if !I::allocated(&rec) {
+                    below.remove(&id);
+                } else if below.get(&id).is_none_or(|b| I::ts(b) <= I::ts(&rec)) {
+                    below.insert(id, rec);
                 }
-            } else {
-                tables.blocks.remove(&id);
             }
         }
-        for (id, rec) in self.lists.drain() {
-            if rec.allocated {
-                match tables.lists.get(&id) {
-                    Some(existing) if existing.ts > rec.ts => {}
-                    _ => {
-                        tables.lists.insert(id, rec);
-                    }
-                }
-            } else {
-                tables.lists.remove(&id);
-            }
-        }
+        drain::<BlockId>(self, tables);
+        drain::<ListId>(self, tables);
     }
+}
+
+/// An identifier kind of the map layer: what the rules the paper states
+/// once "per block/list" (§3–4) — the standardised search, copy-on-write
+/// into the first state that lacks a version, the allocation exception,
+/// the whole-state drain — need to know about [`BlockId`] and
+/// [`ListId`]. Each rule is written once, generic over this trait, and
+/// the identifier's type picks the table.
+pub(crate) trait MapId: Copy + Eq + Hash + fmt::Display + 'static {
+    /// The block-number-map entry or the list-table entry.
+    type Rec: Clone + 'static;
+    fn raw(self) -> u64;
+    fn from_raw(raw: u64) -> Self;
+    /// The table of `t` that holds this kind.
+    fn table(t: &Tables) -> &IdMap<Self, Self::Rec>;
+    fn table_mut(t: &mut Tables) -> &mut IdMap<Self, Self::Rec>;
+    /// The shard's stripe of this kind's identifiers.
+    fn stripe(sh: &mut MapShard) -> &mut IdStripe;
+    /// The global count of allocations of this kind, and its cap.
+    fn reserved(maps: &Maps) -> &AtomicU64;
+    fn cap(layout: &Layout) -> u64;
+    /// The error for an identifier that has no version at all.
+    fn not_allocated(self) -> LldError;
+    /// The summary record that logs this identifier's allocation.
+    fn logged(self, ts: Timestamp) -> Record;
+    /// A version with no data and no links: a fresh allocation, or what
+    /// a deallocation leaves.
+    fn unlinked(allocated: bool, ts: Timestamp) -> Self::Rec;
+    fn allocated(rec: &Self::Rec) -> bool;
+    fn ts(rec: &Self::Rec) -> Timestamp;
+}
+
+macro_rules! map_id {
+    ($id:ident: $rec:ident in $table:ident, stripe $stripe:ident,
+     count $count:ident <= $cap:ident, missing $missing:ident,
+     logged $new:ident { $field:ident }) => {
+        impl MapId for $id {
+            type Rec = $rec;
+            fn raw(self) -> u64 {
+                self.get()
+            }
+            fn from_raw(raw: u64) -> Self {
+                $id::new(raw)
+            }
+            fn table(t: &Tables) -> &IdMap<Self, $rec> {
+                &t.$table
+            }
+            fn table_mut(t: &mut Tables) -> &mut IdMap<Self, $rec> {
+                &mut t.$table
+            }
+            fn stripe(sh: &mut MapShard) -> &mut IdStripe {
+                &mut sh.$stripe
+            }
+            fn reserved(maps: &Maps) -> &AtomicU64 {
+                &maps.$count
+            }
+            fn cap(layout: &Layout) -> u64 {
+                layout.$cap
+            }
+            fn not_allocated(self) -> LldError {
+                LldError::$missing(self)
+            }
+            fn logged(self, ts: Timestamp) -> Record {
+                Record::$new { $field: self, ts }
+            }
+            fn unlinked(allocated: bool, ts: Timestamp) -> $rec {
+                $rec {
+                    allocated,
+                    ..$rec::fresh(ts)
+                }
+            }
+            fn allocated(rec: &$rec) -> bool {
+                rec.allocated
+            }
+            fn ts(rec: &$rec) -> Timestamp {
+                rec.ts
+            }
+        }
+    };
+}
+
+map_id! {
+    BlockId: BlockRecord in blocks, stripe block_ids, count allocated_blocks <= max_blocks,
+    missing BlockNotAllocated, logged NewBlock { block }
+}
+map_id! {
+    ListId: ListRecord in lists, stripe list_ids, count allocated_lists <= max_lists,
+    missing ListNotAllocated, logged NewList { list }
 }
 
 #[cfg(test)]

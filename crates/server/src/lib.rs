@@ -167,24 +167,40 @@ fn accept_loop<D: BlockDevice + 'static>(listener: &TcpListener, shared: &Arc<Sh
             Ok((stream, _peer)) => {
                 shared.stats.sessions_opened.inc();
                 let s = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name("ld-server-session".into())
                     .spawn(move || {
                         session_loop(stream, &s);
                         s.stats.sessions_closed.inc();
-                    })
-                    .expect("spawn session thread");
-                shared
-                    .handlers
-                    .lock()
-                    .expect("handler registry")
-                    .push(handle);
+                    });
+                register_session(shared, spawned);
             }
             Err(_) => {
                 // A lasting error (no descriptor left) must not spin.
                 shared.stats.conn_errors.inc();
                 std::thread::sleep(POLL_INTERVAL);
             }
+        }
+    }
+}
+
+/// Files a new session's thread in the registry, joining the sessions
+/// that have ended, so the registry holds the live ones only. A thread
+/// the OS refused closes its connection (the stream went down with the
+/// closure) and backs off like an accept error: the server keeps
+/// accepting.
+fn register_session<D: BlockDevice>(shared: &Shared<D>, spawned: io::Result<JoinHandle<()>>) {
+    let mut handlers = shared.handlers.lock().expect("handler registry");
+    for ended in handlers.extract_if(.., |h| h.is_finished()) {
+        let _ = ended.join();
+    }
+    match spawned {
+        Ok(handle) => handlers.push(handle),
+        Err(_) => {
+            drop(handlers);
+            shared.stats.conn_errors.inc();
+            shared.stats.sessions_closed.inc();
+            std::thread::sleep(POLL_INTERVAL);
         }
     }
 }
@@ -659,4 +675,57 @@ fn handle_request<D: BlockDevice + 'static, R: Read>(
         other => return Err(Fault::Request(format!("unknown opcode {other}"))),
     }
     Ok(resp)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ld_core::LldConfig;
+    use ld_disk::MemDisk;
+
+    fn server() -> Server<MemDisk> {
+        let config = LldConfig {
+            block_size: 512,
+            segment_bytes: 8192,
+            ..LldConfig::default()
+        };
+        let ld = Lld::format(MemDisk::new(1 << 20), &config).unwrap();
+        Server::start(Arc::new(ld), "127.0.0.1:0").unwrap()
+    }
+
+    fn registered(srv: &Server<MemDisk>) -> usize {
+        srv.shared.handlers.lock().unwrap().len()
+    }
+
+    /// The registry keeps the live sessions only: each accept drops the
+    /// handles of the ones that have ended.
+    #[test]
+    fn ended_sessions_leave_the_registry() {
+        let srv = server();
+        for i in 1..=100 {
+            drop(TcpStream::connect(srv.local_addr()).unwrap());
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while srv.stats().sessions_closed < i {
+                assert!(Instant::now() < deadline, "session {i} never closed");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let held = registered(&srv);
+        assert!(held <= 4, "{held} handles after 100 ended sessions");
+        let (_, flushed) = srv.shutdown();
+        flushed.unwrap();
+    }
+
+    /// A thread the OS refuses costs one connection, not the accept
+    /// thread.
+    #[test]
+    fn a_refused_session_thread_is_a_connection_error() {
+        let srv = server();
+        register_session(&srv.shared, Err(io::Error::other("no thread")));
+        let stats = srv.stats();
+        assert_eq!((stats.conn_errors, stats.sessions_closed), (1, 1));
+        assert_eq!(registered(&srv), 0);
+        let (_, flushed) = srv.shutdown();
+        flushed.unwrap();
+    }
 }
