@@ -114,36 +114,38 @@
 //!
 //! # The writer
 //!
-//! One writer, in three steps; `ckpt_io` (a leaf mutex) guards the A/B
-//! cursor and a generation counter that says who owns the inactive
-//! area:
+//! One writer, [`LldInner::checkpoint`], run only between sessions —
+//! never inside one, where an operation may have put part of an ARU
+//! into the tables (docs/INVARIANTS.md I6) — by the housekeeping step
+//! after a session ([`LldInner::after_session`]) and by `cleanerd`. It
+//! holds `ckpt_io`, which keeps the A/B cursor, from its first step to
+//! its last, so writers take turns; a writer is first in the lock
+//! order, which is sound because no session ever waits for one. Three
+//! steps:
 //!
-//! 1. *begin* ([`Mutation::ckpt_begin`], in a full session) pins what
-//!    the checkpoint covers, marks every shard `snap_pending` and bumps
-//!    the generation: the latest beginner owns the area, and any other
-//!    writer aborts at its next step.
+//! 1. *begin* ([`Mutation::ckpt_begin`], in one short full session)
+//!    pins what the checkpoint covers and marks every shard
+//!    `snap_pending`. In `Sequential` mode it defers while an ARU is
+//!    open.
 //! 2. *slab*, once per shard: [`Mutation::snapshot_slab`] encodes the
 //!    shard's tables as of the covered point under that shard's write
-//!    lock, [`LldInner::ckpt_slab`] writes them.
+//!    lock alone, [`LldInner::ckpt_slab`] writes them with no
+//!    mapping-layer lock held.
 //! 3. *commit* ([`LldInner::ckpt_commit`], holding the log mutex):
 //!    dedup slab, directory, header last, one flush, publish.
 //!
-//! The foreground checkpoint ([`Mutation::checkpoint_inner`]) runs every
-//! step inside the caller's full session. The background cleaner's
-//! ([`LldInner::checkpoint_incremental`]) holds a full session only for
-//! *begin*; each slab is then encoded under only *its* shard's lock and
-//! written with no mapping-layer lock held. Foreground commits that
-//! would advance a pending shard's persistent tables first preserve
-//! them in `snap_copy` (copy-on-advance, see
+//! Foreground commits that would advance a pending shard's persistent
+//! tables first preserve them in `snap_copy` (copy-on-advance, see
 //! [`MapShard`](crate::shard::MapShard)), so every slab reflects
 //! exactly the covered point even though the shard kept moving.
 
+use crate::config::ConcurrencyMode;
 use crate::error::{LldError, Result};
 use crate::layout::{
     u32_at, u64_at, Layout, CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH, CKPT_DEDUP_ENTRY,
     CKPT_DIR_ENTRY, CKPT_DIR_RESERVE, CKPT_HEADER, CKPT_SLAB_DESC, MAX_SNAP_SHARDS,
 };
-use crate::lld::{LldInner, LogState, Mutation};
+use crate::lld::{LldInner, Mutation};
 use crate::segment::ChainHead;
 use crate::state::{BlockRecord, ListRecord, Tables};
 use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp, MAX_RAW_ID};
@@ -152,15 +154,12 @@ use std::sync::atomic::Ordering;
 
 const CKPT_MAGIC: u32 = 0x4C43_4B35; // "LCK5"
 
-/// Checkpoint-area I/O state, behind the `ckpt_io` leaf mutex (see the
-/// module docs).
+/// Checkpoint-area I/O state, behind the `ckpt_io` mutex, which the
+/// writer holds from *begin* to *commit* (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct CkptSlots {
     /// Write the next checkpoint to area B (the areas alternate).
     pub(crate) use_b: bool,
-    /// Bumped by every writer's *begin*; a writer whose generation is
-    /// no longer current aborts before it writes anything more.
-    pub(crate) gen: u64,
 }
 
 /// Directory entry for one snapshot slab, with its absolute device
@@ -201,7 +200,8 @@ pub(crate) struct CkptHeaderInfo {
 /// steps have put into the area so far.
 struct CkptWrite {
     covered: u64,
-    /// [`LogState::summary_sealed`] at the covered point.
+    /// [`LogState::summary_sealed`](crate::lld::LogState::summary_sealed)
+    /// at the covered point.
     covered_summary: u64,
     head: ChainHead,
     ts: u64,
@@ -210,8 +210,6 @@ struct CkptWrite {
     /// count is not persisted.
     block_floor: u64,
     list_floor: u64,
-    /// The generation this writer's *begin* set.
-    gen: u64,
     /// Absolute offset of the target area.
     area: u64,
     /// Offset of the next slab, relative to the area.
@@ -539,34 +537,20 @@ fn area_overflow() -> LldError {
 }
 
 impl<D: BlockDevice> Mutation<'_, D> {
-    /// Writes a checkpoint with every step inside this full session;
-    /// see [`LldInner::checkpoint`]. Also called by the inline cleaner
-    /// when its candidate segments are not yet covered.
-    pub(crate) fn checkpoint_inner(&mut self) -> Result<()> {
-        let lld = self.lld;
-        let mut w = self.ckpt_begin()?;
-        // Every slab is taken before one is written, so an error below
-        // leaves no shard pending. Nobody else can begin while this
-        // session holds every shard, so no step can find the generation
-        // moved.
-        let slabs: Vec<Slab> = (0..lld.maps.nshards())
-            .map(|i| self.snapshot_slab(i))
-            .collect();
-        for slab in slabs {
-            lld.ckpt_slab(&mut w, slab)?;
-        }
-        lld.ckpt_commit(&w, self.log())?;
-        Ok(())
-    }
-
     /// Step 1, *begin*: seals the current segment (so the committed
     /// state becomes persistent and is included), pins what the
     /// checkpoint covers, and takes the inactive area. Needs a full
     /// session. If the next segment needs a fresh slot, it is opened
     /// only if that leaves the last one free (else by whoever appends
     /// next, under its own reserve; the cleaners' relocation has none).
-    fn ckpt_begin(&mut self) -> Result<CkptWrite> {
+    /// `None`, with the checkpoint left due, while a sequential ARU is
+    /// open: its operations are in the committed tables already.
+    fn ckpt_begin(&mut self, io: &CkptSlots) -> Result<Option<CkptWrite>> {
         debug_assert!(self.map.holds_all_shards_write());
+        if self.lld.concurrency == ConcurrencyMode::Sequential && self.map.held_aru_count() > 0 {
+            self.lld.needs_checkpoint.store(true, Ordering::Relaxed);
+            return Ok(None);
+        }
         if self.seal_current()? && self.log().builder.is_none() {
             self.open_segment_if_free(1)?;
         }
@@ -590,25 +574,16 @@ impl<D: BlockDevice> Mutation<'_, D> {
         };
         let block_floor = floor(|s| s.block_ids.next_raw);
         let list_floor = floor(|s| s.list_ids.next_raw);
-        // Supersedes whatever an earlier writer left pending: its
-        // copies are of an older covered point.
         for i in 0..self.lld.maps.nshards() {
-            let sh = self.map.shard_mut(i);
-            sh.snap_pending = true;
-            sh.snap_copy = None;
+            self.map.shard_mut(i).snap_pending = true;
         }
-        // The log mutex is held (taken above for the covered point);
-        // `ckpt_io` is its leaf.
-        let mut io = lld.ckpt_io.lock();
-        io.gen += 1;
-        Ok(CkptWrite {
+        Ok(Some(CkptWrite {
             covered,
             covered_summary,
             head,
             ts: lld.now(),
             block_floor,
             list_floor,
-            gen: io.gen,
             area: if io.use_b {
                 lld.layout.ckpt_b
             } else {
@@ -616,7 +591,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             },
             end: CKPT_HEADER + CKPT_DIR_RESERVE,
             dir: Vec::new(),
-        })
+        }))
     }
 
     /// Step 2, first half: encodes shard `i`'s tables as of the covered
@@ -633,43 +608,38 @@ impl<D: BlockDevice> Mutation<'_, D> {
 }
 
 impl<D: BlockDevice> LldInner<D> {
-    /// Writes a checkpoint of the persistent state.
+    /// Writes a checkpoint of the persistent state, between sessions:
+    /// *begin* seals the current segment (so the committed state
+    /// becomes persistent and is included) in one short full session;
+    /// each shard's slab is then encoded under that shard's write lock
+    /// alone and written with no mapping-layer lock held; the commit
+    /// writes the header last. One writer at a time: a second waits.
     ///
-    /// Seals the current segment first (so the committed state becomes
-    /// persistent and is included), then snapshots the tables into the
-    /// alternate checkpoint area.
+    /// In [`ConcurrencyMode::Sequential`], while an ARU is open, it
+    /// writes nothing and leaves the checkpoint due: the ARU's
+    /// operations are in the tables already, and the session that ends
+    /// the ARU writes it. No checkpoint holds part of an ARU
+    /// (docs/INVARIANTS.md I6).
     ///
     /// # Errors
     ///
-    /// Device errors; [`LldError::DiskFull`] if no segment slot is free
-    /// for the next segment.
+    /// Device errors.
     pub fn checkpoint(&self) -> Result<()> {
-        self.with_mutation(|m| m.checkpoint_inner())
-    }
-
-    /// Writes a checkpoint holding a full session only for *begin*:
-    /// each slab is encoded under its shard's write lock alone and
-    /// written with no mapping-layer lock held. Returns `false` if
-    /// another checkpoint began mid-flight and this one aborted
-    /// (harmless: the other one is at least as fresh).
-    ///
-    /// Called by the background cleaner (`cleanerd`), so its covering
-    /// checkpoints are not stop-the-world table dumps.
-    pub(crate) fn checkpoint_incremental(&self) -> Result<bool> {
-        let mut w = self.with_mutation(|m| m.ckpt_begin())?;
-        let mut steps = || -> Result<bool> {
-            for i in 0..self.maps.nshards() {
-                let slab = self.with_mutation_at(0, 1u64 << i, |m| m.snapshot_slab(i));
-                if !self.ckpt_slab(&mut w, slab)? {
-                    return Ok(false);
-                }
-            }
-            self.ckpt_commit(&w, &mut self.log.lock())
+        // Held across every step: taken before any session's lock,
+        // which is sound because no session ever waits for a writer.
+        let mut io = self.ckpt_io.lock();
+        let Some(mut w) = self.full_session(|m| m.ckpt_begin(&io))? else {
+            return Ok(());
         };
-        let done = steps();
-        if !matches!(done, Ok(true)) {
-            // Whatever this writer left pending (idempotent).
-            self.with_mutation(|m| {
+        let written = (0..self.maps.nshards())
+            .try_for_each(|i| {
+                let slab = self.with_mutation_at(0, 1u64 << i, |m| m.snapshot_slab(i));
+                self.ckpt_slab(&mut w, slab)
+            })
+            .and_then(|()| self.ckpt_commit(&w, &mut io));
+        if written.is_err() {
+            // The shards still pending, and their copies.
+            self.full_session(|m| {
                 for i in 0..self.maps.nshards() {
                     let sh = m.map.shard_mut(i);
                     sh.snap_pending = false;
@@ -678,41 +648,32 @@ impl<D: BlockDevice> LldInner<D> {
                 Ok(())
             })?;
         }
-        done
+        written
     }
 
     /// Step 2, second half: writes one encoded slab behind the ones
-    /// already in the area. Returns `false` if this writer no longer
-    /// owns the area.
-    fn ckpt_slab(&self, w: &mut CkptWrite, slab: Slab) -> Result<bool> {
+    /// already in the area.
+    fn ckpt_slab(&self, w: &mut CkptWrite, slab: Slab) -> Result<()> {
         if w.end + slab.bytes.len() as u64 > self.layout.ckpt_area_size {
             return Err(area_overflow());
         }
         let len = u32::try_from(slab.bytes.len()).map_err(|_| {
             LldError::Config("a checkpoint slab holds at most 4 GiB: raise map_shards".into())
         })?;
-        // Check the generation *under* `ckpt_io`, and write under it
-        // too: a later beginner waits for this write, and this writer
-        // never writes once a later one has begun.
-        let io = self.ckpt_io.lock();
-        if io.gen != w.gen {
-            return Ok(false);
-        }
         self.device.write_at(w.area + w.end, &slab.bytes)?;
-        drop(io);
         w.dir.extend_from_slice(&slab.n_blocks.to_le_bytes());
         w.dir.extend_from_slice(&slab.n_lists.to_le_bytes());
         w.dir.extend_from_slice(&crc32(&slab.bytes).to_le_bytes());
         w.dir.extend_from_slice(&len.to_le_bytes());
         w.end += u64::from(len);
-        Ok(true)
+        Ok(())
     }
 
     /// Step 3, *commit*: dedup slab, directory, header last, flush,
-    /// publish. `log` is the caller's hold on the log mutex (lock
-    /// order: log → dedup → `ckpt_io`). Returns `false` if this writer
-    /// no longer owns the area.
-    fn ckpt_commit(&self, w: &CkptWrite, log: &mut LogState) -> Result<bool> {
+    /// publish, holding the log mutex (lock order: `ckpt_io` → log →
+    /// dedup).
+    fn ckpt_commit(&self, w: &CkptWrite, io: &mut CkptSlots) -> Result<()> {
+        let mut log = self.log.lock();
         // Snapshot the write-id dedup cache so a retried networked
         // commit still finds its recorded outcome after recovery from
         // this checkpoint. Entries recorded since *begin* belong to
@@ -729,10 +690,6 @@ impl<D: BlockDevice> LldInner<D> {
             (dedup.len() as u64 / CKPT_DEDUP_ENTRY) as u32,
             crc32(&dedup),
         );
-        let mut io = self.ckpt_io.lock();
-        if io.gen != w.gen {
-            return Ok(false);
-        }
         if !dedup.is_empty() {
             self.device.write_at(w.area + w.end, &dedup)?;
         }
@@ -740,7 +697,6 @@ impl<D: BlockDevice> LldInner<D> {
         self.device.write_at(w.area, &header)?;
         self.device.flush()?;
         io.use_b = w.area == self.layout.ckpt_a;
-        drop(io);
         log.checkpoint_seq = w.covered;
         log.checkpoint_summary = w.covered_summary;
         self.stats.checkpoints.inc();
@@ -751,7 +707,7 @@ impl<D: BlockDevice> LldInner<D> {
                 bytes,
             },
         );
-        Ok(true)
+        Ok(())
     }
 }
 
@@ -1048,13 +1004,13 @@ mod tests {
         (rows, slab_bytes, dedup, hdr.bytes())
     }
 
-    /// The foreground and the cleanerd checkpoint of one state are the
-    /// same checkpoint: the same slab bytes, so the same tables, the
-    /// same dedup cache, the same size — and the size each reports in
-    /// its trace event is the size on disk, which is what recovery
-    /// reports having loaded.
+    /// Two checkpoints of one state, one in each area, are the same
+    /// checkpoint: the same slab bytes, so the same tables, the same
+    /// dedup cache, the same size — and the size each reports in its
+    /// trace event is the size on disk, which is what recovery reports
+    /// having loaded.
     #[test]
-    fn both_drivers_write_the_same_checkpoint() {
+    fn two_checkpoints_of_one_state_are_the_same() {
         let cfg = LldConfig {
             block_size: 512,
             segment_bytes: 16 * 512,
@@ -1069,7 +1025,7 @@ mod tests {
             ld.end_aru_tagged(aru, 7, 1, wid).unwrap();
         }
         ld.checkpoint().unwrap(); // area A
-        assert!(ld.checkpoint_incremental().unwrap()); // area B
+        ld.checkpoint().unwrap(); // area B
 
         let (a, b) = (load(&ld, ld.layout.ckpt_a), load(&ld, ld.layout.ckpt_b));
         assert_eq!(a.1, b.1, "slab bytes");
@@ -1718,7 +1674,7 @@ mod tests {
         let stats = ld.stats();
         assert_eq!((stats.checkpoints, stats.checkpoint_failures), (1, 1));
         ld.needs_checkpoint.store(true, Relaxed);
-        ld.after_scoped();
+        ld.after_session(true);
         assert_eq!(ld.stats().checkpoint_failures, 2);
     }
 
@@ -1789,7 +1745,7 @@ mod tests {
             }
         }
         assert_eq!(ld.free_segments(), 1);
-        assert!(ld.checkpoint_incremental().unwrap());
+        ld.checkpoint().unwrap();
         assert_eq!(ld.free_segments(), 1);
         ld.delete_list(Ctx::Simple, list).unwrap();
     }

@@ -22,20 +22,32 @@
 //! recovery scan would miss operations that used to live there. Hence
 //! `slot_seq` holds the *newest* segment of each slot, the slot the log
 //! is being written into is nobody's victim
-//! ([`LogState::open_slot`]), and the cleaner writes a checkpoint
-//! automatically when its candidates are not yet covered.
+//! ([`LogState::open_slot`]), and the inline pass takes covered victims
+//! only. It runs inside a session, maybe halfway through a commit, where
+//! a checkpoint would hold part of an ARU (docs/INVARIANTS.md I6): where
+//! none is covered it stops, and the housekeeping step after the session
+//! writes the checkpoint and resumes it ([`LldInner::after_session`]).
 //!
 //! The cleaner relocates blocks of arbitrary identifiers, so it only
 //! ever runs inside a *full* mutation session (all shards write-locked).
 //! Scoped sessions that notice space pressure kick the background
 //! cleaner ([`crate::cleanerd`]) or set a flag for the owning operation
-//! to clean right after releasing its locks (see
-//! [`LldInner::after_scoped`]).
+//! to clean right after releasing its locks.
 
 use crate::error::Result;
+use crate::layout::Layout;
 use crate::lld::{LldInner, LogState, Mutation};
 use crate::types::BlockId;
 use ld_disk::BlockDevice;
+use std::sync::atomic::Ordering;
+
+/// Whether cleaning `slots` slots holding `live` sectors gives room
+/// back: not where those, a block more a slot, fill their data areas
+/// less the summary's block, as full as segments get.
+pub(crate) fn cleaning_gains(layout: &Layout, slots: u64, live: u64) -> bool {
+    live + slots * u64::from(2 * layout.sectors_per_block())
+        <= slots * u64::from(layout.data_sectors_per_slot())
+}
 
 /// The policy both cleaners share (this one and [`crate::cleanerd`]).
 impl LogState {
@@ -53,8 +65,9 @@ impl LogState {
     /// The victims of a pass, and whether the checkpoint covers them:
     /// covered slots first, which come back as soon as they are empty;
     /// only when no sealed slot is covered, those below the written
-    /// watermark (the cleaner reads victims from the device), and the
-    /// caller writes a checkpoint before it releases one.
+    /// watermark (the cleaner reads victims from the device), which
+    /// `cleanerd` relocates before it writes the checkpoint that lets
+    /// them go. The inline pass takes covered victims only.
     pub(crate) fn pick_victims(
         &self,
         pack_cap: u32,
@@ -93,6 +106,16 @@ impl LogState {
         victims
     }
 
+    /// Whether the last checkpoint covers the sealed slot with the
+    /// fewest live sectors (one of them, if several tie): the victim a
+    /// pass that takes covered slots only wants first.
+    pub(crate) fn covers_the_emptiest_slot(&self) -> bool {
+        let covered = |seq: u64| seq <= self.checkpoint_seq;
+        self.sealed_slots()
+            .min_by_key(|&(slot, seq)| (self.live_sectors[slot as usize], !covered(seq)))
+            .is_none_or(|(_, seq)| covered(seq))
+    }
+
     /// Frees every sealed slot that the last checkpoint covers and that
     /// holds no live block — reclaimable with no relocation and no
     /// I/O. Returns how many.
@@ -115,7 +138,9 @@ impl<D: BlockDevice> LldInner<D> {
     /// Runs the cleaner until `target_free_segments` slots are free or
     /// no further segment can be cleaned. Invoked automatically when
     /// free slots drop below `min_free_segments`; may also be called
-    /// explicitly.
+    /// explicitly. Where no sealed slot is covered by a checkpoint, the
+    /// checkpoint is written once the pass's session has let go of its
+    /// locks, and the pass resumes.
     ///
     /// # Errors
     ///
@@ -149,9 +174,11 @@ impl<D: BlockDevice> Mutation<'_, D> {
 
     /// Cleans until `target` slots are free, in a full session; the
     /// `cleaning` flag keeps the rolls of a pass from starting another
-    /// (a guard resets it on every exit path). `compact` is the reserve
-    /// pass ([`Mutation::open_under`]): a checkpoint first, which takes
-    /// no slot and makes every sealed slot a candidate; then each
+    /// (a guard resets it on every exit path). Covered victims only:
+    /// where none is left the pass asks for a checkpoint and for its own
+    /// resumption, and stops ([`LldInner::after_session`] resumes it);
+    /// a resumed pass that finds none left ends there.
+    /// `compact` is the reserve pass ([`Mutation::open_under`]): each
     /// victim is released as it empties and nothing is sealed between
     /// two, so that part-full slots pack together (two of four live
     /// blocks are two batches) and one free slot is room to start.
@@ -166,29 +193,39 @@ impl<D: BlockDevice> Mutation<'_, D> {
     }
 
     fn clean_loop(&mut self, target: usize, compact: bool) -> Result<()> {
-        self.lld.stats.cleaner_runs.inc();
-        let relocated_before = self.lld.stats.blocks_relocated.get();
-        if compact {
-            self.checkpoint_inner()?;
+        // A pass resumed once its checkpoint is written is the pass that
+        // stopped for it, counted once.
+        let resumed = std::mem::take(&mut self.log().clean_stopped);
+        if !resumed {
+            self.lld.stats.cleaner_runs.inc();
         }
+        let relocated_before = self.lld.stats.blocks_relocated.get();
         // Fast pass first, regardless of the target.
         self.log().release_covered_empty();
         self.sync_free_hint();
+        let pack_cap = self.lld.layout.data_sectors_per_slot();
         // Bounded by the number of segments: each iteration frees at
         // least one victim or stops.
         for _ in 0..self.lld.layout.n_segments {
             if self.log().free_slots.len() >= target {
                 break;
             }
-            let victims = self.pick_victims()?;
+            let (victims, covered) = self.log().pick_victims(pack_cap, usize::MAX);
+            if !covered && !resumed {
+                self.log().clean_stopped = true;
+                self.lld.needs_checkpoint.store(true, Ordering::Relaxed);
+                self.lld.needs_clean.store(true, Ordering::Relaxed);
+                return Ok(());
+            }
             // Emptiest first: where that one is as full as a segment
-            // gets (a block is the summary's), nothing is left to gain.
-            let layout = &self.lld.layout;
-            let packed = victims.len() == 1
-                && self.log().live_sectors[victims[0].0 as usize]
-                    + u64::from(2 * layout.sectors_per_block())
-                    > u64::from(layout.data_sectors_per_slot());
-            if victims.is_empty() || compact && packed {
+            // gets, nothing is left to gain.
+            let packed = match victims[..] {
+                [(slot, _)] => {
+                    !cleaning_gains(&self.lld.layout, 1, self.log().live_sectors[slot as usize])
+                }
+                _ => false,
+            };
+            if !covered || victims.is_empty() || compact && packed {
                 break;
             }
             self.clean_batch(&victims, compact)?;
@@ -203,19 +240,6 @@ impl<D: BlockDevice> Mutation<'_, D> {
             },
         );
         Ok(())
-    }
-
-    /// Chooses a batch of sealed, checkpoint-covered victims, writing a
-    /// checkpoint first if every sealed segment is newer than the last
-    /// one.
-    fn pick_victims(&mut self) -> Result<Vec<(u32, u64)>> {
-        let pack_cap = self.lld.layout.data_sectors_per_slot();
-        let (victims, covered) = self.log().pick_victims(pack_cap, usize::MAX);
-        if covered {
-            return Ok(victims);
-        }
-        self.checkpoint_inner()?;
-        Ok(self.log().pick_victims(pack_cap, usize::MAX).0)
     }
 
     /// Relocates every live block out of the `victims`, seals the

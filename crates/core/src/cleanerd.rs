@@ -20,11 +20,11 @@
 //!    victim — covered and now empty — in one short full session, so a
 //!    slot comes back when it is empty and not when the pass ends.
 //! 5. Only a pass whose victims were *not* covered (none was) ends as
-//!    it used to: it writes the **covering checkpoint** itself —
-//!    *incrementally* (`checkpoint_incremental`): the covered point is
-//!    pinned in one short full session, then each shard's snapshot slab
+//!    it used to: it writes the **covering checkpoint** itself, between
+//!    sessions, with the one writer (`LldInner::checkpoint`: the covered
+//!    point is pinned in one short full session, then each shard's slab
 //!    is encoded under only that shard's write lock and written with no
-//!    mapping-layer locks held — and then runs the release sweep.
+//!    mapping-layer locks held), and then runs the release sweep.
 //!
 //! Foreground operations in disjoint shards keep committing while
 //! phases 1–4 run; no phase of a background pass dumps the whole map
@@ -60,6 +60,7 @@
 //! the ordinary session types, so cleanerd obeys the canonical
 //! ARU-slots → shards → log hierarchy by construction.
 
+use crate::cleaner::cleaning_gains;
 use crate::error::Result;
 use crate::lld::{Lld, LldInner};
 use crate::obs::{cleaner_trace, Obs, Stage};
@@ -263,6 +264,8 @@ struct Victim {
 struct PassOutcome {
     freed: u32,
     relocated: u64,
+    /// The sectors the relocated blocks take.
+    moved: u64,
     stale: u64,
 }
 
@@ -310,12 +313,10 @@ fn cleanerd_main<D: BlockDevice + 'static>(ld: &LldInner<D>) {
         if std::mem::take(&mut st.checkpoint) {
             st.job = Job::Checkpoint;
             drop(st);
-            let due = ld.suffix_past(&ld.log.lock(), 1);
+            let due = ld.checkpoint_due(&ld.log.lock());
             if due {
-                match ld.checkpoint_incremental() {
-                    Ok(true) => ld.stats.checkpoints_handed_off.inc(),
-                    // Another writer began meanwhile: as fresh.
-                    Ok(false) => {}
+                match ld.checkpoint() {
+                    Ok(()) => ld.stats.checkpoints_handed_off.inc(),
                     Err(_) => ld.stats.checkpoint_failures.inc(),
                 }
             }
@@ -358,7 +359,13 @@ fn cleanerd_main<D: BlockDevice + 'static>(ld: &LldInner<D>) {
             // full stall bound).
             ld.cleanerd.eased.notify_all();
             match outcome {
-                Ok(o) if o.freed > 0 => freed_any = true,
+                // Progress is net: on a disk full of live data a pass
+                // fills a slot with the blocks of the one it frees, and
+                // counted as progress such passes would go on, a
+                // checkpoint every few, while a caller waits at the gate.
+                Ok(o) if o.freed > 0 && cleaning_gains(&ld.layout, o.freed.into(), o.moved) => {
+                    freed_any = true;
+                }
                 // A failed pass is invisible to every foreground
                 // caller — record what the system looked like when it
                 // happened.
@@ -562,12 +569,13 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
                     // prefetched bytes are the committed version.
                     m.place_block_data(*id, data, ts, None, 1)?;
                     out.relocated += 1;
+                    out.moved += u64::from(addr.sectors);
                     m.lld.stats.blocks_relocated.inc();
                     m.lld.stats.cleaner_blocks_relocated.inc();
                 }
                 Ok(true)
             });
-            ld.after_scoped();
+            ld.after_session(window.is_ok());
             if !matches!(window, Ok(true)) {
                 v.lost = true;
                 aborted = window.is_err();
@@ -596,13 +604,12 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
     // relocation records, and the release sweep.
     if !covered && victims.iter().any(|v| !v.lost) {
         // Written a shard at a time — each slab under only its shard's
-        // write lock — instead of as a stop-the-world table dump. An
-        // abort (another checkpoint began mid-flight) is fine:
-        // `checkpoint_seq` is then at least as fresh, and the sweep
-        // keys off it, not off who wrote it.
+        // write lock — instead of as a stop-the-world table dump, and
+        // between sessions, as every checkpoint is. The sweep keys off
+        // `checkpoint_seq`, not off who wrote it.
         let checkpoint_seq = ld.log.lock().checkpoint_seq;
         if victims.iter().any(|v| !v.lost && v.seq > checkpoint_seq) {
-            ld.checkpoint_incremental()?;
+            ld.checkpoint()?;
         }
         out.freed += release_sweep(ld)?;
     }

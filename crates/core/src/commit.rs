@@ -110,7 +110,7 @@ impl<D: BlockDevice> LldInner<D> {
                     }
                     m.commit_concurrent(id)
                 });
-                self.after_scoped();
+                self.after_session(r.is_ok());
                 r
             }
             None => {

@@ -104,6 +104,10 @@ pub(crate) struct LogState {
     /// does not ask for the next pass early (see
     /// [`roll_for_flush`](Mutation::roll_for_flush)).
     pub(crate) clean_fell_short: bool,
+    /// The inline cleaner's last pass stopped for want of a checkpoint:
+    /// the next is its resumption, which ends where it finds no covered
+    /// victim instead of stopping again.
+    pub(crate) clean_stopped: bool,
     /// Sealed segments whose device write has not returned, oldest
     /// first; the waiters of [`LldInner::written`] watch the lowest
     /// sequence number here (docs/INVARIANTS.md I4, W1–W4).
@@ -136,6 +140,7 @@ impl LogState {
             checkpoint_summary: 0,
             cleaning: false,
             clean_fell_short: false,
+            clean_stopped: false,
             inflight: VecDeque::new(),
             reuse_after: vec![0; n_segments],
             write_error: None,
@@ -322,11 +327,10 @@ pub struct LldInner<D> {
     /// The group-commit stage batching concurrent flushes.
     pub(crate) gc: GroupCommit,
     /// Checkpoint-area I/O state: which A/B area the next checkpoint
-    /// writes, and the generation counter that says which writer owns
-    /// it (see `checkpoint.rs`). A leaf lock
-    /// *after* the log mutex: a writer needing both takes `log` first
-    /// and never acquires any mapping-layer or log lock while holding
-    /// this one.
+    /// writes (see `checkpoint.rs`). The checkpoint writer holds it
+    /// from *begin* to *commit*, so writers take turns. The first lock
+    /// in the order, taken only between sessions: no session ever
+    /// waits for a checkpoint writer.
     pub(crate) ckpt_io: Mutex<crate::checkpoint::CkptSlots>,
     /// The write-id dedup cache for exactly-once networked commits (see
     /// `dedup.rs` and docs/PROTOCOL.md). In the lock order it sits
@@ -349,12 +353,15 @@ pub struct LldInner<D> {
     /// needed.
     pub(crate) free_slots_hint: AtomicU64,
     /// Set by a scoped session whose segment roll found free segments
-    /// scarce; drained by [`after_scoped`](LldInner::after_scoped).
+    /// scarce, and by an inline pass that stopped for want of a
+    /// checkpoint; drained by [`after_session`](LldInner::after_session).
     pub(crate) needs_clean: AtomicBool,
     /// Set by a seal that leaves `n_segments` or more segments past the
     /// last checkpoint, or summary records that weigh as much as the
-    /// tables; the session that finds it writes one when it ends (see
-    /// [`seal_current`](Mutation::seal_current)).
+    /// tables (see [`seal_current`](Mutation::seal_current)), and by an
+    /// inline pass that found no covered victim; the session that
+    /// finds it sees to one when it ends
+    /// ([`after_session`](LldInner::after_session)).
     pub(crate) needs_checkpoint: AtomicBool,
     pub(crate) stats: StatsCell,
     pub(crate) obs: Obs,
@@ -474,45 +481,43 @@ impl<D: BlockDevice + 'static> LldInner<D> {
 
 impl<D: BlockDevice> LldInner<D> {
     /// Runs `f` in a *full* mutation session: every ARU slot and every
-    /// map shard locked exclusively, in the canonical order. If a seal
-    /// in the session found a checkpoint due and `f` succeeded, the
-    /// session hands it to `cleanerd` or writes it before it ends.
+    /// map shard locked exclusively, in the canonical order; then, with
+    /// every lock let go, the housekeeping step
+    /// ([`after_session`](Self::after_session)).
     pub(crate) fn with_mutation<T>(
+        &self,
+        f: impl FnOnce(&mut Mutation<'_, D>) -> Result<T>,
+    ) -> Result<T> {
+        let out = self.full_session(f);
+        self.after_session(out.is_ok());
+        out
+    }
+
+    /// [`with_mutation`](Self::with_mutation) without the housekeeping
+    /// step: for the steps of the housekeeping itself, the checkpoint's
+    /// *begin* and the pass it resumes, which must not start another.
+    pub(crate) fn full_session<T>(
         &self,
         f: impl FnOnce(&mut Mutation<'_, D>) -> Result<T>,
     ) -> Result<T> {
         self.stats.full_mutations.inc();
         let all = self.maps.all_set();
-        let arus = self.maps.lock_arus(all);
-        let shards = self.maps.lock_write(all);
-        let mut m = Mutation {
+        f(&mut self.session(all, all))
+    }
+
+    /// Locks the ARU slots in `aru_set`, then the map shards in
+    /// `shard_set`, each ascending.
+    fn session(&self, aru_set: u64, shard_set: u64) -> Mutation<'_, D> {
+        let arus = self.maps.lock_arus(aru_set);
+        let shards = self.maps.lock_write(shard_set);
+        Mutation {
             lld: self,
             map: MapView::new(self.maps.nshards(), arus, shards),
             log_guard: None,
             pending: None,
             seal_awaited: false,
             unit_ends_in: None,
-        };
-        let out = f(&mut m);
-        // Here, where the operation is over, and not in the roll that
-        // found the suffix long: a roll may come halfway through a
-        // commit, with part of the unit in the tables and its commit
-        // record unwritten. (The inline cleaner's covering checkpoint
-        // does run inside the roll, as it always has — ROADMAP; this
-        // is not a second such place.) After an error the tables may
-        // be ahead of the log, so the flag stays up for a session that
-        // succeeds. The checkpoint goes to `cleanerd` first; the session
-        // writes one the thread refuses, or one overdue.
-        if out.is_ok()
-            && self.needs_checkpoint.swap(false, Ordering::Relaxed)
-            && !self.hand_off_checkpoint(m.log())
-            && m.checkpoint_inner().is_err()
-        {
-            // Nobody to hand the error to: the operation succeeded. The
-            // next seal asks again.
-            self.stats.checkpoint_failures.inc();
         }
-        out
     }
 
     /// Whether the log's suffix, from the last checkpoint to the last
@@ -530,19 +535,24 @@ impl<D: BlockDevice> LldInner<D> {
             || log.summary_sealed - log.checkpoint_summary >= times * table_weight
     }
 
-    /// Offers a checkpoint a seal found due to `cleanerd`, which writes
-    /// it behind any seal it holds; `false` where the caller writes it
-    /// itself: no healthy thread takes it, or the suffix is past twice
-    /// its bound, which is the bound's hard edge.
-    fn hand_off_checkpoint(&self, log: &LogState) -> bool {
-        !self.suffix_past(log, 2) && self.cleanerd.offer_checkpoint()
+    /// Whether a checkpoint is due: the suffix is past its bound, or,
+    /// with `cleanerd`, free slots are down to the emergency level and
+    /// the last checkpoint does not cover the emptiest sealed slot. The
+    /// reserve pass of a session that finds no slot takes covered
+    /// victims only (docs/CLEANER.md "The reserve pass"); the inline
+    /// pass asks for its checkpoint itself.
+    pub(crate) fn checkpoint_due(&self, log: &LogState) -> bool {
+        self.suffix_past(log, 1)
+            || self.cleaner_background()
+                && log.free_slots.len() as u32 <= self.cleaner_cfg.min_free_segments
+                && !log.covers_the_emptiest_slot()
     }
 
     /// Runs `f` in a *scoped* mutation session holding only the ARU
     /// slots in `aru_set` and the map shards in `shard_set` (bitmasks;
     /// both acquired ascending, slots before shards). The caller is
     /// responsible for covering every identifier the operation touches
-    /// and for calling [`after_scoped`](LldInner::after_scoped) once
+    /// and for calling [`after_session`](LldInner::after_session) once
     /// the session's locks are released.
     pub(crate) fn with_mutation_at<T>(
         &self,
@@ -551,16 +561,7 @@ impl<D: BlockDevice> LldInner<D> {
         f: impl FnOnce(&mut Mutation<'_, D>) -> T,
     ) -> T {
         self.stats.scoped_mutations.inc();
-        let arus = self.maps.lock_arus(aru_set);
-        let shards = self.maps.lock_write(shard_set);
-        let mut m = Mutation {
-            lld: self,
-            map: MapView::new(self.maps.nshards(), arus, shards),
-            log_guard: None,
-            pending: None,
-            seal_awaited: false,
-            unit_ends_in: None,
-        };
+        let mut m = self.session(aru_set, shard_set);
         let out = f(&mut m);
         // The epilogue: a segment the session sealed goes to the device
         // now, with every lock let go — nobody waits out the transfer,
@@ -651,30 +652,40 @@ impl<D: BlockDevice> LldInner<D> {
                 > u64::from(self.cleaner_cfg.min_free_segments)
     }
 
-    /// Post-scoped-session housekeeping: runs the cleaner under a full
-    /// session when a scoped segment roll found free segments scarce,
-    /// and hands off or writes the checkpoint a scoped seal found due.
-    /// Reads two flags and no lock while neither is up. Must be called
-    /// with no mapping-layer locks held; the session's own seal is on
-    /// the device or with `cleanerd` by now, and an inline checkpoint
-    /// waits for every seal (W2).
-    pub(crate) fn after_scoped(&self) {
-        if self.needs_clean.swap(false, Ordering::Relaxed) {
+    /// The housekeeping step after a session, once its locks are let
+    /// go (docs/CONCURRENCY.md "Housekeeping"): the checkpoint a seal or
+    /// a pass found due, never written inside a session, where an
+    /// operation may have put part of an ARU into the tables
+    /// (docs/INVARIANTS.md I6), and only after a session that succeeded
+    /// (`ok`: after an error the tables may be ahead of the log); then
+    /// the inline pass a scoped roll asked for, or the one that stopped
+    /// for want of that checkpoint, resumed by this loop and never by a
+    /// housekeeping step inside it. Reads two flags and no lock while
+    /// neither is up.
+    pub(crate) fn after_session(&self, ok: bool) {
+        for _ in 0..2 {
+            // Whoever takes the flag sees to it. `cleanerd` writes it,
+            // behind any seal it holds, unless the thread refuses, the
+            // suffix is past twice its bound (the bound's hard edge), or
+            // a pass waits for it. A failure is counted; the next seal
+            // asks again.
+            if ok
+                && self.needs_checkpoint.load(Ordering::Relaxed)
+                && self.needs_checkpoint.swap(false, Ordering::Relaxed)
+            {
+                let handed_off = !self.needs_clean.load(Ordering::Relaxed)
+                    && !self.suffix_past(&self.log.lock(), 2)
+                    && self.cleanerd.offer_checkpoint();
+                if !handed_off && self.checkpoint().is_err() {
+                    self.stats.checkpoint_failures.inc();
+                }
+            }
+            if !self.needs_clean.swap(false, Ordering::Relaxed) {
+                return;
+            }
             // An error here resurfaces on the next operation that needs
             // space.
-            let _ = self.run_cleaner();
-        }
-        // Whoever takes the flag sees to the checkpoint: every thread
-        // that comes through here while it is up sees it, and one
-        // checkpoint is due. It offers it to `cleanerd` and writes what
-        // that refuses. A failure is counted; the next seal asks again.
-        if self.needs_checkpoint.load(Ordering::Relaxed)
-            && self.needs_checkpoint.swap(false, Ordering::Relaxed)
-        {
-            let handed_off = self.hand_off_checkpoint(&self.log.lock());
-            if !handed_off && self.checkpoint().is_err() {
-                self.stats.checkpoint_failures.inc();
-            }
+            let _ = self.full_session(|m| m.run_cleaner_inner());
         }
     }
 
@@ -1303,7 +1314,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// background cleaner thread; where there is none to take over, a
     /// full session runs the cleaner inline and a scoped one, which
     /// cannot (the cleaner touches every shard), flags
-    /// [`LldInner::after_scoped`].
+    /// [`LldInner::after_session`].
     pub(crate) fn roll_segment(&mut self, reserve: usize) -> Result<()> {
         self.roll(reserve, false)
     }
@@ -1432,9 +1443,11 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 // bounded in restart's other unit, the summary records it
                 // replays, weighted by kind: once they reach the weight of
                 // the tables (`SUFFIX_WEIGHT_*`), loading a snapshot is the
-                // cheaper restart.
+                // cheaper restart. A disk near full asks for one too,
+                // once no sealed slot is left that a pass may take
+                // (`checkpoint_due`).
                 log.summary_sealed += seal_summary;
-                if lld.suffix_past(log, 1) {
+                if lld.checkpoint_due(log) {
                     self.lld.needs_checkpoint.store(true, Ordering::Relaxed);
                 }
                 self.lld.stats.segments_sealed.inc();

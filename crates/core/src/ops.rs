@@ -139,7 +139,7 @@ impl<D: BlockDevice> LldInner<D> {
             let res = self.with_mutation_at(self.ctx_aru_set(ctx), 1u64 << shard, |m| {
                 m.new_list_op(ctx, shard)
             });
-            self.after_scoped();
+            self.after_session(res.is_ok());
             res
         } else {
             self.with_mutation(|m| m.new_list_op(ctx, shard))
@@ -187,7 +187,7 @@ impl<D: BlockDevice> LldInner<D> {
             let res = self.with_mutation_at(self.ctx_aru_set(ctx), set, |m| {
                 m.new_block_op(ctx, list, pos)
             });
-            self.after_scoped();
+            self.after_session(res.is_ok());
             res
         } else {
             self.with_mutation(|m| m.new_block_op(ctx, list, pos))
@@ -234,7 +234,7 @@ impl<D: BlockDevice> LldInner<D> {
                 self.with_mutation_at(self.ctx_aru_set(ctx), self.maps.bit_of(block.get()), |m| {
                     m.write_op(ctx, block, data)
                 });
-            self.after_scoped();
+            self.after_session(r.is_ok());
             r
         } else {
             self.with_mutation(|m| m.write_op(ctx, block, data))

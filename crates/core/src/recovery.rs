@@ -340,10 +340,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             ckpt_seq = hdr.seq;
             head = hdr.head;
             ts_floor = hdr.ts_counter;
-            *lld.ckpt_io.lock() = CkptSlots {
-                use_b: is_a,
-                gen: 0,
-            };
+            *lld.ckpt_io.lock() = CkptSlots { use_b: is_a };
             report.snap_shards = slabs.len() as u32;
             report.snapshot_bytes = hdr.bytes();
             // The floors are global; each shard starts at its first

@@ -427,27 +427,35 @@ fn churn_on_eight_block_slots(live: usize, cleanerd: bool) -> Result<ld_core::Ll
 /// pressure"): where a slot is 8 blocks, the header and summary block
 /// of every partial segment are a quarter of it and up to two blocks at
 /// its end stay unused. This churn ran out of room above 96 live blocks
-/// while every seal took a slot, above 86 from format 4 to format 8, and
-/// first at 85 in format 9. Past the edge the count does not fall off
-/// evenly (format 9: 86, 88, 90 and 92 hold, every other count from 85
-/// to 93 and all above run out), so the pin is the first count that
-/// runs out and the one below it. It keeps that loss from growing
-/// unnoticed; a change that moves it either way moves the record with
-/// it. The 84 / 85 pin is the inline cleaner's, whose passes are the
-/// only thing that moves blocks there. With `cleanerd` the same churn
-/// is not repeatable: the thread's relocations share the open segment
-/// with the hot writes, the slots they leave part-full are beyond the
-/// to-target pass (it seals every batch apart, and two slots of four
-/// live blocks are more than one batch), and this device sets its gate
-/// (1) below the emergency level (3). What holds 84 there is the
-/// reserve pass of a roll that finds no slot (`Mutation::clean_until`):
-/// without it a third of the runs reported `DiskFull` at 86 in format 8.
+/// while every seal took a slot, above 86 from format 4 to format 8,
+/// and first at 85 in format 9 while the inline pass wrote its
+/// covering checkpoint inside the session, sealing the open segment
+/// wherever the pass fell. Since the pass takes covered victims only
+/// and the checkpoint it asks for is written once the session is over
+/// (docs/INVARIANTS.md I6), it runs out first at 97. Past the edge the
+/// count does not fall off evenly (98 holds, 97 and 99 run out), so
+/// the pin is the first count that runs out and the one below it. It
+/// keeps that loss from growing unnoticed; a change that moves it
+/// either way moves the record with it. The 96 / 97 pin is the inline
+/// cleaner's, whose passes are the only thing that moves blocks there.
+/// With `cleanerd` the same churn is not repeatable: the thread's
+/// relocations share the open segment with the hot writes, the slots
+/// they leave part-full are beyond the to-target pass (it seals every
+/// batch apart, and two slots of four live blocks are more than one
+/// batch), and this device sets its gate (1) below the emergency level
+/// (3). What holds 84 there, twenty times over, is the reserve pass of
+/// a roll that finds no slot (`Mutation::clean_until`), with the
+/// checkpoint a disk at the emergency level asks for once the last one
+/// no longer covers its emptiest slot (`LldInner::checkpoint_due`):
+/// without that request two runs in a hundred reported `DiskFull` at
+/// 84, and without the reserve pass a third of the runs did at 86 in
+/// format 8.
 #[test]
-fn churn_capacity_on_eight_block_slots_is_84_live_blocks() {
-    let held = churn_on_eight_block_slots(84, false).expect("84 live blocks fit");
+fn churn_capacity_on_eight_block_slots_is_96_live_blocks() {
+    let held = churn_on_eight_block_slots(96, false).expect("96 live blocks fit");
     assert!(held.blocks_relocated > 0, "the log wrapped");
     assert!(matches!(
-        churn_on_eight_block_slots(85, false),
+        churn_on_eight_block_slots(97, false),
         Err(LldError::DiskFull)
     ));
     for round in 0..20 {
@@ -665,4 +673,182 @@ fn first_commit_after_recovery_leaves_cleaning_to_cleanerd() {
         "the caller did not wait at the gate"
     );
     wait_until("cleanerd frees a slot", || ld.free_segments() > at_level);
+}
+
+/// A device that keeps, while armed, the image a power cut would leave
+/// right after each checkpoint's header is flushed: a write of the
+/// header's length at the start of a checkpoint area, then a barrier.
+#[derive(Debug)]
+struct CheckpointCuts {
+    inner: MemDisk,
+    state: Mutex<Cuts>,
+}
+
+#[derive(Debug, Default)]
+struct Cuts {
+    /// The two areas' offsets, while armed.
+    areas: Vec<u64>,
+    /// A header written since the last barrier.
+    header: bool,
+    images: Vec<Vec<u8>>,
+}
+
+impl CheckpointCuts {
+    fn arm(&self, areas: Vec<u64>) {
+        self.state.lock().areas = areas;
+    }
+
+    /// Disarms the device and hands over the images it kept.
+    fn take(&self) -> Vec<Vec<u8>> {
+        let mut st = self.state.lock();
+        st.areas.clear();
+        std::mem::take(&mut st.images)
+    }
+}
+
+impl BlockDevice for CheckpointCuts {
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> ld_disk::Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, buf: &[u8]) -> ld_disk::Result<()> {
+        let mut st = self.state.lock();
+        self.inner.write_at(offset, buf)?;
+        st.header |= buf.len() == common::C_LEN && st.areas.contains(&offset);
+        Ok(())
+    }
+    fn flush(&self) -> ld_disk::Result<()> {
+        let mut st = self.state.lock();
+        self.inner.flush()?;
+        if std::mem::take(&mut st.header) {
+            let image = self.inner.snapshot();
+            st.images.push(image);
+        }
+        Ok(())
+    }
+}
+
+/// No checkpoint holds part of an ARU (docs/INVARIANTS.md I6). A nearly
+/// full disk with no checkpoint yet, so no victim of the inline cleaner
+/// is covered, and one
+/// ARU of 14 rewrites, whose commit rolls the log twice and finds free
+/// slots below the emergency level. Cut when `end_aru` returns, and
+/// right after the header of every checkpoint written meanwhile is
+/// flushed: each image recovers all 14 rewrites or none.
+#[test]
+fn no_checkpoint_holds_part_of_an_aru() {
+    each_mode(|mode| no_checkpoint_holds_part_of_an_aru_at(config(mode)));
+    eprintln!("sequential");
+    no_checkpoint_holds_part_of_an_aru_at(LldConfig {
+        concurrency: ld_core::ConcurrencyMode::Sequential,
+        ..config((false, 8))
+    });
+}
+
+fn no_checkpoint_holds_part_of_an_aru_at(cfg: LldConfig) {
+    let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512;
+    let device = CheckpointCuts {
+        inner: MemDisk::new(cap as u64),
+        state: Mutex::default(),
+    };
+    let ld = Lld::format(device, &cfg).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let mut blocks: Vec<ld_core::BlockId> = Vec::new();
+    while ld.free_segments() > 4 {
+        let pos = blocks
+            .last()
+            .map_or(Position::First, |&p| Position::After(p));
+        let b = ld.new_block(Ctx::Simple, l, pos).unwrap();
+        ld.write(Ctx::Simple, b, &block(0xA0)).unwrap();
+        blocks.push(b);
+    }
+    ld.flush().unwrap();
+    // (`cleanerd` cleans, and checkpoints, as the disk fills.)
+    if !cfg.cleaner.background {
+        assert_eq!(ld.checkpoint_seq(), 0, "a victim is covered");
+    }
+    let (layout, _, _) = Lld::probe(ld.device()).unwrap();
+    ld.device().arm(vec![layout.ckpt_a, layout.ckpt_b]);
+
+    let rewritten = &blocks[..14];
+    let aru = ld.begin_aru().unwrap();
+    for &b in rewritten {
+        ld.write(Ctx::Aru(aru), b, &block(0xB1)).unwrap();
+    }
+    ld.end_aru(aru).unwrap();
+    let mut cuts = vec![ld.device().inner.snapshot()];
+    cuts.extend(ld.device().take());
+    for (i, image) in cuts.into_iter().enumerate() {
+        let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg).unwrap();
+        let new = (rewritten.iter())
+            .filter(|&&b| {
+                let mut buf = block(0);
+                ld2.read(Ctx::Simple, b, &mut buf).unwrap();
+                assert!(buf == block(0xA0) || buf == block(0xB1), "cut {i}");
+                buf == block(0xB1)
+            })
+            .count();
+        assert!(
+            new == 0 || new == rewritten.len(),
+            "cut {i}: {new} of {} rewrites recovered",
+            rewritten.len()
+        );
+    }
+}
+
+/// A `cleanerd` round on a disk full of live data takes victims as
+/// full as a segment gets and fills a slot with their blocks to free
+/// one. That is not progress, and the round ends there. Counted as
+/// progress (a slot freed), it went on for as long as free slots were
+/// below the low watermark, a checkpoint every few passes: about 4,000
+/// while one commit waited at the gate. The device: 24 slots filled
+/// with live blocks by the inline cleaner until 3 are free, recovered
+/// with the thread. The thread writes at most a checkpoint a round.
+/// The commit itself may not fit: no checkpoint may be written inside
+/// its session, and the disk is full of live data.
+#[test]
+fn cleanerd_writes_a_checkpoint_a_round_at_most_on_a_disk_of_live_data() {
+    let inline = config((false, 8));
+    let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512;
+    let ld = Lld::format(MemDisk::new(cap as u64), &inline).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let mut blocks: Vec<ld_core::BlockId> = Vec::new();
+    while ld.free_segments() > 3 {
+        let pos = blocks
+            .last()
+            .map_or(Position::First, |&p| Position::After(p));
+        let b = ld.new_block(Ctx::Simple, l, pos).unwrap();
+        ld.write(Ctx::Simple, b, &block(0xA0)).unwrap();
+        blocks.push(b);
+    }
+    ld.flush().unwrap();
+    let image = ld.into_device().into_image();
+    let me = ld_disk::thread_tag();
+    for shards in [8, 1] {
+        eprintln!("shards = {shards}");
+        let cfg = config((true, shards));
+        let (ld, _) = Lld::recover_with(MemDisk::from_image(image.clone()), &cfg).unwrap();
+        let aru = ld.begin_aru().unwrap();
+        for &b in &blocks[..14] {
+            ld.write(Ctx::Aru(aru), b, &block(0xB1)).unwrap();
+        }
+        let committed = ld.end_aru(aru);
+        assert!(matches!(committed, Ok(()) | Err(LldError::DiskFull)));
+        // Counted in the trace ring, which a storm overflows: its
+        // rounds' wake-ups are gone by then.
+        let entries = ld.obs().ring().entries();
+        let on_thread = |e: &&ld_core::TraceEntry| e.tid != me;
+        let rounds = (entries.iter().filter(on_thread))
+            .filter(|e| matches!(e.event, ld_core::TraceEvent::CleanerWake { .. }))
+            .count();
+        let checkpoints = (entries.iter().filter(on_thread))
+            .filter(|e| matches!(e.event, ld_core::TraceEvent::Checkpoint { .. }))
+            .count();
+        assert!(
+            checkpoints <= rounds,
+            "{checkpoints} checkpoints in {rounds} rounds"
+        );
+    }
 }

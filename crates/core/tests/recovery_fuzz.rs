@@ -1,12 +1,17 @@
 //! A seeded bit-flip fuzzer for `recover` (docs/INVARIANTS.md: no image
 //! makes `recover` panic).
 //!
-//! Each case takes one of two images — a checkpoint, a suffix of full
+//! Each case takes one of three images — a checkpoint, a suffix of full
 //! and in-slot partial segments, ARUs, tagged commits and deletions — and
-//! flips 1–4 bits in it. The two differ in their block size: on 512-byte
+//! flips 1–4 bits in it. Two differ in their block size: on 512-byte
 //! blocks a sector is a block, on 4 KiB blocks most in-slot headers sit
 //! in the middle of a block, right behind the summary in front of them
-//! (a segment's base counts sectors). *Raw* flips land in the
+//! (a segment's base counts sectors). The third is in `Sequential`
+//! mode, with no tagged commit. The checkpoint recovery loads was asked
+//! for while an ARU was open: a concurrent one with a shadow write,
+//! which it does not hold, or a sequential one, whose operations are in
+//! the tables already, so it was written once the ARU had ended
+//! (docs/INVARIANTS.md I6). *Raw* flips land in the
 //! superblock, a checkpoint area or a used slot and leave the checksums
 //! alone: a CRC catches them, and recovery falls back to the other
 //! area or ends the log earlier. *Resealed* flips recompute the
@@ -61,21 +66,28 @@
 mod common;
 
 use common::*;
-use ld_core::{Ctx, Layout, ListId, Lld, LldConfig, LldError, Position, Record, CKPT_COL_DESC};
+use ld_core::{
+    ConcurrencyMode, Ctx, Layout, ListId, Lld, LldConfig, LldError, Position, Record, CKPT_COL_DESC,
+};
 use ld_disk::MemDisk;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// The block size and the device size of the two images.
-const IMAGES: [(usize, u64); 2] = [(512, 1 << 20), (4096, 4 << 20)];
+/// The block size, the device size and the mode of the three images.
+const IMAGES: [(usize, u64, ConcurrencyMode); 3] = [
+    (512, 1 << 20, ConcurrencyMode::Concurrent),
+    (4096, 4 << 20, ConcurrencyMode::Concurrent),
+    (512, 1 << 20, ConcurrencyMode::Sequential),
+];
 /// Blocks per segment slot.
 const BPS: usize = 16;
 /// More lists than any image here allocates: the oracle walks every
 /// identifier up to it.
 const MAX_LISTS: u64 = 64;
 
-fn config(block_size: usize) -> LldConfig {
+fn config(block_size: usize, concurrency: ConcurrencyMode) -> LldConfig {
     LldConfig {
         block_size,
+        concurrency,
         segment_bytes: BPS * block_size,
         max_blocks: Some(256),
         max_lists: Some(MAX_LISTS),
@@ -258,12 +270,14 @@ fn hostile_record(kind: usize, rec: &Record, rng: &mut Rng) -> (Vec<u8>, bool, S
     (out, false, format!("{what} in field {i} of {rec:?}"))
 }
 
-fn base_image((block_size, device_bytes): (usize, u64)) -> Base {
-    let config = config(block_size);
+fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -> Base {
+    let config = config(block_size, mode);
+    let concurrent = mode == ConcurrencyMode::Concurrent;
     let block = |byte: u8| vec![byte; block_size];
     let ld = Lld::format(MemDisk::new(device_bytes), &config).unwrap();
     // One unit per flush: partial segments, several to a slot. Every
-    // third commit is tagged (a `WriteId` record, a dedup entry).
+    // third concurrent commit is tagged (a `WriteId` record, a dedup
+    // entry).
     let unit = |list: ListId, n: u8| {
         let aru = ld.begin_aru().unwrap();
         let members = ld.list_blocks(Ctx::Aru(aru), list).unwrap();
@@ -273,7 +287,7 @@ fn base_image((block_size, device_bytes): (usize, u64)) -> Base {
         };
         let b = ld.new_block(Ctx::Aru(aru), list, pos).unwrap();
         ld.write(Ctx::Aru(aru), b, &block(n)).unwrap();
-        if n.is_multiple_of(3) {
+        if concurrent && n.is_multiple_of(3) {
             ld.end_aru_tagged(aru, 7, 1, u64::from(n) + 1).unwrap();
         } else {
             ld.end_aru(aru).unwrap();
@@ -290,7 +304,18 @@ fn base_image((block_size, device_bytes): (usize, u64)) -> Base {
     ld.delete_block(Ctx::Simple, early[1]).unwrap();
     ld.checkpoint().unwrap(); // area A
     unit(keep, 7);
-    ld.checkpoint().unwrap(); // area B, the newer
+    // Area B, the newer, asked for while an ARU that rewrites a block
+    // is open: a concurrent one's write is in its shadow state, and the
+    // checkpoint is written at once, without it; a sequential one's is
+    // in the tables, and the checkpoint waits for the ARU to end.
+    let open = ld.begin_aru().unwrap();
+    ld.write(Ctx::Aru(open), early[0], &block(0xEE)).unwrap();
+    let before = ld.stats().checkpoints;
+    ld.checkpoint().unwrap();
+    assert_eq!(ld.stats().checkpoints - before, u64::from(concurrent));
+    ld.end_aru(open).unwrap();
+    assert_eq!(ld.stats().checkpoints - before, 1);
+    ld.flush().unwrap();
     let late: Vec<_> = (8..14).map(|n| unit(keep, n)).collect();
     // Overwrites with no flush in between. Of a few blocks: each takes
     // the place of the version in the open segment, a summary that names
@@ -309,9 +334,16 @@ fn base_image((block_size, device_bytes): (usize, u64)) -> Base {
     ld.delete_block(Ctx::Simple, late[2]).unwrap();
     ld.delete_list(Ctx::Simple, doomed).unwrap();
     // An ARU that never ends leaves an orphan for `check()`.
+    if !concurrent {
+        unit(keep, 14);
+    }
     let aru = ld.begin_aru().unwrap();
     ld.new_block(Ctx::Aru(aru), keep, Position::First).unwrap();
-    unit(keep, 14);
+    if concurrent {
+        unit(keep, 14);
+    } else {
+        ld.flush().unwrap();
+    }
     let image = ld.into_device().into_image();
 
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
@@ -329,9 +361,13 @@ fn base_image((block_size, device_bytes): (usize, u64)) -> Base {
         block_size > SECTOR,
         "{block_size}: {mid_block}"
     );
-    let (_, report) = Lld::recover_with(MemDisk::from_image(image.clone()), &config)
+    let (recovered, report) = Lld::recover_with(MemDisk::from_image(image.clone()), &config)
         .expect("the base image recovers");
     assert!(report.checkpoint_seq > 0 && report.segments_replayed > 8);
+    let mut buf = block(0);
+    recovered.read(Ctx::Simple, early[0], &mut buf).unwrap();
+    assert_eq!(buf, block(0xEE), "the ARU the checkpoint was asked in");
+    drop(recovered);
     let newer = layout.ckpt_b as usize;
     assert_eq!(u64_at(&image, newer + 8), report.checkpoint_seq, "area B");
     let chain = replayed_chain(&image, &layout, newer);
@@ -354,7 +390,7 @@ fn base_image((block_size, device_bytes): (usize, u64)) -> Base {
     assert!(report.orphan_blocks_freed > 0);
     assert!(headers.len() > report.segments_replayed as usize);
     for area in [layout.ckpt_a, layout.ckpt_b] {
-        assert!(!dedup_range(&image, area as usize).is_empty());
+        assert_eq!(!dedup_range(&image, area as usize).is_empty(), concurrent);
     }
     Base {
         config,
@@ -461,17 +497,18 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             reseal_slab(&mut image, area, i);
             format!("resealed: slab {i} at {area}")
         }
-        11 => {
-            flip(&mut image, area..area + C_CRC, &mut rng);
-            reseal_checkpoint(&mut image, area);
-            format!("resealed: checkpoint header at {area}")
-        }
-        12 => {
+        12 if !dedup_range(&image, area).is_empty() => {
             // The write-id outcomes a retry is answered from.
             let range = dedup_range(&image, area);
             flip(&mut image, range, &mut rng);
             reseal_dedup(&mut image, area);
             format!("resealed: dedup slab at {area}")
+        }
+        // (12: the sequential image has no dedup slab.)
+        11 | 12 => {
+            flip(&mut image, area..area + C_CRC, &mut rng);
+            reseal_checkpoint(&mut image, area);
+            format!("resealed: checkpoint header at {area}")
         }
         13 => {
             // A replayed `Write` record's extent: past the data area,
