@@ -9,10 +9,12 @@
 //! log-structured disk: a block on the device is never overwritten in
 //! place, so an entry can only go stale when the cleaner frees its
 //! segment — [`BlockCache::invalidate_segment`] handles that single
-//! case. (A slot of the *open* segment may be rewritten, by a write that
-//! then [`insert`](BlockCache::insert)s the new contents under the same
-//! address; reads of the open segment are served from its buffer
-//! anyway.)
+//! case. (Sectors of the *open* segment may be rewritten: by a write
+//! that then [`insert`](BlockCache::insert)s the new contents under the
+//! same address, or, once a version there is superseded and its sectors
+//! freed for the next extent, after [`remove`](BlockCache::remove) has
+//! dropped that version's entry; reads of the open segment are served
+//! from its buffer anyway.)
 
 use crate::segment::{zero_past_extent, SECTOR};
 use crate::types::{PhysAddr, SegmentId};
@@ -100,6 +102,15 @@ impl BlockCache {
             .entry(addr.segment)
             .or_default()
             .insert(addr);
+    }
+
+    /// Drops the entry at `addr`, if there is one (its sectors are free
+    /// for another extent).
+    pub(crate) fn remove(&mut self, addr: PhysAddr) {
+        if let Some((stamp, _)) = self.map.remove(&addr) {
+            self.order.remove(&stamp);
+            self.unindex(addr);
+        }
     }
 
     /// Drops every entry whose address lies in `segment` (called when a
@@ -231,6 +242,20 @@ mod tests {
         assert_eq!(c.len(), 0);
         assert!(c.order.is_empty());
         assert!(c.by_segment.is_empty());
+    }
+
+    #[test]
+    fn remove_drops_one_entry() {
+        let mut c = BlockCache::new(4);
+        c.insert(addr(3, 0), &block(1));
+        c.insert(addr(3, 1), &block(2));
+        c.remove(addr(3, 0));
+        c.remove(addr(5, 0)); // nothing there
+        let mut buf = [0u8; 1024];
+        assert!(!c.get(addr(3, 0), &mut buf));
+        assert!(c.get(addr(3, 1), &mut buf));
+        assert_eq!((c.len(), c.order.len()), (1, 1));
+        assert_eq!(c.by_segment[&SegmentId::new(3)].len(), 1);
     }
 
     #[test]

@@ -429,10 +429,11 @@ impl<D: BlockDevice> Mutation<'_, D> {
         }
         self.lld.obs.shard_spread(spread);
 
-        // I5 (docs/INVARIANTS.md): the unit's writes may take the place
-        // of versions still in the open segment only if its commit record
-        // lands there too. Checked once, for the whole unit and to the
-        // byte; a unit that does not fit appends and rolls where it will.
+        // I5 (docs/INVARIANTS.md): the unit's writes may take the place,
+        // or free the sectors, of versions still in the open segment only
+        // if its commit record lands there too. Checked once, for the
+        // whole unit and to the byte, as if every write appended; a unit
+        // that does not fit appends and rolls where it will.
         let commit = Record::Commit {
             aru: id,
             ts: commit_ts,

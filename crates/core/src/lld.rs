@@ -399,7 +399,8 @@ pub(crate) struct Mutation<'a, D> {
     seal_awaited: bool,
     /// Sequence number of the open segment, while this session logs a
     /// unit that it has checked ends there, commit record and all: the
-    /// unit's tagged writes may absorb (docs/INVARIANTS.md I5). Set and
+    /// unit's tagged writes may absorb, or free the sectors of what they
+    /// supersede (docs/INVARIANTS.md I5). Set and
     /// cleared by `commit_concurrent`.
     pub(crate) unit_ends_in: Option<u64>,
 }
@@ -1566,6 +1567,13 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// same segment) and updates the committed state. Shared by simple
     /// writes, ARU commit, and cleaner relocation. The block reaches the
     /// device with its segment; until then reads find it in memory.
+    ///
+    /// A write that could not [absorb](Self::absorb_block) frees the
+    /// sectors of the version it supersedes, if the open segment holds
+    /// it and the write [commits there](Self::commits_in_open): the next
+    /// extent that fits takes them (docs/INVARIANTS.md I5). No reader
+    /// holds that address: every read resolves and reads it under the
+    /// block's shard lock, which this session holds for writing.
     pub(crate) fn place_block_data(
         &mut self,
         id: BlockId,
@@ -1575,32 +1583,50 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         reserve: usize,
     ) -> Result<PhysAddr> {
         let stored = extent(data);
-        let (addr, len) = match self.absorb_block(id, stored, ts, tag) {
-            Some(kept) => kept,
+        let (addr, len, frees) = match self.absorb_block(id, stored, ts, tag) {
+            Some((addr, len)) => (addr, len, false),
             None => {
                 self.ensure_room(stored.len() + WRITE_REC_LEN, reserve)?;
+                let here = self.commits_in_open(tag);
                 let b = self
                     .log()
                     .builder
                     .as_mut()
                     .expect("ensure_room leaves a builder");
+                let area = b.data_bytes();
                 let addr = b.push_extent(stored);
+                let reused = b.data_bytes() == area;
+                if !here {
+                    b.pin_extent(addr);
+                }
                 let len = b.push_record(&Record::Write {
                     block: id,
                     slot: addr.extent(),
                     ts,
                     aru: tag,
                 });
+                if reused {
+                    self.lld.stats.sectors_reused.add(u64::from(addr.sectors));
+                }
                 self.lld.stats.data_blocks_written.inc();
-                (addr, len)
+                (addr, len, here)
             }
         };
         self.lld.stats.records_emitted.inc();
         self.lld.stats.summary_bytes.add(len as u64);
 
-        self.lld.cache.lock().insert(addr, data);
         // Read here: a roll above may have had the cleaner move the block.
         let old = self.map.committed_view(id).and_then(|r| r.addr);
+        let freed = match old {
+            Some(old) if frees => (self.log().builder.as_mut())
+                .is_some_and(|b| b.free_extent(old))
+                .then_some(old),
+            _ => None,
+        };
+        if let Some(freed) = freed {
+            self.lld.cache.lock().remove(freed);
+        }
+        self.lld.cache.lock().insert(addr, data);
         self.adjust_addr(id, old, Some(addr));
         let r = self.rec_mut(StateRef::Committed, id)?;
         r.addr = Some(addr);
@@ -1629,10 +1655,11 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         tag: Option<AruId>,
     ) -> Option<(PhysAddr, usize)> {
         let held = self.map.committed_view(id)?.addr?;
-        let unit = self.unit_ends_in;
+        if !self.commits_in_open(tag) {
+            return None;
+        }
         let b = self.log().builder.as_mut()?;
-        let commits_here = tag.is_none() || unit == Some(b.seq());
-        if !(commits_here && b.slot() == held.segment && b.fits(WRITE_REC_LEN)) {
+        if !(b.slot() == held.segment && b.fits(WRITE_REC_LEN)) {
             return None;
         }
         if !b.rewrite_extent(held, stored) {
@@ -1646,5 +1673,17 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         });
         self.lld.stats.blocks_absorbed.inc();
         Some((held, len))
+    }
+
+    /// Whether a write tagged `tag` has its commit point — the record
+    /// that makes it effective at recovery — in the open segment, behind
+    /// its own `Write` record: an untagged write, or a tagged one of the
+    /// unit [`unit_ends_in`](Self::unit_ends_in) names. The one condition
+    /// under which a write may take the place of a version the open
+    /// segment holds, or free its sectors (docs/INVARIANTS.md I5).
+    fn commits_in_open(&mut self, tag: Option<AruId>) -> bool {
+        let unit = self.unit_ends_in;
+        tag.is_none()
+            || unit.is_some_and(|seq| self.log().builder.as_ref().is_some_and(|b| b.seq() == seq))
     }
 }

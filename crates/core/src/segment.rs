@@ -23,8 +23,14 @@
 //! Until the seal nothing of the segment is on the device, and the
 //! buffer is not append-only: a write to a block whose last version is
 //! still in it takes that version's place when its extent fits there
-//! ([`SegmentBuilder::rewrite_extent`]; the rule is docs/INVARIANTS.md
-//! I5) and only the summary grows.
+//! ([`SegmentBuilder::rewrite_extent`]) and only the summary grows.
+//! When it does not fit, the write places its extent like any other and
+//! the superseded version's sectors become a *free run*
+//! ([`SegmentBuilder::free_extent`]), which the next extent that fits
+//! fills before the data area grows ([`SegmentBuilder::push_extent`]).
+//! The rule for both is docs/INVARIANTS.md I5. So two `Write` records of
+//! one summary may name overlapping sectors; replay in record order
+//! makes the later one win.
 //!
 //! A flush seals whatever the segment holds, so a segment may be far
 //! smaller than its slot. The next one then starts in the same slot, at
@@ -172,7 +178,13 @@ pub(crate) struct SegmentBuilder {
     body: Vec<u8>,
     /// Sectors of the data area.
     n_sectors: u32,
-    /// Extents appended (for the seal's trace event).
+    /// Runs of the data area that hold no live version, as (first
+    /// sector, sectors), sorted and never adjacent.
+    free_runs: Vec<(u32, u32)>,
+    /// First sectors of extents whose records are not effective yet
+    /// ([`pin_extent`](Self::pin_extent)): never freed in this segment.
+    pinned: Vec<u32>,
+    /// Extents placed (for the seal's trace event).
     n_blocks: u32,
     /// The records so far; the seal moves them behind the data.
     summary: Vec<u8>,
@@ -204,6 +216,8 @@ impl SegmentBuilder {
             header: [0; HEADER_LEN],
             body: Vec::new(),
             n_sectors: 0,
+            free_runs: Vec::new(),
+            pinned: Vec::new(),
             n_blocks: 0,
             summary: Vec::new(),
             summary_weight: 0,
@@ -247,13 +261,15 @@ impl SegmentBuilder {
         self.base + 1
     }
 
-    /// Appends one block's [`extent`] to the data area and returns its
-    /// address.
+    /// Places one block's [`extent`] in the data area and returns its
+    /// address: in the smallest free run it fits (the run keeps what it
+    /// does not take), else appended. An all-zero extent takes no run.
     ///
     /// # Panics
     ///
     /// Panics if `extent` is not whole sectors of at most one block, or
-    /// does not fit; callers check [`fits`](Self::fits) first.
+    /// does not fit; callers check [`fits`](Self::fits) first, as if it
+    /// appended.
     pub(crate) fn push_extent(&mut self, extent: &[u8]) -> PhysAddr {
         assert!(
             extent.len() <= self.block_size && extent.len().is_multiple_of(SECTOR),
@@ -261,15 +277,73 @@ impl SegmentBuilder {
         );
         assert!(self.fits(extent.len()), "segment overflow");
         let sectors = (extent.len() / SECTOR) as u32;
-        let addr = PhysAddr {
-            segment: self.slot,
-            sector: self.data_start() + self.n_sectors,
-            sectors,
-        };
-        self.body.extend_from_slice(extent);
-        self.n_sectors += sectors;
         self.n_blocks += 1;
-        addr
+        let best = (self.free_runs.iter().enumerate())
+            .filter(|(_, &(_, len))| sectors > 0 && len >= sectors)
+            .min_by_key(|(_, &(_, len))| len)
+            .map(|(i, _)| i);
+        let sector = match best {
+            Some(i) => {
+                let (start, len) = self.free_runs[i];
+                if len == sectors {
+                    self.free_runs.remove(i);
+                } else {
+                    self.free_runs[i] = (start + sectors, len - sectors);
+                }
+                let at = (start - self.data_start()) as usize * SECTOR;
+                self.body[at..at + extent.len()].copy_from_slice(extent);
+                start
+            }
+            None => {
+                self.body.extend_from_slice(extent);
+                self.n_sectors += sectors;
+                self.data_start() + self.n_sectors - sectors
+            }
+        };
+        PhysAddr {
+            segment: self.slot,
+            sector,
+            sectors,
+        }
+    }
+
+    /// Makes the sectors of the extent at `addr` a free run, merged with
+    /// the runs beside it: what a version this segment holds leaves
+    /// behind when a record that is effective in the same segment
+    /// supersedes it (docs/INVARIANTS.md I5). `false`: `addr` is not in
+    /// this segment's data area, is pinned, or takes no sector, and
+    /// nothing changed.
+    pub(crate) fn free_extent(&mut self, addr: PhysAddr) -> bool {
+        if addr.sectors == 0
+            || self.extent_range(addr).is_none()
+            || self.pinned.contains(&addr.sector)
+        {
+            return false;
+        }
+        self.free_runs.push((addr.sector, addr.sectors));
+        self.free_runs.sort_unstable();
+        self.free_runs.dedup_by(|next, run| {
+            let adjacent = run.0 + run.1 == next.0;
+            if adjacent {
+                run.1 += next.1;
+            }
+            adjacent
+        });
+        debug_assert!(
+            (self.free_runs.windows(2)).all(|w| w[0].0 + w[0].1 < w[1].0),
+            "a freed extent overlaps a free run"
+        );
+        true
+    }
+
+    /// Keeps the extent at `addr` out of [`free_extent`](Self::free_extent)
+    /// for the rest of this segment: its record is tagged with a unit
+    /// whose commit record may come later in the log, so replay may make
+    /// it effective after whatever supersedes it here.
+    pub(crate) fn pin_extent(&mut self, addr: PhysAddr) {
+        if addr.sectors > 0 {
+            self.pinned.push(addr.sector);
+        }
     }
 
     /// Appends one summary record and returns the bytes it took.
@@ -725,6 +799,101 @@ mod tests {
         let zero = b.push_extent(&[]);
         assert!(b.rewrite_extent(zero, &[]));
         assert!(!b.rewrite_extent(zero, &[1u8; 512]));
+    }
+
+    /// A builder of 4 KiB blocks and extents of `sectors` sectors of
+    /// `byte` pushed into it in turn.
+    fn pushed(sectors: &[(u32, u8)]) -> (SegmentBuilder, Vec<PhysAddr>) {
+        let mut b = SegmentBuilder::new(SegmentId::new(1), 0, 1, 0, 7, 4096, 16 * 4096);
+        let addrs = (sectors.iter())
+            .map(|&(n, byte)| b.push_extent(&vec![byte; n as usize * SECTOR]))
+            .collect();
+        (b, addrs)
+    }
+
+    fn at(a: PhysAddr) -> (u32, u32) {
+        (a.sector, a.sectors)
+    }
+
+    /// I5 for sector runs, the builder's half: a freed extent's sectors
+    /// go to the smallest run that holds the next extent, which keeps
+    /// what it does not take; only an extent that fits no run grows the
+    /// data area.
+    #[test]
+    fn free_runs_are_filled_best_fit() {
+        // Three versions to free, with a live one behind each.
+        let (mut b, a) = pushed(&[(1, 1), (1, 9), (3, 2), (1, 9), (2, 3), (1, 9)]);
+        assert_eq!(at(a[4]), (7, 2));
+        for i in [0, 2, 4] {
+            assert!(b.free_extent(a[i]));
+        }
+        let area = b.data_bytes();
+        let put = |b: &mut SegmentBuilder, n: u32| at(b.push_extent(&vec![7; n as usize * SECTOR]));
+        assert_eq!(put(&mut b, 2), (7, 2), "the run of exactly two");
+        assert_eq!(put(&mut b, 1), (1, 1), "the run of exactly one");
+        assert_eq!(put(&mut b, 2), (3, 2), "the run of three, split");
+        assert_eq!(put(&mut b, 1), (5, 1), "its remainder");
+        assert_eq!(b.data_bytes(), area, "no run grew the data area");
+        assert_eq!(put(&mut b, 1), (10, 1), "no run left: appended");
+        assert_eq!(b.n_blocks(), 11);
+    }
+
+    /// Freed extents beside each other, or beside a run, make one run.
+    #[test]
+    fn free_runs_merge() {
+        let (mut b, a) = pushed(&[(1, 1), (1, 2), (2, 3), (1, 9)]);
+        b.free_extent(a[1]);
+        b.free_extent(a[0]);
+        b.free_extent(a[2]);
+        let four = b.push_extent(&[0x44; 4 * SECTOR]);
+        assert_eq!(at(four), (1, 4), "one run of the three versions");
+        assert_eq!(at(b.push_extent(&[0x55; SECTOR])), (6, 1));
+    }
+
+    /// What never takes or makes a run: an all-zero extent, an address
+    /// outside the open data area (another slot, a segment in front of
+    /// this one in its slot, past the area's end), and a pinned extent.
+    #[test]
+    fn free_runs_ignore_what_is_not_this_areas() {
+        let mut b = SegmentBuilder::new(SegmentId::new(1), 3, 1, 0, 7, 4096, 16 * 4096);
+        let a = b.push_extent(&[1; 2 * SECTOR]);
+        let live = b.push_extent(&[2; SECTOR]);
+        assert_eq!(at(a), (4, 2));
+        let elsewhere = [
+            PhysAddr {
+                segment: SegmentId::new(2),
+                ..a
+            },
+            PhysAddr { sector: 1, ..a },
+            PhysAddr { sector: 6, ..a },
+            PhysAddr { sectors: 0, ..a },
+        ];
+        for addr in elsewhere {
+            assert!(!b.free_extent(addr), "{addr}");
+        }
+        assert_eq!(at(b.push_extent(&[3; SECTOR])), (7, 1), "no run was made");
+        b.pin_extent(a);
+        assert!(!b.free_extent(a), "pinned");
+        assert!(b.free_extent(live));
+        let zero = b.push_extent(&[]);
+        assert_eq!(at(zero), (8, 0), "an all-zero extent takes no run");
+        assert_eq!(at(b.push_extent(&[4; SECTOR])), (6, 1));
+    }
+
+    /// A filled run reads back as the extent placed in it, zero-filled
+    /// past it — not the bytes of the version that was freed there.
+    #[test]
+    fn a_filled_run_reads_back_zero_filled() {
+        let (mut b, a) = pushed(&[(3, 0x5A), (1, 9)]);
+        b.free_extent(a[0]);
+        let filled = b.push_extent(&[0x11; SECTOR]);
+        assert_eq!(at(filled), (1, 1));
+        let mut buf = vec![0xEEu8; 4096];
+        assert!(b.read_block(filled, &mut buf));
+        assert!(buf[..SECTOR].iter().all(|&v| v == 0x11));
+        assert!(buf[SECTOR..].iter().all(|&v| v == 0));
+        assert!(b.read_block(a[1], &mut buf));
+        assert_eq!(&buf[..SECTOR], &[9; SECTOR]);
     }
 
     #[test]

@@ -58,6 +58,11 @@ flat_record! {
         /// a version superseded before its segment seals costs no device
         /// bytes. Not counted in `data_blocks_written`.
         blocks_absorbed: u64,
+        /// Sectors that extents took in runs the open segment had freed —
+        /// a superseded version's, when the write that superseded it did
+        /// not fit in its place (docs/INVARIANTS.md I5) — instead of
+        /// growing its data area.
+        sectors_reused: u64,
         /// Blocks copied forward by the segment cleaner.
         blocks_relocated: u64,
         /// Cleaner invocations: inline full-session runs plus background

@@ -3,7 +3,7 @@
 //! the open slot are served from, and the checkpoint that bounds the
 //! log suffix now that a wrapping log no longer does.
 
-use ld_core::{CleanerConfig, Ctx, Lld, LldConfig, Position};
+use ld_core::{CleanerConfig, ConcurrencyMode, Ctx, Lld, LldConfig, Position};
 use ld_disk::{BlockDevice, MemDisk, SmallRng};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
@@ -380,4 +380,149 @@ fn summary_bytes_are_what_the_seals_hold() {
         "{stats:?}"
     );
     assert_eq!(stats.summary_bytes, ld.device().bytes.load(Relaxed));
+}
+
+/// A disk of 4 KiB blocks, where a block's extent is one to eight
+/// sectors.
+fn config_4k(mode: Mode, concurrency: ConcurrencyMode) -> LldConfig {
+    LldConfig {
+        block_size: 4096,
+        segment_bytes: 16 * 4096,
+        max_blocks: Some(64),
+        max_lists: Some(8),
+        concurrency,
+        ..config(mode)
+    }
+}
+
+/// A 4 KiB block of `sectors` sectors of `byte`, zeros behind them.
+fn short(byte: u8, sectors: usize) -> Vec<u8> {
+    let mut b = vec![0u8; 4096];
+    b[..sectors * 512].fill(byte);
+    b
+}
+
+/// X written with a one-sector extent into the open segment, and Y
+/// allocated beside it.
+fn grow_disk(cfg: &LldConfig) -> (Lld<MemDisk>, ld_core::BlockId, ld_core::BlockId) {
+    let ld = Lld::format(MemDisk::new(1 << 22), cfg).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let x = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
+    let y = ld.new_block(Ctx::Simple, l, Position::After(x)).unwrap();
+    assert!(x < y, "a unit places its blocks by identifier");
+    ld.write(Ctx::Simple, x, &short(1, 1)).unwrap();
+    (ld, x, y)
+}
+
+/// Recovers the image of `ld` and reads `blocks` back.
+fn recovered(ld: Lld<MemDisk>, cfg: &LldConfig, blocks: &[ld_core::BlockId]) -> Vec<Vec<u8>> {
+    let image = ld.into_device().into_image();
+    let (ld, _) = Lld::recover_with(MemDisk::from_image(image), cfg).unwrap();
+    (blocks.iter())
+        .map(|&b| {
+            let mut buf = vec![0xEEu8; 4096];
+            ld.read(Ctx::Simple, b, &mut buf).unwrap();
+            buf
+        })
+        .collect()
+}
+
+/// docs/INVARIANTS.md I5 for sector runs: X grows from one sector to
+/// two in the open segment, and the sector its first version took is
+/// free for the next extent. Y, one sector, takes it: the seal writes
+/// three sectors of data, not four.
+#[test]
+fn a_version_superseded_in_the_open_segment_frees_its_sectors() {
+    each_mode(a_version_superseded_in_the_open_segment_frees_its_sectors_at);
+}
+
+fn a_version_superseded_in_the_open_segment_frees_its_sectors_at(mode: Mode) {
+    let cfg = config_4k(mode, ConcurrencyMode::Concurrent);
+    let (ld, x, y) = grow_disk(&cfg);
+    let first = ld.block_info(x).unwrap().addr.unwrap();
+    ld.write(Ctx::Simple, x, &short(2, 2)).unwrap();
+    ld.write(Ctx::Simple, y, &short(3, 1)).unwrap();
+    let at = ld.block_info(y).unwrap().addr.unwrap();
+    assert_eq!(
+        (at.segment, at.sector, at.sectors),
+        (first.segment, first.sector, 1)
+    );
+    ld.flush().unwrap();
+    let stats = ld.stats();
+    assert_eq!(stats.data_bytes_written, 3 * 512);
+    assert_eq!(stats.sectors_reused, 1);
+    let mut buf = vec![0u8; 4096];
+    ld.read(Ctx::Simple, y, &mut buf).unwrap();
+    assert_eq!(buf, short(3, 1));
+    assert_eq!(recovered(ld, &cfg, &[x, y]), [short(2, 2), short(3, 1)]);
+}
+
+/// The same inside one Concurrent unit that commits in the open
+/// segment: X's growing write frees the sector, and Y, of the same
+/// unit, takes it.
+#[test]
+fn a_unit_fills_the_sectors_its_own_write_freed() {
+    each_mode(a_unit_fills_the_sectors_its_own_write_freed_at);
+}
+
+fn a_unit_fills_the_sectors_its_own_write_freed_at(mode: Mode) {
+    let cfg = config_4k(mode, ConcurrencyMode::Concurrent);
+    let (ld, x, y) = grow_disk(&cfg);
+    let first = ld.block_info(x).unwrap().addr.unwrap();
+    let aru = ld.begin_aru().unwrap();
+    ld.write(Ctx::Aru(aru), x, &short(2, 2)).unwrap();
+    ld.write(Ctx::Aru(aru), y, &short(3, 1)).unwrap();
+    ld.end_aru(aru).unwrap();
+    let at = ld.block_info(y).unwrap().addr.unwrap();
+    assert_eq!((at.segment, at.sector), (first.segment, first.sector));
+    ld.flush().unwrap();
+    assert_eq!(ld.stats().data_bytes_written, 3 * 512);
+    assert_eq!(recovered(ld, &cfg, &[x, y]), [short(2, 2), short(3, 1)]);
+}
+
+/// In `Sequential` mode the ARU's write is tagged, and its commit
+/// record may come after the seal: the version it supersedes is the
+/// one a crash before `end_aru` brings back, so its sector is not
+/// freed, and a simple write behind it appends.
+#[test]
+fn a_sequential_unit_frees_no_sectors_before_its_commit() {
+    let cfg = config_4k((false, 8), ConcurrencyMode::Sequential);
+    let (ld, x, y) = grow_disk(&cfg);
+    let first = ld.block_info(x).unwrap().addr.unwrap();
+    let aru = ld.begin_aru().unwrap();
+    ld.write(Ctx::Aru(aru), x, &short(2, 2)).unwrap();
+    ld.write(Ctx::Simple, y, &short(3, 1)).unwrap();
+    let y_at = ld.block_info(y).unwrap().addr.unwrap();
+    ld.flush().unwrap();
+    let stats = ld.stats();
+    // Cut before `end_aru`.
+    assert_eq!(recovered(ld, &cfg, &[x, y]), [short(1, 1), short(3, 1)]);
+    assert_ne!(y_at.sector, first.sector);
+    assert_eq!(
+        (stats.data_bytes_written, stats.sectors_reused),
+        (4 * 512, 0)
+    );
+}
+
+/// A simple write that supersedes a `Sequential` ARU's tagged version
+/// frees nothing either: replay applies the ARU's record at its commit,
+/// after the simple one, so the tagged version's sectors must keep it.
+#[test]
+fn a_tagged_version_pending_its_commit_keeps_its_sectors() {
+    let cfg = config_4k((false, 8), ConcurrencyMode::Sequential);
+    let (ld, x, y) = grow_disk(&cfg);
+    let aru = ld.begin_aru().unwrap();
+    ld.write(Ctx::Aru(aru), x, &short(2, 1)).unwrap();
+    let tagged = ld.block_info(x).unwrap().addr.unwrap();
+    ld.write(Ctx::Simple, x, &short(4, 2)).unwrap();
+    ld.write(Ctx::Simple, y, &short(3, 1)).unwrap();
+    let y_at = ld.block_info(y).unwrap().addr.unwrap();
+    ld.end_aru(aru).unwrap();
+    ld.flush().unwrap();
+    let reused = ld.stats().sectors_reused;
+    // Replay ends on the ARU's version (its records apply at its commit
+    // record, docs/INVARIANTS.md I1 "Not reached"), intact.
+    assert_eq!(recovered(ld, &cfg, &[x, y]), [short(2, 1), short(3, 1)]);
+    assert_ne!(y_at.sector, tagged.sector);
+    assert_eq!(reused, 0);
 }

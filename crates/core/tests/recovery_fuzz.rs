@@ -2,7 +2,9 @@
 //! makes `recover` panic).
 //!
 //! Each case takes one of three images — a checkpoint, a suffix of full
-//! and in-slot partial segments, ARUs, tagged commits and deletions — and
+//! and in-slot partial segments, ARUs, tagged commits and deletions, and
+//! on 4 KiB blocks a sector a grown block left free and another block
+//! filled (docs/INVARIANTS.md I5) — and
 //! flips 1–4 bits in it. Two differ in their block size: on 512-byte
 //! blocks a sector is a block, on 4 KiB blocks most in-slot headers sit
 //! in the middle of a block, right behind the summary in front of them
@@ -330,6 +332,21 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
         ld.write(Ctx::Simple, ring[usize::from(n) % ring.len()], &block(n))
             .unwrap();
     }
+    // A block that grows by a sector in the open segment leaves the
+    // sector its version took free, and the next extent of one sector
+    // fills it: a summary whose `Write` records overlap. (On 512-byte
+    // blocks a sector is the block: nothing grows, the write absorbs.)
+    let sectors = |byte: u8, n: usize| {
+        let mut b = block(0);
+        b[..(n * SECTOR).min(block_size)].fill(byte);
+        b
+    };
+    ld.flush().unwrap();
+    let reused = ld.stats().sectors_reused;
+    ld.write(Ctx::Simple, late[0], &sectors(0xA1, 1)).unwrap();
+    ld.write(Ctx::Simple, late[0], &sectors(0xA2, 2)).unwrap();
+    ld.write(Ctx::Simple, late[1], &sectors(0xA3, 1)).unwrap();
+    assert_eq!(ld.stats().sectors_reused > reused, block_size > SECTOR);
     ld.delete_block(Ctx::Simple, early[3]).unwrap();
     ld.delete_block(Ctx::Simple, late[2]).unwrap();
     ld.delete_list(Ctx::Simple, doomed).unwrap();
@@ -367,6 +384,10 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
     let mut buf = block(0);
     recovered.read(Ctx::Simple, early[0], &mut buf).unwrap();
     assert_eq!(buf, block(0xEE), "the ARU the checkpoint was asked in");
+    for (b, want) in [(late[0], sectors(0xA2, 2)), (late[1], sectors(0xA3, 1))] {
+        recovered.read(Ctx::Simple, b, &mut buf).unwrap();
+        assert_eq!(buf, want, "a filled run");
+    }
     drop(recovered);
     let newer = layout.ckpt_b as usize;
     assert_eq!(u64_at(&image, newer + 8), report.checkpoint_seq, "area B");

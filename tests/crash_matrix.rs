@@ -1061,12 +1061,17 @@ fn two_write_seal(shards: usize) {
 // Absorbed writes (docs/INVARIANTS.md I5)
 // ----------------------------------------------------------------------
 
-const ABSORB_BS: usize = 512;
+/// Two sectors: a version grows from one to two, and its first sector
+/// is then a free run of the open segment.
+const ABSORB_BS: usize = 1024;
 /// Blocks to a slot.
 const ABSORB_SLOT: usize = 32;
 /// The units swept: blocks whose last version is in the open segment,
-/// and blocks whose last version is in a sealed one.
-const ABSORB_UNITS: [(usize, usize); 4] = [(1, 1), (2, 2), (3, 1), (2, 0)];
+/// and blocks whose last version is in a sealed one. (1, 4) has more of
+/// the latter than the sectors the former leave free hold, so some
+/// append, and a unit that rolls may do so after others took free
+/// sectors.
+const ABSORB_UNITS: [(usize, usize); 5] = [(1, 1), (2, 2), (3, 1), (2, 0), (1, 4)];
 
 fn absorb_config(shards: usize, concurrency: ld_aru::core::ConcurrencyMode) -> LldConfig {
     LldConfig {
@@ -1077,6 +1082,22 @@ fn absorb_config(shards: usize, concurrency: ld_aru::core::ConcurrencyMode) -> L
         map_shards: shards,
         concurrency,
         ..LldConfig::default()
+    }
+}
+
+/// Version `v` of a block: `sectors` sectors of `v`, zeros behind.
+fn absorb_block(v: u8, sectors: usize) -> Vec<u8> {
+    let mut b = vec![0u8; ABSORB_BS];
+    b[..sectors * SECTOR].fill(v);
+    b
+}
+
+/// The sectors each version of an `x` takes: version 3 grows to two;
+/// a `y` is one sector at every version.
+fn x_sectors(v: u8) -> usize {
+    match v {
+        3 => 2,
+        _ => 1,
     }
 }
 
@@ -1095,16 +1116,30 @@ struct AbsorbRun {
     /// rolled the segment.
     absorbed: u64,
     rolled: bool,
+    /// Sectors that the unit's writes, and the simple writes behind it,
+    /// took in runs the open segment had freed (`sectors_reused`).
+    filled_by_unit: u64,
+    filled_after: u64,
+    /// The `x` whose version of the unit went back to the sector the
+    /// `x` held at version 2.
+    returned: usize,
     /// Seals `cleanerd` wrote (`LldStats::seals_handed_off`).
     handed_off: u64,
 }
 
-/// Version 1 of every `x` and `y`, flushed. Version 2 of every `x`,
-/// untagged, into the open segment, and `fillers` other blocks behind
-/// it. Then the unit: version 3 of every `x` and `y` (the `x` first, by
-/// identifier: the ones a unit may absorb come before the ones that take
-/// room). Then enough other blocks to roll the segment its commit record
-/// is in. No barrier after the first.
+/// Version 1 of every `x` and `y`, one sector each, flushed. Then
+/// `fillers` other blocks of one sector. Version 2 of every `x`, one
+/// sector, each with a block of one sector behind it, and then version
+/// 3, two sectors, all untagged, into the open segment: each `x` leaves
+/// a free sector behind. Then the unit: version 4 of every `x` and `y`,
+/// one sector (the `x` first, by identifier: the ones a unit may absorb
+/// come before the ones that take room). Where the unit commits in the
+/// open segment the `x` are absorbed and the `y` fill free sectors;
+/// where it does not, an `x` may go back to the sector it held at
+/// version 2.
+/// Then enough other blocks of one sector to roll the segment its
+/// commit record is in, the first of which fill what free sectors are
+/// left. No barrier after the first.
 fn absorb_run(shards: usize, nx: usize, ny: usize, fillers: usize) -> AbsorbRun {
     let cfg = absorb_config(shards, ld_aru::core::ConcurrencyMode::Concurrent);
     let ld = Lld::format(ReorderDisk::from_image(vec![0u8; 1 << 20]), &cfg).unwrap();
@@ -1114,30 +1149,43 @@ fn absorb_run(shards: usize, nx: usize, ny: usize, fillers: usize) -> AbsorbRun 
             .map(|_| ld.new_block(Ctx::Simple, list, Position::First).unwrap())
             .collect()
     };
-    let (x, y, filler) = (fresh(nx), fresh(ny), fresh(fillers + ABSORB_SLOT));
-    let put = |ctx, b, version: u8| ld.write(ctx, b, &[version; ABSORB_BS]).unwrap();
-    x.iter().chain(&y).for_each(|&b| put(Ctx::Simple, b, 1));
+    let (x, y, spacer) = (fresh(nx), fresh(ny), fresh(nx));
+    let filler = fresh(fillers + 2 * ABSORB_SLOT);
+    let put = |ctx, b, v: u8, sectors| ld.write(ctx, b, &absorb_block(v, sectors)).unwrap();
+    let addr = |b| ld.block_info(b).unwrap().addr.unwrap();
+    x.iter().chain(&y).for_each(|&b| put(Ctx::Simple, b, 1, 1));
     ld.flush().unwrap();
 
-    x.iter().for_each(|&b| put(Ctx::Simple, b, 2));
-    let sealed = ld.stats().segments_sealed;
     filler[..fillers]
         .iter()
-        .for_each(|&b| put(Ctx::Simple, b, 7));
+        .for_each(|&b| put(Ctx::Simple, b, 7, 1));
+    let sealed = ld.stats().segments_sealed;
+    for (&b, &s) in x.iter().zip(&spacer) {
+        put(Ctx::Simple, b, 2, 1);
+        put(Ctx::Simple, s, 7, 1);
+    }
+    let held: Vec<_> = x.iter().map(|&b| addr(b)).collect();
+    x.iter().for_each(|&b| put(Ctx::Simple, b, 3, 2));
     let x_open = ld.stats().segments_sealed == sealed;
 
     let aru = ld.begin_aru().unwrap();
-    x.iter().chain(&y).for_each(|&b| put(Ctx::Aru(aru), b, 3));
+    x.iter()
+        .chain(&y)
+        .for_each(|&b| put(Ctx::Aru(aru), b, 4, 1));
     let before = ld.stats();
     ld.end_aru(aru).unwrap();
     let after = ld.stats();
+    let returned = x.iter().zip(&held).filter(|&(&b, &a)| addr(b) == a).count();
     filler[fillers..]
         .iter()
-        .for_each(|&b| put(Ctx::Simple, b, 7));
+        .for_each(|&b| put(Ctx::Simple, b, 7, 1));
     assert!(ld.stats().segments_sealed > after.segments_sealed);
-    let handed_off = ld.stats().seals_handed_off;
+    let last = ld.stats();
     AbsorbRun {
-        handed_off,
+        handed_off: last.seals_handed_off,
+        filled_by_unit: after.sectors_reused - before.sectors_reused,
+        filled_after: last.sectors_reused - after.sectors_reused,
+        returned,
         dev: ld.into_device(),
         cfg,
         x,
@@ -1149,33 +1197,40 @@ fn absorb_run(shards: usize, nx: usize, ny: usize, fillers: usize) -> AbsorbRun 
 }
 
 impl AbsorbRun {
-    /// Recovers `image` and returns the version every `x` holds and the
-    /// version every `y` holds. The unit is all or nothing, and when it
-    /// is nothing what it superseded is intact: (1, 1) with nothing past
-    /// the barrier, (2, 1) with the untagged writes, (3, 3) with the
-    /// unit.
+    /// Recovers `image` and returns the oldest version an `x` holds and
+    /// the version every `y` holds, each whole and zero behind its
+    /// sectors. The unit is all or nothing, and when it is nothing what
+    /// it superseded is intact: (1, 1) with nothing past the barrier,
+    /// (2, 1) or (3, 1) with the untagged writes, (4, 4) with the unit.
+    /// The untagged writes are a prefix: an `x` written later holds no
+    /// newer version than one written before it.
     fn versions(&self, image: Vec<u8>, at: &str) -> (u8, u8) {
         let (ld, _) = Lld::recover_with(MemDisk::from_image(image), &self.cfg)
             .unwrap_or_else(|e| panic!("{at}: {e}"));
-        let version = |blocks: &[ld_aru::core::BlockId]| {
+        let version = |blocks: &[ld_aru::core::BlockId], sectors: fn(u8) -> usize| {
             let read: Vec<u8> = (blocks.iter())
                 .map(|&b| {
                     let mut buf = vec![0u8; ABSORB_BS];
                     ld.read(Ctx::Simple, b, &mut buf).unwrap();
-                    assert!(buf.iter().all(|&v| v == buf[0]), "{at}: a mixed block");
-                    buf[0]
+                    let v = buf[0];
+                    assert!(buf == absorb_block(v, sectors(v)), "{at}: a mixed block");
+                    v
                 })
                 .collect();
+            let unit = read.iter().filter(|&&v| v == 4).count();
             assert!(
-                read.iter().all(|&v| v == read[0]),
+                read.is_sorted_by(|a, b| a >= b) && (unit == 0 || unit == read.len()),
                 "{at}: versions {read:?}"
             );
-            read.first().copied()
+            read.last().copied()
         };
-        let vx = version(&self.x).expect("a unit overwrites");
-        let got = (vx, version(&self.y).unwrap_or(if vx == 3 { 3 } else { 1 }));
+        let vx = version(&self.x, x_sectors).expect("a unit overwrites");
+        let got = (
+            vx,
+            version(&self.y, |_| 1).unwrap_or(if vx == 4 { 4 } else { 1 }),
+        );
         assert!(
-            [(1, 1), (2, 1), (3, 3)].contains(&got),
+            [(1, 1), (2, 1), (3, 1), (4, 4)].contains(&got),
             "{at}: the overwritten blocks hold version {}, the others version {}",
             got.0,
             got.1
@@ -1187,16 +1242,20 @@ impl AbsorbRun {
 /// I5 (a). A unit of `nx + ny` blocks against an open segment at every
 /// fill level around the one where it stops fitting, and the image after
 /// every seal. Where the unit fits, commit record and all, its writes
-/// take the place of the versions in the open segment; where it does
-/// not it absorbs nothing: its commit record is in the next segment,
-/// and a cut between the two finds the untagged versions where they
-/// were.
+/// take the place of the versions in the open segment, and its other
+/// writes and the simple ones behind it fill the sectors that versions
+/// superseded in that segment left free; where it does not it absorbs
+/// nothing, and a cut between the segment and the next, which holds its
+/// commit record, finds the untagged versions where they were — also
+/// where a write of the unit went back to a sector its block held
+/// earlier in the segment.
 #[test]
 fn an_absorbed_unit_is_all_or_nothing_at_every_seal() {
     for shards in [8, 1] {
         for (nx, ny) in ABSORB_UNITS {
             let (mut fit, mut straddled, mut handed_off) = (0, 0, 0);
-            for fillers in 0..ABSORB_SLOT {
+            let (mut filled_by_unit, mut filled_after, mut returned) = (0, 0, 0);
+            for fillers in 0..2 * ABSORB_SLOT {
                 let at = format!("{shards} shards, {nx}+{ny} blocks behind {fillers}");
                 let run = absorb_run(shards, nx, ny, fillers);
                 handed_off += run.handed_off;
@@ -1213,23 +1272,44 @@ fn an_absorbed_unit_is_all_or_nothing_at_every_seal() {
                     })
                     .collect();
                 assert_eq!(seen[0], (1, 1), "{at}");
-                assert_eq!(seen[seals], (3, 3), "{at}");
+                assert_eq!(seen[seals], (4, 4), "{at}");
                 assert!(seen.is_sorted(), "{at}: {seen:?}");
+                returned += run.returned;
                 if run.rolled {
                     assert_eq!(run.absorbed, 0, "{at}: a unit that rolled absorbed");
                     // Part of it sealed without its commit record.
-                    assert!(!run.x_open || seen.contains(&(2, 1)), "{at}: {seen:?}");
+                    assert!(!run.x_open || seen.contains(&(3, 1)), "{at}: {seen:?}");
                     straddled += usize::from(run.x_open);
+                } else if run.x_open && run.absorbed == 0 {
+                    // It did not fit as if every write appended, so it
+                    // absorbed nothing; its `x` went back to the sectors
+                    // they had left free, and it took no roll after all.
+                    assert_eq!(run.returned, nx, "{at}");
                 } else if run.x_open {
                     assert_eq!(run.absorbed, nx as u64, "{at}: it fits");
-                    assert!(!seen.contains(&(2, 1)), "{at}: {seen:?}");
+                    assert!(!seen.contains(&(3, 1)), "{at}: {seen:?}");
+                    assert_eq!(run.returned, 0, "{at}: absorbed in place");
                     fit += 1;
+                    filled_by_unit += run.filled_by_unit;
+                    filled_after += run.filled_after;
                 }
             }
             // A unit of overwrites alone takes no room but its records'.
             assert!(
                 fit > 0 && (straddled > 0 || ny == 0),
                 "{nx}+{ny}: {fit}, {straddled}"
+            );
+            // The three ways a free run is filled: by a block of the
+            // unit, by a simple write behind it, and by a block going
+            // back to where it was.
+            assert!(
+                (filled_by_unit > 0 || ny == 0) && (filled_after > 0 || ny >= nx),
+                "{nx}+{ny}: {filled_by_unit} sectors filled by the unit, {filled_after} after it"
+            );
+            assert!(returned > 0, "{nx}+{ny}: no block went back");
+            eprintln!(
+                "{shards} shards, {nx}+{ny}: {filled_by_unit} sectors filled by the unit, \
+                 {filled_after} after it, {returned} blocks went back"
             );
             // The default writer: some of those seals were `cleanerd`'s
             // (at one shard every session is a full one and writes its
@@ -1256,7 +1336,7 @@ fn an_absorbed_unit_is_all_or_nothing_under_reordered_persistence() {
     };
     for shards in [8, 1] {
         for (nx, ny) in ABSORB_UNITS {
-            let runs = (0..ABSORB_SLOT).map(|fillers| absorb_run(shards, nx, ny, fillers));
+            let runs = (0..2 * ABSORB_SLOT).map(|fillers| absorb_run(shards, nx, ny, fillers));
             for (fillers, run) in runs.enumerate().filter(|(_, run)| run.x_open) {
                 for &seed in &seeds {
                     let mut rng = SmallRng::seed_from_u64(0xC4A5_4005 ^ seed);
