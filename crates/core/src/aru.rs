@@ -1,6 +1,7 @@
 //! Per-ARU shadow state: alternative records, buffered block data, and
 //! the list-operation log.
 
+use crate::obs::ActiveSpan;
 use crate::state::StateOverlay;
 use crate::types::{AruId, BlockId, ListId, Timestamp};
 use std::collections::BTreeMap;
@@ -38,12 +39,16 @@ pub(crate) struct Aru {
     /// Data written inside this ARU, buffered until commit (at commit
     /// each block enters the segment stream and gets a physical
     /// address). Keyed and flushed in block order for determinism; one
-    /// buffered version per block (the most recent write wins).
+    /// buffered version per block (the most recent write wins), held as
+    /// its [`extent`](crate::segment::extent): the block reads as it,
+    /// zero-filled.
     pub(crate) shadow_data: BTreeMap<BlockId, Vec<u8>>,
     /// The list-operation log, replayed in order at commit.
     pub(crate) link_log: Vec<ListOp>,
-    /// When the ARU began (informational).
-    pub(crate) started: Timestamp,
+    /// When the ARU began, and its lifecycle counters
+    /// (docs/OBSERVABILITY.md): kept here, under the slot lock every
+    /// operation of the ARU takes anyway.
+    pub(crate) span: ActiveSpan,
     /// Identifiers deallocated by this ARU's operations; released for
     /// reuse only when the commit record has been emitted (so recovery
     /// can never observe a reallocation that precedes the deallocating
@@ -66,17 +71,22 @@ pub(crate) struct WriteTag {
 }
 
 impl Aru {
-    pub(crate) fn new(id: AruId, started: Timestamp) -> Self {
+    pub(crate) fn new(id: AruId, span: ActiveSpan) -> Self {
         Aru {
             id,
             shadow: StateOverlay::default(),
             shadow_data: BTreeMap::new(),
             link_log: Vec::new(),
-            started,
+            span,
             pending_free_blocks: Vec::new(),
             pending_free_lists: Vec::new(),
             write_tag: None,
         }
+    }
+
+    /// The logical time at which the ARU began.
+    pub(crate) fn started(&self) -> Timestamp {
+        Timestamp::new(self.span.begin_ts)
     }
 }
 
@@ -86,17 +96,21 @@ mod tests {
 
     #[test]
     fn new_aru_is_empty() {
-        let a = Aru::new(AruId::new(1), Timestamp::new(5));
+        let span = ActiveSpan {
+            begin_ts: 5,
+            ..ActiveSpan::default()
+        };
+        let a = Aru::new(AruId::new(1), span);
         assert!(a.shadow.is_empty());
         assert!(a.shadow_data.is_empty());
         assert!(a.link_log.is_empty());
-        assert_eq!(a.started, Timestamp::new(5));
+        assert_eq!(a.started(), Timestamp::new(5));
         assert_eq!(a.id, AruId::new(1));
     }
 
     #[test]
     fn shadow_data_keeps_latest_write_per_block() {
-        let mut a = Aru::new(AruId::new(1), Timestamp::ZERO);
+        let mut a = Aru::new(AruId::new(1), ActiveSpan::default());
         a.shadow_data.insert(BlockId::new(3), vec![1, 2]);
         a.shadow_data.insert(BlockId::new(3), vec![9, 9]);
         assert_eq!(a.shadow_data.len(), 1);

@@ -37,6 +37,7 @@
 use crate::error::Result;
 use crate::layout::Layout;
 use crate::lld::{LldInner, LogState, Mutation};
+use crate::segment::extent;
 use crate::types::BlockId;
 use ld_disk::BlockDevice;
 use std::sync::atomic::Ordering;
@@ -269,7 +270,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 self.lld.read_extent(addr, &mut buf)?;
                 // Re-enter the block with its original timestamp: the
                 // relocation is not a logical write.
-                self.place_block_data(id, &buf, rec.ts, None, 0)?;
+                self.place_block_data(id, extent(&buf), rec.ts, None, 0)?;
                 self.lld.stats.blocks_relocated.inc();
             }
             debug_assert!(self.log().residents[victim as usize].is_empty());

@@ -64,7 +64,7 @@ use crate::cleaner::cleaning_gains;
 use crate::error::Result;
 use crate::lld::{Lld, LldInner};
 use crate::obs::{cleaner_trace, Obs, Stage};
-use crate::segment::SegmentBuilder;
+use crate::segment::{extent, SegmentBuilder};
 use crate::types::{BlockId, PhysAddr, SegmentId};
 use ld_disk::{BlockDevice, Condvar, Mutex};
 use std::sync::atomic::Ordering;
@@ -567,7 +567,7 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
                     // Still mapped at the prefetched address, and the
                     // victim still holds the snapshotted segment: the
                     // prefetched bytes are the committed version.
-                    m.place_block_data(*id, data, ts, None, 1)?;
+                    m.place_block_data(*id, extent(data), ts, None, 1)?;
                     out.relocated += 1;
                     out.moved += u64::from(addr.sectors);
                     m.lld.stats.blocks_relocated.inc();

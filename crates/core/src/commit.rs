@@ -29,7 +29,7 @@ use crate::config::ConcurrencyMode;
 use crate::dedup::{Reservation, TaggedCommit, WriteIdOutcome};
 use crate::error::{LldError, Result};
 use crate::lld::{LldInner, Mutation, StateRef};
-use crate::segment::extent;
+use crate::obs::ActiveSpan;
 use crate::shard::SCRATCH_ARU_RAW;
 use crate::state::MapId;
 use crate::summary::{Record, WRITE_REC_LEN};
@@ -64,58 +64,53 @@ impl<D: BlockDevice> LldInner<D> {
         self.cleaner_gate();
         let timer = self.obs.timer();
         let raw = id.get();
-        let res = match self.concurrency {
+        let (ts, span) = match self.concurrency {
             ConcurrencyMode::Sequential => self.with_mutation(|m| {
                 // "Old" LLD: operations already applied to the committed
                 // state (tagged); only the commit record is needed.
-                let Some(aru) = m.map.aru_remove(raw) else {
+                let Some(mut aru) = m.map.aru_remove(raw) else {
                     return Err(LldError::UnknownAru(id));
                 };
                 let ts = m.tick();
                 m.emit(Record::Commit { aru: id, ts })?;
-                m.release_ids(aru.pending_free_blocks);
-                m.release_ids(aru.pending_free_lists);
+                m.release_ids(std::mem::take(&mut aru.pending_free_blocks));
+                m.release_ids(std::mem::take(&mut aru.pending_free_lists));
                 m.lld.stats.arus_committed.inc();
-                Ok(ts.get())
-            }),
-            ConcurrencyMode::Concurrent => self.end_aru_concurrent(id),
+                let span = aru.span;
+                m.map.retire(aru);
+                Ok((ts.get(), span))
+            })?,
+            ConcurrencyMode::Concurrent => self.end_aru_concurrent(id)?,
         };
-        match &res {
-            Ok(ts) => self.obs.aru_commit(raw, *ts, timer),
-            Err(LldError::CommitConflict { .. }) => self.obs.aru_conflict(raw, self.now()),
-            Err(_) => {}
-        }
-        res.map(|_| ())
+        self.obs.aru_commit(raw, &span, ts, timer);
+        Ok(())
     }
 
-    fn end_aru_concurrent(&self, id: AruId) -> Result<u64> {
+    /// Commits a concurrent ARU: its commit time and its span.
+    fn end_aru_concurrent(&self, id: AruId) -> Result<(u64, ActiveSpan)> {
         let raw = id.get();
         // Plan the session under the ARU's slot lock alone: which shards
-        // does the commit touch, and is it insert-only?
-        let plan = {
-            let slots = self.maps.lock_arus(self.maps.bit_of(raw));
-            let Some(aru) = slots[0].1.get(&raw) else {
-                return Err(LldError::UnknownAru(id));
-            };
-            self.scoped_commit_shards(aru)
-                .filter(|_| self.commit_headroom_ok(aru.shadow_data.len() as u64))
+        // does the commit touch, and is it insert-only? A scoped commit
+        // keeps the slot for its session.
+        let slot = self.maps.lock_arus(self.maps.bit_of(raw));
+        let Some(aru) = slot.get(self.maps.shard_of(raw)).and_then(|m| m.get(raw)) else {
+            return Err(LldError::UnknownAru(id));
         };
+        let plan = self
+            .scoped_commit_shards(aru)
+            .filter(|_| self.commit_headroom_ok(aru.shadow_data.len() as u64));
         let res = match plan {
             Some(shards) => {
-                let r = self.with_mutation_at(self.maps.bit_of(raw), shards, |m| {
-                    // The slot lock was dropped between planning and the
-                    // session: the ARU may have been ended elsewhere.
-                    if !m.map.aru_contains(raw) {
-                        return Err(LldError::UnknownAru(id));
-                    }
-                    m.commit_concurrent(id)
-                });
+                let r = self.with_mutation_over(slot, shards, |m| m.commit_concurrent(id));
                 self.after_session(r.is_ok());
                 r
             }
             None => {
+                drop(slot);
                 self.stats.commit_full_fallbacks.inc();
                 self.with_mutation(|m| {
+                    // The slot lock was dropped between planning and the
+                    // session: the ARU may have been ended elsewhere.
                     if !m.map.aru_contains(raw) {
                         return Err(LldError::UnknownAru(id));
                     }
@@ -123,7 +118,7 @@ impl<D: BlockDevice> LldInner<D> {
                 })
             }
         };
-        res.map(|()| self.now())
+        res.map(|span| (self.now(), span))
     }
 
     /// The shard set a scoped commit of `aru` needs, or `None` if the
@@ -233,8 +228,8 @@ impl<D: BlockDevice> LldInner<D> {
         // The key is reserved: tag the ARU so the commit journals the
         // write-id record and records the outcome, then commit.
         {
-            let mut slots = self.maps.lock_arus(self.maps.bit_of(id.get()));
-            match slots[0].1.get_mut(&id.get()) {
+            let mut slot = self.maps.lock_aru(id.get());
+            match slot.get_mut(id.get()) {
                 Some(aru) => {
                     aru.write_tag = Some(WriteTag {
                         client,
@@ -243,7 +238,7 @@ impl<D: BlockDevice> LldInner<D> {
                     });
                 }
                 None => {
-                    drop(slots);
+                    drop(slot);
                     self.dedup.lock().release(client, write_id);
                     self.dedup_cv.notify_all();
                     return Err(LldError::UnknownAru(id));
@@ -322,16 +317,17 @@ impl<D: BlockDevice> LldInner<D> {
     /// operations apply directly to the committed state and cannot be
     /// rolled back at run time.
     pub fn abort_aru(&self, id: AruId) -> Result<()> {
-        let mut slots = self.maps.lock_arus(self.maps.bit_of(id.get()));
-        if !slots[0].1.contains_key(&id.get()) {
+        let mut slot = self.maps.lock_aru(id.get());
+        if slot.get(id.get()).is_none() {
             return Err(LldError::UnknownAru(id));
         }
         if self.concurrency == ConcurrencyMode::Sequential {
             return Err(LldError::AbortUnsupported);
         }
-        slots[0].1.remove(&id.get());
+        let aru = slot.remove(id.get()).expect("checked above");
         self.stats.arus_aborted.inc();
-        self.obs.aru_abort(id.get(), self.now());
+        self.obs.aru_abort(id.get(), &aru.span, self.now());
+        slot.retire(aru);
         Ok(())
     }
 }
@@ -344,7 +340,9 @@ impl<D: BlockDevice> Mutation<'_, D> {
         }
     }
 
-    fn commit_concurrent(&mut self, id: AruId) -> Result<()> {
+    /// Commits concurrent ARU `id` in this session, returning its span;
+    /// a conflict aborts it and closes its span here.
+    fn commit_concurrent(&mut self, id: AruId) -> Result<ActiveSpan> {
         let raw = id.get();
 
         // ---- Validation pass -------------------------------------------------
@@ -353,18 +351,13 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // (b) the list-operation log must re-apply cleanly, checked
         //     against a scratch shadow state so the committed state is
         //     untouched on failure. The scratch ARU lives outside the
-        //     slot table (sentinel id), so validation needs no extra
-        //     locks.
+        //     slot table (sentinel id, a spare descriptor of the held
+        //     slot), so validation needs no extra locks. The log leaves
+        //     the ARU for the check and returns; an empty one is not
+        //     checked.
         let mut conflict: Option<String> = None;
-        let data_blocks: Vec<BlockId> = self
-            .map
-            .aru(raw)
-            .expect("caller checked")
-            .shadow_data
-            .keys()
-            .copied()
-            .collect();
-        for b in &data_blocks {
+        let aru = self.map.aru(raw).expect("caller checked");
+        for b in aru.shadow_data.keys() {
             if self.map.committed_view(*b).is_none_or(|r| !r.allocated) {
                 conflict = Some(format!(
                     "buffered write to {b}, which is no longer allocated"
@@ -372,10 +365,11 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 break;
             }
         }
-        if conflict.is_none() {
-            let ops = self.map.aru(raw).expect("caller checked").link_log.clone();
+        if conflict.is_none() && !aru.link_log.is_empty() {
+            let aru = self.map.aru_mut(raw).expect("caller checked");
+            let ops = std::mem::take(&mut aru.link_log);
             let scratch = AruId::new(SCRATCH_ARU_RAW);
-            self.map.scratch = Some(Aru::new(scratch, Timestamp::ZERO));
+            self.map.begin_scratch(raw);
             let mut fb = Vec::new();
             let mut fl = Vec::new();
             for op in &ops {
@@ -390,17 +384,20 @@ impl<D: BlockDevice> Mutation<'_, D> {
                     break;
                 }
             }
-            self.map.scratch = None;
+            self.map.end_scratch(raw);
+            self.map.aru_mut(raw).expect("caller checked").link_log = ops;
         }
         if let Some(detail) = conflict {
-            self.map.aru_remove(raw);
+            let aru = self.map.aru_remove(raw).expect("caller checked");
+            (self.lld.obs).aru_conflict(raw, &aru.span, self.lld.now());
+            self.map.retire(aru);
             self.lld.stats.commit_conflicts.inc();
             self.lld.stats.arus_aborted.inc();
             return Err(LldError::CommitConflict { aru: id, detail });
         }
 
         // ---- Real pass --------------------------------------------------------
-        let aru = self.map.aru_remove(raw).expect("validated above");
+        let mut aru = self.map.aru_remove(raw).expect("validated above");
         let commit_ts = self.tick();
 
         // Shard-spread observability: how many mapping shards did this
@@ -441,7 +438,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         let links = aru.link_log.iter().map(|op| op_record(op, id, commit_ts));
         let write_id = aru.write_tag.map(|tag| write_id_record(tag, id, commit_ts));
         let writes = (aru.shadow_data.values())
-            .map(|data| extent(data).len() + WRITE_REC_LEN)
+            .map(|stored| stored.len() + WRITE_REC_LEN)
             .sum::<usize>();
         let bytes = writes
             + links
@@ -467,8 +464,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // per-shard inserts below never reach an un-held shard.)
         self.release_ids(freed_blocks);
         self.release_ids(freed_lists);
-        self.release_ids(aru.pending_free_blocks);
-        self.release_ids(aru.pending_free_lists);
+        self.release_ids(std::mem::take(&mut aru.pending_free_blocks));
+        self.release_ids(std::mem::take(&mut aru.pending_free_lists));
         self.lld.stats.arus_committed.inc();
 
         // Record the outcome while the session is still held: a
@@ -481,7 +478,9 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 .complete(tag.client, tag.write_id, tag.generation, commit_ts);
             self.lld.stats.writeids_recorded.inc();
         }
-        Ok(())
+        let span = aru.span;
+        self.map.retire(aru);
+        Ok(span)
     }
 
     /// The real pass's three steps: the unit's records enter the log,
@@ -495,8 +494,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
     ) -> Result<()> {
         let id = aru.id;
         // 1. Buffered block data enters the segment stream, tagged.
-        for (b, data) in &aru.shadow_data {
-            self.place_block_data(*b, data, commit_ts, Some(id), 1)?;
+        for (b, stored) in &aru.shadow_data {
+            self.place_block_data(*b, stored, commit_ts, Some(id), 1)?;
             self.lld.stats.shadow_records_merged.inc();
         }
 

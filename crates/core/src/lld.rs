@@ -13,6 +13,7 @@
 //! See `docs/CONCURRENCY.md` for the lock hierarchy and the invariants
 //! each lock protects.
 
+use crate::aru::Aru;
 use crate::cache::BlockCache;
 use crate::cleanerd::Cleanerd;
 use crate::config::{CleanerConfig, ConcurrencyMode, LldConfig, ReadVisibility};
@@ -20,13 +21,13 @@ use crate::error::{LldError, Result};
 use crate::flight::FlightRecorder;
 use crate::gc::GroupCommit;
 use crate::layout::{Layout, CKPT_HEADER, SUPERBLOCK_LEN};
-use crate::obs::{Obs, ObsSnapshot, Stage, TraceEvent};
+use crate::obs::{AruSpan, Obs, ObsSnapshot, Stage, TraceEvent};
 use crate::sampler::Sampler;
 use crate::segment::{
     extent, header_link, header_offset, zero_past_extent, ChainHead, SegmentBuilder, HEADER_PUNCH,
     NO_SLOT, SECTOR,
 };
-use crate::shard::{MapView, Maps, WalkOutcome, SCRATCH_ARU_RAW};
+use crate::shard::{AruSlotGuard, GuardSet, MapView, Maps, WalkOutcome};
 use crate::state::{BlockRecord, IdSet, ListRecord, MapId};
 use crate::stats::{LldStats, StatsCell};
 use crate::summary::{Record, WRITE_REC_LEN};
@@ -503,13 +504,13 @@ impl<D: BlockDevice> LldInner<D> {
     ) -> Result<T> {
         self.stats.full_mutations.inc();
         let all = self.maps.all_set();
-        f(&mut self.session(all, all))
+        f(&mut self.session(self.maps.lock_arus(all), all))
     }
 
-    /// Locks the ARU slots in `aru_set`, then the map shards in
-    /// `shard_set`, each ascending.
-    fn session(&self, aru_set: u64, shard_set: u64) -> Mutation<'_, D> {
-        let arus = self.maps.lock_arus(aru_set);
+    /// A session over the held ARU slots `arus` and the map shards in
+    /// `shard_set`, which it locks ascending (shards come after slots in
+    /// the lock order).
+    fn session<'a>(&'a self, arus: GuardSet<AruSlotGuard<'a>>, shard_set: u64) -> Mutation<'a, D> {
         let shards = self.maps.lock_write(shard_set);
         Mutation {
             lld: self,
@@ -561,8 +562,19 @@ impl<D: BlockDevice> LldInner<D> {
         shard_set: u64,
         f: impl FnOnce(&mut Mutation<'_, D>) -> T,
     ) -> T {
+        self.with_mutation_over(self.maps.lock_arus(aru_set), shard_set, f)
+    }
+
+    /// [`with_mutation_at`](Self::with_mutation_at) for a caller that
+    /// already holds the session's ARU slots.
+    pub(crate) fn with_mutation_over<'a, T>(
+        &'a self,
+        arus: GuardSet<AruSlotGuard<'a>>,
+        shard_set: u64,
+        f: impl FnOnce(&mut Mutation<'a, D>) -> T,
+    ) -> T {
         self.stats.scoped_mutations.inc();
-        let mut m = self.session(aru_set, shard_set);
+        let mut m = self.session(arus, shard_set);
         let out = f(&mut m);
         // The epilogue: a segment the session sealed goes to the device
         // now, with every lock let go — nobody waits out the transfer,
@@ -781,11 +793,27 @@ impl<D: BlockDevice> LldInner<D> {
             shards: self.maps.shard_stats(),
             events: self.obs.ring().entries(),
             dropped_events: self.obs.ring().dropped(),
-            spans: self.obs.spans(),
+            spans: self.spans(),
             recovery: self.obs.recovery_report(),
             fs_ops: Vec::new(),
             server: Default::default(),
         }
+    }
+
+    /// The finished ARU spans, oldest first, then the running ones by
+    /// id, which live in the ARUs' slots. A thread that is unwinding
+    /// (the flight recorder's panic path) skips the slots: the panic
+    /// may have poisoned them.
+    fn spans(&self) -> Vec<AruSpan> {
+        let mut spans = self.obs.spans();
+        if self.obs.enabled() && !std::thread::panicking() {
+            let slots = self.maps.lock_arus(self.maps.all_set());
+            let first = spans.len();
+            let running = slots.iter().flat_map(|m| m.arus());
+            spans.extend(running.map(|a| a.span.snapshot(a.id.get())));
+            spans[first..].sort_unstable_by_key(|s| s.aru);
+        }
+        spans
     }
 
     /// Resets the operation counters.
@@ -829,15 +857,17 @@ impl<D: BlockDevice> LldInner<D> {
     /// Identifiers of the currently active ARUs.
     pub fn active_arus(&self) -> Vec<AruId> {
         let slots = self.maps.lock_arus(self.maps.all_set());
-        let mut raws: Vec<u64> = slots.iter().flat_map(|(_, m)| m.keys().copied()).collect();
+        let mut raws: Vec<u64> = slots.iter().flat_map(|m| m.ids()).collect();
         raws.sort_unstable();
         raws.into_iter().map(AruId::new).collect()
     }
 
     /// The logical time at which an active ARU began, if it is active.
     pub fn aru_started(&self, aru: AruId) -> Option<Timestamp> {
-        let slots = self.maps.lock_arus(self.maps.bit_of(aru.get()));
-        slots[0].1.get(&aru.get()).map(|a| a.started)
+        self.maps
+            .lock_aru(aru.get())
+            .get(aru.get())
+            .map(Aru::started)
     }
 
     /// Number of blocks allocated in the committed state.
@@ -1066,11 +1096,9 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                     let base = self.map.committed_view(id).cloned();
                     let base = base.ok_or_else(|| id.not_allocated())?;
                     self.lld.stats.shadow_cow_records.inc();
-                    if raw != SCRATCH_ARU_RAW {
-                        self.lld.obs.span_cow(raw);
-                    }
-                    let shadow = &mut self.map.aru_mut(raw).expect("checked above").shadow;
-                    I::table_mut(shadow).insert(id, base);
+                    let aru = self.map.aru_mut(raw).expect("checked above");
+                    aru.span.cow_records += 1;
+                    I::table_mut(&mut aru.shadow).insert(id, base);
                 }
                 let shadow = &mut self.map.aru_mut(raw).expect("checked above").shadow;
                 Ok(I::table_mut(shadow).get_mut(&id).expect("just inserted"))
@@ -1562,11 +1590,12 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         Ok(())
     }
 
-    /// Enters one data block into the segment stream — its [`extent`] —
-    /// with its `Write` record (reserved together so they land in the
-    /// same segment) and updates the committed state. Shared by simple
-    /// writes, ARU commit, and cleaner relocation. The block reaches the
-    /// device with its segment; until then reads find it in memory.
+    /// Enters one data block into the segment stream — `stored`, its
+    /// [`extent`] — with its `Write` record (reserved together so they
+    /// land in the same segment) and updates the committed state.
+    /// Shared by simple writes, ARU commit, and cleaner relocation. The
+    /// block reaches the device with its segment; until then reads find
+    /// it in memory.
     ///
     /// A write that could not [absorb](Self::absorb_block) frees the
     /// sectors of the version it supersedes, if the open segment holds
@@ -1577,12 +1606,12 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     pub(crate) fn place_block_data(
         &mut self,
         id: BlockId,
-        data: &[u8],
+        stored: &[u8],
         ts: Timestamp,
         tag: Option<AruId>,
         reserve: usize,
     ) -> Result<PhysAddr> {
-        let stored = extent(data);
+        debug_assert_eq!(extent(stored), stored, "a block's extent");
         let (addr, len, frees) = match self.absorb_block(id, stored, ts, tag) {
             Some((addr, len)) => (addr, len, false),
             None => {
@@ -1623,10 +1652,12 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 .then_some(old),
             _ => None,
         };
+        let mut cache = self.lld.cache.lock();
         if let Some(freed) = freed {
-            self.lld.cache.lock().remove(freed);
+            cache.remove(freed);
         }
-        self.lld.cache.lock().insert(addr, data);
+        cache.insert(addr, stored);
+        drop(cache);
         self.adjust_addr(id, old, Some(addr));
         let r = self.rec_mut(StateRef::Committed, id)?;
         r.addr = Some(addr);

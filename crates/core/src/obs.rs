@@ -31,7 +31,6 @@ use crate::recovery::RecoveryReport;
 use crate::shard::ShardLockStats;
 use crate::stats::LldStats;
 use ld_disk::{thread_tag, DiskStatsSnapshot, HistogramSnapshot, LatencyHistogram, Mutex};
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -462,8 +461,15 @@ impl TraceRing {
     /// is stamped with the recording thread's tag and the shared wall
     /// clock.
     pub fn record(&self, ts: u64, event: TraceEvent) {
+        self.record_at(ts, event, Instant::now());
+    }
+
+    /// [`record`](Self::record), stamped with a clock reading the
+    /// caller already took.
+    fn record_at(&self, ts: u64, event: TraceEvent, now: Instant) {
         let tid = thread_tag();
-        let wall_us = self.epoch.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        let wall_us = (now.saturating_duration_since(self.epoch).as_micros())
+            .min(u128::from(u64::MAX)) as u64;
         let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
@@ -545,18 +551,35 @@ pub struct AruSpan {
     pub outcome: SpanOutcome,
 }
 
-#[derive(Debug)]
-struct ActiveSpan {
-    begin_ts: u64,
-    started: Instant,
-    ops: u64,
-    cow_records: u64,
+/// The span of a running ARU, kept in its descriptor (`aru.rs`): an
+/// operation in the ARU's context counts under the ARU's own slot lock,
+/// and only a finished span enters the shared table.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ActiveSpan {
+    /// Logical timestamp at `BeginARU`.
+    pub(crate) begin_ts: u64,
+    /// Wall-clock instant at `BeginARU` (`None` with instrumentation
+    /// off).
+    pub(crate) started: Option<Instant>,
+    /// LD operations executed in the ARU's context.
+    pub(crate) ops: u64,
+    /// Shadow copy-on-write records created for the ARU.
+    pub(crate) cow_records: u64,
 }
 
-#[derive(Debug, Default)]
-struct SpanTable {
-    active: BTreeMap<u64, ActiveSpan>,
-    finished: VecDeque<AruSpan>,
+impl ActiveSpan {
+    /// The span of running ARU `aru`, as a snapshot reports it.
+    pub(crate) fn snapshot(&self, aru: u64) -> AruSpan {
+        AruSpan {
+            aru,
+            begin_ts: self.begin_ts,
+            end_ts: None,
+            wall_nanos: None,
+            ops: self.ops,
+            cow_records: self.cow_records,
+            outcome: SpanOutcome::Active,
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -587,7 +610,8 @@ pub struct Obs {
     backpressure_stall: LatencyHistogram,
     recovery_snapshot_load: LatencyHistogram,
     recovery_replay: LatencyHistogram,
-    spans: Mutex<SpanTable>,
+    /// Finished spans, oldest first (at most [`MAX_SPANS`]).
+    spans: Mutex<VecDeque<AruSpan>>,
     recovery: Mutex<Option<RecoveryReport>>,
 }
 
@@ -611,7 +635,7 @@ impl Obs {
             backpressure_stall: LatencyHistogram::new(),
             recovery_snapshot_load: LatencyHistogram::new(),
             recovery_replay: LatencyHistogram::new(),
-            spans: Mutex::new(SpanTable::default()),
+            spans: Mutex::new(VecDeque::new()),
             recovery: Mutex::new(None),
         }
     }
@@ -793,100 +817,90 @@ impl Obs {
 
     // ---- ARU lifecycle -----------------------------------------------
 
-    /// `BeginARU`: opens a span and records the event.
-    pub(crate) fn aru_begin(&self, aru: u64, ts: u64) {
-        if !self.cfg.enabled {
-            return;
-        }
-        self.ring.record(ts, TraceEvent::AruBegin { aru });
-        self.spans.lock().active.insert(
-            aru,
-            ActiveSpan {
-                begin_ts: ts,
-                started: Instant::now(),
-                ops: 0,
-                cow_records: 0,
-            },
-        );
-    }
-
-    /// Counts one LD operation executed in an ARU's context.
-    #[inline]
-    pub(crate) fn span_op(&self, aru: u64) {
-        if !self.cfg.enabled {
-            return;
-        }
-        if let Some(s) = self.spans.lock().active.get_mut(&aru) {
-            s.ops += 1;
-        }
-    }
-
-    /// Counts one shadow copy-on-write record created for an ARU.
-    #[inline]
-    pub(crate) fn span_cow(&self, aru: u64) {
-        if !self.cfg.enabled {
-            return;
-        }
-        if let Some(s) = self.spans.lock().active.get_mut(&aru) {
-            s.cow_records += 1;
-        }
-    }
-
-    fn span_end(&self, aru: u64, ts: u64, outcome: SpanOutcome) -> Option<AruSpan> {
-        let mut table = self.spans.lock();
-        let active = table.active.remove(&aru)?;
-        let span = AruSpan {
-            aru,
-            begin_ts: active.begin_ts,
-            end_ts: Some(ts),
-            wall_nanos: Some(active.started.elapsed().as_nanos() as u64),
-            ops: active.ops,
-            cow_records: active.cow_records,
-            outcome,
+    /// `BeginARU`: records the event and returns the ARU's span, which
+    /// the ARU carries until it ends. One clock read stamps both.
+    pub(crate) fn aru_begin(&self, aru: u64, ts: u64) -> ActiveSpan {
+        let mut span = ActiveSpan {
+            begin_ts: ts,
+            ..ActiveSpan::default()
         };
-        if table.finished.len() == MAX_SPANS {
-            table.finished.pop_front();
+        if self.cfg.enabled {
+            let now = Instant::now();
+            self.ring.record_at(ts, TraceEvent::AruBegin { aru }, now);
+            span.started = Some(now);
         }
-        table.finished.push_back(span);
-        Some(span)
+        span
+    }
+
+    /// Closes the span of ARU `aru` at `now`, keeping it among the
+    /// finished ones.
+    fn span_end(&self, aru: u64, span: &ActiveSpan, ts: u64, outcome: SpanOutcome, now: Instant) {
+        let done = AruSpan {
+            end_ts: Some(ts),
+            wall_nanos: span.started.map(|t| (now - t).as_nanos() as u64),
+            outcome,
+            ..span.snapshot(aru)
+        };
+        let mut finished = self.spans.lock();
+        if finished.len() == MAX_SPANS {
+            finished.pop_front();
+        }
+        finished.push_back(done);
     }
 
     /// `EndARU` success: closes the span, records commit latency and
-    /// the commit event.
-    pub(crate) fn aru_commit(&self, aru: u64, ts: u64, timer: Option<Instant>) {
-        if !self.cfg.enabled {
+    /// the commit event, all at one clock read.
+    pub(crate) fn aru_commit(&self, aru: u64, span: &ActiveSpan, ts: u64, timer: Option<Instant>) {
+        let Some(t) = timer.filter(|_| self.cfg.enabled) else {
             return;
-        }
-        if let Some(n) = Self::elapsed_nanos(timer) {
-            self.end_aru.record(n);
-        }
-        let span = self.span_end(aru, ts, SpanOutcome::Committed);
-        self.ring.record(
-            ts,
-            TraceEvent::AruCommit {
-                aru,
-                ops: span.map_or(0, |s| s.ops),
-                cow_records: span.map_or(0, |s| s.cow_records),
-            },
-        );
+        };
+        let now = Instant::now();
+        self.end_aru.record((now - t).as_nanos() as u64);
+        self.span_end(aru, span, ts, SpanOutcome::Committed, now);
+        let event = TraceEvent::AruCommit {
+            aru,
+            ops: span.ops,
+            cow_records: span.cow_records,
+        };
+        self.ring.record_at(ts, event, now);
     }
 
     /// `AbortARU`: closes the span and records the event.
-    pub(crate) fn aru_abort(&self, aru: u64, ts: u64) {
-        if !self.cfg.enabled {
-            return;
-        }
-        self.span_end(aru, ts, SpanOutcome::Aborted);
-        self.ring.record(ts, TraceEvent::AruAbort { aru });
+    pub(crate) fn aru_abort(&self, aru: u64, span: &ActiveSpan, ts: u64) {
+        self.aru_end(
+            aru,
+            span,
+            ts,
+            SpanOutcome::Aborted,
+            TraceEvent::AruAbort { aru },
+        );
     }
 
     /// `EndARU` conflict: closes the span and records the event.
-    pub(crate) fn aru_conflict(&self, aru: u64, ts: u64) {
+    pub(crate) fn aru_conflict(&self, aru: u64, span: &ActiveSpan, ts: u64) {
+        self.aru_end(
+            aru,
+            span,
+            ts,
+            SpanOutcome::Conflicted,
+            TraceEvent::AruConflict { aru },
+        );
+    }
+
+    fn aru_end(
+        &self,
+        aru: u64,
+        span: &ActiveSpan,
+        ts: u64,
+        outcome: SpanOutcome,
+        event: TraceEvent,
+    ) {
         if !self.cfg.enabled {
             return;
         }
-        self.span_end(aru, ts, SpanOutcome::Conflicted);
-        self.ring.record(ts, TraceEvent::AruConflict { aru });
+        let now = Instant::now();
+        self.span_end(aru, span, ts, outcome, now);
+        self.ring.record_at(ts, event, now);
     }
 
     /// Completes one timed checkpoint-slab decode during recovery
@@ -931,22 +945,11 @@ impl Obs {
 
     // ---- snapshot accessors ------------------------------------------
 
-    /// All finished spans (oldest first) followed by active ones.
+    /// The finished spans, oldest first. A running ARU's span lives in
+    /// the ARU; [`Lld::obs_snapshot`](crate::Lld::obs_snapshot) appends
+    /// those.
     pub fn spans(&self) -> Vec<AruSpan> {
-        let table = self.spans.lock();
-        let mut out: Vec<AruSpan> = table.finished.iter().copied().collect();
-        for (&aru, s) in &table.active {
-            out.push(AruSpan {
-                aru,
-                begin_ts: s.begin_ts,
-                end_ts: None,
-                wall_nanos: None,
-                ops: s.ops,
-                cow_records: s.cow_records,
-                outcome: SpanOutcome::Active,
-            });
-        }
-        out
+        self.spans.lock().iter().copied().collect()
     }
 
     /// Snapshot of the LLD-layer histograms as `(name, snapshot)`
@@ -1997,13 +2000,13 @@ mod tests {
     #[test]
     fn spans_track_lifecycle() {
         let obs = Obs::new(ObsConfig::default());
-        obs.aru_begin(7, 100);
-        obs.span_op(7);
-        obs.span_op(7);
-        obs.span_cow(7);
-        obs.aru_commit(7, 105, obs.timer());
-        obs.aru_begin(8, 110);
-        obs.aru_abort(8, 111);
+        let mut s7 = obs.aru_begin(7, 100);
+        s7.ops += 2;
+        s7.cow_records += 1;
+        assert_eq!(s7.snapshot(7).outcome, SpanOutcome::Active);
+        obs.aru_commit(7, &s7, 105, obs.timer());
+        let s8 = obs.aru_begin(8, 110);
+        obs.aru_abort(8, &s8, 111);
         let spans = obs.spans();
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].aru, 7);
@@ -2019,9 +2022,10 @@ mod tests {
     fn disabled_obs_records_nothing() {
         let obs = Obs::new(ObsConfig::disabled());
         assert!(obs.timer().is_none());
-        obs.aru_begin(1, 1);
-        obs.span_op(1);
-        obs.aru_commit(1, 2, None);
+        let mut span = obs.aru_begin(1, 1);
+        assert!(span.started.is_none());
+        span.ops += 1;
+        obs.aru_commit(1, &span, 2, None);
         obs.event(3, TraceEvent::Flush { segments_sealed: 1 });
         assert!(obs.ring().is_empty());
         assert!(obs.spans().is_empty());
@@ -2085,8 +2089,8 @@ mod tests {
     #[test]
     fn snapshot_json_shape() {
         let obs = Obs::new(ObsConfig::default());
-        obs.aru_begin(1, 10);
-        obs.aru_commit(1, 12, obs.timer());
+        let span = obs.aru_begin(1, 10);
+        obs.aru_commit(1, &span, 12, obs.timer());
         let snap = ObsSnapshot {
             lld: LldStats::default(),
             disk: None,

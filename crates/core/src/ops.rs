@@ -22,10 +22,11 @@
 //! does any operation when free segments are scarce (only a full
 //! session may run the cleaner inline).
 
-use crate::aru::{Aru, ListOp};
+use crate::aru::ListOp;
 use crate::config::{ConcurrencyMode, ReadVisibility};
 use crate::error::{LldError, Result};
 use crate::lld::{LldInner, Mutation, StateRef};
+use crate::segment::{extent, zero_past_extent, SECTOR};
 use crate::shard::{MapView, WalkOutcome};
 use crate::summary::Record;
 use crate::types::{AruId, BlockId, Ctx, ListId, PhysAddr, Position, Timestamp};
@@ -54,14 +55,13 @@ enum DataSource {
 }
 
 impl<D: BlockDevice> LldInner<D> {
-    fn stream_of(&self, map: &MapView<'_>, ctx: Ctx) -> Result<Stream> {
+    /// Classifies an operation's context, counting it in its ARU's span.
+    fn stream_of(&self, map: &mut MapView<'_>, ctx: Ctx) -> Result<Stream> {
         match ctx {
             Ctx::Simple => Ok(Stream::Merged(None)),
             Ctx::Aru(id) => {
-                if !map.aru_contains(id.get()) {
-                    return Err(LldError::UnknownAru(id));
-                }
-                self.obs.span_op(id.get());
+                let aru = map.aru_mut(id.get()).ok_or(LldError::UnknownAru(id))?;
+                aru.span.ops += 1;
                 match self.concurrency {
                     ConcurrencyMode::Sequential => Ok(Stream::Merged(Some(id))),
                     ConcurrencyMode::Concurrent => Ok(Stream::Shadow(id)),
@@ -91,28 +91,23 @@ impl<D: BlockDevice> LldInner<D> {
             ConcurrencyMode::Sequential => {
                 // The single-ARU invariant spans every slot.
                 let mut slots = self.maps.lock_arus(self.maps.all_set());
-                if let Some(raw) = slots.iter().flat_map(|(_, m)| m.keys().copied()).next() {
+                if let Some(raw) = slots.iter().flat_map(|m| m.ids()).next() {
                     return Err(LldError::ConcurrencyUnsupported {
                         active: AruId::new(raw),
                     });
                 }
                 let ts = self.tick();
                 let id = AruId::new(self.maps.next_aru_raw.fetch_add(1, Ordering::Relaxed));
-                let idx = self.maps.shard_of(id.get());
-                let slot = slots
-                    .iter_mut()
-                    .find(|(i, _)| *i == idx)
-                    .expect("all slots held");
-                slot.1.insert(id.get(), Aru::new(id, ts));
-                self.obs.aru_begin(id.get(), ts.get());
+                let span = self.obs.aru_begin(id.get(), ts.get());
+                let slot = slots.get_mut(self.maps.shard_of(id.get()));
+                slot.expect("all slots held").begin(id, span);
                 id
             }
             ConcurrencyMode::Concurrent => {
                 let ts = self.tick();
                 let id = AruId::new(self.maps.next_aru_raw.fetch_add(1, Ordering::Relaxed));
-                let mut slots = self.maps.lock_arus(self.maps.bit_of(id.get()));
-                slots[0].1.insert(id.get(), Aru::new(id, ts));
-                self.obs.aru_begin(id.get(), ts.get());
+                let span = self.obs.aru_begin(id.get(), ts.get());
+                self.maps.lock_aru(id.get()).begin(id, span);
                 id
             }
         };
@@ -275,8 +270,8 @@ impl<D: BlockDevice> LldInner<D> {
         } else {
             self.ctx_aru_set(ctx)
         };
-        let view = self.read_view(aru_set, self.maps.bit_of(block.get()));
-        let stream = self.stream_of(&view, ctx)?;
+        let mut view = self.read_view(aru_set, self.maps.bit_of(block.get()));
+        let stream = self.stream_of(&mut view, ctx)?;
         self.tick();
         self.stats.reads.inc();
 
@@ -284,7 +279,8 @@ impl<D: BlockDevice> LldInner<D> {
         let res = match source {
             DataSource::ShadowBuf(aru) => {
                 let data = &view.aru(aru.get()).expect("resolved above").shadow_data[&block];
-                buf.copy_from_slice(data);
+                let sectors = (data.len() / SECTOR) as u32;
+                zero_past_extent(buf, sectors).copy_from_slice(data);
                 Ok(())
             }
             DataSource::Addr(addr) => self.read_block_data(addr, buf),
@@ -406,8 +402,8 @@ impl<D: BlockDevice> LldInner<D> {
             self.maps.bit_of(list.get())
         };
         loop {
-            let view = self.read_view(aru_set, shard_set);
-            let stream = self.stream_of(&view, ctx)?;
+            let mut view = self.read_view(aru_set, shard_set);
+            let stream = self.stream_of(&mut view, ctx)?;
             let st = match (self.visibility, stream) {
                 (ReadVisibility::OwnShadow, Stream::Shadow(aru)) => StateRef::Shadow(aru),
                 (ReadVisibility::AnyShadow, _) => {
@@ -445,8 +441,8 @@ impl<D: BlockDevice> LldInner<D> {
 }
 
 impl<D: BlockDevice> Mutation<'_, D> {
-    fn stream(&self, ctx: Ctx) -> Result<Stream> {
-        self.lld.stream_of(&self.map, ctx)
+    fn stream(&mut self, ctx: Ctx) -> Result<Stream> {
+        self.lld.stream_of(&mut self.map, ctx)
     }
 
     fn new_list_op(&mut self, ctx: Ctx, shard: u32) -> Result<ListId> {
@@ -614,7 +610,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                     .view(StateRef::Committed, block)
                     .filter(|r| r.allocated)
                     .ok_or(LldError::BlockNotAllocated(block))?;
-                self.place_block_data(block, data, ts, tag, 1)?;
+                self.place_block_data(block, extent(data), ts, tag, 1)?;
             }
             Stream::Shadow(aru) => {
                 let st = StateRef::Shadow(aru);
@@ -626,11 +622,13 @@ impl<D: BlockDevice> Mutation<'_, D> {
                     let bm = self.rec_mut(st, block)?;
                     bm.ts = ts;
                 }
-                self.map
-                    .aru_mut(aru.get())
-                    .expect("stream checked")
-                    .shadow_data
-                    .insert(block, data.to_vec());
+                // Buffered as its extent, in the buffer of the version it
+                // replaces if there is one.
+                let stored = extent(data);
+                let a = self.map.aru_mut(aru.get()).expect("stream checked");
+                let buffered = a.shadow_data.entry(block).or_default();
+                buffered.clear();
+                buffered.extend_from_slice(stored);
             }
         }
         Ok(())

@@ -26,6 +26,7 @@
 
 use crate::aru::Aru;
 use crate::error::{LldError, Result};
+use crate::obs::ActiveSpan;
 use crate::record::{flat_record, Counter};
 use crate::state::{MapId, StateOverlay, Tables};
 use crate::types::{AruId, BlockId, ListId, Position};
@@ -154,7 +155,7 @@ struct ShardSlot {
 #[derive(Debug)]
 pub(crate) struct Maps {
     shards: Vec<ShardSlot>,
-    arus: Vec<Mutex<BTreeMap<u64, Aru>>>,
+    arus: Vec<Mutex<AruSlot>>,
     pub(crate) next_aru_raw: AtomicU64,
     /// Round-robin cursor choosing the owning shard of the next new
     /// list, so independent lists spread across shards.
@@ -175,7 +176,9 @@ impl Maps {
                     write_locks: Counter::default(),
                 })
                 .collect(),
-            arus: (0..nshards).map(|_| Mutex::new(BTreeMap::new())).collect(),
+            arus: (0..nshards)
+                .map(|_| Mutex::new(AruSlot::default()))
+                .collect(),
             next_aru_raw: AtomicU64::new(1),
             // Start at the shard owning raw id 1, so the first list on a
             // fresh disk gets id 1 under every shard count (clients pin
@@ -233,37 +236,32 @@ impl Maps {
         });
     }
 
-    fn bits(&self, set: u64) -> impl Iterator<Item = u32> + '_ {
-        (0..self.nshards()).filter(move |i| set & (1u64 << i) != 0)
+    /// Locks the ARU slots in `set`, ascending.
+    pub(crate) fn lock_arus(&self, set: u64) -> GuardSet<AruSlotGuard<'_>> {
+        GuardSet::lock(set, |i| self.arus[i as usize].lock())
     }
 
-    /// Locks the ARU slots in `set`, ascending.
-    pub(crate) fn lock_arus(&self, set: u64) -> Vec<(u32, MutexGuard<'_, BTreeMap<u64, Aru>>)> {
-        self.bits(set)
-            .map(|i| (i, self.arus[i as usize].lock()))
-            .collect()
+    /// Locks the one ARU slot that `raw` hashes to.
+    pub(crate) fn lock_aru(&self, raw: u64) -> AruSlotGuard<'_> {
+        self.arus[self.shard_of(raw) as usize].lock()
     }
 
     /// Read-locks the shards in `set`, ascending.
-    pub(crate) fn lock_read(&self, set: u64) -> Vec<(u32, ShardGuard<'_>)> {
-        self.bits(set)
-            .map(|i| {
-                let slot = &self.shards[i as usize];
-                slot.read_locks.inc();
-                (i, ShardGuard::Read(slot.lock.read()))
-            })
-            .collect()
+    pub(crate) fn lock_read(&self, set: u64) -> GuardSet<ShardGuard<'_>> {
+        GuardSet::lock(set, |i| {
+            let slot = &self.shards[i as usize];
+            slot.read_locks.inc();
+            ShardGuard::Read(slot.lock.read())
+        })
     }
 
     /// Write-locks the shards in `set`, ascending.
-    pub(crate) fn lock_write(&self, set: u64) -> Vec<(u32, ShardGuard<'_>)> {
-        self.bits(set)
-            .map(|i| {
-                let slot = &self.shards[i as usize];
-                slot.write_locks.inc();
-                (i, ShardGuard::Write(slot.lock.write()))
-            })
-            .collect()
+    pub(crate) fn lock_write(&self, set: u64) -> GuardSet<ShardGuard<'_>> {
+        GuardSet::lock(set, |i| {
+            let slot = &self.shards[i as usize];
+            slot.write_locks.inc();
+            ShardGuard::Write(slot.lock.write())
+        })
     }
 
     /// Per-shard lock-acquisition counters.
@@ -277,6 +275,157 @@ impl Maps {
                 write_locks: s.write_locks.get(),
             })
             .collect()
+    }
+}
+
+/// Ended ARUs' descriptors an ARU slot keeps for the next to begin.
+const SPARE_ARUS: usize = 4;
+
+/// One ARU slot: the active ARUs whose ids hash to it, each boxed, and
+/// the emptied descriptors of a few that ended, kept for the next ones
+/// to begin. Beginning and ending an ARU allocates nothing once the
+/// slot is warm, and moving one in or out of the slot moves a pointer.
+#[derive(Debug, Default)]
+pub(crate) struct AruSlot {
+    active: BTreeMap<u64, Box<Aru>>,
+    // Boxed: a descriptor moves between the two as a pointer.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<Aru>>,
+}
+
+impl AruSlot {
+    /// A descriptor for a new ARU `id`: a spare one if there is one.
+    fn descriptor(&mut self, id: AruId, span: ActiveSpan) -> Box<Aru> {
+        match self.spare.pop() {
+            Some(mut aru) => {
+                (aru.id, aru.span) = (id, span);
+                aru
+            }
+            None => Box::new(Aru::new(id, span)),
+        }
+    }
+
+    /// Begins ARU `id` in this slot.
+    pub(crate) fn begin(&mut self, id: AruId, span: ActiveSpan) {
+        let aru = self.descriptor(id, span);
+        self.active.insert(id.get(), aru);
+    }
+
+    /// Keeps the descriptor of an ARU that has ended, emptied, for the
+    /// next one to begin (while the slot keeps fewer than
+    /// [`SPARE_ARUS`]).
+    pub(crate) fn retire(&mut self, mut aru: Box<Aru>) {
+        if self.spare.len() < SPARE_ARUS {
+            *aru = Aru::new(aru.id, ActiveSpan::default());
+            self.spare.push(aru);
+        }
+    }
+
+    pub(crate) fn get(&self, raw: u64) -> Option<&Aru> {
+        self.active.get(&raw).map(|a| &**a)
+    }
+
+    pub(crate) fn get_mut(&mut self, raw: u64) -> Option<&mut Aru> {
+        self.active.get_mut(&raw).map(|a| &mut **a)
+    }
+
+    /// Ends ARU `raw` in this slot: its descriptor, for
+    /// [`retire`](Self::retire) once the caller is done with it.
+    pub(crate) fn remove(&mut self, raw: u64) -> Option<Box<Aru>> {
+        self.active.remove(&raw)
+    }
+
+    /// The active ARUs' ids, ascending.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.active.keys().copied()
+    }
+
+    /// The active ARUs, by id.
+    pub(crate) fn arus(&self) -> impl Iterator<Item = &Aru> {
+        self.active.values().map(|a| &**a)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.active.len()
+    }
+}
+
+/// A held ARU slot.
+pub(crate) type AruSlotGuard<'a> = MutexGuard<'a, AruSlot>;
+
+/// How many guards a [`GuardSet`] holds without a heap allocation: the
+/// default shard count, so that no session of a default disk, full ones
+/// included, allocates for its locks.
+const INLINE_GUARDS: usize = 8;
+
+/// The guards of a set of shards (or ARU slots), in ascending index
+/// order: the first [`INLINE_GUARDS`] inline, any further ones (a disk
+/// with more shards) on the heap. `bits` names the held indexes, so a
+/// guard's position is the number of held indexes below its own.
+pub(crate) struct GuardSet<G> {
+    bits: u64,
+    inline: [Option<G>; INLINE_GUARDS],
+    spill: Vec<G>,
+}
+
+impl<G> GuardSet<G> {
+    /// Acquires `acquire(i)` for each set bit `i` of `set`, ascending.
+    fn lock(set: u64, mut acquire: impl FnMut(u32) -> G) -> Self {
+        let mut guards = GuardSet {
+            bits: set,
+            inline: Default::default(),
+            spill: Vec::new(),
+        };
+        let (mut rest, mut pos) = (set, 0);
+        while rest != 0 {
+            let g = acquire(rest.trailing_zeros());
+            rest &= rest - 1;
+            match guards.inline.get_mut(pos) {
+                Some(slot) => *slot = Some(g),
+                None => guards.spill.push(g),
+            }
+            pos += 1;
+        }
+        guards
+    }
+
+    /// The position of index `idx`'s guard, if it is held.
+    fn pos(&self, idx: u32) -> Option<usize> {
+        let below = (1u64 << idx) - 1;
+        (self.bits >> idx & 1 == 1).then(|| (self.bits & below).count_ones() as usize)
+    }
+
+    /// The guard of index `idx`, if held.
+    pub(crate) fn get(&self, idx: u32) -> Option<&G> {
+        let p = self.pos(idx)?;
+        match self.inline.get(p) {
+            Some(g) => g.as_ref(),
+            None => self.spill.get(p - INLINE_GUARDS),
+        }
+    }
+
+    /// The guard of index `idx`, if held, for writing.
+    pub(crate) fn get_mut(&mut self, idx: u32) -> Option<&mut G> {
+        let p = self.pos(idx)?;
+        match self.inline.get_mut(p) {
+            Some(g) => g.as_mut(),
+            None => self.spill.get_mut(p - INLINE_GUARDS),
+        }
+    }
+
+    /// How many guards are held.
+    pub(crate) fn len(&self) -> usize {
+        self.bits.count_ones() as usize
+    }
+
+    /// The held guards, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &G> {
+        self.inline.iter().flatten().chain(&self.spill)
+    }
+
+    /// The held guards, ascending, for writing.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut G> {
+        self.inline.iter_mut().flatten().chain(&mut self.spill)
     }
 }
 
@@ -315,18 +464,18 @@ pub(crate) enum WalkOutcome {
 /// (shadow → committed → persistent) is written once.
 pub(crate) struct MapView<'a> {
     nshards: u32,
-    shards: Vec<(u32, ShardGuard<'a>)>,
-    arus: Vec<(u32, MutexGuard<'a, BTreeMap<u64, Aru>>)>,
+    shards: GuardSet<ShardGuard<'a>>,
+    arus: GuardSet<AruSlotGuard<'a>>,
     /// The commit-validation scratch ARU (id [`SCRATCH_ARU_RAW`]),
     /// resolved ahead of the slot table by [`aru`](Self::aru).
-    pub(crate) scratch: Option<Aru>,
+    scratch: Option<Box<Aru>>,
 }
 
 impl<'a> MapView<'a> {
     pub(crate) fn new(
         nshards: u32,
-        arus: Vec<(u32, MutexGuard<'a, BTreeMap<u64, Aru>>)>,
-        shards: Vec<(u32, ShardGuard<'a>)>,
+        arus: GuardSet<AruSlotGuard<'a>>,
+        shards: GuardSet<ShardGuard<'a>>,
     ) -> Self {
         MapView {
             nshards,
@@ -345,22 +494,19 @@ impl<'a> MapView<'a> {
             && self
                 .shards
                 .iter()
-                .all(|(_, g)| matches!(g, ShardGuard::Write(_)))
-    }
-
-    fn shard_pos(&self, idx: u32) -> Option<usize> {
-        self.shards.binary_search_by_key(&idx, |(i, _)| *i).ok()
+                .all(|g| matches!(g, ShardGuard::Write(_)))
     }
 
     pub(crate) fn try_shard(&self, idx: u32) -> Option<&MapShard> {
-        self.shard_pos(idx).map(|p| &*self.shards[p].1)
+        self.shards.get(idx).map(|g| &**g)
     }
 
     pub(crate) fn shard_mut(&mut self, idx: u32) -> &mut MapShard {
-        let p = self
-            .shard_pos(idx)
+        let g = self
+            .shards
+            .get_mut(idx)
             .unwrap_or_else(|| panic!("session does not hold map shard {idx}"));
-        match &mut self.shards[p].1 {
+        match g {
             ShardGuard::Write(g) => g,
             ShardGuard::Read(_) => panic!("session holds map shard {idx} only for reading"),
         }
@@ -375,57 +521,68 @@ impl<'a> MapView<'a> {
     // ARU descriptor access
     // ------------------------------------------------------------------
 
-    fn aru_slot(&self, raw: u64) -> &BTreeMap<u64, Aru> {
+    fn aru_slot(&self, raw: u64) -> &AruSlot {
         let idx = self.shard_of(raw);
-        let p = self
-            .arus
-            .binary_search_by_key(&idx, |(i, _)| *i)
-            .unwrap_or_else(|_| panic!("session does not hold ARU slot {idx}"));
-        &self.arus[p].1
+        (self.arus.get(idx)).unwrap_or_else(|| panic!("session does not hold ARU slot {idx}"))
     }
 
-    fn aru_slot_mut(&mut self, raw: u64) -> &mut BTreeMap<u64, Aru> {
+    fn aru_slot_mut(&mut self, raw: u64) -> &mut AruSlot {
         let idx = self.shard_of(raw);
-        let p = self
-            .arus
-            .binary_search_by_key(&idx, |(i, _)| *i)
-            .unwrap_or_else(|_| panic!("session does not hold ARU slot {idx}"));
-        &mut self.arus[p].1
+        (self.arus.get_mut(idx)).unwrap_or_else(|| panic!("session does not hold ARU slot {idx}"))
     }
 
     pub(crate) fn aru(&self, raw: u64) -> Option<&Aru> {
         if raw == SCRATCH_ARU_RAW {
-            return self.scratch.as_ref();
+            return self.scratch.as_deref();
         }
-        self.aru_slot(raw).get(&raw)
+        self.aru_slot(raw).get(raw)
     }
 
     pub(crate) fn aru_mut(&mut self, raw: u64) -> Option<&mut Aru> {
         if raw == SCRATCH_ARU_RAW {
-            return self.scratch.as_mut();
+            return self.scratch.as_deref_mut();
         }
-        self.aru_slot_mut(raw).get_mut(&raw)
+        self.aru_slot_mut(raw).get_mut(raw)
     }
 
     pub(crate) fn aru_contains(&self, raw: u64) -> bool {
         self.aru(raw).is_some()
     }
 
-    pub(crate) fn aru_remove(&mut self, raw: u64) -> Option<Aru> {
-        if raw == SCRATCH_ARU_RAW {
-            return self.scratch.take();
+    /// Ends ARU `raw`: its descriptor, which the caller hands back to
+    /// [`retire`](Self::retire) once done with it.
+    pub(crate) fn aru_remove(&mut self, raw: u64) -> Option<Box<Aru>> {
+        self.aru_slot_mut(raw).remove(raw)
+    }
+
+    /// Keeps the descriptor of an ARU that has ended for the next one
+    /// to begin in its slot.
+    pub(crate) fn retire(&mut self, aru: Box<Aru>) {
+        self.aru_slot_mut(aru.id.get()).retire(aru);
+    }
+
+    /// Begins the commit-validation scratch ARU in a descriptor of the
+    /// held slot of ARU `raw`.
+    pub(crate) fn begin_scratch(&mut self, raw: u64) {
+        let id = AruId::new(SCRATCH_ARU_RAW);
+        self.scratch = Some(self.aru_slot_mut(raw).descriptor(id, ActiveSpan::default()));
+    }
+
+    /// Ends the scratch ARU, its descriptor back to the slot of `raw`.
+    pub(crate) fn end_scratch(&mut self, raw: u64) {
+        if let Some(aru) = self.scratch.take() {
+            self.aru_slot_mut(raw).retire(aru);
         }
-        self.aru_slot_mut(raw).remove(&raw)
     }
 
     /// Iterates the ARUs in every *held* slot (callers that need all
     /// ARUs hold every slot).
     pub(crate) fn arus_held(&self) -> impl Iterator<Item = &Aru> {
-        self.arus.iter().flat_map(|(_, m)| m.values())
+        self.arus.iter().flat_map(|m| m.arus())
     }
 
     pub(crate) fn held_aru_count(&self) -> usize {
-        self.arus.iter().map(|(_, m)| m.len()).sum()
+        self.arus.iter().map(|m| m.len()).sum()
     }
 
     // ------------------------------------------------------------------
@@ -535,7 +692,7 @@ impl<'a> MapView<'a> {
 
     /// Iterates every held shard (full sessions hold all of them).
     pub(crate) fn shards_held(&self) -> impl Iterator<Item = &MapShard> {
-        self.shards.iter().map(|(_, g)| &**g)
+        self.shards.iter().map(|g| &**g)
     }
 
     /// Drains the committed overlay of every held (write-locked) shard
@@ -544,7 +701,7 @@ impl<'a> MapView<'a> {
     /// drain happens under full sessions (checkpoint, recovery).
     pub(crate) fn drain_committed(&mut self) -> u64 {
         let mut n = 0u64;
-        for (_, g) in &mut self.shards {
+        for g in self.shards.iter_mut() {
             if let ShardGuard::Write(sh) = g {
                 n += sh.committed.len() as u64;
                 let sh = &mut **sh;
@@ -587,14 +744,14 @@ mod tests {
             let maps = Maps::fresh(4);
             let mut seen = BTreeSet::new();
             let mut guards = maps.lock_write(maps.all_set());
-            for (i, g) in &mut guards {
+            for (i, g) in guards.iter_mut().enumerate() {
                 let sh = match g {
                     ShardGuard::Write(g) => &mut **g,
                     ShardGuard::Read(_) => unreachable!(),
                 };
                 for _ in 0..3 {
                     let raw = I::stripe(sh).alloc(4);
-                    assert_eq!(raw % 4, u64::from(*i) % 4);
+                    assert_eq!(raw % 4, i as u64 % 4);
                     assert_ne!(raw, 0);
                     assert!(seen.insert(raw), "duplicate id {raw}");
                 }

@@ -40,7 +40,8 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::AtomicU64;
 use std::sync::OnceLock;
 
-/// A map keyed by block or list identifier.
+/// A map keyed by block or list identifier (or by physical address,
+/// in the block cache).
 pub(crate) type IdMap<K, V> = HashMap<K, V, IdBuild>;
 /// A set of block or list identifiers.
 pub(crate) type IdSet<K> = HashSet<K, IdBuild>;

@@ -39,6 +39,10 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 
 /// A thread-safe, lock-free latency histogram with 64 log₂ buckets.
 ///
+/// A sample costs two relaxed adds (its bucket, the sum) and a load of
+/// the maximum, raised only by a larger sample; the count is the
+/// buckets' total, summed by [`snapshot`](Self::snapshot).
+///
 /// # Example
 ///
 /// ```
@@ -56,7 +60,6 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -65,7 +68,6 @@ impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -82,9 +84,10 @@ impl LatencyHistogram {
     #[inline]
     pub fn record(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Captures the current contents as a plain value.
@@ -95,7 +98,7 @@ impl LatencyHistogram {
         }
         HistogramSnapshot {
             buckets,
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
@@ -106,7 +109,6 @@ impl LatencyHistogram {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
     }

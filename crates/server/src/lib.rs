@@ -43,12 +43,12 @@ pub mod wire;
 use std::io::{self, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ld_core::{AruId, BlockId, Ctx, ListId, Lld, LldError, Position, ServerCounters, ServerStats};
-use ld_disk::BlockDevice;
+use ld_disk::{BlockDevice, Mutex};
 
 use wire::{flag, op, status};
 
@@ -145,7 +145,7 @@ impl<D: BlockDevice + 'static> Server<D> {
         if let Some(t) = self.accept_thread.take().filter(|_| woken) {
             let _ = t.join();
         }
-        let handlers = std::mem::take(&mut *self.shared.handlers.lock().expect("handler registry"));
+        let handlers = std::mem::take(&mut *self.shared.handlers.lock());
         for t in handlers {
             let _ = t.join();
         }
@@ -190,7 +190,7 @@ fn accept_loop<D: BlockDevice + 'static>(listener: &TcpListener, shared: &Arc<Sh
 /// closure) and backs off like an accept error: the server keeps
 /// accepting.
 fn register_session<D: BlockDevice>(shared: &Shared<D>, spawned: io::Result<JoinHandle<()>>) {
-    let mut handlers = shared.handlers.lock().expect("handler registry");
+    let mut handlers = shared.handlers.lock();
     for ended in handlers.extract_if(.., |h| h.is_finished()) {
         let _ = ended.join();
     }
@@ -694,7 +694,7 @@ mod tests {
     }
 
     fn registered(srv: &Server<MemDisk>) -> usize {
-        srv.shared.handlers.lock().unwrap().len()
+        srv.shared.handlers.lock().len()
     }
 
     /// The registry keeps the live sessions only: each accept drops the
