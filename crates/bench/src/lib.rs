@@ -137,9 +137,9 @@ impl BenchConfig {
 
     /// The logical-disk configuration for `version`. The paper's LLD
     /// is one process and the tables run on `SimDisk`'s virtual clock:
-    /// every column cleans inline (a second thread's device time would
-    /// simply be added, and its scheduling would make the tables
-    /// unrepeatable).
+    /// every column cleans on the caller's thread (a second thread's
+    /// device time would simply be added, and its scheduling would make
+    /// the tables unrepeatable).
     pub fn ld_config(&self, version: Version) -> LldConfig {
         LldConfig {
             block_size: self.block_size,

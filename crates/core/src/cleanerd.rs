@@ -1,12 +1,22 @@
-//! The background cleaner thread ("cleanerd"), the default cleaner.
+//! The cleaning pass, and the background thread that runs it by
+//! default ("cleanerd").
 //!
-//! The inline cleaner (see `cleaner.rs`) runs inside a *full* mutation
-//! session — every shard write-locked — on whichever thread found the
-//! shortage. `cleanerd` moves that work to a dedicated thread that:
+//! There is one cleaning pass, [`run_pass`], and it runs between
+//! sessions. Passes run in *rounds*: back to back while free slots are
+//! below the low watermark and each pass gains room net of what its
+//! relocations took. A round is run by whoever is free: the `cleanerd`
+//! thread where the disk has one; the caller's thread, in the
+//! housekeeping step after its session ([`LldInner::after_session`]),
+//! where a roll at the emergency level found no thread to take the
+//! work (`CleanerConfig::background = false`, `Sequential` mode, a
+//! `futile` thread, or a gate below that level); and the caller of
+//! [`LldInner::run_cleaner`]. At most one round runs at a time on a
+//! disk, whoever runs it, so at most one pass does ([`RoundClaim`]).
+//! A pass:
 //!
-//! 1. **snapshots** the victims — the inline cleaner's choice
-//!    (`LogState::pick_victims`: checkpoint-covered slots first) — and
-//!    their live-block sets under the log mutex alone,
+//! 1. **snapshots** the victims (`LogState::pick_victims`:
+//!    checkpoint-covered slots first) and their live-block sets under
+//!    the log mutex alone,
 //! 2. **prefilters** the sets under shard *read* locks, and then, a
 //!    victim at a time,
 //! 3. **prefetches** the victim's blocks from the device with no lock
@@ -19,17 +29,17 @@
 //!    skipping blocks mutated since the snapshot, and **releases** the
 //!    victim — covered and now empty — in one short full session, so a
 //!    slot comes back when it is empty and not when the pass ends.
-//! 5. Only a pass whose victims were *not* covered (none was) ends as
-//!    it used to: it writes the **covering checkpoint** itself, between
-//!    sessions, with the one writer (`LldInner::checkpoint`: the covered
-//!    point is pinned in one short full session, then each shard's slab
-//!    is encoded under only that shard's write lock and written with no
-//!    mapping-layer locks held), and then runs the release sweep.
+//! 5. Only a pass whose victims were *not* covered (none was) writes
+//!    the **covering checkpoint** itself, between sessions, with the
+//!    one writer (`LldInner::checkpoint`: the covered point is pinned in
+//!    one short full session, then each shard's slab is encoded under
+//!    only that shard's write lock and written with no mapping-layer
+//!    locks held), and then runs the release sweep.
 //!
 //! Foreground operations in disjoint shards keep committing while
-//! phases 1–4 run; no phase of a background pass dumps the whole map
-//! under a stop-the-world session (the release sweep's full session
-//! only walks per-slot counters).
+//! phases 1–4 run; no phase of a pass dumps the whole map under a
+//! stop-the-world session (the release sweep's full session only walks
+//! per-slot counters).
 //!
 //! Between rounds the thread takes two jobs off operations that need
 //! not wait for them, one at a time: a sealed segment a lazy operation
@@ -48,17 +58,19 @@
 //! (`cleaner.target_free_segments`), and space-consuming foreground
 //! operations briefly stall at the *high watermark*
 //! (`cleaner.backpressure_free_segments`) to let the thread catch up.
-//! The inline full-session cleaner is the reserve: at the emergency
-//! level (`min_free_segments`) it runs where a kick is refused — no
-//! thread, or a `futile` one, whose last round freed nothing — and a
-//! full session that finds no slot for its segment compacts before it
-//! reports `DiskFull` (`Mutation::clean_until`).
+//! A roll that leaves fewer free slots than the *emergency level*
+//! (`min_free_segments`), where no thread takes the kick with callers
+//! waiting at the gate, raises `needs_clean`, and the session's caller
+//! runs the round once the session is over. Inside a session the only
+//! cleaning is the reserve pass of a roll that finds no slot to open
+//! (`Mutation::compact`, `cleaner.rs`).
 //!
 //! Lock order (see docs/CLEANER.md for the full proof): the
 //! coordination state below is a leaf lock, never held while acquiring
 //! any mapping-layer or log lock, and the pass itself only ever uses
-//! the ordinary session types, so cleanerd obeys the canonical
-//! ARU-slots → shards → log hierarchy by construction.
+//! the ordinary session types, so a pass obeys the canonical
+//! ARU-slots → shards → log hierarchy by construction, on whichever
+//! thread it runs.
 
 use crate::cleaner::cleaning_gains;
 use crate::error::Result;
@@ -69,7 +81,7 @@ use crate::types::{BlockId, PhysAddr, SegmentId};
 use ld_disk::{BlockDevice, Condvar, Mutex};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 /// How long the thread sleeps between watermark polls when nobody
@@ -96,8 +108,9 @@ pub(crate) struct Cleanerd {
     state: Mutex<CleanerdState>,
     /// Foreground → cleanerd: free segments fell below a watermark.
     wake: Condvar,
-    /// Cleanerd → foreground: a pass freed slots (or the thread died);
-    /// backpressure stalls re-check their predicate.
+    /// A pass freed slots, a round ended (or the thread died):
+    /// backpressure stalls, and a caller waiting to run a round,
+    /// re-check their predicate.
     eased: Condvar,
 }
 
@@ -130,9 +143,12 @@ struct CleanerdState {
     kicks: u64,
     /// The last round freed nothing: the disk is genuinely near-full of
     /// live data, so kicks and stalls are pointless until the periodic
-    /// poll observes progress again. The inline cleaner takes over: the
-    /// one state both cleaners consult.
+    /// poll observes progress again. Callers run the round themselves
+    /// meanwhile.
     futile: bool,
+    /// The thread running a round, the cleaner thread or a caller's:
+    /// the one round a disk runs at a time ([`RoundClaim`]).
+    cleaning: Option<ThreadId>,
     /// The segment of a `Writing` job until the thread picks it up; it
     /// writes it before anything else, also on its way out.
     seal: Option<Arc<SegmentBuilder>>,
@@ -158,7 +174,8 @@ impl Cleanerd {
 
     /// Wakes the cleaner thread. Returns `false` when there is no
     /// healthy thread to wake (not running, stopping, or known-futile),
-    /// in which case the caller falls back to inline cleaning.
+    /// in which case the caller runs the round itself, below the
+    /// emergency level.
     pub(crate) fn kick(&self) -> bool {
         let mut st = self.state.lock();
         if !st.healthy() {
@@ -250,7 +267,8 @@ struct Victim {
     slot: u32,
     /// Log sequence number the slot held at snapshot time; relocation
     /// windows and the release re-verify it, so a victim freed and
-    /// reused by the inline cleaner in the meantime is simply dropped.
+    /// reused in the meantime (a deletion emptied it, or a reserve pass
+    /// took it) is simply dropped.
     seq: u64,
     /// Resident blocks at snapshot time (prefiltered under shard read
     /// locks to those still mapped into this victim), with their data
@@ -334,55 +352,19 @@ fn cleanerd_main<D: BlockDevice + 'static>(ld: &LldInner<D>) {
         st.kicks = 0;
         if ld.free_slots_hint.load(Ordering::Relaxed) >= low_watermark {
             // Nothing to clean — a poll, or a kick that foreground
-            // deletions or the inline cleaner overtook: stay idle, and
+            // deletions or a caller's round overtook: stay idle, and
             // accept kicks again.
             st.futile = false;
             continue;
         }
         st.job = Job::Round;
         drop(st);
-
-        let mut attempted = false;
-        let mut freed_any = false;
-        while ld.free_slots_hint.load(Ordering::Relaxed) < low_watermark {
-            if ld.cleanerd.state.lock().stop {
-                break;
-            }
-            if !attempted {
-                attempted = true;
-                ld.obs
-                    .cleaner_wake(ld.now(), ld.free_slots_hint.load(Ordering::Relaxed) as u32);
-            }
-            let outcome = run_pass(ld);
-            // Waiters re-check their predicate whether or not the pass
-            // made progress (a dead end must not strand them for the
-            // full stall bound).
-            ld.cleanerd.eased.notify_all();
-            match outcome {
-                // Progress is net: on a disk full of live data a pass
-                // fills a slot with the blocks of the one it frees, and
-                // counted as progress such passes would go on, a
-                // checkpoint every few, while a caller waits at the gate.
-                Ok(o) if o.freed > 0 && cleaning_gains(&ld.layout, o.freed.into(), o.moved) => {
-                    freed_any = true;
-                }
-                // A failed pass is invisible to every foreground
-                // caller — record what the system looked like when it
-                // happened.
-                Err(e) => {
-                    let _ = ld.flight_dump("cleaner_pass_error", &e.to_string());
-                    break;
-                }
-                // No progress (nothing to reclaim): stop this round and
-                // let the periodic poll retry.
-                _ => break,
-            }
-        }
-
+        // A failed pass is recorded by `round`; the thread goes futile.
+        let gained = round(ld).unwrap_or(Some(false));
         st = ld.cleanerd.state.lock();
         st.job = Job::Idle;
-        if attempted {
-            st.futile = !freed_any;
+        if let Some(gained) = gained {
+            st.futile = !gained;
         }
     }
     st.job = Job::Absent;
@@ -390,9 +372,110 @@ fn cleanerd_main<D: BlockDevice + 'static>(ld: &LldInner<D>) {
     ld.cleanerd.eased.notify_all();
 }
 
-/// One background cleaning pass: snapshot, then relocate → release a
-/// victim at a time (→ checkpoint → release where none was covered).
-fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
+/// The round a disk runs at a time, claimed by the thread that runs it
+/// and let go on every exit path. Its two rules: at most one pass runs
+/// at a time on a disk, whether the cleaner thread or a caller runs it;
+/// and a pass started from the housekeeping step starts no nested pass
+/// through its own relocation windows' housekeeping steps (they run on
+/// the thread that holds the claim, and leave the work to its round).
+/// Everyone else waits for the round to end, the cleaner thread too.
+struct RoundClaim<'a>(&'a Cleanerd);
+
+impl<'a> RoundClaim<'a> {
+    /// Claims the round, once the one another thread runs has ended:
+    /// a caller at the emergency level does not outrun the cleaner
+    /// thread. `None` where this thread runs one already.
+    fn take(cleanerd: &'a Cleanerd) -> Option<Self> {
+        let me = std::thread::current().id();
+        let mut st = cleanerd.state.lock();
+        while st.cleaning.is_some_and(|t| t != me) {
+            st = cleanerd.eased.wait(st);
+        }
+        if st.cleaning.is_some() {
+            return None;
+        }
+        st.cleaning = Some(me);
+        Some(RoundClaim(cleanerd))
+    }
+}
+
+impl Drop for RoundClaim<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().cleaning = None;
+        self.0.eased.notify_all();
+    }
+}
+
+/// A round, on the calling thread: passes back to back while free
+/// slots are below the low watermark, until one gains no room net of
+/// what its relocations took or fails. Behind the round another
+/// thread runs, and nothing where this one runs one already (see
+/// [`RoundClaim`]). Whether a pass gained room; `None` if none ran.
+pub(crate) fn round<D: BlockDevice>(ld: &LldInner<D>) -> Result<Option<bool>> {
+    let mut gained = None;
+    let Some(_claim) = RoundClaim::take(&ld.cleanerd) else {
+        return Ok(gained);
+    };
+    let low_watermark = u64::from(ld.cleaner_cfg.target_free_segments);
+    while ld.free_slots_hint.load(Ordering::Relaxed) < low_watermark {
+        if ld.cleanerd.state.lock().stop {
+            break;
+        }
+        if gained.is_none() {
+            ld.obs
+                .cleaner_wake(ld.now(), ld.free_slots_hint.load(Ordering::Relaxed) as u32);
+        }
+        let pass = run_pass(ld);
+        // Waiters re-check their predicate whether or not the pass made
+        // progress (a dead end must not strand them for the full stall
+        // bound).
+        ld.cleanerd.eased.notify_all();
+        match pass {
+            // Progress is net: on a disk full of live data a pass fills
+            // a slot with the blocks of the one it frees, and counted as
+            // progress such passes would go on, a checkpoint every few,
+            // while a caller waits at the gate.
+            Ok(o) if o.freed > 0 && cleaning_gains(&ld.layout, o.freed.into(), o.moved) => {
+                gained = Some(true);
+            }
+            // No progress (nothing to reclaim): the round ends here.
+            Ok(_) => {
+                gained.get_or_insert(false);
+                break;
+            }
+            // A failed pass may have nobody to report to (the thread, a
+            // housekeeping step): record what the system looked like
+            // when it happened.
+            Err(e) => {
+                let _ = ld.flight_dump("cleaner_pass_error", &e.to_string());
+                return Err(e);
+            }
+        }
+    }
+    Ok(gained)
+}
+
+impl<D: BlockDevice> LldInner<D> {
+    /// Runs the cleaner on the calling thread: hands back every covered
+    /// slot that holds no live block, then runs a round — passes until
+    /// `target_free_segments` slots are free or a pass gains no room
+    /// net of what it took — behind any round that is running.
+    ///
+    /// # Errors
+    ///
+    /// Device errors; [`LldError::DiskFull`](crate::LldError::DiskFull)
+    /// if relocation itself runs out of space (the device is genuinely
+    /// full).
+    pub fn run_cleaner(&self) -> Result<()> {
+        release_sweep(self)?;
+        round(self).map(|_| ())
+    }
+}
+
+/// The cleaning pass, on whichever thread runs the round: snapshot,
+/// then relocate → release a victim at a time (→ checkpoint → release
+/// where none was covered).
+fn run_pass<D: BlockDevice>(ld: &LldInner<D>) -> Result<PassOutcome> {
     let timer = ld.obs.timer();
     ld.stats.cleaner_runs.inc();
     ld.stats.cleaner_passes.inc();
@@ -404,8 +487,8 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
     let mut out = PassOutcome::default();
 
     // Phase 1: victim snapshot under the log mutex alone. Victims are
-    // the inline cleaner's (`LogState::pick_victims`: covered slots
-    // first, emptiest first, one output segment's worth) and no more of
+    // the policy's (`LogState::pick_victims`: covered slots first,
+    // emptiest first, one output segment's worth) and no more of
     // them than the low watermark is short of: the round goes on while
     // it is, and a victim left for later has fewer live blocks by then.
     // A `covered` pass writes no checkpoint and hands each victim back
@@ -532,11 +615,11 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
         // first re-verifies (under the log mutex, which then stays held
         // for the rest of the window) that the victim still holds the
         // snapshotted sealed segment, then re-validates every block's
-        // committed address before copying it forward. Unlike the inline
-        // cleaner, relocation keeps one slot in reserve (`reserve = 1`):
-        // until a victim is released the pass is a space *consumer* and
-        // must never take the last slot — that slot stays available for
-        // deletions and the inline reserve.
+        // committed address before copying it forward. Unlike the
+        // reserve pass, relocation keeps one slot in reserve (`reserve =
+        // 1`): until a victim is released the pass is a space *consumer*
+        // and must never take the last slot — that slot stays available
+        // for deletions and the reserve pass.
         let phase_timer = ld.obs.timer();
         ld.obs.stage_begin(ld.now(), trace, Stage::CleanerRelocate);
         for chunk in v.blocks.chunks(RELOC_BATCH) {
@@ -589,10 +672,9 @@ fn run_pass<D: BlockDevice + 'static>(ld: &LldInner<D>) -> Result<PassOutcome> {
             Stage::CleanerRelocate,
             Obs::elapsed(phase_timer),
         );
-        // A covered victim comes back right behind its last window, as
-        // the inline cleaner releases its batch before the seal is
-        // written: the release stamp (W3) orders the slot's reuse behind
-        // the segment holding the relocation records.
+        // A covered victim comes back right behind its last window,
+        // before the segment holding the relocation records is sealed:
+        // the release stamp (W3) orders the slot's reuse behind it.
         if covered && !v.lost {
             out.freed += release_sweep(ld)?;
         }
@@ -650,8 +732,8 @@ impl<D: BlockDevice> LldInner<D> {
     /// segments are at or below `cleaner.backpressure_free_segments`
     /// and a healthy cleanerd is running, the caller kicks it and waits
     /// (bounded) for a pass to free slots, so the operation proceeds
-    /// scoped instead of degrading to a full session with inline
-    /// cleaning.
+    /// scoped instead of degrading to a full session and a round of its
+    /// own.
     pub(crate) fn cleaner_gate(&self) {
         if !self.cleaner_background() {
             return;

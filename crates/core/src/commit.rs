@@ -22,7 +22,7 @@
 //! session over exactly those shards. ARUs on disjoint shards therefore
 //! commit fully in parallel. Logs containing deletions (whose unlink
 //! walks may reach any shard) and commits under space pressure (which
-//! may need the inline cleaner) fall back to a full session.
+//! may need the reserve pass) fall back to a full session.
 
 use crate::aru::{Aru, ListOp, WriteTag};
 use crate::config::ConcurrencyMode;
@@ -150,7 +150,7 @@ impl<D: BlockDevice> LldInner<D> {
     }
 
     /// Whether a scoped commit that will stream `buffered` data blocks
-    /// has enough free segments to proceed without the inline cleaner
+    /// has enough free segments to proceed without the reserve pass
     /// (which only a full session may run).
     fn commit_headroom_ok(&self, buffered: u64) -> bool {
         if !self.cleaner_cfg.enabled {

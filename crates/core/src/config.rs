@@ -58,17 +58,20 @@ pub struct CleanerConfig {
     /// Whether the cleaner may run at all. With the cleaner disabled the
     /// disk simply reports [`LldError::DiskFull`] when the log wraps.
     pub enabled: bool,
-    /// Run cleaning on a dedicated background thread (`cleanerd`;
-    /// default on). The thread wakes when the free-segment count drops
-    /// below `target_free_segments` (the low watermark), relocates live
-    /// blocks in short scoped write windows and hands each victim slot
-    /// back as it empties, with a covering checkpoint only when no
-    /// victim is covered. The inline full-session cleaner is the
-    /// reserve: it runs where the thread cannot help (stopped, futile,
-    /// or no slot left to open). `false` asks for the paper's cleaner,
-    /// and [`ConcurrencyMode::Sequential`] never spawns the thread (the
-    /// paper's `old` LLD is one process, and its open-ARU window must
-    /// not get an asynchronous checkpoint writer). See docs/CLEANER.md.
+    /// Who runs the cleaning pass: a dedicated background thread
+    /// (`cleanerd`; default on), or the callers. There is one pass
+    /// either way: it relocates live blocks in short scoped write
+    /// windows and hands each victim slot back as it empties, with a
+    /// covering checkpoint only when no victim is covered. The thread
+    /// wakes when the free-segment count drops below
+    /// `target_free_segments` (the low watermark). Without it — `false`,
+    /// and always in [`ConcurrencyMode::Sequential`] (the paper's `old`
+    /// LLD is one process, and its open-ARU window must not get an
+    /// asynchronous checkpoint writer) — the operation whose roll left
+    /// fewer than `min_free_segments` free runs the round on its own
+    /// thread once its session is over, deterministically. So does it
+    /// where the thread cannot help (stopped, or futile). See
+    /// docs/CLEANER.md.
     pub background: bool,
     /// High-watermark backpressure threshold for background mode: when
     /// the free-segment count is at or below this value, foreground

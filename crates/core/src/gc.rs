@@ -153,8 +153,9 @@ impl<D: BlockDevice> LldInner<D> {
         // Seal under the log lock alone (a log-only scoped session: the
         // seal touches no mapping shard) and write under no lock at all,
         // in the session's epilogue. The housekeeping step runs with
-        // leadership still held, so an inline cleaner pass or a due
-        // checkpoint is written ahead of the barrier that covers it.
+        // leadership still held, so a due checkpoint or the caller's
+        // round of cleaning is written ahead of the barrier that covers
+        // it.
         let seal_timer = self.obs.timer();
         self.obs.stage_begin(self.now(), trace, Stage::Seal);
         let seal = self.with_mutation_at(0, 0, |m| m.roll_for_flush());

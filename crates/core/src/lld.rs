@@ -99,16 +99,8 @@ pub(crate) struct LogState {
     /// [`seal_current`](Mutation::seal_current)).
     pub(crate) summary_sealed: u64,
     pub(crate) checkpoint_summary: u64,
+    /// A reserve pass is running ([`Mutation::compact`]).
     pub(crate) cleaning: bool,
-    /// The inline cleaner's last pass ended short of
-    /// `target_free_segments`: the disk is too full for it, and a flush
-    /// does not ask for the next pass early (see
-    /// [`roll_for_flush`](Mutation::roll_for_flush)).
-    pub(crate) clean_fell_short: bool,
-    /// The inline cleaner's last pass stopped for want of a checkpoint:
-    /// the next is its resumption, which ends where it finds no covered
-    /// victim instead of stopping again.
-    pub(crate) clean_stopped: bool,
     /// Sealed segments whose device write has not returned, oldest
     /// first; the waiters of [`LldInner::written`] watch the lowest
     /// sequence number here (docs/INVARIANTS.md I4, W1–W4).
@@ -140,8 +132,6 @@ impl LogState {
             summary_sealed: 0,
             checkpoint_summary: 0,
             cleaning: false,
-            clean_fell_short: false,
-            clean_stopped: false,
             inflight: VecDeque::new(),
             reuse_after: vec![0; n_segments],
             write_error: None,
@@ -348,20 +338,20 @@ pub struct LldInner<D> {
     /// The logical operation clock.
     pub(crate) ts_counter: AtomicU64,
     /// Lock-free mirror of `log.free_slots.len()`: scoped sessions
-    /// cannot run the cleaner (it touches every shard), so operations
-    /// consult this hint and route through a full session when free
-    /// segments are scarce enough that a mid-operation clean may be
-    /// needed.
+    /// cannot run the reserve pass (it touches every shard), so
+    /// operations consult this hint and route through a full session
+    /// when free segments are scarce enough that a roll may find no
+    /// slot.
     pub(crate) free_slots_hint: AtomicU64,
-    /// Set by a scoped session whose segment roll found free segments
-    /// scarce, and by an inline pass that stopped for want of a
-    /// checkpoint; drained by [`after_session`](LldInner::after_session).
+    /// Set by a roll that left free slots below the emergency level
+    /// where no thread took the work; drained by
+    /// [`after_session`](LldInner::after_session), which runs the round.
     pub(crate) needs_clean: AtomicBool,
     /// Set by a seal that leaves `n_segments` or more segments past the
-    /// last checkpoint, or summary records that weigh as much as the
-    /// tables (see [`seal_current`](Mutation::seal_current)), and by an
-    /// inline pass that found no covered victim; the session that
-    /// finds it sees to one when it ends
+    /// last checkpoint, summary records that weigh as much as the
+    /// tables, or free slots at the emergency level with the emptiest
+    /// slot uncovered (see [`checkpoint_due`](LldInner::checkpoint_due));
+    /// the session that finds it sees to one when it ends
     /// ([`after_session`](LldInner::after_session)).
     pub(crate) needs_checkpoint: AtomicBool,
     pub(crate) stats: StatsCell,
@@ -496,8 +486,8 @@ impl<D: BlockDevice> LldInner<D> {
     }
 
     /// [`with_mutation`](Self::with_mutation) without the housekeeping
-    /// step: for the steps of the housekeeping itself, the checkpoint's
-    /// *begin* and the pass it resumes, which must not start another.
+    /// step: for the steps of the checkpoint, which the housekeeping
+    /// itself writes and which must not start another.
     pub(crate) fn full_session<T>(
         &self,
         f: impl FnOnce(&mut Mutation<'_, D>) -> Result<T>,
@@ -537,16 +527,16 @@ impl<D: BlockDevice> LldInner<D> {
             || log.summary_sealed - log.checkpoint_summary >= times * table_weight
     }
 
-    /// Whether a checkpoint is due: the suffix is past its bound, or,
-    /// with `cleanerd`, free slots are down to the emergency level and
-    /// the last checkpoint does not cover the emptiest sealed slot. The
-    /// reserve pass of a session that finds no slot takes covered
-    /// victims only (docs/CLEANER.md "The reserve pass"); the inline
-    /// pass asks for its checkpoint itself.
+    /// Whether a checkpoint is due: the suffix is past its bound, or
+    /// free slots are down to the emergency level and the last
+    /// checkpoint does not cover the emptiest sealed slot. The reserve
+    /// pass of a session that finds no slot takes covered victims only
+    /// (docs/CLEANER.md "The reserve pass").
     pub(crate) fn checkpoint_due(&self, log: &LogState) -> bool {
+        let cfg = &self.cleaner_cfg;
         self.suffix_past(log, 1)
-            || self.cleaner_background()
-                && log.free_slots.len() as u32 <= self.cleaner_cfg.min_free_segments
+            || cfg.enabled
+                && log.free_slots.len() as u32 <= cfg.min_free_segments
                 && !log.covers_the_emptiest_slot()
     }
 
@@ -658,47 +648,50 @@ impl<D: BlockDevice> LldInner<D> {
 
     /// Whether a scoped session may run right now: when free segments
     /// are scarce the operation routes through a full session instead,
-    /// so the inline cleaner can rescue it mid-operation.
+    /// so the reserve pass can rescue it mid-operation.
     pub(crate) fn scoped_ok(&self) -> bool {
         !self.cleaner_cfg.enabled
             || self.free_slots_hint.load(Ordering::Relaxed)
                 > u64::from(self.cleaner_cfg.min_free_segments)
     }
 
-    /// The housekeeping step after a session, once its locks are let
-    /// go (docs/CONCURRENCY.md "Housekeeping"): the checkpoint a seal or
-    /// a pass found due, never written inside a session, where an
-    /// operation may have put part of an ARU into the tables
-    /// (docs/INVARIANTS.md I6), and only after a session that succeeded
-    /// (`ok`: after an error the tables may be ahead of the log); then
-    /// the inline pass a scoped roll asked for, or the one that stopped
-    /// for want of that checkpoint, resumed by this loop and never by a
-    /// housekeeping step inside it. Reads two flags and no lock while
-    /// neither is up.
+    /// The housekeeping step after a session that succeeded (`ok`),
+    /// once its locks are let go (docs/CONCURRENCY.md "Housekeeping"):
+    /// the checkpoint a seal found due, never written inside a session,
+    /// where an operation may have put part of an ARU into the tables
+    /// (docs/INVARIANTS.md I6), nor after an error, when the tables may
+    /// be ahead of the log; then the round a roll asked for where no
+    /// thread took it, on this thread, behind the round the cleaner
+    /// thread or another caller is in — unless this session was a
+    /// relocation window of this thread's own round, which so starts no
+    /// nested pass ([`crate::cleanerd`]). Reads two flags and no lock
+    /// while neither is up.
     pub(crate) fn after_session(&self, ok: bool) {
-        for _ in 0..2 {
-            // Whoever takes the flag sees to it. `cleanerd` writes it,
-            // behind any seal it holds, unless the thread refuses, the
-            // suffix is past twice its bound (the bound's hard edge), or
-            // a pass waits for it. A failure is counted; the next seal
-            // asks again.
-            if ok
-                && self.needs_checkpoint.load(Ordering::Relaxed)
-                && self.needs_checkpoint.swap(false, Ordering::Relaxed)
-            {
-                let handed_off = !self.needs_clean.load(Ordering::Relaxed)
-                    && !self.suffix_past(&self.log.lock(), 2)
-                    && self.cleanerd.offer_checkpoint();
-                if !handed_off && self.checkpoint().is_err() {
-                    self.stats.checkpoint_failures.inc();
-                }
+        if !ok {
+            return;
+        }
+        // Whoever takes the flag sees to it. `cleanerd` writes it,
+        // behind any seal it holds, unless the thread refuses, the
+        // suffix is past twice its bound (the bound's hard edge), or a
+        // round is asked for below, whose pass and the reserve pass want
+        // covered victims now. A failure is counted; the next seal asks
+        // again.
+        if self.needs_checkpoint.load(Ordering::Relaxed)
+            && self.needs_checkpoint.swap(false, Ordering::Relaxed)
+        {
+            let handed_off = !self.needs_clean.load(Ordering::Relaxed)
+                && !self.suffix_past(&self.log.lock(), 2)
+                && self.cleanerd.offer_checkpoint();
+            if !handed_off && self.checkpoint().is_err() {
+                self.stats.checkpoint_failures.inc();
             }
-            if !self.needs_clean.swap(false, Ordering::Relaxed) {
-                return;
-            }
+        }
+        if self.needs_clean.load(Ordering::Relaxed)
+            && self.needs_clean.swap(false, Ordering::Relaxed)
+        {
             // An error here resurfaces on the next operation that needs
             // space.
-            let _ = self.full_session(|m| m.run_cleaner_inner());
+            let _ = crate::cleanerd::round(self);
         }
     }
 
@@ -992,7 +985,8 @@ impl<D: BlockDevice> LldInner<D> {
     }
 
     /// Whether this disk runs the background cleaner thread: never in
-    /// sequential mode (the paper's `old` LLD is one process).
+    /// sequential mode (the paper's `old` LLD is one process). Without
+    /// it the callers run the cleaning pass themselves.
     pub fn cleaner_background(&self) -> bool {
         let cfg = &self.cleaner_cfg;
         cfg.enabled && cfg.background && self.concurrency() == ConcurrencyMode::Concurrent
@@ -1339,78 +1333,54 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     }
 
     /// Seals and writes the current segment (if it has content) and
-    /// opens a new one. When free segments are scarce it wakes the
-    /// background cleaner thread; where there is none to take over, a
-    /// full session runs the cleaner inline and a scoped one, which
-    /// cannot (the cleaner touches every shard), flags
-    /// [`LldInner::after_session`].
+    /// opens a new one. It cleans nothing itself: below the low
+    /// watermark it wakes the background cleaner thread, and below the
+    /// emergency level, where no thread takes that with callers waiting
+    /// at the gate (none, `futile`, a lower gate), it asks the session's
+    /// caller to run the round once the session is over
+    /// ([`LldInner::after_session`]).
     pub(crate) fn roll_segment(&mut self, reserve: usize) -> Result<()> {
-        self.roll(reserve, false)
-    }
-
-    /// [`roll_segment`](Self::roll_segment) for the flush leader, which
-    /// asks for the cleaner one slot earlier: *at* `min_free_segments`,
-    /// where [`scoped_ok`](LldInner::scoped_ok) already sends every
-    /// operation through a full session. While every seal took a slot
-    /// the pass fell on a flush anyway; now that a flush continues in
-    /// its slot it would fall on whichever write fills the slot, a
-    /// dozen operations later. The flush's caller waits for the device
-    /// as it is, and its barrier covers what the pass writes.
-    /// Only while passes reach their target
-    /// ([`LogState::clean_fell_short`]): one that cannot goes through
-    /// every covered slot before it gives up, and asking a slot early
-    /// would have it do so twice as often. Returns the sequence number
-    /// of the last segment sealed, by this roll or by another caller's
-    /// a moment earlier: what the leader's barrier has to cover (W1).
-    pub(crate) fn roll_for_flush(&mut self) -> Result<u64> {
-        self.seal_awaited = true;
-        self.roll(0, true)?;
-        Ok(self.log().covered_point().0)
-    }
-
-    fn roll(&mut self, reserve: usize, for_flush: bool) -> Result<()> {
         let rolled = self.seal_current()?;
         self.open_under(reserve)?;
         let cfg = self.lld.cleaner_cfg;
         if rolled && cfg.enabled {
-            let (min_free, target) = (cfg.min_free_segments, cfg.target_free_segments);
-            let log = self.log();
-            let free = log.free_slots.len() as u32;
-            let early = for_flush && !log.clean_fell_short && free == min_free && free < target;
-            // Below the low watermark a healthy `cleanerd` is woken; at the
-            // emergency level it takes over where consumers wait for it at
-            // the gate, else (none, futile, a lower gate) inline cleans.
-            let handed_over =
-                free < target && self.lld.cleanerd.kick() && free <= cfg.backpressure_free_segments;
-            if !handed_over && (free < min_free || early) {
-                if !self.map.holds_all_shards_write() {
-                    self.lld.needs_clean.store(true, Ordering::Relaxed);
-                } else if !self.log().cleaning {
-                    self.run_cleaner_inner()?;
-                }
+            let free = self.log().free_slots.len() as u32;
+            let handed_over = free < cfg.target_free_segments
+                && self.lld.cleanerd.kick()
+                && free <= cfg.backpressure_free_segments;
+            if !handed_over && free < cfg.min_free_segments {
+                self.lld.needs_clean.store(true, Ordering::Relaxed);
             }
         }
-        self.open_under(reserve)
+        Ok(())
     }
 
-    /// Opens a segment unless one is open (an inline pass seals its
-    /// last batch and opens nothing: a roll opens under its own
-    /// reserve). With `cleanerd`, a full session that finds no slot runs
-    /// the reserve pass ([`clean_until`](Self::clean_until)) before it
-    /// reports `DiskFull`: the last inline pass may be long past, and the
-    /// thread's holds what it relocated into until it releases.
+    /// [`roll_segment`](Self::roll_segment) for the flush leader, with no
+    /// reserve. Returns the sequence number of the last segment sealed,
+    /// by this roll or by another caller's a moment earlier: what the
+    /// leader's barrier has to cover (W1).
+    pub(crate) fn roll_for_flush(&mut self) -> Result<u64> {
+        self.seal_awaited = true;
+        self.roll_segment(0)?;
+        Ok(self.log().covered_point().0)
+    }
+
+    /// Opens a segment unless one is open. A full session that finds no
+    /// slot runs the reserve pass ([`compact`](Self::compact)) before it
+    /// reports `DiskFull`: the last round may be long past, and a
+    /// running one holds what it relocated into until it releases.
     pub(crate) fn open_under(&mut self, reserve: usize) -> Result<()> {
         if self.log().builder.is_some() {
             return Ok(());
         }
-        let may_compact = self.lld.cleaner_background()
+        let may_compact = self.lld.cleaner_cfg.enabled
             && self.map.holds_all_shards_write()
             && !self.log().cleaning;
         match self.open_segment(reserve) {
             Err(LldError::DiskFull) if may_compact => {}
             opened => return opened,
         }
-        self.clean_until(reserve + 1, true)?;
+        self.compact(reserve + 1)?;
         if self.seal_current()? || self.log().builder.is_none() {
             self.open_segment(reserve)?;
         }

@@ -686,7 +686,7 @@ mod tests {
             ..LldConfig::default()
         };
         // The pass in the middle of the history has work to do: the one
-        // `run_cleaner` call, on the inline cleaner (no thread writes a
+        // `run_cleaner` call, on the caller's thread (no thread writes a
         // checkpoint behind the history's back).
         let slots = Layout::compute(DEVICE, &cfg).unwrap().n_segments;
         cfg.cleaner.target_free_segments = slots - 8;

@@ -65,15 +65,17 @@ flat_record! {
         sectors_reused: u64,
         /// Blocks copied forward by the segment cleaner.
         blocks_relocated: u64,
-        /// Cleaner invocations: inline full-session runs plus background
-        /// cleaner (`cleanerd`) passes.
+        /// Cleaner invocations: the cleaning passes plus the reserve
+        /// passes of rolls that found no slot (`cleaner_runs −
+        /// cleaner_passes` is the reserve passes).
         cleaner_runs: u64,
-        /// Background cleaner (`cleanerd`) passes only.
+        /// Cleaning passes, whoever ran them: the `cleanerd` thread or a
+        /// caller's thread.
         cleaner_passes: u64,
-        /// Blocks copied forward by background cleaner passes (a subset of
-        /// `blocks_relocated`).
+        /// Blocks copied forward by cleaning passes (a subset of
+        /// `blocks_relocated`; the rest are the reserve passes').
         cleaner_blocks_relocated: u64,
-        /// Snapshot candidates the background cleaner skipped because their
+        /// Snapshot candidates a cleaning pass skipped because their
         /// mapping changed between the victim snapshot and the relocation
         /// window (the revalidation rule; see docs/CLEANER.md).
         cleaner_stale_skips: u64,

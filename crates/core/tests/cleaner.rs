@@ -1,6 +1,7 @@
 //! Segment-cleaner behaviour: reclaiming space when the log wraps,
 //! preserving data across relocation, and recoverability afterwards —
-//! at every point of the mode matrix ([`each_mode`]): both cleaners,
+//! at every point of the mode matrix ([`each_mode`]): both runners of
+//! the pass (the caller, `cleanerd`),
 //! one and eight map shards.
 
 use ld_core::{CleanerConfig, Ctx, Lld, LldConfig, LldError, Position};
@@ -184,13 +185,23 @@ fn genuinely_full_disk_reports_disk_full_at(mode: Mode) {
     }
     // A decent fraction of the slots took data before filling up.
     assert!(wrote > 50, "only {wrote} blocks written");
-    // Deleting frees space again — with the background cleaner, once
-    // the pass in flight (it holds what it relocated into until its
-    // release sweep) has finished.
+    // Deleting frees space again: without the thread at once, since the
+    // caller runs the pass before its call returns; with the background
+    // cleaner once the pass in flight (it holds what it relocated into
+    // until its release sweep) has finished.
     ld.delete_list(Ctx::Simple, l).unwrap();
-    let l2 = when_space_returns(|| ld.new_list(Ctx::Simple));
-    let b = when_space_returns(|| ld.new_block(Ctx::Simple, l2, Position::First));
-    when_space_returns(|| ld.write(Ctx::Simple, b, &block(2)));
+    let (l2, b) = if mode.0 {
+        let l2 = when_space_returns(|| ld.new_list(Ctx::Simple));
+        let b = when_space_returns(|| ld.new_block(Ctx::Simple, l2, Position::First));
+        when_space_returns(|| ld.write(Ctx::Simple, b, &block(2)));
+        (l2, b)
+    } else {
+        let l2 = ld.new_list(Ctx::Simple).unwrap();
+        let b = ld.new_block(Ctx::Simple, l2, Position::First).unwrap();
+        ld.write(Ctx::Simple, b, &block(2)).unwrap();
+        (l2, b)
+    };
+    assert_eq!(ld.list_blocks(Ctx::Simple, l2).unwrap(), vec![b]);
 }
 
 /// Retries a space-consuming operation for as long as it reports
@@ -390,9 +401,12 @@ fn crash_during_cleaning_era_recovers_current_state_at(mode: Mode) {
 /// pressure"): 20 slots of 8 blocks, cleaner asked for 8 free slots.
 /// `live` blocks are allocated and written once, flushed, and then 200
 /// ARUs rewrite the last eight of them two at a time, every fourth one
-/// flushed.
-fn churn_on_eight_block_slots(live: usize, cleanerd: bool) -> Result<ld_core::LldStats, LldError> {
-    let mut cfg = config((cleanerd, 8));
+/// flushed. `cfg` is one of [`config`]'s, which the device's settings
+/// override.
+fn churn_on_eight_block_slots(
+    live: usize,
+    mut cfg: LldConfig,
+) -> Result<ld_core::LldStats, LldError> {
     cfg.cleaner.target_free_segments = 8;
     cfg.cleaner.backpressure_free_segments = 1;
     let cap = 512 + 2 * 64 * 1024 + 16 * 8 * 512;
@@ -428,40 +442,71 @@ fn churn_on_eight_block_slots(live: usize, cleanerd: bool) -> Result<ld_core::Ll
 /// of every partial segment are a quarter of it and up to two blocks at
 /// its end stay unused. This churn ran out of room above 96 live blocks
 /// while every seal took a slot, above 86 from format 4 to format 8,
-/// and first at 85 in format 9 while the inline pass wrote its
-/// covering checkpoint inside the session, sealing the open segment
-/// wherever the pass fell. Since the pass takes covered victims only
-/// and the checkpoint it asks for is written once the session is over
-/// (docs/INVARIANTS.md I6), it runs out first at 97. Past the edge the
-/// count does not fall off evenly (98 holds, 97 and 99 run out), so
-/// the pin is the first count that runs out and the one below it. It
-/// keeps that loss from growing unnoticed; a change that moves it
-/// either way moves the record with it. The 96 / 97 pin is the inline
-/// cleaner's, whose passes are the only thing that moves blocks there.
-/// With `cleanerd` the same churn is not repeatable: the thread's
-/// relocations share the open segment with the hot writes, the slots
-/// they leave part-full are beyond the to-target pass (it seals every
-/// batch apart, and two slots of four live blocks are more than one
-/// batch), and this device sets its gate (1) below the emergency level
-/// (3). What holds 84 there, twenty times over, is the reserve pass of
-/// a roll that finds no slot (`Mutation::clean_until`), with the
-/// checkpoint a disk at the emergency level asks for once the last one
-/// no longer covers its emptiest slot (`LldInner::checkpoint_due`):
-/// without that request two runs in a hundred reported `DiskFull` at
-/// 84, and without the reserve pass a third of the runs did at 86 in
-/// format 8.
+/// first at 85 in format 9 while the inline pass wrote its covering
+/// checkpoint inside the session, and first at 97 once that pass took
+/// covered victims only. Since the caller runs the one cleaning pass
+/// between sessions, a victim or two at a time, with the reserve pass
+/// of a roll that finds no slot behind it, it runs out first at 103.
+/// Past the edge the count does not fall off evenly (105 and 106 hold,
+/// 103, 104 and 107 on run out), so the pin is the first count that
+/// runs out and the one below it. It keeps that loss from growing
+/// unnoticed; a change that moves it either way moves the record with
+/// it. Without the thread the churn repeats exactly
+/// ([`the_pass_runs_on_the_callers_thread_and_repeats_exactly`]).
+/// With `cleanerd` it is not repeatable: the thread's relocations share
+/// the open segment with the hot writes, and this device sets its gate
+/// (1) below the emergency level (3). What holds 84 there, twenty times
+/// over, is the reserve pass of a roll that finds no slot
+/// (`Mutation::compact`), with the checkpoint a disk at the emergency
+/// level asks for once the last one no longer covers its emptiest slot
+/// (`LldInner::checkpoint_due`): without that request two runs in a
+/// hundred reported `DiskFull` at 84, and without the reserve pass a
+/// third of the runs did at 86 in format 8.
 #[test]
-fn churn_capacity_on_eight_block_slots_is_96_live_blocks() {
-    let held = churn_on_eight_block_slots(96, false).expect("96 live blocks fit");
+fn churn_capacity_on_eight_block_slots_is_102_live_blocks() {
+    let held = churn_on_eight_block_slots(102, config((false, 8))).expect("102 live blocks fit");
     assert!(held.blocks_relocated > 0, "the log wrapped");
     assert!(matches!(
-        churn_on_eight_block_slots(97, false),
+        churn_on_eight_block_slots(103, config((false, 8))),
         Err(LldError::DiskFull)
     ));
     for round in 0..20 {
-        let held = churn_on_eight_block_slots(84, true)
+        let held = churn_on_eight_block_slots(84, config((true, 8)))
             .unwrap_or_else(|e| panic!("84 live blocks fit with cleanerd, round {round}: {e}"));
         assert!(held.blocks_relocated > 0, "the log wrapped");
+    }
+}
+
+/// Without the thread the caller runs the one cleaning pass once its
+/// session is over, so the same churn repeats to the count: twice on
+/// the clean-pressure device, with `background: false` and in
+/// `Sequential` mode. (While a disk without the thread cleaned inline,
+/// `cleaner_passes` read 0 there.)
+#[test]
+fn the_pass_runs_on_the_callers_thread_and_repeats_exactly() {
+    let sequential = LldConfig {
+        concurrency: ld_core::ConcurrencyMode::Sequential,
+        ..config((false, 8))
+    };
+    for cfg in [config((false, 8)), sequential] {
+        let counts = || {
+            let s = churn_on_eight_block_slots(96, cfg.clone()).expect("96 live blocks fit");
+            [
+                s.cleaner_runs,
+                s.cleaner_passes,
+                s.blocks_relocated,
+                s.checkpoints,
+                s.segments_sealed,
+                s.data_bytes_written,
+            ]
+        };
+        let first = counts();
+        assert!(
+            first[1] > 0,
+            "{:?}: no pass on the caller's thread",
+            cfg.concurrency
+        );
+        assert_eq!(first, counts(), "{:?}", cfg.concurrency);
     }
 }
 
@@ -624,14 +669,14 @@ fn cleanerd_hands_a_covered_victim_back_before_it_reads_the_next() {
     }
 }
 
-/// With a healthy thread the inline cleaner is the reserve: a disk
-/// recovered with as few slots free as `backpressure_free_segments`
-/// commits its first ARU without relocating a block on the caller's
-/// thread. The caller waits at the gate, the thread cleans.
+/// With a healthy thread the caller cleans nothing: a disk recovered
+/// with as few slots free as `backpressure_free_segments` commits its
+/// first ARU without relocating a block on the caller's thread. The
+/// caller waits at the gate, the thread cleans.
 #[test]
 fn first_commit_after_recovery_leaves_cleaning_to_cleanerd() {
-    // The inline cleaner, asked for three free slots, leaves the disk
-    // at the default emergency level.
+    // With no thread and asked for three free slots, the callers'
+    // rounds leave the disk at the default emergency level.
     let mut tight = config((false, 8));
     tight.cleaner.target_free_segments = tight.cleaner.min_free_segments;
     let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512;
@@ -731,7 +776,7 @@ impl BlockDevice for CheckpointCuts {
 }
 
 /// No checkpoint holds part of an ARU (docs/INVARIANTS.md I6). A nearly
-/// full disk with no checkpoint yet, so no victim of the inline cleaner
+/// full disk with no checkpoint yet, so no victim of the reserve pass
 /// is covered, and one
 /// ARU of 14 rewrites, whose commit rolls the log twice and finds free
 /// slots below the emergency level. Cut when `end_aru` returns, and
@@ -804,7 +849,7 @@ fn no_checkpoint_holds_part_of_an_aru_at(cfg: LldConfig) {
 /// progress (a slot freed), it went on for as long as free slots were
 /// below the low watermark, a checkpoint every few passes: about 4,000
 /// while one commit waited at the gate. The device: 24 slots filled
-/// with live blocks by the inline cleaner until 3 are free, recovered
+/// with live blocks with no thread until 3 are free, recovered
 /// with the thread. The thread writes at most a checkpoint a round.
 /// The commit itself may not fit: no checkpoint may be written inside
 /// its session, and the disk is full of live data.

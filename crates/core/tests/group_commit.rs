@@ -778,7 +778,7 @@ fn a_released_slot_is_overwritten_only_behind_what_emptied_it() {
             segment_bytes: 8 * BS,
             ..config(shards)
         };
-        cfg.cleaner.background = false; // the inline cleaner: `run_cleaner` below
+        cfg.cleaner.background = false; // no thread: `run_cleaner` below runs the pass
         let ld = Lld::format(ParkDisk::new(CAPACITY), &cfg).unwrap();
         let dev = ld.device();
         let (old, other) = (new_blocks(&ld, 4), new_ring(&ld));
@@ -1250,7 +1250,7 @@ fn one_write_per_seal(writes: &[(u64, usize)]) -> Vec<u64> {
     out
 }
 
-/// (f) No thread, no hand-off. With the inline cleaner — which is all
+/// (f) No thread, no hand-off. Without the thread — which is all
 /// `Sequential` shards and the paper's bins ever run — every segment is
 /// written by whoever sealed it, and the device sees the seals and
 /// checkpoint writes PR 23's tree issues for the same load, in the same

@@ -236,11 +236,14 @@ fn suffix_bound_checkpoints_a_log_that_never_wraps_at(mode: Mode) {
     assert_eq!(buf, block(59));
 }
 
-/// Overwrite churn on a half-full device, a flush every fourth commit.
-/// Returns the inline cleaner's passes: all of them, and those that ran
-/// inside a `flush` call.
-fn churn_counting_passes(mode: Mode, slots: u64, live: usize, commits: usize) -> (u64, u64) {
-    let ld = Lld::format(MemDisk::new(device_bytes(slots)), &config(mode)).unwrap();
+/// Overwrite churn on a device of 32 slots holding `live` blocks, a
+/// flush every fourth commit, with no cleaner thread. Returns the
+/// cleaning passes, and the commits (each with its flush, if any)
+/// during which a round of them ran on the caller's thread: one at
+/// most, since a round ends at `target_free_segments` or at a pass that
+/// gains no room, and the next starts only below `min_free_segments`.
+fn churn_counting_rounds(live: usize, commits: usize) -> (u64, u64) {
+    let ld = Lld::format(MemDisk::new(device_bytes(32)), &config(MODES[0])).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let mut blocks = Vec::new();
     for _ in 0..live {
@@ -252,8 +255,9 @@ fn churn_counting_passes(mode: Mode, slots: u64, live: usize, commits: usize) ->
         blocks.push(b);
     }
     ld.flush().unwrap();
-    let mut in_flush = 0;
+    let mut rounds = 0;
     for i in 0..commits {
+        let before = ld.stats().cleaner_passes;
         let aru = ld.begin_aru().unwrap();
         for k in 0..2 {
             let b = blocks[(7 * i + 3 * k) % live];
@@ -261,42 +265,26 @@ fn churn_counting_passes(mode: Mode, slots: u64, live: usize, commits: usize) ->
         }
         ld.end_aru(aru).unwrap();
         if i % 4 == 3 {
-            let before = ld.stats().cleaner_runs;
             ld.flush().unwrap();
-            in_flush += ld.stats().cleaner_runs - before;
         }
+        rounds += u64::from(ld.stats().cleaner_passes > before);
     }
-    (ld.stats().cleaner_runs, in_flush)
+    (ld.stats().cleaner_passes, rounds)
 }
 
-/// While every seal took a slot, the inline cleaner's pass fell on a
-/// flush, whose caller waits for the device anyway. A flush now goes on
-/// in its slot, and the pass would fall on whichever write fills it. So
-/// the flush leader asks one slot early, at `min_free_segments` free,
-/// and most passes are back on flushes.
+/// Rounds stay well under one a flush on a disk nearly full of live
+/// data. The inline pass once ran on every roll there, 102 times in
+/// 100 flushes (C2), and while a flush asked for it a slot early it
+/// needed a rule not to be asked at every flush (at most 60 passes; 44
+/// measured, which relocated 22,004 blocks). A round is bounded by what
+/// it gains: 20 rounds of 156 one-victim passes, 1,625 blocks.
 #[test]
-fn the_inline_cleaner_runs_at_a_flush() {
-    for mode in MODES.into_iter().filter(|&(cleanerd, _)| !cleanerd) {
-        eprintln!("(cleanerd, shards) = {mode:?}");
-        let (passes, in_flush) = churn_counting_passes(mode, 32, 192, 1200);
-        assert!(passes >= 10, "{passes} passes: the log wrapped");
-        assert!(
-            4 * in_flush >= 3 * passes,
-            "{in_flush} of {passes} passes ran in a flush"
-        );
-    }
-}
-
-/// Only while passes reach their target. On a disk too full for that a
-/// pass goes through every covered slot before it gives up; asked a
-/// slot early it would do so at every flush here, 100 times and not 44.
-#[test]
-fn a_cleaner_that_falls_short_is_not_asked_early() {
-    let (passes, in_flush) = churn_counting_passes(MODES[0], 32, 328, 400);
+fn a_nearly_full_disk_runs_a_bounded_number_of_rounds() {
+    let (passes, rounds) = churn_counting_rounds(328, 400);
     assert!(passes >= 10, "{passes} passes: the log wrapped");
     assert!(
-        passes <= 60 && 2 * in_flush < passes,
-        "{in_flush} of {passes} passes ran in one of the 100 flushes"
+        rounds <= 60,
+        "{rounds} rounds of {passes} passes in the 100 flushes' commits"
     );
 }
 

@@ -1,11 +1,15 @@
-//! Log wrap and the segment cleaner — inline, then in the background.
+//! Log wrap and the segment cleaner — one pass, run by the caller, then
+//! by a background thread.
 //!
 //! Phase 1 fills a small logical disk with churn until the log wraps
-//! several times, shows the inline cleaner's statistics, and proves the
-//! surviving data and crash recovery are unaffected. Phase 2 repeats
-//! the churn with `cleanerd` (the background cleaner thread) enabled:
-//! the foreground never cleans unless the watermark backpressure gate
-//! fires, and the same survival guarantees hold.
+//! several times, with no cleaner thread: the operation whose roll
+//! leaves free slots below the emergency level runs the cleaning pass
+//! on its own thread once its locks are let go. It shows the cleaner's
+//! statistics, and proves the surviving data and crash recovery are
+//! unaffected. Phase 2 repeats the churn with `cleanerd` (the
+//! background cleaner thread) running the same pass: the foreground
+//! cleans nothing unless the thread cannot help, and the same survival
+//! guarantees hold.
 //!
 //! Run with: `cargo run --example cleaner_pressure`
 
@@ -77,15 +81,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let s = ld.stats();
     println!(
-        "after 2000 overwrites: {} segments sealed, {} cleaner runs, \
-         {} blocks relocated, {} checkpoints, {} free segments",
+        "after 2000 overwrites: {} segments sealed, {} passes on the \
+         caller's thread, {} blocks relocated, {} checkpoints, {} free segments",
         s.segments_sealed,
-        s.cleaner_runs,
+        s.cleaner_passes,
         s.blocks_relocated,
         s.checkpoints,
         ld.free_segments()
     );
-    assert!(s.cleaner_runs > 0, "the cleaner must have run");
+    assert!(s.cleaner_passes > 0, "the cleaner must have run");
 
     // Cold data survived relocation.
     let mut expect = vec![0u8; 4096];
@@ -115,9 +119,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("recovered state matches the last committed writes");
 
     // Phase 2: the same churn with the background cleaner. `cleanerd`
-    // wakes at the low watermark, snapshots victims, relocates live
-    // blocks in short write windows, and covers the relocations with a
-    // checkpoint — all off the foreground path.
+    // wakes at the low watermark and runs the same pass — snapshot
+    // victims, relocate live blocks in short write windows, hand each
+    // victim back as it empties — off the foreground path.
     println!("\n--- background cleaner (cleanerd) ---");
     let ld = Lld::format(MemDisk::new(4 << 20), &config(true))?;
     let list = ld.new_list(Ctx::Simple)?;
@@ -141,9 +145,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let s = ld.stats();
     println!(
-        "after 2000 overwrites: {} background passes, {} blocks relocated \
-         by cleanerd, {} stale snapshots skipped, {} backpressure stalls, \
-         {} inline fallback runs",
+        "after 2000 overwrites: {} passes, {} blocks relocated by them, \
+         {} stale snapshots skipped, {} backpressure stalls, \
+         {} reserve passes",
         s.cleaner_passes,
         s.cleaner_blocks_relocated,
         s.cleaner_stale_skips,

@@ -6,7 +6,7 @@
 //! Cases are generated from a seeded RNG, so every run explores the
 //! same deterministic matrix — once per point of the mode matrix
 //! ([`MODES`]) that the workload can tell apart: one and eight map
-//! shards, and both cleaners where the log wraps.
+//! shards, and both runners of the cleaning pass where the log wraps.
 
 use ld_aru::core::{CleanerConfig, Ctx, Lld, LldConfig, Position};
 use ld_aru::disk::{DiskModel, FaultPlan, MemDisk, ReorderDisk, SimDisk, SmallRng};
@@ -201,7 +201,7 @@ fn background_clean_crash_points_are_all_or_nothing() {
             // with the same byte, so after any crash a recovered pair
             // must match — a torn pair means a torn ARU.
             let mut crashed = false;
-            // Free slots, inline cleaner runs and checkpoints as of the
+            // Free slots, reserve passes and checkpoints as of the
             // ARU before, and the ARU that last saw a checkpoint.
             let mut seen = (ld.free_segments(), 0, ld.stats().checkpoints);
             let mut checkpoint_at = 0;
@@ -222,8 +222,8 @@ fn background_clean_crash_points_are_all_or_nothing() {
                     crashed = true;
                     break;
                 }
-                // Slots that come back while the inline cleaner is idle
-                // are the thread's release sweep. A pass that writes a
+                // Slots that come back while no reserve pass runs are a
+                // pass's release sweep. A pass that writes a
                 // checkpoint counts it and sweeps right behind it, so a
                 // sweep with no checkpoint by anybody in the eight ARUs
                 // before it is that of a pass over covered victims. Free
