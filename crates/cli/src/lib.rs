@@ -13,6 +13,8 @@ use ld_core::{ConcurrencyMode, Ctx, ListId, Lld, LldConfig, ObsConfig, ObsSnapsh
 use ld_disk::{DiskModel, FileDisk, LatencyDisk, MemDisk, SimDisk};
 use ld_minixfs::{FsConfig, MinixFs};
 use std::fmt::Write as _;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::{Duration, Instant};
 
 /// Errors produced by `ldctl` commands.
 #[derive(Debug)]
@@ -27,7 +29,7 @@ pub enum CtlError {
     Fs(ld_minixfs::FsError),
     /// Local file I/O.
     Io(std::io::Error),
-    /// Malformed snapshot / trace / sampler data handed to a command.
+    /// Malformed snapshot / trace data handed to a command.
     Parse(String),
     /// A remote-server client error (`stats --remote`).
     Net(ld_client::ClientError),
@@ -121,9 +123,9 @@ ldctl — Logical Disk image tool
                                   chrome://tracing / Perfetto, otherwise a
                                   human-readable event table
   ldctl top [--threads N] [--hz N] [--jsonl FILE]
-                                  run the workload with the background
-                                  metrics sampler on (default 200 Hz) and
-                                  print per-interval commit / flush / block
+                                  run the workload, sample its metrics as
+                                  it runs (default 200 Hz) and print
+                                  per-interval commit / flush / block
                                   rates; --jsonl also writes the raw
                                   samples as JSON Lines
   ldctl flight <dump-file>        pretty-print a crash flight-recorder
@@ -399,11 +401,11 @@ pub fn cmd_verify(image: &str) -> Result<String> {
 /// Prints `listening on <addr>` (flushed, so a supervising process can
 /// wait for readiness), then blocks reading stdin; a `quit` line or
 /// EOF triggers the graceful path — stop accepting, drain in-flight
-/// requests, abort uncommitted session ARUs, flush, join the cleaner
-/// and sampler — so every acknowledged commit is on disk before the
-/// process exits. A SIGKILL instead leaves whatever the log had
-/// flushed; the next `serve` (or `check`) recovers it, including the
-/// write-id dedup cache that lets clients reconcile retries.
+/// requests, abort uncommitted session ARUs, flush, join the cleaner —
+/// so every acknowledged commit is on disk before the process exits.
+/// A SIGKILL instead leaves whatever the log had flushed; the next
+/// `serve` (or `check`) recovers it, including the write-id dedup
+/// cache that lets clients reconcile retries.
 pub fn cmd_serve(image: &str, args: &[String]) -> Result<String> {
     use std::io::BufRead as _;
     use std::io::Write as _;
@@ -446,8 +448,7 @@ pub fn cmd_serve(image: &str, args: &[String]) -> Result<String> {
             "server handle still referenced after shutdown",
         ))
     })?;
-    // Joins the background cleaner and sampler threads and closes the
-    // image file.
+    // Joins the background cleaner thread and closes the image file.
     drop(lld.into_device());
     Ok(format!(
         "shut down cleanly: {} sessions served ({} ops, {} retries deduplicated), \
@@ -562,26 +563,23 @@ fn scripted_snapshot() -> Result<ld_core::ObsSnapshot> {
 /// stage event of the run, so its export is complete rather than a
 /// tail.
 fn threaded_snapshot(threads: usize, ring_capacity: usize) -> Result<ObsSnapshot> {
-    let ld = latency_lld(ring_capacity, None)?;
+    let ld = latency_lld(ring_capacity)?;
     ld_workload::MtWorkload::smoke(threads).run(&ld)?;
     Ok(ld.obs_snapshot())
 }
 
 /// The disk of the multi-threaded workloads, with a trace ring of
-/// `ring_capacity` events and the metrics sampler at `metrics_hz`.
+/// `ring_capacity` events.
 ///
 /// The simulated device is wrapped in a [`LatencyDisk`] so each write
 /// barrier costs real wall-clock time: that is the window in which
 /// concurrent durability callers pile into one group-commit batch, and
 /// without it the batching counters these commands exist to show would
 /// stay at 1.
-fn latency_lld(
-    ring_capacity: usize,
-    metrics_hz: Option<f64>,
-) -> Result<Lld<LatencyDisk<SimDisk<MemDisk>>>> {
+fn latency_lld(ring_capacity: usize) -> Result<Lld<LatencyDisk<SimDisk<MemDisk>>>> {
     let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
     Ok(Lld::format(
-        LatencyDisk::new(sim, std::time::Duration::from_micros(500)),
+        LatencyDisk::new(sim, Duration::from_micros(500)),
         &LldConfig {
             block_size: 512,
             segment_bytes: 16 * 512,
@@ -589,7 +587,6 @@ fn latency_lld(
                 ring_capacity,
                 ..ObsConfig::default()
             },
-            metrics_hz,
             ..LldConfig::default()
         },
     )?)
@@ -655,78 +652,78 @@ fn render_trace_table(snap: &ObsSnapshot) -> String {
     out
 }
 
-/// `ldctl top`: run the multi-threaded workload with the metrics
-/// sampler enabled and render the sampled time series as per-interval
-/// rates, `top`-style.
+/// `ldctl top`: run the multi-threaded workload, sample its metrics
+/// while it runs and render the time series as per-interval rates,
+/// `top`-style.
 ///
 /// `--hz N` sets the sampling frequency (default 200), `--jsonl FILE`
 /// additionally writes the raw samples as JSON Lines (one
 /// `{"t_ms":…,"snapshot":{…}}` object per line) for offline analysis.
 pub fn cmd_top(args: &[String]) -> Result<String> {
     let threads = parse_u64(args, "--threads")?.unwrap_or(4) as usize;
-    let hz = parse_u64(args, "--hz")?.unwrap_or(200) as f64;
-    if !(hz > 0.0 && hz <= 1000.0) {
+    let hz = parse_u64(args, "--hz")?.unwrap_or(200);
+    if !(1..=1000).contains(&hz) {
         return Err(CtlError::Usage("--hz must be in (0, 1000]".into()));
     }
     let jsonl_file = parse_str(args, "--jsonl")?;
-    let jsonl = sampled_jsonl(threads, hz)?;
+    let samples = sampled(threads, Duration::from_secs_f64(1.0 / hz as f64))?;
     if let Some(path) = jsonl_file {
-        std::fs::write(path, &jsonl)?;
+        let mut jsonl = String::new();
+        for (t_ms, snapshot) in &samples {
+            let mut o = json::Obj::new();
+            o.u64("t_ms", *t_ms).raw("snapshot", &snapshot.to_json());
+            jsonl.push_str(&o.finish());
+            jsonl.push('\n');
+        }
+        std::fs::write(path, jsonl)?;
     }
-    render_top(&jsonl)
+    Ok(render_top(&samples))
 }
 
-/// Runs the multi-threaded workload with the background metrics
-/// sampler on, returning the captured time series as JSON Lines.
-fn sampled_jsonl(threads: usize, hz: f64) -> Result<String> {
-    let ld = latency_lld(ObsConfig::default().ring_capacity, Some(hz))?;
-    // Bracket the run with explicit samples so the series always has a
-    // zero baseline and a final data point, even when the workload
-    // finishes inside one sampling period.
-    ld.sample_now();
+/// Runs the multi-threaded workload while a scoped thread samples the
+/// disk every `period`, returning `(t_ms, snapshot)` pairs: milliseconds
+/// since the run began and the cumulative counters and histograms then.
+/// A sample before the run and one after it give the series a zero
+/// baseline and a final point, even when the workload finishes inside
+/// one period.
+fn sampled(threads: usize, period: Duration) -> Result<Vec<(u64, ObsSnapshot)>> {
+    let ld = latency_lld(ObsConfig::default().ring_capacity)?;
+    let start = Instant::now();
+    let sample = || {
+        let mut snapshot = ld.obs_snapshot();
+        // A time series carries the numbers; the trace ring and the
+        // span table stay with the disk.
+        snapshot.events = Vec::new();
+        snapshot.spans = Vec::new();
+        (start.elapsed().as_millis() as u64, snapshot)
+    };
     let wl = ld_workload::MtWorkload {
         arus_per_thread: 100,
         ..ld_workload::MtWorkload::smoke(threads)
     };
-    wl.run(&ld)?;
-    ld.sample_now();
-    Ok(ld.sampler_jsonl())
-}
-
-/// Parses sampler JSON Lines back into `(t_ms, snapshot)` pairs.
-fn parse_jsonl(jsonl: &str) -> Result<Vec<(u64, ObsSnapshot)>> {
-    let mut samples = Vec::new();
-    for (n, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| CtlError::Parse(format!("line {}: {e}", n + 1)))?;
-        let t_ms = v
-            .get("t_ms")
-            .and_then(json::Value::as_u64)
-            .ok_or_else(|| CtlError::Parse(format!("line {}: missing t_ms", n + 1)))?;
-        let snap = v
-            .get("snapshot")
-            .ok_or_else(|| CtlError::Parse(format!("line {}: missing snapshot", n + 1)))
-            .and_then(|s| {
-                ObsSnapshot::from_value(s)
-                    .map_err(|e| CtlError::Parse(format!("line {}: {e}", n + 1)))
-            })?;
-        samples.push((t_ms, snap));
-    }
+    let mut samples = vec![sample()];
+    std::thread::scope(|s| {
+        // Dropping the sender wakes the sampling thread at once.
+        let (done, done_rx) = mpsc::channel::<()>();
+        let sampler = s.spawn(move || {
+            let mut series = Vec::new();
+            while done_rx.recv_timeout(period) == Err(RecvTimeoutError::Timeout) {
+                series.push(sample());
+            }
+            series
+        });
+        let run = wl.run(&ld);
+        drop(done);
+        samples.extend(sampler.join().expect("the sampling thread panicked"));
+        run
+    })?;
+    samples.push(sample());
     Ok(samples)
 }
 
 /// The `top` table: per-interval deltas of the headline counters (see
 /// [`cmd_top`]).
-fn render_top(jsonl: &str) -> Result<String> {
-    let samples = parse_jsonl(jsonl)?;
-    if samples.len() < 2 {
-        return Err(CtlError::Parse(format!(
-            "need at least 2 samples to form an interval, got {}",
-            samples.len()
-        )));
-    }
+fn render_top(samples: &[(u64, ObsSnapshot)]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -755,7 +752,7 @@ fn render_top(jsonl: &str) -> Result<String> {
             cur.lld.inflight_barriers,
         );
     }
-    let (_, last) = samples.last().expect("len checked above");
+    let (_, last) = samples.last().expect("a run has a first and a last sample");
     let _ = writeln!(
         out,
         "totals: {} commits, {} flush batches, {} blocks, {} seals, {} stalls, {} trace events dropped",
@@ -766,7 +763,7 @@ fn render_top(jsonl: &str) -> Result<String> {
         last.lld.backpressure_stalls,
         last.lld.trace_events_dropped,
     );
-    Ok(out)
+    out
 }
 
 /// `ldctl flight`: pretty-print a crash flight-recorder dump written

@@ -1,5 +1,7 @@
 //! End-to-end tests of every `ldctl` subcommand against image files.
 
+use ld_core::obs::json;
+use ld_core::ObsSnapshot;
 use ld_ctl::{run, CtlError};
 
 fn temp_image(name: &str) -> String {
@@ -250,7 +252,7 @@ fn trace_chrome_export_is_valid_and_cross_thread() {
     .unwrap();
     assert!(report.contains("wrote"), "{report}");
     let text = std::fs::read_to_string(&path).unwrap();
-    let v = ld_core::obs::json::parse(&text).unwrap();
+    let v = json::parse(&text).unwrap();
     let events = v.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
     assert!(!events.is_empty());
     // Complete ("X") span events must appear on more than one thread:
@@ -295,23 +297,43 @@ fn top_renders_interval_deltas_and_writes_jsonl() {
     assert!(out.contains("samples over"), "{out}");
     assert!(out.contains("commits"), "{out}");
     assert!(out.contains("totals:"), "{out}");
-    // The JSONL sidecar parses line by line.
+    // The JSONL sidecar parses line by line, each snapshot with the
+    // bundled reader.
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.lines().count() >= 2, "{text}");
-    for line in text.lines() {
-        let v = ld_core::obs::json::parse(line).unwrap();
-        assert!(v.get("t_ms").is_some());
-        assert!(v.get("snapshot").is_some());
+    let samples: Vec<_> = text
+        .lines()
+        .map(|line| {
+            let v = json::parse(line).expect("each line is one JSON object");
+            let t_ms = v.get("t_ms").and_then(json::Value::as_u64).unwrap();
+            let snap = ObsSnapshot::from_value(v.get("snapshot").unwrap()).unwrap();
+            (t_ms, snap)
+        })
+        .collect();
+    assert!(samples.len() >= 2, "{text}");
+    // Time and the cumulative counters never move backwards.
+    for pair in samples.windows(2) {
+        assert!(pair[0].0 <= pair[1].0, "t_ms went backwards");
+        assert!(pair[0].1.lld.arus_committed <= pair[1].1.lld.arus_committed);
     }
+    // A baseline before the run and a final point after it: 2 threads
+    // of 100 ARUs each.
+    assert_eq!(samples[0].1.lld.arus_committed, 0);
+    assert_eq!(samples.last().unwrap().1.lld.arus_committed, 200);
+    // The time series carries counters; the trace ring carries events.
+    assert!(samples
+        .iter()
+        .all(|(_, s)| s.events.is_empty() && s.spans.is_empty()));
     cleanup(&path);
 }
 
 #[test]
 fn top_rejects_bad_hz() {
-    assert!(matches!(
-        run(&args(&["top", "--hz", "0"])),
-        Err(CtlError::Usage(_))
-    ));
+    for hz in ["0", "1001"] {
+        assert!(
+            matches!(run(&args(&["top", "--hz", hz])), Err(CtlError::Usage(_))),
+            "--hz {hz} should be rejected"
+        );
+    }
 }
 
 #[test]

@@ -149,14 +149,6 @@ pub struct LldConfig {
     /// Observability: event tracing, latency histograms, and ARU spans
     /// (default on; see [`ObsConfig::disabled`]).
     pub obs: ObsConfig,
-    /// Background metrics sampler frequency in Hz. `Some(hz)` spawns a
-    /// thread ("ld-sampler") that captures an
-    /// [`ObsSnapshot`](crate::ObsSnapshot) roughly `hz` times per second
-    /// into a bounded in-memory ring, exportable as JSONL
-    /// (`Lld::sampler_jsonl`). Must be finite and positive (at most
-    /// 1000) when set; default `None`. A runtime knob, not persisted
-    /// on disk.
-    pub metrics_hz: Option<f64>,
     /// Upper bound on recorded write-id outcomes in the exactly-once
     /// dedup cache (16..=65536; default 1024). The bound also reserves
     /// checkpoint-area space for the cache's snapshot slab at format
@@ -190,7 +182,6 @@ impl Default for LldConfig {
             read_cache_blocks: 1024,
             map_shards: 8,
             obs: ObsConfig::default(),
-            metrics_hz: None,
             dedup_capacity: 1024,
             flight_dir: default_flight_dir(),
         }
@@ -267,13 +258,6 @@ impl LldConfig {
                 "dedup_capacity {} must be in {MIN_DEDUP_CAPACITY}..={MAX_DEDUP_CAPACITY}",
                 self.dedup_capacity
             )));
-        }
-        if let Some(hz) = self.metrics_hz {
-            if !hz.is_finite() || hz <= 0.0 || hz > 1000.0 {
-                return Err(LldError::Config(format!(
-                    "metrics_hz {hz} must be finite, positive, and at most 1000"
-                )));
-            }
         }
         Ok(())
     }
@@ -371,22 +355,6 @@ mod tests {
         // Irrelevant when the cleaner is disabled.
         c.cleaner.enabled = false;
         c.cleaner.min_free_segments = 2;
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn rejects_bad_metrics_hz() {
-        for bad in [0.0, -4.0, f64::NAN, f64::INFINITY, 1001.0] {
-            let c = LldConfig {
-                metrics_hz: Some(bad),
-                ..LldConfig::default()
-            };
-            assert!(c.validate().is_err(), "metrics_hz {bad} should be rejected");
-        }
-        let c = LldConfig {
-            metrics_hz: Some(25.0),
-            ..LldConfig::default()
-        };
         assert!(c.validate().is_ok());
     }
 

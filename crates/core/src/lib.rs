@@ -79,7 +79,6 @@ pub mod obs;
 mod ops;
 mod record;
 mod recovery;
-mod sampler;
 mod segment;
 mod shard;
 mod state;

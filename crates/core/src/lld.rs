@@ -22,7 +22,6 @@ use crate::flight::FlightRecorder;
 use crate::gc::GroupCommit;
 use crate::layout::{Layout, CKPT_HEADER, SUPERBLOCK_LEN};
 use crate::obs::{AruSpan, Obs, ObsSnapshot, Stage, TraceEvent};
-use crate::sampler::Sampler;
 use crate::segment::{
     extent, header_link, header_offset, zero_past_extent, ChainHead, SegmentBuilder, HEADER_PUNCH,
     NO_SLOT, SECTOR,
@@ -248,12 +247,10 @@ impl<D> std::ops::Deref for Lld<D> {
 }
 
 impl<D> Drop for Lld<D> {
-    /// Stops and joins the background cleaner and sampler threads, if
-    /// running.
+    /// Stops and joins the background cleaner thread, if running.
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
             inner.cleanerd.shutdown_and_join();
-            inner.sampler.shutdown_and_join();
         }
     }
 }
@@ -282,9 +279,8 @@ impl<D> Lld<D> {
     pub fn into_device(mut self) -> D {
         let inner = self.inner.take().expect("logical disk already consumed");
         inner.cleanerd.shutdown_and_join();
-        inner.sampler.shutdown_and_join();
         Arc::into_inner(inner)
-            .expect("only the cleaner and sampler threads share the state, and both are joined")
+            .expect("only the cleaner thread shares the state, and it is joined")
             .device
     }
 }
@@ -359,9 +355,6 @@ pub struct LldInner<D> {
     /// Coordination state of the background cleaner thread (a leaf
     /// lock: never held while acquiring any mapping-layer or log lock).
     pub(crate) cleanerd: Cleanerd,
-    /// Coordination state of the metrics sampler thread (a leaf lock;
-    /// present even when no thread runs, so `sample_now` always works).
-    pub(crate) sampler: Sampler,
     /// The crash flight recorder, when a dump directory is configured
     /// ([`LldConfig::flight_dir`] / `LD_ARU_FLIGHT_DIR`).
     pub(crate) flight: Option<FlightRecorder>,
@@ -432,7 +425,6 @@ impl<D: BlockDevice + 'static> Lld<D> {
         let ld = Lld::from_inner(LldInner::new(device, layout, config));
         ld.with_mutation(|m| m.open_segment(0))?;
         crate::cleanerd::spawn_if_configured(&ld);
-        crate::sampler::spawn_if_configured(&ld, config.metrics_hz);
         Ok(ld)
     }
 }
@@ -465,7 +457,6 @@ impl<D: BlockDevice + 'static> LldInner<D> {
             stats: StatsCell::default(),
             obs: Obs::new(config.obs),
             cleanerd: Cleanerd::new(),
-            sampler: Sampler::new(),
             flight: config.flight_dir.clone().map(FlightRecorder::new),
         }
     }
@@ -812,26 +803,6 @@ impl<D: BlockDevice> LldInner<D> {
     /// Resets the operation counters.
     pub fn reset_stats(&self) {
         self.stats.reset();
-    }
-
-    /// Captures one metrics sample into the sampler ring right now, on
-    /// the calling thread — works with or without a sampler thread
-    /// running, so tests get deterministic time series.
-    pub fn sample_now(&self) {
-        crate::sampler::take_sample(self);
-    }
-
-    /// Serializes the sampler ring as JSONL: one
-    /// `{"t_ms": …, "snapshot": {…}}` object per line, oldest first.
-    /// Empty when nothing has been sampled.
-    pub fn sampler_jsonl(&self) -> String {
-        self.sampler.to_jsonl()
-    }
-
-    /// Number of metrics samples currently retained, and the number
-    /// evicted from the bounded ring.
-    pub fn sampler_counts(&self) -> (usize, u64) {
-        (self.sampler.len(), self.sampler.dropped())
     }
 
     /// Writes a flight dump (reason + detail + a full

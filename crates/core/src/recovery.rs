@@ -659,7 +659,6 @@ impl<D: BlockDevice + 'static> Lld<D> {
             .stage_end(0, trace, Stage::RecoveryFinalize, report.finalize_ns);
         ld.obs.recovery_done(ld.now(), &report);
         crate::cleanerd::spawn_if_configured(&ld);
-        crate::sampler::spawn_if_configured(&ld, config.metrics_hz);
         Ok((ld, report))
     }
 }

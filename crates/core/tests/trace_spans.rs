@@ -1,9 +1,8 @@
 //! Integration tests of the commit-trace protocol: stage spans emitted
 //! by the group-commit path must be complete (every begin has an end)
 //! and properly nested (queue-wait / seal / barrier-wait inside the
-//! commit span), across OS threads; the snapshot JSON schema is pinned
-//! by a golden file; and the sampler JSONL format round-trips through
-//! the bundled parser.
+//! commit span), across OS threads; and the snapshot JSON schema is
+//! pinned by a golden file and round-trips through the bundled parser.
 
 use ld_core::obs::{json, TraceEvent};
 use ld_core::{Ctx, Lld, LldConfig, ObsConfig, ObsSnapshot, Position, ServerCounters};
@@ -281,41 +280,6 @@ fn filled_snapshot_json_round_trips_byte_identical() {
     assert_eq!(reparsed.recovery, snap.recovery);
     assert_eq!(reparsed.server, snap.server);
     assert_eq!(reparsed.events, snap.events);
-}
-
-#[test]
-fn sampler_jsonl_round_trips_and_is_monotonic() {
-    let ld = Lld::format(MemDisk::new(4 << 20), &config()).unwrap();
-    ld.sample_now();
-    sync_commit(&ld);
-    ld.sample_now();
-    sync_commit(&ld);
-    sync_commit(&ld);
-    ld.sample_now();
-
-    let (rows, dropped) = ld.sampler_counts();
-    assert_eq!(rows, 3);
-    assert_eq!(dropped, 0);
-
-    let jsonl = ld.sampler_jsonl();
-    let mut parsed = Vec::new();
-    for line in jsonl.lines() {
-        let v = json::parse(line).expect("each sampler line is one JSON object");
-        let t_ms = v.get("t_ms").and_then(json::Value::as_u64).unwrap();
-        let snap = ObsSnapshot::from_value(v.get("snapshot").unwrap()).unwrap();
-        parsed.push((t_ms, snap));
-    }
-    assert_eq!(parsed.len(), 3);
-    // Time and the cumulative counters never move backwards.
-    for pair in parsed.windows(2) {
-        assert!(pair[0].0 <= pair[1].0, "t_ms went backwards");
-        assert!(pair[0].1.lld.arus_committed <= pair[1].1.lld.arus_committed);
-    }
-    assert_eq!(parsed[0].1.lld.arus_committed, 0);
-    assert_eq!(parsed[2].1.lld.arus_committed, 3);
-    // Samples are deliberately event-free: the time series carries
-    // counters, the trace ring carries events.
-    assert!(parsed.iter().all(|(_, s)| s.events.is_empty()));
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! emitted them without dragging `ThreadId`'s opaque representation
 //! around. Threads with a meaningful role register a name
 //! ([`register_thread_name`]) that exporters resolve via
-//! [`thread_names`] — the cleaner daemon and the metrics sampler do.
+//! [`thread_names`] — the cleaner daemon does.
 //!
 //! # Trace context
 //!

@@ -32,8 +32,8 @@
 //! [`Server::shutdown`] stops accepting, drains each session's
 //! in-flight request, flushes so every *acknowledged* commit is
 //! durable, and only then hands the disk back — at which point the
-//! caller can `into_device()` (joining cleanerd and sampler) knowing no
-//! request thread is left behind.
+//! caller can `into_device()` (joining cleanerd) knowing no request
+//! thread is left behind.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -135,7 +135,7 @@ impl<D: BlockDevice + 'static> Server<D> {
     /// every handler thread has been joined the `Arc` is unique again,
     /// so the caller can `Arc::try_unwrap(..)` and then
     /// [`into_device`](ld_core::Lld::into_device) — which joins the
-    /// cleaner and sampler threads — to take the device out.
+    /// cleaner thread — to take the device out.
     pub fn shutdown(mut self) -> (Arc<Lld<D>>, Result<(), LldError>) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The accept thread is blocked in `accept()`: a throw-away

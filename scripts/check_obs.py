@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Validate the observability exports produced by the trace and sampler
-paths — used by the CI obs-smoke job and runnable locally:
+"""Validate the observability exports produced by `ldctl trace` and
+`ldctl top` — used by the CI obs-smoke job and runnable locally:
 
     cargo run --release -q -p ld-ctl -- trace --chrome --threads 8 --out trace.json
     cargo run --release -q -p ld-ctl -- top --threads 8 --jsonl samples.jsonl
@@ -18,8 +18,8 @@ Checks, stdlib only:
   instant with args.batch > 1 covers "commit" spans (args.trace in
   first_trace .. first_trace + batch) on at least two tids — callers
   on different threads acknowledged by one leader's barrier;
-* the sampler JSONL parses line by line, t_ms never moves backwards,
-  and the cumulative counters are monotonic.
+* `ldctl top`'s JSONL time series parses line by line, t_ms never
+  moves backwards, and the cumulative counters are monotonic.
 
 Exit status 0 on success; prints the first failure and exits 1.
 """
