@@ -694,6 +694,12 @@ impl<D: BlockDevice> LldInner<D> {
             self.device.write_at(w.area + w.end, &dedup)?;
         }
         self.device.write_at(w.area + CKPT_HEADER, &w.dir)?;
+        // What the header vouches for is durable before the header is
+        // written: the slabs, the directory, and every segment it
+        // covers, the seal *begin* made included (docs/INVARIANTS.md
+        // I4, "Across a barrier").
+        self.device.flush()?;
+        self.barrier_covers.fetch_max(w.covered, Ordering::Relaxed);
         self.device.write_at(w.area, &header)?;
         self.device.flush()?;
         io.use_b = w.area == self.layout.ckpt_a;

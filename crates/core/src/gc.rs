@@ -16,6 +16,7 @@ use crate::obs::{flush_trace, Obs, Stage};
 use crate::types::AruId;
 use ld_disk::BlockDevice;
 use ld_disk::{Condvar, Mutex};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// A leader may claim while fewer than this many batches are released
@@ -172,10 +173,12 @@ impl<D: BlockDevice> LldInner<D> {
         // can uncover them. A seal or write that fails does not hand
         // off: leadership goes in the critical section that records the
         // error below, before anyone can claim.
-        let written =
-            seal.and_then(|sealed| self.wait_written(&mut None, |log| log.watermark() > sealed));
+        let written = seal.and_then(|sealed| {
+            self.wait_written(&mut None, |log| log.watermark() > sealed)
+                .map(|()| sealed)
+        });
         let released = written.is_ok();
-        let res = written.and_then(|()| {
+        let res = written.and_then(|sealed| {
             let gate_open = {
                 let mut st = self.gc.state.lock();
                 st.leader_active = false;
@@ -192,6 +195,9 @@ impl<D: BlockDevice> LldInner<D> {
             let wait_timer = self.obs.timer();
             self.obs.stage_begin(self.now(), trace, Stage::BarrierWait);
             let res = self.device.flush().map_err(LldError::from);
+            if res.is_ok() {
+                self.barrier_covers.fetch_max(sealed, Ordering::Relaxed);
+            }
             self.obs.stage_end(
                 self.now(),
                 trace,

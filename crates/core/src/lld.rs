@@ -350,6 +350,10 @@ pub struct LldInner<D> {
     /// the session that finds it sees to one when it ends
     /// ([`after_session`](LldInner::after_session)).
     pub(crate) needs_checkpoint: AtomicBool,
+    /// The last segment a barrier that returned `Ok` vouches for
+    /// (docs/INVARIANTS.md I4, "Across a barrier"). `Relaxed`: it
+    /// publishes no memory, and a stale read costs one more barrier.
+    pub(crate) barrier_covers: AtomicU64,
     pub(crate) stats: StatsCell,
     pub(crate) obs: Obs,
     /// Coordination state of the background cleaner thread (a leaf
@@ -454,6 +458,7 @@ impl<D: BlockDevice + 'static> LldInner<D> {
             free_slots_hint: AtomicU64::new(n as u64),
             needs_clean: AtomicBool::new(false),
             needs_checkpoint: AtomicBool::new(false),
+            barrier_covers: AtomicU64::new(0),
             stats: StatsCell::default(),
             obs: Obs::new(config.obs),
             cleanerd: Cleanerd::new(),
@@ -597,9 +602,11 @@ impl<D: BlockDevice> LldInner<D> {
     ///
     /// Two device writes: the 44-byte header at the segment's base, then
     /// the body from the sector behind it, issued only once the header's
-    /// write has returned. Under a prefix cut they land as one write
-    /// would, header, data, summary last (docs/RECOVERY.md, "What a
-    /// segment's base holds until its seal lands").
+    /// write has returned. A device may persist either without the other
+    /// (docs/RECOVERY.md, "What a segment's base holds until its seal
+    /// lands"). Into a slot released behind a segment no barrier has
+    /// vouched for yet, a barrier goes first: the device could otherwise
+    /// keep this segment and lose the records that emptied the slot.
     pub(crate) fn write_sealed<'a>(
         &'a self,
         seg: &SegmentBuilder,
@@ -607,6 +614,9 @@ impl<D: BlockDevice> LldInner<D> {
     ) -> Result<()> {
         let (slot, in_place) = (seg.slot().get(), held.is_some());
         let _ = self.wait_written(held, |log| log.watermark() > log.reuse_after[slot as usize]);
+        let released_behind = held
+            .as_ref()
+            .map_or(0, |log| log.reuse_after[slot as usize]);
         if !in_place {
             *held = None;
         }
@@ -615,7 +625,17 @@ impl<D: BlockDevice> LldInner<D> {
         // or `ld-cleanerd` for a seal it was handed.
         let (timer, trace) = (self.obs.timer(), ld_disk::current_trace());
         self.obs.stage_begin(self.now(), trace, Stage::MediaWrite);
-        let written = (self.device.write_at(at, seg.header()))
+        let barrier = if self.barrier_covers.load(Ordering::Relaxed) < released_behind {
+            let flushed = self.device.flush();
+            if flushed.is_ok() {
+                self.barrier_covers
+                    .fetch_max(released_behind, Ordering::Relaxed);
+            }
+            flushed
+        } else {
+            Ok(())
+        };
+        let written = (barrier.and_then(|()| self.device.write_at(at, seg.header())))
             .and_then(|()| self.device.write_at(at + SECTOR as u64, seg.body()));
         self.obs
             .stage_end(self.now(), trace, Stage::MediaWrite, Obs::elapsed(timer));

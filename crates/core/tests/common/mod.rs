@@ -1,13 +1,15 @@
 //! What the suites share: where the on-disk fields sit and how to make
 //! an edit under them pass its checksum again (the image-forging
-//! suites), the blocks an overwrite churn rotates over, and a device
-//! that parks chosen writes (the suites that own a segment write in
-//! flight).
+//! suites), the blocks an overwrite churn rotates over, the crash
+//! suites' seed convention, and a device that parks chosen writes (the
+//! suites that own a segment write in flight).
 
 #![allow(dead_code)] // each suite uses its own subset
 
 use ld_core::{BlockId, Ctx, ListId, Lld, Position, Record};
-use ld_disk::{crc32, BlockDevice, Condvar, DiskError, MemDisk, Mutex};
+use ld_disk::{
+    crc32, BlockDevice, Condvar, DiskError, DiskModel, MemDisk, Mutex, SimDisk, SmallRng,
+};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
@@ -34,6 +36,39 @@ pub fn churn_ring<D: BlockDevice>(
             b
         })
         .collect()
+}
+
+// Power cuts: `SimDisk` is the one crash model. A suite's seed is what
+// `CRASH_SEED` takes to run its failing case alone: the crash point of a
+// byte-budget sweep (the seed the cut was drawn with, `ld_disk::Cut`),
+// or the seed of the draws a suite makes itself.
+
+/// The seeds a crash suite runs: the one `CRASH_SEED` names when it is
+/// set, else `default`.
+pub fn crash_seeds(default: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    match std::env::var("CRASH_SEED") {
+        Ok(s) => vec![s.parse().expect("CRASH_SEED is a number")],
+        Err(_) => default.into_iter().collect(),
+    }
+}
+
+/// A simulated disk holding `image`, all of it durable.
+pub fn sim_disk(image: Vec<u8>) -> SimDisk<MemDisk> {
+    SimDisk::new(MemDisk::from_image(image), DiskModel::hp_c3010())
+}
+
+/// The image a cut leaves that keeps each write pending on `dev` as a
+/// coin drawn from `rng` says, and the writes it kept.
+pub fn random_cut(dev: &SimDisk<MemDisk>, rng: &mut SmallRng) -> (Vec<u8>, Vec<usize>) {
+    let mut kept = Vec::new();
+    let image = dev.crash_keeping(|i| {
+        let keep = rng.gen_index(2) == 0;
+        if keep {
+            kept.push(i);
+        }
+        keep
+    });
+    (image, kept)
 }
 
 // Segment header fields (see `segment.rs`).

@@ -204,9 +204,14 @@ fn aborted_aru_leaves_no_trace() {
 #[test]
 fn crash_atomicity_at_any_point() {
     let mut rng = SmallRng::seed_from_u64(0x4C445F03);
-    for case in 0..32 {
-        let crash_after = rng.gen_range(1000, 60_000);
-        let n_arus = rng.gen_range(1, 8) as usize;
+    // `CRASH_SEED=<crash point>` runs one case alone: the case is its
+    // crash point's.
+    let points: Vec<u64> = match std::env::var("CRASH_SEED") {
+        Ok(s) => vec![s.parse().expect("CRASH_SEED is a number")],
+        Err(_) => (0..32).map(|_| rng.gen_range(1000, 60_000)).collect(),
+    };
+    for crash_after in points {
+        let n_arus = SmallRng::seed_from_u64(crash_after).gen_range(1, 8) as usize;
         // Each ARU creates its own list with 3 blocks of a known
         // pattern. After a crash at an arbitrary byte count, every
         // recovered list must be complete and correct — never partial.
@@ -216,8 +221,7 @@ fn crash_atomicity_at_any_point() {
             .set_faults(FaultPlan::new().crash_after_bytes(crash_after));
 
         let mut lists = Vec::new();
-        let mut crashed = false;
-        'outer: for i in 0..n_arus {
+        for i in 0..n_arus {
             let run = (|| -> Result<ld_core::ListId, LldError> {
                 let aru = ld.begin_aru()?;
                 let l = ld.new_list(Ctx::Aru(aru))?;
@@ -233,31 +237,25 @@ fn crash_atomicity_at_any_point() {
             })();
             match run {
                 Ok(l) => lists.push((i, l)),
-                Err(LldError::Disk(_)) => {
-                    crashed = true;
-                    break 'outer;
-                }
-                Err(e) => panic!("case {case}: unexpected: {e}"),
+                Err(LldError::Disk(_)) => break,
+                Err(e) => panic!("CRASH_SEED={crash_after}: unexpected: {e}"),
             }
         }
-        if !crashed {
-            // Crash point not reached during the workload; force it.
-            ld.device().force_crash();
-        }
-
-        let image = ld.into_device().into_inner().into_image();
-        let (ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
+        // A crash point the workload did not reach is cut now.
+        let (image, cut) = ld.into_device().crash_image();
+        let (ld2, _) =
+            Lld::recover(MemDisk::from_image(image)).unwrap_or_else(|e| panic!("{cut}: {e}"));
 
         // Fully flushed ARUs must be present and complete.
         for (i, l) in &lists {
             let members = ld2
                 .list_blocks(Ctx::Simple, *l)
-                .unwrap_or_else(|e| panic!("case {case}: flushed list {l} lost: {e}"));
-            assert_eq!(members.len(), 3);
+                .unwrap_or_else(|e| panic!("{cut}: flushed list {l} lost: {e}"));
+            assert_eq!(members.len(), 3, "{cut}");
             for (j, &b) in members.iter().enumerate() {
                 let mut buf = block(0);
                 ld2.read(Ctx::Simple, b, &mut buf).unwrap();
-                assert_eq!(buf, block(*i as u8 * 3 + 1 + j as u8));
+                assert_eq!(buf, block(*i as u8 * 3 + 1 + j as u8), "{cut}");
             }
         }
         // Any other recovered list must also be complete (atomicity):
@@ -266,7 +264,7 @@ fn crash_atomicity_at_any_point() {
         for raw in 1..20u64 {
             let l = ld_core::ListId::new(raw);
             if let Ok(members) = ld2.list_blocks(Ctx::Simple, l) {
-                assert_eq!(members.len(), 3, "partial ARU survived: list {l}");
+                assert_eq!(members.len(), 3, "{cut}: partial ARU survived: list {l}");
             }
         }
     }

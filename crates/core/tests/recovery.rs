@@ -20,16 +20,26 @@ fn block(byte: u8) -> Vec<u8> {
     vec![byte; BS]
 }
 
-/// Crashes the logical disk *without* flushing: whatever reached the
-/// device is what recovery sees.
-fn crash_and_recover(ld: Lld<MemDisk>) -> (Lld<MemDisk>, ld_core::RecoveryReport) {
-    let image = ld.into_device().into_image();
-    Lld::recover(MemDisk::from_image(image)).unwrap()
+/// A simulated disk of `capacity` bytes.
+fn sim(capacity: u64) -> SimDisk<MemDisk> {
+    SimDisk::new(MemDisk::new(capacity), DiskModel::hp_c3010())
+}
+
+/// Cuts the power *without* flushing: what the last barrier vouched
+/// for, and a seeded subset of the writes since, is what recovery sees.
+/// The cut is in the test's captured output.
+fn crash_and_recover(
+    ld: Lld<SimDisk<MemDisk>>,
+) -> (Lld<SimDisk<MemDisk>>, ld_core::RecoveryReport) {
+    let (image, cut) = ld.into_device().crash_image();
+    eprintln!("{cut}");
+    let device = SimDisk::new(MemDisk::from_image(image), DiskModel::hp_c3010());
+    Lld::recover(device).unwrap_or_else(|e| panic!("{cut}: {e}"))
 }
 
 #[test]
 fn empty_disk_recovers_empty() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let (ld2, report) = crash_and_recover(ld);
     assert_eq!(ld2.allocated_block_count(), 0);
     assert_eq!(ld2.allocated_list_count(), 0);
@@ -38,7 +48,7 @@ fn empty_disk_recovers_empty() {
 
 #[test]
 fn flushed_state_survives_crash() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b1 = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     let b2 = ld.new_block(Ctx::Simple, l, Position::After(b1)).unwrap();
@@ -60,7 +70,7 @@ fn flushed_state_survives_crash() {
 fn unflushed_committed_state_is_lost() {
     // Committed but never written to disk: recovery is to the most
     // recent *persistent* state.
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     ld.write(Ctx::Simple, b, &block(1)).unwrap();
@@ -76,7 +86,7 @@ fn unflushed_committed_state_is_lost() {
 
 #[test]
 fn uncommitted_aru_fully_undone() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b0 = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     ld.write(Ctx::Simple, b0, &block(1)).unwrap();
@@ -103,7 +113,7 @@ fn uncommitted_aru_fully_undone() {
 
 #[test]
 fn committed_aru_survives_as_a_unit() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let aru = ld.begin_aru().unwrap();
     let b1 = ld.new_block(Ctx::Aru(aru), l, Position::First).unwrap();
@@ -157,7 +167,7 @@ fn aru_straddling_flush_is_atomic() {
     // Flush happens while an ARU is active; the ARU commits afterwards
     // but the commit never reaches disk. NOTHING of the ARU may
     // survive.
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b0 = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     ld.write(Ctx::Simple, b0, &block(1)).unwrap();
@@ -181,7 +191,7 @@ fn sequential_mode_crash_atomicity() {
         concurrency: ConcurrencyMode::Sequential,
         ..config()
     };
-    let ld = Lld::format(MemDisk::new(2 << 20), &cfg).unwrap();
+    let ld = Lld::format(sim(2 << 20), &cfg).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b0 = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     ld.write(Ctx::Simple, b0, &block(1)).unwrap();
@@ -204,7 +214,7 @@ fn sequential_mode_crash_atomicity() {
 
 #[test]
 fn recovery_preserves_id_allocation_monotonicity() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b1 = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     ld.flush().unwrap();
@@ -218,7 +228,7 @@ fn recovery_preserves_id_allocation_monotonicity() {
 #[test]
 fn double_recovery_is_stable() {
     // Recovering, doing nothing, and recovering again must converge.
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     for i in 0..10u8 {
         let aru = ld.begin_aru().unwrap();
@@ -237,7 +247,7 @@ fn double_recovery_is_stable() {
 
 #[test]
 fn checkpoint_bounds_replay() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     for i in 0..50u8 {
@@ -264,7 +274,7 @@ fn checkpoint_bounds_replay() {
 
 #[test]
 fn checkpoint_alone_recovers_without_segments() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     ld.write(Ctx::Simple, b, &block(0x42)).unwrap();
@@ -280,7 +290,7 @@ fn checkpoint_alone_recovers_without_segments() {
 
 #[test]
 fn recovery_report_counts_discards() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     // Two committed ARUs, one uncommitted.
     for _ in 0..2 {
@@ -331,7 +341,7 @@ fn recover_with_overrides_runtime_options() {
 fn state_identical_across_crash_for_mixed_workload() {
     // Drive a mixed workload, flush, snapshot the logical state, crash,
     // recover, and compare the full observable state.
-    let ld = Lld::format(MemDisk::new(4 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(4 << 20), &config()).unwrap();
     let mut lists = Vec::new();
     for i in 0..8u8 {
         let aru = ld.begin_aru().unwrap();
@@ -432,7 +442,7 @@ fn flushed_commit_after_gap_survives_second_crash() {
 
 #[test]
 fn tagged_commit_outcome_survives_crash() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     ld.client_hello(7, 1).unwrap();
     let aru = ld.begin_aru().unwrap();
     let l = ld.new_list(Ctx::Aru(aru)).unwrap();
@@ -466,7 +476,7 @@ fn tagged_commit_outcome_survives_crash() {
 
 #[test]
 fn unflushed_tagged_commit_reexecutes_after_crash() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let aru = ld.begin_aru().unwrap();
     let l = ld.new_list(Ctx::Aru(aru)).unwrap();
     ld.end_aru_tagged(aru, 7, 1, 100).unwrap();
@@ -487,7 +497,7 @@ fn unflushed_tagged_commit_reexecutes_after_crash() {
 
 #[test]
 fn checkpoint_carries_dedup_cache() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let aru = ld.begin_aru().unwrap();
     let l = ld.new_list(Ctx::Aru(aru)).unwrap();
     let first = ld.end_aru_tagged(aru, 3, 2, 55).unwrap();
@@ -524,7 +534,7 @@ fn tagged_commit_rejects_sequential_mode_and_zero_ids() {
 
 #[test]
 fn generation_regression_is_rejected_after_recovery() {
-    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     ld.client_hello(9, 5).unwrap();
     let aru = ld.begin_aru().unwrap();
     ld.new_list(Ctx::Aru(aru)).unwrap();

@@ -13,10 +13,10 @@ use crate::Result;
 ///
 /// # Durability contract
 ///
-/// Writes are durable once `write_at` returns, *except* under fault
-/// injection: a [`SimDisk`](crate::SimDisk) with an armed crash point may
-/// apply only a prefix of the crossing write (a "torn write") before
-/// failing with [`DiskError::Crashed`](crate::DiskError::Crashed).
+/// A write is durable once a later [`flush`](Self::flush) has returned
+/// `Ok`. Until then a power cut may keep it or lose it, independently of
+/// the writes around it: a [`SimDisk`](crate::SimDisk) keeps a seeded
+/// subset of them, and tears the write that crossed its crash point.
 pub trait BlockDevice: Send + Sync {
     /// Total capacity of the device in bytes.
     fn capacity(&self) -> u64;

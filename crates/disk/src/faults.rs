@@ -1,25 +1,13 @@
 use std::ops::Range;
 
-/// What a write attempt should do, as decided by the fault plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum WriteOutcome {
-    /// Apply the whole write.
-    Full,
-    /// Apply only the first `n` bytes (a torn write), then crash.
-    Torn(usize),
-    /// The device already crashed; apply nothing.
-    Dead,
-}
-
 /// A deterministic fault-injection plan for a [`SimDisk`](crate::SimDisk).
 ///
-/// Crash points let crash-recovery tests stop the disk at an exact,
-/// reproducible instant: after N bytes or N write requests, the crossing
-/// write is *torn* — only a sector-aligned prefix reaches the medium —
-/// and every later operation fails with
-/// [`DiskError::Crashed`](crate::DiskError::Crashed). This models a power
-/// failure in the middle of a segment write, the hardest case the paper's
-/// recovery procedure must handle.
+/// A crash point lets crash-recovery tests stop the disk at an exact,
+/// reproducible instant: after N bytes the crossing write is *torn* —
+/// only a sector-aligned prefix of it is issued — and every later
+/// operation fails with [`DiskError::Crashed`](crate::DiskError::Crashed).
+/// The crash point is the *when* of a power cut; what survives it is
+/// the [`SimDisk`](crate::SimDisk)'s to draw, seeded by the crash point.
 ///
 /// Read-error regions model partial media failures.
 ///
@@ -34,11 +22,9 @@ pub(crate) enum WriteOutcome {
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     crash_after_bytes: Option<u64>,
-    crash_after_writes: Option<u64>,
     torn_granularity: u64,
     read_error_regions: Vec<Range<u64>>,
     bytes_written: u64,
-    writes_done: u64,
     crashed: bool,
 }
 
@@ -60,20 +46,8 @@ impl FaultPlan {
         self
     }
 
-    /// Crashes the device after `n` complete write requests; request
-    /// `n + 1` fails without transferring any data.
-    #[must_use]
-    pub fn crash_after_writes(mut self, n: u64) -> Self {
-        self.crash_after_writes = Some(n);
-        self
-    }
-
-    /// Sets the granularity at which torn writes are truncated.
-    /// A granularity of 0 permits byte-granularity tearing.
-    ///
-    /// # Panics
-    ///
-    /// Does not panic; a value of 0 is treated as 1.
+    /// Sets the granularity at which torn writes are truncated; 0 and 1
+    /// both tear at any byte.
     #[must_use]
     pub fn torn_granularity(mut self, bytes: u64) -> Self {
         self.torn_granularity = bytes.max(1);
@@ -92,41 +66,34 @@ impl FaultPlan {
         self.crashed
     }
 
-    /// Total bytes durably written so far under this plan.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
     /// Forces the crashed state immediately (used by tests and the
     /// harness to stop a device by hand).
     pub fn force_crash(&mut self) {
         self.crashed = true;
     }
 
-    /// Decides the outcome of a write of `len` bytes and updates
-    /// accounting. Internal to the simulator.
-    pub(crate) fn on_write(&mut self, len: u64) -> WriteOutcome {
+    /// The seed of a power cut under this plan: its crash point, or the
+    /// bytes written so far where it has none.
+    pub(crate) fn cut_seed(&self) -> u64 {
+        self.crash_after_bytes.unwrap_or(self.bytes_written)
+    }
+
+    /// How many bytes of a write of `len` are issued, `None` once the
+    /// device has crashed; fewer than `len` (a torn write) crash it.
+    pub(crate) fn on_write(&mut self, len: u64) -> Option<usize> {
         if self.crashed {
-            return WriteOutcome::Dead;
+            return None;
         }
-        if let Some(limit) = self.crash_after_writes {
-            if self.writes_done >= limit {
-                self.crashed = true;
-                return WriteOutcome::Torn(0);
-            }
-        }
-        if let Some(limit) = self.crash_after_bytes {
-            let remaining = limit.saturating_sub(self.bytes_written);
-            if remaining < len {
-                self.crashed = true;
-                let torn = remaining - remaining % self.torn_granularity;
-                self.bytes_written += torn;
-                return WriteOutcome::Torn(torn as usize);
-            }
-        }
-        self.bytes_written += len;
-        self.writes_done += 1;
-        WriteOutcome::Full
+        let remaining =
+            (self.crash_after_bytes).map_or(len, |at| at.saturating_sub(self.bytes_written));
+        let issued = if remaining < len {
+            self.crashed = true;
+            remaining - remaining % self.torn_granularity.max(1)
+        } else {
+            len
+        };
+        self.bytes_written += issued;
+        Some(issued as usize)
     }
 
     /// Decides whether a read of `[offset, offset + len)` succeeds.
@@ -152,42 +119,37 @@ mod tests {
     #[test]
     fn no_faults_passes_everything() {
         let mut p = FaultPlan::new();
-        assert_eq!(p.on_write(1000), WriteOutcome::Full);
+        assert_eq!(p.on_write(1000), Some(1000));
         assert_eq!(p.on_read(0, 1 << 20), Ok(()));
         assert!(!p.is_crashed());
-        assert_eq!(p.bytes_written(), 1000);
+        assert_eq!(p.cut_seed(), 1000, "no crash point: the bytes written");
     }
 
     #[test]
     fn crash_after_bytes_tears_crossing_write() {
         let mut p = FaultPlan::new().crash_after_bytes(1500);
-        assert_eq!(p.on_write(1024), WriteOutcome::Full);
+        assert_eq!(p.on_write(1024), Some(1024));
         // 476 bytes remain; sector-aligned prefix is 0.
-        assert_eq!(p.on_write(1024), WriteOutcome::Torn(0));
+        assert_eq!(p.on_write(1024), Some(0));
         assert!(p.is_crashed());
-        assert_eq!(p.on_write(1), WriteOutcome::Dead);
+        assert_eq!(p.on_write(1), None);
     }
 
     #[test]
     fn torn_write_is_sector_aligned() {
         let mut p = FaultPlan::new().crash_after_bytes(1300);
-        assert_eq!(p.on_write(4096), WriteOutcome::Torn(1024));
-        assert_eq!(p.bytes_written(), 1024);
+        assert_eq!(p.on_write(4096), Some(1024));
+        assert!(p.is_crashed());
+        assert_eq!(p.cut_seed(), 1300, "the crash point");
     }
 
     #[test]
     fn byte_granularity_tearing() {
         let mut p = FaultPlan::new().crash_after_bytes(1300).torn_granularity(1);
-        assert_eq!(p.on_write(4096), WriteOutcome::Torn(1300));
-    }
-
-    #[test]
-    fn crash_after_writes_counts_requests() {
-        let mut p = FaultPlan::new().crash_after_writes(2);
-        assert_eq!(p.on_write(10), WriteOutcome::Full);
-        assert_eq!(p.on_write(10), WriteOutcome::Full);
-        assert_eq!(p.on_write(10), WriteOutcome::Torn(0));
-        assert!(p.is_crashed());
+        assert_eq!(p.on_write(4096), Some(1300));
+        // `Default` leaves the granularity 0, which tears at any byte too.
+        let mut p = FaultPlan::default().crash_after_bytes(1300);
+        assert_eq!(p.on_write(4096), Some(1300));
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //!   paper's HP C3010 profile built in ([`DiskModel::hp_c3010`]).
 //! * [`VirtualClock`] — the clock that disk service time is charged to.
 //! * [`SimDisk`] — a wrapper combining a device with a model, a clock,
-//!   I/O [`DiskStats`], and deterministic [`FaultPlan`] fault injection
-//!   (crash points and torn writes) for crash-recovery testing.
-//! * [`ReorderDisk`] — a device whose unflushed writes persist in any
-//!   combination, for protocols that must not lean on issue order.
+//!   I/O [`DiskStats`], deterministic [`FaultPlan`] fault injection, and
+//!   a volatile write cache: a power cut keeps the last barrier's image
+//!   plus a seeded subset of the writes issued since (its [`Cut`]). It
+//!   is the one crash model.
 //! * [`crc32`] — checksums for on-disk structures.
 //!
 //! # Example
@@ -53,7 +53,6 @@ mod hist;
 mod latency;
 mod mem;
 mod model;
-mod reorder;
 mod rng;
 mod sim;
 mod stats;
@@ -72,9 +71,8 @@ pub use hist::{
 pub use latency::LatencyDisk;
 pub use mem::MemDisk;
 pub use model::DiskModel;
-pub use reorder::ReorderDisk;
 pub use rng::SmallRng;
-pub use sim::SimDisk;
+pub use sim::{Cut, SimDisk};
 pub use stats::{DiskStats, DiskStatsSnapshot};
 pub use sync::{Condvar, Mutex, RwLock};
 pub use trace::{

@@ -60,18 +60,6 @@ impl DiskModel {
         }
     }
 
-    /// A much faster modern-ish profile, useful for sensitivity analyses.
-    pub fn fast_2000s() -> Self {
-        DiskModel {
-            rpm: 10_000,
-            min_seek: Duration::from_micros(500),
-            max_seek: Duration::from_micros(8_000),
-            transfer_rate: 60_000_000,
-            controller_overhead: Duration::from_micros(100),
-            near_seek_bytes: 8 << 20,
-        }
-    }
-
     /// Time for one full platter rotation.
     pub fn rotation_time(&self) -> Duration {
         Duration::from_nanos(60_000_000_000 / u64::from(self.rpm))

@@ -47,11 +47,14 @@ fn sim_fs(mode: Mode) -> SimFs {
     MinixFs::format(ld, fs_config()).unwrap()
 }
 
-/// Crash the simulated machine and remount, under `cfg`, from whatever
-/// reached disk.
+/// Cut the simulated machine's power and remount, under `cfg`, from
+/// whatever the cut kept. The cut (its seed and the writes it kept) is
+/// in the test's captured output.
 fn crash_and_remount(fs: SimFs, cfg: &LldConfig) -> MinixFs<Lld<MemDisk>> {
-    let image = fs.into_ld().into_device().into_inner().into_image();
-    let (ld, _) = Lld::recover_with(MemDisk::from_image(image), cfg).unwrap();
+    let (image, cut) = fs.into_ld().into_device().crash_image();
+    eprintln!("{cut}");
+    let (ld, _) =
+        Lld::recover_with(MemDisk::from_image(image), cfg).unwrap_or_else(|e| panic!("{cut}: {e}"));
     MinixFs::mount(ld, FsConfig::default()).unwrap()
 }
 
@@ -135,7 +138,12 @@ fn consistency_at_every_crash_point_with_arus_at(mode: Mode) {
     let mut crash_at = 4000u64;
     let mut tested = 0;
     let mut in_slot_seals = 0;
+    // `CRASH_SEED=<crash point>` runs one cut alone.
+    let one = std::env::var("CRASH_SEED").map(|s| s.parse().expect("CRASH_SEED is a number"));
     loop {
+        if let Ok(seed) = one {
+            crash_at = seed;
+        }
         let mut fs = sim_fs(mode);
         fs.ld()
             .device()
@@ -171,7 +179,7 @@ fn consistency_at_every_crash_point_with_arus_at(mode: Mode) {
         let report = fs2.verify().unwrap();
         assert!(
             report.is_consistent(),
-            "crash at {crash_at}: {:?}",
+            "CRASH_SEED={crash_at}: {:?}",
             report.problems
         );
         // All-or-nothing per file's *meta-data* (the ARU covers
@@ -182,21 +190,21 @@ fn consistency_at_every_crash_point_with_arus_at(mode: Mode) {
             match fs2.lookup(path) {
                 Ok(ino) => {
                     let st = fs2.stat(ino).unwrap();
-                    assert!(st.size <= 900, "crash at {crash_at}: {path} oversized");
+                    assert!(st.size <= 900, "CRASH_SEED={crash_at}: {path} oversized");
                     let mut buf = vec![0u8; st.size as usize];
                     assert_eq!(fs2.read_at(ino, 0, &mut buf).unwrap(), st.size as usize);
                     assert_eq!(
                         buf,
                         vec![i as u8 + 1; st.size as usize],
-                        "crash at {crash_at}: {path} has garbage content"
+                        "CRASH_SEED={crash_at}: {path} has garbage content"
                     );
                 }
                 Err(FsError::NotFound(_)) => {}
-                Err(e) => panic!("crash at {crash_at}: {path}: {e}"),
+                Err(e) => panic!("CRASH_SEED={crash_at}: {path}: {e}"),
             }
         }
         tested += 1;
-        if !crashed {
+        if !crashed || one.is_ok() {
             break; // crash point beyond the workload: done sweeping
         }
         crash_at += 5000;
@@ -241,7 +249,8 @@ fn old_minixlld_can_be_left_inconsistent_at(mode: Mode) {
     let _ = fs.create("/partial"); // may or may not error, depending on buffering
     let _ = fs.flush(); // pushes whatever fits before the crash point
 
-    let image = fs.into_ld().into_device().into_inner().into_image();
+    let (image, cut) = fs.into_ld().into_device().crash_image();
+    eprintln!("{cut}");
     let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &ld_config(mode)).unwrap();
     let mut fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
     // The file system still mounts (the logical disk itself is always

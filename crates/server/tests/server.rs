@@ -583,10 +583,14 @@ fn crash_recovery_reconciles_exactly_once_at(mode: Mode) {
     let sim = Arc::try_unwrap(ld_back)
         .unwrap_or_else(|_| panic!("unique after shutdown"))
         .into_device();
-    let image = sim.into_inner().into_image();
+    // The cut: the last barrier's image and a subset of the writes
+    // since, drawn from the crash point.
+    let (image, cut) = sim.crash_image();
+    eprintln!("{cut}");
 
     // Recover and restart the server on the healed device.
-    let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
+    let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &config(mode))
+        .unwrap_or_else(|e| panic!("{cut}: {e}"));
     let ld2 = Arc::new(ld2);
     let server2 = Server::start(Arc::clone(&ld2), "127.0.0.1:0").unwrap();
     let addr2 = server2.local_addr().to_string();
@@ -601,7 +605,7 @@ fn crash_recovery_reconciles_exactly_once_at(mode: Mode) {
         for wid in acked {
             assert!(
                 c.lookup(*wid).unwrap().is_some(),
-                "client {client}: acked write_id {wid} lost by the crash"
+                "{cut}: client {client}: acked write_id {wid} lost by the crash"
             );
         }
         // Reconciliation: replay any write_id with no recorded

@@ -167,7 +167,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = kv.transact(&[("alice", "0"), ("bob", "350")], &[]);
     let _ = kv.flush(); // dies
 
-    let image = kv.ld.into_device().into_inner().into_image();
+    // The cut keeps what the last flush made durable and a seeded
+    // subset of the writes since.
+    let (image, cut) = kv.ld.into_device().crash_image();
+    println!("power cut: {cut}");
     let (ld2, _) = Lld::recover(MemDisk::from_image(image))?;
     let mut kv2 = KvStore::open(ld2, 8)?;
     println!(

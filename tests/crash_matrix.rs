@@ -7,15 +7,23 @@
 //! same deterministic matrix — once per point of the mode matrix
 //! ([`MODES`]) that the workload can tell apart: one and eight map
 //! shards, and both runners of the cleaning pass where the log wraps.
+//!
+//! Every power cut is a `SimDisk` cut: the image of the last barrier
+//! plus a seeded subset of the writes issued since. A failing case
+//! prints its seed and the writes it kept; `CRASH_SEED=<seed>` runs it
+//! alone.
 
 use ld_aru::core::{CleanerConfig, Ctx, Lld, LldConfig, Position};
-use ld_aru::disk::{DiskModel, FaultPlan, MemDisk, ReorderDisk, SimDisk, SmallRng};
+use ld_aru::disk::{DiskModel, FaultPlan, MemDisk, SimDisk, SmallRng};
 use ld_aru::minixfs::{FsConfig, FsError, MinixFs};
 use ld_aru::workload::pattern_fill;
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
-use common::{u64_at, ParkDisk, ReleaseOnDrop, H_LEN, H_SEQ, SECTOR, SEGMENT_MAGIC};
+use common::{
+    crash_seeds, random_cut, sim_disk, u64_at, ParkDisk, ReleaseOnDrop, H_LEN, H_SEQ, SECTOR,
+    SEGMENT_MAGIC,
+};
 
 /// One point of the mode matrix: background cleaner, map shards.
 type Mode = (bool, usize);
@@ -70,8 +78,9 @@ fn any_crash_point_recovers_consistent() {
 fn any_crash_point(mode: Mode) {
     let mut rng = SmallRng::seed_from_u64(0xC4A5_4001);
     let mut in_slot = 0;
-    for case in 0..24 {
-        let crash_after = rng.gen_range(50_000, 4_000_000);
+    for crash_after in crash_seeds((0..24).map(|_| rng.gen_range(50_000, 4_000_000))) {
+        // The case is its crash point's.
+        let mut rng = SmallRng::seed_from_u64(crash_after);
         let n_files = 4 + rng.gen_index(20);
         let file_blocks = 1 + rng.gen_index(3);
         let flush_every = 1 + rng.gen_index(5);
@@ -110,14 +119,16 @@ fn any_crash_point(mode: Mode) {
         in_slot += in_slot_seals(fs.ld(), 1);
 
         // Recover from the surviving image.
-        let image = fs.into_ld().into_device().into_inner().into_image();
-        let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &ld_config(mode)).unwrap();
+        let (image, cut) = fs.into_ld().into_device().crash_image();
+        let case = format!("{mode:?} {cut}");
+        let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &ld_config(mode))
+            .unwrap_or_else(|e| panic!("{case}: {e}"));
         let mut fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
 
         let report = fs2.verify().unwrap();
         assert!(
             report.is_consistent(),
-            "{mode:?} case {case}: problems: {:?}",
+            "{case}: problems: {:?}",
             report.problems
         );
 
@@ -126,15 +137,15 @@ fn any_crash_point(mode: Mode) {
         for entry in fs2.readdir("/").unwrap() {
             let i: u64 = entry.name[1..].parse().unwrap();
             let st = fs2.stat(entry.ino).unwrap();
-            assert!(st.size <= size as u64, "{mode:?} case {case}");
+            assert!(st.size <= size as u64, "{case}");
             let mut buf = vec![0u8; st.size as usize];
             let got = fs2.read_at(entry.ino, 0, &mut buf).unwrap();
-            assert_eq!(got as u64, st.size, "{mode:?} case {case}");
+            assert_eq!(got as u64, st.size, "{case}");
             pattern_fill(&mut expect, i);
             assert_eq!(
                 &buf[..],
                 &expect[..st.size as usize],
-                "{mode:?} case {case}: file {i} corrupt"
+                "{case}: file {i} corrupt"
             );
         }
     }
@@ -167,11 +178,10 @@ fn background_clean_crash_points_are_all_or_nothing() {
                 ..LldConfig::default()
             },
         );
-        let mut crash_at = 150_000u64;
         let mut crashes = 0u32;
         let mut background_passes = 0u64;
         let mut released_without_a_checkpoint = 0;
-        while crash_at < 2_600_000 {
+        for crash_at in crash_seeds((150_000..2_600_000).step_by(350_000)) {
             let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512;
             let sim = SimDisk::new(MemDisk::new(cap as u64), DiskModel::hp_c3010())
                 .with_faults(FaultPlan::new().crash_after_bytes(crash_at));
@@ -251,18 +261,19 @@ fn background_clean_crash_points_are_all_or_nothing() {
             }
             background_passes += ld.stats().cleaner_passes;
 
-            let image = ld.into_device().into_inner().into_image();
-            let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg).unwrap();
+            let (image, cut) = ld.into_device().crash_image();
+            let at = format!("{shards}, {cut}");
+            let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg)
+                .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
 
             for (i, &b) in cold.iter().enumerate() {
                 let mut buf = vec![0u8; 512];
-                ld2.read(Ctx::Simple, b, &mut buf).unwrap_or_else(|e| {
-                    panic!("{shards}, crash at {crash_at}: cold block {i} lost: {e}")
-                });
+                ld2.read(Ctx::Simple, b, &mut buf)
+                    .unwrap_or_else(|e| panic!("{at}: cold block {i} lost: {e}"));
                 assert_eq!(
                     buf,
                     vec![0xE0 + i as u8; 512],
-                    "{shards}, crash at {crash_at}: cold block {i} corrupt"
+                    "{at}: cold block {i} corrupt"
                 );
             }
             for pair in pairs {
@@ -270,19 +281,13 @@ fn background_clean_crash_points_are_all_or_nothing() {
                 let mut b1 = vec![0u8; 512];
                 ld2.read(Ctx::Simple, pair[0], &mut b0).unwrap();
                 ld2.read(Ctx::Simple, pair[1], &mut b1).unwrap();
-                assert_eq!(
-                    b0, b1,
-                    "{shards}, crash at {crash_at}: torn ARU ({} vs {})",
-                    b0[0], b1[0]
-                );
+                assert_eq!(b0, b1, "{at}: torn ARU ({} vs {})", b0[0], b1[0]);
             }
 
             // The disk stays fully usable after recovery.
             let nb = ld2.new_block(Ctx::Simple, l, Position::First).unwrap();
             ld2.write(Ctx::Simple, nb, &vec![0x11; 512]).unwrap();
             ld2.flush().unwrap();
-
-            crash_at += 350_000;
         }
         assert!(crashes >= 4, "{shards}: only {crashes} crash points fired");
         assert!(
@@ -423,9 +428,9 @@ fn double_crash(mode: Mode) {
     // recover again: consistency must hold at both steps.
     let mut rng = SmallRng::seed_from_u64(0xC4A5_4002);
     let mut in_slot_after_recovery = 0;
-    for case in 0..24 {
-        let crash_after = rng.gen_range(100_000, 1_000_000);
-        let second_crash = rng.gen_range(10_000, 200_000);
+    for crash_after in crash_seeds((0..24).map(|_| rng.gen_range(100_000, 1_000_000))) {
+        // The second crash point is the first's.
+        let second_crash = SmallRng::seed_from_u64(crash_after).gen_range(10_000, 200_000);
 
         let sim = SimDisk::new(MemDisk::new(48 << 20), DiskModel::hp_c3010())
             .with_faults(FaultPlan::new().crash_after_bytes(crash_after));
@@ -447,16 +452,14 @@ fn double_crash(mode: Mode) {
             Ok(())
         })();
 
-        let image = fs.into_ld().into_device().into_inner().into_image();
-        let sim2 = SimDisk::new(MemDisk::from_image(image), DiskModel::hp_c3010())
-            .with_faults(FaultPlan::new().crash_after_bytes(second_crash));
-        let (ld2, _) = Lld::recover_with(sim2, &ld_config(mode)).unwrap();
+        let (image, cut) = fs.into_ld().into_device().crash_image();
+        let case = format!("{mode:?} {cut}");
+        let sim2 = sim_disk(image).with_faults(FaultPlan::new().crash_after_bytes(second_crash));
+        let (ld2, _) =
+            Lld::recover_with(sim2, &ld_config(mode)).unwrap_or_else(|e| panic!("{case}: {e}"));
         let slots_recovered = slots_in_use(&ld2);
         let mut fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
-        assert!(
-            fs2.verify().unwrap().is_consistent(),
-            "{mode:?} case {case}"
-        );
+        assert!(fs2.verify().unwrap().is_consistent(), "{case}");
 
         let _ = (|| -> Result<(), FsError> {
             for i in 0..12 {
@@ -468,13 +471,15 @@ fn double_crash(mode: Mode) {
         })();
         in_slot_after_recovery += in_slot_seals(fs2.ld(), slots_recovered);
 
-        let image2 = fs2.into_ld().into_device().into_inner().into_image();
-        let (ld3, _) = Lld::recover_with(MemDisk::from_image(image2), &ld_config(mode)).unwrap();
+        let (image2, cut2) = fs2.into_ld().into_device().crash_image();
+        let case = format!("{case}, then {cut2}");
+        let (ld3, _) = Lld::recover_with(MemDisk::from_image(image2), &ld_config(mode))
+            .unwrap_or_else(|e| panic!("{case}: {e}"));
         let mut fs3 = MinixFs::mount(ld3, FsConfig::default()).unwrap();
         let report = fs3.verify().unwrap();
         assert!(
             report.is_consistent(),
-            "{mode:?} case {case}: problems: {:?}",
+            "{case}: problems: {:?}",
             report.problems
         );
     }
@@ -508,17 +513,17 @@ fn dedup_journal_and_commit(mode: Mode) {
     );
     let mut rng = SmallRng::seed_from_u64(0xC4A5_4003);
     let mut in_slot = 0;
-    for case in 0..18 {
+    // A random coarse position plus a dense 0..64-byte offset, so the
+    // matrix hits cuts inside a single record pair (dedup-journal record
+    // vs the commit record behind it), not just at flush boundaries.
+    let points = (0..18).map(|_| rng.gen_range(2_000, 120_000) + rng.gen_index(64) as u64);
+    for crash_after in crash_seeds(points) {
         let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
         let ld = Lld::format(sim, &cfg).unwrap();
         let list = ld.new_list(Ctx::Simple).unwrap();
         ld.flush().unwrap();
         // Arm the cut only now, so the offset lands inside the tagged
-        // workload: a random coarse position plus a dense 0..64-byte
-        // offset so the matrix hits cuts inside a single record pair
-        // (dedup-journal record vs the commit record behind it), not
-        // just at flush boundaries.
-        let crash_after = rng.gen_range(2_000, 120_000) + rng.gen_index(64) as u64;
+        // workload.
         ld.device().set_faults(
             FaultPlan::new()
                 .crash_after_bytes(crash_after)
@@ -542,13 +547,12 @@ fn dedup_journal_and_commit(mode: Mode) {
                 break;
             }
         }
-        if !ld.device().is_crashed() {
-            ld.device().force_crash();
-        }
         in_slot += in_slot_seals(&ld, 1);
 
-        let image = ld.into_device().into_inner().into_image();
-        let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg).unwrap();
+        let (image, cut) = ld.into_device().crash_image();
+        let case = format!("{mode:?} {cut}");
+        let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg)
+            .unwrap_or_else(|e| panic!("{case}: {e}"));
 
         // Which transactions' effects survived?
         let mut present = std::collections::HashSet::new();
@@ -556,16 +560,13 @@ fn dedup_journal_and_commit(mode: Mode) {
             let mut buf = vec![0u8; BS];
             ld2.read(Ctx::Simple, b, &mut buf).unwrap();
             let wid = u64::from_le_bytes(buf[..8].try_into().unwrap());
-            assert!(
-                present.insert(wid),
-                "{mode:?} case {case}: write_id {wid} applied twice"
-            );
+            assert!(present.insert(wid), "{case}: write_id {wid} applied twice");
         }
         for wid in 1..=attempted {
             assert_eq!(
                 ld2.write_id_lookup(CLIENT, wid).is_some(),
                 present.contains(&wid),
-                "{mode:?} case {case} cut {crash_after}: write_id {wid} dedup/effects split-brain"
+                "{case}: write_id {wid} dedup/effects split-brain"
             );
         }
     }
@@ -682,8 +683,7 @@ fn check_acked(image: Vec<u8>, cfg: &LldConfig, records: &[AruRecord], at: &str)
 fn power_cut_sweep(shards: usize) {
     let cfg = ack_config(shards);
     let mut in_slot = 0;
-    for case in 0..24u64 {
-        let crash_after = 2_000 + case * 2_500;
+    for crash_after in crash_seeds((0..24).map(|case| 2_000 + case * 2_500)) {
         let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010())
             .with_faults(FaultPlan::new().crash_after_bytes(crash_after));
         let ld = match Lld::format(sim, &cfg) {
@@ -695,9 +695,8 @@ fn power_cut_sweep(shards: usize) {
         let records = run_acked_arus(&ld, 10);
         in_slot += in_slot_seals(&ld, 1);
         // A budget that outlived the workload is cut now.
-        ld.device().force_crash();
-        let image = ld.into_device().into_inner().into_image();
-        let at = format!("shards {shards}, crash {crash_after}");
+        let (image, cut) = ld.into_device().crash_image();
+        let at = format!("shards {shards}, {cut}");
         check_acked(image, &cfg, &records, &at);
     }
     assert!(in_slot > 0, "shards {shards}: every seal took a slot");
@@ -723,9 +722,8 @@ fn sync_ack_means_durable(shards: usize) {
     let records = run_acked_arus(&ld, 10);
     assert!(records.iter().all(|r| r.durable), "no fault armed");
     assert!(in_slot_seals(&ld, 1) > 0, "every seal took a slot");
-    ld.device().force_crash();
-    let image = ld.into_device().into_inner().into_image();
-    let at = format!("shards {shards}, cut after the last ack");
+    let (image, cut) = ld.into_device().crash_image();
+    let at = format!("shards {shards}, cut after the last ack, {cut}");
     assert_eq!(check_acked(image, &cfg, &records, &at), 10, "{at}");
 }
 
@@ -740,7 +738,7 @@ fn sync_ack_means_durable_eight_shards() {
 }
 
 // ----------------------------------------------------------------------
-// Reordered persistence
+// Chosen cuts: the writes since the barrier, kept by hand
 // ----------------------------------------------------------------------
 
 /// The unflushed seals on `dev` in log order, each as the places in
@@ -748,7 +746,7 @@ fn sync_ack_means_durable_eight_shards() {
 /// byte 8) and the body a sector behind it (docs/RECOVERY.md). Every
 /// pending write is half of one. With `cleanerd` writing the seals
 /// handed to it the device may see segment N after N + 1.
-fn seals_in_log_order(dev: &ReorderDisk) -> Vec<[usize; 2]> {
+fn seals_in_log_order(dev: &SimDisk<MemDisk>) -> Vec<[usize; 2]> {
     let pending = dev.pending();
     let is_header = |bytes: &[u8]| bytes.len() == H_LEN && u64_at(bytes, 0) == SEGMENT_MAGIC;
     let mut seals: Vec<(u64, [usize; 2])> = (pending.iter().enumerate())
@@ -781,12 +779,13 @@ fn seals_in_log_order(dev: &ReorderDisk) -> Vec<[usize; 2]> {
 /// (all-or-nothing), that generation is at least the last flushed one
 /// (no durable commit lost) and at most the last written.
 ///
-/// The device is large enough that the log never wraps. A seal is two
-/// writes, header and body, and the model reorders those too. (The
-/// cleaner's reuse of a victim slot relies on the device persisting
-/// writes in issue order; it is not under test here.)
+/// The device is large enough that the log never wraps (the cuts that
+/// reach a wrapping log are those of the byte-budget sweeps above and
+/// of `mixed_extent_seals_are_all_or_nothing_under_power_cuts`). A seal
+/// is two writes, header and body, and a cut keeps either without the
+/// other too.
 ///
-/// Repro of one seed: `REORDER_SEED=<seed> cargo test --test crash_matrix reordered`.
+/// Repro of one seed: `CRASH_SEED=<seed> cargo test --test crash_matrix reordered`.
 #[test]
 fn reordered_persistence_keeps_flushed_commits_across_two_crashes() {
     for shards in [8, 1] {
@@ -811,13 +810,9 @@ fn reordered_persistence(mode: Mode) {
         flushed: u8,
         written: u8,
     }
-    let seeds: Vec<u64> = match std::env::var("REORDER_SEED") {
-        Ok(s) => vec![s.parse().expect("REORDER_SEED is a number")],
-        Err(_) => (0..32).collect(),
-    };
-    for seed in seeds {
+    for seed in crash_seeds(0..32) {
         let mut rng = SmallRng::seed_from_u64(0xC4A5_4004 ^ seed);
-        let ld = Lld::format(ReorderDisk::from_image(vec![0u8; 16 << 20]), &cfg).unwrap();
+        let ld = Lld::format(sim_disk(vec![0u8; 16 << 20]), &cfg).unwrap();
         let list = ld.new_list(Ctx::Simple).unwrap();
         let mut pairs: Vec<Pair> = Vec::new();
         // Twice as many blocks as a segment holds: the pair an ARU picks
@@ -863,12 +858,13 @@ fn reordered_persistence(mode: Mode) {
             }
             assert!(
                 in_slot_seals(&ld, slots_at_start) > 0,
-                "{mode:?} REORDER_SEED={seed} round {round}: every seal took a slot"
+                "{mode:?} CRASH_SEED={seed} round {round}: every seal took a slot"
             );
 
-            let image = ld.into_device().crash(&mut rng);
-            let (ld2, _) = Lld::recover_with(ReorderDisk::from_image(image), &cfg)
-                .unwrap_or_else(|e| panic!("{mode:?} REORDER_SEED={seed} round {round}: {e}"));
+            let (image, kept) = random_cut(&ld.into_device(), &mut rng);
+            let at = format!("{mode:?} CRASH_SEED={seed} round {round}, kept writes {kept:?}");
+            let (ld2, _) =
+                Lld::recover_with(sim_disk(image), &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
             for (i, p) in pairs.iter_mut().enumerate() {
                 let mut got = [0u8; 2];
                 for (g, b) in got.iter_mut().zip(p.blocks) {
@@ -876,17 +872,14 @@ fn reordered_persistence(mode: Mode) {
                     ld2.read(Ctx::Simple, b, &mut buf).unwrap();
                     assert!(
                         buf.iter().all(|&x| x == buf[0]),
-                        "{mode:?} REORDER_SEED={seed} round {round}: pair {i} holds a mixed block"
+                        "{at}: pair {i} holds a mixed block"
                     );
                     *g = buf[0];
                 }
-                assert_eq!(
-                    got[0], got[1],
-                    "{mode:?} REORDER_SEED={seed} round {round}: pair {i} torn"
-                );
+                assert_eq!(got[0], got[1], "{at}: pair {i} torn");
                 assert!(
                     (p.flushed..=p.written).contains(&got[0]),
-                    "{mode:?} REORDER_SEED={seed} round {round}: pair {i} reads generation {}, flushed {} written {}",
+                    "{at}: pair {i} reads generation {}, flushed {} written {}",
                     got[0],
                     p.flushed,
                     p.written
@@ -988,7 +981,7 @@ fn two_write_seal(shards: usize) {
             ..LldConfig::default()
         },
     );
-    let ld = Lld::format(ReorderDisk::from_image(vec![0xA5; 4 << 20]), &cfg).unwrap();
+    let ld = Lld::format(sim_disk(vec![0xA5; 4 << 20]), &cfg).unwrap();
     let list = ld.new_list(Ctx::Simple).unwrap();
     // More blocks than a segment holds: every unit appends.
     let pairs: Vec<[ld_aru::core::BlockId; 2]> = (0..12)
@@ -1008,8 +1001,8 @@ fn two_write_seal(shards: usize) {
     let [header, body] = seals[0];
 
     let recovered = |image: Vec<u8>, at: &str| {
-        let (ld2, _) = Lld::recover_with(ReorderDisk::from_image(image), &cfg)
-            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        let (ld2, _) =
+            Lld::recover_with(sim_disk(image), &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
         let got = pair_generations(&ld2, &pairs, at);
         (ld2, got)
     };
@@ -1055,6 +1048,193 @@ fn two_write_seal(shards: usize) {
     let only_the_new_body = dev2.crash_keeping(|i| i == body2);
     assert_eq!(recovered(only_the_new_body, &at).1, flushed, "{at}");
     eprintln!("shards {shards}: {handed_off} seals handed off; every subset recovers whole");
+}
+
+// ----------------------------------------------------------------------
+// Barriers the log needs (docs/INVARIANTS.md I4, "Across a barrier")
+// ----------------------------------------------------------------------
+
+const C4_BS: usize = 512;
+
+/// Small slots, at `shards` map shards, with the pass on the caller's
+/// thread (`Lld::run_cleaner` runs it where a test wants it).
+fn c4_config(shards: usize) -> LldConfig {
+    let mut cfg = LldConfig {
+        block_size: C4_BS,
+        segment_bytes: 8 * C4_BS,
+        max_blocks: Some(512),
+        max_lists: Some(64),
+        map_shards: shards,
+        ..LldConfig::default()
+    };
+    cfg.cleaner.background = false;
+    cfg
+}
+
+/// The byte block `b` of `ld` is filled with; a mixed block panics.
+fn c4_read<D: ld_aru::disk::BlockDevice>(ld: &Lld<D>, b: ld_aru::core::BlockId, at: &str) -> u8 {
+    let mut buf = vec![0u8; C4_BS];
+    ld.read(Ctx::Simple, b, &mut buf).unwrap();
+    assert!(buf.iter().all(|&x| x == buf[0]), "{at}: a mixed block");
+    buf[0]
+}
+
+/// A `SimDisk` whose barriers fail once `refuse` is set, leaving every
+/// write since the last one that returned pending for a chosen cut.
+#[derive(Debug)]
+struct RefusedBarriers {
+    sim: SimDisk<MemDisk>,
+    refuse: std::sync::atomic::AtomicBool,
+}
+
+impl ld_aru::disk::BlockDevice for RefusedBarriers {
+    fn capacity(&self) -> u64 {
+        self.sim.capacity()
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> ld_aru::disk::Result<()> {
+        self.sim.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, buf: &[u8]) -> ld_aru::disk::Result<()> {
+        self.sim.write_at(offset, buf)
+    }
+    fn flush(&self) -> ld_aru::disk::Result<()> {
+        if self.refuse.load(std::sync::atomic::Ordering::Relaxed) {
+            return Err(ld_aru::disk::DiskError::Io("barrier refused".into()));
+        }
+        self.sim.flush()
+    }
+}
+
+/// C4 (a). A checkpoint's header is written only once a barrier vouches
+/// for what it covers: its slabs and the seal *begin* made. Per shard
+/// count: blocks at version 1, a checkpoint (the older one), version 2
+/// flushed, version 3 committed and not flushed; then a checkpoint whose
+/// barriers fail, and a cut that keeps every write of it but the seal,
+/// the header too if it was written. Recovery comes up on the older
+/// checkpoint and replays version 2; with the header written behind no
+/// barrier it would come up on the newer one, whose tables name the
+/// seal's sectors, and read what the medium held there before.
+#[test]
+fn a_checkpoint_header_is_written_behind_what_it_covers() {
+    for shards in [8, 1] {
+        let cfg = c4_config(shards);
+        let dev = RefusedBarriers {
+            sim: sim_disk(vec![0xA5; 4 << 20]),
+            refuse: false.into(),
+        };
+        let ld = Lld::format(dev, &cfg).unwrap();
+        let (layout, _, _) = Lld::probe(ld.device()).unwrap();
+        let list = ld.new_list(Ctx::Simple).unwrap();
+        let blocks: Vec<_> = (0..6)
+            .map(|_| ld.new_block(Ctx::Simple, list, Position::First).unwrap())
+            .collect();
+        let put = |v: u8| {
+            let aru = ld.begin_aru().unwrap();
+            for &b in &blocks {
+                ld.write(Ctx::Aru(aru), b, &[v; C4_BS]).unwrap();
+            }
+            ld.end_aru(aru).unwrap();
+        };
+        put(1);
+        ld.checkpoint().unwrap();
+        let older = ld.checkpoint_seq();
+        put(2);
+        ld.flush().unwrap();
+        put(3);
+        ld.device()
+            .refuse
+            .store(true, std::sync::atomic::Ordering::Relaxed);
+        assert!(
+            ld.checkpoint().is_err(),
+            "shards {shards}: a barrier failed"
+        );
+
+        let dev = ld.into_device().sim;
+        let pending = dev.pending();
+        let seal: Vec<usize> = (pending.iter().enumerate())
+            .filter(|(_, (at, _))| *at >= layout.data_start)
+            .map(|(i, _)| i)
+            .collect();
+        assert!(!seal.is_empty(), "shards {shards}: *begin* sealed nothing");
+        let at = format!(
+            "shards {shards}, a cut that drops writes {seal:?} of {}",
+            pending.len()
+        );
+        let image = dev.crash_keeping(|i| !seal.contains(&i));
+        let (ld2, _) =
+            Lld::recover_with(sim_disk(image), &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
+        for &b in &blocks {
+            assert_eq!(c4_read(&ld2, b, &at), 2, "{at}: a flushed commit lost");
+        }
+        assert_eq!(
+            ld2.checkpoint_seq(),
+            older,
+            "{at}: not the older checkpoint"
+        );
+    }
+}
+
+/// C4 (b). A slot the pass handed back is overwritten only once a
+/// barrier vouches for the relocation records that emptied it. Per
+/// shard count: four blocks live in slot 0, which a checkpoint covers;
+/// the pass relocates them into the open segment and hands slot 0 back;
+/// the log comes round to slot 0 with no flush on the way. A cut that
+/// keeps the writes into slot 0 and drops every other write since the
+/// last barrier finds every block, relocated or where the checkpoint
+/// left it, with its contents.
+#[test]
+fn a_released_slot_is_overwritten_behind_a_barrier_over_what_emptied_it() {
+    for shards in [8, 1] {
+        let mut cfg = c4_config(shards);
+        let ld = Lld::format(sim_disk(vec![0xA5; 4 << 20]), &cfg).unwrap();
+        // The pass wants every slot but the log's own free: it cleans as
+        // soon as there is a victim.
+        cfg.cleaner.target_free_segments = ld.n_segments() - 1;
+        drop(ld);
+        let ld = Lld::format(sim_disk(vec![0xA5; 4 << 20]), &cfg).unwrap();
+        let (layout, _, _) = Lld::probe(ld.device()).unwrap();
+        let list = ld.new_list(Ctx::Simple).unwrap();
+        let old: Vec<_> = (0..4)
+            .map(|_| ld.new_block(Ctx::Simple, list, Position::First).unwrap())
+            .collect();
+        let ring = common::churn_ring(&ld, ld.new_list(Ctx::Simple).unwrap(), None);
+        for (i, &b) in old.iter().enumerate() {
+            ld.write(Ctx::Simple, b, &[10 + i as u8; C4_BS]).unwrap();
+        }
+        let lives_in = |b| ld.block_info(b).unwrap().addr.unwrap().segment.get();
+        ld.checkpoint().unwrap();
+        assert!(old.iter().all(|&b| lives_in(b) == 0), "shards {shards}");
+        ld.run_cleaner().unwrap();
+        assert!(
+            old.iter().all(|&b| lives_in(b) != 0) && ld.stats().blocks_relocated >= 4,
+            "shards {shards}: slot 0 was not emptied by relocation"
+        );
+        for i in 0..3 * ring.len() {
+            ld.write(Ctx::Simple, ring[i % ring.len()], &[3; C4_BS])
+                .unwrap();
+        }
+        let dev = ld.into_device();
+        let pending = dev.pending();
+        let slot0 = layout.segment_offset(0)..layout.segment_offset(1);
+        let into_slot0: Vec<usize> = (pending.iter().enumerate())
+            .filter(|(_, (at, _))| slot0.contains(at))
+            .map(|(i, _)| i)
+            .collect();
+        assert!(
+            !into_slot0.is_empty(),
+            "shards {shards}: the log never came round to slot 0"
+        );
+        let at = format!(
+            "shards {shards}, a cut that keeps writes {into_slot0:?} of {}",
+            pending.len()
+        );
+        let image = dev.crash_keeping(|i| into_slot0.contains(&i));
+        let (ld2, _) =
+            Lld::recover_with(sim_disk(image), &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
+        for (i, &b) in old.iter().enumerate() {
+            assert_eq!(c4_read(&ld2, b, &at), 10 + i as u8, "{at}: block {i} lost");
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1104,7 +1284,7 @@ fn x_sectors(v: u8) -> usize {
 /// One unit logged against an open segment that is `fillers` blocks
 /// fuller than it has to be, and every seal since the last barrier.
 struct AbsorbRun {
-    dev: ReorderDisk,
+    dev: SimDisk<MemDisk>,
     cfg: LldConfig,
     /// Blocks whose committed version sat in the open segment when the
     /// unit overwrote them, and blocks whose version sat in a sealed one.
@@ -1142,7 +1322,7 @@ struct AbsorbRun {
 /// left. No barrier after the first.
 fn absorb_run(shards: usize, nx: usize, ny: usize, fillers: usize) -> AbsorbRun {
     let cfg = absorb_config(shards, ld_aru::core::ConcurrencyMode::Concurrent);
-    let ld = Lld::format(ReorderDisk::from_image(vec![0u8; 1 << 20]), &cfg).unwrap();
+    let ld = Lld::format(sim_disk(vec![0u8; 1 << 20]), &cfg).unwrap();
     let list = ld.new_list(Ctx::Simple).unwrap();
     let fresh = |n: usize| -> Vec<_> {
         (0..n)
@@ -1248,7 +1428,11 @@ impl AbsorbRun {
 /// nothing, and a cut between the segment and the next, which holds its
 /// commit record, finds the untagged versions where they were — also
 /// where a write of the unit went back to a sector its block held
-/// earlier in the segment.
+/// earlier in the segment. Where the unit found the versions it
+/// overwrote in the open segment, cuts that keep random subsets of the
+/// seals' writes, a few per seed, recover all or nothing too.
+///
+/// Repro of one seed's subsets: `CRASH_SEED=<seed> cargo test --test crash_matrix absorbed`.
 #[test]
 fn an_absorbed_unit_is_all_or_nothing_at_every_seal() {
     for shards in [8, 1] {
@@ -1274,6 +1458,14 @@ fn an_absorbed_unit_is_all_or_nothing_at_every_seal() {
                 assert_eq!(seen[0], (1, 1), "{at}");
                 assert_eq!(seen[seals], (4, 4), "{at}");
                 assert!(seen.is_sorted(), "{at}: {seen:?}");
+                // Any subset of those seals' writes.
+                for seed in crash_seeds(0..4).into_iter().filter(|_| run.x_open) {
+                    let mut rng = SmallRng::seed_from_u64(0xC4A5_4005 ^ seed);
+                    for _ in 0..3 {
+                        let (image, kept) = random_cut(&run.dev, &mut rng);
+                        run.versions(image, &format!("{at}, CRASH_SEED={seed} kept {kept:?}"));
+                    }
+                }
                 returned += run.returned;
                 if run.rolled {
                     assert_eq!(run.absorbed, 0, "{at}: a unit that rolled absorbed");
@@ -1323,37 +1515,7 @@ fn an_absorbed_unit_is_all_or_nothing_at_every_seal() {
     }
 }
 
-/// I5 (b). The same where the seals no barrier separates persist in any
-/// combination: every run of (a) in which the unit found the versions it
-/// overwrote in the open segment, each cut a few ways per seed.
-///
-/// Repro of one seed: `REORDER_SEED=<seed> cargo test --test crash_matrix absorbed`.
-#[test]
-fn an_absorbed_unit_is_all_or_nothing_under_reordered_persistence() {
-    let seeds: Vec<u64> = match std::env::var("REORDER_SEED") {
-        Ok(s) => vec![s.parse().expect("REORDER_SEED is a number")],
-        Err(_) => (0..4).collect(),
-    };
-    for shards in [8, 1] {
-        for (nx, ny) in ABSORB_UNITS {
-            let runs = (0..2 * ABSORB_SLOT).map(|fillers| absorb_run(shards, nx, ny, fillers));
-            for (fillers, run) in runs.enumerate().filter(|(_, run)| run.x_open) {
-                for &seed in &seeds {
-                    let mut rng = SmallRng::seed_from_u64(0xC4A5_4005 ^ seed);
-                    for cut in 0..3 {
-                        let image = run.dev.crash_keeping(|_| rng.gen_index(2) == 0);
-                        let at = format!(
-                            "{shards} shards, {nx}+{ny} blocks behind {fillers}, REORDER_SEED={seed} cut {cut}"
-                        );
-                        run.versions(image, &at);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// I5 (c). In `Sequential` mode a tagged write goes straight into the
+/// I5 (b). In `Sequential` mode a tagged write goes straight into the
 /// committed state and its commit record may land anywhere: it never
 /// takes the place of the version it supersedes, which is the one a
 /// crash before the commit record brings back.
@@ -1505,12 +1667,11 @@ fn mixed_extent_power_cuts(mode: Mode) {
     let layout = ld_aru::core::Layout::compute(4 << 20, &cfg).unwrap();
     let capacity = layout.data_start + 12 * MIX_SEGMENT as u64;
     let (mut cut, mut relocated) = (0, 0);
-    for case in 0..20u64 {
-        // The last budget outlives the workload.
-        let crash_after = 30_000 + case * 80_000;
+    // The last budget outlives the workload.
+    for crash_after in crash_seeds((0..20).map(|case| 30_000 + case * 80_000)) {
         let sim = SimDisk::new(MemDisk::new(capacity), DiskModel::hp_c3010())
             .with_faults(FaultPlan::new().crash_after_bytes(crash_after));
-        let at = format!("{mode:?}, crash after {crash_after} bytes");
+        let at = format!("{mode:?}, CRASH_SEED={crash_after}");
         let ld = match Lld::format(sim, &cfg) {
             Ok(ld) => ld,
             Err(ld_aru::core::LldError::Disk(_)) => continue,
@@ -1541,8 +1702,8 @@ fn mixed_extent_power_cuts(mode: Mode) {
             stats.data_bytes_written < stats.data_blocks_written * MIX_BS as u64,
             "{at}: nothing trimmed"
         );
-        ld.device().force_crash();
-        let image = ld.into_device().into_inner().into_image();
+        let (image, cut) = ld.into_device().crash_image();
+        let at = format!("{mode:?}, {cut}");
         let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg)
             .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
         mix_generations(&ld2, &pairs, &at);
@@ -1567,7 +1728,7 @@ fn mixed_extent_seals_are_all_or_nothing_under_power_cuts() {
 /// for.
 fn mixed_extent_subsets(mode: Mode) {
     let cfg = mix_config(mode);
-    let ld = Lld::format(ReorderDisk::from_image(vec![0xA5; 4 << 20]), &cfg).unwrap();
+    let ld = Lld::format(sim_disk(vec![0xA5; 4 << 20]), &cfg).unwrap();
     let mut pairs = mix_pairs(&ld).unwrap();
     // `states[s]`: the generations once the first `s` seals are on the
     // medium. A unit during which a segment seals has its commit record
@@ -1592,8 +1753,8 @@ fn mixed_extent_subsets(mode: Mode) {
         let kept = |j: usize| mask >> j & 1 == 1;
         let image = dev.crash_keeping(|i| writes.iter().position(|&w| w == i).is_some_and(kept));
         let at = format!("{mode:?}, writes kept {mask:06b}");
-        let (ld2, _) = Lld::recover_with(ReorderDisk::from_image(image), &cfg)
-            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        let (ld2, _) =
+            Lld::recover_with(sim_disk(image), &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
         let whole = (0..seals.len())
             .take_while(|&s| kept(2 * s) && kept(2 * s + 1))
             .count();

@@ -560,14 +560,19 @@ fn snapshot_shard_count_migrates() {
 
 /// Byte-budget crash sweep through a checkpoint-heavy workload: cuts
 /// land inside slab writes, the directory write, the header publish,
-/// and ordinary segment writes. Whatever survives, recovery succeeds
-/// and everything flushed before the first checkpoint is intact,
-/// holding a pattern some round actually wrote.
+/// and ordinary segment writes, and keep a seeded subset of the writes
+/// since the last barrier. Whatever survives, recovery succeeds and
+/// everything flushed before the first checkpoint is intact, holding a
+/// pattern some round actually wrote. `CRASH_SEED=<crash point>` runs
+/// one cut alone.
 #[test]
 fn checkpoint_write_crash_matrix() {
+    let points: Vec<u64> = match std::env::var("CRASH_SEED") {
+        Ok(s) => vec![s.parse().expect("CRASH_SEED is a number")],
+        Err(_) => (40_000..400_000).step_by(23_000).collect(),
+    };
     for mode in MODES {
-        let mut crash_at = 40_000u64;
-        while crash_at < 400_000 {
+        for &crash_at in &points {
             let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010())
                 .with_faults(FaultPlan::new().crash_after_bytes(crash_at));
             let ld = Lld::format(sim, &config(mode)).unwrap();
@@ -603,14 +608,14 @@ fn checkpoint_write_crash_matrix() {
             })()
             .is_err();
 
-            let image = ld.into_device().into_inner().into_image();
+            let (image, cut) = ld.into_device().crash_image();
             let (fp, _) = recover_fp(&image, mode, &world);
             // The flushed base blocks all survive, each holding its
             // base pattern or some round's overwrite.
             for (i, c) in fp.contents.iter().enumerate().take(sealed) {
-                let c = c.as_ref().unwrap_or_else(|| {
-                    panic!("shards {mode}, cut {crash_at}: flushed block {i} lost")
-                });
+                let c = c
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("shards {mode}, {cut}: flushed block {i} lost"));
                 let written = std::iter::once(i as u64)
                     .chain((0..40u64).map(|round| 0x1000 + round * 100 + i as u64))
                     .any(|seed| {
@@ -619,11 +624,13 @@ fn checkpoint_write_crash_matrix() {
                     });
                 assert!(
                     written,
-                    "shards {mode}, cut {crash_at}: block {i} holds bytes never written"
+                    "shards {mode}, {cut}: block {i} holds bytes never written"
                 );
             }
-            assert!(crashed || crash_at > 200_000, "cut {crash_at} never fired");
-            crash_at += 23_000;
+            assert!(
+                crashed || crash_at > 200_000,
+                "{cut}: the budget never ran out"
+            );
         }
     }
 }

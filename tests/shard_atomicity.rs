@@ -52,7 +52,7 @@ fn pick_live(rec: &Recorded, r: &mut SmallRng) -> Option<usize> {
 /// Runs the seeded workload: simple allocations, writes, deletes, and
 /// multi-list ARUs (committed and aborted). Deterministic given the
 /// seed — the operation stream is identical for every shard count.
-fn drive(ld: &Lld<MemDisk>) -> Recorded {
+fn drive<D: ld_aru::disk::BlockDevice>(ld: &Lld<D>) -> Recorded {
     let mut r = rng(0x5AD_C0DE);
     let mut rec = Recorded {
         lists: Vec::new(),
@@ -128,7 +128,7 @@ struct Fingerprint {
     contents: Vec<Option<Vec<u8>>>,
 }
 
-fn fingerprint(ld: &Lld<MemDisk>, rec: &Recorded) -> Fingerprint {
+fn fingerprint<D: ld_aru::disk::BlockDevice>(ld: &Lld<D>, rec: &Recorded) -> Fingerprint {
     let pos_of: HashMap<BlockId, usize> = rec
         .blocks
         .iter()
@@ -165,7 +165,8 @@ fn fingerprint(ld: &Lld<MemDisk>, rec: &Recorded) -> Fingerprint {
 /// patterned list plus a delete of a committed block — recovery must
 /// discard both halves together).
 fn run_and_crash(shards: usize) -> (Fingerprint, Vec<u8>, Recorded) {
-    let ld = Lld::format(MemDisk::new(16 << 20), &config(shards)).unwrap();
+    let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
+    let ld = Lld::format(sim, &config(shards)).unwrap();
     let rec = drive(&ld);
     let live = fingerprint(&ld, &rec);
     ld.flush().unwrap();
@@ -177,7 +178,12 @@ fn run_and_crash(shards: usize) -> (Fingerprint, Vec<u8>, Recorded) {
     ld.write(Ctx::Aru(aru), b, &data).unwrap();
     let victim = rec.live.iter().position(|&v| v).expect("a block survives");
     ld.delete_block(Ctx::Aru(aru), rec.blocks[victim]).unwrap();
-    (live, ld.into_device().into_image(), rec)
+    let (image, cut) = ld.into_device().crash_image();
+    assert_eq!(
+        cut.pending, 0,
+        "shards {shards}: {cut}: the ARU wrote nothing"
+    );
+    (live, image, rec)
 }
 
 #[test]
@@ -300,8 +306,9 @@ fn mt_power_cut_aru_spanning_three_shards_is_all_or_nothing() {
 
     let pre = ld.stats();
     let ld = Arc::try_unwrap(ld).expect("threads are done");
-    let image = ld.into_device().into_inner().into_image();
-    let (ld2, _report) = Lld::recover(MemDisk::from_image(image)).unwrap();
+    let (image, cut) = ld.into_device().crash_image();
+    let (ld2, _report) =
+        Lld::recover(MemDisk::from_image(image)).unwrap_or_else(|e| panic!("{cut}: {e}"));
 
     // Every commit touched three shards.
     assert!(
@@ -326,7 +333,7 @@ fn mt_power_cut_aru_spanning_three_shards_is_all_or_nothing() {
         if rec.durable {
             assert_eq!(
                 present, LISTS_PER_THREAD,
-                "durable ARU (tag {}) must survive on all three shards",
+                "{cut}: durable ARU (tag {}) must survive on all three shards",
                 rec.tag
             );
             durable_arus += 1;
@@ -335,14 +342,14 @@ fn mt_power_cut_aru_spanning_three_shards_is_all_or_nothing() {
         // survives on a strict subset of the shards it touched.
         assert!(
             present == 0 || present == rec.blocks.len(),
-            "ARU (tag {}) survived on {present} of {} shards",
+            "{cut}: ARU (tag {}) survived on {present} of {} shards",
             rec.tag,
             rec.blocks.len()
         );
         if present > 0 {
             assert!(
                 rec.committed,
-                "ARU (tag {}) survived without ever committing",
+                "{cut}: ARU (tag {}) survived without ever committing",
                 rec.tag
             );
             for (k, &b) in rec.blocks.iter().enumerate() {
@@ -350,7 +357,7 @@ fn mt_power_cut_aru_spanning_three_shards_is_all_or_nothing() {
                 assert_eq!(
                     buf,
                     vec![rec.tag ^ (k as u8) << 6; BS],
-                    "block {k} of ARU (tag {}) corrupted",
+                    "{cut}: block {k} of ARU (tag {}) corrupted",
                     rec.tag
                 );
             }
@@ -358,6 +365,6 @@ fn mt_power_cut_aru_spanning_three_shards_is_all_or_nothing() {
     }
     assert!(
         durable_arus >= 1,
-        "the crash point must allow some ARUs to become durable first"
+        "{cut}: the crash point must allow some ARUs to become durable first"
     );
 }
