@@ -104,8 +104,8 @@ ldctl — Logical Disk image tool
   ldctl stats [<image>] [--json] [--threads N]
               [--snapshot-file <path>] [--remote HOST:PORT]
                                   observability snapshot: counters, latency
-                                  histograms, ARU spans, trace events; with
-                                  no image, runs a scripted in-memory
+                                  histograms (one per stage), trace events;
+                                  with no image, runs a scripted in-memory
                                   workload on the simulated disk; --threads N
                                   drives it from N OS threads sharing the
                                   disk (group-commit batching under load);
@@ -467,8 +467,8 @@ pub fn cmd_serve(image: &str, args: &[String]) -> Result<String> {
 /// Without an image, runs a small scripted workload — file creates,
 /// writes, reads, a delete, one explicitly committed ARU and one
 /// aborted ARU — on a simulated in-memory disk, so every layer of the
-/// snapshot (disk service times, LLD counters, histograms, spans,
-/// trace events, file-system ops) is exercised. `--threads N` (no
+/// snapshot (disk service times, LLD counters, histograms, trace
+/// events, file-system ops) is exercised. `--threads N` (no
 /// image) instead drives the simulated disk from N OS threads running
 /// synchronous disjoint ARUs, so the group-commit counters and the
 /// batch-size histogram carry real contention.
@@ -691,10 +691,9 @@ fn sampled(threads: usize, period: Duration) -> Result<Vec<(u64, ObsSnapshot)>> 
     let start = Instant::now();
     let sample = || {
         let mut snapshot = ld.obs_snapshot();
-        // A time series carries the numbers; the trace ring and the
-        // span table stay with the disk.
+        // A time series carries the numbers; the trace ring stays with
+        // the disk.
         snapshot.events = Vec::new();
-        snapshot.spans = Vec::new();
         (start.elapsed().as_millis() as u64, snapshot)
     };
     let wl = ld_workload::MtWorkload {

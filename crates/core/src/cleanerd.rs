@@ -75,7 +75,7 @@
 use crate::cleaner::cleaning_gains;
 use crate::error::Result;
 use crate::lld::{Lld, LldInner};
-use crate::obs::{cleaner_trace, Obs, Stage};
+use crate::obs::{cleaner_trace, Stage};
 use crate::segment::{extent, SegmentBuilder};
 use crate::types::{BlockId, PhysAddr, SegmentId};
 use ld_disk::{BlockDevice, Condvar, Mutex};
@@ -476,7 +476,6 @@ impl<D: BlockDevice> LldInner<D> {
 /// then relocate → release a victim at a time (→ checkpoint → release
 /// where none was covered).
 fn run_pass<D: BlockDevice>(ld: &LldInner<D>) -> Result<PassOutcome> {
-    let timer = ld.obs.timer();
     ld.stats.cleaner_runs.inc();
     ld.stats.cleaner_passes.inc();
     // One trace per pass (the pass ordinal), stamped into the
@@ -494,8 +493,7 @@ fn run_pass<D: BlockDevice>(ld: &LldInner<D>) -> Result<PassOutcome> {
     // A `covered` pass writes no checkpoint and hands each victim back
     // as soon as it is empty.
     let pack_cap = ld.layout.data_sectors_per_slot();
-    let phase_timer = ld.obs.timer();
-    ld.obs.stage_begin(ld.now(), trace, Stage::CleanerSnapshot);
+    let phase = ld.obs.stage(ld.now(), trace, Stage::CleanerSnapshot);
     let (mut victims, covered): (Vec<Victim>, bool) = {
         let log = ld.log.lock();
         let short = (ld.cleaner_cfg.target_free_segments as usize)
@@ -528,12 +526,7 @@ fn run_pass<D: BlockDevice>(ld: &LldInner<D>) -> Result<PassOutcome> {
             .collect();
         (victims, covered)
     };
-    ld.obs.stage_end(
-        ld.now(),
-        trace,
-        Stage::CleanerSnapshot,
-        Obs::elapsed(phase_timer),
-    );
+    phase.end();
     if victims.is_empty() {
         return Ok(out);
     }
@@ -543,8 +536,7 @@ fn run_pass<D: BlockDevice>(ld: &LldInner<D>) -> Result<PassOutcome> {
     // into the victim, drop the rest. Foreground writers stay
     // unblocked; anything that moves after this is caught by the
     // re-validation inside the write windows.
-    let phase_timer = ld.obs.timer();
-    ld.obs.stage_begin(ld.now(), trace, Stage::CleanerPrefilter);
+    let phase = ld.obs.stage(ld.now(), trace, Stage::CleanerPrefilter);
     for v in &mut victims {
         if v.blocks.is_empty() {
             continue;
@@ -572,12 +564,7 @@ fn run_pass<D: BlockDevice>(ld: &LldInner<D>) -> Result<PassOutcome> {
         });
         v.blocks.sort_unstable_by_key(|(id, _, _)| id.get());
     }
-    ld.obs.stage_end(
-        ld.now(),
-        trace,
-        Stage::CleanerPrefilter,
-        Obs::elapsed(phase_timer),
-    );
+    phase.end();
 
     // Phases 3 and 4, a victim at a time, so that the first slot comes
     // back after one victim's reads and not after all of them.
@@ -592,8 +579,7 @@ fn run_pass<D: BlockDevice>(ld: &LldInner<D>) -> Result<PassOutcome> {
         // torn or stale read is discarded, never relocated. Keeping
         // media reads — the slow half of relocation on a real device —
         // outside the windows is what makes them short.
-        let phase_timer = ld.obs.timer();
-        ld.obs.stage_begin(ld.now(), trace, Stage::CleanerPrefetch);
+        let phase = ld.obs.stage(ld.now(), trace, Stage::CleanerPrefetch);
         // Once a window has failed (device error or out of room) nothing
         // more is relocated; what was completed before is still released.
         v.lost = aborted
@@ -601,12 +587,7 @@ fn run_pass<D: BlockDevice>(ld: &LldInner<D>) -> Result<PassOutcome> {
                 data.resize(ld.layout.block_size, 0);
                 ld.read_extent(*addr, data).is_err()
             });
-        ld.obs.stage_end(
-            ld.now(),
-            trace,
-            Stage::CleanerPrefetch,
-            Obs::elapsed(phase_timer),
-        );
+        phase.end();
         if v.lost {
             continue;
         }
@@ -620,8 +601,7 @@ fn run_pass<D: BlockDevice>(ld: &LldInner<D>) -> Result<PassOutcome> {
         // 1`): until a victim is released the pass is a space *consumer*
         // and must never take the last slot — that slot stays available
         // for deletions and the reserve pass.
-        let phase_timer = ld.obs.timer();
-        ld.obs.stage_begin(ld.now(), trace, Stage::CleanerRelocate);
+        let phase = ld.obs.stage(ld.now(), trace, Stage::CleanerRelocate);
         for chunk in v.blocks.chunks(RELOC_BATCH) {
             let mut bits = 0u64;
             for (id, _, _) in chunk {
@@ -666,12 +646,7 @@ fn run_pass<D: BlockDevice>(ld: &LldInner<D>) -> Result<PassOutcome> {
             }
         }
         v.blocks = Vec::new();
-        ld.obs.stage_end(
-            ld.now(),
-            trace,
-            Stage::CleanerRelocate,
-            Obs::elapsed(phase_timer),
-        );
+        phase.end();
         // A covered victim comes back right behind its last window,
         // before the segment holding the relocation records is sealed:
         // the release stamp (W3) orders the slot's reuse behind it.
@@ -701,7 +676,6 @@ fn run_pass<D: BlockDevice>(ld: &LldInner<D>) -> Result<PassOutcome> {
         ld.now(),
         ld.free_slots_hint.load(Ordering::Relaxed) as u32,
         out.relocated,
-        timer,
     );
     Ok(out)
 }
@@ -712,17 +686,14 @@ fn run_pass<D: BlockDevice>(ld: &LldInner<D>) -> Result<PassOutcome> {
 /// both releases the pass's victims and picks up any other slot
 /// foreground deletions emptied. Stalled operations re-check at once.
 fn release_sweep<D: BlockDevice>(ld: &LldInner<D>) -> Result<u32> {
-    let timer = ld.obs.timer();
-    let trace = ld_disk::current_trace();
-    ld.obs.stage_begin(ld.now(), trace, Stage::CleanerRelease);
+    let release = (ld.obs).stage(ld.now(), ld_disk::current_trace(), Stage::CleanerRelease);
     let freed = ld.with_mutation(|m| {
         let freed = m.log().release_covered_empty();
         m.sync_free_hint();
         Ok(freed)
     })?;
     ld.cleanerd.eased.notify_all();
-    ld.obs
-        .stage_end(ld.now(), trace, Stage::CleanerRelease, Obs::elapsed(timer));
+    release.end();
     Ok(freed)
 }
 
@@ -752,10 +723,9 @@ impl<D: BlockDevice> LldInner<D> {
         self.stats.backpressure_stalls.inc();
         // The stall is charged to whatever trace the caller is inside
         // (usually none — the gate runs before any commit machinery);
-        // its duration feeds the `backpressure_stall_ns` histogram.
+        // its duration feeds the `cleaner_gate_ns` histogram.
         let trace = ld_disk::current_trace();
-        let stall_timer = self.obs.timer();
-        self.obs.stage_begin(self.now(), trace, Stage::CleanerGate);
+        let stall = self.obs.stage(self.now(), trace, Stage::CleanerGate);
         while self.free_slots_hint.load(Ordering::Relaxed) <= stall_at && st.healthy() {
             let now = Instant::now();
             if now >= deadline {
@@ -765,11 +735,6 @@ impl<D: BlockDevice> LldInner<D> {
             st = g;
         }
         drop(st);
-        self.obs.stage_end(
-            self.now(),
-            trace,
-            Stage::CleanerGate,
-            Obs::elapsed(stall_timer),
-        );
+        stall.end();
     }
 }

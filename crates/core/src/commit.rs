@@ -29,7 +29,7 @@ use crate::config::ConcurrencyMode;
 use crate::dedup::{Reservation, TaggedCommit, WriteIdOutcome};
 use crate::error::{LldError, Result};
 use crate::lld::{LldInner, Mutation, StateRef};
-use crate::obs::ActiveSpan;
+use crate::obs::{ActiveSpan, TraceEvent};
 use crate::shard::SCRATCH_ARU_RAW;
 use crate::state::MapId;
 use crate::summary::{Record, WRITE_REC_LEN};
@@ -86,7 +86,7 @@ impl<D: BlockDevice> LldInner<D> {
         Ok(())
     }
 
-    /// Commits a concurrent ARU: its commit time and its span.
+    /// Commits a concurrent ARU: its commit time and its counters.
     fn end_aru_concurrent(&self, id: AruId) -> Result<(u64, ActiveSpan)> {
         let raw = id.get();
         // Plan the session under the ARU's slot lock alone: which shards
@@ -326,7 +326,7 @@ impl<D: BlockDevice> LldInner<D> {
         }
         let aru = slot.remove(id.get()).expect("checked above");
         self.stats.arus_aborted.inc();
-        self.obs.aru_abort(id.get(), &aru.span, self.now());
+        (self.obs).event(self.now(), TraceEvent::AruAbort { aru: id.get() });
         slot.retire(aru);
         Ok(())
     }
@@ -340,8 +340,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
         }
     }
 
-    /// Commits concurrent ARU `id` in this session, returning its span;
-    /// a conflict aborts it and closes its span here.
+    /// Commits concurrent ARU `id` in this session, returning its
+    /// counters; a conflict aborts it and records that here.
     fn commit_concurrent(&mut self, id: AruId) -> Result<ActiveSpan> {
         let raw = id.get();
 
@@ -389,7 +389,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         }
         if let Some(detail) = conflict {
             let aru = self.map.aru_remove(raw).expect("caller checked");
-            (self.lld.obs).aru_conflict(raw, &aru.span, self.lld.now());
+            (self.lld.obs).event(self.lld.now(), TraceEvent::AruConflict { aru: raw });
             self.map.retire(aru);
             self.lld.stats.commit_conflicts.inc();
             self.lld.stats.arus_aborted.inc();

@@ -146,7 +146,7 @@ pub struct LldConfig {
     /// shards never contend. A runtime knob, not persisted on disk: the
     /// same device may be recovered with any shard count.
     pub map_shards: usize,
-    /// Observability: event tracing, latency histograms, and ARU spans
+    /// Observability: event tracing, stage spans and latency histograms
     /// (default on; see [`ObsConfig::disabled`]).
     pub obs: ObsConfig,
     /// Upper bound on recorded write-id outcomes in the exactly-once

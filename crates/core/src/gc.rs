@@ -12,7 +12,7 @@
 
 use crate::error::{LldError, Result};
 use crate::lld::LldInner;
-use crate::obs::{flush_trace, Obs, Stage};
+use crate::obs::{flush_trace, Stage};
 use crate::types::AruId;
 use ld_disk::BlockDevice;
 use ld_disk::{Condvar, Mutex};
@@ -85,18 +85,16 @@ impl<D: BlockDevice> LldInner<D> {
     /// Device errors from the barrier and from any segment write so
     /// far (sticky: [`LogicalDisk::flush`](crate::LogicalDisk::flush)).
     pub fn flush(&self) -> Result<()> {
-        let timer = self.obs.timer();
         let mut st = self.gc.state.lock();
         let ticket = st.started;
         st.started += 1;
         // Every durability caller is one trace: a `commit` span
         // wrapping its queue wait and (for the leader) the seal and
-        // barrier stages. The ring's mutex is a leaf, so emitting under
-        // the gc state lock is safe.
+        // barrier stages; it ends when `flush` returns. The ring's
+        // mutex is a leaf, so emitting under the gc state lock is safe.
         let trace = flush_trace(ticket);
-        self.obs.stage_begin(self.now(), trace, Stage::Commit);
-        let q_timer = self.obs.timer();
-        self.obs.stage_begin(self.now(), trace, Stage::QueueWait);
+        let _commit = self.obs.stage(self.now(), trace, Stage::Commit);
+        let queue_wait = self.obs.stage(self.now(), trace, Stage::QueueWait);
         loop {
             // A follower reports the batch that covered it: `Ok` once
             // any barrier issued after its seal succeeded, else the
@@ -111,9 +109,8 @@ impl<D: BlockDevice> LldInner<D> {
             };
             if let Some(res) = covered {
                 drop(st);
-                self.obs
-                    .stage_end(self.now(), trace, Stage::QueueWait, Obs::elapsed(q_timer));
-                return self.flush_end(res, trace, timer);
+                queue_wait.end();
+                return res;
             }
             // A caller some leader has claimed only waits for that
             // batch (it is woken when the batch retires); an unclaimed
@@ -132,8 +129,8 @@ impl<D: BlockDevice> LldInner<D> {
         // and the seal took a ticket above `covering`, so it is part of
         // the next batch and cannot make this one undercount.
         st.leader_active = true;
-        if let Some(h) = st.handoff_at.take() {
-            self.obs.leader_handoff(Obs::elapsed(Some(h)));
+        if let Some(released) = st.handoff_at.take() {
+            self.obs.leader_handoff(released);
         }
         let covering = st.started;
         let batch = covering - st.claimed;
@@ -143,8 +140,7 @@ impl<D: BlockDevice> LldInner<D> {
         self.stats.flush_batch_callers.add(batch);
         self.stats.flush_batch_max.record_max(batch);
         drop(st);
-        self.obs
-            .stage_end(self.now(), trace, Stage::QueueWait, Obs::elapsed(q_timer));
+        queue_wait.end();
         self.obs.group_commit(self.now(), batch, trace, first_trace);
 
         // Stamp the leader's flush trace into the thread-local context
@@ -157,12 +153,10 @@ impl<D: BlockDevice> LldInner<D> {
         // leadership still held, so a due checkpoint or the caller's
         // round of cleaning is written ahead of the barrier that covers
         // it.
-        let seal_timer = self.obs.timer();
-        self.obs.stage_begin(self.now(), trace, Stage::Seal);
+        let sealing = self.obs.stage(self.now(), trace, Stage::Seal);
         let seal = self.with_mutation_at(0, 0, |m| m.roll_for_flush());
         self.after_session(seal.is_ok());
-        self.obs
-            .stage_end(self.now(), trace, Stage::Seal, Obs::elapsed(seal_timer));
+        sealing.end();
 
         // Let go of leadership, then barrier with no lock held: the next
         // leader's seal write overlaps this barrier. A barrier vouches
@@ -192,18 +186,12 @@ impl<D: BlockDevice> LldInner<D> {
             if gate_open {
                 self.gc.cv.notify_all();
             }
-            let wait_timer = self.obs.timer();
-            self.obs.stage_begin(self.now(), trace, Stage::BarrierWait);
+            let barrier_wait = self.obs.stage(self.now(), trace, Stage::BarrierWait);
             let res = self.device.flush().map_err(LldError::from);
             if res.is_ok() {
                 self.barrier_covers.fetch_max(sealed, Ordering::Relaxed);
             }
-            self.obs.stage_end(
-                self.now(),
-                trace,
-                Stage::BarrierWait,
-                Obs::elapsed(wait_timer),
-            );
+            barrier_wait.end();
             res
         });
 
@@ -224,17 +212,6 @@ impl<D: BlockDevice> LldInner<D> {
         drop(st);
         // Followers of this batch, and callers the gate held back.
         self.gc.cv.notify_all();
-        self.flush_end(res, trace, timer)
-    }
-
-    /// Closes a durability caller's `commit` span.
-    fn flush_end(&self, res: Result<()>, trace: u64, timer: Option<Instant>) -> Result<()> {
-        if res.is_ok() {
-            self.obs
-                .flush_done(self.now(), self.stats.segments_sealed.get(), timer);
-        }
-        self.obs
-            .stage_end(self.now(), trace, Stage::Commit, Obs::elapsed(timer));
         res
     }
 

@@ -97,8 +97,8 @@ pub use layout::Layout;
 pub use layout::{CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH};
 pub use lld::{Lld, LldInner};
 pub use obs::{
-    aru_trace, cleaner_trace, flush_trace, AruSpan, Obs, ObsConfig, ObsSnapshot, ServerCounters,
-    ServerStats, SpanOutcome, Stage, TraceEntry, TraceEvent, TraceRing,
+    aru_trace, cleaner_trace, flush_trace, Obs, ObsConfig, ObsSnapshot, ServerCounters,
+    ServerStats, Stage, TraceEntry, TraceEvent, TraceRing,
 };
 pub use record::Counter;
 pub use recovery::RecoveryReport;

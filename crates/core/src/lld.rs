@@ -21,7 +21,7 @@ use crate::error::{LldError, Result};
 use crate::flight::FlightRecorder;
 use crate::gc::GroupCommit;
 use crate::layout::{Layout, CKPT_HEADER, SUPERBLOCK_LEN};
-use crate::obs::{AruSpan, Obs, ObsSnapshot, Stage, TraceEvent};
+use crate::obs::{Obs, ObsSnapshot, Stage, TraceEvent};
 use crate::segment::{
     extent, header_link, header_offset, zero_past_extent, ChainHead, SegmentBuilder, HEADER_PUNCH,
     NO_SLOT, SECTOR,
@@ -623,8 +623,7 @@ impl<D: BlockDevice> LldInner<D> {
         let at = header_offset(&self.layout, slot, seg.base());
         // The span lands on the thread that writes: the sealer's own,
         // or `ld-cleanerd` for a seal it was handed.
-        let (timer, trace) = (self.obs.timer(), ld_disk::current_trace());
-        self.obs.stage_begin(self.now(), trace, Stage::MediaWrite);
+        let media = (self.obs).stage(self.now(), ld_disk::current_trace(), Stage::MediaWrite);
         let barrier = if self.barrier_covers.load(Ordering::Relaxed) < released_behind {
             let flushed = self.device.flush();
             if flushed.is_ok() {
@@ -637,8 +636,7 @@ impl<D: BlockDevice> LldInner<D> {
         };
         let written = (barrier.and_then(|()| self.device.write_at(at, seg.header())))
             .and_then(|()| self.device.write_at(at + SECTOR as u64, seg.body()));
-        self.obs
-            .stage_end(self.now(), trace, Stage::MediaWrite, Obs::elapsed(timer));
+        media.end();
         let res = written.map_err(LldError::from);
         let log = held.get_or_insert_with(|| self.log.lock());
         log.inflight.retain(|s| s.seq() != seg.seq());
@@ -758,8 +756,8 @@ impl<D: BlockDevice> LldInner<D> {
         s
     }
 
-    /// The observability bundle: trace events, latency histograms, ARU
-    /// lifecycle spans.
+    /// The observability bundle: trace events, latency histograms, the
+    /// recovery report.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -772,20 +770,14 @@ impl<D: BlockDevice> LldInner<D> {
     }
 
     /// Captures everything observable about this disk in one bundle:
-    /// LLD counters, device counters, the `lld_read` / `lld_write` /
-    /// `end_aru` / `flush` / `group_commit_batch` / `aru_shard_spread`
-    /// histograms (plus `disk_read` / `disk_write` when the device
-    /// provides them), per-shard lock counters, recent trace events,
-    /// ARU spans, and the recovery report if this disk was recovered.
-    /// `fs_ops` is left empty for a file-system caller to fill.
+    /// LLD counters, device counters, [`Obs::histograms`] (plus
+    /// `disk_read` / `disk_write` when the device provides them),
+    /// per-shard lock counters, recent trace events, and the recovery
+    /// report if this disk was recovered. `fs_ops` is left empty for a
+    /// file-system caller to fill.
     pub fn obs_snapshot(&self) -> ObsSnapshot {
         let disk = self.device.stats_snapshot();
-        let mut histograms: Vec<(String, ld_disk::HistogramSnapshot)> = self
-            .obs
-            .histograms()
-            .into_iter()
-            .map(|(n, h)| (n.to_string(), h))
-            .collect();
+        let mut histograms = self.obs.histograms();
         if let Some(d) = &disk {
             histograms.push(("disk_read".to_string(), d.read_hist));
             histograms.push(("disk_write".to_string(), d.write_hist));
@@ -797,27 +789,10 @@ impl<D: BlockDevice> LldInner<D> {
             shards: self.maps.shard_stats(),
             events: self.obs.ring().entries(),
             dropped_events: self.obs.ring().dropped(),
-            spans: self.spans(),
             recovery: self.obs.recovery_report(),
             fs_ops: Vec::new(),
             server: Default::default(),
         }
-    }
-
-    /// The finished ARU spans, oldest first, then the running ones by
-    /// id, which live in the ARUs' slots. A thread that is unwinding
-    /// (the flight recorder's panic path) skips the slots: the panic
-    /// may have poisoned them.
-    fn spans(&self) -> Vec<AruSpan> {
-        let mut spans = self.obs.spans();
-        if self.obs.enabled() && !std::thread::panicking() {
-            let slots = self.maps.lock_arus(self.maps.all_set());
-            let first = spans.len();
-            let running = slots.iter().flat_map(|m| m.arus());
-            spans.extend(running.map(|a| a.span.snapshot(a.id.get())));
-            spans[first..].sort_unstable_by_key(|s| s.aru);
-        }
-        spans
     }
 
     /// Resets the operation counters.

@@ -1,5 +1,5 @@
-//! Observability: structured event tracing, latency histograms, ARU
-//! lifecycle spans, and the [`ObsSnapshot`] stats surface.
+//! Observability: structured event tracing, latency histograms, and
+//! the [`ObsSnapshot`] stats surface.
 //!
 //! The paper's evaluation is entirely about making LLD costs visible —
 //! segment writes, commit-record flushes, list-walk overhead. This
@@ -8,23 +8,25 @@
 //!
 //! * typed **trace events** ([`TraceEvent`]) in a bounded ring buffer
 //!   ([`TraceRing`]) — ARU begin/commit/abort/conflict, segment seal,
-//!   flush, cleaner pass, checkpoint, recovery scan — each stamped with
-//!   a monotonic sequence number and the logical timestamp;
+//!   group commit, cleaner pass, checkpoint, recovery scan — each
+//!   stamped with a monotonic sequence number, the logical timestamp
+//!   and the wall clock;
+//! * **timed stages** ([`Stage`]): one guard per interval
+//!   (`Obs::stage`) records its `stage_begin` / `stage_end` pair and
+//!   feeds the stage's own `<stage>_ns` histogram, so each interval is
+//!   timed once;
 //! * **latency histograms** ([`LatencyHistogram`], 64 log₂ buckets)
-//!   for the hot LLD paths (`read`, `write`, `end_aru`, `flush`, wall
-//!   time) — the device layer keeps its own in
+//!   for the hot LLD paths (`read`, `write`, `end_aru`) — the device
+//!   layer keeps its own in
 //!   [`DiskStatsSnapshot`](ld_disk::DiskStatsSnapshot) (modeled service
-//!   time);
-//! * per-ARU **lifecycle spans** ([`AruSpan`]): begin/end logical time,
-//!   wall duration, operations contained, shadow copy-on-write records,
-//!   and outcome.
+//!   time).
 //!
 //! Everything is bundled by [`Lld::obs_snapshot`](crate::Lld::obs_snapshot)
 //! into an [`ObsSnapshot`] that renders as a human table (`Display`)
 //! or JSON ([`ObsSnapshot::to_json`] — hand-rolled, the workspace has
 //! no serde). Instrumentation is on by default and can be disabled at
 //! format time with [`ObsConfig::disabled()`]; disabled, every hook is
-//! a single branch.
+//! a single branch, and a stage only reads the clock for its caller.
 
 use crate::record::{flat_record, FlatRecord};
 use crate::recovery::RecoveryReport;
@@ -93,9 +95,6 @@ pub struct ObsConfig {
     pub ring_capacity: usize,
 }
 
-/// Number of *finished* ARU spans retained, newest first.
-const MAX_SPANS: usize = 256;
-
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
@@ -120,7 +119,7 @@ impl ObsConfig {
 // ----------------------------------------------------------------------
 
 /// Declares a fieldless enum whose variants each carry a stable name:
-/// `Variant = "name"`. Emits `as_str` and its inverse `from_str`.
+/// `Variant = "name"`. Emits `ALL`, `as_str` and its inverse `from_str`.
 macro_rules! named_enum {
     (
         $(#[$meta:meta])*
@@ -134,6 +133,9 @@ macro_rules! named_enum {
         }
 
         impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$name] = &[$($name::$variant),*];
+
             /// Stable snake_case name (used by JSON output and exporters).
             pub fn as_str(&self) -> &'static str {
                 match self {
@@ -248,7 +250,8 @@ named_enum! {
     /// begin/end events carry the operation's trace id, so a commit's full
     /// path — caller queue wait, leader seal, barrier wait on the leader's
     /// thread, segment writes on the thread that issued them — reassembles
-    /// from the ring.
+    /// from the ring. Each stage has one histogram, `<stage>_ns`, fed by
+    /// its guard (`Obs::stage`) and nothing else.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
     pub enum Stage {
         /// The whole durability call (`flush`/`end_aru_sync`'s flush) on
@@ -330,11 +333,6 @@ trace_events! {
             /// Total bytes written (header + data + summary).
             bytes: u64,
         },
-        /// `Flush` completed: commit records are durable.
-        Flush = "flush" {
-            /// Segments sealed so far (after this flush).
-            segments_sealed: u64,
-        },
         /// A group-commit leader sealed and barriered for a batch of
         /// concurrent durability callers.
         GroupCommit = "group_commit" {
@@ -363,8 +361,8 @@ trace_events! {
             /// Wall-clock nanoseconds spent in the stage.
             nanos: u64,
         },
-        /// The background cleaner thread woke with cleaning work (free
-        /// segments below the low watermark).
+        /// A round of cleaning passes started (on `cleanerd` or a
+        /// caller's thread): free segments were below the low watermark.
         CleanerWake = "cleaner_wake" {
             /// Free segment slots at wake-up.
             free_segments: u32,
@@ -495,91 +493,23 @@ impl TraceRing {
     pub fn dropped(&self) -> u64 {
         self.inner.lock().dropped
     }
-
-    /// Number of entries currently retained.
-    pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    /// Whether the ring holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum number of retained entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 // ----------------------------------------------------------------------
-// ARU lifecycle spans
+// ARU counters
 // ----------------------------------------------------------------------
 
-named_enum! {
-    /// How an ARU's life ended (or that it has not).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum SpanOutcome {
-        /// Still running.
-        Active = "active",
-        /// Committed by `EndARU`.
-        Committed = "committed",
-        /// Aborted explicitly by `AbortARU`.
-        Aborted = "aborted",
-        /// Aborted by `EndARU` because of a commit conflict.
-        Conflicted = "conflicted",
-    }
-}
-
-/// The lifecycle record of one ARU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AruSpan {
-    /// Raw ARU id.
-    pub aru: u64,
-    /// Logical timestamp at `BeginARU`.
-    pub begin_ts: u64,
-    /// Logical timestamp at `EndARU`/`AbortARU` (`None` while active).
-    pub end_ts: Option<u64>,
-    /// Wall-clock duration from begin to end, in nanoseconds (`None`
-    /// while active).
-    pub wall_nanos: Option<u64>,
-    /// LD operations executed in the ARU's context.
-    pub ops: u64,
-    /// Shadow copy-on-write records created for the ARU.
-    pub cow_records: u64,
-    /// How the ARU ended.
-    pub outcome: SpanOutcome,
-}
-
-/// The span of a running ARU, kept in its descriptor (`aru.rs`): an
+/// The counters of a running ARU, kept in its descriptor (`aru.rs`): an
 /// operation in the ARU's context counts under the ARU's own slot lock,
-/// and only a finished span enters the shared table.
+/// and the `aru_commit` event carries them out.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ActiveSpan {
     /// Logical timestamp at `BeginARU`.
     pub(crate) begin_ts: u64,
-    /// Wall-clock instant at `BeginARU` (`None` with instrumentation
-    /// off).
-    pub(crate) started: Option<Instant>,
     /// LD operations executed in the ARU's context.
     pub(crate) ops: u64,
     /// Shadow copy-on-write records created for the ARU.
     pub(crate) cow_records: u64,
-}
-
-impl ActiveSpan {
-    /// The span of running ARU `aru`, as a snapshot reports it.
-    pub(crate) fn snapshot(&self, aru: u64) -> AruSpan {
-        AruSpan {
-            aru,
-            begin_ts: self.begin_ts,
-            end_ts: None,
-            wall_nanos: None,
-            ops: self.ops,
-            cow_records: self.cow_records,
-            outcome: SpanOutcome::Active,
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -587,7 +517,8 @@ impl ActiveSpan {
 // ----------------------------------------------------------------------
 
 /// The instrumentation attached to one logical disk: trace ring, LLD
-/// latency histograms, ARU spans, and the last recovery report.
+/// latency histograms, one histogram per [`Stage`], and the last
+/// recovery report.
 ///
 /// All methods take `&self` (interior mutability), so hooks can run
 /// while the `Lld` itself is mutably borrowed. Every hook first checks
@@ -599,20 +530,62 @@ pub struct Obs {
     lld_read: LatencyHistogram,
     lld_write: LatencyHistogram,
     end_aru: LatencyHistogram,
-    flush: LatencyHistogram,
     group_commit_batch: LatencyHistogram,
     aru_shard_spread: LatencyHistogram,
-    cleaner_pass: LatencyHistogram,
-    gc_queue_wait: LatencyHistogram,
-    gc_seal: LatencyHistogram,
-    gc_barrier_wait: LatencyHistogram,
     gc_leader_handoff: LatencyHistogram,
-    backpressure_stall: LatencyHistogram,
-    recovery_snapshot_load: LatencyHistogram,
-    recovery_replay: LatencyHistogram,
-    /// Finished spans, oldest first (at most [`MAX_SPANS`]).
-    spans: Mutex<VecDeque<AruSpan>>,
+    /// `<stage>_ns`, indexed by [`Stage`]: fed only by [`StageGuard`].
+    stages: [LatencyHistogram; Stage::ALL.len()],
     recovery: Mutex<Option<RecoveryReport>>,
+}
+
+/// One timed [`Stage`] of a traced operation, from [`Obs::stage`] to
+/// [`end`](StageGuard::end) or drop: a stage left early, by `?` or an
+/// unwinding panic, is closed too. One clock read at each end stamps the ring
+/// entry and times the stage's histogram sample.
+#[must_use = "a stage ends when its guard is dropped"]
+pub(crate) struct StageGuard<'a> {
+    obs: &'a Obs,
+    ts: u64,
+    trace: u64,
+    stage: Stage,
+    /// When the stage began; `None` once it has ended.
+    start: Option<Instant>,
+}
+
+impl StageGuard<'_> {
+    /// Ends the stage: records its `stage_end` entry and its histogram
+    /// sample, and returns its wall-clock nanoseconds (measured with
+    /// instrumentation off too: recovery's report reads them).
+    pub(crate) fn end(mut self) -> u64 {
+        self.close()
+    }
+
+    fn close(&mut self) -> u64 {
+        let Some(start) = self.start.take() else {
+            return 0;
+        };
+        let now = Instant::now();
+        let nanos = now.saturating_duration_since(start).as_nanos() as u64;
+        let (obs, trace, stage) = (self.obs, self.trace, self.stage);
+        if obs.cfg.enabled {
+            obs.stages[stage as usize].record(nanos);
+            let event = TraceEvent::StageEnd {
+                trace,
+                stage,
+                nanos,
+            };
+            obs.ring.record_at(self.ts, event, now);
+        }
+        nanos
+    }
+}
+
+impl Drop for StageGuard<'_> {
+    /// Cannot panic: nothing panics while holding the ring's lock, so it
+    /// is never poisoned.
+    fn drop(&mut self) {
+        self.close();
+    }
 }
 
 impl Obs {
@@ -624,18 +597,10 @@ impl Obs {
             lld_read: LatencyHistogram::new(),
             lld_write: LatencyHistogram::new(),
             end_aru: LatencyHistogram::new(),
-            flush: LatencyHistogram::new(),
             group_commit_batch: LatencyHistogram::new(),
             aru_shard_spread: LatencyHistogram::new(),
-            cleaner_pass: LatencyHistogram::new(),
-            gc_queue_wait: LatencyHistogram::new(),
-            gc_seal: LatencyHistogram::new(),
-            gc_barrier_wait: LatencyHistogram::new(),
             gc_leader_handoff: LatencyHistogram::new(),
-            backpressure_stall: LatencyHistogram::new(),
-            recovery_snapshot_load: LatencyHistogram::new(),
-            recovery_replay: LatencyHistogram::new(),
-            spans: Mutex::new(VecDeque::new()),
+            stages: std::array::from_fn(|_| LatencyHistogram::new()),
             recovery: Mutex::new(None),
         }
     }
@@ -643,11 +608,6 @@ impl Obs {
     /// Whether instrumentation is recording.
     pub fn enabled(&self) -> bool {
         self.cfg.enabled
-    }
-
-    /// The configuration this bundle was built with.
-    pub fn config(&self) -> &ObsConfig {
-        &self.cfg
     }
 
     /// The trace-event ring.
@@ -678,6 +638,24 @@ impl Obs {
         }
     }
 
+    /// Enters `stage` of the traced operation `trace` on the calling
+    /// thread, at logical time `ts` (which stamps both of its ring
+    /// entries). The guard's one clock read stamps the `stage_begin`
+    /// entry and starts the stage's timer.
+    pub(crate) fn stage(&self, ts: u64, trace: u64, stage: Stage) -> StageGuard<'_> {
+        let start = Instant::now();
+        if self.cfg.enabled {
+            (self.ring).record_at(ts, TraceEvent::StageBegin { trace, stage }, start);
+        }
+        StageGuard {
+            obs: self,
+            ts,
+            trace,
+            stage,
+            start: Some(start),
+        }
+    }
+
     // ---- hot-path hooks ----------------------------------------------
 
     /// Completes a timed `read` operation.
@@ -693,14 +671,6 @@ impl Obs {
     pub(crate) fn write_done(&self, timer: Option<Instant>) {
         if let Some(n) = Self::elapsed_nanos(timer) {
             self.lld_write.record(n);
-        }
-    }
-
-    /// Completes a timed `flush`, emitting the flush event.
-    pub(crate) fn flush_done(&self, ts: u64, segments_sealed: u64, timer: Option<Instant>) {
-        if let Some(n) = Self::elapsed_nanos(timer) {
-            self.flush.record(n);
-            self.ring.record(ts, TraceEvent::Flush { segments_sealed });
         }
     }
 
@@ -725,54 +695,14 @@ impl Obs {
         );
     }
 
-    /// Wall-clock nanoseconds since `timer` (0 when instrumentation was
-    /// off and the timer is `None`).
+    /// Records the gap since a leader released leadership (before its
+    /// barrier) at `released`, as the next leader claims it (histogram
+    /// only: the two sides run on different threads, so a begin/end
+    /// pair would break per-thread span nesting).
     #[inline]
-    pub(crate) fn elapsed(timer: Option<Instant>) -> u64 {
-        Self::elapsed_nanos(timer).unwrap_or(0)
-    }
-
-    /// A traced operation entered `stage` on the calling thread.
-    #[inline]
-    pub(crate) fn stage_begin(&self, ts: u64, trace: u64, stage: Stage) {
+    pub(crate) fn leader_handoff(&self, released: Instant) {
         if self.cfg.enabled {
-            self.ring
-                .record(ts, TraceEvent::StageBegin { trace, stage });
-        }
-    }
-
-    /// A traced operation left `stage` after `nanos` wall-clock
-    /// nanoseconds: records the end event and feeds the stage's
-    /// latency histogram, when it has one.
-    pub(crate) fn stage_end(&self, ts: u64, trace: u64, stage: Stage, nanos: u64) {
-        if !self.cfg.enabled {
-            return;
-        }
-        match stage {
-            Stage::QueueWait => self.gc_queue_wait.record(nanos),
-            Stage::Seal => self.gc_seal.record(nanos),
-            Stage::BarrierWait => self.gc_barrier_wait.record(nanos),
-            Stage::CleanerGate => self.backpressure_stall.record(nanos),
-            _ => {}
-        }
-        self.ring.record(
-            ts,
-            TraceEvent::StageEnd {
-                trace,
-                stage,
-                nanos,
-            },
-        );
-    }
-
-    /// Records the gap between a leader releasing leadership (before
-    /// its barrier, on either writer) and the next leader claiming it
-    /// (histogram only: the two sides run on different threads, so a
-    /// begin/end pair would break per-thread span nesting).
-    #[inline]
-    pub(crate) fn leader_handoff(&self, nanos: u64) {
-        if self.cfg.enabled {
-            self.gc_leader_handoff.record(nanos);
+            (self.gc_leader_handoff).record(released.elapsed().as_nanos() as u64);
         }
     }
 
@@ -786,138 +716,46 @@ impl Obs {
         }
     }
 
-    /// The background cleaner thread woke below the low watermark.
+    /// A round of cleaning passes started below the low watermark.
     pub(crate) fn cleaner_wake(&self, ts: u64, free_segments: u32) {
         self.event(ts, TraceEvent::CleanerWake { free_segments });
     }
 
-    /// Completes one timed background cleaner pass: records the pass
-    /// duration (into the `cleaner_pass_ns` histogram) and the event.
-    pub(crate) fn cleaner_pass_done(
-        &self,
-        ts: u64,
-        free_segments: u32,
-        blocks_relocated: u64,
-        timer: Option<Instant>,
-    ) {
-        if !self.cfg.enabled {
-            return;
-        }
-        if let Some(n) = Self::elapsed_nanos(timer) {
-            self.cleaner_pass.record(n);
-        }
-        self.ring.record(
-            ts,
-            TraceEvent::CleanerPass {
-                free_segments,
-                blocks_relocated,
-            },
-        );
+    /// A cleaning pass finished (its phases are stages of their own).
+    pub(crate) fn cleaner_pass_done(&self, ts: u64, free_segments: u32, blocks_relocated: u64) {
+        let event = TraceEvent::CleanerPass {
+            free_segments,
+            blocks_relocated,
+        };
+        self.event(ts, event);
     }
 
     // ---- ARU lifecycle -----------------------------------------------
 
-    /// `BeginARU`: records the event and returns the ARU's span, which
-    /// the ARU carries until it ends. One clock read stamps both.
+    /// `BeginARU`: records the event and returns the ARU's counters,
+    /// which the ARU carries until it ends.
     pub(crate) fn aru_begin(&self, aru: u64, ts: u64) -> ActiveSpan {
-        let mut span = ActiveSpan {
+        self.event(ts, TraceEvent::AruBegin { aru });
+        ActiveSpan {
             begin_ts: ts,
             ..ActiveSpan::default()
-        };
-        if self.cfg.enabled {
-            let now = Instant::now();
-            self.ring.record_at(ts, TraceEvent::AruBegin { aru }, now);
-            span.started = Some(now);
         }
-        span
     }
 
-    /// Closes the span of ARU `aru` at `now`, keeping it among the
-    /// finished ones.
-    fn span_end(&self, aru: u64, span: &ActiveSpan, ts: u64, outcome: SpanOutcome, now: Instant) {
-        let done = AruSpan {
-            end_ts: Some(ts),
-            wall_nanos: span.started.map(|t| (now - t).as_nanos() as u64),
-            outcome,
-            ..span.snapshot(aru)
-        };
-        let mut finished = self.spans.lock();
-        if finished.len() == MAX_SPANS {
-            finished.pop_front();
-        }
-        finished.push_back(done);
-    }
-
-    /// `EndARU` success: closes the span, records commit latency and
-    /// the commit event, all at one clock read.
+    /// `EndARU` success: records commit latency and the commit event,
+    /// with the ARU's counters, at one clock read.
     pub(crate) fn aru_commit(&self, aru: u64, span: &ActiveSpan, ts: u64, timer: Option<Instant>) {
         let Some(t) = timer.filter(|_| self.cfg.enabled) else {
             return;
         };
         let now = Instant::now();
         self.end_aru.record((now - t).as_nanos() as u64);
-        self.span_end(aru, span, ts, SpanOutcome::Committed, now);
         let event = TraceEvent::AruCommit {
             aru,
             ops: span.ops,
             cow_records: span.cow_records,
         };
         self.ring.record_at(ts, event, now);
-    }
-
-    /// `AbortARU`: closes the span and records the event.
-    pub(crate) fn aru_abort(&self, aru: u64, span: &ActiveSpan, ts: u64) {
-        self.aru_end(
-            aru,
-            span,
-            ts,
-            SpanOutcome::Aborted,
-            TraceEvent::AruAbort { aru },
-        );
-    }
-
-    /// `EndARU` conflict: closes the span and records the event.
-    pub(crate) fn aru_conflict(&self, aru: u64, span: &ActiveSpan, ts: u64) {
-        self.aru_end(
-            aru,
-            span,
-            ts,
-            SpanOutcome::Conflicted,
-            TraceEvent::AruConflict { aru },
-        );
-    }
-
-    fn aru_end(
-        &self,
-        aru: u64,
-        span: &ActiveSpan,
-        ts: u64,
-        outcome: SpanOutcome,
-        event: TraceEvent,
-    ) {
-        if !self.cfg.enabled {
-            return;
-        }
-        let now = Instant::now();
-        self.span_end(aru, span, ts, outcome, now);
-        self.ring.record_at(ts, event, now);
-    }
-
-    /// Completes one timed checkpoint-slab decode during recovery
-    /// (histogram only; the phase span is recorded by `recover`).
-    #[inline]
-    pub(crate) fn recovery_slab_load(&self, timer: Option<Instant>) {
-        if let Some(n) = Self::elapsed_nanos(timer) {
-            self.recovery_snapshot_load.record(n);
-        }
-    }
-
-    /// Completes the timed suffix replay during recovery.
-    #[inline]
-    pub(crate) fn recovery_replay_batch(&self, timer: Option<Instant>) {
-        if let Some(n) = Self::elapsed_nanos(timer) {
-            self.recovery_replay.record(n);
-        }
     }
 
     // ---- recovery report ---------------------------------------------
@@ -945,41 +783,28 @@ impl Obs {
 
     // ---- snapshot accessors ------------------------------------------
 
-    /// The finished spans, oldest first. A running ARU's span lives in
-    /// the ARU; [`Lld::obs_snapshot`](crate::Lld::obs_snapshot) appends
-    /// those.
-    pub fn spans(&self) -> Vec<AruSpan> {
-        self.spans.lock().iter().copied().collect()
-    }
-
     /// Snapshot of the LLD-layer histograms as `(name, snapshot)`
-    /// pairs: `lld_read`, `lld_write`, `end_aru`, `flush`,
-    /// `cleaner_pass_ns` (latencies in nanoseconds),
-    /// `group_commit_batch` (batch sizes, not times),
+    /// pairs: `lld_read`, `lld_write`, `end_aru` (latencies in
+    /// nanoseconds), `group_commit_batch` (batch sizes, not times),
     /// `aru_shard_spread` (map shards touched per concurrent commit),
-    /// and the per-stage commit decomposition: `gc_queue_wait_ns`,
-    /// `gc_seal_ns`, `gc_barrier_wait_ns`, `gc_leader_handoff_ns`,
-    /// `backpressure_stall_ns`.
-    pub fn histograms(&self) -> Vec<(&'static str, HistogramSnapshot)> {
-        vec![
-            ("lld_read", self.lld_read.snapshot()),
-            ("lld_write", self.lld_write.snapshot()),
-            ("end_aru", self.end_aru.snapshot()),
-            ("flush", self.flush.snapshot()),
-            ("group_commit_batch", self.group_commit_batch.snapshot()),
-            ("aru_shard_spread", self.aru_shard_spread.snapshot()),
-            ("cleaner_pass_ns", self.cleaner_pass.snapshot()),
-            ("gc_queue_wait_ns", self.gc_queue_wait.snapshot()),
-            ("gc_seal_ns", self.gc_seal.snapshot()),
-            ("gc_barrier_wait_ns", self.gc_barrier_wait.snapshot()),
-            ("gc_leader_handoff_ns", self.gc_leader_handoff.snapshot()),
-            ("backpressure_stall_ns", self.backpressure_stall.snapshot()),
-            (
-                "recovery_snapshot_load_ns",
-                self.recovery_snapshot_load.snapshot(),
-            ),
-            ("recovery_replay_ns", self.recovery_replay.snapshot()),
-        ]
+    /// `gc_leader_handoff_ns`, and one `<stage>_ns` per [`Stage`], in
+    /// declaration order (`commit_ns` … `recovery_finalize_ns`).
+    pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
+        let named = [
+            ("lld_read", &self.lld_read),
+            ("lld_write", &self.lld_write),
+            ("end_aru", &self.end_aru),
+            ("group_commit_batch", &self.group_commit_batch),
+            ("aru_shard_spread", &self.aru_shard_spread),
+            ("gc_leader_handoff_ns", &self.gc_leader_handoff),
+        ];
+        let named = named.into_iter().map(|(n, h)| (n.to_string(), h));
+        let stages =
+            (Stage::ALL.iter()).map(|s| (format!("{}_ns", s.as_str()), &self.stages[*s as usize]));
+        named
+            .chain(stages)
+            .map(|(n, h)| (n, h.snapshot()))
+            .collect()
     }
 }
 
@@ -989,8 +814,8 @@ impl Obs {
 
 /// A self-contained bundle of everything observable about one logical
 /// disk at one instant: operation counters, device counters, latency
-/// histograms, recent trace events, ARU spans, the last recovery
-/// report, and (optionally) file-system syscall counters.
+/// histograms, recent trace events, the last recovery report, and
+/// (optionally) file-system syscall counters.
 ///
 /// Produced by [`Lld::obs_snapshot`](crate::Lld::obs_snapshot); renders
 /// as a human table via `Display` and as JSON via
@@ -1002,17 +827,15 @@ pub struct ObsSnapshot {
     /// Device counters and service-time histograms, when the device
     /// collects them (a [`SimDisk`](ld_disk::SimDisk) does).
     pub disk: Option<DiskStatsSnapshot>,
-    /// Named histograms: `lld_read`, `lld_write`, `end_aru`, `flush`
-    /// (wall time), `group_commit_batch` (batch sizes), plus
-    /// `disk_read` / `disk_write` (modeled service time) when the
-    /// device provides them.
+    /// Named histograms: those of [`Obs::histograms`] (the hot paths,
+    /// batch sizes, shard spread, leader hand-off, and one `<stage>_ns`
+    /// per [`Stage`]), plus `disk_read` / `disk_write` (modeled service
+    /// time) when the device provides them.
     pub histograms: Vec<(String, HistogramSnapshot)>,
     /// Recent trace events, in sequence order.
     pub events: Vec<TraceEntry>,
     /// Events evicted from the ring by wraparound.
     pub dropped_events: u64,
-    /// ARU lifecycle spans (finished, then active).
-    pub spans: Vec<AruSpan>,
     /// Per-map-shard lock acquisition counters, one entry per shard.
     pub shards: Vec<ShardLockStats>,
     /// The report of the recovery that produced this disk, if it was
@@ -1085,11 +908,6 @@ impl ObsSnapshot {
         }
         o.raw("events", &events.finish());
         o.u64("dropped_events", self.dropped_events);
-        let mut spans = json::Arr::new();
-        for s in &self.spans {
-            spans.push_raw(&span_json(s));
-        }
-        o.raw("spans", &spans.finish());
         let mut shards = json::Arr::new();
         for s in &self.shards {
             shards.push_raw(&record_json(s));
@@ -1143,9 +961,6 @@ impl ObsSnapshot {
         if let Some(items) = v.get("events").and_then(json::Value::as_arr) {
             snap.events = items.iter().filter_map(trace_entry_from).collect();
         }
-        if let Some(items) = v.get("spans").and_then(json::Value::as_arr) {
-            snap.spans = items.iter().map(span_from).collect();
-        }
         if let Some(items) = v.get("shards").and_then(json::Value::as_arr) {
             snap.shards = items.iter().map(record_from).collect();
         }
@@ -1164,9 +979,8 @@ impl ObsSnapshot {
     ///
     /// A span runs from its begin entry's `wall_us` stamp to its end
     /// entry's: both are taken on the span's own thread in program
-    /// order, so spans on one thread nest exactly. (The stage's `nanos`
-    /// also counts whatever the thread waited for between starting its
-    /// timer and recording the begin, a lock or the scheduler.)
+    /// order, so spans on one thread nest exactly. They are the same two
+    /// clock reads that time the stage's `nanos`.
     ///
     /// Thread rows are labeled from
     /// [`ld_disk::thread_names`] when the snapshot was taken in this
@@ -1324,22 +1138,6 @@ fn trace_entry_from(v: &json::Value) -> Option<TraceEntry> {
     })
 }
 
-fn span_from(v: &json::Value) -> AruSpan {
-    AruSpan {
-        aru: get_u64(v, "aru"),
-        begin_ts: get_u64(v, "begin_ts"),
-        end_ts: v.get("end_ts").and_then(json::Value::as_u64),
-        wall_nanos: v.get("wall_nanos").and_then(json::Value::as_u64),
-        ops: get_u64(v, "ops"),
-        cow_records: get_u64(v, "cow_records"),
-        outcome: v
-            .get("outcome")
-            .and_then(json::Value::as_str)
-            .and_then(SpanOutcome::from_str)
-            .unwrap_or(SpanOutcome::Active),
-    }
-}
-
 /// A flat record as a JSON object, its fields in declaration order.
 fn record_json(r: &impl FlatRecord) -> String {
     let mut o = json::Obj::new();
@@ -1392,24 +1190,6 @@ fn trace_entry_json(e: &TraceEntry) -> String {
     o.finish()
 }
 
-fn span_json(s: &AruSpan) -> String {
-    let mut o = json::Obj::new();
-    o.u64("aru", s.aru);
-    o.u64("begin_ts", s.begin_ts);
-    match s.end_ts {
-        Some(v) => o.u64("end_ts", v),
-        None => o.null("end_ts"),
-    };
-    match s.wall_nanos {
-        Some(v) => o.u64("wall_nanos", v),
-        None => o.null("wall_nanos"),
-    };
-    o.u64("ops", s.ops);
-    o.u64("cow_records", s.cow_records);
-    o.str("outcome", s.outcome.as_str());
-    o.finish()
-}
-
 /// A flat record as a titled block of the human table.
 fn write_record(f: &mut fmt::Formatter<'_>, title: &str, r: &impl FlatRecord) -> fmt::Result {
     writeln!(f, "{title}")?;
@@ -1451,13 +1231,13 @@ impl fmt::Display for ObsSnapshot {
         writeln!(f, "Latency histograms (ns)")?;
         writeln!(
             f,
-            "  {:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
+            "  {:<25} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
             "name", "count", "mean", "p50", "p90", "p99", "max"
         )?;
         for (name, h) in &self.histograms {
             writeln!(
                 f,
-                "  {:<12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
+                "  {:<25} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
                 name,
                 h.count,
                 h.mean(),
@@ -1478,25 +1258,6 @@ impl fmt::Display for ObsSnapshot {
         }
         if self.server != ServerCounters::default() {
             write_record(f, "Server", &self.server)?;
-        }
-        if !self.spans.is_empty() {
-            writeln!(f, "ARU spans")?;
-            writeln!(
-                f,
-                "  {:>6} {:<10} {:>6} {:>6} {:>12}",
-                "aru", "outcome", "ops", "cow", "wall_ns"
-            )?;
-            for s in &self.spans {
-                writeln!(
-                    f,
-                    "  {:>6} {:<10} {:>6} {:>6} {:>12}",
-                    s.aru,
-                    s.outcome.as_str(),
-                    s.ops,
-                    s.cow_records,
-                    s.wall_nanos.map_or("-".to_string(), |n| n.to_string())
-                )?;
-            }
         }
         if !self.events.is_empty() {
             writeln!(f, "Trace events ({} dropped)", self.dropped_events)?;
@@ -1997,25 +1758,43 @@ mod tests {
         assert_eq!(entries.last().unwrap().seq, 399);
     }
 
+    /// One guard per interval: its begin and end entries bracket the
+    /// histogram sample it feeds, `end()` returns the sample, and a
+    /// guard dropped without `end()` (a stage left by `?`) still closes.
     #[test]
-    fn spans_track_lifecycle() {
+    fn a_stage_guard_records_each_interval_once() {
         let obs = Obs::new(ObsConfig::default());
-        let mut s7 = obs.aru_begin(7, 100);
-        s7.ops += 2;
-        s7.cow_records += 1;
-        assert_eq!(s7.snapshot(7).outcome, SpanOutcome::Active);
-        obs.aru_commit(7, &s7, 105, obs.timer());
-        let s8 = obs.aru_begin(8, 110);
-        obs.aru_abort(8, &s8, 111);
-        let spans = obs.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].aru, 7);
-        assert_eq!(spans[0].ops, 2);
-        assert_eq!(spans[0].cow_records, 1);
-        assert_eq!(spans[0].outcome, SpanOutcome::Committed);
-        assert_eq!(spans[0].end_ts, Some(105));
-        assert!(spans[0].wall_nanos.is_some());
-        assert_eq!(spans[1].outcome, SpanOutcome::Aborted);
+        let nanos = obs.stage(4, 9, Stage::Seal).end();
+        drop(obs.stage(5, 9, Stage::Seal));
+        let seal = |obs: &Obs| {
+            let hists = obs.histograms();
+            hists.into_iter().find(|(n, _)| n == "seal_ns").unwrap().1
+        };
+        assert_eq!(seal(&obs).count, 2);
+        assert!(seal(&obs).max >= nanos);
+        let entries = obs.ring().entries();
+        let kinds: Vec<_> = entries.iter().map(|e| (e.ts, e.event.kind())).collect();
+        assert_eq!(
+            kinds,
+            [
+                (4, "stage_begin"),
+                (4, "stage_end"),
+                (5, "stage_begin"),
+                (5, "stage_end")
+            ]
+        );
+        match entries[1].event {
+            TraceEvent::StageEnd {
+                trace,
+                stage,
+                nanos: n,
+            } => {
+                assert_eq!((trace, stage, n), (9, Stage::Seal, nanos));
+            }
+            e => panic!("expected the stage's end, got {e:?}"),
+        }
+        let others = obs.histograms().into_iter().filter(|(n, _)| n != "seal_ns");
+        assert!(others.into_iter().all(|(_, h)| h.is_empty()));
     }
 
     #[test]
@@ -2023,12 +1802,14 @@ mod tests {
         let obs = Obs::new(ObsConfig::disabled());
         assert!(obs.timer().is_none());
         let mut span = obs.aru_begin(1, 1);
-        assert!(span.started.is_none());
         span.ops += 1;
         obs.aru_commit(1, &span, 2, None);
-        obs.event(3, TraceEvent::Flush { segments_sealed: 1 });
-        assert!(obs.ring().is_empty());
-        assert!(obs.spans().is_empty());
+        obs.event(3, TraceEvent::AruAbort { aru: 1 });
+        // A stage still times itself: the recovery report reads it.
+        let guard = obs.stage(4, 1, Stage::RecoveryScan);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert!(guard.end() >= 1_000_000);
+        assert!(obs.ring().entries().is_empty());
         for (_, h) in obs.histograms() {
             assert!(h.is_empty());
         }
@@ -2094,14 +1875,9 @@ mod tests {
         let snap = ObsSnapshot {
             lld: LldStats::default(),
             disk: None,
-            histograms: obs
-                .histograms()
-                .into_iter()
-                .map(|(n, h)| (n.to_string(), h))
-                .collect(),
+            histograms: obs.histograms(),
             events: obs.ring().entries(),
             dropped_events: obs.ring().dropped(),
-            spans: obs.spans(),
             shards: vec![ShardLockStats {
                 shard: 0,
                 read_locks: 3,
@@ -2122,7 +1898,7 @@ mod tests {
         assert!(j.contains("\"end_aru\":{"));
         assert!(j.contains("\"type\":\"aru_begin\""));
         assert!(j.contains("\"type\":\"aru_commit\""));
-        assert!(j.contains("\"outcome\":\"committed\""));
+        assert!(j.contains("\"ops\":0"));
         assert!(j.contains("\"shards\":[{\"shard\":0,\"read_locks\":3,\"write_locks\":1}]"));
         assert!(j.contains("\"files_created\":2"));
         // Display renders without panicking and mentions the sections.

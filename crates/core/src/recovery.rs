@@ -53,7 +53,7 @@ use crate::dedup::DedupCache;
 use crate::error::{LldError, Result};
 use crate::layout::Layout;
 use crate::lld::{Lld, LldInner, Mutation, StateRef};
-use crate::obs::{recovery_trace, Stage};
+use crate::obs::{recovery_trace, Obs, Stage, StageGuard};
 use crate::record::flat_record;
 use crate::segment::{
     parse_header, read_header, read_summary, valid_base, ChainHead, SegmentHeader, NO_SLOT,
@@ -66,7 +66,6 @@ use ld_disk::BlockDevice;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
-use std::time::Instant;
 
 flat_record! {
     /// What recovery found and did.
@@ -284,23 +283,26 @@ impl<D: BlockDevice> Mutation<'_, D> {
     }
 
     /// Phases 1–3 and the log state of phase 4, in the full session
-    /// over an empty disk's state that [`Lld::recover`] opens. Returns
-    /// when the finalize phase began.
-    fn rebuild(
+    /// over an empty disk's state that [`Lld::recover`] opens. Each
+    /// phase is a stage of `trace` on the disk's `obs`; the finalize
+    /// stage is left open in `finalize`, for the caller to end after
+    /// the post-recovery check.
+    fn rebuild<'o>(
         &mut self,
         config: &LldConfig,
+        obs: &'o Obs,
         trace: u64,
         report: &mut RecoveryReport,
-    ) -> Result<Instant> {
+        finalize: &mut Option<StageGuard<'o>>,
+    ) -> Result<()> {
         let lld = self.lld;
-        let (device, layout, obs) = (&lld.device, &lld.layout, &lld.obs);
+        let (device, layout) = (&lld.device, &lld.layout);
         let n = layout.n_segments as usize;
         let nshards = lld.maps.nshards();
         let stripe = u64::from(nshards);
 
         // ---- Phase 1: load the newest valid checkpoint's slabs -------
-        let t_snap = Instant::now();
-        obs.stage_begin(0, trace, Stage::RecoverySnapshotLoad);
+        let load = obs.stage(0, trace, Stage::RecoverySnapshotLoad);
         let mut cands: Vec<(CkptHeaderInfo, bool)> = Vec::new();
         if let Some(h) = checkpoint::read_header_dir(device, layout, layout.ckpt_a)? {
             cands.push((h, true));
@@ -370,7 +372,6 @@ impl<D: BlockDevice> Mutation<'_, D> {
             let mut placed: Vec<(BlockId, PhysAddr)> = Vec::new();
             let mut per_slot = vec![0usize; layout.n_segments as usize];
             for slab in &slabs {
-                let timer = obs.timer();
                 let maps = &lld.maps;
                 (maps.allocated_blocks).fetch_add(slab.n_blocks, Ordering::Relaxed);
                 (maps.allocated_lists).fetch_add(slab.n_lists, Ordering::Relaxed);
@@ -401,7 +402,6 @@ impl<D: BlockDevice> Mutation<'_, D> {
                     ts_floor = ts_floor.max(rec.ts.get());
                     self.load_row(id, rec, stripe)?;
                 }
-                obs.recovery_slab_load(timer);
             }
             let log = self.log();
             for (set, n) in log.residents.iter_mut().zip(per_slot) {
@@ -423,17 +423,10 @@ impl<D: BlockDevice> Mutation<'_, D> {
             )));
         }
         report.checkpoint_seq = ckpt_seq;
-        report.snapshot_load_ns = t_snap.elapsed().as_nanos() as u64;
-        obs.stage_end(
-            0,
-            trace,
-            Stage::RecoverySnapshotLoad,
-            report.snapshot_load_ns,
-        );
+        report.snapshot_load_ns = load.end();
 
         // ---- Phase 2: walk the chain from the checkpoint's head -----
-        let t_scan = Instant::now();
-        obs.stage_begin(0, trace, Stage::RecoveryScan);
+        let scan = obs.stage(0, trace, Stage::RecoveryScan);
         let mut chain: Vec<ChainSegment> = Vec::new();
         let mut slot_seq = vec![0u64; n];
         let mut suffix_summary = 0u64;
@@ -490,19 +483,16 @@ impl<D: BlockDevice> Mutation<'_, D> {
             head = h.next;
             fetched = read.successor;
         }
-        report.scan_ns = t_scan.elapsed().as_nanos() as u64;
-        obs.stage_end(0, trace, Stage::RecoveryScan, report.scan_ns);
+        report.scan_ns = scan.end();
 
         // ---- Phase 3: replay the chain above the checkpoint ----------
-        let t_replay = Instant::now();
-        obs.stage_begin(0, trace, Stage::RecoveryReplay);
+        let replay = obs.stage(0, trace, Stage::RecoveryReplay);
         let mut ts_max = 0u64;
         // Rebuild the write-id dedup cache: seed from the checkpoint
         // slab, then re-record every committed ARU's `WriteId` record
         // during replay (they carry no mapping effects); `complete` is
         // idempotent, so a slab entry replayed again is harmless.
         let mut dedup = DedupCache::decode(config.dedup_capacity, &dedup_seed)?;
-        let timer = obs.timer();
         let block_sectors = layout.sectors_per_block();
         drive_chain(&chain, block_sectors, report, &mut ts_max, |recs, cts| {
             for (seg, rec) in recs {
@@ -521,17 +511,14 @@ impl<D: BlockDevice> Mutation<'_, D> {
             }
             Ok(())
         })?;
-        obs.recovery_replay_batch(timer);
         drop(chain);
         *lld.dedup.lock() = dedup;
         lld.ts_counter
             .store(ts_floor.max(ts_max), Ordering::Relaxed);
-        report.replay_ns = t_replay.elapsed().as_nanos() as u64;
-        obs.stage_end(0, trace, Stage::RecoveryReplay, report.replay_ns);
+        report.replay_ns = replay.end();
 
         // ---- Phase 4: the log behind the chain -----------------------
-        let t_fin = Instant::now();
-        obs.stage_begin(0, trace, Stage::RecoveryFinalize);
+        *finalize = Some(obs.stage(0, trace, Stage::RecoveryFinalize));
         // Everything replayed is persistent. The drain keeps the newer
         // of two versions: the replayed one, in every log a writer
         // produced. A timestamp that runs backwards would have it keep
@@ -593,8 +580,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // A crash can leave every slot in use; the disk must still come
         // up, for the deletions that make room again.
         self.sync_free_hint();
-        self.open_segment_if_free(0)?;
-        Ok(t_fin)
+        self.open_segment_if_free(0)
     }
 }
 
@@ -648,15 +634,15 @@ impl<D: BlockDevice + 'static> Lld<D> {
             threads_used: 1,
             ..RecoveryReport::default()
         };
-        let t_fin = ld.with_mutation(|m| m.rebuild(&config, trace, &mut report))?;
+        let mut finalize = None;
+        let obs = &ld.obs;
+        ld.with_mutation(|m| m.rebuild(&config, obs, trace, &mut report, &mut finalize))?;
 
         if config.check_on_recovery {
             let check = ld.check()?;
             report.orphan_blocks_freed = check.orphan_blocks_freed.len();
         }
-        report.finalize_ns = t_fin.elapsed().as_nanos() as u64;
-        ld.obs
-            .stage_end(0, trace, Stage::RecoveryFinalize, report.finalize_ns);
+        report.finalize_ns = finalize.map_or(0, StageGuard::end);
         ld.obs.recovery_done(ld.now(), &report);
         crate::cleanerd::spawn_if_configured(&ld);
         Ok((ld, report))

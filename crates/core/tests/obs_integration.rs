@@ -4,7 +4,7 @@
 //! aborted ARU (begin → abort, with no flush), in sequence order, and
 //! the snapshot must bundle consistent counters and histograms.
 
-use ld_core::obs::{SpanOutcome, TraceEvent};
+use ld_core::obs::{Stage, TraceEvent};
 use ld_core::{Ctx, Lld, LldConfig, ObsConfig, Position};
 use ld_disk::{DiskModel, MemDisk, SimDisk};
 
@@ -53,7 +53,17 @@ fn committed_and_aborted_aru_event_sequence() {
     let commit1 = pos(&|e| matches!(e, TraceEvent::AruCommit { aru, .. } if *aru == aru1.get()))
         .expect("aru1 commit");
     let seal = pos(&|e| matches!(e, TraceEvent::SegmentSeal { .. })).expect("segment seal");
-    let flush = pos(&|e| matches!(e, TraceEvent::Flush { .. })).expect("flush");
+    // The flush ends where its `commit` stage does.
+    let is_flush = |e: &TraceEvent| {
+        matches!(
+            e,
+            TraceEvent::StageEnd {
+                stage: Stage::Commit,
+                ..
+            }
+        )
+    };
+    let flush = pos(&is_flush).expect("flush");
     let begin2 = pos(&|e| matches!(e, TraceEvent::AruBegin { aru } if *aru == aru2.get()))
         .expect("aru2 begin");
     let abort2 = pos(&|e| matches!(e, TraceEvent::AruAbort { aru } if *aru == aru2.get()))
@@ -68,10 +78,9 @@ fn committed_and_aborted_aru_event_sequence() {
     assert!(flush < begin2, "aru2 begins after aru1's flush");
     assert!(begin2 < abort2, "begin before abort");
     assert!(
-        !events[abort2..].iter().any(|e| matches!(
-            e.event,
-            TraceEvent::SegmentSeal { .. } | TraceEvent::Flush { .. }
-        )),
+        !events[abort2..]
+            .iter()
+            .any(|e| matches!(e.event, TraceEvent::SegmentSeal { .. }) || is_flush(&e.event)),
         "an aborted ARU must not cause segment or flush activity"
     );
 
@@ -89,21 +98,14 @@ fn committed_and_aborted_aru_event_sequence() {
         ref e => panic!("expected commit event, got {e:?}"),
     }
 
-    // Spans: aru1 committed, aru2 aborted, both with wall time.
-    let spans = ld.obs().spans();
-    let s1 = spans
-        .iter()
-        .find(|s| s.aru == aru1.get())
-        .expect("aru1 span");
-    let s2 = spans
-        .iter()
-        .find(|s| s.aru == aru2.get())
-        .expect("aru2 span");
-    assert_eq!(s1.outcome, SpanOutcome::Committed);
-    assert!(s1.end_ts.is_some() && s1.wall_nanos.is_some());
-    assert!(s1.ops >= 3);
-    assert_eq!(s2.outcome, SpanOutcome::Aborted);
-    assert!(s2.end_ts.unwrap() > s1.end_ts.unwrap());
+    // Each ARU's life is its begin and end entries: aru1 committed and
+    // aru2 aborted, both stamped on the wall clock, aru2 ending later
+    // in logical time.
+    let (b1, c1) = (&events[begin1], &events[commit1]);
+    let (b2, a2) = (&events[begin2], &events[abort2]);
+    assert!(b1.wall_us <= c1.wall_us && b2.wall_us <= a2.wall_us);
+    assert!(b1.ts < c1.ts && b2.ts < a2.ts);
+    assert!(a2.ts > c1.ts);
 }
 
 #[test]
@@ -160,7 +162,6 @@ fn disabled_obs_is_silent_but_counters_survive() {
 
     let snap = ld.obs_snapshot();
     assert!(snap.events.is_empty(), "no events when disabled");
-    assert!(snap.spans.is_empty(), "no spans when disabled");
     for (name, h) in &snap.histograms {
         assert!(h.is_empty(), "histogram {name} must stay empty");
     }
@@ -190,6 +191,35 @@ fn recovery_report_reaches_snapshot() {
             .any(|e| matches!(e.event, TraceEvent::RecoveryScan { .. })),
         "recovery emits a scan event"
     );
+}
+
+/// Each recovery phase is timed once, by its stage, and the report's
+/// four phase times (the ledger's `recovery.*_ms` rows) are measured
+/// with instrumentation off too.
+#[test]
+fn recovery_phase_times_are_measured_with_obs_off() {
+    let cfg = LldConfig {
+        obs: ObsConfig::disabled(),
+        ..config()
+    };
+    let ld = Lld::format(MemDisk::new(4 << 20), &cfg).unwrap();
+    let list = ld.new_list(Ctx::Simple).unwrap();
+    for i in 0..8u8 {
+        let b = ld.new_block(Ctx::Simple, list, Position::First).unwrap();
+        ld.write(Ctx::Simple, b, &vec![i; BS]).unwrap();
+        ld.flush().unwrap();
+    }
+    let image = ld.into_device().into_image();
+    let (ld, report) = Lld::recover_with(MemDisk::from_image(image), &cfg).unwrap();
+    assert!(report.segments_replayed >= 1);
+    let phases = [
+        report.snapshot_load_ns,
+        report.scan_ns,
+        report.replay_ns,
+        report.finalize_ns,
+    ];
+    assert!(phases.iter().all(|&ns| ns > 0), "{phases:?}");
+    assert!(ld.obs_snapshot().events.is_empty());
 }
 
 #[test]

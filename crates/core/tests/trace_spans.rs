@@ -1,11 +1,14 @@
 //! Integration tests of the commit-trace protocol: stage spans emitted
 //! by the group-commit path must be complete (every begin has an end)
 //! and properly nested (queue-wait / seal / barrier-wait inside the
-//! commit span), across OS threads; and the snapshot JSON schema is
-//! pinned by a golden file and round-trips through the bundled parser.
+//! commit span), across OS threads; each stage's histogram counts its
+//! spans once; and the snapshot JSON schema is pinned by a golden file
+//! and round-trips through the bundled parser.
 
 use ld_core::obs::{json, TraceEvent};
-use ld_core::{Ctx, Lld, LldConfig, ObsConfig, ObsSnapshot, Position, ServerCounters};
+use ld_core::{
+    Ctx, Layout, Lld, LldConfig, ObsConfig, ObsSnapshot, Position, ServerCounters, Stage,
+};
 use ld_disk::{DiskModel, MemDisk, SimDisk};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -149,9 +152,91 @@ fn multi_thread_commit_spans_are_complete_and_nested() {
 
     // The histograms fed by the spans saw the same traffic.
     let h = |name: &str| snap.histogram(name).unwrap().count;
-    assert_eq!(h("gc_queue_wait_ns"), (threads * commits_per_thread) as u64);
-    assert!(h("gc_seal_ns") >= leaders.len() as u64);
-    assert!(h("gc_barrier_wait_ns") >= leaders.len() as u64);
+    assert_eq!(h("queue_wait_ns"), (threads * commits_per_thread) as u64);
+    assert!(h("seal_ns") >= leaders.len() as u64);
+    assert!(h("barrier_wait_ns") >= leaders.len() as u64);
+}
+
+/// The stages `snap` reached, each with its `stage_end` count, after
+/// checking that its `<stage>_ns` histogram counted every one of them
+/// and nothing else.
+fn stages_timed_once(snap: &ObsSnapshot) -> Vec<(Stage, u64)> {
+    assert_eq!(snap.dropped_events, 0, "ring sized to hold the whole run");
+    let mut reached = Vec::new();
+    for &stage in Stage::ALL {
+        let ends = snap
+            .events
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::StageEnd { stage: s, .. } if s == stage))
+            .count() as u64;
+        let name = format!("{}_ns", stage.as_str());
+        let hist = snap.histogram(&name).unwrap_or_else(|| panic!("no {name}"));
+        assert_eq!(hist.count, ends, "{name} against the ring's ends");
+        if ends > 0 {
+            reached.push((stage, ends));
+        }
+    }
+    reached
+}
+
+/// One record per interval: an 8-thread group commit, a cleaning run
+/// and a recovery of the image reach the commit, cleaner and recovery
+/// stages, and each stage's histogram counts exactly its `stage_end`
+/// entries in a ring that did not wrap.
+#[test]
+fn every_stage_histogram_counts_its_stage_ends() {
+    const DEVICE: u64 = 2 << 20;
+    let mut cfg = LldConfig {
+        max_blocks: Some(1024),
+        max_lists: Some(512),
+        obs: ObsConfig {
+            ring_capacity: 1 << 16,
+            ..ObsConfig::default()
+        },
+        ..config()
+    };
+    // No thread: the one cleaning run is the test's, and it has work
+    // however few slots the commits filled.
+    cfg.cleaner.background = false;
+    cfg.cleaner.target_free_segments = Layout::compute(DEVICE, &cfg).unwrap().n_segments;
+    let ld = Lld::format(MemDisk::new(DEVICE), &cfg).unwrap();
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                for _ in 0..10 {
+                    sync_commit(&ld);
+                }
+            });
+        }
+    });
+    ld.run_cleaner().unwrap();
+    ld.flush().unwrap();
+    let live = stages_timed_once(&ld.obs_snapshot());
+
+    let image = ld.into_device().into_image();
+    let (ld, _) = Lld::recover_with(MemDisk::from_image(image), &cfg).unwrap();
+    let recovered = stages_timed_once(&ld.obs_snapshot());
+
+    let reached: Vec<Stage> = live.iter().chain(&recovered).map(|(s, _)| *s).collect();
+    for stage in [
+        Stage::Commit,
+        Stage::QueueWait,
+        Stage::Seal,
+        Stage::BarrierWait,
+        Stage::MediaWrite,
+        Stage::CleanerSnapshot,
+        Stage::CleanerPrefilter,
+        Stage::CleanerPrefetch,
+        Stage::CleanerRelocate,
+        Stage::CleanerRelease,
+        Stage::RecoverySnapshotLoad,
+        Stage::RecoveryScan,
+        Stage::RecoveryReplay,
+        Stage::RecoveryFinalize,
+    ] {
+        assert!(reached.contains(&stage), "{} never reached", stage.as_str());
+    }
+    assert!(live.contains(&(Stage::Commit, 81)), "{live:?}");
 }
 
 /// Pins the JSON schema of [`ObsSnapshot::to_json`]: every key path,
