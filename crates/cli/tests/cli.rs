@@ -1,8 +1,10 @@
 //! End-to-end tests of every `ldctl` subcommand against image files.
 
 use ld_core::obs::json;
-use ld_core::ObsSnapshot;
+use ld_core::{Ctx, ListId, Lld, LogicalDisk, ObsSnapshot};
 use ld_ctl::{run, CtlError};
+use ld_disk::FileDisk;
+use ld_minixfs::FsError;
 
 fn temp_image(name: &str) -> String {
     let mut p = std::env::temp_dir();
@@ -156,6 +158,42 @@ fn images_survive_reopen_across_commands() {
     assert!(info.contains("allocated"), "{info}");
     cleanup(&image);
     cleanup(&local);
+}
+
+/// An image whose MinixFs superblock is hostile (an inode count past
+/// the table, a zero inode-table list) is an error for `ls`, not a
+/// panic.
+#[test]
+fn ls_on_a_corrupt_superblock_is_an_error() {
+    let edits: [fn(&mut [u8]); 2] = [
+        |sb| sb[12..16].copy_from_slice(&1_000_000u32.to_le_bytes()),
+        |sb| sb[16..24].fill(0),
+    ];
+    for (i, edit) in edits.into_iter().enumerate() {
+        let image = temp_image(&format!("corrupt-sb-{i}"));
+        run(&args(&[
+            "format",
+            &image,
+            "--size",
+            "16777216",
+            "--segment-bytes",
+            "65536",
+            "--with-fs",
+        ]))
+        .unwrap();
+        {
+            let (ld, _) = Lld::recover(FileDisk::open(&image).unwrap()).unwrap();
+            let sb = ld.list_blocks(Ctx::Simple, ListId::new(1)).unwrap()[0];
+            let mut buf = vec![0u8; ld.block_size()];
+            ld.read(Ctx::Simple, sb, &mut buf).unwrap();
+            edit(&mut buf);
+            ld.write(Ctx::Simple, sb, &buf).unwrap();
+            ld.flush().unwrap();
+        }
+        let err = run(&args(&["ls", &image, "/"])).unwrap_err();
+        assert!(matches!(err, CtlError::Fs(FsError::Corrupt(_))), "{err}");
+        cleanup(&image);
+    }
 }
 
 #[test]

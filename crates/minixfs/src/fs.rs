@@ -1,25 +1,26 @@
 //! The file system proper: MinixLLD.
 //!
 //! Because the Logical Disk owns allocation and physical layout, this
-//! file system carries no bitmaps, zones, or block pointers — an inode
-//! simply names one LD list that holds the file's data blocks in order.
-//! Directory and file creation and deletion are bracketed by
+//! file system carries no block bitmaps, zones, or block pointers — an
+//! inode simply names one LD list that holds the file's data blocks in
+//! order. Directory and file creation and deletion are bracketed by
 //! `BeginARU`/`EndARU` (when [`FsConfig::use_arus`] is set, the paper's
 //! "new" MinixLLD): after a failure either all or none of the meta-data
 //! describing a file is persistent, so no fsck-style repair is ever
-//! needed.
+//! needed. Not at mount either: the superblock keeps one bit per
+//! inode-table block, written in the ARU that fills or opens up the
+//! block, so mount reads the superblock and not the inode table
+//! (`superblock.rs` has the layout and the write order).
 
 use crate::config::{DeletePolicy, FsConfig};
 use crate::dir::{self, DIRENT_SIZE};
 use crate::error::{FsError, Result};
 use crate::inode::{Inode, INODE_SIZE};
+use crate::superblock::Superblock;
 use crate::types::{DirEntry, FileKind, Ino, Stat};
 use ld_core::{BlockId, Ctx, ListId, LogicalDisk, Position};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::ControlFlow;
-
-const SB_MAGIC: u64 = 0x4D4E_584C_4C44_3936; // "MNXLLD96"
-const SB_VERSION: u32 = 1;
 
 /// The list holding the file-system superblock (the first list a fresh
 /// logical disk hands out).
@@ -113,10 +114,15 @@ pub struct MinixFs<L> {
     ld: L,
     cfg: FsConfig,
     block_size: usize,
-    inode_list: ListId,
+    /// The superblock's block and its value as last written (but for
+    /// set bits the allocator found stale and cleared).
+    sb_block: BlockId,
+    sb: Superblock,
     inode_blocks: Vec<BlockId>,
     inodes_per_block: u32,
-    free_inodes: BTreeSet<u32>,
+    /// Per inode-table block, its free inode numbers, read from the
+    /// table the first time allocation or a count reaches the block.
+    free_slots: Vec<Option<BTreeSet<u32>>>,
     /// Cached data-block lists per inode (rebuilt lazily after mount).
     blocks_cache: HashMap<u32, Vec<BlockId>>,
     /// Inodes whose latest committed value has not been written back to
@@ -147,6 +153,12 @@ impl<L: LogicalDisk> MinixFs<L> {
         let block_size = ld.block_size();
         let inodes_per_block = (block_size / INODE_SIZE) as u32;
         let inode_count = cfg.inode_count.max(2);
+        let n_blocks = inode_count.div_ceil(inodes_per_block);
+        if !Superblock::fits(n_blocks as usize, block_size) {
+            return Err(FsError::Corrupt(format!(
+                "{inode_count} inodes take {n_blocks} table blocks, more than the superblock's bitmap covers"
+            )));
+        }
 
         // Meta list: holds the superblock block.
         let meta = ld.new_list(Ctx::Simple)?;
@@ -159,44 +171,47 @@ impl<L: LogicalDisk> MinixFs<L> {
 
         // Inode table.
         let inode_list = ld.new_list(Ctx::Simple)?;
-        let n_blocks = inode_count.div_ceil(inodes_per_block);
         let mut inode_blocks = Vec::with_capacity(n_blocks as usize);
-        let mut prev: Option<BlockId> = None;
         for _ in 0..n_blocks {
-            let pos = match prev {
-                None => Position::First,
-                Some(p) => Position::After(p),
-            };
-            let b = ld.new_block(Ctx::Simple, inode_list, pos)?;
+            let b = ld.new_block(Ctx::Simple, inode_list, append_pos(&inode_blocks))?;
             inode_blocks.push(b);
-            prev = Some(b);
         }
 
-        // Superblock.
-        let mut sb = vec![0u8; block_size];
-        sb[0..8].copy_from_slice(&SB_MAGIC.to_le_bytes());
-        sb[8..12].copy_from_slice(&SB_VERSION.to_le_bytes());
-        sb[12..16].copy_from_slice(&inode_count.to_le_bytes());
-        sb[16..24].copy_from_slice(&inode_list.get().to_le_bytes());
-        ld.write(Ctx::Simple, sb_block, &sb)?;
-
+        // Every inode is free but the root's (inode 1), which leaves
+        // block 0 a free slot: a block holds at least 16 inodes.
+        let free_slots: Vec<_> = (0..n_blocks)
+            .map(|bi| {
+                let first = bi * inodes_per_block + 1;
+                let last = (first + inodes_per_block - 1).min(inode_count);
+                Some(
+                    (first..=last)
+                        .filter(|&raw| raw != Ino::ROOT.get())
+                        .collect(),
+                )
+            })
+            .collect();
         let mut fs = MinixFs {
             ld,
-            cfg,
+            cfg: FsConfig { inode_count, ..cfg },
             block_size,
-            inode_list,
+            sb_block,
+            sb: Superblock {
+                inode_count,
+                inode_list,
+                has_free: vec![true; n_blocks as usize],
+            },
             inode_blocks,
             inodes_per_block,
-            free_inodes: (1..=inode_count).collect(),
+            free_slots,
             blocks_cache: HashMap::new(),
             dirty_inodes: BTreeMap::new(),
             buf: vec![0; block_size],
             stats: FsStats::default(),
         };
+        fs.write_superblock(Ctx::Simple, &fs.sb.clone())?;
 
         // Root directory (inode 1).
         let root_list = fs.ld.new_list(Ctx::Simple)?;
-        fs.free_inodes.remove(&Ino::ROOT.get());
         fs.write_inode(
             Ctx::Simple,
             Ino::ROOT,
@@ -212,11 +227,13 @@ impl<L: LogicalDisk> MinixFs<L> {
     }
 
     /// Mounts an existing file system (e.g. after crash recovery of the
-    /// logical disk).
+    /// logical disk). It reads the superblock and nothing else: the
+    /// inode table is read a block at a time as allocation reaches it.
     ///
     /// # Errors
     ///
-    /// [`FsError::Corrupt`] if no valid superblock is found.
+    /// [`FsError::Corrupt`] if no valid version-2 superblock is found,
+    /// or if its inode count or bitmap does not match the inode table.
     pub fn mount(ld: L, cfg: FsConfig) -> Result<Self> {
         let block_size = ld.block_size();
         let meta = ListId::new(META_LIST_RAW);
@@ -226,46 +243,42 @@ impl<L: LogicalDisk> MinixFs<L> {
         let &sb_block = meta_blocks
             .first()
             .ok_or_else(|| FsError::Corrupt("empty meta list".into()))?;
-        let mut sb = vec![0u8; block_size];
-        ld.read(Ctx::Simple, sb_block, &mut sb)?;
-        if u64::from_le_bytes(sb[0..8].try_into().expect("8 bytes")) != SB_MAGIC {
-            return Err(FsError::Corrupt("bad superblock magic".into()));
-        }
-        if u32::from_le_bytes(sb[8..12].try_into().expect("4 bytes")) != SB_VERSION {
-            return Err(FsError::Corrupt("unsupported file-system version".into()));
-        }
-        let inode_count = u32::from_le_bytes(sb[12..16].try_into().expect("4 bytes"));
-        let inode_list = ListId::new(u64::from_le_bytes(sb[16..24].try_into().expect("8 bytes")));
-        let inode_blocks = ld.list_blocks(Ctx::Simple, inode_list)?;
+        let mut buf = vec![0u8; block_size];
+        ld.read(Ctx::Simple, sb_block, &mut buf)?;
+        let sb = Superblock::decode(&buf)?;
+        let inode_blocks = ld.list_blocks(Ctx::Simple, sb.inode_list)?;
         let inodes_per_block = (block_size / INODE_SIZE) as u32;
-
-        let mut fs = MinixFs {
+        if sb.has_free.len() != inode_blocks.len() {
+            return Err(FsError::Corrupt(format!(
+                "superblock bitmap covers {} inode-table blocks, the table has {}",
+                sb.has_free.len(),
+                inode_blocks.len()
+            )));
+        }
+        if u64::from(sb.inode_count) > inode_blocks.len() as u64 * u64::from(inodes_per_block) {
+            return Err(FsError::Corrupt(format!(
+                "{} inodes do not fit {} inode-table blocks",
+                sb.inode_count,
+                inode_blocks.len()
+            )));
+        }
+        Ok(MinixFs {
             ld,
-            cfg: FsConfig { inode_count, ..cfg },
+            cfg: FsConfig {
+                inode_count: sb.inode_count,
+                ..cfg
+            },
             block_size,
-            inode_list,
+            sb_block,
+            free_slots: vec![None; inode_blocks.len()],
+            sb,
             inode_blocks,
             inodes_per_block,
-            free_inodes: BTreeSet::new(),
             blocks_cache: HashMap::new(),
             dirty_inodes: BTreeMap::new(),
-            buf: vec![0; block_size],
+            buf,
             stats: FsStats::default(),
-        };
-        // Rebuild the free-inode set by scanning the table, one read per
-        // table block.
-        let mut loaded = None;
-        for raw in 1..=inode_count {
-            let (bi, slot) = fs.inode_slot(Ino::new(raw));
-            if loaded != Some(bi) {
-                fs.ld.read(Ctx::Simple, fs.inode_blocks[bi], &mut fs.buf)?;
-                loaded = Some(bi);
-            }
-            if Inode::decode(&fs.buf, slot)?.is_none() {
-                fs.free_inodes.insert(raw);
-            }
-        }
-        Ok(fs)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -296,9 +309,21 @@ impl<L: LogicalDisk> MinixFs<L> {
         self.block_size
     }
 
-    /// Number of free inodes.
-    pub fn free_inode_count(&self) -> u32 {
-        self.free_inodes.len() as u32
+    /// Number of free inodes. Reads each table block whose bit is set
+    /// and that allocation has not reached yet, one LD read a block.
+    ///
+    /// # Errors
+    ///
+    /// Logical-disk errors; [`FsError::Corrupt`] for an undecodable
+    /// inode.
+    pub fn free_inode_count(&mut self) -> Result<u32> {
+        let mut n = 0;
+        for bi in 0..self.inode_blocks.len() {
+            if self.sb.has_free[bi] {
+                n += self.free_in(bi)?.len() as u32;
+            }
+        }
+        Ok(n)
     }
 
     /// The configuration in effect.
@@ -308,7 +333,7 @@ impl<L: LogicalDisk> MinixFs<L> {
 
     /// The LD list holding the inode table.
     pub fn inode_table_list(&self) -> ListId {
-        self.inode_list
+        self.sb.inode_list
     }
 
     /// Flushes all committed state to persistent storage.
@@ -338,7 +363,7 @@ impl<L: LogicalDisk> MinixFs<L> {
     // Inode helpers
     // ------------------------------------------------------------------
 
-    fn inode_slot(&self, ino: Ino) -> (usize, usize) {
+    pub(crate) fn inode_slot(&self, ino: Ino) -> (usize, usize) {
         let idx = (ino.get() - 1) as usize;
         (
             idx / self.inodes_per_block as usize,
@@ -378,6 +403,81 @@ impl<L: LogicalDisk> MinixFs<L> {
         }
         self.ld.write(ctx, self.inode_blocks[bi], &self.buf)?;
         Ok(())
+    }
+
+    /// The superblock as stored.
+    pub(crate) fn stored_superblock(&mut self) -> Result<Superblock> {
+        self.ld.read(Ctx::Simple, self.sb_block, &mut self.buf)?;
+        Superblock::decode(&self.buf)
+    }
+
+    fn write_superblock(&mut self, ctx: Ctx, sb: &Superblock) -> Result<()> {
+        sb.encode(&mut self.buf);
+        self.ld.write(ctx, self.sb_block, &self.buf)?;
+        Ok(())
+    }
+
+    /// The free inodes of table block `bi`, read from the table the
+    /// first time they are needed.
+    fn free_in(&mut self, bi: usize) -> Result<&mut BTreeSet<u32>> {
+        if self.free_slots[bi].is_none() {
+            self.ld
+                .read(Ctx::Simple, self.inode_blocks[bi], &mut self.buf)?;
+            let first = bi as u32 * self.inodes_per_block + 1;
+            let last = (first + self.inodes_per_block - 1).min(self.cfg.inode_count);
+            let mut free = BTreeSet::new();
+            for raw in first..=last {
+                if Inode::decode(&self.buf, (raw - first) as usize)?.is_none() {
+                    free.insert(raw);
+                }
+            }
+            self.free_slots[bi] = Some(free);
+        }
+        Ok(self.free_slots[bi].as_mut().expect("just read"))
+    }
+
+    /// The lowest free inode: the lowest free slot of the lowest block
+    /// whose bit is set (a clear bit means a full block). A set bit
+    /// over a full block, which only a crash without ARUs leaves, is
+    /// cleared on the way.
+    fn lowest_free(&mut self) -> Result<Ino> {
+        while let Some(bi) = self.sb.has_free.iter().position(|&f| f) {
+            if let Some(&raw) = self.free_in(bi)?.first() {
+                return Ok(Ino::new(raw));
+            }
+            self.sb.has_free[bi] = false;
+        }
+        Err(FsError::NoInodes)
+    }
+
+    /// The superblock that an operation freeing `ino` writes before the
+    /// inode: `ino`'s block is full, so its bit sets. `None` when the
+    /// bit is set already.
+    fn freeing(&self, ino: Ino) -> Option<Superblock> {
+        let (bi, _) = self.inode_slot(ino);
+        (!self.sb.has_free[bi]).then(|| self.sb.with(bi, true))
+    }
+
+    /// Frees `ino` inside `ctx`: the superblock from
+    /// [`freeing`](Self::freeing) first, then the inode.
+    fn free_inode(&mut self, ctx: Ctx, ino: Ino, sb: Option<&Superblock>) -> Result<()> {
+        if let Some(sb) = sb {
+            self.write_superblock(ctx, sb)?;
+        }
+        self.write_inode(ctx, ino, None)
+    }
+
+    /// Brings the in-memory state up to an operation that freed `ino`
+    /// and committed the superblock `sb`.
+    fn freed(&mut self, ino: Ino, sb: Option<Superblock>) {
+        let (bi, _) = self.inode_slot(ino);
+        if let Some(free) = &mut self.free_slots[bi] {
+            free.insert(ino.get());
+        }
+        if let Some(sb) = sb {
+            self.sb = sb;
+        }
+        self.blocks_cache.remove(&ino.get());
     }
 
     /// Makes sure `blocks_cache` holds the data blocks of `ino`.
@@ -636,8 +736,12 @@ impl<L: LogicalDisk> MinixFs<L> {
         if probe.hit.is_some() {
             return Err(FsError::AlreadyExists(path.to_string()));
         }
-        let raw = *self.free_inodes.first().ok_or(FsError::NoInodes)?;
-        let ino = Ino::new(raw);
+        let ino = self.lowest_free()?;
+        let (bi, _) = self.inode_slot(ino);
+        // Taking the block's last free slot clears its bit, after the
+        // inode is written.
+        let fills = self.free_slots[bi].as_ref().is_some_and(|f| f.len() == 1);
+        let sb = fills.then(|| self.sb.with(bi, false));
         self.bracketed(|fs, ctx| {
             let data_list = fs.ld.new_list(ctx)?;
             fs.write_inode(
@@ -650,10 +754,18 @@ impl<L: LogicalDisk> MinixFs<L> {
                     data_list: Some(data_list),
                 }),
             )?;
+            if let Some(sb) = &sb {
+                fs.write_superblock(ctx, sb)?;
+            }
             fs.dir_add(ctx, parent, probe.free, name, ino)
         })?;
-        self.free_inodes.remove(&raw);
-        self.blocks_cache.insert(raw, Vec::new());
+        if let Some(free) = &mut self.free_slots[bi] {
+            free.remove(&ino.get());
+        }
+        if let Some(sb) = sb {
+            self.sb = sb;
+        }
+        self.blocks_cache.insert(ino.get(), Vec::new());
         Ok(ino)
     }
 
@@ -682,6 +794,7 @@ impl<L: LogicalDisk> MinixFs<L> {
             });
         }
         let policy = self.cfg.delete_policy;
+        let sb = self.freeing(ino);
         self.bracketed(|fs, ctx| {
             if let Some(list) = inode.data_list {
                 match policy {
@@ -705,11 +818,10 @@ impl<L: LogicalDisk> MinixFs<L> {
                     }
                 }
             }
-            fs.write_inode(ctx, ino, None)?;
+            fs.free_inode(ctx, ino, sb.as_ref())?;
             fs.dir_set(ctx, parent, at, None)
         })?;
-        self.free_inodes.insert(ino.get());
-        self.blocks_cache.remove(&ino.get());
+        self.freed(ino, sb);
         self.stats.files_deleted += 1;
         Ok(())
     }
@@ -740,15 +852,15 @@ impl<L: LogicalDisk> MinixFs<L> {
         if live {
             return Err(FsError::DirectoryNotEmpty(path.to_string()));
         }
+        let sb = self.freeing(ino);
         self.bracketed(|fs, ctx| {
             if let Some(list) = inode.data_list {
                 fs.ld.delete_list(ctx, list)?;
             }
-            fs.write_inode(ctx, ino, None)?;
+            fs.free_inode(ctx, ino, sb.as_ref())?;
             fs.dir_set(ctx, parent, at, None)
         })?;
-        self.free_inodes.insert(ino.get());
-        self.blocks_cache.remove(&ino.get());
+        self.freed(ino, sb);
         self.stats.dirs_removed += 1;
         Ok(())
     }

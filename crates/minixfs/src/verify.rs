@@ -3,11 +3,12 @@
 //! The paper's point is that with ARUs "it is unnecessary to use fsck
 //! after a failure to restore the file system to a consistent state".
 //! This verifier is the test for that claim: it walks the tree and
-//! cross-checks it against the inode table, reporting every
-//! inconsistency it can find. After any crash + recovery, a file system
-//! that used ARUs must verify clean.
+//! cross-checks it against the inode table and the superblock's bitmap
+//! of full table blocks, reporting every inconsistency it can find.
+//! After any crash + recovery, a file system that used ARUs must verify
+//! clean.
 
-use crate::error::Result;
+use crate::error::{FsError, Result};
 use crate::fs::MinixFs;
 use crate::types::{DirEntry, FileKind, Ino};
 use ld_core::LogicalDisk;
@@ -95,6 +96,18 @@ impl<L: LogicalDisk> MinixFs<L> {
             }
         }
 
+        // The superblock's bitmap: a clear bit says its table block is
+        // full, so a free inode under one is a problem (a set bit over a
+        // full block is allowed; allocation clears it).
+        let marked_full: Vec<bool> = match self.stored_superblock() {
+            Ok(sb) => sb.has_free.iter().map(|&f| !f).collect(),
+            Err(e) => {
+                report.problems.push(format!("cannot read superblock: {e}"));
+                Vec::new()
+            }
+        };
+        let mut reported_block = None;
+
         // Cross-check the inode table: every allocated inode must be
         // reachable with a matching link count; every refcount must
         // name an allocated inode (checked above via stat).
@@ -114,11 +127,19 @@ impl<L: LogicalDisk> MinixFs<L> {
                         ));
                     }
                 }
-                Err(_) => {
-                    if refcounts.contains_key(&raw) {
-                        // Already reported as dangling above.
+                Err(FsError::BadInode(_)) => {
+                    // Free (a reference to it was reported as dangling
+                    // above).
+                    let (bi, _) = self.inode_slot(ino);
+                    if marked_full.get(bi) == Some(&true) && reported_block != Some(bi) {
+                        report.problems.push(format!(
+                            "inode-table block {bi} is marked full but {ino} is free"
+                        ));
+                        reported_block = Some(bi);
                     }
                 }
+                // An undecodable slot: reported as dangling if referenced.
+                Err(_) => {}
             }
         }
         Ok(report)

@@ -3,9 +3,11 @@
 //! deletion — no fsck needed). Without ARUs (the "old" MinixLLD), a
 //! crash can strand partial meta-data, which the verifier detects.
 
-use ld_core::{Lld, LldConfig};
+use ld_core::{
+    AruId, BlockId, Ctx, ListId, Lld, LldConfig, LogicalDisk, Position, Result as LldResult,
+};
 use ld_disk::{DiskModel, FaultPlan, MemDisk, SimDisk};
-use ld_minixfs::{FsConfig, FsError, MinixFs};
+use ld_minixfs::{FsConfig, FsError, Ino, MinixFs};
 
 const BS: usize = 512;
 
@@ -289,4 +291,160 @@ fn consistency_with_sequential_old_lld_and_arus_at(mode: Mode) {
     ));
     let report = fs2.verify().unwrap();
     assert!(report.is_consistent(), "problems: {:?}", report.problems);
+}
+
+/// A logical disk that flushes after every operation, so that a power
+/// cut can fall between any two of them and not only between the file
+/// system's flushes.
+struct FlushEach<L>(L);
+
+impl<L: LogicalDisk> FlushEach<L> {
+    fn flushed<T>(&self, r: LldResult<T>) -> LldResult<T> {
+        let v = r?;
+        self.0.flush()?;
+        Ok(v)
+    }
+}
+
+impl<L: LogicalDisk> LogicalDisk for FlushEach<L> {
+    fn begin_aru(&self) -> LldResult<AruId> {
+        self.0.begin_aru()
+    }
+    fn end_aru(&self, aru: AruId) -> LldResult<()> {
+        self.flushed(self.0.end_aru(aru))
+    }
+    fn abort_aru(&self, aru: AruId) -> LldResult<()> {
+        self.0.abort_aru(aru)
+    }
+    fn new_list(&self, ctx: Ctx) -> LldResult<ListId> {
+        self.flushed(self.0.new_list(ctx))
+    }
+    fn delete_list(&self, ctx: Ctx, list: ListId) -> LldResult<()> {
+        self.flushed(self.0.delete_list(ctx, list))
+    }
+    fn new_block(&self, ctx: Ctx, list: ListId, pos: Position) -> LldResult<BlockId> {
+        self.flushed(self.0.new_block(ctx, list, pos))
+    }
+    fn delete_block(&self, ctx: Ctx, block: BlockId) -> LldResult<()> {
+        self.flushed(self.0.delete_block(ctx, block))
+    }
+    fn write(&self, ctx: Ctx, block: BlockId, data: &[u8]) -> LldResult<()> {
+        self.flushed(self.0.write(ctx, block, data))
+    }
+    fn read(&self, ctx: Ctx, block: BlockId, buf: &mut [u8]) -> LldResult<()> {
+        self.0.read(ctx, block, buf)
+    }
+    fn list_blocks(&self, ctx: Ctx, list: ListId) -> LldResult<Vec<BlockId>> {
+        self.0.list_blocks(ctx, list)
+    }
+    fn flush(&self) -> LldResult<()> {
+        self.0.flush()
+    }
+    fn block_size(&self) -> usize {
+        self.0.block_size()
+    }
+}
+
+/// Per inode-table block: its bit in the superblock (set: it may hold
+/// a free inode) and whether it holds a free inode, read from the
+/// table. The superblock's layout is the crate's "On-disk format".
+fn bits_and_free<L: LogicalDisk>(fs: &mut MinixFs<L>) -> Vec<(bool, bool)> {
+    let mut sb = vec![0u8; BS];
+    let ld = fs.ld();
+    let sb_block = ld.list_blocks(Ctx::Simple, ListId::new(1)).unwrap()[0];
+    ld.read(Ctx::Simple, sb_block, &mut sb).unwrap();
+    let per_block = (BS / 32) as u32;
+    let blocks = fs_config().inode_count / per_block;
+    assert_eq!(u32::from_le_bytes(sb[24..28].try_into().unwrap()), blocks);
+    (0..blocks)
+        .map(|bi| {
+            let bit = sb[28 + bi as usize / 8] & (1 << (bi % 8)) != 0;
+            let free = (bi * per_block + 1..=(bi + 1) * per_block)
+                .any(|raw| matches!(fs.stat(Ino::new(raw)), Err(FsError::BadInode(_))));
+            (bit, free)
+        })
+        .collect()
+}
+
+#[test]
+fn the_free_inode_bits_survive_every_crash_point() {
+    each_mode(|mode| {
+        the_free_inode_bits_survive_every_crash_point_at(mode, true);
+        the_free_inode_bits_survive_every_crash_point_at(mode, false);
+    });
+}
+
+/// Sweeps a power cut, one device write at a time, across the two
+/// operations that flip a bit of the superblock: the create that takes
+/// inode-table block 0's last free inode (the bit clears, written after
+/// the inode) and the unlink that frees a slot in it again (the bit
+/// sets, written before the inode is freed). Every logical-disk
+/// operation is flushed on its own, so a cut can fall between any two.
+/// With ARUs the tree verifies clean and the bits equal the table at
+/// every cut; without them no clear bit covers a free inode, and the
+/// only stale bit is a set one over a full block.
+fn the_free_inode_bits_survive_every_crash_point_at(mode: Mode, use_arus: bool) {
+    eprintln!("use_arus = {use_arus}");
+    let fs_cfg = FsConfig {
+        use_arus,
+        ..fs_config()
+    };
+    let (mut cut_at, mut stale, mut block_0_full) = (0u64, 0, 0);
+    loop {
+        let sim = SimDisk::new(MemDisk::new(8 << 20), DiskModel::hp_c3010());
+        let ld = FlushEach(Lld::format(sim, &ld_config(mode)).unwrap());
+        let mut fs = MinixFs::format(ld, fs_cfg).unwrap();
+        // The root and 14 files leave block 0 (inodes 1..=16) one slot.
+        for i in 0..14 {
+            fs.create(&format!("/f{i}")).unwrap();
+        }
+        fs.flush().unwrap();
+        fs.ld()
+            .0
+            .device()
+            .set_faults(FaultPlan::new().crash_after_bytes(cut_at));
+        let done = fs.create("/last").is_ok() && fs.unlink("/f0").is_ok() && fs.flush().is_ok();
+        let (image, cut) = fs.into_ld().0.into_device().crash_image();
+        let at = format!("use_arus {use_arus}, {cut}");
+        let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &ld_config(mode))
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        let mut fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
+        let report = fs2.verify().unwrap();
+        let blocks = bits_and_free(&mut fs2);
+        assert!(
+            blocks.iter().all(|&(bit, free)| bit || !free),
+            "{at}: a clear bit covers a free inode: {blocks:?}"
+        );
+        if use_arus {
+            assert!(report.is_consistent(), "{at}: {:?}", report.problems);
+            assert!(
+                blocks.iter().all(|&(bit, free)| bit == free),
+                "{at}: the bits differ from the table: {blocks:?}"
+            );
+        } else {
+            assert!(
+                !report.problems.iter().any(|p| p.contains("marked full")),
+                "{at}: {:?}",
+                report.problems
+            );
+        }
+        stale += blocks.iter().filter(|&&(bit, free)| bit && !free).count();
+        block_0_full += !blocks[0].1 as usize;
+        if done {
+            break;
+        }
+        cut_at += 128;
+    }
+    eprintln!(
+        "{} cuts, {stale} stale bits, block 0 full at {block_0_full}",
+        cut_at / 128 + 1
+    );
+    assert!(
+        block_0_full > 0,
+        "no cut kept the create and not the unlink"
+    );
+    // Without ARUs the sweep must reach the windows the write order
+    // exists for: the inode written and the bit not yet cleared, or
+    // the bit set and the inode not yet freed.
+    assert_eq!(stale > 0, !use_arus, "{stale} stale bits at the cuts");
 }

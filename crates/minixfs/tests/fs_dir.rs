@@ -236,7 +236,10 @@ fn create_and_unlink_make_their_calls_once() {
 
     // Reads: on the walk, the root's inode, its one block and the inode
     // of `/d`; the two blocks of `/d` the scan reads; then the inode
-    // block and the directory block each write changes.
+    // block and the directory block each write changes. `f` takes
+    // `w1`'s inode, the last free one of inode-table block 0, so the
+    // create also writes the superblock (clearing the block's bit), and
+    // the unlink writes it again (setting the bit); neither reads it.
     let create = calls(&mut fs, |fs| {
         fs.create("/d/f").unwrap();
     });
@@ -246,7 +249,7 @@ fn create_and_unlink_make_their_calls_once() {
             ("begin_aru", 1),
             ("end_aru", 1),
             ("new_list", 1),
-            ("write", 2),
+            ("write", 3),
             ("read", 7),
         ]
     );
@@ -259,7 +262,7 @@ fn create_and_unlink_make_their_calls_once() {
             ("begin_aru", 1),
             ("end_aru", 1),
             ("delete_list", 1),
-            ("write", 2),
+            ("write", 3),
             ("read", 7),
         ]
     );

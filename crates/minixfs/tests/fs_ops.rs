@@ -1,6 +1,6 @@
 //! File-system operation tests: namespace, I/O, policies, mount.
 
-use ld_core::{Ctx, ListId, Lld, LldConfig};
+use ld_core::{Ctx, ListId, Lld, LldConfig, LogicalDisk};
 use ld_disk::MemDisk;
 use ld_minixfs::{DeletePolicy, FileKind, FsConfig, FsError, Ino, MinixFs};
 
@@ -149,13 +149,13 @@ fn unlink_frees_resources() {
     let _ = warm;
     fs.unlink("/warm").unwrap();
     let before_blocks = fs.ld().allocated_block_count();
-    let before_inodes = fs.free_inode_count();
+    let before_inodes = fs.free_inode_count().unwrap();
     let ino = fs.create("/tmp.bin").unwrap();
     fs.write_at(ino, 0, &vec![7u8; BS * 5]).unwrap();
     assert!(fs.ld().allocated_block_count() > before_blocks);
     fs.unlink("/tmp.bin").unwrap();
     assert_eq!(fs.ld().allocated_block_count(), before_blocks);
-    assert_eq!(fs.free_inode_count(), before_inodes);
+    assert_eq!(fs.free_inode_count().unwrap(), before_inodes);
     assert!(matches!(fs.lookup("/tmp.bin"), Err(FsError::NotFound(_))));
     assert!(fs.verify().unwrap().is_consistent());
 }
@@ -295,12 +295,12 @@ fn mount_after_clean_flush() {
     let ino = fs.create("/docs/x").unwrap();
     fs.write_at(ino, 0, b"persist me").unwrap();
     fs.flush().unwrap();
-    let free = fs.free_inode_count();
+    let free = fs.free_inode_count().unwrap();
 
     let image = fs.into_ld().into_device().into_image();
     let (ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
     let mut fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
-    assert_eq!(fs2.free_inode_count(), free);
+    assert_eq!(fs2.free_inode_count().unwrap(), free);
     let ino2 = fs2.lookup("/docs/x").unwrap();
     assert_eq!(ino2, ino);
     let mut buf = [0u8; 10];
@@ -309,29 +309,163 @@ fn mount_after_clean_flush() {
     assert!(fs2.verify().unwrap().is_consistent());
 }
 
-/// Mount reads each inode-table block once and decodes all its slots
-/// from that one read: at most the table's blocks plus the meta list's.
+/// Rewrites the superblock (the meta list's one block) through the
+/// logical disk; `edit` gets its bytes, laid out as the crate's
+/// "On-disk format" documents.
+fn edit_superblock(ld: &impl LogicalDisk, edit: impl FnOnce(&mut [u8])) {
+    let sb = ld.list_blocks(Ctx::Simple, ListId::new(1)).unwrap()[0];
+    let mut buf = vec![0u8; ld.block_size()];
+    ld.read(Ctx::Simple, sb, &mut buf).unwrap();
+    edit(&mut buf);
+    ld.write(Ctx::Simple, sb, &buf).unwrap();
+}
+
+/// Takes every free inode: directories of up to 64 entries under the
+/// root.
+fn fill_inode_table<L: LogicalDisk>(fs: &mut MinixFs<L>) {
+    let mut left = fs.free_inode_count().unwrap();
+    for d in 0.. {
+        if left == 0 {
+            break;
+        }
+        fs.mkdir(&format!("/d{d}")).unwrap();
+        left -= 1;
+        let n = left.min(63);
+        for i in 0..n {
+            fs.create(&format!("/d{d}/f{i}")).unwrap();
+        }
+        left -= n;
+    }
+    assert!(matches!(fs.create("/one_more"), Err(FsError::NoInodes)));
+}
+
+/// Mount reads the superblock and nothing else, however large the
+/// inode table and however full: the table is read a block at a time
+/// as allocation (or a count) reaches it.
 #[test]
-fn mount_reads_each_inode_block_once() {
+fn mount_reads_the_superblock_only() {
+    for (cfg, inodes) in [(ld_config(), 64), (LldConfig::default(), 4096)] {
+        for full in [false, true] {
+            let ld = Lld::format(MemDisk::new(32 << 20), &cfg).unwrap();
+            let fs_cfg = FsConfig {
+                inode_count: inodes,
+                ..fs_config()
+            };
+            let mut fs = MinixFs::format(ld, fs_cfg).unwrap();
+            fs.create("/a").unwrap();
+            fs.mkdir("/d").unwrap();
+            if full {
+                fill_inode_table(&mut fs);
+            }
+            fs.flush().unwrap();
+            let free = fs.free_inode_count().unwrap();
+            assert_eq!(free == 0, full);
+
+            let image = fs.into_ld().into_device().into_image();
+            let (ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
+            let meta_blocks = ld2.list_blocks(Ctx::Simple, ListId::new(1)).unwrap().len() as u64;
+            assert_eq!(meta_blocks, 1);
+            let before = ld2.stats().reads;
+            let mut fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
+            let reads = fs2.ld().stats().reads - before;
+            assert_eq!(
+                reads, meta_blocks,
+                "mount made {reads} reads at {inodes} inodes (full: {full})"
+            );
+            assert_eq!(fs2.free_inode_count().unwrap(), free);
+            assert!(fs2.verify().unwrap().is_consistent());
+        }
+    }
+}
+
+/// Allocation hands out the lowest free inode number, across holes in
+/// full table blocks and across a remount that has read no table block.
+#[test]
+fn allocation_takes_the_lowest_free_inode_across_remounts() {
+    // 16 inodes a block: f0..f39 take inodes 2..=41, so blocks 0 and 1
+    // fill and block 2 holds 33..=41.
+    let mut fs = fresh();
+    for i in 0..40 {
+        assert_eq!(fs.create(&format!("/f{i}")).unwrap().get(), i + 2);
+    }
+    // Holes in both full blocks and in the partial one.
+    for i in [3, 18, 35] {
+        fs.unlink(&format!("/f{i}")).unwrap();
+    }
+    fs.flush().unwrap();
+    let expect = [5, 20, 37, 42];
+
+    let image = fs.ld().device().snapshot();
+    let (ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
+    let remounted = MinixFs::mount(ld2, FsConfig::default()).unwrap();
+    for mut fs in [fs, remounted] {
+        let got: Vec<u32> = (0..4)
+            .map(|i| fs.create(&format!("/g{i}")).unwrap().get())
+            .collect();
+        assert_eq!(got, expect);
+        assert_eq!(fs.free_inode_count().unwrap(), 64 - 1 - 41);
+        assert!(fs.verify().unwrap().is_consistent());
+    }
+}
+
+/// A superblock of the previous format, which had no bitmap, is
+/// refused by its version; nothing falls back to scanning the table.
+#[test]
+fn a_version_one_superblock_is_refused() {
+    let mut fs = fresh();
+    fs.flush().unwrap();
+    let ld = fs.into_ld();
+    edit_superblock(&ld, |sb| sb[8..12].copy_from_slice(&1u32.to_le_bytes()));
+    assert_eq!(
+        MinixFs::mount(ld, FsConfig::default()).err(),
+        Some(FsError::Corrupt(
+            "unsupported file-system version 1".to_string()
+        ))
+    );
+}
+
+/// Hostile superblock fields are `Corrupt`, not panics.
+#[test]
+fn a_corrupt_superblock_is_refused_not_a_panic() {
+    type Edit = fn(&mut [u8]);
+    let edits: [(&str, Edit); 4] = [
+        ("a million inodes", |sb| {
+            sb[12..16].copy_from_slice(&1_000_000u32.to_le_bytes())
+        }),
+        ("inode list 0", |sb| sb[16..24].fill(0)),
+        ("a bitmap one block short", |sb| sb[24] -= 1),
+        ("a bitmap past the block", |sb| sb[24..28].fill(0xFF)),
+    ];
+    for (what, edit) in edits {
+        // The default format: 4,096 inodes in 32 blocks of 4 KiB.
+        let ld = Lld::format(MemDisk::new(8 << 20), &LldConfig::default()).unwrap();
+        let mut fs = MinixFs::format(ld, FsConfig::default()).unwrap();
+        fs.create("/a").unwrap();
+        fs.flush().unwrap();
+        let ld = fs.into_ld();
+        edit_superblock(&ld, edit);
+        match MinixFs::mount(ld, FsConfig::default()) {
+            Err(FsError::Corrupt(msg)) => eprintln!("{what}: {msg}"),
+            other => panic!("{what}: {:?}", other.map(|_| ())),
+        }
+    }
+}
+
+/// The verifier reads the bitmap: a clear bit over a table block with
+/// a free slot is reported (the negative control of the crash sweeps).
+#[test]
+fn verify_reports_a_clear_bit_over_a_free_inode() {
     let mut fs = fresh();
     fs.create("/a").unwrap();
-    fs.mkdir("/d").unwrap();
     fs.flush().unwrap();
-    let free = fs.free_inode_count();
-
-    let image = fs.into_ld().into_device().into_image();
-    let (ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
-    let meta_blocks = ld2.list_blocks(Ctx::Simple, ListId::new(1)).unwrap().len() as u64;
-    let inodes_per_block = (BS / 32) as u64;
-    let table_blocks = u64::from(fs_config().inode_count).div_ceil(inodes_per_block);
-    let before = ld2.stats().reads;
-    let fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
-    let reads = fs2.ld().stats().reads - before;
-    assert!(
-        reads <= table_blocks + meta_blocks,
-        "mount made {reads} reads for {table_blocks} table and {meta_blocks} meta blocks"
+    assert!(fs.verify().unwrap().is_consistent());
+    // Block 1 (inodes 17..=32) is empty; mark it full.
+    edit_superblock(fs.ld(), |sb| sb[28] &= !0b10);
+    let report = fs.verify().unwrap();
+    assert_eq!(
+        report.problems,
+        vec!["inode-table block 1 is marked full but ino17 is free".to_string()]
     );
-    assert_eq!(fs2.free_inode_count(), free);
 }
 
 #[test]
