@@ -356,7 +356,10 @@ pub fn cmd_cat(image: &str, path: &str) -> Result<String> {
     let mut fs = open_fs(image)?;
     let ino = fs.lookup(path)?;
     let st = fs.stat(ino)?;
-    let mut buf = vec![0u8; st.size as usize];
+    // No more than the file's blocks hold: `read_at` refuses a size
+    // past them.
+    let held = st.blocks * fs.ld().block_size() as u64;
+    let mut buf = vec![0u8; st.size.min(held) as usize];
     fs.read_at(ino, 0, &mut buf)?;
     Ok(String::from_utf8_lossy(&buf).into_owned())
 }

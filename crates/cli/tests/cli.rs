@@ -196,6 +196,47 @@ fn ls_on_a_corrupt_superblock_is_an_error() {
     }
 }
 
+/// A file whose inode claims more bytes than its blocks hold is an
+/// error for `cat`, not a panic: neither the read nor the buffer `cat`
+/// allocates for it goes past the blocks.
+#[test]
+fn cat_of_a_size_past_the_files_blocks_is_an_error() {
+    for size in [12_293, u64::MAX] {
+        let image = temp_image(&format!("corrupt-size-{size}"));
+        let local = temp_image(&format!("corrupt-size-{size}-local"));
+        std::fs::write(&local, [7u8; 100]).unwrap();
+        run(&args(&[
+            "format",
+            &image,
+            "--size",
+            "16777216",
+            "--segment-bytes",
+            "65536",
+            "--with-fs",
+        ]))
+        .unwrap();
+        run(&args(&["put", &image, "/a", &local])).unwrap();
+        {
+            // `/a` is inode 2, the second slot of the table's first
+            // block; the superblock names the table's list at 16..24.
+            let (ld, _) = Lld::recover(FileDisk::open(&image).unwrap()).unwrap();
+            let mut buf = vec![0u8; ld.block_size()];
+            let sb = ld.list_blocks(Ctx::Simple, ListId::new(1)).unwrap()[0];
+            ld.read(Ctx::Simple, sb, &mut buf).unwrap();
+            let table = ListId::new(u64::from_le_bytes(buf[16..24].try_into().unwrap()));
+            let b = ld.list_blocks(Ctx::Simple, table).unwrap()[0];
+            ld.read(Ctx::Simple, b, &mut buf).unwrap();
+            buf[32 + 4..32 + 12].copy_from_slice(&size.to_le_bytes());
+            ld.write(Ctx::Simple, b, &buf).unwrap();
+            ld.flush().unwrap();
+        }
+        let err = run(&args(&["cat", &image, "/a"])).unwrap_err();
+        assert!(matches!(err, CtlError::Fs(FsError::Corrupt(_))), "{err}");
+        cleanup(&image);
+        cleanup(&local);
+    }
+}
+
 #[test]
 fn stats_scripted_workload_human_and_json() {
     let out = run(&args(&["stats"])).unwrap();

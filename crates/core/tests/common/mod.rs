@@ -3,6 +3,11 @@
 //! suites), the blocks an overwrite churn rotates over, the crash
 //! suites' seed convention, and a device that parks chosen writes (the
 //! suites that own a segment write in flight).
+//!
+//! A crash suite's oracle is not here: the LD-level suites include the
+//! reference model beside this file, `model.rs` (docs/INVARIANTS.md I7,
+//! I8), with a `#[path]` of their own; the file-system suites use
+//! `MinixFs::verify`.
 
 #![allow(dead_code)] // each suite uses its own subset
 

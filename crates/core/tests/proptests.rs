@@ -6,9 +6,17 @@
 //! 2. crash atomicity — at *any* crash point, every ARU recovers
 //!    all-or-nothing;
 //! 3. isolation — an aborted ARU never affects the committed state.
+//!
+//! The first three hold the disk to the reference model
+//! (`common/model.rs`): the live disk and the recovered one are the
+//! model after a prefix of the units the steps made.
 
 use ld_core::{Ctx, Lld, LldConfig, LldError, Position};
 use ld_disk::{DiskModel, FaultPlan, MemDisk, SimDisk, SmallRng};
+
+#[path = "common/model.rs"]
+mod model;
+use model::Model;
 
 const BS: usize = 512;
 
@@ -22,7 +30,7 @@ fn config() -> LldConfig {
     }
 }
 
-fn block(byte: u8) -> Vec<u8> {
+fn block_of(byte: u8) -> Vec<u8> {
     vec![byte; BS]
 }
 
@@ -69,91 +77,49 @@ fn random_steps(rng: &mut SmallRng, min: usize, max: usize) -> Vec<Step> {
     (0..n).map(|_| random_step(rng)).collect()
 }
 
-/// Tracks the live objects so random steps stay mostly valid.
-#[derive(Default)]
-struct Tracker {
-    lists: Vec<ld_core::ListId>,
-    blocks: Vec<ld_core::BlockId>,
-}
-
+/// Applies `steps` in `ctx` through the model. A step picks its list or
+/// block among the ones the acknowledged steps left, so most are valid;
+/// one that fails inside an ARU leaves no trace, and one that fails
+/// outside is recorded as having returned `Err`.
 fn apply_steps<D: ld_disk::BlockDevice>(
-    ld: &mut Lld<D>,
+    ld: &Lld<D>,
+    m: &mut Model,
     ctx: Ctx,
     steps: &[Step],
-    t: &mut Tracker,
 ) -> Result<(), LldError> {
     for step in steps {
-        match step {
+        let (lists, blocks) = m.live();
+        let list = |i: u8| lists[i as usize % lists.len()];
+        let block = |i: u16| blocks[i as usize % blocks.len()];
+        match *step {
             Step::NewList => {
-                let l = ld.new_list(ctx)?;
-                t.lists.push(l);
+                m.new_list(ld, ctx)?;
             }
-            Step::NewBlockFirst { list } if !t.lists.is_empty() => {
-                let l = t.lists[*list as usize % t.lists.len()];
-                if let Ok(b) = ld.new_block(ctx, l, Position::First) {
-                    t.blocks.push(b);
+            Step::NewBlockFirst { list: i } if !lists.is_empty() => {
+                let _ = m.new_block(ld, ctx, list(i), Position::First);
+            }
+            Step::NewBlockAfterLast { list: i } if !lists.is_empty() => {
+                if let Ok(members) = ld.list_blocks(ctx, list(i)) {
+                    let pos = members
+                        .last()
+                        .map_or(Position::First, |&b| Position::After(b));
+                    let _ = m.new_block(ld, ctx, list(i), pos);
                 }
             }
-            Step::NewBlockAfterLast { list } if !t.lists.is_empty() => {
-                let l = t.lists[*list as usize % t.lists.len()];
-                match ld.list_blocks(ctx, l) {
-                    Ok(members) if !members.is_empty() => {
-                        if let Ok(b) =
-                            ld.new_block(ctx, l, Position::After(*members.last().unwrap()))
-                        {
-                            t.blocks.push(b);
-                        }
-                    }
-                    Ok(_) => {
-                        if let Ok(b) = ld.new_block(ctx, l, Position::First) {
-                            t.blocks.push(b);
-                        }
-                    }
-                    Err(_) => {}
-                }
+            Step::Write { pick, byte } if !blocks.is_empty() => {
+                let _ = m.write(ld, ctx, block(pick), &block_of(byte));
             }
-            Step::Write { pick, byte } if !t.blocks.is_empty() => {
-                let b = t.blocks[*pick as usize % t.blocks.len()];
-                let _ = ld.write(ctx, b, &block(*byte));
+            Step::DeleteBlock { pick } if !blocks.is_empty() => {
+                let _ = m.delete_block(ld, ctx, block(pick));
             }
-            Step::DeleteBlock { pick } if !t.blocks.is_empty() => {
-                let idx = *pick as usize % t.blocks.len();
-                let b = t.blocks.swap_remove(idx);
-                let _ = ld.delete_block(ctx, b);
+            Step::DeleteList { list: i } if !lists.is_empty() => {
+                let _ = m.delete_list(ld, ctx, list(i));
             }
-            Step::DeleteList { list } if !t.lists.is_empty() => {
-                let idx = *list as usize % t.lists.len();
-                let l = t.lists.swap_remove(idx);
-                let _ = ld.delete_list(ctx, l);
-            }
-            Step::Flush if ctx.is_simple() => {
-                ld.flush()?;
-            }
+            Step::Flush if ctx.is_simple() => m.flush(ld)?,
             _ => {}
         }
     }
     Ok(())
-}
-
-/// One list's observable members and their data.
-type ListState = (ld_core::ListId, Vec<(ld_core::BlockId, Vec<u8>)>);
-
-/// Captures the full observable committed state: every list's members
-/// and every member's data.
-fn observable_state<D: ld_disk::BlockDevice>(ld: &mut Lld<D>, t: &Tracker) -> Vec<ListState> {
-    let mut out = Vec::new();
-    for &l in &t.lists {
-        if let Ok(members) = ld.list_blocks(Ctx::Simple, l) {
-            let mut datas = Vec::new();
-            for &b in &members {
-                let mut buf = block(0);
-                ld.read(Ctx::Simple, b, &mut buf).unwrap();
-                datas.push((b, buf));
-            }
-            out.push((l, datas));
-        }
-    }
-    out
 }
 
 #[test]
@@ -161,16 +127,16 @@ fn log_replay_reproduces_committed_state() {
     let mut rng = SmallRng::seed_from_u64(0x4C445F01);
     for case in 0..32 {
         let steps = random_steps(&mut rng, 1, 120);
-        let mut ld = Lld::format(MemDisk::new(4 << 20), &config()).unwrap();
-        let mut t = Tracker::default();
-        apply_steps(&mut ld, Ctx::Simple, &steps, &mut t).unwrap();
-        ld.flush().unwrap();
-        let expected = observable_state(&mut ld, &t);
+        let ld = Lld::format(MemDisk::new(4 << 20), &config()).unwrap();
+        let mut m = Model::default();
+        apply_steps(&ld, &mut m, Ctx::Simple, &steps).unwrap();
+        m.flush(&ld).unwrap();
+        let at = format!("case {case}");
+        assert_eq!(m.check(&ld, &at), m.acknowledged(), "{at}: the live disk");
 
         let image = ld.into_device().into_image();
-        let (mut ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
-        let actual = observable_state(&mut ld2, &t);
-        assert_eq!(expected, actual, "case {case}");
+        let (ld2, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
+        assert_eq!(m.check(&ld2, &at), m.acknowledged(), "{at}");
     }
 }
 
@@ -180,24 +146,18 @@ fn aborted_aru_leaves_no_trace() {
     for case in 0..32 {
         let setup = random_steps(&mut rng, 1, 40);
         let inside = random_steps(&mut rng, 1, 40);
-        let mut ld = Lld::format(MemDisk::new(4 << 20), &config()).unwrap();
-        let mut t = Tracker::default();
-        apply_steps(&mut ld, Ctx::Simple, &setup, &mut t).unwrap();
-        let before = observable_state(&mut ld, &t);
+        let ld = Lld::format(MemDisk::new(4 << 20), &config()).unwrap();
+        let mut m = Model::default();
+        apply_steps(&ld, &mut m, Ctx::Simple, &setup).unwrap();
 
+        // Whatever happens inside the ARU, aborting it leaves the
+        // committed state as its allocations, which commit at once,
+        // left it.
         let aru = ld.begin_aru().unwrap();
-        let mut t2 = Tracker {
-            lists: t.lists.clone(),
-            blocks: t.blocks.clone(),
-        };
-        // Whatever happens inside the ARU...
-        let _ = apply_steps(&mut ld, Ctx::Aru(aru), &inside, &mut t2);
-        // ...aborting it restores the committed view exactly (up to
-        // committed-immediately allocations, which are invisible to
-        // list walks and reads of pre-existing objects).
-        ld.abort_aru(aru).unwrap();
-        let after = observable_state(&mut ld, &t);
-        assert_eq!(before, after, "case {case}");
+        let _ = apply_steps(&ld, &mut m, Ctx::Aru(aru), &inside);
+        m.abort_aru(&ld, aru).unwrap();
+        let at = format!("case {case}");
+        assert_eq!(m.check(&ld, &at), m.acknowledged(), "{at}");
     }
 }
 
@@ -213,30 +173,28 @@ fn crash_atomicity_at_any_point() {
     for crash_after in points {
         let n_arus = SmallRng::seed_from_u64(crash_after).gen_range(1, 8) as usize;
         // Each ARU creates its own list with 3 blocks of a known
-        // pattern. After a crash at an arbitrary byte count, every
-        // recovered list must be complete and correct — never partial.
+        // pattern, then flushes.
         let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010());
         let ld = Lld::format(sim, &config()).unwrap();
         ld.device()
             .set_faults(FaultPlan::new().crash_after_bytes(crash_after));
 
-        let mut lists = Vec::new();
-        for i in 0..n_arus {
-            let run = (|| -> Result<ld_core::ListId, LldError> {
+        let mut m = Model::default();
+        for i in 0..n_arus as u8 {
+            let mut run = || -> Result<(), LldError> {
                 let aru = ld.begin_aru()?;
-                let l = ld.new_list(Ctx::Aru(aru))?;
-                let b1 = ld.new_block(Ctx::Aru(aru), l, Position::First)?;
-                let b2 = ld.new_block(Ctx::Aru(aru), l, Position::After(b1))?;
-                let b3 = ld.new_block(Ctx::Aru(aru), l, Position::After(b2))?;
-                ld.write(Ctx::Aru(aru), b1, &block(i as u8 * 3 + 1))?;
-                ld.write(Ctx::Aru(aru), b2, &block(i as u8 * 3 + 2))?;
-                ld.write(Ctx::Aru(aru), b3, &block(i as u8 * 3 + 3))?;
-                ld.end_aru(aru)?;
-                ld.flush()?;
-                Ok(l)
-            })();
-            match run {
-                Ok(l) => lists.push((i, l)),
+                let l = m.new_list(&ld, Ctx::Aru(aru))?;
+                let mut pos = Position::First;
+                for k in 1..=3 {
+                    let b = m.new_block(&ld, Ctx::Aru(aru), l, pos)?;
+                    m.write(&ld, Ctx::Aru(aru), b, &block_of(i * 3 + k))?;
+                    pos = Position::After(b);
+                }
+                m.end_aru(&ld, aru)?;
+                m.flush(&ld)
+            };
+            match run() {
+                Ok(()) => {}
                 Err(LldError::Disk(_)) => break,
                 Err(e) => panic!("CRASH_SEED={crash_after}: unexpected: {e}"),
             }
@@ -245,28 +203,7 @@ fn crash_atomicity_at_any_point() {
         let (image, cut) = ld.into_device().crash_image();
         let (ld2, _) =
             Lld::recover(MemDisk::from_image(image)).unwrap_or_else(|e| panic!("{cut}: {e}"));
-
-        // Fully flushed ARUs must be present and complete.
-        for (i, l) in &lists {
-            let members = ld2
-                .list_blocks(Ctx::Simple, *l)
-                .unwrap_or_else(|e| panic!("{cut}: flushed list {l} lost: {e}"));
-            assert_eq!(members.len(), 3, "{cut}");
-            for (j, &b) in members.iter().enumerate() {
-                let mut buf = block(0);
-                ld2.read(Ctx::Simple, b, &mut buf).unwrap();
-                assert_eq!(buf, block(*i as u8 * 3 + 1 + j as u8), "{cut}");
-            }
-        }
-        // Any other recovered list must also be complete (atomicity):
-        // the in-flight ARU either fully committed or vanished.
-        // (List ids are small integers; probe a few beyond the known.)
-        for raw in 1..20u64 {
-            let l = ld_core::ListId::new(raw);
-            if let Ok(members) = ld2.list_blocks(Ctx::Simple, l) {
-                assert_eq!(members.len(), 3, "{cut}: partial ARU survived: list {l}");
-            }
-        }
+        m.check(&ld2, &cut.to_string());
     }
 }
 
@@ -285,7 +222,7 @@ fn tagged_append<D: ld_disk::BlockDevice>(
 ) -> ld_core::TaggedCommit {
     let aru = ld.begin_aru().unwrap();
     let b = ld.new_block(Ctx::Aru(aru), list, Position::First).unwrap();
-    ld.write(Ctx::Aru(aru), b, &block(wid as u8)).unwrap();
+    ld.write(Ctx::Aru(aru), b, &block_of(wid as u8)).unwrap();
     ld.end_aru_tagged(aru, client, generation, wid).unwrap()
 }
 

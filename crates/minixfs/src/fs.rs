@@ -1024,7 +1024,9 @@ impl<L: LogicalDisk> MinixFs<L> {
     ///
     /// # Errors
     ///
-    /// [`FsError::IsADirectory`] on a directory; logical-disk errors.
+    /// [`FsError::IsADirectory`] on a directory; [`FsError::Corrupt`]
+    /// if the inode's size runs past the blocks on its list;
+    /// logical-disk errors.
     pub fn read_at(&mut self, ino: Ino, offset: u64, buf: &mut [u8]) -> Result<usize> {
         let inode = self.read_inode(Ctx::Simple, ino)?;
         if inode.kind != FileKind::File {
@@ -1037,6 +1039,14 @@ impl<L: LogicalDisk> MinixFs<L> {
         let bs = self.block_size;
         self.cache_blocks(ino)?;
         let blocks = &self.blocks_cache[&ino.get()];
+        if inode.size > blocks.len() as u64 * bs as u64 {
+            return Err(FsError::Corrupt(format!(
+                "file {ino} is {} bytes, its {} blocks hold {}",
+                inode.size,
+                blocks.len(),
+                blocks.len() * bs
+            )));
+        }
         let mut read = 0usize;
         while read < want {
             let pos = offset + read as u64;

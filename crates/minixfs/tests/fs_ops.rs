@@ -451,6 +451,45 @@ fn a_corrupt_superblock_is_refused_not_a_panic() {
     }
 }
 
+/// Rewrites the on-disk inode of `ino` (its 32 bytes in the inode
+/// table, whose list the superblock names at bytes 16..24).
+fn edit_inode(ld: &impl LogicalDisk, ino: Ino, edit: impl FnOnce(&mut [u8])) {
+    let mut table = None;
+    edit_superblock(ld, |sb| {
+        table = Some(ListId::new(u64::from_le_bytes(
+            sb[16..24].try_into().unwrap(),
+        )))
+    });
+    let per_block = ld.block_size() / 32;
+    let i = (ino.get() - 1) as usize;
+    let b = ld.list_blocks(Ctx::Simple, table.unwrap()).unwrap()[i / per_block];
+    let mut buf = vec![0u8; ld.block_size()];
+    ld.read(Ctx::Simple, b, &mut buf).unwrap();
+    edit(&mut buf[i % per_block * 32..][..32]);
+    ld.write(Ctx::Simple, b, &buf).unwrap();
+}
+
+/// An inode whose size runs past the blocks on its list is `Corrupt`
+/// for `read_at`, not an index out of bounds.
+#[test]
+fn a_size_past_the_files_blocks_is_refused_not_a_panic() {
+    let mut fs = fresh();
+    let ino = fs.create("/a").unwrap();
+    fs.write_at(ino, 0, &[7; 100]).unwrap();
+    fs.flush().unwrap();
+    let ld = fs.into_ld();
+    edit_inode(&ld, ino, |raw| {
+        raw[4..12].copy_from_slice(&12_293u64.to_le_bytes())
+    });
+    let mut fs = MinixFs::mount(ld, fs_config()).unwrap();
+    assert_eq!(fs.stat(ino).unwrap().size, 12_293);
+    let mut buf = vec![0u8; 16_384];
+    match fs.read_at(ino, 0, &mut buf) {
+        Err(FsError::Corrupt(msg)) => eprintln!("{msg}"),
+        other => panic!("{other:?}"),
+    }
+}
+
 /// The verifier reads the bitmap: a clear bit over a table block with
 /// a free slot is reported (the negative control of the crash sweeps).
 #[test]

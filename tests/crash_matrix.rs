@@ -1,7 +1,16 @@
 //! Randomized crash matrix over the whole stack: random mixed
-//! workloads, random crash points, and the single invariant that matters
-//! — after recovery the file system is consistent and every surviving
-//! file's content prefix is exactly what was written.
+//! workloads and random crash points, under the file system and under
+//! the logical disk alone.
+//!
+//! What a recovered disk is checked against depends on the level. The
+//! logical-disk tests drive the disk through the reference model
+//! (`common/model.rs`) and hold the recovered disk to it: a prefix of
+//! the units the model was told that holds every durable one, each
+//! unit whole or not at all, each write id's outcome exactly where its
+//! effects are (docs/INVARIANTS.md I7 and I8). The file-system tests
+//! (`any_crash_point_recovers_consistent`,
+//! `double_crash_during_recovery_era_is_safe`) check
+//! `MinixFs::verify` and every surviving file's content prefix.
 //!
 //! Cases are generated from a seeded RNG, so every run explores the
 //! same deterministic matrix — once per point of the mode matrix
@@ -13,8 +22,8 @@
 //! prints its seed and the writes it kept; `CRASH_SEED=<seed>` runs it
 //! alone.
 
-use ld_aru::core::{CleanerConfig, Ctx, Lld, LldConfig, Position};
-use ld_aru::disk::{DiskModel, FaultPlan, MemDisk, SimDisk, SmallRng};
+use ld_aru::core::{BlockId, CleanerConfig, Ctx, ListId, Lld, LldConfig, LldError, Position};
+use ld_aru::disk::{BlockDevice, DiskModel, FaultPlan, MemDisk, SimDisk, SmallRng};
 use ld_aru::minixfs::{FsConfig, FsError, MinixFs};
 use ld_aru::workload::pattern_fill;
 
@@ -24,6 +33,9 @@ use common::{
     crash_seeds, random_cut, sim_disk, u64_at, ParkDisk, ReleaseOnDrop, H_LEN, H_SEQ, SECTOR,
     SEGMENT_MAGIC,
 };
+#[path = "../crates/core/tests/common/model.rs"]
+mod model;
+use model::Model;
 
 /// One point of the mode matrix: background cleaner, map shards.
 type Mode = (bool, usize);
@@ -47,7 +59,20 @@ fn with_mode((cleanerd, shards): Mode, base: LldConfig) -> LldConfig {
     }
 }
 
-fn slots_in_use<D: ld_aru::disk::BlockDevice>(ld: &Lld<D>) -> u32 {
+/// Blocks of `bs` bytes, `per_slot` of them to a slot, at most 512
+/// blocks and 64 lists, at point `mode` of the matrix.
+fn small_config(mode: Mode, bs: usize, per_slot: usize) -> LldConfig {
+    let cfg = LldConfig {
+        block_size: bs,
+        segment_bytes: per_slot * bs,
+        max_blocks: Some(512),
+        max_lists: Some(64),
+        ..LldConfig::default()
+    };
+    with_mode(mode, cfg)
+}
+
+fn slots_in_use<D: BlockDevice>(ld: &Lld<D>) -> u32 {
     ld.n_segments() - ld.free_segments()
 }
 
@@ -55,8 +80,33 @@ fn slots_in_use<D: ld_aru::disk::BlockDevice>(ld: &Lld<D>) -> u32 {
 /// (`slots_at_start` in use) that took no new slot. On a log that does
 /// not wrap each of them is a segment whose successor started behind it
 /// in the same slot.
-fn in_slot_seals<D: ld_aru::disk::BlockDevice>(ld: &Lld<D>, slots_at_start: u32) -> u64 {
+fn in_slot_seals<D: BlockDevice>(ld: &Lld<D>, slots_at_start: u32) -> u64 {
     ld.stats().segments_sealed - u64::from(slots_in_use(ld) - slots_at_start)
+}
+
+/// `n` blocks on `list`, each behind the last, through `m`.
+fn chain<D: BlockDevice>(m: &mut Model, ld: &Lld<D>, list: ListId, n: usize) -> Vec<BlockId> {
+    let mut pos = Position::First;
+    let blocks = (0..n).map(|_| {
+        let b = m.new_block(ld, Ctx::Simple, list, pos).unwrap();
+        pos = Position::After(b);
+        b
+    });
+    blocks.collect()
+}
+
+/// An ARU that writes `data(k)` to the `k`th of `blocks`, through `m`.
+fn unit<D: BlockDevice>(
+    m: &mut Model,
+    ld: &Lld<D>,
+    blocks: &[BlockId],
+    data: impl Fn(usize) -> Vec<u8>,
+) -> Result<(), LldError> {
+    let aru = ld.begin_aru()?;
+    for (k, &b) in blocks.iter().enumerate() {
+        m.write(ld, Ctx::Aru(aru), b, &data(k))?;
+    }
+    m.end_aru(ld, aru)
 }
 
 fn ld_config(mode: Mode) -> LldConfig {
@@ -158,10 +208,10 @@ fn any_crash_point(mode: Mode) {
 /// relocation windows, inside a relocation window, during the covering
 /// checkpoint, and after the release sweep (segment writes, checkpoint
 /// writes, and relocation writes from the cleaner thread all advance
-/// the same byte budget the fault plan counts). After recovery:
-/// committed ARUs are all-or-nothing (two hot blocks written by the
-/// same ARU always read the same generation), no relocated cold
-/// block is lost, and the disk stays usable. Exercised at 1 and 8 map
+/// the same byte budget the fault plan counts). After recovery the
+/// disk is the model after a prefix of the history that holds every
+/// flushed ARU (so no relocated cold block is lost and no pair of hot
+/// blocks is torn), and it stays usable. Exercised at 1 and 8 map
 /// shards. The sweep has to contain the ending with no checkpoint: a
 /// pass over covered victims, each handed back as it empties.
 ///
@@ -177,16 +227,7 @@ fn any_crash_point(mode: Mode) {
 fn background_clean_crash_points_are_all_or_nothing() {
     for mode in MODES.into_iter().filter(|&(cleanerd, _)| cleanerd) {
         let shards = format!("{mode:?}");
-        let cfg = with_mode(
-            mode,
-            LldConfig {
-                block_size: 512,
-                segment_bytes: 8 * 512,
-                max_blocks: Some(512),
-                max_lists: Some(64),
-                ..LldConfig::default()
-            },
-        );
+        let cfg = small_config(mode, 512, 8);
         let mut crashes = 0u32;
         let mut background_passes = 0u64;
         let mut released_without_a_checkpoint = 0;
@@ -195,30 +236,23 @@ fn background_clean_crash_points_are_all_or_nothing() {
             let sim = SimDisk::new(MemDisk::new(cap as u64), DiskModel::hp_c3010())
                 .with_faults(FaultPlan::new().crash_after_bytes(crash_at));
             let ld = Lld::format(sim, &cfg).unwrap();
+            let mut m = Model::default();
 
             // Cold blocks, flushed before the churn: the cleaner will
-            // relocate them many times over; none may be lost.
-            let l = ld.new_list(Ctx::Simple).unwrap();
-            let mut cold = Vec::new();
-            let mut prev = None;
-            for i in 0..6u8 {
-                let pos = match prev {
-                    None => Position::First,
-                    Some(p) => Position::After(p),
-                };
-                let b = ld.new_block(Ctx::Simple, l, pos).unwrap();
-                ld.write(Ctx::Simple, b, &vec![0xE0 + i; 512]).unwrap();
-                cold.push(b);
-                prev = Some(b);
+            // relocate them many times over.
+            let l = m.new_list(&ld, Ctx::Simple).unwrap();
+            for (i, b) in chain(&mut m, &ld, l, 6).into_iter().enumerate() {
+                m.write(&ld, Ctx::Simple, b, &[0xE0 + i as u8; 512])
+                    .unwrap();
             }
-            let hot = ld.new_list(Ctx::Simple).unwrap();
-            let hot = common::churn_ring(&ld, hot, None);
+            // The hot ring: as many blocks as a slot has
+            // (`common::churn_ring`).
+            let hot = m.new_list(&ld, Ctx::Simple).unwrap();
+            let hot = chain(&mut m, &ld, hot, ld.segment_bytes() / ld.block_size());
             let pairs: Vec<&[_]> = hot.chunks(2).collect();
-            ld.flush().unwrap();
+            m.flush(&ld).unwrap();
 
-            // Hot churn: each ARU overwrites both blocks of a hot pair
-            // with the same byte, so after any crash a recovered pair
-            // must match — a torn pair means a torn ARU.
+            // Hot churn: each ARU overwrites both blocks of a hot pair.
             let mut crashed = false;
             // Free slots, reserve passes and checkpoints as of the
             // ARU before, and the ARU that last saw a checkpoint.
@@ -227,16 +261,11 @@ fn background_clean_crash_points_are_all_or_nothing() {
             for i in 0..2500usize {
                 let byte = (i % 251) as u8;
                 let pair = pairs[i % pairs.len()];
-                let res = (|| {
-                    let aru = ld.begin_aru()?;
-                    ld.write(Ctx::Aru(aru), pair[0], &vec![byte; 512])?;
-                    ld.write(Ctx::Aru(aru), pair[1], &vec![byte; 512])?;
-                    ld.end_aru(aru)?;
-                    if i % 16 == 0 {
-                        ld.flush()?;
-                    }
-                    Ok::<(), ld_aru::core::LldError>(())
-                })();
+                let res =
+                    unit(&mut m, &ld, pair, |_| vec![byte; 512]).and_then(|()| match i % 16 {
+                        0 => m.flush(&ld),
+                        _ => Ok(()),
+                    });
                 if res.is_err() {
                     crashed = true;
                     break;
@@ -274,24 +303,7 @@ fn background_clean_crash_points_are_all_or_nothing() {
             let at = format!("{shards}, {cut}");
             let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg)
                 .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
-
-            for (i, &b) in cold.iter().enumerate() {
-                let mut buf = vec![0u8; 512];
-                ld2.read(Ctx::Simple, b, &mut buf)
-                    .unwrap_or_else(|e| panic!("{at}: cold block {i} lost: {e}"));
-                assert_eq!(
-                    buf,
-                    vec![0xE0 + i as u8; 512],
-                    "{at}: cold block {i} corrupt"
-                );
-            }
-            for pair in pairs {
-                let mut b0 = vec![0u8; 512];
-                let mut b1 = vec![0u8; 512];
-                ld2.read(Ctx::Simple, pair[0], &mut b0).unwrap();
-                ld2.read(Ctx::Simple, pair[1], &mut b1).unwrap();
-                assert_eq!(b0, b1, "{at}: torn ARU ({} vs {})", b0[0], b1[0]);
-            }
+            m.check(&ld2, &at);
 
             // The disk stays fully usable after recovery.
             let nb = ld2.new_block(Ctx::Simple, l, Position::First).unwrap();
@@ -324,46 +336,35 @@ fn background_clean_crash_points_are_all_or_nothing() {
 #[test]
 fn a_cut_with_a_hand_off_in_flight_ends_the_log_before_it() {
     const BS: usize = 512;
-    let cfg = with_mode(
-        (true, 8),
-        LldConfig {
-            block_size: BS,
-            segment_bytes: 16 * BS,
-            max_blocks: Some(512),
-            max_lists: Some(64),
-            ..LldConfig::default()
-        },
-    );
+    let cfg = small_config((true, 8), BS, 16);
     for prefix in 1..=4usize {
         let ld = Lld::format(ParkDisk::new(4 << 20), &cfg).unwrap();
         let dev = ld.device();
-        let list = ld.new_list(Ctx::Simple).unwrap();
+        let mut m = Model::default();
+        let list = m.new_list(&ld, Ctx::Simple).unwrap();
         let mut blocks = Vec::new();
         for i in 0..24 {
-            blocks.push(ld.new_block(Ctx::Simple, list, Position::First).unwrap());
+            blocks.push(
+                m.new_block(&ld, Ctx::Simple, list, Position::First)
+                    .unwrap(),
+            );
             if i % 6 == 5 {
-                ld.flush().unwrap();
+                m.flush(&ld).unwrap();
             }
         }
         let pairs: Vec<&[_]> = blocks.chunks(2).collect();
-        let mut written = vec![0u8; pairs.len()];
         let mut units = 0..;
-        let mut commit_next = |written: &mut Vec<u8>| {
+        let mut commit_next = |m: &mut Model| {
             let u: usize = units.next().unwrap();
             let (p, gen) = (u % pairs.len(), 1 + (u / pairs.len()) as u8);
-            let aru = ld.begin_aru().unwrap();
-            for &b in pairs[p] {
-                ld.write(Ctx::Aru(aru), b, &vec![gen; BS]).unwrap();
-            }
-            ld.end_aru(aru).unwrap();
-            written[p] = gen;
+            unit(m, &ld, pairs[p], |_| vec![gen; BS]).unwrap();
         };
 
         // One lap and `prefix` more pairs of units, flushed two at a time.
         for _ in 0..pairs.len() / 2 + prefix {
-            commit_next(&mut written);
-            commit_next(&mut written);
-            ld.flush().unwrap();
+            commit_next(&mut m);
+            commit_next(&mut m);
+            m.flush(&ld).unwrap();
         }
         // From here on what the thread is handed parks. N is the first
         // seal behind a flush that it is: one sealed while the thread
@@ -372,58 +373,46 @@ fn a_cut_with_a_hand_off_in_flight_ends_the_log_before_it() {
         dev.park_on("ld-cleanerd", layout.segment_offset(0)..u64::MAX);
         let _release = ReleaseOnDrop(dev);
         let seals = || ld.stats().segments_sealed;
-        let flushed = loop {
-            ld.flush().unwrap();
-            let (flushed, sealed) = (written.clone(), seals());
+        loop {
+            m.flush(&ld).unwrap();
+            let sealed = seals();
             let handed_off = ld.stats().seals_handed_off;
             while seals() == sealed {
-                commit_next(&mut written);
+                commit_next(&mut m);
             }
             if ld.stats().seals_handed_off > handed_off {
-                break flushed;
+                break;
             }
-        };
+        }
         dev.wait_for("N's write parks on the thread", |st| st.parked == 1);
         let (sealed, on_device) = (seals(), dev.state.lock().seals());
         while seals() == sealed {
-            commit_next(&mut written);
+            commit_next(&mut m);
         }
-        commit_next(&mut written);
+        commit_next(&mut m);
         {
             let st = dev.state.lock();
             assert_eq!(st.seals(), on_device + 1, "prefix {prefix}: N+1");
             assert_eq!(st.parked, 1, "prefix {prefix}: N is still with the thread");
         }
 
-        let generations = |image: MemDisk, at: &str| -> Vec<u8> {
+        let recovered = |image: MemDisk, m: &Model, at: &str| {
             let (ld2, _) = Lld::recover_with(image, &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
-            let got = pairs.iter().enumerate().map(|(i, pair)| {
-                let mut both = [vec![0u8; BS], vec![0u8; BS]];
-                for (buf, &b) in both.iter_mut().zip(*pair) {
-                    ld2.read(Ctx::Simple, b, buf).unwrap();
-                    assert!(
-                        buf.iter().all(|&x| x == buf[0]),
-                        "{at}: pair {i}, a mixed block"
-                    );
-                }
-                assert_eq!(both[0], both[1], "{at}: pair {i} torn");
-                both[0][0]
-            });
-            let got = got.collect();
+            let k = m.check(&ld2, at);
             // The recovered disk is usable.
             let nb = ld2.new_block(Ctx::Simple, list, Position::First).unwrap();
             ld2.write(Ctx::Simple, nb, &vec![0x11; BS]).unwrap();
             ld2.flush().unwrap();
-            got
+            k
         };
         let at = format!("prefix {prefix}, cut with N in flight");
-        assert_ne!(flushed, written, "{at}: nothing to lose");
-        assert_eq!(generations(dev.cut(), &at), flushed, "{at}");
+        assert!(m.durable() < m.acknowledged(), "{at}: nothing to lose");
+        assert_eq!(recovered(dev.cut(), &m, &at), m.durable(), "{at}");
 
         dev.release(true);
-        ld.flush().unwrap();
+        m.flush(&ld).unwrap();
         let at = format!("prefix {prefix}, cut after the next flush");
-        assert_eq!(generations(dev.cut(), &at), written, "{at}");
+        assert_eq!(recovered(dev.cut(), &m, &at), m.acknowledged(), "{at}");
     }
 }
 
@@ -502,8 +491,9 @@ fn double_crash(mode: Mode) {
 /// pair at *any* power-cut point — including between the dedup-journal
 /// record hitting the medium and the commit record that follows it
 /// (torn at byte granularity so the cut can land inside that gap).
-/// Invariant after recovery: `write_id_lookup` has an outcome for a
-/// transaction if and only if the transaction's effects are present.
+/// After recovery `write_id_lookup` has an outcome for a transaction if
+/// and only if the transaction's effects are present, at one prefix of
+/// the history (docs/INVARIANTS.md I8).
 #[test]
 fn dedup_journal_and_commit_survive_any_cut_together() {
     modes_without_cleaning().for_each(dedup_journal_and_commit);
@@ -529,8 +519,9 @@ fn dedup_journal_and_commit(mode: Mode) {
     for crash_after in crash_seeds(points) {
         let sim = SimDisk::new(MemDisk::new(16 << 20), DiskModel::hp_c3010());
         let ld = Lld::format(sim, &cfg).unwrap();
-        let list = ld.new_list(Ctx::Simple).unwrap();
-        ld.flush().unwrap();
+        let mut m = Model::default();
+        let list = m.new_list(&ld, Ctx::Simple).unwrap();
+        m.flush(&ld).unwrap();
         // Arm the cut only now, so the offset lands inside the tagged
         // workload.
         ld.device().set_faults(
@@ -539,18 +530,15 @@ fn dedup_journal_and_commit(mode: Mode) {
                 .torn_granularity(1),
         );
 
-        let mut attempted = 0u64;
         for wid in 1..=400u64 {
-            attempted = wid;
-            let tagged_sync = || -> Result<(), ld_aru::core::LldError> {
+            let mut tagged_sync = || -> Result<(), LldError> {
                 let aru = ld.begin_aru()?;
-                let b = ld.new_block(Ctx::Aru(aru), list, Position::First)?;
+                let b = m.new_block(&ld, Ctx::Aru(aru), list, Position::First)?;
                 let mut data = vec![0u8; BS];
                 data[..8].copy_from_slice(&wid.to_le_bytes());
-                ld.write(Ctx::Aru(aru), b, &data)?;
-                ld.end_aru_tagged(aru, CLIENT, 1, wid)?;
-                ld.flush()?;
-                Ok(())
+                m.write(&ld, Ctx::Aru(aru), b, &data)?;
+                m.end_aru_tagged(&ld, aru, CLIENT, 1, wid)?;
+                m.flush(&ld)
             };
             if tagged_sync().is_err() {
                 break;
@@ -562,22 +550,7 @@ fn dedup_journal_and_commit(mode: Mode) {
         let case = format!("{mode:?} {cut}");
         let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg)
             .unwrap_or_else(|e| panic!("{case}: {e}"));
-
-        // Which transactions' effects survived?
-        let mut present = std::collections::HashSet::new();
-        for b in ld2.list_blocks(Ctx::Simple, list).unwrap() {
-            let mut buf = vec![0u8; BS];
-            ld2.read(Ctx::Simple, b, &mut buf).unwrap();
-            let wid = u64::from_le_bytes(buf[..8].try_into().unwrap());
-            assert!(present.insert(wid), "{case}: write_id {wid} applied twice");
-        }
-        for wid in 1..=attempted {
-            assert_eq!(
-                ld2.write_id_lookup(CLIENT, wid).is_some(),
-                present.contains(&wid),
-                "{case}: write_id {wid} dedup/effects split-brain"
-            );
-        }
+        m.check(&ld2, &case);
     }
     assert!(
         in_slot > 0,
@@ -603,110 +576,60 @@ fn ack_config(shards: usize) -> LldConfig {
     }
 }
 
-/// One three-block ARU attempt: its list, blocks, pattern tag, and how
-/// far it got before the power cut.
-#[derive(Debug)]
-struct AruRecord {
-    list: ld_aru::core::ListId,
-    blocks: Vec<ld_aru::core::BlockId>,
-    tag: u8,
-    committed: bool,
-    durable: bool,
-}
-
-fn ack_block(tag: u8, k: usize) -> Vec<u8> {
-    vec![tag ^ ((k as u8) << 6); 512]
-}
-
-/// Runs up to `n` three-block ARUs, each committing with `end_aru`
-/// followed by `flush`, stopping at the first device error.
-fn run_acked_arus(ld: &Lld<SimDisk<MemDisk>>, n: u8) -> Vec<AruRecord> {
-    let mut out = Vec::new();
+/// Up to `n` ARUs through `m`, each three blocks on a list of its own,
+/// committed with `end_aru` and then flushed; the first error ends them.
+fn three_block_arus<D: BlockDevice>(m: &mut Model, ld: &Lld<D>, n: u8) {
     for tag in 1..=n {
-        let Ok(aru) = ld.begin_aru() else { break };
-        let Ok(list) = ld.new_list(Ctx::Aru(aru)) else {
-            break;
+        let mut aru = || -> Result<(), LldError> {
+            let aru = ld.begin_aru()?;
+            let list = m.new_list(ld, Ctx::Aru(aru))?;
+            let mut pos = Position::First;
+            for k in 0..3u8 {
+                let b = m.new_block(ld, Ctx::Aru(aru), list, pos)?;
+                m.write(ld, Ctx::Aru(aru), b, &[tag ^ (k << 6); 512])?;
+                pos = Position::After(b);
+            }
+            m.end_aru(ld, aru)?;
+            m.flush(ld)
         };
-        let mut rec = AruRecord {
-            list,
-            blocks: Vec::new(),
-            tag,
-            committed: false,
-            durable: false,
-        };
-        let placed = (0..3).try_for_each(|k| {
-            let pos = rec
-                .blocks
-                .last()
-                .map_or(Position::First, |&p| Position::After(p));
-            let b = ld.new_block(Ctx::Aru(aru), list, pos)?;
-            rec.blocks.push(b);
-            ld.write(Ctx::Aru(aru), b, &ack_block(tag, k))
-        });
-        rec.committed = placed.is_ok() && ld.end_aru(aru).is_ok();
-        rec.durable = rec.committed && ld.flush().is_ok();
-        let done = !rec.durable;
-        out.push(rec);
-        if done {
+        if aru().is_err() {
             break;
         }
     }
-    out
-}
-
-/// Recovers the crash image and checks every record: a durable ARU is
-/// there whole, any other is there whole and committed or not at all,
-/// and every block holds its pattern. Returns the durable ARUs.
-fn check_acked(image: Vec<u8>, cfg: &LldConfig, records: &[AruRecord], at: &str) -> usize {
-    let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), cfg)
-        .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
-    let mut durable = 0;
-    let mut buf = vec![0u8; 512];
-    for rec in records {
-        let survived = ld2.list_blocks(Ctx::Simple, rec.list).unwrap_or_default();
-        if rec.durable {
-            assert_eq!(survived, rec.blocks, "{at}: durable ARU {} lost", rec.tag);
-            durable += 1;
-        }
-        if survived.is_empty() {
-            continue;
-        }
-        assert!(rec.committed, "{at}: ARU {} survived uncommitted", rec.tag);
-        assert_eq!(survived, rec.blocks, "{at}: ARU {} torn", rec.tag);
-        for (k, &b) in survived.iter().enumerate() {
-            ld2.read(Ctx::Simple, b, &mut buf).unwrap();
-            assert_eq!(
-                buf,
-                ack_block(rec.tag, k),
-                "{at}: ARU {} block {k}",
-                rec.tag
-            );
-        }
-    }
-    durable
 }
 
 /// Sweeps a byte budget across format and the whole workload: every
 /// cut recovers all-or-nothing, and every flush acknowledged before it
-/// survives. Some flushes must continue in their slot.
+/// survives. The last budget never runs out, so the power is cut right
+/// after the last acknowledgment: a flush that returned before its
+/// writes were on the device would lose an ARU there. Some flushes must
+/// continue in their slot.
 fn power_cut_sweep(shards: usize) {
     let cfg = ack_config(shards);
     let mut in_slot = 0;
-    for crash_after in crash_seeds((0..24).map(|case| 2_000 + case * 2_500)) {
+    let budgets = (0..24).map(|case| 2_000 + case * 2_500).chain([u64::MAX]);
+    for crash_after in crash_seeds(budgets) {
         let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010())
             .with_faults(FaultPlan::new().crash_after_bytes(crash_after));
         let ld = match Lld::format(sim, &cfg) {
             Ok(ld) => ld,
             // The budget can be shorter than format itself.
-            Err(ld_aru::core::LldError::Disk(_)) => continue,
+            Err(LldError::Disk(_)) => continue,
             Err(e) => panic!("shards {shards}, crash {crash_after}: format: {e}"),
         };
-        let records = run_acked_arus(&ld, 10);
+        let mut m = Model::default();
+        three_block_arus(&mut m, &ld, 10);
         in_slot += in_slot_seals(&ld, 1);
         // A budget that outlived the workload is cut now.
         let (image, cut) = ld.into_device().crash_image();
         let at = format!("shards {shards}, {cut}");
-        check_acked(image, &cfg, &records, &at);
+        let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg)
+            .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+        let k = m.check(&ld2, &at);
+        if crash_after == u64::MAX {
+            // Five units an ARU: its list, three blocks, its commit.
+            assert_eq!((m.durable(), k), (50, 50), "{at}: no fault armed");
+        }
     }
     assert!(in_slot > 0, "shards {shards}: every seal took a slot");
 }
@@ -719,31 +642,6 @@ fn power_cut_sweep_is_all_or_nothing_single_shard() {
 #[test]
 fn power_cut_sweep_is_all_or_nothing_eight_shards() {
     power_cut_sweep(8);
-}
-
-/// With no fault armed, sync-commit ten ARUs and cut the power right
-/// after the last acknowledgment: a flush that returned before its
-/// writes were on the device would lose an ARU here.
-fn sync_ack_means_durable(shards: usize) {
-    let cfg = ack_config(shards);
-    let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010());
-    let ld = Lld::format(sim, &cfg).unwrap();
-    let records = run_acked_arus(&ld, 10);
-    assert!(records.iter().all(|r| r.durable), "no fault armed");
-    assert!(in_slot_seals(&ld, 1) > 0, "every seal took a slot");
-    let (image, cut) = ld.into_device().crash_image();
-    let at = format!("shards {shards}, cut after the last ack, {cut}");
-    assert_eq!(check_acked(image, &cfg, &records, &at), 10, "{at}");
-}
-
-#[test]
-fn sync_ack_means_durable_single_shard() {
-    sync_ack_means_durable(1);
-}
-
-#[test]
-fn sync_ack_means_durable_eight_shards() {
-    sync_ack_means_durable(8);
 }
 
 // ----------------------------------------------------------------------
@@ -784,9 +682,9 @@ fn seals_in_log_order(dev: &SimDisk<MemDisk>) -> Vec<[usize; 2]> {
 /// check; then go on writing on the recovered disk, crash the same way
 /// and check again — the second crash is the one that finds a recovery
 /// which skipped a gap in the log instead of refilling it. Checked
-/// after each: every pair reads one generation in both blocks
-/// (all-or-nothing), that generation is at least the last flushed one
-/// (no durable commit lost) and at most the last written.
+/// after each: the disk is the model after a prefix of the ARUs that
+/// holds every flushed one, and what it recovered to is the model the
+/// next round goes on from.
 ///
 /// The device is large enough that the log never wraps (the cuts that
 /// reach a wrapping log are those of the byte-budget sweeps above and
@@ -804,65 +702,40 @@ fn reordered_persistence_keeps_flushed_commits_across_two_crashes() {
 
 fn reordered_persistence(mode: Mode) {
     const BS: usize = 512;
-    let cfg = with_mode(
-        mode,
-        LldConfig {
-            block_size: BS,
-            segment_bytes: 16 * BS,
-            max_blocks: Some(512),
-            max_lists: Some(64),
-            ..LldConfig::default()
-        },
-    );
-    struct Pair {
-        blocks: [ld_aru::core::BlockId; 2],
-        flushed: u8,
-        written: u8,
-    }
+    let cfg = small_config(mode, BS, 16);
     for seed in crash_seeds(0..32) {
         let mut rng = SmallRng::seed_from_u64(0xC4A5_4004 ^ seed);
         let ld = Lld::format(sim_disk(vec![0u8; 16 << 20]), &cfg).unwrap();
-        let list = ld.new_list(Ctx::Simple).unwrap();
-        let mut pairs: Vec<Pair> = Vec::new();
+        let mut m = Model::default();
+        let list = m.new_list(&ld, Ctx::Simple).unwrap();
         // Twice as many blocks as a segment holds: the pair an ARU picks
         // is sometimes still in the open segment, where its writes take
         // the place of the last version (docs/INVARIANTS.md I5), and
         // more often in a sealed one, so that the log grows.
-        for _ in 0..16 {
-            let b0 = ld.new_block(Ctx::Simple, list, Position::First).unwrap();
-            let b1 = ld.new_block(Ctx::Simple, list, Position::First).unwrap();
-            for b in [b0, b1] {
-                ld.write(Ctx::Simple, b, &vec![0u8; BS]).unwrap();
-            }
-            pairs.push(Pair {
-                blocks: [b0, b1],
-                flushed: 0,
-                written: 0,
-            });
+        let pairs: Vec<Vec<_>> = (0..16).map(|_| chain(&mut m, &ld, list, 2)).collect();
+        for &b in pairs.iter().flatten() {
+            m.write(&ld, Ctx::Simple, b, &[0; BS]).unwrap();
         }
-        ld.flush().unwrap();
+        m.flush(&ld).unwrap();
+        // The generation each pair was last written with.
+        let mut gens = vec![0u8; pairs.len()];
 
         let mut ld = ld;
         let mut slots_at_start = 1;
         for round in 0..2 {
             for _ in 0..40 + rng.gen_index(80) {
                 let p = rng.gen_index(pairs.len());
-                let gen = pairs[p].written + 1;
-                let aru = ld.begin_aru().unwrap();
-                for b in pairs[p].blocks {
-                    ld.write(Ctx::Aru(aru), b, &vec![gen; BS]).unwrap();
-                }
-                ld.end_aru(aru).unwrap();
-                pairs[p].written = gen;
+                gens[p] += 1;
+                unit(&mut m, &ld, &pairs[p], |_| vec![gens[p]; BS]).unwrap();
                 // Rare enough that a crash finds several unflushed
                 // seals (seven ARUs fill a segment).
                 match rng.gen_index(48) {
-                    0 | 1 => ld.flush().unwrap(),
-                    2 => ld.checkpoint().unwrap(),
-                    _ => continue,
-                }
-                for p in &mut pairs {
-                    p.flushed = p.written;
+                    0 | 1 => m.flush(&ld).unwrap(),
+                    2 => {
+                        ld.checkpoint().unwrap();
+                        m.synced();
+                    }
+                    _ => {}
                 }
             }
             assert!(
@@ -874,29 +747,9 @@ fn reordered_persistence(mode: Mode) {
             let at = format!("{mode:?} CRASH_SEED={seed} round {round}, kept writes {kept:?}");
             let (ld2, _) =
                 Lld::recover_with(sim_disk(image), &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
-            for (i, p) in pairs.iter_mut().enumerate() {
-                let mut got = [0u8; 2];
-                for (g, b) in got.iter_mut().zip(p.blocks) {
-                    let mut buf = vec![0u8; BS];
-                    ld2.read(Ctx::Simple, b, &mut buf).unwrap();
-                    assert!(
-                        buf.iter().all(|&x| x == buf[0]),
-                        "{at}: pair {i} holds a mixed block"
-                    );
-                    *g = buf[0];
-                }
-                assert_eq!(got[0], got[1], "{at}: pair {i} torn");
-                assert!(
-                    (p.flushed..=p.written).contains(&got[0]),
-                    "{at}: pair {i} reads generation {}, flushed {} written {}",
-                    got[0],
-                    p.flushed,
-                    p.written
-                );
-                // What recovery found is what the medium holds.
-                p.flushed = got[0];
-                p.written = got[0];
-            }
+            // What recovery found is what the medium holds.
+            let k = m.check(&ld2, &at);
+            m.restart(k);
             slots_at_start = slots_in_use(&ld2);
             ld = ld2;
         }
@@ -905,51 +758,25 @@ fn reordered_persistence(mode: Mode) {
 
 const SEAL_BS: usize = 512;
 
-/// The generation both blocks of every pair hold, which must be one.
-fn pair_generations<D: ld_aru::disk::BlockDevice>(
+/// Two-block units on `pairs` through `m`, from `first` on, generation
+/// `gen + i` for the `i`th, until one of them seals a segment. Returns
+/// the last unit whose commit record the sealed segment holds: the one
+/// before the unit that sealed it, since a seal happens when something
+/// does not fit and that unit's commit record goes to the next segment.
+fn units_until_a_seal<D: BlockDevice>(
+    m: &mut Model,
     ld: &Lld<D>,
-    pairs: &[[ld_aru::core::BlockId; 2]],
-    at: &str,
-) -> Vec<u8> {
-    let generation = |b| {
-        let mut buf = vec![0u8; SEAL_BS];
-        ld.read(Ctx::Simple, b, &mut buf).unwrap();
-        assert!(buf.iter().all(|&x| x == buf[0]), "{at}: a mixed block");
-        buf[0]
-    };
-    let got = pairs.iter().enumerate().map(|(i, &[b0, b1])| {
-        let g = generation(b0);
-        assert_eq!(g, generation(b1), "{at}: pair {i} torn");
-        g
-    });
-    got.collect()
-}
-
-/// Two-block units on `pairs`, from `first` on, generation `gen + i` for
-/// the `i`th, until one of them seals a segment. Returns the
-/// generations as they stand after the units whose commit records the
-/// sealed segment holds, which are all those before the one that
-/// sealed it: a seal happens when something does not fit, and that
-/// unit's commit record goes to the next segment.
-fn units_until_a_seal<D: ld_aru::disk::BlockDevice>(
-    ld: &Lld<D>,
-    pairs: &[[ld_aru::core::BlockId; 2]],
-    mut generations: Vec<u8>,
+    pairs: &[Vec<BlockId>],
     first: usize,
     gen: u8,
-) -> Vec<u8> {
+) -> usize {
     let sealed = ld.stats().segments_sealed;
     for i in 0..pairs.len() {
-        let (p, g) = ((first + i) % pairs.len(), gen + i as u8);
-        let aru = ld.begin_aru().unwrap();
-        for b in pairs[p] {
-            ld.write(Ctx::Aru(aru), b, &[g; SEAL_BS]).unwrap();
-        }
-        ld.end_aru(aru).unwrap();
+        let (before, p, g) = (m.acknowledged(), (first + i) % pairs.len(), gen + i as u8);
+        unit(m, ld, &pairs[p], |_| vec![g; SEAL_BS]).unwrap();
         if ld.stats().segments_sealed > sealed {
-            return generations;
+            return before;
         }
-        generations[p] = g;
     }
     panic!("{} units sealed no segment", pairs.len());
 }
@@ -980,46 +807,39 @@ fn a_seal_is_all_or_nothing_under_any_subset_of_its_two_writes() {
 }
 
 fn two_write_seal(shards: usize) {
-    let cfg = with_mode(
-        (true, shards),
-        LldConfig {
-            block_size: SEAL_BS,
-            segment_bytes: 16 * SEAL_BS,
-            max_blocks: Some(512),
-            max_lists: Some(64),
-            ..LldConfig::default()
-        },
-    );
+    let cfg = small_config((true, shards), SEAL_BS, 16);
     let ld = Lld::format(sim_disk(vec![0xA5; 4 << 20]), &cfg).unwrap();
-    let list = ld.new_list(Ctx::Simple).unwrap();
+    let mut m = Model::default();
+    let list = m.new_list(&ld, Ctx::Simple).unwrap();
     // More blocks than a segment holds: every unit appends.
-    let pairs: Vec<[ld_aru::core::BlockId; 2]> = (0..12)
-        .map(|_| [(); 2].map(|()| ld.new_block(Ctx::Simple, list, Position::First).unwrap()))
-        .collect();
-    for b in pairs.iter().flatten() {
-        ld.write(Ctx::Simple, *b, &[1; SEAL_BS]).unwrap();
+    let pairs: Vec<Vec<_>> = (0..12).map(|_| chain(&mut m, &ld, list, 2)).collect();
+    for &b in pairs.iter().flatten() {
+        m.write(&ld, Ctx::Simple, b, &[1; SEAL_BS]).unwrap();
     }
-    ld.flush().unwrap();
-    let flushed = vec![1u8; pairs.len()];
-    let whole = units_until_a_seal(&ld, &pairs, flushed.clone(), 0, 2);
-    assert_ne!(whole, flushed, "shards {shards}: the segment holds no unit");
+    m.flush(&ld).unwrap();
+    let flushed = m.durable();
+    let whole = units_until_a_seal(&mut m, &ld, &pairs, 0, 2);
+    assert!(
+        whole > flushed,
+        "shards {shards}: the segment holds no unit"
+    );
     let handed_off = ld.stats().seals_handed_off;
     let dev = ld.into_device(); // `cleanerd` writes what it was handed first
     let seals = seals_in_log_order(&dev);
     assert_eq!(seals.len(), 1, "shards {shards}: one seal since the flush");
     let [header, body] = seals[0];
 
-    let recovered = |image: Vec<u8>, at: &str| {
+    let recovered = |image: Vec<u8>, m: &Model, at: &str| {
         let (ld2, _) =
             Lld::recover_with(sim_disk(image), &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
-        let got = pair_generations(&ld2, &pairs, at);
-        (ld2, got)
+        let k = m.check(&ld2, at);
+        (ld2, k)
     };
     for (kept, want) in [
-        ("neither write", &flushed),
-        ("the header", &flushed),
-        ("the body", &flushed),
-        ("both writes", &whole),
+        ("neither write", flushed),
+        ("the header", flushed),
+        ("the body", flushed),
+        ("both writes", whole),
     ] {
         let keep = |i| match kept {
             "the header" => i == header,
@@ -1028,15 +848,16 @@ fn two_write_seal(shards: usize) {
             _ => false,
         };
         let at = format!("shards {shards}, a cut that keeps {kept}");
-        assert_eq!(&recovered(dev.crash_keeping(keep), &at).1, want, "{at}");
+        assert_eq!(recovered(dev.crash_keeping(keep), &m, &at).1, want, "{at}");
     }
 
     let at = format!("shards {shards}, the abandoned timeline");
-    let (ld2, got) = recovered(dev.crash_keeping(|i| i == header), &at);
-    assert_eq!(got, flushed, "{at}");
+    let (ld2, k) = recovered(dev.crash_keeping(|i| i == header), &m, &at);
+    assert_eq!(k, flushed, "{at}");
+    m.restart(k);
     // Other pairs, other generations: another summary.
-    let again = units_until_a_seal(&ld2, &pairs, flushed.clone(), 6, 40);
-    assert_ne!(again, flushed, "{at}: the segment holds no unit");
+    let again = units_until_a_seal(&mut m, &ld2, &pairs, 6, 40);
+    assert!(again > flushed, "{at}: the segment holds no unit");
     let dev2 = ld2.into_device();
     let seals2 = seals_in_log_order(&dev2);
     assert_eq!(seals2.len(), 1, "{at}: one seal since recovery");
@@ -1050,12 +871,12 @@ fn two_write_seal(shards: usize) {
     );
     assert_ne!(old.1, new.1, "{at}: another header");
     assert_eq!(
-        recovered(dev2.crash_keeping(|_| true), &at).1,
+        recovered(dev2.crash_keeping(|_| true), &m, &at).1,
         again,
         "{at}"
     );
     let only_the_new_body = dev2.crash_keeping(|i| i == body2);
-    assert_eq!(recovered(only_the_new_body, &at).1, flushed, "{at}");
+    assert_eq!(recovered(only_the_new_body, &m, &at).1, flushed, "{at}");
     eprintln!("shards {shards}: {handed_off} seals handed off; every subset recovers whole");
 }
 
@@ -1068,24 +889,7 @@ const C4_BS: usize = 512;
 /// Small slots, at `shards` map shards, with the pass on the caller's
 /// thread (`Lld::run_cleaner` runs it where a test wants it).
 fn c4_config(shards: usize) -> LldConfig {
-    let mut cfg = LldConfig {
-        block_size: C4_BS,
-        segment_bytes: 8 * C4_BS,
-        max_blocks: Some(512),
-        max_lists: Some(64),
-        map_shards: shards,
-        ..LldConfig::default()
-    };
-    cfg.cleaner.background = false;
-    cfg
-}
-
-/// The byte block `b` of `ld` is filled with; a mixed block panics.
-fn c4_read<D: ld_aru::disk::BlockDevice>(ld: &Lld<D>, b: ld_aru::core::BlockId, at: &str) -> u8 {
-    let mut buf = vec![0u8; C4_BS];
-    ld.read(Ctx::Simple, b, &mut buf).unwrap();
-    assert!(buf.iter().all(|&x| x == buf[0]), "{at}: a mixed block");
-    buf[0]
+    small_config((false, shards), C4_BS, 8)
 }
 
 /// A `SimDisk` whose barriers fail once `refuse` is set, leaving every
@@ -1096,7 +900,7 @@ struct RefusedBarriers {
     refuse: std::sync::atomic::AtomicBool,
 }
 
-impl ld_aru::disk::BlockDevice for RefusedBarriers {
+impl BlockDevice for RefusedBarriers {
     fn capacity(&self) -> u64 {
         self.sim.capacity()
     }
@@ -1133,23 +937,22 @@ fn a_checkpoint_header_is_written_behind_what_it_covers() {
         };
         let ld = Lld::format(dev, &cfg).unwrap();
         let (layout, _, _) = Lld::probe(ld.device()).unwrap();
-        let list = ld.new_list(Ctx::Simple).unwrap();
+        let mut m = Model::default();
+        let list = m.new_list(&ld, Ctx::Simple).unwrap();
         let blocks: Vec<_> = (0..6)
-            .map(|_| ld.new_block(Ctx::Simple, list, Position::First).unwrap())
+            .map(|_| {
+                m.new_block(&ld, Ctx::Simple, list, Position::First)
+                    .unwrap()
+            })
             .collect();
-        let put = |v: u8| {
-            let aru = ld.begin_aru().unwrap();
-            for &b in &blocks {
-                ld.write(Ctx::Aru(aru), b, &[v; C4_BS]).unwrap();
-            }
-            ld.end_aru(aru).unwrap();
-        };
-        put(1);
+        let put = |m: &mut Model, v: u8| unit(m, &ld, &blocks, |_| vec![v; C4_BS]).unwrap();
+        put(&mut m, 1);
         ld.checkpoint().unwrap();
+        m.synced();
         let older = ld.checkpoint_seq();
-        put(2);
-        ld.flush().unwrap();
-        put(3);
+        put(&mut m, 2);
+        m.flush(&ld).unwrap();
+        put(&mut m, 3);
         ld.device()
             .refuse
             .store(true, std::sync::atomic::Ordering::Relaxed);
@@ -1172,9 +975,11 @@ fn a_checkpoint_header_is_written_behind_what_it_covers() {
         let image = dev.crash_keeping(|i| !seal.contains(&i));
         let (ld2, _) =
             Lld::recover_with(sim_disk(image), &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
-        for &b in &blocks {
-            assert_eq!(c4_read(&ld2, b, &at), 2, "{at}: a flushed commit lost");
-        }
+        assert_eq!(
+            m.check(&ld2, &at),
+            m.durable(),
+            "{at}: not the flushed disk"
+        );
         assert_eq!(
             ld2.checkpoint_seq(),
             older,
@@ -1190,7 +995,8 @@ fn a_checkpoint_header_is_written_behind_what_it_covers() {
 /// the log comes round to slot 0 with no flush on the way. A cut that
 /// keeps the writes into slot 0 and drops every other write since the
 /// last barrier finds every block, relocated or where the checkpoint
-/// left it, with its contents.
+/// left it, with its contents: the disk the checkpoint covers, or a
+/// prefix of the writes behind it.
 #[test]
 fn a_released_slot_is_overwritten_behind_a_barrier_over_what_emptied_it() {
     for shards in [8, 1] {
@@ -1202,16 +1008,24 @@ fn a_released_slot_is_overwritten_behind_a_barrier_over_what_emptied_it() {
         drop(ld);
         let ld = Lld::format(sim_disk(vec![0xA5; 4 << 20]), &cfg).unwrap();
         let (layout, _, _) = Lld::probe(ld.device()).unwrap();
-        let list = ld.new_list(Ctx::Simple).unwrap();
+        let mut m = Model::default();
+        let list = m.new_list(&ld, Ctx::Simple).unwrap();
         let old: Vec<_> = (0..4)
-            .map(|_| ld.new_block(Ctx::Simple, list, Position::First).unwrap())
+            .map(|_| {
+                m.new_block(&ld, Ctx::Simple, list, Position::First)
+                    .unwrap()
+            })
             .collect();
-        let ring = common::churn_ring(&ld, ld.new_list(Ctx::Simple).unwrap(), None);
+        // The ring `common::churn_ring` allocates.
+        let ring = m.new_list(&ld, Ctx::Simple).unwrap();
+        let ring = chain(&mut m, &ld, ring, ld.segment_bytes() / ld.block_size());
         for (i, &b) in old.iter().enumerate() {
-            ld.write(Ctx::Simple, b, &[10 + i as u8; C4_BS]).unwrap();
+            m.write(&ld, Ctx::Simple, b, &[10 + i as u8; C4_BS])
+                .unwrap();
         }
         let lives_in = |b| ld.block_info(b).unwrap().addr.unwrap().segment.get();
         ld.checkpoint().unwrap();
+        m.synced();
         assert!(old.iter().all(|&b| lives_in(b) == 0), "shards {shards}");
         ld.run_cleaner().unwrap();
         assert!(
@@ -1219,7 +1033,7 @@ fn a_released_slot_is_overwritten_behind_a_barrier_over_what_emptied_it() {
             "shards {shards}: slot 0 was not emptied by relocation"
         );
         for i in 0..3 * ring.len() {
-            ld.write(Ctx::Simple, ring[i % ring.len()], &[3; C4_BS])
+            m.write(&ld, Ctx::Simple, ring[i % ring.len()], &[3; C4_BS])
                 .unwrap();
         }
         let dev = ld.into_device();
@@ -1240,9 +1054,7 @@ fn a_released_slot_is_overwritten_behind_a_barrier_over_what_emptied_it() {
         let image = dev.crash_keeping(|i| into_slot0.contains(&i));
         let (ld2, _) =
             Lld::recover_with(sim_disk(image), &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
-        for (i, &b) in old.iter().enumerate() {
-            assert_eq!(c4_read(&ld2, b, &at), 10 + i as u8, "{at}: block {i} lost");
-        }
+        m.check(&ld2, &at);
     }
 }
 
@@ -1264,13 +1076,8 @@ const ABSORB_UNITS: [(usize, usize); 5] = [(1, 1), (2, 2), (3, 1), (2, 0), (1, 4
 
 fn absorb_config(shards: usize, concurrency: ld_aru::core::ConcurrencyMode) -> LldConfig {
     LldConfig {
-        block_size: ABSORB_BS,
-        segment_bytes: ABSORB_SLOT * ABSORB_BS,
-        max_blocks: Some(512),
-        max_lists: Some(64),
-        map_shards: shards,
         concurrency,
-        ..LldConfig::default()
+        ..small_config((true, shards), ABSORB_BS, ABSORB_SLOT)
     }
 }
 
@@ -1281,25 +1088,17 @@ fn absorb_block(v: u8, sectors: usize) -> Vec<u8> {
     b
 }
 
-/// The sectors each version of an `x` takes: version 3 grows to two;
-/// a `y` is one sector at every version.
-fn x_sectors(v: u8) -> usize {
-    match v {
-        3 => 2,
-        _ => 1,
-    }
-}
-
 /// One unit logged against an open segment that is `fillers` blocks
-/// fuller than it has to be, and every seal since the last barrier.
-struct AbsorbRun {
+/// fuller than it has to be: every seal since the last barrier, the
+/// model of the run, and what the unit did.
+struct Absorbed {
     dev: SimDisk<MemDisk>,
     cfg: LldConfig,
-    /// Blocks whose committed version sat in the open segment when the
-    /// unit overwrote them, and blocks whose version sat in a sealed one.
-    x: Vec<ld_aru::core::BlockId>,
-    y: Vec<ld_aru::core::BlockId>,
-    /// Whether that segment was still the open one when the unit began.
+    m: Model,
+    /// The unit, counted in `m`'s units.
+    unit: usize,
+    /// Whether the segment the overwritten versions sat in was still
+    /// the open one when the unit began.
     x_open: bool,
     /// What the unit's commit added to `blocks_absorbed`, and whether it
     /// rolled the segment.
@@ -1309,8 +1108,8 @@ struct AbsorbRun {
     /// took in runs the open segment had freed (`sectors_reused`).
     filled_by_unit: u64,
     filled_after: u64,
-    /// The `x` whose version of the unit went back to the sector the
-    /// `x` held at version 2.
+    /// The blocks whose version of the unit went back to the sector
+    /// the block held at version 2.
     returned: usize,
     /// Seals `cleanerd` wrote (`LldStats::seals_handed_off`).
     handed_off: u64,
@@ -1329,108 +1128,84 @@ struct AbsorbRun {
 /// Then enough other blocks of one sector to roll the segment its
 /// commit record is in, the first of which fill what free sectors are
 /// left. No barrier after the first.
-fn absorb_run(shards: usize, nx: usize, ny: usize, fillers: usize) -> AbsorbRun {
+///
+/// The model holds the `x`, the `y` and their list. The other blocks
+/// are on a list of their own, written past the model: they only place
+/// the unit against the end of its segment.
+fn absorb_run(shards: usize, nx: usize, ny: usize, fillers: usize) -> Absorbed {
     let cfg = absorb_config(shards, ld_aru::core::ConcurrencyMode::Concurrent);
     let ld = Lld::format(sim_disk(vec![0u8; 1 << 20]), &cfg).unwrap();
-    let list = ld.new_list(Ctx::Simple).unwrap();
-    let fresh = |n: usize| -> Vec<_> {
+    let mut m = Model::default();
+    let list = m.new_list(&ld, Ctx::Simple).unwrap();
+    let fresh = |m: &mut Model, list, n: usize| -> Vec<_> {
         (0..n)
-            .map(|_| ld.new_block(Ctx::Simple, list, Position::First).unwrap())
+            .map(|_| {
+                m.new_block(&ld, Ctx::Simple, list, Position::First)
+                    .unwrap()
+            })
             .collect()
     };
-    let (x, y, spacer) = (fresh(nx), fresh(ny), fresh(nx));
-    let filler = fresh(fillers + 2 * ABSORB_SLOT);
-    let put = |ctx, b, v: u8, sectors| ld.write(ctx, b, &absorb_block(v, sectors)).unwrap();
+    let (x, y) = (fresh(&mut m, list, nx), fresh(&mut m, list, ny));
+    let mut padding = Model::default();
+    let other = padding.new_list(&ld, Ctx::Simple).unwrap();
+    let spacer = fresh(&mut padding, other, nx);
+    let filler = fresh(&mut padding, other, fillers + 2 * ABSORB_SLOT);
+    let put = |m: &mut Model, ctx, b, v: u8, sectors| {
+        m.write(&ld, ctx, b, &absorb_block(v, sectors)).unwrap()
+    };
     let addr = |b| ld.block_info(b).unwrap().addr.unwrap();
-    x.iter().chain(&y).for_each(|&b| put(Ctx::Simple, b, 1, 1));
-    ld.flush().unwrap();
+    for &b in x.iter().chain(&y) {
+        put(&mut m, Ctx::Simple, b, 1, 1);
+    }
+    m.flush(&ld).unwrap();
 
-    filler[..fillers]
-        .iter()
-        .for_each(|&b| put(Ctx::Simple, b, 7, 1));
+    for &b in &filler[..fillers] {
+        put(&mut padding, Ctx::Simple, b, 7, 1);
+    }
     let sealed = ld.stats().segments_sealed;
     for (&b, &s) in x.iter().zip(&spacer) {
-        put(Ctx::Simple, b, 2, 1);
-        put(Ctx::Simple, s, 7, 1);
+        put(&mut m, Ctx::Simple, b, 2, 1);
+        put(&mut padding, Ctx::Simple, s, 7, 1);
     }
     let held: Vec<_> = x.iter().map(|&b| addr(b)).collect();
-    x.iter().for_each(|&b| put(Ctx::Simple, b, 3, 2));
+    for &b in &x {
+        put(&mut m, Ctx::Simple, b, 3, 2);
+    }
     let x_open = ld.stats().segments_sealed == sealed;
 
     let aru = ld.begin_aru().unwrap();
-    x.iter()
-        .chain(&y)
-        .for_each(|&b| put(Ctx::Aru(aru), b, 4, 1));
+    for &b in x.iter().chain(&y) {
+        put(&mut m, Ctx::Aru(aru), b, 4, 1);
+    }
     let before = ld.stats();
-    ld.end_aru(aru).unwrap();
+    m.end_aru(&ld, aru).unwrap();
+    let unit = m.acknowledged();
     let after = ld.stats();
     let returned = x.iter().zip(&held).filter(|&(&b, &a)| addr(b) == a).count();
-    filler[fillers..]
-        .iter()
-        .for_each(|&b| put(Ctx::Simple, b, 7, 1));
+    for &b in &filler[fillers..] {
+        put(&mut padding, Ctx::Simple, b, 7, 1);
+    }
     assert!(ld.stats().segments_sealed > after.segments_sealed);
     let last = ld.stats();
-    AbsorbRun {
+    Absorbed {
         handed_off: last.seals_handed_off,
         filled_by_unit: after.sectors_reused - before.sectors_reused,
         filled_after: last.sectors_reused - after.sectors_reused,
         returned,
         dev: ld.into_device(),
         cfg,
-        x,
-        y,
+        m,
+        unit,
         x_open,
         absorbed: after.blocks_absorbed - before.blocks_absorbed,
         rolled: after.segments_sealed > before.segments_sealed,
     }
 }
 
-impl AbsorbRun {
-    /// Recovers `image` and returns the oldest version an `x` holds and
-    /// the version every `y` holds, each whole and zero behind its
-    /// sectors. The unit is all or nothing, and when it is nothing what
-    /// it superseded is intact: (1, 1) with nothing past the barrier,
-    /// (2, 1) or (3, 1) with the untagged writes, (4, 4) with the unit.
-    /// The untagged writes are a prefix: an `x` written later holds no
-    /// newer version than one written before it.
-    fn versions(&self, image: Vec<u8>, at: &str) -> (u8, u8) {
-        let (ld, _) = Lld::recover_with(MemDisk::from_image(image), &self.cfg)
-            .unwrap_or_else(|e| panic!("{at}: {e}"));
-        let version = |blocks: &[ld_aru::core::BlockId], sectors: fn(u8) -> usize| {
-            let read: Vec<u8> = (blocks.iter())
-                .map(|&b| {
-                    let mut buf = vec![0u8; ABSORB_BS];
-                    ld.read(Ctx::Simple, b, &mut buf).unwrap();
-                    let v = buf[0];
-                    assert!(buf == absorb_block(v, sectors(v)), "{at}: a mixed block");
-                    v
-                })
-                .collect();
-            let unit = read.iter().filter(|&&v| v == 4).count();
-            assert!(
-                read.is_sorted_by(|a, b| a >= b) && (unit == 0 || unit == read.len()),
-                "{at}: versions {read:?}"
-            );
-            read.last().copied()
-        };
-        let vx = version(&self.x, x_sectors).expect("a unit overwrites");
-        let got = (
-            vx,
-            version(&self.y, |_| 1).unwrap_or(if vx == 4 { 4 } else { 1 }),
-        );
-        assert!(
-            [(1, 1), (2, 1), (3, 1), (4, 4)].contains(&got),
-            "{at}: the overwritten blocks hold version {}, the others version {}",
-            got.0,
-            got.1
-        );
-        got
-    }
-}
-
 /// I5 (a). A unit of `nx + ny` blocks against an open segment at every
 /// fill level around the one where it stops fitting, and the image after
-/// every seal. Where the unit fits, commit record and all, its writes
+/// every seal, each recovered and held to the model of the run. Where
+/// the unit fits, commit record and all, its writes
 /// take the place of the versions in the open segment, and its other
 /// writes and the simple ones behind it fill the sectors that versions
 /// superseded in that segment left free; where it does not it absorbs
@@ -1452,34 +1227,42 @@ fn an_absorbed_unit_is_all_or_nothing_at_every_seal() {
                 let at = format!("{shards} shards, {nx}+{ny} blocks behind {fillers}");
                 let run = absorb_run(shards, nx, ny, fillers);
                 handed_off += run.handed_off;
+                let recovered = |image: Vec<u8>, at: &str| {
+                    let (ld, _) = Lld::recover_with(MemDisk::from_image(image), &run.cfg)
+                        .unwrap_or_else(|e| panic!("{at}: {e}"));
+                    run.m.check(&ld, at)
+                };
                 // Prefixes of the log, whoever wrote which seal when.
                 let order = seals_in_log_order(&run.dev);
                 let seals = order.len();
-                let seen: Vec<(u8, u8)> = (0..=seals)
+                let seen: Vec<usize> = (0..=seals)
                     .map(|cut| {
                         let kept = &order[..cut];
                         let image = run
                             .dev
                             .crash_keeping(|i| kept.iter().any(|s| s.contains(&i)));
-                        run.versions(image, &format!("{at}, {cut} of {seals} seals"))
+                        recovered(image, &format!("{at}, {cut} of {seals} seals"))
                     })
                     .collect();
-                assert_eq!(seen[0], (1, 1), "{at}");
-                assert_eq!(seen[seals], (4, 4), "{at}");
+                assert_eq!(seen[0], run.m.durable(), "{at}");
+                assert!(seen[seals] >= run.unit, "{at}: {seen:?}");
                 assert!(seen.is_sorted(), "{at}: {seen:?}");
                 // Any subset of those seals' writes.
                 for seed in crash_seeds(0..4).into_iter().filter(|_| run.x_open) {
                     let mut rng = SmallRng::seed_from_u64(0xC4A5_4005 ^ seed);
                     for _ in 0..3 {
                         let (image, kept) = random_cut(&run.dev, &mut rng);
-                        run.versions(image, &format!("{at}, CRASH_SEED={seed} kept {kept:?}"));
+                        recovered(image, &format!("{at}, CRASH_SEED={seed} kept {kept:?}"));
                     }
                 }
                 returned += run.returned;
+                // A cut with every untagged version of the run and not
+                // the unit.
+                let without_the_unit = seen.contains(&(run.unit - 1));
                 if run.rolled {
                     assert_eq!(run.absorbed, 0, "{at}: a unit that rolled absorbed");
                     // Part of it sealed without its commit record.
-                    assert!(!run.x_open || seen.contains(&(3, 1)), "{at}: {seen:?}");
+                    assert!(!run.x_open || without_the_unit, "{at}: {seen:?}");
                     straddled += usize::from(run.x_open);
                 } else if run.x_open && run.absorbed == 0 {
                     // It did not fit as if every write appended, so it
@@ -1488,7 +1271,7 @@ fn an_absorbed_unit_is_all_or_nothing_at_every_seal() {
                     assert_eq!(run.returned, nx, "{at}");
                 } else if run.x_open {
                     assert_eq!(run.absorbed, nx as u64, "{at}: it fits");
-                    assert!(!seen.contains(&(3, 1)), "{at}: {seen:?}");
+                    assert!(!without_the_unit, "{at}: {seen:?}");
                     assert_eq!(run.returned, 0, "{at}: absorbed in place");
                     fit += 1;
                     filled_by_unit += run.filled_by_unit;
@@ -1591,85 +1374,44 @@ fn mix_block(p: usize, k: usize, gen: u8) -> Vec<u8> {
     b
 }
 
-struct MixPair {
-    blocks: [ld_aru::core::BlockId; 2],
-    flushed: u8,
-    written: u8,
-}
-
-/// Sixteen pairs on one list, each written at generation 1, flushed.
-fn mix_pairs<D: ld_aru::disk::BlockDevice>(
-    ld: &Lld<D>,
-) -> Result<Vec<MixPair>, ld_aru::core::LldError> {
-    let list = ld.new_list(Ctx::Simple)?;
+/// Sixteen pairs on one list, each written at generation 1, flushed,
+/// through `m`.
+fn mix_pairs<D: BlockDevice>(m: &mut Model, ld: &Lld<D>) -> Result<Vec<Vec<BlockId>>, LldError> {
+    let list = m.new_list(ld, Ctx::Simple)?;
     let mut pairs = Vec::new();
     for p in 0..MIX_PAIRS {
         let mut blocks = Vec::new();
         for k in 0..2 {
-            let b = ld.new_block(Ctx::Simple, list, Position::First)?;
-            ld.write(Ctx::Simple, b, &mix_block(p, k, 1))?;
+            let b = m.new_block(ld, Ctx::Simple, list, Position::First)?;
+            m.write(ld, Ctx::Simple, b, &mix_block(p, k, 1))?;
             blocks.push(b);
         }
-        pairs.push(MixPair {
-            blocks: [blocks[0], blocks[1]],
-            flushed: 1,
-            written: 1,
-        });
+        pairs.push(blocks);
     }
-    ld.flush()?;
+    m.flush(ld)?;
     Ok(pairs)
 }
 
-/// One unit: generation `pairs[p].written + 1` on both blocks of pair
-/// `p`, which counts as written before the commit is tried (a cut may
-/// keep it or not).
-fn mix_unit<D: ld_aru::disk::BlockDevice>(
+/// One unit through `m`: generation `gens[p] + 1` on both blocks of
+/// pair `p`.
+fn mix_unit<D: BlockDevice>(
+    m: &mut Model,
     ld: &Lld<D>,
-    pairs: &mut [MixPair],
+    pairs: &[Vec<BlockId>],
+    gens: &mut [u8],
     p: usize,
-) -> Result<(), ld_aru::core::LldError> {
-    let gen = pairs[p].written + 1;
-    pairs[p].written = gen;
-    let aru = ld.begin_aru()?;
-    for (k, &b) in pairs[p].blocks.iter().enumerate() {
-        ld.write(Ctx::Aru(aru), b, &mix_block(p, k, gen))?;
-    }
-    ld.end_aru(aru)
-}
-
-/// The generation every pair reads, whole in both blocks and zero past
-/// each block's extent, and between its last flushed and its last
-/// written one.
-fn mix_generations<D: ld_aru::disk::BlockDevice>(
-    ld: &Lld<D>,
-    pairs: &[MixPair],
-    at: &str,
-) -> Vec<u8> {
-    let read = |b| {
-        let mut buf = vec![0xEEu8; MIX_BS];
-        ld.read(Ctx::Simple, b, &mut buf).unwrap();
-        buf
-    };
-    let gens = pairs.iter().enumerate().map(|(p, pair)| {
-        let got = pair.blocks.map(read);
-        (pair.flushed..=pair.written)
-            .find(|&g| (0..2).all(|k| got[k] == mix_block(p, k, g)))
-            .unwrap_or_else(|| {
-                panic!(
-                    "{at}: pair {p} torn or lost (flushed {}, written {})",
-                    pair.flushed, pair.written
-                )
-            })
-    });
-    gens.collect()
+) -> Result<(), LldError> {
+    gens[p] += 1;
+    let gen = gens[p];
+    unit(m, ld, &pairs[p], |k| mix_block(p, k, gen))
 }
 
 /// Power cuts across a workload whose seals mix empty, short and full
 /// blocks on a device small enough that the log wraps: units rewrite
 /// the first half of the pairs, and a cleaner that keeps ten of the
 /// twelve slots free copies the other half's extents forward. Every cut
-/// recovers each pair whole at a generation no older than its last
-/// flush.
+/// recovers to the model after a prefix of the units that holds every
+/// flushed one.
 fn mixed_extent_power_cuts(mode: Mode) {
     let mut cfg = mix_config(mode);
     cfg.cleaner.target_free_segments = 10;
@@ -1683,26 +1425,23 @@ fn mixed_extent_power_cuts(mode: Mode) {
         let at = format!("{mode:?}, CRASH_SEED={crash_after}");
         let ld = match Lld::format(sim, &cfg) {
             Ok(ld) => ld,
-            Err(ld_aru::core::LldError::Disk(_)) => continue,
+            Err(LldError::Disk(_)) => continue,
             Err(e) => panic!("{at}: format: {e}"),
         };
-        let Ok(mut pairs) = mix_pairs(&ld) else {
+        let mut m = Model::default();
+        let Ok(pairs) = mix_pairs(&mut m, &ld) else {
             continue;
         };
+        let mut gens = vec![1; MIX_PAIRS];
         for i in 0..300 {
             let p = i * 3 % (MIX_PAIRS / 2);
-            let unit = mix_unit(&ld, &mut pairs, p).and_then(|()| match i % 8 {
-                7 => ld.flush(),
+            let unit = mix_unit(&mut m, &ld, &pairs, &mut gens, p).and_then(|()| match i % 8 {
+                7 => m.flush(&ld),
                 _ => Ok(()),
             });
             if unit.is_err() {
                 cut += 1;
                 break;
-            }
-            if i % 8 == 7 {
-                for pair in &mut pairs {
-                    pair.flushed = pair.written;
-                }
             }
         }
         let stats = ld.stats();
@@ -1715,7 +1454,7 @@ fn mixed_extent_power_cuts(mode: Mode) {
         let at = format!("{mode:?}, {cut}");
         let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg)
             .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
-        mix_generations(&ld2, &pairs, &at);
+        m.check(&ld2, &at);
     }
     assert!(cut > 10, "{mode:?}: {cut} budgets cut the workload");
     assert!(relocated > 0, "{mode:?}: the log never wrapped");
@@ -1742,22 +1481,22 @@ fn mixed_extent_seals_are_all_or_nothing_under_power_cuts() {
 /// Units until three segments seal with no flush in between, then a cut
 /// keeping each subset of those seals' six writes (header and body
 /// each): recovery replays the longest prefix of the log whose seals
-/// kept both writes, and gives exactly the generations the units whose
-/// commit records those seals hold left behind. The medium is not zeroed
-/// first, so a lost body leaves stale bytes where a summary is looked
-/// for.
+/// kept both writes, and gives exactly the units whose commit records
+/// those seals hold. The medium is not zeroed first, so a lost body
+/// leaves stale bytes where a summary is looked for.
 fn mixed_extent_subsets(mode: Mode) {
     let cfg = mix_config(mode);
     let ld = Lld::format(sim_disk(vec![0xA5; 4 << 20]), &cfg).unwrap();
-    let mut pairs = mix_pairs(&ld).unwrap();
-    // `states[s]`: the generations once the first `s` seals are on the
-    // medium. A unit during which a segment seals has its commit record
+    let mut m = Model::default();
+    let pairs = mix_pairs(&mut m, &ld).unwrap();
+    let mut gens = vec![1; MIX_PAIRS];
+    // `states[s]`: the last unit on the medium once the first `s` seals
+    // are. A unit during which a segment seals has its commit record
     // behind that seal.
-    let generations = |pairs: &[MixPair]| pairs.iter().map(|p| p.written).collect::<Vec<u8>>();
-    let mut states = vec![generations(&pairs)];
+    let mut states = vec![m.acknowledged()];
     for i in 0.. {
-        let (before, sealed) = (generations(&pairs), ld.stats().segments_sealed);
-        mix_unit(&ld, &mut pairs, i * 5 % MIX_PAIRS).unwrap();
+        let (before, sealed) = (m.acknowledged(), ld.stats().segments_sealed);
+        mix_unit(&mut m, &ld, &pairs, &mut gens, i * 5 % MIX_PAIRS).unwrap();
         if ld.stats().segments_sealed > sealed {
             states.push(before);
             if states.len() == 4 {
@@ -1778,7 +1517,7 @@ fn mixed_extent_subsets(mode: Mode) {
         let whole = (0..seals.len())
             .take_while(|&s| kept(2 * s) && kept(2 * s + 1))
             .count();
-        assert_eq!(mix_generations(&ld2, &pairs, &at), states[whole], "{at}");
+        assert_eq!(m.check(&ld2, &at), states[whole], "{at}");
     }
 }
 

@@ -12,8 +12,9 @@
 //!   map shards (whole area invalid, fall back), a tear in the newest
 //!   area after an A/B switch (fall back to the older area plus a
 //!   longer replay), and a stale snapshot under a delete/re-allocate
-//!   heavy suffix (no corruption; stresses identifier re-use), checked
-//!   against the live disk's state at the moment of the crash.
+//!   heavy suffix (no corruption; stresses identifier re-use), each
+//!   held to the reference model (`common/model.rs`) of the workload
+//!   and to the prefix of it that the untorn image recovers to.
 //! * A crash-matrix sweep (`SimDisk` byte-budget cuts) through a
 //!   workload that checkpoints repeatedly, so cuts land inside slab
 //!   writes, directory writes, and header publishes at whatever
@@ -32,14 +33,22 @@
 use ld_aru::core::{
     Ctx, Lld, LldConfig, LldError, Position, CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH,
 };
-use ld_aru::disk::{crc32, DiskModel, FaultPlan, MemDisk, SimDisk};
+use ld_aru::disk::{DiskModel, FaultPlan, MemDisk, SimDisk};
 use ld_aru::workload::pattern_fill;
 
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+use common::{
+    crash_seeds, put_u32, reseal_slab, u32_at, u64_at, C_DIR_RESERVE, C_DIR_SLAB_LEN, C_LEN,
+};
+#[path = "../crates/core/tests/common/model.rs"]
+mod model;
+use model::Model;
+
 const BS: usize = 512;
-/// Mirrors `layout.rs`: checkpoint header, then the reserved directory
-/// bytes ahead of the first snapshot slab in an area.
-const CKPT_HEADER: usize = 68;
-const CKPT_SLAB_START: u64 = CKPT_HEADER as u64 + 64 * 24;
+/// Where an area's first slab starts: behind its header and the room
+/// reserved for its directory.
+const SLAB_START: usize = C_LEN + C_DIR_RESERVE;
 
 /// A point of the mode matrix these tests can tell apart: map shards
 /// (one slab each). The log never wraps, so no cleaner runs.
@@ -58,110 +67,69 @@ fn config(shards: Mode) -> LldConfig {
     }
 }
 
-/// Raw handles created by the workload. The same config drives every
-/// recovery of one image, so raw ids are directly comparable.
-struct World {
-    lists: Vec<ld_aru::core::ListId>,
-    blocks: Vec<ld_aru::core::BlockId>,
-}
-
-/// Every observable of the recovered disk the workload touched: each
-/// list's walk and each block's content (None where the read fails:
-/// a deleted identifier).
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    walks: Vec<Option<Vec<u64>>>,
-    contents: Vec<Option<Vec<u8>>>,
-}
-
-fn fingerprint(ld: &Lld<MemDisk>, world: &World) -> Fingerprint {
-    let walks = world
-        .lists
-        .iter()
-        .map(|&l| {
-            ld.list_blocks(Ctx::Simple, l)
-                .ok()
-                .map(|bs| bs.iter().map(|b| b.get()).collect())
-        })
-        .collect();
-    let mut buf = vec![0u8; BS];
-    let contents = world
-        .blocks
-        .iter()
-        .map(|&b| ld.read(Ctx::Simple, b, &mut buf).ok().map(|_| buf.clone()))
-        .collect();
-    Fingerprint { walks, contents }
-}
-
-/// Recovers a copy of `image` and fingerprints it. Returns the report's
-/// checkpoint_seq alongside.
-fn recover_fp(image: &[u8], mode: Mode, world: &World) -> (Fingerprint, u64) {
+/// Recovers a copy of `image` and holds it to `m`: returns the prefix
+/// of `m`'s units it is, and the report's checkpoint_seq.
+fn recover_to(image: &[u8], mode: Mode, m: &Model, at: &str) -> (usize, u64) {
     let (ld, report) =
         Lld::recover_with(MemDisk::from_image(image.to_vec()), &config(mode)).unwrap();
-    (fingerprint(&ld, world), report.checkpoint_seq)
+    (m.check(&ld, at), report.checkpoint_seq)
 }
 
 /// Builds the common disk: a few populated lists (flushed), one
 /// checkpoint, then a committed suffix of overwrites, deletions, and
-/// re-allocations above it. Returns the live disk and the handles.
-fn build_disk(mode: Mode, suffix_arus: u64) -> (Lld<MemDisk>, World) {
+/// re-allocations above it. Returns the live disk and its model.
+fn build_disk(mode: Mode, suffix_arus: u64) -> (Lld<MemDisk>, Model) {
     let ld = Lld::format(MemDisk::new(4 << 20), &config(mode)).unwrap();
-    let mut world = World {
-        lists: Vec::new(),
-        blocks: Vec::new(),
-    };
+    let mut m = Model::default();
+    let (mut lists, mut blocks) = (Vec::new(), Vec::new());
     let mut data = vec![0u8; BS];
     for li in 0..12u64 {
-        let l = ld.new_list(Ctx::Simple).unwrap();
-        let mut pred = None;
+        let l = m.new_list(&ld, Ctx::Simple).unwrap();
+        let mut pos = Position::First;
         for bi in 0..6u64 {
-            let pos = match pred {
-                None => Position::First,
-                Some(p) => Position::After(p),
-            };
-            let b = ld.new_block(Ctx::Simple, l, pos).unwrap();
+            let b = m.new_block(&ld, Ctx::Simple, l, pos).unwrap();
             pattern_fill(&mut data, li * 100 + bi);
-            ld.write(Ctx::Simple, b, &data).unwrap();
-            world.blocks.push(b);
-            pred = Some(b);
+            m.write(&ld, Ctx::Simple, b, &data).unwrap();
+            blocks.push(b);
+            pos = Position::After(b);
         }
-        world.lists.push(l);
+        lists.push(l);
     }
-    ld.flush().unwrap();
+    m.flush(&ld).unwrap();
     ld.checkpoint().unwrap();
 
     // Suffix: committed ARUs overwriting, deleting, and re-allocating
     // — the record mix that exercises identifier re-use.
-    let mut live: Vec<usize> = (0..world.blocks.len()).collect();
+    let mut live: Vec<usize> = (0..blocks.len()).collect();
     for i in 0..suffix_arus {
         let aru = ld.begin_aru().unwrap();
-        let tgt = world.blocks[live[(i * 7 + 3) as usize % live.len()]];
+        let tgt = blocks[live[(i * 7 + 3) as usize % live.len()]];
         pattern_fill(&mut data, 0x5000 + i);
-        ld.write(Ctx::Aru(aru), tgt, &data).unwrap();
-        ld.end_aru(aru).unwrap();
+        m.write(&ld, Ctx::Aru(aru), tgt, &data).unwrap();
+        m.end_aru(&ld, aru).unwrap();
         if i % 5 == 2 && live.len() > 4 {
             // Delete a block, then allocate a replacement (often the
             // same raw id) into another list inside an ARU.
             let vi = (i * 11) as usize % live.len();
-            let victim = world.blocks[live.swap_remove(vi)];
-            ld.delete_block(Ctx::Simple, victim).unwrap();
+            let victim = blocks[live.swap_remove(vi)];
+            m.delete_block(&ld, Ctx::Simple, victim).unwrap();
             let aru = ld.begin_aru().unwrap();
-            let l = world.lists[(i % world.lists.len() as u64) as usize];
-            let nb = ld.new_block(Ctx::Aru(aru), l, Position::First).unwrap();
+            let l = lists[(i % lists.len() as u64) as usize];
+            let nb = m.new_block(&ld, Ctx::Aru(aru), l, Position::First).unwrap();
             pattern_fill(&mut data, 0x9000 + i);
-            ld.write(Ctx::Aru(aru), nb, &data).unwrap();
-            ld.end_aru(aru).unwrap();
-            live.push(world.blocks.len());
-            world.blocks.push(nb);
+            m.write(&ld, Ctx::Aru(aru), nb, &data).unwrap();
+            m.end_aru(&ld, aru).unwrap();
+            live.push(blocks.len());
+            blocks.push(nb);
         }
     }
-    (ld, world)
+    (ld, m)
 }
 
 /// The crash image of [`build_disk`] (the open segment's tail is lost).
-fn build_image(mode: Mode, suffix_arus: u64) -> (Vec<u8>, World) {
-    let (ld, world) = build_disk(mode, suffix_arus);
-    (ld.into_device().into_image(), world)
+fn build_image(mode: Mode, suffix_arus: u64) -> (Vec<u8>, Model) {
+    let (ld, m) = build_disk(mode, suffix_arus);
+    (ld.into_device().into_image(), m)
 }
 
 /// A mid-slab tear invalidates the whole area (per-slab CRC): recovery
@@ -171,8 +139,9 @@ fn build_image(mode: Mode, suffix_arus: u64) -> (Vec<u8>, World) {
 #[test]
 fn mid_slab_tear_falls_back_to_full_scan() {
     for mode in MODES {
-        let (image, world) = build_image(mode, 40);
-        let (clean_fp, clean_seq) = recover_fp(&image, mode, &world);
+        let (image, m) = build_image(mode, 40);
+        let at = format!("shards {mode}");
+        let (clean, clean_seq) = recover_to(&image, mode, &m, &at);
         assert!(clean_seq > 0, "shards {mode}: checkpoint not found clean");
 
         let probe = MemDisk::from_image(image.clone());
@@ -180,11 +149,11 @@ fn mid_slab_tear_falls_back_to_full_scan() {
         let mut torn = image.clone();
         // First checkpoint goes to area A; cut inside the first slab's
         // payload (shard 0 always holds entries here).
-        torn[(layout.ckpt_a + CKPT_SLAB_START + 8) as usize] ^= 0xFF;
+        torn[layout.ckpt_a as usize + SLAB_START + 8] ^= 0xFF;
 
-        let (fp, seq) = recover_fp(&torn, mode, &world);
-        assert_eq!(seq, 0, "shards {mode}: torn snapshot not rejected");
-        assert_eq!(fp, clean_fp, "shards {mode}: full-scan fallback diverges");
+        let (k, seq) = recover_to(&torn, mode, &m, &format!("{at}, torn"));
+        assert_eq!(seq, 0, "{at}: torn snapshot not rejected");
+        assert_eq!(k, clean, "{at}: full-scan fallback diverges");
     }
 }
 
@@ -195,51 +164,43 @@ fn mid_slab_tear_falls_back_to_full_scan() {
 fn torn_ab_switch_falls_back_to_older_area() {
     let mode = MODES[0];
     let ld = Lld::format(MemDisk::new(4 << 20), &config(mode)).unwrap();
-    let mut world = World {
-        lists: Vec::new(),
-        blocks: Vec::new(),
-    };
+    let mut m = Model::default();
     let mut data = vec![0u8; BS];
-    let l = ld.new_list(Ctx::Simple).unwrap();
-    world.lists.push(l);
-    let mut pred = None;
+    let l = m.new_list(&ld, Ctx::Simple).unwrap();
+    let mut blocks = Vec::new();
+    let mut pos = Position::First;
     for i in 0..24u64 {
-        let pos = match pred {
-            None => Position::First,
-            Some(p) => Position::After(p),
-        };
-        let b = ld.new_block(Ctx::Simple, l, pos).unwrap();
+        let b = m.new_block(&ld, Ctx::Simple, l, pos).unwrap();
         pattern_fill(&mut data, i);
-        ld.write(Ctx::Simple, b, &data).unwrap();
-        world.blocks.push(b);
-        pred = Some(b);
+        m.write(&ld, Ctx::Simple, b, &data).unwrap();
+        blocks.push(b);
+        pos = Position::After(b);
     }
-    ld.flush().unwrap();
+    m.flush(&ld).unwrap();
     ld.checkpoint().unwrap(); // area A
-    for i in 0..10u64 {
-        pattern_fill(&mut data, 0x100 + i);
-        ld.write(Ctx::Simple, world.blocks[i as usize], &data)
-            .unwrap();
+    for (i, &b) in blocks[..10].iter().enumerate() {
+        pattern_fill(&mut data, 0x100 + i as u64);
+        m.write(&ld, Ctx::Simple, b, &data).unwrap();
     }
     ld.checkpoint().unwrap(); // area B (newer)
-    for i in 0..10u64 {
-        pattern_fill(&mut data, 0x200 + i);
-        ld.write(Ctx::Simple, world.blocks[10 + i as usize], &data)
-            .unwrap();
+    for (i, &b) in blocks[10..20].iter().enumerate() {
+        pattern_fill(&mut data, 0x200 + i as u64);
+        m.write(&ld, Ctx::Simple, b, &data).unwrap();
     }
-    ld.flush().unwrap();
+    m.flush(&ld).unwrap();
     let image = ld.into_device().into_image();
 
-    let (clean_fp, clean_seq) = recover_fp(&image, mode, &world);
+    let (clean, clean_seq) = recover_to(&image, mode, &m, "clean");
+    assert_eq!(clean, m.acknowledged(), "everything was flushed");
     let probe = MemDisk::from_image(image.clone());
     let (layout, _, _) = Lld::probe(&probe).unwrap();
     let mut torn = image.clone();
-    torn[(layout.ckpt_b + CKPT_SLAB_START + 8) as usize] ^= 0xFF;
+    torn[layout.ckpt_b as usize + SLAB_START + 8] ^= 0xFF;
 
-    let (fp, seq) = recover_fp(&torn, mode, &world);
+    let (k, seq) = recover_to(&torn, mode, &m, "torn area B");
     assert!(seq > 0, "older area not used");
     assert!(seq < clean_seq, "fell back but kept the newer coverage?");
-    assert_eq!(fp, clean_fp, "fallback state diverges");
+    assert_eq!(k, clean, "fallback state diverges");
 }
 
 /// No corruption at all — just a stale snapshot under a suffix heavy
@@ -249,32 +210,27 @@ fn torn_ab_switch_falls_back_to_older_area() {
 #[test]
 fn stale_snapshot_under_reallocating_suffix() {
     for mode in MODES {
-        let (ld, world) = build_disk(mode, 120);
-        ld.flush().unwrap();
-        let live_fp = fingerprint(&ld, &world);
+        let (ld, mut m) = build_disk(mode, 120);
+        m.flush(&ld).unwrap();
         let image = ld.into_device().into_image();
-        let (fp, seq) = recover_fp(&image, mode, &world);
-        assert!(seq > 0, "shards {mode}: checkpoint not used");
+        let at = format!("shards {mode}");
+        let (k, seq) = recover_to(&image, mode, &m, &at);
+        assert!(seq > 0, "{at}: checkpoint not used");
         assert_eq!(
-            fp, live_fp,
-            "shards {mode}: replay diverges from the live disk"
+            k,
+            m.acknowledged(),
+            "{at}: replay diverges from the live disk"
         );
     }
 }
 
 /// Byte offsets inside a checkpoint area (mirrors `checkpoint.rs`):
-/// the header's allocator floors, directory CRC and own CRC; a directory
-/// entry's slab CRC and slab length; and, in the table of column
+/// the header's allocator floors and, in the table of column
 /// descriptors a slab starts with (`CKPT_COL_DESC` bytes each: minimum
 /// u64, width in bits, shift), the columns of a block's identifier,
 /// segment, sector and sector count.
 const HDR_BLOCK_FLOOR: usize = 24;
 const HDR_LIST_FLOOR: usize = 32;
-const HDR_DIR_CRC: usize = 44;
-const HDR_CRC: usize = CKPT_HEADER - 4;
-const DIR_ENTRY: usize = 24;
-const DIR_SLAB_CRC: usize = 16;
-const DIR_SLAB_LEN: usize = 20;
 const COL_BLOCK_ID: usize = 0;
 const COL_SEG: usize = 1;
 const COL_SECTOR: usize = 2;
@@ -282,47 +238,13 @@ const COL_SECTORS: usize = 3;
 /// What `types.rs` bounds an identifier and an allocator floor by.
 const MAX_RAW_ID: u64 = u64::MAX >> 1;
 
-fn u32_at(image: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes(image[off..off + 4].try_into().unwrap())
-}
-
-fn put_u32(image: &mut [u8], off: usize, v: u32) {
-    image[off..off + 4].copy_from_slice(&v.to_le_bytes());
-}
-
 fn put_u64(image: &mut [u8], off: usize, v: u64) {
     image[off..off + 8].copy_from_slice(&v.to_le_bytes());
-}
-
-fn u64_at(image: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(image[off..off + 8].try_into().unwrap())
 }
 
 /// The minimum of column `col` of the slab at `slab`.
 fn column_min(image: &[u8], slab: usize, col: usize) -> u64 {
     u64_at(image, slab + col * CKPT_COL_DESC)
-}
-
-/// Recomputes the directory CRC and the header CRC of the checkpoint
-/// area at `area`, so edits under them pass as a valid checkpoint.
-fn reseal_header(image: &mut [u8], area: usize) {
-    let shards = u32_at(image, area + 40) as usize;
-    let dir = area + CKPT_HEADER;
-    let dir_crc = crc32(&image[dir..dir + shards * DIR_ENTRY]);
-    put_u32(image, area + HDR_DIR_CRC, dir_crc);
-    let crc = crc32(&image[area..area + HDR_CRC]);
-    put_u32(image, area + HDR_CRC, crc);
-}
-
-/// Recomputes the CRC of the first slab of the area at `area` and
-/// everything above it, so an edit of the slab reaches the decoder.
-fn reseal_first_slab(image: &mut [u8], area: usize) {
-    let slab = area + CKPT_SLAB_START as usize;
-    let dir = area + CKPT_HEADER;
-    let len = u32_at(image, dir + DIR_SLAB_LEN) as usize;
-    let slab_crc = crc32(&image[slab..slab + len]);
-    put_u32(image, dir + DIR_SLAB_CRC, slab_crc);
-    reseal_header(image, area);
 }
 
 /// The crash image of a disk checkpointed once at one map shard (area
@@ -332,7 +254,7 @@ fn one_slab_image() -> (Vec<u8>, usize, usize, ld_aru::core::Layout) {
     let (image, _) = build_image(1, 10);
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let area = layout.ckpt_a as usize;
-    (image, area, area + CKPT_SLAB_START as usize, layout)
+    (image, area, area + SLAB_START, layout)
 }
 
 fn recover_one_shard(image: Vec<u8>) -> Result<ld_aru::core::RecoveryReport, LldError> {
@@ -371,7 +293,7 @@ fn snapshot_entry_outside_device_is_corrupt() {
     ] {
         let mut hostile = image.clone();
         put_u64(&mut hostile, slab + col * CKPT_COL_DESC, min);
-        reseal_first_slab(&mut hostile, area);
+        reseal_slab(&mut hostile, area, 0);
         let got = recover_one_shard(hostile);
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
@@ -429,7 +351,7 @@ fn identifier_or_floor_near_u64_max_is_corrupt() {
     for (what, edit, taken) in cases {
         let mut hostile = image.clone();
         edit(&mut hostile, area, id_min);
-        reseal_first_slab(&mut hostile, area);
+        reseal_slab(&mut hostile, area, 0);
         let got = recover_one_shard(hostile);
         match (&got, taken) {
             (Ok(report), true) => assert!(report.checkpoint_seq > 0, "{what}: {report:?}"),
@@ -451,7 +373,7 @@ fn descriptor_that_disagrees_with_its_slab_falls_back() {
     let width = |col: usize| slab + col * CKPT_COL_DESC + CKPT_COL_WIDTH;
     let shift = |col: usize| slab + col * CKPT_COL_DESC + CKPT_COL_SHIFT;
     // More than 8 rows, so that a bit a row is more than a byte.
-    assert!(u64_at(&image, area + CKPT_HEADER) > 8, "n_blocks");
+    assert!(u64_at(&image, area + C_LEN) > 8, "n_blocks");
     assert!(image[width(COL_SECTOR)] > 0 && image[width(COL_SEG)] < 64);
     for (what, at, value) in [
         ("a width of 65", width(COL_BLOCK_ID), 65),
@@ -475,7 +397,7 @@ fn descriptor_that_disagrees_with_its_slab_falls_back() {
     ] {
         let mut hostile = image.clone();
         hostile[at] = value;
-        reseal_first_slab(&mut hostile, area);
+        reseal_slab(&mut hostile, area, 0);
         let got = recover_one_shard(hostile).unwrap();
         assert_eq!((got.checkpoint_seq, got.snapshot_bytes), (0, 0), "{what}");
         assert!(got.segments_replayed > clean.segments_replayed, "{what}");
@@ -483,8 +405,8 @@ fn descriptor_that_disagrees_with_its_slab_falls_back() {
     // A slab cut short of its descriptors.
     let mut hostile = image.clone();
     let short = 11 * CKPT_COL_DESC as u32 - 1;
-    put_u32(&mut hostile, area + CKPT_HEADER + DIR_SLAB_LEN, short);
-    reseal_first_slab(&mut hostile, area);
+    put_u32(&mut hostile, area + C_LEN + C_DIR_SLAB_LEN, short);
+    reseal_slab(&mut hostile, area, 0);
     assert_eq!(recover_one_shard(hostile).unwrap().checkpoint_seq, 0);
 }
 
@@ -493,21 +415,21 @@ fn descriptor_that_disagrees_with_its_slab_falls_back() {
 /// back to the older area and replays the longer suffix.
 #[test]
 fn overflowing_directory_entry_falls_back_to_older_area() {
-    let (ld, world) = build_disk(8, 20);
-    ld.flush().unwrap();
+    let (ld, mut m) = build_disk(8, 20);
+    m.flush(&ld).unwrap();
     ld.checkpoint().unwrap(); // area B (newer)
     let image = ld.into_device().into_image();
-    let (clean_fp, clean_seq) = recover_fp(&image, 8, &world);
+    let (clean, clean_seq) = recover_to(&image, 8, &m, "clean");
+    assert_eq!(clean, m.acknowledged(), "everything was flushed");
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
 
     let mut hostile = image.clone();
     let area = layout.ckpt_b as usize;
-    hostile[area + CKPT_HEADER..area + CKPT_HEADER + 8]
-        .copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-    reseal_header(&mut hostile, area);
-    let (fp, seq) = recover_fp(&hostile, 8, &world);
+    hostile[area + C_LEN..area + C_LEN + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+    reseal_slab(&mut hostile, area, 0);
+    let (k, seq) = recover_to(&hostile, 8, &m, "an overflowing entry in area B");
     assert!(seq > 0 && seq < clean_seq, "older area not used: {seq}");
-    assert_eq!(fp, clean_fp, "fallback state diverges");
+    assert_eq!(k, clean, "fallback state diverges");
 }
 
 /// A directory may not count more rows than the layout's caps. A slab
@@ -523,9 +445,9 @@ fn zero_width_rows_past_the_caps_fall_back() {
     let image = ld.into_device().into_image();
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let area = layout.ckpt_a as usize;
-    let (dir, slab) = (area + CKPT_HEADER, area + CKPT_SLAB_START as usize);
+    let (dir, slab) = (area + C_LEN, area + SLAB_START);
     let desc = 11 * CKPT_COL_DESC;
-    assert_eq!(u32_at(&image, dir + DIR_SLAB_LEN) as usize, desc);
+    assert_eq!(u32_at(&image, dir + C_DIR_SLAB_LEN) as usize, desc);
     assert!(image[slab..slab + desc].iter().all(|&b| b == 0));
     for (n_blocks, taken) in [
         (3, true),
@@ -536,7 +458,7 @@ fn zero_width_rows_past_the_caps_fall_back() {
         let mut hostile = image.clone();
         put_u64(&mut hostile, slab + COL_BLOCK_ID * CKPT_COL_DESC, 1);
         put_u64(&mut hostile, dir, n_blocks);
-        reseal_first_slab(&mut hostile, area);
+        reseal_slab(&mut hostile, area, 0);
         let got = recover_one_shard(hostile).unwrap();
         assert_eq!(got.snapshot_bytes > 0, taken, "{n_blocks} rows: {got:?}");
     }
@@ -548,13 +470,14 @@ fn zero_width_rows_past_the_caps_fall_back() {
 /// other.
 #[test]
 fn snapshot_shard_count_migrates() {
-    let (image, world) = build_image(8, 60);
-    let (base_fp, base_seq) = recover_fp(&image, 8, &world);
+    let (image, m) = build_image(8, 60);
+    let (base, base_seq) = recover_to(&image, 8, &m, "shards 8");
     assert!(base_seq > 0);
-    for &shards in &[1usize, 16] {
-        let (fp, seq) = recover_fp(&image, shards, &world);
-        assert_eq!(seq, base_seq, "shards {shards}");
-        assert_eq!(fp, base_fp, "recover at {shards} shards diverges");
+    for shards in [1, 16] {
+        let at = format!("recovered at {shards} shards");
+        let (k, seq) = recover_to(&image, shards, &m, &at);
+        assert_eq!(seq, base_seq, "{at}");
+        assert_eq!(k, base, "{at}: diverges");
     }
 }
 
@@ -562,71 +485,46 @@ fn snapshot_shard_count_migrates() {
 /// land inside slab writes, the directory write, the header publish,
 /// and ordinary segment writes, and keep a seeded subset of the writes
 /// since the last barrier. Whatever survives, recovery succeeds and
-/// everything flushed before the first checkpoint is intact, holding a
-/// pattern some round actually wrote. `CRASH_SEED=<crash point>` runs
-/// one cut alone.
+/// gives a prefix of the workload that holds everything flushed or
+/// checkpointed. `CRASH_SEED=<crash point>` runs one cut alone.
 #[test]
 fn checkpoint_write_crash_matrix() {
-    let points: Vec<u64> = match std::env::var("CRASH_SEED") {
-        Ok(s) => vec![s.parse().expect("CRASH_SEED is a number")],
-        Err(_) => (40_000..400_000).step_by(23_000).collect(),
-    };
+    let points = crash_seeds((40_000..400_000).step_by(23_000));
     for mode in MODES {
         for &crash_at in &points {
             let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010())
                 .with_faults(FaultPlan::new().crash_after_bytes(crash_at));
             let ld = Lld::format(sim, &config(mode)).unwrap();
-            let mut world = World {
-                lists: Vec::new(),
-                blocks: Vec::new(),
-            };
+            let mut m = Model::default();
             let mut data = vec![0u8; BS];
 
-            // Base state, flushed before the fault budget can fire
-            // checkpoint writes: must always survive.
-            let mut sealed = 0usize;
+            // A base state flushed before the fault budget can fire
+            // checkpoint writes, then churn with periodic checkpoints
+            // until the cut.
             let crashed = (|| -> Result<(), ld_aru::core::LldError> {
+                let mut blocks = Vec::new();
                 for li in 0..8u64 {
-                    let l = ld.new_list(Ctx::Simple)?;
-                    let b = ld.new_block(Ctx::Simple, l, Position::First)?;
+                    let l = m.new_list(&ld, Ctx::Simple)?;
+                    let b = m.new_block(&ld, Ctx::Simple, l, Position::First)?;
                     pattern_fill(&mut data, li);
-                    ld.write(Ctx::Simple, b, &data)?;
-                    world.lists.push(l);
-                    world.blocks.push(b);
+                    m.write(&ld, Ctx::Simple, b, &data)?;
+                    blocks.push(b);
                 }
-                ld.flush()?;
-                sealed = world.blocks.len();
-                // Churn with periodic checkpoints until the cut.
+                m.flush(&ld)?;
                 for round in 0..40u64 {
-                    for (i, &b) in world.blocks.iter().enumerate().take(sealed) {
+                    for (i, &b) in blocks.iter().enumerate() {
                         pattern_fill(&mut data, 0x1000 + round * 100 + i as u64);
-                        ld.write(Ctx::Simple, b, &data)?;
+                        m.write(&ld, Ctx::Simple, b, &data)?;
                     }
                     ld.checkpoint()?;
+                    m.synced();
                 }
                 Ok(())
             })()
             .is_err();
 
             let (image, cut) = ld.into_device().crash_image();
-            let (fp, _) = recover_fp(&image, mode, &world);
-            // The flushed base blocks all survive, each holding its
-            // base pattern or some round's overwrite.
-            for (i, c) in fp.contents.iter().enumerate().take(sealed) {
-                let c = c
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("shards {mode}, {cut}: flushed block {i} lost"));
-                let written = std::iter::once(i as u64)
-                    .chain((0..40u64).map(|round| 0x1000 + round * 100 + i as u64))
-                    .any(|seed| {
-                        pattern_fill(&mut data, seed);
-                        data == *c
-                    });
-                assert!(
-                    written,
-                    "shards {mode}, {cut}: block {i} holds bytes never written"
-                );
-            }
+            recover_to(&image, mode, &m, &format!("shards {mode}, {cut}"));
             assert!(
                 crashed || crash_at > 200_000,
                 "{cut}: the budget never ran out"
