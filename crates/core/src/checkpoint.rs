@@ -10,19 +10,22 @@
 //! and the cleaner only reuses slots whose sequence number the latest
 //! checkpoint covers.
 //!
-//! # On-disk format (format version 9; the checkpoint is as in 8)
+//! # On-disk format (format version 10)
 //!
 //! Each of the two alternating areas (A/B) holds one checkpoint as
-//! *per-shard snapshot slabs* behind a header and a slab directory:
+//! *per-shard snapshot slabs* and a *dedup table* behind a slab
+//! directory; its header is not in the area but next to the superblock,
+//! alone in its sector (sector 1 for A, 2 for B:
+//! [`CKPT_HEADER_AT`](crate::layout::CKPT_HEADER_AT)), so a restart
+//! reads the superblock and both headers in one read:
 //!
 //! ```text
-//! area+0    header (68 B): magic u32 "LCK5", head link u32, covered
-//!           seq, ts, floors, snap_shards, dir crc, n_dedup, dedup crc,
-//!           head slot u32, head base u32, header crc
-//! area+68   directory (24 B per slab, space reserved for 64):
-//!           n_blocks u64, n_lists u64, slab crc u32, slab length u32
-//! area+68+1536  slab 0 | slab 1 | … | dedup slab (32 B per write-id
-//!               outcome)
+//! header (76 B): magic u32 "LCK6", head link u32, covered seq, ts,
+//!           floors, snap_shards, dir crc, n_dedup, dedup crc, head slot
+//!           u32, head base u32, body length u64, header crc
+//! area+0    directory (24 B per slab): n_blocks u64, n_lists u64, slab
+//!           crc u32, slab length u32
+//! area+24n  slab 0 | slab 1 | … | dedup table, to `area + body length`
 //! ```
 //!
 //! Slab `i` holds the records of map shard `i` at checkpoint time (the
@@ -49,23 +52,35 @@
 //!
 //! A column's *coded* value is, for the identifier, the plain
 //! difference from the previous row's (rows are sorted, and the first
-//! row's predecessor is 0); for a block's segment, sector, list and
-//! timestamp and a list's first and timestamp, the zigzag of the
-//! wrapping difference from the previous row's value; for a block's
-//! successor and a list's last, the zigzag of the difference from the
-//! row's own identifier and first; a block's sector count is stored as
-//! it is. The zigzag of a wrapping difference is a bijection on u64, so
-//! a small step either way is a small number and every value has a code.
+//! row's predecessor is 0); for a block's segment, sector and timestamp
+//! and a list's timestamp, the zigzag of the wrapping difference from
+//! the previous row's value; a block's sector count is stored as it is.
+//! The zigzag of a wrapping difference is a bijection on u64, so a small
+//! step either way is a small number and every value has a code. The
+//! four identifier references — a block's successor and list, a list's
+//! first and last — code an absent one as 0 and a present one as the
+//! zigzag of its difference from its predictor plus one: for the
+//! successor the row's own identifier, for last the row's own first, for
+//! list and first the previous row's value.
 //!
 //! A column whose coded values are all equal takes no bits in a row: the
 //! sector count of an address is the constant 8 on a disk of full 4 KiB
 //! blocks. The shift drops the low bits every coded value of a column
-//! shares with the others. "None" never costs a column its width: an absent successor,
-//! list, first or last is 0 (identifiers are not), an absent address is
-//! segment 0 with a present one stored as `segment + 1`, and the sector
-//! and count beside it are 0 and a full block's. A slab is a function of
-//! its tables: the same entries give the same bytes, whatever the order
-//! they were inserted in or the capacity of the map.
+//! shares with the others. "None" never costs a column its width: an
+//! absent reference codes as 0, so a list's tail pays nothing for its
+//! successor; an absent address is segment 0 with a present one stored
+//! as `segment + 1`, and the sector and count beside it are 0 and a full
+//! block's. A slab is a function of its tables: the same entries give
+//! the same bytes, whatever the order they were inserted in or the
+//! capacity of the map.
+//!
+//! The *dedup table* is the codec's third table: the write-id outcomes
+//! (client, write id, generation, commit timestamp) in the cache's
+//! recording order. No outcome, no byte; else four descriptors as a
+//! slab's, row 0's values as four u64, and rows 1.. bit-packed, each
+//! column the zigzag of its difference from the row before. Row 0 is
+//! stored in full so that its absolute values — a client identifier is
+//! any u64 — set no column's width.
 //!
 //! **The bound.** A row is never wider than 40 B (a block) or 32 B (a
 //! list), which is what `Layout::compute` sizes the area by. A column's
@@ -75,30 +90,38 @@
 //! `u32::MAX` (a segment is below `n_segments`, itself a u32), so the
 //! zigzag of a difference of two is below 2³³, 33 bits; a sector is
 //! below 2²³ (a slot of at most 4 GiB), 24 bits; a count is at most 128
-//! (a block of at most 64 KiB), 8 bits; successor, list and timestamp
-//! are any u64, 64 bits each. 63 + 33 + 24 + 8 + 64 + 64 + 64 = 320 bits
-//! = 40 B. A list row is at most 63 + 64 + 64 + 64 = 255 bits, under
-//! 32 B. A variable-length code (format 5's rejected delta-varint) spends
-//! a continuation bit a byte and takes up to 50 B a block; a column's
-//! fixed width in bits does not.
+//! (a block of at most 64 KiB), 8 bits; a timestamp is any u64, 64 bits;
+//! a present reference and its predictor are both at most
+//! [`MAX_RAW_ID`], so their difference is below 2⁶³ either way, its
+//! zigzag at most 2⁶⁴ − 2 and the code at most `u64::MAX`, 64 bits.
+//! 63 + 33 + 24 + 8 + 64 + 64 + 64 = 320 bits = 40 B. A list row is at
+//! most 63 + 64 + 64 + 64 = 255 bits, under 32 B. A dedup row is at most
+//! four columns of 64 bits, 32 B, so `n` outcomes take at most
+//! 40 + 32 n bytes. A variable-length code (format 5's rejected
+//! delta-varint) spends a continuation bit a byte and takes up to 50 B a
+//! block; a column's fixed width in bits does not.
 //!
 //! What a reader refuses. The *area* is invalid, and recovery falls back
 //! to the other one, on: a bad magic or header CRC, a slab count outside
-//! 1..=64, a directory CRC mismatch, a directory that counts more blocks
-//! or lists than the layout's `max_blocks` or `max_lists` (a table whose
-//! widths are all 0 takes no bytes for any count, and its identifiers
-//! step by the minimum, so only the caps bound it), a slab or dedup slab
-//! that ends outside the area or fails its CRC, a descriptor width above 64, a
-//! shift above 63 or `width + shift` above 64, and a table whose rows are
-//! not ⌈n × Σ widths / 8⌉ bytes (checked arithmetic). The *image* is
-//! [`LldError::Corrupt`] when a slab that passed all of that holds a row
-//! recovery cannot take at its word: `minimum + (delta << shift)` past
-//! `u64::MAX`, an identifier of zero or above [`MAX_RAW_ID`] (the
-//! allocators count on from it, and an identifier delta that carries
-//! past it is this case), a segment, sector or sector count the device
-//! does not have (checked by recovery against the layout), an identifier
-//! twice (an identifier delta of 0); so is an allocator floor above
-//! `MAX_RAW_ID` in the header of the area chosen.
+//! 1..=64, a body length shorter than the directory or past the area, a
+//! directory CRC mismatch, a directory that counts more blocks or lists
+//! than the layout's `max_blocks` or `max_lists` (a table whose widths
+//! are all 0 takes no bytes for any count, and its identifiers step by
+//! the minimum, so only the caps bound it), a slab that ends past the
+//! body, a slab or dedup table that fails its CRC, a descriptor width
+//! above 64, a shift above 63 or `width + shift` above 64, a table whose
+//! rows are not ⌈n × Σ widths / 8⌉ bytes (checked arithmetic), and a
+//! dedup table that is not empty for no outcome or not its descriptors,
+//! row 0 and the rest for `n`. The *image* is [`LldError::Corrupt`] when
+//! a slab that passed all of that holds a row recovery cannot take at
+//! its word: `minimum + (delta << shift)` past `u64::MAX`, an identifier
+//! of zero or above [`MAX_RAW_ID`] (the allocators count on from it, and
+//! an identifier delta that carries past it is this case), a present
+//! reference that decodes to zero or past [`MAX_RAW_ID`], a segment,
+//! sector or sector count the device does not have (checked by recovery
+//! against the layout), an identifier twice (an identifier delta of 0);
+//! so is an allocator floor above `MAX_RAW_ID` in the header of the area
+//! chosen.
 //!
 //! The header also records where the log continues past the covered
 //! sequence number — the [`ChainHead`]: the slot and the sector in it
@@ -107,10 +130,12 @@
 //! suffix (see `segment.rs`).
 //!
 //! Torn-write safety is header-last + A/B alternation: slabs are
-//! written first, then the directory, then the header (all CRC'd), then
-//! one flush. A crash anywhere mid-write leaves the header invalid (or
-//! stale-but-consistent), and the *other* area still holds the previous
-//! checkpoint.
+//! written first, then the dedup table and the directory, then a
+//! barrier, then the header (all CRC'd), then one more. A crash anywhere
+//! mid-write leaves the header invalid (or stale-but-consistent), and the
+//! *other* area still holds the previous checkpoint. A header write
+//! touches its own sector only: not the superblock, which nothing
+//! rewrites after format, nor the other header.
 //!
 //! # The writer
 //!
@@ -132,7 +157,7 @@
 //!    lock alone, [`LldInner::ckpt_slab`] writes them with no
 //!    mapping-layer lock held.
 //! 3. *commit* ([`LldInner::ckpt_commit`], holding the log mutex):
-//!    dedup slab, directory, header last, one flush, publish.
+//!    dedup table, directory, barrier, header last, barrier, publish.
 //!
 //! Foreground commits that would advance a pending shard's persistent
 //! tables first preserve them in `snap_copy` (copy-on-advance, see
@@ -142,8 +167,8 @@
 use crate::config::ConcurrencyMode;
 use crate::error::{LldError, Result};
 use crate::layout::{
-    u32_at, u64_at, Layout, CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH, CKPT_DEDUP_ENTRY,
-    CKPT_DIR_ENTRY, CKPT_DIR_RESERVE, CKPT_HEADER, CKPT_SLAB_DESC, MAX_SNAP_SHARDS,
+    u32_at, u64_at, Layout, CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH, CKPT_DEDUP_DESC,
+    CKPT_DIR_ENTRY, CKPT_HEADER, CKPT_SLAB_DESC, MAX_SNAP_SHARDS,
 };
 use crate::lld::{LldInner, Mutation};
 use crate::segment::ChainHead;
@@ -152,7 +177,7 @@ use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp, MAX_RAW_ID};
 use ld_disk::{crc32, BlockDevice};
 use std::sync::atomic::Ordering;
 
-const CKPT_MAGIC: u32 = 0x4C43_4B35; // "LCK5"
+const CKPT_MAGIC: u32 = 0x4C43_4B36; // "LCK6"
 
 /// Checkpoint-area I/O state, behind the `ckpt_io` mutex, which the
 /// writer holds from *begin* to *commit* (see the module docs).
@@ -162,20 +187,15 @@ pub(crate) struct CkptSlots {
     pub(crate) use_b: bool,
 }
 
-/// Directory entry for one snapshot slab, with its absolute device
-/// offset resolved.
+/// Directory entry for one snapshot slab: what its payload must hold.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SlabInfo {
-    /// Absolute device offset of the slab.
-    pub(crate) offset: u64,
-    /// Payload length in bytes, checked to lie inside the area.
-    pub(crate) len: u64,
-    pub(crate) n_blocks: u64,
-    pub(crate) n_lists: u64,
-    pub(crate) crc: u32,
+struct SlabInfo {
+    n_blocks: u64,
+    n_lists: u64,
+    crc: u32,
 }
 
-/// A decoded checkpoint header + slab directory (slabs not yet read).
+/// A decoded checkpoint header (its body not yet read).
 #[derive(Debug, Clone)]
 pub(crate) struct CkptHeaderInfo {
     /// Absolute device offset of the area.
@@ -187,13 +207,14 @@ pub(crate) struct CkptHeaderInfo {
     pub(crate) list_floor: u64,
     /// Where the log continues past `seq`.
     pub(crate) head: ChainHead,
-    pub(crate) slabs: Vec<SlabInfo>,
-    /// Absolute device offset of the write-id dedup slab (directly
-    /// after the last snapshot slab).
-    pub(crate) dedup_off: u64,
-    /// Number of 32-byte dedup entries.
-    pub(crate) n_dedup: u64,
-    pub(crate) dedup_crc: u32,
+    snap_shards: u32,
+    dir_crc: u32,
+    /// Write-id outcomes in the dedup table.
+    n_dedup: u64,
+    dedup_crc: u32,
+    /// Bytes of the body at the area's start: directory, slabs, dedup
+    /// table.
+    body_len: u64,
 }
 
 /// One checkpoint being written: what *begin* pinned, and what the slab
@@ -212,7 +233,8 @@ struct CkptWrite {
     list_floor: u64,
     /// Absolute offset of the target area.
     area: u64,
-    /// Offset of the next slab, relative to the area.
+    /// Offset of the next slab, relative to the area: behind the
+    /// directory, one entry a shard.
     end: u64,
     /// The directory so far: per slab written its block count, list
     /// count, CRC and byte length.
@@ -220,7 +242,7 @@ struct CkptWrite {
 }
 
 impl CkptWrite {
-    fn encode_header(&self, n_dedup: u32, dedup_crc: u32) -> Vec<u8> {
+    fn encode_header(&self, n_dedup: u32, dedup_crc: u32, body_len: u64) -> Vec<u8> {
         let mut h = Vec::with_capacity(CKPT_HEADER as usize);
         h.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
         h.extend_from_slice(&self.head.link.to_le_bytes());
@@ -234,6 +256,7 @@ impl CkptWrite {
         h.extend_from_slice(&dedup_crc.to_le_bytes());
         h.extend_from_slice(&self.head.slot.to_le_bytes());
         h.extend_from_slice(&self.head.base.to_le_bytes());
+        h.extend_from_slice(&body_len.to_le_bytes());
         let crc = crc32(&h);
         h.extend_from_slice(&crc.to_le_bytes());
         debug_assert_eq!(h.len() as u64, CKPT_HEADER);
@@ -258,10 +281,31 @@ fn unzigzag(z: u64, pred: u64) -> u64 {
     pred.wrapping_add((z >> 1) ^ (z & 1).wrapping_neg())
 }
 
+/// The code of an optional identifier (`v`, 0 for none) from `pred`:
+/// 0 for none, else the zigzag of the difference plus one. Both are at
+/// most [`MAX_RAW_ID`], so the difference is below 2⁶³ either way and
+/// the code fits a u64.
+fn code_ref(v: u64, pred: u64) -> u64 {
+    match v {
+        0 => 0,
+        v => zigzag(v, pred) + 1,
+    }
+}
+
+/// Inverts [`code_ref`]; `None` for a present identifier no allocator
+/// hands out (0 or past [`MAX_RAW_ID`]).
+fn decode_ref(c: u64, pred: u64) -> Option<u64> {
+    match c.checked_sub(1) {
+        None => Some(0),
+        Some(z) => Some(unzigzag(z, pred)).filter(|v| (1..=MAX_RAW_ID).contains(v)),
+    }
+}
+
 /// A block row's coded values, given the previous row (all zero before
 /// the first): the identifier's plain difference (rows are sorted), the
 /// successor from the row's own identifier, the sector count as it is,
-/// everything else from the previous row.
+/// everything else from the previous row; successor and list as
+/// [`code_ref`].
 fn code_block(prev: &[u64; BLOCK_COLS], row: &[u64; BLOCK_COLS]) -> [u64; BLOCK_COLS] {
     let [id, segment, sector, sectors, successor, list, ts] = *row;
     [
@@ -269,13 +313,14 @@ fn code_block(prev: &[u64; BLOCK_COLS], row: &[u64; BLOCK_COLS]) -> [u64; BLOCK_
         zigzag(segment, prev[1]),
         zigzag(sector, prev[2]),
         sectors,
-        zigzag(successor, id),
-        zigzag(list, prev[5]),
+        code_ref(successor, id),
+        code_ref(list, prev[5]),
         zigzag(ts, prev[6]),
     ]
 }
 
-/// Inverts [`code_block`]; `None` if the identifier passes `u64::MAX`.
+/// Inverts [`code_block`]; `None` if the identifier passes `u64::MAX`
+/// or a present successor or list is no identifier.
 fn decode_block(prev: &[u64; BLOCK_COLS], c: [u64; BLOCK_COLS]) -> Option<[u64; BLOCK_COLS]> {
     let id = prev[0].checked_add(c[0])?;
     Some([
@@ -283,28 +328,28 @@ fn decode_block(prev: &[u64; BLOCK_COLS], c: [u64; BLOCK_COLS]) -> Option<[u64; 
         unzigzag(c[1], prev[1]),
         unzigzag(c[2], prev[2]),
         c[3],
-        unzigzag(c[4], id),
-        unzigzag(c[5], prev[5]),
+        decode_ref(c[4], id)?,
+        decode_ref(c[5], prev[5])?,
         unzigzag(c[6], prev[6]),
     ])
 }
 
 /// A list row's coded values: `last` from the row's own `first`, the
-/// rest from the previous row.
+/// rest from the previous row; `first` and `last` as [`code_ref`].
 fn code_list(prev: &[u64; LIST_COLS], row: &[u64; LIST_COLS]) -> [u64; LIST_COLS] {
     let [id, first, last, ts] = *row;
     [
         id - prev[0],
-        zigzag(first, prev[1]),
-        zigzag(last, first),
+        code_ref(first, prev[1]),
+        code_ref(last, first),
         zigzag(ts, prev[3]),
     ]
 }
 
 /// Inverts [`code_list`].
 fn decode_list(prev: &[u64; LIST_COLS], c: [u64; LIST_COLS]) -> Option<[u64; LIST_COLS]> {
-    let (id, first) = (prev[0].checked_add(c[0])?, unzigzag(c[1], prev[1]));
-    Some([id, first, unzigzag(c[2], first), unzigzag(c[3], prev[3])])
+    let (id, first) = (prev[0].checked_add(c[0])?, decode_ref(c[1], prev[1])?);
+    Some([id, first, decode_ref(c[2], first)?, unzigzag(c[3], prev[3])])
 }
 
 /// Sorts `rows` by identifier and codes each in place from its
@@ -532,6 +577,113 @@ fn encode_slab(tables: &Tables, full: u64) -> Slab {
     }
 }
 
+/// The dedup table's columns: client, write id, generation, commit
+/// timestamp.
+pub(crate) const DEDUP_COLS: usize = 4;
+
+/// The bytes of the dedup table of `rows` (all of them, oldest first):
+/// none for no row; else the descriptors, the first row's values in
+/// full and the rest bit-packed, each column the zigzag of its
+/// difference from the row before.
+fn dedup_table(rows: &[[u64; DEDUP_COLS]]) -> Vec<u8> {
+    let Some(first) = rows.first() else {
+        return Vec::new();
+    };
+    let coded: Vec<[u64; DEDUP_COLS]> = (rows.windows(2))
+        .map(|w| std::array::from_fn(|c| zigzag(w[1][c], w[0][c])))
+        .collect();
+    let cols = Columns::fit(&coded);
+    let mut out = Vec::new();
+    cols.put_desc(&mut out);
+    for v in first {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    cols.put_rows(&coded, &mut out);
+    out
+}
+
+/// Encodes the write-id outcomes `rows` (client, write id, generation,
+/// commit timestamp; oldest first) as the dedup table, the slab codec's
+/// third table: of the rows, the newest that fit in `room` bytes, and
+/// how many that is. Row 0 is stored in full, so its absolute values
+/// set no column's width. A table of fewer rows is never larger, so the
+/// newest that fit are found by bisection, and only when not all do.
+pub(crate) fn encode_dedup(rows: &[[u64; DEDUP_COLS]], room: u64) -> (Vec<u8>, usize) {
+    let table = |k: usize| dedup_table(&rows[rows.len() - k..]);
+    let all = table(rows.len());
+    if all.len() as u64 <= room {
+        return (all, rows.len());
+    }
+    // `lo` rows fit, `hi` do not.
+    let (mut lo, mut hi) = (0, rows.len());
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if table(mid).len() as u64 <= room {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (table(lo), lo)
+}
+
+/// A dedup table whose descriptors and length hold, ready to hand out
+/// its rows, oldest first.
+#[derive(Debug)]
+pub(crate) struct DedupTable<'a> {
+    n: u64,
+    first: [u64; DEDUP_COLS],
+    cols: Columns<DEDUP_COLS>,
+    rows: &'a [u8],
+}
+
+impl<'a> DedupTable<'a> {
+    /// Checks the table of `n` rows in `bytes`: no bytes for no row,
+    /// else its descriptors, its first row, and that the rest take what
+    /// they and `n` add up to. `None` if not.
+    pub(crate) fn open(bytes: &'a [u8], n: u64) -> Option<Self> {
+        if n == 0 {
+            return bytes.is_empty().then(|| DedupTable {
+                n,
+                first: [0; DEDUP_COLS],
+                cols: Columns::fit(&[]),
+                rows: bytes,
+            });
+        }
+        let (desc, rest) = bytes.split_at_checked(CKPT_DEDUP_DESC as usize)?;
+        let cols = Columns::parse(desc)?;
+        let (first, rows) = rest.split_at_checked(8 * DEDUP_COLS)?;
+        (cols.table_bytes(n - 1)? == rows.len() as u64).then(|| DedupTable {
+            n,
+            first: std::array::from_fn(|c| u64_at(first, 8 * c)),
+            cols,
+            rows,
+        })
+    }
+
+    /// The rows: client, write id, generation, commit timestamp.
+    ///
+    /// # Errors
+    ///
+    /// Each item is [`LldError::Corrupt`] for a value past `u64::MAX`.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = Result<[u64; DEDUP_COLS]>> + '_ {
+        let decode = |prev: &[u64; DEDUP_COLS], c: [u64; DEDUP_COLS]| {
+            Some(std::array::from_fn(|i| unzigzag(c[i], prev[i])))
+        };
+        let rest = decoded(
+            self.cols,
+            self.rows,
+            self.n.saturating_sub(1),
+            self.first,
+            decode,
+        );
+        (self.n > 0)
+            .then_some(Ok(self.first))
+            .into_iter()
+            .chain(rest)
+    }
+}
+
 fn area_overflow() -> LldError {
     LldError::Corrupt("checkpoint exceeds its reserved area".into())
 }
@@ -589,7 +741,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             } else {
                 lld.layout.ckpt_a
             },
-            end: CKPT_HEADER + CKPT_DIR_RESERVE,
+            end: u64::from(lld.maps.nshards()) * CKPT_DIR_ENTRY,
             dir: Vec::new(),
         }))
     }
@@ -669,7 +821,7 @@ impl<D: BlockDevice> LldInner<D> {
         Ok(())
     }
 
-    /// Step 3, *commit*: dedup slab, directory, header last, flush,
+    /// Step 3, *commit*: dedup table, directory, header last, flush,
     /// publish, holding the log mutex (lock order: `ckpt_io` → log →
     /// dedup).
     fn ckpt_commit(&self, w: &CkptWrite, io: &mut CkptSlots) -> Result<()> {
@@ -678,29 +830,27 @@ impl<D: BlockDevice> LldInner<D> {
         // commit still finds its recorded outcome after recovery from
         // this checkpoint. Entries recorded since *begin* belong to
         // segments past the covered point; recovery replays those and
-        // re-records the same outcomes, so a fresher slab is harmless.
+        // re-records the same outcomes, so a fresher table is harmless.
         // The encoder truncates oldest-first to the room that is left.
         let room = self.layout.ckpt_area_size.saturating_sub(w.end);
-        let dedup = self.dedup.lock().encode(room as usize);
-        let bytes = w.end + dedup.len() as u64;
-        if bytes > self.layout.ckpt_area_size {
+        let (dedup, n_dedup) = self.dedup.lock().encode(room);
+        let body_len = w.end + dedup.len() as u64;
+        if body_len > self.layout.ckpt_area_size {
             return Err(area_overflow());
         }
-        let header = w.encode_header(
-            (dedup.len() as u64 / CKPT_DEDUP_ENTRY) as u32,
-            crc32(&dedup),
-        );
+        let header = w.encode_header(n_dedup as u32, crc32(&dedup), body_len);
         if !dedup.is_empty() {
             self.device.write_at(w.area + w.end, &dedup)?;
         }
-        self.device.write_at(w.area + CKPT_HEADER, &w.dir)?;
+        self.device.write_at(w.area, &w.dir)?;
         // What the header vouches for is durable before the header is
         // written: the slabs, the directory, and every segment it
         // covers, the seal *begin* made included (docs/INVARIANTS.md
         // I4, "Across a barrier").
         self.device.flush()?;
         self.barrier_covers.fetch_max(w.covered, Ordering::Relaxed);
-        self.device.write_at(w.area, &header)?;
+        self.device
+            .write_at(self.layout.ckpt_header_at(w.area), &header)?;
         self.device.flush()?;
         io.use_b = w.area == self.layout.ckpt_a;
         log.checkpoint_seq = w.covered;
@@ -710,129 +860,114 @@ impl<D: BlockDevice> LldInner<D> {
             self.now(),
             crate::obs::TraceEvent::Checkpoint {
                 covered_seq: w.covered,
-                bytes,
+                bytes: CKPT_HEADER + body_len,
             },
         );
         Ok(())
     }
 }
 
-/// Reads and validates one area's header and slab directory (one device
-/// read for both), resolving each slab's absolute offset. `None` if the
-/// area holds no valid checkpoint (bad magic, CRC, or geometry).
-pub(crate) fn read_header_dir<D: BlockDevice>(
-    device: &D,
-    layout: &Layout,
-    area: u64,
-) -> Result<Option<CkptHeaderInfo>> {
+/// Validates the header of the area at `area` in `front`, the
+/// superblock's region as a restart reads it (at least its first three
+/// sectors). `None` if the area holds no valid checkpoint: a bad magic
+/// or CRC, a slab count outside 1..=64, or a body that is shorter than
+/// its directory or longer than the area.
+pub(crate) fn parse_header(front: &[u8], layout: &Layout, area: u64) -> Option<CkptHeaderInfo> {
     const BODY: usize = CKPT_HEADER as usize - 4;
-    let mut buf = [0u8; (CKPT_HEADER + CKPT_DIR_RESERVE) as usize];
-    device.read_at(area, &mut buf)?;
-    let (header, dir) = buf.split_at(CKPT_HEADER as usize);
-    if crc32(&header[..BODY]) != u32_at(header, BODY) {
-        return Ok(None);
+    let at = layout.ckpt_header_at(area) as usize;
+    let header = front.get(at..at + CKPT_HEADER as usize)?;
+    if crc32(&header[..BODY]) != u32_at(header, BODY) || u32_at(header, 0) != CKPT_MAGIC {
+        return None;
     }
-    let u32at = |p: usize| u32_at(header, p);
-    if u32at(0) != CKPT_MAGIC {
-        return Ok(None);
+    let snap_shards = u32_at(header, 40);
+    let body_len = u64_at(header, 64);
+    let least = u64::from(snap_shards) * CKPT_DIR_ENTRY;
+    if snap_shards == 0
+        || u64::from(snap_shards) > MAX_SNAP_SHARDS
+        || !(least..=layout.ckpt_area_size).contains(&body_len)
+    {
+        return None;
     }
-    let head = ChainHead {
-        slot: u32at(56),
-        base: u32at(60),
-        link: u32at(4),
-    };
-    let seq = u64_at(header, 8);
-    let ts_counter = u64_at(header, 16);
-    let block_floor = u64_at(header, 24);
-    let list_floor = u64_at(header, 32);
-    let snap_shards = u32at(40);
-    let dir_crc = u32at(44);
-    let n_dedup = u64::from(u32at(48));
-    let dedup_crc = u32at(52);
-    if snap_shards == 0 || u64::from(snap_shards) > MAX_SNAP_SHARDS {
-        return Ok(None);
-    }
-    let dir = &dir[..snap_shards as usize * CKPT_DIR_ENTRY as usize];
-    if crc32(dir) != dir_crc {
-        return Ok(None);
-    }
-    let mut slabs = Vec::with_capacity(snap_shards as usize);
-    let mut off = area + CKPT_HEADER + CKPT_DIR_RESERVE;
-    let end = area + layout.ckpt_area_size;
-    for entry in dir.chunks_exact(CKPT_DIR_ENTRY as usize) {
-        let len = u64::from(u32_at(entry, 20));
-        let Some(next) = off.checked_add(len).filter(|&next| next <= end) else {
-            return Ok(None);
-        };
-        slabs.push(SlabInfo {
-            offset: off,
-            len,
-            n_blocks: u64_at(entry, 0),
-            n_lists: u64_at(entry, 8),
-            crc: u32_at(entry, 16),
-        });
-        off = next;
-    }
-    if (off.checked_add(n_dedup * CKPT_DEDUP_ENTRY)).is_none_or(|dedup_end| dedup_end > end) {
-        return Ok(None);
-    }
-    // No writer holds more rows than the allocators hand out, and a
-    // table whose columns all take 0 bits would count on for free.
-    let total = |n: fn(&SlabInfo) -> u64| slabs.iter().map(n).fold(0, u64::saturating_add);
-    if total(|s| s.n_blocks) > layout.max_blocks || total(|s| s.n_lists) > layout.max_lists {
-        return Ok(None);
-    }
-    Ok(Some(CkptHeaderInfo {
+    Some(CkptHeaderInfo {
         area,
-        seq,
-        ts_counter,
-        block_floor,
-        list_floor,
-        head,
-        slabs,
-        dedup_off: off,
-        n_dedup,
-        dedup_crc,
-    }))
+        seq: u64_at(header, 8),
+        ts_counter: u64_at(header, 16),
+        block_floor: u64_at(header, 24),
+        list_floor: u64_at(header, 32),
+        head: ChainHead {
+            slot: u32_at(header, 56),
+            base: u32_at(header, 60),
+            link: u32_at(header, 4),
+        },
+        snap_shards,
+        dir_crc: u32_at(header, 44),
+        n_dedup: u64::from(u32_at(header, 48)),
+        dedup_crc: u32_at(header, 52),
+        body_len,
+    })
+}
+
+/// What one area's body holds, every checksum and descriptor checked:
+/// the snapshot slabs and the dedup table.
+#[derive(Debug)]
+pub(crate) struct CkptBody<'a> {
+    pub(crate) slabs: Vec<SlabReader<'a>>,
+    pub(crate) dedup: DedupTable<'a>,
 }
 
 impl CkptHeaderInfo {
-    /// Bytes the checkpoint takes in its area: header, directory
-    /// reserve, slabs, dedup slab.
+    /// Bytes the checkpoint takes: its header and its body.
     pub(crate) fn bytes(&self) -> u64 {
-        self.dedup_off + self.n_dedup * CKPT_DEDUP_ENTRY - self.area
+        CKPT_HEADER + self.body_len
     }
 
-    /// Reads the snapshot slabs and the dedup slab of a checkpoint
-    /// whose header was validated — they lie back to back — with one
-    /// device read.
+    /// Reads the body — directory, slabs and dedup table, back to back
+    /// from the area's start — with one device read.
     pub(crate) fn read_body<D: BlockDevice + ?Sized>(&self, device: &D) -> Result<Vec<u8>> {
-        let start = self.slabs[0].offset;
-        let end = self.dedup_off + self.n_dedup * CKPT_DEDUP_ENTRY;
-        let mut body = vec![0u8; (end - start) as usize];
-        device.read_at(start, &mut body)?;
+        let mut body = vec![0u8; self.body_len as usize];
+        device.read_at(self.area, &mut body)?;
         Ok(body)
     }
 
-    fn slice<'a>(&self, body: &'a [u8], offset: u64, len: u64) -> &'a [u8] {
-        &body[(offset - self.slabs[0].offset) as usize..][..len as usize]
-    }
-
-    /// The write-id dedup slab in `body` (empty if the checkpoint
-    /// carries none); `None` on a CRC mismatch (the whole area must
-    /// then be considered invalid).
-    pub(crate) fn dedup_slab<'a>(&self, body: &'a [u8]) -> Option<&'a [u8]> {
-        let payload = self.slice(body, self.dedup_off, self.n_dedup * CKPT_DEDUP_ENTRY);
-        (payload.is_empty() || crc32(payload) == self.dedup_crc).then_some(payload)
-    }
-
-    /// Opens every snapshot slab in `body` ([`SlabInfo::open`]). `None`
-    /// if any slab fails (the whole area must then be considered
-    /// invalid); no row has been looked at.
-    pub(crate) fn slabs<'a>(&self, body: &'a [u8]) -> Option<Vec<SlabReader<'a>>> {
-        (self.slabs.iter())
-            .map(|info| info.open(self.slice(body, info.offset, info.len)))
-            .collect()
+    /// Checks `body` and opens its slabs ([`SlabInfo::open`]) and its
+    /// dedup table ([`DedupTable::open`]). `None` if any of it fails
+    /// (the whole area must then be considered invalid): a directory
+    /// CRC mismatch, a slab that ends past the body, more blocks or
+    /// lists than the layout's caps (a table whose widths are all 0
+    /// takes no bytes for any count), a slab or dedup table that fails
+    /// its CRC or its descriptors. No row has been looked at.
+    pub(crate) fn open<'a>(&self, body: &'a [u8], layout: &Layout) -> Option<CkptBody<'a>> {
+        let (dir, _) =
+            body.split_at_checked(self.snap_shards as usize * CKPT_DIR_ENTRY as usize)?;
+        if crc32(dir) != self.dir_crc {
+            return None;
+        }
+        let mut slabs = Vec::with_capacity(self.snap_shards as usize);
+        let mut rest = &body[dir.len()..];
+        for entry in dir.chunks_exact(CKPT_DIR_ENTRY as usize) {
+            let (payload, behind) = rest.split_at_checked(u32_at(entry, 20) as usize)?;
+            let info = SlabInfo {
+                n_blocks: u64_at(entry, 0),
+                n_lists: u64_at(entry, 8),
+                crc: u32_at(entry, 16),
+            };
+            slabs.push(info.open(payload)?);
+            rest = behind;
+        }
+        // No writer holds more rows than the allocators hand out, and a
+        // table whose columns all take 0 bits would count on for free.
+        let total =
+            |n: fn(&SlabReader<'_>) -> u64| slabs.iter().map(n).fold(0, u64::saturating_add);
+        if total(|s| s.n_blocks) > layout.max_blocks || total(|s| s.n_lists) > layout.max_lists {
+            return None;
+        }
+        if crc32(rest) != self.dedup_crc {
+            return None;
+        }
+        Some(CkptBody {
+            slabs,
+            dedup: DedupTable::open(rest, self.n_dedup)?,
+        })
     }
 }
 
@@ -886,19 +1021,23 @@ fn checked_id(raw: u64, what: &str) -> Result<u64> {
 }
 
 fn row_overflow() -> LldError {
-    LldError::Corrupt("a checkpoint row's value passes u64::MAX".into())
+    LldError::Corrupt(
+        "a checkpoint row's value passes u64::MAX, or names an identifier no allocator hands out"
+            .into(),
+    )
 }
 
-/// The rows of one table, each decoded from its coded values and the
-/// row before it; `Err` where a value passes `u64::MAX`.
+/// The `n` rows of one table, each decoded from its coded values and
+/// the row before it (`prev` before the first); `Err` where a value
+/// passes `u64::MAX` or is no identifier where one is present.
 fn decoded<'a, const N: usize>(
     cols: Columns<N>,
     bytes: &'a [u8],
     n: u64,
+    mut prev: [u64; N],
     decode: impl Fn(&[u64; N], [u64; N]) -> Option<[u64; N]> + 'a,
 ) -> impl Iterator<Item = Result<[u64; N]>> + 'a {
     let mut rows = BitRows::new(cols, bytes);
-    let mut prev = [0u64; N];
     (0..n).map(move |_| {
         let row = rows.next_row().and_then(|coded| decode(&prev, coded));
         prev = row.ok_or_else(row_overflow)?;
@@ -914,7 +1053,13 @@ impl SlabReader<'_> {
     /// Each item is [`LldError::Corrupt`] for a row that no writer
     /// produces (see the module docs); a CRC-valid slab can hold one.
     pub(crate) fn blocks(&self) -> impl Iterator<Item = Result<(BlockId, BlockRecord)>> + '_ {
-        let rows = decoded(self.blocks, self.block_rows, self.n_blocks, decode_block);
+        let rows = decoded(
+            self.blocks,
+            self.block_rows,
+            self.n_blocks,
+            [0; BLOCK_COLS],
+            decode_block,
+        );
         rows.map(|row| {
             let [id, segment, sector, sectors, successor, list, ts] = row?;
             let id = BlockId::new(checked_id(id, "block")?);
@@ -953,7 +1098,13 @@ impl SlabReader<'_> {
     ///
     /// As for [`blocks`](Self::blocks).
     pub(crate) fn lists(&self) -> impl Iterator<Item = Result<(ListId, ListRecord)>> + '_ {
-        let rows = decoded(self.lists, self.list_rows, self.n_lists, decode_list);
+        let rows = decoded(
+            self.lists,
+            self.list_rows,
+            self.n_lists,
+            [0; LIST_COLS],
+            decode_list,
+        );
         rows.map(|row| {
             let [id, first, last, ts] = row?;
             let rec = ListRecord {
@@ -970,7 +1121,7 @@ impl SlabReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{CKPT_BLOCK_ROW_MAX, CKPT_LIST_ROW_MAX};
+    use crate::layout::{CKPT_BLOCK_ROW_MAX, CKPT_DEDUP_ROW_MAX, CKPT_LIST_ROW_MAX};
     use crate::obs::TraceEvent;
     use crate::{CleanerConfig, Ctx, Lld, LldConfig, Position};
     use ld_disk::{DiskModel, MemDisk, SimDisk, SmallRng};
@@ -995,19 +1146,24 @@ mod tests {
         (blocks, lists)
     }
 
+    /// The header of the area at `area`, read the way a restart reads
+    /// it: with the superblock.
+    fn header(device: &MemDisk, layout: &Layout, area: u64) -> Option<CkptHeaderInfo> {
+        let mut front = [0u8; crate::layout::FRONT_LEN];
+        device.read_at(0, &mut front).unwrap();
+        parse_header(&front, layout, area)
+    }
+
     /// Everything recovery would load from one area: the rows of every
-    /// slab, the slabs' bytes, the dedup slab, and the byte count the
-    /// area occupies.
-    fn load(ld: &Lld<MemDisk>, area: u64) -> (Vec<SlabRows>, Vec<u8>, Vec<u8>, u64) {
-        let hdr = read_header_dir(ld.device(), &ld.layout, area)
-            .unwrap()
-            .expect("a valid checkpoint");
+    /// slab, the body's bytes, the dedup table's rows, and the byte
+    /// count the checkpoint occupies.
+    fn load(ld: &Lld<MemDisk>, area: u64) -> (Vec<SlabRows>, Vec<u8>, Vec<[u64; 4]>, u64) {
+        let hdr = header(ld.device(), &ld.layout, area).expect("a valid checkpoint");
         let body = hdr.read_body(ld.device()).unwrap();
-        let slabs = hdr.slabs(&body).expect("slab CRCs and descriptors");
-        let slab_bytes = body[..(hdr.dedup_off - hdr.slabs[0].offset) as usize].to_vec();
-        let dedup = hdr.dedup_slab(&body).expect("CRC").to_vec();
-        let rows = slabs.iter().map(rows).collect();
-        (rows, slab_bytes, dedup, hdr.bytes())
+        let opened = hdr.open(&body, &ld.layout).expect("CRCs and descriptors");
+        let dedup = opened.dedup.rows().collect::<Result<_>>().unwrap();
+        let rows = opened.slabs.iter().map(rows).collect();
+        (rows, body.clone(), dedup, hdr.bytes())
     }
 
     /// Two checkpoints of one state, one in each area, are the same
@@ -1034,13 +1190,13 @@ mod tests {
         ld.checkpoint().unwrap(); // area B
 
         let (a, b) = (load(&ld, ld.layout.ckpt_a), load(&ld, ld.layout.ckpt_b));
-        assert_eq!(a.1, b.1, "slab bytes");
+        assert_eq!(a.1, b.1, "directory, slabs and dedup table");
         assert_eq!(a.0, b.0, "tables");
         assert_eq!(
             a.0.iter().map(|(blocks, _)| blocks.len()).sum::<usize>(),
             20
         );
-        assert_eq!(a.2.len() as u64, 20 * CKPT_DEDUP_ENTRY);
+        assert_eq!(a.2.len(), 20);
         assert_eq!(a.2, b.2, "dedup cache");
         assert_eq!(a.3, b.3);
         let reported: Vec<u64> = (ld.obs().ring().entries().iter())
@@ -1059,8 +1215,6 @@ mod tests {
     /// an identifier twice included, as recovery enters rows.
     fn reopen(slab: &Slab) -> Option<Result<Tables>> {
         let info = SlabInfo {
-            offset: 0,
-            len: slab.bytes.len() as u64,
             n_blocks: slab.n_blocks,
             n_lists: slab.n_lists,
             crc: crc32(&slab.bytes),
@@ -1134,9 +1288,16 @@ mod tests {
     /// Seeded tables of up to `n` blocks and `n / 2` lists.
     fn tables(rng: &mut SmallRng, n: u64) -> Tables {
         let mut t = Tables::default();
-        let [id, successor, list, first, last, ts] =
-            [MAX_RAW_ID, u64::MAX, u64::MAX, u64::MAX, u64::MAX, u64::MAX]
-                .map(|max| Col::new(rng, max));
+        // Identifiers, present or referred to, are at most the bound.
+        let [id, successor, list, first, last, ts] = [
+            MAX_RAW_ID,
+            MAX_RAW_ID,
+            MAX_RAW_ID,
+            MAX_RAW_ID,
+            MAX_RAW_ID,
+            u64::MAX,
+        ]
+        .map(|max| Col::new(rng, max));
         // A segment below `n_segments`, itself a u32; a sector of a
         // slot of at most 4 GiB; a count of a block of at most 64 KiB.
         let segment = Col::new(rng, u64::from(u32::MAX) - 1);
@@ -1245,8 +1406,10 @@ mod tests {
         assert_eq!(widths, (0..=64).collect(), "every width was exercised");
 
         // Each column's coded values span its widest, from 0 (or 1) to
-        // the top, with an odd step so that nothing shifts.
-        let top = 1u64 << 63;
+        // the top, with an odd step so that nothing shifts: an absent
+        // reference codes as 0, one a whole identifier range away from
+        // its predictor as nearly 2^64.
+        let (top, id_max) = (1u64 << 63, MAX_RAW_ID);
         let at = |segment: u32, sector: u32, sectors: u32| PhysAddr {
             segment: SegmentId::new(segment),
             sector,
@@ -1254,8 +1417,8 @@ mod tests {
         };
         let worst = [
             (1, at(0, 0, 1), 0, 0, 0),
-            (3, at(u32::MAX - 1, (1 << 23) - 1, 128), top + 3, top, top),
-            (MAX_RAW_ID, at(u32::MAX - 2, 0, 0), MAX_RAW_ID, top, top),
+            (3, at(u32::MAX - 1, (1 << 23) - 1, 128), id_max, id_max, top),
+            (MAX_RAW_ID, at(u32::MAX - 2, 0, 0), id_max, id_max, top),
         ];
         let mut t = Tables::default();
         for (id, addr, successor, list, ts) in worst {
@@ -1268,7 +1431,12 @@ mod tests {
             };
             t.blocks.insert(BlockId::new(id), rec);
         }
-        for (id, first, last, ts) in [(1, 0, 0, 0), (3, top, 0, top), (MAX_RAW_ID, top, top, top)] {
+        let lists = [
+            (1, 0, 0, 0),
+            (3, id_max, id_max, top),
+            (MAX_RAW_ID, 1, id_max, top),
+        ];
+        for (id, first, last, ts) in lists {
             let rec = ListRecord {
                 allocated: true,
                 first: BlockId::decode_opt(first),
@@ -1338,8 +1506,8 @@ mod tests {
                     sector: (1 << 23) - 1,
                     sectors: 128,
                 }),
-                successor: Some(BlockId::new(u64::MAX)),
-                list: Some(ListId::new(u64::MAX)),
+                successor: Some(BlockId::new(MAX_RAW_ID)),
+                list: Some(ListId::new(MAX_RAW_ID)),
                 ..BlockRecord::fresh(Timestamp::new(u64::MAX))
             },
         );
@@ -1355,8 +1523,8 @@ mod tests {
         one.lists.insert(
             ListId::new(MAX_RAW_ID),
             ListRecord {
-                first: Some(BlockId::new(u64::MAX)),
-                last: Some(BlockId::new(u64::MAX)),
+                first: Some(BlockId::new(MAX_RAW_ID)),
+                last: Some(BlockId::new(MAX_RAW_ID)),
                 ..ListRecord::fresh(Timestamp::new(u64::MAX))
             },
         );
@@ -1366,7 +1534,7 @@ mod tests {
 
         // Many rows that differ in their identifier only: after the
         // first row's 1,000 the identifier steps by 1, and an absent
-        // successor is coded from its row's identifier.
+        // successor or list codes as 0 in every row: no bits.
         let mut same = Tables::default();
         for id in 1000..1256 {
             same.blocks
@@ -1374,8 +1542,8 @@ mod tests {
         }
         let slab = encode_slab(&same, 8);
         let widths: Vec<u8> = (0..BLOCK_COLS).map(|c| width(&slab, c)).collect();
-        assert_eq!(widths, [10, 0, 0, 0, 8, 0, 3]);
-        assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC + 256 * 21 / 8);
+        assert_eq!(widths, [10, 0, 0, 0, 0, 0, 3]);
+        assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC + 256 * 13 / 8);
         assert_eq!(reopen(&slab).unwrap().unwrap(), same);
     }
 
@@ -1421,6 +1589,112 @@ mod tests {
         assert!(10 * packed <= fixed, "{packed} of {fixed} bytes");
     }
 
+    /// An absent reference codes as 0 and a present one as its zigzag
+    /// plus one: in two-block lists on a stripe of 8, every head's
+    /// successor is 8 ahead (`zigzag(8) + 1` = 17) and every tail has
+    /// none, so the column takes 5 bits, not the 15 that `0 − id` cost
+    /// when an absent successor was coded from the row's identifier.
+    #[test]
+    fn absent_identifiers_code_as_zero() {
+        let mut t = Tables::default();
+        for n in 0..500u64 {
+            let list = ListId::new(8 * n + 3);
+            let (head, tail) = (BlockId::new(16 * n + 3), BlockId::new(16 * n + 11));
+            for (id, successor) in [(head, Some(tail)), (tail, None)] {
+                let rec = BlockRecord {
+                    successor,
+                    list: Some(list),
+                    ..BlockRecord::fresh(Timestamp::new(n))
+                };
+                t.blocks.insert(id, rec);
+            }
+            let rec = ListRecord {
+                first: Some(head),
+                last: Some(tail),
+                ..ListRecord::fresh(Timestamp::new(n))
+            };
+            t.lists.insert(list, rec);
+        }
+        // And one empty list: no first, no last.
+        (t.lists).insert(
+            ListId::new(8 * 500 + 3),
+            ListRecord::fresh(Timestamp::new(9)),
+        );
+        let slab = encode_slab(&t, 8);
+        assert_eq!(reopen(&slab).unwrap().unwrap(), t);
+        assert_eq!((width(&slab, 4), shift(&slab, 4)), (5, 0), "successor");
+        // A list's last is its first's successor: `zigzag(8) + 1` in
+        // every row, 0 in the empty list's.
+        assert_eq!(width(&slab, 9), 5, "last");
+        assert_eq!((code_ref(0, 77), decode_ref(0, 77)), (0, Some(0)));
+        for (v, pred) in [(1, MAX_RAW_ID), (MAX_RAW_ID, 0), (MAX_RAW_ID, 1), (5, 5)] {
+            let c = code_ref(v, pred);
+            assert!(c > 0 && decode_ref(c, pred) == Some(v), "{v} from {pred}");
+        }
+        assert_eq!(code_ref(MAX_RAW_ID, 0), u64::MAX, "the widest code fits");
+    }
+
+    /// Seeded write-id outcomes come back in their order from a dedup
+    /// table never longer than its descriptors and 32 bytes a row, and
+    /// rows whose every step takes 64 bits reach that bound exactly.
+    /// Row 0 is stored in full: two clients stepping by one cost a few
+    /// bits a row, wherever their identifiers start.
+    #[test]
+    fn dedup_tables_round_trip_within_their_bound() {
+        let decode = |bytes: &[u8], n: usize| -> Vec<[u64; DEDUP_COLS]> {
+            let table = DedupTable::open(bytes, n as u64).expect("a table the encoder wrote");
+            table.rows().collect::<Result<_>>().unwrap()
+        };
+        let mut rng = SmallRng::seed_from_u64(0x5EED_000A);
+        for case in 0..300 {
+            let n = [0, 1, 2, 50][case % 4];
+            let cols: Vec<Col> = (0..DEDUP_COLS)
+                .map(|_| Col::new(&mut rng, u64::MAX))
+                .collect();
+            let rows: Vec<[u64; DEDUP_COLS]> = (0..n)
+                .map(|_| std::array::from_fn(|c| cols[c].value(&mut rng)))
+                .collect();
+            let (bytes, kept) = encode_dedup(&rows, u64::MAX);
+            assert_eq!(kept, n);
+            let bound = CKPT_DEDUP_DESC + n as u64 * CKPT_DEDUP_ROW_MAX;
+            assert!(bytes.len() as u64 <= bound, "case {case}");
+            assert_eq!(decode(&bytes, n), rows, "case {case}");
+        }
+        // Every column steps by 2^63 and by 0 in turn, coded u64::MAX
+        // and 0: 64 bits a column.
+        let worst: Vec<[u64; DEDUP_COLS]> = (0..9u64)
+            .map(|i| [0, 5, u64::MAX, 7].map(|v| v.wrapping_add((i.div_ceil(2) % 2) << 63)))
+            .collect();
+        let (bytes, _) = encode_dedup(&worst, u64::MAX);
+        assert_eq!(
+            bytes.len() as u64,
+            CKPT_DEDUP_DESC + 9 * CKPT_DEDUP_ROW_MAX,
+            "the widest rows"
+        );
+        assert_eq!(decode(&bytes, 9), worst);
+        // Two clients far apart, alternating, each stepping its write
+        // id and the commit timestamp by one.
+        let far = 0x9E37_79B9_7F4A_7C15u64;
+        let two: Vec<[u64; DEDUP_COLS]> = (0..1024u64)
+            .map(|i| [far + i % 2, far + i / 2, 1, 1 << 40 | i])
+            .collect();
+        let (bytes, _) = encode_dedup(&two, u64::MAX);
+        assert!(bytes.len() < 1024, "{} bytes", bytes.len());
+        assert_eq!(decode(&bytes, 1024), two);
+        // Truncated to a room, the newest rows that fit.
+        let room = bytes.len() as u64 / 2;
+        let (half, kept) = encode_dedup(&two, room);
+        assert!(half.len() as u64 <= room && kept < 1024);
+        assert_eq!(decode(&half, kept), two[1024 - kept..]);
+        // No room even for the descriptors: no row, and no byte.
+        assert_eq!(encode_dedup(&two, 71), (Vec::new(), 0));
+        assert!(DedupTable::open(&[], 0).is_some());
+        assert!(
+            DedupTable::open(&[0; 40], 0).is_none(),
+            "descriptors of no row"
+        );
+    }
+
     /// A slab that passes its CRC is still not taken at its word: no
     /// descriptors, a width or shift no u64 has, rows other than what
     /// counts and widths add up to, counts whose product overflows — the
@@ -1430,9 +1704,17 @@ mod tests {
     #[test]
     fn hostile_slabs_are_refused_or_typed_errors() {
         // Block identifiers 5, 300: coded 5 and 295, stored from 5 by a
-        // shift of 1, 0 and 145 in 8 bits. Lists 9, 10: coded 9 and 1,
-        // stored from 1 by a shift of 3, 1 and 0 in 1 bit.
-        let mut t = block(5, BlockRecord::fresh(Timestamp::new(1)));
+        // shift of 1, 0 and 145 in 8 bits; 5's successor is 300, coded
+        // `zigzag(295) + 1` = 591, and 300 has none, coded 0. Lists 9,
+        // 10: coded 9 and 1, stored from 1 by a shift of 3, 1 and 0 in
+        // 1 bit.
+        let mut t = block(
+            5,
+            BlockRecord {
+                successor: Some(BlockId::new(300)),
+                ..BlockRecord::fresh(Timestamp::new(1))
+            },
+        );
         t.blocks
             .insert(BlockId::new(300), BlockRecord::fresh(Timestamp::new(2)));
         t.lists
@@ -1534,6 +1816,16 @@ mod tests {
             corrupt(edit(&|s| put(s, min(4), u64::MAX))),
             "a successor's minimum + delta overflows"
         );
+        // 300's successor coded 600, `zigzag(−300) + 1`: present, and 0.
+        assert!(
+            corrupt(edit(&|s| put(s, min(4), 600))),
+            "a present successor of 0"
+        );
+        // 5's successor coded `u64::MAX`: 5 + (2^63 − 1), past the bound.
+        assert!(
+            corrupt(edit(&|s| put(s, min(4), u64::MAX - 591))),
+            "a successor past the bound"
+        );
         assert!(
             corrupt(edit(&|s| put(s, min(1), zigzag((1 << 32) + 1, 0)))),
             "segment past u32"
@@ -1603,32 +1895,38 @@ mod tests {
         let ld = Lld::format(MemDisk::new(4 << 20), &cfg).unwrap();
         ld.checkpoint().unwrap(); // area A: one slab, no rows
         let (layout, device) = (&ld.layout, ld.device());
-        let (area, dir) = (layout.ckpt_a, layout.ckpt_a + CKPT_HEADER);
-        let at = dir + CKPT_DIR_RESERVE;
+        // The directory's one entry, then the slab.
+        let (area, dir) = (layout.ckpt_a, layout.ckpt_a);
+        let at = dir + CKPT_DIR_ENTRY;
+        let header_at = layout.ckpt_header_at(area);
         let mut zero = vec![0u8; CKPT_SLAB_DESC as usize];
         device.read_at(at, &mut zero).unwrap();
         assert_eq!(zero, encode_slab(&Tables::default(), 1).bytes);
         zero[min(0)] = 1;
         zero[min(7)] = 1;
+        // The body as it reads with the directory counting that many
+        // rows, if the reader takes it.
         let counted = |n_blocks: u64, n_lists: u64| {
             let mut entry = Vec::new();
             entry.extend_from_slice(&n_blocks.to_le_bytes());
             entry.extend_from_slice(&n_lists.to_le_bytes());
             entry.extend_from_slice(&crc32(&zero).to_le_bytes());
             entry.extend_from_slice(&(zero.len() as u32).to_le_bytes());
-            let mut header = [0u8; CKPT_HEADER as usize];
-            device.read_at(area, &mut header).unwrap();
-            header[44..48].copy_from_slice(&crc32(&entry).to_le_bytes());
-            let crc = crc32(&header[..CKPT_HEADER as usize - 4]);
-            header[CKPT_HEADER as usize - 4..].copy_from_slice(&crc.to_le_bytes());
+            let mut sealed = [0u8; CKPT_HEADER as usize];
+            device.read_at(header_at, &mut sealed).unwrap();
+            sealed[44..48].copy_from_slice(&crc32(&entry).to_le_bytes());
+            let crc = crc32(&sealed[..CKPT_HEADER as usize - 4]);
+            sealed[CKPT_HEADER as usize - 4..].copy_from_slice(&crc.to_le_bytes());
             device.write_at(at, &zero).unwrap();
             device.write_at(dir, &entry).unwrap();
-            device.write_at(area, &header).unwrap();
-            read_header_dir(device, layout, area).unwrap()
+            device.write_at(header_at, &sealed).unwrap();
+            let hdr = header(device, layout, area).expect("a resealed header");
+            let body = hdr.read_body(device).unwrap();
+            hdr.open(&body, layout).is_some().then_some((hdr, body))
         };
-        let at_caps = counted(layout.max_blocks, layout.max_lists).expect("counts at the caps");
-        let body = at_caps.read_body(device).unwrap();
-        let slab = &at_caps.slabs(&body).expect("descriptors")[0];
+        let (at_caps, body) =
+            counted(layout.max_blocks, layout.max_lists).expect("counts at the caps");
+        let slab = &at_caps.open(&body, layout).expect("descriptors").slabs[0];
         let ids = slab.blocks().map(|row| row.unwrap().0.get());
         assert!(ids.eq(1..=layout.max_blocks));
         assert!(slab
@@ -1743,7 +2041,7 @@ mod tests {
             ..LldConfig::default()
         };
         cfg.cleaner.enabled = false;
-        let ld = Lld::format(MemDisk::new(512 + 2 * 64 * 1024 + 6 * 8 * 512), &cfg).unwrap();
+        let ld = Lld::format(MemDisk::new(1536 + 2 * 64 * 1024 + 6 * 8 * 512), &cfg).unwrap();
         let list = ld.new_list(Ctx::Simple).unwrap();
         while let Ok(b) = ld.new_block(Ctx::Simple, list, Position::First) {
             if ld.write(Ctx::Simple, b, &[1; 512]).is_err() {

@@ -192,8 +192,8 @@ impl Default for LldConfig {
 pub(crate) const MAX_MAP_SHARDS: usize = 64;
 
 /// Bounds on the write-id dedup cache capacity. The upper bound keeps
-/// the checkpoint-area reservation for the dedup slab (32 bytes per
-/// entry) modest even on small devices.
+/// the checkpoint-area reservation for the dedup table (at most 32
+/// bytes an outcome) modest even on small devices.
 pub(crate) const MIN_DEDUP_CAPACITY: usize = 16;
 pub(crate) const MAX_DEDUP_CAPACITY: usize = 65536;
 

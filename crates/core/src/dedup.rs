@@ -10,7 +10,17 @@
 //! re-execution; a crash before the commit record persisted leaves
 //! neither the effects nor the cache entry, so the retry correctly
 //! re-executes. Recovery rebuilds the cache from the covering
-//! checkpoint's dedup slab plus the replayed log suffix.
+//! checkpoint's dedup table plus the replayed log suffix.
+//!
+//! The dedup table is the checkpoint slab codec's third table
+//! (`checkpoint.rs`, format 10): its rows are the recorded outcomes in
+//! recording order, row 0 stored in full and every later row's columns
+//! (client, write id, generation, commit timestamp) as the zigzag of
+//! their difference from the row before, bit-packed at each column's
+//! width. Two clients with consecutive write ids take a few bytes an
+//! outcome, not 32. A row is never wider than 32 bytes, so the
+//! checkpoint area still holds `capacity` outcomes at their widest;
+//! this module only hands the codec its rows and takes them back.
 //!
 //! Entries are bounded two ways:
 //!
@@ -25,11 +35,9 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
+use crate::checkpoint::{encode_dedup, DedupTable, DEDUP_COLS};
 use crate::error::{LldError, Result};
 use crate::types::Timestamp;
-
-/// Size of one encoded dedup-cache entry in a checkpoint slab.
-pub(crate) const DEDUP_ENTRY_LEN: usize = 32;
 
 /// The recorded outcome of a successfully committed tagged ARU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,41 +227,29 @@ impl DedupCache {
         })
     }
 
-    /// Encodes the recorded outcomes for a checkpoint slab, oldest
-    /// first. If the slab would exceed `max_bytes`, the oldest entries
-    /// are dropped from the encoding (they are also the first the
-    /// capacity bound would evict).
-    pub(crate) fn encode(&self, max_bytes: usize) -> Vec<u8> {
-        let fit = max_bytes / DEDUP_ENTRY_LEN;
-        let total = self.order.len();
-        let skip = total.saturating_sub(fit);
-        let mut buf = Vec::with_capacity((total - skip) * DEDUP_ENTRY_LEN);
-        for (client, write_id, o) in self.entries().skip(skip) {
-            buf.extend_from_slice(&client.to_le_bytes());
-            buf.extend_from_slice(&write_id.to_le_bytes());
-            buf.extend_from_slice(&o.generation.to_le_bytes());
-            buf.extend_from_slice(&o.commit_ts.get().to_le_bytes());
-        }
-        buf
+    /// Encodes the recorded outcomes as a checkpoint's dedup table,
+    /// oldest first, and says how many it holds. If the table would
+    /// exceed `max_bytes`, the oldest entries are dropped from the
+    /// encoding (they are also the first the capacity bound would
+    /// evict).
+    pub(crate) fn encode(&self, max_bytes: u64) -> (Vec<u8>, usize) {
+        let rows: Vec<[u64; DEDUP_COLS]> = (self.entries())
+            .map(|(client, write_id, o)| [client, write_id, o.generation, o.commit_ts.get()])
+            .collect();
+        encode_dedup(&rows, max_bytes)
     }
 
-    /// Rebuilds a cache from a checkpoint slab.
+    /// Rebuilds a cache from a checkpoint's dedup table.
     ///
     /// # Errors
     ///
-    /// Returns [`LldError::Corrupt`] if the slab length is not a
-    /// multiple of the entry size.
-    pub(crate) fn decode(capacity: usize, buf: &[u8]) -> Result<DedupCache> {
-        if !buf.len().is_multiple_of(DEDUP_ENTRY_LEN) {
-            return Err(LldError::Corrupt(
-                "dedup slab length not entry-aligned".into(),
-            ));
-        }
+    /// Returns [`LldError::Corrupt`] for a row whose value passes
+    /// `u64::MAX`.
+    pub(crate) fn decode(capacity: usize, table: &DedupTable<'_>) -> Result<DedupCache> {
         let mut cache = DedupCache::new(capacity);
-        for chunk in buf.chunks_exact(DEDUP_ENTRY_LEN) {
-            let u64_at =
-                |i: usize| u64::from_le_bytes(chunk[i..i + 8].try_into().expect("8 bytes"));
-            cache.complete(u64_at(0), u64_at(8), u64_at(16), Timestamp::new(u64_at(24)));
+        for row in table.rows() {
+            let [client, write_id, generation, ts] = row?;
+            cache.complete(client, write_id, generation, Timestamp::new(ts));
         }
         Ok(cache)
     }
@@ -314,15 +310,26 @@ mod tests {
         assert!(c.observe_generation(1, 1).is_err());
     }
 
+    /// `c` through a checkpoint's dedup table of at most `max_bytes`.
+    fn reload(c: &DedupCache, max_bytes: u64) -> DedupCache {
+        let (bytes, n) = c.encode(max_bytes);
+        assert!(bytes.len() as u64 <= max_bytes);
+        let table = DedupTable::open(&bytes, n as u64).expect("a table the encoder wrote");
+        DedupCache::decode(8, &table).unwrap()
+    }
+
     #[test]
     fn encode_decode_round_trip() {
         let mut c = DedupCache::new(8);
         c.complete(1, 1, 1, Timestamp::new(1));
         c.complete(2, 7, 3, Timestamp::new(2));
         c.complete(1, 2, 1, Timestamp::new(4));
-        let buf = c.encode(usize::MAX);
-        assert_eq!(buf.len(), 3 * DEDUP_ENTRY_LEN);
-        let d = DedupCache::decode(8, &buf).unwrap();
+        let (buf, n) = c.encode(u64::MAX);
+        // Four descriptors, row 0 in full, and two rows of 1 + 2 + 1 + 1
+        // bits: the zigzags of ±1 in the client, 6 and −5 in the write
+        // id, ±2 in the generation, 1 and 2 in the timestamp.
+        assert_eq!((n, buf.len()), (3, 40 + 32 + 2));
+        let d = reload(&c, u64::MAX);
         assert_eq!(
             d.entries().collect::<Vec<_>>(),
             c.entries().collect::<Vec<_>>()
@@ -333,19 +340,38 @@ mod tests {
     #[test]
     fn encode_truncates_oldest_first() {
         let mut c = DedupCache::new(8);
-        for w in 1..=4u64 {
-            c.complete(1, w, 1, Timestamp::new(w));
+        for (w, ts) in [(1, 1), (2, 2), (3, 100), (4, 1000)] {
+            c.complete(1, w, 1, Timestamp::new(ts));
         }
-        let buf = c.encode(2 * DEDUP_ENTRY_LEN);
-        let d = DedupCache::decode(8, &buf).unwrap();
+        // 72 bytes are the descriptors and row 0 in full: one row behind
+        // it takes no bits (each column holds one value), two take 9
+        // bits each for their timestamp steps of 98 and 900.
+        let d = reload(&c, 72);
         assert!(d.lookup(1, 1).is_none());
+        assert!(d.lookup(1, 2).is_none());
         assert!(d.lookup(1, 3).is_some());
         assert!(d.lookup(1, 4).is_some());
+        let (all, _) = c.encode(u64::MAX);
+        let d = reload(&c, all.len() as u64 - 1);
+        assert!(d.lookup(1, 1).is_none());
+        assert_eq!(d.len(), 3);
+        assert_eq!(reload(&c, all.len() as u64).len(), 4);
     }
 
     #[test]
     fn decode_rejects_misaligned_slab() {
-        assert!(DedupCache::decode(8, &[0u8; 7]).is_err());
+        assert!(DedupTable::open(&[0u8; 7], 0).is_none());
+        let mut c = DedupCache::new(8);
+        c.complete(1, 1, 1, Timestamp::new(1));
+        c.complete(1, 2, 1, Timestamp::new(3));
+        c.complete(2, 9, 1, Timestamp::new(4));
+        let (mut buf, n) = c.encode(u64::MAX);
+        let n = n as u64;
+        assert!(DedupTable::open(&buf, n).is_some());
+        assert!(DedupTable::open(&buf, n + 1).is_none(), "a row more");
+        assert!(DedupTable::open(&buf[..buf.len() - 1], n).is_none());
+        buf.push(0);
+        assert!(DedupTable::open(&buf, n).is_none(), "a byte long");
     }
 
     #[test]
@@ -353,7 +379,7 @@ mod tests {
         let mut c = DedupCache::new(8);
         assert_eq!(c.reserve(1, 1, 1), Reservation::Execute);
         c.complete(2, 2, 1, Timestamp::new(1));
-        let d = DedupCache::decode(8, &c.encode(usize::MAX)).unwrap();
+        let d = reload(&c, u64::MAX);
         assert!(d.lookup(1, 1).is_none());
         assert!(d.lookup(2, 2).is_some());
     }

@@ -1,16 +1,19 @@
 //! On-disk geometry: the superblock and the derived device layout.
 //!
 //! ```text
-//! byte 0                                          capacity
-//! +------------+----------+----------+----------------------+
-//! | superblock | ckpt A   | ckpt B   | segment 0 | seg 1 |..|
-//! +------------+----------+----------+----------------------+
+//! byte 0                                                    capacity
+//! +--------------------+----------+----------+--------------------+
+//! | sb | hdr A | hdr B | ckpt A   | ckpt B   | segment 0 | seg 1 |..|
+//! +--------------------+----------+----------+--------------------+
 //! ```
 //!
 //! The superblock records everything needed to reopen the disk without
-//! external configuration. Two checkpoint areas alternate so that a crash
-//! during checkpointing always leaves one valid checkpoint (or none, in
-//! which case recovery scans the whole log as in the paper).
+//! external configuration. It shares its region — three sectors, rounded
+//! up to a whole block — with the headers of the two checkpoint areas,
+//! one a sector, so a restart reads all three in one read. Two
+//! checkpoint areas alternate so that a crash during checkpointing
+//! always leaves one valid checkpoint (or none, in which case recovery
+//! scans the whole log as in the paper).
 
 use crate::config::{ConcurrencyMode, LldConfig, ReadVisibility};
 use crate::error::{LldError, Result};
@@ -21,7 +24,10 @@ use ld_disk::crc32;
 /// Size of the fixed-length superblock encoding.
 pub(crate) const SUPERBLOCK_LEN: usize = 64;
 const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
-/// 9: a segment-summary record is its tag byte and its fields as
+/// 10: both checkpoint headers sit next to the superblock, each in its
+/// own sector and naming its body's length, the write-id outcomes are
+/// the slab codec's third table, and an absent identifier codes as 0
+/// (see `checkpoint.rs`); since 9 a segment-summary record is its tag byte and its fields as
 /// unsigned LEB128 varints (see `summary.rs`); since 8 a checkpoint
 /// slab stores its rows sorted by identifier, each column as the zigzag
 /// of its difference from a predictor, bit-packed at the column's width
@@ -34,15 +40,28 @@ const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
 /// sector-count column and a shift per column; since 5 checkpoint slabs
 /// are column-packed; since 4 a slot holds several segments back to
 /// back. Other versions are refused, not converted.
-const FORMAT_VERSION: u32 = 9;
+const FORMAT_VERSION: u32 = 10;
 
 /// The widest a row of a checkpoint slab gets (see `checkpoint.rs`):
 /// every column of a block or of a list at its full width. What the
 /// area is sized by; a slab's rows are as wide as its values need.
 pub(crate) const CKPT_BLOCK_ROW_MAX: u64 = 40;
 pub(crate) const CKPT_LIST_ROW_MAX: u64 = 32;
-pub(crate) const CKPT_HEADER: u64 = 68;
-/// One column descriptor of a checkpoint slab: the minimum (u64 at 0),
+/// The widest a write-id outcome gets in the dedup table: four columns
+/// of 64 bits, row 0's absolute values included.
+pub(crate) const CKPT_DEDUP_ROW_MAX: u64 = 32;
+/// A checkpoint header's length. It sits alone in its sector of the
+/// superblock's region ([`CKPT_HEADER_AT`]).
+pub(crate) const CKPT_HEADER: u64 = 76;
+/// Where the headers of areas A and B are: sectors 1 and 2 of the
+/// superblock's region. Exported for the tests that edit a header
+/// inside an image.
+#[doc(hidden)]
+pub const CKPT_HEADER_AT: [u64; 2] = [SECTOR as u64, 2 * SECTOR as u64];
+/// The superblock and both checkpoint headers: what a restart reads
+/// first, in one device read.
+pub(crate) const FRONT_LEN: usize = 3 * SECTOR;
+/// One column descriptor of a checkpoint table: the minimum (u64 at 0),
 /// the width in bits (u8 at [`CKPT_COL_WIDTH`], 0..=64) and the shift
 /// (u8 at [`CKPT_COL_SHIFT`], 0..=63). Exported for the tests that edit
 /// a slab inside an image.
@@ -57,6 +76,9 @@ pub const CKPT_COL_SHIFT: usize = 9;
 /// The column descriptors at the start of every slab, one for each of
 /// the seven block and four list columns.
 pub(crate) const CKPT_SLAB_DESC: u64 = 11 * CKPT_COL_DESC as u64;
+/// The column descriptors at the start of the dedup table, one for each
+/// of its four columns.
+pub(crate) const CKPT_DEDUP_DESC: u64 = 4 * CKPT_COL_DESC as u64;
 
 /// Per-slab directory entry: `n_blocks` u64, `n_lists` u64, slab crc32,
 /// slab length u32.
@@ -68,9 +90,6 @@ pub(crate) const CKPT_DIR_ENTRY: u64 = 24;
 pub(crate) const MAX_SNAP_SHARDS: u64 = 64;
 /// Bytes reserved for the slab directory in every checkpoint area.
 pub(crate) const CKPT_DIR_RESERVE: u64 = MAX_SNAP_SHARDS * CKPT_DIR_ENTRY;
-/// Per-entry size of the write-id dedup slab appended after the shard
-/// slabs (see `dedup.rs`).
-pub(crate) const CKPT_DEDUP_ENTRY: u64 = crate::dedup::DEDUP_ENTRY_LEN as u64;
 
 /// The physical layout of a formatted device, derived from its capacity
 /// and the [`LldConfig`] at format time and persisted in the superblock.
@@ -100,6 +119,12 @@ pub struct Layout {
 
 fn round_up(v: u64, to: u64) -> u64 {
     v.div_ceil(to) * to
+}
+
+/// Bytes in front of checkpoint area A: the superblock's region, three
+/// sectors rounded up to a whole block (block 0 at 2 KiB and up).
+fn front_region(block_size: u64) -> u64 {
+    round_up(FRONT_LEN as u64, block_size)
 }
 
 // Little-endian field readers for the fixed-layout headers (segment,
@@ -143,21 +168,23 @@ impl Layout {
 
         // Every slab fits whatever its tables hold: a row is never
         // wider than its maximum, and the descriptors of as many slabs as
-        // a directory describes come out of the room of the dedup slab,
+        // a directory describes come out of the room of the dedup table,
         // which takes what is left (`ckpt_commit`): the write-id cache
-        // gives up its oldest 220 entries before a table entry is left
-        // out, and the area is no larger than format 4's unless the
-        // cache is smaller than that.
+        // gives up at most its oldest 220 outcomes before a table entry
+        // is left out, and the area is no larger than format 4's unless
+        // the cache is smaller than that. The headers live in the
+        // superblock's region, not in the area.
         let ckpt_area_size = round_up(
-            CKPT_HEADER
-                + CKPT_DIR_RESERVE
+            CKPT_DIR_RESERVE
                 + max_blocks * CKPT_BLOCK_ROW_MAX
                 + max_lists * CKPT_LIST_ROW_MAX
-                + (config.dedup_capacity as u64 * CKPT_DEDUP_ENTRY)
+                + CKPT_DEDUP_DESC
+                + (config.dedup_capacity as u64 * CKPT_DEDUP_ROW_MAX)
                     .max(MAX_SNAP_SHARDS * CKPT_SLAB_DESC),
             bs,
         );
-        let data_start = bs + 2 * ckpt_area_size;
+        let front = front_region(bs);
+        let data_start = front + 2 * ckpt_area_size;
         let n_segments = capacity.saturating_sub(data_start) / seg;
         if n_segments < 4 {
             return Err(LldError::Config(format!(
@@ -171,11 +198,17 @@ impl Layout {
                 .map_err(|_| LldError::Config("too many segments".into()))?,
             data_start,
             ckpt_area_size,
-            ckpt_a: bs,
-            ckpt_b: bs + ckpt_area_size,
+            ckpt_a: front,
+            ckpt_b: front + ckpt_area_size,
             max_blocks,
             max_lists,
         })
+    }
+
+    /// Byte offset of the header of the checkpoint area at `area` (area
+    /// A's or B's offset): [`CKPT_HEADER_AT`].
+    pub(crate) fn ckpt_header_at(&self, area: u64) -> u64 {
+        CKPT_HEADER_AT[usize::from(area != self.ckpt_a)]
     }
 
     /// Byte offset of segment slot `slot`.
@@ -331,16 +364,16 @@ impl Layout {
                 )))
             }
         };
-        let bs = block_size as u64;
-        // The two checkpoint areas lie between the superblock's block and
-        // slot 0, each sized as `compute` sizes it for the tables: room
-        // for a header and its directory, which `read_header_dir` reads,
-        // and for a full row of every block and list it may hold.
+        let front = front_region(block_size as u64);
+        // The two checkpoint areas lie between the superblock's region
+        // and slot 0, each sized as `compute` sizes it for the tables:
+        // room for a full directory and for a full row of every block
+        // and list it may hold.
         let needed = (max_blocks.checked_mul(CKPT_BLOCK_ROW_MAX))
             .zip(max_lists.checked_mul(CKPT_LIST_ROW_MAX))
             .and_then(|(blocks, lists)| blocks.checked_add(lists))
-            .and_then(|rows| rows.checked_add(CKPT_HEADER + CKPT_DIR_RESERVE));
-        let areas_end = (ckpt_area_size.checked_mul(2)).and_then(|both| both.checked_add(bs));
+            .and_then(|rows| rows.checked_add(CKPT_DIR_RESERVE));
+        let areas_end = (ckpt_area_size.checked_mul(2)).and_then(|both| both.checked_add(front));
         if needed.is_none_or(|needed| needed > ckpt_area_size)
             || areas_end.is_none_or(|end| end > data_start)
         {
@@ -356,8 +389,8 @@ impl Layout {
                 n_segments,
                 data_start,
                 ckpt_area_size,
-                ckpt_a: bs,
-                ckpt_b: bs + ckpt_area_size,
+                ckpt_a: front,
+                ckpt_b: front + ckpt_area_size,
                 max_blocks,
                 max_lists,
             },
@@ -388,16 +421,21 @@ mod tests {
         let layout = Layout::compute(1 << 20, &cfg).unwrap();
         assert_eq!(layout.slots_per_segment(), 7);
         assert!(layout.n_segments >= 4);
-        assert_eq!(layout.ckpt_a, 512);
-        assert_eq!(layout.ckpt_b, 512 + layout.ckpt_area_size);
-        assert_eq!(layout.data_start, 512 + 2 * layout.ckpt_area_size);
-        // Checkpoint area holds header + entries, block-rounded.
+        // The superblock and the two headers take three 512-byte blocks.
+        assert_eq!(layout.ckpt_a, 1536);
+        assert_eq!(layout.ckpt_b, 1536 + layout.ckpt_area_size);
+        assert_eq!(layout.data_start, 1536 + 2 * layout.ckpt_area_size);
+        assert_eq!(
+            [layout.ckpt_a, layout.ckpt_b].map(|area| layout.ckpt_header_at(area)),
+            [512, 1024]
+        );
+        // Checkpoint area holds directory + entries, block-rounded.
         assert_eq!(layout.ckpt_area_size % 512, 0);
         assert!(
             layout.ckpt_area_size
-                >= CKPT_HEADER
-                    + CKPT_DIR_RESERVE
+                >= CKPT_DIR_RESERVE
                     + MAX_SNAP_SHARDS * CKPT_SLAB_DESC
+                    + CKPT_DEDUP_DESC
                     + 100 * CKPT_BLOCK_ROW_MAX
                     + 50 * CKPT_LIST_ROW_MAX
         );
@@ -517,10 +555,10 @@ mod tests {
     #[test]
     fn hostile_checkpoint_geometry_is_corrupt() {
         // Under a valid CRC: areas whose end overflows or passes slot 0,
-        // areas too small for a header and its directory, or for the
-        // tables the superblock says they hold.
+        // areas too small for a directory, or for the tables the
+        // superblock says they hold.
         let good = Layout::compute(1 << 20, &small_config()).unwrap();
-        let min = CKPT_HEADER + CKPT_DIR_RESERVE;
+        let min = CKPT_DIR_RESERVE;
         let (area, start) = (good.ckpt_area_size, good.data_start);
         let (blocks, lists) = (good.max_blocks, good.max_lists);
         let hostile = [
@@ -551,7 +589,7 @@ mod tests {
         // The smallest areas a superblock may name still decode.
         let tight = Layout {
             ckpt_area_size: min,
-            data_start: 512 + 2 * min,
+            data_start: 1536 + 2 * min,
             max_blocks: 0,
             max_lists: 0,
             ..good.clone()
@@ -560,7 +598,7 @@ mod tests {
         let (decoded, _, _) = Layout::decode_superblock(&buf).unwrap();
         assert_eq!(
             (decoded.ckpt_b, decoded.data_start),
-            (512 + min, 512 + 2 * min)
+            (1536 + min, 1536 + 2 * min)
         );
     }
 

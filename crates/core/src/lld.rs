@@ -20,7 +20,7 @@ use crate::config::{CleanerConfig, ConcurrencyMode, LldConfig, ReadVisibility};
 use crate::error::{LldError, Result};
 use crate::flight::FlightRecorder;
 use crate::gc::GroupCommit;
-use crate::layout::{Layout, CKPT_HEADER, SUPERBLOCK_LEN};
+use crate::layout::{Layout, FRONT_LEN, SUPERBLOCK_LEN};
 use crate::obs::{Obs, ObsSnapshot, Stage, TraceEvent};
 use crate::segment::{
     extent, header_link, header_offset, zero_past_extent, ChainHead, SegmentBuilder, HEADER_PUNCH,
@@ -411,16 +411,15 @@ impl<D: BlockDevice + 'static> Lld<D> {
         config.validate()?;
         let layout = Layout::compute(device.capacity(), config)?;
 
-        // Write the superblock.
-        let sb = layout.encode_superblock(config.concurrency, config.visibility);
-        device.write_at(0, &sb)?;
-        // Invalidate both checkpoint areas and the header at the start
-        // of every slot. Segments of the previous log further inside a
+        // Write the superblock and, in the same write, invalidate both
+        // checkpoint headers behind it; then the header at the start of
+        // every slot. Segments of the previous log further inside a
         // slot stay on the medium: the new log starts at sector 0 of
         // slot 0 under a new epoch, and none of them links to it.
-        let zeros = [0u8; CKPT_HEADER as usize];
-        device.write_at(layout.ckpt_a, &zeros)?;
-        device.write_at(layout.ckpt_b, &zeros)?;
+        let mut front = [0u8; FRONT_LEN];
+        front[..SUPERBLOCK_LEN]
+            .copy_from_slice(&layout.encode_superblock(config.concurrency, config.visibility));
+        device.write_at(0, &front)?;
         for slot in 0..layout.n_segments {
             device.write_at(layout.segment_offset(slot), &HEADER_PUNCH)?;
         }
@@ -934,11 +933,16 @@ impl<D: BlockDevice> LldInner<D> {
         Ok(())
     }
 
-    /// Reads the superblock of a formatted device.
-    pub(crate) fn read_superblock(device: &D) -> Result<(Layout, ConcurrencyMode, ReadVisibility)> {
-        let mut buf = [0u8; SUPERBLOCK_LEN];
-        device.read_at(0, &mut buf)?;
-        let decoded = Layout::decode_superblock(&buf)?;
+    /// Reads the superblock of a formatted device, and with it both
+    /// checkpoint headers: one read of the first three sectors. Returns
+    /// the decoded superblock and the bytes read.
+    pub(crate) fn read_front(
+        device: &D,
+    ) -> Result<((Layout, ConcurrencyMode, ReadVisibility), Vec<u8>)> {
+        let len = (FRONT_LEN as u64).min(device.capacity()) as usize;
+        let mut front = vec![0u8; len];
+        device.read_at(0, &mut front)?;
+        let decoded = Layout::decode_superblock(&front)?;
         // Recovery sizes per-slot tables by `n_segments`: the slots exist.
         let l = &decoded.0;
         let slots = u64::from(l.n_segments).checked_mul(l.segment_bytes as u64);
@@ -947,7 +951,7 @@ impl<D: BlockDevice> LldInner<D> {
             let msg = format!("superblock: {} slots do not fit the device", l.n_segments);
             return Err(LldError::Corrupt(msg));
         }
-        Ok(decoded)
+        Ok((decoded, front))
     }
 
     /// Whether this disk runs the background cleaner thread: never in
@@ -968,7 +972,7 @@ impl<D: BlockDevice> Lld<D> {
     /// [`LldError::Corrupt`] if the device holds no valid superblock;
     /// device errors.
     pub fn probe(device: &D) -> Result<(Layout, ConcurrencyMode, ReadVisibility)> {
-        LldInner::read_superblock(device)
+        LldInner::read_front(device).map(|(superblock, _)| superblock)
     }
 }
 

@@ -47,7 +47,7 @@
 //!    the consistency check runs.
 
 use crate::aru::ListOp;
-use crate::checkpoint::{self, CkptHeaderInfo, CkptSlots, SlabReader};
+use crate::checkpoint::{self, CkptBody, CkptHeaderInfo, CkptSlots, SlabReader};
 use crate::config::{LldConfig, MAX_MAP_SHARDS};
 use crate::dedup::DedupCache;
 use crate::error::{LldError, Result};
@@ -100,7 +100,7 @@ flat_record! {
         /// Threads recovery ran on: always 1 (the caller's).
         threads_used: u32,
         /// Bytes of the checkpoint the snapshot-load phase loaded: header,
-        /// directory, slabs and dedup slab (0 = no checkpoint).
+        /// directory, slabs and dedup table (0 = no checkpoint).
         snapshot_bytes: u64,
         /// Wall time of the snapshot-load phase.
         snapshot_load_ns: u64,
@@ -290,6 +290,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
     fn rebuild<'o>(
         &mut self,
         config: &LldConfig,
+        front: &[u8],
         obs: &'o Obs,
         trace: u64,
         report: &mut RecoveryReport,
@@ -303,13 +304,14 @@ impl<D: BlockDevice> Mutation<'_, D> {
 
         // ---- Phase 1: load the newest valid checkpoint's slabs -------
         let load = obs.stage(0, trace, Stage::RecoverySnapshotLoad);
-        let mut cands: Vec<(CkptHeaderInfo, bool)> = Vec::new();
-        if let Some(h) = checkpoint::read_header_dir(device, layout, layout.ckpt_a)? {
-            cands.push((h, true));
-        }
-        if let Some(h) = checkpoint::read_header_dir(device, layout, layout.ckpt_b)? {
-            cands.push((h, false));
-        }
+        // Both headers came with the superblock, in one read.
+        let mut cands: Vec<(CkptHeaderInfo, bool)> =
+            [(layout.ckpt_a, true), (layout.ckpt_b, false)]
+                .into_iter()
+                .filter_map(|(area, is_a)| {
+                    Some((checkpoint::parse_header(front, layout, area)?, is_a))
+                })
+                .collect();
         // Newest first; area A wins a sequence tie (stable sort).
         cands.sort_by_key(|(h, _)| std::cmp::Reverse(h.seq));
 
@@ -321,13 +323,14 @@ impl<D: BlockDevice> Mutation<'_, D> {
             link: 0,
         };
         let mut ts_floor = 0u64;
-        let mut dedup_seed: Vec<u8> = Vec::new();
+        let mut dedup = None;
         for (hdr, is_a) in cands {
-            // Slabs and dedup slab lie back to back: one device read.
+            // Directory, slabs and dedup table lie back to back: one
+            // device read.
             let body = hdr.read_body(device)?;
             // Every checksum and descriptor before a row is entered: a
             // torn area leaves the tables empty for the other one.
-            let (Some(slabs), Some(seed)) = (hdr.slabs(&body), hdr.dedup_slab(&body)) else {
+            let Some(CkptBody { slabs, dedup: seed }) = hdr.open(&body, layout) else {
                 continue;
             };
             // The allocators count on from the floors and from every
@@ -338,7 +341,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                     hdr.block_floor, hdr.list_floor
                 )));
             }
-            dedup_seed = seed.to_vec();
+            dedup = Some(DedupCache::decode(config.dedup_capacity, &seed)?);
             ckpt_seq = hdr.seq;
             head = hdr.head;
             ts_floor = hdr.ts_counter;
@@ -488,11 +491,12 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // ---- Phase 3: replay the chain above the checkpoint ----------
         let replay = obs.stage(0, trace, Stage::RecoveryReplay);
         let mut ts_max = 0u64;
-        // Rebuild the write-id dedup cache: seed from the checkpoint
-        // slab, then re-record every committed ARU's `WriteId` record
-        // during replay (they carry no mapping effects); `complete` is
-        // idempotent, so a slab entry replayed again is harmless.
-        let mut dedup = DedupCache::decode(config.dedup_capacity, &dedup_seed)?;
+        // Rebuild the write-id dedup cache: seeded from the checkpoint's
+        // dedup table, then re-record every committed ARU's `WriteId`
+        // record during replay (they carry no mapping effects);
+        // `complete` is idempotent, so an outcome replayed again is
+        // harmless.
+        let mut dedup = dedup.unwrap_or_else(|| DedupCache::new(config.dedup_capacity));
         let block_sectors = layout.sectors_per_block();
         drive_chain(&chain, block_sectors, report, &mut ts_max, |recs, cts| {
             for (seg, rec) in recs {
@@ -593,7 +597,7 @@ impl<D: BlockDevice + 'static> Lld<D> {
     /// [`LldError::Corrupt`] if the device holds no valid superblock or
     /// the log is internally inconsistent; device errors.
     pub fn recover(device: D) -> Result<(Self, RecoveryReport)> {
-        let (layout, concurrency, visibility) = LldInner::read_superblock(&device)?;
+        let ((layout, concurrency, visibility), front) = LldInner::read_front(&device)?;
         let config = LldConfig {
             block_size: layout.block_size,
             segment_bytes: layout.segment_bytes,
@@ -601,7 +605,7 @@ impl<D: BlockDevice + 'static> Lld<D> {
             visibility,
             ..LldConfig::default()
         };
-        Self::recover_inner(device, layout, config)
+        Self::recover_inner(device, layout, config, &front)
     }
 
     /// Recovers with explicit runtime options (concurrency mode, read
@@ -613,14 +617,17 @@ impl<D: BlockDevice + 'static> Lld<D> {
     ///
     /// As for [`Lld::recover`].
     pub fn recover_with(device: D, config: &LldConfig) -> Result<(Self, RecoveryReport)> {
-        let (layout, _, _) = LldInner::read_superblock(&device)?;
-        Self::recover_inner(device, layout, config.clone())
+        let ((layout, _, _), front) = LldInner::read_front(&device)?;
+        Self::recover_inner(device, layout, config.clone(), &front)
     }
 
+    /// `front` is what [`LldInner::read_front`] read: the superblock and
+    /// both checkpoint headers.
     fn recover_inner(
         device: D,
         layout: Layout,
         config: LldConfig,
+        front: &[u8],
     ) -> Result<(Self, RecoveryReport)> {
         if !config.map_shards.is_power_of_two() || config.map_shards > MAX_MAP_SHARDS {
             return Err(LldError::Config(format!(
@@ -636,7 +643,7 @@ impl<D: BlockDevice + 'static> Lld<D> {
         };
         let mut finalize = None;
         let obs = &ld.obs;
-        ld.with_mutation(|m| m.rebuild(&config, obs, trace, &mut report, &mut finalize))?;
+        ld.with_mutation(|m| m.rebuild(&config, front, obs, trace, &mut report, &mut finalize))?;
 
         if config.check_on_recovery {
             let check = ld.check()?;

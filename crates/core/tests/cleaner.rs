@@ -56,7 +56,7 @@ fn block(byte: u8) -> Vec<u8> {
 
 /// A device with room for ~24 segments.
 fn small_disk(mode: Mode) -> Lld<MemDisk> {
-    let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512; // sb + ckpt areas + segments
+    let cap = 1536 + 2 * 64 * 1024 + 24 * 8 * 512; // superblock region + ckpt areas + segments
     Lld::format(MemDisk::new(cap as u64), &config(mode)).unwrap()
 }
 
@@ -338,7 +338,7 @@ fn crash_during_cleaning_era_recovers_current_state_at(mode: Mode) {
     let mut crash_at = 300_000u64;
     let mut crashes_seen = 0;
     while crash_at < 4_000_000 {
-        let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512;
+        let cap = 1536 + 2 * 64 * 1024 + 24 * 8 * 512;
         let sim = SimDisk::new(MemDisk::new(cap as u64), DiskModel::hp_c3010())
             .with_faults(FaultPlan::new().crash_after_bytes(crash_at));
         let ld = Lld::format(sim, &config(mode)).unwrap();
@@ -409,7 +409,7 @@ fn churn_on_eight_block_slots(
 ) -> Result<ld_core::LldStats, LldError> {
     cfg.cleaner.target_free_segments = 8;
     cfg.cleaner.backpressure_free_segments = 1;
-    let cap = 512 + 2 * 64 * 1024 + 16 * 8 * 512;
+    let cap = 1536 + 2 * 64 * 1024 + 16 * 8 * 512;
     let ld = Lld::format(MemDisk::new(cap as u64), &cfg)?;
     assert_eq!(ld.n_segments(), 20);
     let l = ld.new_list(Ctx::Simple)?;
@@ -606,7 +606,7 @@ fn wait_until(what: &str, done: impl Fn() -> bool) {
 #[test]
 fn cleanerd_hands_a_covered_victim_back_before_it_reads_the_next() {
     let inline = config((false, 8));
-    let cap = 512 + 2 * 64 * 1024 + 40 * 8 * 512;
+    let cap = 1536 + 2 * 64 * 1024 + 40 * 8 * 512;
     let ld = Lld::format(MemDisk::new(cap as u64), &inline).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let mut blocks = Vec::new();
@@ -679,7 +679,7 @@ fn first_commit_after_recovery_leaves_cleaning_to_cleanerd() {
     // rounds leave the disk at the default emergency level.
     let mut tight = config((false, 8));
     tight.cleaner.target_free_segments = tight.cleaner.min_free_segments;
-    let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512;
+    let cap = 1536 + 2 * 64 * 1024 + 24 * 8 * 512;
     let ld = Lld::format(MemDisk::new(cap as u64), &tight).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let ring = churn_ring(&ld, l, None);
@@ -731,22 +731,22 @@ struct CheckpointCuts {
 
 #[derive(Debug, Default)]
 struct Cuts {
-    /// The two areas' offsets, while armed.
-    areas: Vec<u64>,
+    /// The offsets of the two areas' headers, while armed.
+    headers: Vec<u64>,
     /// A header written since the last barrier.
     header: bool,
     images: Vec<Vec<u8>>,
 }
 
 impl CheckpointCuts {
-    fn arm(&self, areas: Vec<u64>) {
-        self.state.lock().areas = areas;
+    fn arm(&self, headers: Vec<u64>) {
+        self.state.lock().headers = headers;
     }
 
     /// Disarms the device and hands over the images it kept.
     fn take(&self) -> Vec<Vec<u8>> {
         let mut st = self.state.lock();
-        st.areas.clear();
+        st.headers.clear();
         std::mem::take(&mut st.images)
     }
 }
@@ -761,7 +761,7 @@ impl BlockDevice for CheckpointCuts {
     fn write_at(&self, offset: u64, buf: &[u8]) -> ld_disk::Result<()> {
         let mut st = self.state.lock();
         self.inner.write_at(offset, buf)?;
-        st.header |= buf.len() == common::C_LEN && st.areas.contains(&offset);
+        st.header |= buf.len() == common::C_LEN && st.headers.contains(&offset);
         Ok(())
     }
     fn flush(&self) -> ld_disk::Result<()> {
@@ -793,7 +793,7 @@ fn no_checkpoint_holds_part_of_an_aru() {
 }
 
 fn no_checkpoint_holds_part_of_an_aru_at(cfg: LldConfig) {
-    let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512;
+    let cap = 1536 + 2 * 64 * 1024 + 24 * 8 * 512;
     let device = CheckpointCuts {
         inner: MemDisk::new(cap as u64),
         state: Mutex::default(),
@@ -814,8 +814,7 @@ fn no_checkpoint_holds_part_of_an_aru_at(cfg: LldConfig) {
     if !cfg.cleaner.background {
         assert_eq!(ld.checkpoint_seq(), 0, "a victim is covered");
     }
-    let (layout, _, _) = Lld::probe(ld.device()).unwrap();
-    ld.device().arm(vec![layout.ckpt_a, layout.ckpt_b]);
+    ld.device().arm(ld_core::CKPT_HEADER_AT.to_vec());
 
     let rewritten = &blocks[..14];
     let aru = ld.begin_aru().unwrap();
@@ -856,7 +855,7 @@ fn no_checkpoint_holds_part_of_an_aru_at(cfg: LldConfig) {
 #[test]
 fn cleanerd_writes_a_checkpoint_a_round_at_most_on_a_disk_of_live_data() {
     let inline = config((false, 8));
-    let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512;
+    let cap = 1536 + 2 * 64 * 1024 + 24 * 8 * 512;
     let ld = Lld::format(MemDisk::new(cap as u64), &inline).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let mut blocks: Vec<ld_core::BlockId> = Vec::new();

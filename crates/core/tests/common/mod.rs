@@ -93,24 +93,31 @@ pub const H_LEN: usize = 44;
 pub const SECTOR: usize = 512;
 pub const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936;
 
-// Checkpoint header fields (see `checkpoint.rs`).
+// Checkpoint header fields (see `checkpoint.rs`). A header sits alone
+// in its sector of the superblock's region ([`ckpt_header`]).
+pub const C_LINK: usize = 4;
+pub const C_SEQ: usize = 8;
 pub const C_SNAP_SHARDS: usize = 40;
 pub const C_DIR_CRC: usize = 44;
 pub const C_N_DEDUP: usize = 48;
 pub const C_DEDUP_CRC: usize = 52;
 pub const C_HEAD_SLOT: usize = 56;
 pub const C_HEAD_BASE: usize = 60;
-pub const C_CRC: usize = 64;
-/// The header's length; the slab directory follows, in room reserved
-/// for 64 entries, and the slabs follow that, back to back.
-pub const C_LEN: usize = 68;
+/// The body's length: directory, slabs and dedup table, from the
+/// area's start.
+pub const C_BODY_LEN: usize = 64;
+pub const C_CRC: usize = 72;
+/// The header's length.
+pub const C_LEN: usize = 76;
+/// A directory entry, one a slab, at the area's start; the slabs follow
+/// the directory back to back, and the dedup table the slabs.
 pub const C_DIR_ENTRY: usize = 24;
-pub const C_DIR_RESERVE: usize = 64 * C_DIR_ENTRY;
 // In a directory entry: the slab's CRC and its length in bytes.
 pub const C_DIR_SLAB_CRC: usize = 16;
 pub const C_DIR_SLAB_LEN: usize = 20;
-/// A dedup-slab entry: client, write id, generation, commit timestamp.
-pub const C_DEDUP_ENTRY: usize = 32;
+/// The dedup table's four column descriptors; its rows follow, the
+/// first in full.
+pub const C_DEDUP_DESC: usize = 40;
 
 // Superblock: the geometry fields, and the CRC over the bytes in front
 // of it (see `layout.rs`).
@@ -226,13 +233,22 @@ pub fn reseal_superblock(image: &mut [u8]) {
     put_u32(image, S_CRC, crc);
 }
 
+/// Where the header of the checkpoint area at `area` is: sector 1 for
+/// area A, which starts where the superblock's region ends (slot 0's
+/// offset less both areas), sector 2 for area B (`ld_core::CKPT_HEADER_AT`).
+pub fn ckpt_header(image: &[u8], area: usize) -> usize {
+    let area_a = u64_at(image, S_DATA_START) - 2 * u64_at(image, S_CKPT_AREA_SIZE);
+    ld_core::CKPT_HEADER_AT[usize::from(area as u64 != area_a)] as usize
+}
+
 /// Byte ranges of the slabs of the checkpoint at `area`, from its
 /// directory (which must be intact).
 pub fn slab_ranges(image: &[u8], area: usize) -> Vec<std::ops::Range<usize>> {
-    let mut start = area + C_LEN + C_DIR_RESERVE;
-    (0..u32_at(image, area + C_SNAP_SHARDS) as usize)
+    let shards = u32_at(image, ckpt_header(image, area) + C_SNAP_SHARDS) as usize;
+    let mut start = area + shards * C_DIR_ENTRY;
+    (0..shards)
         .map(|i| {
-            let entry = area + C_LEN + i * C_DIR_ENTRY;
+            let entry = area + i * C_DIR_ENTRY;
             let range = start..start + u32_at(image, entry + C_DIR_SLAB_LEN) as usize;
             start = range.end;
             range
@@ -245,34 +261,35 @@ pub fn slab_ranges(image: &[u8], area: usize) -> Vec<std::ops::Range<usize>> {
 /// CRC in the header, then the header's own.
 pub fn reseal_slab(image: &mut [u8], area: usize, i: usize) {
     let slab_crc = crc32(&image[slab_ranges(image, area)[i].clone()]);
-    let dir = area + C_LEN;
-    put_u32(image, dir + i * C_DIR_ENTRY + C_DIR_SLAB_CRC, slab_crc);
-    let shards = u32_at(image, area + C_SNAP_SHARDS) as usize;
-    let dir_crc = crc32(&image[dir..dir + shards * C_DIR_ENTRY]);
-    put_u32(image, area + C_DIR_CRC, dir_crc);
+    put_u32(image, area + i * C_DIR_ENTRY + C_DIR_SLAB_CRC, slab_crc);
+    let header = ckpt_header(image, area);
+    let shards = u32_at(image, header + C_SNAP_SHARDS) as usize;
+    let dir_crc = crc32(&image[area..area + shards * C_DIR_ENTRY]);
+    put_u32(image, header + C_DIR_CRC, dir_crc);
     reseal_checkpoint(image, area);
 }
 
-/// Byte range of the dedup slab of the checkpoint at `area`: behind its
-/// last slab.
+/// Byte range of the dedup table of the checkpoint at `area`: behind
+/// its last slab, to the end of the body.
 pub fn dedup_range(image: &[u8], area: usize) -> std::ops::Range<usize> {
     let slabs = slab_ranges(image, area);
-    let start = slabs.last().map_or(area + C_LEN + C_DIR_RESERVE, |r| r.end);
-    start..start + u32_at(image, area + C_N_DEDUP) as usize * C_DEDUP_ENTRY
+    let start = slabs.last().expect("a slab or more").end;
+    start..area + u64_at(image, ckpt_header(image, area) + C_BODY_LEN) as usize
 }
 
-/// Makes an edit of the dedup slab of the checkpoint at `area` pass:
+/// Makes an edit of the dedup table of the checkpoint at `area` pass:
 /// recomputes its CRC in the header, then the header's own.
 pub fn reseal_dedup(image: &mut [u8], area: usize) {
     let crc = crc32(&image[dedup_range(image, area)]);
-    put_u32(image, area + C_DEDUP_CRC, crc);
+    put_u32(image, ckpt_header(image, area) + C_DEDUP_CRC, crc);
     reseal_checkpoint(image, area);
 }
 
-/// Recomputes the CRC of the checkpoint header at `area`.
+/// Recomputes the CRC of the header of the checkpoint at `area`.
 pub fn reseal_checkpoint(image: &mut [u8], area: usize) {
-    let crc = crc32(&image[area..area + C_CRC]);
-    put_u32(image, area + C_CRC, crc);
+    let header = ckpt_header(image, area);
+    let crc = crc32(&image[header..header + C_CRC]);
+    put_u32(image, header + C_CRC, crc);
 }
 
 // A device that parks chosen writes (docs/INVARIANTS.md I4).

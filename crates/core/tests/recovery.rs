@@ -506,7 +506,7 @@ fn checkpoint_carries_dedup_cache() {
 
     let (ld2, report) = crash_and_recover(ld);
     // Nothing above the checkpoint to replay: the entry must have come
-    // from the checkpoint's dedup slab, not the log.
+    // from the checkpoint's dedup table, not the log.
     assert_eq!(report.segments_replayed, 0);
     assert_eq!(ld2.write_id_lookup(3, 55).unwrap(), first.outcome);
     assert_eq!(ld2.write_id_count(), 1);

@@ -216,7 +216,7 @@ fn torn_newest_checkpoint_walks_from_the_older_head() {
 
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let mut torn = image.clone();
-    torn[layout.ckpt_b as usize + 20] ^= 0xFF;
+    torn[ckpt_header(&image, layout.ckpt_b as usize) + 20] ^= 0xFF;
     let (fallback, report) = recover(&torn).unwrap();
     assert_eq!(report.checkpoint_seq, older, "older area used");
     assert_eq!(
@@ -495,9 +495,9 @@ fn scan_reads_follow_the_suffix_not_the_device() {
         let sim = SimDisk::new(MemDisk::from_image(image), DiskModel::hp_c3010());
         let (ld2, report) = Lld::recover_with(sim, &config()).unwrap();
         assert_eq!(report.segments_replayed, 10);
-        // Outside the scan: the superblock and one header read per
-        // (empty) checkpoint area.
-        let scan_reads = ld2.device().stats().snapshot().reads - 3;
+        // Outside the scan: one read of the superblock and both
+        // (empty) checkpoint headers.
+        let scan_reads = ld2.device().stats().snapshot().reads - 1;
         // Ten summaries; a header of its own for the start of the log,
         // for slot 1 and for the empty slot 2 where the log ends.
         assert_eq!(scan_reads, 10 + 3, "{slots} slots");
@@ -602,6 +602,77 @@ fn an_in_slot_hop_reads_its_summary_and_the_next_header_only() {
     );
 }
 
+/// (e'') What a restart reads in front of the log: the superblock and
+/// both checkpoint headers in one read of the first three sectors, then
+/// the chosen area's directory, slabs and dedup table in one more, and
+/// no byte of the other area. A header torn in its sector is refused
+/// from the first read, and the other area's body is the second; a body
+/// that fails its checksums costs one read more, the other area's.
+#[test]
+fn a_restart_reads_its_checkpoint_in_two_reads() {
+    let cfg = config();
+    let ld = Lld::format(MemDisk::new(2 << 20), &cfg).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    for byte in 1..=6u8 {
+        let aru = ld.begin_aru().unwrap();
+        let b = ld.new_block(Ctx::Aru(aru), l, Position::First).unwrap();
+        ld.write(Ctx::Aru(aru), b, &block(byte)).unwrap();
+        ld.end_aru_tagged(aru, 7, 1, u64::from(byte)).unwrap();
+        ld.flush().unwrap();
+        if byte % 2 == 0 && byte < 6 {
+            ld.checkpoint().unwrap(); // area A, then area B
+        }
+    }
+    let image = ld.into_device().into_image();
+    let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
+    let (a, b) = (layout.ckpt_a as usize, layout.ckpt_b as usize);
+    let body = |image: &[u8], area: usize| {
+        let len = u64_at(image, ckpt_header(image, area) + C_BODY_LEN) as usize;
+        (area as u64, len)
+    };
+    // The reads recovery makes in front of its first one at or past
+    // slot 0, the checkpoint it loaded and that checkpoint's bytes.
+    let front_reads = |image: &[u8]| {
+        let dev = CountingDisk {
+            inner: MemDisk::from_image(image.to_vec()),
+            reads: ld_disk::Mutex::new(Vec::new()),
+        };
+        let (ld2, report) = Lld::recover_with(dev, &cfg).unwrap();
+        let reads = ld2.device().reads.lock().clone();
+        let front: Vec<(u64, usize)> = (reads.into_iter())
+            .take_while(|&(at, _)| at < layout.data_start)
+            .collect();
+        (front, report.checkpoint_seq, report.snapshot_bytes)
+    };
+    let untouched = |reads: &[(u64, usize)], area: usize| {
+        let other = area as u64..area as u64 + layout.ckpt_area_size;
+        (reads.iter()).all(|&(at, len)| at + len as u64 <= other.start || at >= other.end)
+    };
+
+    let (reads, newer, bytes) = front_reads(&image);
+    assert_eq!(reads, [(0, 3 * SECTOR), body(&image, b)]);
+    assert!(untouched(&reads, a), "{reads:?}");
+    assert_eq!(bytes, (C_LEN + body(&image, b).1) as u64);
+
+    let mut torn = image.clone();
+    let header_b = ckpt_header(&image, b);
+    torn[header_b + 30..header_b + C_LEN].fill(0);
+    let (reads, older, _) = front_reads(&torn);
+    assert!(older > 0 && older < newer, "{older} of {newer}");
+    assert_eq!(reads, [(0, 3 * SECTOR), body(&image, a)]);
+    assert!(untouched(&reads, b), "{reads:?}");
+
+    let mut torn = image.clone();
+    torn[b + 3] ^= 0xFF; // the directory of area B
+    let (reads, seq, _) = front_reads(&torn);
+    assert_eq!(seq, older);
+    assert_eq!(
+        reads,
+        [(0, 3 * SECTOR), body(&image, b), body(&image, a)],
+        "one read more"
+    );
+}
+
 /// (f) A crash tears a segment write in the middle of a slot, or loses
 /// one whole while its in-slot successor lands: the log ends in front
 /// of it, and what is flushed after that recovery survives the next
@@ -695,8 +766,9 @@ fn checkpoint_head_inside_a_slot() {
     let image = ld.into_device().into_image();
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let area = layout.ckpt_a as usize;
-    assert_eq!(u32_at(&image, area + C_HEAD_SLOT), 0);
-    assert_eq!(u32_at(&image, area + C_HEAD_BASE), 3, "behind segment 1");
+    let header = ckpt_header(&image, area);
+    assert_eq!(u32_at(&image, header + C_HEAD_SLOT), 0);
+    assert_eq!(u32_at(&image, header + C_HEAD_BASE), 3, "behind segment 1");
 
     let (ld, report) = recover(&image).unwrap();
     assert_eq!(report.segments_replayed, 0);
@@ -714,7 +786,7 @@ fn checkpoint_head_inside_a_slot() {
 
     for base in [BPS as u32 - 2, BPS as u32, u32::MAX] {
         let mut hostile = image.clone();
-        put_u32(&mut hostile, area + C_HEAD_BASE, base);
+        put_u32(&mut hostile, header + C_HEAD_BASE, base);
         reseal_checkpoint(&mut hostile, area);
         let got = recover(&hostile);
         assert!(
@@ -725,7 +797,7 @@ fn checkpoint_head_inside_a_slot() {
     }
     // Inside a slot the device does not have.
     let mut hostile = image.clone();
-    put_u32(&mut hostile, area + C_HEAD_SLOT, layout.n_segments);
+    put_u32(&mut hostile, header + C_HEAD_SLOT, layout.n_segments);
     reseal_checkpoint(&mut hostile, area);
     assert!(matches!(recover(&hostile), Err(LldError::Corrupt(_))));
 }
@@ -781,19 +853,20 @@ fn timestamp_that_runs_backwards_is_corrupt() {
     );
 }
 
-/// An image of the previous formats (superblock version 8, 7, 6, 5 or
-/// 4, valid CRC) is refused by the version check, and the message names
-/// the version: it is not read as if its summary records were varints,
-/// its checkpoint slabs sorted and bit-packed, its segment bases counted
-/// sectors or its segments were packed by sectors. The format-9 image
+/// An image of the previous formats (superblock version 9, 8, 7, 6, 5
+/// or 4, valid CRC) is refused by the version check, and the message
+/// names the version: it is not read as if its checkpoint headers sat
+/// next to the superblock, its summary records were varints, its
+/// checkpoint slabs sorted and bit-packed, its segment bases counted
+/// sectors or its segments were packed by sectors. The format-10 image
 /// it was patched from mounts.
 #[test]
 fn older_format_version_is_refused() {
     let (image, b) = image_with_segments(1);
-    assert_eq!(u32_at(&image, 8), 9, "superblock version field");
-    let (ld, _) = recover(&image).expect("a format-9 image mounts");
+    assert_eq!(u32_at(&image, 8), 10, "superblock version field");
+    let (ld, _) = recover(&image).expect("a format-10 image mounts");
     assert_eq!(read_byte(&ld, b), 1);
-    for older in [8, 7, 6, 5, 4] {
+    for older in [9, 8, 7, 6, 5, 4] {
         let mut image = image.clone();
         put_u32(&mut image, 8, older);
         reseal_superblock(&mut image);

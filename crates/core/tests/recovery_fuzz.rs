@@ -34,10 +34,19 @@
 //! that comes back may hold a list whose chain a flip broke, and what
 //! is asked of `check()` and of every walk is that they return — `Ok`
 //! or a typed error — and that nothing panics. *Resealed dedup* flips
-//! land in the write-id outcomes behind the slabs, under a recomputed
-//! dedup and header checksum, and are asked the same; so are *resealed
-//! rows* flips, 1–8 bits inside a slab's bit-packed rows behind its
-//! descriptors, where one flip moves every value decoded after it.
+//! land in the write-id outcomes behind the slabs — the dedup table's
+//! column descriptors, or its rows (the first in full, the rest
+//! bit-packed) — under a recomputed dedup and header checksum, and are
+//! asked the same; so are *resealed rows* flips, 1–8 bits inside a
+//! slab's bit-packed rows behind its descriptors, where one flip moves
+//! every value decoded after it.
+//!
+//! Format 10's header kinds land in the header sectors next to the
+//! superblock: a header torn at a random byte (what follows it is the
+//! sector's old bytes, zeros or the other header's), and a header
+//! resealed with a body length past its area, or one that is not the
+//! length its directory, slabs and dedup table add up to. Recovery
+//! falls back to the other area, and the disk comes up whole.
 //!
 //! *Hostile* kinds set one field, under its recomputed checksums, to a
 //! value no writer produces, and `recover` must return
@@ -158,11 +167,15 @@ const SLACK: usize = 16;
 /// at `area`, found the way recovery walks the chain (a hop with no
 /// pointer ends the walk here).
 fn replayed_chain(image: &[u8], layout: &Layout, area: usize) -> Vec<usize> {
+    let header = ckpt_header(image, area);
     let (mut slot, mut base) = (
-        u32_at(image, area + C_HEAD_SLOT),
-        u32_at(image, area + C_HEAD_BASE),
+        u32_at(image, header + C_HEAD_SLOT),
+        u32_at(image, header + C_HEAD_BASE),
     );
-    let (mut link, mut seq) = (u32_at(image, area + 4), u64_at(image, area + 8));
+    let (mut link, mut seq) = (
+        u32_at(image, header + C_LINK),
+        u64_at(image, header + C_SEQ),
+    );
     let mut out = Vec::new();
     while slot < layout.n_segments {
         let off = layout.segment_offset(slot) as usize + base as usize * SECTOR;
@@ -390,7 +403,11 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
     }
     drop(recovered);
     let newer = layout.ckpt_b as usize;
-    assert_eq!(u64_at(&image, newer + 8), report.checkpoint_seq, "area B");
+    assert_eq!(
+        u64_at(&image, ckpt_header(&image, newer) + C_SEQ),
+        report.checkpoint_seq,
+        "area B"
+    );
     let chain = replayed_chain(&image, &layout, newer);
     assert_eq!(chain.len(), report.segments_replayed as usize);
     let replayed: Vec<_> = (chain.iter())
@@ -448,25 +465,24 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
     // a sector of summary.
     let last_base = layout.sectors_per_slot() - 2 - block_sectors;
     let area = [layout.ckpt_a, layout.ckpt_b][rng.below(2)] as usize;
+    let ckpt = ckpt_header(&image, area);
+    let newer = ckpt_header(&image, base.newer);
     let header = base.headers[rng.below(base.headers.len())];
     let summary = summary_range(&image, header);
-    let kind = rng.below(25);
+    let kind = rng.below(29);
     let what = match kind {
         0 => {
             flip(&mut image, 0..S_CRC + 4, &mut rng);
             "raw: superblock".to_string()
         }
         1 => {
-            flip(&mut image, area..area + C_LEN, &mut rng);
-            format!("raw: checkpoint header at {area}")
+            flip(&mut image, ckpt..ckpt + C_LEN, &mut rng);
+            format!("raw: checkpoint header at {ckpt}")
         }
         2 => {
             // The directory of eight slabs, or the start of the slabs.
-            let slabs = area + C_LEN + C_DIR_RESERVE;
-            let range = [
-                area + C_LEN..area + C_LEN + 8 * C_DIR_ENTRY,
-                slabs..slabs + 1024,
-            ];
+            let slabs = area + 8 * C_DIR_ENTRY;
+            let range = [area..slabs, slabs..slabs + 1024];
             flip(&mut image, range[rng.below(2)].clone(), &mut rng);
             format!("raw: checkpoint body at {area}")
         }
@@ -519,17 +535,54 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             format!("resealed: slab {i} at {area}")
         }
         12 if !dedup_range(&image, area).is_empty() => {
-            // The write-id outcomes a retry is answered from.
-            let range = dedup_range(&image, area);
-            flip(&mut image, range, &mut rng);
+            // The write-id outcomes a retry is answered from: the dedup
+            // table's column descriptors.
+            let start = dedup_range(&image, area).start;
+            flip(&mut image, start..start + C_DEDUP_DESC, &mut rng);
             reseal_dedup(&mut image, area);
-            format!("resealed: dedup slab at {area}")
+            format!("resealed: dedup descriptors at {area}")
         }
-        // (12: the sequential image has no dedup slab.)
-        11 | 12 => {
-            flip(&mut image, area..area + C_CRC, &mut rng);
+        25 if !dedup_range(&image, area).is_empty() => {
+            // Its rows: the first in full, the rest bit-packed.
+            let range = dedup_range(&image, area);
+            flip(&mut image, range.start + C_DEDUP_DESC..range.end, &mut rng);
+            reseal_dedup(&mut image, area);
+            format!("resealed: dedup rows at {area}")
+        }
+        // (12, 25: the sequential image's dedup table has no row, and
+        // takes no byte.)
+        11 | 12 | 25 => {
+            flip(&mut image, ckpt..ckpt + C_CRC, &mut rng);
             reseal_checkpoint(&mut image, area);
-            format!("resealed: checkpoint header at {area}")
+            format!("resealed: checkpoint header at {ckpt}")
+        }
+        26 | 27 => {
+            // A body length past the area, or any other than the one
+            // the body adds up to.
+            let body = u64_at(&image, ckpt + C_BODY_LEN);
+            let size = layout.ckpt_area_size;
+            let len = match kind {
+                26 => [size + 1, size + SECTOR as u64, u64::MAX][rng.below(3)],
+                _ => [0, 1, body - 1, body + 1, body + 1 + rng.below(64) as u64][rng.below(5)],
+            };
+            image[ckpt + C_BODY_LEN..ckpt + C_BODY_LEN + 8].copy_from_slice(&len.to_le_bytes());
+            reseal_checkpoint(&mut image, area);
+            format!("resealed: body length {len} of {body} at {ckpt}, area of {size}")
+        }
+        28 => {
+            // Torn at a byte: behind it, zeros, or the other header's
+            // bytes where a write of it had begun.
+            let other = match area as u64 == layout.ckpt_a {
+                true => ckpt_header(&image, layout.ckpt_b as usize),
+                false => ckpt_header(&image, layout.ckpt_a as usize),
+            };
+            let at = rng.below(C_LEN);
+            let tail: Vec<u8> = match rng.below(2) {
+                0 => vec![0; C_LEN - at],
+                _ => image[other + at..other + C_LEN].to_vec(),
+            };
+            image[ckpt + at..ckpt + C_LEN].copy_from_slice(&tail);
+            format!("raw: checkpoint header at {ckpt} torn at byte {at}")
         }
         13 => {
             // A replayed `Write` record's extent: past the data area,
@@ -572,7 +625,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             // row with an address past a block's sectors.
             let slabs = slab_ranges(&image, base.newer);
             let with_rows: Vec<usize> = (0..slabs.len())
-                .filter(|&i| u64_at(&image, base.newer + C_LEN + i * C_DIR_ENTRY) > 0)
+                .filter(|&i| u64_at(&image, base.newer + i * C_DIR_ENTRY) > 0)
                 .collect();
             let i = with_rows[rng.below(with_rows.len())];
             let count = slabs[i].start + 3 * CKPT_COL_DESC;
@@ -607,7 +660,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             // C8: a checkpoint head with no room for a segment behind it.
             let slot = layout.sectors_per_slot();
             let head = [last_base + 1, slot - 1, slot, u32::MAX][rng.below(4)];
-            put_u32(&mut image, base.newer + C_HEAD_BASE, head);
+            put_u32(&mut image, newer + C_HEAD_BASE, head);
             reseal_checkpoint(&mut image, base.newer);
             format!("hostile: checkpoint head at sector {head}")
         }
@@ -629,7 +682,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             // a slot has room behind to one past the slot's end.
             let span = layout.sectors_per_slot() + 3 - last_base;
             let head = last_base - 1 + rng.below(span as usize) as u32;
-            put_u32(&mut image, base.newer + C_HEAD_BASE, head);
+            put_u32(&mut image, newer + C_HEAD_BASE, head);
             reseal_checkpoint(&mut image, base.newer);
             format!("resealed: checkpoint head at sector {head}, last base {last_base}")
         }
@@ -652,8 +705,8 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
         }
     };
     let oracle = match kind {
-        9 | 10 | 12 | 19 => Oracle::Returns,
-        13..=15 | 17 | 20.. => Oracle::Corrupt,
+        9 | 10 | 12 | 19 | 25 => Oracle::Returns,
+        13..=15 | 17 | 20..=24 => Oracle::Corrupt,
         _ => Oracle::Whole,
     };
     (image, what, oracle)

@@ -2,7 +2,7 @@
 //! of list structures, and assorted edge cases that the main suites do
 //! not reach.
 
-use ld_core::{Ctx, Lld, LldConfig, LldError, Position, ReadVisibility};
+use ld_core::{Ctx, Lld, LldConfig, LldError, Position, ReadVisibility, CKPT_HEADER_AT};
 use ld_disk::{DiskModel, FaultPlan, MemDisk, SimDisk};
 
 const BS: usize = 512;
@@ -57,16 +57,11 @@ fn corrupt_newest_checkpoint_falls_back_to_older_at(mode: Mode) {
     ld.flush().unwrap();
 
     let mut image = ld.into_device().into_image();
-    // The superblock is 64 bytes at offset 0; area A starts at
-    // block_size. Corrupt whichever area holds the NEWER checkpoint by
-    // flipping bytes in both areas' headers... precisely: flip area B
-    // (second checkpoint went to B since A was used first).
-    // Area offsets: A at BS, B at BS + area_size. Read area size from a
-    // fresh probe of the same config/capacity.
-    let probe = MemDisk::from_image(image.clone());
-    let (layout, _, _) = Lld::probe(&probe).unwrap();
-    let b_off = layout.ckpt_b as usize;
-    image[b_off + 4] ^= 0xFF;
+    // The superblock is 64 bytes at offset 0, and the headers of areas
+    // A and B sit in the two sectors behind it. Corrupt the header of
+    // area B, which holds the NEWER checkpoint (the second checkpoint
+    // went to B since A was used first).
+    image[CKPT_HEADER_AT[1] as usize + 4] ^= 0xFF;
 
     let (ld2, report) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
     // Fell back to checkpoint #1.
@@ -91,10 +86,9 @@ fn both_checkpoints_corrupt_means_full_scan_at(mode: Mode) {
     ld.flush().unwrap();
 
     let mut image = ld.into_device().into_image();
-    let probe = MemDisk::from_image(image.clone());
-    let (layout, _, _) = Lld::probe(&probe).unwrap();
-    image[layout.ckpt_a as usize + 4] ^= 0xFF;
-    image[layout.ckpt_b as usize + 4] ^= 0xFF;
+    for header in CKPT_HEADER_AT {
+        image[header as usize + 4] ^= 0xFF;
+    }
 
     let (ld2, report) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
     assert_eq!(report.checkpoint_seq, 0, "no checkpoint usable");

@@ -232,7 +232,7 @@ fn background_clean_crash_points_are_all_or_nothing() {
         let mut background_passes = 0u64;
         let mut released_without_a_checkpoint = 0;
         for crash_at in crash_seeds((150_000..2_600_000).step_by(350_000)) {
-            let cap = 512 + 2 * 64 * 1024 + 24 * 8 * 512;
+            let cap = 1536 + 2 * 64 * 1024 + 24 * 8 * 512;
             let sim = SimDisk::new(MemDisk::new(cap as u64), DiskModel::hp_c3010())
                 .with_faults(FaultPlan::new().crash_after_bytes(crash_at));
             let ld = Lld::format(sim, &cfg).unwrap();

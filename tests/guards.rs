@@ -33,6 +33,17 @@ fn sources(dirs: &[&str]) -> Vec<(PathBuf, String)> {
         .collect()
 }
 
+/// The files at `paths`, relative to the workspace root.
+fn files(paths: &[&str]) -> Vec<(PathBuf, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    (paths.iter())
+        .map(|p| {
+            let text = String::from_utf8_lossy(&std::fs::read(root.join(p)).unwrap()).into_owned();
+            (PathBuf::from(p), text)
+        })
+        .collect()
+}
+
 /// `path:line: text` for every line of `files` that holds one of
 /// `names`.
 fn naming(files: &[(PathBuf, String)], names: &[&str]) -> Vec<String> {
@@ -87,4 +98,78 @@ fn one_crash_oracle() {
         "a crash oracle of a suite's own:\n{}",
         found.join("\n")
     );
+}
+
+/// Fails with `what` and the lines found, if any.
+fn assert_none(found: Vec<String>, what: &str) {
+    assert!(found.is_empty(), "{what}:\n{}", found.join("\n"));
+}
+
+/// A slab counts bits, since format 8 bit-packed its rows at each
+/// column's width in bits: no byte-width rows (`fn row_len`), and no
+/// width and shift packed into one byte's nibbles (`<< 4)`, `& 0xF`).
+#[test]
+fn a_slab_counts_bits() {
+    let found = naming(
+        &files(&["crates/core/src/checkpoint.rs"]),
+        &["fn row_len", "<< 4)", "& 0xF"],
+    );
+    assert_none(found, "a byte-width slab row");
+}
+
+/// Summary records are varints, since format 9 made a segment-summary
+/// record its tag byte and its fields as unsigned LEB128 varints: no
+/// fixed-width field.
+#[test]
+fn summary_records_are_varints() {
+    let found = naming(
+        &files(&["crates/core/src/summary.rs"]),
+        &["to_le_bytes", "from_le_bytes"],
+    );
+    assert_none(found, "a fixed-width summary field");
+}
+
+/// A segment base counts sectors, since format 7 gave a header one
+/// sector: a segment's base, its header's room and the minimum a slot
+/// must have left are counted in sectors, with no block-numbered
+/// position.
+#[test]
+fn a_segment_base_counts_sectors() {
+    let found = naming(
+        &files(&["crates/core/src/layout.rs", "crates/core/src/segment.rs"]),
+        &["fn block_at", "MIN_SEGMENT_BLOCKS"],
+    );
+    assert_none(found, "a block-numbered segment position");
+}
+
+/// The dedup cache keys on what comes off the wire and keeps std's
+/// hasher, since the identifier maps moved to the keyed folded multiply
+/// in `state.rs`: that hasher is for identifiers only.
+#[test]
+fn the_dedup_cache_keeps_std_hasher() {
+    let found = naming(
+        &files(&["crates/core/src/dedup.rs"]),
+        &["IdMap", "IdSet", "IdBuild"],
+    );
+    assert_none(found, "the identifier hasher in the dedup cache");
+}
+
+/// One row codec, since format 10 made the write-id outcomes the slab
+/// codec's third table: no fixed 32-byte dedup entry under any crate's
+/// sources, and no byte-level encoding in `dedup.rs`, which hands the
+/// codec its rows.
+#[test]
+fn one_row_codec() {
+    let crate_sources: Vec<_> = sources(&["crates"])
+        .into_iter()
+        .filter(|(path, _)| {
+            path.components()
+                .nth(2)
+                .is_some_and(|c| c.as_os_str() == "src")
+        })
+        .collect();
+    let found = naming(&crate_sources, &["DEDUP_ENTRY_LEN", "CKPT_DEDUP_ENTRY"]);
+    assert_none(found, "a fixed-width dedup entry");
+    let found = naming(&files(&["crates/core/src/dedup.rs"]), &["to_le_bytes"]);
+    assert_none(found, "a byte-level encoding in the dedup cache");
 }

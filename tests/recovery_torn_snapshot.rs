@@ -39,16 +39,13 @@ use ld_aru::workload::pattern_fill;
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 use common::{
-    crash_seeds, put_u32, reseal_slab, u32_at, u64_at, C_DIR_RESERVE, C_DIR_SLAB_LEN, C_LEN,
+    ckpt_header, crash_seeds, put_u32, reseal_slab, slab_ranges, u32_at, u64_at, C_DIR_SLAB_LEN,
 };
 #[path = "../crates/core/tests/common/model.rs"]
 mod model;
 use model::Model;
 
 const BS: usize = 512;
-/// Where an area's first slab starts: behind its header and the room
-/// reserved for its directory.
-const SLAB_START: usize = C_LEN + C_DIR_RESERVE;
 
 /// A point of the mode matrix these tests can tell apart: map shards
 /// (one slab each). The log never wraps, so no cleaner runs.
@@ -149,7 +146,7 @@ fn mid_slab_tear_falls_back_to_full_scan() {
         let mut torn = image.clone();
         // First checkpoint goes to area A; cut inside the first slab's
         // payload (shard 0 always holds entries here).
-        torn[layout.ckpt_a as usize + SLAB_START + 8] ^= 0xFF;
+        torn[slab_ranges(&image, layout.ckpt_a as usize)[0].start + 8] ^= 0xFF;
 
         let (k, seq) = recover_to(&torn, mode, &m, &format!("{at}, torn"));
         assert_eq!(seq, 0, "{at}: torn snapshot not rejected");
@@ -195,7 +192,7 @@ fn torn_ab_switch_falls_back_to_older_area() {
     let probe = MemDisk::from_image(image.clone());
     let (layout, _, _) = Lld::probe(&probe).unwrap();
     let mut torn = image.clone();
-    torn[layout.ckpt_b as usize + SLAB_START + 8] ^= 0xFF;
+    torn[slab_ranges(&image, layout.ckpt_b as usize)[0].start + 8] ^= 0xFF;
 
     let (k, seq) = recover_to(&torn, mode, &m, "torn area B");
     assert!(seq > 0, "older area not used");
@@ -224,8 +221,8 @@ fn stale_snapshot_under_reallocating_suffix() {
     }
 }
 
-/// Byte offsets inside a checkpoint area (mirrors `checkpoint.rs`):
-/// the header's allocator floors and, in the table of column
+/// Byte offsets inside a checkpoint (mirrors `checkpoint.rs`): the
+/// header's allocator floors and, in the table of column
 /// descriptors a slab starts with (`CKPT_COL_DESC` bytes each: minimum
 /// u64, width in bits, shift), the columns of a block's identifier,
 /// segment, sector and sector count.
@@ -254,7 +251,8 @@ fn one_slab_image() -> (Vec<u8>, usize, usize, ld_aru::core::Layout) {
     let (image, _) = build_image(1, 10);
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let area = layout.ckpt_a as usize;
-    (image, area, area + SLAB_START, layout)
+    let slab = slab_ranges(&image, area)[0].start;
+    (image, area, slab, layout)
 }
 
 fn recover_one_shard(image: Vec<u8>) -> Result<ld_aru::core::RecoveryReport, LldError> {
@@ -350,7 +348,7 @@ fn identifier_or_floor_near_u64_max_is_corrupt() {
     ];
     for (what, edit, taken) in cases {
         let mut hostile = image.clone();
-        edit(&mut hostile, area, id_min);
+        edit(&mut hostile, ckpt_header(&image, area), id_min);
         reseal_slab(&mut hostile, area, 0);
         let got = recover_one_shard(hostile);
         match (&got, taken) {
@@ -373,7 +371,7 @@ fn descriptor_that_disagrees_with_its_slab_falls_back() {
     let width = |col: usize| slab + col * CKPT_COL_DESC + CKPT_COL_WIDTH;
     let shift = |col: usize| slab + col * CKPT_COL_DESC + CKPT_COL_SHIFT;
     // More than 8 rows, so that a bit a row is more than a byte.
-    assert!(u64_at(&image, area + C_LEN) > 8, "n_blocks");
+    assert!(u64_at(&image, area) > 8, "n_blocks");
     assert!(image[width(COL_SECTOR)] > 0 && image[width(COL_SEG)] < 64);
     for (what, at, value) in [
         ("a width of 65", width(COL_BLOCK_ID), 65),
@@ -405,7 +403,7 @@ fn descriptor_that_disagrees_with_its_slab_falls_back() {
     // A slab cut short of its descriptors.
     let mut hostile = image.clone();
     let short = 11 * CKPT_COL_DESC as u32 - 1;
-    put_u32(&mut hostile, area + C_LEN + C_DIR_SLAB_LEN, short);
+    put_u32(&mut hostile, area + C_DIR_SLAB_LEN, short);
     reseal_slab(&mut hostile, area, 0);
     assert_eq!(recover_one_shard(hostile).unwrap().checkpoint_seq, 0);
 }
@@ -425,7 +423,7 @@ fn overflowing_directory_entry_falls_back_to_older_area() {
 
     let mut hostile = image.clone();
     let area = layout.ckpt_b as usize;
-    hostile[area + C_LEN..area + C_LEN + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+    hostile[area..area + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
     reseal_slab(&mut hostile, area, 0);
     let (k, seq) = recover_to(&hostile, 8, &m, "an overflowing entry in area B");
     assert!(seq > 0 && seq < clean_seq, "older area not used: {seq}");
@@ -445,7 +443,7 @@ fn zero_width_rows_past_the_caps_fall_back() {
     let image = ld.into_device().into_image();
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let area = layout.ckpt_a as usize;
-    let (dir, slab) = (area + C_LEN, area + SLAB_START);
+    let (dir, slab) = (area, slab_ranges(&image, area)[0].start);
     let desc = 11 * CKPT_COL_DESC;
     assert_eq!(u32_at(&image, dir + C_DIR_SLAB_LEN) as usize, desc);
     assert!(image[slab..slab + desc].iter().all(|&b| b == 0));
