@@ -252,8 +252,9 @@ pub fn cmd_info(image: &str) -> Result<String> {
     let _ = writeln!(out, "checkpoint seq:   {}", report.checkpoint_seq);
     let _ = writeln!(
         out,
-        "recovery:         {} slots probed, {} segments replayed, {} records, {} ARUs committed, {} discarded",
+        "recovery:         {} slots probed in {} reads, {} segments replayed, {} records, {} ARUs committed, {} discarded",
         report.segments_scanned,
+        report.scan_reads,
         report.segments_replayed,
         report.records_applied,
         report.committed_arus,

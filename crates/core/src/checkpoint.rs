@@ -10,7 +10,7 @@
 //! and the cleaner only reuses slots whose sequence number the latest
 //! checkpoint covers.
 //!
-//! # On-disk format (format version 10)
+//! # On-disk format (format version 11)
 //!
 //! Each of the two alternating areas (A/B) holds one checkpoint as
 //! *per-shard snapshot slabs* and a *dedup table* behind a slab
@@ -20,9 +20,10 @@
 //! reads the superblock and both headers in one read:
 //!
 //! ```text
-//! header (76 B): magic u32 "LCK6", head link u32, covered seq, ts,
+//! header (80 B): magic u32 "LCK6", head link u32, covered seq, ts,
 //!           floors, snap_shards, dir crc, n_dedup, dedup crc, head slot
-//!           u32, head base u32, body length u64, header crc
+//!           u32, head base u32, head top u32, body length u64, header
+//!           crc
 //! area+0    directory (24 B per slab): n_blocks u64, n_lists u64, slab
 //!           crc u32, slab length u32
 //! area+24n  slab 0 | slab 1 | … | dedup table, to `area + body length`
@@ -124,10 +125,10 @@
 //! chosen.
 //!
 //! The header also records where the log continues past the covered
-//! sequence number — the [`ChainHead`]: the slot and the sector in it
-//! where segment `seq + 1` is (or will be), and the header CRC of
-//! segment `seq` — which is where recovery starts its walk of the
-//! suffix (see `segment.rs`).
+//! sequence number — the [`ChainHead`]: the slot, the sector in it
+//! where segment `seq + 1`'s data starts and the one its meta record
+//! ends at (is or will be), and the header CRC of segment `seq` — which
+//! is where recovery starts its walk of the suffix (see `segment.rs`).
 //!
 //! Torn-write safety is header-last + A/B alternation: slabs are
 //! written first, then the dedup table and the directory, then a
@@ -256,6 +257,7 @@ impl CkptWrite {
         h.extend_from_slice(&dedup_crc.to_le_bytes());
         h.extend_from_slice(&self.head.slot.to_le_bytes());
         h.extend_from_slice(&self.head.base.to_le_bytes());
+        h.extend_from_slice(&self.head.top.to_le_bytes());
         h.extend_from_slice(&body_len.to_le_bytes());
         let crc = crc32(&h);
         h.extend_from_slice(&crc.to_le_bytes());
@@ -880,7 +882,7 @@ pub(crate) fn parse_header(front: &[u8], layout: &Layout, area: u64) -> Option<C
         return None;
     }
     let snap_shards = u32_at(header, 40);
-    let body_len = u64_at(header, 64);
+    let body_len = u64_at(header, 68);
     let least = u64::from(snap_shards) * CKPT_DIR_ENTRY;
     if snap_shards == 0
         || u64::from(snap_shards) > MAX_SNAP_SHARDS
@@ -897,6 +899,7 @@ pub(crate) fn parse_header(front: &[u8], layout: &Layout, area: u64) -> Option<C
         head: ChainHead {
             slot: u32_at(header, 56),
             base: u32_at(header, 60),
+            top: u32_at(header, 64),
             link: u32_at(header, 4),
         },
         snap_shards,

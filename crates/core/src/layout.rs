@@ -24,8 +24,14 @@ use ld_disk::crc32;
 /// Size of the fixed-length superblock encoding.
 pub(crate) const SUPERBLOCK_LEN: usize = 64;
 const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
-/// 10: both checkpoint headers sit next to the superblock, each in its
-/// own sector and naming its body's length, the write-id outcomes are
+/// 11: a segment's header and summary sit at the back of its slot, in a
+/// metadata run that grows down from the slot's last sector while data
+/// grows up from its first, the data area ends in a trailer holding the
+/// header's CRC, a header records the last segment a barrier vouched
+/// for, and the checkpoint's chain head names the run's position beside
+/// the data base (see `segment.rs`); since 10 both checkpoint headers
+/// sit next to the superblock, each in its own sector and naming its
+/// body's length, the write-id outcomes are
 /// the slab codec's third table, and an absent identifier codes as 0
 /// (see `checkpoint.rs`); since 9 a segment-summary record is its tag byte and its fields as
 /// unsigned LEB128 varints (see `summary.rs`); since 8 a checkpoint
@@ -40,7 +46,7 @@ const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
 /// sector-count column and a shift per column; since 5 checkpoint slabs
 /// are column-packed; since 4 a slot holds several segments back to
 /// back. Other versions are refused, not converted.
-const FORMAT_VERSION: u32 = 10;
+const FORMAT_VERSION: u32 = 11;
 
 /// The widest a row of a checkpoint slab gets (see `checkpoint.rs`):
 /// every column of a block or of a list at its full width. What the
@@ -52,7 +58,99 @@ pub(crate) const CKPT_LIST_ROW_MAX: u64 = 32;
 pub(crate) const CKPT_DEDUP_ROW_MAX: u64 = 32;
 /// A checkpoint header's length. It sits alone in its sector of the
 /// superblock's region ([`CKPT_HEADER_AT`]).
-pub(crate) const CKPT_HEADER: u64 = 76;
+pub(crate) const CKPT_HEADER: u64 = 80;
+
+/// A field of a segment header (see `segment.rs`), in the order of
+/// [`SEGMENT_HEADER`], its declaration. The codec reads and writes every
+/// field through it, and so do the tests that forge a header inside an
+/// image.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegField {
+    /// [`SEGMENT_MAGIC`].
+    Magic,
+    /// The segment's log sequence number.
+    Seq,
+    /// Sectors of its data area.
+    NSectors,
+    /// Bytes of its summary records.
+    SummaryLen,
+    /// CRC of its summary records.
+    SummaryCrc,
+    /// The slot of segment `seq + 1`.
+    NextSlot,
+    /// Header CRC of segment `seq - 1`.
+    PrevLink,
+    /// Per-mount salt.
+    Epoch,
+    /// `seq` less the last segment a completed barrier vouched for when
+    /// this one was sealed (at least 1; `u32::MAX`: none).
+    Covered,
+    /// CRC over every field in front of it.
+    Crc,
+}
+
+/// The segment header, declared once: each field's name, byte offset
+/// and width, back to back in [`SegField`] order.
+#[doc(hidden)]
+pub const SEGMENT_HEADER: [(SegField, &str, usize, usize); 10] = [
+    (SegField::Magic, "magic", 0, 4),
+    (SegField::Seq, "seq", 4, 8),
+    (SegField::NSectors, "n_sectors", 12, 4),
+    (SegField::SummaryLen, "summary_len", 16, 4),
+    (SegField::SummaryCrc, "summary_crc", 20, 4),
+    (SegField::NextSlot, "next_slot", 24, 4),
+    (SegField::PrevLink, "prev_link", 28, 4),
+    (SegField::Epoch, "epoch", 32, 4),
+    (SegField::Covered, "covered", 36, 4),
+    (SegField::Crc, "header_crc", 40, 4),
+];
+
+/// A segment header's length: its last field's end.
+#[doc(hidden)]
+pub const SEGMENT_HEADER_LEN: usize = SegField::Crc.at() + SegField::Crc.width();
+
+/// What a segment header's first field holds ("LDSG").
+#[doc(hidden)]
+pub const SEGMENT_MAGIC: u64 = 0x4753_444C;
+
+// The table is in `SegField` order, and its fields are back to back.
+const _: () = {
+    let mut i = 0;
+    let mut end = 0;
+    while i < SEGMENT_HEADER.len() {
+        let (field, _, at, width) = SEGMENT_HEADER[i];
+        assert!(field as usize == i && at == end && (width == 4 || width == 8));
+        end = at + width;
+        i += 1;
+    }
+};
+
+impl SegField {
+    /// The field's byte offset in the header.
+    pub const fn at(self) -> usize {
+        SEGMENT_HEADER[self as usize].2
+    }
+
+    /// The field's width in bytes: 4 or 8.
+    pub const fn width(self) -> usize {
+        SEGMENT_HEADER[self as usize].3
+    }
+
+    /// The field's value in `header`, little-endian.
+    pub fn get(self, header: &[u8]) -> u64 {
+        match self.width() {
+            8 => u64_at(header, self.at()),
+            _ => u64::from(u32_at(header, self.at())),
+        }
+    }
+
+    /// Puts `v`, cut to the field's width, into `header`.
+    pub fn put(self, header: &mut [u8], v: u64) {
+        let (at, width) = (self.at(), self.width());
+        header[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
+    }
+}
 /// Where the headers of areas A and B are: sectors 1 and 2 of the
 /// superblock's region. Exported for the tests that edit a header
 /// inside an image.

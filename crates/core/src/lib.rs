@@ -94,7 +94,10 @@ pub use flight::FlightRecorder;
 pub use interface::LogicalDisk;
 pub use layout::Layout;
 #[doc(hidden)]
-pub use layout::{CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH, CKPT_HEADER_AT};
+pub use layout::{
+    SegField, CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH, CKPT_HEADER_AT, SEGMENT_HEADER,
+    SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
+};
 pub use lld::{Lld, LldInner};
 pub use obs::{
     aru_trace, cleaner_trace, flush_trace, Obs, ObsConfig, ObsSnapshot, ServerCounters,

@@ -23,8 +23,8 @@ use crate::gc::GroupCommit;
 use crate::layout::{Layout, FRONT_LEN, SUPERBLOCK_LEN};
 use crate::obs::{Obs, ObsSnapshot, Stage, TraceEvent};
 use crate::segment::{
-    extent, header_link, header_offset, zero_past_extent, ChainHead, SegmentBuilder, HEADER_PUNCH,
-    NO_SLOT, SECTOR,
+    extent, header_link, sector_offset, zero_past_extent, ChainHead, SegmentBuilder, HEADER_LEN,
+    HEADER_PUNCH, NO_SLOT,
 };
 use crate::shard::{AruSlotGuard, GuardSet, MapView, Maps, WalkOutcome};
 use crate::state::{BlockRecord, IdSet, ListRecord, MapId};
@@ -82,7 +82,7 @@ pub(crate) struct LogState {
     /// of the next one). With a builder open, its position. Without
     /// one, what the last sealed header points at until
     /// [`open_segment`](Mutation::open_segment) takes it: behind that
-    /// segment in its own slot, sector 0 of a fresh slot, which stays in
+    /// segment in its own slot, the ends of a fresh slot, which stays in
     /// `free_slots` meanwhile, or [`NO_SLOT`].
     pub(crate) tail: ChainHead,
     /// Salt for the segment headers this mount writes (see
@@ -124,6 +124,7 @@ impl LogState {
             tail: ChainHead {
                 slot: NO_SLOT,
                 base: 0,
+                top: 0,
                 link: 0,
             },
             epoch: RandomState::new().build_hasher().finish() as u32,
@@ -412,16 +413,17 @@ impl<D: BlockDevice + 'static> Lld<D> {
         let layout = Layout::compute(device.capacity(), config)?;
 
         // Write the superblock and, in the same write, invalidate both
-        // checkpoint headers behind it; then the header at the start of
+        // checkpoint headers behind it; then the header at the back of
         // every slot. Segments of the previous log further inside a
-        // slot stay on the medium: the new log starts at sector 0 of
+        // slot stay on the medium: the new log starts at the back of
         // slot 0 under a new epoch, and none of them links to it.
         let mut front = [0u8; FRONT_LEN];
         front[..SUPERBLOCK_LEN]
             .copy_from_slice(&layout.encode_superblock(config.concurrency, config.visibility));
         device.write_at(0, &front)?;
         for slot in 0..layout.n_segments {
-            device.write_at(layout.segment_offset(slot), &HEADER_PUNCH)?;
+            let end = sector_offset(&layout, slot, layout.sectors_per_slot());
+            device.write_at(end - HEADER_LEN as u64, &HEADER_PUNCH)?;
         }
         device.flush()?;
 
@@ -599,13 +601,13 @@ impl<D: BlockDevice> LldInner<D> {
     /// and takes it out of `inflight`, latching a failure. A caller
     /// that holds the log (`held`) keeps it across the write.
     ///
-    /// Two device writes: the 44-byte header at the segment's base, then
-    /// the body from the sector behind it, issued only once the header's
-    /// write has returned. A device may persist either without the other
-    /// (docs/RECOVERY.md, "What a segment's base holds until its seal
-    /// lands"). Into a slot released behind a segment no barrier has
-    /// vouched for yet, a barrier goes first: the device could otherwise
-    /// keep this segment and lose the records that emptied the slot.
+    /// Two device writes: the body — data area and trailer — at the
+    /// segment's base, then the meta record — summary and header —
+    /// ending at its top. A device may persist either without the other
+    /// (docs/RECOVERY.md, "Segment metadata at the back of the slot").
+    /// Into a slot released behind a segment no barrier has vouched for
+    /// yet, a barrier goes first: the device could otherwise keep this
+    /// segment and lose the records that emptied the slot.
     pub(crate) fn write_sealed<'a>(
         &'a self,
         seg: &SegmentBuilder,
@@ -619,7 +621,8 @@ impl<D: BlockDevice> LldInner<D> {
         if !in_place {
             *held = None;
         }
-        let at = header_offset(&self.layout, slot, seg.base());
+        let at = sector_offset(&self.layout, slot, seg.base());
+        let meta_at = self.layout.segment_offset(slot) + seg.meta_at();
         // The span lands on the thread that writes: the sealer's own,
         // or `ld-cleanerd` for a seal it was handed.
         let media = (self.obs).stage(self.now(), ld_disk::current_trace(), Stage::MediaWrite);
@@ -633,8 +636,8 @@ impl<D: BlockDevice> LldInner<D> {
         } else {
             Ok(())
         };
-        let written = (barrier.and_then(|()| self.device.write_at(at, seg.header())))
-            .and_then(|()| self.device.write_at(at + SECTOR as u64, seg.body()));
+        let written = (barrier.and_then(|()| self.device.write_at(at, seg.body())))
+            .and_then(|()| self.device.write_at(meta_at, seg.meta()));
         media.end();
         let res = written.map_err(LldError::from);
         let log = held.get_or_insert_with(|| self.log.lock());
@@ -905,7 +908,7 @@ impl<D: BlockDevice> LldInner<D> {
                 return Ok(());
             }
             let open = log.builder.as_ref();
-            if open.is_some_and(|b| b.slot() == addr.segment && addr.sector >= b.data_start()) {
+            if open.is_some_and(|b| b.slot() == addr.segment && addr.sector >= b.base()) {
                 return Err(LldError::Corrupt(format!(
                     "address {addr} beyond open segment contents"
                 )));
@@ -1383,13 +1386,20 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 let slot = b.slot().get();
                 // The successor's position goes into this header, so it
                 // is chosen now: behind this segment while the slot has
-                // room, else sector 0 of a free slot, which stays in
+                // room, else the ends of a free slot, which stays in
                 // `free_slots` until `open_segment` takes it.
-                let (next_slot, next_base) = match b.successor_base() {
-                    Some(base) => (slot, base),
-                    None => (self.log().free_slots.first().copied().unwrap_or(NO_SLOT), 0),
+                let (next_slot, (next_base, next_top)) = match b.successor() {
+                    Some(at) => (slot, at),
+                    None => {
+                        let free = self.log().free_slots.first().copied();
+                        (free.unwrap_or(NO_SLOT), (0, lld.layout.sectors_per_slot()))
+                    }
                 };
-                let header = b.header_bytes(next_slot);
+                // The watermark: what a completed barrier vouches for is
+                // on the device whole, and a restart checks the trailers
+                // of the segments above it only.
+                let covered = lld.barrier_covers.load(Ordering::Relaxed);
+                let header = b.header_bytes(next_slot, covered);
                 let seal_summary = b.summary_weight();
                 let b = Arc::new(b);
                 self.log().inflight.push_back(Arc::clone(&b));
@@ -1401,6 +1411,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
                 log.tail = ChainHead {
                     slot: next_slot,
                     base: next_base,
+                    top: next_top,
                     link: header_link(&header),
                 };
                 // While every seal took a slot, the cleaner had to
@@ -1458,6 +1469,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// than `reserve` slots free.
     pub(crate) fn open_segment(&mut self, reserve: usize) -> Result<()> {
         debug_assert!(self.log().builder.is_none());
+        let slot_sectors = self.lld.layout.sectors_per_slot();
         let log = self.log();
         if !log.tail.in_slot() {
             if log.free_slots.len() <= reserve {
@@ -1474,6 +1486,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
             };
             log.tail.slot = slot;
             log.tail.base = 0;
+            log.tail.top = slot_sectors;
             self.sync_free_hint();
             // The slot may hold a cleaned segment whose blocks are
             // cached; new data written here must never be shadowed by
@@ -1485,15 +1498,19 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         }
         let layout = &self.lld.layout;
         let log = self.log();
-        let ChainHead { slot, base, link } = log.tail;
+        let ChainHead {
+            slot,
+            base,
+            top,
+            link,
+        } = log.tail;
         let builder = SegmentBuilder::new(
             SegmentId::new(slot),
-            base,
+            (base, top),
             log.next_seq,
             link,
             log.epoch,
             layout.block_size,
-            layout.segment_bytes,
         );
         log.next_seq += 1;
         log.builder = Some(builder);

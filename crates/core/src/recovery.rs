@@ -27,12 +27,19 @@
 //!    (allocator raised past it, its address entered in its slot's
 //!    `residents`).
 //! 2. **Scan** — the log's chain is walked from the checkpoint's
-//!    [`ChainHead`] (sector 0 of slot 0, link 0 without one): a segment
+//!    [`ChainHead`] (the ends of slot 0, link 0 without one): a segment
 //!    is accepted iff header CRC, sequence number and `prev_link` fit,
-//!    and the first miss ends the log. A hop inside a slot costs one
-//!    read (the summary's read brings the next header with it), a hop
-//!    to another slot two, whatever the device size; only a [`NO_SLOT`]
-//!    hop probes every slot.
+//!    and the first miss ends the log. A slot's headers and summaries
+//!    sit in one run at its back ([`MetaRun`]): the walk probes one
+//!    sector at the head, then reads the rest of the slot's run in one
+//!    read sized from the first record's footprint, and parses every
+//!    record from memory; a hop to another slot reads as much of its
+//!    run as the slot before took. Whatever the device size; only a
+//!    [`NO_SLOT`] hop probes every slot. Then the *unverified tail*:
+//!    the segments above every watermark the accepted headers record
+//!    are the only ones whose meta record may be on the device without
+//!    their body, and each one's trailer is read, in log order; the
+//!    first that does not hold its header's CRC ends the log there.
 //! 3. **Replay** — [`drive_chain`] walks the chain in log order,
 //!    resolves ARU commit points, and hands each effective record to
 //!    [`Mutation::replay_record`], which applies it with the helpers
@@ -55,16 +62,13 @@ use crate::layout::Layout;
 use crate::lld::{Lld, LldInner, Mutation, StateRef};
 use crate::obs::{recovery_trace, Obs, Stage, StageGuard};
 use crate::record::flat_record;
-use crate::segment::{
-    parse_header, read_header, read_summary, valid_base, ChainHead, SegmentHeader, NO_SLOT,
-};
+use crate::segment::{body_landed, valid_head, ChainHead, MetaRun, SegmentHeader, NO_SLOT};
 use crate::shard::striped_ceil;
 use crate::state::{BlockRecord, ListRecord, MapId};
 use crate::summary::Record;
 use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp, MAX_RAW_ID};
 use ld_disk::BlockDevice;
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::sync::atomic::Ordering;
 
 flat_record! {
@@ -75,14 +79,16 @@ flat_record! {
         /// Sequence number of the checkpoint recovery started from (0 =
         /// none; the whole log was replayed).
         checkpoint_seq: u64,
-        /// Positions (sector 0 of a slot, or the sector behind a segment)
-        /// whose header the scan phase examined.
+        /// Positions (the back of a slot, or the sector below a meta
+        /// record) whose header the scan phase examined.
         segments_scanned: u32,
+        /// Device reads of the scan phase: metadata runs and trailers.
+        scan_reads: u32,
         /// Valid segments replayed (sequence numbers above the checkpoint).
         segments_replayed: u32,
         /// 1 if the log ends at a header that links on but whose summary
-        /// fails its checksum: a segment write torn by the crash, treated
-        /// as never written.
+        /// fails its checksum, or whose body's trailer does not hold its
+        /// CRC: a seal torn by the crash, treated as never written.
         torn_tails_detected: u32,
         /// Summary records applied (committed effects).
         records_applied: u64,
@@ -119,11 +125,15 @@ flat_record! {
 
 /// One segment of the chain the scan accepted.
 struct ChainSegment {
-    slot: SegmentId,
-    /// The sectors of its data area in the slot (from its header): what
-    /// its `Write` records may name.
-    data_sectors: Range<u32>,
     records: Vec<Record>,
+    /// Its header — the slot, and the sectors of its data area, which
+    /// are what its `Write` records may name — and where the walk found
+    /// it.
+    header: SegmentHeader,
+    at: ChainHead,
+    /// Whether its body landed, where a read of metadata held its
+    /// trailer.
+    landed: Option<bool>,
 }
 
 /// Replays the suffix chain in log order, resolving ARU commit points,
@@ -141,7 +151,7 @@ fn drive_chain(
     let mut pending: BTreeMap<u64, Vec<(SegmentId, Record)>> = BTreeMap::new();
     let mut single: Vec<(SegmentId, Record)> = Vec::with_capacity(1);
     for seg in chain {
-        let slot = seg.slot;
+        let slot = seg.header.slot;
         report.segments_replayed += 1;
         for rec in &seg.records {
             *ts_max = (*ts_max).max(rec.ts().get());
@@ -153,7 +163,7 @@ fn drive_chain(
             } = *rec
             {
                 let a = PhysAddr::from_extent(slot, at);
-                let area = &seg.data_sectors;
+                let area = &seg.header.data_sectors();
                 if a.sectors > block_sectors
                     || a.sector < area.start
                     || a.sector + a.sectors > area.end
@@ -197,6 +207,54 @@ fn drive_chain(
 // ----------------------------------------------------------------------
 // Recovery proper
 // ----------------------------------------------------------------------
+
+/// Sectors a read of metadata takes along, below the data frontier, to
+/// hold the trailer of the segment in front of it: a read's access time
+/// (100 µs on the modelled device) buys about ten sectors of transfer.
+const TRAILER_REACH: u32 = 8;
+
+/// What the scan has read of the slot it is in, and how many reads it
+/// took.
+struct RunReader<'a, D> {
+    device: &'a D,
+    layout: &'a Layout,
+    run: Option<MetaRun>,
+    reads: u32,
+}
+
+impl<D: BlockDevice> RunReader<'_, D> {
+    /// Makes the run hold sectors `need` of `slot` with one device
+    /// read, if it does not: it extends what it holds of the slot down,
+    /// else reads anew up to `need`'s end. The read reaches down to
+    /// `want` if that is lower — the rest of the slot's run, as the walk
+    /// guesses it — and an extension to twice what is held at least,
+    /// but never below `floor`, the data frontier: except to the
+    /// trailer's sector right below it, where that costs less transfer
+    /// than a read of its own would take.
+    fn fetch(&mut self, slot: u32, need: (u32, u32), want: u32, floor: u32) -> Result<&MetaRun> {
+        let (device, layout) = (self.device, self.layout);
+        let low = |lo: u32| match lo - floor < TRAILER_REACH {
+            true => floor.saturating_sub(1),
+            false => lo,
+        };
+        match &mut self.run {
+            Some(r) if r.holds(slot, need) => {}
+            Some(r) if r.reaches(slot, need.1) => {
+                let (lo, hi) = r.sectors();
+                let doubled = hi.saturating_sub(2 * (hi - lo));
+                let lo = need.0.min(want).min(doubled).max(floor);
+                r.extend_down(device, layout, low(lo))?;
+                self.reads += 1;
+            }
+            run => {
+                let lo = need.0.min(want).max(floor);
+                *run = Some(MetaRun::read(device, layout, slot, (low(lo), need.1))?);
+                self.reads += 1;
+            }
+        }
+        Ok(self.run.as_ref().expect("fetched"))
+    }
+}
 
 impl<D: BlockDevice> Mutation<'_, D> {
     /// Applies one summary record to the committed state with the
@@ -320,6 +378,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         let mut head = ChainHead {
             slot: 0,
             base: 0,
+            top: layout.sectors_per_slot(),
             link: 0,
         };
         let mut ts_floor = 0u64;
@@ -418,11 +477,13 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // A head where no writer starts a segment would open one that
         // can take nothing.
         let slot_sectors = layout.sectors_per_slot();
-        if head.slot != NO_SLOT && !valid_base(slot_sectors, layout.sectors_per_block(), head.base)
+        let block_sectors = layout.sectors_per_block();
+        if head.slot != NO_SLOT
+            && (head.top > slot_sectors || !valid_head(block_sectors, head.base, head.top))
         {
             return Err(LldError::Corrupt(format!(
-                "checkpoint's log head is sector {} of a {slot_sectors}-sector slot",
-                head.base
+                "checkpoint's log head is sectors {}..{} of a {slot_sectors}-sector slot",
+                head.base, head.top
             )));
         }
         report.checkpoint_seq = ckpt_seq;
@@ -431,11 +492,15 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // ---- Phase 2: walk the chain from the checkpoint's head -----
         let scan = obs.stage(0, trace, Stage::RecoveryScan);
         let mut chain: Vec<ChainSegment> = Vec::new();
-        let mut slot_seq = vec![0u64; n];
-        let mut suffix_summary = 0u64;
-        // The bytes at `head`'s position, when the read of the summary
-        // in front of it brought them along.
-        let mut fetched = None;
+        let mut reader = RunReader {
+            device,
+            layout,
+            run: None,
+            reads: 0,
+        };
+        // The first read in a slot: one sector at the checkpoint's head,
+        // as much as the slot before took behind a hop.
+        let mut first_read = 1u32;
         // Each accepted hop raises the expected sequence number and a
         // position holds one header: hostile pointers cannot make a
         // loop, and the device has this many positions. (Not
@@ -446,13 +511,15 @@ impl<D: BlockDevice> Mutation<'_, D> {
             let seq = ckpt_seq + 1 + chain.len() as u64;
             let links_on = |h: &SegmentHeader| h.seq == seq && h.prev_link == head.link;
             let found = match head.slot {
-                // Sealed while nothing was free: the log went on at
-                // sector 0 of whatever slot came up.
+                // Sealed while nothing was free: the log went on at the
+                // back of whatever slot came up.
                 NO_SLOT => {
                     let mut found = None;
-                    for slot in (0..layout.n_segments).map(SegmentId::new) {
+                    let at = (0, slot_sectors);
+                    for slot in 0..layout.n_segments {
                         report.segments_scanned += 1;
-                        found = read_header(device, layout, slot, 0)?.filter(links_on);
+                        let probe = reader.fetch(slot, (at.1 - 1, at.1), at.1, 0)?;
+                        found = probe.header(layout, at).filter(links_on);
                         if found.is_some() {
                             break;
                         }
@@ -463,28 +530,68 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 s if s >= layout.n_segments => None,
                 s => {
                     report.segments_scanned += 1;
-                    let slot = SegmentId::new(s);
-                    match fetched.take() {
-                        Some(bytes) => parse_header(&bytes, layout, slot, head.base),
-                        None => read_header(device, layout, slot, head.base)?,
+                    let want = match chain.last() {
+                        Some(prev) if prev.header.slot.get() == s => prev.header.run_estimate(),
+                        _ => head.top.saturating_sub(first_read),
+                    };
+                    let need = (head.top - 1, head.top);
+                    let run = reader.fetch(s, need, want, head.base)?;
+                    if let Some(prev) = chain.last_mut() {
+                        prev.landed = prev.landed.or(run.body_landed(&prev.header));
                     }
-                    .filter(links_on)
+                    run.header(layout, (head.base, head.top)).filter(links_on)
                 }
             };
             let Some(h) = found else { break };
-            let Some(read) = read_summary(device, layout, &h)? else {
+            let s = h.slot.get();
+            // The records below it, and the rest of the slot's run with
+            // them if it is like this segment.
+            let floor = h.data_sectors().end + 1;
+            let run = reader.fetch(s, h.meta_range(), h.run_estimate(), floor)?;
+            let Some(records) = run.records(&h)? else {
                 report.torn_tails_detected += 1;
                 break;
             };
-            suffix_summary += read.records.iter().map(Record::suffix_weight).sum::<u64>();
+            let landed = run.body_landed(&h);
+            if h.next.slot != s {
+                // The slot's whole run: what the next slot's first read
+                // takes.
+                first_read = slot_sectors - h.meta_range().0;
+            }
             chain.push(ChainSegment {
-                slot: h.slot,
-                data_sectors: h.data_sectors(),
-                records: read.records,
+                records,
+                header: h,
+                at: head,
+                landed,
             });
-            slot_seq[h.slot.get() as usize] = seq;
             head = h.next;
-            fetched = read.successor;
+        }
+        report.scan_reads = reader.reads;
+        // The unverified tail: a segment no accepted header's watermark
+        // covers may have its meta record on the device without its
+        // body. Its trailer says; the first that does not ends the log.
+        let covered = (chain.iter().map(|c| c.header.covered)).fold(ckpt_seq, u64::max);
+        let unverified = chain.iter().position(|c| c.header.seq > covered);
+        for i in unverified.into_iter().flat_map(|i| i..chain.len()) {
+            let landed = match chain[i].landed {
+                Some(landed) => landed,
+                None => {
+                    report.scan_reads += 1;
+                    body_landed(device, layout, &chain[i].header)?
+                }
+            };
+            if !landed {
+                report.torn_tails_detected += 1;
+                head = chain[i].at;
+                chain.truncate(i);
+                break;
+            }
+        }
+        let mut slot_seq = vec![0u64; n];
+        let mut suffix_summary = 0u64;
+        for c in &chain {
+            suffix_summary += c.records.iter().map(Record::suffix_weight).sum::<u64>();
+            slot_seq[c.header.slot.get() as usize] = c.header.seq;
         }
         report.scan_ns = scan.end();
 
@@ -497,7 +604,6 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // `complete` is idempotent, so an outcome replayed again is
         // harmless.
         let mut dedup = dedup.unwrap_or_else(|| DedupCache::new(config.dedup_capacity));
-        let block_sectors = layout.sectors_per_block();
         drive_chain(&chain, block_sectors, report, &mut ts_max, |recs, cts| {
             for (seg, rec) in recs {
                 if let Record::WriteId {

@@ -1,17 +1,26 @@
 //! In-memory segment construction and on-disk segment encoding.
 //!
 //! A segment is filled in main memory and written to disk in two device
-//! writes, the header and then the body (§2 of the paper has one). Its
-//! first [`SECTOR`] is a header; the data area follows; the segment
-//! summary (encoded [`Record`]s) sits right behind the data area's last
-//! sector:
+//! writes (§2 of the paper has one). Data grows up from a slot's first
+//! sector; a segment's *meta record* — its summary (encoded [`Record`]s)
+//! and its header — grows down from the slot's last sector, directly
+//! below the meta record of the segment in front of it. So all the
+//! metadata of a slot sits in one contiguous run at its back, and a
+//! restart reads a whole slot's summaries with one or two reads:
 //!
 //! ```text
-//! +--------+---------+---------+-----+---------+----------------+
-//! | header | data[0] | data[1] | ... | data[k] | summary records|
-//! +--------+---------+---------+-----+---------+----------------+
-//!  ^ base   ^ base + 1: a base, an address and a length count sectors
+//! slot: | data.. |T| data.. |T| .. free .. | summary hdr | summary hdr |
+//!         ^ base 0  ^ base'                  meta of seq+1 ^ meta of seq ^ top
 //! ```
+//!
+//! The first write, the *body*, is the data area and behind it a 4-byte
+//! trailer `T` in the first bytes of the next sector: the header's CRC,
+//! which binds the body to this segment instance. The second, the meta
+//! record, is the records and then the header, ending at the run's
+//! current bottom (`top`), in ⌈(header + summary_len) / 512⌉ sectors.
+//! The header is the last thing either write puts down, so a write torn
+//! anywhere leaves no new header, and a body whose trailer landed landed
+//! whole.
 //!
 //! A data block is stored as its *extent* ([`extent`]): its bytes up to
 //! the last non-zero one, rounded up to a 512-byte sector; an all-zero
@@ -33,72 +42,72 @@
 //! makes the later one win.
 //!
 //! A flush seals whatever the segment holds, so a segment may be far
-//! smaller than its slot. The next one then starts in the same slot, at
-//! the sector after the summary (its *base*); only a slot with no room
-//! left for a header sector, one block and a sector of summary
-//! ([`valid_base`]) hands on to a fresh one:
+//! smaller than its slot. The next one then starts in the same slot,
+//! its data at the sector behind the trailer (its *base*) and its meta
+//! record below this one's (its *top*); only a slot with no room left
+//! between the two for one block, a trailer sector and a sector of
+//! metadata ([`valid_head`]) hands on to a fresh one.
+//!
+//! The 44-byte header, declared once in `layout.rs`
+//! ([`SEGMENT_HEADER`](crate::layout::SEGMENT_HEADER)), threads the
+//! segments into one log, so recovery follows pointers from the
+//! checkpoint's [`ChainHead`] instead of probing every slot
+//! (docs/RECOVERY.md):
 //!
 //! ```text
-//! slot: | hdr | data.. | summary | hdr | data.. | summary | .. unused |
-//!         ^ base 0                 ^ base + 1 + n_sectors + ⌈summary_len / 512⌉
+//!  0 magic u32          20 summary_crc u32   36 covered u32
+//!  4 seq u64            24 next_slot u32     40 header_crc u32
+//! 12 n_sectors u32      28 prev_link u32
+//! 16 summary_len u32    32 epoch u32
 //! ```
 //!
-//! The 44-byte header threads the segments into one log, so recovery
-//! follows pointers from the checkpoint's [`ChainHead`] instead of
-//! probing every slot (docs/RECOVERY.md):
+//! `prev_link` is the header CRC of segment `seq − 1`, `epoch` a
+//! per-mount salt, `covered` the distance back from `seq` to the last
+//! segment a barrier vouched for, and `header_crc` covers the 40 bytes
+//! in front of it.
 //!
-//! ```text
-//!  0 magic u64         24 summary_crc u32
-//!  8 seq u64           28 next_slot u32   slot of segment seq+1
-//! 16 n_sectors u32     32 prev_link u32   header CRC of segment seq-1
-//! 20 summary_len u32   36 epoch u32       per-mount salt
-//!                      40 header_crc u32  over bytes 0..40
-//! ```
-//!
-//! `n_sectors` is the data area's size in sectors: the summary starts
-//! that many sectors behind the header's. `next_slot` is chosen at
-//! seal time. The segment's own slot means "right behind my summary":
-//! the successor's base follows from `n_sectors` and `summary_len`, so
-//! no field can aim the walk at an arbitrary sector. Another slot means
-//! its sector 0, and [`NO_SLOT`] that nothing was free. `prev_link` makes
-//! the pointers a hash chain: a CRC-valid header with the right sequence
-//! number, left where the walk looks by an earlier use of the slot or by
-//! a timeline recovery has since abandoned, does not link and ends the
-//! walk — also when both timelines logged the same operations, because
-//! `epoch` differs per mount. The summary CRC exposes a torn segment
-//! write, which recovery treats as never written.
-//!
-//! The header keeps its whole sector in the slot, but only its 44 bytes
-//! are written: the rest of the sector holds whatever it held, and no
-//! reader looks there. The header goes first and the body (data area,
-//! then summary) from the next sector, so a prefix of the two writes is
-//! a prefix of the segment; docs/RECOVERY.md has the argument for any
-//! subset of them. Nothing but the summary separates a header from the
-//! one in front of it, so the scan's read of a summary that brings the
-//! successor's header along (`read_summary`) transfers no padding.
+//! `n_sectors` is the data area's size in sectors. `next_slot` is chosen
+//! at seal time. The segment's own slot means "right behind my data and
+//! below my meta record": the successor's base and top follow from
+//! `n_sectors` and `summary_len`, so no field can aim the walk at an
+//! arbitrary sector. Another slot means that slot's ends, and
+//! [`NO_SLOT`] that nothing was free. `prev_link` makes the pointers a
+//! hash chain: a CRC-valid header with the right sequence number, left
+//! where the walk looks by an earlier use of the slot or by a timeline
+//! recovery has since abandoned, does not link and ends the walk — also
+//! when both timelines logged the same operations, because `epoch`
+//! differs per mount. The summary CRC exposes a stale header over new
+//! records. `covered` is the *watermark*: the last segment a completed
+//! barrier vouched for when this one was sealed, as a distance back from
+//! `seq` (`u32::MAX`: none). Only a segment above every watermark the
+//! walk found may have its meta record on the device without its body;
+//! recovery reads the trailers of those, and of no others.
 
 use crate::error::{LldError, Result};
-use crate::layout::{u32_at, u64_at, Layout};
+use crate::layout::{Layout, SegField, SEGMENT_HEADER_LEN, SEGMENT_MAGIC};
 use crate::summary::Record;
 use crate::types::{PhysAddr, SegmentId};
 use ld_disk::{crc32, BlockDevice};
 use std::ops::Range;
 
-const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936; // "LDSEG996"
-pub(crate) const HEADER_LEN: usize = 44;
+pub(crate) const HEADER_LEN: usize = SEGMENT_HEADER_LEN;
+/// The trailer behind a data area: the header's CRC.
+pub(crate) const TRAILER_LEN: usize = 4;
 /// The unit a segment's data area is packed in: an extent is whole
 /// sectors, and an address counts them.
 pub(crate) const SECTOR: usize = 512;
 /// The largest block size: an extent's sector count is the low byte of
 /// a `Write` record's 32-bit extent field ([`PhysAddr::extent`]).
 pub(crate) const MAX_BLOCK_SIZE: usize = 128 * SECTOR;
-/// Written over the start of a header to invalidate it (a zero magic
-/// never validates). Format punches sector 0 of every slot, where the
-/// log of a fresh disk starts.
+/// Written over the start of the header at the back of a slot to
+/// invalidate it (a zero magic never validates). Format punches every
+/// slot's, where the log of a fresh disk starts.
 pub(crate) const HEADER_PUNCH: [u8; 32] = [0; 32];
 /// `next_slot` of a segment sealed while no slot was free: its
-/// successor is found by probing sector 0 of every slot.
+/// successor is found by probing the last sector of every slot.
 pub(crate) const NO_SLOT: u32 = u32::MAX;
+/// `covered` of a header that claims no segment a barrier vouched for.
+const COVERS_NOTHING: u64 = u32::MAX as u64;
 
 /// What a segment stores of `block`: its bytes up to the last non-zero
 /// one, rounded up to a [`SECTOR`] — nothing for an all-zero block.
@@ -120,35 +129,36 @@ pub(crate) fn zero_past_extent(block: &mut [u8], sectors: u32) -> &mut [u8] {
     front
 }
 
-/// Whether a segment may start at sector `base` of a slot of
-/// `slot_sectors` sectors, on blocks of `block_sectors`: a writer starts
-/// one only where a header sector, one block and a sector of summary
-/// are left, and a reader accepts a pointer or a checkpointed head
-/// nowhere else.
-pub(crate) fn valid_base(slot_sectors: u32, block_sectors: u32, base: u32) -> bool {
-    let least = 1 + u64::from(block_sectors) + 1;
-    u64::from(base) + least <= u64::from(slot_sectors)
+/// Sectors the meta record of a summary of `summary_len` bytes takes:
+/// the records and the header behind them.
+fn meta_sectors(summary_len: u64) -> u64 {
+    (HEADER_LEN as u64 + summary_len).div_ceil(SECTOR as u64)
 }
 
-/// Byte offset of sector `base` of slot `slot`, where a segment's header
-/// goes.
-pub(crate) fn header_offset(layout: &Layout, slot: u32, base: u32) -> u64 {
-    layout.segment_offset(slot) + u64::from(base) * SECTOR as u64
+/// Whether a segment may start with its data at sector `base` and its
+/// meta record ending at sector `top` of a slot, on blocks of
+/// `block_sectors`: a writer starts one only where one block, its
+/// trailer's sector and a sector of metadata fit between the two, and a
+/// reader accepts a pointer or a checkpointed head nowhere else.
+pub(crate) fn valid_head(block_sectors: u32, base: u32, top: u32) -> bool {
+    u64::from(base) + u64::from(block_sectors) + 2 <= u64::from(top)
 }
 
-/// Where the log continues: the slot and sector the next segment's
-/// header is (or will be) written to, and the header CRC of the segment
-/// before it.
+/// Where the log continues: the slot, the sector its next segment's
+/// data starts at and the sector its meta record ends at, and the
+/// header CRC of the segment before it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ChainHead {
     pub(crate) slot: u32,
     pub(crate) base: u32,
+    pub(crate) top: u32,
     pub(crate) link: u32,
 }
 
 impl ChainHead {
     /// Whether the log continues in the slot of the segment before it
-    /// (a segment is never empty, so its successor's base is not 0).
+    /// (a segment's body is never empty — its trailer takes a sector —
+    /// so its successor's base is not 0).
     pub(crate) fn in_slot(&self) -> bool {
         self.slot != NO_SLOT && self.base > 0
     }
@@ -156,25 +166,23 @@ impl ChainHead {
 
 /// The link a successor stores for the segment sealed under `header`.
 pub(crate) fn header_link(header: &[u8; HEADER_LEN]) -> u32 {
-    u32_at(header, HEADER_LEN - 4)
+    SegField::Crc.get(header) as u32
 }
 
 /// A segment being filled in memory.
 #[derive(Debug)]
 pub(crate) struct SegmentBuilder {
     slot: SegmentId,
-    /// Sector of the slot this segment's header goes to.
+    /// Sector of the slot its data area starts at.
     base: u32,
+    /// Sector of the slot its meta record ends at (exclusive).
+    top: u32,
     seq: u64,
     prev_link: u32,
     epoch: u32,
     block_size: usize,
-    /// Size of the whole slot in bytes.
-    capacity: usize,
-    /// Zero until [`header_bytes`](Self::header_bytes) seals the segment.
-    header: [u8; HEADER_LEN],
-    /// As it goes to the device behind the header sector: the data
-    /// area and, once sealed, the summary.
+    /// The first write, at the base: the data area and, once sealed,
+    /// the trailer.
     body: Vec<u8>,
     /// Sectors of the data area.
     n_sectors: u32,
@@ -186,40 +194,40 @@ pub(crate) struct SegmentBuilder {
     pinned: Vec<u32>,
     /// Extents placed (for the seal's trace event).
     n_blocks: u32,
-    /// The records so far; the seal moves them behind the data.
-    summary: Vec<u8>,
+    /// The second write, ending at `top`: the records so far and, once
+    /// sealed, the header behind them.
+    meta: Vec<u8>,
     /// The records' [`suffix_weight`](Record::suffix_weight)s, summed.
     summary_weight: u64,
 }
 
 impl SegmentBuilder {
-    /// Starts an empty segment at sector `base` of physical slot `slot`
-    /// with log sequence number `seq`, after the segment whose header
-    /// CRC is `prev_link`.
+    /// Starts an empty segment of physical slot `slot`, its data at
+    /// sector `base` and its meta record ending at sector `top`, with
+    /// log sequence number `seq`, after the segment whose header CRC is
+    /// `prev_link`.
     pub(crate) fn new(
         slot: SegmentId,
-        base: u32,
+        (base, top): (u32, u32),
         seq: u64,
         prev_link: u32,
         epoch: u32,
         block_size: usize,
-        capacity: usize,
     ) -> Self {
         SegmentBuilder {
             slot,
             base,
+            top,
             seq,
             prev_link,
             epoch,
             block_size,
-            capacity,
-            header: [0; HEADER_LEN],
             body: Vec::new(),
             n_sectors: 0,
             free_runs: Vec::new(),
             pinned: Vec::new(),
             n_blocks: 0,
-            summary: Vec::new(),
+            meta: Vec::new(),
             summary_weight: 0,
         }
     }
@@ -228,6 +236,7 @@ impl SegmentBuilder {
         self.slot
     }
 
+    /// The first sector of the data area, counted from the slot's start.
     pub(crate) fn base(&self) -> u32 {
         self.base
     }
@@ -246,19 +255,14 @@ impl SegmentBuilder {
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.body.is_empty() && self.summary.is_empty()
+        self.body.is_empty() && self.meta.is_empty()
     }
 
     /// Whether `extra` more bytes — extents and summary records — still
-    /// fit between this segment's base and the slot's end.
+    /// fit between this segment's base and its top, beside the trailer's
+    /// sector and the header.
     pub(crate) fn fits(&self, extra: usize) -> bool {
-        self.base as usize * SECTOR + self.encoded_len() + extra <= self.capacity
-    }
-
-    /// The first sector of the data area, counted from the slot's start:
-    /// the one behind the header's.
-    pub(crate) fn data_start(&self) -> u32 {
-        self.base + 1
+        self.base as usize * SECTOR + self.encoded_len() + extra <= self.top as usize * SECTOR
     }
 
     /// Places one block's [`extent`] in the data area and returns its
@@ -290,14 +294,14 @@ impl SegmentBuilder {
                 } else {
                     self.free_runs[i] = (start + sectors, len - sectors);
                 }
-                let at = (start - self.data_start()) as usize * SECTOR;
+                let at = (start - self.base) as usize * SECTOR;
                 self.body[at..at + extent.len()].copy_from_slice(extent);
                 start
             }
             None => {
                 self.body.extend_from_slice(extent);
                 self.n_sectors += sectors;
-                self.data_start() + self.n_sectors - sectors
+                self.base + self.n_sectors - sectors
             }
         };
         PhysAddr {
@@ -306,7 +310,6 @@ impl SegmentBuilder {
             sectors,
         }
     }
-
     /// Makes the sectors of the extent at `addr` a free run, merged with
     /// the runs beside it: what a version this segment holds leaves
     /// behind when a record that is effective in the same segment
@@ -353,11 +356,11 @@ impl SegmentBuilder {
     /// Panics if the record does not fit: callers reserve room for it
     /// first ([`fits`](Self::fits)), a `Write` record at its widest.
     pub(crate) fn push_record(&mut self, rec: &Record) -> usize {
-        let before = self.summary.len();
-        rec.encode(&mut self.summary);
+        let before = self.meta.len();
+        rec.encode(&mut self.meta);
         assert!(self.fits(0), "summary overflow: the reservation was short");
         self.summary_weight += rec.suffix_weight();
-        self.summary.len() - before
+        self.meta.len() - before
     }
 
     /// What the records pushed so far weigh in the suffix bound.
@@ -371,7 +374,7 @@ impl SegmentBuilder {
         if addr.segment != self.slot {
             return None;
         }
-        let start = addr.sector.checked_sub(self.data_start())?;
+        let start = addr.sector.checked_sub(self.base)?;
         let end = start.checked_add(addr.sectors)?;
         (end <= self.n_sectors).then(|| start as usize * SECTOR..end as usize * SECTOR)
     }
@@ -405,82 +408,97 @@ impl SegmentBuilder {
         true
     }
 
-    /// The sector of the slot right behind this segment as it stands:
-    /// header, data area, summary rounded up to a sector.
-    fn end(&self) -> u32 {
-        self.base + self.encoded_len().div_ceil(SECTOR) as u32
+    /// Where the log goes on in this slot once the segment as it stands
+    /// is sealed: its successor's base (behind the data area and the
+    /// trailer's sector) and top (below the meta record), if a seal now
+    /// leaves room for one between them. Asked before the seal.
+    pub(crate) fn successor(&self) -> Option<(u32, u32)> {
+        let base = self.base + self.n_sectors + 1;
+        let top = self.top - meta_sectors(self.meta.len() as u64) as u32;
+        let block = (self.block_size / SECTOR) as u32;
+        valid_head(block, base, top).then_some((base, top))
     }
 
-    /// The base of a successor in the same slot, if a seal now leaves
-    /// room for one.
-    pub(crate) fn successor_base(&self) -> Option<u32> {
-        let end = self.end();
-        let (slot, block) = (self.capacity / SECTOR, self.block_size / SECTOR);
-        valid_base(slot as u32, block as u32, end).then_some(end)
-    }
-
-    /// Seals the segment: moves the summary behind the data, encodes
-    /// the header, pointing at `next_slot`, into [`header`](Self::header),
-    /// and returns it. A position holds a valid segment exactly when
-    /// these bytes (with their CRC) are on disk.
-    pub(crate) fn header_bytes(&mut self, next_slot: u32) -> [u8; HEADER_LEN] {
-        let summary = std::mem::take(&mut self.summary);
-        self.body.extend_from_slice(&summary);
-        let summary = self.summary_bytes();
+    /// Seals the segment: encodes the header, pointing at `next_slot`
+    /// and recording `covered` — the last segment a completed barrier
+    /// vouched for — puts its CRC behind the data area as the trailer
+    /// and the header itself behind the records, and returns it. A
+    /// position holds a valid segment exactly when the meta record is
+    /// on disk, and its body exactly when the trailer is.
+    pub(crate) fn header_bytes(&mut self, next_slot: u32, covered: u64) -> [u8; HEADER_LEN] {
+        debug_assert!(covered < self.seq);
+        let delta = (self.seq.checked_sub(covered))
+            .filter(|&d| d > 0 && d < COVERS_NOTHING)
+            .unwrap_or(COVERS_NOTHING);
         let mut header = [0u8; HEADER_LEN];
-        header[0..8].copy_from_slice(&SEGMENT_MAGIC.to_le_bytes());
-        header[8..16].copy_from_slice(&self.seq.to_le_bytes());
-        header[16..20].copy_from_slice(&self.n_sectors.to_le_bytes());
-        header[20..24].copy_from_slice(&(summary.len() as u32).to_le_bytes());
-        header[24..28].copy_from_slice(&crc32(summary).to_le_bytes());
-        header[28..32].copy_from_slice(&next_slot.to_le_bytes());
-        header[32..36].copy_from_slice(&self.prev_link.to_le_bytes());
-        header[36..40].copy_from_slice(&self.epoch.to_le_bytes());
-        let header_crc = crc32(&header[..HEADER_LEN - 4]);
-        header[HEADER_LEN - 4..].copy_from_slice(&header_crc.to_le_bytes());
-        self.header = header;
+        for (field, v) in [
+            (SegField::Magic, SEGMENT_MAGIC),
+            (SegField::Seq, self.seq),
+            (SegField::NSectors, u64::from(self.n_sectors)),
+            (SegField::SummaryLen, self.meta.len() as u64),
+            (SegField::SummaryCrc, u64::from(crc32(&self.meta))),
+            (SegField::NextSlot, u64::from(next_slot)),
+            (SegField::PrevLink, u64::from(self.prev_link)),
+            (SegField::Epoch, u64::from(self.epoch)),
+            (SegField::Covered, delta),
+        ] {
+            field.put(&mut header, v);
+        }
+        let crc = crc32(&header[..SegField::Crc.at()]);
+        SegField::Crc.put(&mut header, u64::from(crc));
+        self.body
+            .extend_from_slice(&crc.to_le_bytes()[..TRAILER_LEN]);
+        self.meta.extend_from_slice(&header);
         header
     }
 
-    /// The summary of a sealed segment, where it sits on disk:
-    /// immediately after the data area's last sector.
-    pub(crate) fn summary_bytes(&self) -> &[u8] {
-        &self.body[self.n_sectors as usize * SECTOR..]
-    }
-
-    /// Total on-media size of the segment as it stands: header sector +
-    /// data area + summary.
+    /// What the segment takes of the room between its base and its top
+    /// as it stands: data area, the trailer's sector, summary and
+    /// header.
     pub(crate) fn encoded_len(&self) -> usize {
-        SECTOR + self.body.len() + self.summary.len()
+        self.body.len() + SECTOR + self.meta.len() + HEADER_LEN
     }
 
-    /// The sealed segment's header, the first write, at its base.
-    pub(crate) fn header(&self) -> &[u8; HEADER_LEN] {
-        &self.header
-    }
-
-    /// The sealed segment's data area and summary, the second write,
-    /// one sector behind its base.
+    /// The sealed segment's data area and trailer: the first write, at
+    /// its base.
     pub(crate) fn body(&self) -> &[u8] {
         &self.body
+    }
+
+    /// The sealed segment's records and header: the second write, at
+    /// [`meta_at`](Self::meta_at).
+    pub(crate) fn meta(&self) -> &[u8] {
+        &self.meta
+    }
+
+    /// Byte offset in the slot of the sealed segment's meta record: it
+    /// ends at the top.
+    pub(crate) fn meta_at(&self) -> u64 {
+        u64::from(self.top) * SECTOR as u64 - self.meta.len() as u64
     }
 }
 
 /// A sealed segment's header as read back from disk: CRC and magic
-/// verified, and the segment it describes ends inside its slot.
+/// verified, and its data area, trailer and meta record fit between the
+/// position's base and top.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SegmentHeader {
     pub(crate) seq: u64,
     /// Where it was read from.
     pub(crate) slot: SegmentId,
     base: u32,
+    top: u32,
     n_sectors: u32,
     summary_len: u32,
     summary_crc: u32,
     /// Header CRC of segment `seq - 1`.
     pub(crate) prev_link: u32,
-    /// Where the log goes on — behind this segment's summary, at sector
-    /// 0 of another slot, or at [`NO_SLOT`] — and this header's own
+    /// The last segment a barrier had vouched for when this one was
+    /// sealed: every segment up to it is on the device whole (0: none
+    /// claimed).
+    pub(crate) covered: u64,
+    /// Where the log goes on — behind this segment in its slot, at
+    /// another slot's ends, or at [`NO_SLOT`] — and this header's own
     /// CRC.
     pub(crate) next: ChainHead,
 }
@@ -488,127 +506,221 @@ pub(crate) struct SegmentHeader {
 impl SegmentHeader {
     /// The sectors of its data area, counted from the slot's start: the
     /// only ones its `Write` records name
-    /// ([`SegmentBuilder::push_extent`]). [`parse_header`] checked that
-    /// they end inside the slot.
+    /// ([`SegmentBuilder::push_extent`]).
     pub(crate) fn data_sectors(&self) -> Range<u32> {
-        let start = self.base + 1;
-        start..start + self.n_sectors
+        self.base..self.base + self.n_sectors
     }
 
-    /// Byte offset in the slot of the summary: right behind the data
-    /// area.
-    fn summary_at(&self) -> u64 {
-        (u64::from(self.base) + 1 + u64::from(self.n_sectors)) * SECTOR as u64
+    /// The first sector of its meta record.
+    fn meta_start(&self) -> u32 {
+        self.top - meta_sectors(u64::from(self.summary_len)) as u32
+    }
+
+    /// The sectors of its meta record: summary and header.
+    pub(crate) fn meta_range(&self) -> (u32, u32) {
+        (self.meta_start(), self.top)
+    }
+
+    /// How far down the metadata run of its slot reaches if the
+    /// segments behind it there are as large as it is: the sector the
+    /// scan reads down to, never below the data frontier.
+    pub(crate) fn run_estimate(&self) -> u32 {
+        let (start, data_end) = (self.meta_start(), self.base + self.n_sectors + 1);
+        let meta = self.top - start;
+        let more = (start - data_end) / (data_end - self.base + meta);
+        start
+            .saturating_sub(more.saturating_mul(meta))
+            .max(data_end)
+    }
+
+    /// Byte offset in the slot of its trailer.
+    fn trailer_at(&self) -> u64 {
+        u64::from(self.base + self.n_sectors) * SECTOR as u64
     }
 }
 
-/// Validates the header bytes found at sector `base` of `slot`. `None`:
-/// no sealed segment there — the header never landed, was punched, is
-/// stale garbage or user data, or describes a segment (or an in-slot
-/// successor) that does not fit between `base` and the end of the slot,
-/// which no writer produces.
+/// Validates the header that ends at sector `top` of `slot` for a
+/// segment whose data starts at sector `base`. `None`: no sealed segment
+/// there — the header never landed, was punched, is stale garbage or
+/// user data, claims a barrier vouched for itself, or describes a
+/// segment whose meta record reaches into its data area or trailer (or
+/// an in-slot successor with no room), which no writer produces. The
+/// caller keeps `top` inside the slot.
 pub(crate) fn parse_header(
-    header: &[u8; HEADER_LEN],
+    header: &[u8],
     layout: &Layout,
     slot: SegmentId,
-    base: u32,
+    (base, top): (u32, u32),
 ) -> Option<SegmentHeader> {
-    let link = header_link(header);
-    if crc32(&header[..HEADER_LEN - 4]) != link || u64_at(header, 0) != SEGMENT_MAGIC {
+    let link = SegField::Crc.get(header) as u32;
+    if crc32(&header[..SegField::Crc.at()]) != link || SegField::Magic.get(header) != SEGMENT_MAGIC
+    {
         return None;
     }
-    let (n_sectors, summary_len) = (u32_at(header, 16), u32_at(header, 20));
-    let end =
-        u64::from(base) + 1 + u64::from(n_sectors) + u64::from(summary_len).div_ceil(SECTOR as u64);
-    let slot_sectors = layout.sectors_per_slot();
-    if end > u64::from(slot_sectors) {
+    let field = |f: SegField| f.get(header) as u32;
+    let (seq, delta) = (SegField::Seq.get(header), SegField::Covered.get(header));
+    let (n_sectors, summary_len) = (field(SegField::NSectors), field(SegField::SummaryLen));
+    let meta_start = u64::from(top).checked_sub(meta_sectors(u64::from(summary_len)))?;
+    if delta == 0 || u64::from(base) + u64::from(n_sectors) + 1 > meta_start {
         return None;
     }
-    let end = end as u32; // at most `slot_sectors`
-    let next_slot = u32_at(header, 28);
-    let next_base = if next_slot == slot.get() {
-        if !valid_base(slot_sectors, layout.sectors_per_block(), end) {
+    let next_slot = field(SegField::NextSlot);
+    let next = if next_slot == slot.get() {
+        // Both fit in a `u32`: they lie between `base` and `top`.
+        let (base, top) = (base + n_sectors + 1, meta_start as u32);
+        if !valid_head(layout.sectors_per_block(), base, top) {
             return None;
         }
-        end
+        ChainHead {
+            slot: next_slot,
+            base,
+            top,
+            link,
+        }
     } else {
-        0
+        ChainHead {
+            slot: next_slot,
+            base: 0,
+            top: layout.sectors_per_slot(),
+            link,
+        }
     };
     Some(SegmentHeader {
-        seq: u64_at(header, 8),
+        seq,
         slot,
         base,
+        top,
         n_sectors,
         summary_len,
-        summary_crc: u32_at(header, 24),
-        prev_link: u32_at(header, 32),
-        next: ChainHead {
-            slot: next_slot,
-            base: next_base,
-            link,
+        summary_crc: field(SegField::SummaryCrc),
+        prev_link: field(SegField::PrevLink),
+        covered: if delta == COVERS_NOTHING {
+            0
+        } else {
+            seq.saturating_sub(delta)
         },
+        next,
     })
 }
 
-/// Probes the header at sector `base` of physical slot `slot` (see
-/// [`parse_header`]).
-pub(crate) fn read_header<D: BlockDevice>(
-    device: &D,
-    layout: &Layout,
-    slot: SegmentId,
-    base: u32,
-) -> Result<Option<SegmentHeader>> {
-    let mut header = [0u8; HEADER_LEN];
-    device.read_at(header_offset(layout, slot.get(), base), &mut header)?;
-    Ok(parse_header(&header, layout, slot, base))
-}
-
-/// What the read of a sealed segment's summary returns.
+/// Sectors `[lo, hi)` of one slot as read from the device: the part of
+/// the slot's metadata run the scan has fetched. Each fetch is one
+/// device read.
 #[derive(Debug)]
-pub(crate) struct SummaryRead {
-    pub(crate) records: Vec<Record>,
-    /// The bytes at the successor's header position, when the log goes
-    /// on right behind this summary.
-    pub(crate) successor: Option<[u8; HEADER_LEN]>,
+pub(crate) struct MetaRun {
+    slot: u32,
+    lo: u32,
+    hi: u32,
+    bytes: Vec<u8>,
 }
 
-/// Reads and decodes the summary `header` vouches for. When the log
-/// goes on right behind it, the same read fetches the bytes at the
-/// successor's header position too (one device access per link instead
-/// of two). `None`: the summary fails its checksum — a segment write
-/// torn by a crash, treated as never written but reported separately.
-pub(crate) fn read_summary<D: BlockDevice>(
+impl MetaRun {
+    /// Reads sectors `[lo, hi)` of `slot`.
+    pub(crate) fn read<D: BlockDevice>(
+        device: &D,
+        layout: &Layout,
+        slot: u32,
+        (lo, hi): (u32, u32),
+    ) -> Result<Self> {
+        let mut bytes = vec![0u8; (hi - lo) as usize * SECTOR];
+        device.read_at(sector_offset(layout, slot, lo), &mut bytes)?;
+        Ok(MetaRun {
+            slot,
+            lo,
+            hi,
+            bytes,
+        })
+    }
+
+    /// Reads sectors `[lo, self.lo)`, the ones in front of what it
+    /// holds, in one read.
+    pub(crate) fn extend_down<D: BlockDevice>(
+        &mut self,
+        device: &D,
+        layout: &Layout,
+        lo: u32,
+    ) -> Result<()> {
+        let front = MetaRun::read(device, layout, self.slot, (lo, self.lo))?;
+        let mut bytes = front.bytes;
+        bytes.extend_from_slice(&self.bytes);
+        (self.bytes, self.lo) = (bytes, lo);
+        Ok(())
+    }
+
+    /// Whether it holds sectors `[lo, hi)` of `slot`.
+    pub(crate) fn holds(&self, slot: u32, (lo, hi): (u32, u32)) -> bool {
+        self.slot == slot && self.lo <= lo && hi <= self.hi
+    }
+
+    /// Whether it holds the sectors of `slot` from `hi` up, to extend.
+    pub(crate) fn reaches(&self, slot: u32, hi: u32) -> bool {
+        self.slot == slot && self.lo <= hi && hi <= self.hi
+    }
+
+    /// Sectors held.
+    pub(crate) fn sectors(&self) -> (u32, u32) {
+        (self.lo, self.hi)
+    }
+
+    /// Bytes `at..at + len` of the slot, which it holds.
+    fn slice(&self, at: u64, len: usize) -> &[u8] {
+        let from = (at - u64::from(self.lo) * SECTOR as u64) as usize;
+        &self.bytes[from..from + len]
+    }
+
+    /// The header that ends at sector `top`, which it holds, parsed for
+    /// a segment whose data starts at `base` ([`parse_header`]).
+    pub(crate) fn header(&self, layout: &Layout, (base, top): (u32, u32)) -> Option<SegmentHeader> {
+        let at = u64::from(top) * SECTOR as u64 - HEADER_LEN as u64;
+        let slot = SegmentId::new(self.slot);
+        parse_header(self.slice(at, HEADER_LEN), layout, slot, (base, top))
+    }
+
+    /// Whether the body of the segment `header` describes is on the
+    /// device — its trailer holds the header's CRC — if it holds the
+    /// trailer's sector.
+    pub(crate) fn body_landed(&self, header: &SegmentHeader) -> Option<bool> {
+        let sector = header.base + header.n_sectors;
+        let held = self.slot == header.slot.get() && (self.lo..self.hi).contains(&sector);
+        let trailer = header.next.link.to_le_bytes();
+        held.then(|| self.slice(header.trailer_at(), TRAILER_LEN) == trailer)
+    }
+
+    /// Decodes the records `header` vouches for, from its meta record,
+    /// which it holds. `None`: they fail their checksum — a stale header
+    /// over records it does not describe.
+    pub(crate) fn records(&self, header: &SegmentHeader) -> Result<Option<Vec<Record>>> {
+        let len = header.summary_len as usize;
+        let at = u64::from(header.top) * SECTOR as u64 - (HEADER_LEN + len) as u64;
+        let summary = self.slice(at, len);
+        if crc32(summary) != header.summary_crc {
+            return Ok(None);
+        }
+        let (slot, seq) = (header.slot, header.seq);
+        Record::decode_all(summary).map(Some).map_err(|e| match e {
+            LldError::Corrupt(msg) => LldError::Corrupt(format!("segment {slot} seq {seq}: {msg}")),
+            other => other,
+        })
+    }
+}
+
+/// Byte offset of sector `sector` of slot `slot`.
+pub(crate) fn sector_offset(layout: &Layout, slot: u32, sector: u32) -> u64 {
+    layout.segment_offset(slot) + u64::from(sector) * SECTOR as u64
+}
+
+/// Whether the body of the segment `header` describes is on the device:
+/// its trailer holds the header's CRC. One read of [`TRAILER_LEN`]
+/// bytes.
+pub(crate) fn body_landed<D: BlockDevice>(
     device: &D,
     layout: &Layout,
     header: &SegmentHeader,
-) -> Result<Option<SummaryRead>> {
-    let slot = header.slot;
-    let summary_len = header.summary_len as usize;
-    let start = header.summary_at();
-    let adjacent = header.next.slot == slot.get();
-    let mut buf = if adjacent {
-        // `parse_header` checked that this ends inside the slot.
-        let next_at = u64::from(header.next.base) * SECTOR as u64;
-        vec![0u8; (next_at - start) as usize + HEADER_LEN]
-    } else {
-        vec![0u8; summary_len]
-    };
-    device.read_at(layout.segment_offset(slot.get()) + start, &mut buf)?;
-    let summary = &buf[..summary_len];
-    if crc32(summary) != header.summary_crc {
-        return Ok(None);
-    }
-    let seq = header.seq;
-    let records = Record::decode_all(summary).map_err(|e| match e {
-        LldError::Corrupt(msg) => LldError::Corrupt(format!("segment {slot} seq {seq}: {msg}")),
-        other => other,
-    })?;
-    let successor = adjacent.then(|| {
-        let mut next = [0u8; HEADER_LEN];
-        next.copy_from_slice(&buf[buf.len() - HEADER_LEN..]);
-        next
-    });
-    Ok(Some(SummaryRead { records, successor }))
+) -> Result<bool> {
+    let mut trailer = [0u8; TRAILER_LEN];
+    let at = layout.segment_offset(header.slot.get()) + header.trailer_at();
+    device.read_at(at, &mut trailer)?;
+    Ok(u32::from_le_bytes(trailer) == header.next.link)
 }
 
 #[cfg(test)]
@@ -619,6 +731,7 @@ mod tests {
     use crate::Lld;
     use ld_disk::MemDisk;
 
+    /// Slots of eight 512-byte sectors.
     fn layout() -> Layout {
         let cfg = LldConfig {
             block_size: 512,
@@ -630,48 +743,54 @@ mod tests {
         Layout::compute(1 << 20, &cfg).unwrap()
     }
 
-    fn builder_at(slot: u32, base: u32, seq: u64) -> SegmentBuilder {
-        SegmentBuilder::new(SegmentId::new(slot), base, seq, 0, 7, 512, 8 * 512)
+    fn builder_at(slot: u32, at: (u32, u32), seq: u64) -> SegmentBuilder {
+        SegmentBuilder::new(SegmentId::new(slot), at, seq, 0, 7, 512)
     }
 
+    /// The first segment of an 8-sector slot.
     fn builder(slot: u32, seq: u64) -> SegmentBuilder {
-        builder_at(slot, 0, seq)
+        builder_at(slot, (0, 8), seq)
     }
 
-    /// Writes the segment as `LldInner::write_sealed` does: the header
-    /// at its base, then the body from the sector behind it.
+    /// Writes the segment as `LldInner::write_sealed` does: the body at
+    /// its base, then the meta record ending at its top.
     fn write_seal(device: &MemDisk, layout: &Layout, b: &SegmentBuilder) {
-        let at = header_offset(layout, b.slot().get(), b.base());
-        device.write_at(at, b.header()).unwrap();
-        device.write_at(at + SECTOR as u64, b.body()).unwrap();
+        let slot = b.slot().get();
+        device
+            .write_at(sector_offset(layout, slot, b.base()), b.body())
+            .unwrap();
+        let at = layout.segment_offset(slot) + b.meta_at();
+        device.write_at(at, b.meta()).unwrap();
     }
 
     /// Seals `b` with no successor and writes it.
     fn seal_and_write(device: &MemDisk, layout: &Layout, b: &mut SegmentBuilder) {
-        b.header_bytes(NO_SLOT);
+        b.header_bytes(NO_SLOT, 0);
         write_seal(device, layout, b);
     }
 
-    /// Sequence number and records of the segment at sector `base` of
-    /// `slot`, if its header and summary both verify.
+    /// The whole of `slot` as a metadata run.
+    fn whole(device: &MemDisk, layout: &Layout, slot: u32) -> MetaRun {
+        MetaRun::read(device, layout, slot, (0, layout.sectors_per_slot())).unwrap()
+    }
+
+    /// Sequence number and records of the segment at `at` of `slot`, if
+    /// its header, summary and trailer all verify.
     fn read_segment_at(
         device: &MemDisk,
         layout: &Layout,
-        slot: SegmentId,
-        base: u32,
-    ) -> Result<Option<(u64, Vec<Record>)>> {
-        let Some(h) = read_header(device, layout, slot, base)? else {
-            return Ok(None);
-        };
-        Ok(read_summary(device, layout, &h)?.map(|read| (h.seq, read.records)))
+        slot: u32,
+        at: (u32, u32),
+    ) -> Option<(u64, Vec<Record>)> {
+        let h = whole(device, layout, slot).header(layout, at)?;
+        let records = whole(device, layout, slot).records(&h).unwrap()?;
+        body_landed(device, layout, &h)
+            .unwrap()
+            .then_some((h.seq, records))
     }
 
-    fn read_segment(
-        device: &MemDisk,
-        layout: &Layout,
-        slot: SegmentId,
-    ) -> Result<Option<(u64, Vec<Record>)>> {
-        read_segment_at(device, layout, slot, 0)
+    fn read_segment(device: &MemDisk, layout: &Layout, slot: u32) -> Option<(u64, Vec<Record>)> {
+        read_segment_at(device, layout, slot, (0, 8))
     }
 
     fn sample_record(n: u64) -> Record {
@@ -679,6 +798,15 @@ mod tests {
             block: BlockId::new(n),
             ts: Timestamp::new(n),
         }
+    }
+
+    /// `header` with `field` set to `v` and its CRC made good again.
+    fn forged(header: &[u8; HEADER_LEN], field: SegField, v: u64) -> [u8; HEADER_LEN] {
+        let mut h = *header;
+        field.put(&mut h, v);
+        let crc = crc32(&h[..SegField::Crc.at()]);
+        SegField::Crc.put(&mut h, u64::from(crc));
+        h
     }
 
     /// A `block_size`-byte block whose last non-zero byte is at `last`
@@ -718,18 +846,20 @@ mod tests {
     fn builder_tracks_capacity() {
         let b = builder(0, 1);
         assert!(b.is_empty());
-        // Header takes one block, so 7 data blocks fit with no summary.
-        assert!(b.fits(7 * 512));
-        assert!(!b.fits(7 * 512 + 1));
-        // From block 3 on, the header and 4 more blocks are left.
-        let b = builder_at(0, 3, 2);
-        assert!(b.fits(4 * 512));
-        assert!(!b.fits(4 * 512 + 1));
-        // A base leaves room for a header sector, a block and a sector of
-        // summary: 3 sectors of 512-byte blocks, 10 of 4 KiB ones.
-        assert!(valid_base(8, 1, 5) && !valid_base(8, 1, 6));
-        assert!(valid_base(128, 8, 118) && !valid_base(128, 8, 119));
-        assert!(!valid_base(128, 8, u32::MAX));
+        // The trailer takes a sector and the header 44 bytes of another:
+        // 6 data blocks and 468 bytes of records fit.
+        assert!(b.fits(6 * 512 + 468));
+        assert!(!b.fits(6 * 512 + 469));
+        // Between sectors 3 and 6: a block and 468 bytes.
+        let b = builder_at(0, (3, 6), 2);
+        assert!(b.fits(512 + 468));
+        assert!(!b.fits(512 + 469));
+        // A position leaves room for a block, the trailer's sector and a
+        // sector of metadata: 3 sectors of 512-byte blocks, 10 of 4 KiB
+        // ones.
+        assert!(valid_head(1, 5, 8) && !valid_head(1, 6, 8));
+        assert!(valid_head(8, 118, 128) && !valid_head(8, 119, 128));
+        assert!(!valid_head(8, u32::MAX, 128));
     }
 
     #[test]
@@ -737,12 +867,12 @@ mod tests {
         let mut b = builder(2, 9);
         let block = vec![0xABu8; 512];
         let a0 = b.push_extent(&block);
-        // The data area starts at the block behind the header.
-        assert_eq!((a0.sector, a0.sectors), (1, 1));
+        // The data area starts at the slot's first sector.
+        assert_eq!((a0.sector, a0.sectors), (0, 1));
         let a1 = b.push_extent(&[0xCDu8; 512]);
-        assert_eq!((a1.sector, a1.sectors), (2, 1));
+        assert_eq!((a1.sector, a1.sectors), (1, 1));
         let zero = b.push_extent(&[]);
-        assert_eq!((zero.sector, zero.sectors), (3, 0), "an all-zero block");
+        assert_eq!((zero.sector, zero.sectors), (2, 0), "an all-zero block");
         let mut buf = vec![0xEEu8; 512];
         assert!(b.read_block(a0, &mut buf));
         assert_eq!(buf, block);
@@ -753,7 +883,7 @@ mod tests {
             ..a0
         };
         assert!(!b.read_block(elsewhere, &mut buf));
-        let past = PhysAddr { sector: 3, ..a0 };
+        let past = PhysAddr { sector: 2, ..a0 };
         assert!(!b.read_block(past, &mut buf));
         // A rewrite takes the place; the segment grows by nothing.
         assert!(b.rewrite_extent(a0, &[0xEFu8; 512]));
@@ -773,11 +903,11 @@ mod tests {
     /// refused (the caller appends).
     #[test]
     fn absorb_fits_or_appends() {
-        let mut b = SegmentBuilder::new(SegmentId::new(1), 0, 1, 0, 7, 4096, 16 * 4096);
+        let mut b = SegmentBuilder::new(SegmentId::new(1), (0, 128), 1, 0, 7, 4096);
         let short = b.push_extent(extent(&block_to(4096, Some(1500))));
-        assert_eq!((short.sector, short.sectors), (1, 3));
+        assert_eq!((short.sector, short.sectors), (0, 3));
         let next = b.push_extent(extent(&block_to(4096, Some(4095))));
-        assert_eq!((next.sector, next.sectors), (4, 8));
+        assert_eq!((next.sector, next.sectors), (3, 8));
         let before = b.encoded_len();
 
         // Shorter: fits, and the sectors it no longer needs read as zeros.
@@ -804,7 +934,7 @@ mod tests {
     /// A builder of 4 KiB blocks and extents of `sectors` sectors of
     /// `byte` pushed into it in turn.
     fn pushed(sectors: &[(u32, u8)]) -> (SegmentBuilder, Vec<PhysAddr>) {
-        let mut b = SegmentBuilder::new(SegmentId::new(1), 0, 1, 0, 7, 4096, 16 * 4096);
+        let mut b = SegmentBuilder::new(SegmentId::new(1), (0, 128), 1, 0, 7, 4096);
         let addrs = (sectors.iter())
             .map(|&(n, byte)| b.push_extent(&vec![byte; n as usize * SECTOR]))
             .collect();
@@ -823,18 +953,18 @@ mod tests {
     fn free_runs_are_filled_best_fit() {
         // Three versions to free, with a live one behind each.
         let (mut b, a) = pushed(&[(1, 1), (1, 9), (3, 2), (1, 9), (2, 3), (1, 9)]);
-        assert_eq!(at(a[4]), (7, 2));
+        assert_eq!(at(a[4]), (6, 2));
         for i in [0, 2, 4] {
             assert!(b.free_extent(a[i]));
         }
         let area = b.data_bytes();
         let put = |b: &mut SegmentBuilder, n: u32| at(b.push_extent(&vec![7; n as usize * SECTOR]));
-        assert_eq!(put(&mut b, 2), (7, 2), "the run of exactly two");
-        assert_eq!(put(&mut b, 1), (1, 1), "the run of exactly one");
-        assert_eq!(put(&mut b, 2), (3, 2), "the run of three, split");
-        assert_eq!(put(&mut b, 1), (5, 1), "its remainder");
+        assert_eq!(put(&mut b, 2), (6, 2), "the run of exactly two");
+        assert_eq!(put(&mut b, 1), (0, 1), "the run of exactly one");
+        assert_eq!(put(&mut b, 2), (2, 2), "the run of three, split");
+        assert_eq!(put(&mut b, 1), (4, 1), "its remainder");
         assert_eq!(b.data_bytes(), area, "no run grew the data area");
-        assert_eq!(put(&mut b, 1), (10, 1), "no run left: appended");
+        assert_eq!(put(&mut b, 1), (9, 1), "no run left: appended");
         assert_eq!(b.n_blocks(), 11);
     }
 
@@ -846,8 +976,8 @@ mod tests {
         b.free_extent(a[0]);
         b.free_extent(a[2]);
         let four = b.push_extent(&[0x44; 4 * SECTOR]);
-        assert_eq!(at(four), (1, 4), "one run of the three versions");
-        assert_eq!(at(b.push_extent(&[0x55; SECTOR])), (6, 1));
+        assert_eq!(at(four), (0, 4), "one run of the three versions");
+        assert_eq!(at(b.push_extent(&[0x55; SECTOR])), (5, 1));
     }
 
     /// What never takes or makes a run: an all-zero extent, an address
@@ -855,29 +985,29 @@ mod tests {
     /// this one in its slot, past the area's end), and a pinned extent.
     #[test]
     fn free_runs_ignore_what_is_not_this_areas() {
-        let mut b = SegmentBuilder::new(SegmentId::new(1), 3, 1, 0, 7, 4096, 16 * 4096);
+        let mut b = SegmentBuilder::new(SegmentId::new(1), (3, 128), 1, 0, 7, 4096);
         let a = b.push_extent(&[1; 2 * SECTOR]);
         let live = b.push_extent(&[2; SECTOR]);
-        assert_eq!(at(a), (4, 2));
+        assert_eq!(at(a), (3, 2));
         let elsewhere = [
             PhysAddr {
                 segment: SegmentId::new(2),
                 ..a
             },
             PhysAddr { sector: 1, ..a },
-            PhysAddr { sector: 6, ..a },
+            PhysAddr { sector: 5, ..a },
             PhysAddr { sectors: 0, ..a },
         ];
         for addr in elsewhere {
             assert!(!b.free_extent(addr), "{addr}");
         }
-        assert_eq!(at(b.push_extent(&[3; SECTOR])), (7, 1), "no run was made");
+        assert_eq!(at(b.push_extent(&[3; SECTOR])), (6, 1), "no run was made");
         b.pin_extent(a);
         assert!(!b.free_extent(a), "pinned");
         assert!(b.free_extent(live));
         let zero = b.push_extent(&[]);
-        assert_eq!(at(zero), (8, 0), "an all-zero extent takes no run");
-        assert_eq!(at(b.push_extent(&[4; SECTOR])), (6, 1));
+        assert_eq!(at(zero), (7, 0), "an all-zero extent takes no run");
+        assert_eq!(at(b.push_extent(&[4; SECTOR])), (5, 1));
     }
 
     /// A filled run reads back as the extent placed in it, zero-filled
@@ -887,7 +1017,7 @@ mod tests {
         let (mut b, a) = pushed(&[(3, 0x5A), (1, 9)]);
         b.free_extent(a[0]);
         let filled = b.push_extent(&[0x11; SECTOR]);
-        assert_eq!(at(filled), (1, 1));
+        assert_eq!(at(filled), (0, 1));
         let mut buf = vec![0xEEu8; 4096];
         assert!(b.read_block(filled, &mut buf));
         assert!(buf[..SECTOR].iter().all(|&v| v == 0x11));
@@ -906,17 +1036,12 @@ mod tests {
         b.push_record(&sample_record(2));
         seal_and_write(&device, &layout, &mut b);
 
-        let (seq, records) = read_segment(&device, &layout, SegmentId::new(1))
-            .unwrap()
-            .expect("valid segment");
+        let (seq, records) = read_segment(&device, &layout, 1).expect("valid segment");
         assert_eq!(seq, 42);
         assert_eq!(records, vec![sample_record(1), sample_record(2)]);
 
         // Unwritten slots read as "no segment".
-        assert_eq!(
-            read_segment(&device, &layout, SegmentId::new(2)).unwrap(),
-            None
-        );
+        assert_eq!(read_segment(&device, &layout, 2), None);
     }
 
     #[test]
@@ -925,25 +1050,25 @@ mod tests {
         let device = MemDisk::new(1 << 20);
         let slot = SegmentId::new(2);
         let mut first = builder(2, 5);
-        assert_eq!(first.push_extent(&[1u8; 512]).sector, 1);
+        assert_eq!(first.push_extent(&[1u8; 512]).sector, 0);
         first.push_record(&sample_record(1));
-        // Header, one data block, one block of summary: three blocks.
-        assert_eq!(first.successor_base(), Some(3));
-        let h1 = first.header_bytes(2);
+        // Data and trailer below sector 2, the meta record above 7.
+        assert_eq!(first.successor(), Some((2, 7)));
+        let h1 = first.header_bytes(2, 4);
         write_seal(&device, &layout, &first);
 
-        let mut second = SegmentBuilder::new(slot, 3, 6, header_link(&h1), 7, 512, 8 * 512);
+        let mut second = SegmentBuilder::new(slot, (2, 7), 6, header_link(&h1), 7, 512);
         // Addresses count from the slot's start, so `Layout::block_offset`
         // finds the block without knowing which segment holds it.
         let a = second.push_extent(&[2u8; 512]);
         let b = second.push_extent(&[3u8; 512]);
-        assert_eq!((a.sector, b.sector), (4, 5));
+        assert_eq!((a.sector, b.sector), (2, 3));
         let mut buf = [0u8; 512];
         assert!(second.read_block(b, &mut buf));
         assert_eq!(buf[0], 3);
         let first_block = PhysAddr {
             segment: slot,
-            sector: 1,
+            sector: 0,
             sectors: 1,
         };
         assert!(
@@ -951,30 +1076,34 @@ mod tests {
             "the first segment's block"
         );
         second.push_record(&sample_record(2));
-        // It ends at block 7 of 8: the slot is closed.
-        assert_eq!(second.successor_base(), None);
-        seal_and_write(&device, &layout, &mut second);
+        // Its trailer takes sector 4 and its meta record sector 6: no
+        // room is left between them.
+        assert_eq!(second.successor(), None);
+        second.header_bytes(NO_SLOT, 4);
+        write_seal(&device, &layout, &second);
         device.read_at(layout.block_offset(b), &mut buf).unwrap();
         assert_eq!(buf[0], 3);
 
-        // The first summary's read brings the second header with it.
-        let h = read_header(&device, &layout, slot, 0).unwrap().unwrap();
-        assert_eq!((h.next.slot, h.next.base), (2, 3));
-        let read = read_summary(&device, &layout, &h).unwrap().unwrap();
-        assert_eq!(read.records, vec![sample_record(1)]);
-        let h2 = parse_header(&read.successor.expect("adjacent"), &layout, slot, 3).unwrap();
+        // One read of the slot's last two sectors holds both records.
+        let run = MetaRun::read(&device, &layout, 2, (6, 8)).unwrap();
+        let h = run.header(&layout, (0, 8)).unwrap();
+        assert_eq!((h.next.slot, h.next.base, h.next.top), (2, 2, 7));
+        assert_eq!(h.covered, 4);
+        assert_eq!(run.records(&h).unwrap().unwrap(), vec![sample_record(1)]);
+        let h2 = run.header(&layout, (2, 7)).unwrap();
         assert_eq!((h2.seq, h2.prev_link), (6, h.next.link));
         assert_eq!(h2.next.slot, NO_SLOT);
-        assert_eq!(h2.data_sectors(), 4..6);
-        let read = read_summary(&device, &layout, &h2).unwrap().unwrap();
-        assert_eq!(read.records, vec![sample_record(2)]);
-        assert_eq!(read.successor, None, "the log goes on elsewhere");
+        assert_eq!(h2.data_sectors(), 2..4);
+        assert_eq!(h2.covered, 4);
+        assert_eq!(run.records(&h2).unwrap().unwrap(), vec![sample_record(2)]);
+        assert!(body_landed(&device, &layout, &h).unwrap());
+        assert!(body_landed(&device, &layout, &h2).unwrap());
     }
 
     /// Short extents pack the data area by sectors: it starts at the
-    /// sector behind the header, the summary starts behind its last one,
-    /// and the successor's base is the sector behind the summary — none
-    /// of them at a block boundary.
+    /// base, the trailer takes the sector behind its last one, and the
+    /// successor's base is the sector behind that — none of them at a
+    /// block boundary. The meta records sit back to back below the top.
     #[test]
     fn short_extents_pack_by_sectors() {
         let cfg = LldConfig {
@@ -985,7 +1114,7 @@ mod tests {
         let layout = Layout::compute(4 << 20, &cfg).unwrap();
         let device = MemDisk::new(4 << 20);
         let slot = SegmentId::new(1);
-        let mut b = SegmentBuilder::new(slot, 0, 1, 0, 7, 4096, 16 * 4096);
+        let mut b = SegmentBuilder::new(slot, (0, 128), 1, 0, 7, 4096);
         let blocks = [
             block_to(4096, None),
             block_to(4096, Some(1000)),
@@ -994,34 +1123,32 @@ mod tests {
         ];
         let addrs: Vec<PhysAddr> = blocks.iter().map(|d| b.push_extent(extent(d))).collect();
         let at: Vec<(u32, u32)> = addrs.iter().map(|a| (a.sector, a.sectors)).collect();
-        assert_eq!(at, [(1, 0), (1, 2), (3, 8), (11, 1)]);
+        assert_eq!(at, [(0, 0), (0, 2), (2, 8), (10, 1)]);
         b.push_record(&sample_record(1));
-        // 512 + 11 × 512 + 3 bytes: thirteen sectors.
-        assert_eq!(b.successor_base(), Some(13));
-        let h1 = b.header_bytes(1);
+        // 11 sectors of data, the trailer's, and one of metadata.
+        assert_eq!(b.successor(), Some((12, 127)));
+        let h1 = b.header_bytes(1, 0);
         write_seal(&device, &layout, &b);
-        let h = read_header(&device, &layout, slot, 0).unwrap().unwrap();
-        assert_eq!(h.data_sectors(), 1..12);
-        assert_eq!((h.next.slot, h.next.base), (1, 13));
-        let read = read_summary(&device, &layout, &h).unwrap().unwrap();
-        assert_eq!(read.records, vec![sample_record(1)]);
 
-        // A successor in the middle of a block: its header, data area and
-        // summary follow sector for sector.
-        let mut next = SegmentBuilder::new(slot, 13, 2, header_link(&h1), 7, 4096, 16 * 4096);
+        // A successor in the middle of a block.
+        let mut next = SegmentBuilder::new(slot, (12, 127), 2, header_link(&h1), 7, 4096);
         let full = next.push_extent(extent(&blocks[2]));
-        assert_eq!((full.sector, full.sectors), (14, 8));
+        assert_eq!((full.sector, full.sectors), (12, 8));
         next.push_record(&sample_record(2));
-        next.header_bytes(NO_SLOT);
+        next.header_bytes(NO_SLOT, 1);
         write_seal(&device, &layout, &next);
-        // The first summary's read, 3 bytes and the next header behind
-        // them, brings it along.
-        let read = read_summary(&device, &layout, &h).unwrap().unwrap();
-        let h2 = parse_header(&read.successor.expect("adjacent"), &layout, slot, 13).unwrap();
-        assert_eq!((h2.seq, h2.prev_link), (2, h.next.link));
-        assert_eq!(h2.data_sectors(), 14..22);
-        let read = read_summary(&device, &layout, &h2).unwrap().unwrap();
-        assert_eq!(read.records, vec![sample_record(2)]);
+        let run = MetaRun::read(&device, &layout, 1, (126, 128)).unwrap();
+        let h = run.header(&layout, (0, 128)).unwrap();
+        assert_eq!(h.data_sectors(), 0..11);
+        assert_eq!((h.next.slot, h.next.base, h.next.top), (1, 12, 127));
+        assert_eq!(h.covered, 0, "no barrier yet");
+        // Segments like it fill the slot's run down to sector 119.
+        assert_eq!(h.run_estimate(), 127 - 8);
+        assert_eq!(run.records(&h).unwrap().unwrap(), vec![sample_record(1)]);
+        let h2 = run.header(&layout, (12, 127)).unwrap();
+        assert_eq!((h2.seq, h2.prev_link, h2.covered), (2, h.next.link, 1));
+        assert_eq!(h2.data_sectors(), 12..20);
+        assert_eq!(run.records(&h2).unwrap().unwrap(), vec![sample_record(2)]);
         // Each extent reads back where its address says, zero-filled.
         for (addr, want) in addrs.iter().zip(&blocks) {
             let mut buf = vec![0xEEu8; 4096];
@@ -1033,31 +1160,42 @@ mod tests {
 
     #[test]
     fn header_that_overruns_its_slot_is_no_segment() {
-        // Positions past sector 0 used to hold user data, so a CRC-valid
-        // header may sit anywhere; one whose segment (or whose in-slot
-        // successor) would not fit behind it is not a segment.
+        // A CRC-valid header may sit anywhere a slot held user data; one
+        // whose meta record reaches into its data area or trailer, or
+        // whose in-slot successor would have no room, is not a segment.
         let layout = layout();
         let slot = SegmentId::new(1);
-        let mut b = builder_at(1, 4, 9);
+        let mut b = builder_at(1, (4, 8), 9);
         b.push_extent(&[1u8; 512]);
         b.push_record(&sample_record(1));
-        let fits = b.header_bytes(NO_SLOT); // blocks 4, 5, 6 of 8
-        assert!(parse_header(&fits, &layout, slot, 4).is_some());
-        assert!(parse_header(&fits, &layout, slot, 5).is_some());
-        assert!(parse_header(&fits, &layout, slot, 6).is_none());
-        // Two blocks are left behind it: no room for a successor.
-        let hostile = b.header_bytes(1);
-        assert!(parse_header(&hostile, &layout, slot, 4).is_none());
-        assert!(parse_header(&hostile, &layout, slot, 2).is_some());
+        let fits = b.header_bytes(NO_SLOT, 0); // data 4, trailer 5, meta 7
+        assert!(parse_header(&fits, &layout, slot, (4, 8)).is_some());
+        assert!(parse_header(&fits, &layout, slot, (5, 8)).is_some());
+        assert!(parse_header(&fits, &layout, slot, (6, 8)).is_none());
+        assert!(parse_header(&fits, &layout, slot, (4, 7)).is_some());
+        assert!(parse_header(&fits, &layout, slot, (4, 6)).is_none());
+        // Going on behind itself leaves sectors 6 to 7: too few.
+        let hostile = forged(&fits, SegField::NextSlot, 1);
+        assert!(parse_header(&hostile, &layout, slot, (4, 8)).is_none());
+        assert!(parse_header(&hostile, &layout, slot, (2, 8)).is_some());
+        // A watermark at the segment itself is no writer's.
+        let own = forged(&fits, SegField::Covered, 0);
+        assert!(parse_header(&own, &layout, slot, (4, 8)).is_none());
+        let none = forged(&fits, SegField::Covered, COVERS_NOTHING);
+        assert_eq!(
+            parse_header(&none, &layout, slot, (4, 8)).unwrap().covered,
+            0
+        );
         // Field values near the integer limits do not wrap.
-        let mut huge = fits;
-        huge[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
-        huge[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
-        let crc = crc32(&huge[..HEADER_LEN - 4]);
-        huge[HEADER_LEN - 4..].copy_from_slice(&crc.to_le_bytes());
-        assert!(parse_header(&huge, &layout, slot, u32::MAX).is_none());
+        let huge = forged(&fits, SegField::NSectors, u64::from(u32::MAX));
+        let huge = forged(&huge, SegField::SummaryLen, u64::from(u32::MAX));
+        assert!(parse_header(&huge, &layout, slot, (u32::MAX, 8)).is_none());
+        assert!(parse_header(&huge, &layout, slot, (0, 8)).is_none());
     }
 
+    /// A meta record torn anywhere leaves no new header: the header is
+    /// its last bytes. A stale header over records it does not describe
+    /// fails the summary CRC.
     #[test]
     fn torn_summary_is_rejected() {
         let layout = layout();
@@ -1065,18 +1203,48 @@ mod tests {
         let mut b = builder(0, 7);
         b.push_extent(&[1u8; 512]);
         b.push_record(&sample_record(1));
-        b.header_bytes(NO_SLOT);
-        // Simulate a torn body write: the tail of the summary never
-        // lands and the medium holds stale bytes there instead.
-        let at = layout.segment_offset(0);
-        device.write_at(at, &vec![0xEEu8; 8 * 512]).unwrap();
-        device.write_at(at, b.header()).unwrap();
-        let body = b.body();
-        device.write_at(at + 512, &body[..body.len() - 9]).unwrap();
-        assert_eq!(
-            read_segment(&device, &layout, SegmentId::new(0)).unwrap(),
-            None
+        b.header_bytes(NO_SLOT, 0);
+        device.write_at(layout.segment_offset(0), b.body()).unwrap();
+        let at = layout.segment_offset(0) + b.meta_at();
+        device
+            .write_at(at, &b.meta()[..b.meta().len() - 9])
+            .unwrap();
+        assert_eq!(read_segment(&device, &layout, 0), None, "torn");
+        device.write_at(at, b.meta()).unwrap();
+        assert!(read_segment(&device, &layout, 0).is_some());
+        device.write_at(at, &[0xEE]).unwrap();
+        let h = whole(&device, &layout, 0).header(&layout, (0, 8)).unwrap();
+        assert_eq!(whole(&device, &layout, 0).records(&h).unwrap(), None);
+    }
+
+    /// The trailer says whether the body landed: a meta record alone is
+    /// not a segment, and neither is it over the body of another
+    /// instance at the same place.
+    #[test]
+    fn meta_without_its_body_is_no_segment() {
+        let layout = layout();
+        let device = MemDisk::new(1 << 20);
+        let mut b = builder(0, 7);
+        b.push_extent(&[1u8; 512]);
+        b.push_record(&sample_record(1));
+        b.header_bytes(NO_SLOT, 0);
+        let at = layout.segment_offset(0) + b.meta_at();
+        device.write_at(at, b.meta()).unwrap();
+        let h = whole(&device, &layout, 0).header(&layout, (0, 8)).unwrap();
+        assert!(!body_landed(&device, &layout, &h).unwrap(), "meta alone");
+        let mut other = SegmentBuilder::new(SegmentId::new(0), (0, 8), 7, 0, 8, 512);
+        other.push_extent(&[1u8; 512]);
+        other.push_record(&sample_record(1));
+        other.header_bytes(NO_SLOT, 0);
+        device
+            .write_at(layout.segment_offset(0), other.body())
+            .unwrap();
+        assert!(
+            !body_landed(&device, &layout, &h).unwrap(),
+            "another epoch's"
         );
+        device.write_at(layout.segment_offset(0), b.body()).unwrap();
+        assert!(body_landed(&device, &layout, &h).unwrap());
     }
 
     #[test]
@@ -1085,18 +1253,15 @@ mod tests {
         let device = MemDisk::new(1 << 20);
         let mut b = builder(0, 7);
         seal_and_write(&device, &layout, &mut b);
-        let mut header = *b.header();
-        header[9] ^= 0x10; // flip a bit in seq
-        device.write_at(layout.segment_offset(0), &header).unwrap();
-        assert_eq!(
-            read_segment(&device, &layout, SegmentId::new(0)).unwrap(),
-            None
-        );
+        assert!(read_segment(&device, &layout, 0).is_some());
+        let seq_at = layout.segment_offset(1) - HEADER_LEN as u64 + SegField::Seq.at() as u64;
+        device.write_at(seq_at + 1, &[0x10]).unwrap(); // seq 7 → 4103
+        assert_eq!(read_segment(&device, &layout, 0), None);
     }
 
     #[test]
     fn punched_header_kills_a_stale_segment() {
-        // Format starts a new log at sector 0 of slot 0 with sequence
+        // Format starts a new log at the back of slot 0 with sequence
         // number 1 and no predecessor — exactly what the first segment
         // of the previous log there says of itself. The punch is what
         // keeps it out.
@@ -1105,14 +1270,14 @@ mod tests {
         let mut old = builder(0, 1);
         old.push_extent(&[1u8; 512]);
         old.push_record(&sample_record(1));
-        let off = layout.segment_offset(0);
         seal_and_write(&device, &layout, &mut old);
-        assert!(read_segment(&device, &layout, SegmentId::new(0))
-            .unwrap()
-            .is_some());
-        device.write_at(off, &HEADER_PUNCH).unwrap();
+        assert!(read_segment(&device, &layout, 0).is_some());
+        let end = layout.segment_offset(1);
+        device
+            .write_at(end - HEADER_LEN as u64, &HEADER_PUNCH)
+            .unwrap();
         assert_eq!(
-            read_segment(&device, &layout, SegmentId::new(0)).unwrap(),
+            read_segment(&device, &layout, 0),
             None,
             "a punched header must not validate"
         );

@@ -11,7 +11,7 @@
 
 #![allow(dead_code)] // each suite uses its own subset
 
-use ld_core::{BlockId, Ctx, ListId, Lld, Position, Record};
+use ld_core::{BlockId, Ctx, ListId, Lld, Position, Record, SegField, SEGMENT_HEADER_LEN};
 use ld_disk::{
     crc32, BlockDevice, Condvar, DiskError, DiskModel, MemDisk, Mutex, SimDisk, SmallRng,
 };
@@ -76,57 +76,123 @@ pub fn random_cut(dev: &SimDisk<MemDisk>, rng: &mut SmallRng) -> (Vec<u8>, Vec<u
     (image, kept)
 }
 
-// Segment header fields (see `segment.rs`).
-pub const H_SEQ: usize = 8;
+// Segment header fields, from their one declaration
+// (`ld_core::SEGMENT_HEADER`, see `segment.rs`).
+pub const H_SEQ: usize = SegField::Seq.at();
 /// The data area's size in 512-byte sectors.
-pub const H_N_SECTORS: usize = 16;
-pub const H_SUMMARY_LEN: usize = 20;
-pub const H_SUMMARY_CRC: usize = 24;
-pub const H_NEXT: usize = 28;
-pub const H_PREV: usize = 32;
-pub const H_CRC: usize = 40;
-/// The header's length: a seal writes this much at its base, then the
-/// body from the next sector.
-pub const H_LEN: usize = 44;
-/// The unit a segment's base, its data area and its addresses count:
-/// the header takes one, and the body starts at the next.
+pub const H_N_SECTORS: usize = SegField::NSectors.at();
+pub const H_SUMMARY_LEN: usize = SegField::SummaryLen.at();
+pub const H_SUMMARY_CRC: usize = SegField::SummaryCrc.at();
+pub const H_NEXT: usize = SegField::NextSlot.at();
+pub const H_PREV: usize = SegField::PrevLink.at();
+/// `seq` less the last segment a barrier vouched for at the seal.
+pub const H_COVERED: usize = SegField::Covered.at();
+pub const H_CRC: usize = SegField::Crc.at();
+/// The header's length: the last bytes of a seal's meta record, its
+/// second write.
+pub const H_LEN: usize = SEGMENT_HEADER_LEN;
+/// The trailer behind a data area: the header's CRC.
+pub const TRAILER_LEN: usize = 4;
+/// The unit a segment's base, its data area and its addresses count.
 pub const SECTOR: usize = 512;
-pub const SEGMENT_MAGIC: u64 = 0x4C44_5345_4739_3936;
+pub use ld_core::SEGMENT_MAGIC;
 
-// Checkpoint header fields (see `checkpoint.rs`). A header sits alone
-// in its sector of the superblock's region ([`ckpt_header`]).
-pub const C_LINK: usize = 4;
-pub const C_SEQ: usize = 8;
-pub const C_SNAP_SHARDS: usize = 40;
-pub const C_DIR_CRC: usize = 44;
-pub const C_N_DEDUP: usize = 48;
-pub const C_DEDUP_CRC: usize = 52;
-pub const C_HEAD_SLOT: usize = 56;
-pub const C_HEAD_BASE: usize = 60;
-/// The body's length: directory, slabs and dedup table, from the
-/// area's start.
-pub const C_BODY_LEN: usize = 64;
-pub const C_CRC: usize = 72;
-/// The header's length.
-pub const C_LEN: usize = 76;
-/// A directory entry, one a slab, at the area's start; the slabs follow
-/// the directory back to back, and the dedup table the slabs.
-pub const C_DIR_ENTRY: usize = 24;
-// In a directory entry: the slab's CRC and its length in bytes.
-pub const C_DIR_SLAB_CRC: usize = 16;
-pub const C_DIR_SLAB_LEN: usize = 20;
-/// The dedup table's four column descriptors; its rows follow, the
-/// first in full.
-pub const C_DEDUP_DESC: usize = 40;
+/// Where a segment sits in its slot: the sector its data starts at
+/// (`base`) and the one its meta record ends at (`top`, exclusive; its
+/// header is that record's last [`H_LEN`] bytes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegPos {
+    pub slot: u32,
+    pub base: u32,
+    pub top: u32,
+}
 
-// Superblock: the geometry fields, and the CRC over the bytes in front
-// of it (see `layout.rs`).
-pub const S_N_SEGMENTS: usize = 20;
-pub const S_DATA_START: usize = 24;
-pub const S_CKPT_AREA_SIZE: usize = 32;
-pub const S_MAX_BLOCKS: usize = 40;
-pub const S_MAX_LISTS: usize = 48;
-pub const S_CRC: usize = 60;
+/// The geometry the image's superblock names.
+pub fn layout_of(image: &[u8]) -> ld_core::Layout {
+    ld_core::Layout::decode_superblock(image).unwrap().0
+}
+
+impl SegPos {
+    /// The first segment of a slot: its data at sector 0, its meta
+    /// record at the back.
+    pub fn first(image: &[u8], slot: u32) -> Self {
+        SegPos {
+            slot,
+            base: 0,
+            top: layout_of(image).sectors_per_slot(),
+        }
+    }
+
+    /// Byte offset of the slot's sector `sector`.
+    pub fn sector(&self, image: &[u8], sector: u32) -> usize {
+        layout_of(image).segment_offset(self.slot) as usize + sector as usize * SECTOR
+    }
+
+    /// Byte offset of the header.
+    pub fn header(&self, image: &[u8]) -> usize {
+        self.sector(image, self.top) - H_LEN
+    }
+
+    /// Byte offset of the data area: the body's write.
+    pub fn data(&self, image: &[u8]) -> usize {
+        self.sector(image, self.base)
+    }
+
+    /// Byte offset of the trailer, behind the data area the header
+    /// names.
+    pub fn trailer(&self, image: &[u8]) -> usize {
+        let n_sectors = u32_at(image, self.header(image) + H_N_SECTORS);
+        self.sector(image, self.base + n_sectors)
+    }
+
+    /// Sectors of the meta record the header names: its records and
+    /// itself.
+    pub fn meta_sectors(&self, image: &[u8]) -> u32 {
+        let summary = u32_at(image, self.header(image) + H_SUMMARY_LEN) as usize;
+        (H_LEN + summary).div_ceil(SECTOR) as u32
+    }
+
+    /// Where the header says the log goes on: behind the data area and
+    /// the trailer's sector and below the meta record, or the ends of
+    /// another slot.
+    pub fn successor(&self, image: &[u8]) -> SegPos {
+        let off = self.header(image);
+        let next = u32_at(image, off + H_NEXT);
+        if next != self.slot {
+            return SegPos::first(image, next);
+        }
+        SegPos {
+            slot: next,
+            base: self.base + u32_at(image, off + H_N_SECTORS) + 1,
+            top: self.top - self.meta_sectors(image),
+        }
+    }
+}
+
+/// The segments a walk from `head` accepts, the way recovery finds
+/// them: a valid header with the next sequence number and the link of
+/// the one before, up to a hop off the device. (It reads no trailer.)
+pub fn walk(image: &[u8], mut head: SegPos, mut link: u32, mut seq: u64) -> Vec<SegPos> {
+    let n = layout_of(image).n_segments;
+    let mut out = Vec::new();
+    while head.slot < n {
+        let off = head.header(image);
+        if !header_valid(image, off)
+            || u64_at(image, off + H_SEQ) != seq
+            || u32_at(image, off + H_PREV) != link
+        {
+            break;
+        }
+        out.push(head);
+        (head, link, seq) = (head.successor(image), u32_at(image, off + H_CRC), seq + 1);
+    }
+    out
+}
+
+/// Segments 1, 2, … of a log that starts at the back of slot 0.
+pub fn chain(image: &[u8]) -> Vec<SegPos> {
+    walk(image, SegPos::first(image, 0), 0, 1)
+}
 
 pub fn u32_at(image: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(image[at..at + 4].try_into().unwrap())
@@ -140,50 +206,53 @@ pub fn put_u32(image: &mut [u8], at: usize, v: u32) {
     image[at..at + 4].copy_from_slice(&v.to_le_bytes());
 }
 
-/// Recomputes the CRC of the segment header at `off`, so an edit under
-/// it passes as a sealed header. Returns the new CRC (the segment's
-/// link).
-pub fn reseal(image: &mut [u8], off: usize) -> u32 {
+/// Recomputes the CRC of the segment header at `off` alone, so an edit
+/// under it passes as a sealed header. Returns the new CRC (the
+/// segment's link). The trailer keeps the old one: a segment the
+/// watermark does not cover then ends the log ([`reseal`] moves both).
+pub fn reseal_header(image: &mut [u8], off: usize) -> u32 {
     let crc = crc32(&image[off..off + H_CRC]);
     put_u32(image, off + H_CRC, crc);
     crc
 }
 
+/// Recomputes the CRC of the header of the segment at `pos` and puts it
+/// in the trailer too, so an edit under it passes as a sealed segment
+/// whose body landed. Returns the new CRC.
+pub fn reseal(image: &mut [u8], pos: SegPos) -> u32 {
+    let crc = reseal_header(image, pos.header(image));
+    let trailer = pos.trailer(image);
+    put_u32(image, trailer, crc);
+    crc
+}
+
 pub fn header_valid(image: &[u8], off: usize) -> bool {
-    u64_at(image, off) == SEGMENT_MAGIC
+    u64::from(u32_at(image, off)) == SEGMENT_MAGIC
         && crc32(&image[off..off + H_CRC]) == u32_at(image, off + H_CRC)
 }
 
-/// Byte range of the summary of the segment whose header is at `off`:
-/// behind the header's sector and the data area's.
-pub fn summary_range(image: &[u8], off: usize) -> std::ops::Range<usize> {
-    let start = off + (1 + u32_at(image, off + H_N_SECTORS) as usize) * SECTOR;
-    start..start + u32_at(image, off + H_SUMMARY_LEN) as usize
+/// Byte range of the summary of the segment at `pos`: right in front of
+/// its header.
+pub fn summary_range(image: &[u8], pos: SegPos) -> std::ops::Range<usize> {
+    let end = pos.header(image);
+    end - u32_at(image, end + H_SUMMARY_LEN) as usize..end
 }
 
-/// How many sectors the segment whose header is at `off` takes, header
-/// and summary included: its in-slot successor's base is its own plus
-/// this.
-pub fn segment_sectors(image: &[u8], off: usize) -> u32 {
-    let summary = u32_at(image, off + H_SUMMARY_LEN).div_ceil(SECTOR as u32);
-    1 + u32_at(image, off + H_N_SECTORS) + summary
+/// Makes an edit of the summary of the segment at `pos` pass:
+/// recomputes the summary CRC in the header, then the header's own and
+/// the trailer. The header's CRC is the link its successor checks, so
+/// the log ends behind this segment.
+pub fn reseal_summary(image: &mut [u8], pos: SegPos) {
+    let crc = crc32(&image[summary_range(image, pos)]);
+    put_u32(image, pos.header(image) + H_SUMMARY_CRC, crc);
+    reseal(image, pos);
 }
 
-/// Makes an edit of the summary of the segment at `off` pass: recomputes
-/// the summary CRC in the header, then the header's own. The header's
-/// CRC is the link its successor checks, so the log ends behind this
-/// segment.
-pub fn reseal_summary(image: &mut [u8], off: usize) {
-    let crc = crc32(&image[summary_range(image, off)]);
-    put_u32(image, off + H_SUMMARY_CRC, crc);
-    reseal(image, off);
-}
-
-/// The records of the summary of the segment at `off`, each with its
+/// The records of the summary of the segment at `pos`, each with its
 /// byte range in the image: a decode walk. A record has one encoding,
 /// so its range is as long as [`Record::encoded_len`] says.
-pub fn summary_records(image: &[u8], off: usize) -> Vec<(Range<usize>, Record)> {
-    let summary = summary_range(image, off);
+pub fn summary_records(image: &[u8], pos: SegPos) -> Vec<(Range<usize>, Record)> {
+    let summary = summary_range(image, pos);
     let mut at = summary.start;
     let records = Record::decode_all(&image[summary.clone()]).unwrap();
     let walk: Vec<_> = (records.into_iter())
@@ -205,12 +274,12 @@ pub fn encode(rec: &Record) -> Vec<u8> {
 }
 
 /// Puts `bytes` in place of `image[range]`, a range inside the summary
-/// of the segment at `off` (or empty at its end), moves the rest of the
-/// summary along, and makes the edit pass ([`reseal_summary`]). The
-/// summary must not take another sector: the successor's position
-/// follows from its length.
-pub fn splice_summary(image: &mut [u8], off: usize, range: Range<usize>, bytes: &[u8]) {
-    let summary = summary_range(image, off);
+/// of the segment at `pos` (or empty at its end), moves the front of
+/// the summary along so that it still ends at the header, and makes
+/// the edit pass ([`reseal_summary`]). The meta record must not take
+/// another sector: the successor's position follows from its length.
+pub fn splice_summary(image: &mut [u8], pos: SegPos, range: Range<usize>, bytes: &[u8]) {
+    let summary = summary_range(image, pos);
     assert!(summary.start <= range.start && range.end <= summary.end);
     let edited = [
         &image[summary.start..range.start],
@@ -219,13 +288,49 @@ pub fn splice_summary(image: &mut [u8], off: usize, range: Range<usize>, bytes: 
     ]
     .concat();
     assert!(
-        edited.len().div_ceil(SECTOR) <= summary.len().div_ceil(SECTOR),
-        "the summary at {off} outgrows its sectors"
+        (H_LEN + edited.len()).div_ceil(SECTOR) <= (H_LEN + summary.len()).div_ceil(SECTOR),
+        "the meta record at {pos:?} outgrows its sectors"
     );
-    image[summary.start..summary.start + edited.len()].copy_from_slice(&edited);
-    put_u32(image, off + H_SUMMARY_LEN, edited.len() as u32);
-    reseal_summary(image, off);
+    image[summary.end - edited.len()..summary.end].copy_from_slice(&edited);
+    put_u32(image, summary.end + H_SUMMARY_LEN, edited.len() as u32);
+    reseal_summary(image, pos);
 }
+
+// Checkpoint header fields (see `checkpoint.rs`). A header sits alone
+// in its sector of the superblock's region ([`ckpt_header`]).
+pub const C_LINK: usize = 4;
+pub const C_SEQ: usize = 8;
+pub const C_SNAP_SHARDS: usize = 40;
+pub const C_DIR_CRC: usize = 44;
+pub const C_N_DEDUP: usize = 48;
+pub const C_DEDUP_CRC: usize = 52;
+pub const C_HEAD_SLOT: usize = 56;
+pub const C_HEAD_BASE: usize = 60;
+pub const C_HEAD_TOP: usize = 64;
+/// The body's length: directory, slabs and dedup table, from the
+/// area's start.
+pub const C_BODY_LEN: usize = 68;
+pub const C_CRC: usize = 76;
+/// The header's length.
+pub const C_LEN: usize = 80;
+/// A directory entry, one a slab, at the area's start; the slabs follow
+/// the directory back to back, and the dedup table the slabs.
+pub const C_DIR_ENTRY: usize = 24;
+// In a directory entry: the slab's CRC and its length in bytes.
+pub const C_DIR_SLAB_CRC: usize = 16;
+pub const C_DIR_SLAB_LEN: usize = 20;
+/// The dedup table's four column descriptors; its rows follow, the
+/// first in full.
+pub const C_DEDUP_DESC: usize = 40;
+
+// Superblock: the geometry fields, and the CRC over the bytes in front
+// of it (see `layout.rs`).
+pub const S_N_SEGMENTS: usize = 20;
+pub const S_DATA_START: usize = 24;
+pub const S_CKPT_AREA_SIZE: usize = 32;
+pub const S_MAX_BLOCKS: usize = 40;
+pub const S_MAX_LISTS: usize = 48;
+pub const S_CRC: usize = 60;
 
 /// Recomputes the CRC of the superblock.
 pub fn reseal_superblock(image: &mut [u8]) {
@@ -294,6 +399,13 @@ pub fn reseal_checkpoint(image: &mut [u8], area: usize) {
 
 // A device that parks chosen writes (docs/INVARIANTS.md I4).
 
+/// Whether `buf`, a write, is a seal's meta record: it ends in a
+/// segment header.
+pub fn is_meta_record(buf: &[u8]) -> bool {
+    let at = buf.len().wrapping_sub(H_LEN);
+    buf.len() >= H_LEN && header_valid(buf, at)
+}
+
 /// How long the choreography waits for a step before it calls the
 /// test failed (a broken protocol shows as a step that never comes).
 pub const PATIENCE: Duration = Duration::from_secs(20);
@@ -311,10 +423,12 @@ pub struct ParkState {
     /// `Some(true)` lets it go on, `Some(false)` fails it.
     pub verdict: Option<bool>,
     pub parked: usize,
-    /// Offset and length of each write that has returned, and the
-    /// barriers entered.
+    /// Offset and length of each write that has returned, the
+    /// barriers entered, and the writes that ended in a segment header
+    /// (each seal's meta record; docs/RECOVERY.md).
     pub writes: Vec<(u64, usize)>,
     pub flushes: usize,
+    pub metas: usize,
 }
 
 impl ParkState {
@@ -323,10 +437,9 @@ impl ParkState {
         self.writes.iter().any(|(at, _)| range.contains(at))
     }
 
-    /// The segment headers that have returned (each seal's first
-    /// write; docs/RECOVERY.md).
+    /// The seals whose meta record has returned.
     pub fn seals(&self) -> usize {
-        self.writes.iter().filter(|&&(_, len)| len == H_LEN).count()
+        self.metas
     }
 }
 
@@ -357,6 +470,7 @@ impl ParkDisk {
         st.thread = None;
         st.verdict = verdict;
         st.writes.clear();
+        st.metas = 0;
     }
 
     /// [`park`](Self::park)s the writes into `range` that are issued on
@@ -440,6 +554,7 @@ impl BlockDevice for ParkDisk {
         }
         self.inner.write_at(offset, buf)?;
         st.writes.push((offset, buf.len()));
+        st.metas += usize::from(is_meta_record(buf));
         self.cv.notify_all();
         Ok(())
     }

@@ -3,7 +3,10 @@
 //! the open slot are served from, and the checkpoint that bounds the
 //! log suffix now that a wrapping log no longer does.
 
-use ld_core::{CleanerConfig, ConcurrencyMode, Ctx, Lld, LldConfig, Position};
+use ld_core::{
+    CleanerConfig, ConcurrencyMode, Ctx, Lld, LldConfig, Position, SegField, SEGMENT_HEADER_LEN,
+    SEGMENT_MAGIC,
+};
 use ld_disk::{BlockDevice, MemDisk, SmallRng};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
@@ -75,10 +78,11 @@ fn flushes_fill_slots_before_taking_new_ones_at(mode: Mode) {
     }
     assert_eq!(ld.stats().segments_sealed, 10);
     assert_eq!(slots_in_use(&ld), 10u32.div_ceil(4));
-    // The last overwrite sits at blocks 5 and 6 of the third slot
-    // (sectors, counted from the slot's start, on 512-byte blocks).
+    // The last overwrite sits at blocks 3 and 4 of the third slot,
+    // behind the first segment's two and its trailer (sectors, counted
+    // from the slot's start, on 512-byte blocks).
     let addr = ld.block_info(b1).unwrap().addr.unwrap();
-    assert_eq!((addr.segment.get(), addr.sector, addr.sectors), (2, 6, 1));
+    assert_eq!((addr.segment.get(), addr.sector, addr.sectors), (2, 4, 1));
 
     let image = ld.into_device().into_image();
     let (ld2, report) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
@@ -289,7 +293,8 @@ fn a_nearly_full_disk_runs_a_bounded_number_of_rounds() {
 }
 
 /// A device that adds up the `summary_len` of every segment header
-/// written to it: a seal's header is its one 44-byte write.
+/// written to it: a seal's header ends its meta record, its second
+/// write.
 struct SummaryTally {
     inner: MemDisk,
     bytes: AtomicU64,
@@ -303,9 +308,11 @@ impl BlockDevice for SummaryTally {
         self.inner.read_at(offset, buf)
     }
     fn write_at(&self, offset: u64, buf: &[u8]) -> ld_disk::Result<()> {
-        if buf.len() == 44 {
-            let len = u32::from_le_bytes(buf[20..24].try_into().unwrap());
-            self.bytes.fetch_add(u64::from(len), Relaxed);
+        let header = &buf[buf.len().saturating_sub(SEGMENT_HEADER_LEN)..];
+        if header.len() == SEGMENT_HEADER_LEN && SegField::Magic.get(header) == SEGMENT_MAGIC {
+            let len = SegField::SummaryLen.get(header);
+            assert_eq!(buf.len() as u64, len + SEGMENT_HEADER_LEN as u64);
+            self.bytes.fetch_add(len, Relaxed);
         }
         self.inner.write_at(offset, buf)
     }

@@ -1,7 +1,7 @@
 //! Crash-recovery behaviour: all-or-nothing persistence of ARUs,
 //! torn-segment handling, checkpoints, and the consistency check.
 
-use ld_core::{ConcurrencyMode, Ctx, Lld, LldConfig, Position};
+use ld_core::{ConcurrencyMode, Ctx, Lld, LldConfig, Position, SegField, SEGMENT_HEADER_LEN};
 use ld_disk::{BlockDevice, DiskModel, FaultPlan, MemDisk, SimDisk};
 
 const BS: usize = 512;
@@ -400,19 +400,23 @@ fn flushed_commit_after_gap_survives_second_crash() {
     // *after* that recovery must survive the next crash — the gap is
     // refilled, not skipped, and the stale segment 3 behind it does not
     // link to the new segment 2. All of it inside one slot: the three
-    // segments sit back to back in slot 0.
+    // meta records sit back to back at the back of slot 0, a sector
+    // each, the header ending each.
     let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
     for byte in 1..=3u8 {
         ld.write(Ctx::Simple, b, &block(byte)).unwrap();
-        ld.flush().unwrap(); // seq 1, 2, 3 at blocks 0, 3, 6 of slot 0
+        ld.flush().unwrap(); // seq 1, 2, 3 with meta in sectors 15, 14, 13 of slot 0
     }
     assert_eq!(ld.n_segments() - ld.free_segments(), 1, "one slot in use");
     let mut image = ld.into_device().into_image();
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
-    let seq2 = layout.segment_offset(0) as usize + 3 * BS;
-    assert_eq!(image[seq2 + 8], 2, "segment 2's header is at block 3");
+    let header =
+        |sector: usize| layout.segment_offset(0) as usize + sector * BS - SEGMENT_HEADER_LEN;
+    let seq_at = SegField::Seq.at();
+    let seq2 = header(15);
+    assert_eq!(image[seq2 + seq_at], 2, "segment 2's header ends sector 14");
     image[seq2..seq2 + 32].fill(0);
 
     let (ld2, report) = Lld::recover(MemDisk::from_image(image)).unwrap();
@@ -427,8 +431,12 @@ fn flushed_commit_after_gap_survives_second_crash() {
     ld2.write(Ctx::Simple, b, &block(4)).unwrap();
     ld2.flush().unwrap();
     let image = ld2.into_device().into_image();
-    let seq3 = layout.segment_offset(0) as usize + 6 * BS;
-    assert_eq!(image[seq3 + 8], 3, "the stale segment 3 is still there");
+    let seq3 = header(14);
+    assert_eq!(
+        image[seq3 + seq_at],
+        3,
+        "the stale segment 3 is still there"
+    );
     let (ld3, report) = Lld::recover(MemDisk::from_image(image)).unwrap();
     assert_eq!(report.segments_replayed, 2, "the gap was refilled");
     let mut buf = block(0);

@@ -1,9 +1,11 @@
 //! The log chain's own failure modes. Recovery finds the suffix by
-//! following `next_slot` from the checkpoint's head — to the sector
-//! behind a segment's summary when that names the segment's own slot,
-//! to sector 0 of another slot otherwise — and accepts a segment only if
-//! its sequence number and `prev_link` fit, so these tests forge, tear
-//! and exhaust exactly those fields, inside a slot and across slots.
+//! following `next_slot` from the checkpoint's head — to the room behind
+//! a segment's data and below its meta record when that names the
+//! segment's own slot, to the ends of another slot otherwise — and
+//! accepts a segment only if its sequence number and `prev_link` fit and,
+//! above every watermark, its trailer holds its header's CRC, so these
+//! tests forge, tear and exhaust exactly those fields, inside a slot and
+//! across slots.
 
 mod common;
 
@@ -38,48 +40,6 @@ fn device_bytes(slots: u64) -> u64 {
     layout.data_start + slots * SEG as u64
 }
 
-/// Byte offset of `slot`, in the geometry the image's superblock names.
-fn seg_off(image: &[u8], slot: u32) -> usize {
-    let (layout, _, _) = ld_core::Layout::decode_superblock(image).unwrap();
-    layout.segment_offset(slot) as usize
-}
-
-/// Byte offset of sector `base` of `slot` (on 512-byte blocks, block
-/// `base`).
-fn pos_off(image: &[u8], (slot, base): (u32, u32)) -> usize {
-    seg_off(image, slot) + base as usize * SECTOR
-}
-
-/// Where the segment whose header is at `pos` says the log goes on:
-/// behind its own summary, or at sector 0 of another slot.
-fn successor(image: &[u8], pos: (u32, u32)) -> (u32, u32) {
-    let off = pos_off(image, pos);
-    let next = u32_at(image, off + H_NEXT);
-    if next != pos.0 {
-        return (next, 0);
-    }
-    (next, pos.1 + segment_sectors(image, off))
-}
-
-/// Positions of segments 1, 2, … of a log that starts at sector 0 of
-/// slot 0, found the way recovery finds them.
-fn chain(image: &[u8]) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    let (mut pos, mut link) = ((0, 0), 0);
-    while pos.0 != u32::MAX {
-        let off = pos_off(image, pos);
-        if !header_valid(image, off)
-            || u64_at(image, off + H_SEQ) != out.len() as u64 + 1
-            || u32_at(image, off + H_PREV) != link
-        {
-            break;
-        }
-        out.push(pos);
-        (pos, link) = (successor(image, pos), u32_at(image, off + H_CRC));
-    }
-    out
-}
-
 /// A `Write` record's extent field: first sector (counted from the
 /// slot's start) and sector count.
 fn extent(sector: u32, sectors: u32) -> u32 {
@@ -98,8 +58,9 @@ fn read_byte(ld: &Lld<MemDisk>, b: ld_core::BlockId) -> u8 {
 }
 
 /// One block overwritten and flushed `n` times: segments 1..=n, each a
-/// single `Write` record (the first also the allocation) and three
-/// blocks long, so five to a slot.
+/// single `Write` record (the first also the allocation), a data block
+/// and its trailer's sector from the front of the slot and a sector of
+/// metadata from the back, so five to a slot.
 fn image_with_segments(n: u8) -> (Vec<u8>, ld_core::BlockId) {
     let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
@@ -109,7 +70,13 @@ fn image_with_segments(n: u8) -> (Vec<u8>, ld_core::BlockId) {
         ld.flush().unwrap();
     }
     let image = ld.into_device().into_image();
-    let at: Vec<(u32, u32)> = (0..u32::from(n)).map(|i| (i / 5, i % 5 * 3)).collect();
+    let at: Vec<SegPos> = (0..u32::from(n))
+        .map(|i| SegPos {
+            slot: i / 5,
+            base: i % 5 * 2,
+            top: BPS as u32 - i % 5,
+        })
+        .collect();
     assert_eq!(chain(&image), at);
     (image, b)
 }
@@ -124,39 +91,40 @@ fn stale_successor_is_not_replayed() {
     for (n, in_slot) in [(2u8, true), (5, false)] {
         let (image, b) = image_with_segments(n);
         let tail = *chain(&image).last().unwrap();
-        let at = successor(&image, tail);
+        let at = tail.successor(&image);
         assert_eq!(
-            at.0 == tail.0,
+            at.slot == tail.slot,
             in_slot,
             "{n} segments: the tail points at {at:?}"
         );
-        let (from, to) = (pos_off(&image, tail), pos_off(&image, at));
+        let (from, to) = (tail.header(&image), at.header(&image));
         let next_seq = u64::from(n) + 1;
 
-        // The tail's three blocks, re-labelled as its successor. Its one
-        // record places the block by its sector in the slot, so the copy
-        // gets a data block of its own and a record that says so.
+        // The tail's meta record, re-labelled as its successor's. Its
+        // one record places the block by its sector in the slot, so the
+        // copy gets a data block of its own and a record that says so.
         let mut forged = image.clone();
-        forged.copy_within(from..from + 3 * BS, to);
-        forged[to + BS..to + 2 * BS].fill(9);
-        let records = summary_records(&forged, to);
+        forged.copy_within(from + H_LEN - BS..from + H_LEN, to + H_LEN - BS);
+        let data = at.data(&forged);
+        forged[data..data + BS].fill(9);
+        let records = summary_records(&forged, at);
         let [(ref record, Record::Write { block, ts, aru, .. })] = records[..] else {
             panic!("one `Write` record: {records:?}");
         };
-        let slot = extent(at.1 + 1, 1);
+        let slot = extent(at.base, 1);
         let write = encode(&Record::Write {
             block,
             slot,
             ts,
             aru,
         });
-        splice_summary(&mut forged, to, record.clone(), &write);
+        splice_summary(&mut forged, at, record.clone(), &write);
         forged[to + H_SEQ..to + H_SEQ + 8].copy_from_slice(&next_seq.to_le_bytes());
         put_u32(&mut forged, to + H_NEXT, u32::MAX);
         let link_of_tail = u32_at(&image, from + H_CRC);
 
         put_u32(&mut forged, to + H_PREV, link_of_tail ^ 1);
-        reseal(&mut forged, to);
+        reseal(&mut forged, at);
         assert!(header_valid(&forged, to));
         let (ld, report) = recover(&forged).unwrap();
         assert_eq!(report.segments_replayed, u32::from(n));
@@ -168,7 +136,7 @@ fn stale_successor_is_not_replayed() {
         assert_eq!(read_byte(&ld, b), n);
 
         put_u32(&mut forged, to + H_PREV, link_of_tail);
-        reseal(&mut forged, to);
+        reseal(&mut forged, at);
         let (ld, report) = recover(&forged).unwrap();
         assert_eq!(
             report.segments_replayed,
@@ -237,7 +205,7 @@ fn torn_newest_checkpoint_walks_from_the_older_head() {
 /// (c) A segment sealed while no slot was free and its own slot was
 /// used up carries no pointer. After space is freed the log goes on in
 /// whatever slot comes up, and recovery crosses that hop by probing
-/// block 0 of every slot for the one header that links on.
+/// the back of every slot for the one header that links on.
 #[test]
 fn log_continues_past_a_segment_sealed_on_a_full_disk() {
     let cfg = LldConfig {
@@ -318,8 +286,8 @@ fn log_continues_past_a_segment_sealed_on_a_full_disk() {
 
     let image = ld.into_device().into_image();
     let pointerless: Vec<u64> = (0..n)
-        .flat_map(|slot| (0..BPS as u32).map(move |base| (slot, base)))
-        .map(|pos| pos_off(&image, pos))
+        .flat_map(|slot| (1..=BPS as u32).map(move |top| (slot, top)))
+        .map(|(slot, top)| SegPos::first(&image, slot).sector(&image, top) - H_LEN)
         .filter(|&off| header_valid(&image, off) && u32_at(&image, off + H_NEXT) == u32::MAX)
         .map(|off| u64_at(&image, off + H_SEQ))
         .collect();
@@ -353,7 +321,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     let (image, b) = image_with_segments(12);
     let n = recover(&image).unwrap().0.n_segments();
     let at = chain(&image);
-    let tail = pos_off(&image, at[11]);
+    let tail = at[11].header(&image);
     assert_eq!(
         u32_at(&image, tail + H_NEXT),
         2,
@@ -362,7 +330,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     for ptr in [n, n + 5, u32::MAX - 1, 0, 1] {
         let mut hostile = image.clone();
         put_u32(&mut hostile, tail + H_NEXT, ptr);
-        reseal(&mut hostile, tail);
+        reseal(&mut hostile, at[11]);
         let got = recover(&hostile);
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
@@ -372,7 +340,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     }
     let mut pointerless = image.clone();
     put_u32(&mut pointerless, tail + H_NEXT, u32::MAX);
-    reseal(&mut pointerless, tail);
+    reseal(&mut pointerless, at[11]);
     let (ld, report) = recover(&pointerless).unwrap();
     assert_eq!(report.segments_replayed, 12);
     assert_eq!(read_byte(&ld, b), 12);
@@ -381,11 +349,11 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     // The walk ends at segment 10 (segment 11 no longer links to the
     // edited header), whose pointer names a slot the chain itself
     // occupies.
-    let mid = pos_off(&image, at[9]);
+    let mid = at[9].header(&image);
     assert_eq!(u32_at(&image, mid + H_NEXT), 2);
     let mut hostile = image.clone();
     put_u32(&mut hostile, mid + H_NEXT, 0);
-    reseal(&mut hostile, mid);
+    reseal(&mut hostile, at[9]);
     assert!(matches!(recover(&hostile), Err(LldError::Corrupt(_))));
 
     // The same segment claiming that the log goes on behind it, where
@@ -393,7 +361,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     // the log ends in front of it.
     let mut hostile = image.clone();
     put_u32(&mut hostile, mid + H_NEXT, 1);
-    reseal(&mut hostile, mid);
+    reseal(&mut hostile, at[9]);
     let (ld, report) = recover(&hostile).unwrap();
     assert_eq!(report.segments_replayed, 9);
     assert_eq!(read_byte(&ld, b), 9);
@@ -401,7 +369,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     // Records recomputed under valid CRCs, on the tail (a resealed
     // header changes the link its successor checks). Its one record
     // places the block at the segment's one data sector.
-    let records = summary_records(&image, tail);
+    let records = summary_records(&image, at[11]);
     let [(
         ref record,
         Record::Write {
@@ -414,7 +382,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     else {
         panic!("a `Write`: {records:?}");
     };
-    let data = at[11].1 + 1;
+    let data = at[11].base;
     assert_eq!(slot, extent(data, 1));
     // One sector past the segment's data area, in front of it, more
     // sectors than a block has, and where `Layout::block_offset` would
@@ -433,7 +401,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
             ts,
             aru,
         });
-        splice_summary(&mut hostile, tail, record.clone(), &write);
+        splice_summary(&mut hostile, at[11], record.clone(), &write);
         let got = recover(&hostile);
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
@@ -452,7 +420,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     });
     let mut hostile = image.clone();
     let end = record.end;
-    splice_summary(&mut hostile, tail, end..end, &link);
+    splice_summary(&mut hostile, at[11], end..end, &link);
     match recover(&hostile) {
         Err(LldError::Corrupt(msg)) => assert!(msg.contains("is already on list"), "{msg}"),
         other => panic!("second link: {:?}", other.map(|(_, r)| r)),
@@ -475,9 +443,8 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     }
 }
 
-/// (e) The scan phase reads once per hop inside a slot (the summary's
-/// read brings the next header along) and twice per hop into another,
-/// on a small device and on one sixteen times its size.
+/// (e) The scan phase reads a slot's metadata run, not a header per
+/// segment, on a small device and on one sixteen times its size.
 #[test]
 fn scan_reads_follow_the_suffix_not_the_device() {
     let mut seen = Vec::new();
@@ -498,9 +465,11 @@ fn scan_reads_follow_the_suffix_not_the_device() {
         // Outside the scan: one read of the superblock and both
         // (empty) checkpoint headers.
         let scan_reads = ld2.device().stats().snapshot().reads - 1;
-        // Ten summaries; a header of its own for the start of the log,
-        // for slot 1 and for the empty slot 2 where the log ends.
-        assert_eq!(scan_reads, 10 + 3, "{slots} slots");
+        assert_eq!(scan_reads, u64::from(report.scan_reads));
+        // Slot 0: a sector at the head, then the rest of its run. Slot
+        // 1's run and the empty slot 2's back, one read each. The
+        // trailer of segment 10, which no watermark covers.
+        assert_eq!(scan_reads, 2 + 1 + 1 + 1, "{slots} slots");
         assert_eq!(report.segments_scanned, report.segments_replayed + 1);
         seen.push(scan_reads);
     }
@@ -511,6 +480,15 @@ fn scan_reads_follow_the_suffix_not_the_device() {
 struct CountingDisk {
     inner: MemDisk,
     reads: ld_disk::Mutex<Vec<(u64, usize)>>,
+}
+
+impl CountingDisk {
+    fn new(image: &[u8]) -> Self {
+        CountingDisk {
+            inner: MemDisk::from_image(image.to_vec()),
+            reads: ld_disk::Mutex::new(Vec::new()),
+        }
+    }
 }
 
 impl ld_disk::BlockDevice for CountingDisk {
@@ -529,77 +507,62 @@ impl ld_disk::BlockDevice for CountingDisk {
     }
 }
 
-/// (e') The same walk in bytes, on 4 KiB blocks, over a log of sync
-/// commits of two full blocks each: a hop inside a slot transfers the
-/// summary rounded up to a sector and the successor's 44-byte header
-/// behind it, not the padding up to a block boundary (a segment's base
-/// counts sectors, so most headers sit in the middle of a block).
+/// (e') A suffix of 64 sync commits of two full 4 KiB blocks each, the
+/// `net_sync` row's, across two slots: the scan reads each slot's run
+/// of metadata in one or two reads and one trailer, at most six reads
+/// for the 64 segments (format 10 made one a segment, 64 and more). An
+/// empty suffix reads one sector, the probe at the head.
 #[test]
-fn an_in_slot_hop_reads_its_summary_and_the_next_header_only() {
+fn a_slot_s_summaries_are_read_in_one_run() {
     const BIG: usize = 4096;
     let cfg = LldConfig {
         block_size: BIG,
-        segment_bytes: 16 * BIG,
+        // 80 blocks: 35 of these segments to a slot, 18 sectors each.
+        segment_bytes: 80 * BIG,
         max_blocks: Some(256),
         max_lists: Some(64),
         ..LldConfig::default()
     };
-    let ld = Lld::format(MemDisk::new(4 << 20), &cfg).unwrap();
+    let ld = Lld::format(MemDisk::new(24 << 20), &cfg).unwrap();
+    assert!(ld.n_segments() > 64, "no checkpoint for the suffix bound");
     let l = ld.new_list(Ctx::Simple).unwrap();
     let pair = [(); 2].map(|()| ld.new_block(Ctx::Simple, l, Position::First).unwrap());
-    for generation in 1..=12u8 {
+    ld.checkpoint().unwrap();
+    let empty = ld.device().snapshot();
+    for generation in 1..=64u8 {
         let aru = ld.begin_aru().unwrap();
         for b in pair {
             ld.write(Ctx::Aru(aru), b, &[generation; BIG]).unwrap();
         }
-        ld.end_aru(aru).unwrap();
-        ld.flush().unwrap();
+        ld.end_aru_sync(aru).unwrap();
     }
+    assert_eq!(ld.free_segments(), ld.n_segments() - 2, "two slots");
     let image = ld.into_device().into_image();
-    let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
+    let layout = layout_of(&image);
 
-    // Every header on the medium, by its sequence number.
-    let headers: std::collections::HashMap<u64, usize> = (0..layout.n_segments)
-        .flat_map(|slot| (0..layout.sectors_per_slot()).map(move |s| (slot, s)))
-        .map(|(slot, s)| layout.segment_offset(slot) as usize + s as usize * SECTOR)
-        .filter(|&off| header_valid(&image, off))
-        .map(|off| (u64_at(&image, off + H_SEQ), off))
-        .collect();
-
-    let dev = CountingDisk {
-        inner: MemDisk::from_image(image.clone()),
-        reads: ld_disk::Mutex::new(Vec::new()),
+    // The reads recovery makes at or past slot 0: the scan's.
+    let scan = |image: &[u8]| {
+        let (ld, report) = Lld::recover_with(CountingDisk::new(image), &cfg).unwrap();
+        let reads = ld.device().reads.lock().clone();
+        let slots: Vec<(u64, usize)> = (reads.into_iter())
+            .filter(|&(at, _)| at >= layout.data_start)
+            .collect();
+        assert_eq!(slots.len(), report.scan_reads as usize, "{slots:?}");
+        (ld, report, slots)
     };
-    let (ld2, report) = Lld::recover_with(dev, &cfg).unwrap();
-    assert_eq!(report.segments_replayed, 12);
+    let (ld2, report, reads) = scan(&image);
+    assert_eq!(report.segments_replayed, 64);
+    assert!(reads.len() <= 6, "{} scan reads: {reads:?}", reads.len());
     let mut buf = vec![0u8; BIG];
     for b in pair {
         ld2.read(Ctx::Simple, b, &mut buf).unwrap();
-        assert!(buf.iter().all(|&x| x == 12));
+        assert!(buf.iter().all(|&x| x == 64));
     }
-    // An in-slot hop is the read that ends with the successor's header.
-    let reads = ld2.device().reads.lock().clone();
-    let (mut in_slot, mut mid_block) = (0, 0);
-    for (at, len) in reads {
-        let next = at as usize + len - H_LEN.min(len);
-        if len <= H_LEN || at < layout.data_start || !header_valid(&image, next) {
-            continue;
-        }
-        in_slot += 1;
-        mid_block += usize::from(!(next - layout.data_start as usize).is_multiple_of(BIG));
-        let header = headers[&(u64_at(&image, next + H_SEQ) - 1)];
-        let summary_len = u32_at(&image, header + H_SUMMARY_LEN) as usize;
-        let bound = summary_len.div_ceil(SECTOR) * SECTOR + H_LEN;
-        assert!(
-            len <= bound,
-            "the hop from the header at {header} reads {len} bytes, past {bound}"
-        );
-    }
-    assert!(in_slot >= 8, "{in_slot} in-slot hops");
-    assert!(
-        mid_block >= 4,
-        "{mid_block} headers in the middle of a block"
-    );
+
+    let (_, report, reads) = scan(&empty);
+    assert_eq!(report.segments_replayed, 0);
+    assert_eq!(reads.len(), 1, "{reads:?}");
+    assert_eq!(reads[0].1, SECTOR, "one sector at the head");
 }
 
 /// (e'') What a restart reads in front of the log: the superblock and
@@ -633,11 +596,7 @@ fn a_restart_reads_its_checkpoint_in_two_reads() {
     // The reads recovery makes in front of its first one at or past
     // slot 0, the checkpoint it loaded and that checkpoint's bytes.
     let front_reads = |image: &[u8]| {
-        let dev = CountingDisk {
-            inner: MemDisk::from_image(image.to_vec()),
-            reads: ld_disk::Mutex::new(Vec::new()),
-        };
-        let (ld2, report) = Lld::recover_with(dev, &cfg).unwrap();
+        let (ld2, report) = Lld::recover_with(CountingDisk::new(image), &cfg).unwrap();
         let reads = ld2.device().reads.lock().clone();
         let front: Vec<(u64, usize)> = (reads.into_iter())
             .take_while(|&(at, _)| at < layout.data_start)
@@ -673,23 +632,28 @@ fn a_restart_reads_its_checkpoint_in_two_reads() {
     );
 }
 
-/// (f) A crash tears a segment write in the middle of a slot, or loses
-/// one whole while its in-slot successor lands: the log ends in front
-/// of it, and what is flushed after that recovery survives the next
-/// crash.
+/// (f) A crash keeps the meta record of the last seal in the middle of
+/// a slot but not its body, or loses a seal whole while its in-slot
+/// successor lands: the log ends in front of it, and what is flushed
+/// after that recovery survives the next crash.
 #[test]
 fn torn_and_lost_segments_inside_a_slot_end_the_log() {
     let (image, b) = image_with_segments(4);
     let at = chain(&image);
-    let third = pos_off(&image, at[2]);
+    let (third, fourth) = (at[2], at[3]);
+    let meta =
+        |image: &[u8], pos: SegPos| pos.sector(image, pos.top - 1)..pos.sector(image, pos.top);
 
-    // Torn: the header and the data block landed, the summary did not.
+    // Torn: segment 3's meta record landed, its data block and trailer
+    // did not, and nothing of segment 4 did. No watermark covers 3.
     let mut torn = image.clone();
-    torn[third + 2 * BS..third + 3 * BS].fill(0xEE);
+    let body = third.data(&image)..third.trailer(&image) + SECTOR;
+    torn[body].fill(0xEE);
+    torn[meta(&image, fourth)].fill(0);
     // Lost: nothing of segment 3 landed; segment 4 behind it did.
     let mut lost = image.clone();
-    lost[third..third + 3 * BS].fill(0);
-    assert!(header_valid(&lost, pos_off(&lost, at[3])));
+    lost[meta(&image, third)].fill(0);
+    assert!(header_valid(&lost, fourth.header(&lost)));
 
     for (name, damaged, torn_tails) in [("torn", torn, 1), ("lost", lost, 0)] {
         let (ld, report) = recover(&damaged).unwrap();
@@ -697,8 +661,8 @@ fn torn_and_lost_segments_inside_a_slot_end_the_log() {
         assert_eq!(report.torn_tails_detected, torn_tails, "{name}");
         assert_eq!(read_byte(&ld, b), 2, "{name}");
         // Two flushed overwrites. The first refills the damaged
-        // position and ends where the stale segment 4 begins, which
-        // has the right sequence number and the wrong link; the second
+        // position and ends where segment 4 begins, which (lost) has
+        // the right sequence number and the wrong link; the second
         // lands on it.
         ld.write(Ctx::Simple, b, &block(7)).unwrap();
         ld.flush().unwrap();
@@ -715,10 +679,10 @@ fn torn_and_lost_segments_inside_a_slot_end_the_log() {
     }
 }
 
-/// (g) Format punches block 0 of every slot and nothing else, so the
-/// segments of the previous log further inside the slots stay on the
-/// medium. None of them is replayed: not on the empty disk, and not
-/// once the new log has written its way up to where they sit.
+/// (g) Format punches the header at the back of every slot and nothing
+/// else, so the segments of the previous log further inside the slots
+/// stay on the medium. None of them is replayed: not on the empty disk,
+/// and not once the new log has written its way up to where they sit.
 #[test]
 fn reformat_over_in_slot_segments_recovers_empty() {
     let (image, _) = image_with_segments(12);
@@ -727,8 +691,8 @@ fn reformat_over_in_slot_segments_recovers_empty() {
     let image = ld.into_device().into_image();
     let stale = at
         .iter()
-        .filter(|&&pos| header_valid(&image, pos_off(&image, pos)));
-    assert_eq!(stale.count(), 12 - 3, "all but the three at block 0");
+        .filter(|&&pos| header_valid(&image, pos.header(&image)));
+    assert_eq!(stale.count(), 12 - 3, "all but the three at a slot's back");
     let (ld, report) = recover(&image).unwrap();
     assert_eq!((report.segments_scanned, report.segments_replayed), (1, 0));
     assert_eq!(ld.allocated_block_count(), 0);
@@ -742,15 +706,16 @@ fn reformat_over_in_slot_segments_recovers_empty() {
     ld.flush().unwrap();
     let image = ld.into_device().into_image();
     assert_eq!(chain(&image).len(), 1);
-    let old = pos_off(&image, at[1]);
+    let old = at[1].header(&image);
     assert!(header_valid(&image, old) && u64_at(&image, old + H_SEQ) == 2);
     let (ld, report) = recover(&image).unwrap();
     assert_eq!((report.segments_scanned, report.segments_replayed), (2, 1));
     assert_eq!(read_byte(&ld, b), 0x77);
 }
 
-/// (h) The checkpoint's head names a sector inside a slot. One that
-/// leaves no room for a segment is a typed error; one that is in range
+/// (h) The checkpoint's head names a data base and a meta top inside a
+/// slot. One that leaves no room for a segment between the two, or
+/// whose top is past the slot, is a typed error; one that is in range
 /// keeps its slot out of the free set although nothing in the slot is
 /// live and nothing in it is replayed.
 #[test]
@@ -768,7 +733,12 @@ fn checkpoint_head_inside_a_slot() {
     let area = layout.ckpt_a as usize;
     let header = ckpt_header(&image, area);
     assert_eq!(u32_at(&image, header + C_HEAD_SLOT), 0);
-    assert_eq!(u32_at(&image, header + C_HEAD_BASE), 3, "behind segment 1");
+    assert_eq!(u32_at(&image, header + C_HEAD_BASE), 2, "behind segment 1");
+    assert_eq!(
+        u32_at(&image, header + C_HEAD_TOP),
+        BPS as u32 - 1,
+        "below it"
+    );
 
     let (ld, report) = recover(&image).unwrap();
     assert_eq!(report.segments_replayed, 0);
@@ -780,18 +750,37 @@ fn checkpoint_head_inside_a_slot() {
     let l = ld.new_list(Ctx::Simple).unwrap();
     ld.flush().unwrap();
     let image2 = ld.into_device().into_image();
-    assert_eq!(chain(&image2), [(0, 0), (0, 3)]);
+    assert_eq!(
+        chain(&image2),
+        [
+            SegPos::first(&image2, 0),
+            SegPos {
+                slot: 0,
+                base: 2,
+                top: BPS as u32 - 1
+            }
+        ]
+    );
     let (ld, _) = recover(&image2).unwrap();
     assert!(ld.list_blocks(Ctx::Simple, l).unwrap().is_empty());
 
-    for base in [BPS as u32 - 2, BPS as u32, u32::MAX] {
+    let top = BPS as u32 - 1;
+    for (base, top) in [
+        (top - 2, top),
+        (BPS as u32, top),
+        (u32::MAX, top),
+        (2, 4),
+        (2, BPS as u32 + 1),
+        (0, u32::MAX),
+    ] {
         let mut hostile = image.clone();
         put_u32(&mut hostile, header + C_HEAD_BASE, base);
+        put_u32(&mut hostile, header + C_HEAD_TOP, top);
         reseal_checkpoint(&mut hostile, area);
         let got = recover(&hostile);
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
-            "head base {base}: {:?}",
+            "head {base}..{top}: {:?}",
             got.map(|(_, r)| r)
         );
     }
@@ -824,7 +813,7 @@ fn timestamp_that_runs_backwards_is_corrupt() {
     ld.delete_block(Ctx::Simple, blocks[1]).unwrap();
     ld.flush().unwrap();
     let image = ld.into_device().into_image();
-    let tail = pos_off(&image, *chain(&image).last().unwrap());
+    let tail = *chain(&image).last().unwrap();
     let records = summary_records(&image, tail);
     let [(ref record, Record::DeleteBlock { block, aru, .. })] = records[..] else {
         panic!("one `DeleteBlock`: {records:?}");
@@ -853,20 +842,21 @@ fn timestamp_that_runs_backwards_is_corrupt() {
     );
 }
 
-/// An image of the previous formats (superblock version 9, 8, 7, 6, 5
-/// or 4, valid CRC) is refused by the version check, and the message
-/// names the version: it is not read as if its checkpoint headers sat
-/// next to the superblock, its summary records were varints, its
-/// checkpoint slabs sorted and bit-packed, its segment bases counted
-/// sectors or its segments were packed by sectors. The format-10 image
-/// it was patched from mounts.
+/// An image of the previous formats (superblock version 10, 9, 8, 7,
+/// 6, 5 or 4, valid CRC) is refused by the version check, and the
+/// message names the version: it is not read as if its segment metadata
+/// sat at the back of its slot, its checkpoint headers next to the
+/// superblock, its summary records were varints, its checkpoint slabs
+/// sorted and bit-packed, its segment bases counted sectors or its
+/// segments were packed by sectors. The format-11 image it was patched
+/// from mounts.
 #[test]
 fn older_format_version_is_refused() {
     let (image, b) = image_with_segments(1);
-    assert_eq!(u32_at(&image, 8), 10, "superblock version field");
-    let (ld, _) = recover(&image).expect("a format-10 image mounts");
+    assert_eq!(u32_at(&image, 8), 11, "superblock version field");
+    let (ld, _) = recover(&image).expect("a format-11 image mounts");
     assert_eq!(read_byte(&ld, b), 1);
-    for older in [9, 8, 7, 6, 5, 4] {
+    for older in [10, 9, 8, 7, 6, 5, 4] {
         let mut image = image.clone();
         put_u32(&mut image, 8, older);
         reseal_superblock(&mut image);
@@ -877,113 +867,4 @@ fn older_format_version_is_refused() {
             other => panic!("{:?}", other.map(|(_, r)| r)),
         }
     }
-}
-
-/// A device that keeps two media: one takes the writes as issued, the
-/// other each seal as one request, the way the trees before PR 26 wrote
-/// it. There a segment header is held back until its body follows a
-/// block further on, and the two go down as the header padded with
-/// zeros to its block, then the body.
-struct OneWriteSeals {
-    issued: MemDisk,
-    one: MemDisk,
-    header: ld_disk::Mutex<Option<(u64, Vec<u8>)>>,
-}
-
-impl ld_disk::BlockDevice for OneWriteSeals {
-    fn capacity(&self) -> u64 {
-        self.issued.capacity()
-    }
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> ld_disk::Result<()> {
-        self.issued.read_at(offset, buf)
-    }
-    fn write_at(&self, offset: u64, buf: &[u8]) -> ld_disk::Result<()> {
-        self.issued.write_at(offset, buf)?;
-        let mut held = self.header.lock();
-        if let Some((at, mut one)) = held.take() {
-            assert_eq!(offset, at + BS as u64, "a header's body follows it");
-            one.resize(BS, 0);
-            one.extend_from_slice(buf);
-            return self.one.write_at(at, &one);
-        }
-        if buf.len() == H_LEN && u64_at(buf, 0) == SEGMENT_MAGIC {
-            *held = Some((offset, buf.to_vec()));
-            return Ok(());
-        }
-        self.one.write_at(offset, buf)
-    }
-    fn flush(&self) -> ld_disk::Result<()> {
-        assert!(self.header.lock().is_none(), "a seal's body never came");
-        Ok(())
-    }
-}
-
-/// (j) Format 5 as the trees before PR 26 wrote it, each seal one write
-/// with its header padded with zeros to a block, recovers to the state
-/// the two-write seal leaves, on a medium whose header blocks held stale
-/// bytes: the images differ only in that padding, which no reader looks
-/// at, and the format did not change.
-#[test]
-fn an_image_of_single_write_seals_recovers_the_same() {
-    let mut cfg = config();
-    cfg.cleaner = CleanerConfig {
-        background: false, // one writer: a header's body follows it
-        ..cfg.cleaner
-    };
-    let stale = vec![0xEE; device_bytes(16) as usize];
-    let dev = OneWriteSeals {
-        issued: MemDisk::from_image(stale.clone()),
-        one: MemDisk::from_image(stale),
-        header: ld_disk::Mutex::new(None),
-    };
-    let ld = Lld::format(dev, &cfg).unwrap();
-    let l = ld.new_list(Ctx::Simple).unwrap();
-    let ring = churn_ring(&ld, l, None);
-    for (i, &b) in ring.iter().cycle().take(40).enumerate() {
-        ld.write(Ctx::Simple, b, &block(i as u8)).unwrap();
-        match i % 9 {
-            4 => ld.flush().unwrap(),
-            8 => ld.checkpoint().unwrap(),
-            _ => {}
-        }
-        if i % 5 == 0 {
-            let aru = ld.begin_aru().unwrap();
-            let nb = ld.new_block(Ctx::Aru(aru), l, Position::First).unwrap();
-            ld.write(Ctx::Aru(aru), nb, &block(0xA0 + i as u8)).unwrap();
-            ld.end_aru(aru).unwrap();
-        }
-    }
-    ld.flush().unwrap();
-    let dev = ld.into_device();
-    let (two, one) = (dev.issued.into_image(), dev.one.into_image());
-
-    let headers = chain(&two);
-    assert!(headers.len() > 8, "{headers:?}");
-    assert_eq!(chain(&one), headers);
-    let padding: Vec<_> = (headers.iter())
-        .map(|&pos| pos_off(&two, pos))
-        .map(|off| off + H_LEN..off + BS)
-        .collect();
-    let differ: Vec<usize> = (0..two.len()).filter(|&i| two[i] != one[i]).collect();
-    assert!(differ.iter().all(|i| padding.iter().any(|p| p.contains(i))));
-    assert_eq!(
-        differ.len(),
-        headers.len() * (BS - H_LEN),
-        "stale against zeros"
-    );
-
-    let state = |image: &[u8]| {
-        let (ld, report) = recover(image).unwrap();
-        let blocks = ld.list_blocks(Ctx::Simple, l).unwrap();
-        let bytes: Vec<u8> = blocks.iter().map(|&b| read_byte(&ld, b)).collect();
-        (
-            blocks,
-            bytes,
-            report.segments_replayed,
-            report.checkpoint_seq,
-        )
-    };
-    let got = state(&two);
-    assert!(got.2 > 0, "a suffix to replay: {got:?}");
-    assert_eq!(state(&one), got);
 }

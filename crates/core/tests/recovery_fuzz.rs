@@ -6,9 +6,9 @@
 //! on 4 KiB blocks a sector a grown block left free and another block
 //! filled (docs/INVARIANTS.md I5) — and
 //! flips 1–4 bits in it. Two differ in their block size: on 512-byte
-//! blocks a sector is a block, on 4 KiB blocks most in-slot headers sit
-//! in the middle of a block, right behind the summary in front of them
-//! (a segment's base counts sectors). The third is in `Sequential`
+//! blocks a sector is a block, on 4 KiB blocks most headers end in the
+//! middle of a block, right behind the meta record of the segment in
+//! front of them (a slot's metadata run counts sectors). The third is in `Sequential`
 //! mode, with no tagged commit. The checkpoint recovery loads was asked
 //! for while an ARU was open: a concurrent one with a shadow write,
 //! which it does not hold, or a sequential one, whose operations are in
@@ -69,6 +69,17 @@
 //! identifier, or the summary ends inside it. Each must be
 //! [`LldError::Corrupt`]. A hostile `Write` extent is spliced the same
 //! way, through `Record::encode`.
+//!
+//! Format 11's kinds reach the metadata run and the watermark: a
+//! replayed header's `covered` distance set to claim itself (0), the
+//! segment before it (1) or anything, under its recomputed CRC and
+//! trailer; a replayed segment's trailer zeroed or forged; a meta record
+//! whose sectors reach into its own data area or trailer; and a
+//! checkpoint head whose meta position is outside its slot or leaves no
+//! room behind its base. The first three end in a disk that checks —
+//! the log ends where a header or trailer is refused, and a claim that
+//! covers a body that did land replays it — and the last in
+//! [`LldError::Corrupt`].
 //!
 //! About 200 cases in tier-1; `RECOVERY_FUZZ_CASES=n` runs more (CI:
 //! 5,000 in release mode). A failure prints `RECOVERY_FUZZ_SEED=n`, and
@@ -134,22 +145,25 @@ struct Base {
     config: LldConfig,
     image: Vec<u8>,
     layout: Layout,
-    /// Byte offsets of the valid segment headers, sector 0 of a slot or
-    /// inside one.
+    /// Byte offsets of the valid segment headers, each ending a sector
+    /// of its slot.
     headers: Vec<usize>,
     /// The checkpoint area recovery loads (the newer).
     newer: usize,
+    /// The segments recovery replays.
+    chain: Vec<SegPos>,
     /// The records of the segments recovery replays, each with its
-    /// segment's header and its byte range, where the summary leaves
-    /// [`SLACK`] bytes in its last sector: room for a longer field.
-    replayed: Vec<(usize, std::ops::Range<usize>, Record)>,
+    /// segment's position and its byte range, where the meta record
+    /// leaves [`SLACK`] bytes in its first sector: room for a longer
+    /// field.
+    replayed: Vec<(SegPos, std::ops::Range<usize>, Record)>,
     /// One more than the highest slot holding a segment.
     used_slots: u32,
 }
 
 impl Base {
     /// The `Write` records of [`replayed`](Self::replayed).
-    fn replayed_writes(&self) -> Vec<&(usize, std::ops::Range<usize>, Record)> {
+    fn replayed_writes(&self) -> Vec<&(SegPos, std::ops::Range<usize>, Record)> {
         (self.replayed.iter())
             .filter(|r| matches!(r.2, Record::Write { .. }))
             .collect()
@@ -163,37 +177,18 @@ const S_BLOCK_SIZE: usize = 12;
 /// place of a 1-byte one.
 const SLACK: usize = 16;
 
-/// The headers of the segments recovery replays behind the checkpoint
-/// at `area`, found the way recovery walks the chain (a hop with no
-/// pointer ends the walk here).
-fn replayed_chain(image: &[u8], layout: &Layout, area: usize) -> Vec<usize> {
+/// The segments recovery replays behind the checkpoint at `area`,
+/// found the way recovery walks the chain (a hop with no pointer ends
+/// the walk here).
+fn replayed_chain(image: &[u8], area: usize) -> Vec<SegPos> {
     let header = ckpt_header(image, area);
-    let (mut slot, mut base) = (
-        u32_at(image, header + C_HEAD_SLOT),
-        u32_at(image, header + C_HEAD_BASE),
-    );
-    let (mut link, mut seq) = (
-        u32_at(image, header + C_LINK),
-        u64_at(image, header + C_SEQ),
-    );
-    let mut out = Vec::new();
-    while slot < layout.n_segments {
-        let off = layout.segment_offset(slot) as usize + base as usize * SECTOR;
-        if !header_valid(image, off)
-            || u64_at(image, off + H_SEQ) != seq + 1
-            || u32_at(image, off + H_PREV) != link
-        {
-            break;
-        }
-        out.push(off);
-        let next = u32_at(image, off + H_NEXT);
-        (slot, base) = match next == slot {
-            true => (slot, base + segment_sectors(image, off)),
-            false => (next, 0),
-        };
-        (link, seq) = (u32_at(image, off + H_CRC), seq + 1);
-    }
-    out
+    let head = SegPos {
+        slot: u32_at(image, header + C_HEAD_SLOT),
+        base: u32_at(image, header + C_HEAD_BASE),
+        top: u32_at(image, header + C_HEAD_TOP),
+    };
+    let seq = u64_at(image, header + C_SEQ) + 1;
+    walk(image, head, u32_at(image, header + C_LINK), seq)
 }
 
 /// `v` as an unsigned LEB128 varint.
@@ -378,13 +373,13 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
 
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let headers: Vec<usize> = (0..layout.n_segments)
-        .flat_map(|slot| (0..layout.sectors_per_slot()).map(move |base| (slot, base)))
-        .map(|(slot, base)| layout.segment_offset(slot) as usize + base as usize * SECTOR)
+        .flat_map(|slot| (1..=layout.sectors_per_slot()).map(move |top| (slot, top)))
+        .map(|(slot, top)| layout.segment_offset(slot) as usize + top as usize * SECTOR - H_LEN)
         .filter(|&off| header_valid(&image, off))
         .collect();
     let mid_block = headers
         .iter()
-        .filter(|&&off| !off.is_multiple_of(block_size))
+        .filter(|&&off| !(off + H_LEN).is_multiple_of(block_size))
         .count();
     assert_eq!(
         mid_block > 8,
@@ -408,11 +403,11 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
         report.checkpoint_seq,
         "area B"
     );
-    let chain = replayed_chain(&image, &layout, newer);
+    let chain = replayed_chain(&image, newer);
     assert_eq!(chain.len(), report.segments_replayed as usize);
     let replayed: Vec<_> = (chain.iter())
         .filter(|&&h| {
-            let len = summary_range(&image, h).len();
+            let len = H_LEN + summary_range(&image, h).len();
             len.div_ceil(SECTOR) * SECTOR - len >= SLACK
         })
         .flat_map(|&h| {
@@ -436,6 +431,7 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
         layout,
         headers,
         newer,
+        chain,
         replayed,
         used_slots,
     }
@@ -461,15 +457,17 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
     let mut image = base.image.clone();
     let layout = &base.layout;
     let block_sectors = layout.sectors_per_block();
-    // The last base a slot has room behind: a header sector, a block and
-    // a sector of summary.
-    let last_base = layout.sectors_per_slot() - 2 - block_sectors;
     let area = [layout.ckpt_a, layout.ckpt_b][rng.below(2)] as usize;
     let ckpt = ckpt_header(&image, area);
     let newer = ckpt_header(&image, base.newer);
+    // The last base the newer checkpoint's head has room behind, below
+    // its top: a block, the trailer's sector and a sector of metadata.
+    let head_top = u32_at(&image, newer + C_HEAD_TOP);
+    let last_base = head_top - 2 - block_sectors;
     let header = base.headers[rng.below(base.headers.len())];
-    let summary = summary_range(&image, header);
-    let kind = rng.below(29);
+    let summary = header - u32_at(&image, header + H_SUMMARY_LEN) as usize..header;
+    let segment = base.chain[rng.below(base.chain.len())];
+    let kind = rng.below(33);
     let what = match kind {
         0 => {
             flip(&mut image, 0..S_CRC + 4, &mut rng);
@@ -491,17 +489,21 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             format!("raw: segment header at {header}")
         }
         4 => {
-            flip(&mut image, header + SECTOR..summary.end, &mut rng);
-            format!("raw: segment body at {header}")
+            let (data, trailer) = (segment.data(&image), segment.trailer(&image));
+            let range = [summary, data..trailer + TRAILER_LEN][rng.below(2)].clone();
+            flip(&mut image, range.clone(), &mut rng);
+            format!("raw: segment meta or body at {range:?}")
         }
         5 | 6 => {
             flip(&mut image, header + H_SEQ..header + H_CRC, &mut rng);
-            reseal(&mut image, header);
+            reseal_header(&mut image, header);
             format!("resealed: segment header at {header}")
         }
         7 => {
-            flip(&mut image, summary, &mut rng);
-            reseal_summary(&mut image, header);
+            flip(&mut image, summary.clone(), &mut rng);
+            let crc = ld_disk::crc32(&image[summary]);
+            put_u32(&mut image, header + H_SUMMARY_CRC, crc);
+            reseal_header(&mut image, header);
             format!("resealed: summary at {header}")
         }
         8 => {
@@ -600,14 +602,15 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
                 unreachable!()
             };
             let (sector, sectors) = (slot >> 8, slot & 0xFF);
-            // The data area starts at the sector behind the header's.
-            let start =
-                ((header - layout.data_start as usize) % layout.segment_bytes / SECTOR) as u32 + 1;
-            let end = start + u32_at(&image, header + H_N_SECTORS);
+            let start = header.base;
+            let end = start + u32_at(&image, header.header(&image) + H_N_SECTORS);
             let too_many = block_sectors + 1 + rng.below(255 - block_sectors as usize) as u32;
+            // A data area at the slot's first sector has nothing in
+            // front of it in the slot: past its end instead.
+            let in_front = start.checked_sub(1).unwrap_or(end);
             let hostile = [
                 end << 8 | 1,
-                (start - 1) << 8 | 1,
+                in_front << 8 | 1,
                 sector << 8 | too_many,
                 u32::MAX,
             ][rng.below(4)];
@@ -618,7 +621,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
                 aru,
             });
             splice_summary(&mut image, *header, range.clone(), &write);
-            format!("hostile: write extent {sector}+{sectors} as {hostile:#x} at {header}")
+            format!("hostile: write extent {sector}+{sectors} as {hostile:#x} at {header:?}")
         }
         14 => {
             // The sector-count column of a slab recovery loads: every
@@ -659,10 +662,10 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
         17 => {
             // C8: a checkpoint head with no room for a segment behind it.
             let slot = layout.sectors_per_slot();
-            let head = [last_base + 1, slot - 1, slot, u32::MAX][rng.below(4)];
+            let head = [last_base + 1, head_top - 1, slot, u32::MAX][rng.below(4)];
             put_u32(&mut image, newer + C_HEAD_BASE, head);
             reseal_checkpoint(&mut image, base.newer);
-            format!("hostile: checkpoint head at sector {head}")
+            format!("hostile: checkpoint head at sector {head} below {head_top}")
         }
         19 => {
             // The bit-packed rows of one slab, behind its descriptors:
@@ -679,12 +682,62 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
         }
         18 => {
             // Format 7's head: each sector from one before the last base
-            // a slot has room behind to one past the slot's end.
+            // the head's top has room behind to one past the slot's end.
             let span = layout.sectors_per_slot() + 3 - last_base;
             let head = last_base - 1 + rng.below(span as usize) as u32;
             put_u32(&mut image, newer + C_HEAD_BASE, head);
             reseal_checkpoint(&mut image, base.newer);
             format!("resealed: checkpoint head at sector {head}, last base {last_base}")
+        }
+        29 => {
+            // Format 11: a watermark that claims the segment itself, the
+            // one before it, or anything, on a replayed segment.
+            let at = segment.header(&image);
+            let seq = u64_at(&image, at + H_SEQ);
+            let delta = [0, 1, rng.below(1 << 20) as u32, u32::MAX][rng.below(4)];
+            put_u32(&mut image, at + H_COVERED, delta);
+            reseal(&mut image, segment);
+            format!("hostile: segment {seq} covers back {delta} at {segment:?}")
+        }
+        30 => {
+            // A replayed segment's trailer: zeros, or another CRC.
+            let trailer = segment.trailer(&image);
+            let forged = [0, rng.below(u32::MAX as usize) as u32][rng.below(2)];
+            put_u32(&mut image, trailer, forged);
+            format!("hostile: trailer {forged:#x} at {segment:?}")
+        }
+        31 => {
+            // A meta record that reaches into its data area or trailer:
+            // a summary or a data area as long as the room between them,
+            // or longer.
+            let at = segment.header(&image);
+            let room = segment.top - segment.base;
+            let (field, value) = match rng.below(2) {
+                0 => {
+                    let sectors = room - 1 + rng.below(3) as u32;
+                    (H_SUMMARY_LEN, sectors * SECTOR as u32 - H_LEN as u32 + 1)
+                }
+                _ => (H_N_SECTORS, room - 1 + rng.below(3) as u32),
+            };
+            put_u32(&mut image, at + field, value);
+            reseal_header(&mut image, at);
+            format!("hostile: field at {field} set to {value} in {room} sectors at {segment:?}")
+        }
+        32 => {
+            // C8: a checkpoint head whose meta position is outside its
+            // slot, or leaves no room above its base.
+            let slot = layout.sectors_per_slot();
+            let head_base = u32_at(&image, newer + C_HEAD_BASE);
+            let top = [
+                slot + 1,
+                slot + 1 + rng.below(1 << 16) as u32,
+                u32::MAX,
+                head_base + 1 + block_sectors,
+                head_base,
+            ][rng.below(5)];
+            put_u32(&mut image, newer + C_HEAD_TOP, top);
+            reseal_checkpoint(&mut image, base.newer);
+            format!("hostile: checkpoint head top {top}, base {head_base}, of {slot}")
         }
         _ => {
             // C8, format 9: one field of a replayed record in no
@@ -701,12 +754,12 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
                 false => range.clone(),
             };
             splice_summary(&mut image, *header, range, &bytes);
-            format!("hostile: {what} at {header}")
+            format!("hostile: {what} at {header:?}")
         }
     };
     let oracle = match kind {
         9 | 10 | 12 | 19 | 25 => Oracle::Returns,
-        13..=15 | 17 | 20..=24 => Oracle::Corrupt,
+        13..=15 | 17 | 20..=24 | 32 => Oracle::Corrupt,
         _ => Oracle::Whole,
     };
     (image, what, oracle)

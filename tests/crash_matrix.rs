@@ -30,8 +30,8 @@ use ld_aru::workload::pattern_fill;
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 use common::{
-    crash_seeds, random_cut, sim_disk, u64_at, ParkDisk, ReleaseOnDrop, H_LEN, H_SEQ, SECTOR,
-    SEGMENT_MAGIC,
+    crash_seeds, is_meta_record, random_cut, sim_disk, u64_at, ParkDisk, ReleaseOnDrop, H_CRC,
+    H_LEN, H_SEQ, SECTOR, TRAILER_LEN,
 };
 #[path = "../crates/core/tests/common/model.rs"]
 mod model;
@@ -649,21 +649,22 @@ fn power_cut_sweep_is_all_or_nothing_eight_shards() {
 // ----------------------------------------------------------------------
 
 /// The unflushed seals on `dev` in log order, each as the places in
-/// issue order of its two writes: the header (`H_LEN` bytes, `seq` at
-/// byte 8) and the body a sector behind it (docs/RECOVERY.md). Every
-/// pending write is half of one. With `cleanerd` writing the seals
-/// handed to it the device may see segment N after N + 1.
+/// the pending writes of its two: the meta record, which ends in the
+/// header, and the body, whose last 4 bytes — the trailer — hold that
+/// header's CRC (docs/RECOVERY.md). Every pending write is half of one.
+/// With `cleanerd` writing the seals handed to it the device may see
+/// segment N after N + 1.
 fn seals_in_log_order(dev: &SimDisk<MemDisk>) -> Vec<[usize; 2]> {
     let pending = dev.pending();
-    let is_header = |bytes: &[u8]| bytes.len() == H_LEN && u64_at(bytes, 0) == SEGMENT_MAGIC;
     let mut seals: Vec<(u64, [usize; 2])> = (pending.iter().enumerate())
-        .filter(|(_, (_, bytes))| is_header(bytes))
-        .map(|(h, (at, bytes))| {
-            let body_at = at + SECTOR as u64;
-            let body = (pending.iter().enumerate().skip(h + 1))
-                .position(|(_, (off, bytes))| *off == body_at && !is_header(bytes))
-                .unwrap_or_else(|| panic!("the header at {at} has no body behind it"));
-            (u64_at(bytes, H_SEQ), [h, h + 1 + body])
+        .filter(|(_, (_, bytes))| is_meta_record(bytes))
+        .map(|(meta, (at, bytes))| {
+            let header = &bytes[bytes.len() - H_LEN..];
+            let crc = &header[H_CRC..];
+            let body = (pending.iter())
+                .position(|(_, bytes)| bytes.len() % SECTOR == TRAILER_LEN && bytes.ends_with(crc))
+                .unwrap_or_else(|| panic!("the meta record at {at} has no body"));
+            (u64_at(header, H_SEQ), [meta, body])
         })
         .collect();
     assert_eq!(
@@ -689,8 +690,8 @@ fn seals_in_log_order(dev: &SimDisk<MemDisk>) -> Vec<[usize; 2]> {
 /// The device is large enough that the log never wraps (the cuts that
 /// reach a wrapping log are those of the byte-budget sweeps above and
 /// of `mixed_extent_seals_are_all_or_nothing_under_power_cuts`). A seal
-/// is two writes, header and body, and a cut keeps either without the
-/// other too.
+/// is two writes, body and meta record, and a cut keeps either without
+/// the other too.
 ///
 /// Repro of one seed: `CRASH_SEED=<seed> cargo test --test crash_matrix reordered`.
 #[test]
@@ -762,7 +763,9 @@ const SEAL_BS: usize = 512;
 /// `gen + i` for the `i`th, until one of them seals a segment. Returns
 /// the last unit whose commit record the sealed segment holds: the one
 /// before the unit that sealed it, since a seal happens when something
-/// does not fit and that unit's commit record goes to the next segment.
+/// does not fit and that unit's commit record goes to the next segment
+/// (its first block may stay in the sealed one, or not: where the seal
+/// falls depends on the room the segment started with).
 fn units_until_a_seal<D: BlockDevice>(
     m: &mut Model,
     ld: &Lld<D>,
@@ -781,24 +784,35 @@ fn units_until_a_seal<D: BlockDevice>(
     panic!("{} units sealed no segment", pairs.len());
 }
 
-/// A seal is two writes, the header at its base and then the body
-/// (docs/RECOVERY.md, "What a segment's base holds until its seal
-/// lands"), and a device that reorders may keep either without the
-/// other. Per shard count, on the default cleaner: flush a state, then
-/// commit two-block units until a segment seals, and cut keeping each
-/// subset of that seal's two writes. Recovery gives the flushed state,
-/// or with both writes that state plus every unit whose commit record
-/// the segment holds; never half a unit (the unit that sealed it has
-/// blocks in it and its commit record behind it).
+/// A seal is two writes, the body — data area and trailer — at its base
+/// and the meta record — summary and header — at the back of its slot
+/// (docs/RECOVERY.md, "Segment metadata at the back of the slot"), and a
+/// device that reorders may keep either without the other. Per shard
+/// count, on the default cleaner: flush a state, then commit two-block
+/// units until a segment seals, and cut keeping each subset of that
+/// seal's two writes. The seal is above every watermark a header
+/// records, so a meta record alone is refused by its trailer. Recovery
+/// gives the flushed state, or with both writes that state plus every
+/// unit whose commit record the segment holds; never half a unit.
 ///
-/// Then the abandoned timeline. Only the header landed; the disk
+/// Below the watermark: a flush, whose barrier vouches for the seals in
+/// front of it, then a seal whose header records that: each subset of
+/// its writes over seals whose trailers nobody reads.
+///
+/// Straddling two seals: the unit that sealed N has its blocks in N and
+/// its commit record in N + 1, and both seals are unflushed. A cut that
+/// keeps N and only the meta record of N + 1 refuses N + 1 by its
+/// trailer and so drops that unit whole; one that keeps N + 1 and only
+/// N's meta record ends the log in front of N.
+///
+/// Then the abandoned timeline. Only the meta record landed; the disk
 /// recovered from that writes a segment with the same `seq` at the same
-/// base, with other contents, and only its body lands. The stale header
-/// links where the new one would, and validates only over the summary
-/// it was sealed with: the log ends in front of it.
+/// position, with other contents, and only its body lands. The stale
+/// header links where the new one would, and its trailer holds the new
+/// header's CRC, not its own: the log ends in front of it.
 ///
-/// The medium is not zeroed first: where a header-only cut looks for a
-/// summary it finds stale bytes, as on a disk that has been written.
+/// The medium is not zeroed first: where a cut looks for what it did
+/// not keep it finds stale bytes, as on a disk that has been written.
 #[test]
 fn a_seal_is_all_or_nothing_under_any_subset_of_its_two_writes() {
     for shards in [8, 1] {
@@ -806,9 +820,10 @@ fn a_seal_is_all_or_nothing_under_any_subset_of_its_two_writes() {
     }
 }
 
-fn two_write_seal(shards: usize) {
-    let cfg = small_config((true, shards), SEAL_BS, 16);
-    let ld = Lld::format(sim_disk(vec![0xA5; 4 << 20]), &cfg).unwrap();
+/// A disk with twelve two-block pairs written and flushed, and its
+/// model.
+fn flushed_pairs(cfg: &LldConfig) -> (Lld<SimDisk<MemDisk>>, Model, Vec<Vec<BlockId>>) {
+    let ld = Lld::format(sim_disk(vec![0xA5; 4 << 20]), cfg).unwrap();
     let mut m = Model::default();
     let list = m.new_list(&ld, Ctx::Simple).unwrap();
     // More blocks than a segment holds: every unit appends.
@@ -817,6 +832,43 @@ fn two_write_seal(shards: usize) {
         m.write(&ld, Ctx::Simple, b, &[1; SEAL_BS]).unwrap();
     }
     m.flush(&ld).unwrap();
+    (ld, m, pairs)
+}
+
+fn two_write_seal(shards: usize) {
+    let cfg = small_config((true, shards), SEAL_BS, 16);
+    let recovered = |image: Vec<u8>, m: &Model, at: &str| {
+        let (ld2, _) =
+            Lld::recover_with(sim_disk(image), &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
+        let k = m.check(&ld2, at);
+        (ld2, k)
+    };
+    // Each subset of the one pending seal's writes on `dev`: `before`
+    // units without both, `with` with them.
+    let subsets = |dev: &SimDisk<MemDisk>, m: &Model, before: usize, with: usize, at: &str| {
+        let seals = seals_in_log_order(dev);
+        assert_eq!(seals.len(), 1, "{at}: one seal since the flush");
+        let [meta, body] = seals[0];
+        for (kept, want) in [
+            ("neither write", before),
+            ("the meta record", before),
+            ("the body", before),
+            ("both writes", with),
+        ] {
+            let keep = |i| match kept {
+                "the meta record" => i == meta,
+                "the body" => i == body,
+                "both writes" => true,
+                _ => false,
+            };
+            let at = format!("shards {shards}, {at}, a cut that keeps {kept}");
+            assert_eq!(recovered(dev.crash_keeping(keep), m, &at).1, want, "{at}");
+        }
+        [meta, body]
+    };
+
+    // Above the watermark.
+    let (ld, mut m, pairs) = flushed_pairs(&cfg);
     let flushed = m.durable();
     let whole = units_until_a_seal(&mut m, &ld, &pairs, 0, 2);
     assert!(
@@ -825,57 +877,86 @@ fn two_write_seal(shards: usize) {
     );
     let handed_off = ld.stats().seals_handed_off;
     let dev = ld.into_device(); // `cleanerd` writes what it was handed first
-    let seals = seals_in_log_order(&dev);
-    assert_eq!(seals.len(), 1, "shards {shards}: one seal since the flush");
-    let [header, body] = seals[0];
+    let [meta, _] = subsets(&dev, &m, flushed, whole, "above the watermark");
 
-    let recovered = |image: Vec<u8>, m: &Model, at: &str| {
-        let (ld2, _) =
-            Lld::recover_with(sim_disk(image), &cfg).unwrap_or_else(|e| panic!("{at}: {e}"));
-        let k = m.check(&ld2, at);
-        (ld2, k)
-    };
-    for (kept, want) in [
-        ("neither write", flushed),
-        ("the header", flushed),
-        ("the body", flushed),
-        ("both writes", whole),
+    // Below it.
+    {
+        let (ld, mut m, pairs) = flushed_pairs(&cfg);
+        units_until_a_seal(&mut m, &ld, &pairs, 0, 2);
+        m.flush(&ld).unwrap();
+        let flushed = m.durable();
+        let whole = units_until_a_seal(&mut m, &ld, &pairs, 3, 20);
+        assert!(whole > flushed, "shards {shards}: below");
+        subsets(&ld.into_device(), &m, flushed, whole, "below the watermark");
+    }
+
+    // Straddling two unflushed seals. One-block units in front of them,
+    // each flushed, move where the first seal falls (two-block units
+    // alone keep the room a segment starts with odd in sectors), until it
+    // falls inside a unit: the cut that keeps that seal alone then
+    // discards the unit it holds a part of.
+    let straddling = (0..4).find_map(|lead| {
+        let (ld, mut m, pairs) = flushed_pairs(&cfg);
+        for p in &pairs[..lead] {
+            unit(&mut m, &ld, &p[..1], |_| vec![3; SEAL_BS]).unwrap();
+            m.flush(&ld).unwrap();
+        }
+        m.flush(&ld).unwrap();
+        let before = m.durable();
+        let in_first = units_until_a_seal(&mut m, &ld, &pairs, 0, 4);
+        let in_both = units_until_a_seal(&mut m, &ld, &pairs, 5, 30);
+        let dev = ld.into_device();
+        let seals = seals_in_log_order(&dev);
+        assert_eq!(seals.len(), 2, "shards {shards}: two seals since the flush");
+        let first = dev.crash_keeping(|i| seals[0].contains(&i));
+        let (_, report) = Lld::recover_with(sim_disk(first), &cfg).unwrap();
+        (report.discarded_arus > 0).then_some((dev, m, seals, [before, in_first, in_both]))
+    });
+    let (dev2, m2, seals, [before, in_first, in_both]) =
+        straddling.unwrap_or_else(|| panic!("shards {shards}: no seal fell inside a unit"));
+    assert!(in_both > in_first, "shards {shards}: the second seal");
+    let ([meta1, body1], [meta2, body2]) = (seals[0], seals[1]);
+    for (kept, writes, want) in [
+        (
+            "the first and the second's meta record",
+            vec![meta1, body1, meta2],
+            in_first,
+        ),
+        (
+            "the second and the first's meta record",
+            vec![meta1, meta2, body2],
+            before,
+        ),
+        ("both", vec![meta1, body1, meta2, body2], in_both),
     ] {
-        let keep = |i| match kept {
-            "the header" => i == header,
-            "the body" => i == body,
-            "both writes" => true,
-            _ => false,
-        };
-        let at = format!("shards {shards}, a cut that keeps {kept}");
-        assert_eq!(recovered(dev.crash_keeping(keep), &m, &at).1, want, "{at}");
+        let at = format!("shards {shards}, straddling, a cut that keeps {kept}");
+        let image = dev2.crash_keeping(|i| writes.contains(&i));
+        assert_eq!(recovered(image, &m2, &at).1, want, "{at}");
     }
 
     let at = format!("shards {shards}, the abandoned timeline");
-    let (ld2, k) = recovered(dev.crash_keeping(|i| i == header), &m, &at);
+    let (ld2, k) = recovered(dev.crash_keeping(|i| i == meta), &m, &at);
     assert_eq!(k, flushed, "{at}");
     m.restart(k);
     // Other pairs, other generations: another summary.
     let again = units_until_a_seal(&mut m, &ld2, &pairs, 6, 40);
     assert!(again > flushed, "{at}: the segment holds no unit");
-    let dev2 = ld2.into_device();
-    let seals2 = seals_in_log_order(&dev2);
-    assert_eq!(seals2.len(), 1, "{at}: one seal since recovery");
-    let [header2, body2] = seals2[0];
-    let (old, new) = (&dev.pending()[header], &dev2.pending()[header2]);
-    assert_eq!(old.0, new.0, "{at}: the same base");
+    let dev3 = ld2.into_device();
+    let seals3 = seals_in_log_order(&dev3);
+    assert_eq!(seals3.len(), 1, "{at}: one seal since recovery");
+    let [meta3, body3] = seals3[0];
+    let (old, new) = (&dev.pending()[meta], &dev3.pending()[meta3]);
+    let end = |(at, bytes): &(u64, Vec<u8>)| at + bytes.len() as u64;
+    assert_eq!(end(old), end(new), "{at}: the same header position");
+    let seq = |(_, bytes): &(u64, Vec<u8>)| u64_at(bytes, bytes.len() - H_LEN + H_SEQ);
+    assert_eq!(seq(old), seq(new), "{at}: the same seq");
+    assert_ne!(old.1, new.1, "{at}: another meta record");
     assert_eq!(
-        u64_at(&old.1, H_SEQ),
-        u64_at(&new.1, H_SEQ),
-        "{at}: the same seq"
-    );
-    assert_ne!(old.1, new.1, "{at}: another header");
-    assert_eq!(
-        recovered(dev2.crash_keeping(|_| true), &m, &at).1,
+        recovered(dev3.crash_keeping(|_| true), &m, &at).1,
         again,
         "{at}"
     );
-    let only_the_new_body = dev2.crash_keeping(|i| i == body2);
+    let only_the_new_body = dev3.crash_keeping(|i| i == body3);
     assert_eq!(recovered(only_the_new_body, &m, &at).1, flushed, "{at}");
     eprintln!("shards {shards}: {handed_off} seals handed off; every subset recovers whole");
 }

@@ -160,16 +160,61 @@ fn the_dedup_cache_keeps_std_hasher() {
 /// codec its rows.
 #[test]
 fn one_row_codec() {
-    let crate_sources: Vec<_> = sources(&["crates"])
-        .into_iter()
+    let found = naming(&crate_sources(), &["DEDUP_ENTRY_LEN", "CKPT_DEDUP_ENTRY"]);
+    assert_none(found, "a fixed-width dedup entry");
+    let found = naming(&files(&["crates/core/src/dedup.rs"]), &["to_le_bytes"]);
+    assert_none(found, "a byte-level encoding in the dedup cache");
+}
+
+/// The files under each crate's `src`.
+fn crate_sources() -> Vec<(PathBuf, String)> {
+    (sources(&["crates"]).into_iter())
         .filter(|(path, _)| {
             path.components()
                 .nth(2)
                 .is_some_and(|c| c.as_os_str() == "src")
         })
-        .collect();
-    let found = naming(&crate_sources, &["DEDUP_ENTRY_LEN", "CKPT_DEDUP_ENTRY"]);
-    assert_none(found, "a fixed-width dedup entry");
-    let found = naming(&files(&["crates/core/src/dedup.rs"]), &["to_le_bytes"]);
-    assert_none(found, "a byte-level encoding in the dedup cache");
+        .collect()
+}
+
+/// One writer, since the pipelined device path went: `Lld<D>` owns its
+/// device, a seal is two writes from the buffers it was built in (its
+/// body at its base, then its meta record at the back of its slot) and
+/// a flush one barrier. A second writer has to edit this test.
+#[test]
+fn one_writer() {
+    let found = naming(
+        &crate_sources(),
+        &[
+            "PipelinedDisk",
+            "PipeObserver",
+            "DevicePath",
+            "is_pipelined",
+            "submit_barrier",
+        ],
+    );
+    assert_none(found, "a second writer");
+}
+
+/// No `SegmentBuilder::seal`, since a sealed segment became the buffers
+/// it was built in: its body and its meta record are written, and read
+/// while the writes are on their way, from where they were built, with
+/// no second copy at the seal.
+#[test]
+fn no_segment_builder_seal() {
+    let found = naming(&files(&["crates/core/src/segment.rs"]), &["fn seal("]);
+    assert_none(found, "a copy of the segment at its seal");
+}
+
+/// One read per metadata run, since format 11 put a slot's headers and
+/// summaries in one run at its back: the scan reads a slot's run in one
+/// or two reads, so no read of one summary (`fn read_summary`) that
+/// brings the next header along (a `successor:` field) is left.
+#[test]
+fn one_read_per_meta_run() {
+    let found = naming(
+        &files(&["crates/core/src/segment.rs"]),
+        &["fn read_summary", "successor:"],
+    );
+    assert_none(found, "a read per summary");
 }
