@@ -17,17 +17,10 @@
 //! directory; its header is not in the area but next to the superblock,
 //! alone in its sector (sector 1 for A, 2 for B:
 //! [`CKPT_HEADER_AT`](crate::layout::CKPT_HEADER_AT)), so a restart
-//! reads the superblock and both headers in one read:
-//!
-//! ```text
-//! header (80 B): magic u32 "LCK6", head link u32, covered seq, ts,
-//!           floors, snap_shards, dir crc, n_dedup, dedup crc, head slot
-//!           u32, head base u32, head top u32, body length u64, header
-//!           crc
-//! area+0    directory (24 B per slab): n_blocks u64, n_lists u64, slab
-//!           crc u32, slab length u32
-//! area+24n  slab 0 | slab 1 | … | dedup table, to `area + body length`
-//! ```
+//! reads the superblock and both headers in one read. The header, a
+//! directory entry, a column descriptor and the columns of each table
+//! are declared in `layout.rs` ([`CHECKPOINT_HEADER`](crate::layout::CHECKPOINT_HEADER)
+//! and the like); docs/FORMAT.md gives them all.
 //!
 //! Slab `i` holds the records of map shard `i` at checkpoint time (the
 //! shard count is a runtime knob: recovery redistributes entries by id,
@@ -37,19 +30,11 @@
 //!
 //! A slab is *column-packed*: its rows are sorted by identifier, and
 //! every value is stored as its distance from a *predictor*, something
-//! the reader has already decoded:
-//!
-//! ```text
-//! slab+0    11 column descriptors (10 B each): minimum u64, width in
-//!           bits u8 (0..=64), shift u8 (0..=63) — block id, segment,
-//!           sector, sectors, successor, list, ts; list id, first, last,
-//!           ts
-//! slab+110  n_blocks rows, then n_lists rows, each table bit-packed
-//!           from its first byte: per row and column, least significant
-//!           bit first, `(coded − minimum) >> shift` in `width` bits; a
-//!           table takes ⌈n × Σ widths / 8⌉ bytes, its last byte padded
-//!           with zeros
-//! ```
+//! the reader has already decoded. Its column descriptors come first,
+//! then its block rows and its list rows, each table bit-packed from its
+//! first byte: per row and column, least significant bit first,
+//! `(coded − minimum) >> shift` in `width` bits; a table takes
+//! ⌈n × Σ widths / 8⌉ bytes, its last byte padded with zeros.
 //!
 //! A column's *coded* value is, for the identifier, the plain
 //! difference from the previous row's (rows are sorted, and the first
@@ -104,7 +89,8 @@
 //!
 //! What a reader refuses. The *area* is invalid, and recovery falls back
 //! to the other one, on: a bad magic or header CRC, a slab count outside
-//! 1..=64, a body length shorter than the directory or past the area, a
+//! 1..=64, a body length shorter than the directory or past the area,
+//! more write-id outcomes than a cache holds (`MAX_DEDUP_CAPACITY`), a
 //! directory CRC mismatch, a directory that counts more blocks or lists
 //! than the layout's `max_blocks` or `max_lists` (a table whose widths
 //! are all 0 takes no bytes for any count, and its identifiers step by
@@ -165,11 +151,11 @@
 //! [`MapShard`](crate::shard::MapShard)), so every slab reflects
 //! exactly the covered point even though the shard kept moving.
 
-use crate::config::ConcurrencyMode;
+use crate::config::{ConcurrencyMode, MAX_DEDUP_CAPACITY};
 use crate::error::{LldError, Result};
 use crate::layout::{
-    u32_at, u64_at, Layout, CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH, CKPT_DEDUP_DESC,
-    CKPT_DIR_ENTRY, CKPT_HEADER, CKPT_SLAB_DESC, MAX_SNAP_SHARDS,
+    CkptField, ColField, DirField, Layout, BLOCK_COLUMNS, CKPT_DEDUP_DESC, CKPT_HEADER_LEN,
+    CKPT_SLAB_DESC, COLUMN_DESC_LEN, DEDUP_COLUMNS, DIR_ENTRY_LEN, LIST_COLUMNS, MAX_SNAP_SHARDS,
 };
 use crate::lld::{LldInner, Mutation};
 use crate::segment::ChainHead;
@@ -243,33 +229,33 @@ struct CkptWrite {
 }
 
 impl CkptWrite {
-    fn encode_header(&self, n_dedup: u32, dedup_crc: u32, body_len: u64) -> Vec<u8> {
-        let mut h = Vec::with_capacity(CKPT_HEADER as usize);
-        h.extend_from_slice(&CKPT_MAGIC.to_le_bytes());
-        h.extend_from_slice(&self.head.link.to_le_bytes());
-        h.extend_from_slice(&self.covered.to_le_bytes());
-        h.extend_from_slice(&self.ts.to_le_bytes());
-        h.extend_from_slice(&self.block_floor.to_le_bytes());
-        h.extend_from_slice(&self.list_floor.to_le_bytes());
-        h.extend_from_slice(&((self.dir.len() as u64 / CKPT_DIR_ENTRY) as u32).to_le_bytes());
-        h.extend_from_slice(&crc32(&self.dir).to_le_bytes());
-        h.extend_from_slice(&n_dedup.to_le_bytes());
-        h.extend_from_slice(&dedup_crc.to_le_bytes());
-        h.extend_from_slice(&self.head.slot.to_le_bytes());
-        h.extend_from_slice(&self.head.base.to_le_bytes());
-        h.extend_from_slice(&self.head.top.to_le_bytes());
-        h.extend_from_slice(&body_len.to_le_bytes());
-        let crc = crc32(&h);
-        h.extend_from_slice(&crc.to_le_bytes());
-        debug_assert_eq!(h.len() as u64, CKPT_HEADER);
+    fn encode_header(&self, n_dedup: u32, dedup_crc: u32, body_len: u64) -> [u8; CKPT_HEADER_LEN] {
+        let mut h = CkptField::encode(&[
+            (CkptField::Magic, CKPT_MAGIC.into()),
+            (CkptField::HeadLink, self.head.link.into()),
+            (CkptField::Seq, self.covered),
+            (CkptField::Ts, self.ts),
+            (CkptField::BlockFloor, self.block_floor),
+            (CkptField::ListFloor, self.list_floor),
+            (
+                CkptField::SnapShards,
+                self.dir.len() as u64 / DIR_ENTRY_LEN as u64,
+            ),
+            (CkptField::DirCrc, crc32(&self.dir).into()),
+            (CkptField::NDedup, n_dedup.into()),
+            (CkptField::DedupCrc, dedup_crc.into()),
+            (CkptField::HeadSlot, self.head.slot.into()),
+            (CkptField::HeadBase, self.head.base.into()),
+            (CkptField::HeadTop, self.head.top.into()),
+            (CkptField::BodyLen, body_len),
+        ]);
+        CkptField::Crc.seal(&mut h);
         h
     }
 }
 
-const COL_DESC: usize = CKPT_COL_DESC;
-const BLOCK_COLS: usize = 7;
-const LIST_COLS: usize = 4;
-const _: () = assert!(((BLOCK_COLS + LIST_COLS) * COL_DESC) as u64 == CKPT_SLAB_DESC);
+const BLOCK_COLS: usize = BLOCK_COLUMNS.len();
+const LIST_COLS: usize = LIST_COLUMNS.len();
 
 /// The zigzag of `v − pred`, wrapping: a small step either way is a
 /// small number, and every u64 is the code of exactly one value.
@@ -417,8 +403,11 @@ impl<const N: usize> Columns<N> {
 
     fn put_desc(&self, out: &mut Vec<u8>) {
         for c in 0..N {
-            out.extend_from_slice(&self.min[c].to_le_bytes());
-            out.extend_from_slice(&[self.width[c], self.shift[c]]);
+            out.extend_from_slice(&ColField::encode(&[
+                (ColField::Min, self.min[c]),
+                (ColField::Width, self.width[c].into()),
+                (ColField::Shift, self.shift[c].into()),
+            ]));
         }
     }
 
@@ -444,9 +433,10 @@ impl<const N: usize> Columns<N> {
     /// 63 or the two above 64 together, so that no row's
     /// `delta << shift` loses a bit.
     fn parse(desc: &[u8]) -> Option<Self> {
-        let min = std::array::from_fn(|c| u64_at(desc, c * COL_DESC));
-        let width: [u8; N] = std::array::from_fn(|c| desc[c * COL_DESC + CKPT_COL_WIDTH]);
-        let shift: [u8; N] = std::array::from_fn(|c| desc[c * COL_DESC + CKPT_COL_SHIFT]);
+        let field = |c: usize, f: ColField| f.get(&desc[c * COLUMN_DESC_LEN..]);
+        let min = std::array::from_fn(|c| field(c, ColField::Min));
+        let width: [u8; N] = std::array::from_fn(|c| field(c, ColField::Width) as u8);
+        let shift: [u8; N] = std::array::from_fn(|c| field(c, ColField::Shift) as u8);
         (0..N)
             .all(|c| shift[c] < 64 && u32::from(width[c]) + u32::from(shift[c]) <= 64)
             .then_some(Columns { min, width, shift })
@@ -516,8 +506,9 @@ impl<'a, const N: usize> BitRows<'a, N> {
     }
 }
 
-/// `full`: a full block's sector count, what an absent address stores
-/// as its count, so that a table of full blocks has one value there.
+/// A block's row, in [`BLOCK_COLUMNS`] order. `full`: a full block's
+/// sector count, what an absent address stores as its count, so that a
+/// table of full blocks has one value there.
 fn block_row(id: BlockId, r: &BlockRecord, full: u64) -> [u64; BLOCK_COLS] {
     let (segment, sector, sectors) = r.addr.map_or((0, 0, full), |a| {
         let segment = u64::from(a.segment.get()) + 1;
@@ -534,6 +525,7 @@ fn block_row(id: BlockId, r: &BlockRecord, full: u64) -> [u64; BLOCK_COLS] {
     ]
 }
 
+/// A list's row, in [`LIST_COLUMNS`] order.
 fn list_row(id: ListId, r: &ListRecord) -> [u64; LIST_COLS] {
     [
         id.get(),
@@ -579,9 +571,9 @@ fn encode_slab(tables: &Tables, full: u64) -> Slab {
     }
 }
 
-/// The dedup table's columns: client, write id, generation, commit
-/// timestamp.
-pub(crate) const DEDUP_COLS: usize = 4;
+/// The dedup table's columns ([`DEDUP_COLUMNS`]): client, write id,
+/// generation, commit timestamp.
+pub(crate) const DEDUP_COLS: usize = DEDUP_COLUMNS.len();
 
 /// The bytes of the dedup table of `rows` (all of them, oldest first):
 /// none for no row; else the descriptors, the first row's values in
@@ -657,7 +649,9 @@ impl<'a> DedupTable<'a> {
         let (first, rows) = rest.split_at_checked(8 * DEDUP_COLS)?;
         (cols.table_bytes(n - 1)? == rows.len() as u64).then(|| DedupTable {
             n,
-            first: std::array::from_fn(|c| u64_at(first, 8 * c)),
+            first: std::array::from_fn(|c| {
+                u64::from_le_bytes(first[8 * c..][..8].try_into().expect("8 bytes"))
+            }),
             cols,
             rows,
         })
@@ -743,7 +737,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             } else {
                 lld.layout.ckpt_a
             },
-            end: u64::from(lld.maps.nshards()) * CKPT_DIR_ENTRY,
+            end: u64::from(lld.maps.nshards()) * DIR_ENTRY_LEN as u64,
             dir: Vec::new(),
         }))
     }
@@ -815,10 +809,12 @@ impl<D: BlockDevice> LldInner<D> {
             LldError::Config("a checkpoint slab holds at most 4 GiB: raise map_shards".into())
         })?;
         self.device.write_at(w.area + w.end, &slab.bytes)?;
-        w.dir.extend_from_slice(&slab.n_blocks.to_le_bytes());
-        w.dir.extend_from_slice(&slab.n_lists.to_le_bytes());
-        w.dir.extend_from_slice(&crc32(&slab.bytes).to_le_bytes());
-        w.dir.extend_from_slice(&len.to_le_bytes());
+        w.dir.extend_from_slice(&DirField::encode(&[
+            (DirField::NBlocks, slab.n_blocks),
+            (DirField::NLists, slab.n_lists),
+            (DirField::SlabCrc, crc32(&slab.bytes).into()),
+            (DirField::SlabLen, len.into()),
+        ]));
         w.end += u64::from(len);
         Ok(())
     }
@@ -862,7 +858,7 @@ impl<D: BlockDevice> LldInner<D> {
             self.now(),
             crate::obs::TraceEvent::Checkpoint {
                 covered_seq: w.covered,
-                bytes: CKPT_HEADER + body_len,
+                bytes: CKPT_HEADER_LEN as u64 + body_len,
             },
         );
         Ok(())
@@ -872,40 +868,45 @@ impl<D: BlockDevice> LldInner<D> {
 /// Validates the header of the area at `area` in `front`, the
 /// superblock's region as a restart reads it (at least its first three
 /// sectors). `None` if the area holds no valid checkpoint: a bad magic
-/// or CRC, a slab count outside 1..=64, or a body that is shorter than
-/// its directory or longer than the area.
+/// or CRC, a slab count outside 1..=64, a body that is shorter than its
+/// directory or longer than the area, or more write-id outcomes than a
+/// cache holds.
 pub(crate) fn parse_header(front: &[u8], layout: &Layout, area: u64) -> Option<CkptHeaderInfo> {
-    const BODY: usize = CKPT_HEADER as usize - 4;
     let at = layout.ckpt_header_at(area) as usize;
-    let header = front.get(at..at + CKPT_HEADER as usize)?;
-    if crc32(&header[..BODY]) != u32_at(header, BODY) || u32_at(header, 0) != CKPT_MAGIC {
+    let header = front.get(at..at + CKPT_HEADER_LEN)?;
+    if !CkptField::Crc.sealed(header) || CkptField::Magic.get(header) != CKPT_MAGIC.into() {
         return None;
     }
-    let snap_shards = u32_at(header, 40);
-    let body_len = u64_at(header, 68);
-    let least = u64::from(snap_shards) * CKPT_DIR_ENTRY;
+    let field = |f: CkptField| f.get(header);
+    let small = |f: CkptField| f.get(header) as u32;
+    let snap_shards = small(CkptField::SnapShards);
+    let body_len = field(CkptField::BodyLen);
+    let least = u64::from(snap_shards) * DIR_ENTRY_LEN as u64;
+    // No cache holds more outcomes than `MAX_DEDUP_CAPACITY`, and a
+    // table whose widths are all 0 would count on for free.
     if snap_shards == 0
         || u64::from(snap_shards) > MAX_SNAP_SHARDS
         || !(least..=layout.ckpt_area_size).contains(&body_len)
+        || field(CkptField::NDedup) > MAX_DEDUP_CAPACITY as u64
     {
         return None;
     }
     Some(CkptHeaderInfo {
         area,
-        seq: u64_at(header, 8),
-        ts_counter: u64_at(header, 16),
-        block_floor: u64_at(header, 24),
-        list_floor: u64_at(header, 32),
+        seq: field(CkptField::Seq),
+        ts_counter: field(CkptField::Ts),
+        block_floor: field(CkptField::BlockFloor),
+        list_floor: field(CkptField::ListFloor),
         head: ChainHead {
-            slot: u32_at(header, 56),
-            base: u32_at(header, 60),
-            top: u32_at(header, 64),
-            link: u32_at(header, 4),
+            slot: small(CkptField::HeadSlot),
+            base: small(CkptField::HeadBase),
+            top: small(CkptField::HeadTop),
+            link: small(CkptField::HeadLink),
         },
         snap_shards,
-        dir_crc: u32_at(header, 44),
-        n_dedup: u64::from(u32_at(header, 48)),
-        dedup_crc: u32_at(header, 52),
+        dir_crc: small(CkptField::DirCrc),
+        n_dedup: field(CkptField::NDedup),
+        dedup_crc: small(CkptField::DedupCrc),
         body_len,
     })
 }
@@ -921,7 +922,7 @@ pub(crate) struct CkptBody<'a> {
 impl CkptHeaderInfo {
     /// Bytes the checkpoint takes: its header and its body.
     pub(crate) fn bytes(&self) -> u64 {
-        CKPT_HEADER + self.body_len
+        CKPT_HEADER_LEN as u64 + self.body_len
     }
 
     /// Reads the body — directory, slabs and dedup table, back to back
@@ -940,19 +941,18 @@ impl CkptHeaderInfo {
     /// takes no bytes for any count), a slab or dedup table that fails
     /// its CRC or its descriptors. No row has been looked at.
     pub(crate) fn open<'a>(&self, body: &'a [u8], layout: &Layout) -> Option<CkptBody<'a>> {
-        let (dir, _) =
-            body.split_at_checked(self.snap_shards as usize * CKPT_DIR_ENTRY as usize)?;
+        let (dir, _) = body.split_at_checked(self.snap_shards as usize * DIR_ENTRY_LEN)?;
         if crc32(dir) != self.dir_crc {
             return None;
         }
         let mut slabs = Vec::with_capacity(self.snap_shards as usize);
         let mut rest = &body[dir.len()..];
-        for entry in dir.chunks_exact(CKPT_DIR_ENTRY as usize) {
-            let (payload, behind) = rest.split_at_checked(u32_at(entry, 20) as usize)?;
+        for entry in dir.chunks_exact(DIR_ENTRY_LEN) {
+            let (payload, behind) = rest.split_at_checked(DirField::SlabLen.get(entry) as usize)?;
             let info = SlabInfo {
-                n_blocks: u64_at(entry, 0),
-                n_lists: u64_at(entry, 8),
-                crc: u32_at(entry, 16),
+                n_blocks: DirField::NBlocks.get(entry),
+                n_lists: DirField::NLists.get(entry),
+                crc: DirField::SlabCrc.get(entry) as u32,
             };
             slabs.push(info.open(payload)?);
             rest = behind;
@@ -983,7 +983,7 @@ impl SlabInfo {
         }
         let (desc, rows) = payload.split_at_checked(CKPT_SLAB_DESC as usize)?;
         let blocks = Columns::parse(desc)?;
-        let lists = Columns::parse(&desc[BLOCK_COLS * COL_DESC..])?;
+        let lists = Columns::parse(&desc[BLOCK_COLS * COLUMN_DESC_LEN..])?;
         let block_bytes = blocks.table_bytes(self.n_blocks)?;
         let list_bytes = lists.table_bytes(self.n_lists)?;
         if block_bytes.checked_add(list_bytes)? != rows.len() as u64 {
@@ -1242,13 +1242,17 @@ mod tests {
         })())
     }
 
-    /// Column `col`'s descriptor fields in `slab`.
+    /// Field `f` of column `col`'s descriptor in `slab`.
+    fn desc(slab: &Slab, col: usize, f: ColField) -> u64 {
+        f.get(&slab.bytes[col * COLUMN_DESC_LEN..])
+    }
+
     fn width(slab: &Slab, col: usize) -> u8 {
-        slab.bytes[col * COL_DESC + CKPT_COL_WIDTH]
+        desc(slab, col, ColField::Width) as u8
     }
 
     fn shift(slab: &Slab, col: usize) -> u8 {
-        slab.bytes[col * COL_DESC + CKPT_COL_SHIFT]
+        desc(slab, col, ColField::Shift) as u8
     }
 
     /// Bits a block row and a list row take in `slab`.
@@ -1727,12 +1731,16 @@ mod tests {
         let good = encode_slab(&t, 8);
         assert_eq!(reopen(&good).unwrap().unwrap(), t);
         assert_eq!(
-            (u64_at(&good.bytes, 0), width(&good, 0), shift(&good, 0)),
+            (
+                desc(&good, 0, ColField::Min),
+                width(&good, 0),
+                shift(&good, 0)
+            ),
             (5, 8, 1)
         );
         assert_eq!(
             (
-                u64_at(&good.bytes, 7 * COL_DESC),
+                desc(&good, 7, ColField::Min),
                 width(&good, 7),
                 shift(&good, 7)
             ),
@@ -1743,9 +1751,9 @@ mod tests {
             f(&mut slab);
             reopen(&slab)
         };
-        let min = |col: usize| col * COL_DESC;
-        let width = |col: usize| col * COL_DESC + CKPT_COL_WIDTH;
-        let shift = |col: usize| col * COL_DESC + CKPT_COL_SHIFT;
+        let min = |col: usize| col * COLUMN_DESC_LEN;
+        let width = |col: usize| col * COLUMN_DESC_LEN + ColField::Width.at;
+        let shift = |col: usize| col * COLUMN_DESC_LEN + ColField::Shift.at;
 
         // Refused whole.
         assert!(edit(&|s| s.bytes.truncate(CKPT_SLAB_DESC as usize - 1)).is_none());
@@ -1900,7 +1908,7 @@ mod tests {
         let (layout, device) = (&ld.layout, ld.device());
         // The directory's one entry, then the slab.
         let (area, dir) = (layout.ckpt_a, layout.ckpt_a);
-        let at = dir + CKPT_DIR_ENTRY;
+        let at = dir + DIR_ENTRY_LEN as u64;
         let header_at = layout.ckpt_header_at(area);
         let mut zero = vec![0u8; CKPT_SLAB_DESC as usize];
         device.read_at(at, &mut zero).unwrap();
@@ -1910,16 +1918,16 @@ mod tests {
         // The body as it reads with the directory counting that many
         // rows, if the reader takes it.
         let counted = |n_blocks: u64, n_lists: u64| {
-            let mut entry = Vec::new();
-            entry.extend_from_slice(&n_blocks.to_le_bytes());
-            entry.extend_from_slice(&n_lists.to_le_bytes());
-            entry.extend_from_slice(&crc32(&zero).to_le_bytes());
-            entry.extend_from_slice(&(zero.len() as u32).to_le_bytes());
-            let mut sealed = [0u8; CKPT_HEADER as usize];
+            let entry = DirField::encode(&[
+                (DirField::NBlocks, n_blocks),
+                (DirField::NLists, n_lists),
+                (DirField::SlabCrc, crc32(&zero).into()),
+                (DirField::SlabLen, zero.len() as u64),
+            ]);
+            let mut sealed = [0u8; CKPT_HEADER_LEN];
             device.read_at(header_at, &mut sealed).unwrap();
-            sealed[44..48].copy_from_slice(&crc32(&entry).to_le_bytes());
-            let crc = crc32(&sealed[..CKPT_HEADER as usize - 4]);
-            sealed[CKPT_HEADER as usize - 4..].copy_from_slice(&crc.to_le_bytes());
+            CkptField::DirCrc.put(&mut sealed, crc32(&entry).into());
+            CkptField::Crc.seal(&mut sealed);
             device.write_at(at, &zero).unwrap();
             device.write_at(dir, &entry).unwrap();
             device.write_at(header_at, &sealed).unwrap();
@@ -1946,6 +1954,35 @@ mod tests {
         );
         assert!(counted(1 << 40, 0).is_none(), "2^40 rows of no bytes");
         assert!(counted(u64::MAX, u64::MAX).is_none());
+    }
+
+    /// A header that counts more write-id outcomes than a cache holds is
+    /// no checkpoint: a dedup table of 0-bit rows takes any count in no
+    /// bytes, and a restart would enter the rows one by one.
+    #[test]
+    fn more_outcomes_than_a_cache_holds_are_refused() {
+        let cfg = LldConfig {
+            block_size: 512,
+            segment_bytes: 16 * 512,
+            ..LldConfig::default()
+        };
+        let ld = Lld::format(MemDisk::new(4 << 20), &cfg).unwrap();
+        ld.checkpoint().unwrap(); // area A
+        let (layout, device) = (&ld.layout, ld.device());
+        let at = layout.ckpt_header_at(layout.ckpt_a);
+        let most = MAX_DEDUP_CAPACITY as u64;
+        for (n, taken) in [(most, true), (most + 1, false), (1 << 31, false)] {
+            let mut h = [0u8; CKPT_HEADER_LEN];
+            device.read_at(at, &mut h).unwrap();
+            CkptField::NDedup.put(&mut h, n);
+            CkptField::Crc.seal(&mut h);
+            device.write_at(at, &h).unwrap();
+            assert_eq!(
+                header(device, layout, layout.ckpt_a).is_some(),
+                taken,
+                "{n}"
+            );
+        }
     }
 
     /// The checkpoint a seal found due is written by a full session

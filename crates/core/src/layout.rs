@@ -1,4 +1,6 @@
-//! On-disk geometry: the superblock and the derived device layout.
+//! On-disk geometry: the superblock, the derived device layout, and the
+//! one declaration of each fixed-layout on-disk structure ([`on_disk!`];
+//! docs/FORMAT.md gives them all).
 //!
 //! ```text
 //! byte 0                                                    capacity
@@ -21,31 +23,10 @@ use crate::segment::{MAX_BLOCK_SIZE, SECTOR};
 use crate::types::PhysAddr;
 use ld_disk::crc32;
 
-/// Size of the fixed-length superblock encoding.
-pub(crate) const SUPERBLOCK_LEN: usize = 64;
 const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
-/// 11: a segment's header and summary sit at the back of its slot, in a
-/// metadata run that grows down from the slot's last sector while data
-/// grows up from its first, the data area ends in a trailer holding the
-/// header's CRC, a header records the last segment a barrier vouched
-/// for, and the checkpoint's chain head names the run's position beside
-/// the data base (see `segment.rs`); since 10 both checkpoint headers
-/// sit next to the superblock, each in its own sector and naming its
-/// body's length, the write-id outcomes are
-/// the slab codec's third table, and an absent identifier codes as 0
-/// (see `checkpoint.rs`); since 9 a segment-summary record is its tag byte and its fields as
-/// unsigned LEB128 varints (see `summary.rs`); since 8 a checkpoint
-/// slab stores its rows sorted by identifier, each column as the zigzag
-/// of its difference from a predictor, bit-packed at the column's width
-/// in bits (see `checkpoint.rs`); since 7 a segment's
-/// base counts sectors, not blocks — its header takes one sector and its
-/// body starts at the next, and the checkpoint's chain head names a
-/// sector inside a slot (see `segment.rs`); since 6 a data block is
-/// stored as its extent and a segment's data area is packed by sectors,
-/// so an address names a sector offset and count, and a slab has a
-/// sector-count column and a shift per column; since 5 checkpoint slabs
-/// are column-packed; since 4 a slot holds several segments back to
-/// back. Other versions are refused, not converted.
+/// The on-disk format this build reads and writes: docs/FORMAT.md gives
+/// it, and docs/RECOVERY.md tells what each version changed. Other
+/// versions are refused, not converted.
 const FORMAT_VERSION: u32 = 11;
 
 /// The widest a row of a checkpoint slab gets (see `checkpoint.rs`):
@@ -56,101 +37,254 @@ pub(crate) const CKPT_LIST_ROW_MAX: u64 = 32;
 /// The widest a write-id outcome gets in the dedup table: four columns
 /// of 64 bits, row 0's absolute values included.
 pub(crate) const CKPT_DEDUP_ROW_MAX: u64 = 32;
-/// A checkpoint header's length. It sits alone in its sector of the
-/// superblock's region ([`CKPT_HEADER_AT`]).
-pub(crate) const CKPT_HEADER: u64 = 80;
 
-/// A field of a segment header (see `segment.rs`), in the order of
-/// [`SEGMENT_HEADER`], its declaration. The codec reads and writes every
-/// field through it, and so do the tests that forge a header inside an
-/// image.
+/// One field of a fixed-layout on-disk structure, a row of its
+/// declaration ([`on_disk!`]): little-endian, 1, 2, 4 or 8 bytes wide.
+/// Every codec of such a structure reads and writes through it, and so
+/// do the tests that forge one inside an image.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegField {
-    /// [`SEGMENT_MAGIC`].
-    Magic,
-    /// The segment's log sequence number.
-    Seq,
-    /// Sectors of its data area.
-    NSectors,
-    /// Bytes of its summary records.
-    SummaryLen,
-    /// CRC of its summary records.
-    SummaryCrc,
-    /// The slot of segment `seq + 1`.
-    NextSlot,
-    /// Header CRC of segment `seq - 1`.
-    PrevLink,
-    /// Per-mount salt.
-    Epoch,
-    /// `seq` less the last segment a completed barrier vouched for when
-    /// this one was sealed (at least 1; `u32::MAX`: none).
-    Covered,
-    /// CRC over every field in front of it.
-    Crc,
+pub struct Field {
+    /// Its name in docs/FORMAT.md.
+    pub name: &'static str,
+    /// Its byte offset in the structure.
+    pub at: usize,
+    /// Its width in bytes.
+    pub width: usize,
+    /// What it holds.
+    pub doc: &'static str,
 }
 
-/// The segment header, declared once: each field's name, byte offset
-/// and width, back to back in [`SegField`] order.
-#[doc(hidden)]
-pub const SEGMENT_HEADER: [(SegField, &str, usize, usize); 10] = [
-    (SegField::Magic, "magic", 0, 4),
-    (SegField::Seq, "seq", 4, 8),
-    (SegField::NSectors, "n_sectors", 12, 4),
-    (SegField::SummaryLen, "summary_len", 16, 4),
-    (SegField::SummaryCrc, "summary_crc", 20, 4),
-    (SegField::NextSlot, "next_slot", 24, 4),
-    (SegField::PrevLink, "prev_link", 28, 4),
-    (SegField::Epoch, "epoch", 32, 4),
-    (SegField::Covered, "covered", 36, 4),
-    (SegField::Crc, "header_crc", 40, 4),
-];
+impl Field {
+    /// The field's value in `buf`, the structure's bytes.
+    pub fn get(self, buf: &[u8]) -> u64 {
+        let mut le = [0u8; 8];
+        le[..self.width].copy_from_slice(&buf[self.at..self.at + self.width]);
+        u64::from_le_bytes(le)
+    }
 
-/// A segment header's length: its last field's end.
-#[doc(hidden)]
-pub const SEGMENT_HEADER_LEN: usize = SegField::Crc.at() + SegField::Crc.width();
+    /// Puts `v`, cut to the field's width, into `buf`.
+    pub fn put(self, buf: &mut [u8], v: u64) {
+        buf[self.at..self.at + self.width].copy_from_slice(&v.to_le_bytes()[..self.width]);
+    }
+
+    /// The largest value the field holds.
+    pub const fn max(self) -> u64 {
+        u64::MAX >> (64 - 8 * self.width)
+    }
+
+    /// Puts the CRC of the bytes of `buf` in front of the field into it,
+    /// and returns it.
+    pub fn seal(self, buf: &mut [u8]) -> u32 {
+        let crc = crc32(&buf[..self.at]);
+        self.put(buf, u64::from(crc));
+        crc
+    }
+
+    /// Whether the field holds the CRC of the bytes of `buf` in front
+    /// of it.
+    pub fn sealed(self, buf: &[u8]) -> bool {
+        u64::from(crc32(&buf[..self.at])) == self.get(buf)
+    }
+}
+
+/// The length of a structure of `fields`, which lie back to back from
+/// byte 0, each 1, 2, 4 or 8 bytes wide; checked at compile time.
+const fn back_to_back(fields: &[Field]) -> usize {
+    let (mut i, mut end) = (0, 0);
+    while i < fields.len() {
+        let f = fields[i];
+        assert!(f.at == end && matches!(f.width, 1 | 2 | 4 | 8));
+        end += f.width;
+        i += 1;
+    }
+    end
+}
+
+/// Declares an on-disk structure once. The fixed-layout form takes a
+/// row per field (its name in docs/FORMAT.md, offset, width and doc) and
+/// gives the table of them, the structure's length and an enum of the
+/// fields, each of which dereferences to its row; the column form takes
+/// a row per column of a checkpoint table (name and coding) and gives
+/// the table and an enum whose discriminant is the column's place.
+macro_rules! on_disk {
+    (
+        $(#[$meta:meta])*
+        $name:ident in $table:ident, $len:ident {
+            $( $field:ident = ($fname:literal, $at:literal, $width:literal, $doc:literal), )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[doc(hidden)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $( #[doc = $doc] $field, )*
+        }
+
+        #[doc(hidden)]
+        pub const $table: &[Field] = &[
+            $( Field { name: $fname, at: $at, width: $width, doc: $doc }, )*
+        ];
+
+        #[doc(hidden)]
+        pub const $len: usize = back_to_back($table);
+
+        /// A field is its row of the declaration, with [`Field`]'s
+        /// accessors.
+        impl std::ops::Deref for $name {
+            type Target = Field;
+
+            fn deref(&self) -> &Field {
+                &$table[*self as usize]
+            }
+        }
+
+        impl $name {
+            /// The structure with `values` in their fields, zeros
+            /// elsewhere.
+            pub fn encode(values: &[($name, u64)]) -> [u8; $len] {
+                let mut buf = [0u8; $len];
+                for &(field, v) in values {
+                    field.put(&mut buf, v);
+                }
+                buf
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $name:ident in $table:ident {
+            $( $col:ident = ($cname:literal, $doc:literal), )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[doc(hidden)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $( #[doc = $doc] $col, )*
+        }
+
+        #[doc(hidden)]
+        pub const $table: &[(&str, &str)] = &[ $( ($cname, $doc), )* ];
+    };
+}
+
+on_disk! {
+    /// A field of the superblock, at byte 0 of the device.
+    SbField in SUPERBLOCK, SUPERBLOCK_LEN {
+        Magic = ("magic", 0, 8, "\"LDARU996\""),
+        Version = ("version", 8, 4, "the format version"),
+        BlockSize = ("block_size", 12, 4, "bytes of a block: a power of two, 512 to 65,536"),
+        SegmentBytes = ("segment_bytes", 16, 4, "bytes of a segment slot: four blocks or more"),
+        NSegments = ("n_segments", 20, 4, "segment slots"),
+        DataStart = ("data_start", 24, 8, "byte offset of slot 0"),
+        CkptAreaSize = ("ckpt_area_size", 32, 8, "bytes of one checkpoint area"),
+        MaxBlocks = ("max_blocks", 40, 8, "the most blocks allocated at once"),
+        MaxLists = ("max_lists", 48, 8, "the most lists allocated at once"),
+        Concurrency = ("concurrency", 56, 1, "0 sequential, 1 concurrent"),
+        Visibility = ("visibility", 57, 1, "0 any shadow, 1 committed, 2 own shadow"),
+        Padding = ("padding", 58, 2, "zero"),
+        Crc = ("crc", 60, 4, "CRC32 of the bytes in front of it"),
+    }
+}
+
+on_disk! {
+    /// A field of a segment header, the last bytes of its meta record
+    /// (see `segment.rs`).
+    SegField in SEGMENT_HEADER, SEGMENT_HEADER_LEN {
+        Magic = ("magic", 0, 4, "\"LDSG\""),
+        Seq = ("seq", 4, 8, "the segment's log sequence number"),
+        NSectors = ("n_sectors", 12, 4, "sectors of its data area"),
+        SummaryLen = ("summary_len", 16, 4, "bytes of its summary records"),
+        SummaryCrc = ("summary_crc", 20, 4, "CRC32 of its summary records"),
+        NextSlot = ("next_slot", 24, 4, "the slot of segment `seq + 1`: its own for the room behind its data and below its meta record"),
+        PrevLink = ("prev_link", 28, 4, "the header CRC of segment `seq - 1`"),
+        Epoch = ("epoch", 32, 4, "a per-mount salt"),
+        Covered = ("covered", 36, 4, "`seq` less the last segment a completed barrier vouched for at the seal: at least 1, `u32::MAX` for none"),
+        Crc = ("crc", 40, 4, "CRC32 of the bytes in front of it; the trailer behind the data area holds it too"),
+    }
+}
+
+on_disk! {
+    /// A field of a checkpoint header, alone in its sector of the
+    /// superblock's region ([`CKPT_HEADER_AT`]; see `checkpoint.rs`).
+    CkptField in CHECKPOINT_HEADER, CKPT_HEADER_LEN {
+        Magic = ("magic", 0, 4, "\"LCK6\""),
+        HeadLink = ("head_link", 4, 4, "the header CRC of segment `seq`"),
+        Seq = ("seq", 8, 8, "the highest segment sequence number the checkpoint covers"),
+        Ts = ("ts", 16, 8, "the logical clock"),
+        BlockFloor = ("block_floor", 24, 8, "the block allocator's floor, at most `MAX_RAW_ID`"),
+        ListFloor = ("list_floor", 32, 8, "the list allocator's floor, at most `MAX_RAW_ID`"),
+        SnapShards = ("snap_shards", 40, 4, "slabs in the directory, 1 to 64"),
+        DirCrc = ("dir_crc", 44, 4, "CRC32 of the directory"),
+        NDedup = ("n_dedup", 48, 4, "write-id outcomes in the dedup table"),
+        DedupCrc = ("dedup_crc", 52, 4, "CRC32 of the dedup table"),
+        HeadSlot = ("head_slot", 56, 4, "the slot of segment `seq + 1`"),
+        HeadBase = ("head_base", 60, 4, "the sector its data starts at"),
+        HeadTop = ("head_top", 64, 4, "the sector its meta record ends at"),
+        BodyLen = ("body_len", 68, 8, "bytes of the body from the area's start: directory, slabs, dedup table"),
+        Crc = ("crc", 76, 4, "CRC32 of the bytes in front of it"),
+    }
+}
+
+on_disk! {
+    /// A field of a directory entry of a checkpoint area, one a slab.
+    DirField in DIR_ENTRY, DIR_ENTRY_LEN {
+        NBlocks = ("n_blocks", 0, 8, "rows of the slab's block table"),
+        NLists = ("n_lists", 8, 8, "rows of its list table"),
+        SlabCrc = ("slab_crc", 16, 4, "CRC32 of the slab"),
+        SlabLen = ("slab_len", 20, 4, "bytes of the slab"),
+    }
+}
+
+on_disk! {
+    /// A field of a column descriptor of a checkpoint table.
+    ColField in COLUMN_DESC, COLUMN_DESC_LEN {
+        Min = ("min", 0, 8, "the column's smallest coded value"),
+        Width = ("width", 8, 1, "bits a row stores, 0 to 64"),
+        Shift = ("shift", 9, 1, "low bits every `coded - min` has zero, 0 to 63; `width + shift` is at most 64"),
+    }
+}
+
+on_disk! {
+    /// A column of a slab's block table, in the order of its
+    /// descriptors and of a row's values.
+    BlockCol in BLOCK_COLUMNS {
+        Id = ("id", "the difference from the previous row's identifier (the first row's from 0)"),
+        Segment = ("segment", "slot + 1, 0 for no address: the zigzag of its difference from the previous row's"),
+        Sector = ("sector", "the zigzag of its difference from the previous row's"),
+        Sectors = ("sectors", "as it is; a full block's for no address"),
+        Successor = ("successor", "0 for none, else the zigzag of its difference from the row's identifier, plus one"),
+        List = ("list", "0 for none, else the zigzag of its difference from the previous row's, plus one"),
+        Ts = ("ts", "the zigzag of its difference from the previous row's"),
+    }
+}
+
+on_disk! {
+    /// A column of a slab's list table.
+    ListCol in LIST_COLUMNS {
+        Id = ("id", "the difference from the previous row's identifier (the first row's from 0)"),
+        First = ("first", "0 for none, else the zigzag of its difference from the previous row's, plus one"),
+        Last = ("last", "0 for none, else the zigzag of its difference from the row's first, plus one"),
+        Ts = ("ts", "the zigzag of its difference from the previous row's"),
+    }
+}
+
+on_disk! {
+    /// A column of the dedup table: one write-id outcome a row, in the
+    /// cache's recording order.
+    DedupCol in DEDUP_COLUMNS {
+        Client = ("client", "the zigzag of its difference from the previous row's"),
+        WriteId = ("write_id", "the zigzag of its difference from the previous row's"),
+        Generation = ("generation", "the zigzag of its difference from the previous row's"),
+        Ts = ("ts", "the commit timestamp: the zigzag of its difference from the previous row's"),
+    }
+}
 
 /// What a segment header's first field holds ("LDSG").
 #[doc(hidden)]
 pub const SEGMENT_MAGIC: u64 = 0x4753_444C;
 
-// The table is in `SegField` order, and its fields are back to back.
-const _: () = {
-    let mut i = 0;
-    let mut end = 0;
-    while i < SEGMENT_HEADER.len() {
-        let (field, _, at, width) = SEGMENT_HEADER[i];
-        assert!(field as usize == i && at == end && (width == 4 || width == 8));
-        end = at + width;
-        i += 1;
-    }
-};
-
-impl SegField {
-    /// The field's byte offset in the header.
-    pub const fn at(self) -> usize {
-        SEGMENT_HEADER[self as usize].2
-    }
-
-    /// The field's width in bytes: 4 or 8.
-    pub const fn width(self) -> usize {
-        SEGMENT_HEADER[self as usize].3
-    }
-
-    /// The field's value in `header`, little-endian.
-    pub fn get(self, header: &[u8]) -> u64 {
-        match self.width() {
-            8 => u64_at(header, self.at()),
-            _ => u64::from(u32_at(header, self.at())),
-        }
-    }
-
-    /// Puts `v`, cut to the field's width, into `header`.
-    pub fn put(self, header: &mut [u8], v: u64) {
-        let (at, width) = (self.at(), self.width());
-        header[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
-    }
-}
 /// Where the headers of areas A and B are: sectors 1 and 2 of the
 /// superblock's region. Exported for the tests that edit a header
 /// inside an image.
@@ -159,35 +293,20 @@ pub const CKPT_HEADER_AT: [u64; 2] = [SECTOR as u64, 2 * SECTOR as u64];
 /// The superblock and both checkpoint headers: what a restart reads
 /// first, in one device read.
 pub(crate) const FRONT_LEN: usize = 3 * SECTOR;
-/// One column descriptor of a checkpoint table: the minimum (u64 at 0),
-/// the width in bits (u8 at [`CKPT_COL_WIDTH`], 0..=64) and the shift
-/// (u8 at [`CKPT_COL_SHIFT`], 0..=63). Exported for the tests that edit
-/// a slab inside an image.
-#[doc(hidden)]
-pub const CKPT_COL_DESC: usize = 10;
-/// Where a column descriptor holds its width in bits.
-#[doc(hidden)]
-pub const CKPT_COL_WIDTH: usize = 8;
-/// Where a column descriptor holds its shift.
-#[doc(hidden)]
-pub const CKPT_COL_SHIFT: usize = 9;
 /// The column descriptors at the start of every slab, one for each of
-/// the seven block and four list columns.
-pub(crate) const CKPT_SLAB_DESC: u64 = 11 * CKPT_COL_DESC as u64;
-/// The column descriptors at the start of the dedup table, one for each
-/// of its four columns.
-pub(crate) const CKPT_DEDUP_DESC: u64 = 4 * CKPT_COL_DESC as u64;
+/// the block and list columns.
+pub(crate) const CKPT_SLAB_DESC: u64 =
+    ((BLOCK_COLUMNS.len() + LIST_COLUMNS.len()) * COLUMN_DESC_LEN) as u64;
+/// The column descriptors at the start of the dedup table.
+pub(crate) const CKPT_DEDUP_DESC: u64 = (DEDUP_COLUMNS.len() * COLUMN_DESC_LEN) as u64;
 
-/// Per-slab directory entry: `n_blocks` u64, `n_lists` u64, slab crc32,
-/// slab length u32.
-pub(crate) const CKPT_DIR_ENTRY: u64 = 24;
 /// Slab-count ceiling a checkpoint area can describe (one slab per map
 /// shard; shard counts are capped at `MAX_MAP_SHARDS = 64`). The
 /// directory space is reserved for the ceiling so the area size does
 /// not depend on the runtime shard knob.
 pub(crate) const MAX_SNAP_SHARDS: u64 = 64;
 /// Bytes reserved for the slab directory in every checkpoint area.
-pub(crate) const CKPT_DIR_RESERVE: u64 = MAX_SNAP_SHARDS * CKPT_DIR_ENTRY;
+pub(crate) const CKPT_DIR_RESERVE: u64 = MAX_SNAP_SHARDS * DIR_ENTRY_LEN as u64;
 
 /// The physical layout of a formatted device, derived from its capacity
 /// and the [`LldConfig`] at format time and persisted in the superblock.
@@ -223,22 +342,6 @@ fn round_up(v: u64, to: u64) -> u64 {
 /// sectors rounded up to a whole block (block 0 at 2 KiB and up).
 fn front_region(block_size: u64) -> u64 {
     round_up(FRONT_LEN as u64, block_size)
-}
-
-// Little-endian field readers for the fixed-layout headers (segment,
-// checkpoint). Callers index buffers they sized (or length-checked)
-// themselves, so the range is in bounds, and a range of N bytes always
-// fills an N-byte array.
-pub(crate) fn u32_at(buf: &[u8], at: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&buf[at..at + 4]);
-    u32::from_le_bytes(b)
-}
-
-pub(crate) fn u64_at(buf: &[u8], at: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[at..at + 8]);
-    u64::from_le_bytes(b)
 }
 
 impl Layout {
@@ -353,30 +456,34 @@ impl Layout {
         concurrency: ConcurrencyMode,
         visibility: ReadVisibility,
     ) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(SUPERBLOCK_LEN);
-        buf.extend_from_slice(&SUPERBLOCK_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        buf.extend_from_slice(&(self.block_size as u32).to_le_bytes());
-        buf.extend_from_slice(&(self.segment_bytes as u32).to_le_bytes());
-        buf.extend_from_slice(&self.n_segments.to_le_bytes());
-        buf.extend_from_slice(&self.data_start.to_le_bytes());
-        buf.extend_from_slice(&self.ckpt_area_size.to_le_bytes());
-        buf.extend_from_slice(&self.max_blocks.to_le_bytes());
-        buf.extend_from_slice(&self.max_lists.to_le_bytes());
-        buf.push(match concurrency {
-            ConcurrencyMode::Sequential => 0,
-            ConcurrencyMode::Concurrent => 1,
-        });
-        buf.push(match visibility {
-            ReadVisibility::AnyShadow => 0,
-            ReadVisibility::Committed => 1,
-            ReadVisibility::OwnShadow => 2,
-        });
-        buf.extend_from_slice(&[0u8; 2]); // padding
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        debug_assert_eq!(buf.len(), SUPERBLOCK_LEN);
-        buf
+        let mut buf = SbField::encode(&[
+            (SbField::Magic, SUPERBLOCK_MAGIC),
+            (SbField::Version, FORMAT_VERSION.into()),
+            (SbField::BlockSize, self.block_size as u64),
+            (SbField::SegmentBytes, self.segment_bytes as u64),
+            (SbField::NSegments, self.n_segments.into()),
+            (SbField::DataStart, self.data_start),
+            (SbField::CkptAreaSize, self.ckpt_area_size),
+            (SbField::MaxBlocks, self.max_blocks),
+            (SbField::MaxLists, self.max_lists),
+            (
+                SbField::Concurrency,
+                match concurrency {
+                    ConcurrencyMode::Sequential => 0,
+                    ConcurrencyMode::Concurrent => 1,
+                },
+            ),
+            (
+                SbField::Visibility,
+                match visibility {
+                    ReadVisibility::AnyShadow => 0,
+                    ReadVisibility::Committed => 1,
+                    ReadVisibility::OwnShadow => 2,
+                },
+            ),
+        ]);
+        SbField::Crc.seal(&mut buf);
+        buf.to_vec()
     }
 
     /// Decodes and validates a superblock.
@@ -386,42 +493,25 @@ impl Layout {
     /// Returns [`LldError::Corrupt`] on a bad magic, version, checksum
     /// or geometry.
     pub fn decode_superblock(buf: &[u8]) -> Result<(Layout, ConcurrencyMode, ReadVisibility)> {
-        if buf.len() < SUPERBLOCK_LEN {
+        let Some(sb) = buf.get(..SUPERBLOCK_LEN) else {
             return Err(LldError::Corrupt("superblock too short".into()));
-        }
-        let body = &buf[..SUPERBLOCK_LEN - 4];
-        let stored_crc = u32::from_le_bytes(
-            buf[SUPERBLOCK_LEN - 4..SUPERBLOCK_LEN]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        if crc32(body) != stored_crc {
+        };
+        if !SbField::Crc.sealed(sb) {
             return Err(LldError::Corrupt("superblock checksum mismatch".into()));
         }
-        let mut pos = 0usize;
-        let u64f = |p: &mut usize| {
-            let v = u64::from_le_bytes(buf[*p..*p + 8].try_into().expect("8 bytes"));
-            *p += 8;
-            v
-        };
-        let magic = u64f(&mut pos);
-        if magic != SUPERBLOCK_MAGIC {
+        let field = |f: SbField| f.get(sb);
+        if field(SbField::Magic) != SUPERBLOCK_MAGIC {
             return Err(LldError::Corrupt("not a logical-disk superblock".into()));
         }
-        let u32f = |p: &mut usize| {
-            let v = u32::from_le_bytes(buf[*p..*p + 4].try_into().expect("4 bytes"));
-            *p += 4;
-            v
-        };
-        let version = u32f(&mut pos);
-        if version != FORMAT_VERSION {
+        let version = field(SbField::Version);
+        if version != u64::from(FORMAT_VERSION) {
             return Err(LldError::Corrupt(format!(
                 "unsupported format version {version}"
             )));
         }
-        let block_size = u32f(&mut pos) as usize;
-        let segment_bytes = u32f(&mut pos) as usize;
-        let n_segments = u32f(&mut pos);
+        let block_size = field(SbField::BlockSize) as usize;
+        let segment_bytes = field(SbField::SegmentBytes) as usize;
+        let n_segments = field(SbField::NSegments) as u32;
         // What `LldConfig::validate` asks at format time. Everything
         // that places a block or a header inside a slot divides by
         // these.
@@ -434,16 +524,11 @@ impl Layout {
                 "superblock geometry: {segment_bytes}-byte segments of {block_size}-byte blocks"
             )));
         }
-        let u64g = |p: &mut usize| {
-            let v = u64::from_le_bytes(buf[*p..*p + 8].try_into().expect("8 bytes"));
-            *p += 8;
-            v
-        };
-        let data_start = u64g(&mut pos);
-        let ckpt_area_size = u64g(&mut pos);
-        let max_blocks = u64g(&mut pos);
-        let max_lists = u64g(&mut pos);
-        let concurrency = match buf[pos] {
+        let data_start = field(SbField::DataStart);
+        let ckpt_area_size = field(SbField::CkptAreaSize);
+        let max_blocks = field(SbField::MaxBlocks);
+        let max_lists = field(SbField::MaxLists);
+        let concurrency = match field(SbField::Concurrency) {
             0 => ConcurrencyMode::Sequential,
             1 => ConcurrencyMode::Concurrent,
             other => {
@@ -452,7 +537,7 @@ impl Layout {
                 )))
             }
         };
-        let visibility = match buf[pos + 1] {
+        let visibility = match field(SbField::Visibility) {
             0 => ReadVisibility::AnyShadow,
             1 => ReadVisibility::Committed,
             2 => ReadVisibility::OwnShadow,
@@ -568,7 +653,7 @@ mod tests {
         };
         let l = Layout::compute(1 << 20, &small_cache).unwrap();
         let slabs = MAX_SNAP_SHARDS * CKPT_SLAB_DESC + 100 * 40 + 50 * 32;
-        assert!(l.ckpt_area_size >= CKPT_HEADER + CKPT_DIR_RESERVE + slabs);
+        assert!(l.ckpt_area_size >= CKPT_HEADER_LEN as u64 + CKPT_DIR_RESERVE + slabs);
     }
 
     #[test]
@@ -698,6 +783,38 @@ mod tests {
             (decoded.ckpt_b, decoded.data_start),
             (1536 + min, 1536 + 2 * min)
         );
+    }
+
+    /// docs/FORMAT.md gives every declaration as it is: each
+    /// structure's table and each checkpoint table's columns, row for
+    /// row, under the format's version.
+    #[test]
+    fn format_md_matches_the_declarations() {
+        let doc = include_str!("../../../docs/FORMAT.md");
+        assert!(doc.starts_with(&format!(
+            "# FORMAT — the on-disk format, version {FORMAT_VERSION}\n"
+        )));
+        for fields in [
+            SUPERBLOCK,
+            SEGMENT_HEADER,
+            CHECKPOINT_HEADER,
+            DIR_ENTRY,
+            COLUMN_DESC,
+        ] {
+            let rows: String = (fields.iter())
+                .map(|f| format!("| {} | {} | {} | {} |\n", f.name, f.at, f.width, f.doc))
+                .collect();
+            let table =
+                format!("| field | offset | width | holds |\n|---|---:|---:|---|\n{rows}\n");
+            assert!(doc.contains(&table), "docs/FORMAT.md lacks\n{table}");
+        }
+        for columns in [BLOCK_COLUMNS, LIST_COLUMNS, DEDUP_COLUMNS] {
+            let rows: String = (columns.iter().enumerate())
+                .map(|(i, (name, doc))| format!("| {i} | {name} | {doc} |\n"))
+                .collect();
+            let table = format!("| column | name | coded as |\n|---:|---|---|\n{rows}");
+            assert!(doc.contains(&table), "docs/FORMAT.md lacks\n{table}");
+        }
     }
 
     #[test]

@@ -95,8 +95,10 @@ pub use interface::LogicalDisk;
 pub use layout::Layout;
 #[doc(hidden)]
 pub use layout::{
-    SegField, CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH, CKPT_HEADER_AT, SEGMENT_HEADER,
-    SEGMENT_HEADER_LEN, SEGMENT_MAGIC,
+    BlockCol, CkptField, ColField, DedupCol, DirField, Field, ListCol, SbField, SegField,
+    BLOCK_COLUMNS, CHECKPOINT_HEADER, CKPT_HEADER_AT, CKPT_HEADER_LEN, COLUMN_DESC,
+    COLUMN_DESC_LEN, DEDUP_COLUMNS, DIR_ENTRY, DIR_ENTRY_LEN, LIST_COLUMNS, SEGMENT_HEADER,
+    SEGMENT_HEADER_LEN, SEGMENT_MAGIC, SUPERBLOCK, SUPERBLOCK_LEN,
 };
 pub use lld::{Lld, LldInner};
 pub use obs::{

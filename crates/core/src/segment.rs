@@ -49,22 +49,13 @@
 //! metadata ([`valid_head`]) hands on to a fresh one.
 //!
 //! The 44-byte header, declared once in `layout.rs`
-//! ([`SEGMENT_HEADER`](crate::layout::SEGMENT_HEADER)), threads the
-//! segments into one log, so recovery follows pointers from the
-//! checkpoint's [`ChainHead`] instead of probing every slot
-//! (docs/RECOVERY.md):
-//!
-//! ```text
-//!  0 magic u32          20 summary_crc u32   36 covered u32
-//!  4 seq u64            24 next_slot u32     40 header_crc u32
-//! 12 n_sectors u32      28 prev_link u32
-//! 16 summary_len u32    32 epoch u32
-//! ```
-//!
-//! `prev_link` is the header CRC of segment `seq − 1`, `epoch` a
-//! per-mount salt, `covered` the distance back from `seq` to the last
-//! segment a barrier vouched for, and `header_crc` covers the 40 bytes
-//! in front of it.
+//! ([`SEGMENT_HEADER`](crate::layout::SEGMENT_HEADER); docs/FORMAT.md
+//! gives its fields), threads the segments into one log, so recovery
+//! follows pointers from the checkpoint's [`ChainHead`] instead of
+//! probing every slot (docs/RECOVERY.md). `prev_link` is the header CRC
+//! of segment `seq − 1`, `epoch` a per-mount salt, `covered` the
+//! distance back from `seq` to the last segment a barrier vouched for,
+//! and `crc` covers the 40 bytes in front of it.
 //!
 //! `n_sectors` is the data area's size in sectors. `next_slot` is chosen
 //! at seal time. The segment's own slot means "right behind my data and
@@ -430,8 +421,7 @@ impl SegmentBuilder {
         let delta = (self.seq.checked_sub(covered))
             .filter(|&d| d > 0 && d < COVERS_NOTHING)
             .unwrap_or(COVERS_NOTHING);
-        let mut header = [0u8; HEADER_LEN];
-        for (field, v) in [
+        let mut header = SegField::encode(&[
             (SegField::Magic, SEGMENT_MAGIC),
             (SegField::Seq, self.seq),
             (SegField::NSectors, u64::from(self.n_sectors)),
@@ -441,11 +431,8 @@ impl SegmentBuilder {
             (SegField::PrevLink, u64::from(self.prev_link)),
             (SegField::Epoch, u64::from(self.epoch)),
             (SegField::Covered, delta),
-        ] {
-            field.put(&mut header, v);
-        }
-        let crc = crc32(&header[..SegField::Crc.at()]);
-        SegField::Crc.put(&mut header, u64::from(crc));
+        ]);
+        let crc = SegField::Crc.seal(&mut header);
         self.body
             .extend_from_slice(&crc.to_le_bytes()[..TRAILER_LEN]);
         self.meta.extend_from_slice(&header);
@@ -552,11 +539,10 @@ pub(crate) fn parse_header(
     slot: SegmentId,
     (base, top): (u32, u32),
 ) -> Option<SegmentHeader> {
-    let link = SegField::Crc.get(header) as u32;
-    if crc32(&header[..SegField::Crc.at()]) != link || SegField::Magic.get(header) != SEGMENT_MAGIC
-    {
+    if !SegField::Crc.sealed(header) || SegField::Magic.get(header) != SEGMENT_MAGIC {
         return None;
     }
+    let link = SegField::Crc.get(header) as u32;
     let field = |f: SegField| f.get(header) as u32;
     let (seq, delta) = (SegField::Seq.get(header), SegField::Covered.get(header));
     let (n_sectors, summary_len) = (field(SegField::NSectors), field(SegField::SummaryLen));
@@ -804,8 +790,7 @@ mod tests {
     fn forged(header: &[u8; HEADER_LEN], field: SegField, v: u64) -> [u8; HEADER_LEN] {
         let mut h = *header;
         field.put(&mut h, v);
-        let crc = crc32(&h[..SegField::Crc.at()]);
-        SegField::Crc.put(&mut h, u64::from(crc));
+        SegField::Crc.seal(&mut h);
         h
     }
 
@@ -1254,7 +1239,7 @@ mod tests {
         let mut b = builder(0, 7);
         seal_and_write(&device, &layout, &mut b);
         assert!(read_segment(&device, &layout, 0).is_some());
-        let seq_at = layout.segment_offset(1) - HEADER_LEN as u64 + SegField::Seq.at() as u64;
+        let seq_at = layout.segment_offset(1) - HEADER_LEN as u64 + SegField::Seq.at as u64;
         device.write_at(seq_at + 1, &[0x10]).unwrap(); // seq 7 → 4103
         assert_eq!(read_segment(&device, &layout, 0), None);
     }

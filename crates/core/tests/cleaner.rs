@@ -9,7 +9,7 @@ use ld_disk::{BlockDevice, Condvar, DiskError, MemDisk, Mutex};
 use std::time::{Duration, Instant};
 
 mod common;
-use common::churn_ring;
+use common::{capacity_for, churn_ring};
 
 const BS: usize = 512;
 
@@ -54,10 +54,10 @@ fn block(byte: u8) -> Vec<u8> {
     vec![byte; BS]
 }
 
-/// A device with room for ~24 segments.
+/// A device of 28 segment slots.
 fn small_disk(mode: Mode) -> Lld<MemDisk> {
-    let cap = 1536 + 2 * 64 * 1024 + 24 * 8 * 512; // superblock region + ckpt areas + segments
-    Lld::format(MemDisk::new(cap as u64), &config(mode)).unwrap()
+    let cap = capacity_for(&config(mode), 28);
+    Lld::format(MemDisk::new(cap), &config(mode)).unwrap()
 }
 
 #[test]
@@ -338,8 +338,8 @@ fn crash_during_cleaning_era_recovers_current_state_at(mode: Mode) {
     let mut crash_at = 300_000u64;
     let mut crashes_seen = 0;
     while crash_at < 4_000_000 {
-        let cap = 1536 + 2 * 64 * 1024 + 24 * 8 * 512;
-        let sim = SimDisk::new(MemDisk::new(cap as u64), DiskModel::hp_c3010())
+        let cap = capacity_for(&config(mode), 28);
+        let sim = SimDisk::new(MemDisk::new(cap), DiskModel::hp_c3010())
             .with_faults(FaultPlan::new().crash_after_bytes(crash_at));
         let ld = Lld::format(sim, &config(mode)).unwrap();
 
@@ -409,8 +409,8 @@ fn churn_on_eight_block_slots(
 ) -> Result<ld_core::LldStats, LldError> {
     cfg.cleaner.target_free_segments = 8;
     cfg.cleaner.backpressure_free_segments = 1;
-    let cap = 1536 + 2 * 64 * 1024 + 16 * 8 * 512;
-    let ld = Lld::format(MemDisk::new(cap as u64), &cfg)?;
+    let cap = capacity_for(&cfg, 20);
+    let ld = Lld::format(MemDisk::new(cap), &cfg)?;
     assert_eq!(ld.n_segments(), 20);
     let l = ld.new_list(Ctx::Simple)?;
     let mut blocks = Vec::new();
@@ -606,8 +606,8 @@ fn wait_until(what: &str, done: impl Fn() -> bool) {
 #[test]
 fn cleanerd_hands_a_covered_victim_back_before_it_reads_the_next() {
     let inline = config((false, 8));
-    let cap = 1536 + 2 * 64 * 1024 + 40 * 8 * 512;
-    let ld = Lld::format(MemDisk::new(cap as u64), &inline).unwrap();
+    let cap = capacity_for(&inline, 44);
+    let ld = Lld::format(MemDisk::new(cap), &inline).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let mut blocks = Vec::new();
     for i in 0..18u8 {
@@ -679,8 +679,8 @@ fn first_commit_after_recovery_leaves_cleaning_to_cleanerd() {
     // rounds leave the disk at the default emergency level.
     let mut tight = config((false, 8));
     tight.cleaner.target_free_segments = tight.cleaner.min_free_segments;
-    let cap = 1536 + 2 * 64 * 1024 + 24 * 8 * 512;
-    let ld = Lld::format(MemDisk::new(cap as u64), &tight).unwrap();
+    let cap = capacity_for(&tight, 28);
+    let ld = Lld::format(MemDisk::new(cap), &tight).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let ring = churn_ring(&ld, l, None);
     let cfg = config((true, 8));
@@ -761,7 +761,7 @@ impl BlockDevice for CheckpointCuts {
     fn write_at(&self, offset: u64, buf: &[u8]) -> ld_disk::Result<()> {
         let mut st = self.state.lock();
         self.inner.write_at(offset, buf)?;
-        st.header |= buf.len() == common::C_LEN && st.headers.contains(&offset);
+        st.header |= buf.len() == common::CKPT_HEADER_LEN && st.headers.contains(&offset);
         Ok(())
     }
     fn flush(&self) -> ld_disk::Result<()> {
@@ -793,9 +793,9 @@ fn no_checkpoint_holds_part_of_an_aru() {
 }
 
 fn no_checkpoint_holds_part_of_an_aru_at(cfg: LldConfig) {
-    let cap = 1536 + 2 * 64 * 1024 + 24 * 8 * 512;
+    let cap = capacity_for(&cfg, 28);
     let device = CheckpointCuts {
-        inner: MemDisk::new(cap as u64),
+        inner: MemDisk::new(cap),
         state: Mutex::default(),
     };
     let ld = Lld::format(device, &cfg).unwrap();
@@ -855,8 +855,8 @@ fn no_checkpoint_holds_part_of_an_aru_at(cfg: LldConfig) {
 #[test]
 fn cleanerd_writes_a_checkpoint_a_round_at_most_on_a_disk_of_live_data() {
     let inline = config((false, 8));
-    let cap = 1536 + 2 * 64 * 1024 + 24 * 8 * 512;
-    let ld = Lld::format(MemDisk::new(cap as u64), &inline).unwrap();
+    let cap = capacity_for(&inline, 28);
+    let ld = Lld::format(MemDisk::new(cap), &inline).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let mut blocks: Vec<ld_core::BlockId> = Vec::new();
     while ld.free_segments() > 3 {

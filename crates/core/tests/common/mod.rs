@@ -1,17 +1,22 @@
-//! What the suites share: where the on-disk fields sit and how to make
-//! an edit under them pass its checksum again (the image-forging
-//! suites), the blocks an overwrite churn rotates over, the crash
-//! suites' seed convention, and a device that parks chosen writes (the
-//! suites that own a segment write in flight).
+//! What the suites share: where the on-disk structures sit and how to
+//! make an edit of a field, named by its declaration (`ld_core::SegField`
+//! and the like), pass its checksums again (the image-forging suites);
+//! the size of a device of N slots; the blocks an overwrite churn
+//! rotates over; the crash suites' seed convention; and a device that
+//! parks chosen writes (the suites that own a segment write in flight).
 //!
 //! A crash suite's oracle is not here: the LD-level suites include the
 //! reference model beside this file, `model.rs` (docs/INVARIANTS.md I7,
 //! I8), with a `#[path]` of their own; the file-system suites use
 //! `MinixFs::verify`.
 
-#![allow(dead_code)] // each suite uses its own subset
+#![allow(dead_code, unused_imports)] // each suite uses its own subset
 
-use ld_core::{BlockId, Ctx, ListId, Lld, Position, Record, SegField, SEGMENT_HEADER_LEN};
+use ld_core::{BlockId, Ctx, Layout, ListId, Lld, LldConfig, Position, Record};
+pub use ld_core::{
+    CkptField, ColField, DirField, SbField, SegField, CKPT_HEADER_LEN, COLUMN_DESC_LEN,
+    DIR_ENTRY_LEN, SEGMENT_HEADER_LEN as H_LEN, SEGMENT_MAGIC,
+};
 use ld_disk::{
     crc32, BlockDevice, Condvar, DiskError, DiskModel, MemDisk, Mutex, SimDisk, SmallRng,
 };
@@ -41,6 +46,19 @@ pub fn churn_ring<D: BlockDevice>(
             b
         })
         .collect()
+}
+
+/// The size of a device on which `cfg` has `n_slots` segment slots and
+/// nothing behind them: its superblock's region, both checkpoint areas
+/// and the slots, as `Layout::compute` lays them out. `cfg` caps its
+/// blocks and lists, so the areas do not grow with the device.
+pub fn capacity_for(cfg: &LldConfig, n_slots: u32) -> u64 {
+    assert!(cfg.max_blocks.is_some() && cfg.max_lists.is_some());
+    let front = Layout::compute(1 << 40, cfg).unwrap().data_start;
+    let cap = front + u64::from(n_slots) * cfg.segment_bytes as u64;
+    let layout = Layout::compute(cap, cfg).unwrap();
+    assert_eq!((layout.data_start, layout.n_segments), (front, n_slots));
+    cap
 }
 
 // Power cuts: `SimDisk` is the one crash model. A suite's seed is what
@@ -76,26 +94,20 @@ pub fn random_cut(dev: &SimDisk<MemDisk>, rng: &mut SmallRng) -> (Vec<u8>, Vec<u
     (image, kept)
 }
 
-// Segment header fields, from their one declaration
-// (`ld_core::SEGMENT_HEADER`, see `segment.rs`).
-pub const H_SEQ: usize = SegField::Seq.at();
-/// The data area's size in 512-byte sectors.
-pub const H_N_SECTORS: usize = SegField::NSectors.at();
-pub const H_SUMMARY_LEN: usize = SegField::SummaryLen.at();
-pub const H_SUMMARY_CRC: usize = SegField::SummaryCrc.at();
-pub const H_NEXT: usize = SegField::NextSlot.at();
-pub const H_PREV: usize = SegField::PrevLink.at();
-/// `seq` less the last segment a barrier vouched for at the seal.
-pub const H_COVERED: usize = SegField::Covered.at();
-pub const H_CRC: usize = SegField::Crc.at();
-/// The header's length: the last bytes of a seal's meta record, its
-/// second write.
-pub const H_LEN: usize = SEGMENT_HEADER_LEN;
 /// The trailer behind a data area: the header's CRC.
 pub const TRAILER_LEN: usize = 4;
 /// The unit a segment's base, its data area and its addresses count.
 pub const SECTOR: usize = 512;
-pub use ld_core::SEGMENT_MAGIC;
+
+/// Field `f` of the segment header at `off`.
+pub fn seg(image: &[u8], off: usize, f: SegField) -> u64 {
+    f.get(&image[off..])
+}
+
+/// Field `f` of the header of the checkpoint at `area`.
+pub fn ckpt(image: &[u8], area: usize, f: CkptField) -> u64 {
+    f.get(&image[ckpt_header(image, area)..])
+}
 
 /// Where a segment sits in its slot: the sector its data starts at
 /// (`base`) and the one its meta record ends at (`top`, exclusive; its
@@ -141,14 +153,14 @@ impl SegPos {
     /// Byte offset of the trailer, behind the data area the header
     /// names.
     pub fn trailer(&self, image: &[u8]) -> usize {
-        let n_sectors = u32_at(image, self.header(image) + H_N_SECTORS);
+        let n_sectors = seg(image, self.header(image), SegField::NSectors) as u32;
         self.sector(image, self.base + n_sectors)
     }
 
     /// Sectors of the meta record the header names: its records and
     /// itself.
     pub fn meta_sectors(&self, image: &[u8]) -> u32 {
-        let summary = u32_at(image, self.header(image) + H_SUMMARY_LEN) as usize;
+        let summary = seg(image, self.header(image), SegField::SummaryLen) as usize;
         (H_LEN + summary).div_ceil(SECTOR) as u32
     }
 
@@ -157,13 +169,13 @@ impl SegPos {
     /// another slot.
     pub fn successor(&self, image: &[u8]) -> SegPos {
         let off = self.header(image);
-        let next = u32_at(image, off + H_NEXT);
+        let next = seg(image, off, SegField::NextSlot) as u32;
         if next != self.slot {
             return SegPos::first(image, next);
         }
         SegPos {
             slot: next,
-            base: self.base + u32_at(image, off + H_N_SECTORS) + 1,
+            base: self.base + seg(image, off, SegField::NSectors) as u32 + 1,
             top: self.top - self.meta_sectors(image),
         }
     }
@@ -178,13 +190,14 @@ pub fn walk(image: &[u8], mut head: SegPos, mut link: u32, mut seq: u64) -> Vec<
     while head.slot < n {
         let off = head.header(image);
         if !header_valid(image, off)
-            || u64_at(image, off + H_SEQ) != seq
-            || u32_at(image, off + H_PREV) != link
+            || seg(image, off, SegField::Seq) != seq
+            || seg(image, off, SegField::PrevLink) != u64::from(link)
         {
             break;
         }
         out.push(head);
-        (head, link, seq) = (head.successor(image), u32_at(image, off + H_CRC), seq + 1);
+        let crc = seg(image, off, SegField::Crc) as u32;
+        (head, link, seq) = (head.successor(image), crc, seq + 1);
     }
     out
 }
@@ -192,14 +205,6 @@ pub fn walk(image: &[u8], mut head: SegPos, mut link: u32, mut seq: u64) -> Vec<
 /// Segments 1, 2, … of a log that starts at the back of slot 0.
 pub fn chain(image: &[u8]) -> Vec<SegPos> {
     walk(image, SegPos::first(image, 0), 0, 1)
-}
-
-pub fn u32_at(image: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(image[at..at + 4].try_into().unwrap())
-}
-
-pub fn u64_at(image: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(image[at..at + 8].try_into().unwrap())
 }
 
 pub fn put_u32(image: &mut [u8], at: usize, v: u32) {
@@ -211,9 +216,7 @@ pub fn put_u32(image: &mut [u8], at: usize, v: u32) {
 /// segment's link). The trailer keeps the old one: a segment the
 /// watermark does not cover then ends the log ([`reseal`] moves both).
 pub fn reseal_header(image: &mut [u8], off: usize) -> u32 {
-    let crc = crc32(&image[off..off + H_CRC]);
-    put_u32(image, off + H_CRC, crc);
-    crc
+    SegField::Crc.seal(&mut image[off..])
 }
 
 /// Recomputes the CRC of the header of the segment at `pos` and puts it
@@ -227,15 +230,14 @@ pub fn reseal(image: &mut [u8], pos: SegPos) -> u32 {
 }
 
 pub fn header_valid(image: &[u8], off: usize) -> bool {
-    u64::from(u32_at(image, off)) == SEGMENT_MAGIC
-        && crc32(&image[off..off + H_CRC]) == u32_at(image, off + H_CRC)
+    seg(image, off, SegField::Magic) == SEGMENT_MAGIC && SegField::Crc.sealed(&image[off..])
 }
 
 /// Byte range of the summary of the segment at `pos`: right in front of
 /// its header.
 pub fn summary_range(image: &[u8], pos: SegPos) -> std::ops::Range<usize> {
     let end = pos.header(image);
-    end - u32_at(image, end + H_SUMMARY_LEN) as usize..end
+    end - seg(image, end, SegField::SummaryLen) as usize..end
 }
 
 /// Makes an edit of the summary of the segment at `pos` pass:
@@ -244,7 +246,8 @@ pub fn summary_range(image: &[u8], pos: SegPos) -> std::ops::Range<usize> {
 /// the log ends behind this segment.
 pub fn reseal_summary(image: &mut [u8], pos: SegPos) {
     let crc = crc32(&image[summary_range(image, pos)]);
-    put_u32(image, pos.header(image) + H_SUMMARY_CRC, crc);
+    let at = pos.header(image);
+    SegField::SummaryCrc.put(&mut image[at..], crc.into());
     reseal(image, pos);
 }
 
@@ -292,69 +295,50 @@ pub fn splice_summary(image: &mut [u8], pos: SegPos, range: Range<usize>, bytes:
         "the meta record at {pos:?} outgrows its sectors"
     );
     image[summary.end - edited.len()..summary.end].copy_from_slice(&edited);
-    put_u32(image, summary.end + H_SUMMARY_LEN, edited.len() as u32);
+    SegField::SummaryLen.put(&mut image[summary.end..], edited.len() as u64);
     reseal_summary(image, pos);
 }
 
-// Checkpoint header fields (see `checkpoint.rs`). A header sits alone
-// in its sector of the superblock's region ([`ckpt_header`]).
-pub const C_LINK: usize = 4;
-pub const C_SEQ: usize = 8;
-pub const C_SNAP_SHARDS: usize = 40;
-pub const C_DIR_CRC: usize = 44;
-pub const C_N_DEDUP: usize = 48;
-pub const C_DEDUP_CRC: usize = 52;
-pub const C_HEAD_SLOT: usize = 56;
-pub const C_HEAD_BASE: usize = 60;
-pub const C_HEAD_TOP: usize = 64;
-/// The body's length: directory, slabs and dedup table, from the
-/// area's start.
-pub const C_BODY_LEN: usize = 68;
-pub const C_CRC: usize = 76;
-/// The header's length.
-pub const C_LEN: usize = 80;
-/// A directory entry, one a slab, at the area's start; the slabs follow
-/// the directory back to back, and the dedup table the slabs.
-pub const C_DIR_ENTRY: usize = 24;
-// In a directory entry: the slab's CRC and its length in bytes.
-pub const C_DIR_SLAB_CRC: usize = 16;
-pub const C_DIR_SLAB_LEN: usize = 20;
-/// The dedup table's four column descriptors; its rows follow, the
-/// first in full.
-pub const C_DEDUP_DESC: usize = 40;
-
-// Superblock: the geometry fields, and the CRC over the bytes in front
-// of it (see `layout.rs`).
-pub const S_N_SEGMENTS: usize = 20;
-pub const S_DATA_START: usize = 24;
-pub const S_CKPT_AREA_SIZE: usize = 32;
-pub const S_MAX_BLOCKS: usize = 40;
-pub const S_MAX_LISTS: usize = 48;
-pub const S_CRC: usize = 60;
-
 /// Recomputes the CRC of the superblock.
 pub fn reseal_superblock(image: &mut [u8]) {
-    let crc = crc32(&image[..S_CRC]);
-    put_u32(image, S_CRC, crc);
+    SbField::Crc.seal(image);
 }
 
 /// Where the header of the checkpoint area at `area` is: sector 1 for
 /// area A, which starts where the superblock's region ends (slot 0's
 /// offset less both areas), sector 2 for area B (`ld_core::CKPT_HEADER_AT`).
 pub fn ckpt_header(image: &[u8], area: usize) -> usize {
-    let area_a = u64_at(image, S_DATA_START) - 2 * u64_at(image, S_CKPT_AREA_SIZE);
+    let sb = |f: SbField| f.get(image);
+    let area_a = sb(SbField::DataStart) - 2 * sb(SbField::CkptAreaSize);
     ld_core::CKPT_HEADER_AT[usize::from(area as u64 != area_a)] as usize
+}
+
+/// Byte offset of entry `i` of the directory of the checkpoint at
+/// `area`: at the area's start, one a slab.
+pub fn dir_entry(area: usize, i: usize) -> usize {
+    area + i * DIR_ENTRY_LEN
+}
+
+/// The column descriptors a slab starts with: its block columns, then
+/// its list columns.
+pub const SLAB_COLUMNS: usize = ld_core::BLOCK_COLUMNS.len() + ld_core::LIST_COLUMNS.len();
+
+/// Byte offset of the descriptor of column `col` of the table whose
+/// descriptors start at `table` (a slab: its block columns, then its
+/// list columns; the dedup table).
+pub fn column(table: usize, col: usize) -> usize {
+    table + col * COLUMN_DESC_LEN
 }
 
 /// Byte ranges of the slabs of the checkpoint at `area`, from its
 /// directory (which must be intact).
 pub fn slab_ranges(image: &[u8], area: usize) -> Vec<std::ops::Range<usize>> {
-    let shards = u32_at(image, ckpt_header(image, area) + C_SNAP_SHARDS) as usize;
-    let mut start = area + shards * C_DIR_ENTRY;
+    let shards = ckpt(image, area, CkptField::SnapShards) as usize;
+    let mut start = dir_entry(area, shards);
     (0..shards)
         .map(|i| {
-            let entry = area + i * C_DIR_ENTRY;
-            let range = start..start + u32_at(image, entry + C_DIR_SLAB_LEN) as usize;
+            let len = DirField::SlabLen.get(&image[dir_entry(area, i)..]) as usize;
+            let range = start..start + len;
             start = range.end;
             range
         })
@@ -362,15 +346,21 @@ pub fn slab_ranges(image: &[u8], area: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// Makes an edit of slab `i` of the checkpoint at `area` pass:
-/// recomputes the slab's CRC in its directory entry, the directory's
-/// CRC in the header, then the header's own.
+/// recomputes the slab's CRC in its directory entry, then the
+/// directory's and the header's ([`reseal_dir`]).
 pub fn reseal_slab(image: &mut [u8], area: usize, i: usize) {
     let slab_crc = crc32(&image[slab_ranges(image, area)[i].clone()]);
-    put_u32(image, area + i * C_DIR_ENTRY + C_DIR_SLAB_CRC, slab_crc);
+    DirField::SlabCrc.put(&mut image[dir_entry(area, i)..], slab_crc.into());
+    reseal_dir(image, area);
+}
+
+/// Makes an edit of the directory of the checkpoint at `area` pass:
+/// recomputes its CRC in the header, then the header's own.
+pub fn reseal_dir(image: &mut [u8], area: usize) {
+    let shards = ckpt(image, area, CkptField::SnapShards) as usize;
+    let dir_crc = crc32(&image[area..dir_entry(area, shards)]);
     let header = ckpt_header(image, area);
-    let shards = u32_at(image, header + C_SNAP_SHARDS) as usize;
-    let dir_crc = crc32(&image[area..area + shards * C_DIR_ENTRY]);
-    put_u32(image, header + C_DIR_CRC, dir_crc);
+    CkptField::DirCrc.put(&mut image[header..], dir_crc.into());
     reseal_checkpoint(image, area);
 }
 
@@ -379,22 +369,22 @@ pub fn reseal_slab(image: &mut [u8], area: usize, i: usize) {
 pub fn dedup_range(image: &[u8], area: usize) -> std::ops::Range<usize> {
     let slabs = slab_ranges(image, area);
     let start = slabs.last().expect("a slab or more").end;
-    start..area + u64_at(image, ckpt_header(image, area) + C_BODY_LEN) as usize
+    start..area + ckpt(image, area, CkptField::BodyLen) as usize
 }
 
 /// Makes an edit of the dedup table of the checkpoint at `area` pass:
 /// recomputes its CRC in the header, then the header's own.
 pub fn reseal_dedup(image: &mut [u8], area: usize) {
     let crc = crc32(&image[dedup_range(image, area)]);
-    put_u32(image, ckpt_header(image, area) + C_DEDUP_CRC, crc);
+    let header = ckpt_header(image, area);
+    CkptField::DedupCrc.put(&mut image[header..], crc.into());
     reseal_checkpoint(image, area);
 }
 
 /// Recomputes the CRC of the header of the checkpoint at `area`.
 pub fn reseal_checkpoint(image: &mut [u8], area: usize) {
     let header = ckpt_header(image, area);
-    let crc = crc32(&image[header..header + C_CRC]);
-    put_u32(image, header + C_CRC, crc);
+    CkptField::Crc.seal(&mut image[header..]);
 }
 
 // A device that parks chosen writes (docs/INVARIANTS.md I4).

@@ -414,7 +414,7 @@ fn flushed_commit_after_gap_survives_second_crash() {
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let header =
         |sector: usize| layout.segment_offset(0) as usize + sector * BS - SEGMENT_HEADER_LEN;
-    let seq_at = SegField::Seq.at();
+    let seq_at = SegField::Seq.at;
     let seq2 = header(15);
     assert_eq!(image[seq2 + seq_at], 2, "segment 2's header ends sector 14");
     image[seq2..seq2 + 32].fill(0);

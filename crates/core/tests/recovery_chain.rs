@@ -119,11 +119,11 @@ fn stale_successor_is_not_replayed() {
             aru,
         });
         splice_summary(&mut forged, at, record.clone(), &write);
-        forged[to + H_SEQ..to + H_SEQ + 8].copy_from_slice(&next_seq.to_le_bytes());
-        put_u32(&mut forged, to + H_NEXT, u32::MAX);
-        let link_of_tail = u32_at(&image, from + H_CRC);
+        SegField::Seq.put(&mut forged[to..], next_seq);
+        SegField::NextSlot.put(&mut forged[to..], u64::from(u32::MAX));
+        let link_of_tail = SegField::Crc.get(&image[from..]) as u32;
 
-        put_u32(&mut forged, to + H_PREV, link_of_tail ^ 1);
+        SegField::PrevLink.put(&mut forged[to..], u64::from(link_of_tail ^ 1));
         reseal(&mut forged, at);
         assert!(header_valid(&forged, to));
         let (ld, report) = recover(&forged).unwrap();
@@ -135,7 +135,7 @@ fn stale_successor_is_not_replayed() {
         );
         assert_eq!(read_byte(&ld, b), n);
 
-        put_u32(&mut forged, to + H_PREV, link_of_tail);
+        SegField::PrevLink.put(&mut forged[to..], u64::from(link_of_tail));
         reseal(&mut forged, at);
         let (ld, report) = recover(&forged).unwrap();
         assert_eq!(
@@ -184,7 +184,8 @@ fn torn_newest_checkpoint_walks_from_the_older_head() {
 
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let mut torn = image.clone();
-    torn[ckpt_header(&image, layout.ckpt_b as usize) + 20] ^= 0xFF;
+    let ts = ckpt_header(&image, layout.ckpt_b as usize) + CkptField::Ts.at;
+    torn[ts] ^= 0xFF;
     let (fallback, report) = recover(&torn).unwrap();
     assert_eq!(report.checkpoint_seq, older, "older area used");
     assert_eq!(
@@ -288,8 +289,11 @@ fn log_continues_past_a_segment_sealed_on_a_full_disk() {
     let pointerless: Vec<u64> = (0..n)
         .flat_map(|slot| (1..=BPS as u32).map(move |top| (slot, top)))
         .map(|(slot, top)| SegPos::first(&image, slot).sector(&image, top) - H_LEN)
-        .filter(|&off| header_valid(&image, off) && u32_at(&image, off + H_NEXT) == u32::MAX)
-        .map(|off| u64_at(&image, off + H_SEQ))
+        .filter(|&off| {
+            header_valid(&image, off)
+                && SegField::NextSlot.get(&image[off..]) == u64::from(u32::MAX)
+        })
+        .map(|off| SegField::Seq.get(&image[off..]))
         .collect();
     assert_eq!(pointerless.len(), 1, "one segment sealed with no slot free");
     assert!(
@@ -323,13 +327,13 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     let at = chain(&image);
     let tail = at[11].header(&image);
     assert_eq!(
-        u32_at(&image, tail + H_NEXT),
+        SegField::NextSlot.get(&image[tail..]) as u32,
         2,
         "the tail goes on behind itself"
     );
     for ptr in [n, n + 5, u32::MAX - 1, 0, 1] {
         let mut hostile = image.clone();
-        put_u32(&mut hostile, tail + H_NEXT, ptr);
+        SegField::NextSlot.put(&mut hostile[tail..], u64::from(ptr));
         reseal(&mut hostile, at[11]);
         let got = recover(&hostile);
         assert!(
@@ -339,7 +343,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
         );
     }
     let mut pointerless = image.clone();
-    put_u32(&mut pointerless, tail + H_NEXT, u32::MAX);
+    SegField::NextSlot.put(&mut pointerless[tail..], u64::from(u32::MAX));
     reseal(&mut pointerless, at[11]);
     let (ld, report) = recover(&pointerless).unwrap();
     assert_eq!(report.segments_replayed, 12);
@@ -350,9 +354,9 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     // edited header), whose pointer names a slot the chain itself
     // occupies.
     let mid = at[9].header(&image);
-    assert_eq!(u32_at(&image, mid + H_NEXT), 2);
+    assert_eq!(SegField::NextSlot.get(&image[mid..]), 2);
     let mut hostile = image.clone();
-    put_u32(&mut hostile, mid + H_NEXT, 0);
+    SegField::NextSlot.put(&mut hostile[mid..], 0);
     reseal(&mut hostile, at[9]);
     assert!(matches!(recover(&hostile), Err(LldError::Corrupt(_))));
 
@@ -360,7 +364,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     // one block is left: no writer seals that, so it is no segment, and
     // the log ends in front of it.
     let mut hostile = image.clone();
-    put_u32(&mut hostile, mid + H_NEXT, 1);
+    SegField::NextSlot.put(&mut hostile[mid..], 1);
     reseal(&mut hostile, at[9]);
     let (ld, report) = recover(&hostile).unwrap();
     assert_eq!(report.segments_replayed, 9);
@@ -430,7 +434,7 @@ fn hostile_pointers_are_corrupt_not_fatal() {
     // sizes its per-slot tables by that count.
     for claim in [n + 1, u32::MAX] {
         let mut hostile = image.clone();
-        put_u32(&mut hostile, S_N_SEGMENTS, claim);
+        SbField::NSegments.put(&mut hostile, u64::from(claim));
         reseal_superblock(&mut hostile);
         let got = recover(&hostile);
         assert!(
@@ -590,7 +594,7 @@ fn a_restart_reads_its_checkpoint_in_two_reads() {
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let (a, b) = (layout.ckpt_a as usize, layout.ckpt_b as usize);
     let body = |image: &[u8], area: usize| {
-        let len = u64_at(image, ckpt_header(image, area) + C_BODY_LEN) as usize;
+        let len = ckpt(image, area, CkptField::BodyLen) as usize;
         (area as u64, len)
     };
     // The reads recovery makes in front of its first one at or past
@@ -611,11 +615,11 @@ fn a_restart_reads_its_checkpoint_in_two_reads() {
     let (reads, newer, bytes) = front_reads(&image);
     assert_eq!(reads, [(0, 3 * SECTOR), body(&image, b)]);
     assert!(untouched(&reads, a), "{reads:?}");
-    assert_eq!(bytes, (C_LEN + body(&image, b).1) as u64);
+    assert_eq!(bytes, (CKPT_HEADER_LEN + body(&image, b).1) as u64);
 
     let mut torn = image.clone();
     let header_b = ckpt_header(&image, b);
-    torn[header_b + 30..header_b + C_LEN].fill(0);
+    torn[header_b + 30..header_b + CKPT_HEADER_LEN].fill(0);
     let (reads, older, _) = front_reads(&torn);
     assert!(older > 0 && older < newer, "{older} of {newer}");
     assert_eq!(reads, [(0, 3 * SECTOR), body(&image, a)]);
@@ -707,7 +711,7 @@ fn reformat_over_in_slot_segments_recovers_empty() {
     let image = ld.into_device().into_image();
     assert_eq!(chain(&image).len(), 1);
     let old = at[1].header(&image);
-    assert!(header_valid(&image, old) && u64_at(&image, old + H_SEQ) == 2);
+    assert!(header_valid(&image, old) && SegField::Seq.get(&image[old..]) == 2);
     let (ld, report) = recover(&image).unwrap();
     assert_eq!((report.segments_scanned, report.segments_replayed), (2, 1));
     assert_eq!(read_byte(&ld, b), 0x77);
@@ -732,10 +736,14 @@ fn checkpoint_head_inside_a_slot() {
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let area = layout.ckpt_a as usize;
     let header = ckpt_header(&image, area);
-    assert_eq!(u32_at(&image, header + C_HEAD_SLOT), 0);
-    assert_eq!(u32_at(&image, header + C_HEAD_BASE), 2, "behind segment 1");
+    assert_eq!(CkptField::HeadSlot.get(&image[header..]), 0);
     assert_eq!(
-        u32_at(&image, header + C_HEAD_TOP),
+        CkptField::HeadBase.get(&image[header..]),
+        2,
+        "behind segment 1"
+    );
+    assert_eq!(
+        CkptField::HeadTop.get(&image[header..]) as u32,
         BPS as u32 - 1,
         "below it"
     );
@@ -774,8 +782,8 @@ fn checkpoint_head_inside_a_slot() {
         (0, u32::MAX),
     ] {
         let mut hostile = image.clone();
-        put_u32(&mut hostile, header + C_HEAD_BASE, base);
-        put_u32(&mut hostile, header + C_HEAD_TOP, top);
+        CkptField::HeadBase.put(&mut hostile[header..], u64::from(base));
+        CkptField::HeadTop.put(&mut hostile[header..], u64::from(top));
         reseal_checkpoint(&mut hostile, area);
         let got = recover(&hostile);
         assert!(
@@ -786,7 +794,7 @@ fn checkpoint_head_inside_a_slot() {
     }
     // Inside a slot the device does not have.
     let mut hostile = image.clone();
-    put_u32(&mut hostile, header + C_HEAD_SLOT, layout.n_segments);
+    CkptField::HeadSlot.put(&mut hostile[header..], u64::from(layout.n_segments));
     reseal_checkpoint(&mut hostile, area);
     assert!(matches!(recover(&hostile), Err(LldError::Corrupt(_))));
 }
@@ -853,12 +861,12 @@ fn timestamp_that_runs_backwards_is_corrupt() {
 #[test]
 fn older_format_version_is_refused() {
     let (image, b) = image_with_segments(1);
-    assert_eq!(u32_at(&image, 8), 11, "superblock version field");
+    assert_eq!(SbField::Version.get(&image), 11, "superblock version field");
     let (ld, _) = recover(&image).expect("a format-11 image mounts");
     assert_eq!(read_byte(&ld, b), 1);
     for older in [10, 9, 8, 7, 6, 5, 4] {
         let mut image = image.clone();
-        put_u32(&mut image, 8, older);
+        SbField::Version.put(&mut image, older);
         reseal_superblock(&mut image);
         match recover(&image) {
             Err(LldError::Corrupt(msg)) => {

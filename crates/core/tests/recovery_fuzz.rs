@@ -4,42 +4,32 @@
 //! Each case takes one of three images — a checkpoint, a suffix of full
 //! and in-slot partial segments, ARUs, tagged commits and deletions, and
 //! on 4 KiB blocks a sector a grown block left free and another block
-//! filled (docs/INVARIANTS.md I5) — and
-//! flips 1–4 bits in it. Two differ in their block size: on 512-byte
-//! blocks a sector is a block, on 4 KiB blocks most headers end in the
-//! middle of a block, right behind the meta record of the segment in
-//! front of them (a slot's metadata run counts sectors). The third is in `Sequential`
-//! mode, with no tagged commit. The checkpoint recovery loads was asked
-//! for while an ARU was open: a concurrent one with a shadow write,
-//! which it does not hold, or a sequential one, whose operations are in
-//! the tables already, so it was written once the ARU had ended
-//! (docs/INVARIANTS.md I6). *Raw* flips land in the
-//! superblock, a checkpoint area or a used slot and leave the checksums
-//! alone: a CRC catches them, and recovery falls back to the other
-//! area or ends the log earlier. *Resealed* flips recompute the
-//! checksum above the flipped field the way `recovery_chain.rs` does by
-//! hand (segment header, summary, checkpoint header, the superblock's
-//! geometry fields), so recovery takes the field at its word.
+//! filled (docs/INVARIANTS.md I5). Two differ in their block size: on
+//! 512-byte blocks a sector is a block, on 4 KiB blocks most headers end
+//! in the middle of a block, right behind the meta record of the segment
+//! in front of them. The third is in `Sequential` mode, with no tagged
+//! commit. The checkpoint recovery loads was asked for while an ARU was
+//! open (docs/INVARIANTS.md I6).
 //!
-//! Either way `recover` returns: a typed error, or a disk on which
-//! `check()` succeeds and every allocated list walks to its end. It
-//! never panics.
+//! *Raw* flips of 1–4 bits land in the superblock, a checkpoint area or
+//! a used slot and leave the checksums alone; *resealed* flips recompute
+//! the checksum above them (a summary, a checkpoint header). `recover`
+//! returns a typed error, or a disk on which `check()` succeeds and
+//! every allocated list walks to its end. It never panics.
 //!
-//! *Resealed slab* flips land in a checkpoint slab's column descriptors
-//! or rows, under a recomputed slab, directory and header checksum, so
-//! they reach the decoder. Rows under a valid checksum are the tables:
-//! recovery bounds what becomes an index or feeds the allocators'
-//! arithmetic and does not walk every list to see that its rows link
-//! up (a hash probe per block on every restart). So there the disk
-//! that comes back may hold a list whose chain a flip broke, and what
-//! is asked of `check()` and of every walk is that they return — `Ok`
-//! or a typed error — and that nothing panics. *Resealed dedup* flips
-//! land in the write-id outcomes behind the slabs — the dedup table's
-//! column descriptors, or its rows (the first in full, the rest
-//! bit-packed) — under a recomputed dedup and header checksum, and are
-//! asked the same; so are *resealed rows* flips, 1–8 bits inside a
-//! slab's bit-packed rows behind its descriptors, where one flip moves
-//! every value decoded after it.
+//! A *resealed field* is drawn from the declarations (`ld_core::SUPERBLOCK`
+//! and the like, docs/FORMAT.md): any field but a magic or a CRC of the
+//! superblock, a segment header, a checkpoint header, a directory entry
+//! or a column descriptor, set to 0, 1, its width's most or a random
+//! value under its recomputed checksums, so a field a later format
+//! declares is fuzzed with no kind of its own. *Resealed dedup* and
+//! *rows* flips land in the dedup table's rows or in 1–8 bits of a slab's
+//! bit-packed rows. Rows and fields under a valid
+//! checksum are taken at their word: recovery bounds what becomes an
+//! index or feeds the allocators' arithmetic, but does not walk every
+//! list to see that its rows link up. So of these only a return is
+//! asked: a typed error, or a disk on which `check()` and every walk
+//! return.
 //!
 //! Format 10's header kinds land in the header sectors next to the
 //! superblock: a header torn at a random byte (what follows it is the
@@ -89,7 +79,8 @@ mod common;
 
 use common::*;
 use ld_core::{
-    ConcurrencyMode, Ctx, Layout, ListId, Lld, LldConfig, LldError, Position, Record, CKPT_COL_DESC,
+    BlockCol, ConcurrencyMode, Ctx, Field, Layout, ListId, Lld, LldConfig, LldError, Position,
+    Record, CHECKPOINT_HEADER, COLUMN_DESC, DEDUP_COLUMNS, DIR_ENTRY, SEGMENT_HEADER, SUPERBLOCK,
 };
 use ld_disk::MemDisk;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -120,12 +111,16 @@ fn config(block_size: usize, concurrency: ConcurrencyMode) -> LldConfig {
 struct Rng(u64);
 
 impl Rng {
-    fn below(&mut self, n: usize) -> usize {
-        // xorshift64*
+    /// xorshift64*
+    fn next(&mut self) -> u64 {
         self.0 ^= self.0 >> 12;
         self.0 ^= self.0 << 25;
         self.0 ^= self.0 >> 27;
-        ((self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) % n as u64) as usize
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        ((self.next() >> 33) % n as u64) as usize
     }
 }
 
@@ -170,9 +165,6 @@ impl Base {
     }
 }
 
-/// Superblock: the block size field.
-const S_BLOCK_SIZE: usize = 12;
-
 /// The most a hostile record grows its summary by: an 11-byte varint in
 /// place of a 1-byte one.
 const SLACK: usize = 16;
@@ -181,14 +173,14 @@ const SLACK: usize = 16;
 /// found the way recovery walks the chain (a hop with no pointer ends
 /// the walk here).
 fn replayed_chain(image: &[u8], area: usize) -> Vec<SegPos> {
-    let header = ckpt_header(image, area);
+    let field = |f: CkptField| ckpt(image, area, f);
     let head = SegPos {
-        slot: u32_at(image, header + C_HEAD_SLOT),
-        base: u32_at(image, header + C_HEAD_BASE),
-        top: u32_at(image, header + C_HEAD_TOP),
+        slot: field(CkptField::HeadSlot) as u32,
+        base: field(CkptField::HeadBase) as u32,
+        top: field(CkptField::HeadTop) as u32,
     };
-    let seq = u64_at(image, header + C_SEQ) + 1;
-    walk(image, head, u32_at(image, header + C_LINK), seq)
+    let link = field(CkptField::HeadLink) as u32;
+    walk(image, head, link, field(CkptField::Seq) + 1)
 }
 
 /// `v` as an unsigned LEB128 varint.
@@ -399,7 +391,7 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
     drop(recovered);
     let newer = layout.ckpt_b as usize;
     assert_eq!(
-        u64_at(&image, ckpt_header(&image, newer) + C_SEQ),
+        ckpt(&image, newer, CkptField::Seq),
         report.checkpoint_seq,
         "area B"
     );
@@ -450,6 +442,49 @@ fn flip_up_to(most: usize, image: &mut [u8], range: std::ops::Range<usize>, rng:
     }
 }
 
+/// A resealed field (see the module docs): one field of a declared
+/// structure but a magic or a CRC, set to 0, 1, the most its width holds
+/// or a random value, under its recomputed checksums. The structure is
+/// the superblock, the segment header at `header`, or the header, a
+/// directory entry or a column descriptor of the checkpoint at `area`.
+fn resealed_field(image: &mut [u8], area: usize, header: usize, rng: &mut Rng) -> String {
+    let (slabs, dedup) = (slab_ranges(image, area), dedup_range(image, area));
+    let slab = rng.below(slabs.len());
+    // Each structure's declaration and where it is; resealed below, in
+    // this order. (The sequential image's dedup table takes no byte.)
+    let structures: [(&[Field], usize); 6] = [
+        (SUPERBLOCK, 0),
+        (SEGMENT_HEADER, header),
+        (CHECKPOINT_HEADER, ckpt_header(image, area)),
+        (DIR_ENTRY, dir_entry(area, slab)),
+        (
+            COLUMN_DESC,
+            column(slabs[slab].start, rng.below(SLAB_COLUMNS)),
+        ),
+        (
+            COLUMN_DESC,
+            column(dedup.start, rng.below(DEDUP_COLUMNS.len())),
+        ),
+    ];
+    let which = rng.below(5 + usize::from(!dedup.is_empty()));
+    let (fields, at) = structures[which];
+    let fields: Vec<_> = (fields.iter())
+        .filter(|f| !["magic", "crc"].contains(&f.name))
+        .collect();
+    let field = fields[rng.below(fields.len())];
+    let value = [0, 1, field.max(), rng.next() & field.max()][rng.below(4)];
+    field.put(&mut image[at..], value);
+    match which {
+        0 => reseal_superblock(image),
+        1 => _ = reseal_header(image, header),
+        2 => reseal_checkpoint(image, area),
+        3 => reseal_dir(image, area),
+        4 => reseal_slab(image, area, slab),
+        _ => reseal_dedup(image, area),
+    }
+    format!("resealed field: {} = {value:#x} at {at}", field.name)
+}
+
 /// The image of case `seed`, what was done to it, and what its disk is
 /// asked (see the module docs).
 fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
@@ -462,30 +497,30 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
     let newer = ckpt_header(&image, base.newer);
     // The last base the newer checkpoint's head has room behind, below
     // its top: a block, the trailer's sector and a sector of metadata.
-    let head_top = u32_at(&image, newer + C_HEAD_TOP);
+    let head_top = CkptField::HeadTop.get(&image[newer..]) as u32;
     let last_base = head_top - 2 - block_sectors;
     let header = base.headers[rng.below(base.headers.len())];
-    let summary = header - u32_at(&image, header + H_SUMMARY_LEN) as usize..header;
+    let summary = header - seg(&image, header, SegField::SummaryLen) as usize..header;
     let segment = base.chain[rng.below(base.chain.len())];
     let kind = rng.below(33);
     let what = match kind {
         0 => {
-            flip(&mut image, 0..S_CRC + 4, &mut rng);
+            flip(&mut image, 0..ld_core::SUPERBLOCK_LEN, &mut rng);
             "raw: superblock".to_string()
         }
         1 => {
-            flip(&mut image, ckpt..ckpt + C_LEN, &mut rng);
+            flip(&mut image, ckpt..ckpt + CKPT_HEADER_LEN, &mut rng);
             format!("raw: checkpoint header at {ckpt}")
         }
         2 => {
             // The directory of eight slabs, or the start of the slabs.
-            let slabs = area + 8 * C_DIR_ENTRY;
+            let slabs = dir_entry(area, 8);
             let range = [area..slabs, slabs..slabs + 1024];
             flip(&mut image, range[rng.below(2)].clone(), &mut rng);
             format!("raw: checkpoint body at {area}")
         }
         3 => {
-            flip(&mut image, header..header + H_CRC + 4, &mut rng);
+            flip(&mut image, header..header + H_LEN, &mut rng);
             format!("raw: segment header at {header}")
         }
         4 => {
@@ -494,96 +529,53 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             flip(&mut image, range.clone(), &mut rng);
             format!("raw: segment meta or body at {range:?}")
         }
-        5 | 6 => {
-            flip(&mut image, header + H_SEQ..header + H_CRC, &mut rng);
-            reseal_header(&mut image, header);
-            format!("resealed: segment header at {header}")
-        }
+        5 | 6 | 8 | 9 | 12 => resealed_field(&mut image, area, header, &mut rng),
         7 => {
             flip(&mut image, summary.clone(), &mut rng);
             let crc = ld_disk::crc32(&image[summary]);
-            put_u32(&mut image, header + H_SUMMARY_CRC, crc);
+            SegField::SummaryCrc.put(&mut image[header..], crc.into());
             reseal_header(&mut image, header);
             format!("resealed: summary at {header}")
-        }
-        8 => {
-            // A geometry field of the superblock: flipped, or every
-            // other time set near the limit of its type, where
-            // arithmetic on it wraps.
-            let (at, len, name) = [
-                (S_N_SEGMENTS, 4, "slot count"),
-                (S_DATA_START, 8, "data_start"),
-                (S_CKPT_AREA_SIZE, 8, "ckpt_area_size"),
-                (S_MAX_BLOCKS, 8, "max_blocks"),
-                (S_MAX_LISTS, 8, "max_lists"),
-            ][rng.below(5)];
-            let how = if rng.below(2) == 0 {
-                let near_max = u64::MAX - rng.below(4096) as u64;
-                image[at..at + len].copy_from_slice(&near_max.to_le_bytes()[..len]);
-                "set near its limit"
-            } else {
-                flip(&mut image, at..at + len, &mut rng);
-                "flipped"
-            };
-            reseal_superblock(&mut image);
-            format!("resealed: superblock {name}, {how}")
-        }
-        9 | 10 => {
-            // Descriptors or rows of one slab, taken at their word.
-            let slabs = slab_ranges(&image, area);
-            let i = rng.below(slabs.len());
-            flip(&mut image, slabs[i].clone(), &mut rng);
-            reseal_slab(&mut image, area, i);
-            format!("resealed: slab {i} at {area}")
-        }
-        12 if !dedup_range(&image, area).is_empty() => {
-            // The write-id outcomes a retry is answered from: the dedup
-            // table's column descriptors.
-            let start = dedup_range(&image, area).start;
-            flip(&mut image, start..start + C_DEDUP_DESC, &mut rng);
-            reseal_dedup(&mut image, area);
-            format!("resealed: dedup descriptors at {area}")
         }
         25 if !dedup_range(&image, area).is_empty() => {
             // Its rows: the first in full, the rest bit-packed.
             let range = dedup_range(&image, area);
-            flip(&mut image, range.start + C_DEDUP_DESC..range.end, &mut rng);
+            let rows = column(range.start, DEDUP_COLUMNS.len());
+            flip(&mut image, rows..range.end, &mut rng);
             reseal_dedup(&mut image, area);
             format!("resealed: dedup rows at {area}")
         }
-        // (12, 25: the sequential image's dedup table has no row, and
-        // takes no byte.)
-        11 | 12 | 25 => {
-            flip(&mut image, ckpt..ckpt + C_CRC, &mut rng);
+        // (25: the sequential image's dedup table has no row, and takes
+        // no byte.)
+        11 | 25 => {
+            flip(&mut image, ckpt..ckpt + CkptField::Crc.at, &mut rng);
             reseal_checkpoint(&mut image, area);
             format!("resealed: checkpoint header at {ckpt}")
         }
         26 | 27 => {
             // A body length past the area, or any other than the one
             // the body adds up to.
-            let body = u64_at(&image, ckpt + C_BODY_LEN);
+            let body = CkptField::BodyLen.get(&image[ckpt..]);
             let size = layout.ckpt_area_size;
             let len = match kind {
                 26 => [size + 1, size + SECTOR as u64, u64::MAX][rng.below(3)],
                 _ => [0, 1, body - 1, body + 1, body + 1 + rng.below(64) as u64][rng.below(5)],
             };
-            image[ckpt + C_BODY_LEN..ckpt + C_BODY_LEN + 8].copy_from_slice(&len.to_le_bytes());
+            CkptField::BodyLen.put(&mut image[ckpt..], len);
             reseal_checkpoint(&mut image, area);
             format!("resealed: body length {len} of {body} at {ckpt}, area of {size}")
         }
         28 => {
             // Torn at a byte: behind it, zeros, or the other header's
             // bytes where a write of it had begun.
-            let other = match area as u64 == layout.ckpt_a {
-                true => ckpt_header(&image, layout.ckpt_b as usize),
-                false => ckpt_header(&image, layout.ckpt_a as usize),
-            };
-            let at = rng.below(C_LEN);
+            let areas = [layout.ckpt_a, layout.ckpt_b];
+            let other = ckpt_header(&image, areas[usize::from(area as u64 == areas[0])] as usize);
+            let at = rng.below(CKPT_HEADER_LEN);
             let tail: Vec<u8> = match rng.below(2) {
-                0 => vec![0; C_LEN - at],
-                _ => image[other + at..other + C_LEN].to_vec(),
+                0 => vec![0; CKPT_HEADER_LEN - at],
+                _ => image[other + at..other + CKPT_HEADER_LEN].to_vec(),
             };
-            image[ckpt + at..ckpt + C_LEN].copy_from_slice(&tail);
+            image[ckpt + at..ckpt + CKPT_HEADER_LEN].copy_from_slice(&tail);
             format!("raw: checkpoint header at {ckpt} torn at byte {at}")
         }
         13 => {
@@ -603,7 +595,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             };
             let (sector, sectors) = (slot >> 8, slot & 0xFF);
             let start = header.base;
-            let end = start + u32_at(&image, header.header(&image) + H_N_SECTORS);
+            let end = start + seg(&image, header.header(&image), SegField::NSectors) as u32;
             let too_many = block_sectors + 1 + rng.below(255 - block_sectors as usize) as u32;
             // A data area at the slot's first sector has nothing in
             // front of it in the slot: past its end instead.
@@ -628,31 +620,31 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             // row with an address past a block's sectors.
             let slabs = slab_ranges(&image, base.newer);
             let with_rows: Vec<usize> = (0..slabs.len())
-                .filter(|&i| u64_at(&image, base.newer + i * C_DIR_ENTRY) > 0)
+                .filter(|&i| DirField::NBlocks.get(&image[dir_entry(base.newer, i)..]) > 0)
                 .collect();
             let i = with_rows[rng.below(with_rows.len())];
-            let count = slabs[i].start + 3 * CKPT_COL_DESC;
+            let count = column(slabs[i].start, BlockCol::Sectors as usize);
             // The count column is stored as it is: its minimum is a
             // count some row has (0 for an all-zero block).
-            let min = u64_at(&image, count);
+            let min = ColField::Min.get(&image[count..]);
             assert!(min <= u64::from(block_sectors), "{min}");
             let past = u64::from(block_sectors) + 1 + rng.below(300) as u64;
             let min = [past, 1 << 32, u64::MAX - 1][rng.below(3)];
-            image[count..count + 8].copy_from_slice(&min.to_le_bytes());
+            ColField::Min.put(&mut image[count..], min);
             reseal_slab(&mut image, base.newer, i);
             format!("hostile: slab {i} sector counts from {min}")
         }
         15 => {
             // C8: a block size of zero, or none there is.
             let size = [0, 256, 768, 1 << 17, u32::MAX][rng.below(5)];
-            put_u32(&mut image, S_BLOCK_SIZE, size);
+            SbField::BlockSize.put(&mut image, size.into());
             reseal_superblock(&mut image);
             format!("hostile: superblock block size {size}")
         }
         16 => {
             // C8: every slot in use, and one either side of it.
             let slots = base.used_slots + rng.below(3) as u32 - 1;
-            put_u32(&mut image, S_N_SEGMENTS, slots);
+            SbField::NSegments.put(&mut image, slots.into());
             reseal_superblock(&mut image);
             format!(
                 "resealed: superblock slot count {slots} of {} in use",
@@ -663,15 +655,15 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             // C8: a checkpoint head with no room for a segment behind it.
             let slot = layout.sectors_per_slot();
             let head = [last_base + 1, head_top - 1, slot, u32::MAX][rng.below(4)];
-            put_u32(&mut image, newer + C_HEAD_BASE, head);
+            CkptField::HeadBase.put(&mut image[newer..], head.into());
             reseal_checkpoint(&mut image, base.newer);
             format!("hostile: checkpoint head at sector {head} below {head_top}")
         }
-        19 => {
+        10 | 19 => {
             // The bit-packed rows of one slab, behind its descriptors:
             // a flip there moves every value decoded after it.
             let slabs = slab_ranges(&image, area);
-            let desc = 11 * CKPT_COL_DESC;
+            let desc = column(0, SLAB_COLUMNS);
             let with_rows: Vec<usize> = (0..slabs.len())
                 .filter(|&i| slabs[i].len() > desc)
                 .collect();
@@ -685,7 +677,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             // the head's top has room behind to one past the slot's end.
             let span = layout.sectors_per_slot() + 3 - last_base;
             let head = last_base - 1 + rng.below(span as usize) as u32;
-            put_u32(&mut image, newer + C_HEAD_BASE, head);
+            CkptField::HeadBase.put(&mut image[newer..], head.into());
             reseal_checkpoint(&mut image, base.newer);
             format!("resealed: checkpoint head at sector {head}, last base {last_base}")
         }
@@ -693,9 +685,9 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             // Format 11: a watermark that claims the segment itself, the
             // one before it, or anything, on a replayed segment.
             let at = segment.header(&image);
-            let seq = u64_at(&image, at + H_SEQ);
+            let seq = seg(&image, at, SegField::Seq);
             let delta = [0, 1, rng.below(1 << 20) as u32, u32::MAX][rng.below(4)];
-            put_u32(&mut image, at + H_COVERED, delta);
+            SegField::Covered.put(&mut image[at..], delta.into());
             reseal(&mut image, segment);
             format!("hostile: segment {seq} covers back {delta} at {segment:?}")
         }
@@ -715,19 +707,20 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             let (field, value) = match rng.below(2) {
                 0 => {
                     let sectors = room - 1 + rng.below(3) as u32;
-                    (H_SUMMARY_LEN, sectors * SECTOR as u32 - H_LEN as u32 + 1)
+                    let len = sectors * SECTOR as u32 - H_LEN as u32 + 1;
+                    (SegField::SummaryLen, len)
                 }
-                _ => (H_N_SECTORS, room - 1 + rng.below(3) as u32),
+                _ => (SegField::NSectors, room - 1 + rng.below(3) as u32),
             };
-            put_u32(&mut image, at + field, value);
+            field.put(&mut image[at..], value.into());
             reseal_header(&mut image, at);
-            format!("hostile: field at {field} set to {value} in {room} sectors at {segment:?}")
+            format!("hostile: {field:?} set to {value} in {room} sectors at {segment:?}")
         }
         32 => {
             // C8: a checkpoint head whose meta position is outside its
             // slot, or leaves no room above its base.
             let slot = layout.sectors_per_slot();
-            let head_base = u32_at(&image, newer + C_HEAD_BASE);
+            let head_base = CkptField::HeadBase.get(&image[newer..]) as u32;
             let top = [
                 slot + 1,
                 slot + 1 + rng.below(1 << 16) as u32,
@@ -735,7 +728,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
                 head_base + 1 + block_sectors,
                 head_base,
             ][rng.below(5)];
-            put_u32(&mut image, newer + C_HEAD_TOP, top);
+            CkptField::HeadTop.put(&mut image[newer..], top.into());
             reseal_checkpoint(&mut image, base.newer);
             format!("hostile: checkpoint head top {top}, base {head_base}, of {slot}")
         }
@@ -758,7 +751,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
         }
     };
     let oracle = match kind {
-        9 | 10 | 12 | 19 | 25 => Oracle::Returns,
+        5 | 6 | 8 | 9 | 10 | 12 | 19 | 25 => Oracle::Returns,
         13..=15 | 17 | 20..=24 | 32 => Oracle::Corrupt,
         _ => Oracle::Whole,
     };

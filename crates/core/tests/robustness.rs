@@ -2,7 +2,7 @@
 //! of list structures, and assorted edge cases that the main suites do
 //! not reach.
 
-use ld_core::{Ctx, Lld, LldConfig, LldError, Position, ReadVisibility, CKPT_HEADER_AT};
+use ld_core::{CkptField, Ctx, Lld, LldConfig, LldError, Position, ReadVisibility, CKPT_HEADER_AT};
 use ld_disk::{DiskModel, FaultPlan, MemDisk, SimDisk};
 
 const BS: usize = 512;
@@ -61,7 +61,7 @@ fn corrupt_newest_checkpoint_falls_back_to_older_at(mode: Mode) {
     // A and B sit in the two sectors behind it. Corrupt the header of
     // area B, which holds the NEWER checkpoint (the second checkpoint
     // went to B since A was used first).
-    image[CKPT_HEADER_AT[1] as usize + 4] ^= 0xFF;
+    image[CKPT_HEADER_AT[1] as usize + CkptField::HeadLink.at] ^= 0xFF;
 
     let (ld2, report) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
     // Fell back to checkpoint #1.
@@ -87,7 +87,7 @@ fn both_checkpoints_corrupt_means_full_scan_at(mode: Mode) {
 
     let mut image = ld.into_device().into_image();
     for header in CKPT_HEADER_AT {
-        image[header as usize + 4] ^= 0xFF;
+        image[header as usize + CkptField::HeadLink.at] ^= 0xFF;
     }
 
     let (ld2, report) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
@@ -483,5 +483,69 @@ fn mt_power_cut_preserves_per_aru_atomicity_at(mode: Mode) {
     assert!(
         durable_arus >= 1,
         "the crash point must allow some ARUs to become durable first"
+    );
+}
+
+/// Digests of the bytes format 11 puts on a device: the image
+/// `Lld::format` writes at 512-byte and 4 KiB blocks, and both
+/// checkpoint areas after a fixed history on the caller's thread. A
+/// refactor of a codec leaves them alone; a format change re-pins them
+/// beside its version. (SipHash, not CRC32: a CRC over bytes that end in
+/// their own CRC is a constant residue.)
+#[test]
+fn format_11_bytes_are_pinned() {
+    use std::hash::{DefaultHasher, Hasher};
+    fn digest(bytes: &[u8]) -> u64 {
+        let mut h = DefaultHasher::new();
+        h.write(bytes);
+        h.finish()
+    }
+    let cfg = |block_size: usize| LldConfig {
+        block_size,
+        segment_bytes: 16 * block_size,
+        cleaner: ld_core::CleanerConfig {
+            background: false,
+            ..Default::default()
+        },
+        ..config(DEFAULT)
+    };
+    let formatted = [512, 4096].map(|bs| {
+        let ld = Lld::format(MemDisk::new(4 << 20), &cfg(bs)).unwrap();
+        digest(&ld.into_device().into_image())
+    });
+
+    // Both areas, A and B, after tagged and untagged ARUs and a
+    // deleted list.
+    let ld = Lld::format(MemDisk::new(2 << 20), &cfg(BS)).unwrap();
+    let lists = [
+        ld.new_list(Ctx::Simple).unwrap(),
+        ld.new_list(Ctx::Simple).unwrap(),
+    ];
+    for n in 0..24u8 {
+        let aru = ld.begin_aru().unwrap();
+        let l = lists[usize::from(n < 12 && n % 2 == 1)];
+        let b = ld.new_block(Ctx::Aru(aru), l, Position::First).unwrap();
+        ld.write(Ctx::Aru(aru), b, &block(n)).unwrap();
+        if n % 3 == 0 {
+            ld.end_aru_tagged(aru, 7, 1, u64::from(n) + 1).unwrap();
+        } else {
+            ld.end_aru(aru).unwrap();
+        }
+        if n == 11 {
+            ld.checkpoint().unwrap();
+            ld.delete_list(Ctx::Simple, lists[1]).unwrap();
+        }
+    }
+    ld.checkpoint().unwrap();
+    let image = ld.into_device().into_image();
+    let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
+    let areas = &image[layout.ckpt_a as usize..layout.data_start as usize];
+    assert_eq!(
+        (formatted, digest(areas)),
+        (
+            [17_301_760_399_377_862_293, 1_976_850_447_533_693_728],
+            7_305_676_998_258_938_715
+        ),
+        "format 11's bytes moved"
     );
 }

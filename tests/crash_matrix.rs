@@ -30,8 +30,8 @@ use ld_aru::workload::pattern_fill;
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 use common::{
-    crash_seeds, is_meta_record, random_cut, sim_disk, u64_at, ParkDisk, ReleaseOnDrop, H_CRC,
-    H_LEN, H_SEQ, SECTOR, TRAILER_LEN,
+    capacity_for, crash_seeds, is_meta_record, random_cut, sim_disk, ParkDisk, ReleaseOnDrop,
+    SegField, H_LEN, SECTOR, TRAILER_LEN,
 };
 #[path = "../crates/core/tests/common/model.rs"]
 mod model;
@@ -232,8 +232,8 @@ fn background_clean_crash_points_are_all_or_nothing() {
         let mut background_passes = 0u64;
         let mut released_without_a_checkpoint = 0;
         for crash_at in crash_seeds((150_000..2_600_000).step_by(350_000)) {
-            let cap = 1536 + 2 * 64 * 1024 + 24 * 8 * 512;
-            let sim = SimDisk::new(MemDisk::new(cap as u64), DiskModel::hp_c3010())
+            let cap = capacity_for(&cfg, 28);
+            let sim = SimDisk::new(MemDisk::new(cap), DiskModel::hp_c3010())
                 .with_faults(FaultPlan::new().crash_after_bytes(crash_at));
             let ld = Lld::format(sim, &cfg).unwrap();
             let mut m = Model::default();
@@ -366,9 +366,14 @@ fn a_cut_with_a_hand_off_in_flight_ends_the_log_before_it() {
             commit_next(&mut m);
             m.flush(&ld).unwrap();
         }
-        // From here on what the thread is handed parks. N is the first
-        // seal behind a flush that it is: one sealed while the thread
-        // was on its way back from the last is written by its caller.
+        // From here on what the thread is handed parks, so first it
+        // finishes whatever it was offered before: a checkpoint waits for
+        // every segment on its way (W2) and for one the thread writes
+        // (`ckpt_io`), and leaves none due. N is the first seal behind a
+        // flush that the thread is handed: one sealed while it was on its
+        // way back from the last is written by its caller.
+        ld.checkpoint().unwrap();
+        m.synced();
         let (layout, _, _) = Lld::probe(dev).unwrap();
         dev.park_on("ld-cleanerd", layout.segment_offset(0)..u64::MAX);
         let _release = ReleaseOnDrop(dev);
@@ -660,11 +665,11 @@ fn seals_in_log_order(dev: &SimDisk<MemDisk>) -> Vec<[usize; 2]> {
         .filter(|(_, (_, bytes))| is_meta_record(bytes))
         .map(|(meta, (at, bytes))| {
             let header = &bytes[bytes.len() - H_LEN..];
-            let crc = &header[H_CRC..];
+            let crc = &header[SegField::Crc.at..];
             let body = (pending.iter())
                 .position(|(_, bytes)| bytes.len() % SECTOR == TRAILER_LEN && bytes.ends_with(crc))
                 .unwrap_or_else(|| panic!("the meta record at {at} has no body"));
-            (u64_at(header, H_SEQ), [meta, body])
+            (SegField::Seq.get(header), [meta, body])
         })
         .collect();
     assert_eq!(
@@ -948,7 +953,7 @@ fn two_write_seal(shards: usize) {
     let (old, new) = (&dev.pending()[meta], &dev3.pending()[meta3]);
     let end = |(at, bytes): &(u64, Vec<u8>)| at + bytes.len() as u64;
     assert_eq!(end(old), end(new), "{at}: the same header position");
-    let seq = |(_, bytes): &(u64, Vec<u8>)| u64_at(bytes, bytes.len() - H_LEN + H_SEQ);
+    let seq = |(_, bytes): &(u64, Vec<u8>)| SegField::Seq.get(&bytes[bytes.len() - H_LEN..]);
     assert_eq!(seq(old), seq(new), "{at}: the same seq");
     assert_ne!(old.1, new.1, "{at}: another meta record");
     assert_eq!(

@@ -30,16 +30,16 @@
 //!   recovered at 1 and at 16 (the snapshot shard count is a property
 //!   of the image, the map shard count a property of the process).
 
-use ld_aru::core::{
-    Ctx, Lld, LldConfig, LldError, Position, CKPT_COL_DESC, CKPT_COL_SHIFT, CKPT_COL_WIDTH,
-};
+use ld_aru::core::BlockCol::{self, Id, Sector, Sectors, Segment, Ts};
+use ld_aru::core::{Ctx, Lld, LldConfig, LldError, Position};
 use ld_aru::disk::{DiskModel, FaultPlan, MemDisk, SimDisk};
 use ld_aru::workload::pattern_fill;
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 use common::{
-    ckpt_header, crash_seeds, put_u32, reseal_slab, slab_ranges, u32_at, u64_at, C_DIR_SLAB_LEN,
+    ckpt_header, column, crash_seeds, reseal_slab, slab_ranges, CkptField, ColField, DirField,
+    SLAB_COLUMNS,
 };
 #[path = "../crates/core/tests/common/model.rs"]
 mod model;
@@ -221,27 +221,17 @@ fn stale_snapshot_under_reallocating_suffix() {
     }
 }
 
-/// Byte offsets inside a checkpoint (mirrors `checkpoint.rs`): the
-/// header's allocator floors and, in the table of column
-/// descriptors a slab starts with (`CKPT_COL_DESC` bytes each: minimum
-/// u64, width in bits, shift), the columns of a block's identifier,
-/// segment, sector and sector count.
-const HDR_BLOCK_FLOOR: usize = 24;
-const HDR_LIST_FLOOR: usize = 32;
-const COL_BLOCK_ID: usize = 0;
-const COL_SEG: usize = 1;
-const COL_SECTOR: usize = 2;
-const COL_SECTORS: usize = 3;
 /// What `types.rs` bounds an identifier and an allocator floor by.
 const MAX_RAW_ID: u64 = u64::MAX >> 1;
 
-fn put_u64(image: &mut [u8], off: usize, v: u64) {
-    image[off..off + 8].copy_from_slice(&v.to_le_bytes());
+/// The minimum of block column `col` of the slab at `slab`.
+fn column_min(image: &[u8], slab: usize, col: BlockCol) -> u64 {
+    ColField::Min.get(&image[column(slab, col as usize)..])
 }
 
-/// The minimum of column `col` of the slab at `slab`.
-fn column_min(image: &[u8], slab: usize, col: usize) -> u64 {
-    u64_at(image, slab + col * CKPT_COL_DESC)
+/// Sets the minimum of block column `col` of the slab at `slab`.
+fn put_min(image: &mut [u8], slab: usize, col: BlockCol, v: u64) {
+    ColField::Min.put(&mut image[column(slab, col as usize)..], v);
 }
 
 /// The crash image of a disk checkpointed once at one map shard (area
@@ -273,29 +263,29 @@ fn snapshot_entry_outside_device_is_corrupt() {
     let (image, area, slab, layout) = one_slab_image();
     // Each column lands where its name says.
     let spb = u64::from(layout.sectors_per_block());
-    assert_eq!(column_min(&image, slab, COL_SECTORS), spb);
+    assert_eq!(column_min(&image, slab, Sectors), spb);
     assert_eq!(
-        image[slab + COL_SECTORS * CKPT_COL_DESC + CKPT_COL_WIDTH],
+        ColField::Width.get(&image[column(slab, Sectors as usize)..]),
         0
     );
-    assert!(column_min(&image, slab, COL_SEG) <= 2 * u64::from(layout.n_segments));
-    assert!(column_min(&image, slab, COL_SECTOR) <= 2 * u64::from(layout.sectors_per_slot()));
+    assert!(column_min(&image, slab, Segment) <= 2 * u64::from(layout.n_segments));
+    assert!(column_min(&image, slab, Sector) <= 2 * u64::from(layout.sectors_per_slot()));
     for (col, min) in [
-        (COL_SEG, 2 * (u64::from(layout.n_segments) + 1)),
-        (COL_SECTOR, 2 * u64::from(layout.sectors_per_slot())),
-        (COL_SECTORS, spb + 1),
+        (Segment, 2 * (u64::from(layout.n_segments) + 1)),
+        (Sector, 2 * u64::from(layout.sectors_per_slot())),
+        (Sectors, spb + 1),
         // No u32 holds it.
-        (COL_SEG, 1 << 34),
-        (COL_SECTOR, 1 << 34),
-        (COL_SECTORS, 1 << 32),
+        (Segment, 1 << 34),
+        (Sector, 1 << 34),
+        (Sectors, 1 << 32),
     ] {
         let mut hostile = image.clone();
-        put_u64(&mut hostile, slab + col * CKPT_COL_DESC, min);
+        put_min(&mut hostile, slab, col, min);
         reseal_slab(&mut hostile, area, 0);
         let got = recover_one_shard(hostile);
         assert!(
             matches!(got, Err(LldError::Corrupt(_))),
-            "column {col} from {min}: {got:?}"
+            "column {col:?} from {min}: {got:?}"
         );
     }
 }
@@ -308,27 +298,26 @@ fn snapshot_entry_outside_device_is_corrupt() {
 #[test]
 fn identifier_or_floor_near_u64_max_is_corrupt() {
     let (image, area, slab, _) = one_slab_image();
-    let id_min = slab + COL_BLOCK_ID * CKPT_COL_DESC;
     // Identifiers are sorted and coded as the difference from the one
     // before: the image's first is 1, and so is its smallest step.
-    assert_eq!(column_min(&image, slab, COL_BLOCK_ID), 1);
+    assert_eq!(column_min(&image, slab, Id), 1);
     type Edit = fn(&mut [u8], usize, usize);
     let cases: [(&str, Edit, bool); 5] = [
         (
             "block floor",
-            |i, a, _| put_u64(i, a + HDR_BLOCK_FLOOR, u64::MAX - 3),
+            |i, h, _| CkptField::BlockFloor.put(&mut i[h..], u64::MAX - 3),
             false,
         ),
         (
             "list floor",
-            |i, a, _| put_u64(i, a + HDR_LIST_FLOOR, MAX_RAW_ID + 1),
+            |i, h, _| CkptField::ListFloor.put(&mut i[h..], MAX_RAW_ID + 1),
             false,
         ),
         (
             "floors at the bound",
-            |i, a, _| {
-                put_u64(i, a + HDR_BLOCK_FLOOR, MAX_RAW_ID);
-                put_u64(i, a + HDR_LIST_FLOOR, MAX_RAW_ID);
+            |i, h, _| {
+                CkptField::BlockFloor.put(&mut i[h..], MAX_RAW_ID);
+                CkptField::ListFloor.put(&mut i[h..], MAX_RAW_ID);
             },
             true,
         ),
@@ -337,18 +326,18 @@ fn identifier_or_floor_near_u64_max_is_corrupt() {
         // bound, past it or past `u64::MAX`.
         (
             "identifiers past the bound",
-            |i, _, m| put_u64(i, m, MAX_RAW_ID + 1),
+            |i, _, s| put_min(i, s, Id, MAX_RAW_ID + 1),
             false,
         ),
         (
             "a step from the bound",
-            |i, _, m| put_u64(i, m, MAX_RAW_ID),
+            |i, _, s| put_min(i, s, Id, MAX_RAW_ID),
             false,
         ),
     ];
     for (what, edit, taken) in cases {
         let mut hostile = image.clone();
-        edit(&mut hostile, ckpt_header(&image, area), id_min);
+        edit(&mut hostile, ckpt_header(&image, area), slab);
         reseal_slab(&mut hostile, area, 0);
         let got = recover_one_shard(hostile);
         match (&got, taken) {
@@ -368,29 +357,29 @@ fn descriptor_that_disagrees_with_its_slab_falls_back() {
     let (image, area, slab, _) = one_slab_image();
     let clean = recover_one_shard(image.clone()).unwrap();
     assert!(clean.checkpoint_seq > 0 && clean.snapshot_bytes > 0);
-    let width = |col: usize| slab + col * CKPT_COL_DESC + CKPT_COL_WIDTH;
-    let shift = |col: usize| slab + col * CKPT_COL_DESC + CKPT_COL_SHIFT;
+    let width = |col: BlockCol| column(slab, col as usize) + ColField::Width.at;
+    let shift = |col: BlockCol| column(slab, col as usize) + ColField::Shift.at;
     // More than 8 rows, so that a bit a row is more than a byte.
-    assert!(u64_at(&image, area) > 8, "n_blocks");
-    assert!(image[width(COL_SECTOR)] > 0 && image[width(COL_SEG)] < 64);
+    assert!(DirField::NBlocks.get(&image[area..]) > 8);
+    assert!(image[width(Sector)] > 0 && image[width(Segment)] < 64);
     for (what, at, value) in [
-        ("a width of 65", width(COL_BLOCK_ID), 65),
-        ("a width of 255", width(9), 255),
+        ("a width of 65", width(Id), 65),
+        ("a width of 255", width(Ts), 255),
         (
             "a width and shift of 65",
-            shift(COL_SECTOR),
-            65 - image[width(COL_SECTOR)],
+            shift(Sector),
+            65 - image[width(Sector)],
         ),
-        ("a shift of 64", shift(COL_SECTORS), 64),
+        ("a shift of 64", shift(Sectors), 64),
         (
             "rows a bit narrower than the slab",
-            width(COL_SECTOR),
-            image[width(COL_SECTOR)] - 1,
+            width(Sector),
+            image[width(Sector)] - 1,
         ),
         (
             "rows a bit wider than the slab",
-            width(COL_SEG),
-            image[width(COL_SEG)] + 1,
+            width(Segment),
+            image[width(Segment)] + 1,
         ),
     ] {
         let mut hostile = image.clone();
@@ -402,8 +391,8 @@ fn descriptor_that_disagrees_with_its_slab_falls_back() {
     }
     // A slab cut short of its descriptors.
     let mut hostile = image.clone();
-    let short = 11 * CKPT_COL_DESC as u32 - 1;
-    put_u32(&mut hostile, area + C_DIR_SLAB_LEN, short);
+    let short = column(0, SLAB_COLUMNS) - 1;
+    DirField::SlabLen.put(&mut hostile[area..], short as u64);
     reseal_slab(&mut hostile, area, 0);
     assert_eq!(recover_one_shard(hostile).unwrap().checkpoint_seq, 0);
 }
@@ -423,7 +412,7 @@ fn overflowing_directory_entry_falls_back_to_older_area() {
 
     let mut hostile = image.clone();
     let area = layout.ckpt_b as usize;
-    hostile[area..area + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+    DirField::NBlocks.put(&mut hostile[area..], u64::MAX / 2);
     reseal_slab(&mut hostile, area, 0);
     let (k, seq) = recover_to(&hostile, 8, &m, "an overflowing entry in area B");
     assert!(seq > 0 && seq < clean_seq, "older area not used: {seq}");
@@ -444,8 +433,8 @@ fn zero_width_rows_past_the_caps_fall_back() {
     let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.clone())).unwrap();
     let area = layout.ckpt_a as usize;
     let (dir, slab) = (area, slab_ranges(&image, area)[0].start);
-    let desc = 11 * CKPT_COL_DESC;
-    assert_eq!(u32_at(&image, dir + C_DIR_SLAB_LEN) as usize, desc);
+    let desc = column(0, SLAB_COLUMNS);
+    assert_eq!(DirField::SlabLen.get(&image[dir..]) as usize, desc);
     assert!(image[slab..slab + desc].iter().all(|&b| b == 0));
     for (n_blocks, taken) in [
         (3, true),
@@ -454,8 +443,8 @@ fn zero_width_rows_past_the_caps_fall_back() {
         (1 << 40, false),
     ] {
         let mut hostile = image.clone();
-        put_u64(&mut hostile, slab + COL_BLOCK_ID * CKPT_COL_DESC, 1);
-        put_u64(&mut hostile, dir, n_blocks);
+        put_min(&mut hostile, slab, Id, 1);
+        DirField::NBlocks.put(&mut hostile[dir..], n_blocks);
         reseal_slab(&mut hostile, area, 0);
         let got = recover_one_shard(hostile).unwrap();
         assert_eq!(got.snapshot_bytes > 0, taken, "{n_blocks} rows: {got:?}");
