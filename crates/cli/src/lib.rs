@@ -736,8 +736,8 @@ fn render_top(samples: &[(u64, ObsSnapshot)]) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "t_ms", "commits", "batches", "blocks", "seals", "stalls", "inflight"
+        "{:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "t_ms", "commits", "batches", "blocks", "seals", "inflight"
     );
     let d = |a: u64, b: u64| b.saturating_sub(a);
     for pair in samples.windows(2) {
@@ -745,25 +745,23 @@ fn render_top(samples: &[(u64, ObsSnapshot)]) -> String {
         let (t, cur) = &pair[1];
         let _ = writeln!(
             out,
-            "{:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+            "{:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
             t,
             d(prev.lld.arus_committed, cur.lld.arus_committed),
             d(prev.lld.flush_batches, cur.lld.flush_batches),
             d(prev.lld.data_blocks_written, cur.lld.data_blocks_written),
             d(prev.lld.segments_sealed, cur.lld.segments_sealed),
-            d(prev.lld.backpressure_stalls, cur.lld.backpressure_stalls),
             cur.lld.inflight_barriers,
         );
     }
     let (_, last) = samples.last().expect("a run has a first and a last sample");
     let _ = writeln!(
         out,
-        "totals: {} commits, {} flush batches, {} blocks, {} seals, {} stalls, {} trace events dropped",
+        "totals: {} commits, {} flush batches, {} blocks, {} seals, {} trace events dropped",
         last.lld.arus_committed,
         last.lld.flush_batches,
         last.lld.data_blocks_written,
         last.lld.segments_sealed,
-        last.lld.backpressure_stalls,
         last.lld.trace_events_dropped,
     );
     out

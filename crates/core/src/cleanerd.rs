@@ -7,11 +7,10 @@
 //! relocations took. A round is run by whoever is free: the `cleanerd`
 //! thread where the disk has one; the caller's thread, in the
 //! housekeeping step after its session ([`LldInner::after_session`]),
-//! where a roll at the emergency level found no thread to take the
-//! work (`CleanerConfig::background = false`, `Sequential` mode, a
-//! `futile` thread, or a gate below that level); and the caller of
-//! [`LldInner::run_cleaner`]. At most one round runs at a time on a
-//! disk, whoever runs it, so at most one pass does ([`RoundClaim`]).
+//! where a roll left fewer free slots than the emergency level, with
+//! or without a thread; and the caller of [`LldInner::run_cleaner`].
+//! At most one round runs at a time on a disk, whoever runs it, so at
+//! most one pass does ([`RoundClaim`]).
 //! A pass:
 //!
 //! 1. **snapshots** the victims (`LogState::pick_victims`:
@@ -53,15 +52,13 @@
 //! session that found it due writes it itself (docs/CLEANER.md "The
 //! thread's other jobs").
 //!
-//! Lifecycle is watermark-driven: segment rolls kick the thread when
-//! free segments drop below the *low watermark*
-//! (`cleaner.target_free_segments`), and space-consuming foreground
-//! operations briefly stall at the *high watermark*
-//! (`cleaner.backpressure_free_segments`) to let the thread catch up.
-//! A roll that leaves fewer free slots than the *emergency level*
-//! (`min_free_segments`), where no thread takes the kick with callers
-//! waiting at the gate, raises `needs_clean`, and the session's caller
-//! runs the round once the session is over. Inside a session the only
+//! Lifecycle is watermark-driven, one rule per watermark: a segment
+//! roll that leaves fewer free slots than the *low watermark*
+//! (`cleaner.target_free_segments`) kicks the thread, and one that
+//! leaves fewer than the *emergency level* (`min_free_segments`) raises
+//! `needs_clean`, thread or no thread: the session's caller runs a
+//! round once the session is over, behind the one the thread may be
+//! in. Nobody stalls for the thread. Inside a session the only
 //! cleaning is the reserve pass of a roll that finds no slot to open
 //! (`Mutation::compact`, `cleaner.rs`).
 //!
@@ -82,14 +79,11 @@ use ld_disk::{BlockDevice, Condvar, Mutex};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::{JoinHandle, ThreadId};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long the thread sleeps between watermark polls when nobody
 /// kicks it (also the retry cadence after a futile pass).
 const POLL: Duration = Duration::from_millis(100);
-
-/// Upper bound on one foreground stall at the backpressure gate.
-const STALL_MAX: Duration = Duration::from_millis(50);
 
 /// Most victims one pass will snapshot (bounds the memory and the
 /// relocation work of a single pass; further victims wait for the next
@@ -108,9 +102,7 @@ pub(crate) struct Cleanerd {
     state: Mutex<CleanerdState>,
     /// Foreground → cleanerd: free segments fell below a watermark.
     wake: Condvar,
-    /// A pass freed slots, a round ended (or the thread died):
-    /// backpressure stalls, and a caller waiting to run a round,
-    /// re-check their predicate.
+    /// A round ended: a caller waiting to run one re-checks its claim.
     eased: Condvar,
 }
 
@@ -142,9 +134,8 @@ struct CleanerdState {
     /// round).
     kicks: u64,
     /// The last round freed nothing: the disk is genuinely near-full of
-    /// live data, so kicks and stalls are pointless until the periodic
-    /// poll observes progress again. Callers run the round themselves
-    /// meanwhile.
+    /// live data, so kicks, seals and checkpoints are refused until the
+    /// periodic poll observes progress again.
     futile: bool,
     /// The thread running a round, the cleaner thread or a caller's:
     /// the one round a disk runs at a time ([`RoundClaim`]).
@@ -172,18 +163,14 @@ impl Cleanerd {
         Cleanerd::default()
     }
 
-    /// Wakes the cleaner thread. Returns `false` when there is no
-    /// healthy thread to wake (not running, stopping, or known-futile),
-    /// in which case the caller runs the round itself, below the
-    /// emergency level.
-    pub(crate) fn kick(&self) -> bool {
+    /// Wakes the cleaner thread, if there is a healthy one (running,
+    /// not stopping, not futile).
+    pub(crate) fn kick(&self) {
         let mut st = self.state.lock();
-        if !st.healthy() {
-            return false;
+        if st.healthy() {
+            st.kicks += 1;
+            self.wake.notify_one();
         }
-        st.kicks += 1;
-        self.wake.notify_one();
-        true
     }
 
     /// Offers the thread a sealed segment to write. It takes one only
@@ -227,6 +214,17 @@ impl Cleanerd {
         true
     }
 
+    /// Keeps the spawned thread's handle. Where the OS refused the
+    /// thread the disk carries on without one (`Absent`): it is offered
+    /// nothing, and callers run the rounds, as with `background: false`.
+    fn adopt(&self, spawned: std::io::Result<JoinHandle<()>>) {
+        let mut st = self.state.lock();
+        match spawned {
+            Ok(handle) => st.handle = Some(handle),
+            Err(_) => st.job = Job::Absent,
+        }
+    }
+
     /// Requests shutdown and joins the thread. Idempotent; called from
     /// `Lld::into_device` and `Drop for Lld`.
     pub(crate) fn shutdown_and_join(&self) {
@@ -234,7 +232,6 @@ impl Cleanerd {
             let mut st = self.state.lock();
             st.stop = true;
             self.wake.notify_all();
-            self.eased.notify_all();
             st.handle.take()
         };
         if let Some(h) = handle {
@@ -255,11 +252,10 @@ pub(crate) fn spawn_if_configured<D: BlockDevice + 'static>(ld: &Lld<D>) {
     // two is accepted: the thread looks for both before its first wait.
     ld.cleanerd.state.lock().job = Job::Idle;
     let inner = ld.arc_inner();
-    let handle = std::thread::Builder::new()
+    let spawned = std::thread::Builder::new()
         .name("ld-cleanerd".into())
-        .spawn(move || cleanerd_main(&inner))
-        .expect("spawning the cleanerd thread failed");
-    ld.cleanerd.state.lock().handle = Some(handle);
+        .spawn(move || cleanerd_main(&inner));
+    ld.cleanerd.adopt(spawned);
 }
 
 /// One victim chosen by the snapshot phase.
@@ -368,8 +364,6 @@ fn cleanerd_main<D: BlockDevice + 'static>(ld: &LldInner<D>) {
         }
     }
     st.job = Job::Absent;
-    drop(st);
-    ld.cleanerd.eased.notify_all();
 }
 
 /// The round a disk runs at a time, claimed by the thread that runs it
@@ -425,16 +419,11 @@ pub(crate) fn round<D: BlockDevice>(ld: &LldInner<D>) -> Result<Option<bool>> {
             ld.obs
                 .cleaner_wake(ld.now(), ld.free_slots_hint.load(Ordering::Relaxed) as u32);
         }
-        let pass = run_pass(ld);
-        // Waiters re-check their predicate whether or not the pass made
-        // progress (a dead end must not strand them for the full stall
-        // bound).
-        ld.cleanerd.eased.notify_all();
-        match pass {
+        match run_pass(ld) {
             // Progress is net: on a disk full of live data a pass fills
             // a slot with the blocks of the one it frees, and counted as
             // progress such passes would go on, a checkpoint every few,
-            // while a caller waits at the gate.
+            // while a caller waits behind the round.
             Ok(o) if o.freed > 0 && cleaning_gains(&ld.layout, o.freed.into(), o.moved) => {
                 gained = Some(true);
             }
@@ -684,7 +673,7 @@ fn run_pass<D: BlockDevice>(ld: &LldInner<D>) -> Result<PassOutcome> {
 /// slot that is covered by the checkpoint and empty of live blocks —
 /// provably reclaimable whatever happened since the snapshot — which
 /// both releases the pass's victims and picks up any other slot
-/// foreground deletions emptied. Stalled operations re-check at once.
+/// foreground deletions emptied.
 fn release_sweep<D: BlockDevice>(ld: &LldInner<D>) -> Result<u32> {
     let release = (ld.obs).stage(ld.now(), ld_disk::current_trace(), Stage::CleanerRelease);
     let freed = ld.with_mutation(|m| {
@@ -692,49 +681,50 @@ fn release_sweep<D: BlockDevice>(ld: &LldInner<D>) -> Result<u32> {
         m.sync_free_hint();
         Ok(freed)
     })?;
-    ld.cleanerd.eased.notify_all();
     release.end();
     Ok(freed)
 }
 
-impl<D: BlockDevice> LldInner<D> {
-    /// High-watermark backpressure gate: called by space-consuming
-    /// public operations *before they take any locks*. When free
-    /// segments are at or below `cleaner.backpressure_free_segments`
-    /// and a healthy cleanerd is running, the caller kicks it and waits
-    /// (bounded) for a pass to free slots, so the operation proceeds
-    /// scoped instead of degrading to a full session and a round of its
-    /// own.
-    pub(crate) fn cleaner_gate(&self) {
-        if !self.cleaner_background() {
-            return;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Ctx, LldConfig, Position};
+    use ld_disk::MemDisk;
+
+    /// A thread the OS refuses leaves a disk that cleans on its callers'
+    /// threads: nothing is handed to the missing thread, and an
+    /// overwrite churn that wraps the log goes on.
+    #[test]
+    fn a_refused_cleaner_thread_leaves_the_rounds_to_callers() {
+        let cfg = LldConfig {
+            block_size: 512,
+            segment_bytes: 4096,
+            ..LldConfig::default()
+        };
+        let ld = Lld::format(MemDisk::new(1 << 20), &cfg).unwrap();
+        assert!(ld.cleaner_background());
+        // Back to the moment before the spawn, and the spawn refused.
+        ld.cleanerd.shutdown_and_join();
+        *ld.cleanerd.state.lock() = CleanerdState {
+            job: Job::Idle,
+            ..CleanerdState::default()
+        };
+        ld.cleanerd.adopt(Err(std::io::Error::other("no thread")));
+        assert_eq!(ld.cleanerd.state.lock().job, Job::Absent);
+
+        let l = ld.new_list(Ctx::Simple).unwrap();
+        let mut hot = Vec::new();
+        for _ in 0..8 {
+            let pos = hot.last().map_or(Position::First, |&p| Position::After(p));
+            hot.push(ld.new_block(Ctx::Simple, l, pos).unwrap());
         }
-        let stall_at = u64::from(self.cleaner_cfg.backpressure_free_segments);
-        if self.free_slots_hint.load(Ordering::Relaxed) > stall_at {
-            return;
+        for i in 0..16 * ld.n_segments() as usize {
+            ld.write(Ctx::Simple, hot[i % 8], &[i as u8; 512]).unwrap();
+            let s = ld.stats();
+            assert_eq!((s.seals_handed_off, s.checkpoints_handed_off), (0, 0));
         }
-        let deadline = Instant::now() + STALL_MAX;
-        let mut st = self.cleanerd.state.lock();
-        if !st.healthy() {
-            return;
-        }
-        st.kicks += 1;
-        self.cleanerd.wake.notify_one();
-        self.stats.backpressure_stalls.inc();
-        // The stall is charged to whatever trace the caller is inside
-        // (usually none — the gate runs before any commit machinery);
-        // its duration feeds the `cleaner_gate_ns` histogram.
-        let trace = ld_disk::current_trace();
-        let stall = self.obs.stage(self.now(), trace, Stage::CleanerGate);
-        while self.free_slots_hint.load(Ordering::Relaxed) <= stall_at && st.healthy() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (g, _) = self.cleanerd.eased.wait_timeout(st, deadline - now);
-            st = g;
-        }
-        drop(st);
-        stall.end();
+        ld.flush().unwrap();
+        assert!(ld.stats().cleaner_passes > 0, "no round ran");
+        ld.check().unwrap();
     }
 }

@@ -61,7 +61,6 @@ impl<D: BlockDevice> LldInner<D> {
     ///   (no commit record was written); flush-and-recover yields a
     ///   consistent state.
     pub fn end_aru(&self, id: AruId) -> Result<()> {
-        self.cleaner_gate();
         let timer = self.obs.timer();
         let raw = id.get();
         let (ts, span) = match self.concurrency {

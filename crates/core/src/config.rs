@@ -49,9 +49,10 @@ pub enum ReadVisibility {
 /// Segment-cleaner tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CleanerConfig {
-    /// The cleaner runs when the number of free segments drops below
-    /// this threshold (it must be at least 2 so a segment can be opened
-    /// while another is being cleaned).
+    /// The emergency level: an operation whose segment roll leaves
+    /// fewer free segments than this runs a cleaning round itself once
+    /// its session is over (it must be at least 2 so a segment can be
+    /// opened while another is being cleaned).
     pub min_free_segments: u32,
     /// The cleaner stops once this many segments are free.
     pub target_free_segments: u32,
@@ -64,22 +65,15 @@ pub struct CleanerConfig {
     /// windows and hands each victim slot back as it empties, with a
     /// covering checkpoint only when no victim is covered. The thread
     /// wakes when the free-segment count drops below
-    /// `target_free_segments` (the low watermark). Without it — `false`,
-    /// and always in [`ConcurrencyMode::Sequential`] (the paper's `old`
-    /// LLD is one process, and its open-ARU window must not get an
-    /// asynchronous checkpoint writer) — the operation whose roll left
-    /// fewer than `min_free_segments` free runs the round on its own
-    /// thread once its session is over, deterministically. So does it
-    /// where the thread cannot help (stopped, or futile). See
-    /// docs/CLEANER.md.
+    /// `target_free_segments` (the low watermark). The operation whose
+    /// roll left fewer than `min_free_segments` free runs a round on its
+    /// own thread once its session is over, behind any round the thread
+    /// is in. Without the thread — `false`, a thread the OS refused, and
+    /// always in [`ConcurrencyMode::Sequential`] (the paper's `old` LLD
+    /// is one process, and its open-ARU window must not get an
+    /// asynchronous checkpoint writer) — that is the only cleaning, and
+    /// it is deterministic. See docs/CLEANER.md.
     pub background: bool,
-    /// High-watermark backpressure threshold for background mode: when
-    /// the free-segment count is at or below this value, foreground
-    /// space-consuming operations briefly stall (bounded, ~50ms) to give
-    /// `cleanerd` a window to free slots before they fall back to full
-    /// sessions. Must not exceed `min_free_segments` when the cleaner
-    /// is enabled. Ignored unless `background` is set.
-    pub backpressure_free_segments: u32,
 }
 
 impl Default for CleanerConfig {
@@ -89,7 +83,6 @@ impl Default for CleanerConfig {
             target_free_segments: 6,
             enabled: true,
             background: true,
-            backpressure_free_segments: 3,
         }
     }
 }
@@ -239,14 +232,6 @@ impl LldConfig {
                 "cleaner.target_free_segments must be >= min_free_segments".into(),
             ));
         }
-        if self.cleaner.enabled
-            && self.cleaner.background
-            && self.cleaner.backpressure_free_segments > self.cleaner.min_free_segments
-        {
-            return Err(LldError::Config(
-                "cleaner.backpressure_free_segments must be <= min_free_segments".into(),
-            ));
-        }
         if !self.map_shards.is_power_of_two() || self.map_shards > MAX_MAP_SHARDS {
             return Err(LldError::Config(format!(
                 "map_shards {} must be a power of two in 1..={MAX_MAP_SHARDS}",
@@ -341,20 +326,6 @@ mod tests {
         c.cleaner.enabled = false;
         c.cleaner.min_free_segments = 0;
         c.cleaner.target_free_segments = 0;
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn rejects_backpressure_above_min() {
-        let mut c = LldConfig::default();
-        c.cleaner.background = true;
-        c.cleaner.backpressure_free_segments = c.cleaner.min_free_segments;
-        assert!(c.validate().is_ok());
-        c.cleaner.backpressure_free_segments = c.cleaner.min_free_segments + 1;
-        assert!(c.validate().is_err());
-        // Irrelevant when the cleaner is disabled.
-        c.cleaner.enabled = false;
-        c.cleaner.min_free_segments = 2;
         assert!(c.validate().is_ok());
     }
 

@@ -1306,22 +1306,21 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     }
 
     /// Seals and writes the current segment (if it has content) and
-    /// opens a new one. It cleans nothing itself: below the low
-    /// watermark it wakes the background cleaner thread, and below the
-    /// emergency level, where no thread takes that with callers waiting
-    /// at the gate (none, `futile`, a lower gate), it asks the session's
-    /// caller to run the round once the session is over
-    /// ([`LldInner::after_session`]).
+    /// opens a new one. It cleans nothing itself, one rule per
+    /// watermark: below the low watermark it wakes the background
+    /// cleaner thread, and below the emergency level it asks the
+    /// session's caller to run a round once the session is over
+    /// ([`LldInner::after_session`]), behind any round that is running.
     pub(crate) fn roll_segment(&mut self, reserve: usize) -> Result<()> {
         let rolled = self.seal_current()?;
         self.open_under(reserve)?;
         let cfg = self.lld.cleaner_cfg;
         if rolled && cfg.enabled {
             let free = self.log().free_slots.len() as u32;
-            let handed_over = free < cfg.target_free_segments
-                && self.lld.cleanerd.kick()
-                && free <= cfg.backpressure_free_segments;
-            if !handed_over && free < cfg.min_free_segments {
+            if free < cfg.target_free_segments {
+                self.lld.cleanerd.kick();
+            }
+            if free < cfg.min_free_segments {
                 self.lld.needs_clean.store(true, Ordering::Relaxed);
             }
         }

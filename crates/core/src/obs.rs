@@ -264,8 +264,6 @@ named_enum! {
         Seal = "seal",
         /// The leader waiting for its batch's barrier (`device.flush()`).
         BarrierWait = "barrier_wait",
-        /// A foreground writer stalled in the cleaner's backpressure gate.
-        CleanerGate = "cleaner_gate",
         /// One sealed segment's device write, on the thread that issues it:
         /// the sealing session's or `ld-cleanerd`.
         MediaWrite = "media_write",

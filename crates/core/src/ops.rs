@@ -128,7 +128,6 @@ impl<D: BlockDevice> LldInner<D> {
     /// [`LldError::UnknownAru`] for a dead context;
     /// [`LldError::DiskFull`] at the allocation limit.
     pub fn new_list(&self, ctx: Ctx) -> Result<ListId> {
-        self.cleaner_gate();
         let shard = self.maps.pick_list_shard();
         if self.scoped_ok() {
             let res = self.with_mutation_at(self.ctx_aru_set(ctx), 1u64 << shard, |m| {
@@ -173,7 +172,6 @@ impl<D: BlockDevice> LldInner<D> {
     /// invalid in the operation's state; [`LldError::DiskFull`] at the
     /// allocation limit.
     pub fn new_block(&self, ctx: Ctx, list: ListId, pos: Position) -> Result<BlockId> {
-        self.cleaner_gate();
         if self.scoped_ok() {
             let mut set = self.maps.bit_of(list.get());
             if let Position::After(p) = pos {
@@ -222,7 +220,6 @@ impl<D: BlockDevice> LldInner<D> {
                 expected: self.layout.block_size,
             });
         }
-        self.cleaner_gate();
         let timer = self.obs.timer();
         let res = if self.scoped_ok() {
             let r =

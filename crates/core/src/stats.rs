@@ -79,9 +79,8 @@ flat_record! {
         /// mapping changed between the victim snapshot and the relocation
         /// window (the revalidation rule; see docs/CLEANER.md).
         cleaner_stale_skips: u64,
-        /// Foreground operations that briefly stalled at the high-watermark
-        /// backpressure gate to let the background cleaner free slots.
-        backpressure_stalls: u64,
+        /// Always 0; stays only because `benchmark/` reads it (ROADMAP B0).
+        backpressure_stalls: u64 = snapshot_only,
         /// Checkpoints written.
         checkpoints: u64,
         /// Of those, the checkpoints the `cleanerd` thread wrote for a seal

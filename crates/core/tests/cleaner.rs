@@ -408,7 +408,6 @@ fn churn_on_eight_block_slots(
     mut cfg: LldConfig,
 ) -> Result<ld_core::LldStats, LldError> {
     cfg.cleaner.target_free_segments = 8;
-    cfg.cleaner.backpressure_free_segments = 1;
     let cap = capacity_for(&cfg, 20);
     let ld = Lld::format(MemDisk::new(cap), &cfg)?;
     assert_eq!(ld.n_segments(), 20);
@@ -454,8 +453,9 @@ fn churn_on_eight_block_slots(
 /// it. Without the thread the churn repeats exactly
 /// ([`the_pass_runs_on_the_callers_thread_and_repeats_exactly`]).
 /// With `cleanerd` it is not repeatable: the thread's relocations share
-/// the open segment with the hot writes, and this device sets its gate
-/// (1) below the emergency level (3). What holds 84 there, twenty times
+/// the open segment with the hot writes, and a caller below the
+/// emergency level (3) runs its round behind the thread's. What holds
+/// 84 there, twenty times
 /// over, is the reserve pass of a roll that finds no slot
 /// (`Mutation::compact`), with the checkpoint a disk at the emergency
 /// level asks for once the last one no longer covers its emptiest slot
@@ -669,22 +669,22 @@ fn cleanerd_hands_a_covered_victim_back_before_it_reads_the_next() {
     }
 }
 
-/// With a healthy thread the caller cleans nothing: a disk recovered
-/// with as few slots free as `backpressure_free_segments` commits its
-/// first ARU without relocating a block on the caller's thread. The
-/// caller waits at the gate, the thread cleans.
+/// Below the emergency level the caller cleans, thread or no thread: a
+/// disk recovered with `min_free_segments` slots free commits a slot's
+/// worth of blocks, whose rolls leave fewer, and the commit returns
+/// with at least that many free again. With the thread, the caller's
+/// round waits behind the one `cleanerd` is in and then runs its own.
 #[test]
-fn first_commit_after_recovery_leaves_cleaning_to_cleanerd() {
+fn first_commit_after_recovery_returns_at_the_emergency_level_or_above() {
     // With no thread and asked for three free slots, the callers'
     // rounds leave the disk at the default emergency level.
     let mut tight = config((false, 8));
     tight.cleaner.target_free_segments = tight.cleaner.min_free_segments;
+    let at_level = tight.cleaner.min_free_segments;
     let cap = capacity_for(&tight, 28);
     let ld = Lld::format(MemDisk::new(cap), &tight).unwrap();
     let l = ld.new_list(Ctx::Simple).unwrap();
     let ring = churn_ring(&ld, l, None);
-    let cfg = config((true, 8));
-    let at_level = cfg.cleaner.backpressure_free_segments;
     // A cut after a flush, where recovery finds that many slots free
     // (it does not count the slot of a segment that was never sealed).
     let mut cuts = (0..2000).filter_map(|i| {
@@ -704,20 +704,25 @@ fn first_commit_after_recovery_leaves_cleaning_to_cleanerd() {
     drop(cuts);
     drop(ld);
 
-    let (ld, _) = Lld::recover_with(MemDisk::from_image(image), &cfg).unwrap();
-    assert_eq!(ld.free_segments(), at_level);
-    let on_caller = |s: &ld_core::LldStats| s.blocks_relocated - s.cleaner_blocks_relocated;
-    let before = on_caller(&ld.stats());
-    let aru = ld.begin_aru().unwrap();
-    ld.write(Ctx::Aru(aru), ring[0], &block(0x77)).unwrap();
-    ld.end_aru_sync(aru).unwrap();
-    let stats = ld.stats();
-    assert_eq!(on_caller(&stats), before, "the caller cleaned inline");
-    assert!(
-        stats.backpressure_stalls >= 1,
-        "the caller did not wait at the gate"
-    );
-    wait_until("cleanerd frees a slot", || ld.free_segments() > at_level);
+    for cleanerd in [true, false] {
+        let (ld, _) =
+            Lld::recover_with(MemDisk::from_image(image.clone()), &config((cleanerd, 8))).unwrap();
+        assert_eq!(ld.free_segments(), at_level);
+        let aru = ld.begin_aru().unwrap();
+        for (i, &b) in ring.iter().enumerate() {
+            ld.write(Ctx::Aru(aru), b, &block(0x70 + i as u8)).unwrap();
+        }
+        ld.end_aru_sync(aru).unwrap();
+        let free = ld.free_segments();
+        assert!(
+            free >= at_level,
+            "cleanerd {cleanerd}: the commit returned with {free} slots free"
+        );
+        assert!(
+            ld.stats().cleaner_passes > 0,
+            "cleanerd {cleanerd}: no round"
+        );
+    }
 }
 
 /// A device that keeps, while armed, the image a power cut would leave
@@ -847,7 +852,7 @@ fn no_checkpoint_holds_part_of_an_aru_at(cfg: LldConfig) {
 /// one. That is not progress, and the round ends there. Counted as
 /// progress (a slot freed), it went on for as long as free slots were
 /// below the low watermark, a checkpoint every few passes: about 4,000
-/// while one commit waited at the gate. The device: 24 slots filled
+/// while one commit waited for the thread. The device: 24 slots filled
 /// with live blocks with no thread until 3 are free, recovered
 /// with the thread. The thread writes at most a checkpoint a round.
 /// The commit itself may not fit: no checkpoint may be written inside

@@ -81,9 +81,10 @@ impl<D: BlockDevice + 'static> Server<D> {
     ///
     /// # Errors
     ///
-    /// Socket errors from bind; [`io::ErrorKind::InvalidInput`] if the
-    /// disk is in sequential-ARU mode (tagged commits must be able to
-    /// abort a retried ARU, which sequential mode cannot do).
+    /// Socket errors from bind; the OS's refusal of the accept thread;
+    /// [`io::ErrorKind::InvalidInput`] if the disk is in sequential-ARU
+    /// mode (tagged commits must be able to abort a retried ARU, which
+    /// sequential mode cannot do).
     pub fn start(ld: Arc<Lld<D>>, addr: &str) -> io::Result<Server<D>> {
         if ld.concurrency() == ld_core::ConcurrencyMode::Sequential {
             return Err(io::Error::new(
@@ -102,8 +103,7 @@ impl<D: BlockDevice + 'static> Server<D> {
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("ld-server-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_shared))
-            .expect("spawn accept thread");
+            .spawn(move || accept_loop(&listener, &accept_shared))?;
         Ok(Server {
             shared,
             addr: local,
