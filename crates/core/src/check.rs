@@ -47,12 +47,12 @@ impl<D: BlockDevice> LldInner<D> {
             let orphan = |r: &BlockRecord| r.allocated && r.list.is_none();
             let mut orphans: Vec<BlockId> = Vec::new();
             for sh in view.shards_held() {
-                let (newer, older) = (&sh.committed.blocks, &sh.persistent.blocks);
+                let newer = &sh.committed.blocks;
                 orphans.extend(newer.iter().filter(|(_, r)| orphan(r)).map(|(&id, _)| id));
                 orphans.extend(
-                    (older.iter())
+                    (sh.persistent.iter::<BlockId>())
                         .filter(|(id, r)| orphan(r) && !newer.contains_key(id))
-                        .map(|(&id, _)| id),
+                        .map(|(id, _)| id),
                 );
             }
             orphans.sort_unstable();

@@ -28,7 +28,7 @@
 //! slab carries its own CRC, so recovery can verify slabs
 //! independently.
 //!
-//! A slab is *column-packed*: its rows are sorted by identifier, and
+//! A slab is *column-packed*: its rows are in identifier order, and
 //! every value is stored as its distance from a *predictor*, something
 //! the reader has already decoded. Its column descriptors come first,
 //! then its block rows and its list rows, each table bit-packed from its
@@ -57,8 +57,8 @@
 //! successor; an absent address is segment 0 with a present one stored
 //! as `segment + 1`, and the sector and count beside it are 0 and a full
 //! block's. A slab is a function of its tables: the same entries give
-//! the same bytes, whatever the order they were inserted in or the
-//! capacity of the map.
+//! the same bytes, whatever the order they were entered in or the
+//! length of the arrays.
 //!
 //! The *dedup table* is the codec's third table: the write-id outcomes
 //! (client, write id, generation, commit timestamp) in the cache's
@@ -106,9 +106,10 @@
 //! an identifier delta that carries past it is this case), a present
 //! reference that decodes to zero or past [`MAX_RAW_ID`], a segment,
 //! sector or sector count the device does not have (checked by recovery
-//! against the layout), an identifier twice (an identifier delta of 0);
-//! so is an allocator floor above `MAX_RAW_ID` in the header of the area
-//! chosen.
+//! against the layout), an identifier twice (an identifier delta of 0)
+//! or at or past its allocator floor; so is a floor past
+//! [`MapId::bound`](crate::state::MapId::bound) in the header of the
+//! area chosen: recovery's tables are arrays indexed by identifier.
 //!
 //! The header also records where the log continues past the covered
 //! sequence number — the [`ChainHead`]: the slot, the sector in it
@@ -159,7 +160,7 @@ use crate::layout::{
 };
 use crate::lld::{LldInner, Mutation};
 use crate::segment::ChainHead;
-use crate::state::{BlockRecord, ListRecord, Tables};
+use crate::state::{BlockRecord, ListRecord};
 use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp, MAX_RAW_ID};
 use ld_disk::{crc32, BlockDevice};
 use std::sync::atomic::Ordering;
@@ -213,9 +214,8 @@ struct CkptWrite {
     covered_summary: u64,
     head: ChainHead,
     ts: u64,
-    /// Global allocator floors (the max over shards); recovery
-    /// re-stripes them per shard with `striped_ceil`, since the shard
-    /// count is not persisted.
+    /// Global allocator floors (the max over shards): every row lies
+    /// below its kind's, and recovery sizes its arrays by them.
     block_floor: u64,
     list_floor: u64,
     /// Absolute offset of the target area.
@@ -340,10 +340,13 @@ fn decode_list(prev: &[u64; LIST_COLS], c: [u64; LIST_COLS]) -> Option<[u64; LIS
     Some([id, first, decode_ref(c[2], first)?, unzigzag(c[3], prev[3])])
 }
 
-/// Sorts `rows` by identifier and codes each in place from its
+/// Codes each of `rows`, in identifier order, in place from its
 /// predecessor.
 fn code_rows<const N: usize>(rows: &mut [[u64; N]], code: fn(&[u64; N], &[u64; N]) -> [u64; N]) {
-    rows.sort_unstable_by_key(|row| row[0]);
+    debug_assert!(
+        rows.windows(2).all(|w| w[0][0] < w[1][0]),
+        "rows out of order"
+    );
     for i in (0..rows.len()).rev() {
         let prev = i.checked_sub(1).map_or([0; N], |p| rows[p]);
         rows[i] = code(&prev, &rows[i]);
@@ -543,14 +546,16 @@ struct Slab {
     n_lists: u64,
 }
 
-/// Encodes `tables` on a disk whose blocks take `full` sectors.
-fn encode_slab(tables: &Tables, full: u64) -> Slab {
-    let mut blocks: Vec<_> = (tables.blocks.iter())
-        .map(|(&id, r)| block_row(id, r, full))
-        .collect();
-    let mut lists: Vec<_> = (tables.lists.iter())
-        .map(|(&id, r)| list_row(id, r))
-        .collect();
+/// Encodes one shard's rows, each table's in identifier order (what
+/// [`Tables::iter`](crate::state::Tables::iter) hands out), on a disk
+/// whose blocks take `full` sectors.
+fn encode_slab<'a>(
+    blocks: impl Iterator<Item = (BlockId, &'a BlockRecord)>,
+    lists: impl Iterator<Item = (ListId, &'a ListRecord)>,
+    full: u64,
+) -> Slab {
+    let mut blocks: Vec<_> = blocks.map(|(id, r)| block_row(id, r, full)).collect();
+    let mut lists: Vec<_> = lists.map(|(id, r)| list_row(id, r)).collect();
     code_rows(&mut blocks, code_block);
     code_rows(&mut lists, code_list);
     let (block_cols, list_cols) = (Columns::fit(&blocks), Columns::fit(&lists));
@@ -751,7 +756,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
         let sh = self.map.shard_mut(i);
         sh.snap_pending = false;
         let snap = sh.snap_copy.take();
-        encode_slab(snap.as_ref().unwrap_or(&sh.persistent), full)
+        let tables = snap.as_ref().unwrap_or(&sh.persistent);
+        encode_slab(tables.iter(), tables.iter(), full)
     }
 }
 
@@ -1126,6 +1132,7 @@ mod tests {
     use super::*;
     use crate::layout::{CKPT_BLOCK_ROW_MAX, CKPT_DEDUP_ROW_MAX, CKPT_LIST_ROW_MAX};
     use crate::obs::TraceEvent;
+    use crate::state::Tables;
     use crate::{CleanerConfig, Ctx, Lld, LldConfig, Position};
     use ld_disk::{DiskModel, MemDisk, SimDisk, SmallRng};
 
@@ -1136,6 +1143,19 @@ mod tests {
             background: false,
             ..CleanerConfig::default()
         }
+    }
+
+    /// One shard's rows by hand, in identifier order: a codec test's
+    /// identifiers reach [`MAX_RAW_ID`], past what an array indexes.
+    #[derive(Debug, Default, PartialEq)]
+    struct Rows {
+        blocks: std::collections::BTreeMap<BlockId, BlockRecord>,
+        lists: std::collections::BTreeMap<ListId, ListRecord>,
+    }
+
+    fn encode(t: &Rows, full: u64) -> Slab {
+        let blocks = t.blocks.iter().map(|(&id, r)| (id, r));
+        encode_slab(blocks, t.lists.iter().map(|(&id, r)| (id, r)), full)
     }
 
     type SlabRows = (Vec<(BlockId, BlockRecord)>, Vec<(ListId, ListRecord)>);
@@ -1216,7 +1236,7 @@ mod tests {
     /// What a reader makes of `slab` alone: `None` where it refuses the
     /// slab, else the tables its rows give, or the first row's error —
     /// an identifier twice included, as recovery enters rows.
-    fn reopen(slab: &Slab) -> Option<Result<Tables>> {
+    fn reopen(slab: &Slab) -> Option<Result<Rows>> {
         let info = SlabInfo {
             n_blocks: slab.n_blocks,
             n_lists: slab.n_lists,
@@ -1225,7 +1245,7 @@ mod tests {
         let reader = info.open(&slab.bytes)?;
         let twice = |id: &dyn std::fmt::Display| LldError::Corrupt(format!("{id} twice"));
         Some((|| {
-            let mut t = Tables::default();
+            let mut t = Rows::default();
             for entry in reader.blocks() {
                 let (id, rec) = entry?;
                 if t.blocks.insert(id, rec).is_some() {
@@ -1293,8 +1313,8 @@ mod tests {
     }
 
     /// Seeded tables of up to `n` blocks and `n / 2` lists.
-    fn tables(rng: &mut SmallRng, n: u64) -> Tables {
-        let mut t = Tables::default();
+    fn tables(rng: &mut SmallRng, n: u64) -> Rows {
+        let mut t = Rows::default();
         // Identifiers, present or referred to, are at most the bound.
         let [id, successor, list, first, last, ts] = [
             MAX_RAW_ID,
@@ -1338,7 +1358,7 @@ mod tests {
     }
 
     /// What format 4 took for the same tables.
-    fn fixed_width(t: &Tables) -> u64 {
+    fn fixed_width(t: &Rows) -> u64 {
         t.blocks.len() as u64 * CKPT_BLOCK_ROW_MAX + t.lists.len() as u64 * CKPT_LIST_ROW_MAX
     }
 
@@ -1347,7 +1367,7 @@ mod tests {
     /// has no address. One short block gives it bits in every row.
     #[test]
     fn full_blocks_pay_nothing_for_the_count_column() {
-        let mut t = Tables::default();
+        let mut t = Rows::default();
         for id in 1..=100u64 {
             let addr = (id % 10 != 0).then(|| PhysAddr {
                 segment: SegmentId::new((id / 30) as u32),
@@ -1360,12 +1380,12 @@ mod tests {
             };
             t.blocks.insert(BlockId::new(id), rec);
         }
-        let full = encode_slab(&t, 8);
+        let full = encode(&t, 8);
         assert_eq!(width(&full, 3), 0);
         assert_eq!(reopen(&full).unwrap().unwrap(), t);
         let short = t.blocks.get_mut(&BlockId::new(7)).unwrap();
         short.addr.as_mut().unwrap().sectors = 2;
-        let mixed = encode_slab(&t, 8);
+        let mixed = encode(&t, 8);
         // 2 and 8 share their low bit: the count column is stored as
         // `(count − 2) >> 1`, 2 bits, 25 bytes over 100 rows.
         assert_eq!((width(&mixed, 3), shift(&mixed, 3)), (2, 1));
@@ -1384,7 +1404,7 @@ mod tests {
         let mut widths = std::collections::BTreeSet::new();
         for case in 0..400 {
             let tables = tables(&mut rng, [0, 1, 2, 40][case % 4]);
-            let slab = encode_slab(&tables, 8);
+            let slab = encode(&tables, 8);
             assert!(
                 slab.bytes.len() as u64 <= CKPT_SLAB_DESC + fixed_width(&tables),
                 "case {case}: {} bytes",
@@ -1400,12 +1420,12 @@ mod tests {
         for w in 1..=64u32 {
             let t1 = u64::MAX;
             let t2 = t1.wrapping_sub(1 << (w - 1));
-            let mut t = Tables::default();
+            let mut t = Rows::default();
             for (id, ts) in [(1, 0), (2, t1), (3, t2)] {
                 t.lists
                     .insert(ListId::new(id), ListRecord::fresh(Timestamp::new(ts)));
             }
-            let slab = encode_slab(&t, 8);
+            let slab = encode(&t, 8);
             assert_eq!(u32::from(width(&slab, 10)), w);
             assert_eq!(reopen(&slab).unwrap().unwrap(), t, "width {w}");
             widths.insert(width(&slab, 10));
@@ -1427,7 +1447,7 @@ mod tests {
             (3, at(u32::MAX - 1, (1 << 23) - 1, 128), id_max, id_max, top),
             (MAX_RAW_ID, at(u32::MAX - 2, 0, 0), id_max, id_max, top),
         ];
-        let mut t = Tables::default();
+        let mut t = Rows::default();
         for (id, addr, successor, list, ts) in worst {
             let rec = BlockRecord {
                 allocated: true,
@@ -1452,7 +1472,7 @@ mod tests {
             };
             t.lists.insert(ListId::new(id), rec);
         }
-        let slab = encode_slab(&t, 8);
+        let slab = encode(&t, 8);
         let block_widths: Vec<u8> = (0..BLOCK_COLS).map(|c| width(&slab, c)).collect();
         assert_eq!(block_widths, [63, 33, 24, 8, 64, 64, 64]);
         assert_eq!(row_bits(&slab), (320, 255));
@@ -1464,35 +1484,50 @@ mod tests {
         assert_eq!(reopen(&slab).unwrap().unwrap(), t);
     }
 
-    /// A slab is a function of its tables: rows are sorted, so the same
-    /// entries encode to the same bytes whatever order they were
-    /// inserted in and whatever the maps' capacity.
+    /// A slab is a function of its tables: an array hands out its
+    /// records in identifier order, so the same entries encode to the
+    /// same bytes whatever order they were entered in and however long
+    /// the array grew, and to the bytes of the same rows by hand.
     #[test]
     fn a_slab_is_a_function_of_its_tables() {
         let mut rng = SmallRng::seed_from_u64(0x5EED_0008);
         for case in 0..50 {
-            let t = tables(&mut rng, 60);
-            let mut blocks: Vec<_> = t.blocks.iter().map(|(&id, r)| (id, r.clone())).collect();
-            let mut lists: Vec<_> = t.lists.iter().map(|(&id, r)| (id, r.clone())).collect();
-            blocks.sort_by_key(|(id, _)| std::cmp::Reverse(id.get()));
-            lists.sort_by_key(|(id, _)| std::cmp::Reverse(id.get()));
-            let mut other = Tables::default();
-            other.blocks.reserve(4096);
-            other.lists.reserve(4096);
-            other.blocks.extend(blocks);
-            other.lists.extend(lists);
-            assert_eq!(
-                encode_slab(&t, 8).bytes,
-                encode_slab(&other, 8).bytes,
-                "case {case}"
-            );
+            let (idx, n) = (case % 4, 4);
+            let mut rows = Rows::default();
+            for _ in 0..rng.next_u64() % 60 {
+                let raw = u64::from(idx) + n * (1 + rng.next_u64() % 200);
+                let ts = Timestamp::new(rng.next_u64());
+                rows.blocks
+                    .insert(BlockId::new(raw), BlockRecord::fresh(ts));
+                rows.lists.insert(ListId::new(raw), ListRecord::fresh(ts));
+            }
+            let (mut forward, mut backward) = (Tables::new(idx, 4), Tables::new(idx, 4));
+            for (&id, r) in &rows.blocks {
+                forward.insert(id, r.clone());
+            }
+            for (&id, r) in &rows.lists {
+                forward.insert(id, r.clone());
+            }
+            // Grown past every row, then emptied again.
+            let far = BlockId::new(u64::from(idx) + n * 4096);
+            backward.insert(far, BlockRecord::fresh(Timestamp::ZERO));
+            backward.remove(far);
+            for (&id, r) in rows.blocks.iter().rev() {
+                backward.insert(id, r.clone());
+            }
+            for (&id, r) in rows.lists.iter().rev() {
+                backward.insert(id, r.clone());
+            }
+            let slab = |t: &Tables| encode_slab(t.iter(), t.iter(), 8).bytes;
+            assert_eq!(slab(&forward), encode(&rows, 8).bytes, "case {case}");
+            assert_eq!(slab(&backward), encode(&rows, 8).bytes, "case {case}");
         }
     }
 
-    fn block(id: u64, rec: BlockRecord) -> Tables {
-        Tables {
+    fn block(id: u64, rec: BlockRecord) -> Rows {
+        Rows {
             blocks: [(BlockId::new(id), rec)].into_iter().collect(),
-            ..Tables::default()
+            ..Rows::default()
         }
     }
 
@@ -1500,9 +1535,9 @@ mod tests {
     /// columns that span every u64, identifiers at the bound.
     #[test]
     fn slab_corners_round_trip() {
-        let empty = encode_slab(&Tables::default(), 8);
+        let empty = encode(&Rows::default(), 8);
         assert_eq!(empty.bytes, [0u8; CKPT_SLAB_DESC as usize]);
-        assert_eq!(reopen(&empty).unwrap().unwrap(), Tables::default());
+        assert_eq!(reopen(&empty).unwrap().unwrap(), Rows::default());
 
         // One entry: every column is its own minimum, no row bytes.
         let mut one = block(
@@ -1518,7 +1553,7 @@ mod tests {
                 ..BlockRecord::fresh(Timestamp::new(u64::MAX))
             },
         );
-        let slab = encode_slab(&one, 8);
+        let slab = encode(&one, 8);
         assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC);
         assert_eq!(reopen(&slab).unwrap().unwrap(), one);
 
@@ -1535,19 +1570,19 @@ mod tests {
                 ..ListRecord::fresh(Timestamp::new(u64::MAX))
             },
         );
-        let slab = encode_slab(&one, 8);
+        let slab = encode(&one, 8);
         assert!(slab.bytes.len() as u64 <= CKPT_SLAB_DESC + fixed_width(&one));
         assert_eq!(reopen(&slab).unwrap().unwrap(), one);
 
         // Many rows that differ in their identifier only: after the
         // first row's 1,000 the identifier steps by 1, and an absent
         // successor or list codes as 0 in every row: no bits.
-        let mut same = Tables::default();
+        let mut same = Rows::default();
         for id in 1000..1256 {
             same.blocks
                 .insert(BlockId::new(id), BlockRecord::fresh(Timestamp::new(7)));
         }
-        let slab = encode_slab(&same, 8);
+        let slab = encode(&same, 8);
         let widths: Vec<u8> = (0..BLOCK_COLS).map(|c| width(&slab, c)).collect();
         assert_eq!(widths, [10, 0, 0, 0, 0, 0, 3]);
         assert_eq!(slab.bytes.len() as u64, CKPT_SLAB_DESC + 256 * 13 / 8);
@@ -1560,7 +1595,7 @@ mod tests {
     #[test]
     fn dense_tables_pack_to_under_a_tenth() {
         let (shard, stripe) = (3u64, 8u64);
-        let mut t = Tables::default();
+        let mut t = Rows::default();
         for n in 0..928u64 {
             let list = ListId::new(n * stripe + shard);
             let ids = [
@@ -1590,7 +1625,7 @@ mod tests {
             };
             t.lists.insert(list, rec);
         }
-        let slab = encode_slab(&t, 8);
+        let slab = encode(&t, 8);
         assert_eq!(reopen(&slab).unwrap().unwrap(), t);
         let (packed, fixed) = (slab.bytes.len() as u64, fixed_width(&t));
         assert!(10 * packed <= fixed, "{packed} of {fixed} bytes");
@@ -1603,7 +1638,7 @@ mod tests {
     /// when an absent successor was coded from the row's identifier.
     #[test]
     fn absent_identifiers_code_as_zero() {
-        let mut t = Tables::default();
+        let mut t = Rows::default();
         for n in 0..500u64 {
             let list = ListId::new(8 * n + 3);
             let (head, tail) = (BlockId::new(16 * n + 3), BlockId::new(16 * n + 11));
@@ -1627,7 +1662,7 @@ mod tests {
             ListId::new(8 * 500 + 3),
             ListRecord::fresh(Timestamp::new(9)),
         );
-        let slab = encode_slab(&t, 8);
+        let slab = encode(&t, 8);
         assert_eq!(reopen(&slab).unwrap().unwrap(), t);
         assert_eq!((width(&slab, 4), shift(&slab, 4)), (5, 0), "successor");
         // A list's last is its first's successor: `zigzag(8) + 1` in
@@ -1728,7 +1763,7 @@ mod tests {
             .insert(ListId::new(9), ListRecord::fresh(Timestamp::new(3)));
         t.lists
             .insert(ListId::new(10), ListRecord::fresh(Timestamp::new(4)));
-        let good = encode_slab(&t, 8);
+        let good = encode(&t, 8);
         assert_eq!(reopen(&good).unwrap().unwrap(), t);
         assert_eq!(
             (
@@ -1747,7 +1782,7 @@ mod tests {
             (1, 1, 3)
         );
         let edit = |f: &dyn Fn(&mut Slab)| {
-            let mut slab = encode_slab(&t, 8);
+            let mut slab = encode(&t, 8);
             f(&mut slab);
             reopen(&slab)
         };
@@ -1791,7 +1826,7 @@ mod tests {
         ));
 
         // Row errors.
-        let corrupt = |got: Option<Result<Tables>>| matches!(got, Some(Err(LldError::Corrupt(_))));
+        let corrupt = |got: Option<Result<Rows>>| matches!(got, Some(Err(LldError::Corrupt(_))));
         let put =
             |s: &mut Slab, at: usize, v: u64| s.bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
         assert!(
@@ -1868,8 +1903,8 @@ mod tests {
             .contains_key(&BlockId::new(MAX_RAW_ID)));
         // A shift that carries a delta past `u64::MAX`, at a width the
         // rows keep: the timestamps of rows 7 and 8 are coded 1 and 2.
-        let mut wide = encode_slab(
-            &Tables {
+        let mut wide = encode(
+            &Rows {
                 blocks: [
                     (
                         BlockId::new(7),
@@ -1879,7 +1914,7 @@ mod tests {
                 ]
                 .into_iter()
                 .collect(),
-                ..Tables::default()
+                ..Rows::default()
             },
             8,
         );
@@ -1912,7 +1947,7 @@ mod tests {
         let header_at = layout.ckpt_header_at(area);
         let mut zero = vec![0u8; CKPT_SLAB_DESC as usize];
         device.read_at(at, &mut zero).unwrap();
-        assert_eq!(zero, encode_slab(&Tables::default(), 1).bytes);
+        assert_eq!(zero, encode(&Rows::default(), 1).bytes);
         zero[min(0)] = 1;
         zero[min(7)] = 1;
         // The body as it reads with the directory counting that many

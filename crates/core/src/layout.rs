@@ -213,8 +213,8 @@ on_disk! {
         HeadLink = ("head_link", 4, 4, "the header CRC of segment `seq`"),
         Seq = ("seq", 8, 8, "the highest segment sequence number the checkpoint covers"),
         Ts = ("ts", 16, 8, "the logical clock"),
-        BlockFloor = ("block_floor", 24, 8, "the block allocator's floor, at most `MAX_RAW_ID`"),
-        ListFloor = ("list_floor", 32, 8, "the list allocator's floor, at most `MAX_RAW_ID`"),
+        BlockFloor = ("block_floor", 24, 8, "the block allocator's floor, at most `64 × (max_blocks + 1)`"),
+        ListFloor = ("list_floor", 32, 8, "the list allocator's floor, at most `64 × (max_lists + 1)`"),
         SnapShards = ("snap_shards", 40, 4, "slabs in the directory, 1 to 64"),
         DirCrc = ("dir_crc", 44, 4, "CRC32 of the directory"),
         NDedup = ("n_dedup", 48, 4, "write-id outcomes in the dedup table"),

@@ -1012,14 +1012,15 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// reservation against the global cap is released if the record
     /// cannot be logged.
     pub(crate) fn alloc<I: MapId>(&mut self, shard: u32, ts: Timestamp) -> Result<I> {
-        let maps = &self.lld.maps;
-        maps.try_reserve::<I>(I::cap(&self.lld.layout))?;
+        let (maps, layout) = (&self.lld.maps, &self.lld.layout);
+        maps.try_reserve::<I>(I::cap(layout))?;
         let n = u64::from(maps.nshards());
-        let id = I::from_raw(I::stripe(self.map.shard_mut(shard)).alloc(n));
-        if let Err(e) = self.emit(id.logged(ts)) {
-            maps.unreserve::<I>();
-            return Err(e);
-        }
+        let raw = I::stripe(self.map.shard_mut(shard)).alloc(n, I::bound(layout));
+        let logged = raw.ok_or(LldError::DiskFull).and_then(|raw| {
+            let id = I::from_raw(raw);
+            self.emit(id.logged(ts)).map(|()| id)
+        });
+        let id = logged.inspect_err(|_| maps.unreserve::<I>())?;
         self.enter_fresh(id, ts);
         Ok(id)
     }
@@ -1027,7 +1028,7 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     /// Enters the fresh committed record of a newly allocated `id`: the
     /// half of an allocation that replay shares.
     pub(crate) fn enter_fresh<I: MapId>(&mut self, id: I, ts: Timestamp) {
-        I::table_mut(&mut self.map.owner_mut(id).committed).insert(id, I::unlinked(true, ts));
+        I::overlay_mut(&mut self.map.owner_mut(id).committed).insert(id, I::unlinked(true, ts));
     }
 
     // ------------------------------------------------------------------
@@ -1048,10 +1049,10 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
         match st {
             StateRef::Committed => {
                 let sh = self.map.owner_mut(id);
-                match I::table_mut(&mut sh.committed).entry(id) {
+                match I::overlay_mut(&mut sh.committed).entry(id) {
                     Entry::Occupied(e) => Ok(e.into_mut()),
                     Entry::Vacant(e) => {
-                        let base = I::table(&sh.persistent).get(&id);
+                        let base = sh.persistent.get(id);
                         Ok(e.insert(base.cloned().ok_or_else(|| id.not_allocated())?))
                     }
                 }
@@ -1059,16 +1060,16 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
             StateRef::Shadow(aru) => {
                 let raw = aru.get();
                 let shadow = &self.map.aru(raw).ok_or(LldError::UnknownAru(aru))?.shadow;
-                if !I::table(shadow).contains_key(&id) {
+                if !I::overlay(shadow).contains_key(&id) {
                     let base = self.map.committed_view(id).cloned();
                     let base = base.ok_or_else(|| id.not_allocated())?;
                     self.lld.stats.shadow_cow_records.inc();
                     let aru = self.map.aru_mut(raw).expect("checked above");
                     aru.span.cow_records += 1;
-                    I::table_mut(&mut aru.shadow).insert(id, base);
+                    I::overlay_mut(&mut aru.shadow).insert(id, base);
                 }
                 let shadow = &mut self.map.aru_mut(raw).expect("checked above").shadow;
-                Ok(I::table_mut(shadow).get_mut(&id).expect("just inserted"))
+                Ok(I::overlay_mut(shadow).get_mut(&id).expect("just inserted"))
             }
         }
     }

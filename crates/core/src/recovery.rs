@@ -23,9 +23,11 @@
 //!
 //! 1. **Snapshot load** — the newest valid checkpoint's per-shard
 //!    slabs are CRC-checked, and each row is decoded straight into its
-//!    shard's persistent table, sized once from the directory's counts
-//!    (allocator raised past it, its address entered in its slot's
-//!    `residents`).
+//!    slot of its shard's persistent array, in one pass, its address
+//!    entered in its slot's `residents`. A slab's rows come in
+//!    identifier order, so the writes are sequential. No floor may pass
+//!    [`MapId::bound`] and no row its floor: the arrays are sized by
+//!    identifiers.
 //! 2. **Scan** — the log's chain is walked from the checkpoint's
 //!    [`ChainHead`] (the ends of slot 0, link 0 without one): a segment
 //!    is accepted iff header CRC, sequence number and `prev_link` fit,
@@ -51,10 +53,13 @@
 //!    set up behind the chain's last segment, a slot is free iff it is
 //!    off the replayed chain, not the one the tail points into and has
 //!    no resident (slots the checkpoint covers are never read), and
-//!    the consistency check runs.
+//!    each stripe of identifiers is what its array leaves
+//!    ([`Tables::stripe`](crate::state::Tables::stripe)): the holes
+//!    below its last identifier are free, and the next is the one past
+//!    it. Then the consistency check runs.
 
 use crate::aru::ListOp;
-use crate::checkpoint::{self, CkptBody, CkptHeaderInfo, CkptSlots, SlabReader};
+use crate::checkpoint::{self, CkptBody, CkptHeaderInfo, CkptSlots};
 use crate::config::{LldConfig, MAX_MAP_SHARDS};
 use crate::dedup::DedupCache;
 use crate::error::{LldError, Result};
@@ -63,10 +68,9 @@ use crate::lld::{Lld, LldInner, Mutation, StateRef};
 use crate::obs::{recovery_trace, Obs, Stage, StageGuard};
 use crate::record::flat_record;
 use crate::segment::{body_landed, valid_head, ChainHead, MetaRun, SegmentHeader, NO_SLOT};
-use crate::shard::striped_ceil;
 use crate::state::{BlockRecord, ListRecord, MapId};
 use crate::summary::Record;
-use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp, MAX_RAW_ID};
+use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp};
 use ld_disk::BlockDevice;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -313,7 +317,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         ts: Timestamp,
         corrupt: impl Fn(String) -> LldError,
     ) -> Result<()> {
-        if id.raw() > MAX_RAW_ID {
+        if id.raw() >= I::bound(&self.lld.layout) {
             return Err(corrupt(format!("allocation of {id}, past the bound")));
         }
         if self.map.committed_view(id).is_some_and(I::allocated) {
@@ -326,17 +330,6 @@ impl<D: BlockDevice> Mutation<'_, D> {
         let stripe = u64::from(self.lld.maps.nshards());
         I::stripe(self.map.owner_mut(id)).note(id.raw(), stripe);
         self.enter_fresh(id, ts);
-        Ok(())
-    }
-
-    /// Enters a checkpoint row in its shard's persistent table; its
-    /// identifier leaves the stripe.
-    fn load_row<I: MapId>(&mut self, id: I, rec: I::Rec, stripe: u64) -> Result<()> {
-        let sh = self.map.owner_mut(id);
-        I::stripe(sh).note(id.raw(), stripe);
-        if I::table_mut(&mut sh.persistent).insert(id, rec).is_some() {
-            return Err(LldError::Corrupt(format!("checkpoint holds {id} twice")));
-        }
         Ok(())
     }
 
@@ -358,7 +351,6 @@ impl<D: BlockDevice> Mutation<'_, D> {
         let (device, layout) = (&lld.device, &lld.layout);
         let n = layout.n_segments as usize;
         let nshards = lld.maps.nshards();
-        let stripe = u64::from(nshards);
 
         // ---- Phase 1: load the newest valid checkpoint's slabs -------
         let load = obs.stage(0, trace, Stage::RecoverySnapshotLoad);
@@ -392,12 +384,16 @@ impl<D: BlockDevice> Mutation<'_, D> {
             let Some(CkptBody { slabs, dedup: seed }) = hdr.open(&body, layout) else {
                 continue;
             };
-            // The allocators count on from the floors and from every
-            // identifier entered.
-            if hdr.block_floor.max(hdr.list_floor) > MAX_RAW_ID {
+            // Each table is an array indexed by identifier: every row
+            // lies below its floor, and no floor past what an allocator
+            // hands out.
+            let (floors, bounds) = (
+                (hdr.block_floor, hdr.list_floor),
+                (BlockId::bound(layout), ListId::bound(layout)),
+            );
+            if floors.0 > bounds.0 || floors.1 > bounds.1 {
                 return Err(LldError::Corrupt(format!(
-                    "checkpoint's allocator floors ({}, {}) pass the largest identifier",
-                    hdr.block_floor, hdr.list_floor
+                    "checkpoint's allocator floors {floors:?} pass the bounds {bounds:?}"
                 )));
             }
             dedup = Some(DedupCache::decode(config.dedup_capacity, &seed)?);
@@ -407,28 +403,17 @@ impl<D: BlockDevice> Mutation<'_, D> {
             *lld.ckpt_io.lock() = CkptSlots { use_b: is_a };
             report.snap_shards = slabs.len() as u32;
             report.snapshot_bytes = hdr.bytes();
-            // The floors are global; each shard starts at its first
-            // identifier at or above them. Its tables are sized once: by
-            // its own slab where the image was checkpointed at this shard
-            // count, else by an even share; never past the format's caps,
-            // whatever a directory says.
-            let rows = |n: fn(&SlabReader<'_>) -> u64, cap: u64, i: u32| {
-                let rows = if slabs.len() == nshards as usize {
-                    n(&slabs[i as usize])
-                } else {
-                    let total = slabs.iter().map(n).fold(0, u64::saturating_add);
-                    total.div_ceil(stripe)
-                };
-                rows.min(cap) as usize
-            };
             for i in 0..nshards {
-                let sh = self.map.shard_mut(i);
-                sh.block_ids.next_raw = striped_ceil(hdr.block_floor, i, stripe);
-                sh.list_ids.next_raw = striped_ceil(hdr.list_floor, i, stripe);
-                let tables = &mut sh.persistent;
-                (tables.blocks).reserve(rows(|s| s.n_blocks, layout.max_blocks, i));
-                (tables.lists).reserve(rows(|s| s.n_lists, layout.max_lists, i));
+                let tables = &mut self.map.shard_mut(i).persistent;
+                tables.reserve::<BlockId>(floors.0);
+                tables.reserve::<ListId>(floors.1);
             }
+            // A row at or past its floor, or in a slot already full.
+            let refuse = |id: &dyn std::fmt::Display, floor: u64| {
+                LldError::Corrupt(format!(
+                    "checkpoint holds {id} twice, or at its floor {floor}"
+                ))
+            };
             // A slot's `residents` is sized once, for every row the slabs
             // place in it, and filled after the last slab.
             let mut placed: Vec<(BlockId, PhysAddr)> = Vec::new();
@@ -457,12 +442,18 @@ impl<D: BlockDevice> Mutation<'_, D> {
                         placed.push((id, a));
                     }
                     ts_floor = ts_floor.max(rec.ts.get());
-                    self.load_row(id, rec, stripe)?;
+                    let tables = &mut self.map.owner_mut(id).persistent;
+                    if id.get() >= floors.0 || tables.insert(id, rec).is_some() {
+                        return Err(refuse(&id, floors.0));
+                    }
                 }
                 for entry in slab.lists() {
                     let (id, rec) = entry?;
                     ts_floor = ts_floor.max(rec.ts.get());
-                    self.load_row(id, rec, stripe)?;
+                    let tables = &mut self.map.owner_mut(id).persistent;
+                    if id.get() >= floors.1 || tables.insert(id, rec).is_some() {
+                        return Err(refuse(&id, floors.1));
+                    }
                 }
             }
             let log = self.log();
@@ -637,9 +628,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
         for sh in self.map.shards_held() {
             let (new, old) = (&sh.committed, &sh.persistent);
             let block =
-                |(id, r): (&BlockId, &BlockRecord)| old.blocks.get(id).is_some_and(|p| r.ts < p.ts);
-            let list =
-                |(id, r): (&ListId, &ListRecord)| old.lists.get(id).is_some_and(|p| r.ts < p.ts);
+                |(&id, r): (&BlockId, &BlockRecord)| old.get(id).is_some_and(|p| r.ts < p.ts);
+            let list = |(&id, r): (&ListId, &ListRecord)| old.get(id).is_some_and(|p| r.ts < p.ts);
             if new.blocks.iter().any(block) || new.lists.iter().any(list) {
                 return Err(LldError::Corrupt(
                     "a replayed record is older than the checkpoint's version of what it changes"
@@ -648,6 +638,11 @@ impl<D: BlockDevice> Mutation<'_, D> {
             }
         }
         self.map.drain_committed();
+        for i in 0..nshards {
+            let sh = self.map.shard_mut(i);
+            sh.block_ids = sh.persistent.stripe::<BlockId>();
+            sh.list_ids = sh.persistent.stripe::<ListId>();
+        }
         let log = self.log();
         log.checkpoint_seq = ckpt_seq;
         // The suffix just replayed is still the suffix, in both units.
@@ -807,12 +802,14 @@ mod tests {
         let map = ld.read_view(0, all);
         let (mut blocks, mut lists) = (BTreeMap::new(), BTreeMap::new());
         for sh in map.shards_held() {
-            for &id in (sh.persistent.blocks.keys()).chain(sh.committed.blocks.keys()) {
+            let held = sh.persistent.iter::<BlockId>().map(|(id, _)| id);
+            for id in held.chain(sh.committed.blocks.keys().copied()) {
                 if let Some(r) = map.committed_view(id).filter(|r| r.allocated) {
                     blocks.insert(id, r.clone());
                 }
             }
-            for &id in (sh.persistent.lists.keys()).chain(sh.committed.lists.keys()) {
+            let held = sh.persistent.iter::<ListId>().map(|(id, _)| id);
+            for id in held.chain(sh.committed.lists.keys().copied()) {
                 if let Some(r) = map.committed_view(id).filter(|r| r.allocated) {
                     lists.insert(id, r.clone());
                 }
@@ -983,16 +980,15 @@ mod tests {
             ld.run_cleaner().unwrap();
             assert!(ld.stats().blocks_relocated > 0, "the pass found nothing");
             let ckpt = ld.checkpoint_seq();
-            // The format keeps allocator floors only: an identifier
-            // freed before the checkpoint and not handed out again is
-            // in no record behind it, and is not expected back.
-            h.freed_blocks.clear();
-            h.freed_lists.clear();
             for _ in 0..150 {
                 h.unit();
             }
             ld.flush().unwrap();
-            assert_eq!(ld.checkpoint_seq(), ckpt, "a checkpoint `freed_*` missed");
+            assert_eq!(
+                ld.checkpoint_seq(),
+                ckpt,
+                "a checkpoint the history did not take"
+            );
             assert!(!h.never_ended.is_empty());
             for what in [
                 "committed ARU",
@@ -1044,12 +1040,12 @@ mod tests {
                     assert!(sh.committed.is_empty(), "{at}: everything is persistent");
                     // Records land in their owning shard, and its
                     // allocators end past every identifier present.
-                    for id in sh.persistent.blocks.keys().map(|b| b.get()) {
+                    for id in sh.persistent.iter::<BlockId>().map(|(b, _)| b.get()) {
                         assert_eq!(rec.maps.shard_of(id) as usize, i, "{at}: b{id}");
                         assert!(sh.block_ids.next_raw > id, "{at}: b{id}");
                         assert!(!sh.block_ids.free.contains(&id), "{at}: b{id} is allocated");
                     }
-                    for id in sh.persistent.lists.keys().map(|l| l.get()) {
+                    for id in sh.persistent.iter::<ListId>().map(|(l, _)| l.get()) {
                         assert_eq!(rec.maps.shard_of(id) as usize, i, "{at}: l{id}");
                         assert!(sh.list_ids.next_raw > id, "{at}: l{id}");
                         assert!(!sh.list_ids.free.contains(&id), "{at}: l{id} is allocated");
@@ -1058,15 +1054,18 @@ mod tests {
                         assert_eq!(rec.maps.shard_of(id) as usize, i, "{at}: free {id}");
                     }
                 }
+                // Every identifier freed, before the checkpoint or
+                // after it, comes back: it is free, or past the last one
+                // held and so next in its stripe or behind the next.
                 for &id in &h.freed_blocks {
                     let sh = map.try_shard(rec.maps.shard_of(id)).unwrap();
-                    assert!(sh.block_ids.free.contains(&id), "{at}: b{id} was freed");
-                    assert!(sh.block_ids.next_raw > id, "{at}: b{id}");
+                    let back = sh.block_ids.free.contains(&id) || sh.block_ids.next_raw <= id;
+                    assert!(back, "{at}: b{id} was freed");
                 }
                 for &id in &h.freed_lists {
                     let sh = map.try_shard(rec.maps.shard_of(id)).unwrap();
-                    assert!(sh.list_ids.free.contains(&id), "{at}: l{id} was freed");
-                    assert!(sh.list_ids.next_raw > id, "{at}: l{id}");
+                    let back = sh.list_ids.free.contains(&id) || sh.list_ids.next_raw <= id;
+                    assert!(back, "{at}: l{id} was freed");
                 }
             }
         }
@@ -1117,9 +1116,9 @@ mod tests {
                 other => panic!("{other:?}"),
             }
 
-            // So is an allocation the allocators cannot count on from
-            // (`raw + shards`): the bound a checkpoint's rows keep; and
-            // one of an identifier that is live, of either kind.
+            // So is an allocation at or past the bound no allocator
+            // passes, which sizes the arrays; and one of an identifier
+            // that is live, of either kind.
             let bad = [
                 (
                     Record::NewBlock {
@@ -1130,7 +1129,7 @@ mod tests {
                 ),
                 (
                     Record::NewList {
-                        list: ListId::new(MAX_RAW_ID + 1),
+                        list: ListId::new(ListId::bound(&ld.layout)),
                         ts: ts(5),
                     },
                     "past the bound",

@@ -86,42 +86,34 @@ pub(crate) struct IdStripe {
 }
 
 impl IdStripe {
-    pub(crate) fn alloc(&mut self, n: u64) -> u64 {
-        self.free.pop_first().unwrap_or_else(|| {
+    /// A free identifier, else the next one, below `bound`
+    /// ([`MapId::bound`]); `None` if there is none.
+    pub(crate) fn alloc(&mut self, n: u64, bound: u64) -> Option<u64> {
+        self.free.pop_first().or_else(|| {
             let raw = self.next_raw;
-            self.next_raw += n;
-            raw
+            (raw < bound).then(|| {
+                self.next_raw = raw + n;
+                raw
+            })
         })
     }
 
-    /// Records that `raw` is in use (recovery: a snapshot entry or a
-    /// replayed allocation): it leaves the free set and the allocator is
-    /// raised past it.
+    /// Records that `raw` is in use (a replayed allocation): it leaves
+    /// the free set and the allocator is raised past it.
     pub(crate) fn note(&mut self, raw: u64, n: u64) {
         self.free.remove(&raw);
         self.next_raw = self.next_raw.max(raw + n);
     }
 }
 
-/// Smallest valid identifier owned by shard `idx` that is `>= floor`
-/// (identifier 0 is reserved, so shard 0's stripe starts at `n`).
-pub(crate) fn striped_ceil(floor: u64, idx: u32, n: u64) -> u64 {
-    let floor = floor.max(1);
-    let r = floor % n;
-    floor + ((u64::from(idx) + n - r) % n)
-}
-
 impl MapShard {
-    fn fresh(idx: u32, n: u64) -> Self {
-        let stripe = || IdStripe {
-            next_raw: striped_ceil(1, idx, n),
-            free: BTreeSet::new(),
-        };
+    fn fresh(idx: u32, n: u32) -> Self {
+        let persistent = Tables::new(idx, n);
         MapShard {
-            persistent: Tables::default(),
+            block_ids: persistent.stripe::<BlockId>(),
+            list_ids: persistent.stripe::<ListId>(),
+            persistent,
             committed: StateOverlay::default(),
-            block_ids: stripe(),
-            list_ids: stripe(),
             snap_pending: false,
             snap_copy: None,
         }
@@ -171,7 +163,7 @@ impl Maps {
         Maps {
             shards: (0..nshards as u32)
                 .map(|i| ShardSlot {
-                    lock: RwLock::new(MapShard::fresh(i, n)),
+                    lock: RwLock::new(MapShard::fresh(i, nshards as u32)),
                     read_locks: Counter::default(),
                     write_locks: Counter::default(),
                 })
@@ -596,16 +588,16 @@ impl<'a> MapView<'a> {
         if let StateRef::Shadow(aru) = st {
             if let Some(rec) = self
                 .aru(aru.get())
-                .and_then(|a| I::table(&a.shadow).get(&id))
+                .and_then(|a| I::overlay(&a.shadow).get(&id))
             {
                 return Ok(Some(rec));
             }
         }
         let idx = self.shard_of(id.raw());
         let sh = self.try_shard(idx).ok_or(idx)?;
-        Ok(I::table(&sh.committed)
+        Ok(I::overlay(&sh.committed)
             .get(&id)
-            .or_else(|| I::table(&sh.persistent).get(&id)))
+            .or_else(|| sh.persistent.get(id)))
     }
 
     /// Resolves a record in the given state, as
@@ -724,21 +716,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn striped_ceil_respects_congruence_and_floor() {
-        for n in [1u64, 2, 4, 8, 64] {
-            for idx in 0..n as u32 {
-                for floor in [0u64, 1, 2, 7, 8, 9, 100] {
-                    let v = striped_ceil(floor, idx, n);
-                    assert_eq!(v % n, u64::from(idx) % n, "n={n} idx={idx} floor={floor}");
-                    assert!(v >= floor.max(1), "n={n} idx={idx} floor={floor} v={v}");
-                    assert!(v < floor.max(1) + n);
-                    assert_ne!(v, 0);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fresh_shards_stripe_the_id_space() {
         fn stripes<I: MapId>() {
             let maps = Maps::fresh(4);
@@ -750,7 +727,7 @@ mod tests {
                     ShardGuard::Read(_) => unreachable!(),
                 };
                 for _ in 0..3 {
-                    let raw = I::stripe(sh).alloc(4);
+                    let raw = I::stripe(sh).alloc(4, u64::MAX).unwrap();
                     assert_eq!(raw % 4, i as u64 % 4);
                     assert_ne!(raw, 0);
                     assert!(seen.insert(raw), "duplicate id {raw}");
@@ -759,6 +736,20 @@ mod tests {
         }
         stripes::<BlockId>();
         stripes::<ListId>();
+    }
+
+    /// A stripe hands out its free identifiers first, and grows only
+    /// below the bound.
+    #[test]
+    fn a_stripe_grows_only_below_its_bound() {
+        let mut stripe = IdStripe {
+            next_raw: 12,
+            free: BTreeSet::from([4]),
+        };
+        assert_eq!(stripe.alloc(4, 16), Some(4));
+        assert_eq!(stripe.alloc(4, 16), Some(12));
+        assert_eq!(stripe.alloc(4, 16), None);
+        assert_eq!(stripe.next_raw, 16);
     }
 
     #[test]

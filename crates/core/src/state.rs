@@ -23,11 +23,19 @@
 //! replayed by `replay_alloc`) and the drain are each written once for
 //! both tables, generic over it.
 //!
-//! The maps keyed by identifier hash with [`IdBuild`], a keyed folded
-//! multiply: two 64×64→128-bit products per identifier where std's
-//! SipHash runs its rounds. Its key is drawn once per process, so
-//! iteration order (and a checkpoint slab's row order) is per process.
+//! The persistent tables hash nothing. LD hands out the identifiers
+//! itself, dense in each shard's stripe, so a shard's table is an array
+//! indexed by identifier ([`Tables`]): a lookup is an index, a
+//! checkpoint iterates it in identifier order, and recovery fills it in
+//! that order. Its empty slots are the shard's free identifiers. What a
+//! crafted image could do to an array is bound by [`MapId::bound`], not
+//! by a hash. The overlays, a segment's `residents` and the block cache
+//! are small and sparse, and stay maps: they hash with [`IdBuild`], a
+//! keyed folded multiply: two 64×64→128-bit products per identifier
+//! where std's SipHash runs its rounds. Its key is drawn once per
+//! process, so an overlay's iteration order is per process.
 
+use crate::config::MAX_MAP_SHARDS;
 use crate::error::LldError;
 use crate::layout::Layout;
 use crate::shard::{IdStripe, MapShard, Maps};
@@ -175,32 +183,121 @@ impl ListRecord {
     }
 }
 
-/// The block-number-map and the list-table. As the persistent state its
-/// entries exist only for allocated blocks/lists (deallocation removes
-/// the entry); as a [`StateOverlay`] it holds alternative records.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Tables {
-    /// The block-number-map.
-    pub blocks: IdMap<BlockId, BlockRecord>,
-    /// The list-table.
-    pub lists: IdMap<ListId, ListRecord>,
+/// One shard's block-number-map and list-table as persistent state: an
+/// array per table, slot `raw >> shift` holding identifier `raw`'s
+/// record. The shard owns the identifiers congruent to `idx` modulo
+/// `1 << shift`, so no two of them share a slot. Only allocated blocks
+/// and lists have a record (deallocation empties the slot), and a slot
+/// past the array's end is empty.
+#[derive(Debug, Clone)]
+pub(crate) struct Tables {
+    blocks: Vec<Option<BlockRecord>>,
+    lists: Vec<Option<ListRecord>>,
+    shift: u32,
+    idx: u64,
+}
+
+impl Tables {
+    /// The empty tables of shard `idx` of `nshards` (a power of two).
+    pub(crate) fn new(idx: u32, nshards: u32) -> Self {
+        Tables {
+            blocks: Vec::new(),
+            lists: Vec::new(),
+            shift: nshards.trailing_zeros(),
+            idx: u64::from(idx),
+        }
+    }
+
+    fn slot(&self, raw: u64) -> usize {
+        debug_assert_eq!(
+            raw & ((1 << self.shift) - 1),
+            self.idx,
+            "{raw} is another shard's"
+        );
+        (raw >> self.shift) as usize
+    }
+
+    fn raw(&self, slot: usize) -> u64 {
+        (slot as u64) << self.shift | self.idx
+    }
+
+    /// `id`'s record, if it has one.
+    pub(crate) fn get<I: MapId>(&self, id: I) -> Option<&I::Rec> {
+        I::slots(self).get(self.slot(id.raw()))?.as_ref()
+    }
+
+    /// Enters `rec` as `id`'s record, and returns the one it replaces.
+    pub(crate) fn insert<I: MapId>(&mut self, id: I, rec: I::Rec) -> Option<I::Rec> {
+        let slot = self.slot(id.raw());
+        let slots = I::slots_mut(self);
+        if slot >= slots.len() {
+            slots.resize_with(slot + 1, || None);
+        }
+        slots[slot].replace(rec)
+    }
+
+    /// Empties `id`'s slot.
+    pub(crate) fn remove<I: MapId>(&mut self, id: I) {
+        let slot = self.slot(id.raw());
+        if let Some(rec) = I::slots_mut(self).get_mut(slot) {
+            *rec = None;
+        }
+    }
+
+    /// Makes room for every identifier of kind `I` below `floor`.
+    pub(crate) fn reserve<I: MapId>(&mut self, floor: u64) {
+        let want = (floor >> self.shift) as usize + 1;
+        let slots = I::slots_mut(self);
+        slots.reserve(want.saturating_sub(slots.len()));
+    }
+
+    /// The records of kind `I`, in identifier order.
+    pub(crate) fn iter<I: MapId>(&self) -> impl Iterator<Item = (I, &I::Rec)> {
+        (I::slots(self).iter().enumerate()).filter_map(|(slot, rec)| {
+            let rec = rec.as_ref()?;
+            Some((I::from_raw(self.raw(slot)), rec))
+        })
+    }
+
+    /// The stripe of kind `I` these tables leave: an identifier below
+    /// the last one held is free unless a record holds it, and the
+    /// stripe grows from the one past the last.
+    pub(crate) fn stripe<I: MapId>(&self) -> IdStripe {
+        // Identifier 0 is reserved: shard 0's first slot stays empty.
+        let first = usize::from(self.idx == 0);
+        let slots = I::slots(self);
+        let end = (slots.iter().rposition(Option::is_some)).map_or(first, |last| last + 1);
+        IdStripe {
+            next_raw: self.raw(end),
+            free: (first..end)
+                .filter(|&slot| slots[slot].is_none())
+                .map(|slot| self.raw(slot))
+                .collect(),
+        }
+    }
 }
 
 /// A set of alternative records layered over the state below it
-/// (committed over persistent; shadow over committed): the same two
-/// tables, where an entry is present only if the record *differs* from
+/// (committed over persistent; shadow over committed): the two tables as
+/// maps, where an entry is present only if the record *differs* from
 /// the state below — including deallocations, which are represented as
 /// records with `allocated == false`.
-pub(crate) type StateOverlay = Tables;
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StateOverlay {
+    /// Alternative block-number-map entries.
+    pub(crate) blocks: IdMap<BlockId, BlockRecord>,
+    /// Alternative list-table entries.
+    pub(crate) lists: IdMap<ListId, ListRecord>,
+}
 
-impl Tables {
+impl StateOverlay {
     /// Whether both tables are empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.blocks.is_empty() && self.lists.is_empty()
     }
 
     /// Number of records (blocks + lists).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.blocks.len() + self.lists.len()
     }
 
@@ -210,14 +307,13 @@ impl Tables {
     /// the monotonic clock; the guard mirrors the paper's "replaces the
     /// current version if more recent, otherwise it is discarded");
     /// deallocated records remove the entry.
-    pub fn drain_into(&mut self, tables: &mut Tables) {
-        fn drain<I: MapId>(from: &mut Tables, to: &mut Tables) {
-            let below = I::table_mut(to);
-            for (id, rec) in I::table_mut(from).drain() {
+    pub(crate) fn drain_into(&mut self, tables: &mut Tables) {
+        fn drain<I: MapId>(from: &mut StateOverlay, to: &mut Tables) {
+            for (id, rec) in I::overlay_mut(from).drain() {
                 if !I::allocated(&rec) {
-                    below.remove(&id);
-                } else if below.get(&id).is_none_or(|b| I::ts(b) <= I::ts(&rec)) {
-                    below.insert(id, rec);
+                    to.remove(id);
+                } else if to.get(id).is_none_or(|b| I::ts(b) <= I::ts(&rec)) {
+                    to.insert(id, rec);
                 }
             }
         }
@@ -237,14 +333,27 @@ pub(crate) trait MapId: Copy + Eq + Hash + fmt::Display + 'static {
     type Rec: Clone + 'static;
     fn raw(self) -> u64;
     fn from_raw(raw: u64) -> Self;
-    /// The table of `t` that holds this kind.
-    fn table(t: &Tables) -> &IdMap<Self, Self::Rec>;
-    fn table_mut(t: &mut Tables) -> &mut IdMap<Self, Self::Rec>;
+    /// The table of an overlay that holds this kind.
+    fn overlay(o: &StateOverlay) -> &IdMap<Self, Self::Rec>;
+    fn overlay_mut(o: &mut StateOverlay) -> &mut IdMap<Self, Self::Rec>;
+    /// The array of persistent tables that holds this kind.
+    fn slots(t: &Tables) -> &Vec<Option<Self::Rec>>;
+    fn slots_mut(t: &mut Tables) -> &mut Vec<Option<Self::Rec>>;
     /// The shard's stripe of this kind's identifiers.
     fn stripe(sh: &mut MapShard) -> &mut IdStripe;
     /// The global count of allocations of this kind, and its cap.
     fn reserved(maps: &Maps) -> &AtomicU64;
     fn cap(layout: &Layout) -> u64;
+    /// One past the largest identifier of this kind on `layout`: no
+    /// allocator hands out one as large, and recovery refuses an image
+    /// that holds one. An allocator reuses its stripe's free
+    /// identifiers first, so its stripe grows only when every identifier
+    /// below the stripe's end is taken, at most `cap` at a time, in
+    /// steps of the shard count, at most `MAX_MAP_SHARDS`. The arrays of
+    /// every shard together take at most this many slots.
+    fn bound(layout: &Layout) -> u64 {
+        (MAX_MAP_SHARDS as u64).saturating_mul(Self::cap(layout).saturating_add(1))
+    }
     /// The error for an identifier that has no version at all.
     fn not_allocated(self) -> LldError;
     /// The summary record that logs this identifier's allocation.
@@ -268,10 +377,16 @@ macro_rules! map_id {
             fn from_raw(raw: u64) -> Self {
                 $id::new(raw)
             }
-            fn table(t: &Tables) -> &IdMap<Self, $rec> {
+            fn overlay(o: &StateOverlay) -> &IdMap<Self, $rec> {
+                &o.$table
+            }
+            fn overlay_mut(o: &mut StateOverlay) -> &mut IdMap<Self, $rec> {
+                &mut o.$table
+            }
+            fn slots(t: &Tables) -> &Vec<Option<$rec>> {
                 &t.$table
             }
-            fn table_mut(t: &mut Tables) -> &mut IdMap<Self, $rec> {
+            fn slots_mut(t: &mut Tables) -> &mut Vec<Option<$rec>> {
                 &mut t.$table
             }
             fn stripe(sh: &mut MapShard) -> &mut IdStripe {
@@ -339,17 +454,15 @@ mod tests {
 
     #[test]
     fn drain_inserts_updates_and_removes() {
-        let mut tables = Tables::default();
-        tables.blocks.insert(
+        let mut tables = Tables::new(0, 1);
+        tables.insert(
             BlockId::new(1),
             BlockRecord {
                 addr: Some(addr(0, 0)),
                 ..BlockRecord::fresh(Timestamp::new(1))
             },
         );
-        tables
-            .lists
-            .insert(ListId::new(1), ListRecord::fresh(Timestamp::new(1)));
+        tables.insert(ListId::new(1), ListRecord::fresh(Timestamp::new(1)));
 
         let mut overlay = StateOverlay::default();
         // Update block 1 with a newer version.
@@ -375,25 +488,73 @@ mod tests {
 
         overlay.drain_into(&mut tables);
         assert!(overlay.is_empty());
-        assert_eq!(tables.blocks[&BlockId::new(1)].addr, Some(addr(2, 5)));
-        assert!(tables.blocks.contains_key(&BlockId::new(2)));
-        assert!(!tables.lists.contains_key(&ListId::new(1)));
+        assert_eq!(tables.get(BlockId::new(1)).unwrap().addr, Some(addr(2, 5)));
+        assert!(tables.get(BlockId::new(2)).is_some());
+        assert!(tables.get(ListId::new(1)).is_none());
     }
 
     #[test]
     fn drain_discards_stale_versions() {
         // The "otherwise it is discarded" branch: an overlay record older
         // than the table entry does not replace it.
-        let mut tables = Tables::default();
-        tables
-            .blocks
-            .insert(BlockId::new(1), BlockRecord::fresh(Timestamp::new(20)));
+        let mut tables = Tables::new(0, 1);
+        tables.insert(BlockId::new(1), BlockRecord::fresh(Timestamp::new(20)));
         let mut overlay = StateOverlay::default();
         overlay
             .blocks
             .insert(BlockId::new(1), BlockRecord::fresh(Timestamp::new(5)));
         overlay.drain_into(&mut tables);
-        assert_eq!(tables.blocks[&BlockId::new(1)].ts, Timestamp::new(20));
+        assert_eq!(tables.get(BlockId::new(1)).unwrap().ts, Timestamp::new(20));
+    }
+
+    /// Identifier `raw` of shard `raw % n` sits in slot `raw / n`: the
+    /// records come back in identifier order, and the empty slots below
+    /// the last full one are the stripe's free identifiers.
+    #[test]
+    fn an_array_is_indexed_by_identifier_and_its_holes_are_free() {
+        for (idx, n) in [(0u32, 1u32), (0, 4), (3, 4), (5, 64)] {
+            let mut t = Tables::new(idx, n);
+            let step = u64::from(n);
+            let id = |k: u64| BlockId::new(u64::from(idx) + k * step);
+            let empty = t.stripe::<BlockId>();
+            assert_eq!(empty.next_raw, id(u64::from(idx == 0)).get());
+            assert!(empty.free.is_empty());
+            for k in [7, 2, 9, 3] {
+                assert!(t
+                    .insert(id(k), BlockRecord::fresh(Timestamp::new(k)))
+                    .is_none());
+            }
+            assert!(t
+                .insert(id(3), BlockRecord::fresh(Timestamp::ZERO))
+                .is_some());
+            t.remove(id(9));
+            t.remove(id(40)); // past the end: nothing to empty
+            let held: Vec<u64> = t.iter::<BlockId>().map(|(b, _)| b.get()).collect();
+            assert_eq!(held, [id(2), id(3), id(7)].map(BlockId::get));
+            let stripe = t.stripe::<BlockId>();
+            assert_eq!(stripe.next_raw, id(8).get(), "one past the last held");
+            // Slot 0 of shard 0 would be identifier 0.
+            let holes: Vec<u64> = [0, 1, 4, 5, 6]
+                .into_iter()
+                .filter(|&k| idx != 0 || k != 0)
+                .map(|k| u64::from(idx) + k * step)
+                .collect();
+            assert_eq!(stripe.free.into_iter().collect::<Vec<_>>(), holes);
+            assert!(t.stripe::<ListId>().free.is_empty());
+        }
+    }
+
+    /// Zero is no identifier, so an absent one takes no room: a block's
+    /// record is 48 bytes and a list's 32, and an empty slot of either
+    /// array costs nothing over a full one.
+    #[test]
+    fn records_pack_their_optional_identifiers() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Option<BlockId>>(), 8);
+        assert_eq!(size_of::<BlockRecord>(), 48);
+        assert_eq!(size_of::<ListRecord>(), 32);
+        assert_eq!(size_of::<Option<BlockRecord>>(), 48);
+        assert_eq!(size_of::<Option<ListRecord>>(), 32);
     }
 
     /// 32,768 identifiers at the spacings the allocators hand out (one

@@ -1,9 +1,11 @@
 //! Identifier and address newtypes for the logical disk.
 //!
 //! All identifiers are non-zero; zero is reserved so that `Option<id>` can
-//! be encoded as a bare integer in on-disk records.
+//! be encoded as a bare integer in on-disk records, and takes no more
+//! room than the identifier in memory.
 
 use std::fmt;
+use std::num::NonZeroU64;
 
 /// A logical block number.
 ///
@@ -11,25 +13,28 @@ use std::fmt;
 /// data exclusively through logical block numbers; the mapping to physical
 /// locations is private to the logical disk (the block-number-map).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct BlockId(u64);
+pub struct BlockId(NonZeroU64);
 
 /// A logical block-list identifier.
 ///
 /// Ordered lists express the logical relationship between blocks and guide
 /// physical allocation; a file system typically uses one list per file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ListId(u64);
+pub struct ListId(NonZeroU64);
 
-/// The largest raw block or list identifier, and allocator floor, an
-/// image may hold. Each shard's allocator counts on from the largest it
-/// has seen in steps of the shard count (`shard.rs`); half the space
-/// leaves it more identifiers than a process hands out.
+/// The largest raw block or list identifier the checkpoint codec takes:
+/// half the space, so that the difference of two identifiers is below
+/// 2⁶³ either way (`checkpoint.rs`). What recovery takes is far less:
+/// a persistent table is an array indexed by identifier, so an
+/// identifier of kind `I` must lie below `MapId::bound`,
+/// `MAX_MAP_SHARDS × (cap + 1)` for the kind's cap in the superblock,
+/// which no allocator passes (`state.rs`).
 pub(crate) const MAX_RAW_ID: u64 = u64::MAX >> 1;
 
 /// An atomic-recovery-unit identifier, returned by
 /// [`Lld::begin_aru`](crate::Lld::begin_aru).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct AruId(u64);
+pub struct AruId(NonZeroU64);
 
 /// A logical timestamp.
 ///
@@ -94,23 +99,25 @@ macro_rules! id_impl {
             /// Panics if `raw` is zero (zero is the reserved "none"
             /// encoding).
             pub const fn new(raw: u64) -> Self {
-                assert!(raw != 0, "identifier zero is reserved");
-                $ty(raw)
+                match NonZeroU64::new(raw) {
+                    Some(raw) => $ty(raw),
+                    None => panic!("identifier zero is reserved"),
+                }
             }
 
             /// The raw non-zero value.
             pub const fn get(self) -> u64 {
-                self.0
+                self.0.get()
             }
 
             /// Encodes an optional id as a raw integer (0 for `None`).
             pub(crate) fn encode_opt(opt: Option<Self>) -> u64 {
-                opt.map_or(0, |id| id.0)
+                opt.map_or(0, Self::get)
             }
 
             /// Decodes a raw integer into an optional id (0 is `None`).
             pub(crate) fn decode_opt(raw: u64) -> Option<Self> {
-                (raw != 0).then(|| $ty(raw))
+                NonZeroU64::new(raw).map($ty)
             }
         }
 

@@ -225,6 +225,94 @@ fn recovery_preserves_id_allocation_monotonicity() {
     assert_ne!(l, l2);
 }
 
+/// An identifier below its stripe's end that no table holds is free
+/// (docs/INVARIANTS.md): after a restart, the blocks and lists deleted
+/// before it are handed out again, lowest first, before the stripe
+/// grows. Whether the deletions reached the image through a checkpoint
+/// (the table has no row for them) or through the log (replay frees
+/// them).
+#[test]
+fn freed_identifiers_are_handed_out_again_after_recovery() {
+    let cfg = LldConfig {
+        map_shards: 1,
+        ..config()
+    };
+    for via_checkpoint in [true, false] {
+        let ld = Lld::format(MemDisk::new(2 << 20), &cfg).unwrap();
+        let lists: Vec<_> = (0..3).map(|_| ld.new_list(Ctx::Simple).unwrap()).collect();
+        let l = lists[0];
+        let blocks: Vec<_> = (0..10)
+            .map(|_| ld.new_block(Ctx::Simple, l, Position::First).unwrap())
+            .collect();
+        assert!(blocks.iter().map(|b| b.get()).eq(1..=10));
+        for &b in &blocks[..5] {
+            ld.delete_block(Ctx::Simple, b).unwrap();
+        }
+        ld.delete_list(Ctx::Simple, lists[1]).unwrap();
+        // Before a restart, the lowest freed identifier is next.
+        let b = ld.new_block(Ctx::Simple, l, Position::First).unwrap();
+        assert_eq!(b.get(), 1);
+        ld.delete_block(Ctx::Simple, b).unwrap();
+        if via_checkpoint {
+            ld.checkpoint().unwrap();
+        } else {
+            ld.flush().unwrap();
+        }
+        let (ld, _) = Lld::recover_with(ld.into_device(), &cfg).unwrap();
+        let again: Vec<u64> = (0..6)
+            .map(|_| ld.new_block(Ctx::Simple, l, Position::First).unwrap().get())
+            .collect();
+        assert_eq!(again, [1, 2, 3, 4, 5, 11], "checkpoint: {via_checkpoint}");
+        let lists_again = [
+            ld.new_list(Ctx::Simple).unwrap(),
+            ld.new_list(Ctx::Simple).unwrap(),
+        ];
+        assert_eq!(
+            lists_again.map(|l| l.get()),
+            [2, 4],
+            "checkpoint: {via_checkpoint}"
+        );
+    }
+}
+
+/// A `Sequential` ARU frees the identifiers it deletes only at its
+/// commit, so an ARU that deletes and allocates again takes fresh ones
+/// past `max_blocks`. The allocator stops at the bound recovery takes,
+/// `64 × (max_blocks + 1)`, with `DiskFull`, and the image recovers.
+#[test]
+fn a_sequential_aru_that_churns_stops_at_the_bound_recovery_takes() {
+    let cfg = LldConfig {
+        map_shards: 1,
+        max_blocks: Some(16),
+        concurrency: ConcurrencyMode::Sequential,
+        ..config()
+    };
+    let bound = 64 * (16 + 1);
+    let ld = Lld::format(MemDisk::new(8 << 20), &cfg).unwrap();
+    let l = ld.new_list(Ctx::Simple).unwrap();
+    let aru = ld.begin_aru().unwrap();
+    let ctx = Ctx::Aru(aru);
+    let mut last = 0;
+    let refused = loop {
+        match ld.new_block(ctx, l, Position::First) {
+            Ok(b) => {
+                last = b.get();
+                ld.delete_block(ctx, b).unwrap();
+            }
+            Err(e) => break e,
+        }
+    };
+    assert!(matches!(refused, ld_core::LldError::DiskFull), "{refused}");
+    assert_eq!(last, bound - 1, "the stripe grew to the bound");
+    ld.end_aru(aru).unwrap();
+    ld.flush().unwrap();
+    let (ld, _) = Lld::recover_with(ld.into_device(), &cfg).unwrap();
+    assert_eq!(
+        ld.new_block(Ctx::Simple, l, Position::First).unwrap().get(),
+        1
+    );
+}
+
 #[test]
 fn double_recovery_is_stable() {
     // Recovering, doing nothing, and recovering again must converge.

@@ -71,6 +71,15 @@
 //! covers a body that did land replays it — and the last in
 //! [`LldError::Corrupt`].
 //!
+//! The arrays' kinds reach the bound that sizes the persistent tables,
+//! `MAX_MAP_SHARDS × (cap + 1)` for the superblock's `max_blocks` or
+//! `max_lists` ([`id_bound`]): the newer checkpoint's block or list
+//! floor set past it; a floor set at or below the largest identifier
+//! its slabs hold, so a row is at or past its floor; and a `NewBlock`
+//! or `NewList` at or past the bound spliced in ahead of a replayed
+//! `NewBlock`. Each must be [`LldError::Corrupt`], refused before any
+//! table grows to it.
+//!
 //! About 200 cases in tier-1; `RECOVERY_FUZZ_CASES=n` runs more (CI:
 //! 5,000 in release mode). A failure prints `RECOVERY_FUZZ_SEED=n`, and
 //! that variable re-runs the one case.
@@ -79,8 +88,9 @@ mod common;
 
 use common::*;
 use ld_core::{
-    BlockCol, ConcurrencyMode, Ctx, Field, Layout, ListId, Lld, LldConfig, LldError, Position,
-    Record, CHECKPOINT_HEADER, COLUMN_DESC, DEDUP_COLUMNS, DIR_ENTRY, SEGMENT_HEADER, SUPERBLOCK,
+    BlockCol, BlockId, ConcurrencyMode, Ctx, Field, Layout, ListId, Lld, LldConfig, LldError,
+    Position, Record, CHECKPOINT_HEADER, COLUMN_DESC, DEDUP_COLUMNS, DIR_ENTRY, SEGMENT_HEADER,
+    SUPERBLOCK,
 };
 use ld_disk::MemDisk;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -154,6 +164,9 @@ struct Base {
     replayed: Vec<(SegPos, std::ops::Range<usize>, Record)>,
     /// One more than the highest slot holding a segment.
     used_slots: u32,
+    /// The largest block and list identifiers the newer checkpoint
+    /// holds.
+    held: (u64, u64),
 }
 
 impl Base {
@@ -163,6 +176,20 @@ impl Base {
             .filter(|r| matches!(r.2, Record::Write { .. }))
             .collect()
     }
+
+    /// The `NewBlock` records of [`replayed`](Self::replayed): each
+    /// applied directly, with no ARU to wait for.
+    fn replayed_allocations(&self) -> Vec<&(SegPos, std::ops::Range<usize>, Record)> {
+        (self.replayed.iter())
+            .filter(|r| matches!(r.2, Record::NewBlock { .. }))
+            .collect()
+    }
+}
+
+/// One past the largest identifier of a kind whose cap is `cap`: what
+/// sizes the persistent arrays (64 shards at most).
+fn id_bound(cap: u64) -> u64 {
+    64 * (cap + 1)
 }
 
 /// The most a hostile record grows its summary by: an 11-byte varint in
@@ -302,10 +329,21 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
         ld.new_list(Ctx::Simple).unwrap(),
     );
     let early: Vec<_> = (0..6).map(|n| unit(keep, n)).collect();
-    unit(doomed, 6);
+    let mut held = vec![unit(doomed, 6)];
     ld.delete_block(Ctx::Simple, early[1]).unwrap();
     ld.checkpoint().unwrap(); // area A
-    unit(keep, 7);
+    held.push(unit(keep, 7));
+    held.extend(
+        early
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != 1)
+            .map(|(_, &b)| b),
+    );
+    let held = (
+        held.iter().map(|b| b.get()).max().unwrap(),
+        keep.get().max(doomed.get()),
+    );
     // Area B, the newer, asked for while an ARU that rewrites a block
     // is open: a concurrent one's write is in its shadow state, and the
     // checkpoint is written at once, without it; a sequential one's is
@@ -409,6 +447,8 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
         .collect();
     let writes = (replayed.iter()).filter(|r| matches!(r.2, Record::Write { .. }));
     assert!(writes.count() > 40);
+    let allocations = (replayed.iter()).filter(|r| matches!(r.2, Record::NewBlock { .. }));
+    assert!(allocations.count() > 4);
     let slot_of =
         |off: usize| ((off as u64 - layout.data_start) / layout.segment_bytes as u64) as u32;
     let used_slots = 1 + headers.iter().map(|&h| slot_of(h)).max().unwrap();
@@ -426,6 +466,7 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
         chain,
         replayed,
         used_slots,
+        held,
     }
 }
 
@@ -502,7 +543,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
     let header = base.headers[rng.below(base.headers.len())];
     let summary = header - seg(&image, header, SegField::SummaryLen) as usize..header;
     let segment = base.chain[rng.below(base.chain.len())];
-    let kind = rng.below(33);
+    let kind = rng.below(36);
     let what = match kind {
         0 => {
             flip(&mut image, 0..ld_core::SUPERBLOCK_LEN, &mut rng);
@@ -732,6 +773,49 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             reseal_checkpoint(&mut image, base.newer);
             format!("hostile: checkpoint head top {top}, base {head_base}, of {slot}")
         }
+        33 | 34 => {
+            // A floor past the bound, or at or below the largest
+            // identifier of its kind in the slabs.
+            let (field, cap, held) = match rng.below(2) {
+                0 => (CkptField::BlockFloor, layout.max_blocks, base.held.0),
+                _ => (CkptField::ListFloor, layout.max_lists, base.held.1),
+            };
+            let floor = match kind {
+                33 => {
+                    let past = id_bound(cap) + 1;
+                    [past, past + rng.below(1 << 20) as u64, u64::MAX][rng.below(3)]
+                }
+                _ => [1, held, 1 + rng.below(held as usize) as u64][rng.below(3)],
+            };
+            field.put(&mut image[newer..], floor);
+            reseal_checkpoint(&mut image, base.newer);
+            format!(
+                "hostile: {field:?} {floor}, bound {}, held {held}",
+                id_bound(cap)
+            )
+        }
+        35 => {
+            // A replayed allocation at or past its kind's bound, ahead
+            // of one a writer logged.
+            let allocations = base.replayed_allocations();
+            let (header, range, rec) = allocations[rng.below(allocations.len())];
+            let (ts, list) = (rec.ts(), rng.below(2) == 1);
+            let cap = [layout.max_blocks, layout.max_lists][usize::from(list)];
+            let raw = [0, 1, rng.below(1 << 20) as u64][rng.below(3)] + id_bound(cap);
+            let hostile = match list {
+                false => Record::NewBlock {
+                    block: BlockId::new(raw),
+                    ts,
+                },
+                true => Record::NewList {
+                    list: ListId::new(raw),
+                    ts,
+                },
+            };
+            let both = [encode(&hostile), encode(rec)].concat();
+            splice_summary(&mut image, *header, range.clone(), &both);
+            format!("hostile: {hostile:?} ahead of {rec:?} at {header:?}")
+        }
         _ => {
             // C8, format 9: one field of a replayed record in no
             // encoding a writer produces, or out of its range.
@@ -752,7 +836,7 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
     };
     let oracle = match kind {
         5 | 6 | 8 | 9 | 10 | 12 | 19 | 25 => Oracle::Returns,
-        13..=15 | 17 | 20..=24 | 32 => Oracle::Corrupt,
+        13..=15 | 17 | 20..=24 | 32..=35 => Oracle::Corrupt,
         _ => Oracle::Whole,
     };
     (image, what, oracle)

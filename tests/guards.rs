@@ -348,6 +348,28 @@ fn no_ld_aru_knob() {
     assert_none(found, "an LD_ARU_* knob");
 }
 
+/// "persistent tables are arrays": a shard's block-number-map and
+/// list-table are arrays indexed by identifier (`state.rs`), since
+/// restart spent most of its time hashing snapshot rows into maps. No
+/// field of `Tables` is a map, and recovery enters a row into its slot,
+/// with no `load_row` and its hash insert.
+#[test]
+fn persistent_tables_are_arrays() {
+    let state = files(&["crates/core/src/state.rs"]);
+    let text = &state[0].1;
+    let start = text.find("struct Tables {").expect("`Tables` is declared");
+    let fields = &text[start..start + text[start..].find('}').unwrap()];
+    let maps: Vec<&str> = (fields.lines())
+        .filter(|l| matches(l, "IdMap|HashMap|BTreeMap"))
+        .collect();
+    assert!(maps.is_empty(), "a map in `Tables`:\n{}", maps.join("\n"));
+    let recovery = files(&["crates/core/src/recovery.rs"]);
+    assert_none(
+        lines_where(&recovery, |l| matches(l, "fn load_row\\b")),
+        "persistent_tables_are_arrays",
+    );
+}
+
 /// "no new field in config.rs": `config.rs` has the 17 `pub name:`
 /// lines it has had since the backpressure gate's knob went, counted as
 /// the step counted them.

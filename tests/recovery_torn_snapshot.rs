@@ -20,8 +20,9 @@
 //!   writes, directory writes, and header publishes at whatever
 //!   offsets the encoder actually uses.
 //! * Hostile snapshots: CRC-valid areas whose rows name a segment or
-//!   slot the device does not have, an identifier or allocator floor
-//!   the allocators cannot count on from, or a value past `u64::MAX`
+//!   slot the device does not have, an allocator floor past what an
+//!   allocator hands out, an identifier at or past its floor, or a
+//!   value past `u64::MAX`
 //!   (typed error); whose directory counts overflow or pass the
 //!   layout's caps (a slab of 0-bit rows holds any count), or whose column
 //!   descriptors are no descriptors or disagree with the slab's length
@@ -290,48 +291,69 @@ fn snapshot_entry_outside_device_is_corrupt() {
     }
 }
 
-/// ROADMAP C8's hole: the allocators count on from every identifier and
-/// floor a checkpoint holds (`raw + shards`), so one near `u64::MAX`
-/// overflowed them. Past the bound, or past `u64::MAX` once its delta is
-/// added, it is a typed error; floors at the bound are taken (and
-/// identifiers: `checkpoint.rs`'s round trip).
+/// ROADMAP C8's hole: the allocators counted on from every identifier
+/// and floor a checkpoint holds, so one near `u64::MAX` overflowed them.
+/// A persistent table is now an array indexed by identifier, so a floor
+/// past `MAX_MAP_SHARDS × (cap + 1)` (64 shards at most, `cap` the
+/// superblock's `max_blocks` or `max_lists`), and a row at or past its
+/// floor, is a typed error, like an identifier past the codec's bound
+/// or past `u64::MAX` once its delta is added; floors at the bound are
+/// taken.
 #[test]
 fn identifier_or_floor_near_u64_max_is_corrupt() {
-    let (image, area, slab, _) = one_slab_image();
+    let (image, area, slab, layout) = one_slab_image();
     // Identifiers are sorted and coded as the difference from the one
     // before: the image's first is 1, and so is its smallest step.
     assert_eq!(column_min(&image, slab, Id), 1);
-    type Edit = fn(&mut [u8], usize, usize);
-    let cases: [(&str, Edit, bool); 5] = [
+    let bounds = (64 * (layout.max_blocks + 1), 64 * (layout.max_lists + 1));
+    let floor = CkptField::BlockFloor.get(&image[ckpt_header(&image, area)..]);
+    assert!(floor > 1);
+    type Edit<'a> = &'a dyn Fn(&mut [u8], usize, usize);
+    let cases: [(&str, Edit, bool); 8] = [
         (
             "block floor",
-            |i, h, _| CkptField::BlockFloor.put(&mut i[h..], u64::MAX - 3),
+            &|i, h, _| CkptField::BlockFloor.put(&mut i[h..], u64::MAX - 3),
             false,
         ),
         (
             "list floor",
-            |i, h, _| CkptField::ListFloor.put(&mut i[h..], MAX_RAW_ID + 1),
+            &|i, h, _| CkptField::ListFloor.put(&mut i[h..], MAX_RAW_ID + 1),
             false,
         ),
         (
             "floors at the bound",
-            |i, h, _| {
-                CkptField::BlockFloor.put(&mut i[h..], MAX_RAW_ID);
-                CkptField::ListFloor.put(&mut i[h..], MAX_RAW_ID);
+            &|i, h, _| {
+                CkptField::BlockFloor.put(&mut i[h..], bounds.0);
+                CkptField::ListFloor.put(&mut i[h..], bounds.1);
             },
             true,
+        ),
+        (
+            "a block floor past the bound",
+            &|i, h, _| CkptField::BlockFloor.put(&mut i[h..], bounds.0 + 1),
+            false,
+        ),
+        (
+            "a list floor past the bound",
+            &|i, h, _| CkptField::ListFloor.put(&mut i[h..], bounds.1 + 1),
+            false,
+        ),
+        (
+            "a row at its floor",
+            &|i, _, s| put_min(i, s, Id, floor),
+            false,
         ),
         // The first identifier past the bound; or the first at the
         // bound, and the second, itself plus a step of at least the
         // bound, past it or past `u64::MAX`.
         (
             "identifiers past the bound",
-            |i, _, s| put_min(i, s, Id, MAX_RAW_ID + 1),
+            &|i, _, s| put_min(i, s, Id, MAX_RAW_ID + 1),
             false,
         ),
         (
             "a step from the bound",
-            |i, _, s| put_min(i, s, Id, MAX_RAW_ID),
+            &|i, _, s| put_min(i, s, Id, MAX_RAW_ID),
             false,
         ),
     ];
@@ -444,6 +466,9 @@ fn zero_width_rows_past_the_caps_fall_back() {
     ] {
         let mut hostile = image.clone();
         put_min(&mut hostile, slab, Id, 1);
+        // Every row below the floor: identifiers up to the cap.
+        let header = ckpt_header(&image, area);
+        CkptField::BlockFloor.put(&mut hostile[header..], layout.max_blocks + 1);
         DirField::NBlocks.put(&mut hostile[dir..], n_blocks);
         reseal_slab(&mut hostile, area, 0);
         let got = recover_one_shard(hostile).unwrap();
