@@ -49,7 +49,7 @@ pub struct WriteIdOutcome {
 }
 
 /// Result of a tagged commit
-/// ([`end_aru_tagged`](crate::Lld::end_aru_tagged)).
+/// ([`end_aru_tagged`](crate::LldInner::end_aru_tagged)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaggedCommit {
     /// The recorded outcome.

@@ -128,7 +128,7 @@ pub trait LogicalDisk {
     /// See [`Lld::flush`]. A segment write that failed, whether or not
     /// the operation that sealed the segment had returned `Ok` by then,
     /// stays on record (on either writer): this call and every later
-    /// one, [`Lld::checkpoint`] included, report it.
+    /// one, [`Lld::checkpoint`](crate::LldInner::checkpoint) included, report it.
     fn flush(&self) -> Result<()>;
 
     /// Commits an atomic recovery unit and makes it durable before

@@ -192,8 +192,8 @@ impl LogState {
 ///
 /// `Lld` implements the LD interface — `Read`, `Write`, `NewBlock`,
 /// `DeleteBlock`, `NewList`, `DeleteList`, `Flush` — extended with
-/// `BeginARU` / `EndARU` ([`begin_aru`](Lld::begin_aru),
-/// [`end_aru`](Lld::end_aru)). All operations bracketed by an ARU become
+/// `BeginARU` / `EndARU` ([`begin_aru`](LldInner::begin_aru),
+/// [`end_aru`](LldInner::end_aru)). All operations bracketed by an ARU become
 /// persistent atomically: after a crash, recovery
 /// ([`Lld::recover`]) restores either all or none of them.
 ///

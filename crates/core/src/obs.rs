@@ -17,11 +17,10 @@
 //!   timed once;
 //! * **latency histograms** ([`LatencyHistogram`], 64 log₂ buckets)
 //!   for the hot LLD paths (`read`, `write`, `end_aru`) — the device
-//!   layer keeps its own in
-//!   [`DiskStatsSnapshot`](ld_disk::DiskStatsSnapshot) (modeled service
-//!   time).
+//!   layer keeps its own in [`ld_disk::DiskStatsSnapshot`] (modeled
+//!   service time).
 //!
-//! Everything is bundled by [`Lld::obs_snapshot`](crate::Lld::obs_snapshot)
+//! Everything is bundled by [`Lld::obs_snapshot`](crate::LldInner::obs_snapshot)
 //! into an [`ObsSnapshot`] that renders as a human table (`Display`)
 //! or JSON ([`ObsSnapshot::to_json`] — hand-rolled, the workspace has
 //! no serde). Instrumentation is on by default and can be disabled at
@@ -815,7 +814,7 @@ impl Obs {
 /// histograms, recent trace events, the last recovery report, and
 /// (optionally) file-system syscall counters.
 ///
-/// Produced by [`Lld::obs_snapshot`](crate::Lld::obs_snapshot); renders
+/// Produced by [`Lld::obs_snapshot`](crate::LldInner::obs_snapshot); renders
 /// as a human table via `Display` and as JSON via
 /// [`ObsSnapshot::to_json`].
 #[derive(Debug, Clone, Default)]

@@ -4,7 +4,7 @@ use crate::record::flat_record;
 
 flat_record! {
     /// Counters of logical-disk activity since creation (or the last
-    /// [`Lld::reset_stats`](crate::Lld::reset_stats)).
+    /// [`Lld::reset_stats`](crate::LldInner::reset_stats)).
     ///
     /// These make the costs the paper discusses directly observable:
     /// `list_walk_steps` counts predecessor-search steps (the cost the
@@ -141,8 +141,8 @@ flat_record! {
         inflight_barriers: u64,
         /// Most sealed segments ever awaiting their device write at once.
         inflight_segments: u64,
-        /// Trace events evicted from the bounded [`TraceRing`]
-        /// (crate::obs::TraceRing) by wraparound — non-zero means the trace
+        /// Trace events evicted from the bounded
+        /// [`TraceRing`](crate::obs::TraceRing) by wraparound — non-zero means the trace
         /// in `ObsSnapshot::events` is truncated at the front.
         // Filled from the ring by `Lld::stats`.
         trace_events_dropped: u64 = snapshot_only,

@@ -32,7 +32,7 @@ pub struct ListId(NonZeroU64);
 pub(crate) const MAX_RAW_ID: u64 = u64::MAX >> 1;
 
 /// An atomic-recovery-unit identifier, returned by
-/// [`Lld::begin_aru`](crate::Lld::begin_aru).
+/// [`Lld::begin_aru`](crate::LldInner::begin_aru).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AruId(NonZeroU64);
 

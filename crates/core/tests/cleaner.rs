@@ -322,81 +322,6 @@ fn sync_commit_storm_compacts_without_disk_full_at(mode: Mode) {
     }
 }
 
-#[test]
-fn crash_during_cleaning_era_recovers_current_state() {
-    each_mode(crash_during_cleaning_era_recovers_current_state_at);
-}
-
-fn crash_during_cleaning_era_recovers_current_state_at(mode: Mode) {
-    // Sweep crash points through a workload that keeps the cleaner
-    // busy. Whatever instant the power fails — mid-relocation,
-    // mid-checkpoint, mid-segment-write — recovery must reproduce the
-    // last flushed state of the stable blocks. The points are 350 KB
-    // apart: the workload writes ≈ 1.4–1.7 MB, so four of them fire.
-    use ld_disk::{DiskModel, FaultPlan, SimDisk};
-
-    let mut crash_at = 300_000u64;
-    let mut crashes_seen = 0;
-    while crash_at < 4_000_000 {
-        let cap = capacity_for(&config(mode), 28);
-        let sim = SimDisk::new(MemDisk::new(cap), DiskModel::hp_c3010())
-            .with_faults(FaultPlan::new().crash_after_bytes(crash_at));
-        let ld = Lld::format(sim, &config(mode)).unwrap();
-
-        // Stable blocks, flushed before the churn.
-        let l = ld.new_list(Ctx::Simple).unwrap();
-        let mut stable = Vec::new();
-        let mut prev = None;
-        for i in 0..6u8 {
-            let pos = match prev {
-                None => Position::First,
-                Some(p) => Position::After(p),
-            };
-            let b = ld.new_block(Ctx::Simple, l, pos).unwrap();
-            ld.write(Ctx::Simple, b, &block(0xD0 + i)).unwrap();
-            stable.push(b);
-            prev = Some(b);
-        }
-        ld.flush().unwrap();
-
-        // Churn until the crash point fires (or the workload ends).
-        let hot = churn_ring(&ld, l, prev);
-        let mut crashed = false;
-        for i in 0..3000usize {
-            let b = hot[i % hot.len()];
-            if ld.write(Ctx::Simple, b, &block((i % 199) as u8)).is_err() {
-                crashed = true;
-                break;
-            }
-        }
-        // A segment write that fails after its session let go (in the
-        // epilogue, or on `ld-cleanerd`) is latched, not returned to the
-        // writer; a durability probe surfaces it.
-        if !crashed {
-            crashed = ld.flush().is_err();
-        }
-        if crashed {
-            crashes_seen += 1;
-        }
-
-        let image = ld.into_device().into_inner().into_image();
-        let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
-        for (i, &b) in stable.iter().enumerate() {
-            let mut buf = block(0);
-            ld2.read(Ctx::Simple, b, &mut buf)
-                .unwrap_or_else(|e| panic!("crash at {crash_at}: stable block {i} lost: {e}"));
-            assert_eq!(buf, block(0xD0 + i as u8), "crash at {crash_at}: block {i}");
-        }
-        // The disk remains fully usable after recovery.
-        let nb = ld2.new_block(Ctx::Simple, l, Position::First).unwrap();
-        ld2.write(Ctx::Simple, nb, &block(0x11)).unwrap();
-        ld2.flush().unwrap();
-
-        crash_at += 350_000;
-    }
-    assert!(crashes_seen >= 4, "only {crashes_seen} crash points fired");
-}
-
 /// The clean-pressure study's device (EXPERIMENTS.md "Clean
 /// pressure"): 20 slots of 8 blocks, cleaner asked for 8 free slots.
 /// `live` blocks are allocated and written once, flushed, and then 200

@@ -64,7 +64,8 @@ pub fn capacity_for(cfg: &LldConfig, n_slots: u32) -> u64 {
 // Power cuts: `SimDisk` is the one crash model. A suite's seed is what
 // `CRASH_SEED` takes to run its failing case alone: the crash point of a
 // byte-budget sweep (the seed the cut was drawn with, `ld_disk::Cut`),
-// or the seed of the draws a suite makes itself.
+// or the seed of the draws a suite makes itself. Every cut of a bounded
+// history is the crash enumerator's (`enumerate.rs`, `ENUM_SEED`).
 
 /// The seeds a crash suite runs: the one `CRASH_SEED` names when it is
 /// set, else `default`.
@@ -78,20 +79,6 @@ pub fn crash_seeds(default: impl IntoIterator<Item = u64>) -> Vec<u64> {
 /// A simulated disk holding `image`, all of it durable.
 pub fn sim_disk(image: Vec<u8>) -> SimDisk<MemDisk> {
     SimDisk::new(MemDisk::from_image(image), DiskModel::hp_c3010())
-}
-
-/// The image a cut leaves that keeps each write pending on `dev` as a
-/// coin drawn from `rng` says, and the writes it kept.
-pub fn random_cut(dev: &SimDisk<MemDisk>, rng: &mut SmallRng) -> (Vec<u8>, Vec<usize>) {
-    let mut kept = Vec::new();
-    let image = dev.crash_keeping(|i| {
-        let keep = rng.gen_index(2) == 0;
-        if keep {
-            kept.push(i);
-        }
-        keep
-    });
-    (image, kept)
 }
 
 /// The trailer behind a data area: the header's CRC.

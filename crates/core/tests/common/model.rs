@@ -436,14 +436,18 @@ impl Model {
     /// prefix of the units from the durable ones to the acknowledged
     /// ones is what `disk` shows. Returns the longest such prefix.
     pub fn check<D: BlockDevice>(&self, disk: &Lld<D>, at: &str) -> usize {
-        self.verdict(disk, at).unwrap_or_else(|e| panic!("{e}"))
+        (self.verdict(disk, at, self.durable)).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`check`](Self::check)'s verdict, with the report as the error.
+    /// [`check`](Self::check)'s verdict, with the report as the error,
+    /// as if only the first `durable` units were durable: a cut during a
+    /// call is held to the barriers that had returned when the call
+    /// began ([`durable`](Self::durable) then).
     pub fn verdict<D: BlockDevice>(
         &self,
         disk: &Lld<D>,
         at: &str,
+        durable: usize,
     ) -> std::result::Result<usize, String> {
         let plan = self.plan.get_or_init(|| self.plan());
         let mut buf = vec![0u8; disk.block_size()];
@@ -465,15 +469,15 @@ impl Model {
                     off[*i] = now;
                 }
             }
-            if k >= self.durable && bad == 0 {
+            if k >= durable && bad == 0 {
                 matched = Some(k);
-            } else if k >= self.durable && bad < nearest.0 {
+            } else if k >= durable && bad < nearest.0 {
                 nearest = (bad, k);
             }
         }
         match matched {
             Some(k) => Ok(self.acked_upto(k)),
-            None => Err(self.report(at, plan, &got, nearest)),
+            None => Err(self.report(at, plan, &got, [nearest.0, nearest.1, durable])),
         }
     }
 
@@ -510,10 +514,12 @@ impl Model {
         plan
     }
 
-    /// Why no prefix matches: the nearest one, the first thing it
-    /// differs in, and the unit that explains that, with its kind and
-    /// what of it the disk holds.
-    fn report(&self, at: &str, plan: &Plan, got: &[Seen], (n_off, k): (usize, usize)) -> String {
+    /// Why no prefix from `durable` on matches: the nearest one (`k`,
+    /// with `n_off` differences), the first thing it differs in, and the
+    /// unit that explains that, with its kind and what of it the disk
+    /// holds.
+    fn report(&self, at: &str, plan: &Plan, got: &[Seen], near: [usize; 3]) -> String {
+        let [n_off, k, durable] = near;
         let n = self.units.len();
         // Whether the disk fits the thing a change is to before it and
         // after it.
@@ -540,7 +546,7 @@ impl Model {
             "{at}: no prefix from unit {} to unit {} is the recovered disk; the nearest, \
              through unit {k}, differs in {n_off}, first in {}: the disk holds {}, \
              the model {}",
-            self.durable(),
+            self.acked_upto(durable),
             self.acknowledged(),
             plan.obs[first],
             got[first],
@@ -582,12 +588,12 @@ impl Model {
                 format!("is torn: {} holds it, {} does not", s[0], l[0])
             }
             _ if !acked(&j) => "survives, although its call returned Err".to_string(),
-            _ if j < self.durable => "is durable, and lost".to_string(),
+            _ if j < durable => "is durable, and lost".to_string(),
             _ if j < k => match (j + 1..n).filter(acked).find(whole) {
                 Some(m) => format!("is lost, and {} survives without it", name(m)),
                 None => "is lost".to_string(),
             },
-            _ => match (self.durable..j).filter(acked).find(lost) {
+            _ => match (durable..j).filter(acked).find(lost) {
                 Some(i) => format!("survives without {}", name(i)),
                 None => "survives past the prefix".to_string(),
             },
@@ -645,7 +651,8 @@ mod tests {
         ld.flush().unwrap();
         let image = ld.into_device().into_image();
         let (recovered, _) = Lld::recover(MemDisk::from_image(image)).unwrap();
-        history(told).1.verdict(&recovered, "the case")
+        let (_, m) = history(told);
+        m.verdict(&recovered, "the case", m.durable())
     }
 
     fn refused(told: Then, went: Then, why: &str) {

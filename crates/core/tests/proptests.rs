@@ -3,16 +3,15 @@
 //!
 //! 1. log-replay equivalence — recovering from the on-disk log after a
 //!    clean flush reproduces exactly the committed state;
-//! 2. crash atomicity — at *any* crash point, every ARU recovers
-//!    all-or-nothing;
-//! 3. isolation — an aborted ARU never affects the committed state.
+//! 2. isolation — an aborted ARU never affects the committed state.
 //!
-//! The first three hold the disk to the reference model
-//! (`common/model.rs`): the live disk and the recovered one are the
-//! model after a prefix of the units the steps made.
+//! Both hold the disk to the reference model (`common/model.rs`): the
+//! live disk and the recovered one are the model after a prefix of the
+//! units the steps made. Crash atomicity at every cut is the crash
+//! enumerator's (`crash_enumeration.rs`).
 
 use ld_core::{Ctx, Lld, LldConfig, LldError, Position};
-use ld_disk::{DiskModel, FaultPlan, MemDisk, SimDisk, SmallRng};
+use ld_disk::{MemDisk, SmallRng};
 
 #[path = "common/model.rs"]
 mod model;
@@ -158,52 +157,6 @@ fn aborted_aru_leaves_no_trace() {
         m.abort_aru(&ld, aru).unwrap();
         let at = format!("case {case}");
         assert_eq!(m.check(&ld, &at), m.acknowledged(), "{at}");
-    }
-}
-
-#[test]
-fn crash_atomicity_at_any_point() {
-    let mut rng = SmallRng::seed_from_u64(0x4C445F03);
-    // `CRASH_SEED=<crash point>` runs one case alone: the case is its
-    // crash point's.
-    let points: Vec<u64> = match std::env::var("CRASH_SEED") {
-        Ok(s) => vec![s.parse().expect("CRASH_SEED is a number")],
-        Err(_) => (0..32).map(|_| rng.gen_range(1000, 60_000)).collect(),
-    };
-    for crash_after in points {
-        let n_arus = SmallRng::seed_from_u64(crash_after).gen_range(1, 8) as usize;
-        // Each ARU creates its own list with 3 blocks of a known
-        // pattern, then flushes.
-        let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010());
-        let ld = Lld::format(sim, &config()).unwrap();
-        ld.device()
-            .set_faults(FaultPlan::new().crash_after_bytes(crash_after));
-
-        let mut m = Model::default();
-        for i in 0..n_arus as u8 {
-            let mut run = || -> Result<(), LldError> {
-                let aru = ld.begin_aru()?;
-                let l = m.new_list(&ld, Ctx::Aru(aru))?;
-                let mut pos = Position::First;
-                for k in 1..=3 {
-                    let b = m.new_block(&ld, Ctx::Aru(aru), l, pos)?;
-                    m.write(&ld, Ctx::Aru(aru), b, &block_of(i * 3 + k))?;
-                    pos = Position::After(b);
-                }
-                m.end_aru(&ld, aru)?;
-                m.flush(&ld)
-            };
-            match run() {
-                Ok(()) => {}
-                Err(LldError::Disk(_)) => break,
-                Err(e) => panic!("CRASH_SEED={crash_after}: unexpected: {e}"),
-            }
-        }
-        // A crash point the workload did not reach is cut now.
-        let (image, cut) = ld.into_device().crash_image();
-        let (ld2, _) =
-            Lld::recover(MemDisk::from_image(image)).unwrap_or_else(|e| panic!("{cut}: {e}"));
-        m.check(&ld2, &cut.to_string());
     }
 }
 

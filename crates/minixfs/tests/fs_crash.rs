@@ -6,8 +6,12 @@
 use ld_core::{
     AruId, BlockId, Ctx, ListId, Lld, LldConfig, LogicalDisk, Position, Result as LldResult,
 };
-use ld_disk::{DiskModel, FaultPlan, MemDisk, SimDisk};
+use ld_disk::{DiskModel, MemDisk, SimDisk};
 use ld_minixfs::{FsConfig, FsError, Ino, MinixFs};
+
+#[path = "../../core/tests/common/enumerate.rs"]
+mod enumerate;
+use enumerate::StopDisk;
 
 const BS: usize = 512;
 
@@ -131,136 +135,72 @@ fn consistency_at_every_crash_point_with_arus() {
     each_mode(consistency_at_every_crash_point_with_arus_at);
 }
 
+/// Every cut of a create/write/unlink workload with ARUs: the tree
+/// verifies clean, and every file is fully present or absent in its
+/// meta-data (the ARU covers creation; data writes are separate simple
+/// operations, as in the paper), a present one with a prefix of its
+/// data, never garbage.
 fn consistency_at_every_crash_point_with_arus_at(mode: Mode) {
-    // Sweep crash points through a create/write/delete workload; after
-    // every crash the file system must verify clean, and every file
-    // must be either fully present (correct size and content) or
-    // completely absent. The points are 5,000 bytes apart: the workload
-    // writes ≈ 24–29 KB, so the sweep tests five.
-    let mut crash_at = 4000u64;
-    let mut tested = 0;
-    let mut in_slot_seals = 0;
-    // `CRASH_SEED=<crash point>` runs one cut alone.
-    let one = std::env::var("CRASH_SEED").map(|s| s.parse().expect("CRASH_SEED is a number"));
-    loop {
-        if let Ok(seed) = one {
-            crash_at = seed;
+    let files = |fs: &mut EnumFs, i: usize| match i {
+        0..12 => {
+            let ino = fs.create(&format!("/w/f{i}"))?;
+            fs.write_at(ino, 0, &vec![i as u8 + 1; 900]).map(drop)
         }
-        let mut fs = sim_fs(mode);
-        fs.ld()
-            .device()
-            .set_faults(FaultPlan::new().crash_after_bytes(crash_at));
-        let mut created: Vec<String> = Vec::new();
-        let result = (|| -> Result<(), FsError> {
-            fs.mkdir("/w")?;
-            for i in 0..12 {
-                let path = format!("/w/f{i}");
-                let ino = fs.create(&path)?;
-                fs.write_at(ino, 0, &vec![i as u8 + 1; 900])?;
-                created.push(path);
-                if i % 3 == 2 {
-                    fs.flush()?;
-                }
-            }
-            for i in 0..6 {
-                fs.unlink(&format!("/w/f{i}"))?;
-                if i % 2 == 1 {
-                    fs.flush()?;
-                }
-            }
-            Ok(())
-        })();
-        let crashed = result.is_err();
-        // Seals that took no new slot since format (one slot in use):
-        // the next segment started behind them. The log never wraps.
-        let ld = fs.ld();
-        in_slot_seals +=
-            ld.stats().segments_sealed - u64::from(ld.n_segments() - ld.free_segments() - 1);
-
-        let mut fs2 = crash_and_remount(fs, &ld_config(mode));
-        let report = fs2.verify().unwrap();
-        assert!(
-            report.is_consistent(),
-            "CRASH_SEED={crash_at}: {:?}",
-            report.problems
-        );
-        // All-or-nothing per file's *meta-data* (the ARU covers
-        // creation; data writes are separate simple operations, as in
-        // the paper). A present file may have any persisted prefix of
-        // its data, but never garbage: content[0..size] must match.
-        for (i, path) in created.iter().enumerate() {
-            match fs2.lookup(path) {
-                Ok(ino) => {
-                    let st = fs2.stat(ino).unwrap();
-                    assert!(st.size <= 900, "CRASH_SEED={crash_at}: {path} oversized");
-                    let mut buf = vec![0u8; st.size as usize];
-                    assert_eq!(fs2.read_at(ino, 0, &mut buf).unwrap(), st.size as usize);
-                    assert_eq!(
-                        buf,
-                        vec![i as u8 + 1; st.size as usize],
-                        "CRASH_SEED={crash_at}: {path} has garbage content"
-                    );
-                }
-                Err(FsError::NotFound(_)) => {}
-                Err(e) => panic!("CRASH_SEED={crash_at}: {path}: {e}"),
-            }
+        _ => fs.unlink(&format!("/w/f{}", i - 12)),
+    };
+    let check = |at: &str, fs: &mut MinixFs<Lld<MemDisk>>| {
+        let report = fs.verify().unwrap();
+        assert!(report.is_consistent(), "{at}: {:?}", report.problems);
+        for i in 0..12 {
+            let ino = match fs.lookup(&format!("/w/f{i}")) {
+                Ok(ino) => ino,
+                Err(FsError::NotFound(_)) => continue,
+                Err(e) => panic!("{at}: file {i}: {e}"),
+            };
+            let size = fs.stat(ino).unwrap().size as usize;
+            let mut buf = vec![0u8; size];
+            assert_eq!(fs.read_at(ino, 0, &mut buf).unwrap(), size, "{at}");
+            let whole = size <= 900 && buf == vec![i as u8 + 1; size];
+            assert!(whole, "{at}: file {i} has garbage content");
         }
-        tested += 1;
-        if !crashed || one.is_ok() {
-            break; // crash point beyond the workload: done sweeping
-        }
-        crash_at += 5000;
-    }
-    assert!(tested >= 5, "sweep covered only {tested} crash points");
-    assert!(in_slot_seals > 0, "every seal took a slot");
+    };
+    let mkdir = |fs: &mut EnumFs| fs.mkdir("/w").map(drop);
+    every_cut((mode, true), mkdir, (18, files), check);
 }
 
+/// The paper's negative result: without ARUs a file system's metadata
+/// update is several logical-disk operations, and a crash between two
+/// of them leaves the tree inconsistent; with ARUs no crash does. Every
+/// cut of a create → mkdir → rename → unlink history is verified.
 #[test]
 fn old_minixlld_can_be_left_inconsistent() {
-    each_mode(old_minixlld_can_be_left_inconsistent_at);
-}
-
-fn old_minixlld_can_be_left_inconsistent_at(mode: Mode) {
-    // Without ARUs, metadata updates are individual operations; a crash
-    // between them strands partial state. We crash between the inode
-    // write and the directory update by flushing only the first half of
-    // a creation. (This is engineered, but it is exactly the window the
-    // paper's fsck discussion is about.)
-    let sim = SimDisk::new(MemDisk::new(8 << 20), DiskModel::hp_c3010());
-    let ld = Lld::format(sim, &ld_config(mode)).unwrap();
-    let mut fs = MinixFs::format(
-        ld,
-        FsConfig {
-            use_arus: false,
-            inode_count: 64,
-            ..FsConfig::default()
-        },
-    )
-    .unwrap();
-    fs.create("/ok").unwrap();
-    fs.flush().unwrap();
-
-    // Start a creation and crash partway: with use_arus=false the
-    // individual simple operations become persistent one by one, so we
-    // let a few reach the disk and cut power mid-stream.
-    let device_written = fs.ld().device().stats().snapshot().bytes_written;
-    let _ = device_written;
-    fs.ld()
-        .device()
-        .set_faults(FaultPlan::new().crash_after_bytes(2 * BS as u64));
-    let _ = fs.create("/partial"); // may or may not error, depending on buffering
-    let _ = fs.flush(); // pushes whatever fits before the crash point
-
-    let (image, cut) = fs.into_ld().into_device().crash_image();
-    eprintln!("{cut}");
-    let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &ld_config(mode)).unwrap();
-    let mut fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
-    // The file system still mounts (the logical disk itself is always
-    // consistent) — but the tree may be inconsistent. We do not assert
-    // inconsistency (the crash point may fall between files), only that
-    // the verifier runs and the flushed file is intact.
-    let _report = fs2.verify().unwrap();
-    assert!(fs2.lookup("/ok").is_ok());
+    each_mode(|mode| {
+        for use_arus in [false, true] {
+            let (mut bad, mut cuts) = (0, 0);
+            let steps = |fs: &mut EnumFs, i| match i {
+                0 => fs.create("/a").map(drop),
+                1 => fs.mkdir("/d").map(drop),
+                2 => fs.rename("/a", "/d/a"),
+                _ => fs.unlink("/d/a"),
+            };
+            let ok = |fs: &mut EnumFs| fs.create("/ok").map(drop);
+            every_cut((mode, use_arus), ok, (4, steps), |at, fs| {
+                assert!(fs.lookup("/ok").is_ok(), "{at}: the flushed file is gone");
+                let report = fs.verify().unwrap();
+                cuts += 1;
+                if !report.is_consistent() {
+                    let found = format!("{at}: {:?}", report.problems);
+                    assert!(!use_arus, "{found}");
+                    if bad == 0 {
+                        eprintln!("the first inconsistent cut: {found}");
+                    }
+                    bad += 1;
+                }
+            });
+            eprintln!("use_arus {use_arus}: {bad} of {cuts} cuts inconsistent");
+            assert_eq!(bad > 0, !use_arus, "{bad} of {cuts} cuts inconsistent");
+        }
+    });
 }
 
 #[test]
@@ -374,43 +314,25 @@ fn the_free_inode_bits_survive_every_crash_point() {
     });
 }
 
-/// Sweeps a power cut, one device write at a time, across the two
-/// operations that flip a bit of the superblock: the create that takes
-/// inode-table block 0's last free inode (the bit clears, written after
-/// the inode) and the unlink that frees a slot in it again (the bit
-/// sets, written before the inode is freed). Every logical-disk
-/// operation is flushed on its own, so a cut can fall between any two.
-/// With ARUs the tree verifies clean and the bits equal the table at
-/// every cut; without them no clear bit covers a free inode, and the
-/// only stale bit is a set one over a full block.
+/// Every cut of the two operations that flip a bit of the superblock:
+/// the create that takes inode-table block 0's last free inode (the bit
+/// clears, written after the inode) and the unlink that frees a slot in
+/// it again (the bit sets, written before the inode is freed). With
+/// ARUs the tree verifies clean and the bits equal the table at every
+/// cut; without them no clear bit covers a free inode, and the only
+/// stale bit is a set one over a full block.
 fn the_free_inode_bits_survive_every_crash_point_at(mode: Mode, use_arus: bool) {
-    eprintln!("use_arus = {use_arus}");
-    let fs_cfg = FsConfig {
-        use_arus,
-        ..fs_config()
+    let (mut cuts, mut stale, mut block_0_full) = (0, 0, 0);
+    // The root and 14 files leave block 0 (inodes 1..=16) one slot.
+    let fourteen =
+        |fs: &mut EnumFs| (0..14).try_for_each(|i| fs.create(&format!("/f{i}")).map(drop));
+    let steps = |fs: &mut EnumFs, i| match i {
+        0 => fs.create("/last").map(drop),
+        _ => fs.unlink("/f0"),
     };
-    let (mut cut_at, mut stale, mut block_0_full) = (0u64, 0, 0);
-    loop {
-        let sim = SimDisk::new(MemDisk::new(8 << 20), DiskModel::hp_c3010());
-        let ld = FlushEach(Lld::format(sim, &ld_config(mode)).unwrap());
-        let mut fs = MinixFs::format(ld, fs_cfg).unwrap();
-        // The root and 14 files leave block 0 (inodes 1..=16) one slot.
-        for i in 0..14 {
-            fs.create(&format!("/f{i}")).unwrap();
-        }
-        fs.flush().unwrap();
-        fs.ld()
-            .0
-            .device()
-            .set_faults(FaultPlan::new().crash_after_bytes(cut_at));
-        let done = fs.create("/last").is_ok() && fs.unlink("/f0").is_ok() && fs.flush().is_ok();
-        let (image, cut) = fs.into_ld().0.into_device().crash_image();
-        let at = format!("use_arus {use_arus}, {cut}");
-        let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &ld_config(mode))
-            .unwrap_or_else(|e| panic!("{at}: {e}"));
-        let mut fs2 = MinixFs::mount(ld2, FsConfig::default()).unwrap();
-        let report = fs2.verify().unwrap();
-        let blocks = bits_and_free(&mut fs2);
+    every_cut((mode, use_arus), fourteen, (2, steps), |at, fs| {
+        let report = fs.verify().unwrap();
+        let blocks = bits_and_free(fs);
         assert!(
             blocks.iter().all(|&(bit, free)| bit || !free),
             "{at}: a clear bit covers a free inode: {blocks:?}"
@@ -428,16 +350,12 @@ fn the_free_inode_bits_survive_every_crash_point_at(mode: Mode, use_arus: bool) 
                 report.problems
             );
         }
+        cuts += 1;
         stale += blocks.iter().filter(|&&(bit, free)| bit && !free).count();
         block_0_full += !blocks[0].1 as usize;
-        if done {
-            break;
-        }
-        cut_at += 128;
-    }
+    });
     eprintln!(
-        "{} cuts, {stale} stale bits, block 0 full at {block_0_full}",
-        cut_at / 128 + 1
+        "use_arus {use_arus}: {cuts} cuts, {stale} stale bits, block 0 full at {block_0_full}"
     );
     assert!(
         block_0_full > 0,
@@ -447,4 +365,42 @@ fn the_free_inode_bits_survive_every_crash_point_at(mode: Mode, use_arus: bool) 
     // exists for: the inode written and the bit not yet cleared, or
     // the bit set and the inode not yet freed.
     assert_eq!(stale > 0, !use_arus, "{stale} stale bits at the cuts");
+}
+
+/// A file system over the enumerator's disk.
+type EnumFs = MinixFs<FlushEach<Lld<StopDisk>>>;
+
+/// Runs `setup` and flushes, then steps `0..n` of `step`, on a file
+/// system with ARUs or without, every operation of its logical disk
+/// flushed on its own so that a cut can fall between any two: every
+/// state a cut during the steps can leave (the crash enumerator's,
+/// `ENUM_SEED` the shard count) is remounted and handed to `check`.
+fn every_cut(
+    (mode, use_arus): (Mode, bool),
+    setup: fn(&mut EnumFs) -> Result<(), FsError>,
+    (n, step): (usize, impl Fn(&mut EnumFs, usize) -> Result<(), FsError>),
+    mut check: impl FnMut(&str, &mut MinixFs<Lld<MemDisk>>),
+) {
+    let cfg = ld_config(mode);
+    let ld = Lld::format(StopDisk::new(vec![0; 1 << 20]), &cfg).unwrap();
+    let fs_cfg = FsConfig {
+        use_arus,
+        ..fs_config()
+    };
+    let mut fs = MinixFs::format(FlushEach(ld), fs_cfg).unwrap();
+    setup(&mut fs).unwrap();
+    fs.flush().unwrap();
+    fs.ld().0.device().arm();
+    for i in 0..n {
+        step(&mut fs, i).unwrap();
+        fs.ld().0.device().stop();
+        let res = fs.ld().0.device().each_new_state(mode as u64, |at, image| {
+            let at = format!("use_arus {use_arus}, step {i}, {at}");
+            let (ld, _) = Lld::recover_with(MemDisk::from_image(image), &cfg)
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            check(&at, &mut MinixFs::mount(ld, FsConfig::default()).unwrap());
+            Ok(())
+        });
+        res.unwrap();
+    }
 }

@@ -1,7 +1,7 @@
 //! # ld-server: a Logical Disk over TCP
 //!
 //! A thread-per-connection TCP server exposing one shared
-//! [`Lld`](ld_core::Lld) to remote clients through the length-prefixed
+//! [`ld_core::Lld`] to remote clients through the length-prefixed
 //! binary protocol of [`wire`] (specified in docs/PROTOCOL.md). The
 //! interesting part is not the transport but the *failure contract*:
 //!

@@ -136,6 +136,15 @@ forbid! {
             => "fn check_acked|fn pair_generations|struct AbsorbRun|fn mix_generations|\
                 struct Fingerprint";
 
+    /// One crash enumerator (`crates/core/tests/common/enumerate.rs`),
+    /// since the sampled LD-level power-cut sweeps it replaced went (three
+    /// kept their test names, now enumerated): none of their helpers, nor
+    /// the coin-flip one, comes back under `tests`.
+    one_crash_enumerator:
+        only(sources(&["tests", "crates"]), |p| p.components().any(|c| c.as_os_str() == "tests"))
+            => "fn random_cut\\b|fn power_cut_sweep\\b|fn mixed_extent_power_cuts\\b|\
+                fn dedup_journal_and_commit\\b|fn reordered_persistence\\b";
+
     /// A slab counts bits, since format 8 bit-packed its rows at each
     /// column's width in bits: no byte-width rows (`fn row_len`), and no
     /// width and shift packed into one byte's nibbles (`<< 4)`, `& 0xF`).

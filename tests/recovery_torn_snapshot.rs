@@ -15,10 +15,9 @@
 //!   heavy suffix (no corruption; stresses identifier re-use), each
 //!   held to the reference model (`common/model.rs`) of the workload
 //!   and to the prefix of it that the untorn image recovers to.
-//! * A crash-matrix sweep (`SimDisk` byte-budget cuts) through a
-//!   workload that checkpoints repeatedly, so cuts land inside slab
-//!   writes, directory writes, and header publishes at whatever
-//!   offsets the encoder actually uses.
+//! * Every cut inside slab writes, directory writes and header
+//!   publishes, at whatever offsets the encoder uses, through the crash
+//!   enumerator (`common/history.rs`).
 //! * Hostile snapshots: CRC-valid areas whose rows name a segment or
 //!   slot the device does not have, an allocator floor past what an
 //!   allocator hands out, an identifier at or past its floor, or a
@@ -33,15 +32,18 @@
 
 use ld_aru::core::BlockCol::{self, Id, Sector, Sectors, Segment, Ts};
 use ld_aru::core::{Ctx, Lld, LldConfig, LldError, Position};
-use ld_aru::disk::{DiskModel, FaultPlan, MemDisk, SimDisk};
+use ld_aru::disk::MemDisk;
 use ld_aru::workload::pattern_fill;
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 use common::{
-    ckpt_header, column, crash_seeds, reseal_slab, slab_ranges, CkptField, ColField, DirField,
-    SLAB_COLUMNS,
+    ckpt_header, column, reseal_slab, slab_ranges, CkptField, ColField, DirField, SLAB_COLUMNS,
 };
+#[path = "../crates/core/tests/common/enumerate.rs"]
+mod enumerate;
+#[path = "../crates/core/tests/common/history.rs"]
+mod history;
 #[path = "../crates/core/tests/common/model.rs"]
 mod model;
 use model::Model;
@@ -493,54 +495,21 @@ fn snapshot_shard_count_migrates() {
     }
 }
 
-/// Byte-budget crash sweep through a checkpoint-heavy workload: cuts
-/// land inside slab writes, the directory write, the header publish,
-/// and ordinary segment writes, and keep a seeded subset of the writes
-/// since the last barrier. Whatever survives, recovery succeeds and
-/// gives a prefix of the workload that holds everything flushed or
-/// checkpointed. `CRASH_SEED=<crash point>` runs one cut alone.
+/// Every cut of twelve three-block ARUs, every other one tagged, each
+/// flushed, a checkpoint after every fourth: cuts inside slab, directory
+/// and header writes at whatever offsets the encoder uses, acknowledged
+/// flushes, and outcomes where their effects are. Once per shard count.
 #[test]
 fn checkpoint_write_crash_matrix() {
-    let points = crash_seeds((40_000..400_000).step_by(23_000));
-    for mode in MODES {
-        for &crash_at in &points {
-            let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010())
-                .with_faults(FaultPlan::new().crash_after_bytes(crash_at));
-            let ld = Lld::format(sim, &config(mode)).unwrap();
-            let mut m = Model::default();
-            let mut data = vec![0u8; BS];
-
-            // A base state flushed before the fault budget can fire
-            // checkpoint writes, then churn with periodic checkpoints
-            // until the cut.
-            let crashed = (|| -> Result<(), ld_aru::core::LldError> {
-                let mut blocks = Vec::new();
-                for li in 0..8u64 {
-                    let l = m.new_list(&ld, Ctx::Simple)?;
-                    let b = m.new_block(&ld, Ctx::Simple, l, Position::First)?;
-                    pattern_fill(&mut data, li);
-                    m.write(&ld, Ctx::Simple, b, &data)?;
-                    blocks.push(b);
-                }
-                m.flush(&ld)?;
-                for round in 0..40u64 {
-                    for (i, &b) in blocks.iter().enumerate() {
-                        pattern_fill(&mut data, 0x1000 + round * 100 + i as u64);
-                        m.write(&ld, Ctx::Simple, b, &data)?;
-                    }
-                    ld.checkpoint()?;
-                    m.synced();
-                }
-                Ok(())
-            })()
-            .is_err();
-
-            let (image, cut) = ld.into_device().crash_image();
-            recover_to(&image, mode, &m, &format!("shards {mode}, {cut}"));
-            assert!(
-                crashed || crash_at > 200_000,
-                "{cut}: the budget never ran out"
-            );
+    for seed in enumerate::seeds(2).take(2) {
+        let mut r = history::Run::new(seed, history::config(seed, BS, 8), 12);
+        for tag in 1..=12u8 {
+            r.three_block_aru(tag, tag % 2 == 0);
+            if tag % 4 == 0 {
+                r.checkpoint();
+            }
         }
+        assert_eq!(r.m.durable(), 60, "ENUM_SEED={seed}");
+        r.finish("flushed commits and checkpoints");
     }
 }
