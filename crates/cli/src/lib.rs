@@ -262,8 +262,8 @@ pub fn cmd_info(image: &str) -> Result<String> {
     );
     let _ = writeln!(
         out,
-        "restart:          {} snapshot slabs in {} bytes, {} threads",
-        report.snap_shards, report.snapshot_bytes, report.threads_used
+        "restart:          {} snapshot slabs in {} bytes",
+        report.snap_shards, report.snapshot_bytes
     );
     let _ = writeln!(
         out,
@@ -272,6 +272,14 @@ pub fn cmd_info(image: &str) -> Result<String> {
         report.scan_ns / 1_000,
         report.replay_ns / 1_000,
         report.finalize_ns / 1_000
+    );
+    let _ = writeln!(
+        out,
+        "load parts:       read {}us, check {}us, rows {}us, residents {}us",
+        report.snapshot_read_ns / 1_000,
+        report.snapshot_check_ns / 1_000,
+        report.snapshot_rows_ns / 1_000,
+        report.snapshot_residents_ns / 1_000
     );
     Ok(out)
 }

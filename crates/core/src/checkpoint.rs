@@ -117,9 +117,9 @@
 //! ends at (is or will be), and the header CRC of segment `seq` — which
 //! is where recovery starts its walk of the suffix (see `segment.rs`).
 //!
-//! Torn-write safety is header-last + A/B alternation: slabs are
-//! written first, then the dedup table and the directory, then a
-//! barrier, then the header (all CRC'd), then one more. A crash anywhere
+//! Torn-write safety is header-last + A/B alternation: the body —
+//! directory, slabs and dedup table, back to back — is one write, then
+//! a barrier, then the header (all CRC'd), then one more. A crash anywhere
 //! mid-write leaves the header invalid (or stale-but-consistent), and the
 //! *other* area still holds the previous checkpoint. A header write
 //! touches its own sector only: not the superblock, which nothing
@@ -142,10 +142,12 @@
 //!    open.
 //! 2. *slab*, once per shard: [`Mutation::snapshot_slab`] encodes the
 //!    shard's tables as of the covered point under that shard's write
-//!    lock alone, [`LldInner::ckpt_slab`] writes them with no
-//!    mapping-layer lock held.
-//! 3. *commit* ([`LldInner::ckpt_commit`], holding the log mutex):
-//!    dedup table, directory, barrier, header last, barrier, publish.
+//!    lock alone, and the writer keeps the bytes behind the ones
+//!    before, its directory entry in front.
+//! 3. *commit* ([`LldInner::ckpt_commit`]): the dedup table behind
+//!    the slabs and the body in one device write, with no
+//!    mapping-layer lock held; then, holding the log mutex, barrier,
+//!    header last, barrier, publish.
 //!
 //! Foreground commits that would advance a pending shard's persistent
 //! tables first preserve them in `snap_copy` (copy-on-advance, see
@@ -205,8 +207,8 @@ pub(crate) struct CkptHeaderInfo {
     body_len: u64,
 }
 
-/// One checkpoint being written: what *begin* pinned, and what the slab
-/// steps have put into the area so far.
+/// One checkpoint being written: what *begin* pinned, and the body the
+/// slab steps have encoded so far.
 struct CkptWrite {
     covered: u64,
     /// [`LogState::summary_sealed`](crate::lld::LogState::summary_sealed)
@@ -220,15 +222,41 @@ struct CkptWrite {
     list_floor: u64,
     /// Absolute offset of the target area.
     area: u64,
-    /// Offset of the next slab, relative to the area: behind the
-    /// directory, one entry a shard.
-    end: u64,
-    /// The directory so far: per slab written its block count, list
-    /// count, CRC and byte length.
-    dir: Vec<u8>,
+    /// Slabs in the body so far.
+    slabs: usize,
+    /// The body so far, as it goes into the area: the directory, one
+    /// entry a shard (per slab its block count, list count, CRC and
+    /// byte length; zeros for the slabs still to come), then the slabs.
+    body: Vec<u8>,
 }
 
 impl CkptWrite {
+    /// The directory: the body's first entries, one a shard.
+    fn dir(&self) -> &[u8] {
+        &self.body[..self.slabs * DIR_ENTRY_LEN]
+    }
+
+    /// Puts `slab` behind the ones in the body, and its entry in the
+    /// directory.
+    fn add_slab(&mut self, slab: Slab, area_size: u64) -> Result<()> {
+        if (self.body.len() + slab.bytes.len()) as u64 > area_size {
+            return Err(area_overflow());
+        }
+        let len = u32::try_from(slab.bytes.len()).map_err(|_| {
+            LldError::Config("a checkpoint slab holds at most 4 GiB: raise map_shards".into())
+        })?;
+        let entry = DirField::encode(&[
+            (DirField::NBlocks, slab.n_blocks),
+            (DirField::NLists, slab.n_lists),
+            (DirField::SlabCrc, crc32(&slab.bytes).into()),
+            (DirField::SlabLen, len.into()),
+        ]);
+        self.body[self.slabs * DIR_ENTRY_LEN..][..DIR_ENTRY_LEN].copy_from_slice(&entry);
+        self.body.extend_from_slice(&slab.bytes);
+        self.slabs += 1;
+        Ok(())
+    }
+
     fn encode_header(&self, n_dedup: u32, dedup_crc: u32, body_len: u64) -> [u8; CKPT_HEADER_LEN] {
         let mut h = CkptField::encode(&[
             (CkptField::Magic, CKPT_MAGIC.into()),
@@ -237,11 +265,8 @@ impl CkptWrite {
             (CkptField::Ts, self.ts),
             (CkptField::BlockFloor, self.block_floor),
             (CkptField::ListFloor, self.list_floor),
-            (
-                CkptField::SnapShards,
-                self.dir.len() as u64 / DIR_ENTRY_LEN as u64,
-            ),
-            (CkptField::DirCrc, crc32(&self.dir).into()),
+            (CkptField::SnapShards, self.slabs as u64),
+            (CkptField::DirCrc, crc32(self.dir()).into()),
             (CkptField::NDedup, n_dedup.into()),
             (CkptField::DedupCrc, dedup_crc.into()),
             (CkptField::HeadSlot, self.head.slot.into()),
@@ -308,7 +333,11 @@ fn code_block(prev: &[u64; BLOCK_COLS], row: &[u64; BLOCK_COLS]) -> [u64; BLOCK_
 }
 
 /// Inverts [`code_block`]; `None` if the identifier passes `u64::MAX`
-/// or a present successor or list is no identifier.
+/// or a present successor or list is no identifier. Always inlined:
+/// left to the compiler it stayed a call in [`Columns::unpack`]'s
+/// loop, and restart's rows took 1.4 ms where they take 0.8 (33,000
+/// rows, a scratch probe).
+#[inline(always)]
 fn decode_block(prev: &[u64; BLOCK_COLS], c: [u64; BLOCK_COLS]) -> Option<[u64; BLOCK_COLS]> {
     let id = prev[0].checked_add(c[0])?;
     Some([
@@ -334,7 +363,8 @@ fn code_list(prev: &[u64; LIST_COLS], row: &[u64; LIST_COLS]) -> [u64; LIST_COLS
     ]
 }
 
-/// Inverts [`code_list`].
+/// Inverts [`code_list`]; inlined as [`decode_block`] is.
+#[inline(always)]
 fn decode_list(prev: &[u64; LIST_COLS], c: [u64; LIST_COLS]) -> Option<[u64; LIST_COLS]> {
     let (id, first) = (prev[0].checked_add(c[0])?, decode_ref(c[1], prev[1])?);
     Some([id, first, decode_ref(c[2], first)?, unzigzag(c[3], prev[3])])
@@ -444,68 +474,56 @@ impl<const N: usize> Columns<N> {
             .all(|c| shift[c] < 64 && u32::from(width[c]) + u32::from(shift[c]) <= 64)
             .then_some(Columns { min, width, shift })
     }
+
+    /// Hands `row` each of the `n` rows packed in `bytes`, in order,
+    /// decoded by `decode` from its coded values `min + (delta << shift)`
+    /// and the row before it (`prev` before the first), and stops at the
+    /// first error. Each column is read at its bit position with one
+    /// unaligned 16-byte load, zeros past the table's end.
+    /// [`Columns::parse`] checked every `width + shift`, so no shift here
+    /// loses a bit.
+    ///
+    /// # Errors
+    ///
+    /// [`LldError::Corrupt`] for a coded value past `u64::MAX` or a row
+    /// `decode` refuses; whatever `row` returns.
+    fn unpack(
+        &self,
+        bytes: &[u8],
+        n: u64,
+        mut prev: [u64; N],
+        decode: impl Fn(&[u64; N], [u64; N]) -> Option<[u64; N]>,
+        mut row: impl FnMut(&[u64; N]) -> Result<()>,
+    ) -> Result<()> {
+        let mask = self.width.map(|w| ((1u128 << w) - 1) as u64);
+        // The bit the next column starts at.
+        let mut at = 0u64;
+        for _ in 0..n {
+            let mut coded = [0u64; N];
+            for (c, v) in coded.iter_mut().enumerate() {
+                let delta = (load16(bytes, (at >> 3) as usize) >> (at & 7)) as u64 & mask[c];
+                at += u64::from(self.width[c]);
+                *v = (self.min[c].checked_add(delta << self.shift[c])).ok_or_else(row_overflow)?;
+            }
+            prev = decode(&prev, coded).ok_or_else(row_overflow)?;
+            row(&prev)?;
+        }
+        Ok(())
+    }
 }
 
-/// Hands out the coded rows of one table, a word of the packed bytes at
-/// a time.
-#[derive(Debug)]
-struct BitRows<'a, const N: usize> {
-    cols: Columns<N>,
-    /// Per column, its low `width` bits set.
-    mask: [u64; N],
-    bytes: &'a [u8],
-    /// The next byte to load into `acc`.
-    at: usize,
-    /// Loaded bits not yet handed out, the next one lowest.
-    acc: u128,
-    bits: u32,
-}
-
-impl<'a, const N: usize> BitRows<'a, N> {
-    fn new(cols: Columns<N>, bytes: &'a [u8]) -> Self {
-        let mask = cols.width.map(|w| ((1u128 << w) - 1) as u64);
-        BitRows {
-            cols,
-            mask,
-            bytes,
-            at: 0,
-            acc: 0,
-            bits: 0,
+/// The 16 bytes of `bytes` from `at`, little-endian, zeros past its end:
+/// every bit of a column of at most 64 bits that starts in byte `at`.
+#[inline]
+fn load16(bytes: &[u8], at: usize) -> u128 {
+    match bytes.get(at..at + 16) {
+        Some(word) => u128::from_le_bytes(word.try_into().expect("16 bytes")),
+        None => {
+            let tail = &bytes[at.min(bytes.len())..];
+            let mut le = [0u8; 16];
+            le[..tail.len()].copy_from_slice(tail);
+            u128::from_le_bytes(le)
         }
-    }
-
-    /// Loads the next 8 bytes above the bits held (zeros past the end).
-    fn refill(&mut self) {
-        let word = match self.bytes.get(self.at..self.at + 8) {
-            Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
-            None => {
-                let tail = &self.bytes[self.at.min(self.bytes.len())..];
-                let mut le = [0u8; 8];
-                le[..tail.len()].copy_from_slice(tail);
-                u64::from_le_bytes(le)
-            }
-        };
-        self.acc |= u128::from(word) << self.bits;
-        self.bits += 64;
-        self.at += 8;
-    }
-
-    /// The next row's coded values, `min + (delta << shift)`; `None` if
-    /// one passes `u64::MAX`. [`Columns::parse`] checked every `width +
-    /// shift`, so no shift here loses a bit.
-    #[inline]
-    fn next_row(&mut self) -> Option<[u64; N]> {
-        let mut out = [0u64; N];
-        for (c, v) in out.iter_mut().enumerate() {
-            if self.bits < 64 {
-                self.refill();
-            }
-            let delta = self.acc as u64 & self.mask[c];
-            self.acc >>= self.cols.width[c];
-            self.bits -= u32::from(self.cols.width[c]);
-            *v = self.cols.min[c].checked_add(delta << self.cols.shift[c])?;
-        }
-        Some(out)
     }
 }
 
@@ -662,26 +680,25 @@ impl<'a> DedupTable<'a> {
         })
     }
 
-    /// The rows: client, write id, generation, commit timestamp.
+    /// Hands `enter` each row, oldest first: client, write id,
+    /// generation, commit timestamp.
     ///
     /// # Errors
     ///
-    /// Each item is [`LldError::Corrupt`] for a value past `u64::MAX`.
-    pub(crate) fn rows(&self) -> impl Iterator<Item = Result<[u64; DEDUP_COLS]>> + '_ {
+    /// [`LldError::Corrupt`] for a value past `u64::MAX`, after the rows
+    /// before it.
+    pub(crate) fn each_row(&self, mut enter: impl FnMut([u64; DEDUP_COLS])) -> Result<()> {
+        if self.n == 0 {
+            return Ok(());
+        }
+        enter(self.first);
         let decode = |prev: &[u64; DEDUP_COLS], c: [u64; DEDUP_COLS]| {
             Some(std::array::from_fn(|i| unzigzag(c[i], prev[i])))
         };
-        let rest = decoded(
-            self.cols,
-            self.rows,
-            self.n.saturating_sub(1),
-            self.first,
-            decode,
-        );
-        (self.n > 0)
-            .then_some(Ok(self.first))
-            .into_iter()
-            .chain(rest)
+        (self.cols).unpack(self.rows, self.n - 1, self.first, decode, |row| {
+            enter(*row);
+            Ok(())
+        })
     }
 }
 
@@ -742,8 +759,8 @@ impl<D: BlockDevice> Mutation<'_, D> {
             } else {
                 lld.layout.ckpt_a
             },
-            end: u64::from(lld.maps.nshards()) * DIR_ENTRY_LEN as u64,
-            dir: Vec::new(),
+            slabs: 0,
+            body: vec![0; lld.maps.nshards() as usize * DIR_ENTRY_LEN],
         }))
     }
 
@@ -766,8 +783,8 @@ impl<D: BlockDevice> LldInner<D> {
     /// *begin* seals the current segment (so the committed state
     /// becomes persistent and is included) in one short full session;
     /// each shard's slab is then encoded under that shard's write lock
-    /// alone and written with no mapping-layer lock held; the commit
-    /// writes the header last. One writer at a time: a second waits.
+    /// alone and kept; the commit writes the body in one device write
+    /// and the header last. One writer at a time: a second waits.
     ///
     /// In [`ConcurrencyMode::Sequential`], while an ARU is open, it
     /// writes nothing and leaves the checkpoint due: the ARU's
@@ -788,9 +805,9 @@ impl<D: BlockDevice> LldInner<D> {
         let written = (0..self.maps.nshards())
             .try_for_each(|i| {
                 let slab = self.with_mutation_at(0, 1u64 << i, |m| m.snapshot_slab(i));
-                self.ckpt_slab(&mut w, slab)
+                w.add_slab(slab, self.layout.ckpt_area_size)
             })
-            .and_then(|()| self.ckpt_commit(&w, &mut io));
+            .and_then(|()| self.ckpt_commit(&mut w, &mut io));
         if written.is_err() {
             // The shards still pending, and their copies.
             self.full_session(|m| {
@@ -805,52 +822,33 @@ impl<D: BlockDevice> LldInner<D> {
         written
     }
 
-    /// Step 2, second half: writes one encoded slab behind the ones
-    /// already in the area.
-    fn ckpt_slab(&self, w: &mut CkptWrite, slab: Slab) -> Result<()> {
-        if w.end + slab.bytes.len() as u64 > self.layout.ckpt_area_size {
-            return Err(area_overflow());
-        }
-        let len = u32::try_from(slab.bytes.len()).map_err(|_| {
-            LldError::Config("a checkpoint slab holds at most 4 GiB: raise map_shards".into())
-        })?;
-        self.device.write_at(w.area + w.end, &slab.bytes)?;
-        w.dir.extend_from_slice(&DirField::encode(&[
-            (DirField::NBlocks, slab.n_blocks),
-            (DirField::NLists, slab.n_lists),
-            (DirField::SlabCrc, crc32(&slab.bytes).into()),
-            (DirField::SlabLen, len.into()),
-        ]));
-        w.end += u64::from(len);
-        Ok(())
-    }
-
-    /// Step 3, *commit*: dedup table, directory, header last, flush,
-    /// publish, holding the log mutex (lock order: `ckpt_io` → log →
-    /// dedup).
-    fn ckpt_commit(&self, w: &CkptWrite, io: &mut CkptSlots) -> Result<()> {
-        let mut log = self.log.lock();
+    /// Step 3, *commit*: the dedup table behind the slabs and the body
+    /// in one device write, with no lock but `ckpt_io` held, so that
+    /// sessions go on while it lands; then, holding the log mutex (lock
+    /// order: `ckpt_io` → log → dedup), a barrier, the header last,
+    /// another barrier, and publish.
+    fn ckpt_commit(&self, w: &mut CkptWrite, io: &mut CkptSlots) -> Result<()> {
         // Snapshot the write-id dedup cache so a retried networked
         // commit still finds its recorded outcome after recovery from
         // this checkpoint. Entries recorded since *begin* belong to
         // segments past the covered point; recovery replays those and
         // re-records the same outcomes, so a fresher table is harmless.
         // The encoder truncates oldest-first to the room that is left.
-        let room = self.layout.ckpt_area_size.saturating_sub(w.end);
+        let room = (self.layout.ckpt_area_size).saturating_sub(w.body.len() as u64);
         let (dedup, n_dedup) = self.dedup.lock().encode(room);
-        let body_len = w.end + dedup.len() as u64;
+        w.body.extend_from_slice(&dedup);
+        let body_len = w.body.len() as u64;
         if body_len > self.layout.ckpt_area_size {
             return Err(area_overflow());
         }
         let header = w.encode_header(n_dedup as u32, crc32(&dedup), body_len);
-        if !dedup.is_empty() {
-            self.device.write_at(w.area + w.end, &dedup)?;
-        }
-        self.device.write_at(w.area, &w.dir)?;
+        // Directory, slabs and dedup table, back to back: one write.
+        self.device.write_at(w.area, &w.body)?;
+        let mut log = self.log.lock();
         // What the header vouches for is durable before the header is
-        // written: the slabs, the directory, and every segment it
-        // covers, the seal *begin* made included (docs/INVARIANTS.md
-        // I4, "Across a barrier").
+        // written: the body, and every segment it covers, the seal
+        // *begin* made included (docs/INVARIANTS.md I4, "Across a
+        // barrier").
         self.device.flush()?;
         self.barrier_covers.fetch_max(w.covered, Ordering::Relaxed);
         self.device
@@ -1036,41 +1034,22 @@ fn row_overflow() -> LldError {
     )
 }
 
-/// The `n` rows of one table, each decoded from its coded values and
-/// the row before it (`prev` before the first); `Err` where a value
-/// passes `u64::MAX` or is no identifier where one is present.
-fn decoded<'a, const N: usize>(
-    cols: Columns<N>,
-    bytes: &'a [u8],
-    n: u64,
-    mut prev: [u64; N],
-    decode: impl Fn(&[u64; N], [u64; N]) -> Option<[u64; N]> + 'a,
-) -> impl Iterator<Item = Result<[u64; N]>> + 'a {
-    let mut rows = BitRows::new(cols, bytes);
-    (0..n).map(move |_| {
-        let row = rows.next_row().and_then(|coded| decode(&prev, coded));
-        prev = row.ok_or_else(row_overflow)?;
-        Ok(prev)
-    })
-}
-
 impl SlabReader<'_> {
-    /// The block-number-map rows.
+    /// Hands `enter` each block-number-map row, in identifier order, and
+    /// stops at the first error.
     ///
     /// # Errors
     ///
-    /// Each item is [`LldError::Corrupt`] for a row that no writer
-    /// produces (see the module docs); a CRC-valid slab can hold one.
-    pub(crate) fn blocks(&self) -> impl Iterator<Item = Result<(BlockId, BlockRecord)>> + '_ {
-        let rows = decoded(
-            self.blocks,
-            self.block_rows,
-            self.n_blocks,
-            [0; BLOCK_COLS],
-            decode_block,
-        );
-        rows.map(|row| {
-            let [id, segment, sector, sectors, successor, list, ts] = row?;
+    /// [`LldError::Corrupt`] for a row that no writer produces (see the
+    /// module docs; a CRC-valid slab can hold one); whatever `enter`
+    /// returns.
+    pub(crate) fn each_block(
+        &self,
+        mut enter: impl FnMut(BlockId, BlockRecord) -> Result<()>,
+    ) -> Result<()> {
+        let (cols, rows, n) = (&self.blocks, self.block_rows, self.n_blocks);
+        cols.unpack(rows, n, [0; BLOCK_COLS], decode_block, |&row| {
+            let [id, segment, sector, sectors, successor, list, ts] = row;
             let id = BlockId::new(checked_id(id, "block")?);
             let addr = match segment.checked_sub(1) {
                 None => None,
@@ -1097,33 +1076,30 @@ impl SlabReader<'_> {
                 list: ListId::decode_opt(list),
                 ts: Timestamp::new(ts),
             };
-            Ok((id, rec))
+            enter(id, rec)
         })
     }
 
-    /// The list-table rows.
+    /// Hands `enter` each list-table row, in identifier order.
     ///
     /// # Errors
     ///
-    /// As for [`blocks`](Self::blocks).
-    pub(crate) fn lists(&self) -> impl Iterator<Item = Result<(ListId, ListRecord)>> + '_ {
-        let rows = decoded(
-            self.lists,
-            self.list_rows,
-            self.n_lists,
-            [0; LIST_COLS],
-            decode_list,
-        );
-        rows.map(|row| {
-            let [id, first, last, ts] = row?;
+    /// As for [`each_block`](Self::each_block).
+    pub(crate) fn each_list(
+        &self,
+        mut enter: impl FnMut(ListId, ListRecord) -> Result<()>,
+    ) -> Result<()> {
+        let row = |&[id, first, last, ts]: &[u64; LIST_COLS]| {
             let rec = ListRecord {
                 allocated: true,
                 first: BlockId::decode_opt(first),
                 last: BlockId::decode_opt(last),
                 ts: Timestamp::new(ts),
             };
-            Ok((ListId::new(checked_id(id, "list")?), rec))
-        })
+            enter(ListId::new(checked_id(id, "list")?), rec)
+        };
+        let (cols, rows, n) = (&self.lists, self.list_rows, self.n_lists);
+        cols.unpack(rows, n, [0; LIST_COLS], decode_list, row)
     }
 }
 
@@ -1156,6 +1132,46 @@ mod tests {
     fn encode(t: &Rows, full: u64) -> Slab {
         let blocks = t.blocks.iter().map(|(&id, r)| (id, r));
         encode_slab(blocks, t.lists.iter().map(|(&id, r)| (id, r)), full)
+    }
+
+    /// What `each` hands its closure, in order, and the error it stops
+    /// at, if it does.
+    fn collected<T>(
+        each: impl FnOnce(&mut dyn FnMut(T)) -> Result<()>,
+    ) -> std::vec::IntoIter<Result<T>> {
+        let mut out = Vec::new();
+        if let Err(e) = each(&mut |row| out.push(Ok(row))) {
+            out.push(Err(e));
+        }
+        out.into_iter()
+    }
+
+    /// The rows the closures hand out, collected, for the tests that
+    /// compare them.
+    impl SlabReader<'_> {
+        fn blocks(&self) -> std::vec::IntoIter<Result<(BlockId, BlockRecord)>> {
+            collected(|push| {
+                self.each_block(|id, r| {
+                    push((id, r));
+                    Ok(())
+                })
+            })
+        }
+
+        fn lists(&self) -> std::vec::IntoIter<Result<(ListId, ListRecord)>> {
+            collected(|push| {
+                self.each_list(|id, r| {
+                    push((id, r));
+                    Ok(())
+                })
+            })
+        }
+    }
+
+    impl DedupTable<'_> {
+        fn rows(&self) -> std::vec::IntoIter<Result<[u64; DEDUP_COLS]>> {
+            collected(|push| self.each_row(push))
+        }
     }
 
     type SlabRows = (Vec<(BlockId, BlockRecord)>, Vec<(ListId, ListRecord)>);
@@ -1244,22 +1260,19 @@ mod tests {
         };
         let reader = info.open(&slab.bytes)?;
         let twice = |id: &dyn std::fmt::Display| LldError::Corrupt(format!("{id} twice"));
-        Some((|| {
-            let mut t = Rows::default();
-            for entry in reader.blocks() {
-                let (id, rec) = entry?;
-                if t.blocks.insert(id, rec).is_some() {
-                    return Err(twice(&id));
-                }
-            }
-            for entry in reader.lists() {
-                let (id, rec) = entry?;
-                if t.lists.insert(id, rec).is_some() {
-                    return Err(twice(&id));
-                }
-            }
-            Ok(t)
-        })())
+        let mut t = Rows::default();
+        let entered = reader
+            .each_block(|id, rec| match t.blocks.insert(id, rec) {
+                Some(_) => Err(twice(&id)),
+                None => Ok(()),
+            })
+            .and_then(|()| {
+                reader.each_list(|id, rec| match t.lists.insert(id, rec) {
+                    Some(_) => Err(twice(&id)),
+                    None => Ok(()),
+                })
+            });
+        Some(entered.map(|()| t))
     }
 
     /// Field `f` of column `col`'s descriptor in `slab`.
@@ -1674,6 +1687,118 @@ mod tests {
             assert!(c > 0 && decode_ref(c, pred) == Some(v), "{v} from {pred}");
         }
         assert_eq!(code_ref(MAX_RAW_ID, 0), u64::MAX, "the widest code fits");
+    }
+
+    /// The unpacker reads every width a descriptor allows, 0 to 64, at
+    /// every shift that leaves no bit out (`width + shift` at most 64),
+    /// behind a 1-bit column so that no column starts on a byte: each
+    /// column's smallest and largest delta, on a minimum of 0 and on the
+    /// one that puts the largest value at `u64::MAX`. Eight rows end in
+    /// the table's last byte, so the last column's 16-byte load runs
+    /// past the end of the slice, which a guard of ones follows in
+    /// memory: the loads read zeros there, not the guard.
+    #[test]
+    fn every_width_and_shift_unpacks_to_the_tables_last_byte() {
+        let mut rng = SmallRng::seed_from_u64(0x5EED_0038);
+        let mut cases = 0;
+        for width in 0..=64u8 {
+            for shift in 0..=64 - width {
+                if shift == 64 {
+                    continue; // `parse` refuses a shift of 64
+                }
+                let top = ((1u128 << width) - 1) as u64;
+                for min in [0, u64::MAX - (top << shift)] {
+                    let cols = Columns::<3> {
+                        min: [0, min, 5],
+                        width: [1, width, 3],
+                        shift: [0, shift, 1],
+                    };
+                    let rows: Vec<[u64; 3]> = (0..8u64)
+                        .map(|i| {
+                            let delta = match i {
+                                0 => 0,
+                                1 => top,
+                                _ => rng.next_u64() & top,
+                            };
+                            [i % 2, min + (delta << shift), 5 + ((i % 8) << 1)]
+                        })
+                        .collect();
+                    let mut packed = Vec::new();
+                    cols.put_rows(&rows, &mut packed);
+                    assert_eq!(packed.len() as u64, cols.table_bytes(8).unwrap());
+                    assert_eq!(packed.len() * 8, 8 * (1 + usize::from(width) + 3));
+                    let len = packed.len();
+                    packed.extend([0xFF; 32]);
+                    let mut back = Vec::new();
+                    let keep = |_: &[u64; 3], row: [u64; 3]| Some(row);
+                    (cols.unpack(&packed[..len], 8, [0; 3], keep, |row| {
+                        back.push(*row);
+                        Ok(())
+                    }))
+                    .unwrap();
+                    assert_eq!(back, rows, "width {width}, shift {shift}, min {min}");
+                    cases += 1;
+                }
+            }
+        }
+        // Σ (65 − w) shifts below 64 over the widths, twice.
+        assert_eq!(cases, 2 * (65 * 66 / 2 - 1));
+    }
+
+    /// A dedup table of one row is its descriptors and that row in full,
+    /// no packed byte, and it comes back.
+    #[test]
+    fn a_dedup_table_of_one_row_round_trips() {
+        let row = [[u64::MAX, 1, 0, 1 << 63]];
+        let (bytes, kept) = encode_dedup(&row, u64::MAX);
+        assert_eq!((kept, bytes.len() as u64), (1, CKPT_DEDUP_DESC + 32));
+        let table = DedupTable::open(&bytes, 1).expect("a table the encoder wrote");
+        assert_eq!(table.rows().collect::<Result<Vec<_>>>().unwrap(), row);
+    }
+
+    /// A checkpoint is one body write and one header write, each behind
+    /// a barrier of its own, at eight shards too: what the two writes
+    /// put on the device is the size its trace event reports, header
+    /// and body, dedup table included, and a restart loads eight slabs.
+    #[test]
+    fn a_checkpoint_is_one_body_write_and_one_header_write() {
+        let cfg = LldConfig {
+            block_size: 512,
+            segment_bytes: 16 * 512,
+            map_shards: 8,
+            cleaner: inline_cleaner(),
+            ..LldConfig::default()
+        };
+        let device = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010());
+        let ld = Lld::format(device, &cfg).unwrap();
+        let list = ld.new_list(Ctx::Simple).unwrap();
+        for wid in 1..=20u64 {
+            let aru = ld.begin_aru().unwrap();
+            let b = ld.new_block(Ctx::Aru(aru), list, Position::First).unwrap();
+            ld.write(Ctx::Aru(aru), b, &[wid as u8; 512]).unwrap();
+            ld.end_aru_tagged(aru, 7, 1, wid).unwrap();
+        }
+        // The open segment sealed: *begin* seals nothing.
+        ld.flush().unwrap();
+        let before = ld.device().stats_snapshot().unwrap();
+        ld.checkpoint().unwrap();
+        let after = ld.device().stats_snapshot().unwrap();
+        let bytes = (ld.obs().ring().entries().iter())
+            .find_map(|e| match e.event {
+                TraceEvent::Checkpoint { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .expect("a checkpoint event");
+        assert_eq!(
+            (
+                after.writes - before.writes,
+                after.flushes - before.flushes,
+                after.bytes_written - before.bytes_written
+            ),
+            (2, 2, bytes)
+        );
+        let (_, report) = Lld::recover_with(ld.into_device(), &cfg).unwrap();
+        assert_eq!((report.snap_shards, report.snapshot_bytes), (8, bytes));
     }
 
     /// Seeded write-id outcomes come back in their order from a dedup

@@ -247,10 +247,9 @@ impl DedupCache {
     /// `u64::MAX`.
     pub(crate) fn decode(capacity: usize, table: &DedupTable<'_>) -> Result<DedupCache> {
         let mut cache = DedupCache::new(capacity);
-        for row in table.rows() {
-            let [client, write_id, generation, ts] = row?;
+        table.each_row(|[client, write_id, generation, ts]| {
             cache.complete(client, write_id, generation, Timestamp::new(ts));
-        }
+        })?;
         Ok(cache)
     }
 }

@@ -21,13 +21,15 @@
 //! [`RecoveryReport`]. It starts from the state of an empty disk
 //! ([`LldInner::new`]) and fills it inside one full mutation session:
 //!
-//! 1. **Snapshot load** — the newest valid checkpoint's per-shard
-//!    slabs are CRC-checked, and each row is decoded straight into its
-//!    slot of its shard's persistent array, in one pass, its address
-//!    entered in its slot's `residents`. A slab's rows come in
+//! 1. **Snapshot load** — the newest valid checkpoint's body is read
+//!    in one read and its per-shard slabs are CRC-checked; each row is
+//!    unpacked and handed to a closure that enters it straight into its
+//!    slot of its shard's persistent array, in one pass, and then every
+//!    address into its slot's `residents`. A slab's rows come in
 //!    identifier order, so the writes are sequential. No floor may pass
 //!    [`MapId::bound`] and no row its floor: the arrays are sized by
-//!    identifiers.
+//!    identifiers. The report splits the phase's time into the read,
+//!    the checks, the rows and `residents`.
 //! 2. **Scan** — the log's chain is walked from the checkpoint's
 //!    [`ChainHead`] (the ends of slot 0, link 0 without one): a segment
 //!    is accepted iff header CRC, sequence number and `prev_link` fit,
@@ -74,6 +76,7 @@ use crate::types::{BlockId, ListId, PhysAddr, SegmentId, Timestamp};
 use ld_disk::BlockDevice;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 flat_record! {
     /// What recovery found and did.
@@ -114,6 +117,16 @@ flat_record! {
         snapshot_bytes: u64,
         /// Wall time of the snapshot-load phase.
         snapshot_load_ns: u64,
+        /// Of that, the device reads of checkpoint bodies.
+        snapshot_read_ns: u64,
+        /// Of that, the checks of the bodies read: directory, slab and
+        /// dedup-table CRCs and column descriptors.
+        snapshot_check_ns: u64,
+        /// Of that, the rows decoded into the tables: the dedup cache,
+        /// the arrays sized and every slab row entered.
+        snapshot_rows_ns: u64,
+        /// Of that, the blocks entered in their slots' `residents`.
+        snapshot_residents_ns: u64,
         /// Wall time of the segment-scan phase.
         scan_ns: u64,
         /// Wall time of the suffix-replay phase.
@@ -375,13 +388,23 @@ impl<D: BlockDevice> Mutation<'_, D> {
         };
         let mut ts_floor = 0u64;
         let mut dedup = None;
+        // Each part of the load adds its wall time to its field.
+        let mut lap = Instant::now();
+        let mut part = |field: &mut u64| {
+            let now = Instant::now();
+            *field += now.saturating_duration_since(lap).as_nanos() as u64;
+            lap = now;
+        };
         for (hdr, is_a) in cands {
             // Directory, slabs and dedup table lie back to back: one
             // device read.
             let body = hdr.read_body(device)?;
+            part(&mut report.snapshot_read_ns);
             // Every checksum and descriptor before a row is entered: a
             // torn area leaves the tables empty for the other one.
-            let Some(CkptBody { slabs, dedup: seed }) = hdr.open(&body, layout) else {
+            let opened = hdr.open(&body, layout);
+            part(&mut report.snapshot_check_ns);
+            let Some(CkptBody { slabs, dedup: seed }) = opened else {
                 continue;
             };
             // Each table is an array indexed by identifier: every row
@@ -415,15 +438,16 @@ impl<D: BlockDevice> Mutation<'_, D> {
                 ))
             };
             // A slot's `residents` is sized once, for every row the slabs
-            // place in it, and filled after the last slab.
-            let mut placed: Vec<(BlockId, PhysAddr)> = Vec::new();
+            // place in it, and filled after the last slab; the directory
+            // counts the rows (at most the layout's cap).
+            let n_blocks = slabs.iter().map(|s| s.n_blocks).sum::<u64>();
+            let mut placed: Vec<(BlockId, PhysAddr)> = Vec::with_capacity(n_blocks as usize);
             let mut per_slot = vec![0usize; layout.n_segments as usize];
+            let (maps, map) = (&lld.maps, &mut self.map);
             for slab in &slabs {
-                let maps = &lld.maps;
                 (maps.allocated_blocks).fetch_add(slab.n_blocks, Ordering::Relaxed);
                 (maps.allocated_lists).fetch_add(slab.n_lists, Ordering::Relaxed);
-                for entry in slab.blocks() {
-                    let (id, rec) = entry?;
+                slab.each_block(|id, rec| {
                     if let Some(a) = rec.addr {
                         // `residents` is indexed by this address, and a
                         // read transfers its extent; a CRC-valid slab can
@@ -442,20 +466,22 @@ impl<D: BlockDevice> Mutation<'_, D> {
                         placed.push((id, a));
                     }
                     ts_floor = ts_floor.max(rec.ts.get());
-                    let tables = &mut self.map.owner_mut(id).persistent;
+                    let tables = &mut map.owner_mut(id).persistent;
                     if id.get() >= floors.0 || tables.insert(id, rec).is_some() {
                         return Err(refuse(&id, floors.0));
                     }
-                }
-                for entry in slab.lists() {
-                    let (id, rec) = entry?;
+                    Ok(())
+                })?;
+                slab.each_list(|id, rec| {
                     ts_floor = ts_floor.max(rec.ts.get());
-                    let tables = &mut self.map.owner_mut(id).persistent;
+                    let tables = &mut map.owner_mut(id).persistent;
                     if id.get() >= floors.1 || tables.insert(id, rec).is_some() {
                         return Err(refuse(&id, floors.1));
                     }
-                }
+                    Ok(())
+                })?;
             }
+            part(&mut report.snapshot_rows_ns);
             let log = self.log();
             for (set, n) in log.residents.iter_mut().zip(per_slot) {
                 set.reserve(n);
@@ -463,6 +489,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             for (id, a) in placed {
                 log.add_resident(id, a);
             }
+            part(&mut report.snapshot_residents_ns);
             break;
         }
         // A head where no writer starts a segment would open one that
@@ -1069,6 +1096,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The snapshot load says where its time went: its four parts — the
+    /// body's read, its checks, the rows into the tables, the
+    /// `residents` index — are disjoint stretches of it, so they add up
+    /// to no more than the load, and they cover at least nine tenths of
+    /// it (the header parse and the floor and head checks are the rest).
+    /// The best of five restarts is held to the cover, so that the test
+    /// runner's threads preempting one does not fail it.
+    #[test]
+    fn the_snapshot_load_is_itemised() {
+        let cfg = LldConfig {
+            max_blocks: None,
+            max_lists: None,
+            ..config(8)
+        };
+        let ld = Lld::format(MemDisk::new(4 << 20), &cfg).unwrap();
+        for _ in 0..200 {
+            let list = ld.new_list(Ctx::Simple).unwrap();
+            for _ in 0..10 {
+                let b = ld.new_block(Ctx::Simple, list, Position::First).unwrap();
+                ld.write(Ctx::Simple, b, &[1; BS]).unwrap();
+            }
+        }
+        ld.checkpoint().unwrap();
+        ld.flush().unwrap();
+        let image = ld.device().snapshot();
+        let cover = (0..5).map(|_| {
+            let disk = MemDisk::from_image(image.clone());
+            let (_, r) = Lld::recover_with(disk, &cfg).unwrap();
+            assert_eq!(r.snap_shards, 8);
+            let parts = [
+                r.snapshot_read_ns,
+                r.snapshot_check_ns,
+                r.snapshot_rows_ns,
+                r.snapshot_residents_ns,
+            ];
+            assert!(parts.iter().all(|&ns| ns > 0), "{r:?}");
+            let sum: u64 = parts.iter().sum();
+            assert!(sum <= r.snapshot_load_ns, "{r:?}");
+            sum as f64 / r.snapshot_load_ns as f64
+        });
+        let best = cover.fold(0.0, f64::max);
+        assert!(best >= 0.9, "the parts cover {best:.3} of the load");
     }
 
     /// What the unit test of the deleted second state machine pinned,

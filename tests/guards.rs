@@ -150,6 +150,13 @@ forbid! {
     /// width and shift packed into one byte's nibbles (`<< 4)`, `& 0xF`).
     a_slab_counts_bits: files(&["crates/core/src/checkpoint.rs"]) => "fn row_len|<< 4)|& 0xF";
 
+    /// One slab decoder, since restart's snapshot load became one pass:
+    /// `Columns::unpack` reads each column at its bit position and hands
+    /// each decoded row to a closure, which recovery's enters into the
+    /// tables. No bit accumulator (`BitRows`) and no iterator of
+    /// `Result` rows (`decoded`) comes back under it.
+    one_slab_decoder: core_sources() => "struct BitRows|fn decoded\\b";
+
     /// Summary records are varints, since format 9 made a
     /// segment-summary record its tag byte and its fields as unsigned
     /// LEB128 varints: no fixed-width field.

@@ -1,9 +1,9 @@
 //! Torn and stale checkpoint snapshots.
 //!
-//! The sharded checkpoint is written slab-by-slab into the inactive A/B
-//! area, so a power cut can land mid-slab, between the
-//! slab writes and the header, or after the header of a *previous*
-//! checkpoint (leaving a stale-but-valid snapshot under a newer log
+//! The sharded checkpoint's body (directory, slabs, dedup table) is one
+//! write into the inactive A/B area, so a power cut can tear it at any
+//! sector, land between the body and the header, or after the header
+//! of a *previous* checkpoint (leaving a stale-but-valid snapshot under a newer log
 //! suffix). In every one of those states recovery must reconstruct
 //! what a clean recovery of the untorn image produces (checkpoints are
 //! an accelerator, never an authority: the log suffix always wins).
@@ -15,9 +15,9 @@
 //!   heavy suffix (no corruption; stresses identifier re-use), each
 //!   held to the reference model (`common/model.rs`) of the workload
 //!   and to the prefix of it that the untorn image recovers to.
-//! * Every cut inside slab writes, directory writes and header
-//!   publishes, at whatever offsets the encoder uses, through the crash
-//!   enumerator (`common/history.rs`).
+//! * Every cut inside body writes and header publishes, at whatever
+//!   offsets the encoder uses, through the crash enumerator
+//!   (`common/history.rs`).
 //! * Hostile snapshots: CRC-valid areas whose rows name a segment or
 //!   slot the device does not have, an allocator floor past what an
 //!   allocator hands out, an identifier at or past its floor, or a
