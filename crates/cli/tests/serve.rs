@@ -137,9 +137,10 @@ fn serve_roundtrip_remote_stats_and_graceful_quit() {
 }
 
 /// SIGKILL the server mid-workload, restart it on the same image, and
-/// reconcile: acknowledged sync commits must have survived; in-doubt
-/// write-ids are looked up and replayed; the per-client list then
-/// holds exactly one block per write_id.
+/// reconcile: acknowledged sync commits must have survived (the floor
+/// the handshake answers is at or past them); the write-ids past it
+/// are replayed; the per-client list then holds exactly one block per
+/// write_id.
 #[test]
 fn serve_survives_sigkill_with_exactly_once_reconciliation() {
     let image = temp_image("sigkill");
@@ -171,24 +172,22 @@ fn serve_survives_sigkill_with_exactly_once_reconciliation() {
     serve.child.wait().expect("killed server reaped");
     assert!(acked.len() >= 30, "too few commits before the kill");
 
-    // Restart on the same image; recovery rebuilds the dedup cache.
+    // Restart on the same image; recovery rebuilds the client's row.
     let mut serve2 = spawn_serve(&image);
     let mut c = Client::connect(&serve2.addr, client_id, 1, quick()).unwrap();
 
+    let floor = c.floor();
     for wid in &acked {
-        assert!(
-            c.lookup(*wid).unwrap().is_some(),
-            "acked write_id {wid} lost by SIGKILL"
-        );
+        assert!(*wid <= floor, "acked write_id {wid} lost by SIGKILL");
     }
-    for wid in 2..=attempted {
-        if c.lookup(wid).unwrap().is_none() {
-            let mut txn = Txn::new();
-            let b = txn.new_block(ListRef::Id(list), None);
-            txn.write(BlockRef::Slot(b), &payload(client_id, wid));
-            let out = c.commit(&txn, wid, Durability::Sync).unwrap();
-            assert!(!out.deduped);
-        }
+    assert!(c.lookup(floor).unwrap().is_some());
+    for wid in floor + 1..=attempted {
+        assert_eq!(c.lookup(wid).unwrap(), None);
+        let mut txn = Txn::new();
+        let b = txn.new_block(ListRef::Id(list), None);
+        txn.write(BlockRef::Slot(b), &payload(client_id, wid));
+        let out = c.commit(&txn, wid, Durability::Sync).unwrap();
+        assert!(!out.deduped);
     }
 
     let blocks = c.list_blocks(list).unwrap();

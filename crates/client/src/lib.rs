@@ -7,27 +7,29 @@
 //!   connection; a broken stream is dropped and redialed with the same
 //!   `(client, generation)` identity, bounded by
 //!   [`ClientConfig::max_retries`].
-//! * **Idempotent retries.** Reads, flushes, lookups and stats are
-//!   safe to repeat verbatim, so transport errors just retry them.
+//! * **Idempotent retries.** Every request is safe to repeat verbatim,
+//!   so transport errors just retry it: reads, flushes, lookups and
+//!   stats by their nature, and commits because they are tagged.
 //! * **Exactly-once commits.** A [`Txn`] is a *replayable program* of
-//!   allocations and writes, committed under a caller-chosen
-//!   `write_id` as one request: a single [`wire::op::COMMIT`] frame
-//!   that the server runs in one ARU as it reads it. So the window in
-//!   which a commit's fate is unknown is that one request. If the
-//!   connection dies before the answer arrives, the client cannot know
-//!   whether the commit happened — so on reconnect it first asks the
-//!   server ([`wire::op::LOOKUP`]) whether `write_id` is recorded.
-//!   Recorded: the commit happened, return the recorded outcome
-//!   ([`CommitOutcome::deduped`], no ids — the original answer
-//!   carrying them was lost). Not recorded: send the frame again. The
-//!   server-side dedup cache (journaled with the commit, rebuilt by
-//!   recovery) makes this race-free even across a server crash.
+//!   allocations and writes, committed under a `write_id` as one
+//!   request: a single [`wire::op::COMMIT`] frame that the server runs
+//!   in one ARU as it reads it. Write ids run 1, 2, 3 … in each
+//!   generation; the handshake answers the last one applied
+//!   ([`Client::floor`]). If the connection dies before the answer
+//!   arrives, the client sends the frame again, and the server settles
+//!   the id against its row for the client before it runs anything: if
+//!   the lost attempt landed, the answer is its recorded outcome
+//!   ([`CommitOutcome::deduped`], no ids — the answer carrying them was
+//!   lost). The row is journaled with the commit and rebuilt by
+//!   recovery, so this holds across a server crash too; an id below the
+//!   floor or past the next is a typed answer, never a run.
 //!
 //! No ARU outlives its request, so a dropped connection leaves nothing
 //! open on the server.
 //!
-//! The one thing the client must guarantee in exchange: never reuse a
-//! `write_id` for a different transaction within a generation.
+//! The one thing the client must guarantee in exchange: number its
+//! transactions in sequence within a generation, and never reuse a
+//! `write_id` for a different one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +39,7 @@ use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use ld_server::wire::{self, flag, op, status, Body};
+use ld_server::wire::{self, answer, flag, op, status, Body};
 
 /// Timeouts and retry policy for a [`Client`].
 #[derive(Debug, Clone, Copy)]
@@ -81,6 +83,22 @@ pub enum ClientError {
     /// All retry attempts failed; carries the last transport error's
     /// rendering.
     RetriesExhausted(String),
+    /// `write_id` was applied, but its outcome is superseded: the
+    /// client's floor, the highest id applied, is past it.
+    Superseded {
+        /// The write id asked about.
+        write_id: u64,
+        /// The client's floor.
+        floor: u64,
+    },
+    /// `write_id` was not applied, and is refused until every id
+    /// before it is: the next is `floor + 1`.
+    OutOfSequence {
+        /// The write id asked about.
+        write_id: u64,
+        /// The client's floor.
+        floor: u64,
+    },
 }
 
 impl fmt::Display for ClientError {
@@ -90,11 +108,31 @@ impl fmt::Display for ClientError {
             ClientError::Server(m) => write!(f, "server error: {m}"),
             ClientError::Protocol(m) => write!(f, "protocol violation: {m}"),
             ClientError::RetriesExhausted(m) => write!(f, "retries exhausted: {m}"),
+            ClientError::Superseded { write_id, floor } => {
+                write!(f, "write id {write_id} is below the floor {floor}: applied")
+            }
+            ClientError::OutOfSequence { write_id, floor } => {
+                write!(
+                    f,
+                    "write id {write_id} is out of sequence: the floor is {floor}"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for ClientError {}
+
+impl ClientError {
+    /// Whether the server answered: the request was settled, and
+    /// sending it again would be answered the same.
+    fn answered(&self) -> bool {
+        matches!(
+            self,
+            Self::Server(_) | Self::Superseded { .. } | Self::OutOfSequence { .. }
+        )
+    }
+}
 
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> ClientError {
@@ -108,7 +146,7 @@ pub type Result<T> = std::result::Result<T, ClientError>;
 /// A committed tagged transaction's recorded outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommitOutcome {
-    /// `true` when the server answered from its dedup cache: the
+    /// `true` when the server answered with the floor's outcome: the
     /// transaction had already committed (this call was a retry) and
     /// its effects were **not** re-executed.
     pub deduped: bool,
@@ -333,6 +371,8 @@ pub struct Client {
     addr: SocketAddr,
     client_id: u64,
     generation: u64,
+    /// The floor the last handshake answered.
+    floor: u64,
     config: ClientConfig,
     stream: Option<TcpStream>,
 }
@@ -380,6 +420,7 @@ impl Client {
             addr,
             client_id,
             generation,
+            floor: 0,
             config,
             stream: None,
         };
@@ -395,6 +436,12 @@ impl Client {
     /// The generation announced at handshake.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// The highest write id applied under this generation when the last
+    /// handshake was answered: the next commit is `floor() + 1`.
+    pub fn floor(&self) -> u64 {
+        self.floor
     }
 
     fn ensure_connected(&mut self) -> Result<()> {
@@ -414,8 +461,12 @@ impl Client {
         let mut req = vec![op::HELLO];
         req.extend_from_slice(&self.client_id.to_le_bytes());
         req.extend_from_slice(&self.generation.to_le_bytes());
-        match self.raw_request(&req) {
-            Ok(_) => Ok(()),
+        let floor = (self.raw_request(&req)).and_then(|resp| Body::new(&resp).u64().map_err(bad));
+        match floor {
+            Ok(floor) => {
+                self.floor = floor;
+                Ok(())
+            }
             Err(e) => {
                 self.stream = None;
                 Err(e)
@@ -464,24 +515,22 @@ impl Client {
         }
     }
 
-    /// Connects (if needed) and sends one request. Used by paths with
-    /// their own retry semantics.
-    fn request_once(&mut self, payload: &[u8]) -> Result<Vec<u8>> {
-        self.ensure_connected()?;
-        self.raw_request(payload)
+    fn request_idempotent(&mut self, payload: &[u8]) -> Result<Vec<u8>> {
+        self.retrying(|w| wire::write_frame(w, payload))
     }
 
-    /// Retry loop for idempotent requests: transport errors reconnect
-    /// and resend, semantic errors return immediately.
-    fn request_idempotent(&mut self, payload: &[u8]) -> Result<Vec<u8>> {
+    /// The retry loop: connects (if needed) and sends a request with
+    /// `send`; a transport error reconnects and sends it again, an
+    /// answer returns at once.
+    fn retrying(&mut self, send: impl Fn(&mut TcpStream) -> io::Result<()>) -> Result<Vec<u8>> {
         let mut last = String::new();
         for attempt in 0..=self.config.max_retries {
             if attempt > 0 {
                 std::thread::sleep(self.config.retry_backoff);
             }
-            match self.request_once(payload) {
+            match self.ensure_connected().and_then(|()| self.exchange(&send)) {
                 Ok(resp) => return Ok(resp),
-                Err(e @ ClientError::Server(_)) => return Err(e),
+                Err(e) if e.answered() => return Err(e),
                 Err(e) => last = e.to_string(),
             }
         }
@@ -516,39 +565,26 @@ impl Client {
     /// Semantic server errors; exhausted retries.
     pub fn stats_json(&mut self) -> Result<String> {
         let resp = self.request_idempotent(&[op::STATS])?;
-        Body::new(&resp)
-            .str32()
-            .map_err(|e| ClientError::Protocol(e.to_string()))
+        Body::new(&resp).str32().map_err(bad)
     }
 
-    /// Asks whether `write_id` has a recorded commit outcome for this
-    /// client — the reconnect reconciliation primitive.
+    /// Asks how `write_id` settles against this client's row, running
+    /// nothing: the recorded `(generation, commit_ts)` if it is the
+    /// floor, `None` if it is the next (not applied).
     ///
     /// # Errors
     ///
-    /// Semantic server errors; exhausted retries.
+    /// [`ClientError::Superseded`] below the floor (applied),
+    /// [`ClientError::OutOfSequence`] past the next; semantic server
+    /// errors; exhausted retries.
     pub fn lookup(&mut self, write_id: u64) -> Result<Option<(u64, u64)>> {
         let mut req = vec![op::LOOKUP];
         req.extend_from_slice(&write_id.to_le_bytes());
         let resp = self.request_idempotent(&req)?;
         let mut body = Body::new(&resp);
-        match body
-            .u8()
-            .map_err(|e| ClientError::Protocol(e.to_string()))?
-        {
-            0 => Ok(None),
-            1 => {
-                let generation = body
-                    .u64()
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                let ts = body
-                    .u64()
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                Ok(Some((generation, ts)))
-            }
-            b => Err(ClientError::Protocol(format!(
-                "bad lookup discriminant {b}"
-            ))),
+        match settled(&mut body, write_id)? {
+            (answer::NEXT, _, _) => Ok(None),
+            (_, generation, commit_ts) => Ok(Some((generation, commit_ts))),
         }
     }
 
@@ -562,35 +598,25 @@ impl Client {
         req.extend_from_slice(&list.to_le_bytes());
         let resp = self.request_idempotent(&req)?;
         let mut body = Body::new(&resp);
-        let n = body
-            .u32()
-            .map_err(|e| ClientError::Protocol(e.to_string()))?;
-        let mut blocks = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            blocks.push(
-                body.u64()
-                    .map_err(|e| ClientError::Protocol(e.to_string()))?,
-            );
-        }
-        Ok(blocks)
+        let n = body.u32().map_err(bad)?;
+        (0..n).map(|_| body.u64().map_err(bad)).collect()
     }
 
     /// Commits `txn` exactly once under `write_id`, in one request.
     ///
     /// The whole program travels as one [`op::COMMIT`] frame, which the
     /// server runs in a fresh ARU and commits under the tag. If the
-    /// connection dies before the answer arrives, the client
-    /// reconnects, asks the server whether `write_id` is recorded, and
-    /// either returns the recorded outcome (`deduped = true`) or sends
-    /// the frame again. Resending is safe because the commit is
-    /// tagged: if the lost answer's commit did land, the resent
-    /// program's ARU is aborted server-side and the recorded outcome
-    /// returned instead.
+    /// connection dies before the answer arrives, the client reconnects
+    /// and sends the frame again. That is safe because the commit is
+    /// tagged: if the lost attempt did land, the server answers its
+    /// recorded outcome (`deduped = true`) and runs nothing.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Server`] on semantic rejection (the server has
-    /// aborted the attempt's ARU); exhausted retries on persistent
+    /// [`ClientError::Superseded`] and [`ClientError::OutOfSequence`]
+    /// for a `write_id` that is neither the floor nor the next (nothing
+    /// ran); [`ClientError::Server`] on semantic rejection (the server
+    /// has aborted the attempt's ARU); exhausted retries on persistent
     /// transport failure; [`ClientError::Io`] without a retry if the
     /// program does not fit one frame's `u32` length.
     pub fn commit(
@@ -610,50 +636,42 @@ impl Client {
                 "transaction exceeds one frame",
             ))
         })?;
-        let mut last = String::new();
-        for attempt in 0..=self.config.max_retries {
-            if attempt > 0 {
-                std::thread::sleep(self.config.retry_backoff);
-                // Reconcile before resending: did the lost attempt
-                // commit?
-                match self.lookup(write_id) {
-                    Ok(Some((generation, commit_ts))) => {
-                        return Ok(CommitOutcome {
-                            deduped: true,
-                            generation,
-                            commit_ts,
-                            ids: Vec::new(),
-                        });
-                    }
-                    Ok(None) => {}
-                    Err(e @ ClientError::Server(_)) => return Err(e),
-                    Err(e) => {
-                        last = e.to_string();
-                        continue;
-                    }
-                }
-            }
-            let sent = self
-                .ensure_connected()
-                .and_then(|()| self.exchange(|w| txn.write_commit(w, len, flags, write_id)));
-            match sent {
-                Ok(resp) => return commit_outcome(&resp, txn.slots),
-                Err(e @ ClientError::Server(_)) => return Err(e),
-                Err(e) => last = e.to_string(),
-            }
-        }
-        Err(ClientError::RetriesExhausted(last))
+        let resp = self.retrying(|w| txn.write_commit(w, len, flags, write_id))?;
+        commit_outcome(&resp, write_id, txn.slots)
     }
 }
 
-/// Decodes a `COMMIT` answer: `deduped generation commit_ts` and the
-/// `slots` identifiers minted (none when deduped).
-fn commit_outcome(resp: &[u8], slots: usize) -> Result<CommitOutcome> {
-    let bad = |e: io::Error| ClientError::Protocol(e.to_string());
+/// A response body that does not decode.
+fn bad(e: io::Error) -> ClientError {
+    ClientError::Protocol(e.to_string())
+}
+
+/// Decodes a settled write id's `answer generation stamp`
+/// ([`wire::answer`]): an id below the floor or past the next is its
+/// typed error.
+fn settled(body: &mut Body<'_>, write_id: u64) -> Result<(u8, u64, u64)> {
+    let answer = body.u8().map_err(bad)?;
+    let (generation, stamp) = (body.u64().map_err(bad)?, body.u64().map_err(bad)?);
+    match answer {
+        answer::NEXT | answer::APPLIED => Ok((answer, generation, stamp)),
+        answer::SUPERSEDED => Err(ClientError::Superseded {
+            write_id,
+            floor: stamp,
+        }),
+        answer::OUT_OF_SEQUENCE => Err(ClientError::OutOfSequence {
+            write_id,
+            floor: stamp,
+        }),
+        other => Err(ClientError::Protocol(format!("bad answer {other}"))),
+    }
+}
+
+/// Decodes a `COMMIT` answer: how `write_id` settled, and the `slots`
+/// identifiers minted (none unless it ran).
+fn commit_outcome(resp: &[u8], write_id: u64, slots: usize) -> Result<CommitOutcome> {
     let mut body = Body::new(resp);
-    let deduped = body.u8().map_err(bad)? != 0;
-    let generation = body.u64().map_err(bad)?;
-    let commit_ts = body.u64().map_err(bad)?;
+    let (answer, generation, commit_ts) = settled(&mut body, write_id)?;
+    let deduped = answer == answer::APPLIED;
     let n = body.u32().map_err(bad)? as usize;
     if n != if deduped { 0 } else { slots } {
         return Err(ClientError::Protocol(format!(

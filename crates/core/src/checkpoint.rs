@@ -60,13 +60,13 @@
 //! the same bytes, whatever the order they were entered in or the
 //! length of the arrays.
 //!
-//! The *dedup table* is the codec's third table: the write-id outcomes
-//! (client, write id, generation, commit timestamp) in the cache's
-//! recording order. No outcome, no byte; else four descriptors as a
-//! slab's, row 0's values as four u64, and rows 1.. bit-packed, each
-//! column the zigzag of its difference from the row before. Row 0 is
-//! stored in full so that its absolute values — a client identifier is
-//! any u64 — set no column's width.
+//! The *dedup table* is the codec's third table: one row a client
+//! (client, floor, generation, the floor's commit timestamp; `dedup.rs`)
+//! in client order. No row, no byte; else four descriptors as a slab's,
+//! row 0's values as four u64, and rows 1.. bit-packed, each column the
+//! zigzag of its difference from the row before. Row 0 is stored in
+//! full so that its absolute values — a client identifier is any u64 —
+//! set no column's width.
 //!
 //! **The bound.** A row is never wider than 40 B (a block) or 32 B (a
 //! list), which is what `Layout::compute` sizes the area by. A column's
@@ -82,15 +82,15 @@
 //! zigzag at most 2⁶⁴ − 2 and the code at most `u64::MAX`, 64 bits.
 //! 63 + 33 + 24 + 8 + 64 + 64 + 64 = 320 bits = 40 B. A list row is at
 //! most 63 + 64 + 64 + 64 = 255 bits, under 32 B. A dedup row is at most
-//! four columns of 64 bits, 32 B, so `n` outcomes take at most
-//! 40 + 32 n bytes. A variable-length code (format 5's rejected
+//! four columns of 64 bits, 32 B, so `n` rows take at most 40 + 32 n
+//! bytes. A variable-length code (format 5's rejected
 //! delta-varint) spends a continuation bit a byte and takes up to 50 B a
 //! block; a column's fixed width in bits does not.
 //!
 //! What a reader refuses. The *area* is invalid, and recovery falls back
 //! to the other one, on: a bad magic or header CRC, a slab count outside
 //! 1..=64, a body length shorter than the directory or past the area,
-//! more write-id outcomes than a cache holds (`MAX_DEDUP_CAPACITY`), a
+//! more dedup rows than the table holds ([`MAX_CLIENTS`]), a
 //! directory CRC mismatch, a directory that counts more blocks or lists
 //! than the layout's `max_blocks` or `max_lists` (a table whose widths
 //! are all 0 takes no bytes for any count, and its identifiers step by
@@ -144,8 +144,8 @@
 //!    shard's tables as of the covered point under that shard's write
 //!    lock alone, and the writer keeps the bytes behind the ones
 //!    before, its directory entry in front.
-//! 3. *commit* ([`LldInner::ckpt_commit`]): the dedup table behind
-//!    the slabs and the body in one device write, with no
+//! 3. *commit* ([`LldInner::ckpt_commit`]): the dedup table *begin*
+//!    encoded behind the slabs and the body in one device write, with no
 //!    mapping-layer lock held; then, holding the log mutex, barrier,
 //!    header last, barrier, publish.
 //!
@@ -154,7 +154,8 @@
 //! [`MapShard`](crate::shard::MapShard)), so every slab reflects
 //! exactly the covered point even though the shard kept moving.
 
-use crate::config::{ConcurrencyMode, MAX_DEDUP_CAPACITY};
+use crate::config::ConcurrencyMode;
+use crate::dedup::MAX_CLIENTS;
 use crate::error::{LldError, Result};
 use crate::layout::{
     CkptField, ColField, DirField, Layout, BLOCK_COLUMNS, CKPT_DEDUP_DESC, CKPT_HEADER_LEN,
@@ -228,6 +229,8 @@ struct CkptWrite {
     /// entry a shard (per slab its block count, list count, CRC and
     /// byte length; zeros for the slabs still to come), then the slabs.
     body: Vec<u8>,
+    /// The dedup table as of the covered point, and its row count.
+    dedup: (Vec<u8>, usize),
 }
 
 impl CkptWrite {
@@ -598,11 +601,12 @@ fn encode_slab<'a>(
 /// generation, commit timestamp.
 pub(crate) const DEDUP_COLS: usize = DEDUP_COLUMNS.len();
 
-/// The bytes of the dedup table of `rows` (all of them, oldest first):
-/// none for no row; else the descriptors, the first row's values in
-/// full and the rest bit-packed, each column the zigzag of its
-/// difference from the row before.
-fn dedup_table(rows: &[[u64; DEDUP_COLS]]) -> Vec<u8> {
+/// The bytes of the dedup table of `rows`, one a client in client
+/// order: none for no row; else the descriptors, the first row's values
+/// in full and the rest bit-packed, each column the zigzag of its
+/// difference from the row before. Row 0 is stored in full, so its
+/// absolute values set no column's width.
+pub(crate) fn dedup_table(rows: &[[u64; DEDUP_COLS]]) -> Vec<u8> {
     let Some(first) = rows.first() else {
         return Vec::new();
     };
@@ -619,33 +623,8 @@ fn dedup_table(rows: &[[u64; DEDUP_COLS]]) -> Vec<u8> {
     out
 }
 
-/// Encodes the write-id outcomes `rows` (client, write id, generation,
-/// commit timestamp; oldest first) as the dedup table, the slab codec's
-/// third table: of the rows, the newest that fit in `room` bytes, and
-/// how many that is. Row 0 is stored in full, so its absolute values
-/// set no column's width. A table of fewer rows is never larger, so the
-/// newest that fit are found by bisection, and only when not all do.
-pub(crate) fn encode_dedup(rows: &[[u64; DEDUP_COLS]], room: u64) -> (Vec<u8>, usize) {
-    let table = |k: usize| dedup_table(&rows[rows.len() - k..]);
-    let all = table(rows.len());
-    if all.len() as u64 <= room {
-        return (all, rows.len());
-    }
-    // `lo` rows fit, `hi` do not.
-    let (mut lo, mut hi) = (0, rows.len());
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if table(mid).len() as u64 <= room {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    (table(lo), lo)
-}
-
 /// A dedup table whose descriptors and length hold, ready to hand out
-/// its rows, oldest first.
+/// its rows.
 #[derive(Debug)]
 pub(crate) struct DedupTable<'a> {
     n: u64,
@@ -680,8 +659,8 @@ impl<'a> DedupTable<'a> {
         })
     }
 
-    /// Hands `enter` each row, oldest first: client, write id,
-    /// generation, commit timestamp.
+    /// Hands `enter` each row, in order: client, floor, generation,
+    /// commit timestamp.
     ///
     /// # Errors
     ///
@@ -761,6 +740,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             },
             slabs: 0,
             body: vec![0; lld.maps.nshards() as usize * DIR_ENTRY_LEN],
+            dedup: lld.dedup.lock().encode(),
         }))
     }
 
@@ -828,14 +808,10 @@ impl<D: BlockDevice> LldInner<D> {
     /// order: `ckpt_io` → log → dedup), a barrier, the header last,
     /// another barrier, and publish.
     fn ckpt_commit(&self, w: &mut CkptWrite, io: &mut CkptSlots) -> Result<()> {
-        // Snapshot the write-id dedup cache so a retried networked
-        // commit still finds its recorded outcome after recovery from
-        // this checkpoint. Entries recorded since *begin* belong to
-        // segments past the covered point; recovery replays those and
-        // re-records the same outcomes, so a fresher table is harmless.
-        // The encoder truncates oldest-first to the room that is left.
-        let room = (self.layout.ckpt_area_size).saturating_sub(w.body.len() as u64);
-        let (dedup, n_dedup) = self.dedup.lock().encode(room);
+        // The rows as of the covered point: a commit since moved its
+        // row in a segment past it, which recovery replays (or does
+        // not, if it never landed).
+        let (dedup, n_dedup) = std::mem::take(&mut w.dedup);
         w.body.extend_from_slice(&dedup);
         let body_len = w.body.len() as u64;
         if body_len > self.layout.ckpt_area_size {
@@ -886,12 +862,12 @@ pub(crate) fn parse_header(front: &[u8], layout: &Layout, area: u64) -> Option<C
     let snap_shards = small(CkptField::SnapShards);
     let body_len = field(CkptField::BodyLen);
     let least = u64::from(snap_shards) * DIR_ENTRY_LEN as u64;
-    // No cache holds more outcomes than `MAX_DEDUP_CAPACITY`, and a
-    // table whose widths are all 0 would count on for free.
+    // No table holds more rows than `MAX_CLIENTS`, and a table whose
+    // widths are all 0 would count on for free.
     if snap_shards == 0
         || u64::from(snap_shards) > MAX_SNAP_SHARDS
         || !(least..=layout.ckpt_area_size).contains(&body_len)
-        || field(CkptField::NDedup) > MAX_DEDUP_CAPACITY as u64
+        || field(CkptField::NDedup) > MAX_CLIENTS as u64
     {
         return None;
     }
@@ -1207,7 +1183,7 @@ mod tests {
 
     /// Two checkpoints of one state, one in each area, are the same
     /// checkpoint: the same slab bytes, so the same tables, the same
-    /// dedup cache, the same size — and the size each reports in its
+    /// dedup table, the same size — and the size each reports in its
     /// trace event is the size on disk, which is what recovery reports
     /// having loaded.
     #[test]
@@ -1235,8 +1211,8 @@ mod tests {
             a.0.iter().map(|(blocks, _)| blocks.len()).sum::<usize>(),
             20
         );
-        assert_eq!(a.2.len(), 20);
-        assert_eq!(a.2, b.2, "dedup cache");
+        assert_eq!(a.2, [[7, 20, 1, a.2[0][3]]], "one client's row");
+        assert_eq!(a.2, b.2, "dedup table");
         assert_eq!(a.3, b.3);
         let reported: Vec<u64> = (ld.obs().ring().entries().iter())
             .filter_map(|e| match e.event {
@@ -1750,8 +1726,8 @@ mod tests {
     #[test]
     fn a_dedup_table_of_one_row_round_trips() {
         let row = [[u64::MAX, 1, 0, 1 << 63]];
-        let (bytes, kept) = encode_dedup(&row, u64::MAX);
-        assert_eq!((kept, bytes.len() as u64), (1, CKPT_DEDUP_DESC + 32));
+        let bytes = dedup_table(&row);
+        assert_eq!(bytes.len() as u64, CKPT_DEDUP_DESC + 32);
         let table = DedupTable::open(&bytes, 1).expect("a table the encoder wrote");
         assert_eq!(table.rows().collect::<Result<Vec<_>>>().unwrap(), row);
     }
@@ -1801,11 +1777,11 @@ mod tests {
         assert_eq!((report.snap_shards, report.snapshot_bytes), (8, bytes));
     }
 
-    /// Seeded write-id outcomes come back in their order from a dedup
+    /// Seeded dedup rows come back in their order from a dedup
     /// table never longer than its descriptors and 32 bytes a row, and
     /// rows whose every step takes 64 bits reach that bound exactly.
-    /// Row 0 is stored in full: two clients stepping by one cost a few
-    /// bits a row, wherever their identifiers start.
+    /// Row 0 is stored in full: clients in order cost a few bits a row,
+    /// wherever their identifiers start.
     #[test]
     fn dedup_tables_round_trip_within_their_bound() {
         let decode = |bytes: &[u8], n: usize| -> Vec<[u64; DEDUP_COLS]> {
@@ -1821,8 +1797,7 @@ mod tests {
             let rows: Vec<[u64; DEDUP_COLS]> = (0..n)
                 .map(|_| std::array::from_fn(|c| cols[c].value(&mut rng)))
                 .collect();
-            let (bytes, kept) = encode_dedup(&rows, u64::MAX);
-            assert_eq!(kept, n);
+            let bytes = dedup_table(&rows);
             let bound = CKPT_DEDUP_DESC + n as u64 * CKPT_DEDUP_ROW_MAX;
             assert!(bytes.len() as u64 <= bound, "case {case}");
             assert_eq!(decode(&bytes, n), rows, "case {case}");
@@ -1832,29 +1807,22 @@ mod tests {
         let worst: Vec<[u64; DEDUP_COLS]> = (0..9u64)
             .map(|i| [0, 5, u64::MAX, 7].map(|v| v.wrapping_add((i.div_ceil(2) % 2) << 63)))
             .collect();
-        let (bytes, _) = encode_dedup(&worst, u64::MAX);
+        let bytes = dedup_table(&worst);
         assert_eq!(
             bytes.len() as u64,
             CKPT_DEDUP_DESC + 9 * CKPT_DEDUP_ROW_MAX,
             "the widest rows"
         );
         assert_eq!(decode(&bytes, 9), worst);
-        // Two clients far apart, alternating, each stepping its write
-        // id and the commit timestamp by one.
+        // `MAX_CLIENTS` clients far from 0, in order, their floors and
+        // timestamps a few steps apart: a few bits a row.
         let far = 0x9E37_79B9_7F4A_7C15u64;
-        let two: Vec<[u64; DEDUP_COLS]> = (0..1024u64)
-            .map(|i| [far + i % 2, far + i / 2, 1, 1 << 40 | i])
+        let all: Vec<[u64; DEDUP_COLS]> = (0..MAX_CLIENTS as u64)
+            .map(|i| [far + 2 * i, 1 + i % 5, 1, (1 << 40) + (i * 3) % 11])
             .collect();
-        let (bytes, _) = encode_dedup(&two, u64::MAX);
-        assert!(bytes.len() < 1024, "{} bytes", bytes.len());
-        assert_eq!(decode(&bytes, 1024), two);
-        // Truncated to a room, the newest rows that fit.
-        let room = bytes.len() as u64 / 2;
-        let (half, kept) = encode_dedup(&two, room);
-        assert!(half.len() as u64 <= room && kept < 1024);
-        assert_eq!(decode(&half, kept), two[1024 - kept..]);
-        // No room even for the descriptors: no row, and no byte.
-        assert_eq!(encode_dedup(&two, 71), (Vec::new(), 0));
+        let bytes = dedup_table(&all);
+        assert!(bytes.len() < MAX_CLIENTS, "{} bytes", bytes.len());
+        assert_eq!(decode(&bytes, MAX_CLIENTS), all);
         assert!(DedupTable::open(&[], 0).is_some());
         assert!(
             DedupTable::open(&[0; 40], 0).is_none(),
@@ -2116,8 +2084,8 @@ mod tests {
         assert!(counted(u64::MAX, u64::MAX).is_none());
     }
 
-    /// A header that counts more write-id outcomes than a cache holds is
-    /// no checkpoint: a dedup table of 0-bit rows takes any count in no
+    /// A header that counts more dedup rows than `MAX_CLIENTS` is no
+    /// checkpoint: a dedup table of 0-bit rows takes any count in no
     /// bytes, and a restart would enter the rows one by one.
     #[test]
     fn more_outcomes_than_a_cache_holds_are_refused() {
@@ -2130,7 +2098,7 @@ mod tests {
         ld.checkpoint().unwrap(); // area A
         let (layout, device) = (&ld.layout, ld.device());
         let at = layout.ckpt_header_at(layout.ckpt_a);
-        let most = MAX_DEDUP_CAPACITY as u64;
+        let most = MAX_CLIENTS as u64;
         for (n, taken) in [(most, true), (most + 1, false), (1 << 31, false)] {
             let mut h = [0u8; CKPT_HEADER_LEN];
             device.read_at(at, &mut h).unwrap();

@@ -26,7 +26,7 @@
 
 use crate::aru::{Aru, ListOp, WriteTag};
 use crate::config::ConcurrencyMode;
-use crate::dedup::{Reservation, TaggedCommit, WriteIdOutcome};
+use crate::dedup::{TaggedCommit, WriteIdOutcome};
 use crate::error::{LldError, Result};
 use crate::lld::{LldInner, Mutation, StateRef};
 use crate::obs::{ActiveSpan, TraceEvent};
@@ -163,29 +163,21 @@ impl<D: BlockDevice> LldInner<D> {
 
     /// Commits an ARU tagged with a `(client, generation, write_id)`
     /// idempotency key: the networked exactly-once commit (see
-    /// docs/PROTOCOL.md).
+    /// `dedup.rs` and docs/PROTOCOL.md).
     ///
-    /// If the key already has a recorded outcome — this is a retry of a
-    /// commit that succeeded before a timeout or crash — the presented
-    /// ARU is aborted and the recorded outcome is returned with
-    /// `deduped = true`; nothing re-executes. If another session is
-    /// committing the same key right now, this call waits for its
-    /// outcome. Otherwise the ARU commits normally with a
-    /// [`Record::WriteId`] journaled inside it, so recovery rebuilds
-    /// the dedup entry if and only if the commit survived.
-    ///
-    /// Durability remains lazy, exactly as for
-    /// [`end_aru`](LldInner::end_aru); callers wanting a durable
-    /// exactly-once acknowledgement follow with
-    /// [`flush`](LldInner::flush).
+    /// Once no other session commits for the client, the key is settled
+    /// against its row. The next id commits with a [`Record::WriteId`]
+    /// inside the ARU, so recovery moves the row if and only if the
+    /// commit survived. Any other aborts the presented ARU: the floor —
+    /// a retry — returns its recorded outcome with `deduped = true`, and
+    /// the rest are refused as by [`write_id_lookup`](Self::write_id_lookup).
+    /// Durability remains lazy, as for [`end_aru`](LldInner::end_aru).
     ///
     /// # Errors
     ///
-    /// * [`LldError::Config`] — zero `client`/`write_id`, or the disk
-    ///   is in sequential-ARU mode (a dedup hit must abort the
-    ///   presented retry ARU, which sequential mode cannot do).
-    /// * Everything [`end_aru`](LldInner::end_aru) can return. After an
-    ///   error the key is unreserved, so a retry re-executes.
+    /// Those of `write_id_lookup` and [`LldError::TooManyClients`];
+    /// sequential-ARU mode, which cannot abort the ARU; and those of
+    /// `end_aru`, after which a retry re-executes.
     pub fn end_aru_tagged(
         &self,
         id: AruId,
@@ -193,114 +185,110 @@ impl<D: BlockDevice> LldInner<D> {
         generation: u64,
         write_id: u64,
     ) -> Result<TaggedCommit> {
-        if client == 0 || write_id == 0 {
-            return Err(LldError::Config(
-                "client and write_id must be non-zero".into(),
-            ));
+        self.tagged_mode()?;
+        let mut rows = self.dedup.lock();
+        while rows.running(client) {
+            rows = self.dedup_cv.wait(rows);
         }
-        if self.concurrency == ConcurrencyMode::Sequential {
-            return Err(LldError::Config(
+        let settled = rows.reserve(client, generation, write_id);
+        drop(rows);
+        if !matches!(settled, Ok(None)) {
+            // Nothing of the presented ARU runs.
+            match self.abort_aru(id) {
+                Ok(()) | Err(LldError::UnknownAru(_)) => {}
+                Err(e) => return Err(e),
+            }
+            let outcome = settled?.expect("the floor's outcome");
+            self.stats.writeids_deduped.inc();
+            return Ok(TaggedCommit {
+                outcome,
+                deduped: true,
+            });
+        }
+        let committed = self.end_aru_with(id, client, generation, write_id);
+        let mut rows = self.dedup.lock();
+        if committed.is_err() {
+            rows.release(client, (generation, write_id));
+        }
+        let settled = rows.settle(client, generation, write_id);
+        drop(rows);
+        self.dedup_cv.notify_all();
+        committed?;
+        Ok(TaggedCommit {
+            outcome: settled?
+                .ok_or_else(|| LldError::Corrupt("tagged commit recorded no outcome".into()))?,
+            deduped: false,
+        })
+    }
+
+    /// Tags ARU `id` with the key and commits it: its commit journals
+    /// the write-id record and moves the client's row.
+    fn end_aru_with(&self, id: AruId, client: u64, generation: u64, write_id: u64) -> Result<()> {
+        let mut slot = self.maps.lock_aru(id.get());
+        let aru = slot.get_mut(id.get()).ok_or(LldError::UnknownAru(id))?;
+        aru.write_tag = Some(WriteTag {
+            client,
+            generation,
+            write_id,
+        });
+        drop(slot);
+        self.end_aru(id)
+    }
+
+    /// Tagged commits and raises need an ARU that can be aborted.
+    fn tagged_mode(&self) -> Result<()> {
+        match self.concurrency {
+            ConcurrencyMode::Sequential => Err(LldError::Config(
                 "write-id tagged commits require concurrent ARU mode".into(),
-            ));
-        }
-        loop {
-            let mut cache = self.dedup.lock();
-            match cache.reserve(client, write_id, generation) {
-                Reservation::Duplicate(outcome) => {
-                    drop(cache);
-                    match self.abort_aru(id) {
-                        Ok(()) | Err(LldError::UnknownAru(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                    self.stats.writeids_deduped.inc();
-                    return Ok(TaggedCommit {
-                        outcome,
-                        deduped: true,
-                    });
-                }
-                Reservation::InFlight => {
-                    drop(self.dedup_cv.wait(cache));
-                }
-                Reservation::Execute => break,
-            }
-        }
-        // The key is reserved: tag the ARU so the commit journals the
-        // write-id record and records the outcome, then commit.
-        {
-            let mut slot = self.maps.lock_aru(id.get());
-            match slot.get_mut(id.get()) {
-                Some(aru) => {
-                    aru.write_tag = Some(WriteTag {
-                        client,
-                        generation,
-                        write_id,
-                    });
-                }
-                None => {
-                    drop(slot);
-                    self.dedup.lock().release(client, write_id);
-                    self.dedup_cv.notify_all();
-                    return Err(LldError::UnknownAru(id));
-                }
-            }
-        }
-        match self.end_aru(id) {
-            Ok(()) => {
-                let outcome = self.dedup.lock().lookup(client, write_id);
-                self.dedup_cv.notify_all();
-                let outcome = outcome.ok_or_else(|| {
-                    LldError::Corrupt("tagged commit recorded no dedup outcome".into())
-                })?;
-                Ok(TaggedCommit {
-                    outcome,
-                    deduped: false,
-                })
-            }
-            Err(e) => {
-                self.dedup.lock().release(client, write_id);
-                self.dedup_cv.notify_all();
-                Err(e)
-            }
+            )),
+            ConcurrencyMode::Concurrent => Ok(()),
         }
     }
 
-    /// Handles a network client's `Hello`: records the client
-    /// incarnation and evicts dedup outcomes of its older generations
-    /// (the client promises no retry from them is outstanding).
-    /// Returns the number of entries evicted.
+    /// Handles a network client's `Hello` and returns its floor under
+    /// `generation`: 0 for a new client and a raised generation. A raise
+    /// commits an ARU that holds only `WriteId { write_id: 0 }` and
+    /// flushes it before it returns.
     ///
     /// # Errors
     ///
-    /// [`LldError::Config`] for a zero client id or a generation
-    /// regression (a stale client instance).
-    pub fn client_hello(&self, client: u64, generation: u64) -> Result<usize> {
+    /// [`LldError::Config`] for client 0, a generation below the row's
+    /// or a raise in sequential-ARU mode; [`LldError::TooManyClients`];
+    /// and those of the raise's commit and flush.
+    pub fn client_hello(&self, client: u64, generation: u64) -> Result<u64> {
         if client == 0 {
             return Err(LldError::Config("client id must be non-zero".into()));
         }
-        self.dedup.lock().observe_generation(client, generation)
+        if let Some(floor) = self.dedup.lock().hello(client, generation)? {
+            return Ok(floor);
+        }
+        self.tagged_mode()?;
+        let aru = self.begin_aru()?;
+        self.end_aru_with(aru, client, generation, 0)?;
+        self.flush().map(|()| 0)
     }
 
-    /// Looks up the recorded outcome of a tagged commit, if any. A
-    /// reconnecting client calls this before replaying a transaction
-    /// whose acknowledgement it may have missed.
-    pub fn write_id_lookup(&self, client: u64, write_id: u64) -> Option<WriteIdOutcome> {
-        self.dedup.lock().lookup(client, write_id)
-    }
-
-    /// Number of recorded write-id outcomes currently in the dedup
-    /// cache (bounded by [`LldConfig::dedup_capacity`]).
+    /// Settles `write_id` of `(client, generation)` against the
+    /// client's row as a tagged commit would, and runs nothing:
+    /// `Ok(None)` for the next id, the recorded outcome for the floor.
     ///
-    /// [`LldConfig::dedup_capacity`]: crate::LldConfig::dedup_capacity
-    pub fn write_id_count(&self) -> usize {
-        self.dedup.lock().len()
+    /// # Errors
+    ///
+    /// [`LldError::WriteIdSuperseded`] below the floor (applied),
+    /// [`LldError::WriteIdOutOfSequence`] past the next, and
+    /// [`LldError::Config`] for a zero id or a stale generation.
+    pub fn write_id_lookup(
+        &self,
+        client: u64,
+        generation: u64,
+        write_id: u64,
+    ) -> Result<Option<WriteIdOutcome>> {
+        self.dedup.lock().settle(client, generation, write_id)
     }
 
-    /// The configured bound on recorded write-id outcomes (see
-    /// [`LldConfig::dedup_capacity`]).
-    ///
-    /// [`LldConfig::dedup_capacity`]: crate::LldConfig::dedup_capacity
-    pub fn write_id_capacity(&self) -> usize {
-        self.dedup.lock().capacity()
+    /// `client`'s row: its generation and floor, if it has one.
+    pub fn write_id_floor(&self, client: u64) -> Option<(u64, u64)> {
+        self.dedup.lock().floor(client)
     }
 
     /// Aborts an atomic recovery unit, discarding its shadow state.
@@ -467,14 +455,14 @@ impl<D: BlockDevice> Mutation<'_, D> {
         self.release_ids(std::mem::take(&mut aru.pending_free_lists));
         self.lld.stats.arus_committed.inc();
 
-        // Record the outcome while the session is still held: a
-        // concurrent checkpoint (which takes a full session) can never
-        // observe the journaled write-id without its cache entry.
+        // Move the row while the session is still held: a concurrent
+        // checkpoint (which takes a full session) can never observe the
+        // journaled write-id without its row.
         if let Some(tag) = aru.write_tag {
             self.lld
                 .dedup
                 .lock()
-                .complete(tag.client, tag.write_id, tag.generation, commit_ts);
+                .complete(tag.client, tag.generation, tag.write_id, commit_ts);
             self.lld.stats.writeids_recorded.inc();
         }
         let span = aru.span;
@@ -514,7 +502,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
         }
 
         // 2b. A networked commit journals its idempotency key inside
-        //     the unit: the dedup entry becomes recoverable exactly
+        //     the unit: the row's move becomes recoverable exactly
         //     when the unit's effects do.
         if let Some(tag) = aru.write_tag {
             self.emit(write_id_record(tag, id, commit_ts))?;

@@ -142,14 +142,6 @@ pub struct LldConfig {
     /// Observability: event tracing, stage spans and latency histograms
     /// (default on; see [`ObsConfig::disabled`]).
     pub obs: ObsConfig,
-    /// Upper bound on recorded write-id outcomes in the exactly-once
-    /// dedup cache (16..=65536; default 1024). The bound also reserves
-    /// checkpoint-area space for the cache's snapshot slab at format
-    /// time, so it participates in [`Layout::compute`](crate::Layout).
-    /// A retry is deduplicated only while its outcome is within the
-    /// newest `dedup_capacity` commits; clients must size their retry
-    /// window accordingly (see docs/PROTOCOL.md).
-    pub dedup_capacity: usize,
     /// Directory the crash flight recorder dumps into. When set, a
     /// failed background cleaner pass or a panic on the cleaner thread
     /// writes a JSON sidecar file
@@ -175,7 +167,6 @@ impl Default for LldConfig {
             read_cache_blocks: 1024,
             map_shards: 8,
             obs: ObsConfig::default(),
-            dedup_capacity: 1024,
             flight_dir: default_flight_dir(),
         }
     }
@@ -183,12 +174,6 @@ impl Default for LldConfig {
 
 /// Maximum supported shard count (shard sets are u64 bitmasks).
 pub(crate) const MAX_MAP_SHARDS: usize = 64;
-
-/// Bounds on the write-id dedup cache capacity. The upper bound keeps
-/// the checkpoint-area reservation for the dedup table (at most 32
-/// bytes an outcome) modest even on small devices.
-pub(crate) const MIN_DEDUP_CAPACITY: usize = 16;
-pub(crate) const MAX_DEDUP_CAPACITY: usize = 65536;
 
 fn default_flight_dir() -> Option<std::path::PathBuf> {
     std::env::var_os("LD_ARU_FLIGHT_DIR")
@@ -236,12 +221,6 @@ impl LldConfig {
             return Err(LldError::Config(format!(
                 "map_shards {} must be a power of two in 1..={MAX_MAP_SHARDS}",
                 self.map_shards
-            )));
-        }
-        if !(MIN_DEDUP_CAPACITY..=MAX_DEDUP_CAPACITY).contains(&self.dedup_capacity) {
-            return Err(LldError::Config(format!(
-                "dedup_capacity {} must be in {MIN_DEDUP_CAPACITY}..={MAX_DEDUP_CAPACITY}",
-                self.dedup_capacity
             )));
         }
         Ok(())
@@ -327,27 +306,6 @@ mod tests {
         c.cleaner.min_free_segments = 0;
         c.cleaner.target_free_segments = 0;
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn rejects_bad_dedup_capacity() {
-        for bad in [0usize, 15, 65537] {
-            let c = LldConfig {
-                dedup_capacity: bad,
-                ..LldConfig::default()
-            };
-            assert!(
-                c.validate().is_err(),
-                "dedup_capacity {bad} should be rejected"
-            );
-        }
-        for good in [16usize, 1024, 65536] {
-            let c = LldConfig {
-                dedup_capacity: good,
-                ..LldConfig::default()
-            };
-            assert!(c.validate().is_ok());
-        }
     }
 
     #[test]

@@ -1,43 +1,38 @@
-//! The write-id dedup cache: exactly-once semantics for networked
-//! commits.
+//! Exactly-once networked commits: one row per client.
 //!
-//! A network client retrying a timed-out `EndARU` must not double-apply
-//! the ARU. The server therefore tags each networked commit with a
-//! `(client, write_id)` idempotency key; the core journals the key as a
+//! A network client retrying a timed-out commit must not apply it
+//! twice. Its write ids run in sequence per `(client, generation)`:
+//! 1, 2, 3 …. The core keeps one row per client — its generation, its
+//! *floor* (the highest write id applied under that generation) and the
+//! floor's commit timestamp — and settles every tagged commit and every
+//! lookup of write id `w` against it (docs/PROTOCOL.md): `w == floor +
+//! 1` runs (a lookup: not applied), `w == floor` answers the recorded
+//! outcome, `w < floor` answers [`LldError::WriteIdSuperseded`] (applied,
+//! its outcome superseded) and `w > floor + 1`
+//! [`LldError::WriteIdOutOfSequence`] (not applied, and refused until
+//! every id before it is). A generation below the row's is refused; one
+//! above it starts at floor 0.
+//!
+//! A tagged commit journals its key as a
 //! [`Record::WriteId`](crate::summary::Record) *inside the ARU it
-//! guards* and records the outcome in this bounded cache. A retry that
-//! finds the key here gets the recorded outcome instead of a
-//! re-execution; a crash before the commit record persisted leaves
-//! neither the effects nor the cache entry, so the retry correctly
-//! re-executes. Recovery rebuilds the cache from the covering
-//! checkpoint's dedup table plus the replayed log suffix.
-//!
-//! The dedup table is the checkpoint slab codec's third table
-//! (`checkpoint.rs`, format 10): its rows are the recorded outcomes in
-//! recording order, row 0 stored in full and every later row's columns
-//! (client, write id, generation, commit timestamp) as the zigzag of
-//! their difference from the row before, bit-packed at each column's
-//! width. Two clients with consecutive write ids take a few bytes an
-//! outcome, not 32. A row is never wider than 32 bytes, so the
-//! checkpoint area still holds `capacity` outcomes at their widest;
-//! this module only hands the codec its rows and takes them back.
-//!
-//! Entries are bounded two ways:
-//!
-//! * **Generations** — a client incarnation announces its generation at
-//!   `Hello`; announcing generation `g` promises that no retry from a
-//!   generation `< g` is outstanding, so those entries are evicted.
-//! * **Capacity** — beyond `capacity` entries the oldest (by recording
-//!   order, which is commit order) are dropped. Clients size their
-//!   retry window so that an outstanding retry is never older than the
-//!   newest `capacity` commits.
+//! guards*, so the row moves exactly when the unit's effects persist,
+//! and a `Hello` that raises a row's generation commits an ARU that
+//! holds only `WriteId { write_id: 0 }`. Recovery rebuilds the rows
+//! from the checkpoint's third table (`checkpoint.rs`, one row a client
+//! in client order) and the replayed records, each of which moves its
+//! row only forward. Nothing is evicted: past [`MAX_CLIENTS`] rows a new
+//! client is refused ([`LldError::TooManyClients`]).
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 
-use crate::checkpoint::{encode_dedup, DedupTable, DEDUP_COLS};
+use crate::checkpoint::{dedup_table, DedupTable, DEDUP_COLS};
 use crate::error::{LldError, Result};
 use crate::types::Timestamp;
+
+/// The most clients the table holds: what the checkpoint area reserves
+/// room for, 32 bytes a row at the widest.
+pub const MAX_CLIENTS: usize = 1024;
 
 /// The recorded outcome of a successfully committed tagged ARU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,318 +49,310 @@ pub struct WriteIdOutcome {
 pub struct TaggedCommit {
     /// The recorded outcome.
     pub outcome: WriteIdOutcome,
-    /// Whether the outcome came from the dedup cache (the call was a
-    /// retry) rather than from executing the presented ARU.
+    /// Whether the outcome was the floor's (the call was a retry)
+    /// rather than that of executing the presented ARU.
     pub deduped: bool,
 }
 
-/// One slot in the cache: a commit in flight (reserved, not yet
-/// durable) or a recorded outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    /// A tagged commit is executing; concurrent retries must wait for
-    /// its outcome rather than re-execute. Never persisted.
-    Pending { generation: u64 },
-    /// The commit succeeded at `commit_ts`.
-    Done(WriteIdOutcome),
+/// One client's row.
+#[derive(Debug, Clone, Copy, Default)]
+struct Row {
+    generation: u64,
+    floor: u64,
+    ts: Timestamp,
+    /// The `(generation, write id)` a session is committing right now:
+    /// a concurrent retry waits for its outcome. Never persisted.
+    running: Option<(u64, u64)>,
 }
 
-/// What a caller that tried to reserve a write-id should do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reservation {
-    /// The key was free and is now reserved: execute the commit.
-    Execute,
-    /// The key has a recorded outcome: return it, do not re-execute.
-    Duplicate(WriteIdOutcome),
-    /// Another session is committing this key right now: wait and
-    /// re-try the reservation.
-    InFlight,
+/// One row per client (see module docs).
+#[derive(Debug, Default)]
+pub(crate) struct ClientRows {
+    rows: BTreeMap<u64, Row>,
 }
 
-/// Bounded `(client, write_id) -> outcome` cache (see module docs).
-#[derive(Debug)]
-pub struct DedupCache {
-    capacity: usize,
-    map: HashMap<(u64, u64), Slot>,
-    /// Recording order of `Done` entries, oldest first; drives capacity
-    /// eviction and the checkpoint slab encoding.
-    order: VecDeque<(u64, u64)>,
-    /// Highest generation announced (or recorded) per client.
-    gens: HashMap<u64, u64>,
-}
+impl ClientRows {
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
 
-impl DedupCache {
-    /// Creates an empty cache retaining at most `capacity` outcomes.
-    pub fn new(capacity: usize) -> DedupCache {
-        DedupCache {
-            capacity: capacity.max(1),
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            gens: HashMap::new(),
+    /// `client`'s generation and floor, if it has a row.
+    pub(crate) fn floor(&self, client: u64) -> Option<(u64, u64)> {
+        (self.rows.get(&client)).map(|r| (r.generation, r.floor))
+    }
+
+    /// Settles `write_id` of `(client, generation)` against the row:
+    /// `None` for the next id, the outcome for the floor, else the
+    /// typed answer; [`LldError::Config`] for a zero id or a generation
+    /// below the row's.
+    pub(crate) fn settle(
+        &self,
+        client: u64,
+        generation: u64,
+        write_id: u64,
+    ) -> Result<Option<WriteIdOutcome>> {
+        if client == 0 || write_id == 0 {
+            return Err(LldError::Config(
+                "client and write_id must be non-zero".into(),
+            ));
         }
-    }
-
-    /// Number of recorded (durable) outcomes; pending reservations are
-    /// not counted.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether no outcomes are recorded (pairs with [`len`](Self::len)
-    /// for the standard collection contract).
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// The configured outcome bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The highest generation seen for `client`, if any.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn generation_of(&self, client: u64) -> Option<u64> {
-        self.gens.get(&client).copied()
-    }
-
-    /// Handles a client `Hello`: records the incarnation and evicts the
-    /// outcomes of all older generations of that client (the client
-    /// promises no retry from them is outstanding). Returns the number
-    /// of entries evicted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LldError::Config`] if `generation` is lower than a
-    /// generation this client already announced — a stale instance that
-    /// must not be allowed to reuse acknowledged write-ids.
-    pub fn observe_generation(&mut self, client: u64, generation: u64) -> Result<usize> {
-        if let Some(&seen) = self.gens.get(&client) {
-            if generation < seen {
-                return Err(LldError::Config(format!(
-                    "client {client} generation {generation} regresses below {seen}"
-                )));
-            }
+        let row = self.rows.get(&client);
+        if let Some(r) = row.filter(|r| r.generation > generation) {
+            return Err(regressed(client, generation, r));
         }
-        self.gens.insert(client, generation);
-        let map = &mut self.map;
-        let mut evicted = 0usize;
-        self.order.retain(|key| {
-            let stale = key.0 == client
-                && matches!(map.get(key),
-                    Some(Slot::Done(o)) if o.generation < generation);
-            if stale {
-                map.remove(key);
-                evicted += 1;
-            }
-            !stale
-        });
-        Ok(evicted)
-    }
-
-    /// Looks up the recorded outcome for `(client, write_id)`.
-    pub fn lookup(&self, client: u64, write_id: u64) -> Option<WriteIdOutcome> {
-        match self.map.get(&(client, write_id)) {
-            Some(Slot::Done(o)) => Some(*o),
-            _ => None,
-        }
-    }
-
-    /// Tries to reserve `(client, write_id)` for execution (see
-    /// [`Reservation`]). A successful reservation must be resolved with
-    /// [`complete`](Self::complete) or [`release`](Self::release).
-    pub fn reserve(&mut self, client: u64, write_id: u64, generation: u64) -> Reservation {
-        match self.map.entry((client, write_id)) {
-            Entry::Occupied(e) => match e.get() {
-                Slot::Done(o) => Reservation::Duplicate(*o),
-                Slot::Pending { .. } => Reservation::InFlight,
-            },
-            Entry::Vacant(e) => {
-                e.insert(Slot::Pending { generation });
-                Reservation::Execute
-            }
-        }
-    }
-
-    /// Drops a pending reservation after a failed or aborted commit, so
-    /// a retry re-executes.
-    pub fn release(&mut self, client: u64, write_id: u64) {
-        if let Some(Slot::Pending { .. }) = self.map.get(&(client, write_id)) {
-            self.map.remove(&(client, write_id));
-        }
-    }
-
-    /// Records a successful commit, replacing any pending reservation.
-    /// Oldest outcomes beyond `capacity` are evicted.
-    pub fn complete(&mut self, client: u64, write_id: u64, generation: u64, commit_ts: Timestamp) {
-        let prev = self.map.insert(
-            (client, write_id),
-            Slot::Done(WriteIdOutcome {
+        let row = row.filter(|r| r.generation == generation);
+        let (floor, commit_ts) = row.map_or((0, Timestamp::ZERO), |r| (r.floor, r.ts));
+        match write_id.cmp(&floor) {
+            _ if write_id == floor + 1 => Ok(None),
+            Ordering::Equal => Ok(Some(WriteIdOutcome {
                 generation,
                 commit_ts,
-            }),
-        );
-        if !matches!(prev, Some(Slot::Done(_))) {
-            self.order.push_back((client, write_id));
-        }
-        let seen = self.gens.entry(client).or_insert(generation);
-        *seen = (*seen).max(generation);
-        while self.order.len() > self.capacity {
-            if let Some(key) = self.order.pop_front() {
-                self.map.remove(&key);
-            }
+            })),
+            Ordering::Less => Err(LldError::WriteIdSuperseded { write_id, floor }),
+            Ordering::Greater => Err(LldError::WriteIdOutOfSequence { write_id, floor }),
         }
     }
 
-    /// Recorded outcomes in recording order (oldest first).
-    pub fn entries(&self) -> impl Iterator<Item = (u64, u64, WriteIdOutcome)> + '_ {
-        self.order.iter().filter_map(|&(client, write_id)| {
-            match self.map.get(&(client, write_id)) {
-                Some(Slot::Done(o)) => Some((client, write_id, *o)),
-                _ => None,
-            }
-        })
+    /// Whether a session is committing one of `client`'s write ids:
+    /// a caller waits for it before [`reserve`](Self::reserve).
+    pub(crate) fn running(&self, client: u64) -> bool {
+        self.rows.get(&client).is_some_and(|r| r.running.is_some())
     }
 
-    /// Encodes the recorded outcomes as a checkpoint's dedup table,
-    /// oldest first, and says how many it holds. If the table would
-    /// exceed `max_bytes`, the oldest entries are dropped from the
-    /// encoding (they are also the first the capacity bound would
-    /// evict).
-    pub(crate) fn encode(&self, max_bytes: u64) -> (Vec<u8>, usize) {
-        let rows: Vec<[u64; DEDUP_COLS]> = (self.entries())
-            .map(|(client, write_id, o)| [client, write_id, o.generation, o.commit_ts.get()])
+    /// Settles `write_id` as [`settle`](Self::settle) does, and reserves
+    /// the next id for the caller (`Ok(None)`), who ends it with
+    /// [`complete`](Self::complete) or [`release`](Self::release).
+    /// Refuses a new client past [`MAX_CLIENTS`] too.
+    pub(crate) fn reserve(
+        &mut self,
+        client: u64,
+        generation: u64,
+        write_id: u64,
+    ) -> Result<Option<WriteIdOutcome>> {
+        let settled = self.settle(client, generation, write_id)?;
+        if settled.is_none() {
+            if !self.rows.contains_key(&client) && self.rows.len() >= MAX_CLIENTS {
+                return Err(LldError::TooManyClients);
+            }
+            let row = self.rows.entry(client).or_default();
+            row.running = Some((generation, write_id));
+        }
+        Ok(settled)
+    }
+
+    /// Handles a client `Hello`: the floor under `generation`, or
+    /// `None` where `generation` raises the row's, which the caller
+    /// journals ([`complete`](Self::complete) with write id 0). Refuses
+    /// a generation below the row's, and a new client past
+    /// [`MAX_CLIENTS`]; a new client gets its row at its first commit.
+    pub(crate) fn hello(&self, client: u64, generation: u64) -> Result<Option<u64>> {
+        match self.rows.get(&client) {
+            None if self.rows.len() >= MAX_CLIENTS => Err(LldError::TooManyClients),
+            None => Ok(Some(0)),
+            Some(r) => match generation.cmp(&r.generation) {
+                Ordering::Less => Err(regressed(client, generation, r)),
+                Ordering::Equal => Ok(Some(r.floor)),
+                Ordering::Greater => Ok(None),
+            },
+        }
+    }
+
+    /// Drops the reservation of `(generation, write_id)` after a failed
+    /// or aborted commit, so a retry re-executes, and a row that records
+    /// nothing with it: a new client whose first commit failed.
+    pub(crate) fn release(&mut self, client: u64, key: (u64, u64)) {
+        let row = self.rows.get_mut(&client);
+        let Some(row) = row.filter(|r| r.running == Some(key)) else {
+            return;
+        };
+        row.running = None;
+        if (row.floor, row.ts) == (0, Timestamp::ZERO) {
+            self.rows.remove(&client);
+        }
+    }
+
+    /// Records write id `write_id` of `(client, generation)` as applied
+    /// at `commit_ts`, and ends its reservation. The row only moves
+    /// forward: a record older than it (replayed again behind the
+    /// checkpoint that holds it) leaves it as it is.
+    pub(crate) fn complete(&mut self, client: u64, generation: u64, write_id: u64, ts: Timestamp) {
+        let row = self.rows.entry(client).or_default();
+        if (generation, write_id) >= (row.generation, row.floor) {
+            (row.generation, row.floor, row.ts) = (generation, write_id, ts);
+        }
+        self.release(client, (generation, write_id));
+    }
+
+    /// Encodes the rows that record something (not a new client's first
+    /// commit in flight) as a checkpoint's dedup table, and says how
+    /// many it holds.
+    pub(crate) fn encode(&self) -> (Vec<u8>, usize) {
+        let rows: Vec<[u64; DEDUP_COLS]> = (self.rows.iter())
+            .filter(|(_, r)| (r.floor, r.ts) != (0, Timestamp::ZERO))
+            .map(|(&client, r)| [client, r.floor, r.generation, r.ts.get()])
             .collect();
-        encode_dedup(&rows, max_bytes)
+        (dedup_table(&rows), rows.len())
     }
 
-    /// Rebuilds a cache from a checkpoint's dedup table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LldError::Corrupt`] for a row whose value passes
-    /// `u64::MAX`.
-    pub(crate) fn decode(capacity: usize, table: &DedupTable<'_>) -> Result<DedupCache> {
-        let mut cache = DedupCache::new(capacity);
+    /// Rebuilds the rows from a checkpoint's dedup table.
+    /// [`LldError::Corrupt`] for a value past `u64::MAX`, or a client
+    /// not above the row's before it (two rows for one client).
+    pub(crate) fn decode(table: &DedupTable<'_>) -> Result<ClientRows> {
+        let (mut rows, mut last, mut order) = (ClientRows::default(), 0, Ok(()));
         table.each_row(|[client, write_id, generation, ts]| {
-            cache.complete(client, write_id, generation, Timestamp::new(ts));
+            if client <= last {
+                order = Err(LldError::Corrupt(format!(
+                    "dedup row for client {client} behind {last}"
+                )));
+            }
+            last = client;
+            rows.complete(client, generation, write_id, Timestamp::new(ts));
         })?;
-        Ok(cache)
+        order.map(|()| rows)
     }
+}
+
+/// The refusal of `generation`, below `row`'s.
+fn regressed(client: u64, generation: u64, row: &Row) -> LldError {
+    let current = row.generation;
+    LldError::Config(format!(
+        "client {client} generation {generation} regresses below {current}"
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn ts(t: u64) -> Timestamp {
+        Timestamp::new(t)
+    }
+
     #[test]
     fn reserve_complete_lookup() {
-        let mut c = DedupCache::new(8);
-        assert_eq!(c.reserve(1, 10, 1), Reservation::Execute);
-        assert_eq!(c.reserve(1, 10, 1), Reservation::InFlight);
-        assert_eq!(c.lookup(1, 10), None);
-        c.complete(1, 10, 1, Timestamp::new(5));
-        let o = c.lookup(1, 10).unwrap();
-        assert_eq!(o.commit_ts, Timestamp::new(5));
-        assert!(matches!(c.reserve(1, 10, 1), Reservation::Duplicate(_)));
+        let mut c = ClientRows::default();
+        assert_eq!(c.reserve(1, 1, 1), Ok(None));
+        assert!(c.running(1));
+        assert_eq!(c.settle(1, 1, 1), Ok(None));
+        c.complete(1, 1, 1, ts(5));
+        c.complete(1, 1, 2, ts(6));
+        let floor = WriteIdOutcome {
+            generation: 1,
+            commit_ts: ts(6),
+        };
+        assert!(!c.running(1));
+        assert_eq!(c.reserve(1, 1, 2), Ok(Some(floor)));
+        assert!(matches!(
+            c.settle(1, 1, 1),
+            Err(LldError::WriteIdSuperseded { floor: 2, .. })
+        ));
+        assert!(matches!(
+            c.settle(1, 1, 4),
+            Err(LldError::WriteIdOutOfSequence { floor: 2, .. })
+        ));
+        assert_eq!(c.settle(1, 1, 3), Ok(None));
+        assert!(c.settle(1, 1, 0).is_err() && c.settle(0, 1, 1).is_err());
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn release_allows_reexecution() {
-        let mut c = DedupCache::new(8);
-        assert_eq!(c.reserve(1, 10, 1), Reservation::Execute);
-        c.release(1, 10);
-        assert_eq!(c.reserve(1, 10, 1), Reservation::Execute);
-        // Releasing a Done entry is a no-op.
-        c.complete(1, 10, 1, Timestamp::new(5));
-        c.release(1, 10);
-        assert!(c.lookup(1, 10).is_some());
+        let mut c = ClientRows::default();
+        assert_eq!(c.reserve(1, 1, 1), Ok(None));
+        c.release(1, (1, 1));
+        assert!(!c.running(1));
+        assert_eq!(c.reserve(1, 1, 1), Ok(None));
+        c.complete(1, 1, 1, ts(5));
+        c.release(1, (1, 1));
+        assert_eq!(c.floor(1), Some((1, 1)));
     }
 
     #[test]
-    fn capacity_evicts_oldest() {
-        let mut c = DedupCache::new(3);
-        for w in 1..=5u64 {
-            c.complete(1, w, 1, Timestamp::new(w));
+    fn a_raise_starts_the_sequence_again() {
+        let mut c = ClientRows::default();
+        assert_eq!(c.hello(1, 1), Ok(Some(0)));
+        c.complete(1, 1, 1, ts(1));
+        assert_eq!(c.hello(1, 1), Ok(Some(1)));
+        assert_eq!(c.hello(1, 2), Ok(None));
+        c.complete(1, 2, 0, ts(2));
+        assert_eq!(c.settle(1, 2, 1), Ok(None));
+        assert!(c.hello(1, 1).is_err() && c.settle(1, 1, 1).is_err());
+        // An older record replayed again leaves the row.
+        c.complete(1, 1, 7, ts(3));
+        assert_eq!(c.floor(1), Some((2, 0)));
+    }
+
+    /// Neither a `Hello` nor a first commit that failed makes a row, so
+    /// neither counts against [`MAX_CLIENTS`]; a raise's row stays.
+    #[test]
+    fn a_row_is_made_by_what_it_records() {
+        let mut c = ClientRows::default();
+        assert_eq!(c.hello(1, 3), Ok(Some(0)));
+        assert_eq!(c.reserve(2, 1, 1), Ok(None));
+        c.release(2, (1, 1));
+        assert_eq!((c.len(), c.floor(1), c.floor(2)), (0, None, None));
+        c.complete(1, 3, 0, ts(4));
+        assert_eq!(c.reserve(1, 3, 1), Ok(None));
+        c.release(1, (3, 1));
+        assert_eq!(c.floor(1), Some((3, 0)));
+    }
+
+    #[test]
+    fn a_new_client_past_the_bound_is_refused() {
+        let mut c = ClientRows::default();
+        for client in 1..=MAX_CLIENTS as u64 {
+            c.complete(client, 1, 1, ts(client));
         }
-        assert_eq!(c.len(), 3);
-        assert!(c.lookup(1, 1).is_none());
-        assert!(c.lookup(1, 2).is_none());
-        assert!(c.lookup(1, 3).is_some());
-        assert!(c.lookup(1, 5).is_some());
+        let refused = LldError::TooManyClients;
+        assert_eq!(c.hello(MAX_CLIENTS as u64 + 1, 1), Err(refused.clone()));
+        assert_eq!(c.reserve(MAX_CLIENTS as u64 + 1, 1, 1), Err(refused));
+        assert_eq!(c.reserve(1, 1, 2), Ok(None));
+        assert_eq!(c.len(), MAX_CLIENTS);
     }
 
-    #[test]
-    fn generation_evicts_older_incarnations() {
-        let mut c = DedupCache::new(8);
-        c.complete(1, 1, 1, Timestamp::new(1));
-        c.complete(1, 2, 2, Timestamp::new(2));
-        c.complete(2, 1, 1, Timestamp::new(3));
-        assert_eq!(c.observe_generation(1, 2).unwrap(), 1);
-        assert!(c.lookup(1, 1).is_none());
-        assert!(c.lookup(1, 2).is_some());
-        assert!(c.lookup(2, 1).is_some());
-        assert!(c.observe_generation(1, 1).is_err());
-    }
-
-    /// `c` through a checkpoint's dedup table of at most `max_bytes`.
-    fn reload(c: &DedupCache, max_bytes: u64) -> DedupCache {
-        let (bytes, n) = c.encode(max_bytes);
-        assert!(bytes.len() as u64 <= max_bytes);
+    /// `c` through a checkpoint's dedup table.
+    fn reload(c: &ClientRows) -> Result<ClientRows> {
+        let (bytes, n) = c.encode();
         let table = DedupTable::open(&bytes, n as u64).expect("a table the encoder wrote");
-        DedupCache::decode(8, &table).unwrap()
+        ClientRows::decode(&table)
     }
 
     #[test]
     fn encode_decode_round_trip() {
-        let mut c = DedupCache::new(8);
-        c.complete(1, 1, 1, Timestamp::new(1));
-        c.complete(2, 7, 3, Timestamp::new(2));
-        c.complete(1, 2, 1, Timestamp::new(4));
-        let (buf, n) = c.encode(u64::MAX);
-        // Four descriptors, row 0 in full, and two rows of 1 + 2 + 1 + 1
-        // bits: the zigzags of ±1 in the client, 6 and −5 in the write
-        // id, ±2 in the generation, 1 and 2 in the timestamp.
-        assert_eq!((n, buf.len()), (3, 40 + 32 + 2));
-        let d = reload(&c, u64::MAX);
-        assert_eq!(
-            d.entries().collect::<Vec<_>>(),
-            c.entries().collect::<Vec<_>>()
-        );
-        assert_eq!(d.generation_of(2), Some(3));
+        let mut c = ClientRows::default();
+        c.complete(2, 3, 7, ts(2));
+        c.complete(1, 1, 2, ts(4));
+        c.complete(3, 1, 1, ts(0));
+        assert_eq!(c.reserve(4, 1, 1), Ok(None));
+        let (buf, n) = c.encode();
+        // Four descriptors, row 0 in full, and two rows of 0 + 1 + 1 + 0
+        // bits: the client steps by +1 twice and the timestamp by −2
+        // twice (one value a column, no bits), the floor by +5 and −6
+        // (zigzags 10 and 11), the generation by +2 and −2 (4 and 3).
+        // Client 4's first commit, in flight, is no row.
+        assert_eq!((n, buf.len()), (3, 40 + 32 + 1));
+        let d = reload(&c).unwrap();
+        assert_eq!((d.rows.len(), d.floor(4)), (3, None));
+        for client in 1..=3 {
+            assert_eq!(d.floor(client), c.floor(client));
+        }
+        assert_eq!(d.settle(2, 3, 7).unwrap().unwrap().commit_ts, ts(2));
     }
 
-    #[test]
-    fn encode_truncates_oldest_first() {
-        let mut c = DedupCache::new(8);
-        for (w, ts) in [(1, 1), (2, 2), (3, 100), (4, 1000)] {
-            c.complete(1, w, 1, Timestamp::new(ts));
+    /// Clients 5, 9 and 10 at floors 1, 4 and 2: steps that take bits.
+    fn three_clients() -> (Vec<u8>, u64) {
+        let mut c = ClientRows::default();
+        for (client, floor) in [(5, 1), (9, 4), (10, 2)] {
+            c.complete(client, 1, floor, ts(floor));
         }
-        // 72 bytes are the descriptors and row 0 in full: one row behind
-        // it takes no bits (each column holds one value), two take 9
-        // bits each for their timestamp steps of 98 and 900.
-        let d = reload(&c, 72);
-        assert!(d.lookup(1, 1).is_none());
-        assert!(d.lookup(1, 2).is_none());
-        assert!(d.lookup(1, 3).is_some());
-        assert!(d.lookup(1, 4).is_some());
-        let (all, _) = c.encode(u64::MAX);
-        let d = reload(&c, all.len() as u64 - 1);
-        assert!(d.lookup(1, 1).is_none());
-        assert_eq!(d.len(), 3);
-        assert_eq!(reload(&c, all.len() as u64).len(), 4);
+        let (buf, n) = c.encode();
+        (buf, n as u64)
     }
 
     #[test]
     fn decode_rejects_misaligned_slab() {
         assert!(DedupTable::open(&[0u8; 7], 0).is_none());
-        let mut c = DedupCache::new(8);
-        c.complete(1, 1, 1, Timestamp::new(1));
-        c.complete(1, 2, 1, Timestamp::new(3));
-        c.complete(2, 9, 1, Timestamp::new(4));
-        let (mut buf, n) = c.encode(u64::MAX);
-        let n = n as u64;
+        let (mut buf, n) = three_clients();
         assert!(DedupTable::open(&buf, n).is_some());
         assert!(DedupTable::open(&buf, n + 1).is_none(), "a row more");
         assert!(DedupTable::open(&buf[..buf.len() - 1], n).is_none());
@@ -374,12 +361,28 @@ mod tests {
     }
 
     #[test]
+    fn decode_refuses_two_rows_for_one_client() {
+        let (mut buf, n) = three_clients();
+        // The client column's minimum (its first descriptor field), the
+        // zigzag of the step of 1 to client 10, set to 0: row 2's client
+        // steps by 0 from row 1's.
+        buf[..8].fill(0);
+        let twice = DedupTable::open(&buf, n).unwrap();
+        assert!(matches!(
+            ClientRows::decode(&twice),
+            Err(LldError::Corrupt(_))
+        ));
+    }
+
+    /// A reservation is not a row's move: the id it holds is not
+    /// applied, in memory or through a checkpoint's table.
+    #[test]
     fn pending_entries_never_encoded() {
-        let mut c = DedupCache::new(8);
-        assert_eq!(c.reserve(1, 1, 1), Reservation::Execute);
-        c.complete(2, 2, 1, Timestamp::new(1));
-        let d = reload(&c, u64::MAX);
-        assert!(d.lookup(1, 1).is_none());
-        assert!(d.lookup(2, 2).is_some());
+        let mut c = ClientRows::default();
+        assert_eq!(c.reserve(1, 1, 1), Ok(None));
+        c.complete(2, 1, 1, ts(1));
+        let d = reload(&c).unwrap();
+        assert_eq!((d.floor(1), d.floor(2)), (None, Some((1, 1))));
+        assert_eq!(d.settle(1, 1, 1), Ok(None));
     }
 }

@@ -75,6 +75,25 @@ pub enum LldError {
     Corrupt(String),
     /// An invalid configuration was supplied.
     Config(String),
+    /// A tagged commit or lookup named a write id below its client's
+    /// floor: it was applied, its outcome superseded (docs/PROTOCOL.md).
+    WriteIdSuperseded {
+        /// The write id named.
+        write_id: u64,
+        /// The highest write id applied under the client's generation.
+        floor: u64,
+    },
+    /// A tagged commit or lookup named a write id past its client's
+    /// floor + 1: not applied, and refused until every id before it is.
+    WriteIdOutOfSequence {
+        /// The write id named.
+        write_id: u64,
+        /// The highest write id applied under the client's generation.
+        floor: u64,
+    },
+    /// A new client was refused: [`MAX_CLIENTS`](crate::MAX_CLIENTS)
+    /// clients have a row.
+    TooManyClients,
 }
 
 impl fmt::Display for LldError {
@@ -112,6 +131,16 @@ impl fmt::Display for LldError {
             }
             LldError::Corrupt(msg) => write!(f, "on-disk structures are corrupt: {msg}"),
             LldError::Config(msg) => write!(f, "invalid configuration: {msg}"),
+            LldError::WriteIdSuperseded { write_id, floor } => {
+                write!(f, "write id {write_id} is below the floor {floor}: applied")
+            }
+            LldError::WriteIdOutOfSequence { write_id, floor } => {
+                write!(
+                    f,
+                    "write id {write_id} is out of sequence: the floor is {floor}"
+                )
+            }
+            LldError::TooManyClients => write!(f, "a new client is refused: the table is full"),
         }
     }
 }

@@ -18,6 +18,7 @@
 //! scans the whole log as in the paper).
 
 use crate::config::{ConcurrencyMode, LldConfig, ReadVisibility};
+use crate::dedup::MAX_CLIENTS;
 use crate::error::{LldError, Result};
 use crate::segment::{MAX_BLOCK_SIZE, SECTOR};
 use crate::types::PhysAddr;
@@ -27,15 +28,15 @@ const SUPERBLOCK_MAGIC: u64 = 0x4C44_4152_5539_3936; // "LDARU996"
 /// The on-disk format this build reads and writes: docs/FORMAT.md gives
 /// it, and docs/RECOVERY.md tells what each version changed. Other
 /// versions are refused, not converted.
-const FORMAT_VERSION: u32 = 11;
+const FORMAT_VERSION: u32 = 12;
 
 /// The widest a row of a checkpoint slab gets (see `checkpoint.rs`):
 /// every column of a block or of a list at its full width. What the
 /// area is sized by; a slab's rows are as wide as its values need.
 pub(crate) const CKPT_BLOCK_ROW_MAX: u64 = 40;
 pub(crate) const CKPT_LIST_ROW_MAX: u64 = 32;
-/// The widest a write-id outcome gets in the dedup table: four columns
-/// of 64 bits, row 0's absolute values included.
+/// The widest a client's row gets in the dedup table: four columns of
+/// 64 bits, row 0's absolute values included.
 pub(crate) const CKPT_DEDUP_ROW_MAX: u64 = 32;
 
 /// One field of a fixed-layout on-disk structure, a row of its
@@ -217,7 +218,7 @@ on_disk! {
         ListFloor = ("list_floor", 32, 8, "the list allocator's floor, at most `64 × (max_lists + 1)`"),
         SnapShards = ("snap_shards", 40, 4, "slabs in the directory, 1 to 64"),
         DirCrc = ("dir_crc", 44, 4, "CRC32 of the directory"),
-        NDedup = ("n_dedup", 48, 4, "write-id outcomes in the dedup table"),
+        NDedup = ("n_dedup", 48, 4, "rows in the dedup table, one a client, at most 1,024"),
         DedupCrc = ("dedup_crc", 52, 4, "CRC32 of the dedup table"),
         HeadSlot = ("head_slot", 56, 4, "the slot of segment `seq + 1`"),
         HeadBase = ("head_base", 60, 4, "the sector its data starts at"),
@@ -271,13 +272,12 @@ on_disk! {
 }
 
 on_disk! {
-    /// A column of the dedup table: one write-id outcome a row, in the
-    /// cache's recording order.
+    /// A column of the dedup table: one client a row, in client order.
     DedupCol in DEDUP_COLUMNS {
         Client = ("client", "the zigzag of its difference from the previous row's"),
-        WriteId = ("write_id", "the zigzag of its difference from the previous row's"),
+        WriteId = ("write_id", "the floor, the highest write id applied under the generation: the zigzag of its difference from the previous row's"),
         Generation = ("generation", "the zigzag of its difference from the previous row's"),
-        Ts = ("ts", "the commit timestamp: the zigzag of its difference from the previous row's"),
+        Ts = ("ts", "the floor's commit timestamp: the zigzag of its difference from the previous row's"),
     }
 }
 
@@ -368,20 +368,16 @@ impl Layout {
         let max_lists = config.max_lists.unwrap_or(max_blocks).max(16);
 
         // Every slab fits whatever its tables hold: a row is never
-        // wider than its maximum, and the descriptors of as many slabs as
-        // a directory describes come out of the room of the dedup table,
-        // which takes what is left (`ckpt_commit`): the write-id cache
-        // gives up at most its oldest 220 outcomes before a table entry
-        // is left out, and the area is no larger than format 4's unless
-        // the cache is smaller than that. The headers live in the
-        // superblock's region, not in the area.
+        // wider than its maximum, and the descriptors of 64 slabs come out
+        // of the room of `MAX_CLIENTS` dedup rows at their widest (so a
+        // checkpoint of both at their widest is refused, not cut). The
+        // headers live in the superblock's region, not in the area.
         let ckpt_area_size = round_up(
             CKPT_DIR_RESERVE
                 + max_blocks * CKPT_BLOCK_ROW_MAX
                 + max_lists * CKPT_LIST_ROW_MAX
                 + CKPT_DEDUP_DESC
-                + (config.dedup_capacity as u64 * CKPT_DEDUP_ROW_MAX)
-                    .max(MAX_SNAP_SHARDS * CKPT_SLAB_DESC),
+                + (MAX_CLIENTS as u64 * CKPT_DEDUP_ROW_MAX).max(MAX_SNAP_SHARDS * CKPT_SLAB_DESC),
             bs,
         );
         let front = front_region(bs);
@@ -627,8 +623,7 @@ mod tests {
     /// Formats 5 to 8 pack the slabs and leave the areas where they
     /// were: the geometry of the benchmark's four devices (default
     /// configuration) is format 4's, recorded from PR 22's tree, so its
-    /// cleaner sees the same slots. Only a write-id cache too small to
-    /// lend the descriptors their room grows the area.
+    /// cleaner sees the same slots.
     #[test]
     fn geometry_is_format_4s() {
         let pinned = [
@@ -646,12 +641,7 @@ mod tests {
             );
             assert_eq!(l.max_lists, max_blocks);
         }
-        // 16 write-ids are 512 B: not the room of 64 slabs' descriptors.
-        let small_cache = LldConfig {
-            dedup_capacity: 16,
-            ..small_config()
-        };
-        let l = Layout::compute(1 << 20, &small_cache).unwrap();
+        let l = Layout::compute(1 << 20, &small_config()).unwrap();
         let slabs = MAX_SNAP_SHARDS * CKPT_SLAB_DESC + 100 * 40 + 50 * 32;
         assert!(l.ckpt_area_size >= CKPT_HEADER_LEN as u64 + CKPT_DIR_RESERVE + slabs);
     }

@@ -88,7 +88,7 @@ mod types;
 
 pub use check::CheckReport;
 pub use config::{CleanerConfig, ConcurrencyMode, LldConfig, ReadVisibility};
-pub use dedup::{TaggedCommit, WriteIdOutcome};
+pub use dedup::{TaggedCommit, WriteIdOutcome, MAX_CLIENTS};
 pub use error::{LldError, Result};
 pub use flight::FlightRecorder;
 pub use interface::LogicalDisk;

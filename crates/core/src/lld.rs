@@ -320,16 +320,14 @@ pub struct LldInner<D> {
     /// in the order, taken only between sessions: no session ever
     /// waits for a checkpoint writer.
     pub(crate) ckpt_io: Mutex<crate::checkpoint::CkptSlots>,
-    /// The write-id dedup cache for exactly-once networked commits (see
-    /// `dedup.rs` and docs/PROTOCOL.md). In the lock order it sits
-    /// after `log` and before `ckpt_io`: the commit path records
-    /// outcomes while holding its session so a concurrent checkpoint
-    /// can never observe a journaled write-id without its cache entry,
-    /// and the checkpoint writer snapshots it before touching
-    /// `ckpt_io`.
-    pub(crate) dedup: Mutex<crate::dedup::DedupCache>,
+    /// One row per client for exactly-once networked commits (see
+    /// `dedup.rs` and docs/PROTOCOL.md). Taken inside a session, last:
+    /// a commit moves its row while it holds the session, and a
+    /// checkpoint's *begin* copies the rows while it holds every shard,
+    /// so its table holds exactly the rows of the log it covers.
+    pub(crate) dedup: Mutex<crate::dedup::ClientRows>,
     /// Wakes sessions waiting for an in-flight tagged commit of the
-    /// same write-id to resolve.
+    /// same client to resolve.
     pub(crate) dedup_cv: ld_disk::Condvar,
 
     /// The logical operation clock.
@@ -453,7 +451,7 @@ impl<D: BlockDevice + 'static> LldInner<D> {
             cache: Mutex::new(BlockCache::new(config.read_cache_blocks)),
             gc: GroupCommit::new(),
             ckpt_io: Mutex::new(crate::checkpoint::CkptSlots::default()),
-            dedup: Mutex::new(crate::dedup::DedupCache::new(config.dedup_capacity)),
+            dedup: Mutex::new(Default::default()),
             dedup_cv: ld_disk::Condvar::new(),
             ts_counter: AtomicU64::new(0),
             free_slots_hint: AtomicU64::new(n as u64),

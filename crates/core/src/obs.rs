@@ -858,8 +858,8 @@ flat_record! {
         sessions_opened: u64,
         /// Connections closed (gracefully or by error/disconnect).
         sessions_closed: u64,
-        /// Tagged commits answered from the dedup cache instead of
-        /// re-executing (client retries after a lost acknowledgement).
+        /// Tagged commits settled without running: a retry after a lost
+        /// acknowledgement, or a write id out of sequence.
         retries_deduped: u64,
         /// Connections dropped on an I/O or protocol error.
         conn_errors: u64,

@@ -63,7 +63,7 @@
 use crate::aru::ListOp;
 use crate::checkpoint::{self, CkptBody, CkptHeaderInfo, CkptSlots};
 use crate::config::{LldConfig, MAX_MAP_SHARDS};
-use crate::dedup::DedupCache;
+use crate::dedup::{ClientRows, MAX_CLIENTS};
 use crate::error::{LldError, Result};
 use crate::layout::Layout;
 use crate::lld::{Lld, LldInner, Mutation, StateRef};
@@ -122,7 +122,7 @@ flat_record! {
         /// Of that, the checks of the bodies read: directory, slab and
         /// dedup-table CRCs and column descriptors.
         snapshot_check_ns: u64,
-        /// Of that, the rows decoded into the tables: the dedup cache,
+        /// Of that, the rows decoded into the tables: the client rows,
         /// the arrays sized and every slab row entered.
         snapshot_rows_ns: u64,
         /// Of that, the blocks entered in their slots' `residents`.
@@ -307,7 +307,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
             Record::DeleteList { list, .. } => ListOp::DeleteList { list },
             Record::Commit { .. } => return Err(corrupt("nested commit record".into())),
             // Write-id notes are peeled off by the replay loop (they
-            // rebuild the dedup cache, not the maps).
+            // rebuild the client rows, not the maps).
             Record::WriteId { .. } => {
                 return Err(corrupt(
                     "write-id record escaped commit interception".into(),
@@ -353,7 +353,6 @@ impl<D: BlockDevice> Mutation<'_, D> {
     /// the post-recovery check.
     fn rebuild<'o>(
         &mut self,
-        config: &LldConfig,
         front: &[u8],
         obs: &'o Obs,
         trace: u64,
@@ -419,7 +418,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                     "checkpoint's allocator floors {floors:?} pass the bounds {bounds:?}"
                 )));
             }
-            dedup = Some(DedupCache::decode(config.dedup_capacity, &seed)?);
+            dedup = Some(ClientRows::decode(&seed)?);
             ckpt_seq = hdr.seq;
             head = hdr.head;
             ts_floor = hdr.ts_counter;
@@ -616,12 +615,12 @@ impl<D: BlockDevice> Mutation<'_, D> {
         // ---- Phase 3: replay the chain above the checkpoint ----------
         let replay = obs.stage(0, trace, Stage::RecoveryReplay);
         let mut ts_max = 0u64;
-        // Rebuild the write-id dedup cache: seeded from the checkpoint's
-        // dedup table, then re-record every committed ARU's `WriteId`
-        // record during replay (they carry no mapping effects);
-        // `complete` is idempotent, so an outcome replayed again is
+        // Rebuild the client rows: seeded from the checkpoint's dedup
+        // table, then moved by every committed ARU's `WriteId` record
+        // during replay (they carry no mapping effects). A row only
+        // moves forward, so a record the table already holds is
         // harmless.
-        let mut dedup = dedup.unwrap_or_else(|| DedupCache::new(config.dedup_capacity));
+        let mut dedup = dedup.unwrap_or_default();
         drive_chain(&chain, block_sectors, report, &mut ts_max, |recs, cts| {
             for (seg, rec) in recs {
                 if let Record::WriteId {
@@ -632,7 +631,7 @@ impl<D: BlockDevice> Mutation<'_, D> {
                     ..
                 } = *rec
                 {
-                    dedup.complete(client, write_id, generation, cts.unwrap_or(ts));
+                    dedup.complete(client, generation, write_id, cts.unwrap_or(ts));
                     continue;
                 }
                 self.replay_record(*seg, rec, cts)?;
@@ -640,6 +639,12 @@ impl<D: BlockDevice> Mutation<'_, D> {
             Ok(())
         })?;
         drop(chain);
+        // No writer makes a row for a client past the bound.
+        if dedup.len() > MAX_CLIENTS {
+            return Err(LldError::Corrupt(
+                "write-id records of too many clients".into(),
+            ));
+        }
         *lld.dedup.lock() = dedup;
         lld.ts_counter
             .store(ts_floor.max(ts_max), Ordering::Relaxed);
@@ -771,7 +776,7 @@ impl<D: BlockDevice + 'static> Lld<D> {
         };
         let mut finalize = None;
         let obs = &ld.obs;
-        ld.with_mutation(|m| m.rebuild(&config, front, obs, trace, &mut report, &mut finalize))?;
+        ld.with_mutation(|m| m.rebuild(front, obs, trace, &mut report, &mut finalize))?;
 
         if config.check_on_recovery {
             let check = ld.check()?;

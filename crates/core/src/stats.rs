@@ -146,10 +146,10 @@ flat_record! {
         /// in `ObsSnapshot::events` is truncated at the front.
         // Filled from the ring by `Lld::stats`.
         trace_events_dropped: u64 = snapshot_only,
-        /// Write-id outcomes recorded in the exactly-once dedup cache
-        /// (tagged commits that executed).
+        /// Client rows moved by a commit (tagged commits that executed,
+        /// and generation raises).
         writeids_recorded: u64,
-        /// Tagged commits answered from the dedup cache instead of
+        /// Tagged commits answered with the floor's outcome instead of
         /// re-executing (a networked retry that was deduplicated).
         writeids_deduped: u64,
     }

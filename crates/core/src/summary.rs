@@ -99,9 +99,9 @@ pub enum Record {
     },
     /// A client write-id note journaled inside the ARU it guards. Always
     /// tagged: the note takes effect only when the ARU commits, so the
-    /// dedup cache rebuilt at recovery records exactly the write-ids
-    /// whose effects survived the crash (exactly-once for networked
-    /// retries, see `docs/PROTOCOL.md`).
+    /// client rows rebuilt at recovery hold exactly the write-ids whose
+    /// effects survived the crash (exactly-once for networked retries,
+    /// see `docs/PROTOCOL.md`).
     WriteId {
         /// The ARU whose commit this write-id identifies.
         aru: AruId,
@@ -109,7 +109,8 @@ pub enum Record {
         client: u64,
         /// The client incarnation (generation) that issued it.
         generation: u64,
-        /// The client-chosen idempotency key.
+        /// The idempotency key, the client's next in its generation; 0
+        /// in the ARU of a `Hello` that raises the generation.
         write_id: u64,
         /// Logical time of the note (just before the commit record).
         ts: Timestamp,
@@ -412,7 +413,7 @@ impl Record {
                     aru: r.id(AruId::new)?,
                     client: r.id(|v| v)?,
                     generation: r.u64()?,
-                    write_id: r.id(|v| v)?,
+                    write_id: r.u64()?,
                     ts: Timestamp::new(r.u64()?),
                 },
                 other => {
@@ -534,13 +535,15 @@ mod tests {
             vec![TAG_NEW_BLOCK, 0, 5],
             vec![TAG_COMMIT, 0, 5],
             vec![TAG_WRITE_ID, 1, 0, 1, 1, 5],
-            vec![TAG_WRITE_ID, 1, 1, 1, 0, 5],
         ] {
             assert!(matches!(
                 Record::decode_all(&buf),
                 Err(LldError::Corrupt(m)) if m.contains("zero identifier")
             ));
         }
+        // Write id 0 is a generation raise's.
+        let raise = Record::decode_all(&[TAG_WRITE_ID, 1, 1, 2, 0, 5]).unwrap();
+        assert!(matches!(raise[..], [Record::WriteId { write_id: 0, .. }]));
     }
 
     #[test]

@@ -8,15 +8,14 @@ use crate::model::Model;
 use ld_core::{AruId, BlockId, CleanerConfig, Ctx, ListId, Lld, LldConfig, LldStats, Position};
 use ld_disk::MemDisk;
 
-/// `per_slot` blocks of `bs` bytes to a slot, at most 64 blocks, 16 lists
-/// and 32 outcomes, the pass on the caller's thread, 8 shards or 1.
+/// `per_slot` blocks of `bs` bytes to a slot, at most 64 blocks and 16
+/// lists, the pass on the caller's thread, 8 shards or 1.
 pub fn config(seed: u64, bs: usize, per_slot: usize) -> LldConfig {
     LldConfig {
         block_size: bs,
         segment_bytes: per_slot * bs,
         max_blocks: Some(64),
         max_lists: Some(16),
-        dedup_capacity: 32,
         map_shards: [8, 1][seed as usize % 2],
         cleaner: CleanerConfig {
             background: false,
@@ -32,7 +31,13 @@ pub struct Run {
     pub m: Model,
     pub cfg: LldConfig,
     pub seed: u64,
+    /// The tagging client's generation and the last write id it
+    /// committed under it.
+    pub tagged: (u64, u64),
 }
+
+/// The client a history's tagged commits are of.
+pub const CLIENT: u64 = 7;
 
 impl Run {
     /// A disk of `slots` slots, its medium stale bytes, formatted with
@@ -45,7 +50,14 @@ impl Run {
 
     pub fn on(ld: Lld<StopDisk>, m: Model, cfg: LldConfig, seed: u64) -> Run {
         ld.device().arm();
-        Run { ld, m, cfg, seed }
+        let tagged = ld.write_id_floor(CLIENT).unwrap_or((1, 0));
+        Run {
+            ld,
+            m,
+            cfg,
+            seed,
+            tagged,
+        }
     }
 
     /// One call through the model, then every state its stops reached
@@ -79,27 +91,51 @@ impl Run {
         self.call(|m, ld| m.write(ld, ctx, b, data)).unwrap();
     }
 
-    /// An ARU that writes `data(k)` to the `k`th of `blocks`, committed.
-    pub fn aru(&mut self, blocks: &[BlockId], data: impl Fn(usize) -> Vec<u8>, tag: Option<u64>) {
+    /// An ARU that writes `data(k)` to the `k`th of `blocks`, committed
+    /// (tagged with [`CLIENT`]'s next write id where `tagged`).
+    pub fn aru(&mut self, blocks: &[BlockId], data: impl Fn(usize) -> Vec<u8>, tagged: bool) {
         let aru = self.ld.begin_aru().unwrap();
         for (k, &b) in blocks.iter().enumerate() {
             self.write(Ctx::Aru(aru), b, &data(k));
         }
-        self.commit(aru, tag);
+        self.commit(aru, tagged);
     }
 
-    /// Commits `aru`, tagged with client 7's write id `tag` if it has one.
-    pub fn commit(&mut self, aru: AruId, tag: Option<u64>) {
-        let res = match tag {
-            Some(wid) => self.call(|m, ld| m.end_aru_tagged(ld, aru, 7, 1, wid).map(drop)),
-            None => self.call(|m, ld| m.end_aru(ld, aru)),
+    /// Commits `aru`, tagged with [`CLIENT`]'s next write id where
+    /// `tagged`.
+    pub fn commit(&mut self, aru: AruId, tagged: bool) {
+        let (generation, floor) = self.tagged;
+        let res = match tagged {
+            true => self.call(|m, ld| {
+                m.end_aru_tagged(ld, aru, CLIENT, generation, floor + 1)
+                    .map(drop)
+            }),
+            false => self.call(|m, ld| m.end_aru(ld, aru)),
         };
         res.unwrap();
+        self.tagged.1 += u64::from(tagged);
     }
 
-    /// ARU `tag`: a list of three blocks, committed (with write id `tag`
-    /// where `tagged`), then flushed. Five units: the list, the blocks,
-    /// the commit.
+    /// `aru` sent again under [`CLIENT`]'s newest write id: it is
+    /// answered that id's outcome, and runs and records nothing.
+    pub fn retry(&mut self, aru: AruId) {
+        let (generation, floor) = self.tagged;
+        let out = self.call(|m, ld| m.end_aru_tagged(ld, aru, CLIENT, generation, floor));
+        assert!(out.unwrap().deduped, "a retry of write id {floor} ran");
+    }
+
+    /// A `Hello` of [`CLIENT`] at the next generation: a unit, durable
+    /// when it returns.
+    pub fn raise(&mut self) {
+        let generation = self.tagged.0 + 1;
+        let floor = self.call(|m, ld| m.client_hello(ld, CLIENT, generation));
+        assert_eq!(floor.unwrap(), 0);
+        self.tagged = (generation, 0);
+    }
+
+    /// ARU `tag`: a list of three blocks, committed (with the next write
+    /// id where `tagged`), then flushed. Five units: the list, the
+    /// blocks, the commit.
     pub fn three_block_aru(&mut self, tag: u8, tagged: bool) {
         let aru = self.ld.begin_aru().unwrap();
         let list = self.call(|m, ld| m.new_list(ld, Ctx::Aru(aru))).unwrap();
@@ -107,7 +143,7 @@ impl Run {
             let data = vec![tag ^ (k as u8) << 6; self.cfg.block_size];
             self.write(Ctx::Aru(aru), b, &data);
         }
-        self.commit(aru, tagged.then_some(u64::from(tag)));
+        self.commit(aru, tagged);
         self.flush();
     }
 

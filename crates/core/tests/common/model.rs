@@ -11,10 +11,13 @@
 //! - a simple operation (the link half of a simple `new_block`, a
 //!   write, a delete);
 //! - an ARU commit: every operation the ARU made, in order;
-//! - a tagged commit: the same plus its `(client, write_id)` outcome.
+//! - a tagged commit: the same plus its client's row, moved to its
+//!   write id;
+//! - a `Hello` that raises a client's generation: the row, at the new
+//!   generation and floor 0.
 //!
-//! An abort, and a tagged commit that found its outcome recorded,
-//! record nothing. A call that returns `Err` is recorded as a unit that
+//! An abort, and a tagged commit settled without running (a retry of
+//! the floor, an id below it or past the next), record nothing. A call that returns `Err` is recorded as a unit that
 //! returned `Err`: it must not survive. Every unit recorded before a
 //! `flush` that returned `Ok` ([`Model::flush`], [`Model::synced`]) is
 //! durable.
@@ -23,14 +26,14 @@
 //! some `k` between the durable units and the acknowledged ones must
 //! leave the model equal to the disk in every list's walk, every
 //! block's content or absence (a block on no list may be gone: recovery
-//! frees orphans), and every write id's outcome. So each unit is there
-//! whole or not at all (I7), no durable one is lost, none survives
-//! without the units before it, none that returned `Err` survives, and
-//! an outcome is recorded exactly where its effects are (I8). The model
-//! is of `Concurrent` mode, where an ARU's operations reach the
-//! committed state at its commit, and it assumes every outcome stays in
-//! the dedup window: a suite keeps its tagged commits under
-//! `dedup_capacity`.
+//! frees orphans), and every client's row: its generation and floor,
+//! read back through the disk's own answers (`w ≤ floor` settles as
+//! applied, `floor + 1` as not, and a `Hello` at an older generation is
+//! refused). So each unit is there whole or not at all (I7), no durable
+//! one is lost, none survives without the units before it, none that
+//! returned `Err` survives, and a row moves exactly where its unit's
+//! effects are (I8). The model is of `Concurrent` mode, where an ARU's
+//! operations reach the committed state at its commit.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -49,6 +52,7 @@ enum Kind {
     Simple,
     Aru,
     Tagged { client: u64, write_id: u64 },
+    Raise { client: u64, generation: u64 },
 }
 
 #[derive(Clone, Debug)]
@@ -59,7 +63,8 @@ enum Op {
     Write(BlockId, Bytes),
     DeleteBlock(BlockId),
     DeleteList(ListId),
-    Outcome(u64, u64),
+    /// A client's row: its generation and floor.
+    Row(u64, u64, u64),
 }
 
 #[derive(Clone, Debug)]
@@ -75,7 +80,7 @@ struct Unit {
 enum Obs {
     List(ListId),
     Block(BlockId),
-    Outcome(u64, u64),
+    Row(u64),
 }
 
 /// What a disk or the model shows for an [`Obs`]. A block's content is
@@ -88,7 +93,11 @@ enum Seen {
     /// The model's block on no list: recovery frees it as an orphan, so
     /// a disk shows it or nothing.
     Orphan(Bytes),
-    Present,
+    /// A client's generation and floor.
+    Row(u64, u64),
+    /// A row whose write ids the disk settles otherwise than its floor
+    /// says, or that takes a `Hello` at an older generation.
+    Misread(u64, u64),
 }
 
 impl Seen {
@@ -120,7 +129,7 @@ struct State {
     lists: BTreeMap<ListId, Vec<BlockId>>,
     blocks: BTreeMap<BlockId, Bytes>,
     linked: BTreeSet<BlockId>,
-    outcomes: BTreeSet<(u64, u64)>,
+    rows: BTreeMap<u64, (u64, u64)>,
 }
 
 impl State {
@@ -173,9 +182,9 @@ impl State {
                 }
                 touched.push(Obs::List(*l));
             }
-            Op::Outcome(c, w) => {
-                self.outcomes.insert((*c, *w));
-                touched.push(Obs::Outcome(*c, *w));
+            Op::Row(c, g, floor) => {
+                self.rows.insert(*c, (*g, *floor));
+                touched.push(Obs::Row(*c));
             }
         }
     }
@@ -191,8 +200,7 @@ impl State {
                 Some(c) => Seen::Orphan(c.clone()),
                 None => Seen::Absent,
             },
-            Obs::Outcome(c, w) if self.outcomes.contains(&(c, w)) => Seen::Present,
-            Obs::Outcome(..) => Seen::Absent,
+            Obs::Row(c) => (self.rows.get(&c)).map_or(Seen::Absent, |&(g, f)| Seen::Row(g, f)),
         }
     }
 }
@@ -206,9 +214,26 @@ fn observe<D: BlockDevice>(disk: &Lld<D>, o: Obs, buf: &mut [u8]) -> Seen {
         Obs::Block(b) => disk
             .read(Ctx::Simple, b, buf)
             .map_or(Seen::Absent, |()| Seen::Bytes(trimmed(buf))),
-        Obs::Outcome(c, w) if disk.write_id_lookup(c, w).is_some() => Seen::Present,
-        Obs::Outcome(..) => Seen::Absent,
+        Obs::Row(c) => match disk.write_id_floor(c) {
+            None => Seen::Absent,
+            Some((g, f)) if reads(disk, c, g, f) => Seen::Row(g, f),
+            Some((g, f)) => Seen::Misread(g, f),
+        },
     }
+}
+
+/// Whether `disk` settles `client`'s write ids as a row at generation
+/// `g` and floor `f` must: `f` and 1 applied (the floor and one below
+/// it), `f + 1` not, `f + 2` out of sequence, and a `Hello` at `g − 1`
+/// refused.
+fn reads<D: BlockDevice>(disk: &Lld<D>, client: u64, g: u64, f: u64) -> bool {
+    let lookup = |w: u64| disk.write_id_lookup(client, g, w);
+    (f == 0 || matches!(lookup(f), Ok(Some(o)) if o.generation == g))
+        && (f < 2
+            || matches!(lookup(1), Err(LldError::WriteIdSuperseded { floor, .. }) if floor == f))
+        && matches!(lookup(f + 1), Ok(None))
+        && matches!(lookup(f + 2), Err(LldError::WriteIdOutOfSequence { .. }))
+        && (g == 0 || disk.client_hello(client, g - 1).is_err())
 }
 
 impl std::fmt::Display for Obs {
@@ -216,7 +241,7 @@ impl std::fmt::Display for Obs {
         match self {
             Obs::List(l) => write!(f, "list {l}"),
             Obs::Block(b) => write!(f, "block {b}"),
-            Obs::Outcome(c, w) => write!(f, "write id {w} of client {c}"),
+            Obs::Row(c) => write!(f, "the row of client {c}"),
         }
     }
 }
@@ -235,7 +260,10 @@ impl std::fmt::Display for Seen {
                 let crc = ld_disk::crc32(c);
                 write!(f, "{} bytes from {:#04x}, crc {crc:08x}", c.len(), c[0])
             }
-            Seen::Present => write!(f, "an outcome"),
+            Seen::Row(g, floor) => write!(f, "generation {g}, floor {floor}"),
+            Seen::Misread(g, floor) => {
+                write!(f, "generation {g}, floor {floor}, misread by its lookups")
+            }
         }
     }
 }
@@ -248,6 +276,12 @@ impl std::fmt::Display for Kind {
             Kind::Aru => write!(f, "an ARU commit"),
             Kind::Tagged { client, write_id } => {
                 write!(f, "a tagged commit (client {client}, write id {write_id})")
+            }
+            Kind::Raise { client, generation } => {
+                write!(
+                    f,
+                    "a Hello (client {client}, raised to generation {generation})"
+                )
             }
         }
     }
@@ -346,8 +380,8 @@ impl Model {
         res
     }
 
-    /// A tagged commit; one that finds its outcome recorded aborts its
-    /// ARU and records nothing.
+    /// A tagged commit; one settled without running (its ARU aborted)
+    /// records nothing.
     pub fn end_aru_tagged<D: BlockDevice>(
         &mut self,
         ld: &Lld<D>,
@@ -358,9 +392,36 @@ impl Model {
     ) -> Result<TaggedCommit> {
         let res = ld.end_aru_tagged(aru, client, generation, write_id);
         let mut ops = self.open.remove(&aru).unwrap_or_default();
-        if !res.as_ref().is_ok_and(|c| c.deduped) {
-            ops.push(Op::Outcome(client, write_id));
+        let settled = matches!(
+            res,
+            Ok(TaggedCommit { deduped: true, .. })
+                | Err(LldError::WriteIdSuperseded { .. } | LldError::WriteIdOutOfSequence { .. })
+        );
+        if !settled {
+            ops.push(Op::Row(client, generation, write_id));
             self.record(Kind::Tagged { client, write_id }, ops, res.is_ok());
+        }
+        res
+    }
+
+    /// A `Hello`; one that raises the client's generation is a unit.
+    pub fn client_hello<D: BlockDevice>(
+        &mut self,
+        ld: &Lld<D>,
+        client: u64,
+        generation: u64,
+    ) -> Result<u64> {
+        let raises = ld
+            .write_id_floor(client)
+            .is_some_and(|(g, _)| generation > g);
+        let res = ld.client_hello(client, generation);
+        if raises {
+            let row = vec![Op::Row(client, generation, 0)];
+            self.record(Kind::Raise { client, generation }, row, res.is_ok());
+            if res.is_ok() {
+                // It flushed before it answered.
+                self.flushed(self.recorded());
+            }
         }
         res
     }
@@ -371,10 +432,22 @@ impl Model {
     }
 
     pub fn flush<D: BlockDevice>(&mut self, ld: &Lld<D>) -> Result<()> {
-        let upto = self.units.len();
+        let upto = self.recorded();
         ld.flush()?;
-        self.durable = upto;
+        self.flushed(upto);
         Ok(())
+    }
+
+    /// The units recorded so far: what a barrier that begins now
+    /// vouches for once it returns.
+    pub fn recorded(&self) -> usize {
+        self.units.len()
+    }
+
+    /// A barrier that began when `upto` units were recorded returned
+    /// (on another thread, say, while more were recorded).
+    pub fn flushed(&mut self, upto: usize) {
+        self.durable = self.durable.max(upto);
     }
 
     /// Everything recorded so far is durable: a barrier other than
@@ -576,7 +649,7 @@ impl Model {
         let lost = |m: &usize| matches!(own(*m), (s, l) if s.is_empty() && !l.is_empty());
         let acked = |m: &usize| self.units[*m].acked;
         let name = |m: usize| format!("unit {}, {}", m + 1, self.units[m].kind);
-        let outcomes = |v: &[Obs]| v.iter().all(|o| matches!(o, Obs::Outcome(..)));
+        let outcomes = |v: &[Obs]| v.iter().all(|o| matches!(o, Obs::Row(..)));
         let verdict = match own(j) {
             (s, l) if !s.is_empty() && !l.is_empty() && outcomes(&l) => {
                 format!("has effects without outcome: {} holds it", s[0])

@@ -20,9 +20,11 @@ use ld_disk::SmallRng;
 const BS: usize = 512;
 
 /// A ring of hot blocks (as many as a slot has) and a list whose blocks
-/// come and go on a 12-slot disk, then steps drawn from the seed; then a
-/// cut with a gap in the log, and more on the disk recovered from it.
-fn seeded_history(seed: u64) -> (usize, LldStats) {
+/// come and go on a 12-slot disk, then steps drawn from the seed — among
+/// them tagged commits, retries of the newest tagged one and `Hello`s
+/// that raise the tagging client's generation; then a cut with a gap in
+/// the log, and more on the disk recovered from it.
+fn seeded_history(seed: u64) -> (usize, u64, LldStats) {
     let mut rng = SmallRng::seed_from_u64(0xE7A1_0000 ^ seed);
     let mut r = Run::new(seed, config(seed, BS, 8), 12);
     let hot = r.call(|m, ld| m.new_list(ld, Ctx::Simple)).unwrap();
@@ -36,30 +38,27 @@ fn seeded_history(seed: u64) -> (usize, LldStats) {
     let pick = |rng: &mut SmallRng, n: usize| -> Vec<BlockId> {
         (0..n).map(|_| ring[rng.gen_index(ring.len())]).collect()
     };
-    let (mut tagged, mut straddled) = (0, 0);
+    let mut straddled = 0;
     for step in 0..48u8 {
         // Zeros take no sector at all.
         let v = if rng.gen_index(6) == 0 { 0 } else { step + 2 };
-        match rng.gen_index(24) {
+        match rng.gen_index(26) {
             0..=5 => r.write(Ctx::Simple, pick(&mut rng, 1)[0], &vec![v; BS]),
             6..=11 => {
                 let (n, sealed) = (2 + rng.gen_index(3), r.ld.stats().segments_sealed);
                 let blocks = pick(&mut rng, n);
-                r.aru(&blocks, |k| vec![v.wrapping_add(k as u8); BS], None);
+                r.aru(&blocks, |k| vec![v.wrapping_add(k as u8); BS], false);
                 // Its records are logged at its commit: a seal there
                 // leaves some in front of it, the commit record behind.
                 straddled += usize::from(r.ld.stats().segments_sealed > sealed);
             }
-            12..=14 => {
-                tagged += 1;
-                r.aru(&pick(&mut rng, 2), |_| vec![v; BS], Some(tagged));
-            }
+            12..=14 => r.aru(&pick(&mut rng, 2), |_| vec![v; BS], true),
             15 | 16 if coming.len() < 6 => {
                 // An allocation and its first contents in one ARU.
                 let aru = r.ld.begin_aru().unwrap();
                 let b = r.chain(Ctx::Aru(aru), cold, 1)[0];
                 r.write(Ctx::Aru(aru), b, &vec![v; BS]);
-                r.commit(aru, None);
+                r.commit(aru, false);
                 coming.push(b);
             }
             15..=17 if !coming.is_empty() => {
@@ -68,6 +67,13 @@ fn seeded_history(seed: u64) -> (usize, LldStats) {
             }
             18 => r.checkpoint(),
             19 => r.call(|_, ld| ld.run_cleaner()).unwrap(),
+            20 if r.tagged.1 > 0 => {
+                // A retry, whose program writes what the first did not.
+                let aru = r.ld.begin_aru().unwrap();
+                r.write(Ctx::Aru(aru), pick(&mut rng, 1)[0], &vec![0xEE; BS]);
+                r.retry(aru);
+            }
+            21 => r.raise(),
             _ => r.flush(),
         }
     }
@@ -78,9 +84,10 @@ fn seeded_history(seed: u64) -> (usize, LldStats) {
     // recovery that skipped the gap instead of refilling it would lose
     // what is flushed after it.
     while r.ld.device().pending() < 4 {
-        r.aru(&pick(&mut rng, 2), |k| vec![0x60 + k as u8; BS], None);
+        r.aru(&pick(&mut rng, 2), |k| vec![0x60 + k as u8; BS], false);
     }
     let stats = r.finish("a seeded history");
+    let generation = r.tagged.0;
     let Run { ld, mut m, cfg, .. } = r;
     let dev = ld.into_device();
     let lost = rng.gen_index(dev.pending());
@@ -90,24 +97,28 @@ fn seeded_history(seed: u64) -> (usize, LldStats) {
     m.restart(m.check(&ld, &at));
     let mut r = Run::on(ld, m, cfg, seed);
     for i in 0..8 {
-        r.aru(&pick(&mut rng, 2), |k| vec![0x70 + i + k as u8; BS], None);
+        r.aru(&pick(&mut rng, 2), |k| vec![0x70 + i + k as u8; BS], false);
         if i % 4 == 2 {
             r.flush();
         }
     }
     r.finish("after a cut with a gap");
-    (straddled, stats)
+    (straddled, generation, stats)
 }
 
 #[test]
 fn every_cut_of_a_seeded_history_recovers_to_the_model() {
-    let runs: Vec<(usize, LldStats)> = seeds(6).map(seeded_history).collect();
-    // What the alphabet is for: a log that wraps, checkpoints, and ARUs
-    // that straddle a seal.
-    let some = |f: fn(&(usize, LldStats)) -> u64| runs.iter().any(|r| f(r) > 0);
-    assert!(some(|r| r.1.blocks_relocated), "the log never wrapped");
+    let runs: Vec<(usize, u64, LldStats)> = seeds(6).map(seeded_history).collect();
+    // What the alphabet is for: a log that wraps, checkpoints, ARUs
+    // that straddle a seal, retries and raised generations.
+    let some = |f: fn(&(usize, u64, LldStats)) -> u64| runs.iter().any(|r| f(r) > 0);
+    assert!(some(|r| r.2.blocks_relocated), "the log never wrapped");
     assert!(
-        some(|r| r.1.checkpoints) && some(|r| r.0 as u64),
+        some(|r| r.2.checkpoints) && some(|r| r.0 as u64),
+        "{runs:?}"
+    );
+    assert!(
+        some(|r| r.2.writeids_deduped) && some(|r| r.1 - 1),
         "{runs:?}"
     );
 }
@@ -140,7 +151,7 @@ fn every_cut_of_mixed_extents_on_a_wrapping_log() {
         for i in 0..24 {
             let p = i * 3 % 4;
             gens[p] += 1;
-            r.aru(&pairs[p], |k| mix_block(p, k, gens[p]), None);
+            r.aru(&pairs[p], |k| mix_block(p, k, gens[p]), false);
             if i % 2 == 1 {
                 r.flush();
             }

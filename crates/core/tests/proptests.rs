@@ -161,7 +161,7 @@ fn aborted_aru_leaves_no_trace() {
 }
 
 // ---------------------------------------------------------------------------
-// Write-id dedup cache bounds
+// Write ids settle against one row per client
 // ---------------------------------------------------------------------------
 
 /// Runs one tagged commit appending a fresh block (payload = the
@@ -172,115 +172,126 @@ fn tagged_append<D: ld_disk::BlockDevice>(
     client: u64,
     generation: u64,
     wid: u64,
-) -> ld_core::TaggedCommit {
+) -> ld_core::Result<ld_core::TaggedCommit> {
     let aru = ld.begin_aru().unwrap();
     let b = ld.new_block(Ctx::Aru(aru), list, Position::First).unwrap();
     ld.write(Ctx::Aru(aru), b, &block_of(wid as u8)).unwrap();
-    ld.end_aru_tagged(aru, client, generation, wid).unwrap()
+    ld.end_aru_tagged(aru, client, generation, wid)
 }
 
-/// The dedup cache is a bounded FIFO window: with capacity C, after any
-/// prefix of distinct tagged commits exactly the newest `min(n, C)`
-/// write-ids dedup, everything older has been evicted, and the cache
-/// never exceeds C — including across random mid-stream retries and a
-/// crash-recovery rebuild at the end.
+/// How `wid` settles against a floor of `floor`, as the contract says
+/// (docs/PROTOCOL.md): `Some(true)` applied with the floor's outcome,
+/// `Some(false)` applied with its outcome superseded, `None` refused
+/// out of sequence.
+fn expected(wid: u64, floor: u64) -> Option<bool> {
+    match wid {
+        w if w == floor => Some(true),
+        w if w < floor => Some(false),
+        _ => None,
+    }
+}
+
+/// There is no window: ids run in sequence, and after any prefix of
+/// them, with random retries of any id from 1 to two past the floor
+/// (but the next) mixed in, a retry of the floor answers its outcome, one below it
+/// answers "applied, outcome superseded", one past the next is refused
+/// out of sequence, and none of them runs (the list does not grow) —
+/// live, and on the disk recovered from the flushed log.
 #[test]
 fn dedup_window_holds_under_random_traffic() {
     const CLIENT: u64 = 7;
-    let cap = 16usize; // MIN_DEDUP_CAPACITY, the tightest legal bound
-    let cfg = LldConfig {
-        dedup_capacity: cap,
-        ..config()
-    };
     let mut rng = SmallRng::seed_from_u64(0xDED0_0001);
-    let ld = Lld::format(MemDisk::new(8 << 20), &cfg).unwrap();
-    assert_eq!(ld.write_id_capacity(), cap);
+    let ld = Lld::format(MemDisk::new(8 << 20), &config()).unwrap();
     let list = ld.new_list(Ctx::Simple).unwrap();
 
-    let mut committed: Vec<u64> = Vec::new(); // completion order
-    for wid in 1..=120u64 {
-        let out = tagged_append(&ld, list, CLIENT, 1, wid);
-        assert!(!out.deduped, "fresh write_id {wid} deduped");
-        committed.push(wid);
-
-        // Occasionally retry a random already-committed write-id: if
-        // it is inside the window it must dedup (and not re-execute);
-        // outside the window it re-executes as a fresh transaction —
-        // the documented client contract for an over-aged retry.
-        if rng.gen_index(4) == 0 {
-            let pick = committed[rng.gen_index(committed.len())];
-            let in_window =
-                committed.len() - committed.iter().position(|&w| w == pick).unwrap() <= cap;
-            let before = ld.list_blocks(Ctx::Simple, list).unwrap().len();
-            let retry = tagged_append(&ld, list, CLIENT, 1, pick);
-            let after = ld.list_blocks(Ctx::Simple, list).unwrap().len();
-            if in_window {
-                assert!(retry.deduped, "write_id {pick} inside window re-executed");
-                assert_eq!(before, after, "deduped retry mutated the list");
-            } else {
-                assert!(!retry.deduped, "evicted write_id {pick} claimed deduped");
-                assert_eq!(after, before + 1);
-                // The re-execution re-enters the window as the newest
-                // entry; track it so the oracle stays aligned.
-                committed.retain(|&w| w != pick);
-                committed.push(pick);
+    // Checks every id from 1 to two past `floor` against `ld`'s answers
+    // to a lookup and to a retry.
+    let check = |ld: &Lld<MemDisk>, floor: u64, last: Option<ld_core::WriteIdOutcome>| {
+        for w in 1..=floor + 2 {
+            let looked = ld.write_id_lookup(CLIENT, 1, w);
+            match (expected(w, floor), looked) {
+                (Some(true), Ok(Some(o))) => assert_eq!(Some(o), last, "write id {w}"),
+                (Some(false), Err(LldError::WriteIdSuperseded { floor: f, .. })) => {
+                    assert_eq!(f, floor)
+                }
+                (None, Ok(None)) if w == floor + 1 => {}
+                (None, Err(LldError::WriteIdOutOfSequence { floor: f, .. })) if w > floor + 1 => {
+                    assert_eq!(f, floor)
+                }
+                (want, got) => panic!("write id {w}, floor {floor}: {want:?}, looked up {got:?}"),
             }
         }
+    };
 
-        assert!(ld.write_id_count() <= cap, "cache exceeded its bound");
-        let n = committed.len();
-        for (i, &w) in committed.iter().enumerate() {
-            let hit = ld.write_id_lookup(CLIENT, w).is_some();
-            let expect = n - i <= cap;
-            assert_eq!(hit, expect, "window oracle mismatch at write_id {w}");
+    let mut last = None;
+    for wid in 1..=120u64 {
+        let out = tagged_append(&ld, list, CLIENT, 1, wid).unwrap();
+        assert!(!out.deduped, "fresh write_id {wid} deduped");
+        last = Some(out.outcome);
+
+        if rng.gen_index(4) == 0 {
+            // Any id but the next, which is no retry.
+            let pick = match 1 + rng.gen_index(wid as usize + 1) as u64 {
+                next if next == wid + 1 => wid + 2,
+                pick => pick,
+            };
+            let before = ld.list_blocks(Ctx::Simple, list).unwrap().len();
+            let retry = tagged_append(&ld, list, CLIENT, 1, pick);
+            match (expected(pick, wid), retry) {
+                (Some(true), Ok(r)) => assert!(r.deduped && Some(r.outcome) == last),
+                (Some(false), Err(LldError::WriteIdSuperseded { .. })) => {}
+                (None, Err(LldError::WriteIdOutOfSequence { .. })) => {}
+                (want, got) => panic!("retry of {pick}, floor {wid}: {want:?}, got {got:?}"),
+            }
+            let after = ld.list_blocks(Ctx::Simple, list).unwrap().len();
+            assert_eq!(before, after, "a retry of write id {pick} ran");
         }
+        check(&ld, wid, last);
     }
+    assert_eq!(ld.list_blocks(Ctx::Simple, list).unwrap().len(), 120);
 
-    // The rebuilt cache after crash+recovery honours the same window.
+    // The recovered row answers the same.
     ld.flush().unwrap();
     let image = ld.into_device().into_image();
-    let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &cfg).unwrap();
-    assert!(ld2.write_id_count() <= cap);
-    let n = committed.len();
-    for (i, &w) in committed.iter().enumerate() {
-        assert_eq!(
-            ld2.write_id_lookup(CLIENT, w).is_some(),
-            n - i <= cap,
-            "recovered window oracle mismatch at write_id {w}"
-        );
-    }
+    let (ld2, _) = Lld::recover_with(MemDisk::from_image(image), &config()).unwrap();
+    check(&ld2, 120, last);
 }
 
-/// Generation eviction: bumping a client's generation drops its older
-/// entries, and a write-id re-committed under the new generation
-/// becomes a normal in-window entry — retrying it dedups rather than
-/// re-executing (no duplicate within the current generation).
+/// A generation bump starts the client's ids again from 1, and the old
+/// generation's are no longer answered: a `Hello` or a commit under it
+/// is refused. Within the current generation a retry of the floor is
+/// answered, not re-executed.
 #[test]
 fn generation_bump_evicts_but_never_readmits_duplicates() {
     const CLIENT: u64 = 9;
-    let cfg = LldConfig {
-        dedup_capacity: 16,
-        ..config()
-    };
-    let ld = Lld::format(MemDisk::new(8 << 20), &cfg).unwrap();
+    let ld = Lld::format(MemDisk::new(8 << 20), &config()).unwrap();
     let list = ld.new_list(Ctx::Simple).unwrap();
 
     for wid in 1..=5u64 {
-        assert!(!tagged_append(&ld, list, CLIENT, 1, wid).deduped);
+        assert!(!tagged_append(&ld, list, CLIENT, 1, wid).unwrap().deduped);
     }
-    assert!(ld.write_id_lookup(CLIENT, 3).is_some());
+    assert!(matches!(
+        ld.write_id_lookup(CLIENT, 1, 3),
+        Err(LldError::WriteIdSuperseded { floor: 5, .. })
+    ));
 
-    // New incarnation: old outcomes are gone, write-ids are reusable.
-    ld.client_hello(CLIENT, 2).unwrap();
-    assert!(ld.write_id_lookup(CLIENT, 3).is_none());
-    let fresh = tagged_append(&ld, list, CLIENT, 2, 3);
+    // New incarnation: its ids start again.
+    assert_eq!(ld.client_hello(CLIENT, 2).unwrap(), 0);
+    assert!(
+        ld.write_id_lookup(CLIENT, 1, 5).is_err(),
+        "generation 1 answered"
+    );
+    assert_eq!(ld.write_id_lookup(CLIENT, 2, 1), Ok(None));
+    let fresh = tagged_append(&ld, list, CLIENT, 2, 1).unwrap();
     assert!(!fresh.deduped, "stale-generation outcome leaked into gen 2");
 
     // Within the current generation the duplicate is still caught.
-    let retry = tagged_append(&ld, list, CLIENT, 2, 3);
+    let retry = tagged_append(&ld, list, CLIENT, 2, 1).unwrap();
     assert!(retry.deduped, "current-generation duplicate re-admitted");
     assert_eq!(retry.outcome.commit_ts, fresh.outcome.commit_ts);
+    assert_eq!(ld.list_blocks(Ctx::Simple, list).unwrap().len(), 6);
 
     // A regressed generation is refused outright.
     assert!(ld.client_hello(CLIENT, 1).is_err());
+    assert!(tagged_append(&ld, list, CLIENT, 1, 6).is_err());
 }

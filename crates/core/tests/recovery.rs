@@ -1,7 +1,10 @@
 //! Crash-recovery behaviour: all-or-nothing persistence of ARUs,
 //! torn-segment handling, checkpoints, and the consistency check.
 
-use ld_core::{ConcurrencyMode, Ctx, Lld, LldConfig, Position, SegField, SEGMENT_HEADER_LEN};
+use ld_core::{
+    ConcurrencyMode, Ctx, ListId, Lld, LldConfig, LldError, Position, SegField, TaggedCommit,
+    SEGMENT_HEADER_LEN,
+};
 use ld_disk::{BlockDevice, DiskModel, FaultPlan, MemDisk, SimDisk};
 
 const BS: usize = 512;
@@ -536,6 +539,93 @@ fn flushed_commit_after_gap_survives_second_crash() {
 // Write-id dedup: exactly-once tagged commits across crashes
 // ----------------------------------------------------------------------
 
+/// A tagged commit of one block appended to `list`, holding `byte`.
+fn tagged_append<D: BlockDevice>(
+    ld: &Lld<D>,
+    list: ListId,
+    (client, generation, wid): (u64, u64, u64),
+    byte: u8,
+) -> ld_core::Result<TaggedCommit> {
+    let aru = ld.begin_aru().unwrap();
+    let b = ld.new_block(Ctx::Aru(aru), list, Position::First).unwrap();
+    ld.write(Ctx::Aru(aru), b, &block(byte)).unwrap();
+    ld.end_aru_tagged(aru, client, generation, wid)
+}
+
+/// No window: a client's floor stays its outcome however many commits
+/// other clients make (1,100 here, past the 1,024 outcomes a cache
+/// kept), and its retry runs nothing.
+#[test]
+fn a_retry_is_answered_after_any_number_of_other_commits() {
+    let ld = Lld::format(MemDisk::new(4 << 20), &config()).unwrap();
+    let (mine, theirs) = (
+        ld.new_list(Ctx::Simple).unwrap(),
+        ld.new_list(Ctx::Simple).unwrap(),
+    );
+    let first = tagged_append(&ld, mine, (1, 1, 1), 1).unwrap();
+    let b = ld.new_block(Ctx::Simple, theirs, Position::First).unwrap();
+    for wid in 1..=1100u64 {
+        let aru = ld.begin_aru().unwrap();
+        ld.write(Ctx::Aru(aru), b, &block(wid as u8)).unwrap();
+        assert!(!ld.end_aru_tagged(aru, 2, 1, wid).unwrap().deduped);
+    }
+    let retry = tagged_append(&ld, mine, (1, 1, 1), 2).unwrap();
+    assert!(retry.deduped);
+    assert_eq!(retry.outcome, first.outcome);
+    assert_eq!(ld.list_blocks(Ctx::Simple, mine).unwrap().len(), 1);
+    assert_eq!(ld.write_id_floor(2), Some((1, 1100)));
+}
+
+/// A raised generation is a row on the disk: after a checkpoint and a
+/// clean restart, a `Hello` at the old generation is refused, as it is
+/// before.
+#[test]
+fn a_raised_generation_survives_a_restart() {
+    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let list = ld.new_list(Ctx::Simple).unwrap();
+    for wid in 1..=7 {
+        tagged_append(&ld, list, (5, 1, wid), wid as u8).unwrap();
+    }
+    assert_eq!(ld.client_hello(5, 1).unwrap(), 7);
+    assert_eq!(ld.client_hello(5, 2).unwrap(), 0, "a raise starts at 0");
+    assert!(ld.client_hello(5, 1).is_err());
+    ld.checkpoint().unwrap();
+    ld.flush().unwrap();
+    let (ld2, _) = Lld::recover(MemDisk::from_image(ld.into_device().into_image())).unwrap();
+    assert!(
+        ld2.client_hello(5, 1).is_err(),
+        "generation 1 after a restart"
+    );
+    assert_eq!(ld2.client_hello(5, 2).unwrap(), 0);
+    assert_eq!(ld2.write_id_floor(5), Some((2, 0)));
+}
+
+/// Write ids run in sequence: one past the next is refused, typed, and
+/// applies nothing; one below the floor is answered applied.
+#[test]
+fn an_id_out_of_sequence_applies_nothing() {
+    let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
+    let list = ld.new_list(Ctx::Simple).unwrap();
+    tagged_append(&ld, list, (4, 1, 1), 1).unwrap();
+    let stats = ld.stats();
+    match tagged_append(&ld, list, (4, 1, 3), 3) {
+        Err(LldError::WriteIdOutOfSequence {
+            write_id: 3,
+            floor: 1,
+        }) => {}
+        other => panic!("id 3 after floor 1 answered {other:?}"),
+    }
+    assert_eq!(ld.list_blocks(Ctx::Simple, list).unwrap().len(), 1);
+    assert_eq!(ld.stats().arus_committed, stats.arus_committed);
+    assert_eq!(ld.write_id_floor(4), Some((1, 1)));
+    tagged_append(&ld, list, (4, 1, 2), 2).unwrap();
+    assert!(matches!(
+        tagged_append(&ld, list, (4, 1, 1), 1),
+        Err(LldError::WriteIdSuperseded { floor: 2, .. })
+    ));
+    assert_eq!(ld.list_blocks(Ctx::Simple, list).unwrap().len(), 2);
+}
+
 #[test]
 fn tagged_commit_outcome_survives_crash() {
     let ld = Lld::format(sim(2 << 20), &config()).unwrap();
@@ -544,14 +634,14 @@ fn tagged_commit_outcome_survives_crash() {
     let l = ld.new_list(Ctx::Aru(aru)).unwrap();
     let b = ld.new_block(Ctx::Aru(aru), l, Position::First).unwrap();
     ld.write(Ctx::Aru(aru), b, &block(0xAA)).unwrap();
-    let first = ld.end_aru_tagged(aru, 7, 1, 100).unwrap();
+    let first = ld.end_aru_tagged(aru, 7, 1, 1).unwrap();
     assert!(!first.deduped);
     ld.flush().unwrap();
 
     let (ld2, _) = crash_and_recover(ld);
-    // The journaled write-id record rebuilt the dedup entry.
-    let o = ld2.write_id_lookup(7, 100).unwrap();
-    assert_eq!(o, first.outcome);
+    // The journaled write-id record rebuilt the client's row.
+    let o = ld2.write_id_lookup(7, 1, 1).unwrap();
+    assert_eq!(o, Some(first.outcome));
 
     // A client retrying the same write-id gets the recorded outcome and
     // its retry ARU is aborted, not re-executed.
@@ -560,7 +650,7 @@ fn tagged_commit_outcome_survives_crash() {
     let l2 = ld2.new_list(Ctx::Aru(retry)).unwrap();
     let rb = ld2.new_block(Ctx::Aru(retry), l2, Position::First).unwrap();
     ld2.write(Ctx::Aru(retry), rb, &block(0xBB)).unwrap();
-    let second = ld2.end_aru_tagged(retry, 7, 1, 100).unwrap();
+    let second = ld2.end_aru_tagged(retry, 7, 1, 1).unwrap();
     assert!(second.deduped);
     assert_eq!(second.outcome, first.outcome);
     // The retry ARU was aborted: its link/write effects are gone (the
@@ -575,17 +665,17 @@ fn unflushed_tagged_commit_reexecutes_after_crash() {
     let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let aru = ld.begin_aru().unwrap();
     let l = ld.new_list(Ctx::Aru(aru)).unwrap();
-    ld.end_aru_tagged(aru, 7, 1, 100).unwrap();
+    ld.end_aru_tagged(aru, 7, 1, 1).unwrap();
     // No flush: neither the ARU's effects nor the write-id record
     // reached the device.
     let (ld2, _) = crash_and_recover(ld);
-    assert!(ld2.write_id_lookup(7, 100).is_none());
+    assert_eq!(ld2.write_id_lookup(7, 1, 1), Ok(None));
     assert!(ld2.list_blocks(Ctx::Simple, l).is_err());
 
     // The retry re-executes for real.
     let retry = ld2.begin_aru().unwrap();
     let l2 = ld2.new_list(Ctx::Aru(retry)).unwrap();
-    let r = ld2.end_aru_tagged(retry, 7, 1, 100).unwrap();
+    let r = ld2.end_aru_tagged(retry, 7, 1, 1).unwrap();
     assert!(!r.deduped);
     ld2.flush().unwrap();
     assert!(ld2.list_blocks(Ctx::Simple, l2).is_ok());
@@ -596,16 +686,16 @@ fn checkpoint_carries_dedup_cache() {
     let ld = Lld::format(sim(2 << 20), &config()).unwrap();
     let aru = ld.begin_aru().unwrap();
     let l = ld.new_list(Ctx::Aru(aru)).unwrap();
-    let first = ld.end_aru_tagged(aru, 3, 2, 55).unwrap();
+    let first = ld.end_aru_tagged(aru, 3, 2, 1).unwrap();
     ld.flush().unwrap();
     ld.checkpoint().unwrap();
 
     let (ld2, report) = crash_and_recover(ld);
-    // Nothing above the checkpoint to replay: the entry must have come
+    // Nothing above the checkpoint to replay: the row must have come
     // from the checkpoint's dedup table, not the log.
     assert_eq!(report.segments_replayed, 0);
-    assert_eq!(ld2.write_id_lookup(3, 55).unwrap(), first.outcome);
-    assert_eq!(ld2.write_id_count(), 1);
+    assert_eq!(ld2.write_id_lookup(3, 2, 1), Ok(Some(first.outcome)));
+    assert_eq!(ld2.write_id_floor(3), Some((2, 1)));
     assert!(ld2.list_blocks(Ctx::Simple, l).is_ok());
 }
 
@@ -620,12 +710,14 @@ fn tagged_commit_rejects_sequential_mode_and_zero_ids() {
     assert!(ld.end_aru_tagged(aru, 1, 1, 1).is_err());
     ld.end_aru(aru).unwrap();
 
+    // A zero id is refused, and the presented ARU aborted.
     let ld = Lld::format(MemDisk::new(2 << 20), &config()).unwrap();
-    let aru = ld.begin_aru().unwrap();
-    assert!(ld.end_aru_tagged(aru, 0, 1, 1).is_err());
-    assert!(ld.end_aru_tagged(aru, 1, 1, 0).is_err());
+    for (client, wid) in [(0, 1), (1, 0)] {
+        let aru = ld.begin_aru().unwrap();
+        assert!(ld.end_aru_tagged(aru, client, 1, wid).is_err());
+        assert_eq!(ld.end_aru(aru), Err(LldError::UnknownAru(aru)));
+    }
     assert!(ld.client_hello(0, 1).is_err());
-    ld.end_aru(aru).unwrap();
 }
 
 #[test]

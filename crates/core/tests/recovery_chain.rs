@@ -850,21 +850,21 @@ fn timestamp_that_runs_backwards_is_corrupt() {
     );
 }
 
-/// An image of the previous formats (superblock version 10, 9, 8, 7,
-/// 6, 5 or 4, valid CRC) is refused by the version check, and the
-/// message names the version: it is not read as if its segment metadata
-/// sat at the back of its slot, its checkpoint headers next to the
-/// superblock, its summary records were varints, its checkpoint slabs
-/// sorted and bit-packed, its segment bases counted sectors or its
-/// segments were packed by sectors. The format-11 image it was patched
-/// from mounts.
+/// An image of the previous formats (superblock version 11, 10, 9, 8,
+/// 7, 6, 5 or 4, valid CRC) is refused by the version check, and the
+/// message names the version: it is not read as if its dedup rows were
+/// floors, its segment metadata sat at the back of its slot, its
+/// checkpoint headers next to the superblock, its summary records were
+/// varints, its checkpoint slabs sorted and bit-packed, its segment
+/// bases counted sectors or its segments were packed by sectors. The
+/// format-12 image it was patched from mounts.
 #[test]
 fn older_format_version_is_refused() {
     let (image, b) = image_with_segments(1);
-    assert_eq!(SbField::Version.get(&image), 11, "superblock version field");
-    let (ld, _) = recover(&image).expect("a format-11 image mounts");
+    assert_eq!(SbField::Version.get(&image), 12, "superblock version field");
+    let (ld, _) = recover(&image).expect("a format-12 image mounts");
     assert_eq!(read_byte(&ld, b), 1);
-    for older in [10, 9, 8, 7, 6, 5, 4] {
+    for older in [11, 10, 9, 8, 7, 6, 5, 4] {
         let mut image = image.clone();
         SbField::Version.put(&mut image, older);
         reseal_superblock(&mut image);

@@ -71,6 +71,15 @@
 //! covers a body that did land replays it — and the last in
 //! [`LldError::Corrupt`].
 //!
+//! Format 12's kinds reach the dedup table's rows, one a client: the
+//! newer checkpoint's one row counted twice, two rows for one client,
+//! which must be [`LldError::Corrupt`]; a header that counts more rows
+//! than [`MAX_CLIENTS`], which is no checkpoint, so recovery falls back
+//! to the other area and the disk comes up whole; and the row's
+//! generation set to 0, below the replayed `WriteId` records', which
+//! move it on: the disk comes up whole, client 7's row the base
+//! image's.
+//!
 //! The arrays' kinds reach the bound that sizes the persistent tables,
 //! `MAX_MAP_SHARDS × (cap + 1)` for the superblock's `max_blocks` or
 //! `max_lists` ([`id_bound`]): the newer checkpoint's block or list
@@ -89,8 +98,8 @@ mod common;
 use common::*;
 use ld_core::{
     BlockCol, BlockId, ConcurrencyMode, Ctx, Field, Layout, ListId, Lld, LldConfig, LldError,
-    Position, Record, CHECKPOINT_HEADER, COLUMN_DESC, DEDUP_COLUMNS, DIR_ENTRY, SEGMENT_HEADER,
-    SUPERBLOCK,
+    Position, Record, CHECKPOINT_HEADER, COLUMN_DESC, DEDUP_COLUMNS, DIR_ENTRY, MAX_CLIENTS,
+    SEGMENT_HEADER, SUPERBLOCK,
 };
 use ld_disk::MemDisk;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -141,6 +150,9 @@ enum Oracle {
     Whole,
     /// A typed error, or a disk on which `check()` and every walk return.
     Returns,
+    /// As [`Whole`](Self::Whole), and client 7's row is the base
+    /// image's.
+    Row,
     /// [`LldError::Corrupt`].
     Corrupt,
 }
@@ -167,6 +179,8 @@ struct Base {
     /// The largest block and list identifiers the newer checkpoint
     /// holds.
     held: (u64, u64),
+    /// Client 7's row (generation, floor) on the recovered base image.
+    row: Option<(u64, u64)>,
 }
 
 impl Base {
@@ -236,11 +250,11 @@ fn field_ranges(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
 }
 
 /// Which fields of a record with `tag` are identifiers, never 0
-/// (`summary.rs`): the block, list, committed ARU, client, write id.
+/// (`summary.rs`): the block, list, committed ARU, client (a write id
+/// is 0 in a generation raise's record).
 fn id_fields(tag: u8) -> &'static [usize] {
     match tag {
-        4 => &[0, 1],
-        8 => &[0, 1, 3],
+        4 | 8 => &[0, 1],
         _ => &[0],
     }
 }
@@ -305,8 +319,8 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
     let block = |byte: u8| vec![byte; block_size];
     let ld = Lld::format(MemDisk::new(device_bytes), &config).unwrap();
     // One unit per flush: partial segments, several to a slot. Every
-    // third concurrent commit is tagged (a `WriteId` record, a dedup
-    // entry).
+    // third concurrent commit is tagged (a `WriteId` record moving
+    // client 7's row), its write ids 1, 2, 3 ….
     let unit = |list: ListId, n: u8| {
         let aru = ld.begin_aru().unwrap();
         let members = ld.list_blocks(Ctx::Aru(aru), list).unwrap();
@@ -317,7 +331,7 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
         let b = ld.new_block(Ctx::Aru(aru), list, pos).unwrap();
         ld.write(Ctx::Aru(aru), b, &block(n)).unwrap();
         if concurrent && n.is_multiple_of(3) {
-            ld.end_aru_tagged(aru, 7, 1, u64::from(n) + 1).unwrap();
+            ld.end_aru_tagged(aru, 7, 1, u64::from(n / 3) + 1).unwrap();
         } else {
             ld.end_aru(aru).unwrap();
         }
@@ -419,6 +433,8 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
     let (recovered, report) = Lld::recover_with(MemDisk::from_image(image.clone()), &config)
         .expect("the base image recovers");
     assert!(report.checkpoint_seq > 0 && report.segments_replayed > 8);
+    let row = recovered.write_id_floor(7);
+    assert_eq!(row, concurrent.then_some((1, 5)));
     let mut buf = block(0);
     recovered.read(Ctx::Simple, early[0], &mut buf).unwrap();
     assert_eq!(buf, block(0xEE), "the ARU the checkpoint was asked in");
@@ -467,6 +483,7 @@ fn base_image((block_size, device_bytes, mode): (usize, u64, ConcurrencyMode)) -
         replayed,
         used_slots,
         held,
+        row,
     }
 }
 
@@ -543,7 +560,8 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
     let header = base.headers[rng.below(base.headers.len())];
     let summary = header - seg(&image, header, SegField::SummaryLen) as usize..header;
     let segment = base.chain[rng.below(base.chain.len())];
-    let kind = rng.below(36);
+    let kind = rng.below(39);
+    let newer_dedup = dedup_range(&image, base.newer);
     let what = match kind {
         0 => {
             flip(&mut image, 0..ld_core::SUPERBLOCK_LEN, &mut rng);
@@ -586,9 +604,31 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
             reseal_dedup(&mut image, area);
             format!("resealed: dedup rows at {area}")
         }
-        // (25: the sequential image's dedup table has no row, and takes
-        // no byte.)
-        11 | 25 => {
+        36 if !newer_dedup.is_empty() => {
+            // Two rows for one client: the table's one row counted
+            // twice, its steps (descriptors of no row) all 0.
+            CkptField::NDedup.put(&mut image[newer..], 2);
+            reseal_checkpoint(&mut image, base.newer);
+            "hostile: two dedup rows for one client".to_string()
+        }
+        37 if !newer_dedup.is_empty() => {
+            // More rows than `MAX_CLIENTS`: the area is no checkpoint.
+            let n = [MAX_CLIENTS as u64 + 1, u64::from(u32::MAX)][rng.below(2)];
+            CkptField::NDedup.put(&mut image[ckpt..], n);
+            reseal_checkpoint(&mut image, area);
+            format!("resealed: {n} dedup rows at {ckpt}")
+        }
+        38 if !newer_dedup.is_empty() => {
+            // Row 0's generation, stored in full behind the descriptors,
+            // below the replayed `WriteId`s': they move the row on.
+            let at = column(newer_dedup.start, DEDUP_COLUMNS.len()) + 8 * 2;
+            image[at..at + 8].fill(0);
+            reseal_dedup(&mut image, base.newer);
+            "resealed: a dedup row at generation 0 behind replayed generation 1".to_string()
+        }
+        // (25 and 36–38: the sequential image's dedup table has no row,
+        // and takes no byte.)
+        11 | 25 | 36..=38 => {
             flip(&mut image, ckpt..ckpt + CkptField::Crc.at, &mut rng);
             reseal_checkpoint(&mut image, area);
             format!("resealed: checkpoint header at {ckpt}")
@@ -835,6 +875,8 @@ fn mutate(base: &Base, seed: u64) -> (Vec<u8>, String, Oracle) {
         }
     };
     let oracle = match kind {
+        36 if !newer_dedup.is_empty() => Oracle::Corrupt,
+        38 if !newer_dedup.is_empty() => Oracle::Row,
         5 | 6 | 8 | 9 | 10 | 12 | 19 | 25 => Oracle::Returns,
         13..=15 | 17 | 20..=24 | 32..=35 => Oracle::Corrupt,
         _ => Oracle::Whole,
@@ -857,8 +899,11 @@ fn run_case(base: &Base, seed: u64) -> Result<(), String> {
             (Err(_), _) => return Ok(()), // a typed error
             (Ok((ld, _)), _) => ld,
         };
+        if oracle == Oracle::Row && ld.write_id_floor(7) != base.row {
+            return Err(format!("client 7's row is {:?}", ld.write_id_floor(7)));
+        }
         let typed = |what: String, e| {
-            if oracle == Oracle::Whole {
+            if matches!(oracle, Oracle::Whole | Oracle::Row) {
                 Err(format!("{what}: {e}"))
             } else {
                 Ok(())

@@ -3,7 +3,11 @@
 //! not reach.
 
 use ld_core::{CkptField, Ctx, Lld, LldConfig, LldError, Position, ReadVisibility, CKPT_HEADER_AT};
-use ld_disk::{DiskModel, FaultPlan, MemDisk, SimDisk};
+use ld_disk::{DiskModel, FaultPlan, MemDisk, Mutex, SimDisk};
+
+#[path = "common/model.rs"]
+mod model;
+use model::Model;
 
 const BS: usize = 512;
 
@@ -343,26 +347,19 @@ fn mt_power_cut_preserves_per_aru_atomicity() {
 
 fn mt_power_cut_preserves_per_aru_atomicity_at(mode: Mode) {
     // Four threads share one Arc<Lld<SimDisk>> and commit disjoint
-    // ARUs (a private list of three patterned blocks each) with
-    // synchronous durability, while fault injection cuts power midway
-    // through the run. After recovery every ARU must be all-or-nothing:
-    // an ARU whose end_aru_sync returned Ok must be fully present, and
-    // any list that survived with members at all must be complete and
-    // correctly patterned.
+    // ARUs (a private list of three patterned blocks each), each
+    // followed by a flush, while fault injection cuts power midway
+    // through the run. Every call goes through one reference model,
+    // held for the call, so the units it records are in the order the
+    // disk ran them; a flush is not held (barriers overlap as they do
+    // under load), and vouches for the units recorded when it began.
+    // The recovered disk is then held to the model: every ARU all or
+    // nothing, none that returned `Err`, none flushed lost.
     use std::sync::Arc;
 
     const THREADS: usize = 4;
     const ARUS_PER_THREAD: usize = 12;
     const BLOCKS_PER_ARU: usize = 3;
-
-    #[derive(Debug)]
-    struct AruRecord {
-        list: ld_core::ListId,
-        blocks: Vec<ld_core::BlockId>,
-        tag: u8,
-        committed: bool, // end_aru reached and returned Ok
-        durable: bool,   // the following flush returned Ok too
-    }
 
     let sim = SimDisk::new(MemDisk::new(4 << 20), DiskModel::hp_c3010())
         .with_faults(FaultPlan::new().crash_after_bytes(24 * 1024));
@@ -377,123 +374,65 @@ fn mt_power_cut_preserves_per_aru_atomicity_at(mode: Mode) {
         )
         .unwrap(),
     );
+    let model = Mutex::new(Model::default());
 
-    let records: Vec<Vec<AruRecord>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let ld = Arc::clone(&ld);
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    'arus: for i in 0..ARUS_PER_THREAD {
-                        let tag = (t * 64 + i + 1) as u8;
-                        let Ok(aru) = ld.begin_aru() else { break };
-                        let Ok(list) = ld.new_list(Ctx::Aru(aru)) else {
-                            break;
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (ld, model) = (&ld, &model);
+            s.spawn(move || {
+                'arus: for i in 0..ARUS_PER_THREAD {
+                    let tag = (t * 64 + i + 1) as u8;
+                    let Ok(aru) = ld.begin_aru() else { break };
+                    let ctx = Ctx::Aru(aru);
+                    let Ok(list) = model.lock().new_list(ld, ctx) else {
+                        break;
+                    };
+                    let mut pos = Position::First;
+                    for k in 0..BLOCKS_PER_ARU {
+                        let mut m = model.lock();
+                        let Ok(b) = m.new_block(ld, ctx, list, pos) else {
+                            break 'arus;
                         };
-                        let mut rec = AruRecord {
-                            list,
-                            blocks: Vec::new(),
-                            tag,
-                            committed: false,
-                            durable: false,
-                        };
-                        let mut prev = None;
-                        for k in 0..BLOCKS_PER_ARU {
-                            let pos = match prev {
-                                None => Position::First,
-                                Some(p) => Position::After(p),
-                            };
-                            let Ok(b) = ld.new_block(Ctx::Aru(aru), list, pos) else {
-                                out.push(rec);
-                                break 'arus;
-                            };
-                            rec.blocks.push(b);
-                            prev = Some(b);
-                            if ld
-                                .write(Ctx::Aru(aru), b, &block(tag ^ (k as u8) << 6))
-                                .is_err()
-                            {
-                                out.push(rec);
-                                break 'arus;
-                            }
+                        if m.write(ld, ctx, b, &block(tag ^ (k as u8) << 6)).is_err() {
+                            break 'arus;
                         }
-                        rec.committed = ld.end_aru(aru).is_ok();
-                        rec.durable = rec.committed && ld.flush().is_ok();
-                        let done = !rec.committed || !rec.durable;
-                        out.push(rec);
-                        if done {
-                            break; // the power is out; stop this client
-                        }
+                        pos = Position::After(b);
                     }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
+                    if model.lock().end_aru(ld, aru).is_err() {
+                        break;
+                    }
+                    let upto = model.lock().recorded();
+                    if ld.flush().is_err() {
+                        break; // the power is out; stop this client
+                    }
+                    model.lock().flushed(upto);
+                }
+            });
+        }
     });
 
+    let model = model.into_inner();
+    assert!(
+        model.durable() > 0,
+        "the crash point must allow some ARUs to become durable first"
+    );
     let ld = Arc::try_unwrap(ld).expect("threads are done");
     let image = ld.into_device().into_inner().into_image();
     let (ld2, _report) = Lld::recover_with(MemDisk::from_image(image), &config(mode)).unwrap();
-
-    let mut durable_arus = 0;
-    let mut buf = block(0);
-    for rec in records.iter().flatten() {
-        // An Err means the list id itself never became persistent.
-        let survived = ld2.list_blocks(Ctx::Simple, rec.list).unwrap_or_default();
-        if rec.durable {
-            // A durability witness: flush() returned Ok, so the commit
-            // record reached the device before the power cut (after a
-            // crash SimDisk fails flushes too).
-            assert_eq!(
-                survived, rec.blocks,
-                "durable ARU (tag {}) must survive completely",
-                rec.tag
-            );
-            durable_arus += 1;
-        }
-        if survived.is_empty() {
-            continue; // discarded wholesale: the "none" outcome
-        }
-        // The "all" outcome: exactly the recorded blocks, all content
-        // intact. A partially surviving ARU would show up here.
-        assert!(
-            rec.committed,
-            "ARU (tag {}) survived without ever committing",
-            rec.tag
-        );
-        assert_eq!(
-            survived, rec.blocks,
-            "ARU (tag {}) survived partially",
-            rec.tag
-        );
-        for (k, &b) in survived.iter().enumerate() {
-            ld2.read(Ctx::Simple, b, &mut buf).unwrap();
-            assert_eq!(
-                buf,
-                block(rec.tag ^ (k as u8) << 6),
-                "block {k} of ARU (tag {}) corrupted",
-                rec.tag
-            );
-        }
-    }
-    assert!(
-        durable_arus >= 1,
-        "the crash point must allow some ARUs to become durable first"
+    model.check(
+        &ld2,
+        &format!("a power cut under {THREADS} threads, {mode} shards"),
     );
 }
 
-/// Digests of the bytes format 11 puts on a device: the image
+/// Digests of the bytes format 12 puts on a device: the image
 /// `Lld::format` writes at 512-byte and 4 KiB blocks, and both
 /// checkpoint areas after a fixed history on the caller's thread. A
 /// refactor of a codec leaves them alone; a format change re-pins them
 /// beside its version. (SipHash, not CRC32: a CRC over bytes that end in
 /// their own CRC is a constant residue.)
 #[test]
-fn format_11_bytes_are_pinned() {
+fn format_12_bytes_are_pinned() {
     use std::hash::{DefaultHasher, Hasher};
     fn digest(bytes: &[u8]) -> u64 {
         let mut h = DefaultHasher::new();
@@ -514,8 +453,8 @@ fn format_11_bytes_are_pinned() {
         digest(&ld.into_device().into_image())
     });
 
-    // Both areas, A and B, after tagged and untagged ARUs and a
-    // deleted list.
+    // Both areas, A and B, after tagged and untagged ARUs (the tagged
+    // write ids 1, 2, 3 …) and a deleted list.
     let ld = Lld::format(MemDisk::new(2 << 20), &cfg(BS)).unwrap();
     let lists = [
         ld.new_list(Ctx::Simple).unwrap(),
@@ -527,7 +466,7 @@ fn format_11_bytes_are_pinned() {
         let b = ld.new_block(Ctx::Aru(aru), l, Position::First).unwrap();
         ld.write(Ctx::Aru(aru), b, &block(n)).unwrap();
         if n % 3 == 0 {
-            ld.end_aru_tagged(aru, 7, 1, u64::from(n) + 1).unwrap();
+            ld.end_aru_tagged(aru, 7, 1, u64::from(n / 3) + 1).unwrap();
         } else {
             ld.end_aru(aru).unwrap();
         }
@@ -543,9 +482,9 @@ fn format_11_bytes_are_pinned() {
     assert_eq!(
         (formatted, digest(areas)),
         (
-            [17_301_760_399_377_862_293, 1_976_850_447_533_693_728],
-            7_305_676_998_258_938_715
+            [15_864_441_197_119_699_135, 5_517_946_512_636_070_197],
+            7_084_827_082_665_194_898
         ),
-        "format 11's bytes moved"
+        "format 12's bytes moved"
     );
 }

@@ -14,13 +14,14 @@
 //!   record. No ARU outlives its request, so a session's only state is
 //!   its `(client, generation)` identity.
 //! * **Exactly-once commits.** A client tags its commit with a
-//!   `(client, generation, write_id)` key ([`wire::flag::TAGGED`]).
-//!   The core journals the key inside the ARU and records the outcome
-//!   in a bounded dedup cache, so a client retrying after a lost
-//!   acknowledgement — or after a whole server crash and recovery —
-//!   gets the recorded outcome instead of a re-execution. The only
-//!   commit whose fate a client can be unsure of is its one in flight,
-//!   and [`wire::op::LOOKUP`] settles it.
+//!   `(client, generation, write_id)` key ([`wire::flag::TAGGED`]),
+//!   its write ids running 1, 2, 3 … The core keeps one row per client,
+//!   moved by a record journaled inside the ARU, and the session
+//!   settles the key against it before the program runs
+//!   ([`wire::answer`]): a client retrying after a lost acknowledgement
+//!   — or after a server crash and recovery — gets the recorded outcome
+//!   instead of a re-execution, and [`wire::op::LOOKUP`] settles an id
+//!   without sending its program.
 //! * **Group commit for free.** Synchronous commits from different
 //!   connections meet in the core's group-commit stage: one leader
 //!   seals, one barrier covers the whole batch. The server adds no
@@ -50,7 +51,7 @@ use std::time::{Duration, Instant};
 use ld_core::{AruId, BlockId, Ctx, ListId, Lld, LldError, Position, ServerCounters, ServerStats};
 use ld_disk::{BlockDevice, Mutex};
 
-use wire::{flag, op, status};
+use wire::{answer, flag, op, status};
 
 /// How often an idle session polls the shutdown flag; the accept
 /// thread's back-off after an error.
@@ -450,41 +451,33 @@ fn serve<D: BlockDevice + 'static, R: Read>(
     }
 }
 
-/// Ends `aru` as `flags` ask — a tagged or an untagged commit, then a
-/// `SYNC` flush — appends `deduped generation commit_ts` to `resp`, and
-/// returns whether the commit was deduped.
-fn end_aru<D: BlockDevice + 'static>(
-    shared: &Shared<D>,
+fn put_answer(resp: &mut Vec<u8>, answer: u8, generation: u64, stamp: u64) {
+    resp.push(answer);
+    resp.extend_from_slice(&generation.to_le_bytes());
+    resp.extend_from_slice(&stamp.to_le_bytes());
+}
+
+/// Puts how a write id settled against the session client's row
+/// ([`LldInner::write_id_lookup`](ld_core::LldInner::write_id_lookup))
+/// into `resp`, unless it is the next, and says whether it is.
+fn settle(
     sess: &Session,
-    aru: AruId,
-    flags: u8,
-    write_id: u64,
+    settled: ld_core::Result<Option<ld_core::WriteIdOutcome>>,
     resp: &mut Vec<u8>,
 ) -> Result<bool, Fault> {
-    let ld = &shared.ld;
-    let (deduped, generation, ts) = if flags & flag::TAGGED != 0 {
-        let out = ld.end_aru_tagged(aru, sess.client, sess.generation, write_id)?;
-        if out.deduped {
-            shared.stats.retries_deduped.inc();
+    let (answer, generation, stamp) = match settled {
+        Ok(None) => return Ok(true),
+        Ok(Some(o)) => (answer::APPLIED, o.generation, o.commit_ts.get()),
+        Err(LldError::WriteIdSuperseded { floor, .. }) => {
+            (answer::SUPERSEDED, sess.generation, floor)
         }
-        (
-            out.deduped,
-            out.outcome.generation,
-            out.outcome.commit_ts.get(),
-        )
-    } else {
-        ld.end_aru(aru)?;
-        (false, sess.generation, 0)
+        Err(LldError::WriteIdOutOfSequence { floor, .. }) => {
+            (answer::OUT_OF_SEQUENCE, sess.generation, floor)
+        }
+        Err(e) => return Err(e.into()),
     };
-    if flags & flag::SYNC != 0 {
-        // Group commit: concurrent sync commits from other connections
-        // share this barrier.
-        ld.flush()?;
-    }
-    resp.push(u8::from(deduped));
-    resp.extend_from_slice(&generation.to_le_bytes());
-    resp.extend_from_slice(&ts.to_le_bytes());
-    Ok(deduped)
+    put_answer(resp, answer, generation, stamp);
+    Ok(false)
 }
 
 /// The most identifiers a `COMMIT` may mint: its answer carries each,
@@ -496,8 +489,11 @@ const MAX_LISTED: usize = (wire::MAX_FRAME as usize - 5) / 8;
 
 /// Runs a `COMMIT` as it is read: one fresh ARU, each op executed as
 /// soon as its fields have arrived, a write's data through one
-/// block-sized buffer. On any fault the ARU is aborted; the caller
-/// drains what is left of the frame.
+/// block-sized buffer, then the commit as `flags` ask — tagged or not,
+/// then a `SYNC` flush. A tagged program runs only as its client's next
+/// write id: any other is settled before an ARU begins, and its frame
+/// drained unread. On any fault the ARU is aborted; the caller drains
+/// what is left of the frame.
 fn commit<D: BlockDevice + 'static, R: Read>(
     shared: &Shared<D>,
     sess: &Session,
@@ -507,25 +503,48 @@ fn commit<D: BlockDevice + 'static, R: Read>(
     let flags = frame.u8()?;
     let write_id = frame.u64()?;
     let n = frame.u32()?;
-    let aru = ld.begin_aru()?;
+    let tagged = flags & flag::TAGGED != 0;
     let mut resp = vec![status::OK];
-    let ran = run_program(ld, aru, n, frame).and_then(|minted| {
-        frame.end()?;
-        let deduped = end_aru(shared, sess, aru, flags, write_id, &mut resp)?;
-        // A deduped commit's ARU was aborted: its identifiers are not
-        // the recorded ones.
-        let minted = if deduped { &[] } else { &minted[..] };
-        resp.extend_from_slice(&(minted.len() as u32).to_le_bytes());
-        for id in minted {
-            resp.extend_from_slice(&id.to_le_bytes());
-        }
-        Ok(())
-    });
-    if let Err(fault) = ran {
-        // Gone already if the commit itself went through and only its
-        // flush failed.
-        let _ = ld.abort_aru(aru);
-        return Err(fault);
+    let mut minted = Vec::new();
+    let lookup = || ld.write_id_lookup(sess.client, sess.generation, write_id);
+    if !tagged || settle(sess, lookup(), &mut resp)? {
+        let aru = ld.begin_aru()?;
+        let ran = run_program(ld, aru, n, frame).and_then(|ids| {
+            frame.end()?;
+            let (generation, ts) = if tagged {
+                match ld.end_aru_tagged(aru, sess.client, sess.generation, write_id) {
+                    Ok(out) if !out.deduped => {
+                        (out.outcome.generation, out.outcome.commit_ts.get())
+                    }
+                    // A racing retry of the same id, settled as the
+                    // other ran it: this ARU was aborted.
+                    other => {
+                        settle(sess, other.map(|out| Some(out.outcome)), &mut resp)?;
+                        return Ok(Vec::new());
+                    }
+                }
+            } else {
+                ld.end_aru(aru)?;
+                (sess.generation, 0)
+            };
+            put_answer(&mut resp, answer::NEXT, generation, ts);
+            Ok(ids)
+        });
+        minted = ran.inspect_err(|_| _ = ld.abort_aru(aru))?;
+    } else {
+        frame.drain()?;
+    }
+    if resp[1] != answer::NEXT {
+        shared.stats.retries_deduped.inc();
+    }
+    if flags & flag::SYNC != 0 {
+        // Group commit: concurrent sync commits from other connections
+        // share this barrier, and a settled answer is durable too.
+        ld.flush()?;
+    }
+    resp.extend_from_slice(&(minted.len() as u32).to_le_bytes());
+    for id in minted {
+        resp.extend_from_slice(&id.to_le_bytes());
     }
     Ok(resp)
 }
@@ -619,10 +638,10 @@ fn handle_request<D: BlockDevice + 'static, R: Read>(
     match opcode {
         op::HELLO => {
             let [client, generation] = frame.fields()?;
-            let evicted = ld.client_hello(client, generation)?;
+            let floor = ld.client_hello(client, generation)?;
             sess.client = client;
             sess.generation = generation;
-            resp.extend_from_slice(&(evicted as u64).to_le_bytes());
+            resp.extend_from_slice(&floor.to_le_bytes());
         }
         op::READ => {
             let [block] = frame.fields()?;
@@ -645,13 +664,9 @@ fn handle_request<D: BlockDevice + 'static, R: Read>(
         }
         op::LOOKUP => {
             let [write_id] = frame.fields()?;
-            match ld.write_id_lookup(sess.client, write_id) {
-                Some(o) => {
-                    resp.push(1);
-                    resp.extend_from_slice(&o.generation.to_le_bytes());
-                    resp.extend_from_slice(&o.commit_ts.get().to_le_bytes());
-                }
-                None => resp.push(0),
+            let settled = ld.write_id_lookup(sess.client, sess.generation, write_id);
+            if settle(sess, settled, &mut resp)? {
+                put_answer(&mut resp, answer::NEXT, sess.generation, write_id - 1);
             }
         }
         op::LIST_BLOCKS => {

@@ -36,6 +36,8 @@ pub const MAX_FRAME: u32 = 1 << 20;
 pub mod op {
     /// `client_id:u64 generation:u64` — must be the session's first
     /// request (except [`STATS`]); registers the client incarnation.
+    /// Answers `floor:u64`, the highest write id applied under
+    /// `generation` (0 for a new client or a raised generation).
     pub const HELLO: u8 = 1;
     /// A [`COMMIT`] program op with no fields: the new list takes the
     /// next slot.
@@ -57,8 +59,9 @@ pub mod op {
     /// no body — returns the observability snapshot as JSON. Allowed
     /// before `HELLO` so monitoring needs no client identity.
     pub const STATS: u8 = 9;
-    /// `write_id:u64` — looks up the session client's recorded commit
-    /// outcome (the reconnect reconciliation step).
+    /// `write_id:u64` — settles `write_id` against the session client's
+    /// row (the reconnect reconciliation step). Answers
+    /// `answer:u8 generation:u64 stamp:u64` ([`answer`](super::answer)).
     pub const LOOKUP: u8 = 10;
     /// `list:u64` — block ids of a committed list, in list order.
     pub const LIST_BLOCKS: u8 = 11;
@@ -67,9 +70,12 @@ pub mod op {
     /// server runs the program in one fresh ARU as it reads it and
     /// commits the ARU under `flags` ([`flag`](super::flag)) and
     /// `write_id` (meaningful only when tagged); on any error it aborts
-    /// the ARU and drains the frame. Answers `deduped:u8 generation:u64
-    /// commit_ts:u64 n:u32 id:u64 × n`: the identifiers minted, in slot
-    /// order (none when deduped).
+    /// the ARU and drains the frame. A tagged program runs only as the
+    /// client's next write id: any other is settled before an ARU
+    /// begins, and its frame drained unread. Answers `answer:u8
+    /// generation:u64 stamp:u64 n:u32 id:u64 × n`
+    /// ([`answer`](super::answer)): the identifiers minted, in slot
+    /// order (none unless it ran).
     pub const COMMIT: u8 = 13;
 }
 
@@ -89,9 +95,24 @@ pub mod flag {
     /// Follow the commit with a group-committed flush (durable ack).
     pub const SYNC: u8 = 1;
     /// The commit carries a `(client, generation, write_id)`
-    /// idempotency tag; the server answers retries from the dedup
-    /// cache.
+    /// idempotency tag; the server settles it against the client's row
+    /// ([`answer`](super::answer)).
     pub const TAGGED: u8 = 2;
+}
+
+/// How a tagged `COMMIT`'s or a `LOOKUP`'s write id `w` settled against
+/// the client's row: the answer's first byte, before `generation:u64
+/// stamp:u64` (docs/PROTOCOL.md, "Exactly-once tagged commits").
+pub mod answer {
+    /// `w == floor + 1`: a `COMMIT` ran it (`stamp`: its commit
+    /// timestamp), a `LOOKUP` finds it not applied (`stamp`: the floor).
+    pub const NEXT: u8 = 0;
+    /// `w == floor`: applied; `stamp` is its commit timestamp.
+    pub const APPLIED: u8 = 1;
+    /// `w < floor`: applied, its outcome superseded; `stamp`: the floor.
+    pub const SUPERSEDED: u8 = 2;
+    /// `w > floor + 1`: not applied, and refused; `stamp`: the floor.
+    pub const OUT_OF_SEQUENCE: u8 = 3;
 }
 
 /// Response status bytes.

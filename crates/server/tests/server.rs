@@ -113,13 +113,13 @@ fn duplicate_write_id_returns_recorded_outcome() {
     let mut txn = Txn::new();
     let list = txn.new_list();
     let b = txn.new_block(ListRef::Slot(list), None);
-    txn.write(BlockRef::Slot(b), &payload(3, 9));
+    txn.write(BlockRef::Slot(b), &payload(3, 1));
 
-    let first = c.commit(&txn, 9, Durability::Sync).unwrap();
+    let first = c.commit(&txn, 1, Durability::Sync).unwrap();
     assert!(!first.deduped);
-    // A client-level retry of the same write_id replays the program;
-    // the server aborts the replayed ARU and answers from the cache.
-    let second = c.commit(&txn, 9, Durability::Sync).unwrap();
+    // A client-level retry of the same write_id sends the program
+    // again; the server answers the floor's outcome and runs nothing.
+    let second = c.commit(&txn, 1, Durability::Sync).unwrap();
     assert!(second.deduped);
     assert_eq!(second.generation, first.generation);
     assert_eq!(second.commit_ts, first.commit_ts);
@@ -129,10 +129,58 @@ fn duplicate_write_id_returns_recorded_outcome() {
     // Only the first attempt's effects exist.
     assert_eq!(c.list_blocks(first.ids[0]).unwrap(), vec![first.ids[1]]);
     assert_eq!(
-        c.lookup(9).unwrap(),
+        c.lookup(1).unwrap(),
         Some((first.generation, first.commit_ts))
     );
-    assert_eq!(c.lookup(10).unwrap(), None);
+    assert_eq!(c.lookup(2).unwrap(), None);
+    assert!(matches!(
+        c.lookup(3),
+        Err(ClientError::OutOfSequence {
+            write_id: 3,
+            floor: 1
+        })
+    ));
+
+    drop(c);
+    server.shutdown().1.unwrap();
+}
+
+/// A retry never runs its program: the server settles a tagged
+/// `COMMIT`'s write id before it begins an ARU, so three retries of an
+/// acknowledged commit that mints a list mint nothing, and a commit past
+/// the next id is refused, typed, and runs nothing either.
+#[test]
+fn a_retry_never_runs_its_program() {
+    let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config(DEFAULT)).unwrap());
+    let server = Server::start(Arc::clone(&ld), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr().to_string();
+    let mut c = Client::connect(&addr, 2, 1, quick_retries()).unwrap();
+    let mut txn = Txn::new();
+    txn.new_list();
+    let first = c.commit(&txn, 1, Durability::Sync).unwrap();
+    let (lists, begun) = (ld.allocated_list_count(), ld.stats().arus_begun);
+    for _ in 0..3 {
+        let again = c.commit(&txn, 1, Durability::Sync).unwrap();
+        assert!(again.deduped && again.ids.is_empty());
+        assert_eq!(again.commit_ts, first.commit_ts);
+    }
+    assert!(matches!(
+        c.commit(&txn, 3, Durability::Sync),
+        Err(ClientError::OutOfSequence {
+            write_id: 3,
+            floor: 1
+        })
+    ));
+    assert_eq!(ld.allocated_list_count(), lists, "a retry minted a list");
+    assert_eq!(ld.stats().arus_begun, begun, "a retry began an ARU");
+    assert_eq!(server.stats().retries_deduped, 4);
+    // A new connection of the same incarnation is told the floor.
+    assert_eq!(
+        Client::connect(&addr, 2, 1, quick_retries())
+            .unwrap()
+            .floor(),
+        1
+    );
 
     drop(c);
     server.shutdown().1.unwrap();
@@ -426,9 +474,10 @@ fn shutdown_under_load_loses_no_acknowledged_commit_at(mode: Mode) {
 
     for (i, client_acks) in acked.iter().enumerate() {
         let client = i as u64 + 1;
+        let floor = ld2.write_id_floor(client).map_or(0, |(_, floor)| floor);
         for (wid, ids) in client_acks {
             assert!(
-                ld2.write_id_lookup(client, *wid).is_some(),
+                *wid <= floor,
                 "client {client} acked write_id {wid} missing after shutdown+recovery"
             );
             let mut buf = vec![0u8; BS];
@@ -497,9 +546,7 @@ fn sync_commits_from_different_connections_share_barriers_at(mode: Mode) {
         "{commits} sync commits from {CLIENTS} connections took {barriers} barriers"
     );
     for client in 1..=CLIENTS {
-        for wid in 1..=COMMITS {
-            assert!(ld.write_id_lookup(client, wid).is_some());
-        }
+        assert_eq!(ld.write_id_floor(client), Some((1, COMMITS)));
     }
     server.shutdown().1.unwrap();
 }
@@ -601,24 +648,26 @@ fn crash_recovery_reconciles_exactly_once_at(mode: Mode) {
         let mut c = Client::connect(&addr2, client, 1, quick_retries()).unwrap();
 
         // Invariant 1: every sync-acknowledged commit survived the
-        // crash (the ack implies durability).
+        // crash (the ack implies durability): the floor the handshake
+        // answered is at or past it, and a lookup reads it applied.
+        let floor = c.floor();
         for wid in acked {
             assert!(
-                c.lookup(*wid).unwrap().is_some(),
+                *wid <= floor,
                 "{cut}: client {client}: acked write_id {wid} lost by the crash"
             );
         }
-        // Reconciliation: replay any write_id with no recorded
-        // outcome. Tagged commits make blind replay safe — if the
-        // in-doubt attempt actually landed, the server dedups it.
-        for wid in 2..=*attempted {
-            if c.lookup(wid).unwrap().is_none() {
-                let mut txn = Txn::new();
-                let b = txn.new_block(ListRef::Id(list), None);
-                txn.write(BlockRef::Slot(b), &payload(client, wid));
-                let out = c.commit(&txn, wid, Durability::Sync).unwrap();
-                assert!(!out.deduped, "lookup said missing, commit said duplicate");
-            }
+        assert!(c.lookup(floor).unwrap().is_some());
+        // Reconciliation: replay every write_id past the floor, in
+        // sequence. The first is in doubt only to the client: the
+        // server settled it with the floor.
+        for wid in floor + 1..=*attempted {
+            assert_eq!(c.lookup(wid).unwrap(), None);
+            let mut txn = Txn::new();
+            let b = txn.new_block(ListRef::Id(list), None);
+            txn.write(BlockRef::Slot(b), &payload(client, wid));
+            let out = c.commit(&txn, wid, Durability::Sync).unwrap();
+            assert!(!out.deduped, "lookup said missing, commit said duplicate");
         }
 
         // Serial oracle: exactly one block per write_id, no extras, no
@@ -646,8 +695,9 @@ fn crash_recovery_reconciles_exactly_once_at(mode: Mode) {
 }
 
 /// Generation handling across incarnations: a restarted client that
-/// bumps its generation may reuse old write-ids; announcing an older
-/// generation is rejected.
+/// bumps its generation starts its write ids again from 1 (the
+/// handshake answers floor 0); announcing an older generation is
+/// rejected.
 #[test]
 fn generation_bump_and_regression() {
     let ld = Arc::new(Lld::format(MemDisk::new(4 << 20), &config(DEFAULT)).unwrap());
@@ -665,6 +715,7 @@ fn generation_bump_and_regression() {
 
     // New incarnation: same write_id is a fresh transaction.
     let mut c2 = Client::connect(&addr, 5, 4, quick_retries()).unwrap();
+    assert_eq!(c2.floor(), 0);
     let again = c2.commit(&txn, 1, Durability::Sync).unwrap();
     assert!(!again.deduped);
     assert!(Timestamp::new(again.commit_ts) > Timestamp::new(first.commit_ts));

@@ -17,6 +17,10 @@
 //! thirteen is a valid `COMMIT`, which checks the encoder against the
 //! server.
 //!
+//! Every case's write id is the client's next, so a defective program
+//! is run up to its defect: the server settles any other id before an
+//! ARU begins and drains its frame unread.
+//!
 //! A defective request must get a typed `ERR` response, leave no ARU
 //! open (`arus_begun == arus_committed + arus_aborted`), commit nothing
 //! (`LOOKUP` of its write-id finds nothing, and the block committed
@@ -79,12 +83,13 @@ const KINDS: [Kind; 13] = [
     Kind::Valid,
 ];
 
-/// What the cases share: the list and block committed before them, and
-/// the data that block holds now.
+/// What the cases share: the list and block committed before them, the
+/// data that block holds now, and the client's next write id.
 struct Base {
     list: u64,
     block: u64,
     data: Vec<u8>,
+    next: u64,
 }
 
 fn data(rng: &mut SmallRng, len: usize) -> Vec<u8> {
@@ -268,7 +273,7 @@ fn request(rng: &mut SmallRng, kind: Kind, write_id: u64, base: &Base) -> (Vec<u
 fn run_case(addr: &str, ld: &Lld<MemDisk>, base: &mut Base, seed: u64) -> Result<(), String> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let kind = KINDS[seed as usize % KINDS.len()];
-    let write_id = seed + 1;
+    let write_id = base.next;
     let (payload, base_data) = request(&mut rng, kind, write_id, base);
     let mut s = match kind {
         Kind::BeforeHello => connect_silent(addr),
@@ -277,7 +282,7 @@ fn run_case(addr: &str, ld: &Lld<MemDisk>, base: &mut Base, seed: u64) -> Result
     let resp = exchange(&mut s, &frame(&payload)).ok_or(format!("{kind:?}: no answer"))?;
     let valid = kind == Kind::Valid;
     match (resp[0], valid) {
-        (status::OK, true) => base.data = base_data,
+        (status::OK, true) => (base.data, base.next) = (base_data, write_id + 1),
         (status::ERR, false) => {
             let msg = Body::new(&resp[1..])
                 .str32()
@@ -360,6 +365,7 @@ fn hostile_commit_frames_get_typed_errors() {
         list: out.ids[0],
         block: out.ids[1],
         data: first,
+        next: 1,
     };
 
     let failed: Vec<String> = seeds

@@ -514,7 +514,7 @@ fn dedup_journal_and_commit_survive_any_cut_together() {
             let aru = r.ld.begin_aru().unwrap();
             let b = r.chain(Ctx::Aru(aru), list, 1)[0];
             r.write(Ctx::Aru(aru), b, &[wid; 512]);
-            r.commit(aru, Some(wid.into()));
+            r.commit(aru, true);
             r.flush();
         }
         // The list, then a block and a commit an ARU.

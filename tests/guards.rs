@@ -134,7 +134,7 @@ forbid! {
     one_crash_oracle:
         only(sources(&["tests", "crates"]), |p| p.components().any(|c| c.as_os_str() == "tests"))
             => "fn check_acked|fn pair_generations|struct AbsorbRun|fn mix_generations|\
-                struct Fingerprint";
+                struct Fingerprint|struct AruRecord";
 
     /// One crash enumerator (`crates/core/tests/common/enumerate.rs`),
     /// since the sampled LD-level power-cut sweeps it replaced went (three
@@ -171,11 +171,19 @@ forbid! {
         files(&["crates/core/src/layout.rs", "crates/core/src/segment.rs"])
             => "fn block_at|MIN_SEGMENT_BLOCKS";
 
-    /// The dedup cache keys on what comes off the wire and keeps std's
-    /// hasher, since the identifier maps moved to the keyed folded
+    /// The client rows key on what comes off the wire and keep std's
+    /// collections, since the identifier maps moved to the keyed folded
     /// multiply in `state.rs`: that hasher is for identifiers only.
     the_dedup_cache_keeps_std_hasher:
         files(&["crates/core/src/dedup.rs"]) => "IdMap|IdSet|IdBuild";
+
+    /// One row per client, since format 12 made the dedup table's rows
+    /// floors: no outcome cache bounded by a knob (`dedup_capacity`,
+    /// `MAX_DEDUP_CAPACITY`) and no recording-order queue to evict from
+    /// (`VecDeque`) comes back.
+    one_row_per_client:
+        files(&["crates/core/src/dedup.rs", "crates/core/src/config.rs"])
+            => "dedup_capacity|MAX_DEDUP_CAPACITY|VecDeque";
 
     /// One row codec, since format 10 made the write-id outcomes the
     /// slab codec's third table: no fixed 32-byte dedup entry under any
@@ -386,9 +394,9 @@ fn persistent_tables_are_arrays() {
     );
 }
 
-/// "no new field in config.rs": `config.rs` has the 17 `pub name:`
-/// lines it has had since the backpressure gate's knob went, counted as
-/// the step counted them.
+/// "no new field in config.rs": `config.rs` has the 16 `pub name:`
+/// lines it has had since `dedup_capacity` went with the bounded outcome
+/// cache, counted as the step counted them.
 #[test]
 fn no_new_field_in_config() {
     let found = lines_where(&files(&["crates/core/src/config.rs"]), |line| {
@@ -398,7 +406,7 @@ fn no_new_field_in_config() {
             rest.starts_with(':')
         })
     });
-    assert_eq!(found.len(), 17, "fields:\n{}", found.join("\n"));
+    assert_eq!(found.len(), 16, "fields:\n{}", found.join("\n"));
 }
 
 /// "a directory entry is decoded in place": `dir::decode` lends the name
